@@ -98,6 +98,44 @@ func TestStaticRouterCachesAndRoutes(t *testing.T) {
 	}
 }
 
+// A repeated lookup returns the memoized path itself and allocates nothing;
+// a different size class or destination resolves its own path.
+func TestStaticRouterMemoizesPaths(t *testing.T) {
+	g := topology.Testbed()
+	r := NewStaticRouter(g)
+	gpus := g.GPUs()
+	p1, _ := r.Route(gpus[0], gpus[15], 1<<20)
+	p2, _ := r.Route(gpus[0], gpus[15], 1<<20+1) // same decade class
+	if &p1.Edges[0] != &p2.Edges[0] || &p1.Nodes[0] != &p2.Nodes[0] {
+		t.Error("repeated route was rebuilt instead of shared")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { r.Route(gpus[0], gpus[15], 1<<20) }); allocs != 0 {
+		t.Errorf("memoized route allocates %.1f objects, want 0", allocs)
+	}
+	p3, _ := r.Route(gpus[0], gpus[15], 1<<30)
+	if &p3.Edges[0] == &p1.Edges[0] {
+		t.Error("different size class shares the cached path")
+	}
+	if _, ok := r.Route(gpus[0], gpus[0], 1); !ok {
+		t.Error("self route should resolve to an empty path")
+	}
+	// Past the cap the memo stops growing, and routes still resolve.
+	n := topology.NodeID(g.NumNodes())
+	for size := int64(1); size < 1e18; size *= 10 {
+		for a := topology.NodeID(0); a < n; a++ {
+			for b := topology.NodeID(0); b < n; b++ {
+				r.Route(a, b, size)
+			}
+		}
+	}
+	if len(r.paths) != maxMemoPaths {
+		t.Errorf("memo holds %d paths, want the cap %d", len(r.paths), maxMemoPaths)
+	}
+	if p, ok := r.Route(gpus[3], gpus[12], 1e17); !ok || p.Nodes[0] != gpus[3] || p.Nodes[len(p.Nodes)-1] != gpus[12] {
+		t.Errorf("route past the cap = %+v, ok=%v", p, ok)
+	}
+}
+
 func TestMatrixRouter(t *testing.T) {
 	g := topology.Testbed()
 	gpus := g.GPUs()

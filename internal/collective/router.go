@@ -40,12 +40,15 @@ func FabricAllow(g *topology.Graph) func(topology.NodeID) bool {
 
 // StaticRouter routes on capacity-weighted shortest paths through the
 // switching fabric (GPU relays excluded, per FabricAllow), caching one
-// Dijkstra tree per (source, size-class). Size classes keep the cache small:
-// paths only change with size when fixed latencies rival serialization time,
-// so routing on the class's representative size is accurate enough.
+// Dijkstra tree per (source, size-class) and the first maxMemoPaths paths
+// resolved from them. Size classes keep the cache small: paths only change
+// with size when fixed latencies rival serialization time, so routing on the
+// class's representative size is accurate enough. Returned paths are shared
+// between calls; callers must not modify them.
 type StaticRouter struct {
 	g     *topology.Graph
-	cache map[routeKey]*topology.ShortestPaths
+	trees map[routeKey]*topology.ShortestPaths
+	paths map[pathKey]cachedPath
 }
 
 type routeKey struct {
@@ -53,9 +56,30 @@ type routeKey struct {
 	class int
 }
 
+type pathKey struct {
+	routeKey
+	dst topology.NodeID
+}
+
+type cachedPath struct {
+	path topology.Path
+	ok   bool
+}
+
+// maxMemoPaths caps the path memo. Serving runs on the 16-GPU testbed
+// resolve a few hundred distinct paths at most, so the cap never binds
+// there; a 192-GPU pod resolves tens of thousands per run, and memoizing
+// them all would add several MiB of live heap for little gain. Paths past
+// the cap are rebuilt from the cached tree on every call.
+const maxMemoPaths = 1024
+
 // NewStaticRouter returns a Router over g.
 func NewStaticRouter(g *topology.Graph) *StaticRouter {
-	return &StaticRouter{g: g, cache: make(map[routeKey]*topology.ShortestPaths)}
+	return &StaticRouter{
+		g:     g,
+		trees: make(map[routeKey]*topology.ShortestPaths),
+		paths: make(map[pathKey]cachedPath),
+	}
 }
 
 // sizeClass buckets sizes by decade.
@@ -79,13 +103,20 @@ func capacityCost(size int64) topology.EdgeCost {
 // Route implements Router.
 func (r *StaticRouter) Route(a, b topology.NodeID, size int64) (topology.Path, bool) {
 	class, rep := sizeClass(size)
-	key := routeKey{src: a, class: class}
-	sp, ok := r.cache[key]
+	key := pathKey{routeKey{src: a, class: class}, b}
+	if c, hit := r.paths[key]; hit {
+		return c.path, c.ok
+	}
+	sp, ok := r.trees[key.routeKey]
 	if !ok {
 		sp = r.g.Dijkstra(a, capacityCost(rep), FabricAllow(r.g))
-		r.cache[key] = sp
+		r.trees[key.routeKey] = sp
 	}
-	return sp.PathTo(b)
+	p, ok := sp.PathTo(b)
+	if len(r.paths) < maxMemoPaths {
+		r.paths[key] = cachedPath{p, ok}
+	}
+	return p, ok
 }
 
 // MatrixRouter adapts a precomputed topology.Matrix (the planner's P(k,a)

@@ -284,10 +284,9 @@ func TestDifferentialNetsimCrossEngines(t *testing.T) {
 	}
 }
 
-// TestFastPathSteadyStateAllocs pins the tentpole's allocation claim: once
-// flows are in steady state, a reallocation triggered by link rescaling on
-// the fast path performs no netsim-side heap allocation beyond the engine's
-// completion events.
+// TestFastPathSteadyStateAllocs pins the fast path's allocation claim: once
+// flows are in steady state, a reallocation triggered by link rescaling
+// performs no heap allocation at all, neither in netsim nor in the engine.
 func TestFastPathSteadyStateAllocs(t *testing.T) {
 	g := topology.Testbed()
 	eng := sim.NewEngine()
@@ -305,12 +304,10 @@ func TestFastPathSteadyStateAllocs(t *testing.T) {
 		n.SetLinkScale(eid, 0.5)
 		n.SetLinkScale(eid, 1)
 	})
-	// Each SetLinkScale reschedules every live flow: 16 events per call, two
-	// calls per run. One heap.Event per Schedule is the engine's irreducible
-	// cost; netsim itself must add nothing. Allow a small slack for the
-	// wheel's occasional growth.
-	if perOp > 2*float64(len(paths))+4 {
-		t.Errorf("steady-state reallocation allocates %.1f objects per op, want <= %d (engine events only)",
-			perOp, 2*len(paths)+4)
+	// Each SetLinkScale re-times every live flow: 16 reschedules per call,
+	// two calls per run. Every flow keeps its one completion Event and the
+	// wheel queues it by value, so nothing may allocate.
+	if perOp != 0 {
+		t.Errorf("steady-state reallocation allocates %.1f objects per op, want 0", perOp)
 	}
 }

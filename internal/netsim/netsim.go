@@ -21,9 +21,11 @@
 // heap allocation of its own. NewReference keeps the original global
 // fixed-point recomputation. Both produce bit-identical rates, completion
 // times, and event orderings — the fast path deliberately issues the same
-// engine Schedule/Cancel sequence, so FIFO tie-breaks cannot drift —
-// proven over long randomized scripts by differential_test.go and fuzzed
-// for max-min invariants by FuzzReallocate.
+// engine Schedule/Reschedule/Cancel sequence, so FIFO tie-breaks cannot
+// drift — proven over long randomized scripts by differential_test.go and
+// fuzzed for max-min invariants by FuzzReallocate. On both paths each flow
+// keeps one completion event for its whole life and re-times it with
+// sim.Engine.Reschedule, so rescheduling allocates nothing.
 package netsim
 
 import (
@@ -51,8 +53,8 @@ type Flow struct {
 	lastT     sim.Time
 	latency   float64 // fixed path latency, applied after serialization
 	done      func(*Flow)
-	finish    *sim.Event
-	finishFn  func() // cached completion thunk (fast path: no per-reallocation closure)
+	finish    *sim.Event // the flow's one completion event, re-armed on every reallocation
+	finishFn  func()     // its callback
 	net       *Network
 	cancelled bool
 
@@ -300,8 +302,8 @@ func (n *Network) StartFlow(path topology.Path, size int64, done func(*Flow)) *F
 
 	n.charge()
 	n.flows[f.ID] = f
+	f.finishFn = func() { n.finishFlow(f) }
 	if !n.ref {
-		f.finishFn = func() { n.finishFlow(f) }
 		n.order = append(n.order, f) // IDs are monotonic: stays sorted
 	}
 	for _, eid := range path.Edges {
@@ -437,56 +439,43 @@ func (n *Network) orderedFlows() []*Flow {
 // fairness) and reschedules completion events. dirty names the edges touched
 // by the triggering change (the changed flow's path, or a rescaled link);
 // the fast path confines the rate recomputation to their connected
-// component. Completion events are rescheduled for every active flow on both
+// component. Completion events are re-timed for every active flow on both
 // paths — not just the recomputed ones — so the engine sees one and the same
-// Schedule sequence either way and FIFO tie-breaking stays bit-identical.
+// sequence of Schedule-equivalent calls either way and FIFO tie-breaking
+// stays bit-identical.
 func (n *Network) reallocate(dirty []topology.EdgeID) {
 	if len(n.flows) == 0 {
-		return
-	}
-	if n.ref {
-		var tok int64
-		if n.perf != nil {
-			tok = n.perf.ReallocStart()
-		}
-		links, flows, rounds := n.refWaterfill()
-		if n.perf != nil {
-			n.perf.ReallocDone(tok, links, flows, rounds)
-		}
-		now := n.eng.Now()
-		for _, f := range n.orderedFlows() {
-			if f.finish != nil {
-				n.eng.Cancel(f.finish)
-				f.finish = nil
-			}
-			if f.rate <= 0 {
-				continue // stalled: no event until capacity frees up
-			}
-			eta := f.remaining / f.rate
-			fl := f
-			f.finish = n.eng.Schedule(now+eta, func() { n.finishFlow(fl) })
-		}
 		return
 	}
 	var tok int64
 	if n.perf != nil {
 		tok = n.perf.ReallocStart()
 	}
-	links, flows, rounds := n.waterfillComponent(dirty)
+	var links, flows, rounds int
+	if n.ref {
+		links, flows, rounds = n.refWaterfill()
+	} else {
+		links, flows, rounds = n.waterfillComponent(dirty)
+	}
 	if n.perf != nil {
 		n.perf.ReallocDone(tok, links, flows, rounds)
 	}
+	active := n.order
+	if n.ref {
+		active = n.orderedFlows()
+	}
 	now := n.eng.Now()
-	for _, f := range n.order {
-		if f.finish != nil {
-			n.eng.Cancel(f.finish)
-			f.finish = nil
+	for _, f := range active {
+		switch {
+		case f.rate <= 0:
+			n.eng.Cancel(f.finish) // stalled: no event until capacity frees up
+		case f.finish == nil:
+			f.finish = n.eng.Schedule(now+f.remaining/f.rate, f.finishFn)
+		default:
+			// Reschedule is Cancel + Schedule on the same Event: the engine
+			// sees the same sequence numbers, and nothing is allocated.
+			n.eng.Reschedule(f.finish, now+f.remaining/f.rate)
 		}
-		if f.rate <= 0 {
-			continue
-		}
-		eta := f.remaining / f.rate
-		f.finish = n.eng.Schedule(now+eta, f.finishFn)
 	}
 }
 

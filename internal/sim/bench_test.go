@@ -82,3 +82,67 @@ func BenchmarkEngineCancelReschedule(b *testing.B) {
 		})
 	}
 }
+
+// rescheduleRound re-arms every event of a standing block at a random future
+// time — pending ones and whichever ran last — then processes one event.
+func rescheduleRound(e *Engine, events []*Event, r *lcg) bool {
+	for _, ev := range events {
+		e.Reschedule(ev, e.Now()+Time(r.next()%(1<<20))/1e3)
+	}
+	return e.Step()
+}
+
+// BenchmarkEngineReschedule is the same pattern as
+// BenchmarkEngineCancelReschedule done the way netsim does it: each event
+// is moved with Reschedule instead of being replaced by a new one.
+func BenchmarkEngineReschedule(b *testing.B) {
+	const block = 64
+	for _, impl := range benchEngines {
+		b.Run("impl="+impl.name, func(b *testing.B) {
+			e := impl.mk()
+			r := lcg(2)
+			nop := func() {}
+			events := make([]*Event, block)
+			for i := range events {
+				events[i] = e.Schedule(Time(r.next()%(1<<20))/1e3, nop)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !rescheduleRound(e, events, &r) {
+					b.Fatal("engine drained")
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)*(block+1)/b.Elapsed().Seconds(), "ops/s")
+		})
+	}
+}
+
+// TestRescheduleSteadyStateAllocs pins what Reschedule is for: once the
+// queue has grown to its working size, re-arming events allocates nothing
+// on either front.
+func TestRescheduleSteadyStateAllocs(t *testing.T) {
+	for _, impl := range benchEngines {
+		t.Run(impl.name, func(t *testing.T) {
+			e := impl.mk()
+			r := lcg(3)
+			nop := func() {}
+			events := make([]*Event, 64)
+			for i := range events {
+				events[i] = e.Schedule(Time(r.next()%(1<<20))/1e3, nop)
+			}
+			round := func() {
+				if !rescheduleRound(e, events, &r) {
+					t.Fatal("engine drained")
+				}
+			}
+			for i := 0; i < 1000; i++ {
+				round()
+			}
+			if got := testing.AllocsPerRun(1000, round); got != 0 {
+				t.Errorf("%.2f allocs per reschedule round, want 0", got)
+			}
+		})
+	}
+}

@@ -8,7 +8,7 @@
 // reproducible.
 //
 // Two queue implementations back the engine. NewEngine returns the fast
-// path: cancellation is lazy (a tombstone flag, discarded when the event
+// path: cancellation is lazy (a tombstone, discarded when the event
 // surfaces, instead of an O(log n) heap sift per Cancel) and near-future
 // events live in a bucketed window that is sorted one bucket at a time, with
 // a binary heap holding only the far future. NewReferenceEngine returns the
@@ -17,6 +17,10 @@
 // locksteps them over long randomized scripts — so they are behaviorally
 // interchangeable; the reference path exists as the equivalence oracle and
 // benchmark baseline.
+//
+// Reschedule re-arms an existing Event instead of allocating a new one, so
+// code that keeps moving one deadline (netsim's flow completions) queues
+// events without allocating.
 package sim
 
 import (
@@ -38,7 +42,7 @@ type Event struct {
 	at     Time
 	seq    uint64 // tie-break: FIFO among equal timestamps
 	fn     func()
-	index  int // heap index when heap-resident; >= 0 while queued, -1 otherwise
+	index  int // >= 0 while queued (the reference heap's index), -1 otherwise
 	cancel bool
 	daemon bool
 }
@@ -105,6 +109,11 @@ type front interface {
 	// remove is told that the (still queued) event was just cancelled. The
 	// reference front deletes it eagerly; the fast front leaves a tombstone.
 	remove(*Event)
+	// reschedule re-enqueues an event that now carries a fresh (at, seq).
+	// queued reports that it was live under its old key; the front then
+	// retires that entry as remove would (the reference front sifts the
+	// event to its new place, the fast front leaves a tombstone behind).
+	reschedule(e *Event, queued bool)
 	// stats snapshots the queue's internal occupancy for the perf
 	// observatory. Read-only; never mutates the queue.
 	stats() QueueStats
@@ -181,6 +190,15 @@ func (f *heapFront) remove(e *Event) {
 	heap.Remove(&f.q, e.index)
 	e.index = -1
 	f.cancelled++
+}
+
+func (f *heapFront) reschedule(e *Event, queued bool) {
+	if !queued {
+		heap.Push(&f.q, e)
+		return
+	}
+	heap.Fix(&f.q, e.index)
+	f.cancelled++ // counted like the Cancel it stands in for
 }
 
 func (f *heapFront) stats() QueueStats {
@@ -296,6 +314,33 @@ func (e *Engine) Cancel(ev *Event) {
 			e.work--
 		}
 		e.front.remove(ev)
+	}
+}
+
+// Reschedule moves ev to absolute time at, re-arming it if it was cancelled
+// or has already run. It is observably identical to Cancel(ev) followed by
+// Schedule(at, fn) — ScheduleDaemon for a daemon event — with ev's callback:
+// ev takes the next sequence number, so it runs after every event already
+// queued for the same instant, and the Pending/PendingWork counters move the
+// same way. The difference is that ev itself is reused, so rescheduling
+// allocates nothing. Like Schedule, it panics on a time in the past.
+func (e *Engine) Reschedule(ev *Event, at Time) {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: reschedule at %g before now %g", at, e.now))
+	}
+	queued := ev.index >= 0 && !ev.cancel
+	if queued {
+		e.live--
+		if !ev.daemon {
+			e.work--
+		}
+	}
+	ev.at, ev.seq, ev.cancel = at, e.nextSeq, false
+	e.nextSeq++
+	e.front.reschedule(ev, queued)
+	e.live++
+	if !ev.daemon {
+		e.work++
 	}
 }
 

@@ -165,22 +165,19 @@ func (sp *ShortestPaths) PathTo(dst NodeID) (Path, bool) {
 	if math.IsInf(sp.Dist[dst], 1) {
 		return Path{}, false
 	}
-	var revEdges []EdgeID
-	var revNodes []NodeID
-	for at := dst; at != sp.Source; {
+	// Count the hops first, so the path is built in place, back to front,
+	// with exactly two allocations.
+	hops := 0
+	for at := dst; at != sp.Source; at = sp.g.Edge(sp.prevE[at]).Other(at) {
+		hops++
+	}
+	p := Path{Nodes: make([]NodeID, hops+1), Edges: make([]EdgeID, hops)}
+	p.Nodes[0] = sp.Source
+	for at, i := dst, hops; i > 0; i-- {
 		eid := sp.prevE[at]
-		revEdges = append(revEdges, eid)
-		revNodes = append(revNodes, at)
+		p.Nodes[i] = at
+		p.Edges[i-1] = eid
 		at = sp.g.Edge(eid).Other(at)
-	}
-	p := Path{
-		Nodes: make([]NodeID, 0, len(revNodes)+1),
-		Edges: make([]EdgeID, 0, len(revEdges)),
-	}
-	p.Nodes = append(p.Nodes, sp.Source)
-	for i := len(revNodes) - 1; i >= 0; i-- {
-		p.Nodes = append(p.Nodes, revNodes[i])
-		p.Edges = append(p.Edges, revEdges[i])
 	}
 	return p, true
 }

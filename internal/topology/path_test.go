@@ -16,6 +16,14 @@ func TestDijkstraLine(t *testing.T) {
 	if p.Hops() != 3 {
 		t.Errorf("hops = %d, want 3", p.Hops())
 	}
+	for i := range p.Edges {
+		if e := g.Edge(p.Edges[i]); e.Other(p.Nodes[i]) != p.Nodes[i+1] || p.Nodes[i] != ids[i] {
+			t.Errorf("hop %d: edge %d does not join %d to %d", i, p.Edges[i], p.Nodes[i], p.Nodes[i+1])
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { sp.PathTo(ids[3]) }); allocs != 2 {
+		t.Errorf("PathTo allocates %.0f objects, want 2 (nodes and edges)", allocs)
+	}
 	wantDist := float64(1<<20)/1e9 + float64(1<<20)/2e9 + float64(1<<20)/4e9 + 3e-6
 	if math.Abs(sp.Dist[ids[3]]-wantDist) > 1e-12 {
 		t.Errorf("dist = %g, want %g", sp.Dist[ids[3]], wantDist)

@@ -21,6 +21,13 @@ go build ./...
 echo "== go test -race"
 go test -race -timeout 45m ./... "$@"
 
+# The benchmark under bench/ is a module of its own, so the root go test
+# does not enter it. Its tests cover the statistics, the input seeds, a
+# 1/100-scale smoke run of every workload, and the consistency of
+# BENCHMARK.json with the program.
+echo "== bench module tests"
+(cd bench && go test ./...)
+
 # Telemetry artifact smoke: a small end-to-end serve run must export a
 # non-empty, well-formed Chrome trace and Prometheus metrics. Artifacts
 # land in ARTIFACT_DIR (a temp dir by default) for CI upload.
