@@ -79,6 +79,19 @@ type Table struct {
 	// reads it so the chosen policy's counterfactual cost is bit-identical
 	// to the value the argmin compared.
 	eval []float64
+
+	// RefreshPenalty's tables, fixed by NewTable: the distinct edges of all
+	// policies, each policy's edges as indexes into them, and per (selected,
+	// other) pair at [selected*n+other] the indexes of other's edges that
+	// selected also uses, in other.Edges order, and the pair's static share.
+	edges  []topology.EdgeID
+	edgeAt [][]int
+	shared [][]int
+	static []float64
+	// Per-tick scratch: each distinct edge's clamped utilization, and each
+	// policy's utilization total.
+	util  []float64
+	total []float64
 }
 
 // NewTable builds a table over the given candidate policies. Penalties are
@@ -103,14 +116,42 @@ func NewTable(g *topology.Graph, group []topology.NodeID, policies []Policy, cfg
 		penalty:    make([][]float64, len(policies)),
 		selections: make([]int64, len(policies)),
 	}
+	n := len(policies)
+	index := make(map[topology.EdgeID]int)
+	t.edgeAt = make([][]int, n)
+	for j := range policies {
+		for _, e := range policies[j].Edges {
+			k, ok := index[e]
+			if !ok {
+				k = len(t.edges)
+				index[e] = k
+				t.edges = append(t.edges, e)
+			}
+			t.edgeAt[j] = append(t.edgeAt[j], k)
+		}
+	}
+	t.util = make([]float64, len(t.edges))
+	t.total = make([]float64, n)
+	t.shared = make([][]int, n*n)
+	t.static = make([]float64, n*n)
 	for i := range t.penalty {
-		t.penalty[i] = make([]float64, len(policies))
+		in := make(map[int]bool, len(t.edgeAt[i]))
+		for _, k := range t.edgeAt[i] {
+			in[k] = true
+		}
+		t.penalty[i] = make([]float64, n)
 		for j := range t.penalty[i] {
 			if i == j {
 				t.penalty[i][j] = 1
 				continue
 			}
-			t.penalty[i][j] = staticShare(&policies[i], &policies[j])
+			for _, k := range t.edgeAt[j] {
+				if in[k] {
+					t.shared[i*n+j] = append(t.shared[i*n+j], k)
+				}
+			}
+			t.static[i*n+j] = staticShare(&policies[i], &policies[j])
+			t.penalty[i][j] = t.static[i*n+j]
 		}
 	}
 	return t
@@ -251,37 +292,40 @@ func (t *Table) RefreshCost(util func(topology.EdgeID) float64) {
 // RefreshPenalty applies Eq. 18: f <- (1-gamma) f + gamma W, with
 // W(c*, c) = sum_{e in c* ∩ c} B(e) / sum_{e in c} B(e) computed from the
 // monitored utilization of the intersecting links. When policy c carries no
-// observed load at all, the static edge-count share is used for W.
+// observed load at all, the static edge-count share is used for W. util must
+// be a pure read: each distinct edge is read once per call. The sums run
+// over c's edges in Policy.Edges order, and the call allocates nothing.
 func (t *Table) RefreshPenalty(util func(topology.EdgeID) float64) {
+	for k, e := range t.edges {
+		u := util(e)
+		// A blacked-out link reports +Inf utilization; clamp it so the
+		// sharing ratio W stays finite (Inf/Inf is NaN and would poison the
+		// EWMA permanently).
+		if math.IsInf(u, 1) {
+			u = 1
+		}
+		t.util[k] = u
+	}
+	for j, at := range t.edgeAt {
+		var total float64
+		for _, k := range at {
+			total += t.util[k]
+		}
+		t.total[j] = total
+	}
 	n := len(t.Policies)
 	for i := 0; i < n; i++ {
-		sel := &t.Policies[i]
-		in := make(map[topology.EdgeID]bool, len(sel.Edges))
-		for _, e := range sel.Edges {
-			in[e] = true
-		}
 		for j := 0; j < n; j++ {
 			if i == j {
 				continue
 			}
-			other := &t.Policies[j]
-			var shared, total float64
-			for _, e := range other.Edges {
-				u := util(e)
-				// A blacked-out link reports +Inf utilization; clamp it so
-				// the sharing ratio W stays finite (Inf/Inf is NaN and would
-				// poison the EWMA permanently).
-				if math.IsInf(u, 1) {
-					u = 1
-				}
-				total += u
-				if in[e] {
-					shared += u
-				}
+			var shared float64
+			for _, k := range t.shared[i*n+j] {
+				shared += t.util[k]
 			}
-			w := staticShare(sel, other)
-			if total > 0 {
-				w = shared / total
+			w := t.static[i*n+j]
+			if t.total[j] > 0 {
+				w = shared / t.total[j]
 			}
 			t.penalty[i][j] = (1-t.cfg.Gamma)*t.penalty[i][j] + t.cfg.Gamma*w
 		}

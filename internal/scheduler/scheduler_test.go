@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"heroserve/internal/collective"
@@ -395,5 +396,108 @@ func TestRefreshCostDeadLinkInf(t *testing.T) {
 	idx := tb.Select(1 << 20)
 	if idx != 1 {
 		t.Fatalf("Select picked the dead policy (%d)", idx)
+	}
+}
+
+// refreshPenaltyRef is Eq. 18 computed directly from the policies' edge
+// lists, re-reading util for every (selected, other, edge) triple.
+func refreshPenaltyRef(t *Table, util func(topology.EdgeID) float64) {
+	n := len(t.Policies)
+	for i := 0; i < n; i++ {
+		sel := &t.Policies[i]
+		in := make(map[topology.EdgeID]bool, len(sel.Edges))
+		for _, e := range sel.Edges {
+			in[e] = true
+		}
+		for j := 0; j < n; j++ {
+			if i == j {
+				continue
+			}
+			other := &t.Policies[j]
+			var shared, total float64
+			for _, e := range other.Edges {
+				u := util(e)
+				if math.IsInf(u, 1) {
+					u = 1
+				}
+				total += u
+				if in[e] {
+					shared += u
+				}
+			}
+			w := staticShare(sel, other)
+			if total > 0 {
+				w = shared / total
+			}
+			t.penalty[i][j] = (1-t.cfg.Gamma)*t.penalty[i][j] + t.cfg.Gamma*w
+		}
+	}
+}
+
+// testbedDecodeTable is the policy table of a testbed decode group: a V100
+// server's four GPUs, as the online policy builds it.
+func testbedDecodeTable() *Table {
+	g := topology.Testbed()
+	group := g.ServerGPUs(2)
+	return NewTable(g, group, BuildPolicies(g, collective.NewStaticRouter(g), group, 1<<20, 1, true), DefaultConfig())
+}
+
+// TestRefreshPenaltyMatchesReference: the precomputed refresh reproduces the
+// direct computation bit for bit over many ticks of random utilization,
+// idle links and blacked-out (+Inf) links included.
+func TestRefreshPenaltyMatchesReference(t *testing.T) {
+	g, group, policies := twoPathGraph()
+	overlap := append(policies, Policy{Edges: []topology.EdgeID{policies[0].Edges[0], policies[1].Edges[1], policies[0].Edges[0]}})
+	for name, mk := range map[string]func() *Table{
+		"testbed": testbedDecodeTable,
+		"overlap": func() *Table { return NewTable(g, group, overlap, Config{Gamma: 0.3, Window: 0.1}) },
+	} {
+		fast, ref := mk(), mk()
+		rng := rand.New(rand.NewSource(3))
+		for tick := 0; tick < 200; tick++ {
+			u := make(map[topology.EdgeID]float64)
+			util := func(e topology.EdgeID) float64 {
+				if v, ok := u[e]; ok {
+					return v
+				}
+				var v float64
+				switch r := rng.Intn(10); {
+				case r == 0:
+					v = math.Inf(1)
+				case r < 4:
+					v = 0
+				default:
+					v = rng.Float64()
+				}
+				u[e] = v
+				return v
+			}
+			fast.RefreshPenalty(util)
+			refreshPenaltyRef(ref, util)
+			for i := range fast.penalty {
+				for j := range fast.penalty[i] {
+					if math.Float64bits(fast.penalty[i][j]) != math.Float64bits(ref.penalty[i][j]) {
+						t.Fatalf("%s tick %d: penalty[%d][%d] = %v, reference %v", name, tick, i, j, fast.penalty[i][j], ref.penalty[i][j])
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestRefreshPenaltyAllocatesNothing(t *testing.T) {
+	tb := testbedDecodeTable()
+	util := func(e topology.EdgeID) float64 { return float64(e%7) / 7 }
+	if allocs := testing.AllocsPerRun(100, func() { tb.RefreshPenalty(util) }); allocs != 0 {
+		t.Errorf("RefreshPenalty allocs = %v, want 0", allocs)
+	}
+}
+
+func BenchmarkRefreshPenalty(b *testing.B) {
+	tb := testbedDecodeTable()
+	util := func(e topology.EdgeID) float64 { return float64(e%7) / 7 }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tb.RefreshPenalty(util)
 	}
 }

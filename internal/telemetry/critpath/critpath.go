@@ -22,9 +22,11 @@
 package critpath
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"math"
+	"slices"
 	"strings"
 
 	"heroserve/internal/telemetry"
@@ -109,11 +111,11 @@ type reqState struct {
 	pipe                       []interval // pipeline_stage spans tagged with this request
 }
 
-// openSpan is an in-flight async (b/e) span.
+// openSpan is an in-flight async (b/e) span and the stage it charges.
 type openSpan struct {
-	start  float64
-	scheme string
-	reqs   []int
+	start float64
+	stage string
+	reqs  []int
 }
 
 type spanKey struct {
@@ -131,20 +133,23 @@ type reqKey struct {
 // Analyzer consumes trace events and produces per-request breakdowns.
 type Analyzer struct {
 	procs   map[int]string
-	open    map[spanKey]*openSpan
+	open    map[spanKey]openSpan
 	reqs    map[reqKey]*reqState
 	faults  map[int][]interval // fault-active windows per process
+	labels  map[string]string  // scheme -> StageAllReduce(scheme), built once
 	done    []Breakdown        // finalized, in completion order
 	onFinal []func(Breakdown)
+	sweep   sweep // partition scratch, reused by every finalize
 }
 
 // New returns an empty analyzer.
 func New() *Analyzer {
 	return &Analyzer{
 		procs:  make(map[int]string),
-		open:   make(map[spanKey]*openSpan),
+		open:   make(map[spanKey]openSpan),
 		reqs:   make(map[reqKey]*reqState),
 		faults: make(map[int][]interval),
+		labels: make(map[string]string),
 	}
 }
 
@@ -177,8 +182,12 @@ func (a *Analyzer) Feed(ev telemetry.Event) {
 		if len(reqs) == 0 {
 			return
 		}
-		scheme, _ := ev.Args["scheme"].(string)
-		a.open[spanKey{ev.Pid, ev.Cat, ev.ID, ev.Name}] = &openSpan{start: ev.Ts, scheme: scheme, reqs: reqs}
+		stage := StagePipeline
+		if ev.Name == "allreduce" {
+			scheme, _ := ev.Args["scheme"].(string)
+			stage = a.allReduceStage(scheme)
+		}
+		a.open[spanKey{ev.Pid, ev.Cat, ev.ID, ev.Name}] = openSpan{start: ev.Ts, stage: stage, reqs: reqs}
 	case "e":
 		key := spanKey{ev.Pid, ev.Cat, ev.ID, ev.Name}
 		sp, ok := a.open[key]
@@ -186,13 +195,12 @@ func (a *Analyzer) Feed(ev telemetry.Event) {
 			return
 		}
 		delete(a.open, key)
+		iv := interval{start: sp.start, end: ev.Ts, stage: sp.stage}
 		for _, req := range sp.reqs {
 			rs := a.req(reqKey{ev.Pid, req})
-			iv := interval{start: sp.start, end: ev.Ts}
 			if ev.Name == "pipeline_stage" {
 				rs.pipe = append(rs.pipe, iv)
 			} else {
-				iv.stage = StageAllReduce(sp.scheme)
 				rs.comm = append(rs.comm, iv)
 			}
 		}
@@ -263,6 +271,17 @@ func (a *Analyzer) feedRequestSpan(ev telemetry.Event) {
 	}
 }
 
+// allReduceStage returns StageAllReduce(scheme), concatenating each distinct
+// scheme's label only once per analyzer.
+func (a *Analyzer) allReduceStage(scheme string) string {
+	s, ok := a.labels[scheme]
+	if !ok {
+		s = StageAllReduce(scheme)
+		a.labels[scheme] = s
+	}
+	return s
+}
+
 func (a *Analyzer) req(k reqKey) *reqState {
 	rs, ok := a.reqs[k]
 	if !ok {
@@ -289,13 +308,13 @@ func (a *Analyzer) finalize(k reqKey, rs *reqState) {
 		E2EStages:  make(map[string]float64),
 	}
 	addStage(b.TTFTStages, StageQueue, rs.queue.end-rs.queue.start)
-	partition(b.TTFTStages, rs.prefill, StagePrefillCompute, rs.comm, rs.pipe, faults)
+	a.sweep.partition(b.TTFTStages, rs.prefill, StagePrefillCompute, rs.comm, rs.pipe, faults)
 	for s, v := range b.TTFTStages {
 		b.E2EStages[s] = v
 	}
 	addStage(b.E2EStages, StageKVTransfer, rs.kv.end-rs.kv.start)
 	if rs.decode.seen {
-		partition(b.E2EStages, rs.decode, StageDecodeCompute, rs.comm, nil, faults)
+		a.sweep.partition(b.E2EStages, rs.decode, StageDecodeCompute, rs.comm, nil, faults)
 	}
 	// Convert usec → seconds; TTFT/E2E are the plain stage sums, so the
 	// decomposition identity holds by construction.
@@ -320,85 +339,299 @@ func addStage(m map[string]float64, stage string, d float64) {
 	}
 }
 
+// sweep is partition's scratch space. The Analyzer owns one and reuses its
+// slices on every finalize, so a steady-state finalize allocates nothing
+// beyond the Breakdown maps.
+type sweep struct {
+	spans   []span     // clipped spans: comm, then pipe, then fault
+	starts  []edge     // start of every span without a NaN endpoint, ascending
+	ends    []edge     // the same spans' ends, ascending
+	spare   []edge     // merge buffer for starts and ends
+	pts     []float64  // segment boundary points
+	keys    []stageKey // distinct (prio, stage) pairs, by precedence once sorted
+	pos     []int      // key id -> position in the sorted keys
+	live    []int      // per sorted key: spans containing the current midpoint
+	label   []int      // per sorted key: index of its stage in stages
+	stages  []string   // distinct stages charged: the compute stage, then the keys'
+	sums    []float64  // per stage: running total, seeded from the output map
+	charged []bool     // per stage: whether a segment was charged to it
+}
+
+// span is one interval clipped to the window, with its stage key.
+type span struct {
+	start, end float64
+	key        int
+}
+
+// edge is one endpoint of a span and the span's key.
+type edge struct {
+	at  float64
+	key int
+}
+
+// stageKey is one attribution class: a priority tier (0 comm, 1 pipeline,
+// 2 fault; lower wins) and a stage label. id is the key's insertion index.
+type stageKey struct {
+	prio  int
+	stage string
+	id    int
+}
+
 // partition attributes every elementary segment of the window to exactly one
 // stage: all-reduce communication first (overlapping schemes break ties in
 // canonical order), then pipeline transfers, then fault stalls, then the
 // residual compute stage. The attributed durations sum to the window length.
-func partition(out map[string]float64, w window, computeStage string, comm, pipe, faults []interval) {
-	type clipped struct {
-		interval
-		prio int // lower wins
-	}
-	var spans []clipped
-	add := func(ivs []interval, prio int, stage string) {
-		for _, iv := range ivs {
-			s, e := iv.start, iv.end
-			if s < w.start {
-				s = w.start
-			}
-			if e > w.end {
-				e = w.end
-			}
-			if e <= s {
-				continue
-			}
-			st := iv.stage
-			if stage != "" {
-				st = stage
-			}
-			spans = append(spans, clipped{interval{s, e, st}, prio})
-		}
-	}
-	add(comm, 0, "")
-	add(pipe, 1, StagePipeline)
-	add(faults, 2, "")
-	if len(spans) == 0 {
+//
+// A segment [s, e) between consecutive sorted boundary points goes to the
+// spans containing its midpoint mid := s + (e-s)/2, i.e. start <= mid < end.
+// The midpoints ascend, so one sweep admits spans in start order
+// (start <= mid) and retires them in end order (end <= mid), keeping a live
+// count per (prio, stage) key; the first key in precedence order with a live
+// span wins. That costs O(n log n) for n spans, and the segments are charged
+// in boundary order exactly as a scan of every span per segment would charge
+// them, so each stage's float sum is bit-identical to that scan. The sums
+// run in local slots seeded from out and are stored back at the end: the
+// same additions in the same order, without a map write per segment.
+func (sw *sweep) partition(out map[string]float64, w window, computeStage string, comm, pipe, faults []interval) {
+	sw.spans, sw.keys = sw.spans[:0], sw.keys[:0]
+	sw.clip(w, comm, 0, "")
+	nComm := len(sw.spans)
+	sw.clip(w, pipe, 1, StagePipeline)
+	sw.clip(w, faults, 2, "")
+	if len(sw.spans) == 0 {
 		addStage(out, computeStage, w.end-w.start)
 		return
 	}
-	// Elementary segments between sorted boundary points.
-	pts := make([]float64, 0, 2*len(spans)+2)
-	pts = append(pts, w.start, w.end)
-	for _, sp := range spans {
-		pts = append(pts, sp.start, sp.end)
+	// Renumber the keys in precedence order, so the winner is the lowest
+	// numbered key with a live span.
+	slices.SortFunc(sw.keys, func(a, b stageKey) int {
+		if a.prio != b.prio {
+			return cmp.Compare(a.prio, b.prio)
+		}
+		return compareStages(a.stage, b.stage)
+	})
+	sw.pos = resize(sw.pos, len(sw.keys))
+	for i, k := range sw.keys {
+		sw.pos[k.id] = i
 	}
-	sort.Float64s(pts)
+	sw.live = resize(sw.live, len(sw.keys))
+	sw.stages, sw.label = append(sw.stages[:0], computeStage), sw.label[:0]
+	for _, k := range sw.keys {
+		sw.label = append(sw.label, sw.stageIndex(k.stage))
+	}
+	sw.sums = sw.sums[:0]
+	for _, st := range sw.stages {
+		sw.sums = append(sw.sums, out[st])
+	}
+	sw.charged = resize(sw.charged, len(sw.stages))
+	sw.starts, sw.ends = sw.starts[:0], sw.ends[:0]
+	split := 0 // starts[:split] and ends[:split] come from comm spans
+	for i := range sw.spans {
+		sp := &sw.spans[i]
+		sp.key = sw.pos[sp.key]
+		// A span with a NaN endpoint contains no midpoint.
+		if !math.IsNaN(sp.start) && !math.IsNaN(sp.end) {
+			sw.starts = append(sw.starts, edge{sp.start, sp.key})
+			sw.ends = append(sw.ends, edge{sp.end, sp.key})
+			if i < nComm {
+				split = len(sw.starts)
+			}
+		}
+	}
+	sw.starts, sw.spare = sortEdges(sw.starts, sw.spare, split)
+	sw.ends, sw.spare = sortEdges(sw.ends, sw.spare, split)
+	pts := sw.points(w)
+
+	admit, retire := 0, 0
 	for i := 0; i+1 < len(pts); i++ {
 		s, e := pts[i], pts[i+1]
 		if e <= s {
 			continue
 		}
 		mid := s + (e-s)/2
-		stage := computeStage
-		bestPrio := 1 << 30
-		bestRank := 1 << 30
-		for _, sp := range spans {
-			if sp.start <= mid && mid < sp.end {
-				rank := stageRank(sp.stage)
-				if sp.prio < bestPrio || (sp.prio == bestPrio && rank < bestRank) {
-					bestPrio, bestRank, stage = sp.prio, rank, sp.stage
+		k := -1
+		if s <= mid && mid <= e {
+			for ; admit < len(sw.starts) && sw.starts[admit].at <= mid; admit++ {
+				sw.live[sw.starts[admit].key]++
+			}
+			for ; retire < len(sw.ends) && sw.ends[retire].at <= mid; retire++ {
+				sw.live[sw.ends[retire].key]--
+			}
+			for j, n := range sw.live {
+				if n > 0 {
+					k = j
+					break
 				}
 			}
+		} else {
+			// A NaN midpoint, or one an infinite or overflowing boundary
+			// pushed past e, would break the ascending order: scan instead.
+			k = sw.scan(mid)
 		}
-		addStage(out, stage, e-s)
+		l := 0 // the compute stage
+		if k >= 0 {
+			l = sw.label[k]
+		}
+		if d := e - s; d > 0 {
+			sw.sums[l] += d
+			sw.charged[l] = true
+		}
+	}
+	for l, st := range sw.stages {
+		if sw.charged[l] {
+			out[st] = sw.sums[l]
+		}
 	}
 }
 
-// stageRank orders stage labels canonically (unknown labels after known, by
-// name).
+// points returns the sorted segment boundaries: the window's endpoints and
+// every span's. Clipped spans lie inside the window, so without NaNs that is
+// the window start, a merge of the two sorted span orders, and the window
+// end; otherwise they are collected and sorted (NaNs first).
+func (sw *sweep) points(w window) []float64 {
+	pts := append(sw.pts[:0], w.start)
+	if len(sw.starts) < len(sw.spans) || math.IsNaN(w.start) || math.IsNaN(w.end) {
+		pts = append(pts, w.end)
+		for _, sp := range sw.spans {
+			pts = append(pts, sp.start, sp.end)
+		}
+		slices.Sort(pts)
+	} else {
+		i, j := 0, 0
+		for i < len(sw.starts) {
+			if s, e := sw.starts[i].at, sw.ends[j].at; s <= e {
+				pts = append(pts, s)
+				i++
+			} else {
+				pts = append(pts, e)
+				j++
+			}
+		}
+		for ; j < len(sw.ends); j++ {
+			pts = append(pts, sw.ends[j].at)
+		}
+		pts = append(pts, w.end)
+	}
+	sw.pts = pts
+	return pts
+}
+
+// sortEdges sorts e[:split] and e[split:] apart, then merges them into
+// spare, returning the merged edges and e's storage as the next spare. The
+// analyzer appends a request's comm intervals as their spans end, so the
+// comm run is usually in order already, which pdqsort detects in linear
+// time, and the merge keeps the short pipeline and fault tail from breaking
+// that order.
+func sortEdges(e, spare []edge, split int) (sorted, rest []edge) {
+	a, b := e[:split], e[split:]
+	slices.SortFunc(a, cmpEdge)
+	slices.SortFunc(b, cmpEdge)
+	out := spare[:0]
+	for len(a) > 0 && len(b) > 0 {
+		if b[0].at < a[0].at {
+			out, b = append(out, b[0]), b[1:]
+		} else {
+			out, a = append(out, a[0]), a[1:]
+		}
+	}
+	out = append(append(out, a...), b...)
+	return out, e[:0]
+}
+
+// cmpEdge orders edges by position; neither may be NaN.
+func cmpEdge(a, b edge) int {
+	switch {
+	case a.at < b.at:
+		return -1
+	case a.at > b.at:
+		return 1
+	}
+	return 0
+}
+
+// clip appends the intervals that overlap the window, clipped to it, under
+// the given priority tier; a non-empty stage overrides the intervals' own.
+func (sw *sweep) clip(w window, ivs []interval, prio int, stage string) {
+	for _, iv := range ivs {
+		s, e := iv.start, iv.end
+		if s < w.start {
+			s = w.start
+		}
+		if e > w.end {
+			e = w.end
+		}
+		if e <= s {
+			continue
+		}
+		st := iv.stage
+		if stage != "" {
+			st = stage
+		}
+		sw.spans = append(sw.spans, span{s, e, sw.key(prio, st)})
+	}
+}
+
+// key returns the id of the (prio, stage) key, adding it if new.
+func (sw *sweep) key(prio int, stage string) int {
+	for _, k := range sw.keys {
+		if k.prio == prio && k.stage == stage {
+			return k.id
+		}
+	}
+	sw.keys = append(sw.keys, stageKey{prio, stage, len(sw.keys)})
+	return len(sw.keys) - 1
+}
+
+// stageIndex returns the index of stage in sw.stages, adding it if new.
+func (sw *sweep) stageIndex(stage string) int {
+	for i, st := range sw.stages {
+		if st == stage {
+			return i
+		}
+	}
+	sw.stages = append(sw.stages, stage)
+	return len(sw.stages) - 1
+}
+
+// scan returns the winning key among all spans containing mid (-1 if none).
+func (sw *sweep) scan(mid float64) int {
+	k := -1
+	for _, sp := range sw.spans {
+		if sp.start <= mid && mid < sp.end && (k < 0 || sp.key < k) {
+			k = sp.key
+		}
+	}
+	return k
+}
+
+// resize returns s with length n and every element zero.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// stageRank is a stage's position in the canonical order; every label
+// outside it ranks len(stageOrder).
 func stageRank(stage string) int {
 	for i, s := range stageOrder {
 		if s == stage {
 			return i
 		}
 	}
-	// Unknown stages rank after the canonical list, alphabetically via a
-	// stable large offset on the first byte (cheap and deterministic).
-	r := len(stageOrder)
-	if stage != "" {
-		r += int(stage[0])
+	return len(stageOrder)
+}
+
+// compareStages orders stage labels totally: the canonical list first, then
+// every other label by name.
+func compareStages(a, b string) int {
+	if c := cmp.Compare(stageRank(a), stageRank(b)); c != 0 {
+		return c
 	}
-	return r
+	return strings.Compare(a, b)
 }
 
 // sortStages returns the map's keys in canonical order.
@@ -407,13 +640,7 @@ func sortStages(m map[string]float64) []string {
 	for k := range m {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		ri, rj := stageRank(keys[i]), stageRank(keys[j])
-		if ri != rj {
-			return ri < rj
-		}
-		return keys[i] < keys[j]
-	})
+	slices.SortFunc(keys, compareStages)
 	return keys
 }
 

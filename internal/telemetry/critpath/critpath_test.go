@@ -2,7 +2,12 @@ package critpath
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -256,5 +261,304 @@ func TestFromTraceErrors(t *testing.T) {
 	}
 	if _, err := FromTrace(strings.NewReader(`{"traceEvents":[]}`)); err != ErrNoEvents {
 		t.Errorf("empty trace error = %v, want ErrNoEvents", err)
+	}
+}
+
+// partitionRef is the reference partition: for every elementary segment it
+// scans every clipped span for the winner, O(n^2) per request window. The
+// sweep in partition must reproduce it bit for bit.
+func partitionRef(out map[string]float64, w window, computeStage string, comm, pipe, faults []interval) {
+	type clipped struct {
+		interval
+		prio int // lower wins
+	}
+	var spans []clipped
+	add := func(ivs []interval, prio int, stage string) {
+		for _, iv := range ivs {
+			s, e := iv.start, iv.end
+			if s < w.start {
+				s = w.start
+			}
+			if e > w.end {
+				e = w.end
+			}
+			if e <= s {
+				continue
+			}
+			st := iv.stage
+			if stage != "" {
+				st = stage
+			}
+			spans = append(spans, clipped{interval{s, e, st}, prio})
+		}
+	}
+	add(comm, 0, "")
+	add(pipe, 1, StagePipeline)
+	add(faults, 2, "")
+	if len(spans) == 0 {
+		addStage(out, computeStage, w.end-w.start)
+		return
+	}
+	// Elementary segments between sorted boundary points.
+	pts := make([]float64, 0, 2*len(spans)+2)
+	pts = append(pts, w.start, w.end)
+	for _, sp := range spans {
+		pts = append(pts, sp.start, sp.end)
+	}
+	sort.Float64s(pts)
+	for i := 0; i+1 < len(pts); i++ {
+		s, e := pts[i], pts[i+1]
+		if e <= s {
+			continue
+		}
+		mid := s + (e-s)/2
+		var best *clipped
+		for j := range spans {
+			sp := &spans[j]
+			if sp.start <= mid && mid < sp.end {
+				if best == nil || sp.prio < best.prio ||
+					(sp.prio == best.prio && compareStages(sp.stage, best.stage) < 0) {
+					best = sp
+				}
+			}
+		}
+		stage := computeStage
+		if best != nil {
+			stage = best.stage
+		}
+		addStage(out, stage, e-s)
+	}
+}
+
+// samePartition fails unless got and want hold the same stages with
+// bit-identical sums.
+func samePartition(t *testing.T, got, want map[string]float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("stages differ:\n got  %v\n want %v", got, want)
+	}
+	for s, w := range want {
+		g, ok := got[s]
+		if !ok || math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("stage %q = %v (present %v), want %v\n got  %v\n want %v", s, g, ok, w, got, want)
+		}
+	}
+}
+
+// fuzzLabels are the comm stage labels the fuzzer draws from: known schemes,
+// unknown labels sharing a first byte, and an empty scheme.
+var fuzzLabels = []string{
+	"allreduce-ring", "allreduce-ina-hetero", "allreduce-ina-sync",
+	"allreduce-foo", "allreduce-fob", "allreduce-", "zeta",
+}
+
+// fuzzIntervals decodes a window and its comm, pipe and fault intervals. The
+// window is [base, base+16*scale]; each 3-byte record (kind, a, b) adds one
+// interval whose endpoints come from point. Bytes below 32 or above 160 land
+// outside the window, and bytes from 224 up step whole ulps around the
+// window's midpoint, where s + (e-s)/2 rounds onto e.
+func fuzzIntervals(base, scale float64, data []byte) (w window, comm, pipe, faults []interval) {
+	point := func(b byte) float64 {
+		if b >= 224 {
+			x := base + 8*scale
+			for k := int(b) - 240; k < 0; k++ {
+				x = math.Nextafter(x, math.Inf(-1))
+			}
+			for k := int(b) - 240; k > 0; k-- {
+				x = math.Nextafter(x, math.Inf(1))
+			}
+			return x
+		}
+		return base + scale*(float64(b)-32)/8
+	}
+	w = window{start: point(32), end: point(160), seen: true}
+	for i := 0; i+2 < len(data); i += 3 {
+		kind, a, b := data[i], data[i+1], data[i+2]
+		iv := interval{start: point(a), end: point(b)}
+		switch kind % 3 {
+		case 0:
+			iv.stage = fuzzLabels[int(kind/3)%len(fuzzLabels)]
+			comm = append(comm, iv)
+		case 1:
+			pipe = append(pipe, iv)
+		case 2:
+			iv.stage = StageFaultStall
+			faults = append(faults, iv)
+		}
+	}
+	return w, comm, pipe, faults
+}
+
+// FuzzPartition: the sweep-line partition equals the O(n^2) reference bit for
+// bit on every stage, for any window and intervals.
+func FuzzPartition(f *testing.F) {
+	// Random mixed windows: comm, pipe and fault intervals.
+	f.Add(0.0, 1.0, []byte{0, 40, 80, 1, 60, 100, 2, 20, 200, 3, 50, 70, 4, 90, 150, 5, 30, 140})
+	f.Add(1e6, 12.5, []byte{6, 33, 90, 9, 80, 120, 1, 100, 159, 2, 34, 36, 12, 70, 71, 15, 35, 158})
+	// Adjacent-float boundaries around the midpoint.
+	f.Add(3.0, 0.1, []byte{0, 238, 241, 3, 240, 242, 1, 239, 240, 2, 241, 243, 9, 224, 255})
+	f.Add(1e9, 1e-3, []byte{0, 239, 240, 3, 240, 241, 6, 241, 242, 1, 238, 243})
+	// Zero-length spans and spans outside the window.
+	f.Add(0.0, 1.0, []byte{0, 50, 50, 1, 0, 20, 2, 170, 200, 3, 200, 10, 0, 31, 32})
+	// Spans covering the whole window.
+	f.Add(-5.0, 2.0, []byte{0, 0, 255, 1, 32, 160, 2, 10, 200, 3, 20, 180})
+	// Duplicate endpoints.
+	f.Add(0.0, 1.0, []byte{0, 40, 80, 3, 40, 80, 9, 40, 80, 1, 40, 80, 2, 80, 120, 12, 80, 120})
+	// Unknown labels with a shared first byte, overlapping.
+	f.Add(0.0, 1.0, []byte{9, 40, 100, 12, 60, 120, 15, 80, 140})
+	// NaN, infinite and overflowing boundaries, where the midpoints stop
+	// ascending.
+	f.Add(math.NaN(), 1.0, []byte{0, 40, 80, 1, 60, 100})
+	f.Add(0.0, math.Inf(1), []byte{0, 40, 80, 1, 20, 200, 2, 32, 33})
+	f.Add(-1e308, 1e307, []byte{0, 40, 150, 3, 100, 160, 1, 32, 96, 2, 96, 160})
+	f.Fuzz(func(t *testing.T, base, scale float64, data []byte) {
+		w, comm, pipe, faults := fuzzIntervals(base, scale, data)
+		for _, compute := range []string{StagePrefillCompute, StageDecodeCompute} {
+			want := make(map[string]float64)
+			partitionRef(want, w, compute, comm, pipe, faults)
+			got := make(map[string]float64)
+			var sw sweep
+			sw.partition(got, w, compute, comm, pipe, faults)
+			samePartition(t, got, want)
+			// Reused scratch gives the same answer.
+			again := make(map[string]float64)
+			sw.partition(again, w, compute, comm, pipe, faults)
+			samePartition(t, again, want)
+		}
+	})
+}
+
+// TestUnknownStageTieIsOrderFree: two unknown labels sharing a first byte
+// overlap; the overlap goes to the lower name whichever span is fed first.
+func TestUnknownStageTieIsOrderFree(t *testing.T) {
+	run := func(schemes ...string) Breakdown {
+		clock := 0.0
+		tr := telemetry.NewTracer(func() float64 { return clock })
+		a := New()
+		tr.Tap(a.Feed)
+		tr.BeginProcess("planned")
+		clock = 1.0
+		tr.AsyncBegin("collective", "allreduce", 1, map[string]any{"scheme": schemes[0], "reqs": []int{0}})
+		clock = 1.5
+		tr.AsyncBegin("collective", "allreduce", 2, map[string]any{"scheme": schemes[1], "reqs": []int{0}})
+		clock = 2.0
+		tr.AsyncEnd("collective", "allreduce", 1)
+		clock = 2.5
+		tr.AsyncEnd("collective", "allreduce", 2)
+		tr.Complete(1, "request", "request", 0, 4, map[string]any{"id": 0, "output": 1, "trace_id": "p1-r0"})
+		req := map[string]any{"req": 0}
+		tr.Complete(1, "request", "queue", 0, 0.5, req)
+		tr.Complete(1, "request", "prefill", 0.5, 3, req)
+		tr.Complete(1, "request", "kv-transfer", 3, 4, req)
+		if len(a.Finalized()) != 1 {
+			t.Fatalf("finalized %d requests, want 1", len(a.Finalized()))
+		}
+		return a.Finalized()[0]
+	}
+	fooFirst := run("foo", "fob")
+	fobFirst := run("fob", "foo")
+	// The first-fed span covers [1,2) and the second [1.5,2.5); their overlap
+	// [1.5,2) goes to allreduce-fob in both runs.
+	want := map[string]float64{
+		StageQueue:          0.5,
+		StagePrefillCompute: 1.0,
+		"allreduce-fob":     1.0,
+		"allreduce-foo":     0.5,
+	}
+	for _, b := range []Breakdown{fooFirst, fobFirst} {
+		if len(b.TTFTStages) != len(want) {
+			t.Fatalf("ttft stages = %v, want %v", b.TTFTStages, want)
+		}
+		for s, w := range want {
+			if got := b.TTFTStages[s]; math.Abs(got-w) > 1e-9 {
+				t.Errorf("ttft[%s] = %v, want %v (all: %v)", s, got, w, b.TTFTStages)
+			}
+		}
+	}
+	samePartition(t, fooFirst.TTFTStages, fobFirst.TTFTStages)
+}
+
+// benchWindow builds a 1-second request window (in usec) crossed by n
+// all-reduce intervals under the four known schemes, n/10 pipeline transfers
+// and two fault stalls, from a fixed-seed generator. Comm and pipeline
+// intervals follow one another like a batch's collectives do, each starting
+// a random gap after the previous one's midpoint, so neighbours overlap now
+// and then; they come in the order the analyzer appends them (by end).
+func benchWindow(n int) (w window, comm, pipe, faults []interval) {
+	rng := rand.New(rand.NewSource(int64(n)))
+	schemes := []string{"allreduce-ring", "allreduce-ina-sync", "allreduce-ina-async", "allreduce-ina-hetero"}
+	w = window{start: 0, end: 1e6, seen: true}
+	chain := func(count int, stage string) []interval {
+		var ivs []interval
+		mean := 1e6 / float64(count+1)
+		t := 0.0
+		for i := 0; i < count; i++ {
+			s := t + rng.ExpFloat64()*mean/2
+			e := s + rng.ExpFloat64()*mean
+			t = s + (e-s)/2
+			ivs = append(ivs, interval{start: s, end: e, stage: stage})
+		}
+		slices.SortFunc(ivs, func(a, b interval) int { return cmp.Compare(a.end, b.end) })
+		return ivs
+	}
+	comm = chain(n, "")
+	for i := range comm {
+		comm[i].stage = schemes[i%len(schemes)]
+	}
+	pipe = chain(n/10, "")
+	for i := 0; i < 2; i++ {
+		s := rng.Float64() * 1e6
+		faults = append(faults, interval{start: s, end: s + 5e4, stage: StageFaultStall})
+	}
+	return w, comm, pipe, faults
+}
+
+func TestBenchWindowMatchesReference(t *testing.T) {
+	for _, n := range []int{10, 100, 1000} {
+		w, comm, pipe, faults := benchWindow(n)
+		want := make(map[string]float64)
+		partitionRef(want, w, StagePrefillCompute, comm, pipe, faults)
+		got := make(map[string]float64)
+		var sw sweep
+		sw.partition(got, w, StagePrefillCompute, comm, pipe, faults)
+		samePartition(t, got, want)
+	}
+}
+
+// TestPartitionSteadyStateAllocs: with warm scratch and an output map that
+// already holds the stages, the sweep allocates nothing.
+func TestPartitionSteadyStateAllocs(t *testing.T) {
+	w, comm, pipe, faults := benchWindow(100)
+	var sw sweep
+	out := make(map[string]float64)
+	sw.partition(out, w, StagePrefillCompute, comm, pipe, faults)
+	if allocs := testing.AllocsPerRun(50, func() {
+		clear(out)
+		sw.partition(out, w, StagePrefillCompute, comm, pipe, faults)
+	}); allocs != 0 {
+		t.Errorf("steady-state partition allocs = %v, want 0", allocs)
+	}
+}
+
+func BenchmarkPartition(b *testing.B) {
+	for _, n := range []int{10, 100, 1000} {
+		w, comm, pipe, faults := benchWindow(n)
+		b.Run(fmt.Sprintf("sweep/comm=%d", n), func(b *testing.B) {
+			var sw sweep
+			out := make(map[string]float64)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				clear(out)
+				sw.partition(out, w, StagePrefillCompute, comm, pipe, faults)
+			}
+		})
+		b.Run(fmt.Sprintf("ref/comm=%d", n), func(b *testing.B) {
+			out := make(map[string]float64)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				clear(out)
+				partitionRef(out, w, StagePrefillCompute, comm, pipe, faults)
+			}
+		})
 	}
 }

@@ -4,9 +4,10 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"math"
+	"slices"
+	"strconv"
 )
 
 // ControlTID is the trace thread reserved for control-plane events: scheduler
@@ -66,11 +67,13 @@ func NewStreamTracer(clock func() float64, w io.Writer) (*Tracer, error) {
 func usec(seconds float64) float64 { return seconds * 1e6 }
 
 // traceStream is the incremental on-disk backend: a buffered writer plus the
-// running element count (for comma placement) and the first write error.
+// running element count (for comma placement), the first write error, and
+// the encode buffer reused across events.
 type traceStream struct {
 	w   *bufio.Writer
 	n   int
 	err error
+	buf []byte
 }
 
 // errStreamClosed poisons a stream after CloseStream so late events are
@@ -81,16 +84,15 @@ func (s *traceStream) write(ev Event) {
 	if s.err != nil {
 		return
 	}
-	b, err := json.Marshal(ev)
+	b := s.buf[:0]
+	if s.n > 0 {
+		b = append(b, ',')
+	}
+	b, err := appendEvent(b, ev)
+	s.buf = b
 	if err != nil {
 		s.err = err
 		return
-	}
-	if s.n > 0 {
-		if err := s.w.WriteByte(','); err != nil {
-			s.err = err
-			return
-		}
 	}
 	if _, err := s.w.Write(b); err != nil {
 		s.err = err
@@ -113,7 +115,7 @@ func (t *Tracer) StreamTo(w io.Writer) error {
 		return errors.New("telemetry: tracer already streaming")
 	}
 	s := &traceStream{w: bufio.NewWriterSize(w, 1<<16)}
-	if _, err := s.w.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`); err != nil {
+	if _, err := s.w.WriteString(docPrefix); err != nil {
 		return err
 	}
 	for _, ev := range t.events {
@@ -144,7 +146,7 @@ func (t *Tracer) CloseStream() error {
 	if s.err != nil {
 		return s.err
 	}
-	if _, err := s.w.WriteString("]}\n"); err != nil {
+	if _, err := s.w.WriteString(docSuffix); err != nil {
 		s.err = errStreamClosed
 		return err
 	}
@@ -272,7 +274,7 @@ func (t *Tracer) AsyncBegin(cat, name string, id int64, args map[string]any) {
 	}
 	t.emit(Event{
 		Name: name, Cat: cat, Ph: "b", Ts: usec(t.clock()), Pid: t.pid,
-		Tid: ControlTID, ID: fmt.Sprintf("0x%x", id), Args: args,
+		Tid: ControlTID, ID: asyncID(id), Args: args,
 	})
 }
 
@@ -283,8 +285,15 @@ func (t *Tracer) AsyncEnd(cat, name string, id int64) {
 	}
 	t.emit(Event{
 		Name: name, Cat: cat, Ph: "e", Ts: usec(t.clock()), Pid: t.pid,
-		Tid: ControlTID, ID: fmt.Sprintf("0x%x", id),
+		Tid: ControlTID, ID: asyncID(id),
 	})
+}
+
+// asyncID formats an async span id exactly as fmt.Sprintf("0x%x", id) does
+// (a negative id reads "0x-2a").
+func asyncID(id int64) string {
+	var b [20]byte
+	return string(strconv.AppendInt(append(b[:0], "0x"...), id, 16))
 }
 
 // Len returns the number of recorded events (0 on the nil tracer). It counts
@@ -305,9 +314,17 @@ func (t *Tracer) Events() []Event {
 	return t.events
 }
 
+// Document framing shared by both backends: the events go between them,
+// comma-separated.
+const (
+	docPrefix = `{"displayTimeUnit":"ms","traceEvents":[`
+	docSuffix = "]}\n"
+)
+
 // Export writes the trace as Chrome trace-event JSON ("JSON object format"),
-// loadable in Perfetto / chrome://tracing. Output is deterministic:
-// encoding/json sorts map keys, and events are written in append order.
+// loadable in Perfetto / chrome://tracing. Output is deterministic: args keys
+// are sorted, and events are written in append order. The document is built
+// in memory and written only if every event encodes.
 func (t *Tracer) Export(w io.Writer) error {
 	if t == nil {
 		return nil
@@ -315,15 +332,166 @@ func (t *Tracer) Export(w io.Writer) error {
 	if t.stream != nil {
 		return errors.New("telemetry: tracer is streaming; the trace is already on its writer")
 	}
-	doc := struct {
-		DisplayTimeUnit string  `json:"displayTimeUnit"`
-		TraceEvents     []Event `json:"traceEvents"`
-	}{DisplayTimeUnit: "ms", TraceEvents: t.events}
-	if doc.TraceEvents == nil {
-		doc.TraceEvents = []Event{}
+	b := []byte(docPrefix)
+	for i, ev := range t.events {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		var err error
+		if b, err = appendEvent(b, ev); err != nil {
+			return err
+		}
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	_, err := w.Write(append(b, docSuffix...))
+	return err
+}
+
+// appendEvent appends ev's JSON encoding to buf, byte for byte what
+// json.Marshal(ev) produces, without reflection on the hot path. Args values
+// of the types the simulator emits (string, int, int64, float64, bool, []int
+// and nested map[string]any) are encoded directly; any other type, and any
+// string needing escapes, goes through encoding/json. An event json.Marshal
+// rejects (a NaN or infinite float) returns json.Marshal's error and buf
+// unchanged.
+func appendEvent(buf []byte, ev Event) ([]byte, error) {
+	start := len(buf)
+	ok := true
+	b := append(buf, `{"name":`...)
+	b = appendString(b, ev.Name)
+	if ev.Cat != "" {
+		b = append(b, `,"cat":`...)
+		b = appendString(b, ev.Cat)
+	}
+	b = append(b, `,"ph":`...)
+	b = appendString(b, ev.Ph)
+	b = append(b, `,"ts":`...)
+	b, ok = appendFloat(b, ev.Ts)
+	if ev.Dur != nil && ok {
+		b = append(b, `,"dur":`...)
+		b, ok = appendFloat(b, *ev.Dur)
+	}
+	b = append(b, `,"pid":`...)
+	b = strconv.AppendInt(b, int64(ev.Pid), 10)
+	b = append(b, `,"tid":`...)
+	b = strconv.AppendInt(b, int64(ev.Tid), 10)
+	if ev.ID != "" {
+		b = append(b, `,"id":`...)
+		b = appendString(b, ev.ID)
+	}
+	if ev.Scope != "" {
+		b = append(b, `,"s":`...)
+		b = appendString(b, ev.Scope)
+	}
+	if len(ev.Args) > 0 && ok {
+		b = append(b, `,"args":`...)
+		b, ok = appendMap(b, ev.Args)
+	}
+	if !ok {
+		_, err := json.Marshal(ev)
+		return buf[:start], err
+	}
+	return append(b, '}'), nil
+}
+
+// appendMap encodes m with sorted keys, as encoding/json does. ok is false if
+// a value cannot be encoded.
+func appendMap(b []byte, m map[string]any) (_ []byte, ok bool) {
+	if m == nil {
+		return append(b, "null"...), true
+	}
+	var small [16]string
+	keys := small[:0]
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	b = append(b, '{')
+	for i, k := range keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendString(b, k)
+		b = append(b, ':')
+		if b, ok = appendValue(b, m[k]); !ok {
+			return b, false
+		}
+	}
+	return append(b, '}'), true
+}
+
+// appendValue encodes one args value. ok is false if it cannot be encoded.
+func appendValue(b []byte, v any) (_ []byte, ok bool) {
+	switch x := v.(type) {
+	case nil:
+		return append(b, "null"...), true
+	case string:
+		return appendString(b, x), true
+	case int:
+		return strconv.AppendInt(b, int64(x), 10), true
+	case int64:
+		return strconv.AppendInt(b, x, 10), true
+	case float64:
+		return appendFloat(b, x)
+	case bool:
+		return strconv.AppendBool(b, x), true
+	case []int:
+		if x == nil {
+			return append(b, "null"...), true
+		}
+		b = append(b, '[')
+		for i, n := range x {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, int64(n), 10)
+		}
+		return append(b, ']'), true
+	case map[string]any:
+		return appendMap(b, x)
+	}
+	enc, err := json.Marshal(v)
+	if err != nil {
+		return b, false
+	}
+	return append(b, enc...), true
+}
+
+// appendString appends s as a JSON string. Printable ASCII other than the
+// characters encoding/json escapes (quote, backslash, and the HTML-sensitive
+// <, > and &) is copied as is; any other string is left to encoding/json.
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			enc, _ := json.Marshal(s)
+			return append(b, enc...)
+		}
+	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// appendFloat formats f like encoding/json: the shortest representation that
+// round-trips, in 'e' notation below 1e-6 and from 1e21 up (with a
+// one-digit negative exponent unpadded), else 'f'. ok is false for NaN and
+// the infinities, which JSON cannot represent.
+func appendFloat(b []byte, f float64) (_ []byte, ok bool) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return b, false
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		// e-07 -> e-7
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, true
 }
 
 // Float sanitizes a float64 for use in trace-event args: encoding/json rejects

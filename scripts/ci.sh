@@ -21,6 +21,12 @@ go build ./...
 echo "== go test -race"
 go test -race -timeout 45m ./... "$@"
 
+# Differential fuzzers: the sweep-line critical-path partition against its
+# O(n^2) reference, and the hand-written span encoder against json.Marshal.
+echo "== fuzz"
+go test -run '^$' -fuzz '^FuzzPartition$' -fuzztime 10s ./internal/telemetry/critpath
+go test -run '^$' -fuzz '^FuzzAppendEvent$' -fuzztime 10s ./internal/telemetry
+
 # The benchmark under bench/ is a module of its own, so the root go test
 # does not enter it. Its tests cover the statistics, the input seeds, a
 # 1/100-scale smoke run of every workload, and the consistency of
