@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"heroserve/internal/workload"
@@ -23,6 +24,15 @@ func main() {
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	stats := flag.Bool("stats", false, "print summary statistics to stderr")
 	flag.Parse()
+
+	if *n < 1 {
+		fmt.Fprintf(os.Stderr, "tracegen: -n must be at least 1, got %d\n", *n)
+		os.Exit(2)
+	}
+	if !(*rate > 0) || math.IsInf(*rate, 1) {
+		fmt.Fprintf(os.Stderr, "tracegen: -rate must be a finite positive req/s, got %g\n", *rate)
+		os.Exit(2)
+	}
 
 	var kind workload.Kind
 	switch *kindFlag {

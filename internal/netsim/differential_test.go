@@ -304,9 +304,10 @@ func TestFastPathSteadyStateAllocs(t *testing.T) {
 		n.SetLinkScale(eid, 0.5)
 		n.SetLinkScale(eid, 1)
 	})
-	// Each SetLinkScale re-times every live flow: 16 reschedules per call,
-	// two calls per run. Every flow keeps its one completion Event and the
-	// wheel queues it by value, so nothing may allocate.
+	// Each SetLinkScale re-scans all 16 live flows and re-arms the network's
+	// one completion timer: one reschedule per call, two calls per run. The
+	// timer Event is reused and the wheel queues it by value, so nothing may
+	// allocate.
 	if perOp != 0 {
 		t.Errorf("steady-state reallocation allocates %.1f objects per op, want 0", perOp)
 	}

@@ -18,7 +18,10 @@ import (
 //     and the flow's rate is maximal among that link's flows (a flow that
 //     could be raised without lowering a faster flow is not max-min);
 //  3. the reference and fast allocators agree bit-for-bit;
-//  4. replaying the script on a fresh network reproduces every rate
+//  4. the completion timer is armed exactly when some active flow has a
+//     positive rate, then for the minimum (finish time, ID), and the fast
+//     and reference networks' timers agree bit-for-bit;
+//  5. replaying the script on a fresh network reproduces every rate
 //     bit-for-bit (determinism).
 func FuzzReallocate(f *testing.F) {
 	f.Add([]byte{})
@@ -126,6 +129,7 @@ func runScenario(t *testing.T, data []byte) []uint64 {
 		}
 		checkMaxMin(t, fast, op)
 		checkAgreement(t, fast, ref, createdF, createdR, op)
+		checkTimers(t, fast, ref, op)
 	}
 
 	bits := make([]uint64, 0, 2*len(createdF)+nEdges)
@@ -171,6 +175,63 @@ func checkMaxMin(t *testing.T, n *Network, op int) {
 			t.Fatalf("op %d: flow %d (rate %g) is not bottlenecked on any saturated path link — allocation is not max-min",
 				op, fl.ID, fl.rate)
 		}
+	}
+}
+
+// checkTimer asserts n's completion-timer invariant and reports whether the
+// timer is armed. Fuzz scenarios queue no engine event besides the timer, so
+// the engine's pending count says whether it is armed.
+func checkTimer(t *testing.T, n *Network, op int) bool {
+	t.Helper()
+	// The earliest (finish time, ID), found with an explicit tuple compare
+	// over the unordered flow map.
+	var want *Flow
+	var wantAt sim.Time
+	now := n.eng.Now()
+	for _, f := range n.flows {
+		if f.rate <= 0 {
+			continue
+		}
+		at := now + f.remaining/f.rate
+		if want == nil || at < wantAt || (at == wantAt && f.ID < want.ID) {
+			want, wantAt = f, at
+		}
+	}
+	armed := n.eng.Pending() == 1
+	switch {
+	case n.eng.Pending() > 1:
+		t.Fatalf("op %d: %d events queued, want at most the one timer", op, n.eng.Pending())
+	case armed != (want != nil):
+		t.Fatalf("op %d: timer armed=%v, but a flow with positive rate exists=%v", op, armed, want != nil)
+	case armed != (n.timer != nil && !n.timer.Cancelled()):
+		t.Fatalf("op %d: engine says armed=%v, timer event disagrees", op, armed)
+	case !armed && n.next != nil:
+		t.Fatalf("op %d: idle timer still names flow %d", op, n.next.ID)
+	case armed && n.next != want:
+		t.Fatalf("op %d: timer armed for the wrong flow, want flow %d", op, want.ID)
+	case armed && math.Float64bits(n.timer.At()) != math.Float64bits(wantAt):
+		t.Fatalf("op %d: timer at %g, want %g", op, n.timer.At(), wantAt)
+	}
+	return armed
+}
+
+// checkTimers asserts the timer invariant on both networks, and that their
+// timers agree: both armed or both idle, at the same instant, for the same
+// flow.
+func checkTimers(t *testing.T, fast, ref *Network, op int) {
+	t.Helper()
+	a, b := checkTimer(t, fast, op), checkTimer(t, ref, op)
+	if a != b {
+		t.Fatalf("op %d: timer armed fast=%v ref=%v", op, a, b)
+	}
+	if !a {
+		return
+	}
+	if x, y := fast.timer.At(), ref.timer.At(); math.Float64bits(x) != math.Float64bits(y) {
+		t.Fatalf("op %d: timer at fast=%g ref=%g", op, x, y)
+	}
+	if x, y := fast.next.ID, ref.next.ID; x != y {
+		t.Fatalf("op %d: timer for flow fast=%d ref=%d", op, x, y)
 	}
 }
 

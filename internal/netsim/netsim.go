@@ -2,7 +2,7 @@
 // network. Concurrent transfers ("flows") traverse paths from the topology
 // graph and share every link max-min fairly; whenever a flow starts or
 // finishes, all rates are recomputed by progressive water-filling and the
-// flows' completion events are rescheduled on the discrete-event engine.
+// network's completion timer is re-armed on the discrete-event engine.
 //
 // This is the substrate that makes the paper's congestion arguments
 // observable: bursty traffic on 100 GbE drags down in-network aggregation
@@ -23,9 +23,19 @@
 // times, and event orderings — the fast path deliberately issues the same
 // engine Schedule/Reschedule/Cancel sequence, so FIFO tie-breaks cannot
 // drift — proven over long randomized scripts by differential_test.go and
-// fuzzed for max-min invariants by FuzzReallocate. On both paths each flow
-// keeps one completion event for its whole life and re-times it with
-// sim.Engine.Reschedule, so rescheduling allocates nothing.
+// fuzzed for max-min invariants by FuzzReallocate.
+//
+// Completions are driven by one engine event per Network, not one per flow.
+// After every reallocation a single ID-ordered scan arms that timer for the
+// flow with the minimum (finish time, ID), with sim.Engine.Reschedule, so
+// re-arming allocates nothing; with every flow stalled, the timer is
+// cancelled. This pops completions in exactly the order per-flow events
+// would: those would all be re-timed in ID order by the same reallocation,
+// so they would hold one consecutive block of sequence numbers, pop in
+// (time, ID) order, and tie with any other event on whether it was queued
+// before or after that reallocation — which is where the one timer's
+// sequence number puts it too. Only the block's first event could ever fire:
+// the completion it triggers reallocates, which re-times all the others.
 package netsim
 
 import (
@@ -53,8 +63,6 @@ type Flow struct {
 	lastT     sim.Time
 	latency   float64 // fixed path latency, applied after serialization
 	done      func(*Flow)
-	finish    *sim.Event // the flow's one completion event, re-armed on every reallocation
-	finishFn  func()     // its callback
 	net       *Network
 	cancelled bool
 
@@ -82,6 +90,14 @@ type Network struct {
 	order     []*Flow   // active flows in ascending ID order (fast path index)
 	linkFlows [][]*Flow // edge id -> active flows crossing it
 	nextID    FlowID
+
+	// The completion timer: one engine event for the whole network, armed
+	// for next, the active flow that finishes first, and re-armed at the end
+	// of every reallocation. timerFn is built once, so re-arming allocates
+	// nothing.
+	timer   *sim.Event
+	next    *Flow
+	timerFn func()
 
 	// linkScale scales each edge's capacity for fault injection: 1 is a
 	// healthy link, 0 a blacked-out one. Lazily allocated by SetLinkScale so
@@ -197,13 +213,15 @@ func NewReference(g *topology.Graph, eng *sim.Engine) *Network {
 }
 
 func newNetwork(g *topology.Graph, eng *sim.Engine) *Network {
-	return &Network{
+	n := &Network{
 		g:            g,
 		eng:          eng,
 		flows:        make(map[FlowID]*Flow),
 		linkFlows:    make([][]*Flow, g.NumEdges()),
 		bytesCarried: make([]float64, g.NumEdges()),
 	}
+	n.timerFn = func() { n.finishFlow(n.next) }
+	return n
 }
 
 // Graph returns the underlying topology graph.
@@ -302,7 +320,6 @@ func (n *Network) StartFlow(path topology.Path, size int64, done func(*Flow)) *F
 
 	n.charge()
 	n.flows[f.ID] = f
-	f.finishFn = func() { n.finishFlow(f) }
 	if !n.ref {
 		n.order = append(n.order, f) // IDs are monotonic: stays sorted
 	}
@@ -379,10 +396,6 @@ func (n *Network) remove(f *Flow) {
 			n.order = n.order[:len(n.order)-1]
 		}
 	}
-	if f.finish != nil {
-		n.eng.Cancel(f.finish)
-		f.finish = nil
-	}
 }
 
 // charge advances every active flow's progress to the current instant at its
@@ -436,15 +449,17 @@ func (n *Network) orderedFlows() []*Flow {
 }
 
 // reallocate recomputes flow rates by progressive water-filling (max-min
-// fairness) and reschedules completion events. dirty names the edges touched
+// fairness) and re-arms the completion timer. dirty names the edges touched
 // by the triggering change (the changed flow's path, or a rescaled link);
 // the fast path confines the rate recomputation to their connected
-// component. Completion events are re-timed for every active flow on both
-// paths — not just the recomputed ones — so the engine sees one and the same
-// sequence of Schedule-equivalent calls either way and FIFO tie-breaking
-// stays bit-identical.
+// component. The timer is re-armed from every active flow on both paths —
+// not just the recomputed ones — so the engine sees one and the same
+// Schedule/Reschedule/Cancel call either way and FIFO tie-breaking stays
+// bit-identical.
 func (n *Network) reallocate(dirty []topology.EdgeID) {
 	if len(n.flows) == 0 {
+		n.eng.Cancel(n.timer) // the last flow left: nothing to time
+		n.next = nil
 		return
 	}
 	var tok int64
@@ -464,18 +479,29 @@ func (n *Network) reallocate(dirty []topology.EdgeID) {
 	if n.ref {
 		active = n.orderedFlows()
 	}
+	// Arm the timer for the minimum (finish time, ID). active is in ID
+	// order, so the strict < keeps the lowest ID among equal times. Stalled
+	// flows (rate 0) have no finish time until capacity frees up.
 	now := n.eng.Now()
+	n.next = nil
+	var at sim.Time
 	for _, f := range active {
-		switch {
-		case f.rate <= 0:
-			n.eng.Cancel(f.finish) // stalled: no event until capacity frees up
-		case f.finish == nil:
-			f.finish = n.eng.Schedule(now+f.remaining/f.rate, f.finishFn)
-		default:
-			// Reschedule is Cancel + Schedule on the same Event: the engine
-			// sees the same sequence numbers, and nothing is allocated.
-			n.eng.Reschedule(f.finish, now+f.remaining/f.rate)
+		if f.rate <= 0 {
+			continue
 		}
+		if t := now + f.remaining/f.rate; n.next == nil || t < at {
+			n.next, at = f, t
+		}
+	}
+	switch {
+	case n.next == nil:
+		n.eng.Cancel(n.timer)
+	case n.timer == nil:
+		n.timer = n.eng.Schedule(at, n.timerFn)
+	default:
+		// Reschedule is Cancel + Schedule on the same Event: the timer takes
+		// a fresh sequence number, and nothing is allocated.
+		n.eng.Reschedule(n.timer, at)
 	}
 }
 
@@ -639,7 +665,6 @@ func (n *Network) waterfillComponent(dirty []topology.EdgeID) (nLinks, nFlows, r
 func (n *Network) finishFlow(f *Flow) {
 	n.charge()
 	f.remaining = 0
-	f.finish = nil
 	n.remove(f)
 	n.reallocate(f.Path.Edges)
 	if f.latency > 0 {

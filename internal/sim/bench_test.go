@@ -49,8 +49,8 @@ func BenchmarkEngineScheduleStep(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineCancelReschedule is netsim's reallocation pattern: cancel a
-// block of pending events and schedule replacements, then process one. The
+// BenchmarkEngineCancelReschedule is a reschedule storm: cancel a block of
+// pending events and schedule replacements, then process one. The
 // reference heap pays O(log n) sifts per cancel; the wheel tombstones in
 // O(1) and amortizes cleanup into compaction.
 func BenchmarkEngineCancelReschedule(b *testing.B) {
@@ -93,8 +93,8 @@ func rescheduleRound(e *Engine, events []*Event, r *lcg) bool {
 }
 
 // BenchmarkEngineReschedule is the same pattern as
-// BenchmarkEngineCancelReschedule done the way netsim does it: each event
-// is moved with Reschedule instead of being replaced by a new one.
+// BenchmarkEngineCancelReschedule done with Reschedule: each event is moved
+// instead of being replaced by a new one.
 func BenchmarkEngineReschedule(b *testing.B) {
 	const block = 64
 	for _, impl := range benchEngines {

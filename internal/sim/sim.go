@@ -19,7 +19,7 @@
 // benchmark baseline.
 //
 // Reschedule re-arms an existing Event instead of allocating a new one, so
-// code that keeps moving one deadline (netsim's flow completions) queues
+// code that keeps moving one deadline (netsim's completion timer) queues
 // events without allocating.
 package sim
 

@@ -55,8 +55,8 @@ func (s slot) unqueue() {
 // discarded when it surfaces, instead of the reference path's O(log n) sift.
 // A slot is stale when its event is cancelled or carries a newer seq than
 // the slot (see slot.stale). A compaction pass drops stale slots when they
-// outnumber live events, so reschedule storms (netsim re-arming every flow
-// per reallocation) cannot grow the queue unboundedly.
+// outnumber live events, so reschedule storms (a timer re-armed on every
+// reallocation) cannot grow the queue unboundedly.
 //
 // The pop order is exactly the reference heap's (at, seq) order: buckets
 // partition the window by time range, each bucket is sorted before it
@@ -308,8 +308,8 @@ func (f *wheelFront) stats() QueueStats {
 // compact drops every stale slot in place, preserving the current window:
 // the pending part of run keeps its order, buckets keep their (unsorted)
 // contents, and the far heap is filtered and re-heapified. Not resetting the
-// window matters — netsim's reallocation pattern (re-arm every flow's event
-// at a nearby time) triggers compaction constantly, and a window rebuild on
+// window matters — a reschedule storm (re-arm a block of events at nearby
+// times) triggers compaction constantly, and a window rebuild on
 // each would cost more than the eager reference removes.
 func (f *wheelFront) compact() {
 	f.compactions++

@@ -21,9 +21,12 @@ go build ./...
 echo "== go test -race"
 go test -race -timeout 45m ./... "$@"
 
-# Differential fuzzers: the sweep-line critical-path partition against its
-# O(n^2) reference, and the hand-written span encoder against json.Marshal.
+# Differential fuzzers: the fast water-filling allocator and its completion
+# timer against the reference allocator, the sweep-line critical-path
+# partition against its O(n^2) reference, and the hand-written span encoder
+# against json.Marshal.
 echo "== fuzz"
+go test -run '^$' -fuzz '^FuzzReallocate$' -fuzztime 10s ./internal/netsim
 go test -run '^$' -fuzz '^FuzzPartition$' -fuzztime 10s ./internal/telemetry/critpath
 go test -run '^$' -fuzz '^FuzzAppendEvent$' -fuzztime 10s ./internal/telemetry
 

@@ -5,9 +5,11 @@
 package heroserve
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -68,5 +70,39 @@ func TestCommandSmoke(t *testing.T) {
 				t.Fatalf("%s produced no output", c.name)
 			}
 		})
+	}
+}
+
+// TestTracegenRejectsBadFlags: an out-of-range -n or -rate must give a
+// one-line error and exit status 2, never a panic. The binary is built once
+// and run directly, because `go run` replaces the program's exit status
+// with its own.
+func TestTracegenRejectsBadFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("smoke tests compile binaries")
+	}
+	bin := filepath.Join(t.TempDir(), "tracegen")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/tracegen").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/tracegen: %v\n%s", err, out)
+	}
+	for _, args := range [][]string{
+		{"-n", "0"},
+		{"-n", "-3"},
+		{"-rate", "0"},
+		{"-rate", "-1"},
+		{"-rate", "NaN"},
+	} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("tracegen %v: err %v, want exit status 2\n%s", args, err, out)
+		}
+		if strings.Contains(string(out), "goroutine") {
+			t.Errorf("tracegen %v panicked:\n%s", args, out)
+		}
+		if lines := strings.Count(strings.TrimSpace(string(out)), "\n") + 1; lines != 1 ||
+			!strings.HasPrefix(string(out), "tracegen: ") {
+			t.Errorf("tracegen %v: want a one-line \"tracegen: ...\" error, got:\n%s", args, out)
+		}
 	}
 }
