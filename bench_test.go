@@ -25,7 +25,6 @@ import (
 	"heroserve/internal/serving"
 	"heroserve/internal/sim"
 	"heroserve/internal/switchsim"
-	"heroserve/internal/telemetry/perf"
 	"heroserve/internal/topology"
 	"heroserve/internal/workload"
 )
@@ -302,117 +301,6 @@ func BenchmarkAblationPerturbation(b *testing.B) {
 		}
 		b.ReportMetric(with.H, "H-with-perturb")
 		b.ReportMetric(without.H, "H-minimal-perturb")
-	}
-}
-
-// BenchmarkEndToEndServe measures raw simulator throughput: simulated
-// seconds per wall second for a loaded OPT-66B testbed run.
-func BenchmarkEndToEndServe(b *testing.B) {
-	e2eServeBench(b, serving.Options{})
-}
-
-// BenchmarkEndToEndServeRef is the same run forced onto the reference
-// simulator paths (global water-filling, binary-heap event queue). Results
-// are bit-identical to BenchmarkEndToEndServe; the pair is recorded in
-// BENCH_6.json as the end-to-end fast-vs-reference comparison.
-func BenchmarkEndToEndServeRef(b *testing.B) {
-	e2eServeBench(b, serving.Options{ReferenceNetsim: true, ReferenceSim: true})
-}
-
-func e2eServeBench(b *testing.B, opts serving.Options) {
-	g := topology.Testbed()
-	pre, dec := planner.SplitPoolsByServer(g, 2)
-	trace512 := workload.NewGenerator(workload.Chatbot, 1).Generate(512, 1)
-	in := planner.Inputs{
-		Model:         model.OPT66B(),
-		Graph:         g,
-		PrefillGPUs:   pre,
-		DecodeGPUs:    dec,
-		Workload:      trace512.BatchStats(32),
-		Lambda:        4,
-		SLA:           serving.SLA{TTFT: 2.5, TPOT: 0.15},
-		MinTensDecode: 8,
-		Hetero:        true,
-		Seed:          1,
-	}
-	plan, err := core.Plan(in)
-	if err != nil {
-		b.Fatal(err)
-	}
-	trace := workload.NewGenerator(workload.Chatbot, 5).Generate(64, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sys, err := serving.New(g, plan.Deployment, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res := sys.Run(trace)
-		b.ReportMetric(res.Duration, "sim-seconds")
-	}
-}
-
-// BenchmarkStressServe is the scaled stress scenario pinned in BENCH_10.json:
-// a 100k-request chatbot burst through an OPT-13B testbed deployment. It is
-// the repo's raw-speed yardstick for the ROADMAP's "millions of requests per
-// run" arc — events/s and allocs/op here are what later speed PRs must move.
-func BenchmarkStressServe(b *testing.B) {
-	stressServeBench(b, false)
-}
-
-// BenchmarkStressServePerf is the same run with the performance observatory
-// armed. The ns/op ratio against BenchmarkStressServe is the sampler's
-// measured overhead; scripts/bench.sh derives it as
-// perf_sampler_overhead_frac and warns when it exceeds the 2% budget.
-func BenchmarkStressServePerf(b *testing.B) {
-	stressServeBench(b, true)
-}
-
-const stressRequests = 100_000
-
-func stressServeBench(b *testing.B, armPerf bool) {
-	g := topology.Testbed()
-	pre, dec := planner.SplitPoolsByServer(g, 2)
-	trace512 := workload.NewGenerator(workload.Chatbot, 1).Generate(512, 1)
-	in := planner.Inputs{
-		Model:       model.OPT13B(),
-		Graph:       g,
-		PrefillGPUs: pre,
-		DecodeGPUs:  dec,
-		Workload:    trace512.BatchStats(32),
-		Lambda:      30,
-		SLA:         serving.SLA{TTFT: 2.5, TPOT: 0.15},
-		Seed:        1,
-	}
-	plan, err := core.Plan(in)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// A bursty arrival stream well above the deployment's service rate: the
-	// backlog this builds is what stresses queue depth and cancel churn.
-	trace := workload.NewGenerator(workload.Chatbot, 9).Generate(stressRequests, 200)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var events uint64
-	var simSeconds float64
-	for i := 0; i < b.N; i++ {
-		opts := serving.Options{}
-		if armPerf {
-			opts.Perf = perf.NewSampler(0)
-		}
-		sys, err := serving.New(g, plan.Deployment, opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res := sys.Run(trace)
-		events += sys.Engine().Processed()
-		simSeconds = res.Duration
-		if res.Served != stressRequests {
-			b.Fatalf("served %d of %d", res.Served, stressRequests)
-		}
-	}
-	b.ReportMetric(simSeconds, "sim-seconds")
-	if wall := b.Elapsed().Seconds(); wall > 0 {
-		b.ReportMetric(float64(events)/wall, "events/s")
 	}
 }
 

@@ -157,7 +157,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "heroserve: listen: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("serving /metrics /healthz /runs /trace on %s\n", ln.Addr())
+		fmt.Printf("serving %s on %s\n", strings.Join(srv.Routes(), " "), ln.Addr())
 		go func() {
 			if serr := http.Serve(ln, srv); serr != nil {
 				fmt.Fprintf(os.Stderr, "heroserve: http: %v\n", serr)

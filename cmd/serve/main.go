@@ -13,7 +13,8 @@
 // (and after it finishes, until interrupted): /metrics serves the Prometheus
 // exposition, /healthz liveness (degraded while SLO alerts fire), /runs the
 // completed-run summaries as JSON, /decisions the counterfactual decision
-// ledger, /alerts the SLO alert log, and /trace the current trace snapshot.
+// ledger, /alerts the SLO alert log, /perf the simulator's self-profiling
+// report, and /trace the current trace snapshot.
 // With -daemon, -system accepts a comma-separated list replayed sequentially
 // against the same trace:
 //
@@ -42,6 +43,7 @@ import (
 	"heroserve/internal/stats"
 	"heroserve/internal/telemetry"
 	"heroserve/internal/telemetry/critpath"
+	"heroserve/internal/telemetry/decisions"
 	"heroserve/internal/telemetry/perf"
 	"heroserve/internal/telemetry/slo"
 	"heroserve/internal/topology"
@@ -73,8 +75,8 @@ func main() {
 	traceOut := flag.String("trace-out", "", "stream Chrome trace-event JSON (Perfetto-loadable) here")
 	metricsOut := flag.String("metrics-out", "", "write text-format metrics here")
 	metricsFormat := flag.String("metrics-format", "prom", "metrics exposition format: prom | openmetrics")
-	decisionsOut := flag.String("decisions-out", "", "write the decision ledger (JSON; decisionstat-readable) here")
-	alertsOut := flag.String("alerts-out", "", "write the SLO alert log (JSON; alertstat-readable) here")
+	decisionsOut := flag.String("decisions-out", "", "write the decision ledger (JSON; hstat-readable) here")
+	alertsOut := flag.String("alerts-out", "", "write the SLO alert log (JSON; hstat-readable) here")
 	sloRules := flag.String("slo-rules", "default", "SLO alert rules: default (keyed off -ttft/-tpot) | off | <rules.json>")
 	maxRuns := flag.Int("max-runs", 0, "daemon: retain only the newest N completed runs (0 = unbounded)")
 	maxDecisions := flag.Int("max-decisions", 0, "retain only the newest N decision-ledger records per kind (0 = unbounded)")
@@ -86,7 +88,7 @@ func main() {
 	daemon := flag.Bool("daemon", false, "serve /metrics /healthz /runs /trace over HTTP and stay up after the run")
 	listen := flag.String("listen", ":9090", "daemon listen address")
 	publishEvery := flag.Float64("publish-every", 5, "daemon metrics-snapshot cadence in simulated seconds")
-	perfOut := flag.String("perf-out", "", "write the simulator's self-profiling report (JSON; perfstat-readable) here")
+	perfOut := flag.String("perf-out", "", "write the simulator's self-profiling report (JSON; hstat-readable) here")
 	perfEvery := flag.Int("perf-every", 0, "perf sampling stride: time every Nth event (0 = default)")
 	pprofFlag := flag.Bool("pprof", false, "daemon: expose net/http/pprof under /debug/pprof/ (off by default)")
 	flag.Parse()
@@ -234,12 +236,12 @@ func main() {
 	}
 
 	var srv *telemetry.Server
-	var perfPub *perf.Publisher
 	if *daemon {
 		srv = telemetry.NewServer()
 		srv.SetMaxRuns(*maxRuns)
+		decisions.InstallDecisions(srv)
 		slo.InstallAlerts(srv)
-		perfPub = perf.InstallPerf(srv)
+		perf.InstallPerf(srv)
 		if *pprofFlag {
 			perf.InstallPprof(srv)
 		}
@@ -250,11 +252,7 @@ func main() {
 		if lerr != nil {
 			fatalf("daemon: %v", lerr)
 		}
-		endpoints := "/metrics /healthz /runs /decisions /alerts /trace /perf"
-		if *pprofFlag {
-			endpoints += " /debug/pprof/"
-		}
-		fmt.Printf("daemon: serving %s on %s\n", endpoints, ln.Addr())
+		fmt.Printf("daemon: serving %s on %s\n", strings.Join(srv.Routes(), " "), ln.Addr())
 		go func() {
 			if serr := http.Serve(ln, srv); serr != nil {
 				fmt.Fprintf(os.Stderr, "serve: daemon http: %v\n", serr)
@@ -277,7 +275,7 @@ func main() {
 			netsimRef: *netsimRef, simRef: *simRef,
 			decisionsOut: *decisionsOut, alertsOut: *alertsOut,
 			slo: sloCfg, ledgerCap: *maxDecisions, push: push,
-			perfOut: *perfOut, perfEvery: *perfEvery, perfPub: perfPub,
+			perfOut: *perfOut, perfEvery: *perfEvery,
 		})
 	}
 	if pusher != nil {
@@ -333,7 +331,6 @@ type runParams struct {
 	push         *pushState
 	perfOut      string
 	perfEvery    int
-	perfPub      *perf.Publisher
 }
 
 // pushState carries the metrics pusher plus the failure count already
@@ -389,7 +386,7 @@ func runSystem(name string, in planner.Inputs, trace *workload.Trace, hub *telem
 	// The performance observatory: one sampler per run (wall-clock state is
 	// run-scoped), armed whenever its output has somewhere to go.
 	var sampler *perf.Sampler
-	if p.perfOut != "" || p.perfPub != nil {
+	if p.perfOut != "" || srv != nil {
 		sampler = perf.NewSampler(p.perfEvery)
 		opts.Perf = sampler
 	}
@@ -422,9 +419,7 @@ func runSystem(name string, in planner.Inputs, trace *workload.Trace, hub *telem
 		for t := p.publishEvery; t < horizon; t += p.publishEvery {
 			eng.Schedule(t, func() {
 				srv.PublishHub(hub)
-				publishDecisions(srv, sys)
-				publishAlerts(srv, sys)
-				publishPerf(p.perfPub, sampler, name)
+				publishDocs(srv, sys, sampler, name)
 			})
 		}
 	}
@@ -469,13 +464,13 @@ func runSystem(name string, in planner.Inputs, trace *workload.Trace, hub *telem
 			fmt.Printf("%s=%.1f%%", e.stage, e.share*100)
 			first = false
 		}
-		fmt.Printf(" (of %.1fs total e2e; tracestat for the full breakdown)\n", cp.E2ESum())
+		fmt.Printf(" (of %.1fs total e2e; hstat trace for the full breakdown)\n", cp.E2ESum())
 	}
 	if d := res.Decisions; d != nil && d.Collective+d.Scale > 0 {
-		fmt.Printf("decisions: %s (decisionstat for the full ledger)\n", d)
+		fmt.Printf("decisions: %s (hstat decisions for the full ledger)\n", d)
 	}
 	if al := res.Alerts; al != nil {
-		fmt.Printf("alerts: %s (alertstat for the timeline)\n", al)
+		fmt.Printf("alerts: %s (hstat alerts for the timeline)\n", al)
 	}
 	if p.decisionsOut != "" {
 		if led := sys.DecisionLedger(); led != nil {
@@ -508,7 +503,6 @@ func runSystem(name string, in planner.Inputs, trace *workload.Trace, hub *telem
 			fmt.Printf("wrote perf report (%d events sampled 1-in-%d) to %s\n",
 				r.Events, r.SampleEvery, p.perfOut)
 		}
-		publishPerf(p.perfPub, sampler, name)
 	}
 	if p.push != nil {
 		p.push.sync(hub)
@@ -520,8 +514,7 @@ func runSystem(name string, in planner.Inputs, trace *workload.Trace, hub *telem
 		if err := srv.PublishHub(hub); err != nil {
 			fmt.Fprintf(os.Stderr, "serve: daemon publish: %v\n", err)
 		}
-		publishDecisions(srv, sys)
-		publishAlerts(srv, sys)
+		publishDocs(srv, sys, sampler, name)
 		evicted := srv.AddRun(telemetry.RunSummary{
 			System:     name,
 			Policy:     res.PolicyName,
@@ -549,52 +542,34 @@ func phasePct(r *perf.Report, seconds float64) float64 {
 	return seconds / r.WallSeconds * 100
 }
 
-// publishPerf renders the run's current perf report for the daemon's /perf
-// endpoint. Like PublishHub it runs on the simulation goroutine; mid-run
-// calls publish a live in-flight snapshot.
-func publishPerf(pub *perf.Publisher, sampler *perf.Sampler, system string) {
-	if pub == nil || sampler == nil {
-		return
+// publishDocs renders the run's decision ledger, SLO alert log (plus the
+// /healthz firing roll-up) and perf report for the daemon's document routes.
+// Like PublishHub it runs on the simulation goroutine; mid-run calls publish
+// live in-flight snapshots.
+func publishDocs(srv *telemetry.Server, sys *serving.System, sampler *perf.Sampler, system string) {
+	publish := func(route string, write func(io.Writer) error) {
+		var buf bytes.Buffer
+		if err := write(&buf); err != nil {
+			fmt.Fprintf(os.Stderr, "serve: %s publish: %v\n", route, err)
+			return
+		}
+		srv.Publish(route, buf.Bytes())
 	}
-	if err := pub.Publish(sampler.Report(system)); err != nil {
-		fmt.Fprintf(os.Stderr, "serve: perf publish: %v\n", err)
+	if led := sys.DecisionLedger(); led != nil {
+		publish(decisions.Route, led.WriteJSON)
 	}
-}
-
-// publishAlerts renders the run's SLO alert log plus the firing-set roll-up
-// for the daemon's /alerts and /healthz endpoints. Like PublishHub it runs
-// on the simulation goroutine.
-func publishAlerts(srv *telemetry.Server, sys *serving.System) {
-	mon := sys.SLOMonitor()
-	if mon == nil {
-		return
+	if mon := sys.SLOMonitor(); mon != nil {
+		publish(slo.Route, mon.WriteLog)
+		feed := mon.Feed()
+		worst := ""
+		if w, ok := feed.Worst(); ok {
+			worst = w.String()
+		}
+		srv.SetAlertRollup(len(feed.Active()), worst)
 	}
-	var buf bytes.Buffer
-	if err := mon.WriteLog(&buf); err != nil {
-		fmt.Fprintf(os.Stderr, "serve: alerts publish: %v\n", err)
-		return
+	if sampler != nil {
+		publish(perf.Route, sampler.Report(system).WriteJSON)
 	}
-	feed := mon.Feed()
-	worst := ""
-	if w, ok := feed.Worst(); ok {
-		worst = w.String()
-	}
-	srv.PublishAlerts(buf.Bytes(), len(feed.Active()), worst)
-}
-
-// publishDecisions renders the run's decision ledger for the daemon's
-// /decisions endpoint. Like PublishHub it runs on the simulation goroutine.
-func publishDecisions(srv *telemetry.Server, sys *serving.System) {
-	led := sys.DecisionLedger()
-	if led == nil {
-		return
-	}
-	var buf bytes.Buffer
-	if err := led.WriteJSON(&buf); err != nil {
-		fmt.Fprintf(os.Stderr, "serve: decisions publish: %v\n", err)
-		return
-	}
-	srv.PublishDecisions(buf.Bytes())
 }
 
 // cpEntry is one stage's share of the end-to-end critical path.

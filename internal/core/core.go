@@ -293,8 +293,8 @@ func (p *OnlinePolicy) ledger(ctx *serving.GroupCtx, t *scheduler.Table, chosen,
 		cands[i] = decisions.CollectiveCandidate{
 			Label:       t.Policies[i].Label,
 			Scheme:      t.Policies[i].Scheme.String(),
-			CostJ:       decisions.Float(j),
-			CostSeconds: decisions.Float(j * w),
+			CostJ:       telemetry.JSONFloat(j),
+			CostSeconds: telemetry.JSONFloat(j * w),
 		}
 		if j < eval[best] {
 			best = i
@@ -318,8 +318,8 @@ func (p *OnlinePolicy) ledger(ctx *serving.GroupCtx, t *scheduler.Table, chosen,
 			Scheme:      scheme.String(),
 			Reason:      reason,
 			StageSignal: stageSignal,
-			Actual:      decisions.Float(actual),
-			Regret:      decisions.Float(regret),
+			Actual:      telemetry.JSONFloat(actual),
+			Regret:      telemetry.JSONFloat(regret),
 			Stalled:     p.ctl.Stalled(),
 		})
 	}

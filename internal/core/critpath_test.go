@@ -104,7 +104,7 @@ func TestCritPathSumsMatchHistograms(t *testing.T) {
 	}
 }
 
-// TestCritPathReportDeterministic: the tracestat-style report and the
+// TestCritPathReportDeterministic: the hstat-trace-style report and the
 // OpenMetrics exposition must be byte-identical across same-seed runs.
 func TestCritPathReportDeterministic(t *testing.T) {
 	res1, _, om1, _ := critRun(t, "heroserve")

@@ -460,7 +460,7 @@ func ExtScale(scale Scale, seed int64) (*Report, error) {
 			fmtF(d.KVUtil), fmtF(d.MeanTTFT), fmtF(d.MeanTPOT), fmt.Sprintf("%d", d.ScaleEvents))
 	}
 	r.AddNote("rank orders autoscaled policies per workload by SLA attainment, then GPU-seconds; static-full is the all-instances-always-on reference")
-	r.AddNote("shadow is the law's rank in the single-run counterfactual replay of the workload's first autoscaled run's decision ledger (decisionstat's shadow ranking) — one run predicting what the whole sweep measures")
+	r.AddNote("shadow is the law's rank in the single-run counterfactual replay of the workload's first autoscaled run's decision ledger (hstat decisions' shadow ranking) — one run predicting what the whole sweep measures")
 	r.AddNote("attainment and GPU-seconds are read from sla_requests_total and decode_gpu_seconds_total (cross-checked against Results), occupancy/KV from the decode gauge time-averages — the scoreboard matches a /metrics scrape of the same runs exactly")
 	return r, nil
 }

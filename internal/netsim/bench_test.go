@@ -12,10 +12,8 @@ import (
 // BenchmarkReallocate measures one reallocation cycle — the hot operation of
 // the whole simulator: every flow start, finish, cancel, and link rescale
 // pays it. Each iteration starts and cancels a probe flow against a standing
-// population of long-lived flows, i.e. two reallocations per op.
-//
-// scripts/bench.sh runs this for both implementations and commits the
-// results to BENCH_6.json; CI warns when the committed numbers regress.
+// population of long-lived flows, i.e. two reallocations per op, for both
+// the fast and the reference implementation.
 func BenchmarkReallocate(b *testing.B) {
 	impls := []struct {
 		name string

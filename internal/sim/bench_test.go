@@ -4,8 +4,7 @@ import (
 	"testing"
 )
 
-// benchEngines pairs each front implementation with its constructor, in the
-// order bench.sh parses them.
+// benchEngines pairs each front implementation with its constructor.
 var benchEngines = []struct {
 	name string
 	mk   func() *Engine

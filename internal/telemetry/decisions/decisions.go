@@ -32,8 +32,9 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
+
+	"heroserve/internal/telemetry"
 )
 
 // Record kinds.
@@ -41,52 +42,6 @@ const (
 	KindCollective = "collective"
 	KindScale      = "scale"
 )
-
-// Float is a float64 that survives JSON round-trips even when non-finite:
-// policy cost tables legitimately contain +Inf (fault-priced-out policies),
-// which encoding/json rejects as a bare number.
-type Float float64
-
-// MarshalJSON implements json.Marshaler.
-func (f Float) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	switch {
-	case math.IsInf(v, 1):
-		return []byte(`"+Inf"`), nil
-	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
-	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
-	}
-	return json.Marshal(v)
-}
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (f *Float) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		switch s {
-		case "+Inf":
-			*f = Float(math.Inf(1))
-		case "-Inf":
-			*f = Float(math.Inf(-1))
-		case "NaN":
-			*f = Float(math.NaN())
-		default:
-			return fmt.Errorf("decisions: bad float %q", s)
-		}
-		return nil
-	}
-	var v float64
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	*f = Float(v)
-	return nil
-}
 
 // CollectiveCandidate is one row of a policy-select counterfactual cost
 // vector: a candidate policy from the group's cost table and its cost at
@@ -96,11 +51,11 @@ type CollectiveCandidate struct {
 	Scheme string `json:"scheme"`
 	// CostJ is J(c, D) = b_c + delta(c, D), the utilization cost the table
 	// minimized (Eq. 16), evaluated for EVERY candidate, not just the winner.
-	CostJ Float `json:"cost_j"`
+	CostJ telemetry.JSONFloat `json:"cost_j"`
 	// CostSeconds converts CostJ into estimated bottleneck busy-seconds
 	// within the scheduler's estimation window: J * T_u. This is the unit
 	// the regret counters accumulate.
-	CostSeconds Float `json:"cost_seconds"`
+	CostSeconds telemetry.JSONFloat `json:"cost_seconds"`
 }
 
 // CollectiveRecord audits one policy-select decision.
@@ -131,11 +86,11 @@ type CollectiveRecord struct {
 	StageSignal string `json:"stage_signal,omitempty"`
 	// Actual is Candidates[Executed].CostSeconds — the audited cost of the
 	// decision, bit-identical to the counterfactual vector entry.
-	Actual Float `json:"actual_seconds"`
+	Actual telemetry.JSONFloat `json:"actual_seconds"`
 	// Regret is Actual - Candidates[Best].CostSeconds: zero except under
 	// guard fallback (the table pick is the argmin by construction).
-	Regret  Float `json:"regret_seconds"`
-	Stalled bool  `json:"stalled,omitempty"` // control plane inside a stall window
+	Regret  telemetry.JSONFloat `json:"regret_seconds"`
+	Stalled bool                `json:"stalled,omitempty"` // control plane inside a stall window
 }
 
 // ScaleSignalsRec is the autoscaler input snapshot a scale decision saw.
@@ -652,18 +607,6 @@ func (s *Summary) String() string {
 	return b.String()
 }
 
-// ftsv formats a float for the TSV golden exactly like the Prometheus
-// exposition does, so the golden diff semantics match.
-func ftsv(v float64) string {
-	switch {
-	case math.IsInf(v, 1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
 // WriteTSV renders the summary as the deterministic TSV the golden gate
 // pins: per-scheme counterfactual totals, per-law shadow verdict counts,
 // and the ledger totals. Byte-identical across same-seed runs.
@@ -673,7 +616,7 @@ func (s *Summary) WriteTSV(w io.Writer) error {
 	b.WriteString("scheme\tchosen\texecuted\tregret_seconds\tunpriced\tabsent\n")
 	for _, st := range s.Schemes {
 		fmt.Fprintf(&b, "%s\t%d\t%d\t%s\t%d\t%d\n",
-			st.Scheme, st.Chosen, st.Executed, ftsv(st.RegretSeconds), st.Unpriced, st.Absent)
+			st.Scheme, st.Chosen, st.Executed, telemetry.FormatFloat(st.RegretSeconds), st.Unpriced, st.Absent)
 	}
 	b.WriteString("## scale\n")
 	b.WriteString("law\tscale_out\tscale_in\thold\tdisagree\n")
@@ -691,13 +634,84 @@ func (s *Summary) WriteTSV(w io.Writer) error {
 	fmt.Fprintf(&b, "fallbacks\t%d\n", s.Fallbacks)
 	fmt.Fprintf(&b, "stage_swayed\t%d\n", s.StageSwayed)
 	fmt.Fprintf(&b, "stalled\t%d\n", s.Stalled)
-	fmt.Fprintf(&b, "regret_seconds\t%s\n", ftsv(s.TotalRegretSeconds))
+	fmt.Fprintf(&b, "regret_seconds\t%s\n", telemetry.FormatFloat(s.TotalRegretSeconds))
 	if s.Drift != nil {
 		fmt.Fprintf(&b, "drift_windows\t%d\n", s.Drift.Windows)
-		fmt.Fprintf(&b, "drift_attainment\t%s\n", ftsv(s.Drift.Attainment))
+		fmt.Fprintf(&b, "drift_attainment\t%s\n", telemetry.FormatFloat(s.Drift.Attainment))
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
+}
+
+// Fprint renders the full text report: record counts and execution regret,
+// the per-scheme counterfactual table, the scale laws' shadow verdict matrix
+// with the expected-vs-realized drift, and the shadow ranking.
+func (l *Ledger) Fprint(w io.Writer) error {
+	s, ranks := l.Summarize(), l.ShadowRanking()
+	var b strings.Builder
+	fmt.Fprintf(&b, "decision ledger: %d collective picks, %d scale steps\n", s.Collective, s.Scale)
+	if s.Collective > 0 {
+		fmt.Fprintf(&b, "execution regret %.6gs total, %d guard fallbacks, %d picks under control-plane stall\n",
+			s.TotalRegretSeconds, s.Fallbacks, s.Stalled)
+		fprintSchemes(&b, s)
+	}
+	if s.Scale > 0 {
+		fmt.Fprintf(&b, "\nscale laws (primary: %s; %d shadow disagreements)\n", s.Primary, s.Disagreements)
+		fmt.Fprintf(&b, "  %-14s %10s %10s %10s %10s\n", "law", "scale_out", "scale_in", "hold", "disagree")
+		for _, lw := range s.Laws {
+			fmt.Fprintf(&b, "  %-14s %10d %10d %10d %10d\n", lw.Law, lw.ScaleOut, lw.ScaleIn, lw.Hold, lw.Disagree)
+		}
+		if d := s.Drift; d != nil {
+			fmt.Fprintf(&b, "expected-vs-realized drift over %d outcome windows (%d completions, attainment %.1f%%):\n",
+				d.Windows, d.Completed, d.Attainment*100)
+			fmt.Fprintf(&b, "  TTFT signal %.3fs -> realized %.3fs (%+.3fs); TPOT signal %.4fs -> realized %.4fs (%+.4fs)\n",
+				d.MeanSignalTTFT, d.MeanRealizedTTFT, d.MeanRealizedTTFT-d.MeanSignalTTFT,
+				d.MeanSignalTPOT, d.MeanRealizedTPOT, d.MeanRealizedTPOT-d.MeanSignalTPOT)
+		}
+		fprintShadowRanking(&b, ranks)
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
+// FprintRegret renders only the regret rankings: the per-scheme
+// counterfactual table and the shadow ranking of the scale laws.
+func (l *Ledger) FprintRegret(w io.Writer) error {
+	var b strings.Builder
+	fprintSchemes(&b, l.Summarize())
+	fprintShadowRanking(&b, l.ShadowRanking())
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
+// fprintSchemes renders the per-scheme counterfactual table, cheapest first.
+func fprintSchemes(b *strings.Builder, s *Summary) {
+	if len(s.Schemes) == 0 {
+		return
+	}
+	fmt.Fprintf(b, "counterfactual cost of always forcing a scheme (vs the optimum; lower is better):\n")
+	fmt.Fprintf(b, "  %-12s %14s %8s %8s %9s %7s\n", "scheme", "regret (s)", "chosen", "exec", "unpriced", "absent")
+	for _, st := range s.Schemes {
+		reg := fmt.Sprintf("%.6f", st.RegretSeconds)
+		if math.IsInf(st.RegretSeconds, 0) {
+			reg = "+Inf"
+		}
+		fmt.Fprintf(b, "  %-12s %14s %8d %8d %9d %7d\n",
+			st.Scheme, reg, st.Chosen, st.Executed, st.Unpriced, st.Absent)
+	}
+}
+
+// fprintShadowRanking renders the single-run counterfactual law ranking.
+func fprintShadowRanking(b *strings.Builder, ranks []ShadowRank) {
+	if len(ranks) == 0 {
+		return
+	}
+	fmt.Fprintf(b, "shadow ranking (single-run counterfactual replay; attainment desc, GPU-seconds asc):\n")
+	fmt.Fprintf(b, "  %4s %-14s %12s %14s %8s %10s\n", "rank", "law", "est attain", "est GPU-s", "charged", "completed")
+	for _, r := range ranks {
+		fmt.Fprintf(b, "  %4d %-14s %11.1f%% %14.1f %8d %10d\n",
+			r.Rank, r.Law, r.EstAttainment*100, r.EstGPUSeconds, r.ChargedMisses, r.Completed)
+	}
 }
 
 // FprintDiff prints the per-scheme regret and per-law verdict deltas of two
@@ -709,64 +723,19 @@ func FprintDiff(w io.Writer, a, b *Summary) error {
 		a.Collective, b.Collective, b.Collective-a.Collective,
 		a.Scale, b.Scale, b.Scale-a.Scale)
 
-	schemes := map[string][2]*SchemeStat{}
-	for i := range a.Schemes {
-		st := schemes[a.Schemes[i].Scheme]
-		st[0] = &a.Schemes[i]
-		schemes[a.Schemes[i].Scheme] = st
-	}
-	for i := range b.Schemes {
-		st := schemes[b.Schemes[i].Scheme]
-		st[1] = &b.Schemes[i]
-		schemes[b.Schemes[i].Scheme] = st
-	}
-	names := make([]string, 0, len(schemes))
-	for n := range schemes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names, schemes := pairRows(a.Schemes, b.Schemes, func(st SchemeStat) string { return st.Scheme })
 	if len(names) > 0 {
 		fmt.Fprintf(&out, "%-12s %14s %14s %14s\n", "scheme", "regret A (s)", "regret B (s)", "delta (s)")
 		for _, n := range names {
-			var ra, rb float64
-			pair := schemes[n]
-			if pair[0] != nil {
-				ra = pair[0].RegretSeconds
-			}
-			if pair[1] != nil {
-				rb = pair[1].RegretSeconds
-			}
+			ra, rb := schemes[n][0].RegretSeconds, schemes[n][1].RegretSeconds
 			fmt.Fprintf(&out, "%-12s %14.6f %14.6f %+14.6f\n", n, ra, rb, rb-ra)
 		}
 	}
-
-	laws := map[string][2]*LawStat{}
-	for i := range a.Laws {
-		st := laws[a.Laws[i].Law]
-		st[0] = &a.Laws[i]
-		laws[a.Laws[i].Law] = st
-	}
-	for i := range b.Laws {
-		st := laws[b.Laws[i].Law]
-		st[1] = &b.Laws[i]
-		laws[b.Laws[i].Law] = st
-	}
-	lawNames := make([]string, 0, len(laws))
-	for n := range laws {
-		lawNames = append(lawNames, n)
-	}
-	sort.Strings(lawNames)
+	lawNames, laws := pairRows(a.Laws, b.Laws, func(lw LawStat) string { return lw.Law })
 	if len(lawNames) > 0 {
 		fmt.Fprintf(&out, "%-12s %10s %10s %10s %10s\n", "law", "out Δ", "in Δ", "hold Δ", "disagree Δ")
 		for _, n := range lawNames {
-			pair := laws[n]
-			var la, lb LawStat
-			if pair[0] != nil {
-				la = *pair[0]
-			}
-			if pair[1] != nil {
-				lb = *pair[1]
-			}
+			la, lb := laws[n][0], laws[n][1]
 			fmt.Fprintf(&out, "%-12s %+10d %+10d %+10d %+10d\n", n,
 				lb.ScaleOut-la.ScaleOut, lb.ScaleIn-la.ScaleIn,
 				lb.Hold-la.Hold, lb.Disagree-la.Disagree)
@@ -774,4 +743,23 @@ func FprintDiff(w io.Writer, a, b *Summary) error {
 	}
 	_, err := io.WriteString(w, out.String())
 	return err
+}
+
+// pairRows joins two runs' rows by key: the sorted keys, and each key's row
+// in run A and in run B (the zero row where a run lacks it).
+func pairRows[T any](a, b []T, key func(T) string) ([]string, map[string][2]T) {
+	rows := map[string][2]T{}
+	for i, side := range [2][]T{a, b} {
+		for _, r := range side {
+			pair := rows[key(r)]
+			pair[i] = r
+			rows[key(r)] = pair
+		}
+	}
+	keys := make([]string, 0, len(rows))
+	for k := range rows {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys, rows
 }

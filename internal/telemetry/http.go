@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"maps"
 	"net/http"
+	"net/url"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,38 +40,56 @@ type RunSummary struct {
 }
 
 // Server exposes a Hub over HTTP: /metrics (Prometheus text exposition),
-// /healthz, /runs (completed-run summaries as JSON), and /trace (the current
-// trace snapshot as Chrome trace-event JSON).
+// /healthz, /runs (completed-run summaries as JSON), /runs/diff, and /trace
+// (the current trace snapshot as Chrome trace-event JSON), plus the document
+// routes packages layered above telemetry register with HandleDoc (the
+// decision ledger, the SLO alert log, the perf report).
 //
 // The Registry and Tracer are single-goroutine structures owned by the
 // simulation loop, so the Server never reads them directly. Instead the
 // simulation goroutine renders immutable snapshots at safe points — between
-// events or between runs — via PublishHub, and handlers serve the latest
-// snapshot under a read lock. Scrapers therefore observe a consistent,
+// events or between runs — via PublishHub and Publish, and handlers serve the
+// latest snapshot under a read lock. Scrapers therefore observe a consistent,
 // slightly stale view and can never race the event loop.
 type Server struct {
-	mu         sync.RWMutex
-	simTime    float64
-	published  int
-	prom       []byte
-	om         []byte // OpenMetrics rendering of the same snapshot
-	trace      []byte
-	traceFile  string
-	runs       []RunSummary
-	snaps      [][]byte // per-run metric snapshots (index parallels runs), for /runs/diff
-	decs       []byte   // latest published decision ledger (JSON), for /decisions
-	decSnaps   [][]byte // per-run decision-ledger snapshots (index parallels runs)
-	alerts     []byte   // latest published alert log (JSON), for /alerts
-	alertSnaps [][]byte // per-run alert-log snapshots (index parallels runs)
-	firing     int      // firing alerts in the latest published log
-	worstSev   string   // worst firing severity, "" when none
-	maxRuns    int      // run-history retention cap (0 = unbounded)
-	runBase    int      // completed runs evicted from the front of the history
-	handlers   map[string]http.Handler
+	mu        sync.RWMutex
+	simTime   float64
+	published int
+	prom      []byte
+	om        []byte // OpenMetrics rendering of the same snapshot
+	trace     []byte
+	traceFile string
+	docs      map[string][]byte // latest published document per route
+	runs      []RunSummary
+	snaps     []runState // per-run snapshots (index parallels runs)
+	firing    int        // firing alerts in the latest published roll-up
+	worstSev  string     // worst firing severity, "" when none
+	maxRuns   int        // run-history retention cap (0 = unbounded)
+	runBase   int        // completed runs evicted from the front of the history
+	handlers  map[string]http.Handler
 }
 
-// NewServer returns an empty Server; install it as an http.Handler.
-func NewServer() *Server { return &Server{} }
+// runState is what AddRun captures of a completed run: its metric
+// exposition, for /runs/diff, and every document route's latest bytes, for
+// ?run= addressing.
+type runState struct {
+	metrics []byte
+	docs    map[string][]byte
+}
+
+// NewServer returns a Server holding only the built-in routes; install it as
+// an http.Handler.
+func NewServer() *Server {
+	s := &Server{docs: make(map[string][]byte)}
+	s.handlers = map[string]http.Handler{
+		"/metrics":   http.HandlerFunc(s.serveMetrics),
+		"/healthz":   http.HandlerFunc(s.serveHealthz),
+		"/runs":      http.HandlerFunc(s.serveRuns),
+		"/runs/diff": http.HandlerFunc(s.serveRunsDiff),
+		"/trace":     http.HandlerFunc(s.serveTrace),
+	}
+	return s
+}
 
 // PublishHub renders a snapshot of the hub's metrics — and, unless the
 // tracer is streaming to disk, its trace — and stores it for the handlers.
@@ -101,11 +123,31 @@ func (s *Server) PublishHub(h *Hub) error {
 	return nil
 }
 
+// Publish stores doc, a serialized artifact such as the decision ledger, as
+// the latest document of a route registered with HandleDoc. Like PublishHub
+// it MUST be called from the simulation goroutine at a safe point; the
+// caller serializes, so the handlers never touch live sim state.
+func (s *Server) Publish(route string, doc []byte) {
+	s.mu.Lock()
+	s.docs[route] = doc
+	s.mu.Unlock()
+}
+
+// SetAlertRollup sets the SLO roll-up /healthz reports: how many alerts are
+// firing and the worst firing severity ("" when none). Same calling
+// discipline as Publish.
+func (s *Server) SetAlertRollup(firing int, worst string) {
+	s.mu.Lock()
+	s.firing = firing
+	s.worstSev = worst
+	s.mu.Unlock()
+}
+
 // SetMaxRuns bounds the run history: once more than n completed runs are
-// held, AddRun evicts the oldest run (summary plus its metric, decision, and
-// alert snapshots). Run IDs stay stable across evictions — /runs/diff and
-// the per-run snapshot filters keep addressing surviving runs by their
-// original IDs. n <= 0 means unbounded (the default).
+// held, AddRun evicts the oldest run (summary plus its metric and document
+// snapshots). Run IDs stay stable across evictions — /runs/diff and the
+// ?run= document snapshots keep addressing surviving runs by their original
+// IDs. n <= 0 means unbounded (the default).
 func (s *Server) SetMaxRuns(n int) {
 	s.mu.Lock()
 	s.maxRuns = n
@@ -113,22 +155,18 @@ func (s *Server) SetMaxRuns(n int) {
 }
 
 // AddRun records a completed run for /runs, assigning it the next sequential
-// ID, and captures the latest published metric snapshot as the run's state
-// for /runs/diff — so callers should PublishHub first, then AddRun. Safe to
-// call from the goroutine driving the runs. Returns how many old runs the
-// retention cap evicted (0 without SetMaxRuns).
+// ID, and captures the latest published metric snapshot and documents as the
+// run's state — so callers should PublishHub and Publish first, then AddRun.
+// Safe to call from the goroutine driving the runs. Returns how many old runs
+// the retention cap evicted (0 without SetMaxRuns).
 func (s *Server) AddRun(r RunSummary) (evicted int) {
 	s.mu.Lock()
 	r.ID = s.runBase + len(s.runs) + 1
 	s.runs = append(s.runs, r)
-	s.snaps = append(s.snaps, s.prom)
-	s.decSnaps = append(s.decSnaps, s.decs)
-	s.alertSnaps = append(s.alertSnaps, s.alerts)
+	s.snaps = append(s.snaps, runState{metrics: s.prom, docs: maps.Clone(s.docs)})
 	for s.maxRuns > 0 && len(s.runs) > s.maxRuns {
 		s.runs = s.runs[1:]
 		s.snaps = s.snaps[1:]
-		s.decSnaps = s.decSnaps[1:]
-		s.alertSnaps = s.alertSnaps[1:]
 		s.runBase++
 		evicted++
 	}
@@ -136,10 +174,10 @@ func (s *Server) AddRun(r RunSummary) (evicted int) {
 	return evicted
 }
 
-// runSnapshot resolves a run ID against the retained history under the
-// caller's lock: index into the parallel snapshot slices, or ok=false when
-// the ID was never assigned or has been evicted.
-func (s *Server) runSnapshot(id int) (idx int, ok bool) {
+// runIndex resolves a run ID against the retained history under the
+// caller's lock: index into runs and snaps, or ok=false when the ID was
+// never assigned or has been evicted.
+func (s *Server) runIndex(id int) (idx int, ok bool) {
 	idx = id - 1 - s.runBase
 	return idx, id >= 1 && idx >= 0 && idx < len(s.runs)
 }
@@ -161,23 +199,121 @@ func (s *Server) SetTraceFile(path string) {
 	s.mu.Unlock()
 }
 
-// Handle registers a custom route consulted before the 404 fallback —
-// how packages layered above telemetry (e.g. internal/telemetry/slo's
-// /alerts handler) extend the daemon without an import cycle. A path ending
-// in "/" is a prefix route: it matches itself and everything below it
-// (longest prefix wins), which is what subtree handlers like net/http/pprof
-// need. Register before serving; built-in routes cannot be overridden.
+// Handle registers a route — how packages layered above telemetry (e.g.
+// net/http/pprof's subtree in internal/telemetry/perf) extend the daemon
+// without an import cycle. A path ending in "/" is a prefix route: it matches
+// itself and everything below it (longest prefix wins, an exact route wins
+// over any prefix), which is what subtree handlers like net/http/pprof need.
+// Register before serving.
 func (s *Server) Handle(path string, h http.Handler) {
 	s.mu.Lock()
-	if s.handlers == nil {
-		s.handlers = make(map[string]http.Handler)
-	}
 	s.handlers[path] = h
 	s.mu.Unlock()
 }
 
-// lookupHandler resolves a request path against the custom routes: exact
-// match first, then the longest registered "/"-terminated prefix.
+// Routes lists the paths the server answers, sorted. A route below a
+// registered prefix route is covered by it and not listed.
+func (s *Server) Routes() []string {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var routes []string
+next:
+	for p := range s.handlers {
+		for q := range s.handlers {
+			if q != p && strings.HasSuffix(q, "/") && strings.HasPrefix(p, q) {
+				continue next
+			}
+		}
+		routes = append(routes, p)
+	}
+	sort.Strings(routes)
+	return routes
+}
+
+// Document is what a Filter narrows a stored document to.
+type Document interface {
+	WriteJSON(w io.Writer) error
+}
+
+// Narrow decodes a stored document and keeps what a request selected, within
+// the [from, to] sim-time window (to <= 0: no upper bound).
+type Narrow func(doc []byte, from, to float64) (Document, error)
+
+// Filter is a document route's server-side filter. Params names the route's
+// own query parameters; a request setting none of them, nor from or to, gets
+// the stored bytes verbatim. Otherwise Parse validates the request's
+// parameters (an error answers 400 with its text) and returns the Narrow
+// the handler applies.
+type Filter struct {
+	Params []string
+	Parse  func(q url.Values) (Narrow, error)
+}
+
+// HandleDoc registers a document route serving what Publish stored under it:
+//
+//	route[?run=<id>][&from=<t>][&to=<t>][&<Filter.Params>]
+//
+// run selects a completed run's snapshot (captured at AddRun); without it the
+// latest published document is served. noun names the document in the 404
+// before anything is published. A nil f serves the stored bytes verbatim
+// whatever the query. Every error is a JSON body ({"error": msg}).
+func (s *Server) HandleDoc(route, noun string, f *Filter) {
+	s.Handle(route, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.serveDoc(w, r, route, noun, f)
+	}))
+}
+
+func (s *Server) serveDoc(w http.ResponseWriter, r *http.Request, route, noun string, f *Filter) {
+	q := r.URL.Query()
+	s.mu.RLock()
+	doc := s.docs[route]
+	if runStr := q.Get("run"); runStr != "" {
+		id, err := strconv.Atoi(runStr)
+		idx, ok := s.runIndex(id)
+		if err != nil || !ok {
+			msg := s.runRangeError()
+			s.mu.RUnlock()
+			writeJSONError(w, http.StatusNotFound, msg)
+			return
+		}
+		doc = s.snaps[idx].docs[route]
+	}
+	s.mu.RUnlock()
+	if len(doc) == 0 {
+		writeJSONError(w, http.StatusNotFound, "no "+noun+" published yet")
+		return
+	}
+	set := func(p string) bool { return q.Get(p) != "" }
+	if f == nil || !(set("from") || set("to") || slices.ContainsFunc(f.Params, set)) {
+		w.Header().Set("Content-Type", jsonContentType)
+		w.Write(doc)
+		return
+	}
+	narrow, err := f.Parse(q)
+	if err != nil {
+		writeJSONError(w, http.StatusBadRequest, err.Error())
+		return
+	}
+	var window [2]float64 // from, to
+	for i, name := range []string{"from", "to"} {
+		if v := q.Get(name); v != "" {
+			if window[i], err = strconv.ParseFloat(v, 64); err != nil {
+				writeJSONError(w, http.StatusBadRequest, "bad "+name)
+				return
+			}
+		}
+	}
+	out, err := narrow(doc, window[0], window[1])
+	if err != nil {
+		writeJSONError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	w.Header().Set("Content-Type", jsonContentType)
+	out.WriteJSON(w)
+}
+
+// lookupHandler resolves a request path against the routes: exact match
+// first, then the longest registered "/"-terminated prefix.
 func (s *Server) lookupHandler(path string) http.Handler {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -196,26 +332,11 @@ func (s *Server) lookupHandler(path string) http.Handler {
 
 // ServeHTTP routes the daemon's endpoints.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Path {
-	case "/metrics":
-		s.serveMetrics(w, r)
-	case "/healthz":
-		s.serveHealthz(w)
-	case "/runs":
-		s.serveRuns(w)
-	case "/runs/diff":
-		s.serveRunsDiff(w, r)
-	case "/decisions":
-		s.serveDecisions(w, r)
-	case "/trace":
-		s.serveTrace(w)
-	default:
-		if h := s.lookupHandler(r.URL.Path); h != nil {
-			h.ServeHTTP(w, r)
-			return
-		}
-		http.NotFound(w, r)
+	if h := s.lookupHandler(r.URL.Path); h != nil {
+		h.ServeHTTP(w, r)
+		return
 	}
+	http.NotFound(w, r)
 }
 
 // serveMetrics content-negotiates between the classic Prometheus text format
@@ -238,7 +359,7 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 // serveHealthz reports liveness plus the SLO roll-up: how many alerts are
 // firing in the latest published alert log and the worst firing severity.
 // Status degrades from "ok" to "degraded" while anything is firing.
-func (s *Server) serveHealthz(w http.ResponseWriter) {
+func (s *Server) serveHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
 	status, worst := "ok", s.worstSev
 	if s.firing > 0 {
@@ -260,7 +381,7 @@ func (s *Server) serveHealthz(w http.ResponseWriter) {
 	writeJSON(w, resp)
 }
 
-func (s *Server) serveRuns(w http.ResponseWriter) {
+func (s *Server) serveRuns(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
 	runs := s.runs
 	s.mu.RUnlock()
@@ -270,7 +391,7 @@ func (s *Server) serveRuns(w http.ResponseWriter) {
 	writeJSON(w, runs)
 }
 
-func (s *Server) serveTrace(w http.ResponseWriter) {
+func (s *Server) serveTrace(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
 	body, file := s.trace, s.traceFile
 	s.mu.RUnlock()
@@ -325,14 +446,14 @@ func (s *Server) serveRunsDiff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.RLock()
-	idxA, okA := s.runSnapshot(a)
-	idxB, okB := s.runSnapshot(b)
+	idxA, okA := s.runIndex(a)
+	idxB, okB := s.runIndex(b)
 	var snapA, snapB []byte
 	if okA {
-		snapA = s.snaps[idxA]
+		snapA = s.snaps[idxA].metrics
 	}
 	if okB {
-		snapB = s.snaps[idxB]
+		snapB = s.snaps[idxB].metrics
 	}
 	rangeMsg := s.runRangeError()
 	s.mu.RUnlock()
@@ -371,6 +492,73 @@ func (s *Server) serveRunsDiff(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, diff)
+}
+
+// StageDelta is one critical-path stage's change between two runs.
+type StageDelta struct {
+	Stage     string  `json:"stage"`
+	TTFTA     float64 `json:"ttft_a"`
+	TTFTB     float64 `json:"ttft_b"`
+	TTFTDelta float64 `json:"ttft_delta"`
+	E2EA      float64 `json:"e2e_a"`
+	E2EB      float64 `json:"e2e_b"`
+	E2EDelta  float64 `json:"e2e_delta"`
+}
+
+// CritPathDiff is the /runs/diff?view=critpath response: the per-stage delta
+// of the two runs' ttft/e2e_critical_path_seconds_total partitions. Like the
+// raw metric diff, snapshots are cumulative — diffing run N against N-1
+// isolates run N's own critical-path contribution.
+type CritPathDiff struct {
+	A      int          `json:"a"`
+	B      int          `json:"b"`
+	Stages []StageDelta `json:"stages"`
+}
+
+const (
+	ttftStagePrefix = `ttft_critical_path_seconds_total{stage="`
+	e2eStagePrefix  = `e2e_critical_path_seconds_total{stage="`
+)
+
+// critPathDiff reduces two metric snapshots to the per-stage delta table.
+func critPathDiff(a, b int, sa, sb map[string]float64) CritPathDiff {
+	stages := map[string]*StageDelta{}
+	// row returns the stage row a series of the family{stage="<stage>"}
+	// form feeds, or nil for any other series.
+	row := func(series, prefix string) *StageDelta {
+		rest, ok := strings.CutPrefix(series, prefix)
+		end := strings.IndexByte(rest, '"')
+		if !ok || end < 0 {
+			return nil
+		}
+		d, ok := stages[rest[:end]]
+		if !ok {
+			d = &StageDelta{Stage: rest[:end]}
+			stages[d.Stage] = d
+		}
+		return d
+	}
+	for k, v := range sa {
+		if d := row(k, ttftStagePrefix); d != nil {
+			d.TTFTA = v
+		} else if d := row(k, e2eStagePrefix); d != nil {
+			d.E2EA = v
+		}
+	}
+	for k, v := range sb {
+		if d := row(k, ttftStagePrefix); d != nil {
+			d.TTFTB = v
+		} else if d := row(k, e2eStagePrefix); d != nil {
+			d.E2EB = v
+		}
+	}
+	out := CritPathDiff{A: a, B: b, Stages: make([]StageDelta, 0, len(stages))}
+	for _, d := range stages {
+		d.TTFTDelta, d.E2EDelta = d.TTFTB-d.TTFTA, d.E2EB-d.E2EA
+		out.Stages = append(out.Stages, *d)
+	}
+	sort.Slice(out.Stages, func(i, j int) bool { return out.Stages[i].Stage < out.Stages[j].Stage })
+	return out
 }
 
 // parseSeries reads a Prometheus text exposition into series-name → value

@@ -1,14 +1,29 @@
-package telemetry
+package telemetry_test
 
 import (
 	"bytes"
-	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
+	"heroserve/internal/telemetry"
 	"heroserve/internal/telemetry/decisions"
 )
+
+func get(t *testing.T, url string) (*http.Response, []byte) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
+}
 
 // ledgerDoc serializes a small two-kind ledger for the endpoint tests.
 func ledgerDoc(t *testing.T) ([]byte, *decisions.Ledger) {
@@ -39,7 +54,8 @@ func ledgerDoc(t *testing.T) ([]byte, *decisions.Ledger) {
 // bytes without filters, server-side filtering, per-run snapshots, and the
 // error paths.
 func TestServerDecisions(t *testing.T) {
-	srv := NewServer()
+	srv := telemetry.NewServer()
+	decisions.InstallDecisions(srv)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -49,7 +65,7 @@ func TestServerDecisions(t *testing.T) {
 	}
 
 	doc, _ := ledgerDoc(t)
-	srv.PublishDecisions(doc)
+	srv.Publish(decisions.Route, doc)
 
 	resp, body := get(t, ts.URL+"/decisions")
 	if resp.StatusCode != http.StatusOK {
@@ -96,16 +112,16 @@ func TestServerDecisions(t *testing.T) {
 	}
 
 	// Per-run snapshots: AddRun captures the ledger published before it.
-	h := New()
+	h := telemetry.New()
 	if err := srv.PublishHub(h); err != nil {
 		t.Fatal(err)
 	}
-	srv.AddRun(RunSummary{System: "heroserve"})
-	srv.PublishDecisions([]byte(`{"meta":{},"collective":[],"scale":[]}`))
+	srv.AddRun(telemetry.RunSummary{System: "heroserve"})
+	srv.Publish(decisions.Route, []byte(`{"meta":{},"collective":[],"scale":[]}`))
 	if err := srv.PublishHub(h); err != nil {
 		t.Fatal(err)
 	}
-	srv.AddRun(RunSummary{System: "distserve"})
+	srv.AddRun(telemetry.RunSummary{System: "distserve"})
 
 	_, body = get(t, ts.URL+"/decisions?run=1")
 	if !bytes.Equal(body, doc) {
@@ -114,69 +130,5 @@ func TestServerDecisions(t *testing.T) {
 	_, body = get(t, ts.URL+"/decisions?run=2&kind=scale")
 	if led := decode(body); led.Len() != 0 {
 		t.Errorf("run=2 filtered ledger has %d records, want 0", led.Len())
-	}
-}
-
-// TestServerRunsDiffCritPath exercises /runs/diff?view=critpath: the raw
-// series diff collapses to a per-stage delta table of the two critical-path
-// partitions.
-func TestServerRunsDiffCritPath(t *testing.T) {
-	clock := 1.0
-	h := New()
-	h.Attach(func() float64 { return clock }, "planned")
-	ttftQ := h.Metrics.Counter("ttft_critical_path_seconds_total", "TTFT critical path.", []string{"stage"}, "queue")
-	e2eQ := h.Metrics.Counter("e2e_critical_path_seconds_total", "E2E critical path.", []string{"stage"}, "queue")
-	e2eD := h.Metrics.Counter("e2e_critical_path_seconds_total", "E2E critical path.", []string{"stage"}, "decode-compute")
-	srv := NewServer()
-
-	ttftQ.Add(1.5)
-	e2eQ.Add(2)
-	e2eD.Add(10)
-	if err := srv.PublishHub(h); err != nil {
-		t.Fatal(err)
-	}
-	srv.AddRun(RunSummary{System: "heroserve"})
-
-	ttftQ.Add(0.5)
-	e2eD.Add(5)
-	if err := srv.PublishHub(h); err != nil {
-		t.Fatal(err)
-	}
-	srv.AddRun(RunSummary{System: "heroserve"})
-
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	resp, body := get(t, ts.URL+"/runs/diff?a=1&b=2&view=critpath")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("critpath view status %d: %s", resp.StatusCode, body)
-	}
-	var diff CritPathDiff
-	if err := json.Unmarshal(body, &diff); err != nil {
-		t.Fatalf("critpath view not JSON: %v", err)
-	}
-	if diff.A != 1 || diff.B != 2 {
-		t.Errorf("ids = %d,%d", diff.A, diff.B)
-	}
-	if len(diff.Stages) != 2 {
-		t.Fatalf("stages = %+v, want decode-compute and queue", diff.Stages)
-	}
-	// Sorted by stage name: decode-compute first.
-	d := diff.Stages[0]
-	if d.Stage != "decode-compute" || d.E2EA != 10 || d.E2EB != 15 || d.E2EDelta != 5 {
-		t.Errorf("decode-compute delta = %+v", d)
-	}
-	q := diff.Stages[1]
-	if q.Stage != "queue" || q.TTFTA != 1.5 || q.TTFTB != 2 || q.TTFTDelta != 0.5 {
-		t.Errorf("queue TTFT delta = %+v", q)
-	}
-	if q.E2EA != 2 || q.E2EB != 2 || q.E2EDelta != 0 {
-		t.Errorf("queue E2E delta = %+v", q)
-	}
-
-	// Unknown views are rejected.
-	resp, _ = get(t, ts.URL+"/runs/diff?a=1&b=2&view=bogus")
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bogus view status %d, want 400", resp.StatusCode)
 	}
 }

@@ -90,6 +90,70 @@ func TestServerRunsDiff(t *testing.T) {
 	}
 }
 
+// TestServerRunsDiffCritPath exercises /runs/diff?view=critpath: the raw
+// series diff collapses to a per-stage delta table of the two critical-path
+// partitions.
+func TestServerRunsDiffCritPath(t *testing.T) {
+	clock := 1.0
+	h := New()
+	h.Attach(func() float64 { return clock }, "planned")
+	ttftQ := h.Metrics.Counter("ttft_critical_path_seconds_total", "TTFT critical path.", []string{"stage"}, "queue")
+	e2eQ := h.Metrics.Counter("e2e_critical_path_seconds_total", "E2E critical path.", []string{"stage"}, "queue")
+	e2eD := h.Metrics.Counter("e2e_critical_path_seconds_total", "E2E critical path.", []string{"stage"}, "decode-compute")
+	srv := NewServer()
+
+	ttftQ.Add(1.5)
+	e2eQ.Add(2)
+	e2eD.Add(10)
+	if err := srv.PublishHub(h); err != nil {
+		t.Fatal(err)
+	}
+	srv.AddRun(RunSummary{System: "heroserve"})
+
+	ttftQ.Add(0.5)
+	e2eD.Add(5)
+	if err := srv.PublishHub(h); err != nil {
+		t.Fatal(err)
+	}
+	srv.AddRun(RunSummary{System: "heroserve"})
+
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	resp, body := get(t, ts.URL+"/runs/diff?a=1&b=2&view=critpath")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("critpath view status %d: %s", resp.StatusCode, body)
+	}
+	var diff CritPathDiff
+	if err := json.Unmarshal(body, &diff); err != nil {
+		t.Fatalf("critpath view not JSON: %v", err)
+	}
+	if diff.A != 1 || diff.B != 2 {
+		t.Errorf("ids = %d,%d", diff.A, diff.B)
+	}
+	if len(diff.Stages) != 2 {
+		t.Fatalf("stages = %+v, want decode-compute and queue", diff.Stages)
+	}
+	// Sorted by stage name: decode-compute first.
+	d := diff.Stages[0]
+	if d.Stage != "decode-compute" || d.E2EA != 10 || d.E2EB != 15 || d.E2EDelta != 5 {
+		t.Errorf("decode-compute delta = %+v", d)
+	}
+	q := diff.Stages[1]
+	if q.Stage != "queue" || q.TTFTA != 1.5 || q.TTFTB != 2 || q.TTFTDelta != 0.5 {
+		t.Errorf("queue TTFT delta = %+v", q)
+	}
+	if q.E2EA != 2 || q.E2EB != 2 || q.E2EDelta != 0 {
+		t.Errorf("queue E2E delta = %+v", q)
+	}
+
+	// Unknown views are rejected.
+	resp, _ = get(t, ts.URL+"/runs/diff?a=1&b=2&view=bogus")
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("bogus view status %d, want 400", resp.StatusCode)
+	}
+}
+
 // TestServerMetricsContentNegotiation checks that /metrics answers the
 // OpenMetrics media type only when the scraper asks for it.
 func TestServerMetricsContentNegotiation(t *testing.T) {

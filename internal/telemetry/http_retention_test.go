@@ -1,4 +1,4 @@
-package telemetry
+package telemetry_test
 
 import (
 	"encoding/json"
@@ -6,15 +6,19 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"heroserve/internal/telemetry"
+	"heroserve/internal/telemetry/decisions"
 )
 
 // TestServerRunRetention pins the -max-runs behavior: AddRun evicts the
 // oldest runs past the cap, surviving runs keep their original IDs, and the
 // run-addressed endpoints report the retained window in their 404s.
 func TestServerRunRetention(t *testing.T) {
-	srv := NewServer()
+	srv := telemetry.NewServer()
+	decisions.InstallDecisions(srv)
 	srv.SetMaxRuns(2)
-	h := New()
+	h := telemetry.New()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -25,7 +29,7 @@ func TestServerRunRetention(t *testing.T) {
 		if err := srv.PublishHub(h); err != nil {
 			t.Fatal(err)
 		}
-		evicted := srv.AddRun(RunSummary{System: "test", Policy: fmt.Sprintf("p%d", i)})
+		evicted := srv.AddRun(telemetry.RunSummary{System: "test", Policy: fmt.Sprintf("p%d", i)})
 		wantEvicted := 0
 		if i > 2 {
 			wantEvicted = 1
@@ -44,7 +48,7 @@ func TestServerRunRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var runs []RunSummary
+	var runs []telemetry.RunSummary
 	if err := json.NewDecoder(resp.Body).Decode(&runs); err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +65,7 @@ func TestServerRunRetention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var diff RunsDiff
+	var diff telemetry.RunsDiff
 	if err := json.NewDecoder(resp.Body).Decode(&diff); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +122,7 @@ func TestServerRunRetention(t *testing.T) {
 // TestServerHealthzDegraded pins the alert roll-up in /healthz: publishing a
 // firing set degrades the status and surfaces the worst severity.
 func TestServerHealthzDegraded(t *testing.T) {
-	srv := NewServer()
+	srv := telemetry.NewServer()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -143,11 +147,11 @@ func TestServerHealthzDegraded(t *testing.T) {
 	if st, firing, worst := read(); st != "ok" || firing != 0 || worst != "none" {
 		t.Fatalf("fresh server: %s/%d/%s", st, firing, worst)
 	}
-	srv.PublishAlerts([]byte(`{}`), 2, "warning")
+	srv.SetAlertRollup(2, "warning")
 	if st, firing, worst := read(); st != "degraded" || firing != 2 || worst != "warning" {
 		t.Fatalf("firing: %s/%d/%s", st, firing, worst)
 	}
-	srv.PublishAlerts([]byte(`{}`), 0, "")
+	srv.SetAlertRollup(0, "")
 	if st, firing, worst := read(); st != "ok" || firing != 0 || worst != "none" {
 		t.Fatalf("recovered: %s/%d/%s", st, firing, worst)
 	}

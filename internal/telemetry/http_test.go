@@ -175,6 +175,7 @@ func TestServerConcurrentScrapes(t *testing.T) {
 	clock := 0.0
 	h := testHub(&clock)
 	srv := NewServer()
+	srv.HandleDoc("/doc", "test document", nil)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -191,6 +192,7 @@ func TestServerConcurrentScrapes(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			srv.Publish("/doc", []byte(`{"tick":1}`))
 			srv.AddRun(RunSummary{System: "heroserve"})
 		}
 	}()
@@ -199,7 +201,7 @@ func TestServerConcurrentScrapes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				for _, path := range []string{"/metrics", "/healthz", "/runs", "/trace"} {
+				for _, path := range []string{"/metrics", "/healthz", "/runs", "/trace", "/doc", "/doc?run=1"} {
 					resp, err := http.Get(ts.URL + path)
 					if err != nil {
 						t.Error(err)

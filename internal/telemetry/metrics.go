@@ -20,7 +20,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"strconv"
 	"strings"
 	"unicode/utf8"
 
@@ -428,21 +427,21 @@ func (r *Registry) WriteProm(w io.Writer) error {
 			c := f.childs[key]
 			switch f.kind {
 			case kindCounter:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, labelString(f.labels, c.values), fmtFloat(c.ctr.v))
+				fmt.Fprintf(&b, "%s%s %s\n", f.name, labelString(f.labels, c.values), FormatFloat(c.ctr.v))
 			case kindGauge:
 				c.gauge.tw.Advance(now)
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, labelString(f.labels, c.values), fmtFloat(c.gauge.tw.Value()))
-				fmt.Fprintf(&timeavg, "%s_timeavg%s %s\n", f.name, labelString(f.labels, c.values), fmtFloat(c.gauge.tw.Mean()))
+				fmt.Fprintf(&b, "%s%s %s\n", f.name, labelString(f.labels, c.values), FormatFloat(c.gauge.tw.Value()))
+				fmt.Fprintf(&timeavg, "%s_timeavg%s %s\n", f.name, labelString(f.labels, c.values), FormatFloat(c.gauge.tw.Mean()))
 			case kindHistogram:
 				var cum uint64
 				for i, ub := range f.buckets {
 					cum += c.hist.counts[i]
 					fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name,
-						labelString(append(f.labels, "le"), append(c.values, fmtFloat(ub))), cum)
+						labelString(append(f.labels, "le"), append(c.values, FormatFloat(ub))), cum)
 				}
 				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name,
 					labelString(append(f.labels, "le"), append(c.values, "+Inf")), c.hist.n)
-				fmt.Fprintf(&b, "%s_sum%s %s\n", f.name, labelString(f.labels, c.values), fmtFloat(c.hist.sum))
+				fmt.Fprintf(&b, "%s_sum%s %s\n", f.name, labelString(f.labels, c.values), FormatFloat(c.hist.sum))
 				fmt.Fprintf(&b, "%s_count%s %d\n", f.name, labelString(f.labels, c.values), c.hist.n)
 			}
 		}
@@ -484,14 +483,4 @@ func escapeLabel(v string) string {
 func escapeHelp(v string) string {
 	v = strings.ReplaceAll(v, `\`, `\\`)
 	return strings.ReplaceAll(v, "\n", `\n`)
-}
-
-func fmtFloat(v float64) string {
-	switch {
-	case math.IsInf(v, 1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -50,26 +50,26 @@ func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 			ls := labelString(f.labels, c.values)
 			switch f.kind {
 			case kindCounter:
-				fmt.Fprintf(&b, "%s_total%s %s\n", fam, ls, fmtFloat(c.ctr.v))
-				fmt.Fprintf(&b, "%s_created%s %s\n", fam, ls, fmtFloat(c.created))
+				fmt.Fprintf(&b, "%s_total%s %s\n", fam, ls, FormatFloat(c.ctr.v))
+				fmt.Fprintf(&b, "%s_created%s %s\n", fam, ls, FormatFloat(c.created))
 			case kindGauge:
 				c.gauge.tw.Advance(now)
-				fmt.Fprintf(&b, "%s%s %s\n", fam, ls, fmtFloat(c.gauge.tw.Value()))
-				fmt.Fprintf(&timeavg, "%s_timeavg%s %s\n", fam, ls, fmtFloat(c.gauge.tw.Mean()))
+				fmt.Fprintf(&b, "%s%s %s\n", fam, ls, FormatFloat(c.gauge.tw.Value()))
+				fmt.Fprintf(&timeavg, "%s_timeavg%s %s\n", fam, ls, FormatFloat(c.gauge.tw.Mean()))
 			case kindHistogram:
 				var cum uint64
 				for i, ub := range f.buckets {
 					cum += c.hist.counts[i]
 					fmt.Fprintf(&b, "%s_bucket%s %d%s\n", fam,
-						labelString(append(f.labels, "le"), append(c.values, fmtFloat(ub))),
+						labelString(append(f.labels, "le"), append(c.values, FormatFloat(ub))),
 						cum, exemplarSuffix(c.hist, i))
 				}
 				fmt.Fprintf(&b, "%s_bucket%s %d%s\n", fam,
 					labelString(append(f.labels, "le"), append(c.values, "+Inf")),
 					c.hist.n, exemplarSuffix(c.hist, len(f.buckets)))
-				fmt.Fprintf(&b, "%s_sum%s %s\n", fam, ls, fmtFloat(c.hist.sum))
+				fmt.Fprintf(&b, "%s_sum%s %s\n", fam, ls, FormatFloat(c.hist.sum))
 				fmt.Fprintf(&b, "%s_count%s %d\n", fam, ls, c.hist.n)
-				fmt.Fprintf(&b, "%s_created%s %s\n", fam, ls, fmtFloat(c.created))
+				fmt.Fprintf(&b, "%s_created%s %s\n", fam, ls, FormatFloat(c.created))
 			}
 		}
 		if timeavg.Len() > 0 {
@@ -93,5 +93,5 @@ func exemplarSuffix(h *Histogram, bucket int) string {
 	if e.traceID == "" {
 		return ""
 	}
-	return fmt.Sprintf(" # {%s=\"%s\"} %s %s", exemplarLabel, escapeLabel(e.traceID), fmtFloat(e.v), fmtFloat(e.ts))
+	return fmt.Sprintf(" # {%s=\"%s\"} %s %s", exemplarLabel, escapeLabel(e.traceID), FormatFloat(e.v), FormatFloat(e.ts))
 }

@@ -1,54 +1,20 @@
 package perf
 
 import (
-	"bytes"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 
 	"heroserve/internal/telemetry"
 )
 
-// Publisher owns the /perf endpoint's payload. Like the daemon's other
-// endpoints it serves immutable snapshots: the simulation goroutine renders
-// a Report at a safe point and hands it over via Publish; scrapers read the
-// latest snapshot under a read lock and can never race the event loop.
-type Publisher struct {
-	mu   sync.RWMutex
-	body []byte
-}
+// Route is the daemon path serving the perf report; publish the output of
+// Report.WriteJSON under it.
+const Route = "/perf"
 
-// Publish renders r and makes it the endpoint's current payload.
-func (p *Publisher) Publish(r *Report) error {
-	var buf bytes.Buffer
-	if err := r.WriteJSON(&buf); err != nil {
-		return err
-	}
-	p.mu.Lock()
-	p.body = buf.Bytes()
-	p.mu.Unlock()
-	return nil
-}
-
-func (p *Publisher) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	p.mu.RLock()
-	body := p.body
-	p.mu.RUnlock()
-	if len(body) == 0 {
-		http.Error(w, "no perf report published yet", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.Write(body)
-}
-
-// InstallPerf registers the /perf endpoint on the daemon server and returns
-// the Publisher the simulation loop feeds. Mirrors slo.InstallAlerts: the
-// layered package extends the server without telemetry importing it.
-func InstallPerf(srv *telemetry.Server) *Publisher {
-	p := &Publisher{}
-	srv.Handle("/perf", p)
-	return p
+// InstallPerf registers the /perf document route on the daemon server. It
+// takes no filters: the stored report is served verbatim.
+func InstallPerf(srv *telemetry.Server) {
+	srv.HandleDoc(Route, "perf report", nil)
 }
 
 // InstallPprof mounts net/http/pprof's handlers under /debug/pprof/ on the

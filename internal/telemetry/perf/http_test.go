@@ -1,6 +1,7 @@
 package perf
 
 import (
+	"bytes"
 	"io"
 	"net/http/httptest"
 	"strings"
@@ -27,7 +28,7 @@ func get(t *testing.T, srv *telemetry.Server, path string) (int, string) {
 
 func TestPerfEndpoint(t *testing.T) {
 	srv := telemetry.NewServer()
-	pub := InstallPerf(srv)
+	InstallPerf(srv)
 
 	code, _ := get(t, srv, "/perf")
 	if code != 404 {
@@ -40,9 +41,11 @@ func TestPerfEndpoint(t *testing.T) {
 		s.EndEvent(s.BeginEvent(float64(i)))
 	}
 	s.Finish(8)
-	if err := pub.Publish(s.Report("unit")); err != nil {
+	var buf bytes.Buffer
+	if err := s.Report("unit").WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
+	srv.Publish(Route, buf.Bytes())
 	code, body := get(t, srv, "/perf")
 	if code != 200 {
 		t.Fatalf("/perf after publish: code %d", code)

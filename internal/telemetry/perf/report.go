@@ -4,12 +4,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strings"
 
 	"heroserve/internal/sim"
 )
 
 // Schema identifies the perf report's JSON layout; bump on incompatible
-// change so perfstat can reject files it does not understand.
+// change so hstat perf can reject files it does not understand.
 const Schema = "heroserve-perf/1"
 
 // Phases is the per-phase wall-clock split of one run. Engine covers the
@@ -65,7 +66,7 @@ type NetsimReport struct {
 }
 
 // Report is one run's rendered perf observation: the -perf-out document, the
-// /perf payload, and perfstat's input. All wall-clock derived fields are
+// /perf payload, and hstat perf's input. All wall-clock derived fields are
 // nondeterministic by nature, which is why the report lives strictly outside
 // every golden surface.
 type Report struct {
@@ -210,4 +211,117 @@ func ReadReport(data []byte) (*Report, error) {
 		return nil, fmt.Errorf("perf: unknown schema %q (want %q)", r.Schema, Schema)
 	}
 	return &r, nil
+}
+
+// Fprint renders the human-readable report. The "events/s" and "wall-seconds
+// per sim-second" spellings are load-bearing: scripts/ci.sh greps for them as
+// the perf-smoke contract.
+func (r *Report) Fprint(w io.Writer) error {
+	var b strings.Builder
+	fmt.Fprintf(&b, "perf report: system=%s (sampled 1-in-%d)\n", orDash(r.System), r.SampleEvery)
+	fmt.Fprintf(&b, "wall %.3fs for %.2f sim-seconds; wall-seconds per sim-second %.6f\n",
+		r.WallSeconds, r.SimSeconds, r.WallPerSim)
+	fmt.Fprintf(&b, "events %d (%.3g events/s); sampled %d\n", r.Events, r.EventsPerSec, r.SampledEvents)
+
+	fmt.Fprintf(&b, "phase split of wall-clock:\n")
+	phases := []struct {
+		name string
+		sec  float64
+	}{
+		{"engine (queue + loop)", r.Phases.EngineSeconds},
+		{"serve callbacks", r.Phases.ServeSeconds},
+		{"netsim water-filling", r.Phases.ReallocSeconds},
+		{"observatory self", r.Phases.SelfSeconds},
+	}
+	for _, p := range phases {
+		fmt.Fprintf(&b, "  %-22s %8.4fs  %5.1f%%  %s\n",
+			p.name, p.sec, pct(p.sec, r.WallSeconds), bar(p.sec, r.WallSeconds, 30))
+	}
+
+	q := r.Queue
+	fmt.Fprintf(&b, "event queue: peak live %d (window %d, far %d, max bucket %d), peak tombstones %d\n",
+		q.PeakLive, q.PeakWindow, q.PeakFar, q.PeakBucket, q.PeakTombstones)
+	fmt.Fprintf(&b, "  lifetime: %d cancels, %d compactions\n", q.Final.Cancelled, q.Final.Compactions)
+
+	n := r.Netsim
+	fmt.Fprintf(&b, "netsim: %d reallocations; mean component %.2f flows / %.2f rounds (max %d flows, %d links)\n",
+		n.Reallocs, n.MeanCompFlows, n.MeanRounds, n.MaxCompFlows, n.MaxCompLinks)
+	if n.Reallocs > 0 {
+		fmt.Fprintf(&b, "component-size distribution (flows touched per reallocation):\n")
+		var peak uint64
+		for _, h := range n.FlowsHistogram {
+			if h.Count > peak {
+				peak = h.Count
+			}
+		}
+		for i, h := range n.FlowsHistogram {
+			if h.Count == 0 {
+				continue
+			}
+			label := fmt.Sprintf("<=%d", h.Le)
+			if i == len(n.FlowsHistogram)-1 {
+				label = fmt.Sprintf(">=%d", h.Le)
+			}
+			fmt.Fprintf(&b, "  %-7s %9d  %s\n", label, h.Count, bar(float64(h.Count), float64(peak), 30))
+		}
+	}
+	if len(r.Progress) > 0 {
+		last := r.Progress[len(r.Progress)-1]
+		fmt.Fprintf(&b, "progress curve: %d points to sim %.2fs / wall %.3fs\n",
+			len(r.Progress), last.SimSeconds, last.WallSeconds)
+	}
+	_, err := io.WriteString(w, b.String())
+	return err
+}
+
+// FprintDiff compares two reports' throughput and phase split. Wall-clock
+// numbers are noisy by nature, so the output shows ratios, not verdicts.
+func FprintDiff(w io.Writer, a, b *Report) error {
+	var out strings.Builder
+	fmt.Fprintf(&out, "perf diff: %s -> %s\n", orDash(a.System), orDash(b.System))
+	row := func(name string, va, vb float64, unit string) {
+		ratio := "n/a"
+		if va > 0 {
+			ratio = fmt.Sprintf("%+.1f%%", (vb/va-1)*100)
+		}
+		fmt.Fprintf(&out, "  %-26s %12.4g -> %12.4g %-6s %s\n", name, va, vb, unit, ratio)
+	}
+	row("events/s", a.EventsPerSec, b.EventsPerSec, "ev/s")
+	row("wall-seconds per sim-second", a.WallPerSim, b.WallPerSim, "")
+	row("wall", a.WallSeconds, b.WallSeconds, "s")
+	row("events", float64(a.Events), float64(b.Events), "")
+	row("engine phase", a.Phases.EngineSeconds, b.Phases.EngineSeconds, "s")
+	row("serve phase", a.Phases.ServeSeconds, b.Phases.ServeSeconds, "s")
+	row("realloc phase", a.Phases.ReallocSeconds, b.Phases.ReallocSeconds, "s")
+	row("self phase", a.Phases.SelfSeconds, b.Phases.SelfSeconds, "s")
+	row("reallocations", float64(a.Netsim.Reallocs), float64(b.Netsim.Reallocs), "")
+	row("mean component flows", a.Netsim.MeanCompFlows, b.Netsim.MeanCompFlows, "")
+	row("peak queue depth", float64(a.Queue.PeakLive), float64(b.Queue.PeakLive), "")
+	_, err := io.WriteString(w, out.String())
+	return err
+}
+
+func pct(part, whole float64) float64 {
+	if whole <= 0 {
+		return 0
+	}
+	return part / whole * 100
+}
+
+func bar(part, whole float64, width int) string {
+	if whole <= 0 || part <= 0 {
+		return ""
+	}
+	n := int(part / whole * float64(width))
+	if n > width {
+		n = width
+	}
+	return strings.Repeat("#", n)
+}
+
+func orDash(s string) string {
+	if s == "" {
+		return "-"
+	}
+	return s
 }

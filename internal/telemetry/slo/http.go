@@ -2,85 +2,39 @@ package slo
 
 import (
 	"bytes"
-	"encoding/json"
-	"net/http"
-	"strconv"
+	"errors"
+	"net/url"
 
 	"heroserve/internal/telemetry"
 )
 
-// InstallAlerts registers the /alerts endpoint on a telemetry daemon
+// Route is the daemon path serving the SLO alert log; publish the output of
+// Monitor.WriteLog under it.
+const Route = "/alerts"
+
+// InstallAlerts registers the /alerts document route on a telemetry daemon
 // server:
 //
 //	/alerts[?run=<id>][&state=pending|firing|resolved][&rule=<name>][&from=<t>][&to=<t>]
 //
-// run selects a completed run's snapshot (captured at AddRun); without it
-// the latest published log is served. The state/rule/from/to filters are
-// applied server-side via Log.Filter; with no filters the stored bytes are
-// served verbatim. The handler lives here rather than in package telemetry
-// so the daemon core does not depend on the SLO layer; telemetry.Server
-// holds only opaque published bytes.
+// The state/rule/from/to filters are applied server-side via Log.Filter.
 func InstallAlerts(srv *telemetry.Server) {
-	srv.Handle("/alerts", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		q := r.URL.Query()
-		run := 0
-		if runStr := q.Get("run"); runStr != "" {
-			id, err := strconv.Atoi(runStr)
-			if err != nil || id < 1 {
-				jsonError(w, http.StatusNotFound, "bad run id")
-				return
+	srv.HandleDoc(Route, "alert log", &telemetry.Filter{
+		Params: []string{"state", "rule"},
+		Parse: func(q url.Values) (telemetry.Narrow, error) {
+			state, rule := q.Get("state"), q.Get("rule")
+			switch State(state) {
+			case "", StatePending, StateFiring, StateResolved:
+			default:
+				return nil, errors.New("bad state: want pending, firing, or resolved")
 			}
-			run = id
-		}
-		doc, ok, rangeMsg := srv.AlertsDoc(run)
-		if !ok {
-			jsonError(w, http.StatusNotFound, rangeMsg)
-			return
-		}
-		if len(doc) == 0 {
-			jsonError(w, http.StatusNotFound, "no alert log published yet")
-			return
-		}
-		state, rule := q.Get("state"), q.Get("rule")
-		fromStr, toStr := q.Get("from"), q.Get("to")
-		if state == "" && rule == "" && fromStr == "" && toStr == "" {
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			w.Write(doc)
-			return
-		}
-		switch State(state) {
-		case "", StatePending, StateFiring, StateResolved:
-		default:
-			jsonError(w, http.StatusBadRequest, "bad state: want pending, firing, or resolved")
-			return
-		}
-		var from, to float64
-		var err error
-		if fromStr != "" {
-			if from, err = strconv.ParseFloat(fromStr, 64); err != nil {
-				jsonError(w, http.StatusBadRequest, "bad from")
-				return
-			}
-		}
-		if toStr != "" {
-			if to, err = strconv.ParseFloat(toStr, 64); err != nil {
-				jsonError(w, http.StatusBadRequest, "bad to")
-				return
-			}
-		}
-		log, err := ReadLog(bytes.NewReader(doc))
-		if err != nil {
-			jsonError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		log.Filter(state, rule, from, to).WriteJSON(w)
-	}))
-}
-
-// jsonError mirrors the daemon's JSON error bodies for the /alerts route.
-func jsonError(w http.ResponseWriter, code int, msg string) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(map[string]string{"error": msg})
+			return func(doc []byte, from, to float64) (telemetry.Document, error) {
+				log, err := ReadLog(bytes.NewReader(doc))
+				if err != nil {
+					return nil, err
+				}
+				return log.Filter(state, rule, from, to), nil
+			}, nil
+		},
+	})
 }

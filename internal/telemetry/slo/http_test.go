@@ -6,9 +6,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"heroserve/internal/telemetry"
+	"heroserve/internal/telemetry/decisions"
+	"heroserve/internal/telemetry/perf"
 )
 
 // logBytes serializes a log for publishing.
@@ -38,6 +41,8 @@ func getAlerts(t *testing.T, url string) (int, string, []byte) {
 func TestAlertsEndpoint(t *testing.T) {
 	srv := telemetry.NewServer()
 	InstallAlerts(srv)
+	decisions.InstallDecisions(srv)
+	perf.InstallPerf(srv)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -52,7 +57,8 @@ func TestAlertsEndpoint(t *testing.T) {
 	}
 
 	doc := logBytes(t, sampleLog())
-	srv.PublishAlerts(doc, 1, "critical")
+	srv.Publish(Route, doc)
+	srv.SetAlertRollup(1, "critical")
 
 	// No filters: the published bytes come back verbatim.
 	code, ct, body = getAlerts(t, ts.URL+"/alerts")
@@ -102,7 +108,8 @@ func TestAlertsEndpoint(t *testing.T) {
 		t.Errorf("healthz roll-up: %+v", hz)
 	}
 
-	// Error paths are JSON with the right statuses.
+	// Error paths are JSON with the right statuses, on every document route,
+	// and a bad run ID names the (empty) retained window.
 	for url, wantCode := range map[string]int{
 		"/alerts?state=bogus": http.StatusBadRequest,
 		"/alerts?from=x":      http.StatusBadRequest,
@@ -110,13 +117,20 @@ func TestAlertsEndpoint(t *testing.T) {
 		"/alerts?run=x":       http.StatusNotFound,
 		"/alerts?run=0":       http.StatusNotFound,
 		"/alerts?run=9":       http.StatusNotFound,
+		"/perf":               http.StatusNotFound,
+		"/perf?run=9":         http.StatusNotFound,
+		"/decisions?run=0":    http.StatusNotFound,
 	} {
 		code, ct, body = getAlerts(t, ts.URL+url)
 		if code != wantCode || ct != "application/json; charset=utf-8" {
 			t.Errorf("%s: %d %q (want %d)", url, code, ct, wantCode)
 		}
+		e = nil
 		if err := json.Unmarshal(body, &e); err != nil || e["error"] == "" {
 			t.Errorf("%s body not a JSON error: %s", url, body)
+		}
+		if strings.Contains(url, "run=") && e["error"] != "no completed runs retained" {
+			t.Errorf("%s error %q, want the retained-window message", url, e["error"])
 		}
 	}
 }
@@ -131,7 +145,7 @@ func TestAlertsRunSnapshots(t *testing.T) {
 	// Three runs, each with a distinct alert log snapshot; retention keeps two.
 	for i := 1; i <= 3; i++ {
 		l := &Log{Meta: Meta{Rules: []Rule{{Name: "kv"}}, End: float64(i * 10)}}
-		srv.PublishAlerts(logBytes(t, l), 0, "")
+		srv.Publish(Route, logBytes(t, l))
 		srv.AddRun(telemetry.RunSummary{System: "test"})
 	}
 

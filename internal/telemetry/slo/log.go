@@ -5,67 +5,22 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
-	"strconv"
+
+	"heroserve/internal/telemetry"
 )
-
-// Float is a float64 whose JSON encoding survives IEEE specials: ±Inf and
-// NaN encode as strings instead of failing encoding/json.
-type Float float64
-
-// MarshalJSON encodes ±Inf/NaN as strings.
-func (f Float) MarshalJSON() ([]byte, error) {
-	v := float64(f)
-	switch {
-	case math.IsInf(v, 1):
-		return []byte(`"+Inf"`), nil
-	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
-	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
-	}
-	return json.Marshal(v)
-}
-
-// UnmarshalJSON inverts MarshalJSON.
-func (f *Float) UnmarshalJSON(b []byte) error {
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		switch s {
-		case "+Inf":
-			*f = Float(math.Inf(1))
-		case "-Inf":
-			*f = Float(math.Inf(-1))
-		case "NaN":
-			*f = Float(math.NaN())
-		default:
-			return fmt.Errorf("slo: bad float string %q", s)
-		}
-		return nil
-	}
-	var v float64
-	if err := json.Unmarshal(b, &v); err != nil {
-		return err
-	}
-	*f = Float(v)
-	return nil
-}
 
 // CauseValue is one named input the rule saw at trigger time.
 type CauseValue struct {
-	Name  string `json:"name"`
-	Value Float  `json:"value"`
+	Name  string              `json:"name"`
+	Value telemetry.JSONFloat `json:"value"`
 }
 
 // StageShare is one critical-path stage's mass over the trigger window.
 type StageShare struct {
-	Stage   string `json:"stage"`
-	Seconds Float  `json:"seconds"`
-	Share   Float  `json:"share"`
+	Stage   string              `json:"stage"`
+	Seconds telemetry.JSONFloat `json:"seconds"`
+	Share   telemetry.JSONFloat `json:"share"`
 }
 
 // Cause is the snapshot captured the moment an alert fires: the rule's
@@ -84,15 +39,15 @@ type Cause struct {
 // alert whose condition clears before For elapses resolves with FiredAt
 // still -1 — a canceled pending.
 type Alert struct {
-	Rule       string   `json:"rule"`
-	Kind       Kind     `json:"kind"`
-	Severity   Severity `json:"severity"`
-	State      State    `json:"state"`
-	Since      float64  `json:"since"`
-	FiredAt    float64  `json:"fired_at"`
-	ResolvedAt float64  `json:"resolved_at"`
-	Value      Float    `json:"value"`
-	Cause      *Cause   `json:"cause,omitempty"`
+	Rule       string              `json:"rule"`
+	Kind       Kind                `json:"kind"`
+	Severity   Severity            `json:"severity"`
+	State      State               `json:"state"`
+	Since      float64             `json:"since"`
+	FiredAt    float64             `json:"fired_at"`
+	ResolvedAt float64             `json:"resolved_at"`
+	Value      telemetry.JSONFloat `json:"value"`
+	Cause      *Cause              `json:"cause,omitempty"`
 }
 
 // Meta describes the monitored run: the armed rules, the evaluation cadence,
@@ -106,7 +61,7 @@ type Meta struct {
 }
 
 // Log is the serializable alert log: what -alerts-out writes, /alerts serves,
-// and alertstat reads.
+// and hstat alerts reads.
 type Log struct {
 	Meta   Meta    `json:"meta"`
 	Alerts []Alert `json:"alerts"`
@@ -261,25 +216,13 @@ func (s *Summary) String() string {
 	return out
 }
 
-// ftsv renders a float for the TSV export: shortest round-trip form, with
-// IEEE specials spelled the way the Prometheus exposition spells them.
-func ftsv(v float64) string {
-	switch {
-	case math.IsInf(v, 1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
 // stamp renders a lifecycle timestamp, with "-" for the -1 never-reached
 // sentinel.
 func stamp(v float64) string {
 	if v < 0 {
 		return "-"
 	}
-	return ftsv(v)
+	return telemetry.FormatFloat(v)
 }
 
 // WriteTSV writes the machine-readable table export golden tests pin: the
@@ -294,15 +237,15 @@ func (l *Log) WriteTSV(w io.Writer) error {
 			dom = a.Cause.Dominant
 		}
 		fmt.Fprintf(bw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\n",
-			a.Rule, a.Severity, a.State, ftsv(a.Since), stamp(a.FiredAt),
-			stamp(a.ResolvedAt), ftsv(float64(a.Value)), dom)
+			a.Rule, a.Severity, a.State, telemetry.FormatFloat(a.Since), stamp(a.FiredAt),
+			stamp(a.ResolvedAt), telemetry.FormatFloat(float64(a.Value)), dom)
 	}
 	s := l.Summarize()
 	fmt.Fprintln(bw, "## rules")
 	fmt.Fprintln(bw, "rule\tseverity\tkind\tfired\tresolved\tcanceled\tfiring_seconds")
 	for _, r := range s.Rules {
 		fmt.Fprintf(bw, "%s\t%s\t%s\t%d\t%d\t%d\t%s\n",
-			r.Rule, r.Severity, r.Kind, r.Fired, r.Resolved, r.Canceled, ftsv(r.FiringSeconds))
+			r.Rule, r.Severity, r.Kind, r.Fired, r.Resolved, r.Canceled, telemetry.FormatFloat(r.FiringSeconds))
 	}
 	fmt.Fprintln(bw, "## totals")
 	fmt.Fprintf(bw, "alerts\t%d\n", s.Alerts)
@@ -312,7 +255,7 @@ func (l *Log) WriteTSV(w io.Writer) error {
 	fmt.Fprintf(bw, "firing_at_end\t%d\n", s.FiringAtEnd)
 	fmt.Fprintf(bw, "worst_firing\t%s\n", s.Worst)
 	fmt.Fprintf(bw, "evicted\t%d\n", s.Evicted)
-	fmt.Fprintf(bw, "end\t%s\n", ftsv(s.End))
+	fmt.Fprintf(bw, "end\t%s\n", telemetry.FormatFloat(s.End))
 	return bw.Flush()
 }
 
@@ -335,7 +278,7 @@ func (l *Log) FprintTimeline(w io.Writer) error {
 				dom = "  dominant " + a.Cause.Dominant
 			}
 			events = append(events, event{a.FiredAt, a.Rule, 1,
-				fmt.Sprintf("%10.3fs  %-24s FIRING    value %s%s", a.FiredAt, a.Rule, ftsv(float64(a.Value)), dom)})
+				fmt.Sprintf("%10.3fs  %-24s FIRING    value %s%s", a.FiredAt, a.Rule, telemetry.FormatFloat(float64(a.Value)), dom)})
 		}
 		if a.ResolvedAt >= 0 {
 			ref := a.FiredAt

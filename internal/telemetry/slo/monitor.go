@@ -286,7 +286,7 @@ func (m *Monitor) evalRule(idx int, r *Rule, cur frame) {
 			a = &Alert{
 				Rule: r.Name, Kind: r.Kind, Severity: r.Severity,
 				State: StatePending, Since: cur.t, FiredAt: -1, ResolvedAt: -1,
-				Value: Float(res.value),
+				Value: telemetry.JSONFloat(res.value),
 			}
 			m.active[r.Name] = a
 			m.alerts = append(m.alerts, a)
@@ -295,7 +295,7 @@ func (m *Monitor) evalRule(idx int, r *Rule, cur frame) {
 		if a.State == StatePending && cur.t-a.Since >= r.For {
 			a.State = StateFiring
 			a.FiredAt = cur.t
-			a.Value = Float(res.value)
+			a.Value = telemetry.JSONFloat(res.value)
 			a.Cause = m.cause(r, cur, res)
 			m.transition(r, a, cur.t, res.value, StateFiring)
 		}
@@ -366,7 +366,9 @@ func (m *Monitor) compact() {
 }
 
 // cv builds one cause value.
-func cv(name string, v float64) CauseValue { return CauseValue{Name: name, Value: Float(v)} }
+func cv(name string, v float64) CauseValue {
+	return CauseValue{Name: name, Value: telemetry.JSONFloat(v)}
+}
 
 // measure evaluates one rule's condition at the tick captured in cur.
 func (m *Monitor) measure(idx int, r *Rule, cur frame) evalResult {
@@ -475,7 +477,7 @@ func (m *Monitor) cause(r *Rule, cur frame, res evalResult) *Cause {
 		if i >= topN {
 			break
 		}
-		c.Stages = append(c.Stages, StageShare{Stage: e.s, Seconds: Float(e.v), Share: Float(e.v / total)})
+		c.Stages = append(c.Stages, StageShare{Stage: e.s, Seconds: telemetry.JSONFloat(e.v), Share: telemetry.JSONFloat(e.v / total)})
 	}
 	c.Dominant = entries[0].s
 	return c

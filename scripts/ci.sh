@@ -56,7 +56,7 @@ grep -q '^serving_requests_completed_total' "$ART/metrics.prom"
 echo "telemetry artifacts: $ART"
 
 # Critical-path smoke: the same run re-exported as OpenMetrics must carry
-# exemplars and the EOF terminator; tracestat must decompose the span export
+# exemplars and the EOF terminator; hstat must decompose the span export
 # into a stage report, and a self-diff must be zero.
 echo "== critical-path smoke"
 go run ./cmd/serve -trace "$ART/trace.json" -system heroserve -topology testbed \
@@ -64,38 +64,38 @@ go run ./cmd/serve -trace "$ART/trace.json" -system heroserve -topology testbed 
 tail -1 "$ART/metrics.om" | grep -qx '# EOF'
 grep -q 'trace_id=' "$ART/metrics.om"
 grep -q '^ttft_critical_path_seconds_total{stage=' "$ART/metrics.om"
-go run ./cmd/tracestat "$ART/spans.json" > "$ART/critpath.txt"
+go run ./cmd/hstat trace "$ART/spans.json" > "$ART/critpath.txt"
 grep -q 'critical-path breakdown' "$ART/critpath.txt"
-go run ./cmd/tracestat -diff "$ART/spans.json" "$ART/spans.json" | grep -q 'delta +0.000000s'
+go run ./cmd/hstat trace -diff "$ART/spans.json" "$ART/spans.json" | grep -q 'delta +0.000000s'
 
 # Decision-ledger smoke: an autoscaled run must export a ledger whose
-# counterfactual tables decisionstat can render; a self-diff must be zero
+# counterfactual tables hstat can render; a self-diff must be zero
 # deltas, and the chosen scheme of a healthy run must carry zero execution
 # regret (the table pick IS the argmin).
 echo "== decision-ledger smoke"
 go run ./cmd/serve -trace "$ART/trace.json" -system heroserve -topology testbed \
 	-model opt-13b -autoscale -scale-policy hybrid-slo \
 	-decisions-out "$ART/decisions.json" > /dev/null
-go run ./cmd/decisionstat "$ART/decisions.json" > "$ART/decisions.txt"
+go run ./cmd/hstat decisions "$ART/decisions.json" > "$ART/decisions.txt"
 grep -q 'decision ledger:' "$ART/decisions.txt"
 grep -q 'counterfactual cost of always forcing a scheme' "$ART/decisions.txt"
 grep -q 'shadow ranking' "$ART/decisions.txt"
 grep -q '^execution regret 0s total' "$ART/decisions.txt"
-go run ./cmd/decisionstat -diff "$ART/decisions.json" "$ART/decisions.json" | grep -q 'collective .* (+0)'
+go run ./cmd/hstat decisions -diff "$ART/decisions.json" "$ART/decisions.json" | grep -q 'collective .* (+0)'
 
 # SLO-alert smoke: an overdriven run must fire an alert that walks the full
-# lifecycle (pending -> FIRING -> resolved) with a cause snapshot, alertstat
+# lifecycle (pending -> FIRING -> resolved) with a cause snapshot, hstat
 # must render the timeline and roll-up, and a self-diff must be zero deltas.
 echo "== slo-alert smoke"
 go run ./cmd/tracegen -kind chatbot -n 80 -rate 12 -seed 7 > "$ART/burst.json"
 go run ./cmd/serve -trace "$ART/burst.json" -system heroserve -topology testbed \
 	-model opt-13b -seed 7 -alerts-out "$ART/alerts.json" > /dev/null
-go run ./cmd/alertstat "$ART/alerts.json" > "$ART/alerts.txt"
+go run ./cmd/hstat alerts "$ART/alerts.json" > "$ART/alerts.txt"
 grep -q 'FIRING' "$ART/alerts.txt"
 grep -q 'resolved' "$ART/alerts.txt"
 grep -q 'dominant' "$ART/alerts.txt"
-go run ./cmd/alertstat -summary "$ART/alerts.json" | grep -q '1 fired / 1 resolved'
-go run ./cmd/alertstat -diff "$ART/alerts.json" "$ART/alerts.json" | grep -q 'fired 1 -> 1 (+0)'
+go run ./cmd/hstat alerts -summary "$ART/alerts.json" | grep -q '1 fired / 1 resolved'
+go run ./cmd/hstat alerts -diff "$ART/alerts.json" "$ART/alerts.json" | grep -q 'fired 1 -> 1 (+0)'
 
 # Scaling-study smoke: the ext-scale scoreboard must run end to end in both
 # machine formats. The CSV must carry the static reference plus every policy;
@@ -114,12 +114,12 @@ python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert any(r.get('p
 # must leave a ledger whose records name the active sub-law, and the alert
 # burst run must show alert-driven control (the ActiveAlerts signal is
 # consumed, not just recorded). Runtime switches, when present, must name
-# their driving signal in the decisionstat roll-up.
+# their driving signal in the hstat decisions roll-up.
 echo "== closed-loop smoke"
 go run ./cmd/serve -trace "$ART/burst.json" -system heroserve -topology testbed \
 	-model opt-13b -seed 7 -autoscale -scale-policy adaptive \
 	-decisions-out "$ART/adaptive.json" -alerts-out "$ART/adaptive-alerts.json" > /dev/null
-go run ./cmd/decisionstat "$ART/adaptive.json" > "$ART/adaptive.txt"
+go run ./cmd/hstat decisions "$ART/adaptive.json" > "$ART/adaptive.txt"
 grep -q 'decision ledger:' "$ART/adaptive.txt"
 python3 - "$ART/adaptive.json" <<'PY'
 import json, sys
@@ -133,18 +133,18 @@ for r in scale:
 PY
 
 # Perf-observatory smoke: a run with the self-profiler armed must export a
-# report that perfstat can render, and the summary must name the headline
+# report that hstat can render, and the summary must name the headline
 # rates. The report is nondeterministic wall-clock data, so only its
 # presence and shape are asserted — never its values.
 echo "== perf smoke"
 go run ./cmd/serve -trace "$ART/trace.json" -system heroserve -topology testbed \
 	-model opt-13b -seed 7 -perf-out "$ART/perf.json" > /dev/null
 test -s "$ART/perf.json"
-go run ./cmd/perfstat "$ART/perf.json" > "$ART/perf.txt"
+go run ./cmd/hstat perf "$ART/perf.json" > "$ART/perf.txt"
 grep -q 'events/s' "$ART/perf.txt"
 grep -q 'wall-seconds per sim-second' "$ART/perf.txt"
 grep -q 'phase split of wall-clock' "$ART/perf.txt"
-go run ./cmd/perfstat -diff "$ART/perf.json" "$ART/perf.json" | grep -q 'events/s'
+go run ./cmd/hstat perf -diff "$ART/perf.json" "$ART/perf.json" | grep -q 'events/s'
 
 # Golden-metrics gate: the pinned seed matrix must reproduce the checked-in
 # expositions byte for byte. On drift the per-case diffs land in the
@@ -158,12 +158,5 @@ GOLDEN_DIFF_DIR="$ART/golden-diff" scripts/golden.sh check
 # event queue diverged behaviourally from its reference implementation.
 echo "== golden metrics (reference simulator paths)"
 GOLDEN_DIFF_DIR="$ART/golden-ref-diff" scripts/golden.sh refcheck
-
-# Benchmark regression tripwire: re-run the pinned benches (including the
-# 100k-request stress pair) briefly and WARN (never fail by default — shared
-# runners are noisy) when ns/op regresses >20% against the newest committed
-# BENCH_*.json. Set BENCH_STRICT=1 to fail on >35% regressions.
-echo "== bench check (warn-only)"
-scripts/bench.sh check || echo "bench: check failed to run (non-fatal)" >&2
 
 echo "CI OK"

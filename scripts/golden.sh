@@ -27,13 +27,13 @@
 # Requires jq; skipped with a warning when jq is missing.
 #
 # Each case further pins the decision-ledger summary ($name.decisions.tsv,
-# rendered by decisionstat -tsv from the run's -decisions-out export): the
+# rendered by hstat decisions -tsv from the run's -decisions-out export): the
 # per-scheme counterfactual regret totals and the scale laws' shadow verdict
 # matrix. Under refcheck the reference simulator paths must reproduce the
 # SAME decision ledgers — counterfactual costs included — bit for bit.
 #
 # Each case finally pins the SLO alert log ($name.alerts.tsv, rendered by
-# alertstat -tsv from the run's -alerts-out export): every alert's lifecycle
+# hstat alerts -tsv from the run's -alerts-out export): every alert's lifecycle
 # stamps and the per-rule roll-up. Refcheck identity applies here too — the
 # reference paths must fire and resolve the SAME alerts at the SAME sim-times.
 set -euo pipefail
@@ -58,8 +58,7 @@ BIN="$OUT_DIR/bin"
 mkdir -p "$BIN"
 go build -o "$BIN/tracegen" ./cmd/tracegen
 go build -o "$BIN/serve" ./cmd/serve
-go build -o "$BIN/decisionstat" ./cmd/decisionstat
-go build -o "$BIN/alertstat" ./cmd/alertstat
+go build -o "$BIN/hstat" ./cmd/hstat
 
 HAVE_JQ=1
 if ! command -v jq > /dev/null; then
@@ -105,8 +104,8 @@ produce() {
 		exit 1
 	fi
 	LC_ALL=C sort "$OUT_DIR/$name.raw.prom" > "$OUT_DIR/$name.prom"
-	"$BIN/decisionstat" -tsv "$OUT_DIR/$name.decisions.json" > "$OUT_DIR/$name.decisions.tsv"
-	"$BIN/alertstat" -tsv "$OUT_DIR/$name.alerts.json" > "$OUT_DIR/$name.alerts.tsv"
+	"$BIN/hstat" decisions -tsv "$OUT_DIR/$name.decisions.json" > "$OUT_DIR/$name.decisions.tsv"
+	"$BIN/hstat" alerts -tsv "$OUT_DIR/$name.alerts.json" > "$OUT_DIR/$name.alerts.tsv"
 	if [[ $HAVE_JQ -eq 1 ]]; then
 		{
 			for q in queue allreduce stages; do

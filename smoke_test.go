@@ -30,6 +30,7 @@ func TestCommandSmoke(t *testing.T) {
 		t.Skip("smoke tests compile binaries")
 	}
 	traceFile := filepath.Join(t.TempDir(), "trace.json")
+	alertsFile := filepath.Join(t.TempDir(), "run.alerts.json")
 	cases := []struct {
 		name string
 		dir  string
@@ -43,6 +44,16 @@ func TestCommandSmoke(t *testing.T) {
 		{name: "planner", dir: "cmd/planner", args: []string{"-model", "opt-13b", "-rate", "1"}},
 		{name: "tracegen", dir: "cmd/tracegen", args: []string{"-n", "5", "-rate", "2", "-stats"}},
 		{name: "topoviz", dir: "cmd/topoviz", args: []string{"-topology", "testbed"}},
+		{
+			name: "hstat",
+			dir:  "cmd/hstat",
+			args: []string{"alerts", alertsFile},
+			pre: func(t *testing.T) {
+				if err := os.WriteFile(alertsFile, []byte(`{"meta":{"rules":[],"every":1,"end":5},"alerts":[]}`), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			},
+		},
 		{
 			name: "serve",
 			dir:  "cmd/serve",
@@ -73,36 +84,60 @@ func TestCommandSmoke(t *testing.T) {
 	}
 }
 
-// TestTracegenRejectsBadFlags: an out-of-range -n or -rate must give a
-// one-line error and exit status 2, never a panic. The binary is built once
-// and run directly, because `go run` replaces the program's exit status
-// with its own.
-func TestTracegenRejectsBadFlags(t *testing.T) {
+// TestCommandsRejectBadInput: a malformed flag or input file must give a
+// one-line "<binary>: ..." error and exit status 2, never a panic. Each
+// binary is built once and run directly, because `go run` replaces the
+// program's exit status with its own.
+func TestCommandsRejectBadInput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke tests compile binaries")
 	}
-	bin := filepath.Join(t.TempDir(), "tracegen")
-	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/tracegen").CombinedOutput(); err != nil {
-		t.Fatalf("go build ./cmd/tracegen: %v\n%s", err, out)
+	dir := t.TempDir()
+	truncated := filepath.Join(dir, "truncated.json")
+	if err := os.WriteFile(truncated, []byte(`{"meta":{"rules":[`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	for _, args := range [][]string{
-		{"-n", "0"},
-		{"-n", "-3"},
-		{"-rate", "0"},
-		{"-rate", "-1"},
-		{"-rate", "NaN"},
+	bins := map[string]string{}
+	for _, c := range []struct {
+		bin  string
+		args []string
+	}{
+		{"tracegen", []string{"-n", "0"}},
+		{"tracegen", []string{"-n", "-3"}},
+		{"tracegen", []string{"-rate", "0"}},
+		{"tracegen", []string{"-rate", "-1"}},
+		{"tracegen", []string{"-rate", "NaN"}},
+		{"hstat", nil},
+		{"hstat", []string{"bogus", truncated}},
+		{"hstat", []string{"alerts"}},
+		{"hstat", []string{"alerts", truncated, truncated}},
+		{"hstat", []string{"decisions", "-diff", truncated}},
+		{"hstat", []string{"perf", "-top", "3", truncated}},
+		{"hstat", []string{"trace", filepath.Join(dir, "missing.json")}},
+		{"hstat", []string{"trace", truncated}},
+		{"hstat", []string{"alerts", truncated}},
+		{"hstat", []string{"decisions", truncated}},
+		{"hstat", []string{"perf", truncated}},
 	} {
-		out, err := exec.Command(bin, args...).CombinedOutput()
+		bin, ok := bins[c.bin]
+		if !ok {
+			bin = filepath.Join(dir, c.bin)
+			if out, err := exec.Command("go", "build", "-o", bin, "./cmd/"+c.bin).CombinedOutput(); err != nil {
+				t.Fatalf("go build ./cmd/%s: %v\n%s", c.bin, err, out)
+			}
+			bins[c.bin] = bin
+		}
+		out, err := exec.Command(bin, c.args...).CombinedOutput()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("tracegen %v: err %v, want exit status 2\n%s", args, err, out)
+			t.Errorf("%s %v: err %v, want exit status 2\n%s", c.bin, c.args, err, out)
 		}
 		if strings.Contains(string(out), "goroutine") {
-			t.Errorf("tracegen %v panicked:\n%s", args, out)
+			t.Errorf("%s %v panicked:\n%s", c.bin, c.args, out)
 		}
 		if lines := strings.Count(strings.TrimSpace(string(out)), "\n") + 1; lines != 1 ||
-			!strings.HasPrefix(string(out), "tracegen: ") {
-			t.Errorf("tracegen %v: want a one-line \"tracegen: ...\" error, got:\n%s", args, out)
+			!strings.HasPrefix(string(out), c.bin+": ") {
+			t.Errorf("%s %v: want a one-line \"%s: ...\" error, got:\n%s", c.bin, c.args, c.bin, out)
 		}
 	}
 }
