@@ -67,8 +67,8 @@ if ! command -v jq > /dev/null; then
 fi
 
 # The pinned matrix: name | tracegen args | serve args. Kept CI-cheap
-# (testbed, opt-13b) while covering three systems, two workload kinds, and
-# background elephant traffic.
+# (testbed, opt-13b, plus one short pod-scale run) while covering three
+# systems, two workload kinds, and background elephant traffic.
 cases() {
 	echo 'heroserve-testbed-chatbot|-kind chatbot -n 40 -rate 4 -seed 7|-system heroserve -topology testbed -model opt-13b -seed 7'
 	echo 'distserve-testbed-chatbot|-kind chatbot -n 40 -rate 4 -seed 7|-system distserve -topology testbed -model opt-13b -seed 7'
@@ -79,6 +79,11 @@ cases() {
 	# decode_active_instances trajectory, and the incremental
 	# decode_gpu_seconds_total ledger.
 	echo 'heroserve-testbed-chatbot-autoscaled|-kind chatbot -n 40 -rate 4 -seed 7|-system heroserve -topology testbed -model opt-13b -seed 7 -autoscale -scale-policy hybrid-slo'
+	# Pod-scale run: pins the 896 link_busy_seconds series of the 8-track pod
+	# and the online policy's collective decisions across its 18 switches —
+	# the surfaces the pod-scale hot loops (busy-link charging, detour
+	# ranking, decision audit) feed.
+	echo 'heroserve-pod8-summarization|-kind summarization -n 12 -rate 0.5 -seed 11|-system heroserve -topology pod8 -servers 24 -model opt-66b -seed 11 -elephants 4 -ttft 25 -tpot 0.2 -batch 1'
 }
 
 # produce NAME TRACEGEN_ARGS SERVE_ARGS: run the case, normalize the
