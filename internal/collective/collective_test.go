@@ -2,6 +2,9 @@ package collective
 
 import (
 	"math"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"heroserve/internal/netsim"
@@ -49,6 +52,41 @@ func TestRingOrderGroupsByServer(t *testing.T) {
 	}
 	if g.Node(order[2]).Server != g.Node(order[3]).Server {
 		t.Errorf("ring order not server-grouped: %v", order)
+	}
+}
+
+// TestRingOrderFastPath checks RingOrder against a plain sort over random
+// groups (with duplicates), and that a group already in ring order comes
+// back as is, without a copy.
+func TestRingOrderFastPath(t *testing.T) {
+	g := topology.Pod2Tracks(12)
+	gpus := g.GPUs()
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		group := make([]topology.NodeID, 1+rng.Intn(9))
+		for i := range group {
+			group[i] = gpus[rng.Intn(len(gpus))]
+		}
+		if trial%2 == 0 {
+			slices.Sort(group) // id order is ring order on a built topology
+		}
+		want := slices.Clone(group)
+		sort.Slice(want, func(i, j int) bool {
+			if si, sj := g.Node(want[i]).Server, g.Node(want[j]).Server; si != sj {
+				return si < sj
+			}
+			return want[i] < want[j]
+		})
+		if got := RingOrder(g, group); !slices.Equal(got, want) {
+			t.Fatalf("RingOrder(%v) = %v, want %v", group, got, want)
+		}
+	}
+	planned := []topology.NodeID{gpus[0], gpus[1], gpus[8], gpus[9]}
+	if got := RingOrder(g, planned); &got[0] != &planned[0] {
+		t.Error("a group already in ring order was copied")
+	}
+	if allocs := testing.AllocsPerRun(100, func() { RingOrder(g, planned) }); allocs != 0 {
+		t.Errorf("RingOrder on a ring-ordered group allocates %.0f objects, want 0", allocs)
 	}
 }
 

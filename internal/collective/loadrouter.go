@@ -1,6 +1,7 @@
 package collective
 
 import (
+	"slices"
 	"sort"
 
 	"heroserve/internal/netsim"
@@ -24,6 +25,14 @@ type LoadAwareRouter struct {
 	// maxCandidates bounds the alternatives kept per pair.
 	maxCandidates int
 	cache         map[pairKey][]topology.Path
+
+	// Detour-ranking scratch, reused across cache misses: the ranked list,
+	// the route walk buffers, and loop-check marks (node -> epoch).
+	rank  detourRank
+	nodes []topology.NodeID
+	edges []topology.EdgeID
+	mark  []uint64
+	epoch uint64
 }
 
 type pairKey struct {
@@ -48,7 +57,10 @@ func NewLoadAwareRouter(g *topology.Graph, maxCandidates int) *LoadAwareRouter {
 // Bind attaches the live flow simulator whose utilization drives choices.
 func (r *LoadAwareRouter) Bind(net *netsim.Network) { r.net = net }
 
-// candidates returns the cached path alternatives for a pair.
+// candidates returns the cached path alternatives for a pair: the static
+// path, then detours a -> switch -> b in ascending transfer time, deduped by
+// edge sequence, up to maxCandidates. Detours are ranked without being
+// built (rankDetours); only the ones taken become Paths.
 func (r *LoadAwareRouter) candidates(a, b topology.NodeID, size int64) []topology.Path {
 	class, _ := sizeClass(size)
 	key := pairKey{a: a, b: b, class: class}
@@ -56,48 +68,94 @@ func (r *LoadAwareRouter) candidates(a, b topology.NodeID, size int64) []topolog
 		return ps
 	}
 	var out []topology.Path
-	seen := map[string]bool{}
-	add := func(p topology.Path, okay bool) {
-		if !okay || !p.Valid() {
-			return
+	add := func(p topology.Path) {
+		for _, q := range out {
+			if slices.Equal(q.Edges, p.Edges) {
+				return
+			}
 		}
-		sig := pathSig(p)
-		if seen[sig] {
-			return
-		}
-		seen[sig] = true
 		out = append(out, p)
 	}
-	direct, ok := r.static.Route(a, b, size)
-	add(direct, ok)
-
-	// Detours: a -> switch -> b, for every switch, cheapest-first.
-	type detour struct {
-		p    topology.Path
-		cost float64
+	if direct, ok := r.static.Route(a, b, size); ok {
+		add(direct)
 	}
-	var ds []detour
-	for _, sw := range r.g.Switches() {
-		p1, ok1 := r.static.Route(a, sw, size)
-		p2, ok2 := r.static.Route(sw, b, size)
-		if !ok1 || !ok2 {
-			continue
-		}
-		joined, ok := joinPaths(p1, p2)
-		if !ok {
-			continue
-		}
-		ds = append(ds, detour{p: joined, cost: joined.TransferTime(r.g, size)})
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i].cost < ds[j].cost })
-	for _, d := range ds {
+	r.rankDetours(a, b, size)
+	for _, sw := range r.rank.sw {
 		if len(out) >= r.maxCandidates {
 			break
 		}
-		add(d.p, true)
+		p1, _ := r.static.Route(a, sw, size)
+		p2, _ := r.static.Route(sw, b, size)
+		joined, _ := joinPaths(p1, p2)
+		add(joined)
 	}
 	r.cache[key] = out
 	return out
+}
+
+// detourRank is the ranked detour list of one candidates call: the
+// switches whose joined route a -> sw -> b is loop-free, with its
+// Path.TransferTime, in parallel slices reused across calls.
+type detourRank struct {
+	sw   []topology.NodeID
+	cost []float64
+}
+
+func (d *detourRank) Len() int           { return len(d.sw) }
+func (d *detourRank) Less(i, j int) bool { return d.cost[i] < d.cost[j] }
+func (d *detourRank) Swap(i, j int) {
+	d.sw[i], d.sw[j] = d.sw[j], d.sw[i]
+	d.cost[i], d.cost[j] = d.cost[j], d.cost[i]
+}
+
+// rankDetours fills r.rank with the loop-free detours from a to b via every
+// switch, cheapest first. It walks the static router's cached trees into
+// reusable buffers instead of building Paths: the two legs land back to back
+// in r.nodes/r.edges, so the edge buffer is the joined route in travel order
+// and its cost is the same float sum joinPaths + TransferTime would give.
+// The loop check is joinPaths' (no node twice) over epoch marks. sort.Sort
+// on a router-owned value allocates nothing, unlike sort.Slice, and runs the
+// same pdqsort, so equal-cost detours keep sort.Slice's order. Warm, the
+// ranking allocates nothing.
+func (r *LoadAwareRouter) rankDetours(a, b topology.NodeID, size int64) {
+	class, rep := sizeClass(size)
+	if n := r.g.NumNodes(); len(r.mark) < n {
+		r.mark = make([]uint64, n)
+	}
+	r.rank.sw, r.rank.cost = r.rank.sw[:0], r.rank.cost[:0]
+	from := r.static.tree(a, class, rep)
+	for _, sw := range r.g.Switches() {
+		nodes, edges, ok := from.AppendPathTo(r.nodes[:0], r.edges[:0], sw)
+		if !ok {
+			continue
+		}
+		leg := len(nodes)
+		nodes, edges, ok = r.static.tree(sw, class, rep).AppendPathTo(nodes, edges, b)
+		r.nodes, r.edges = nodes, edges // keep grown capacity
+		if !ok || !r.loopFree(nodes, leg) {
+			continue
+		}
+		joined := topology.Path{Edges: edges}
+		r.rank.sw = append(r.rank.sw, sw)
+		r.rank.cost = append(r.rank.cost, joined.TransferTime(r.g, size))
+	}
+	sort.Sort(&r.rank)
+}
+
+// loopFree reports whether the route nodes[:leg] ++ nodes[leg+1:] (the
+// second leg's first node repeats the first leg's last) visits no node twice.
+func (r *LoadAwareRouter) loopFree(nodes []topology.NodeID, leg int) bool {
+	r.epoch++
+	for i, n := range nodes {
+		if i == leg {
+			continue
+		}
+		if r.mark[n] == r.epoch {
+			return false
+		}
+		r.mark[n] = r.epoch
+	}
+	return true
 }
 
 // Route implements Router: the candidate with the coolest hottest link wins;
@@ -129,15 +187,6 @@ func pathHeat(net *netsim.Network, p topology.Path) float64 {
 		}
 	}
 	return worst
-}
-
-// pathSig fingerprints a path by its edge sequence.
-func pathSig(p topology.Path) string {
-	sig := make([]byte, 0, len(p.Edges)*3)
-	for _, e := range p.Edges {
-		sig = append(sig, byte(e), byte(e>>8), byte(e>>16))
-	}
-	return string(sig)
 }
 
 // joinPaths concatenates two paths sharing a middle node, rejecting joins

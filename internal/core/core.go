@@ -79,15 +79,86 @@ type OnlinePolicy struct {
 	// lastPick remembers each group's previous chosen table row so the
 	// queue-dominant churn hold knows which candidate to favor.
 	lastPick map[serving.GroupID]int
+	// groupLabels caches each group's "role/inst/stage" audit label.
+	groupLabels map[serving.GroupID]string
+	// handles caches the audit's counter handles for the current hub.
+	handles auditHandles
+}
+
+// auditHandles caches the counters one policy pick bumps, so an audit costs
+// map hits instead of registry lookups that join label strings. Each handle
+// is created on its first use, never before: registering a series early
+// would export it at zero. The cache belongs to one hub and is rebuilt when
+// the hub changes.
+type auditHandles struct {
+	hub     *telemetry.Hub
+	picks   map[[2]string]*telemetry.Counter // collective_scheme_total{scheme,reason}
+	records *telemetry.Counter               // decision_records_total{kind="collective"}
+	regret  map[string]*telemetry.Counter    // policy_regret_seconds_total{scheme}
+}
+
+// metrics returns the handle cache bound to tel.
+func (p *OnlinePolicy) metrics(tel *telemetry.Hub) *auditHandles {
+	if p.handles.hub != tel {
+		p.handles = auditHandles{
+			hub:    tel,
+			picks:  make(map[[2]string]*telemetry.Counter),
+			regret: make(map[string]*telemetry.Counter),
+		}
+	}
+	return &p.handles
+}
+
+func (h *auditHandles) pick(scheme, reason string) *telemetry.Counter {
+	key := [2]string{scheme, reason}
+	c, ok := h.picks[key]
+	if !ok {
+		c = h.hub.Metrics.Counter("collective_scheme_total",
+			"Online policy picks by executed scheme and decision reason.",
+			[]string{"scheme", "reason"}, scheme, reason)
+		h.picks[key] = c
+	}
+	return c
+}
+
+func (h *auditHandles) record() *telemetry.Counter {
+	if h.records == nil {
+		h.records = h.hub.Metrics.Counter("decision_records_total",
+			"Decision-ledger records appended, by kind.",
+			[]string{"kind"}, decisions.KindCollective)
+	}
+	return h.records
+}
+
+func (h *auditHandles) schemeRegret(scheme string) *telemetry.Counter {
+	c, ok := h.regret[scheme]
+	if !ok {
+		c = h.hub.Metrics.Counter("policy_regret_seconds_total",
+			"Counterfactual regret of always forcing a scheme, in estimated bottleneck busy-seconds.",
+			[]string{"scheme"}, scheme)
+		h.regret[scheme] = c
+	}
+	return c
+}
+
+// groupLabel names the group in audit records: "role/inst/stage".
+func (p *OnlinePolicy) groupLabel(id serving.GroupID) string {
+	l, ok := p.groupLabels[id]
+	if !ok {
+		l = fmt.Sprintf("%s/%d/%d", id.Role, id.Instance, id.Stage)
+		p.groupLabels[id] = l
+	}
+	return l
 }
 
 // NewOnlinePolicy returns the policy with the given scheduler config.
 func NewOnlinePolicy(cfg scheduler.Config) *OnlinePolicy {
 	return &OnlinePolicy{
-		cfg:      cfg,
-		tables:   make(map[serving.GroupID]*scheduler.Table),
-		Hetero:   true,
-		lastPick: make(map[serving.GroupID]int),
+		cfg:         cfg,
+		tables:      make(map[serving.GroupID]*scheduler.Table),
+		Hetero:      true,
+		lastPick:    make(map[serving.GroupID]int),
+		groupLabels: make(map[serving.GroupID]string),
 	}
 }
 
@@ -251,15 +322,13 @@ func (p *OnlinePolicy) audit(ctx *serving.GroupCtx, t *scheduler.Table, chosen, 
 	if tel == nil {
 		return
 	}
-	tel.Metrics.Counter("collective_scheme_total",
-		"Online policy picks by executed scheme and decision reason.",
-		[]string{"scheme", "reason"}, scheme.String(), reason).Inc()
+	p.metrics(tel).pick(scheme.String(), reason).Inc()
 	costs := make(map[string]any, len(t.Policies))
 	for i, c := range t.Costs() {
 		costs[t.Policies[i].Label] = telemetry.Float(c)
 	}
 	args := map[string]any{
-		"group":   fmt.Sprintf("%s/%d/%d", ctx.ID.Role, ctx.ID.Instance, ctx.ID.Stage),
+		"group":   p.groupLabel(ctx.ID),
 		"policy":  pol.Label,
 		"scheme":  scheme.String(),
 		"reason":  reason,
@@ -308,7 +377,7 @@ func (p *OnlinePolicy) ledger(ctx *serving.GroupCtx, t *scheduler.Table, chosen,
 	if p.Ledger != nil {
 		p.Ledger.AddCollective(decisions.CollectiveRecord{
 			T:           ctx.Comm.Network().Engine().Now(),
-			Group:       fmt.Sprintf("%s/%d/%d", ctx.ID.Role, ctx.ID.Instance, ctx.ID.Stage),
+			Group:       p.groupLabel(ctx.ID),
 			Bytes:       msgBytes * int64(steps),
 			Steps:       steps,
 			Candidates:  cands,
@@ -326,9 +395,8 @@ func (p *OnlinePolicy) ledger(ctx *serving.GroupCtx, t *scheduler.Table, chosen,
 	if tel == nil {
 		return
 	}
-	tel.Metrics.Counter("decision_records_total",
-		"Decision-ledger records appended, by kind.",
-		[]string{"kind"}, decisions.KindCollective).Inc()
+	h := p.metrics(tel)
+	h.record().Inc()
 	// Per-scheme counterfactual regret: for each scheme present in the
 	// table, its cheapest candidate versus the overall optimum. The winning
 	// scheme contributes exactly zero; +Inf-priced (faulted) schemes are
@@ -348,9 +416,7 @@ func (p *OnlinePolicy) ledger(ctx *serving.GroupCtx, t *scheduler.Table, chosen,
 		if math.IsInf(j, 0) {
 			continue
 		}
-		tel.Metrics.Counter("policy_regret_seconds_total",
-			"Counterfactual regret of always forcing a scheme, in estimated bottleneck busy-seconds.",
-			[]string{"scheme"}, name).Add(j - bestJ)
+		h.schemeRegret(name).Add(j - bestJ)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"heroserve/internal/planner"
 	"heroserve/internal/scheduler"
 	"heroserve/internal/serving"
+	"heroserve/internal/telemetry"
 	"heroserve/internal/topology"
 	"heroserve/internal/workload"
 )
@@ -140,5 +141,38 @@ func TestHeteroAblationFlag(t *testing.T) {
 	net.Engine().Run()
 	if n := pol.SchemeSelections()[collective.SchemeHetero]; n != 0 {
 		t.Errorf("hetero selected %d times with Hetero=false", n)
+	}
+}
+
+// TestAuditHandlesAreLazyAndPerHub: binding the audit cache registers no
+// series (a zero-valued one would change the exposition); a handle appears
+// on its first use, is reused after, and a new hub gets its own handles.
+func TestAuditHandlesAreLazyAndPerHub(t *testing.T) {
+	p := NewOnlinePolicy(scheduler.DefaultConfig())
+	h1, h2 := telemetry.New(), telemetry.New()
+	p.metrics(h1)
+	for _, fam := range []string{"collective_scheme_total", "decision_records_total", "policy_regret_seconds_total"} {
+		if got := h1.Metrics.Children(fam); len(got) != 0 {
+			t.Fatalf("%s registered before first use: %v", fam, got)
+		}
+	}
+	c := p.metrics(h1).pick("ring", "table")
+	c.Inc()
+	if p.metrics(h1).pick("ring", "table") != c {
+		t.Error("second lookup built a new handle")
+	}
+	if v, _ := h1.Metrics.Value("collective_scheme_total", "ring", "table"); v != 1 {
+		t.Errorf("h1 pick count = %v, want 1", v)
+	}
+	p.metrics(h2).pick("ring", "table").Inc()
+	p.metrics(h2).schemeRegret("ina-sync").Add(0.5)
+	if v, _ := h1.Metrics.Value("collective_scheme_total", "ring", "table"); v != 1 {
+		t.Errorf("h1 pick count = %v after rebinding to h2, want 1", v)
+	}
+	if v, _ := h2.Metrics.Value("collective_scheme_total", "ring", "table"); v != 1 {
+		t.Errorf("h2 pick count = %v, want 1", v)
+	}
+	if got := h1.Metrics.Children("policy_regret_seconds_total"); len(got) != 0 {
+		t.Errorf("h2's regret series leaked into h1: %v", got)
 	}
 }

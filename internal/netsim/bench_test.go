@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"heroserve/internal/sim"
+	"heroserve/internal/telemetry"
 	"heroserve/internal/topology"
 )
 
@@ -94,4 +95,27 @@ func BenchmarkFlowChurn(b *testing.B) {
 			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
 		})
 	}
+}
+
+// BenchmarkChargePodTelemetry measures one progress charge on the 896-edge
+// 8-track pod with telemetry armed and a few flows in flight — the shape of
+// every flow event on a pod-scale run. Busy-seconds are charged from the
+// busy-link list, so the cost follows the links in use, not the pod's size.
+func BenchmarkChargePodTelemetry(b *testing.B) {
+	g := topology.Pod8Tracks(24)
+	eng := sim.NewEngine()
+	n := New(g, eng)
+	n.SetTelemetry(telemetry.New())
+	rng := rand.New(rand.NewSource(44))
+	for _, p := range buildPaths(b, g, rng, 8) {
+		n.StartFlow(p, 1<<40, nil)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		n.lastCharge = -1 // a positive dt, so every call charges
+		n.charge()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(n.busy)), "busy-links")
 }

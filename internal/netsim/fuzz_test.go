@@ -21,7 +21,9 @@ import (
 //  4. the completion timer is armed exactly when some active flow has a
 //     positive rate, then for the minimum (finish time, ID), and the fast
 //     and reference networks' timers agree bit-for-bit;
-//  5. replaying the script on a fresh network reproduces every rate
+//  5. the busy-link list holds exactly the edges that carry an active flow,
+//     each once, with busyPos pointing at its slot;
+//  6. replaying the script on a fresh network reproduces every rate
 //     bit-for-bit (determinism).
 func FuzzReallocate(f *testing.F) {
 	f.Add([]byte{})
@@ -130,6 +132,8 @@ func runScenario(t *testing.T, data []byte) []uint64 {
 		checkMaxMin(t, fast, op)
 		checkAgreement(t, fast, ref, createdF, createdR, op)
 		checkTimers(t, fast, ref, op)
+		checkBusy(t, fast, op)
+		checkBusy(t, ref, op)
 	}
 
 	bits := make([]uint64, 0, 2*len(createdF)+nEdges)
@@ -174,6 +178,27 @@ func checkMaxMin(t *testing.T, n *Network, op int) {
 		if !bottlenecked {
 			t.Fatalf("op %d: flow %d (rate %g) is not bottlenecked on any saturated path link — allocation is not max-min",
 				op, fl.ID, fl.rate)
+		}
+	}
+}
+
+// checkBusy asserts the busy-link list is the set {eid : len(linkFlows[eid])
+// > 0}, without duplicates, and that busyPos indexes every member.
+func checkBusy(t *testing.T, n *Network, op int) {
+	t.Helper()
+	listed := make([]bool, n.g.NumEdges())
+	for i, eid := range n.busy {
+		if listed[eid] {
+			t.Fatalf("op %d: edge %d listed twice as busy", op, eid)
+		}
+		listed[eid] = true
+		if n.busyPos[eid] != i {
+			t.Fatalf("op %d: busyPos[%d] = %d, listed at %d", op, eid, n.busyPos[eid], i)
+		}
+	}
+	for eid, fl := range n.linkFlows {
+		if listed[eid] != (len(fl) > 0) {
+			t.Fatalf("op %d: edge %d busy-listed=%v with %d active flows", op, eid, listed[eid], len(fl))
 		}
 	}
 }

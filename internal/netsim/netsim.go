@@ -91,6 +91,13 @@ type Network struct {
 	linkFlows [][]*Flow // edge id -> active flows crossing it
 	nextID    FlowID
 
+	// busy lists the edges with at least one active flow, in no particular
+	// order; busyPos[eid] is eid's index in busy, meaningful only while
+	// linkFlows[eid] is non-empty. Charging busy-seconds walks this list, so
+	// it costs the links in use, not the whole topology.
+	busy    []topology.EdgeID
+	busyPos []int
+
 	// The completion timer: one engine event for the whole network, armed
 	// for next, the active flow that finishes first, and re-armed at the end
 	// of every reallocation. timerFn is built once, so re-arming allocates
@@ -218,6 +225,7 @@ func newNetwork(g *topology.Graph, eng *sim.Engine) *Network {
 		eng:          eng,
 		flows:        make(map[FlowID]*Flow),
 		linkFlows:    make([][]*Flow, g.NumEdges()),
+		busyPos:      make([]int, g.NumEdges()),
 		bytesCarried: make([]float64, g.NumEdges()),
 	}
 	n.timerFn = func() { n.finishFlow(n.next) }
@@ -324,6 +332,10 @@ func (n *Network) StartFlow(path topology.Path, size int64, done func(*Flow)) *F
 		n.order = append(n.order, f) // IDs are monotonic: stays sorted
 	}
 	for _, eid := range path.Edges {
+		if len(n.linkFlows[eid]) == 0 {
+			n.busyPos[eid] = len(n.busy)
+			n.busy = append(n.busy, eid)
+		}
 		n.linkFlows[eid] = append(n.linkFlows[eid], f)
 	}
 	n.reallocate(f.Path.Edges)
@@ -375,6 +387,9 @@ func (n *Network) remove(f *Flow) {
 				lf[i] = lf[last]
 				lf[last] = nil
 				n.linkFlows[eid] = lf[:last]
+				if last == 0 {
+					n.unbusy(eid)
+				}
 				break
 			}
 		}
@@ -398,8 +413,17 @@ func (n *Network) remove(f *Flow) {
 	}
 }
 
+// unbusy swap-removes eid, whose last flow just left, from the busy list.
+func (n *Network) unbusy(eid topology.EdgeID) {
+	i, last := n.busyPos[eid], len(n.busy)-1
+	moved := n.busy[last]
+	n.busy[i] = moved
+	n.busyPos[moved] = i
+	n.busy = n.busy[:last]
+}
+
 // charge advances every active flow's progress to the current instant at its
-// last computed rate, and accrues link byte counters.
+// last computed rate, and accrues link byte counters and busy-seconds.
 func (n *Network) charge() {
 	now := n.eng.Now()
 	dt := now - n.lastCharge
@@ -426,10 +450,10 @@ func (n *Network) charge() {
 		}
 	}
 	if n.tel != nil {
-		for eid, fl := range n.linkFlows {
-			if len(fl) > 0 {
-				n.tel.linkBusy[eid].Add(dt)
-			}
+		// Each counter gets one Add(dt) per charge while its link is busy.
+		// The counters are independent, so the list's order is unobservable.
+		for _, eid := range n.busy {
+			n.tel.linkBusy[eid].Add(dt)
 		}
 	}
 }

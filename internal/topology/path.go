@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"container/heap"
 	"math"
 )
 
@@ -64,26 +63,75 @@ func TransferCost(size int64) EdgeCost {
 	}
 }
 
-// pqItem is a priority-queue entry for Dijkstra.
-type pqItem struct {
-	node NodeID
-	dist float64
-	idx  int
+// nodeHeap is Dijkstra's priority queue: a binary min-heap of node ids keyed
+// by their tentative distance. pos[v] is v's heap slot, valid only while
+// q[pos[v]] == v (v queued). Its push, pop and fix run container/heap's exact sift
+// sequence, so nodes pop in the same order, ties included, as they would
+// from a container/heap of per-node items — without allocating one per node.
+type nodeHeap struct {
+	q    []NodeID
+	pos  []int
+	dist []float64
 }
 
-type pq []*pqItem
+func (h *nodeHeap) less(i, j int) bool { return h.dist[h.q[i]] < h.dist[h.q[j]] }
 
-func (q pq) Len() int           { return len(q) }
-func (q pq) Less(i, j int) bool { return q[i].dist < q[j].dist }
-func (q pq) Swap(i, j int)      { q[i], q[j] = q[j], q[i]; q[i].idx = i; q[j].idx = j }
-func (q *pq) Push(x any)        { it := x.(*pqItem); it.idx = len(*q); *q = append(*q, it) }
-func (q *pq) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return it
+func (h *nodeHeap) swap(i, j int) {
+	h.q[i], h.q[j] = h.q[j], h.q[i]
+	h.pos[h.q[i]] = i
+	h.pos[h.q[j]] = j
+}
+
+func (h *nodeHeap) push(v NodeID) {
+	h.pos[v] = len(h.q)
+	h.q = append(h.q, v)
+	h.up(len(h.q) - 1)
+}
+
+func (h *nodeHeap) pop() NodeID {
+	n := len(h.q) - 1
+	h.swap(0, n)
+	h.down(0, n)
+	v := h.q[n]
+	h.q = h.q[:n]
+	return v
+}
+
+func (h *nodeHeap) fix(i int) {
+	if !h.down(i, len(h.q)) {
+		h.up(i)
+	}
+}
+
+func (h *nodeHeap) up(j int) {
+	for {
+		i := (j - 1) / 2 // parent
+		if i == j || !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+func (h *nodeHeap) down(i0, n int) bool {
+	i := i0
+	for {
+		j1 := 2*i + 1
+		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
+			break
+		}
+		j := j1 // left child
+		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
+			j = j2 // = 2*i + 2  // right child
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
 }
 
 // ShortestPaths holds the single-source Dijkstra result: per-node distance
@@ -114,17 +162,10 @@ func (g *Graph) Dijkstra(src NodeID, cost EdgeCost, allow func(NodeID) bool) *Sh
 	}
 	sp.Dist[src] = 0
 
-	items := make([]*pqItem, n)
-	q := make(pq, 0, n)
-	items[src] = &pqItem{node: src, dist: 0}
-	heap.Push(&q, items[src])
-
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(*pqItem)
-		u := it.node
-		if it.dist > sp.Dist[u] {
-			continue
-		}
+	h := &nodeHeap{q: make([]NodeID, 0, n), pos: make([]int, n), dist: sp.Dist}
+	h.push(src)
+	for len(h.q) > 0 {
+		u := h.pop()
 		// Relay restriction: only expand through allowed intermediates.
 		if u != src && allow != nil && !allow(u) {
 			continue
@@ -139,19 +180,10 @@ func (g *Graph) Dijkstra(src NodeID, cost EdgeCost, allow func(NodeID) bool) *Sh
 			if d := sp.Dist[u] + w; d < sp.Dist[v] {
 				sp.Dist[v] = d
 				sp.prevE[v] = eid
-				if items[v] == nil {
-					items[v] = &pqItem{node: v, dist: d}
-					heap.Push(&q, items[v])
+				if i := h.pos[v]; i < len(h.q) && h.q[i] == v {
+					h.fix(i)
 				} else {
-					items[v].dist = d
-					if items[v].idx >= 0 && items[v].idx < q.Len() && q[items[v].idx] == items[v] {
-						heap.Fix(&q, items[v].idx)
-					} else {
-						// Item already popped with a stale larger distance:
-						// push a fresh entry.
-						items[v] = &pqItem{node: v, dist: d}
-						heap.Push(&q, items[v])
-					}
+					h.push(v) // first reach, or already popped
 				}
 			}
 		}
@@ -162,61 +194,78 @@ func (g *Graph) Dijkstra(src NodeID, cost EdgeCost, allow func(NodeID) bool) *Sh
 // PathTo reconstructs the shortest path from the source to dst. The second
 // result is false when dst is unreachable.
 func (sp *ShortestPaths) PathTo(dst NodeID) (Path, bool) {
-	if math.IsInf(sp.Dist[dst], 1) {
+	nodes, edges, ok := sp.AppendPathTo(nil, nil, dst)
+	if !ok {
 		return Path{}, false
 	}
-	// Count the hops first, so the path is built in place, back to front,
-	// with exactly two allocations.
+	return Path{Nodes: nodes, Edges: edges}, true
+}
+
+// AppendPathTo appends the shortest path from the source to dst, in travel
+// order, to nodes and edges and returns the extended slices: PathTo into
+// caller-owned buffers, allocating nothing when they have room. ok is false,
+// and the slices come back unchanged, when dst is unreachable.
+func (sp *ShortestPaths) AppendPathTo(nodes []NodeID, edges []EdgeID, dst NodeID) ([]NodeID, []EdgeID, bool) {
+	if math.IsInf(sp.Dist[dst], 1) {
+		return nodes, edges, false
+	}
+	// Count the hops first, so the path is written in place, back to front.
 	hops := 0
 	for at := dst; at != sp.Source; at = sp.g.Edge(sp.prevE[at]).Other(at) {
 		hops++
 	}
-	p := Path{Nodes: make([]NodeID, hops+1), Edges: make([]EdgeID, hops)}
-	p.Nodes[0] = sp.Source
+	n0, e0 := len(nodes), len(edges)
+	nodes, edges = extend(nodes, hops+1), extend(edges, hops)
+	nodes[n0] = sp.Source
 	for at, i := dst, hops; i > 0; i-- {
 		eid := sp.prevE[at]
-		p.Nodes[i] = at
-		p.Edges[i-1] = eid
+		nodes[n0+i] = at
+		edges[e0+i-1] = eid
 		at = sp.g.Edge(eid).Other(at)
 	}
-	return p, true
+	return nodes, edges, true
+}
+
+// extend returns s lengthened by n, reallocating to exactly the needed
+// capacity when s has no room.
+func extend[T any](s []T, n int) []T {
+	if cap(s)-len(s) < n {
+		t := make([]T, len(s), len(s)+n)
+		copy(t, s)
+		s = t
+	}
+	return s[:len(s)+n]
 }
 
 // Matrix is the planner's offline all-pairs structure: the minimum-latency
 // matrix D(i,j) and the shortest-path matrix P(k,a) (paper Alg. 2 lines 2-3),
-// restricted to a working set of nodes.
+// restricted to a working set of nodes. It keeps one shortest-path tree per
+// source: D reads the tree's distances, and P(a,b) is built from the tree on
+// first request and memoized, so pairs the planner never asks for cost
+// nothing. A Matrix is not safe for concurrent use.
 type Matrix struct {
 	g     *Graph
 	index map[NodeID]int
 	nodes []NodeID
-	dist  [][]float64
-	paths [][]Path
+	trees []*ShortestPaths
+	paths [][]Path // row i allocated on the first PathBetween from nodes[i]
 }
 
-// NewMatrix runs Dijkstra from every node in nodes and stores distances and
-// paths to every other node in nodes. The cost metric and relay predicate
-// match Dijkstra's.
+// NewMatrix runs Dijkstra from every node in nodes. The cost metric and
+// relay predicate match Dijkstra's.
 func (g *Graph) NewMatrix(nodes []NodeID, cost EdgeCost, allow func(NodeID) bool) *Matrix {
 	m := &Matrix{
 		g:     g,
 		index: make(map[NodeID]int, len(nodes)),
 		nodes: append([]NodeID(nil), nodes...),
-		dist:  make([][]float64, len(nodes)),
+		trees: make([]*ShortestPaths, len(nodes)),
 		paths: make([][]Path, len(nodes)),
 	}
 	for i, n := range m.nodes {
 		m.index[n] = i
 	}
 	for i, src := range m.nodes {
-		sp := g.Dijkstra(src, cost, allow)
-		m.dist[i] = make([]float64, len(m.nodes))
-		m.paths[i] = make([]Path, len(m.nodes))
-		for j, dst := range m.nodes {
-			m.dist[i][j] = sp.Dist[dst]
-			if p, ok := sp.PathTo(dst); ok {
-				m.paths[i][j] = p
-			}
-		}
+		m.trees[i] = g.Dijkstra(src, cost, allow)
 	}
 	return m
 }
@@ -231,21 +280,29 @@ func (m *Matrix) Contains(n NodeID) bool { _, ok := m.index[n]; return ok }
 // the working set.
 func (m *Matrix) Dist(a, b NodeID) float64 {
 	i, ok1 := m.index[a]
-	j, ok2 := m.index[b]
+	_, ok2 := m.index[b]
 	if !ok1 || !ok2 {
 		return math.Inf(1)
 	}
-	return m.dist[i][j]
+	return m.trees[i].Dist[b]
 }
 
 // PathBetween returns P(a,b); the second result is false when unreachable or
-// out of the working set.
+// out of the working set. Returned paths are shared between calls; callers
+// must not modify them.
 func (m *Matrix) PathBetween(a, b NodeID) (Path, bool) {
 	i, ok1 := m.index[a]
 	j, ok2 := m.index[b]
 	if !ok1 || !ok2 {
 		return Path{}, false
 	}
-	p := m.paths[i][j]
-	return p, p.Valid()
+	if m.paths[i] == nil {
+		m.paths[i] = make([]Path, len(m.nodes))
+	}
+	if p := m.paths[i][j]; p.Valid() {
+		return p, true
+	}
+	p, ok := m.trees[i].PathTo(b)
+	m.paths[i][j] = p // stays invalid, and is recomputed, when unreachable
+	return p, ok
 }

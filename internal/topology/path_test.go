@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"container/heap"
 	"math"
 	"math/rand"
 	"testing"
@@ -213,5 +214,112 @@ func BenchmarkAllPairsPod(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		g.NewMatrix(gpus, cost, nil)
+	}
+}
+
+// refItem and refQueue are the original container/heap queue of Dijkstra,
+// kept as the oracle for the allocation-free nodeHeap.
+type refItem struct {
+	node NodeID
+	dist float64
+	idx  int
+}
+
+type refQueue []*refItem
+
+func (q refQueue) Len() int           { return len(q) }
+func (q refQueue) Less(i, j int) bool { return q[i].dist < q[j].dist }
+func (q refQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i]; q[i].idx = i; q[j].idx = j }
+func (q *refQueue) Push(x any)        { it := x.(*refItem); it.idx = len(*q); *q = append(*q, it) }
+func (q *refQueue) Pop() any {
+	old := *q
+	it := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return it
+}
+
+// dijkstraRef is the original Dijkstra, one heap item per reached node.
+func dijkstraRef(g *Graph, src NodeID, cost EdgeCost, allow func(NodeID) bool) ([]float64, []EdgeID) {
+	n := g.NumNodes()
+	dist, prevE := make([]float64, n), make([]EdgeID, n)
+	for i := range dist {
+		dist[i], prevE[i] = math.Inf(1), -1
+	}
+	dist[src] = 0
+	items := make([]*refItem, n)
+	q := refQueue{}
+	items[src] = &refItem{node: src}
+	heap.Push(&q, items[src])
+	for q.Len() > 0 {
+		it := heap.Pop(&q).(*refItem)
+		u := it.node
+		if it.dist > dist[u] {
+			continue
+		}
+		if u != src && allow != nil && !allow(u) {
+			continue
+		}
+		for _, eid := range g.Incident(u) {
+			e := g.Edge(eid)
+			w := cost(e)
+			if math.IsInf(w, 1) {
+				continue
+			}
+			v := e.Other(u)
+			if d := dist[u] + w; d < dist[v] {
+				dist[v], prevE[v] = d, eid
+				if items[v] != nil && items[v].idx < q.Len() && q[items[v].idx] == items[v] {
+					items[v].dist = d
+					heap.Fix(&q, items[v].idx)
+				} else {
+					items[v] = &refItem{node: v, dist: d}
+					heap.Push(&q, items[v])
+				}
+			}
+		}
+	}
+	return dist, prevE
+}
+
+// TestDijkstraMatchesContainerHeap checks the nodeHeap Dijkstra against the
+// container/heap original from every source: bit-identical distances and the
+// same predecessor edge everywhere, so every path is the same. Latency-only
+// routing (size 0) on the built topologies is tie-heavy, which is where a
+// different pop order would pick different equal-cost predecessors.
+func TestDijkstraMatchesContainerHeap(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	graphs := []*Graph{Testbed(), Pod2Tracks(12), Pod8Tracks(24)}
+	for trial := 0; trial < 10; trial++ {
+		g := NewGraph()
+		n := 5 + rng.Intn(30)
+		for i := 0; i < n; i++ {
+			g.AddNode(Node{Kind: KindGPU, Server: i})
+		}
+		for k := 0; k < 3*n; k++ {
+			a, b := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+			if a != b {
+				// Few distinct capacities and latencies: many equal-cost routes.
+				g.AddEdge(a, b, LinkEthernet, float64(1+rng.Intn(2))*1e9, float64(rng.Intn(2))*1e-6)
+			}
+		}
+		graphs = append(graphs, g)
+	}
+	for gi, g := range graphs {
+		switchesOnly := func(n NodeID) bool { return g.Node(n).Kind.IsSwitch() }
+		for _, size := range []int64{0, 1 << 20} {
+			for _, allow := range []func(NodeID) bool{nil, switchesOnly} {
+				cost := TransferCost(size)
+				for src := 0; src < g.NumNodes(); src++ {
+					sp := g.Dijkstra(NodeID(src), cost, allow)
+					dist, prevE := dijkstraRef(g, NodeID(src), cost, allow)
+					for v := range dist {
+						if math.Float64bits(sp.Dist[v]) != math.Float64bits(dist[v]) || sp.prevE[v] != prevE[v] {
+							t.Fatalf("graph %d size %d src %d node %d: dist %g via %d, want %g via %d",
+								gi, size, src, v, sp.Dist[v], sp.prevE[v], dist[v], prevE[v])
+						}
+					}
+				}
+			}
+		}
 	}
 }
