@@ -317,14 +317,18 @@ func (a *Analyzer) finalize(k reqKey, rs *reqState) {
 		a.sweep.partition(b.E2EStages, rs.decode, StageDecodeCompute, rs.comm, nil, faults)
 	}
 	// Convert usec → seconds; TTFT/E2E are the plain stage sums, so the
-	// decomposition identity holds by construction.
-	for s, v := range b.TTFTStages {
-		b.TTFTStages[s] = v / 1e6
-		b.TTFT += v / 1e6
+	// decomposition identity holds by construction. They are summed in
+	// canonical stage order, not map order, so their last bits are the same
+	// on every run.
+	for _, s := range sortStages(b.TTFTStages) {
+		v := b.TTFTStages[s] / 1e6
+		b.TTFTStages[s] = v
+		b.TTFT += v
 	}
-	for s, v := range b.E2EStages {
-		b.E2EStages[s] = v / 1e6
-		b.E2E += v / 1e6
+	for _, s := range sortStages(b.E2EStages) {
+		v := b.E2EStages[s] / 1e6
+		b.E2EStages[s] = v
+		b.E2E += v
 	}
 	a.done = append(a.done, b)
 	for _, fn := range a.onFinal {

@@ -562,3 +562,64 @@ func BenchmarkPartition(b *testing.B) {
 		})
 	}
 }
+
+// TestStageTotalsAreOrderedSums: every finalized TTFT and E2E is bit-equal
+// to the sum of its stages taken in sortStages order, so the totals cannot
+// depend on map iteration order. Each request replays synthetic's lifecycle
+// with its times stretched by a random factor, so stage durations are not
+// dyadic and a different summation order would change their low bits.
+func TestStageTotalsAreOrderedSums(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	clock := 0.0
+	tr := telemetry.NewTracer(func() float64 { return clock })
+	a := New()
+	tr.Tap(a.Feed)
+	tr.BeginProcess("planned")
+	for req := 0; req < 200; req++ {
+		base, k := float64(req)*100, 1+rng.Float64()
+		at := func(x float64) float64 { return base + k*x }
+		id := int64(req * 3)
+		clock = at(1.5)
+		tr.AsyncBegin("collective", "allreduce", id+1,
+			map[string]any{"scheme": "ring", "reqs": []int{req}})
+		clock = at(2)
+		tr.AsyncEnd("collective", "allreduce", id+1)
+		tr.AsyncBegin("pipeline", "pipeline_stage", id+2,
+			map[string]any{"stage": 2, "reqs": []int{req}})
+		clock = at(2.5)
+		tr.AsyncEnd("pipeline", "pipeline_stage", id+2)
+		clock = at(5)
+		tr.AsyncBegin("collective", "allreduce", id+3,
+			map[string]any{"scheme": "ina-hetero", "reqs": []int{req}})
+		clock = at(6)
+		tr.AsyncEnd("collective", "allreduce", id+3)
+		tr.InstantAt(at(6.5), telemetry.ControlTID, "fault", "link-degrade",
+			map[string]any{"duration": 0.5 * k})
+		tr.Complete(1, "request", "request", at(0), at(8), map[string]any{
+			"id": req, "input": 100, "output": 5, "trace_id": fmt.Sprintf("p1-r%d", req)})
+		ids := map[string]any{"req": req}
+		tr.Complete(1, "request", "queue", at(0), at(1), ids)
+		tr.Complete(1, "request", "prefill", at(1), at(3), ids)
+		tr.Complete(1, "request", "kv-transfer", at(3), at(4), ids)
+		tr.Complete(1, "request", "decode", at(4), at(8), map[string]any{"req": req, "tokens": 4})
+	}
+	done := a.Finalized()
+	if len(done) != 200 {
+		t.Fatalf("finalized %d requests, want 200", len(done))
+	}
+	ordered := func(m map[string]float64) float64 {
+		var sum float64
+		for _, s := range sortStages(m) {
+			sum += m[s]
+		}
+		return sum
+	}
+	for _, b := range done {
+		if got, want := b.TTFT, ordered(b.TTFTStages); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("req %d: TTFT %v is not the ordered stage sum %v", b.Req, got, want)
+		}
+		if got, want := b.E2E, ordered(b.E2EStages); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("req %d: E2E %v is not the ordered stage sum %v", b.Req, got, want)
+		}
+	}
+}
