@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"heroserve/internal/model"
@@ -36,6 +37,15 @@ func main() {
 	verbose := flag.Bool("v", false, "trace every candidate's evaluation")
 	flag.Parse()
 
+	if *servers < 1 {
+		usagef("-servers must be at least 1, got %d", *servers)
+	}
+	if *batch < 1 {
+		usagef("-batch must be at least 1, got %d", *batch)
+	}
+	if !(*rate > 0) || math.IsInf(*rate, 1) {
+		usagef("-rate must be a finite positive req/s, got %g", *rate)
+	}
 	var g *topology.Graph
 	switch *topo {
 	case "testbed":
@@ -45,7 +55,7 @@ func main() {
 	case "pod8":
 		g = topology.Pod8Tracks(*servers)
 	default:
-		fatalf("unknown topology %q", *topo)
+		usagef("unknown topology %q (allowed: testbed | pod2 | pod8)", *topo)
 	}
 
 	var cfg model.Config
@@ -57,12 +67,17 @@ func main() {
 	case "opt-175b":
 		cfg = model.OPT175B()
 	default:
-		fatalf("unknown model %q", *modelName)
+		usagef("unknown model %q (allowed: opt-13b | opt-66b | opt-175b)", *modelName)
 	}
 
-	wk := workload.Chatbot
-	if *kind == "summarization" {
+	var wk workload.Kind
+	switch *kind {
+	case "chatbot":
+		wk = workload.Chatbot
+	case "summarization":
 		wk = workload.Summarization
+	default:
+		usagef("unknown workload %q (allowed: chatbot | summarization)", *kind)
 	}
 	trace := workload.NewGenerator(wk, *seed).Generate(512, 1)
 
@@ -120,6 +135,13 @@ func main() {
 	show("decode", plan.Deployment.Decode)
 }
 
+// usagef rejects a bad flag: one line, exit status 2.
+func usagef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "planner: "+format+"\n", args...)
+	os.Exit(2)
+}
+
+// fatalf reports a planning failure: one line, exit status 1.
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "planner: "+format+"\n", args...)
 	os.Exit(1)

@@ -95,45 +95,51 @@ func main() {
 
 	sysNames := strings.Split(*system, ",")
 	if len(sysNames) > 1 && !*daemon {
-		fatalf("comma-separated -system requires -daemon")
+		usagef("comma-separated -system requires -daemon")
 	}
 	for _, name := range sysNames {
 		if !systems[name] {
-			fatalf("unknown system %q (allowed: %s)", name, allowed(systems))
+			usagef("unknown system %q (allowed: %s)", name, allowed(systems))
 		}
 	}
 	if !topos[*topo] {
-		fatalf("unknown topology %q (allowed: %s)", *topo, allowed(topos))
+		usagef("unknown topology %q (allowed: %s)", *topo, allowed(topos))
 	}
 	if !models[*modelName] {
-		fatalf("unknown model %q (allowed: %s)", *modelName, allowed(models))
+		usagef("unknown model %q (allowed: %s)", *modelName, allowed(models))
+	}
+	if *servers < 1 {
+		usagef("-servers must be at least 1, got %d", *servers)
+	}
+	if *batch < 1 {
+		usagef("-batch must be at least 1, got %d", *batch)
 	}
 	if *daemon && *publishEvery <= 0 {
-		fatalf("-publish-every must be positive")
+		usagef("-publish-every must be positive")
 	}
 	if *metricsFormat != "prom" && *metricsFormat != "openmetrics" {
-		fatalf("unknown -metrics-format %q (allowed: prom | openmetrics)", *metricsFormat)
+		usagef("unknown -metrics-format %q (allowed: prom | openmetrics)", *metricsFormat)
 	}
 	if *pushURL != "" && *pushEvery <= 0 {
-		fatalf("-push-every must be positive")
+		usagef("-push-every must be positive")
 	}
 	if _, perr := serving.NewScalePolicy(*scalePolicy); perr != nil {
-		fatalf("%v", perr)
+		usagef("%v", perr)
 	}
 	if *alertsOut != "" && *sloRules == "off" {
-		fatalf("-alerts-out needs an armed monitor; drop -slo-rules=off")
+		usagef("-alerts-out needs an armed monitor; drop -slo-rules=off")
 	}
 	if *maxRuns < 0 || *maxDecisions < 0 || *maxAlerts < 0 {
-		fatalf("retention caps must be >= 0")
+		usagef("retention caps must be >= 0")
 	}
 	if *pprofFlag && !*daemon {
-		fatalf("-pprof requires -daemon (it mounts on the daemon mux)")
+		usagef("-pprof requires -daemon (it mounts on the daemon mux)")
 	}
 	if *perfEvery < 0 {
-		fatalf("-perf-every must be >= 0")
+		usagef("-perf-every must be >= 0")
 	}
 	if *tracePath == "" {
-		fatalf("-trace required (use cmd/tracegen to produce one)")
+		usagef("-trace required (use cmd/tracegen to produce one)")
 	}
 	var trace *workload.Trace
 	var err error
@@ -142,16 +148,16 @@ func main() {
 	} else {
 		f, ferr := os.Open(*tracePath)
 		if ferr != nil {
-			fatalf("%v", ferr)
+			usagef("%v", ferr)
 		}
 		defer f.Close()
 		trace, err = workload.Decode(f)
 	}
 	if err != nil {
-		fatalf("%v", err)
+		usagef("%v", err)
 	}
 	if len(trace.Requests) == 0 {
-		fatalf("empty trace")
+		usagef("empty trace")
 	}
 
 	var g *topology.Graph
@@ -205,12 +211,12 @@ func main() {
 		} else {
 			rf, rerr := os.Open(*sloRules)
 			if rerr != nil {
-				fatalf("slo rules: %v", rerr)
+				usagef("slo rules: %v", rerr)
 			}
 			rules, rerr = slo.ParseRules(rf)
 			rf.Close()
 			if rerr != nil {
-				fatalf("slo rules %s: %v", *sloRules, rerr)
+				usagef("slo rules %s: %v", *sloRules, rerr)
 			}
 		}
 		sloCfg = &slo.Config{Rules: rules, MaxResolved: *maxAlerts}
@@ -624,6 +630,13 @@ func allowed(set map[string]bool) string {
 	return strings.Join(keys, " | ")
 }
 
+// usagef rejects a bad flag or input file: one line, exit status 2.
+func usagef(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "serve: "+format+"\n", args...)
+	os.Exit(2)
+}
+
+// fatalf reports a failure of the run itself: one line, exit status 1.
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "serve: "+format+"\n", args...)
 	os.Exit(1)

@@ -21,6 +21,10 @@ func main() {
 	servers := flag.Int("servers", 12, "pod server count")
 	flag.Parse()
 
+	if *servers < 1 {
+		fmt.Fprintf(os.Stderr, "topoviz: -servers must be at least 1, got %d\n", *servers)
+		os.Exit(2)
+	}
 	var g *topology.Graph
 	switch *topo {
 	case "testbed":
@@ -35,7 +39,7 @@ func main() {
 			Tracks: 1, ServersPerGroup: *servers, CoreSwitches: 1,
 		})
 	default:
-		fmt.Fprintf(os.Stderr, "topoviz: unknown topology %q\n", *topo)
+		fmt.Fprintf(os.Stderr, "topoviz: unknown topology %q (allowed: testbed | pod2 | pod8 | pcie)\n", *topo)
 		os.Exit(2)
 	}
 	writeDOT(g)

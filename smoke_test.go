@@ -11,6 +11,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"heroserve/internal/workload"
 )
 
 // run executes `go run ./dir args...` and returns combined output.
@@ -97,6 +99,19 @@ func TestCommandsRejectBadInput(t *testing.T) {
 	if err := os.WriteFile(truncated, []byte(`{"meta":{"rules":[`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	missing := filepath.Join(dir, "missing.json")
+	// A valid trace, so each serve row fails on its one bad flag alone.
+	trace := filepath.Join(dir, "trace.json")
+	tf, err := os.Create(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := workload.NewGenerator(workload.Chatbot, 1).Generate(3, 1).Encode(tf); err != nil {
+		t.Fatal(err)
+	}
+	if err := tf.Close(); err != nil {
+		t.Fatal(err)
+	}
 	bins := map[string]string{}
 	for _, c := range []struct {
 		bin  string
@@ -113,11 +128,31 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"hstat", []string{"alerts", truncated, truncated}},
 		{"hstat", []string{"decisions", "-diff", truncated}},
 		{"hstat", []string{"perf", "-top", "3", truncated}},
-		{"hstat", []string{"trace", filepath.Join(dir, "missing.json")}},
+		{"hstat", []string{"trace", missing}},
 		{"hstat", []string{"trace", truncated}},
 		{"hstat", []string{"alerts", truncated}},
 		{"hstat", []string{"decisions", truncated}},
 		{"hstat", []string{"perf", truncated}},
+		{"serve", []string{"-trace", trace, "-topology", "bogus"}},
+		{"serve", []string{"-trace", trace, "-model", "bogus"}},
+		{"serve", []string{"-trace", trace, "-system", "bogus"}},
+		{"serve", []string{"-trace", missing}},
+		{"serve", []string{"-trace", truncated}},
+		{"serve", []string{"-trace", trace, "-topology", "pod8", "-servers", "0"}},
+		{"serve", []string{"-trace", trace, "-batch", "0"}},
+		{"heroserve", nil},
+		{"heroserve", []string{"-exp", "bogus"}},
+		{"heroserve", []string{"-exp", "fig1", "-scale", "bogus"}},
+		{"heroserve", []string{"-exp", "fig1", "-format", "bogus"}},
+		{"planner", []string{"-topology", "bogus"}},
+		{"planner", []string{"-model", "bogus"}},
+		{"planner", []string{"-workload", "bogus"}},
+		{"planner", []string{"-topology", "pod2", "-servers", "0"}},
+		{"planner", []string{"-rate", "0"}},
+		{"planner", []string{"-batch", "-1"}},
+		{"topoviz", []string{"-topology", "bogus"}},
+		{"topoviz", []string{"-topology", "pod8", "-servers", "0"}},
+		{"topoviz", []string{"-topology", "pcie", "-servers", "-2"}},
 	} {
 		bin, ok := bins[c.bin]
 		if !ok {
