@@ -65,9 +65,9 @@ func TransferCost(size int64) EdgeCost {
 
 // nodeHeap is Dijkstra's priority queue: a binary min-heap of node ids keyed
 // by their tentative distance. pos[v] is v's heap slot, valid only while
-// q[pos[v]] == v (v queued). Its push, pop and fix run container/heap's exact sift
-// sequence, so nodes pop in the same order, ties included, as they would
-// from a container/heap of per-node items — without allocating one per node.
+// q[pos[v]] == v (v queued). Its push, pop and fix run container/heap's
+// exact sift sequence, so nodes pop in the same order, ties included, as
+// from a container/heap of per-node items, without allocating one per node.
 type nodeHeap struct {
 	q    []NodeID
 	pos  []int
@@ -121,9 +121,9 @@ func (h *nodeHeap) down(i0, n int) bool {
 		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
 			break
 		}
-		j := j1 // left child
+		j := j1
 		if j2 := j1 + 1; j2 < n && h.less(j2, j1) {
-			j = j2 // = 2*i + 2  // right child
+			j = j2
 		}
 		if !h.less(j, i) {
 			break
@@ -244,7 +244,6 @@ func extend[T any](s []T, n int) []T {
 // first request and memoized, so pairs the planner never asks for cost
 // nothing. A Matrix is not safe for concurrent use.
 type Matrix struct {
-	g     *Graph
 	index map[NodeID]int
 	nodes []NodeID
 	trees []*ShortestPaths
@@ -255,7 +254,6 @@ type Matrix struct {
 // relay predicate match Dijkstra's.
 func (g *Graph) NewMatrix(nodes []NodeID, cost EdgeCost, allow func(NodeID) bool) *Matrix {
 	m := &Matrix{
-		g:     g,
 		index: make(map[NodeID]int, len(nodes)),
 		nodes: append([]NodeID(nil), nodes...),
 		trees: make([]*ShortestPaths, len(nodes)),
