@@ -145,3 +145,31 @@ func TestRescheduleSteadyStateAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestPostSteadyStateAllocs pins what Post is for: once the queue and the
+// free list have grown to their working size, a post→run cycle allocates
+// nothing on either front.
+func TestPostSteadyStateAllocs(t *testing.T) {
+	for _, impl := range benchEngines {
+		t.Run(impl.name, func(t *testing.T) {
+			e := impl.mk()
+			r := lcg(4)
+			nop := func() {}
+			for i := 0; i < 64; i++ {
+				e.Post(Time(r.next()%(1<<20))/1e3, nop)
+			}
+			cycle := func() {
+				e.PostAfter(Time(r.next()%(1<<20))/1e3, nop)
+				if !e.Step() {
+					t.Fatal("engine drained")
+				}
+			}
+			for i := 0; i < 1000; i++ {
+				cycle()
+			}
+			if got := testing.AllocsPerRun(1000, cycle); got != 0 {
+				t.Errorf("%.2f allocs per post→run cycle, want 0", got)
+			}
+		})
+	}
+}

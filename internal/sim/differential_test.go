@@ -99,6 +99,12 @@ type scriptRun struct {
 	// log records (node id, timestamp bits) per executed callback.
 	logIDs []int
 	logAts []uint64
+
+	// post queues every non-daemon node that no other node cancels or moves
+	// with Post instead of Schedule: those events need no handle.
+	post     bool
+	targeted []bool // the node is some node's cancel or move target
+	posted   int    // events queued with Post
 }
 
 func newScriptRun(eng *Engine, nodes []scriptNode, viaCancel bool) *scriptRun {
@@ -108,12 +114,16 @@ func newScriptRun(eng *Engine, nodes []scriptNode, viaCancel bool) *scriptRun {
 		pending: make([]bool, len(nodes)),
 		acted:   make([]bool, len(nodes)),
 	}
-	for i := range nodes {
-		if nodes[i].isRoot {
-			r.events[i] = r.schedule(i, nodes[i].rootAt)
+	r.scheduleRoots()
+	return r
+}
+
+func (r *scriptRun) scheduleRoots() {
+	for i := range r.nodes {
+		if r.nodes[i].isRoot {
+			r.events[i] = r.schedule(i, r.nodes[i].rootAt)
 		}
 	}
-	return r
 }
 
 func (r *scriptRun) schedule(i int, at Time) *Event {
@@ -121,7 +131,34 @@ func (r *scriptRun) schedule(i int, at Time) *Event {
 	if r.nodes[i].daemon {
 		return r.eng.ScheduleDaemon(at, func() { r.fire(i) })
 	}
+	if r.post && !r.targeted[i] {
+		r.posted++
+		r.eng.Post(at, func() { r.fire(i) })
+		return nil
+	}
 	return r.eng.Schedule(at, func() { r.fire(i) })
+}
+
+// newPostRun is newScriptRun with post set: untargeted non-daemon nodes are
+// posted, the rest scheduled.
+func newPostRun(eng *Engine, nodes []scriptNode) *scriptRun {
+	targeted := make([]bool, len(nodes))
+	for _, nd := range nodes {
+		if nd.cancels >= 0 {
+			targeted[nd.cancels] = true
+		}
+		if nd.moves >= 0 {
+			targeted[nd.moves] = true
+		}
+	}
+	r := &scriptRun{
+		eng: eng, nodes: nodes, post: true, targeted: targeted,
+		events:  make([]*Event, len(nodes)),
+		pending: make([]bool, len(nodes)),
+		acted:   make([]bool, len(nodes)),
+	}
+	r.scheduleRoots()
+	return r
 }
 
 func (r *scriptRun) fire(i int) {
@@ -285,6 +322,35 @@ func TestDifferentialReschedule(t *testing.T) {
 				cancelled := newScriptRun(impl.mk(), nodes, true)
 				lockstep(t, moved, cancelled, []Time{1.5, 7.25, 13}, true)
 				requireMoveCoverage(t, moved)
+			})
+		}
+	}
+}
+
+// TestDifferentialPost proves Post is Schedule without the handle on each
+// front: the same script, with every untargeted non-daemon node posted in
+// one run and scheduled in the other, must give the same callbacks,
+// counters and queue statistics at every step. Posts happen from inside
+// posted callbacks (children of posted nodes), next to daemon events and
+// events rescheduled like a timer, and posted events are recycled and
+// reused many times over the script.
+func TestDifferentialPost(t *testing.T) {
+	seeds, size := diffSeeds()
+	for _, impl := range benchEngines {
+		for _, seed := range seeds {
+			impl, seed := impl, seed
+			t.Run(fmt.Sprintf("%s/seed=%d", impl.name, seed), func(t *testing.T) {
+				nodes := genScript(seed, size)
+				posted := newPostRun(impl.mk(), nodes)
+				scheduled := newScriptRun(impl.mk(), nodes, false)
+				lockstep(t, posted, scheduled, []Time{1.5, 7.25, 13}, true)
+				requireMoveCoverage(t, posted)
+				if posted.posted < size/4 {
+					t.Errorf("only %d of %d nodes posted", posted.posted, size)
+				}
+				if n := len(posted.eng.free); n == 0 || n >= posted.posted {
+					t.Errorf("free list holds %d events after %d posts: want reuse", n, posted.posted)
+				}
 			})
 		}
 	}

@@ -21,6 +21,12 @@
 // Reschedule re-arms an existing Event instead of allocating a new one, so
 // code that keeps moving one deadline (netsim's completion timer) queues
 // events without allocating.
+//
+// Post and PostAfter queue a one-shot callback without returning a handle.
+// Since nobody can cancel or move such an event, the engine recycles it on a
+// free list once its callback has returned, so a steady stream of posted
+// events allocates nothing. Schedule and After remain for callers that need
+// the handle.
 package sim
 
 import (
@@ -45,6 +51,8 @@ type Event struct {
 	index  int // >= 0 while queued (the reference heap's index), -1 otherwise
 	cancel bool
 	daemon bool
+	// pooled marks a posted event: the engine recycles it after it runs.
+	pooled bool
 }
 
 // At returns the simulated time the event is scheduled for.
@@ -225,7 +233,15 @@ type Engine struct {
 	// prof, when non-nil, brackets every executed event callback. It is a
 	// pure observer: the simulated schedule is identical with or without it.
 	prof Profiler
+	// free holds posted events that have run, for Post to reuse.
+	free []*Event
 }
+
+// maxFree bounds the free list. A steady run keeps far fewer posted events
+// in flight; past the bound (say, after a queue of a million arrivals has
+// drained) run events are left to the garbage collector instead of pinning
+// the burst's memory for the rest of the run.
+const maxFree = 4096
 
 // NewEngine returns an engine with the clock at zero and an empty queue,
 // backed by the fast lazy-cancellation queue.
@@ -269,20 +285,51 @@ func (e *Engine) PendingWork() int { return e.work }
 // panics: it always indicates a simulator bug, and silently reordering time
 // would corrupt every downstream measurement.
 func (e *Engine) Schedule(at Time, fn func()) *Event {
+	ev := &Event{}
+	e.enqueue(ev, at, fn)
+	return ev
+}
+
+// enqueue queues ev, fresh or recycled, to run fn at at under the next
+// sequence number.
+func (e *Engine) enqueue(ev *Event, at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %g before now %g", at, e.now))
 	}
-	ev := &Event{at: at, seq: e.nextSeq, fn: fn, index: -1}
+	ev.at, ev.seq, ev.fn, ev.index = at, e.nextSeq, fn, -1
 	e.nextSeq++
 	e.front.push(ev)
 	e.live++
 	e.work++
-	return ev
 }
 
 // After enqueues fn to run delay seconds from now. Negative delays panic.
 func (e *Engine) After(delay Time, fn func()) *Event {
 	return e.Schedule(e.now+delay, fn)
+}
+
+// Post is Schedule without the handle: fn runs at absolute time at, with the
+// sequence number Schedule would have given it, so posting instead of
+// scheduling never changes the event order. Without a handle the event can
+// be neither cancelled nor rescheduled, which lets the engine put it on a
+// free list once fn (and the profiler's EndEvent) has returned: no queue
+// slot or heap index can still point at it, and the next Post overwrites its
+// key with a fresh sequence number.
+func (e *Engine) Post(at Time, fn func()) {
+	var ev *Event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free[n-1] = nil
+		e.free = e.free[:n-1]
+	} else {
+		ev = &Event{pooled: true}
+	}
+	e.enqueue(ev, at, fn)
+}
+
+// PostAfter posts fn to run delay seconds from now. Negative delays panic.
+func (e *Engine) PostAfter(delay Time, fn func()) {
+	e.Post(e.now+delay, fn)
 }
 
 // ScheduleDaemon enqueues a housekeeping callback — a periodic scheduler
@@ -359,11 +406,15 @@ func (e *Engine) Step() bool {
 	e.processed++
 	if e.prof == nil {
 		ev.fn()
-		return true
+	} else {
+		tok := e.prof.BeginEvent(ev.at)
+		ev.fn()
+		e.prof.EndEvent(tok)
 	}
-	tok := e.prof.BeginEvent(ev.at)
-	ev.fn()
-	e.prof.EndEvent(tok)
+	if ev.pooled && len(e.free) < maxFree {
+		ev.fn = nil // let the callback's captures go
+		e.free = append(e.free, ev)
+	}
 	return true
 }
 
