@@ -423,7 +423,7 @@ func runSystem(name string, in planner.Inputs, trace *workload.Trace, hub *telem
 		eng := sys.Engine()
 		horizon := trace.Duration() + 120
 		for t := p.publishEvery; t < horizon; t += p.publishEvery {
-			eng.Schedule(t, func() {
+			eng.Post(t, func() {
 				srv.PublishHub(hub)
 				publishDocs(srv, sys, sampler, name)
 			})
@@ -436,7 +436,7 @@ func runSystem(name string, in planner.Inputs, trace *workload.Trace, hub *telem
 		eng := sys.Engine()
 		horizon := trace.Duration() + 120
 		for t := p.push.every; t < horizon; t += p.push.every {
-			eng.Schedule(t, func() { p.push.sync(hub) })
+			eng.Post(t, func() { p.push.sync(hub) })
 		}
 	}
 

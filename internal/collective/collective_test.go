@@ -533,15 +533,6 @@ func TestAllReduceDispatch(t *testing.T) {
 	c.AllReduce(Scheme(42), group, sw, 1, 1, nil)
 }
 
-func TestBarrierPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic")
-		}
-	}()
-	barrier(0, func() {})
-}
-
 func BenchmarkSimulatedHeteroAllReduce(b *testing.B) {
 	g := topology.Testbed()
 	b.ReportAllocs()
@@ -552,5 +543,38 @@ func BenchmarkSimulatedHeteroAllReduce(b *testing.B) {
 		c := NewComm(net, NewStaticRouter(g))
 		c.HeteroAllReduce(g.GPUs(), g.Switches()[0], 1<<20, 8, func() {})
 		eng.Run()
+	}
+}
+
+// TestCollectiveSteadyStateAllocs pins the launch→done cost of a warm
+// collective: a cross-server ring all-reduce and a transfer each start
+// their flows as one group, whose flows, group and delivery events are all
+// recycled, so neither allocates. A synchronous INA all-reduce recycles
+// its op and phase callbacks too; what it still allocates is the switch
+// data plane's job registration and aggregation result.
+func TestCollectiveSteadyStateAllocs(t *testing.T) {
+	c, eng, g := newComm(t)
+	ring := []topology.NodeID{g.ServerGPUs(0)[0], g.ServerGPUs(0)[1], g.ServerGPUs(1)[0], g.ServerGPUs(2)[0]}
+	sw := g.Switches()[0]
+	done := func() {}
+	for _, tc := range []struct {
+		name string
+		op   func()
+		want float64
+	}{
+		{"ring", func() { c.RingAllReduce(ring, 1<<20, 4, done) }, 0},
+		{"transfer", func() { c.Transfer(ring[0], ring[3], 1<<20, done) }, 0},
+		{"ina-sync", func() { c.INAAllReduce(ring, sw, 1<<20, 4, switchsim.ModeSync, done) }, 4},
+	} {
+		cycle := func() {
+			tc.op()
+			eng.Run()
+		}
+		for i := 0; i < 100; i++ {
+			cycle()
+		}
+		if got := testing.AllocsPerRun(200, cycle); got != tc.want {
+			t.Errorf("%s: %.2f allocs per launch→done cycle, want %g", tc.name, got, tc.want)
+		}
 	}
 }

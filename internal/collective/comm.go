@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"heroserve/internal/netsim"
+	"heroserve/internal/sim"
 	"heroserve/internal/switchsim"
 	"heroserve/internal/telemetry"
 	"heroserve/internal/topology"
@@ -68,6 +69,14 @@ type Comm struct {
 	inflightINA map[topology.NodeID]map[*inaParams]bool
 
 	counters Counters
+
+	// paths is route scratch for the flows of one launch; flows copy the
+	// Path values they start with, so it is reused on the next launch.
+	paths []topology.Path
+	// freeINA recycles finished INA operations along with their phase
+	// callbacks; dpVals is exerciseDataPlane's packet payload.
+	freeINA []*inaParams
+	dpVals  [4]int32
 
 	// Telemetry (nil when off). asyncSeq numbers the async trace spans that
 	// bracket every dispatched all-reduce.
@@ -164,18 +173,19 @@ func (c *Comm) route(a, b topology.NodeID, size int64) topology.Path {
 }
 
 // Transfer moves bytes from one node to another (pipeline activations,
-// KV-cache migration) and calls done on delivery.
+// KV-cache migration) and calls done on delivery. The flow is a one-flow
+// group, so the network recycles it.
 func (c *Comm) Transfer(from, to topology.NodeID, bytes int64, done func()) {
 	c.counters.Transfers++
 	c.counters.BytesMoved += bytes
 	c.telTransfers.Inc()
 	c.telBytes.Add(float64(bytes))
 	if from == to {
-		c.net.Engine().After(0, done)
+		c.net.Engine().PostAfter(0, done)
 		return
 	}
 	p := c.route(from, to, bytes)
-	c.net.StartFlow(p, bytes, func(*netsim.Flow) { done() })
+	c.net.OpenGroup(netsim.Inline, done).Start(p, bytes)
 }
 
 // TransferSpan is Transfer bracketed by an async trace span (matching the
@@ -196,18 +206,13 @@ func (c *Comm) TransferSpan(cat, name string, args map[string]any, from, to topo
 	c.Transfer(from, to, bytes, done)
 }
 
-// barrier invokes done after n completions have been signalled.
-func barrier(n int, done func()) func() {
-	if n <= 0 {
-		panic("collective: empty barrier")
+// pathLatency sums the fixed latency of a path's edges.
+func (c *Comm) pathLatency(p topology.Path) float64 {
+	var lat float64
+	for _, eid := range p.Edges {
+		lat += c.net.Graph().Edge(eid).Latency
 	}
-	remaining := n
-	return func() {
-		remaining--
-		if remaining == 0 {
-			done()
-		}
-	}
+	return lat
 }
 
 // RingAllReduce performs steps sequential ring all-reduce steps of msgBytes
@@ -220,7 +225,7 @@ func (c *Comm) RingAllReduce(group []topology.NodeID, msgBytes int64, steps int,
 	c.telOps[SchemeRing].Inc()
 	p := len(group)
 	if p <= 1 || msgBytes == 0 || steps == 0 {
-		c.net.Engine().After(0, done)
+		c.net.Engine().PostAfter(0, done)
 		return
 	}
 	order := RingOrder(c.net.Graph(), group)
@@ -233,31 +238,26 @@ func (c *Comm) RingAllReduce(group []topology.NodeID, msgBytes int64, steps int,
 	// Fill latency: each step crosses 2(P-1) sequential segment latencies;
 	// each flow already pays its own path latency once.
 	maxLat := 0.0
-	paths := make([]topology.Path, p)
+	paths := c.paths[:0]
 	for i := 0; i < p; i++ {
-		paths[i] = c.route(order[i], order[(i+1)%p], total)
-		var lat float64
-		for _, eid := range paths[i].Edges {
-			lat += c.net.Graph().Edge(eid).Latency
-		}
-		if lat > maxLat {
+		paths = append(paths, c.route(order[i], order[(i+1)%p], total))
+		if lat := c.pathLatency(paths[i]); lat > maxLat {
 			maxLat = lat
 		}
 	}
+	c.paths = paths
 	fill := float64(steps*2*(p-1)-1) * maxLat
 	if fill < 0 {
 		fill = 0
 	}
-	eng := c.net.Engine()
-	bar := barrier(p, func() { eng.After(fill, done) })
-	for i := 0; i < p; i++ {
-		c.net.StartFlow(paths[i], total, func(*netsim.Flow) { bar() })
-	}
+	c.net.StartGroup(paths, total, fill, done)
 }
 
-// inaParams captures the slot-window throughput model of one INA op. Ops are
-// tracked by pointer while in flight so a switch fault can mutate their
-// penalty (the host-aggregation fallback) mid-operation.
+// inaParams captures the slot-window throughput model of one INA op and
+// carries the op through its phases. Ops are tracked by pointer while in
+// flight so a switch fault can mutate their penalty (the host-aggregation
+// fallback) mid-operation. A finished op goes back to its Comm's free list
+// with its phase callbacks, which are built once per op value.
 type inaParams struct {
 	sw      *switchsim.Switch
 	swNode  topology.NodeID
@@ -267,6 +267,15 @@ type inaParams struct {
 	penalty float64 // >= 1; async/fault fallback degradation
 	rtt     float64
 	faulted bool // the switch failed mid-op; penalty already inflated
+
+	c         *Comm
+	paths     []topology.Path // member -> switch, used by both phases
+	total     int64           // logical payload per member
+	flowTotal int64           // total inflated by the penalty
+	start     sim.Time
+	done      func()
+
+	distributeFn, finishFn, releaseFn func()
 }
 
 // prepareINA registers a job on the switch data plane and derives the
@@ -284,12 +293,13 @@ func (c *Comm) prepareINA(sw topology.NodeID, fanIn int, mode switchsim.Mode, rt
 	if err != nil {
 		panic(fmt.Sprintf("collective: register INA job: %v", err))
 	}
-	p := &inaParams{sw: ds, swNode: sw, job: job, mode: mode, rtt: rtt}
+	if mode == switchsim.ModeSync && granted == 0 {
+		ds.ReleaseJob(job)
+		return nil, false
+	}
+	p := c.newINA()
+	p.sw, p.swNode, p.job, p.mode, p.rtt, p.faulted = ds, sw, job, mode, rtt, false
 	if mode == switchsim.ModeSync {
-		if granted == 0 {
-			ds.ReleaseJob(job)
-			return nil, false
-		}
 		p.window = granted
 		p.penalty = 1
 	} else {
@@ -315,6 +325,20 @@ func (c *Comm) prepareINA(sw topology.NodeID, fanIn int, mode switchsim.Mode, rt
 	return p, true
 }
 
+// newINA takes an op off the free list, or builds one with its phase
+// callbacks.
+func (c *Comm) newINA() *inaParams {
+	if k := len(c.freeINA); k > 0 {
+		p := c.freeINA[k-1]
+		c.freeINA[k-1] = nil
+		c.freeINA = c.freeINA[:k-1]
+		return p
+	}
+	p := &inaParams{c: c}
+	p.distributeFn, p.finishFn, p.releaseFn = p.distribute, p.finish, p.release
+	return p
+}
+
 // finishINA releases control-plane state.
 func (c *Comm) finishINA(p *inaParams) {
 	p.sw.ReleaseJob(p.job)
@@ -322,6 +346,32 @@ func (c *Comm) finishINA(p *inaParams) {
 		c.activeAsync[p.swNode]--
 	}
 	delete(c.inflightINA[p.swNode], p)
+}
+
+// distribute starts the distribution phase once the switch has aggregated.
+func (p *inaParams) distribute() {
+	p.c.net.StartGroup(p.paths, p.flowTotal, netsim.Inline, p.finishFn)
+}
+
+// finish enforces the slot-window goodput cap on the whole operation: it
+// releases the op no earlier than the window allows.
+func (p *inaParams) finish() {
+	eng := p.c.net.Engine()
+	minElapsed := 2 * float64(p.total) / p.inaGoodput() * p.penalty
+	wait := minElapsed - (eng.Now() - p.start)
+	if wait < 0 {
+		wait = 0
+	}
+	eng.PostAfter(wait, p.releaseFn)
+}
+
+// release frees the op's switch state, recycles it and runs its done.
+func (p *inaParams) release() {
+	c, done := p.c, p.done
+	c.finishINA(p)
+	p.done = nil
+	c.freeINA = append(c.freeINA, p)
+	done()
 }
 
 // NotifySwitchFault demotes every INA operation currently in flight at the
@@ -353,7 +403,7 @@ func (c *Comm) NotifySwitchFault(sw topology.NodeID) {
 // exerciseDataPlane pushes one representative aggregation round through the
 // switch so the data plane's counters and semantics stay on the hot path.
 func (c *Comm) exerciseDataPlane(p *inaParams, fanIn int) {
-	vals := make([]int32, 4)
+	vals := c.dpVals[:]
 	for w := 0; w < fanIn; w++ {
 		for i := range vals {
 			vals[i] = int32(w + i)
@@ -379,24 +429,21 @@ func (p *inaParams) inaGoodput() float64 {
 func (c *Comm) INAAllReduce(group []topology.NodeID, sw topology.NodeID, msgBytes int64, steps int, mode switchsim.Mode, done func()) {
 	p := len(group)
 	if p <= 1 || msgBytes == 0 || steps == 0 {
-		c.net.Engine().After(0, done)
+		c.net.Engine().PostAfter(0, done)
 		return
 	}
 	total := int64(steps) * msgBytes
 
 	// Resolve member<->switch paths first: they define the RTT.
-	paths := make([]topology.Path, p)
+	paths := c.paths[:0]
 	maxLat := 0.0
 	for i, k := range group {
-		paths[i] = c.route(k, sw, total)
-		var lat float64
-		for _, eid := range paths[i].Edges {
-			lat += c.net.Graph().Edge(eid).Latency
-		}
-		if lat > maxLat {
+		paths = append(paths, c.route(k, sw, total))
+		if lat := c.pathLatency(paths[i]); lat > maxLat {
 			maxLat = lat
 		}
 	}
+	c.paths = paths
 	rtt := 2*maxLat + switchsim.AggLatency
 
 	params, ok := c.prepareINA(sw, p, mode, rtt)
@@ -421,39 +468,16 @@ func (c *Comm) INAAllReduce(group []topology.NodeID, sw topology.NodeID, msgByte
 	c.telBytes.Add(float64(2 * total * int64(p)))
 	c.exerciseDataPlane(params, p)
 
-	eng := c.net.Engine()
-	start := eng.Now()
+	params.paths = append(params.paths[:0], paths...)
+	params.total = total
 	// The async fallback fraction re-sends data to an end-host aggregator:
 	// inflate the transferred volume by the penalty factor.
-	flowTotal := int64(float64(total) * params.penalty)
-
-	finish := func() {
-		// Enforce the slot-window goodput cap on the whole operation.
-		minElapsed := 2 * float64(total) / params.inaGoodput() * params.penalty
-		elapsed := eng.Now() - start
-		wait := minElapsed - elapsed
-		if wait < 0 {
-			wait = 0
-		}
-		eng.After(wait, func() {
-			c.finishINA(params)
-			done()
-		})
-	}
-
-	distribute := func() {
-		bar := barrier(p, finish)
-		for i := range group {
-			c.net.StartFlow(paths[i], flowTotal, func(*netsim.Flow) { bar() })
-		}
-	}
-
-	collectBar := barrier(p, func() {
-		eng.After(float64(steps)*switchsim.AggLatency, distribute)
-	})
-	for i := range group {
-		c.net.StartFlow(paths[i], flowTotal, func(*netsim.Flow) { collectBar() })
-	}
+	params.flowTotal = int64(float64(total) * params.penalty)
+	params.start = c.net.Engine().Now()
+	params.done = done
+	// Collection, then the switch aggregation latency, then distribution
+	// (inaParams.distribute) and the goodput cap (inaParams.finish).
+	c.net.StartGroup(params.paths, params.flowTotal, float64(steps)*switchsim.AggLatency, params.distributeFn)
 }
 
 // HeteroAllReduce performs HeroServe's heterogeneous INA: NVLink
@@ -475,7 +499,7 @@ func (c *Comm) HeteroNUMAAllReduce(group []topology.NodeID, sw topology.NodeID, 
 
 func (c *Comm) heteroAllReduce(servers [][]topology.NodeID, p int, sw topology.NodeID, msgBytes int64, steps int, done func()) {
 	if p <= 1 || msgBytes == 0 || steps == 0 {
-		c.net.Engine().After(0, done)
+		c.net.Engine().PostAfter(0, done)
 		return
 	}
 	c.counters.HeteroOps++
@@ -490,15 +514,17 @@ func (c *Comm) heteroAllReduce(servers [][]topology.NodeID, p int, sw topology.N
 	c.counters.BytesMoved += 2 * total * int64(intraFlows)
 	c.telBytes.Add(float64(2 * total * int64(intraFlows)))
 
+	// Each phase routes through the (possibly load-aware) router between
+	// starts, so its flows start one at a time into a group.
 	broadcast := func() {
 		if intraFlows == 0 {
-			c.net.Engine().After(0, done)
+			c.net.Engine().PostAfter(0, done)
 			return
 		}
-		bar := barrier(intraFlows, done)
+		grp := c.net.OpenGroup(netsim.Inline, done)
 		for _, members := range servers {
 			for _, m := range members[1:] {
-				c.net.StartFlow(c.route(members[0], m, total), total, func(*netsim.Flow) { bar() })
+				grp.Start(c.route(members[0], m, total), total)
 			}
 		}
 	}
@@ -515,10 +541,10 @@ func (c *Comm) heteroAllReduce(servers [][]topology.NodeID, p int, sw topology.N
 		interPhase()
 		return
 	}
-	bar := barrier(intraFlows, interPhase)
+	grp := c.net.OpenGroup(netsim.Inline, interPhase)
 	for _, members := range servers {
 		for _, m := range members[1:] {
-			c.net.StartFlow(c.route(m, members[0], total), total, func(*netsim.Flow) { bar() })
+			grp.Start(c.route(m, members[0], total), total)
 		}
 	}
 }

@@ -141,11 +141,11 @@ func launchElephants(net *netsim.Network, router collective.Router, n int, bytes
 			b = gpus[next(len(gpus))]
 		}
 		if p, ok := router.Route(a, b, bytes); ok {
-			net.StartFlow(p, bytes, func(*netsim.Flow) { launch() })
+			net.OpenGroup(netsim.Inline, launch).Start(p, bytes)
 		}
 	}
 	for i := 0; i < n; i++ {
-		eng.Schedule(0, launch)
+		eng.Post(0, launch)
 	}
 }
 

@@ -216,7 +216,7 @@ func (inj *Injector) Arm(s Schedule) {
 	for _, ev := range s.Events {
 		ev := ev
 		inj.armed++
-		inj.eng.Schedule(ev.At, func() { inj.apply(ev) })
+		inj.eng.Post(ev.At, func() { inj.apply(ev) })
 	}
 }
 
@@ -243,7 +243,7 @@ func (inj *Injector) apply(ev Event) {
 			inj.linkFloor[ev.Edge] = floor
 		}
 		inj.net.SetLinkScale(ev.Edge, floor)
-		inj.eng.After(ev.Duration, func() {
+		inj.eng.PostAfter(ev.Duration, func() {
 			inj.linkDepth[ev.Edge]--
 			if inj.linkDepth[ev.Edge] <= 0 {
 				delete(inj.linkDepth, ev.Edge)
@@ -258,7 +258,7 @@ func (inj *Injector) apply(ev Event) {
 			return
 		}
 		seized := sw.SeizeSlots(ev.Slots)
-		inj.eng.After(ev.Duration, func() {
+		inj.eng.PostAfter(ev.Duration, func() {
 			sw.RestoreSlots(seized)
 			inj.instant(ev.Kind.String()+"-recovered", ev, nil)
 		})
@@ -271,7 +271,7 @@ func (inj *Injector) apply(ev Event) {
 		if inj.comm != nil {
 			inj.comm.NotifySwitchFault(ev.Switch)
 		}
-		inj.eng.After(ev.Duration, func() {
+		inj.eng.PostAfter(ev.Duration, func() {
 			sw.SetOnline(true)
 			inj.instant(ev.Kind.String()+"-recovered", ev, nil)
 		})
@@ -287,7 +287,7 @@ func (inj *Injector) apply(ev Event) {
 			// instant fires only when no longer stall window is still open.
 			// Scheduled only with telemetry armed: a telemetry-off run keeps
 			// its exact pre-telemetry event sequence.
-			inj.eng.After(ev.Duration, func() {
+			inj.eng.PostAfter(ev.Duration, func() {
 				if inj.eng.Now() >= inj.stallUntil {
 					inj.instant(ev.Kind.String()+"-recovered", ev, nil)
 				}

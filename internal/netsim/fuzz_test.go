@@ -9,8 +9,9 @@ import (
 )
 
 // FuzzReallocate decodes arbitrary bytes into a small topology plus a script
-// of flow starts/cancels, link rescalings, and engine steps, and checks after
-// every operation that the allocator's output is a max-min fair allocation:
+// of flow starts/cancels, flow-group starts, link rescalings, and engine
+// steps, and checks after every operation that the allocator's output is a
+// max-min fair allocation:
 //
 //  1. no link carries more than its effective capacity (within float
 //     tolerance);
@@ -24,12 +25,14 @@ import (
 //  5. the busy-link list holds exactly the edges that carry an active flow,
 //     each once, with busyPos pointing at its slot;
 //  6. replaying the script on a fresh network reproduces every rate
-//     bit-for-bit (determinism).
+//     bit-for-bit (determinism);
+//  7. both networks complete the same flow groups.
 func FuzzReallocate(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{3, 20, 0, 0, 1, 0, 2, 1, 0, 0, 1, 0, 3})
 	f.Add([]byte{7, 40, 2, 0, 0, 2, 2, 3, 1, 0, 2, 5, 1, 0, 1, 0, 3, 3, 2, 1, 3})
 	f.Add([]byte{1, 10, 0, 0, 255, 255, 0, 0, 128, 2, 0, 0, 3})
+	f.Add([]byte{4, 30, 1, 2, 3, 20, 4, 2, 1, 0, 2, 1, 3, 9, 0, 0, 3, 3, 4, 0, 0, 1, 7, 7, 3, 3, 3})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		first := runScenario(t, data)
@@ -88,28 +91,33 @@ func runScenario(t *testing.T, data []byte) []uint64 {
 	fast, ref := New(gf, engF), NewReference(gr, engR)
 
 	var createdF, createdR []*Flow
+	var groupsF, groupsR int
 	fracs := []float64{0, 0.25, 0.5, 1}
+	// path decodes a path over 1-3 distinct edges.
+	path := func() topology.Path {
+		k := 1 + int(d.byte())%3
+		var edges []topology.EdgeID
+		for j := 0; j < k; j++ {
+			eid := topology.EdgeID(int(d.byte()) % nEdges)
+			dup := false
+			for _, e := range edges {
+				if e == eid {
+					dup = true
+				}
+			}
+			if !dup {
+				edges = append(edges, eid)
+			}
+		}
+		return topology.Path{Edges: edges}
+	}
 
 	nOps := 2 + int(d.byte())%40
 	for op := 0; op < nOps; op++ {
-		switch d.byte() % 4 {
+		switch d.byte() % 5 {
 		case 0: // start a flow on 1-3 distinct edges
-			k := 1 + int(d.byte())%3
-			var edges []topology.EdgeID
-			for j := 0; j < k; j++ {
-				eid := topology.EdgeID(int(d.byte()) % nEdges)
-				dup := false
-				for _, e := range edges {
-					if e == eid {
-						dup = true
-					}
-				}
-				if !dup {
-					edges = append(edges, eid)
-				}
-			}
+			p := path()
 			size := int64(1+int(d.byte()))<<16 + int64(d.byte())
-			p := topology.Path{Edges: edges}
 			createdF = append(createdF, fast.StartFlow(p, size, nil))
 			createdR = append(createdR, ref.StartFlow(p, size, nil))
 		case 1: // cancel an earlier flow
@@ -128,6 +136,18 @@ func runScenario(t *testing.T, data []byte) []uint64 {
 			if sf != sr {
 				t.Fatalf("op %d: Step fast=%v ref=%v", op, sf, sr)
 			}
+		case 4: // start a group of 1-4 flows; done runs inline, so the
+			// timer stays the only queued event
+			paths := make([]topology.Path, 1+int(d.byte())%4)
+			for i := range paths {
+				paths[i] = path()
+			}
+			size := int64(1+int(d.byte()))<<16 + int64(d.byte())
+			fast.StartGroup(paths, size, Inline, func() { groupsF++ })
+			ref.StartGroup(paths, size, Inline, func() { groupsR++ })
+		}
+		if groupsF != groupsR {
+			t.Fatalf("op %d: groups completed fast=%d ref=%d", op, groupsF, groupsR)
 		}
 		checkMaxMin(t, fast, op)
 		checkAgreement(t, fast, ref, createdF, createdR, op)
@@ -136,10 +156,14 @@ func runScenario(t *testing.T, data []byte) []uint64 {
 		checkBusy(t, ref, op)
 	}
 
-	bits := make([]uint64, 0, 2*len(createdF)+nEdges)
+	bits := make([]uint64, 0, 2*len(createdF)+nEdges+1)
 	for _, fl := range createdF {
 		bits = append(bits, math.Float64bits(fl.Rate()), math.Float64bits(fl.Remaining()))
 	}
+	for _, fl := range fast.order {
+		bits = append(bits, math.Float64bits(fl.Rate()), math.Float64bits(fl.Remaining()))
+	}
+	bits = append(bits, uint64(groupsF))
 	for e := 0; e < nEdges; e++ {
 		bits = append(bits, math.Float64bits(fast.BytesCarried(topology.EdgeID(e))))
 	}
@@ -265,6 +289,16 @@ func checkAgreement(t *testing.T, fast, ref *Network, cf, cr []*Flow, op int) {
 	t.Helper()
 	if a, b := fast.ActiveFlows(), ref.ActiveFlows(); a != b {
 		t.Fatalf("op %d: ActiveFlows fast=%d ref=%d", op, a, b)
+	}
+	// Every active flow, group flows included, in ID order.
+	refFlows := ref.orderedFlows()
+	for i, a := range fast.order {
+		b := refFlows[i]
+		if a.ID != b.ID || math.Float64bits(a.rate) != math.Float64bits(b.rate) ||
+			math.Float64bits(a.remaining) != math.Float64bits(b.remaining) {
+			t.Fatalf("op %d: active flow %d: fast (%d, %g, %g) ref (%d, %g, %g)",
+				op, i, a.ID, a.rate, a.remaining, b.ID, b.rate, b.remaining)
+		}
 	}
 	for i := range cf {
 		a, b := cf[i], cr[i]

@@ -36,6 +36,15 @@
 // before or after that reallocation — which is where the one timer's
 // sequence number puts it too. Only the block's first event could ever fire:
 // the completion it triggers reallocates, which re-times all the others.
+//
+// StartGroup starts the flows of one collective phase together and reports
+// their joint completion once. It adds every flow before a single
+// reallocation over the union of their paths, which leaves the same rates
+// and the same timer (time, flow) as starting them one by one (DESIGN.md,
+// "Pooled events and flow groups"). Nobody outside the network holds a
+// group's flows, so they and the group are recycled after delivery, and
+// every delivery is posted to the engine without a handle: a steady stream
+// of collective phases allocates nothing here.
 package netsim
 
 import (
@@ -65,6 +74,13 @@ type Flow struct {
 	done      func(*Flow)
 	net       *Network
 	cancelled bool
+
+	// group is the flow's group, nil for a StartFlow flow. A group's flow is
+	// recycled once it delivers.
+	group *Group
+	// deliver is the flow's delivery callback, built on first use and kept
+	// across recycling.
+	deliver func()
 
 	// Fast-path water-filling state, valid only while the owning Network's
 	// epoch matches (no clearing pass between reallocations).
@@ -106,6 +122,10 @@ type Network struct {
 	next    *Flow
 	timerFn func()
 
+	// Recycled group flows and groups.
+	freeFlows  []*Flow
+	freeGroups []*Group
+
 	// linkScale scales each edge's capacity for fault injection: 1 is a
 	// healthy link, 0 a blacked-out one. Lazily allocated by SetLinkScale so
 	// fault-free simulations pay nothing.
@@ -128,6 +148,7 @@ type Network struct {
 	compLinks []topology.EdgeID // component links, reused across reallocations
 	linkQueue []topology.EdgeID // BFS worklist, reused
 	dirtyOne  [1]topology.EdgeID
+	dirty     []topology.EdgeID // a group's path edges, reused
 }
 
 // netTelemetry holds the network's metric handles. Per-link families are
@@ -298,48 +319,149 @@ func (n *Network) ActiveFlows() int { return len(n.flows) }
 // == destination) completes after zero simulated time. The returned Flow can
 // be cancelled with CancelFlow.
 func (n *Network) StartFlow(path topology.Path, size int64, done func(*Flow)) *Flow {
+	f := n.newFlow(path, size, nil, done)
+	n.start(f)
+	return f
+}
+
+// Inline, passed as a group's delay, runs the group's done inside the last
+// flow's delivery instead of posting it.
+const Inline sim.Time = -1
+
+// Group is a set of flows whose done runs once, when the last of them has
+// delivered. A Group is recycled when it completes; do not keep it past the
+// call that started its flows.
+type Group struct {
+	net     *Network
+	pending int // flows started and not yet delivered
+	delay   sim.Time
+	done    func()
+}
+
+// OpenGroup returns an empty group for flows that must start one at a time
+// (each with its own reallocation, so a load-aware router can see the ones
+// before it). When the last flow delivers, done runs inline if delay is
+// Inline, and is posted delay seconds later otherwise. A group must get at
+// least one flow: an empty group never completes.
+func (n *Network) OpenGroup(delay sim.Time, done func()) *Group {
+	var g *Group
+	if k := len(n.freeGroups); k > 0 {
+		g = n.freeGroups[k-1]
+		n.freeGroups[k-1] = nil
+		n.freeGroups = n.freeGroups[:k-1]
+	} else {
+		g = &Group{net: n}
+	}
+	g.pending, g.delay, g.done = 0, delay, done
+	return g
+}
+
+// Start begins one flow of the group, exactly as StartFlow would.
+func (g *Group) Start(path topology.Path, size int64) {
+	g.pending++
+	g.net.start(g.net.newFlow(path, size, g, nil))
+}
+
+// StartGroup starts one flow of size bytes along each path, in order, and
+// runs done once the last has delivered (inline or posted, by delay, as in
+// OpenGroup). The flows are added after one charge and rated by one
+// reallocation over the union of their paths, which gives every flow the
+// rate and the completion timer the (time, flow) that one StartFlow per
+// path would. The timer skips the intermediate re-arms, which only shifts
+// every later sequence number by the same amount. A group with an
+// edgeless path or a zero size is started one flow at a time instead, so
+// its immediate deliveries keep their order against the timer.
+func (n *Network) StartGroup(paths []topology.Path, size int64, delay sim.Time, done func()) {
+	if len(paths) == 0 {
+		panic("netsim: empty flow group")
+	}
+	g := n.OpenGroup(delay, done)
+	batch := size != 0
+	for _, p := range paths {
+		if len(p.Edges) == 0 {
+			batch = false
+		}
+	}
+	if !batch {
+		for _, p := range paths {
+			g.Start(p, size)
+		}
+		return
+	}
+	g.pending = len(paths)
+	n.charge()
+	dirty := n.dirty[:0]
+	for _, p := range paths {
+		n.add(n.newFlow(p, size, g, nil))
+		dirty = append(dirty, p.Edges...)
+	}
+	n.dirty = dirty
+	n.reallocate(dirty)
+}
+
+// newFlow builds a flow, recycling a delivered group flow when it joins a
+// group, and counts it as started.
+func (n *Network) newFlow(path topology.Path, size int64, g *Group, done func(*Flow)) *Flow {
 	if size < 0 {
 		panic(fmt.Sprintf("netsim: negative flow size %d", size))
 	}
-	f := &Flow{
-		ID:        n.nextID,
-		Path:      path,
-		Size:      size,
-		Start:     n.eng.Now(),
-		remaining: float64(size),
-		lastT:     n.eng.Now(),
-		done:      done,
+	var f *Flow
+	if k := len(n.freeFlows); g != nil && k > 0 {
+		f = n.freeFlows[k-1]
+		n.freeFlows[k-1] = nil
+		n.freeFlows = n.freeFlows[:k-1]
+	} else {
+		f = &Flow{net: n}
 	}
+	now := n.eng.Now()
+	f.ID, f.Path, f.Size, f.Start = n.nextID, path, size, now
+	f.remaining, f.rate, f.lastT, f.latency = float64(size), 0, now, 0
+	f.done, f.group, f.cancelled = done, g, false
 	n.nextID++
 	for _, eid := range path.Edges {
 		f.latency += n.g.Edge(eid).Latency
 	}
-	f.net = n
 	if n.tel != nil {
 		n.tel.started.Inc()
 		n.tel.flowBytes.Add(float64(size))
 	}
+	return f
+}
 
-	if len(path.Edges) == 0 || size == 0 {
+// start puts one new flow on the network: an edgeless or empty flow only
+// waits out its latency, any other joins the active set and reallocates.
+func (n *Network) start(f *Flow) {
+	if len(f.Path.Edges) == 0 || f.Size == 0 {
 		// Nothing to serialize: deliver after the fixed latency only.
-		n.eng.After(f.latency, func() { n.complete(f) })
-		return f
+		n.eng.PostAfter(f.latency, n.deliverFn(f))
+		return
 	}
-
 	n.charge()
+	n.add(f)
+	n.reallocate(f.Path.Edges)
+}
+
+// add joins f to the active sets.
+func (n *Network) add(f *Flow) {
 	n.flows[f.ID] = f
 	if !n.ref {
 		n.order = append(n.order, f) // IDs are monotonic: stays sorted
 	}
-	for _, eid := range path.Edges {
+	for _, eid := range f.Path.Edges {
 		if len(n.linkFlows[eid]) == 0 {
 			n.busyPos[eid] = len(n.busy)
 			n.busy = append(n.busy, eid)
 		}
 		n.linkFlows[eid] = append(n.linkFlows[eid], f)
 	}
-	n.reallocate(f.Path.Edges)
-	return f
+}
+
+// deliverFn returns f's delivery callback, building it on first use.
+func (n *Network) deliverFn(f *Flow) func() {
+	if f.deliver == nil {
+		f.deliver = func() { n.complete(f) }
+	}
+	return f.deliver
 }
 
 // CancelFlow aborts f without running its completion callback. Cancelling a
@@ -371,9 +493,30 @@ func (n *Network) complete(f *Flow) {
 		n.tel.delivered.Inc()
 		n.tel.flowDur.Observe(n.eng.Now() - f.Start)
 	}
+	if g := f.group; g != nil {
+		f.Path, f.group = topology.Path{}, nil
+		n.freeFlows = append(n.freeFlows, f)
+		if g.pending--; g.pending == 0 {
+			n.finishGroup(g)
+		}
+		return
+	}
 	if f.done != nil {
 		f.done(f)
 	}
+}
+
+// finishGroup recycles a group whose last flow delivered and runs or posts
+// its done.
+func (n *Network) finishGroup(g *Group) {
+	done, delay := g.done, g.delay
+	g.done = nil
+	n.freeGroups = append(n.freeGroups, g)
+	if delay == Inline {
+		done()
+		return
+	}
+	n.eng.PostAfter(delay, done)
 }
 
 // remove detaches f from the active sets.
@@ -692,7 +835,7 @@ func (n *Network) finishFlow(f *Flow) {
 	n.remove(f)
 	n.reallocate(f.Path.Edges)
 	if f.latency > 0 {
-		n.eng.After(f.latency, func() { n.complete(f) })
+		n.eng.PostAfter(f.latency, n.deliverFn(f))
 	} else {
 		n.complete(f)
 	}

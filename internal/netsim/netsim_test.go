@@ -158,6 +158,18 @@ func TestNegativeSizePanics(t *testing.T) {
 	n.StartFlow(pathBetween(t, n, ids[0], ids[1]), -1, nil)
 }
 
+// TestStartGroupPanicsOnEmpty: a group without flows would never complete,
+// so starting one is a caller bug.
+func TestStartGroupPanicsOnEmpty(t *testing.T) {
+	n, _, _ := chain(t, 100)
+	defer func() {
+		if recover() == nil {
+			t.Error("empty group did not panic")
+		}
+	}()
+	n.StartGroup(nil, 1, Inline, func() {})
+}
+
 func TestCancelFlow(t *testing.T) {
 	n, eng, ids := chain(t, 100)
 	p := pathBetween(t, n, ids[0], ids[1])

@@ -531,7 +531,7 @@ func (a *autoscaler) activate(di *decodeInstance) {
 	weight := s.dep.Model.WeightBytesPerGPU(di.spec.Ptens(), di.spec.Ppipe())
 	delay := float64(weight) / a.cfg.WeightLoadBW // per-GPU loads run in parallel
 	a.emit(ScaleEvent{T: s.eng.Now(), Active: a.countCommitted(), Action: "activate", ID: di.id})
-	s.eng.After(delay, func() {
+	s.eng.PostAfter(delay, func() {
 		a.charge()
 		di.activating = false
 		di.active = true

@@ -112,6 +112,15 @@ type decodeInstance struct {
 	iterations int64
 	series     stats.Series
 
+	// The decode iteration's callbacks, built once per instance: computed
+	// ends the compute phase, synced ends one stage's synchronization, and
+	// stagesLeft counts the stages still synchronizing. ctxs holds one
+	// policy context per stage, refilled each iteration.
+	computed   func()
+	synced     func()
+	stagesLeft int
+	ctxs       []GroupCtx
+
 	// Telemetry (nil when off).
 	telOcc *telemetry.Gauge
 	telKV  *telemetry.Gauge
@@ -161,6 +170,9 @@ func New(g *topology.Graph, dep Deployment, opts Options) (*System, error) {
 		}
 		di := &decodeInstance{id: i, spec: &dep.Decode[i], cm: cm, active: true}
 		di.kvCap = s.kvCapacity(&dep.Decode[i])
+		di.computed = func() { s.syncDecode(di) }
+		di.synced = func() { s.stageSynced(di) }
+		di.ctxs = make([]GroupCtx, di.spec.Ppipe())
 		di.series.Name = fmt.Sprintf("decode-%d", i)
 		s.decode = append(s.decode, di)
 	}
@@ -391,10 +403,10 @@ func (s *System) syncSteps(spec *InstanceSpec) int {
 	return steps
 }
 
-// groupCtx builds the CommPolicy context for a stage. reqs is the batch's
+// groupCtx is the CommPolicy context for a stage. reqs is the batch's
 // request-ID membership (nil when telemetry is off).
-func (s *System) groupCtx(spec *InstanceSpec, instance, stage int, reqs []int) *GroupCtx {
-	return &GroupCtx{
+func (s *System) groupCtx(spec *InstanceSpec, instance, stage int, reqs []int) GroupCtx {
+	return GroupCtx{
 		Comm:   s.comm,
 		ID:     GroupID{Role: spec.Role, Instance: instance, Stage: stage},
 		Group:  spec.Stages[stage],
@@ -405,7 +417,8 @@ func (s *System) groupCtx(spec *InstanceSpec, instance, stage int, reqs []int) *
 }
 
 // batchReqs returns the sorted request IDs of a batch for span attribution,
-// or nil when telemetry is off (no one would read them).
+// or nil when telemetry is off (no one would read them). The slice is fresh
+// on every call: trace args and the decision ledger keep it.
 func (s *System) batchReqs(batch []*request) []int {
 	if s.tel == nil || len(batch) == 0 {
 		return nil
@@ -430,7 +443,7 @@ func (s *System) traceID(r *request) string {
 func (s *System) Run(trace *workload.Trace) *Results {
 	for i := range trace.Requests {
 		r := &request{req: trace.Requests[i]}
-		s.eng.Schedule(r.req.Arrival, func() { s.admit(r) })
+		s.eng.Post(r.req.Arrival, func() { s.admit(r) })
 	}
 	if s.opts.Autoscale != nil {
 		s.startAutoscaler(*s.opts.Autoscale)
@@ -555,7 +568,7 @@ func (s *System) runPrefillStage(pi *prefillInstance, batch []*request, kin, kin
 	}
 	tc := pi.cm.Prefill(kin, kin2, spec.Ptens()) / float64(spec.Ppipe())
 	reqs := s.batchReqs(batch)
-	s.eng.After(tc, func() {
+	s.eng.PostAfter(tc, func() {
 		next := func() {
 			if stage+1 < spec.Ppipe() {
 				from := spec.Stages[stage][0]
@@ -580,7 +593,7 @@ func (s *System) runPrefillStage(pi *prefillInstance, batch []*request, kin, kin
 			return
 		}
 		ctx := s.groupCtx(spec, pi.id, stage, reqs)
-		s.opts.Policy.AllReduce(ctx, s.dep.Model.SyncBytes(kin), s.syncSteps(spec), next)
+		s.opts.Policy.AllReduce(&ctx, s.dep.Model.SyncBytes(kin), s.syncSteps(spec), next)
 	})
 }
 
@@ -700,27 +713,36 @@ func (s *System) iterate(di *decodeInstance) {
 		kvTokens += r.kvTokens()
 	}
 	tc := di.cm.Decode(kvTokens, spec.Ptens(), spec.Ppipe())
-	s.eng.After(tc, func() {
-		finish := func() { s.finishIteration(di) }
-		if spec.Ptens() <= 1 {
-			finish()
-			return
-		}
-		msg := s.dep.Model.SyncBytes(int64(len(di.running)))
-		steps := s.syncSteps(spec)
-		reqs := s.batchReqs(di.running)
-		remaining := spec.Ppipe()
-		done := func() {
-			remaining--
-			if remaining == 0 {
-				finish()
-			}
-		}
-		for st := 0; st < spec.Ppipe(); st++ {
-			ctx := s.groupCtx(spec, di.id, st, reqs)
-			s.opts.Policy.AllReduce(ctx, msg, steps, done)
-		}
-	})
+	s.eng.PostAfter(tc, di.computed)
+}
+
+// syncDecode runs when a decode iteration's compute is done: it launches
+// every stage's tensor-parallel synchronization, or finishes the iteration
+// at once without tensor parallelism. Policies use the stage contexts only
+// during the call, so they are refilled in place.
+func (s *System) syncDecode(di *decodeInstance) {
+	spec := di.spec
+	if spec.Ptens() <= 1 {
+		s.finishIteration(di)
+		return
+	}
+	msg := s.dep.Model.SyncBytes(int64(len(di.running)))
+	steps := s.syncSteps(spec)
+	reqs := s.batchReqs(di.running)
+	di.stagesLeft = spec.Ppipe()
+	for st := range di.ctxs {
+		di.ctxs[st] = s.groupCtx(spec, di.id, st, reqs)
+		s.opts.Policy.AllReduce(&di.ctxs[st], msg, steps, di.synced)
+	}
+}
+
+// stageSynced counts one stage's synchronization done and finishes the
+// iteration after the last.
+func (s *System) stageSynced(di *decodeInstance) {
+	di.stagesLeft--
+	if di.stagesLeft == 0 {
+		s.finishIteration(di)
+	}
 }
 
 // finishIteration advances every running request by one token.
@@ -834,8 +856,10 @@ func (s *System) InjectElephants(n int, bytes int64, horizon float64, seed int64
 		state = state*2862933555777941757 + 3037000493
 		return int((state >> 33) % uint64(m))
 	}
-	var launch func(lane int)
-	launch = func(lane int) {
+	// One launch callback per lane: it starts the lane's next transfer and
+	// runs again when that transfer delivers.
+	launches := make([]func(), n)
+	launch := func(lane int) {
 		if s.eng.Now() >= horizon {
 			return
 		}
@@ -848,10 +872,11 @@ func (s *System) InjectElephants(n int, bytes int64, horizon float64, seed int64
 		if !ok {
 			return
 		}
-		s.net.StartFlow(p, bytes, func(*netsim.Flow) { launch(lane) })
+		s.net.OpenGroup(netsim.Inline, launches[lane]).Start(p, bytes)
 	}
-	for lane := 0; lane < n; lane++ {
-		s.eng.Schedule(0, func() { launch(lane) })
+	for lane := range launches {
+		launches[lane] = func() { launch(lane) }
+		s.eng.Post(0, launches[lane])
 	}
 }
 
@@ -871,7 +896,7 @@ func (s *System) InjectBursts(bursts []workload.Burst, seed int64) {
 	}
 	for _, b := range bursts {
 		b := b
-		s.eng.Schedule(b.At, func() {
+		s.eng.Post(b.At, func() {
 			for i := 0; i < b.Flows; i++ {
 				a := gpus[next(len(gpus))]
 				c := gpus[next(len(gpus))]

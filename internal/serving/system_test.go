@@ -360,3 +360,46 @@ func BenchmarkServeChatbot(b *testing.B) {
 		sys.Run(trace)
 	}
 }
+
+// TestDecodeIterationSteadyStateAllocs pins what the per-instance decode
+// callbacks are for: once warm, a decode iteration of a TP=2 x PP=2
+// instance (compute, two ring all-reduces, token accounting) allocates
+// nothing with telemetry off.
+func TestDecodeIterationSteadyStateAllocs(t *testing.T) {
+	g := topology.Testbed()
+	sw := g.Switches()[0]
+	pre, err := NewInstanceSpec(RolePrefill, g.ServerGPUs(0), 4, 1, sw, collective.SchemeRing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := NewInstanceSpec(RoleDecode, g.ServerGPUs(1), 2, 2, sw, collective.SchemeRing)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep := Deployment{Model: model.OPT13B(), Prefill: []InstanceSpec{pre}, Decode: []InstanceSpec{dec}}
+	sys, err := New(g, dep, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	di := sys.decode[0]
+	for i := 0; i < 8; i++ {
+		// Requests that never finish keep the batch, and so every
+		// iteration, the same.
+		di.pending = append(di.pending, &request{req: workload.Request{ID: i, Input: 64, Output: math.MaxInt32}, target: di})
+	}
+	sys.admitDecode(di)
+	sys.maybeIterate(di)
+	iteration := func() {
+		for n := di.iterations; di.iterations == n; {
+			if !sys.eng.Step() {
+				t.Fatal("engine drained mid-iteration")
+			}
+		}
+	}
+	for i := 0; i < 1000; i++ {
+		iteration()
+	}
+	if got := testing.AllocsPerRun(1000, iteration); got != 0 {
+		t.Errorf("%.2f allocs per decode iteration, want 0", got)
+	}
+}
