@@ -174,13 +174,44 @@ func (t *Trace) Encode(w io.Writer) error {
 	return enc.Encode(t)
 }
 
-// Decode reads a JSON trace.
+// Decode reads a JSON trace and checks that the simulator can replay it:
+// arrivals finite, non-negative and in order, and every request with a
+// positive input and output length. The error names the first bad record
+// by index and ID.
 func Decode(r io.Reader) (*Trace, error) {
 	var t Trace
 	if err := json.NewDecoder(r).Decode(&t); err != nil {
 		return nil, fmt.Errorf("workload: decode trace: %w", err)
 	}
+	if err := t.validate(); err != nil {
+		return nil, err
+	}
 	return &t, nil
+}
+
+// validate reports the first request the simulator cannot replay.
+func (t *Trace) validate() error {
+	prev := 0.0
+	for i, r := range t.Requests {
+		var bad string
+		switch {
+		case math.IsNaN(r.Arrival) || math.IsInf(r.Arrival, 0):
+			bad = fmt.Sprintf("non-finite arrival %g", r.Arrival)
+		case r.Arrival < 0:
+			bad = fmt.Sprintf("negative arrival %g", r.Arrival)
+		case r.Arrival < prev:
+			bad = fmt.Sprintf("arrival %g before the previous request's %g", r.Arrival, prev)
+		case r.Input <= 0:
+			bad = fmt.Sprintf("non-positive input length %d", r.Input)
+		case r.Output <= 0:
+			bad = fmt.Sprintf("non-positive output length %d", r.Output)
+		}
+		if bad != "" {
+			return fmt.Errorf("workload: decode trace: request %d (id %d): %s", i, r.ID, bad)
+		}
+		prev = r.Arrival
+	}
+	return nil
 }
 
 // Estimator maintains the moving-average K_in/K_out estimates the online

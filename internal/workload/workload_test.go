@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"heroserve/internal/stats"
@@ -153,6 +154,64 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if _, err := Decode(bytes.NewReader([]byte("{bad"))); err == nil {
 		t.Error("bad JSON accepted")
 	}
+}
+
+// TestDecodeRejectsUnreplayableRecords: every record the simulator could not
+// replay is an error naming the record by index and ID.
+func TestDecodeRejectsUnreplayableRecords(t *testing.T) {
+	ok := `{"id":0,"arrival":0.5,"input":8,"output":4}`
+	for _, c := range []struct{ rec, want string }{
+		{`{"id":7,"arrival":-1,"input":8,"output":4}`, "request 1 (id 7): negative arrival -1"},
+		{`{"id":7,"arrival":0.25,"input":8,"output":4}`, "request 1 (id 7): arrival 0.25 before the previous request's 0.5"},
+		{`{"id":7,"arrival":1,"input":-5,"output":4}`, "request 1 (id 7): non-positive input length -5"},
+		{`{"id":7,"arrival":1,"input":8,"output":0}`, "request 1 (id 7): non-positive output length 0"},
+	} {
+		_, err := Decode(strings.NewReader(`{"requests":[` + ok + `,` + c.rec + `]}`))
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err %v, want %q", c.rec, err, c.want)
+		}
+	}
+	if _, err := Decode(strings.NewReader(`{"requests":[` + ok + `,` + ok + `]}`)); err != nil {
+		t.Errorf("equal arrivals rejected: %v", err)
+	}
+	inf := &Trace{Requests: []Request{{Arrival: math.Inf(1), Input: 1, Output: 1}}}
+	if err := inf.validate(); err == nil || !strings.Contains(err.Error(), "non-finite arrival") {
+		t.Errorf("infinite arrival: err %v", err)
+	}
+}
+
+// FuzzDecode: Decode never panics, and any trace it accepts survives
+// Encode→Decode→Encode byte for byte.
+func FuzzDecode(f *testing.F) {
+	var buf bytes.Buffer
+	if err := NewGenerator(Chatbot, 3).Generate(4, 2).Encode(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"name":"x<&>","requests":[{"id":1,"arrival":0,"input":1,"output":1}]}`))
+	f.Add([]byte(`{"requests":[{"id":0,"arrival":-1,"input":8,"output":4}]}`))
+	f.Add([]byte(`{"requests":[{"arrival":1e-320,"input":1,"output":9}],"extra":[1,2]} trailing`))
+	f.Add([]byte(`{"requests":null}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Decode(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := tr.Encode(&first); err != nil {
+			t.Fatalf("encode accepted trace: %v", err)
+		}
+		again, err := Decode(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-decode: %v\n%s", err, first.Bytes())
+		}
+		if err := again.Encode(&second); err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("round trip changed the encoding:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }
 
 func TestEstimator(t *testing.T) {

@@ -24,11 +24,13 @@ go test -race -timeout 45m ./... "$@"
 # Differential fuzzers: the fast water-filling allocator and its completion
 # timer against the reference allocator, the sweep-line critical-path
 # partition against its O(n^2) reference, and the hand-written span encoder
-# against json.Marshal.
+# against json.Marshal. The trace parser must never panic and must
+# round-trip every trace it accepts.
 echo "== fuzz"
 go test -run '^$' -fuzz '^FuzzReallocate$' -fuzztime 10s ./internal/netsim
 go test -run '^$' -fuzz '^FuzzPartition$' -fuzztime 10s ./internal/telemetry/critpath
 go test -run '^$' -fuzz '^FuzzAppendEvent$' -fuzztime 10s ./internal/telemetry
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/workload
 
 # The benchmark under bench/ is a module of its own, so the root go test
 # does not enter it. Its tests cover the statistics, the input seeds, a

@@ -112,6 +112,19 @@ func TestCommandsRejectBadInput(t *testing.T) {
 	if err := tf.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// Traces the simulator cannot replay: serve must refuse them up front.
+	badTrace := func(name, rec string) string {
+		path := filepath.Join(dir, name+".json")
+		body := `{"requests":[{"id":0,"arrival":0.5,"input":8,"output":4},` + rec + `]}`
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	negArrival := badTrace("neg-arrival", `{"id":1,"arrival":-1,"input":8,"output":4}`)
+	unsorted := badTrace("unsorted", `{"id":1,"arrival":0.25,"input":8,"output":4}`)
+	negInput := badTrace("neg-input", `{"id":1,"arrival":1,"input":-5,"output":4}`)
+	zeroOutput := badTrace("zero-output", `{"id":1,"arrival":1,"input":8,"output":0}`)
 	bins := map[string]string{}
 	for _, c := range []struct {
 		bin  string
@@ -138,6 +151,10 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"serve", []string{"-trace", trace, "-system", "bogus"}},
 		{"serve", []string{"-trace", missing}},
 		{"serve", []string{"-trace", truncated}},
+		{"serve", []string{"-trace", negArrival}},
+		{"serve", []string{"-trace", unsorted}},
+		{"serve", []string{"-trace", negInput}},
+		{"serve", []string{"-trace", zeroOutput}},
 		{"serve", []string{"-trace", trace, "-topology", "pod8", "-servers", "0"}},
 		{"serve", []string{"-trace", trace, "-batch", "0"}},
 		{"heroserve", nil},
