@@ -83,8 +83,6 @@ func main() {
 	maxAlerts := flag.Int("max-alerts", 0, "retain only the newest N resolved alerts (0 = unbounded)")
 	pushURL := flag.String("push-url", "", "POST metrics snapshots to this endpoint (pushgateway path layout appended unless present)")
 	pushEvery := flag.Float64("push-every", 15, "metrics push cadence in simulated seconds (with -push-url)")
-	netsimRef := flag.Bool("netsim-ref", false, "use the reference (global) water-filling allocator instead of the incremental fast path (bit-identical output)")
-	simRef := flag.Bool("sim-ref", false, "use the reference binary-heap event queue instead of the timer wheel (bit-identical output)")
 	daemon := flag.Bool("daemon", false, "serve /metrics /healthz /runs /trace over HTTP and stay up after the run")
 	listen := flag.String("listen", ":9090", "daemon listen address")
 	publishEvery := flag.Float64("publish-every", 5, "daemon metrics-snapshot cadence in simulated seconds")
@@ -278,7 +276,6 @@ func main() {
 		runSystem(name, in, trace, hub, srv, runParams{
 			sla: sla, autoscale: *autoscale, scalePolicy: *scalePolicy,
 			elephants: *elephants, seed: *seed, publishEvery: *publishEvery,
-			netsimRef: *netsimRef, simRef: *simRef,
 			decisionsOut: *decisionsOut, alertsOut: *alertsOut,
 			slo: sloCfg, ledgerCap: *maxDecisions, push: push,
 			perfOut: *perfOut, perfEvery: *perfEvery,
@@ -328,8 +325,6 @@ type runParams struct {
 	elephants    int
 	seed         int64
 	publishEvery float64
-	netsimRef    bool
-	simRef       bool
 	decisionsOut string
 	alertsOut    string
 	slo          *slo.Config
@@ -374,7 +369,7 @@ func (ps *pushState) settle(hub *telemetry.Hub) {
 // printing its summary. With a daemon server attached it also schedules
 // periodic sim-time snapshot publications and records the run for /runs.
 func runSystem(name string, in planner.Inputs, trace *workload.Trace, hub *telemetry.Hub, srv *telemetry.Server, p runParams) {
-	opts := serving.Options{ReferenceNetsim: p.netsimRef, ReferenceSim: p.simRef}
+	var opts serving.Options
 	if p.autoscale {
 		// Policies are stateful; build a fresh one per system run.
 		pol, err := serving.NewScalePolicy(p.scalePolicy)

@@ -12,6 +12,10 @@ import (
 	"heroserve/internal/telemetry/slo"
 )
 
+// latencyWindow sizes the sliding window of recently completed requests
+// backing the autoscaler's TTFT/TPOT signals.
+const latencyWindow = 32
+
 // AutoscaleConfig enables the §VII future-work mechanism: "rapid scaling in
 // and out to achieve finer-grained scheduling of computational resources".
 // Decode instances beyond InitialActive start as deactivated reserves; a
@@ -45,9 +49,6 @@ type AutoscaleConfig struct {
 	// exponential smoothing applied to the occupancy and KV-utilization
 	// signals (default 15).
 	SignalWindow float64
-	// LatencyWindow sizes the sliding window of recently completed requests
-	// backing the TTFT/TPOT signals (default 32).
-	LatencyWindow int
 	// WeightLoadBW is the per-GPU weight-loading bandwidth on activation,
 	// bytes/second (default 20 GB/s: host-memory/NVMe staging into HBM).
 	WeightLoadBW float64
@@ -74,9 +75,6 @@ func (c *AutoscaleConfig) setDefaults() {
 	}
 	if c.SignalWindow <= 0 {
 		c.SignalWindow = 15
-	}
-	if c.LatencyWindow <= 0 {
-		c.LatencyWindow = 32
 	}
 	if c.WeightLoadBW <= 0 {
 		c.WeightLoadBW = 20e9
@@ -175,8 +173,8 @@ func (s *System) startAutoscaler(cfg AutoscaleConfig) {
 			a.activeGPUs += len(di.spec.GPUs())
 		}
 	}
-	a.ttftWin = stats.NewWindow(cfg.LatencyWindow)
-	a.tpotWin = stats.NewWindow(cfg.LatencyWindow)
+	a.ttftWin = stats.NewWindow(latencyWindow)
+	a.tpotWin = stats.NewWindow(latencyWindow)
 	if s.tel != nil {
 		a.telActive = s.tel.Metrics.Gauge("decode_active_instances",
 			"Decode instances committed by the autoscaler (active + activating).", nil)
@@ -214,7 +212,7 @@ func (s *System) startAutoscaler(cfg AutoscaleConfig) {
 			SLA:             s.opts.SLA != nil,
 		}
 		s.ledger.SetScaleMeta(meta)
-		a.regret = decisions.NewRegretWindow(0, meta)
+		a.regret = decisions.NewRegretWindow(meta)
 		if s.tel != nil {
 			a.telRecords = s.tel.Metrics.Counter("decision_records_total",
 				"Decision-ledger records appended, by kind.",

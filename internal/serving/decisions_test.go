@@ -82,8 +82,14 @@ func TestScaleLedgerRecordsAndOutcomes(t *testing.T) {
 		if r.Outcome == nil {
 			t.Fatalf("record %d has no outcome", i)
 		}
-		if r.Outcome.Horizon < 0 {
-			t.Errorf("record %d horizon %g < 0", i, r.Outcome.Horizon)
+		// The window runs to the next decision (the last to run end), bit
+		// for bit: the shadow ranking's GPU-seconds rest on it.
+		next := led.Meta.End
+		if i+1 < len(led.Scale) {
+			next = led.Scale[i+1].T
+		}
+		if r.Outcome.Horizon != next-r.T || r.Outcome.Horizon < 0 {
+			t.Errorf("record %d horizon %g, want %g - %g", i, r.Outcome.Horizon, next, r.T)
 		}
 		if r.Outcome.Met > r.Outcome.Completed {
 			t.Errorf("record %d met %d > completed %d", i, r.Outcome.Met, r.Outcome.Completed)

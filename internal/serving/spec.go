@@ -221,17 +221,19 @@ type SLA struct {
 	TPOT float64 // time-per-output-token bound, seconds
 }
 
+// maxPrefillTokens caps the token budget of one prefill batch (continuous
+// batching with a chunk budget).
+const maxPrefillTokens = 8192
+
+// kvSampleEvery is how many decode iterations pass between KV-utilization
+// samples.
+const kvSampleEvery = 8
+
 // Options tunes the serving simulator.
 type Options struct {
-	// MaxPrefillTokens caps the token budget of one prefill batch
-	// (continuous batching with a chunk budget). Default 8192.
-	MaxPrefillTokens int
 	// MaxDecodeBatch caps the number of concurrently decoding requests per
 	// instance. Default 64.
 	MaxDecodeBatch int
-	// KVSampleEvery controls how many decode iterations pass between
-	// KV-utilization samples. Default 8.
-	KVSampleEvery int
 	// Policy is the communication policy. Default PlannedPolicy.
 	Policy CommPolicy
 	// Autoscale, when non-nil, enables decode-instance scaling in/out (the
@@ -269,26 +271,11 @@ type Options struct {
 	// golden surface are byte-identical with or without it. Use one Sampler
 	// per run.
 	Perf *perf.Sampler
-
-	// ReferenceNetsim selects the reference (global, allocating)
-	// water-filling allocator instead of the incremental fast path. Output
-	// is bit-identical either way (see internal/netsim); the reference
-	// exists as the differential-testing oracle and benchmark baseline.
-	ReferenceNetsim bool
-	// ReferenceSim selects the reference binary-heap event queue instead of
-	// the timer-wheel fast path. Bit-identical output, same purpose.
-	ReferenceSim bool
 }
 
 func (o *Options) setDefaults() {
-	if o.MaxPrefillTokens == 0 {
-		o.MaxPrefillTokens = 8192
-	}
 	if o.MaxDecodeBatch == 0 {
 		o.MaxDecodeBatch = 64
-	}
-	if o.KVSampleEvery == 0 {
-		o.KVSampleEvery = 8
 	}
 	if o.Policy == nil {
 		o.Policy = PlannedPolicy{}

@@ -135,13 +135,14 @@ func New(g *topology.Graph, dep Deployment, opts Options) (*System, error) {
 		return nil, err
 	}
 	opts.setDefaults()
-	eng := sim.NewEngine()
-	if opts.ReferenceSim {
+	var eng *sim.Engine
+	var net *netsim.Network
+	if referencePaths {
 		eng = sim.NewReferenceEngine()
-	}
-	net := netsim.New(g, eng)
-	if opts.ReferenceNetsim {
 		net = netsim.NewReference(g, eng)
+	} else {
+		eng = sim.NewEngine()
+		net = netsim.New(g, eng)
 	}
 	var router collective.Router = collective.NewStaticRouter(g)
 	if opts.RouterFactory != nil {
@@ -538,7 +539,7 @@ func (s *System) maybeStartPrefill(pi *prefillInstance) {
 	for len(pi.queue) > 0 {
 		r := pi.queue[0]
 		in := int64(r.req.Input)
-		if len(batch) > 0 && kin+in > int64(s.opts.MaxPrefillTokens) {
+		if len(batch) > 0 && kin+in > maxPrefillTokens {
 			break
 		}
 		pi.queue = pi.queue[1:]
@@ -766,7 +767,7 @@ func (s *System) finishIteration(di *decodeInstance) {
 	if completedAny {
 		di.telOcc.Set(float64(len(di.running)))
 	}
-	if completedAny || di.iterations%int64(s.opts.KVSampleEvery) == 0 {
+	if completedAny || di.iterations%kvSampleEvery == 0 {
 		di.recordKV(s.eng.Now())
 	}
 	s.admitDecode(di)

@@ -288,12 +288,19 @@ func (l *Ledger) WriteJSON(w io.Writer) error {
 	return enc.Encode(doc)
 }
 
-// ReadJSON parses a ledger written by WriteJSON.
+// ReadJSON parses a ledger written by WriteJSON. It rejects a collective
+// record whose chosen, best or executed index lies outside its candidates.
 func ReadJSON(r io.Reader) (*Ledger, error) {
 	var l Ledger
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&l); err != nil {
 		return nil, fmt.Errorf("decisions: %w", err)
+	}
+	for i, c := range l.Collective {
+		if n := len(c.Candidates); min(c.Chosen, c.Best, c.Executed) < 0 || max(c.Chosen, c.Best, c.Executed) >= n {
+			return nil, fmt.Errorf("decisions: collective record %d: chosen/best/executed %d/%d/%d outside its %d candidates",
+				i, c.Chosen, c.Best, c.Executed, n)
+		}
 	}
 	return &l, nil
 }

@@ -4,7 +4,7 @@ import "testing"
 
 func TestRegretWindowChargesAndEvicts(t *testing.T) {
 	meta := ScaleMeta{Fleet: 3, InitialActive: 1, MinActive: 1, GPUsPerInstance: 4}
-	rw := NewRegretWindow(10, meta)
+	rw := NewRegretWindow(meta)
 	rw.Observe(&ScaleRecord{
 		T:       1,
 		Applied: "activate", // actual committed fleet: 1 + 1 = 2
@@ -54,7 +54,7 @@ func TestRegretWindowNilSafety(t *testing.T) {
 	if rw.Regret() != nil {
 		t.Error("nil window returned regret")
 	}
-	rw = NewRegretWindow(0, ScaleMeta{})
+	rw = NewRegretWindow(ScaleMeta{})
 	rw.Observe(nil)
 	if rw.Regret() != nil {
 		t.Error("empty window returned regret before any record")

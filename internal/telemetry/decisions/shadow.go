@@ -1,6 +1,9 @@
 package decisions
 
-import "sort"
+import (
+	"math"
+	"sort"
+)
 
 // ShadowRank is one law's row in the single-run counterfactual ranking.
 type ShadowRank struct {
@@ -30,100 +33,31 @@ type ShadowRank struct {
 // completions and SLA verdicts are taken as-is when the law's fleet matches
 // or exceeds the actual committed fleet; when the law ran a deficit while
 // there was queued work, the window's completions are charged as misses —
-// the law would not have had the capacity that produced them.
+// the law would not have had the capacity that produced them. Each window's
+// GPU-seconds span its Outcome.Horizon. The replay is RegretWindow's step
+// folded over the whole ledger through a window that never evicts.
 func (l *Ledger) ShadowRanking() []ShadowRank {
 	if l == nil || len(l.Scale) == 0 {
 		return nil
 	}
-	fleet := l.Meta.Fleet
-	if fleet <= 0 {
-		fleet = 1
+	rw := NewRegretWindow(l.Meta)
+	rw.window = math.Inf(1)
+	for i := range l.Scale {
+		rw.Observe(&l.Scale[i])
 	}
-	min := l.Meta.MinActive
-	if min <= 0 {
-		min = 1
-	}
-	start := l.Meta.InitialActive
-	if start <= 0 {
-		start = min
-	}
-	gpus := l.Meta.GPUsPerInstance
-	if gpus <= 0 {
-		gpus = 1
-	}
-
-	// Collect the law set from the first record (every record carries the
-	// full shadow panel, sorted by name).
-	laws := make([]string, 0, len(l.Scale[0].Shadows))
-	for _, sh := range l.Scale[0].Shadows {
-		laws = append(laws, sh.Law)
-	}
-
-	ranks := make([]ShadowRank, 0, len(laws))
-	for _, law := range laws {
-		committed := start
-		var gpuSeconds float64
-		var charged, completed, met, deficit int
-		for i := range l.Scale {
-			r := &l.Scale[i]
-			// The law's verdict on this step's signals.
-			verdict := ""
-			for _, sh := range r.Shadows {
-				if sh.Law == law {
-					verdict = sh.Decision
-					break
-				}
-			}
-			switch verdict {
-			case "scale_out":
-				if committed < fleet {
-					committed++
-				}
-			case "scale_in":
-				if committed > min {
-					committed--
-				}
-			}
-			// Actual committed fleet after this step's applied action.
-			actual := r.Signals.Active + r.Signals.Activating
-			switch r.Applied {
-			case "activate":
-				actual++
-			case "deactivate":
-				actual--
-			}
-			// Window to the next decision (or run end).
-			tNext := l.Meta.End
-			if i+1 < len(l.Scale) {
-				tNext = l.Scale[i+1].T
-			}
-			if tNext > r.T {
-				gpuSeconds += float64(committed) * (tNext - r.T) * float64(gpus)
-			}
-			if o := r.Outcome; o != nil && o.Completed > 0 {
-				completed += o.Completed
-				if committed < actual && r.Signals.Backlog > 0 {
-					// Capacity deficit under load: the realized completions
-					// relied on instances this law would not have had.
-					charged += o.Completed
-					deficit++
-				} else {
-					charged += o.Completed - o.Met
-				}
-				met += o.Met
-			}
-		}
+	ranks := make([]ShadowRank, 0, len(rw.sums))
+	for _, s := range rw.sums {
 		att := 1.0
-		if completed > 0 {
-			att = 1 - float64(charged)/float64(completed)
+		if s.Completed > 0 {
+			att = 1 - float64(s.ChargedMisses)/float64(s.Completed)
 		}
 		ranks = append(ranks, ShadowRank{
-			Law:           law,
+			Law:           s.Law,
 			EstAttainment: att,
-			EstGPUSeconds: gpuSeconds,
-			ChargedMisses: charged,
-			Completed:     completed,
-			Deficit:       deficit,
+			EstGPUSeconds: s.GPUSeconds,
+			ChargedMisses: s.ChargedMisses,
+			Completed:     s.Completed,
+			Deficit:       s.deficit,
 		})
 	}
 	sort.SliceStable(ranks, func(i, j int) bool {

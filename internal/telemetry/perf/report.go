@@ -312,11 +312,12 @@ func bar(part, whole float64, width int) string {
 	if whole <= 0 || part <= 0 {
 		return ""
 	}
-	n := int(part / whole * float64(width))
-	if n > width {
-		n = width
+	// Clamp in float: a part far beyond whole would overflow the int.
+	frac := part / whole
+	if !(frac < 1) {
+		frac = 1
 	}
-	return strings.Repeat("#", n)
+	return strings.Repeat("#", int(frac*float64(width)))
 }
 
 func orDash(s string) string {

@@ -24,13 +24,16 @@ go test -race -timeout 45m ./... "$@"
 # Differential fuzzers: the fast water-filling allocator and its completion
 # timer against the reference allocator, the sweep-line critical-path
 # partition against its O(n^2) reference, and the hand-written span encoder
-# against json.Marshal. The trace parser must never panic and must
-# round-trip every trace it accepts.
+# against json.Marshal. The trace parser and the decision-ledger and perf
+# report readers must never panic and must round-trip every input they
+# accept.
 echo "== fuzz"
 go test -run '^$' -fuzz '^FuzzReallocate$' -fuzztime 10s ./internal/netsim
 go test -run '^$' -fuzz '^FuzzPartition$' -fuzztime 10s ./internal/telemetry/critpath
 go test -run '^$' -fuzz '^FuzzAppendEvent$' -fuzztime 10s ./internal/telemetry
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/workload
+go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s ./internal/telemetry/decisions
+go test -run '^$' -fuzz '^FuzzReadReport$' -fuzztime 10s ./internal/telemetry/perf
 
 # The benchmark under bench/ is a module of its own, so the root go test
 # does not enter it. Its tests cover the statistics, the input seeds, a
@@ -154,11 +157,18 @@ go run ./cmd/hstat perf -diff "$ART/perf.json" "$ART/perf.json" | grep -q 'event
 echo "== golden metrics"
 GOLDEN_DIFF_DIR="$ART/golden-diff" scripts/golden.sh check
 
-# Fast-vs-reference equivalence gate: the same matrix forced onto the
-# reference simulator paths (-netsim-ref -sim-ref) must hit the SAME goldens.
-# A failure here means the incremental water-filling or the timer-wheel
-# event queue diverged behaviourally from its reference implementation.
+# Fast-vs-reference equivalence gate: the same matrix run by a serve built
+# with -tags refpaths, which selects the reference simulator paths, must hit
+# the SAME goldens. A failure here means the incremental water-filling or the
+# timer-wheel event queue diverged behaviourally from its reference
+# implementation.
 echo "== golden metrics (reference simulator paths)"
 GOLDEN_DIFF_DIR="$ART/golden-ref-diff" scripts/golden.sh refcheck
+
+# The serving-level tests on the reference paths. The experiment sweeps stay
+# out: under the tag they take minutes.
+echo "== go test -tags refpaths"
+go vet -tags refpaths ./internal/serving
+go test -tags refpaths ./internal/core ./internal/serving ./internal/baselines
 
 echo "CI OK"

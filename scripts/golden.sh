@@ -7,10 +7,10 @@
 # sharper signal than test pass/fail.
 #
 #   scripts/golden.sh check    # run the pinned matrix, diff against goldens
-#   scripts/golden.sh refcheck # same matrix forced onto the reference
-#                              # simulator paths (-netsim-ref -sim-ref); must
-#                              # match the SAME goldens — proving the fast
-#                              # incremental water-filling and timer-wheel
+#   scripts/golden.sh refcheck # same matrix with serve built -tags refpaths,
+#                              # which runs the reference simulator paths;
+#                              # must match the SAME goldens — proving the
+#                              # fast incremental water-filling and timer-wheel
 #                              # event queue are behaviourally identical
 #   scripts/golden.sh regen    # refresh testdata/golden/ after an
 #                              # INTENTIONAL behaviour change (review the diff!)
@@ -49,15 +49,16 @@ fi
 
 # refcheck pins the reference simulator implementations to the same goldens
 # the fast paths produce: any divergence between the two is a gate failure.
-EXTRA_SV=""
+# Only a serve built with the refpaths tag can run the reference paths.
+TAGS=""
 if [[ "$mode" == "refcheck" ]]; then
-	EXTRA_SV="-netsim-ref -sim-ref"
+	TAGS="refpaths"
 fi
 
 BIN="$OUT_DIR/bin"
 mkdir -p "$BIN"
 go build -o "$BIN/tracegen" ./cmd/tracegen
-go build -o "$BIN/serve" ./cmd/serve
+go build -tags "$TAGS" -o "$BIN/serve" ./cmd/serve
 go build -o "$BIN/hstat" ./cmd/hstat
 
 HAVE_JQ=1
@@ -98,7 +99,7 @@ produce() {
 	# report itself is nondeterministic wall-clock data (never compared), but
 	# producing the goldens WITH sampling enabled is the standing proof that
 	# the sampler perturbs no golden surface.
-	"$BIN/serve" -trace "$OUT_DIR/$name.trace.json" $sv $EXTRA_SV \
+	"$BIN/serve" -trace "$OUT_DIR/$name.trace.json" $sv \
 		-metrics-out "$OUT_DIR/$name.raw.prom" \
 		-trace-out "$OUT_DIR/$name.spans.json" \
 		-decisions-out "$OUT_DIR/$name.decisions.json" \

@@ -125,6 +125,11 @@ func TestCommandsRejectBadInput(t *testing.T) {
 	unsorted := badTrace("unsorted", `{"id":1,"arrival":0.25,"input":8,"output":4}`)
 	negInput := badTrace("neg-input", `{"id":1,"arrival":1,"input":-5,"output":4}`)
 	zeroOutput := badTrace("zero-output", `{"id":1,"arrival":1,"input":8,"output":0}`)
+	// A ledger whose collective record picks a candidate it does not have.
+	badPick := filepath.Join(dir, "bad-pick.json")
+	if err := os.WriteFile(badPick, []byte(`{"meta":{},"collective":[{"t":1,"candidates":[{"label":"r0","scheme":"ring"}],"chosen":-1}],"scale":[]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	bins := map[string]string{}
 	for _, c := range []struct {
 		bin  string
@@ -145,6 +150,7 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"hstat", []string{"trace", truncated}},
 		{"hstat", []string{"alerts", truncated}},
 		{"hstat", []string{"decisions", truncated}},
+		{"hstat", []string{"decisions", badPick}},
 		{"hstat", []string{"perf", truncated}},
 		{"serve", []string{"-trace", trace, "-topology", "bogus"}},
 		{"serve", []string{"-trace", trace, "-model", "bogus"}},
