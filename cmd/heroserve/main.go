@@ -146,6 +146,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "heroserve: trace export: %v\n", err)
 			os.Exit(1)
 		}
+	} else if hub != nil && *listen == "" {
+		// Nothing reads an unexported trace, so drop each span as it is
+		// recorded instead of buffering every run. With -listen the buffer
+		// stays: /trace serves it.
+		if err := hub.Trace.StreamTo(io.Discard); err != nil {
+			fmt.Fprintf(os.Stderr, "heroserve: trace: %v\n", err)
+			os.Exit(1)
+		}
 	}
 	if *listen != "" {
 		srv := telemetry.NewServer()

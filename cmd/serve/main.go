@@ -87,7 +87,6 @@ func main() {
 	listen := flag.String("listen", ":9090", "daemon listen address")
 	publishEvery := flag.Float64("publish-every", 5, "daemon metrics-snapshot cadence in simulated seconds")
 	perfOut := flag.String("perf-out", "", "write the simulator's self-profiling report (JSON; hstat-readable) here")
-	perfEvery := flag.Int("perf-every", 0, "perf sampling stride: time every Nth event (0 = default)")
 	pprofFlag := flag.Bool("pprof", false, "daemon: expose net/http/pprof under /debug/pprof/ (off by default)")
 	flag.Parse()
 
@@ -132,9 +131,6 @@ func main() {
 	}
 	if *pprofFlag && !*daemon {
 		usagef("-pprof requires -daemon (it mounts on the daemon mux)")
-	}
-	if *perfEvery < 0 {
-		usagef("-perf-every must be >= 0")
 	}
 	if *tracePath == "" {
 		usagef("-trace required (use cmd/tracegen to produce one)")
@@ -192,8 +188,9 @@ func main() {
 		Seed:          *seed,
 	}
 
-	// Telemetry: daemon mode always arms the hub; -trace-out selects the
-	// streaming tracer backend so long runs never buffer the trace in RAM.
+	// Telemetry: daemon mode always arms the hub. The trace streams to
+	// -trace-out, or nowhere when no daemon serves /trace, so only a daemon
+	// run without -trace-out holds it in RAM.
 	var hub *telemetry.Hub
 	if *traceOut != "" || *metricsOut != "" || *daemon || *decisionsOut != "" || *pushURL != "" || *alertsOut != "" {
 		hub = telemetry.New()
@@ -237,6 +234,13 @@ func main() {
 		if err := hub.Trace.StreamTo(traceFile); err != nil {
 			fatalf("trace export: %v", err)
 		}
+	} else if hub != nil && !*daemon {
+		// Nothing reads an unexported trace, so drop each span as it is
+		// recorded instead of buffering the whole run. The daemon keeps the
+		// buffer: /trace serves it.
+		if err := hub.Trace.StreamTo(io.Discard); err != nil {
+			fatalf("trace: %v", err)
+		}
 	}
 
 	var srv *telemetry.Server
@@ -278,7 +282,7 @@ func main() {
 			elephants: *elephants, seed: *seed, publishEvery: *publishEvery,
 			decisionsOut: *decisionsOut, alertsOut: *alertsOut,
 			slo: sloCfg, ledgerCap: *maxDecisions, push: push,
-			perfOut: *perfOut, perfEvery: *perfEvery,
+			perfOut: *perfOut,
 		})
 	}
 	if pusher != nil {
@@ -331,7 +335,6 @@ type runParams struct {
 	ledgerCap    int
 	push         *pushState
 	perfOut      string
-	perfEvery    int
 }
 
 // pushState carries the metrics pusher plus the failure count already
@@ -388,7 +391,7 @@ func runSystem(name string, in planner.Inputs, trace *workload.Trace, hub *telem
 	// run-scoped), armed whenever its output has somewhere to go.
 	var sampler *perf.Sampler
 	if p.perfOut != "" || srv != nil {
-		sampler = perf.NewSampler(p.perfEvery)
+		sampler = perf.NewSampler(0)
 		opts.Perf = sampler
 	}
 
@@ -493,10 +496,8 @@ func runSystem(name string, in planner.Inputs, trace *workload.Trace, hub *telem
 	}
 	if sampler != nil {
 		r := sampler.Report(name)
-		fmt.Printf("perf: %.3g events/s, %.4g wall-seconds per sim-second; engine=%.0f%% serve=%.0f%% realloc=%.0f%% self=%.1f%%\n",
-			r.EventsPerSec, r.WallPerSim,
-			phasePct(r, r.Phases.EngineSeconds), phasePct(r, r.Phases.ServeSeconds),
-			phasePct(r, r.Phases.ReallocSeconds), phasePct(r, r.Phases.SelfSeconds))
+		fmt.Printf("perf: %.3g events/s, %.4g wall-seconds per sim-second; realloc=%.4gs self=%.1f%%\n",
+			r.EventsPerSec, r.WallPerSim, r.Phases.ReallocSeconds, r.Phases.SelfFraction*100)
 		if p.perfOut != "" {
 			if err := exportFile(p.perfOut, r.WriteJSON); err != nil {
 				fatalf("perf export: %v", err)
@@ -533,14 +534,6 @@ func runSystem(name string, in planner.Inputs, trace *workload.Trace, hub *telem
 				[]string{"kind"}, "run").Add(float64(evicted))
 		}
 	}
-}
-
-// phasePct renders one phase's share of the report's wall time in percent.
-func phasePct(r *perf.Report, seconds float64) float64 {
-	if r.WallSeconds <= 0 {
-		return 0
-	}
-	return seconds / r.WallSeconds * 100
 }
 
 // publishDocs renders the run's decision ledger, SLO alert log (plus the

@@ -10,14 +10,23 @@ import (
 	"heroserve/internal/workload"
 )
 
+// purityRun is every deterministic export surface of one telemetered run.
+type purityRun struct {
+	spans, prom, ledger, alerts []byte
+}
+
 // runPerfPurity executes one fully telemetered HeroServe run, optionally with
 // the performance observatory armed, and returns every deterministic export
-// surface: the Prometheus exposition, the decision-ledger JSON, and the SLO
-// alert log.
-func runPerfPurity(t *testing.T, sampler *perf.Sampler) (prom, ledger, alerts []byte) {
+// surface: the streamed span trace, the Prometheus exposition, the
+// decision-ledger JSON, and the SLO alert log.
+func runPerfPurity(t *testing.T, sampler *perf.Sampler) purityRun {
 	t.Helper()
 	in := inputs(t)
 	hub := telemetry.New()
+	var spans bytes.Buffer
+	if err := hub.Trace.StreamTo(&spans); err != nil {
+		t.Fatal(err)
+	}
 	sla := in.SLA
 	sys, _, _, err := NewSystem(in, nil, serving.Options{
 		Telemetry: hub,
@@ -28,6 +37,9 @@ func runPerfPurity(t *testing.T, sampler *perf.Sampler) (prom, ledger, alerts []
 		t.Fatal(err)
 	}
 	sys.Run(workload.NewGenerator(workload.Chatbot, 9).Generate(20, 2))
+	if err := hub.Trace.CloseStream(); err != nil {
+		t.Fatal(err)
+	}
 
 	var promBuf bytes.Buffer
 	if err := hub.Metrics.WriteProm(&promBuf); err != nil {
@@ -45,32 +57,36 @@ func runPerfPurity(t *testing.T, sampler *perf.Sampler) (prom, ledger, alerts []
 			t.Fatal(err)
 		}
 	}
-	return promBuf.Bytes(), ledBuf.Bytes(), alertBuf.Bytes()
+	return purityRun{spans.Bytes(), promBuf.Bytes(), ledBuf.Bytes(), alertBuf.Bytes()}
 }
 
 // TestPerfSamplerPreservesGoldenSurfaces is the observatory's purity
 // contract: arming the wall-clock sampler must leave every deterministic
-// export byte-identical. The subtest is named after the simulator paths the
-// build selects: fast by default, reference under -tags refpaths. This is
-// the in-process twin of the scripts/golden.sh matrix, which produces its
-// goldens with -perf-out armed.
+// export byte-identical, the span trace included. The subtest is named after
+// the simulator paths the build selects: fast by default, reference under
+// -tags refpaths. This is the in-process twin of the scripts/golden.sh
+// matrix, which produces its goldens with -perf-out armed.
 func TestPerfSamplerPreservesGoldenSurfaces(t *testing.T) {
 	t.Run(simPaths, func(t *testing.T) {
-		promOff, ledOff, alertsOff := runPerfPurity(t, nil)
+		off := runPerfPurity(t, nil)
 
 		sampler := perf.NewSampler(0)
-		promOn, ledOn, alertsOn := runPerfPurity(t, sampler)
+		on := runPerfPurity(t, sampler)
 
-		if !bytes.Equal(promOff, promOn) {
-			t.Error("perf sampler changed the Prometheus exposition")
+		for _, c := range []struct {
+			name    string
+			off, on []byte
+		}{
+			{"span trace", off.spans, on.spans},
+			{"Prometheus exposition", off.prom, on.prom},
+			{"decision ledger", off.ledger, on.ledger},
+			{"SLO alert log", off.alerts, on.alerts},
+		} {
+			if !bytes.Equal(c.off, c.on) {
+				t.Errorf("perf sampler changed the %s (%d vs %d bytes)", c.name, len(c.off), len(c.on))
+			}
 		}
-		if !bytes.Equal(ledOff, ledOn) {
-			t.Error("perf sampler changed the decision ledger")
-		}
-		if !bytes.Equal(alertsOff, alertsOn) {
-			t.Error("perf sampler changed the SLO alert log")
-		}
-		if len(promOff) == 0 || len(ledOff) == 0 {
+		if len(off.spans) == 0 || len(off.prom) == 0 || len(off.ledger) == 0 {
 			t.Fatal("purity comparison ran against empty exports")
 		}
 

@@ -5,6 +5,7 @@ import (
 
 	"heroserve/internal/collective"
 	"heroserve/internal/netsim"
+	"heroserve/internal/serving"
 	"heroserve/internal/sim"
 	"heroserve/internal/switchsim"
 	"heroserve/internal/topology"
@@ -78,7 +79,7 @@ func fig9Trial(sysKind SystemKind, size int64, rounds int, seed int64) (float64,
 	// the paper measures aggregation throughput): elephant lanes
 	// respawn back-to-back transfers between random GPU pairs. The
 	// seed is shared across systems so all face the same background.
-	launchElephants(net, router, 12, 256<<20, 8.0, seed+7)
+	serving.LaunchElephants(net, router, 12, 256<<20, 8.0, seed+7)
 
 	var finished sim.Time
 	done := 0
@@ -116,37 +117,6 @@ func fig9Trial(sysKind SystemKind, size int64, rounds int, seed int64) (float64,
 	}
 	total := float64(int64(rounds*len(groups)) * size)
 	return total / finished, nil
-}
-
-// launchElephants starts n lanes of back-to-back background transfers
-// between pseudo-random GPU pairs, respawning until horizon simulated
-// seconds.
-func launchElephants(net *netsim.Network, router collective.Router, n int, bytes int64, horizon float64, seed int64) {
-	g := net.Graph()
-	gpus := g.GPUs()
-	eng := net.Engine()
-	state := uint64(seed)*0x9e3779b97f4a7c15 + 1
-	next := func(m int) int {
-		state = state*2862933555777941757 + 3037000493
-		return int((state >> 33) % uint64(m))
-	}
-	var launch func()
-	launch = func() {
-		if eng.Now() >= horizon {
-			return
-		}
-		a := gpus[next(len(gpus))]
-		b := a
-		for b == a {
-			b = gpus[next(len(gpus))]
-		}
-		if p, ok := router.Route(a, b, bytes); ok {
-			net.OpenGroup(netsim.Inline, launch).Start(p, bytes)
-		}
-	}
-	for i := 0; i < n; i++ {
-		eng.Post(0, launch)
-	}
 }
 
 // Fig9 renders the throughput comparison.

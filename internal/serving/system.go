@@ -225,11 +225,6 @@ func (s *System) attachTelemetry(h *telemetry.Hub) {
 	s.shares = critpath.NewShareTracker(0)
 	s.crit.Analyzer.OnFinalize(s.shares.Observe)
 	h.Attach(s.eng.Now, s.opts.Policy.Name())
-	if s.opts.Perf != nil {
-		// Counter tracks land on the control thread of this run's trace
-		// process, beside the policy and autoscale instants.
-		s.opts.Perf.BindTrace(h.Trace, telemetry.ControlTID)
-	}
 	s.net.SetTelemetry(h)
 	s.comm.SetTelemetry(h)
 	if s.inj != nil {
@@ -842,26 +837,32 @@ func (di *decodeInstance) recordKV(now sim.Time) {
 }
 
 // InjectElephants starts n long-lived background transfers ("elephant
-// flows") between deterministic pseudo-random GPU pairs; each lane
-// immediately starts its next transfer when the previous one delivers, until
-// horizon simulated seconds have passed. This models the testbed's traffic
+// flows") between deterministic pseudo-random GPU pairs, routed on static
+// shortest paths (see LaunchElephants). This models the testbed's traffic
 // replayer sustaining competing load on the fabric (§V). Call before Run.
 func (s *System) InjectElephants(n int, bytes int64, horizon float64, seed int64) {
-	gpus := s.g.GPUs()
+	LaunchElephants(s.net, collective.NewStaticRouter(s.g), n, bytes, horizon, seed)
+}
+
+// LaunchElephants starts n lanes of back-to-back background transfers
+// between deterministic pseudo-random GPU pairs on net's graph: each lane
+// starts its next transfer when the previous one delivers, until horizon
+// simulated seconds have passed. A pair the router cannot connect ends its
+// lane. Call before the engine runs.
+func LaunchElephants(net *netsim.Network, router collective.Router, n int, bytes int64, horizon float64, seed int64) {
+	gpus := net.Graph().GPUs()
 	if len(gpus) < 2 || n <= 0 {
 		return
 	}
-	router := collective.NewStaticRouter(s.g)
+	eng := net.Engine()
 	state := uint64(seed)*0x9e3779b97f4a7c15 + 1
 	next := func(m int) int {
 		state = state*2862933555777941757 + 3037000493
 		return int((state >> 33) % uint64(m))
 	}
-	// One launch callback per lane: it starts the lane's next transfer and
-	// runs again when that transfer delivers.
-	launches := make([]func(), n)
-	launch := func(lane int) {
-		if s.eng.Now() >= horizon {
+	var launch func()
+	launch = func() {
+		if eng.Now() >= horizon {
 			return
 		}
 		a := gpus[next(len(gpus))]
@@ -869,15 +870,12 @@ func (s *System) InjectElephants(n int, bytes int64, horizon float64, seed int64
 		for b == a {
 			b = gpus[next(len(gpus))]
 		}
-		p, ok := router.Route(a, b, bytes)
-		if !ok {
-			return
+		if p, ok := router.Route(a, b, bytes); ok {
+			net.OpenGroup(netsim.Inline, launch).Start(p, bytes)
 		}
-		s.net.OpenGroup(netsim.Inline, launches[lane]).Start(p, bytes)
 	}
-	for lane := range launches {
-		launches[lane] = func() { launch(lane) }
-		s.eng.Post(0, launches[lane])
+	for i := 0; i < n; i++ {
+		eng.Post(0, launch)
 	}
 }
 

@@ -95,7 +95,7 @@ func TestExportMatchesEncodingJSON(t *testing.T) {
 	var clock float64
 	tr := NewTracer(func() float64 { return clock })
 	driveTracer(tr, &clock)
-	tr.Counter(3, ControlTID, "events_per_s", 1.5e-7)
+	tr.InstantAt(3, ControlTID, "sched", "rate-probe", map[string]any{"value": Float(1.5e-7)})
 	tr.Instant(ControlTID, "sched", "policy-select", policySelectArgs())
 	var got bytes.Buffer
 	if err := tr.Export(&got); err != nil {

@@ -11,17 +11,15 @@ import (
 
 // Schema identifies the perf report's JSON layout; bump on incompatible
 // change so hstat perf can reject files it does not understand.
-const Schema = "heroserve-perf/1"
+const Schema = "heroserve-perf/2"
 
-// Phases is the per-phase wall-clock split of one run. Engine covers the
-// event loop and queue operations; Serve the simulation callbacks minus
-// water-filling; Realloc the water-filling fixed points; Self the
-// observatory's own tax (sampling boundaries, counter tracks). Engine and
-// Serve are scaled estimates from the sampled event subset; Realloc from the
-// sampled reallocation subset; Self is measured directly.
+// Phases is the part of one run's wall-clock the sampler can attribute.
+// Realloc is the water-filling fixed points, a scaled estimate from the
+// sampled reallocation subset; Self is the observatory's own tax (sampling
+// boundaries), measured directly. The rest of the wall — event loop, queue
+// operations and serving callbacks — is not split: the bench harness times
+// every callback for that instead of extrapolating from a sample.
 type Phases struct {
-	EngineSeconds  float64 `json:"engine_seconds"`
-	ServeSeconds   float64 `json:"serve_seconds"`
 	ReallocSeconds float64 `json:"realloc_seconds"`
 	SelfSeconds    float64 `json:"self_seconds"`
 	// SelfFraction is SelfSeconds over total wall: the observatory's
@@ -118,43 +116,10 @@ func (s *Sampler) Report(system string) *Report {
 		r.EventsPerSec = float64(s.events) / wall
 	}
 
-	// Phase split by scaled estimation. The sampled subset's mean callback
-	// cost extrapolates to all events; likewise for reallocations. What is
-	// left of the wall after callbacks and the observatory's own measured
-	// time is the engine: queue operations plus loop bookkeeping.
-	var callbackNS, reallocNS float64
-	if s.sampledEvents > 0 {
-		callbackNS = float64(s.sampledFnNS) / float64(s.sampledEvents) * float64(s.events)
-	}
+	// The sampled reallocations' mean cost extrapolates to all of them.
+	r.Phases.SelfSeconds = float64(s.selfNS) / 1e9
 	if s.sampledReallocs > 0 {
-		reallocNS = float64(s.sampledReallocNS) / float64(s.sampledReallocs) * float64(s.reallocs)
-	}
-	if reallocNS > callbackNS {
-		reallocNS = callbackNS // estimates crossed; realloc runs inside callbacks
-	}
-	selfNS := float64(s.selfNS)
-	// Clamp the callback estimate into the measured wall: on short runs the
-	// per-sample clock-read overhead rides inside the sampled callback times
-	// and can inflate the extrapolation past 100%. The phases always
-	// partition the wall exactly.
-	if callbackNS+selfNS > float64(wallNS) {
-		callbackNS = float64(wallNS) - selfNS
-		if callbackNS < 0 {
-			callbackNS = 0
-		}
-		if reallocNS > callbackNS {
-			reallocNS = callbackNS
-		}
-	}
-	engineNS := float64(wallNS) - callbackNS - selfNS
-	if engineNS < 0 {
-		engineNS = 0
-	}
-	r.Phases = Phases{
-		EngineSeconds:  engineNS / 1e9,
-		ServeSeconds:   (callbackNS - reallocNS) / 1e9,
-		ReallocSeconds: reallocNS / 1e9,
-		SelfSeconds:    selfNS / 1e9,
+		r.Phases.ReallocSeconds = float64(s.sampledReallocNS) / float64(s.sampledReallocs) * float64(s.reallocs) / 1e9
 	}
 	if wall > 0 {
 		r.Phases.SelfFraction = r.Phases.SelfSeconds / wall
@@ -228,8 +193,6 @@ func (r *Report) Fprint(w io.Writer) error {
 		name string
 		sec  float64
 	}{
-		{"engine (queue + loop)", r.Phases.EngineSeconds},
-		{"serve callbacks", r.Phases.ServeSeconds},
 		{"netsim water-filling", r.Phases.ReallocSeconds},
 		{"observatory self", r.Phases.SelfSeconds},
 	}
@@ -290,8 +253,6 @@ func FprintDiff(w io.Writer, a, b *Report) error {
 	row("wall-seconds per sim-second", a.WallPerSim, b.WallPerSim, "")
 	row("wall", a.WallSeconds, b.WallSeconds, "s")
 	row("events", float64(a.Events), float64(b.Events), "")
-	row("engine phase", a.Phases.EngineSeconds, b.Phases.EngineSeconds, "s")
-	row("serve phase", a.Phases.ServeSeconds, b.Phases.ServeSeconds, "s")
 	row("realloc phase", a.Phases.ReallocSeconds, b.Phases.ReallocSeconds, "s")
 	row("self phase", a.Phases.SelfSeconds, b.Phases.SelfSeconds, "s")
 	row("reallocations", float64(a.Netsim.Reallocs), float64(b.Netsim.Reallocs), "")

@@ -12,13 +12,13 @@ import (
 // renders as a full bar instead of overflowing the bar width.
 func TestFprintClampsOutOfRangePhases(t *testing.T) {
 	r := &Report{Schema: Schema, WallSeconds: 1}
-	r.Phases.EngineSeconds = 1e300
+	r.Phases.ReallocSeconds = 1e300
 	var b strings.Builder
 	if err := r.Fprint(&b); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(b.String(), " "+strings.Repeat("#", 30)+"\n") {
-		t.Errorf("want a full 30-wide engine bar:\n%s", b.String())
+		t.Errorf("want a full 30-wide water-filling bar:\n%s", b.String())
 	}
 }
 
@@ -31,8 +31,8 @@ func FuzzReadReport(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(seed)
-	f.Add([]byte(`{"schema":"heroserve-perf/1","wall_seconds":1,"phases":{"engine_seconds":1e300}}`))
-	f.Add([]byte(`{"schema":"heroserve-perf/1","netsim":{"reallocs":2,"flows_histogram":[{"le":1,"count":18446744073709551615}]},"progress":[{}]}`))
+	f.Add([]byte(`{"schema":"heroserve-perf/2","wall_seconds":1,"phases":{"realloc_seconds":1e300}}`))
+	f.Add([]byte(`{"schema":"heroserve-perf/2","netsim":{"reallocs":2,"flows_histogram":[{"le":1,"count":18446744073709551615}]},"progress":[{}]}`))
 	f.Add([]byte(`{"schema":"bogus"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := ReadReport(data)

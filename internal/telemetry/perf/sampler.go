@@ -2,32 +2,33 @@
 // wall-clock-aware self-profiling layer over the engine and netsim fast
 // paths. Everything else in internal/telemetry observes the *modeled* system
 // in sim-time; this package observes the *simulator itself* in wall-time —
-// where the CPU seconds go (engine drain, water-filling, serving callbacks,
-// the observatory's own tax), how fast sim-time advances per wall-second,
-// how deep the event queue runs, and how large the water-filling components
-// the incremental allocator actually touches are.
+// how fast sim-time advances per wall-second, how much of the wall goes to
+// water-filling and to the observatory's own tax, how deep the event queue
+// runs, and how large the water-filling components the incremental allocator
+// actually touches are.
 //
 // Two properties are load-bearing:
 //
 //   - Purity. The Sampler is a strict observer: it schedules no events,
 //     cancels nothing, and registers no metrics, so the simulated schedule —
-//     and therefore every golden surface (.prom, trace.tsv, decisions.tsv,
-//     alerts.tsv) — is byte-identical with sampling on or off, on both the
-//     fast and reference simulator paths. scripts/golden.sh runs the pinned
-//     matrix with -perf-out enabled to prove it continuously.
+//     and therefore every deterministic surface (.prom, the span trace,
+//     trace.tsv, decisions.tsv, alerts.tsv) — is byte-identical with
+//     sampling on or off, on both the fast and reference simulator paths.
+//     scripts/golden.sh runs the pinned matrix with -perf-out enabled to
+//     prove it continuously.
 //
 //   - Overhead. Wall-clock reads are strided: only every SampleEvery-th
 //     event is timed, so the steady-state per-event cost is two interface
 //     calls and a counter increment, with zero heap allocations (pinned by
-//     TestSamplerSteadyStateAllocs). Phase totals are scaled estimates from
-//     the sampled subset; the sampler measures and reports its own overhead
-//     so the estimate's tax is visible rather than hidden. The budget —
-//     asserted by the bench harness — is <2% of end-to-end wall-clock.
+//     TestSamplerSteadyStateAllocs). The water-filling time is a scaled
+//     estimate from the sampled reallocations; the sampler measures and
+//     reports its own overhead so its tax is visible rather than hidden. The
+//     budget — asserted by the bench harness — is <2% of end-to-end
+//     wall-clock.
 //
 // Wall-clock data is inherently nondeterministic, which is exactly why it
-// lives here and never inside a golden surface: the Report goes to its own
-// JSON file (-perf-out), its own daemon endpoint (/perf), and Perfetto
-// counter tracks under the "perf" category that no golden-derived view reads.
+// lives here and never inside a deterministic surface: the Report goes only
+// to its own JSON file (-perf-out) and its own daemon endpoint (/perf).
 package perf
 
 import (
@@ -35,7 +36,6 @@ import (
 	"time"
 
 	"heroserve/internal/sim"
-	"heroserve/internal/telemetry"
 )
 
 // DefaultSampleEvery is the default event-sampling stride. At ~1µs of work
@@ -49,11 +49,6 @@ const DefaultSampleEvery = 64
 // doubles, so arbitrarily long runs keep an evenly spaced curve in O(1)
 // memory with no steady-state allocation.
 const maxProgressPoints = 512
-
-// counterPeriodSim is the minimum sim-time spacing of Perfetto counter
-// samples: one per sim-second, so counter tracks stay a thin overlay next to
-// the request spans instead of dominating the trace.
-const counterPeriodSim = 1.0
 
 // flowHistBuckets is the number of power-of-two component-size buckets:
 // 1, 2, 4, ..., 256, and a final ≥512 overflow bucket.
@@ -84,9 +79,7 @@ type Sampler struct {
 
 	now func() int64 // monotonic nanos; injectable for tests
 
-	eng   *sim.Engine       // bound engine, for QueueStats snapshots
-	trace *telemetry.Tracer // bound tracer, for Perfetto counter tracks
-	tid   int               // trace thread for the counter tracks
+	eng *sim.Engine // bound engine, for QueueStats snapshots
 
 	// Run window.
 	started   bool
@@ -99,7 +92,6 @@ type Sampler struct {
 	// Event accounting.
 	events        uint64
 	sampledEvents uint64
-	sampledFnNS   int64
 	selfNS        int64
 	armed         bool // current event is being timed; propagates to nested probes
 
@@ -126,9 +118,6 @@ type Sampler struct {
 	points      []ProgressPoint
 	pointStride uint64 // record a point every pointStride-th sampled boundary
 	pointTick   uint64
-
-	// Perfetto counter throttle.
-	nextCounterSim float64
 }
 
 // NewSampler returns a sampler timing every every-th event (0 or negative
@@ -150,20 +139,11 @@ func NewSampler(every int) *Sampler {
 // internal/serving wires both.
 func (s *Sampler) BindEngine(eng *sim.Engine) { s.eng = eng }
 
-// BindTrace attaches the tracer that receives Perfetto counter tracks
-// (events/s, queue depth, wall-per-sim). Optional: without it the sampler
-// only feeds the JSON report.
-func (s *Sampler) BindTrace(tr *telemetry.Tracer, tid int) {
-	s.trace = tr
-	s.tid = tid
-}
-
 // Start marks the beginning of the measured run at the given sim-time.
 func (s *Sampler) Start(simNow float64) {
 	s.started = true
 	s.simStart = simNow
 	s.simNow = simNow
-	s.nextCounterSim = simNow
 	s.wallStart = s.now()
 }
 
@@ -175,7 +155,8 @@ func (s *Sampler) Finish(simNow float64) {
 }
 
 // BeginEvent implements sim.Profiler. It is the per-event hot path: count,
-// note sim-time, and only on every every-th event read the wall clock.
+// note sim-time, and only on every every-th event arm the sample (token 1),
+// so reallocations inside it are timed.
 func (s *Sampler) BeginEvent(at sim.Time) int64 {
 	s.events++
 	s.simNow = at
@@ -183,18 +164,17 @@ func (s *Sampler) BeginEvent(at sim.Time) int64 {
 		return 0
 	}
 	s.armed = true
-	return s.now()
+	return 1
 }
 
-// EndEvent implements sim.Profiler. For sampled events it closes the timing
-// and runs the boundary work — queue snapshot, progress point, counter
-// tracks — timing that work separately as the observatory's own overhead.
+// EndEvent implements sim.Profiler. For sampled events it runs the boundary
+// work — queue snapshot and progress point — timing that work as the
+// observatory's own overhead.
 func (s *Sampler) EndEvent(token int64) {
 	if token == 0 {
 		return
 	}
 	t := s.now()
-	s.sampledFnNS += t - token
 	s.sampledEvents++
 	s.armed = false
 	s.boundary(t)
@@ -238,21 +218,6 @@ func (s *Sampler) boundary(t int64) {
 			WallSeconds: float64(t-s.wallStart) / 1e9,
 			Events:      s.events,
 		})
-	}
-
-	// Perfetto counter tracks, throttled to sim-time cadence.
-	if s.trace != nil && s.simNow >= s.nextCounterSim {
-		s.nextCounterSim = s.simNow + counterPeriodSim
-		wall := float64(t-s.wallStart) / 1e9
-		if wall > 0 {
-			s.trace.Counter(s.simNow, s.tid, "perf_events_per_sec", float64(s.events)/wall)
-			if simAdv := s.simNow - s.simStart; simAdv > 0 {
-				s.trace.Counter(s.simNow, s.tid, "perf_wall_per_sim", wall/simAdv)
-			}
-		}
-		if s.eng != nil {
-			s.trace.Counter(s.simNow, s.tid, "perf_queue_depth", float64(s.eng.QueueStats().Live))
-		}
 	}
 
 	s.selfNS += s.now() - t

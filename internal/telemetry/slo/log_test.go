@@ -3,7 +3,9 @@ package slo
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"math"
+	"os"
 	"strings"
 	"testing"
 
@@ -218,4 +220,57 @@ func TestTimelineAndDiffRender(t *testing.T) {
 	if !strings.Contains(out, "alerts 0 -> 4 (+4)") || !strings.Contains(out, "rule burn") {
 		t.Errorf("diff output:\n%s", out)
 	}
+}
+
+// FuzzReadLog: ReadLog never panics; a log it accepts summarizes, filters
+// and renders without panicking and survives WriteJSON→ReadLog→WriteJSON
+// byte for byte. The seed log is a serve -alerts-out export.
+func FuzzReadLog(f *testing.F) {
+	seed, err := os.ReadFile("testdata/alerts.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	var buf bytes.Buffer
+	if err := sampleLog().WriteJSON(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"meta":{"rules":[{"name":"a","severity":"info"}],"end":-1},"alerts":[{"rule":"b","state":"firing","since":3,"fired_at":-1,"value":"+Inf"}]}`))
+	f.Add([]byte(`{"alerts":[{"cause":{"values":[{"value":"NaN"}],"stages":[{}]}}]}`))
+	f.Add([]byte(`null`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l, err := ReadLog(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		_ = l.Summarize().String()
+		rule := ""
+		if len(l.Alerts) > 0 {
+			rule = l.Alerts[0].Rule
+		}
+		filtered := l.Filter(string(StateFiring), rule, 1, 10)
+		for _, render := range []func(io.Writer) error{l.FprintTimeline, l.FprintSummary, l.WriteTSV, filtered.WriteTSV} {
+			if err := render(io.Discard); err != nil {
+				t.Fatalf("render accepted log: %v", err)
+			}
+		}
+		if err := FprintDiff(io.Discard, l, filtered); err != nil {
+			t.Fatalf("diff accepted log: %v", err)
+		}
+		var first, second bytes.Buffer
+		if err := l.WriteJSON(&first); err != nil {
+			t.Fatalf("write accepted log: %v", err)
+		}
+		again, err := ReadLog(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("re-read: %v\n%s", err, first.Bytes())
+		}
+		if err := again.WriteJSON(&second); err != nil {
+			t.Fatalf("re-write: %v", err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("round trip changed the encoding:\n%s\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

@@ -1,6 +1,8 @@
 package slo
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -118,4 +120,29 @@ func TestCauseWindowFallbacks(t *testing.T) {
 	if w := r.causeWindow(); w != 30 {
 		t.Errorf("default window = %g", w)
 	}
+}
+
+// FuzzParseRules: ParseRules never panics, and every rule it accepts passes
+// Validate.
+func FuzzParseRules(f *testing.F) {
+	doc, err := json.Marshal(rulesDoc{Rules: DefaultRules(2.5, 0.15)})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(doc)
+	f.Add([]byte(`[{"name":"q","kind":"queue-growth","severity":"warning","over":15,"threshold":1,"for":5}]`))
+	f.Add([]byte(`{"rules":[{"name":"b","kind":"burn-rate","objective":"ttft","bound":1,"target":0.5,"fast":{"seconds":1,"burn":1},"slow":{"seconds":1,"burn":1}},{"name":"b"}]}`))
+	f.Add([]byte(`[{"name":"k","kind":"kv-saturation","severity":"bogus","threshold":1}]`))
+	f.Add([]byte(`  `))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rules, err := ParseRules(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for i := range rules {
+			if err := rules[i].Validate(); err != nil {
+				t.Fatalf("accepted rule %d fails Validate: %v", i, err)
+			}
+		}
+	})
 }

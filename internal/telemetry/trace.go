@@ -250,22 +250,6 @@ func (t *Tracer) InstantAt(at float64, tid int, cat, name string, args map[strin
 	})
 }
 
-// Counter records a counter ("C") track sample at an explicit sim-time under
-// the "perf" category — the performance observatory's Perfetto surface.
-// Downstream consumers are insulated by construction: the critical-path
-// collector's Feed switch has no "C" case and the tracequery aggregations
-// select spans by name, so counter samples ride alongside the existing spans
-// without touching any golden-derived view.
-func (t *Tracer) Counter(at float64, tid int, name string, value float64) {
-	if t == nil {
-		return
-	}
-	t.emit(Event{
-		Name: name, Cat: "perf", Ph: "C", Ts: usec(at), Pid: t.pid, Tid: tid,
-		Args: map[string]any{"value": Float(value)},
-	})
-}
-
 // AsyncBegin opens an async ("b") span — used for collectives, whose lifetime
 // spans many event-loop callbacks. Begin/end pairs match on (cat, id, name).
 func (t *Tracer) AsyncBegin(cat, name string, id int64, args map[string]any) {

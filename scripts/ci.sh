@@ -24,9 +24,9 @@ go test -race -timeout 45m ./... "$@"
 # Differential fuzzers: the fast water-filling allocator and its completion
 # timer against the reference allocator, the sweep-line critical-path
 # partition against its O(n^2) reference, and the hand-written span encoder
-# against json.Marshal. The trace parser and the decision-ledger and perf
-# report readers must never panic and must round-trip every input they
-# accept.
+# against json.Marshal. The trace parser, the SLO rules parser and the
+# decision-ledger, perf report and alert log readers must never panic; the
+# readers must round-trip every input they accept.
 echo "== fuzz"
 go test -run '^$' -fuzz '^FuzzReallocate$' -fuzztime 10s ./internal/netsim
 go test -run '^$' -fuzz '^FuzzPartition$' -fuzztime 10s ./internal/telemetry/critpath
@@ -34,6 +34,8 @@ go test -run '^$' -fuzz '^FuzzAppendEvent$' -fuzztime 10s ./internal/telemetry
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/workload
 go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s ./internal/telemetry/decisions
 go test -run '^$' -fuzz '^FuzzReadReport$' -fuzztime 10s ./internal/telemetry/perf
+go test -run '^$' -fuzz '^FuzzReadLog$' -fuzztime 10s ./internal/telemetry/slo
+go test -run '^$' -fuzz '^FuzzParseRules$' -fuzztime 10s ./internal/telemetry/slo
 
 # The benchmark under bench/ is a module of its own, so the root go test
 # does not enter it. Its tests cover the statistics, the input seeds, a
@@ -58,6 +60,11 @@ else
 fi
 test -s "$ART/metrics.prom"
 grep -q '^serving_requests_completed_total' "$ART/metrics.prom"
+# The self-profiler is a pure observer: the same run with -perf-out armed
+# must stream the same span bytes.
+go run ./cmd/serve -trace "$ART/trace.json" -system heroserve -topology testbed \
+	-model opt-13b -trace-out "$ART/spans-perf.json" -perf-out "$ART/spans-perf.perf.json" > /dev/null
+cmp "$ART/spans.json" "$ART/spans-perf.json"
 echo "telemetry artifacts: $ART"
 
 # Critical-path smoke: the same run re-exported as OpenMetrics must carry
