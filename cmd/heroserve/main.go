@@ -134,8 +134,13 @@ func main() {
 		hub = telemetry.New()
 		experiments.SetTelemetry(hub)
 	}
+	var srv *telemetry.Server
+	if *listen != "" {
+		srv = telemetry.NewServer()
+	}
 	var traceFile *os.File
-	if *traceOut != "" {
+	switch {
+	case *traceOut != "":
 		var err error
 		traceFile, err = os.Create(*traceOut)
 		if err != nil {
@@ -146,20 +151,16 @@ func main() {
 			fmt.Fprintf(os.Stderr, "heroserve: trace export: %v\n", err)
 			os.Exit(1)
 		}
-	} else if hub != nil && *listen == "" {
-		// Nothing reads an unexported trace, so drop each span as it is
-		// recorded instead of buffering every run. With -listen the buffer
-		// stays: /trace serves it.
-		if err := hub.Trace.StreamTo(io.Discard); err != nil {
+		if srv != nil {
+			srv.SetTraceFile(*traceOut)
+		}
+	case srv != nil:
+		if err := hub.Trace.StreamTo(srv.TraceSink()); err != nil {
 			fmt.Fprintf(os.Stderr, "heroserve: trace: %v\n", err)
 			os.Exit(1)
 		}
 	}
-	if *listen != "" {
-		srv := telemetry.NewServer()
-		if *traceOut != "" {
-			srv.SetTraceFile(*traceOut)
-		}
+	if srv != nil {
 		ln, err := net.Listen("tcp", *listen)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "heroserve: listen: %v\n", err)

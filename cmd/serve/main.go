@@ -189,8 +189,7 @@ func main() {
 	}
 
 	// Telemetry: daemon mode always arms the hub. The trace streams to
-	// -trace-out, or nowhere when no daemon serves /trace, so only a daemon
-	// run without -trace-out holds it in RAM.
+	// -trace-out if given, else into the daemon's /trace sink, else nowhere.
 	var hub *telemetry.Hub
 	if *traceOut != "" || *metricsOut != "" || *daemon || *decisionsOut != "" || *pushURL != "" || *alertsOut != "" {
 		hub = telemetry.New()
@@ -225,24 +224,6 @@ func main() {
 		}
 		fmt.Printf("pushing metrics to %s every %gs (simulated)\n", pusher.URL(), *pushEvery)
 	}
-	var traceFile *os.File
-	if *traceOut != "" {
-		traceFile, err = os.Create(*traceOut)
-		if err != nil {
-			fatalf("trace export: %v", err)
-		}
-		if err := hub.Trace.StreamTo(traceFile); err != nil {
-			fatalf("trace export: %v", err)
-		}
-	} else if hub != nil && !*daemon {
-		// Nothing reads an unexported trace, so drop each span as it is
-		// recorded instead of buffering the whole run. The daemon keeps the
-		// buffer: /trace serves it.
-		if err := hub.Trace.StreamTo(io.Discard); err != nil {
-			fatalf("trace: %v", err)
-		}
-	}
-
 	var srv *telemetry.Server
 	if *daemon {
 		srv = telemetry.NewServer()
@@ -253,9 +234,26 @@ func main() {
 		if *pprofFlag {
 			perf.InstallPprof(srv)
 		}
-		if *traceOut != "" {
+	}
+	var traceFile *os.File
+	switch {
+	case *traceOut != "":
+		traceFile, err = os.Create(*traceOut)
+		if err != nil {
+			fatalf("trace export: %v", err)
+		}
+		if err := hub.Trace.StreamTo(traceFile); err != nil {
+			fatalf("trace export: %v", err)
+		}
+		if srv != nil {
 			srv.SetTraceFile(*traceOut)
 		}
+	case srv != nil:
+		if err := hub.Trace.StreamTo(srv.TraceSink()); err != nil {
+			fatalf("trace: %v", err)
+		}
+	}
+	if srv != nil {
 		ln, lerr := net.Listen("tcp", *listen)
 		if lerr != nil {
 			fatalf("daemon: %v", lerr)
@@ -314,9 +312,11 @@ func main() {
 	}
 
 	if *daemon {
-		fmt.Println("daemon: runs complete; serving until interrupted (Ctrl-C)")
+		// Catch the signal before announcing it is awaited, so a caller
+		// that interrupts on this line stops the daemon cleanly.
 		sig := make(chan os.Signal, 1)
 		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+		fmt.Println("daemon: runs complete; serving until interrupted (Ctrl-C)")
 		<-sig
 	}
 }
@@ -418,24 +418,16 @@ func runSystem(name string, in planner.Inputs, trace *workload.Trace, hub *telem
 		// Periodic snapshots ride the event loop itself: callbacks run on the
 		// simulation goroutine, so rendering the registry there is race-free,
 		// and scrapers see fresh numbers while the run is still in flight.
-		eng := sys.Engine()
-		horizon := trace.Duration() + 120
-		for t := p.publishEvery; t < horizon; t += p.publishEvery {
-			eng.Post(t, func() {
-				srv.PublishHub(hub)
-				publishDocs(srv, sys, sampler, name)
-			})
-		}
+		observeEvery(sys, p.publishEvery, func() {
+			srv.PublishHub(hub)
+			publishDocs(srv, sys, sampler, name)
+		})
 	}
 	if p.push != nil {
 		// Metric pushes ride the event loop the same way; the POST itself
 		// happens on the pusher's own goroutine (latest-wins mailbox), so a
 		// slow endpoint cannot stall the simulation.
-		eng := sys.Engine()
-		horizon := trace.Duration() + 120
-		for t := p.push.every; t < horizon; t += p.push.every {
-			eng.Post(t, func() { p.push.sync(hub) })
-		}
+		observeEvery(sys, p.push.every, func() { p.push.sync(hub) })
 	}
 
 	res := sys.Run(trace)
@@ -534,6 +526,21 @@ func runSystem(name string, in planner.Inputs, trace *workload.Trace, hub *telem
 				[]string{"kind"}, "run").Add(float64(evicted))
 		}
 	}
+}
+
+// observeEvery runs observe every interval seconds of sim-time while the run
+// has work queued. The ticks are daemon events, like the SLO monitor's: they
+// never keep a finished run alive, so observing a run cannot lengthen it.
+func observeEvery(sys *serving.System, every float64, observe func()) {
+	eng := sys.Engine()
+	var tick func()
+	tick = func() {
+		observe()
+		if eng.PendingWork() > 0 {
+			eng.AfterDaemon(every, tick)
+		}
+	}
+	eng.AfterDaemon(every, tick)
 }
 
 // publishDocs renders the run's decision ledger, SLO alert log (plus the

@@ -20,6 +20,10 @@ func critRun(t *testing.T, system string) (*serving.Results, *telemetry.Hub, []b
 	t.Helper()
 	in := inputs(t)
 	hub := telemetry.New()
+	var om, spans bytes.Buffer
+	if err := hub.Trace.StreamTo(&spans); err != nil {
+		t.Fatal(err)
+	}
 	sla := in.SLA
 	opts := serving.Options{Telemetry: hub, SLA: &sla}
 	var sys *serving.System
@@ -36,11 +40,10 @@ func critRun(t *testing.T, system string) (*serving.Results, *telemetry.Hub, []b
 		t.Fatal(err)
 	}
 	res := sys.Run(workload.NewGenerator(workload.Chatbot, 9).Generate(20, 2))
-	var om, spans bytes.Buffer
 	if err := hub.Metrics.WriteOpenMetrics(&om); err != nil {
 		t.Fatal(err)
 	}
-	if err := hub.Trace.Export(&spans); err != nil {
+	if err := hub.Trace.CloseStream(); err != nil {
 		t.Fatal(err)
 	}
 	return res, hub, om.Bytes(), spans.Bytes()

@@ -17,6 +17,10 @@ func runTelemetry(t *testing.T, sched *faults.Schedule) (*serving.Results, []byt
 	t.Helper()
 	in := inputs(t)
 	hub := telemetry.New()
+	var spans, prom bytes.Buffer
+	if err := hub.Trace.StreamTo(&spans); err != nil {
+		t.Fatal(err)
+	}
 	sla := in.SLA
 	sys, _, _, err := NewSystem(in, nil, serving.Options{
 		Telemetry: hub,
@@ -28,8 +32,7 @@ func runTelemetry(t *testing.T, sched *faults.Schedule) (*serving.Results, []byt
 	}
 	trace := workload.NewGenerator(workload.Chatbot, 9).Generate(20, 2)
 	res := sys.Run(trace)
-	var spans, prom bytes.Buffer
-	if err := hub.Trace.Export(&spans); err != nil {
+	if err := hub.Trace.CloseStream(); err != nil {
 		t.Fatal(err)
 	}
 	if err := hub.Metrics.WriteProm(&prom); err != nil {
@@ -148,29 +151,27 @@ func TestTelemetryTraceWellFormed(t *testing.T) {
 	}
 }
 
-// TestStreamTracerMatchesBufferedOnSameSeed drives a full end-to-end serving
-// run through both tracer backends: the on-disk (streamed) JSON must equal
-// the buffered Export byte-for-byte.
-func TestStreamTracerMatchesBufferedOnSameSeed(t *testing.T) {
-	_, spans, _ := runTelemetry(t, nil) // buffered backend
-
-	in := inputs(t)
-	hub := telemetry.New()
-	var streamed bytes.Buffer
-	if err := hub.Trace.StreamTo(&streamed); err != nil {
+// TestStreamedTraceMatchesEncodingJSON: the span file of a full end-to-end
+// serving run, encoded by the tracer's hand encoder, equals encoding/json's
+// encoding of the events it holds, byte for byte.
+func TestStreamedTraceMatchesEncodingJSON(t *testing.T) {
+	_, spans, _ := runTelemetry(t, nil)
+	var doc struct {
+		DisplayTimeUnit string            `json:"displayTimeUnit"`
+		TraceEvents     []telemetry.Event `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(spans, &doc); err != nil {
 		t.Fatal(err)
 	}
-	sla := in.SLA
-	sys, _, _, err := NewSystem(in, nil, serving.Options{Telemetry: hub, SLA: &sla})
-	if err != nil {
+	if len(doc.TraceEvents) == 0 {
+		t.Fatal("run recorded no spans")
+	}
+	var want bytes.Buffer
+	if err := json.NewEncoder(&want).Encode(doc); err != nil {
 		t.Fatal(err)
 	}
-	sys.Run(workload.NewGenerator(workload.Chatbot, 9).Generate(20, 2))
-	if err := hub.Trace.CloseStream(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(streamed.Bytes(), spans) {
-		t.Error("streamed trace differs from buffered export on the same seed")
+	if !bytes.Equal(spans, want.Bytes()) {
+		t.Error("streamed trace differs from encoding/json's encoding of its events")
 	}
 }
 

@@ -29,6 +29,10 @@ func TestPipelineStageSpansAndCounter(t *testing.T) {
 	}
 	dep := Deployment{Model: model.OPT13B(), Prefill: []InstanceSpec{pre}, Decode: []InstanceSpec{dec}}
 	hub := telemetry.New()
+	var buf bytes.Buffer
+	if err := hub.Trace.StreamTo(&buf); err != nil {
+		t.Fatal(err)
+	}
 	sys, err := New(g, dep, Options{Telemetry: hub})
 	if err != nil {
 		t.Fatal(err)
@@ -43,8 +47,7 @@ func TestPipelineStageSpansAndCounter(t *testing.T) {
 		t.Fatalf("pipeline_stage_transfers_total{stage=1} = %v,%v, want > 0", handoffs, ok)
 	}
 
-	var buf bytes.Buffer
-	if err := hub.Trace.Export(&buf); err != nil {
+	if err := hub.Trace.CloseStream(); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

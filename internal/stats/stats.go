@@ -246,6 +246,21 @@ func (tw *TimeWeighted) Mean() float64 {
 	return tw.area / tw.span
 }
 
+// MeanAt returns the mean Advance(t) followed by Mean would return, without
+// advancing: the same floats combined in the same order, so a read at t never
+// changes what later observations integrate.
+func (tw *TimeWeighted) MeanAt(t Time) float64 {
+	area, span := tw.area, tw.span
+	if dt := t - tw.lastT; tw.started && dt > 0 {
+		area += tw.last * dt
+		span += dt
+	}
+	if span == 0 {
+		return tw.last
+	}
+	return area / span
+}
+
 // BusyFraction returns the fraction of the observed span during which the
 // value was nonzero — the utilization of a busy/idle signal (0 for an empty
 // span).

@@ -292,3 +292,28 @@ func TestTimeWeightedDegenerate(t *testing.T) {
 		t.Errorf("Span = %g, want 2", tw.Span())
 	}
 }
+
+// TestTimeWeightedMeanAtIsReadOnly: MeanAt(t) equals Advance(t) then Mean
+// bit for bit, and reading it leaves later integrals unchanged.
+func TestTimeWeightedMeanAtIsReadOnly(t *testing.T) {
+	times := []float64{0.3, 0.7, 0.7, 1.9, 1.5, 4.1}
+	vals := []float64{1.1, 3.3, 0, 7.7, 2.2, 0.1}
+	var read, twin TimeWeighted
+	if got := read.MeanAt(1); got != 0 {
+		t.Errorf("MeanAt on an empty summarizer = %g, want 0", got)
+	}
+	for i := range times {
+		for _, at := range []float64{times[i] - 0.2, times[i], times[i] + 0.45} {
+			advanced := read
+			advanced.Advance(at)
+			if got, want := read.MeanAt(at), advanced.Mean(); got != want {
+				t.Errorf("MeanAt(%g) = %v, Advance+Mean = %v", at, got, want)
+			}
+		}
+		read.Observe(times[i], vals[i])
+		twin.Observe(times[i], vals[i])
+	}
+	if read != twin {
+		t.Errorf("MeanAt changed the summarizer: %+v, want %+v", read, twin)
+	}
+}

@@ -9,8 +9,8 @@ import (
 )
 
 // Collector is the live binding of an Analyzer to a telemetry Hub: it taps
-// the hub's tracer so every event feeds the analyzer as it is emitted (works
-// on both the buffered and streaming backends — no event retention needed),
+// the hub's tracer so every event feeds the analyzer as it is emitted (whether
+// or not the tracer streams anywhere — no event retention needed),
 // and bumps the aggregate critical-path counters the moment each request
 // finalizes.
 type Collector struct {

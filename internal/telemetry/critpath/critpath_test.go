@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"cmp"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"os"
 	"slices"
 	"sort"
 	"strings"
@@ -206,6 +208,10 @@ func TestReportDeterminismAndDiff(t *testing.T) {
 func TestFromTraceRoundTrip(t *testing.T) {
 	clock := 0.0
 	tr := telemetry.NewTracer(func() float64 { return clock })
+	var doc bytes.Buffer
+	if err := tr.StreamTo(&doc); err != nil {
+		t.Fatal(err)
+	}
 	live := New()
 	tr.Tap(live.Feed)
 	tr.BeginProcess("planned")
@@ -223,8 +229,7 @@ func TestFromTraceRoundTrip(t *testing.T) {
 		tr.Complete(tid, "request", "kv-transfer", 2, 3, req)
 	}
 
-	var doc bytes.Buffer
-	if err := tr.Export(&doc); err != nil {
+	if err := tr.CloseStream(); err != nil {
 		t.Fatal(err)
 	}
 	offline, err := FromTrace(&doc)
@@ -262,6 +267,32 @@ func TestFromTraceErrors(t *testing.T) {
 	if _, err := FromTrace(strings.NewReader(`{"traceEvents":[]}`)); err != ErrNoEvents {
 		t.Errorf("empty trace error = %v, want ErrNoEvents", err)
 	}
+}
+
+// FuzzFromTrace: FromTrace never panics, and a trace it accepts yields a
+// report that renders and diffs without panicking. The seed is a two-request
+// serve -trace-out export.
+func FuzzFromTrace(f *testing.F) {
+	seed, err := os.ReadFile("testdata/spans.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"traceEvents":[{"name":"request","cat":"request","ph":"X","ts":0,"dur":-5,"pid":1,"tid":1,"args":{"id":0,"output":-1}}]}`))
+	f.Add([]byte(`{"traceEvents":[{"name":"allreduce","cat":"collective","ph":"e","ts":1e308,"pid":1,"tid":0,"id":"0x1"}]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		a, err := FromTrace(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		r := a.Report(3)
+		if err := r.Fprint(io.Discard); err != nil {
+			t.Fatalf("render accepted trace: %v", err)
+		}
+		if err := FprintDiff(io.Discard, r, New().Report(3)); err != nil {
+			t.Fatalf("diff accepted trace: %v", err)
+		}
+	})
 }
 
 // partitionRef is the reference partition: for every elementary segment it

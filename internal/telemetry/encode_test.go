@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -89,23 +90,24 @@ func FuzzAppendEvent(f *testing.F) {
 	})
 }
 
-// TestExportMatchesEncodingJSON: a buffered export of a representative run
-// equals encoding/json's encoding of the same document.
+// TestExportMatchesEncodingJSON: the streamed document of a representative
+// run equals encoding/json's encoding of the same events, as the tap saw
+// them.
 func TestExportMatchesEncodingJSON(t *testing.T) {
 	var clock float64
-	tr := NewTracer(func() float64 { return clock })
+	tr, got := streamed(t, func() float64 { return clock })
+	evs := tapped(tr)
 	driveTracer(tr, &clock)
 	tr.InstantAt(3, ControlTID, "sched", "rate-probe", map[string]any{"value": Float(1.5e-7)})
 	tr.Instant(ControlTID, "sched", "policy-select", policySelectArgs())
-	var got bytes.Buffer
-	if err := tr.Export(&got); err != nil {
+	if err := tr.CloseStream(); err != nil {
 		t.Fatal(err)
 	}
 	var want bytes.Buffer
 	doc := struct {
 		DisplayTimeUnit string  `json:"displayTimeUnit"`
 		TraceEvents     []Event `json:"traceEvents"`
-	}{"ms", tr.Events()}
+	}{"ms", *evs}
 	if err := json.NewEncoder(&want).Encode(doc); err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +117,17 @@ func TestExportMatchesEncodingJSON(t *testing.T) {
 }
 
 // TestExportRejectsNonFiniteWithoutWriting: like encoding/json, an event
-// with a NaN float fails the export before anything is written.
+// with a NaN float fails to encode: CloseStream returns the error, and the
+// event never reaches the writer.
 func TestExportRejectsNonFiniteWithoutWriting(t *testing.T) {
-	tr := NewTracer(func() float64 { return 0 })
+	tr, buf := streamed(t, func() float64 { return 0 })
 	tr.BeginProcess("p")
 	tr.Instant(ControlTID, "c", "bad", map[string]any{"v": math.NaN()})
-	var buf bytes.Buffer
-	if err := tr.Export(&buf); err == nil || buf.Len() != 0 {
-		t.Errorf("export of a NaN arg: err %v, wrote %q", err, buf.Bytes())
+	if err := tr.CloseStream(); err == nil {
+		t.Error("CloseStream after a NaN arg should fail")
+	}
+	if err := tr.Flush(); err == nil || strings.Contains(buf.String(), "bad") {
+		t.Errorf("flush after a NaN arg: err %v, wrote %q", err, buf.Bytes())
 	}
 }
 

@@ -51,13 +51,18 @@ type RunSummary struct {
 // events or between runs — via PublishHub and Publish, and handlers serve the
 // latest snapshot under a read lock. Scrapers therefore observe a consistent,
 // slightly stale view and can never race the event loop.
+//
+// The trace is not re-rendered: a tracer streaming into TraceSink appends to
+// the server's in-memory span file on the simulation goroutine, and
+// PublishHub only publishes how much of it is complete.
 type Server struct {
 	mu        sync.RWMutex
 	simTime   float64
 	published int
 	prom      []byte
-	om        []byte // OpenMetrics rendering of the same snapshot
-	trace     []byte
+	om        []byte    // OpenMetrics rendering of the same snapshot
+	sink      traceSink // written by the simulation goroutine only
+	trace     []byte    // published prefix of sink.buf; docSuffix completes it
 	traceFile string
 	docs      map[string][]byte // latest published document per route
 	runs      []RunSummary
@@ -91,11 +96,27 @@ func NewServer() *Server {
 	return s
 }
 
-// PublishHub renders a snapshot of the hub's metrics — and, unless the
-// tracer is streaming to disk, its trace — and stores it for the handlers.
-// It MUST be called from the goroutine that owns the hub (the simulation
-// loop) at a safe point; that discipline is what keeps the daemon
-// race-detector clean.
+// traceSink is the daemon's in-memory span file: an append-only byte slice.
+// Appending never touches a published prefix: it writes beyond it, or copies
+// it into a new array, so handlers may read a prefix while the simulation
+// goroutine appends.
+type traceSink struct{ buf []byte }
+
+func (k *traceSink) Write(p []byte) (int, error) {
+	k.buf = append(k.buf, p...)
+	return len(p), nil
+}
+
+// TraceSink returns the writer /trace serves: stream the hub's tracer to it
+// (Tracer.StreamTo) before the run. Only the goroutine that owns the hub may
+// write to it.
+func (s *Server) TraceSink() io.Writer { return &s.sink }
+
+// PublishHub renders a snapshot of the hub's metrics, flushes its tracer, and
+// publishes the part of the trace sink written so far for the handlers. It
+// MUST be called from the goroutine that owns the hub (the simulation loop)
+// at a safe point; that discipline is what keeps the daemon race-detector
+// clean.
 func (s *Server) PublishHub(h *Hub) error {
 	var prom bytes.Buffer
 	if err := h.Metrics.WriteProm(&prom); err != nil {
@@ -105,20 +126,15 @@ func (s *Server) PublishHub(h *Hub) error {
 	if err := h.Metrics.WriteOpenMetrics(&om); err != nil {
 		return err
 	}
-	var trace []byte
-	if !h.Trace.Streaming() {
-		var tb bytes.Buffer
-		if err := h.Trace.Export(&tb); err != nil {
-			return err
-		}
-		trace = tb.Bytes()
+	if err := h.Trace.Flush(); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	s.simTime = h.Now()
 	s.published++
 	s.prom = prom.Bytes()
 	s.om = om.Bytes()
-	s.trace = trace
+	s.trace = s.sink.buf
 	s.mu.Unlock()
 	return nil
 }
@@ -190,9 +206,8 @@ func (s *Server) runRangeError() string {
 	return fmt.Sprintf("run out of range: have runs %d..%d", s.runBase+1, s.runBase+len(s.runs))
 }
 
-// SetTraceFile records the path the trace is being streamed to, so /trace
-// can point callers at the file instead of a (nonexistent) in-memory
-// snapshot.
+// SetTraceFile records the path the trace is being streamed to instead of
+// TraceSink, so /trace can point callers at the file.
 func (s *Server) SetTraceFile(path string) {
 	s.mu.Lock()
 	s.traceFile = path
@@ -400,6 +415,7 @@ func (s *Server) serveTrace(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("Content-Disposition", `attachment; filename="spans.json"`)
 		w.Write(body)
+		io.WriteString(w, docSuffix)
 	case file != "":
 		http.Error(w, fmt.Sprintf("trace is streaming to %s; no in-memory snapshot", file),
 			http.StatusConflict)

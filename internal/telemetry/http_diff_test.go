@@ -158,7 +158,7 @@ func TestServerRunsDiffCritPath(t *testing.T) {
 // OpenMetrics media type only when the scraper asks for it.
 func TestServerMetricsContentNegotiation(t *testing.T) {
 	clock := 2.0
-	h := testHub(&clock)
+	h := testHub(&clock, nil)
 	srv := NewServer()
 	if err := srv.PublishHub(h); err != nil {
 		t.Fatal(err)

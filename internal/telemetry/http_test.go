@@ -13,9 +13,15 @@ import (
 )
 
 // testHub builds an attached hub with one instrument of each kind and a
-// request span, mimicking a small run.
-func testHub(clock *float64) *Hub {
+// request span, mimicking a small run. With a server, the trace streams into
+// its sink, as the daemon's does.
+func testHub(clock *float64, srv *Server) *Hub {
 	h := New()
+	if srv != nil {
+		if err := h.Trace.StreamTo(srv.TraceSink()); err != nil {
+			panic(err)
+		}
+	}
 	h.Attach(func() float64 { return *clock }, "planned")
 	h.Metrics.Counter("serving_requests_completed_total", "Requests fully served.", nil).Add(3)
 	h.Metrics.Gauge("decode_kv_utilization", "KV utilization.", []string{"instance"}, "decode-0").Set(0.5)
@@ -40,8 +46,8 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 
 func TestServerEndpoints(t *testing.T) {
 	clock := 12.5
-	h := testHub(&clock)
 	srv := NewServer()
+	h := testHub(&clock, srv)
 	if err := srv.PublishHub(h); err != nil {
 		t.Fatal(err)
 	}
@@ -139,6 +145,57 @@ func TestServerEmptyRunsIsJSONArray(t *testing.T) {
 	}
 }
 
+// traceEvents GETs /trace and returns its events, failing unless the body
+// is a complete Chrome trace document.
+func traceEvents(t *testing.T, url string) []Event {
+	t.Helper()
+	resp, body := get(t, url+"/trace")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/trace status %d: %s", resp.StatusCode, body)
+	}
+	var doc struct {
+		TraceEvents []Event `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("/trace not JSON: %v\n%s", err, body)
+	}
+	return doc.TraceEvents
+}
+
+// TestServerTraceServesPublishedPrefix: /trace serves the stream as of the
+// last PublishHub, completed into a loadable document, both mid-run and
+// after it; events recorded since are not visible until the next publish.
+func TestServerTraceServesPublishedPrefix(t *testing.T) {
+	clock := 0.0
+	srv := NewServer()
+	h := testHub(&clock, srv)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	if resp, _ := get(t, ts.URL+"/trace"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("/trace before any publish: status %d", resp.StatusCode)
+	}
+	if err := srv.PublishHub(h); err != nil {
+		t.Fatal(err)
+	}
+	mid := len(traceEvents(t, ts.URL))
+	if mid != h.Trace.Len() {
+		t.Fatalf("mid-run /trace has %d events, tracer recorded %d", mid, h.Trace.Len())
+	}
+	for i := 0; i < 2000; i++ { // well past the tracer's write buffer
+		clock += 0.01
+		h.Trace.Instant(ControlTID, "test", "tick", map[string]any{"i": i})
+	}
+	if got := len(traceEvents(t, ts.URL)); got != mid {
+		t.Errorf("/trace changed without a publish: %d events, want %d", got, mid)
+	}
+	if err := srv.PublishHub(h); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(traceEvents(t, ts.URL)); got != h.Trace.Len() {
+		t.Errorf("/trace after the run has %d events, tracer recorded %d", got, h.Trace.Len())
+	}
+}
+
 func TestServerTraceWhileStreamingToDisk(t *testing.T) {
 	clock := 1.0
 	h := New()
@@ -173,8 +230,8 @@ func TestServerTraceWhileStreamingToDisk(t *testing.T) {
 // publishing), many others scrape every endpoint concurrently.
 func TestServerConcurrentScrapes(t *testing.T) {
 	clock := 0.0
-	h := testHub(&clock)
 	srv := NewServer()
+	h := testHub(&clock, srv)
 	srv.HandleDoc("/doc", "test document", nil)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

@@ -4,6 +4,7 @@ import "testing"
 
 func TestHubReattachIdempotentPerProcess(t *testing.T) {
 	h := New()
+	evs := tapped(h.Trace)
 	clock := func() float64 { return 0 }
 	h.Attach(clock, "policy-A")
 	n := h.Trace.Len() // process_name + thread_name metadata
@@ -29,9 +30,8 @@ func TestHubReattachIdempotentPerProcess(t *testing.T) {
 	if h.Trace.Len() != n+2 {
 		t.Fatalf("new-name attach: Len = %d, want %d", h.Trace.Len(), n+2)
 	}
-	evs := h.Trace.Events()
-	if evs[n].Pid != 2 {
-		t.Errorf("policy-B process pid = %d, want 2", evs[n].Pid)
+	if (*evs)[n].Pid != 2 {
+		t.Errorf("policy-B process pid = %d, want 2", (*evs)[n].Pid)
 	}
 
 	// The same name after real events is a genuine next run (e.g. two sweep
@@ -41,8 +41,7 @@ func TestHubReattachIdempotentPerProcess(t *testing.T) {
 	if h.Trace.Len() != n+5 {
 		t.Fatalf("same-name attach after events: Len = %d, want %d", h.Trace.Len(), n+5)
 	}
-	evs = h.Trace.Events()
-	if evs[len(evs)-2].Pid != 3 {
-		t.Errorf("post-work re-attach pid = %d, want 3", evs[len(evs)-2].Pid)
+	if ev := (*evs)[len(*evs)-2]; ev.Pid != 3 {
+		t.Errorf("post-work re-attach pid = %d, want 3", ev.Pid)
 	}
 }

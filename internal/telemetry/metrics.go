@@ -170,7 +170,7 @@ func (r *Registry) Value(name string, values ...string) (float64, bool) {
 }
 
 // TimeAvg returns the time-weighted mean of a gauge child over the run so
-// far, advanced to the current clock — the same number the exposition's
+// far, read as of the current clock — the same number the exposition's
 // <name>_timeavg series reports. It returns false if the family or child
 // does not exist or is not a gauge.
 func (r *Registry) TimeAvg(name string, values ...string) (float64, bool) {
@@ -185,8 +185,7 @@ func (r *Registry) TimeAvg(name string, values ...string) (float64, bool) {
 	if !ok || c.gauge == nil {
 		return 0, false
 	}
-	c.gauge.tw.Advance(r.clock())
-	return c.gauge.tw.Mean(), true
+	return c.gauge.tw.MeanAt(r.clock()), true
 }
 
 // HistogramCount returns the total observation count of a histogram child.
@@ -403,9 +402,14 @@ func (h *Histogram) Sum() float64 {
 
 // WriteProm writes the registry in the Prometheus text exposition format.
 // Output is deterministic: families sorted by name, children sorted by label
-// values, floats formatted by strconv. Gauges are advanced to the current
-// sim-time first so their time-averages cover the full run.
-func (r *Registry) WriteProm(w io.Writer) error {
+// values, floats formatted by strconv. Gauge time-averages are read as of the
+// current sim-time, so they cover the run so far, without advancing the
+// gauges: an exposition taken mid-run changes none taken later.
+func (r *Registry) WriteProm(w io.Writer) error { return r.writeText(w, false) }
+
+// writeText renders the registry as a Prometheus text exposition, or as the
+// OpenMetrics one (see WriteOpenMetrics) when om is set.
+func (r *Registry) writeText(w io.Writer, om bool) error {
 	if r == nil {
 		return nil
 	}
@@ -418,38 +422,57 @@ func (r *Registry) WriteProm(w io.Writer) error {
 	var b strings.Builder
 	for _, name := range names {
 		f := r.fams[name]
+		fam, sample := name, name
+		if om && f.kind == kindCounter {
+			// OpenMetrics counters are named without the _total suffix; the
+			// suffix belongs to the sample, not the family.
+			fam = strings.TrimSuffix(name, "_total")
+			sample = fam + "_total"
+		}
 		keys := append([]string(nil), f.order...)
 		sort.Strings(keys)
-		fmt.Fprintf(&b, "# HELP %s %s\n", f.name, escapeHelp(f.help))
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.kind)
+		fmt.Fprintf(&b, "# HELP %s %s\n", fam, escapeHelp(f.help))
+		fmt.Fprintf(&b, "# TYPE %s %s\n", fam, f.kind)
 		var timeavg strings.Builder
 		for _, key := range keys {
 			c := f.childs[key]
+			ls := labelString(f.labels, c.values)
 			switch f.kind {
 			case kindCounter:
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, labelString(f.labels, c.values), FormatFloat(c.ctr.v))
+				fmt.Fprintf(&b, "%s%s %s\n", sample, ls, FormatFloat(c.ctr.v))
 			case kindGauge:
-				c.gauge.tw.Advance(now)
-				fmt.Fprintf(&b, "%s%s %s\n", f.name, labelString(f.labels, c.values), FormatFloat(c.gauge.tw.Value()))
-				fmt.Fprintf(&timeavg, "%s_timeavg%s %s\n", f.name, labelString(f.labels, c.values), FormatFloat(c.gauge.tw.Mean()))
+				fmt.Fprintf(&b, "%s%s %s\n", fam, ls, FormatFloat(c.gauge.tw.Value()))
+				fmt.Fprintf(&timeavg, "%s_timeavg%s %s\n", fam, ls, FormatFloat(c.gauge.tw.MeanAt(now)))
 			case kindHistogram:
+				bucket := func(i int, le string, cum uint64) {
+					var ex string
+					if om {
+						ex = exemplarSuffix(c.hist, i)
+					}
+					fmt.Fprintf(&b, "%s_bucket%s %d%s\n", fam,
+						labelString(append(f.labels, "le"), append(c.values, le)), cum, ex)
+				}
 				var cum uint64
 				for i, ub := range f.buckets {
 					cum += c.hist.counts[i]
-					fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name,
-						labelString(append(f.labels, "le"), append(c.values, FormatFloat(ub))), cum)
+					bucket(i, FormatFloat(ub), cum)
 				}
-				fmt.Fprintf(&b, "%s_bucket%s %d\n", f.name,
-					labelString(append(f.labels, "le"), append(c.values, "+Inf")), c.hist.n)
-				fmt.Fprintf(&b, "%s_sum%s %s\n", f.name, labelString(f.labels, c.values), FormatFloat(c.hist.sum))
-				fmt.Fprintf(&b, "%s_count%s %d\n", f.name, labelString(f.labels, c.values), c.hist.n)
+				bucket(len(f.buckets), "+Inf", c.hist.n)
+				fmt.Fprintf(&b, "%s_sum%s %s\n", fam, ls, FormatFloat(c.hist.sum))
+				fmt.Fprintf(&b, "%s_count%s %d\n", fam, ls, c.hist.n)
+			}
+			if om && f.kind != kindGauge {
+				fmt.Fprintf(&b, "%s_created%s %s\n", fam, ls, FormatFloat(c.created))
 			}
 		}
 		if timeavg.Len() > 0 {
-			fmt.Fprintf(&b, "# HELP %s_timeavg Time-weighted mean of %s over the run.\n", f.name, f.name)
-			fmt.Fprintf(&b, "# TYPE %s_timeavg gauge\n", f.name)
+			fmt.Fprintf(&b, "# HELP %s_timeavg Time-weighted mean of %s over the run.\n", fam, fam)
+			fmt.Fprintf(&b, "# TYPE %s_timeavg gauge\n", fam)
 			b.WriteString(timeavg.String())
 		}
+	}
+	if om {
+		b.WriteString("# EOF\n")
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"slices"
@@ -30,45 +31,32 @@ type Event struct {
 	Args  map[string]any `json:"args,omitempty"`
 }
 
-// Tracer accumulates trace events in append order. Because the event loop is
-// deterministic, append order is deterministic, and Export writes events
+// Tracer records trace events in emit order. Because the event loop is
+// deterministic, emit order is deterministic, and the document is written
 // verbatim — no sorting, no wall-clock.
 //
-// Two backends share the type: the default buffered backend keeps events in
-// memory until Export, and the streaming backend (StreamTo) encodes each
-// event to an io.Writer the moment it is recorded, so paper-scale sweeps
-// hold O(1) events in RAM. Both backends produce byte-identical documents
-// for the same event sequence.
+// The tracer keeps no events: StreamTo names the writer each event is encoded
+// to the moment it is recorded, so a paper-scale sweep holds O(1) events in
+// RAM. Without a writer the tracer only counts events and calls the tap.
 type Tracer struct {
 	clock  func() float64
-	pid    int // current process id; 0 until the first BeginProcess
-	count  int // events recorded across both backends
-	events []Event
-	stream *traceStream // nil on the buffered backend
+	pid    int          // current process id; 0 until the first BeginProcess
+	count  int          // events recorded
+	stream *traceStream // nil until StreamTo
 	tap    func(Event)  // optional live observer, invoked on every emit
 }
 
-// NewTracer returns a buffered tracer reading sim-time (seconds) from clock.
+// NewTracer returns a tracer reading sim-time (seconds) from clock. It
+// encodes nothing until StreamTo gives it a writer.
 func NewTracer(clock func() float64) *Tracer {
 	return &Tracer{clock: clock}
 }
 
-// NewStreamTracer returns a tracer that streams every event to w as it is
-// recorded (the StreamTracer backend). Call CloseStream when the run is over
-// to complete the JSON document.
-func NewStreamTracer(clock func() float64, w io.Writer) (*Tracer, error) {
-	t := NewTracer(clock)
-	if err := t.StreamTo(w); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 func usec(seconds float64) float64 { return seconds * 1e6 }
 
-// traceStream is the incremental on-disk backend: a buffered writer plus the
-// running element count (for comma placement), the first write error, and
-// the encode buffer reused across events.
+// traceStream is the tracer's encoder: a buffered writer plus the running
+// element count (for comma placement), the first write error, and the encode
+// buffer reused across events.
 type traceStream struct {
 	w   *bufio.Writer
 	n   int
@@ -101,12 +89,12 @@ func (s *traceStream) write(ev Event) {
 	s.n++
 }
 
-// StreamTo switches the tracer to the streaming backend: the document prefix
-// and any already-buffered events are written to w immediately, the buffer is
-// released, and every subsequent event is encoded straight through. The
-// output becomes a complete JSON document only after CloseStream writes the
-// suffix; Export is unavailable while streaming. The streamed bytes equal a
-// buffered Export of the same events byte-for-byte.
+// StreamTo writes the document prefix to w and encodes every later event
+// straight through to it as Chrome trace-event JSON ("JSON object format"),
+// loadable in Perfetto / chrome://tracing. The output becomes a complete
+// document only after CloseStream writes the suffix. Call it before the run:
+// it fails once events have been recorded, since they are gone, and on a
+// tracer that already streams.
 func (t *Tracer) StreamTo(w io.Writer) error {
 	if t == nil {
 		return nil
@@ -114,27 +102,35 @@ func (t *Tracer) StreamTo(w io.Writer) error {
 	if t.stream != nil {
 		return errors.New("telemetry: tracer already streaming")
 	}
+	if t.count > 0 {
+		return fmt.Errorf("telemetry: %d trace events recorded before StreamTo", t.count)
+	}
 	s := &traceStream{w: bufio.NewWriterSize(w, 1<<16)}
 	if _, err := s.w.WriteString(docPrefix); err != nil {
 		return err
 	}
-	for _, ev := range t.events {
-		s.write(ev)
-	}
-	if s.err != nil {
-		return s.err
-	}
-	t.events = nil
 	t.stream = s
 	return nil
 }
 
-// Streaming reports whether the tracer is on the streaming backend.
-func (t *Tracer) Streaming() bool { return t != nil && t.stream != nil }
+// Flush writes the encoded events still buffered through to the stream's
+// writer, which then holds the document up to the last recorded event (a
+// prefix that docSuffix completes). It returns the stream's first error, and
+// is a no-op without a stream and after CloseStream.
+func (t *Tracer) Flush() error {
+	if t == nil || t.stream == nil || t.stream.err == errStreamClosed {
+		return nil
+	}
+	s := t.stream
+	if err := s.w.Flush(); err != nil && s.err == nil {
+		s.err = err
+	}
+	return s.err
+}
 
 // CloseStream completes the streamed JSON document (suffix + flush) and
 // returns the first error encountered anywhere in the stream's lifetime.
-// Events recorded after CloseStream are dropped. No-op on buffered tracers.
+// Events recorded after CloseStream are dropped. No-op without a stream.
 func (t *Tracer) CloseStream() error {
 	if t == nil || t.stream == nil {
 		return nil
@@ -157,7 +153,7 @@ func (t *Tracer) CloseStream() error {
 
 // Tap installs fn as the tracer's live observer: every subsequent event is
 // passed to fn the moment it is recorded, on the goroutine that records it,
-// regardless of backend. One tap at a time; installing a new one replaces the
+// whether or not the tracer streams. One tap at a time; installing a new one replaces the
 // old (the critical-path collector re-taps per serving run). Already-recorded
 // events are not replayed. Pass nil to remove.
 func (t *Tracer) Tap(fn func(Event)) {
@@ -176,7 +172,8 @@ func (t *Tracer) PID() int {
 	return t.pid
 }
 
-// emit records one event on whichever backend is active.
+// emit records one event: it counts it, shows it to the tap, and encodes it
+// to the stream, if any.
 func (t *Tracer) emit(ev Event) {
 	t.count++
 	if t.tap != nil {
@@ -184,9 +181,7 @@ func (t *Tracer) emit(ev Event) {
 	}
 	if t.stream != nil {
 		t.stream.write(ev)
-		return
 	}
-	t.events = append(t.events, ev)
 }
 
 // BeginProcess starts a new trace process (one per serving run) and emits its
@@ -280,8 +275,8 @@ func asyncID(id int64) string {
 	return string(strconv.AppendInt(append(b[:0], "0x"...), id, 16))
 }
 
-// Len returns the number of recorded events (0 on the nil tracer). It counts
-// across both backends, including events already spilled to disk.
+// Len returns the number of recorded events (0 on the nil tracer), streamed
+// or not.
 func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
@@ -289,46 +284,11 @@ func (t *Tracer) Len() int {
 	return t.count
 }
 
-// Events returns the recorded events (for tests). It is nil on the streaming
-// backend, which does not retain events.
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	return t.events
-}
-
-// Document framing shared by both backends: the events go between them,
-// comma-separated.
+// Document framing: the events go between them, comma-separated.
 const (
 	docPrefix = `{"displayTimeUnit":"ms","traceEvents":[`
 	docSuffix = "]}\n"
 )
-
-// Export writes the trace as Chrome trace-event JSON ("JSON object format"),
-// loadable in Perfetto / chrome://tracing. Output is deterministic: args keys
-// are sorted, and events are written in append order. The document is built
-// in memory and written only if every event encodes.
-func (t *Tracer) Export(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	if t.stream != nil {
-		return errors.New("telemetry: tracer is streaming; the trace is already on its writer")
-	}
-	b := []byte(docPrefix)
-	for i, ev := range t.events {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		var err error
-		if b, err = appendEvent(b, ev); err != nil {
-			return err
-		}
-	}
-	_, err := w.Write(append(b, docSuffix...))
-	return err
-}
 
 // appendEvent appends ev's JSON encoding to buf, byte for byte what
 // json.Marshal(ev) produces, without reflection on the hot path. Args values

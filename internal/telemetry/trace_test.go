@@ -8,29 +8,30 @@ import (
 )
 
 func TestTracerExportIsValidChromeJSON(t *testing.T) {
-	clock := 0.0
-	tr := NewTracer(func() float64 { return clock })
-	pid := tr.BeginProcess("heroserve")
-	if pid != 1 {
-		t.Fatalf("first pid = %d, want 1", pid)
+	export := func() []byte {
+		clock := 0.0
+		tr, buf := streamed(t, func() float64 { return clock })
+		if pid := tr.BeginProcess("heroserve"); pid != 1 {
+			t.Fatalf("first pid = %d, want 1", pid)
+		}
+		tr.ThreadName(ControlTID, "control-plane")
+		tr.Complete(5, "request", "request", 1.0, 3.0, map[string]any{"id": 4})
+		tr.Complete(5, "request", "prefill", 1.0, 2.0, nil)
+		clock = 1.5
+		tr.Instant(ControlTID, "sched", "policy-select", map[string]any{"cost": Float(math.Inf(1))})
+		tr.AsyncBegin("collective", "allreduce", 7, map[string]any{"scheme": "ring"})
+		clock = 2.5
+		tr.AsyncEnd("collective", "allreduce", 7)
+		if err := tr.CloseStream(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	tr.ThreadName(ControlTID, "control-plane")
-	tr.Complete(5, "request", "request", 1.0, 3.0, map[string]any{"id": 4})
-	tr.Complete(5, "request", "prefill", 1.0, 2.0, nil)
-	clock = 1.5
-	tr.Instant(ControlTID, "sched", "policy-select", map[string]any{"cost": Float(math.Inf(1))})
-	tr.AsyncBegin("collective", "allreduce", 7, map[string]any{"scheme": "ring"})
-	clock = 2.5
-	tr.AsyncEnd("collective", "allreduce", 7)
-
-	var buf bytes.Buffer
-	if err := tr.Export(&buf); err != nil {
-		t.Fatal(err)
-	}
+	out := export()
 	var doc struct {
 		TraceEvents []map[string]any `json:"traceEvents"`
 	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+	if err := json.Unmarshal(out, &doc); err != nil {
 		t.Fatalf("export is not valid JSON: %v", err)
 	}
 	if len(doc.TraceEvents) != 7 {
@@ -54,22 +55,7 @@ func TestTracerExportIsValidChromeJSON(t *testing.T) {
 	}
 
 	// Determinism: identical call sequence => identical bytes.
-	clock = 0
-	tr2 := NewTracer(func() float64 { return clock })
-	tr2.BeginProcess("heroserve")
-	tr2.ThreadName(ControlTID, "control-plane")
-	tr2.Complete(5, "request", "request", 1.0, 3.0, map[string]any{"id": 4})
-	tr2.Complete(5, "request", "prefill", 1.0, 2.0, nil)
-	clock = 1.5
-	tr2.Instant(ControlTID, "sched", "policy-select", map[string]any{"cost": Float(math.Inf(1))})
-	tr2.AsyncBegin("collective", "allreduce", 7, map[string]any{"scheme": "ring"})
-	clock = 2.5
-	tr2.AsyncEnd("collective", "allreduce", 7)
-	var buf2 bytes.Buffer
-	if err := tr2.Export(&buf2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), buf2.Bytes()) {
+	if !bytes.Equal(out, export()) {
 		t.Error("same call sequence produced different bytes")
 	}
 }
@@ -83,18 +69,33 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	tr.InstantAt(1, 0, "c", "n", nil)
 	tr.AsyncBegin("c", "n", 1, nil)
 	tr.AsyncEnd("c", "n", 1)
-	if tr.Len() != 0 || tr.Events() != nil {
+	if tr.Len() != 0 {
 		t.Error("nil tracer must record nothing")
 	}
-	if err := tr.Export(nil); err != nil {
-		t.Error("nil tracer export should be a no-op")
+	if tr.StreamTo(nil) != nil || tr.Flush() != nil || tr.CloseStream() != nil {
+		t.Error("nil tracer stream calls should be no-ops")
+	}
+}
+
+// TestTracerWithoutStreamCountsAndTaps: with no writer the tracer encodes
+// nothing, but Len and the tap still see every event.
+func TestTracerWithoutStreamCountsAndTaps(t *testing.T) {
+	tr := NewTracer(func() float64 { return 0 })
+	var tapped int
+	tr.Tap(func(Event) { tapped++ })
+	tr.BeginProcess("p")
+	tr.Instant(ControlTID, "c", "n", map[string]any{"v": math.NaN()}) // never encoded
+	if tr.Len() != 2 || tapped != 2 {
+		t.Errorf("Len = %d, tapped %d; want 2 and 2", tr.Len(), tapped)
+	}
+	if err := tr.Flush(); err != nil {
+		t.Errorf("Flush without a stream: %v", err)
 	}
 }
 
 func TestEmptyTracerExportsEmptyArray(t *testing.T) {
-	tr := NewTracer(func() float64 { return 0 })
-	var buf bytes.Buffer
-	if err := tr.Export(&buf); err != nil {
+	tr, buf := streamed(t, func() float64 { return 0 })
+	if err := tr.CloseStream(); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -108,11 +109,19 @@ func TestEmptyTracerExportsEmptyArray(t *testing.T) {
 	}
 }
 
+// tapped returns the events tr records from now on, as the tap sees them.
+func tapped(tr *Tracer) *[]Event {
+	var evs []Event
+	tr.Tap(func(ev Event) { evs = append(evs, ev) })
+	return &evs
+}
+
 func TestCompleteClampsBackwardsSpan(t *testing.T) {
 	tr := NewTracer(func() float64 { return 0 })
+	evs := tapped(tr)
 	tr.BeginProcess("p")
 	tr.Complete(0, "c", "n", 5, 4, nil)
-	ev := tr.Events()[1]
+	ev := (*evs)[1]
 	if *ev.Dur != 0 {
 		t.Errorf("backwards span dur = %g, want 0", *ev.Dur)
 	}
@@ -120,6 +129,7 @@ func TestCompleteClampsBackwardsSpan(t *testing.T) {
 
 func TestHubAttach(t *testing.T) {
 	h := New()
+	evs := tapped(h.Trace)
 	if h.Now() != 0 {
 		t.Error("unattached hub clock should read 0")
 	}
@@ -133,9 +143,8 @@ func TestHubAttach(t *testing.T) {
 		t.Errorf("attach should emit process+thread metadata, got %d events", h.Trace.Len())
 	}
 	h.Attach(func() float64 { return clock }, "policy-B")
-	evs := h.Trace.Events()
-	if evs[2].Pid != 2 {
-		t.Errorf("second attach should open pid 2, got %d", evs[2].Pid)
+	if (*evs)[2].Pid != 2 {
+		t.Errorf("second attach should open pid 2, got %d", (*evs)[2].Pid)
 	}
 	var nh *Hub
 	nh.Attach(nil, "x") // nil hub is a no-op

@@ -26,7 +26,9 @@ go test -race -timeout 45m ./... "$@"
 # partition against its O(n^2) reference, and the hand-written span encoder
 # against json.Marshal. The trace parser, the SLO rules parser and the
 # decision-ledger, perf report and alert log readers must never panic; the
-# readers must round-trip every input they accept.
+# readers must round-trip every input they accept. The span-file reader
+# (FromTrace) must never panic, nor its report on any input it accepts; its
+# minimization is capped so the 10 s run spends its time fuzzing.
 echo "== fuzz"
 go test -run '^$' -fuzz '^FuzzReallocate$' -fuzztime 10s ./internal/netsim
 go test -run '^$' -fuzz '^FuzzPartition$' -fuzztime 10s ./internal/telemetry/critpath
@@ -36,6 +38,7 @@ go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s ./internal/telemetry/deci
 go test -run '^$' -fuzz '^FuzzReadReport$' -fuzztime 10s ./internal/telemetry/perf
 go test -run '^$' -fuzz '^FuzzReadLog$' -fuzztime 10s ./internal/telemetry/slo
 go test -run '^$' -fuzz '^FuzzParseRules$' -fuzztime 10s ./internal/telemetry/slo
+go test -run '^$' -fuzz '^FuzzFromTrace$' -fuzztime 10s -fuzzminimizetime 1s ./internal/telemetry/critpath
 
 # The benchmark under bench/ is a module of its own, so the root go test
 # does not enter it. Its tests cover the statistics, the input seeds, a

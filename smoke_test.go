@@ -5,12 +5,18 @@
 package heroserve
 
 import (
+	"bufio"
+	"bytes"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"heroserve/internal/workload"
 )
@@ -196,6 +202,102 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		if lines := strings.Count(strings.TrimSpace(string(out)), "\n") + 1; lines != 1 ||
 			!strings.HasPrefix(string(out), c.bin+": ") {
 			t.Errorf("%s %v: want a one-line \"%s: ...\" error, got:\n%s", c.bin, c.args, c.bin, out)
+		}
+	}
+}
+
+// TestObserversDoNotPerturbTheRun: pushing metrics and serving them from a
+// daemon only read the run. One trace replayed plain, with -push-url, and
+// with -daemon serves the same requests in the same simulated time and
+// exports the same metrics, byte for byte, apart from the pusher's own
+// failure counter.
+func TestObserversDoNotPerturbTheRun(t *testing.T) {
+	if testing.Short() {
+		t.Skip("smoke tests compile binaries")
+	}
+	dir := t.TempDir()
+	serve := filepath.Join(dir, "serve")
+	if out, err := exec.Command("go", "build", "-o", serve, "./cmd/serve").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/serve: %v\n%s", err, out)
+	}
+	trace := filepath.Join(dir, "trace.json")
+	tf, err := os.Create(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := workload.NewGenerator(workload.Chatbot, 7).Generate(40, 4).Encode(tf); err != nil {
+		t.Fatal(err)
+	}
+	if err := tf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	gateway := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+	}))
+	defer gateway.Close()
+
+	// replay runs serve with extra flags and returns its served= line and
+	// metrics export. A daemon run is interrupted once its runs complete.
+	replay := func(name string, extra ...string) (served string, metrics []byte) {
+		t.Helper()
+		out := filepath.Join(dir, name+".prom")
+		args := append([]string{"-trace", trace, "-system", "heroserve", "-topology", "testbed",
+			"-model", "opt-13b", "-seed", "7", "-metrics-out", out}, extra...)
+		cmd := exec.Command(serve, args...)
+		stdout, err := cmd.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		kill := time.AfterFunc(2*time.Minute, func() { cmd.Process.Kill() })
+		defer kill.Stop()
+		sc := bufio.NewScanner(stdout)
+		for sc.Scan() {
+			line := sc.Text()
+			if strings.HasPrefix(line, "served=") {
+				served = line
+			}
+			if strings.Contains(line, "runs complete") {
+				cmd.Process.Signal(os.Interrupt)
+			}
+		}
+		if err := cmd.Wait(); err != nil {
+			t.Fatalf("serve %s: %v", name, err)
+		}
+		if metrics, err = os.ReadFile(out); err != nil {
+			t.Fatal(err)
+		}
+		return served, metrics
+	}
+	dropFamily := func(exposition []byte, fam string) []byte {
+		var kept bytes.Buffer
+		for _, line := range strings.SplitAfter(string(exposition), "\n") {
+			if !strings.Contains(line, fam) {
+				kept.WriteString(line)
+			}
+		}
+		return kept.Bytes()
+	}
+
+	plainServed, plain := replay("plain")
+	if plainServed == "" || len(plain) == 0 {
+		t.Fatalf("plain run printed no served= line or no metrics")
+	}
+	pushServed, pushed := replay("push", "-push-url", gateway.URL, "-push-every", "1")
+	pushed = dropFamily(pushed, "telemetry_push_failures_total")
+	daemonServed, daemon := replay("daemon", "-daemon", "-listen", "127.0.0.1:0", "-publish-every", "1")
+	for _, run := range []struct {
+		name    string
+		served  string
+		metrics []byte
+	}{{"push", pushServed, pushed}, {"daemon", daemonServed, daemon}} {
+		if run.served != plainServed {
+			t.Errorf("%s run: %q, plain run: %q", run.name, run.served, plainServed)
+		}
+		if !bytes.Equal(run.metrics, plain) {
+			t.Errorf("%s run exported different metrics than the plain run", run.name)
 		}
 	}
 }
