@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strings"
 
 	"heroserve/internal/model"
 	"heroserve/internal/planner"
@@ -39,6 +40,9 @@ func main() {
 
 	if *servers < 1 {
 		usagef("-servers must be at least 1, got %d", *servers)
+	}
+	if *servers < 2 && *topo != "testbed" {
+		usagef("-servers must be at least 2 for a pod (one prefill and one decode server), got %d", *servers)
 	}
 	if *batch < 1 {
 		usagef("-batch must be at least 1, got %d", *batch)
@@ -141,8 +145,14 @@ func usagef(format string, args ...any) {
 	os.Exit(2)
 }
 
-// fatalf reports a planning failure: one line, exit status 1.
+// fatalf reports a planning failure: one line, exit status 1. Errors of
+// the planner package already start with "planner: ", which is not
+// repeated.
 func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "planner: "+format+"\n", args...)
+	msg := fmt.Sprintf(format, args...)
+	if !strings.HasPrefix(msg, "planner: ") {
+		msg = "planner: " + msg
+	}
+	fmt.Fprintln(os.Stderr, msg)
 	os.Exit(1)
 }

@@ -108,6 +108,9 @@ func main() {
 	if *servers < 1 {
 		usagef("-servers must be at least 1, got %d", *servers)
 	}
+	if *servers < 2 && *topo != "testbed" {
+		usagef("-servers must be at least 2 for a pod (one prefill and one decode server), got %d", *servers)
+	}
 	if *batch < 1 {
 		usagef("-batch must be at least 1, got %d", *batch)
 	}

@@ -109,16 +109,25 @@ func INAStepTime(g *topology.Graph, r Router, group []topology.NodeID, sw topolo
 	if len(group) == 0 {
 		return 0
 	}
-	paths := make([]topology.Path, len(group))
-	edgeLoad := make(map[topology.EdgeID]float64)
-	for i, k := range group {
+	// loads holds the bytes crossing each edge of the members' paths. A
+	// group's paths share few edges, so a linear scan replaces a map, and
+	// small groups fit the stack buffers.
+	var pathBuf [16]topology.Path
+	var loadBuf [64]edgeLoad
+	paths, loads := pathBuf[:0], loadBuf[:0]
+	for _, k := range group {
 		path, ok := r.Route(k, sw, stepBytes)
 		if !ok {
 			return math.Inf(1)
 		}
-		paths[i] = path
+		paths = append(paths, path)
 		for _, eid := range path.Edges {
-			edgeLoad[eid] += float64(stepBytes)
+			i := loadIndex(loads, eid)
+			if i < 0 {
+				i = len(loads)
+				loads = append(loads, edgeLoad{eid: eid})
+			}
+			loads[i].bytes += float64(stepBytes)
 		}
 	}
 	var worst float64
@@ -129,13 +138,29 @@ func INAStepTime(g *topology.Graph, r Router, group []topology.NodeID, sw topolo
 			if e.Available <= 0 {
 				return math.Inf(1)
 			}
-			t += edgeLoad[eid]/e.Available + e.Latency
+			t += loads[loadIndex(loads, eid)].bytes/e.Available + e.Latency
 		}
 		if t > worst {
 			worst = t
 		}
 	}
 	return 2*worst + switchsim.AggLatency
+}
+
+// edgeLoad is the bytes crossing one edge in an INA collection phase.
+type edgeLoad struct {
+	eid   topology.EdgeID
+	bytes float64
+}
+
+// loadIndex returns the index of eid's entry in loads, or -1.
+func loadIndex(loads []edgeLoad, eid topology.EdgeID) int {
+	for i := range loads {
+		if loads[i].eid == eid {
+			return i
+		}
+	}
+	return -1
 }
 
 // HeteroStepTime evaluates HeroServe's heterogeneous scheme for one step:
@@ -181,20 +206,25 @@ func heteroStepTime(g *topology.Graph, r Router, servers [][]topology.NodeID, sw
 // BestAggSwitch returns the switch minimizing the worst-case member-to-
 // switch transfer time for stepBytes (Alg. 2 line 7: "find V_s with the
 // smallest delay to the group"), and that minimum. ok is false when no
-// switch is reachable from every member.
+// switch is reachable from every member. A MatrixRouter answers each
+// member-to-switch time from D, without building the path.
 func BestAggSwitch(g *topology.Graph, r Router, group []topology.NodeID, stepBytes int64) (sw topology.NodeID, delay float64, ok bool) {
+	timer, fast := r.(transferTimer)
+	if !fast {
+		timer = routeTimer{r}
+	}
 	best := math.Inf(1)
 	bestSw := topology.NodeID(-1)
 	for _, s := range g.Switches() {
 		var worst float64
 		reachable := true
 		for _, k := range group {
-			path, found := r.Route(k, s, stepBytes)
+			t, found := timer.TransferTime(g, k, s, stepBytes)
 			if !found {
 				reachable = false
 				break
 			}
-			if t := path.TransferTime(g, stepBytes); t > worst {
+			if t > worst {
 				worst = t
 			}
 		}

@@ -117,6 +117,71 @@ func TestServerLeaders(t *testing.T) {
 	}
 }
 
+// leadersByMap is the original map-and-sort partition, kept as the oracle
+// for leadersBy.
+func leadersByMap(group []topology.NodeID, key func(topology.NodeID) [2]int) [][]topology.NodeID {
+	parts := make(map[[2]int][]topology.NodeID)
+	for _, id := range group {
+		k := key(id)
+		parts[k] = append(parts[k], id)
+	}
+	var out [][]topology.NodeID
+	for _, members := range parts {
+		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
+		out = append(out, members)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
+	return out
+}
+
+// TestLeadersMatchMapPartition compares ServerLeaders and NUMALeaders with
+// the map-and-sort oracle on shuffled groups, groups with duplicated GPUs
+// and groups whose servers interleave, and checks that appending to one
+// part leaves the next one intact.
+func TestLeadersMatchMapPartition(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for name, g := range map[string]*topology.Graph{
+		"testbed": topology.Testbed(), "pcie": pcieTestbed(), "pod8-4": topology.Pod8Tracks(4),
+	} {
+		gpus := g.GPUs()
+		for trial := 0; trial < 200; trial++ {
+			group := make([]topology.NodeID, 1+rng.Intn(2*len(gpus)))
+			for i := range group {
+				group[i] = gpus[rng.Intn(len(gpus))] // duplicates likely
+			}
+			if trial%2 == 0 {
+				slices.Sort(group)
+				group = slices.Compact(group)
+				rng.Shuffle(len(group), func(i, j int) { group[i], group[j] = group[j], group[i] })
+			}
+			orig := slices.Clone(group)
+			for _, by := range []struct {
+				name string
+				key  func(topology.NodeID) [2]int
+				got  func(*topology.Graph, []topology.NodeID) [][]topology.NodeID
+			}{
+				{"server", func(id topology.NodeID) [2]int { return [2]int{g.Node(id).Server, 0} }, ServerLeaders},
+				{"numa", func(id topology.NodeID) [2]int { n := g.Node(id); return [2]int{n.Server, n.NUMA} }, NUMALeaders},
+			} {
+				got, want := by.got(g, group), leadersByMap(group, by.key)
+				if !slices.EqualFunc(got, want, slices.Equal) {
+					t.Fatalf("%s %s leaders of %v = %v, want %v", name, by.name, group, got, want)
+				}
+				if !slices.Equal(group, orig) {
+					t.Fatalf("%s %s leaders reordered the group", name, by.name)
+				}
+				for i := 0; i+1 < len(got); i++ {
+					next := slices.Clone(got[i+1])
+					_ = append(got[i], -1)
+					if !slices.Equal(got[i+1], next) {
+						t.Fatalf("%s %s: appending to part %d clobbered part %d", name, by.name, i, i+1)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestStaticRouterCachesAndRoutes(t *testing.T) {
 	g := topology.Testbed()
 	r := NewStaticRouter(g)
@@ -177,13 +242,43 @@ func TestStaticRouterMemoizesPaths(t *testing.T) {
 func TestMatrixRouter(t *testing.T) {
 	g := topology.Testbed()
 	gpus := g.GPUs()
-	m := g.NewMatrix(gpus[:4], topology.TransferCost(1<<20), nil)
+	m := g.NewMatrix(gpus[:4], 1<<20, nil)
 	r := MatrixRouter{M: m}
 	if _, ok := r.Route(gpus[0], gpus[3], 1); !ok {
 		t.Error("in-set route failed")
 	}
 	if _, ok := r.Route(gpus[0], gpus[10], 1); ok {
 		t.Error("out-of-set route should fail")
+	}
+}
+
+// routeOnly hides a router's TransferTime, so BestAggSwitch prices each
+// member-to-switch transfer by building its path.
+type routeOnly struct{ Router }
+
+// TestBestAggSwitchFromDMatchesPaths: BestAggSwitch through a MatrixRouter
+// reads D and picks the same switch, with the same delay bit for bit, as
+// through the matrix's paths, at the matrix's size and at another one.
+func TestBestAggSwitchFromDMatchesPaths(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, g := range []*topology.Graph{topology.Testbed(), topology.Pod8Tracks(24)} {
+		gpus := g.GPUs()
+		working := append(append([]topology.NodeID{}, gpus...), g.Switches()...)
+		const size = 3 << 20
+		mr := MatrixRouter{M: g.NewMatrix(working, size, FabricAllow(g))}
+		for trial := 0; trial < 100; trial++ {
+			group := make([]topology.NodeID, 1+rng.Intn(16))
+			for i := range group {
+				group[i] = gpus[rng.Intn(len(gpus))]
+			}
+			for _, bytes := range []int64{size, size / 3} {
+				sw, d, ok := BestAggSwitch(g, mr, group, bytes)
+				wsw, wd, wok := BestAggSwitch(g, routeOnly{mr}, group, bytes)
+				if sw != wsw || math.Float64bits(d) != math.Float64bits(wd) || ok != wok {
+					t.Fatalf("group %v, %d bytes: switch %d delay %v ok %v, by path %d %v %v", group, bytes, sw, d, ok, wsw, wd, wok)
+				}
+			}
+		}
 	}
 }
 
@@ -283,7 +378,7 @@ func TestChooseSchemeRegimes(t *testing.T) {
 		}
 	}
 	all := append(append([]topology.NodeID{}, tb.GPUs()...), tb.Switches()...)
-	m := tb.NewMatrix(all, topology.TransferCost(256<<10), nil)
+	m := tb.NewMatrix(all, 256<<10, nil)
 	mr := MatrixRouter{M: m}
 	sw, _, ok := BestAggSwitch(tb, mr, tb.GPUs(), 256<<10)
 	if !ok {

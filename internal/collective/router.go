@@ -16,6 +16,8 @@
 package collective
 
 import (
+	"math"
+	"slices"
 	"sort"
 
 	"heroserve/internal/topology"
@@ -140,6 +142,35 @@ func (r MatrixRouter) Route(a, b topology.NodeID, _ int64) (topology.Path, bool)
 	return r.M.PathBetween(a, b)
 }
 
+// TransferTime returns the time to move size bytes from a to b along
+// Route's path, and false when Route fails. For the size the matrix routes
+// for, that is D(a,b), read without building the path.
+func (r MatrixRouter) TransferTime(g *topology.Graph, a, b topology.NodeID, size int64) (float64, bool) {
+	if size == r.M.Size() {
+		d := r.M.Dist(a, b)
+		return d, !math.IsInf(d, 1)
+	}
+	return routeTimer{r}.TransferTime(g, a, b, size)
+}
+
+// transferTimer prices the transfer of size bytes from a to b along a
+// router's path; ok is false when the router finds none. MatrixRouter
+// implements it without building the path; routeTimer adapts any Router.
+type transferTimer interface {
+	TransferTime(g *topology.Graph, a, b topology.NodeID, size int64) (float64, bool)
+}
+
+// routeTimer prices a transfer by way of its router's path.
+type routeTimer struct{ r Router }
+
+func (t routeTimer) TransferTime(g *topology.Graph, a, b topology.NodeID, size int64) (float64, bool) {
+	path, ok := t.r.Route(a, b, size)
+	if !ok {
+		return 0, false
+	}
+	return path.TransferTime(g, size), true
+}
+
 // RingOrder returns the group's GPUs in the ring order used by all ring
 // all-reduces: grouped by server, so adjacent ring neighbours share NVLink
 // whenever possible (NCCL's topology-aware ordering), with deterministic id
@@ -188,17 +219,37 @@ func NUMALeaders(g *topology.Graph, group []topology.NodeID) [][]topology.NodeID
 	})
 }
 
+// leadersBy partitions the group by key: an id-sorted copy, stably grouped
+// by key in place, so each part is ascending and the parts are ordered by
+// their smallest id. The parts share one backing array, each capped at its
+// own length.
 func leadersBy(group []topology.NodeID, key func(topology.NodeID) [2]int) [][]topology.NodeID {
-	parts := make(map[[2]int][]topology.NodeID)
-	for _, id := range group {
-		k := key(id)
-		parts[k] = append(parts[k], id)
+	ids := slices.Clone(group)
+	slices.Sort(ids)
+	parts := 0
+	for i := 0; i < len(ids); parts++ {
+		k := key(ids[i])
+		// Move the later members with key k up behind ids[i], keeping the
+		// order of the ones they pass.
+		j := i + 1
+		for p := j; p < len(ids); p++ {
+			if id := ids[p]; key(id) == k {
+				copy(ids[j+1:p+1], ids[j:p])
+				ids[j] = id
+				j++
+			}
+		}
+		i = j
 	}
-	var out [][]topology.NodeID
-	for _, members := range parts {
-		sort.Slice(members, func(i, j int) bool { return members[i] < members[j] })
-		out = append(out, members)
+	out := make([][]topology.NodeID, 0, parts)
+	for i := 0; i < len(ids); {
+		k := key(ids[i])
+		j := i + 1
+		for j < len(ids) && key(ids[j]) == k {
+			j++
+		}
+		out = append(out, ids[i:j:j])
+		i = j
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
 	return out
 }

@@ -236,7 +236,7 @@ func TestQuickConservationAndCapacity(t *testing.T) {
 		eng := sim.NewEngine()
 		n := New(g, eng)
 		gpus := g.GPUs()
-		m := g.NewMatrix(gpus, topology.TransferCost(1<<20), nil)
+		m := g.NewMatrix(gpus, 1<<20, nil)
 
 		type rec struct{ path topology.Path }
 		wantBytes := make([]float64, g.NumEdges())
@@ -293,7 +293,7 @@ func TestQuickConservationAndCapacity(t *testing.T) {
 func BenchmarkManyConcurrentFlows(b *testing.B) {
 	g := topology.Pod2Tracks(6)
 	gpus := g.GPUs()
-	m := g.NewMatrix(gpus, topology.TransferCost(1<<20), nil)
+	m := g.NewMatrix(gpus, 1<<20, nil)
 	rng := rand.New(rand.NewSource(3))
 	type pair struct{ p topology.Path }
 	paths := make([]topology.Path, 0, 64)

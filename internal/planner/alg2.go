@@ -19,6 +19,10 @@ type clusterParams struct {
 	ppipe    int
 	pool     []topology.NodeID
 	msgBytes int64 // bytes per tensor-parallel synchronization step
+	// trees routes msgBytes transfers from the role's pool plus the
+	// switches; it is the same for every candidate, so Solve keeps one per
+	// role across them.
+	trees    *topology.Trees
 	steps    int   // sync steps per stage per forward pass
 	actBytes int64 // pipeline activation bytes between stages
 }
@@ -50,7 +54,7 @@ func estimateNetwork(in *Inputs, p clusterParams, rng *rand.Rand) clusterEstimat
 	// Offline matrices over the usable GPUs plus every switch (Alg. 2
 	// lines 2-3), routed through the switching fabric (no GPU relays).
 	working := append(append([]topology.NodeID{}, usable...), g.Switches()...)
-	matrix := g.NewMatrix(working, topology.TransferCost(p.msgBytes), collective.FabricAllow(g))
+	matrix := p.trees.Matrix(working)
 	router := collective.MatrixRouter{M: matrix}
 	dist := func(a, b topology.NodeID) float64 { return matrix.Dist(a, b) }
 
@@ -147,13 +151,12 @@ func chooseGroupScheme(g *topology.Graph, r collective.Router, group []topology.
 
 // estimateKVTransfer evaluates Eq. 14-15: KV caches migrate pairwise from
 // prefill stages to decode stages in parallel; the slowest pair bounds T_f.
-func estimateKVTransfer(in *Inputs, pre, dec *serving.InstanceSpec) float64 {
+func estimateKVTransfer(in *Inputs, router *collective.StaticRouter, pre, dec *serving.InstanceSpec) float64 {
 	g := in.Graph
 	total := in.Model.KVTransferBytes(in.Workload.Kin)
 	pp := pre.Ppipe()
 	ppD := dec.Ppipe()
 	share := total / int64(pp)
-	router := collective.NewStaticRouter(g)
 	var worst float64
 	for s := 0; s < pp; s++ {
 		from := pre.Stages[s][0]

@@ -3,7 +3,7 @@ package planner
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"heroserve/internal/topology"
 )
@@ -11,41 +11,36 @@ import (
 // DistFunc returns the (symmetric) latency distance between two GPU nodes.
 type DistFunc func(a, b topology.NodeID) float64
 
-// GroupGPUs partitions gpus into k groups of exactly m members each
-// (len(gpus) must be >= k*m; the surplus is left unused), minimizing
-// intra-group pairwise distance. This is the k-means-constrained step of
-// Alg. 2 line 4, implemented as greedy nearest-neighbour seeding: the
-// perturbation pass (Alg. 2 lines 12-22) refines it afterwards, which is
-// exactly the paper's pipeline. The result is deterministic given the input
-// order.
+// GroupGPUs partitions gpus into k groups of exactly m members each (gpus
+// must hold at least k*m distinct ids; the surplus is left unused),
+// minimizing intra-group pairwise distance. This is the k-means-constrained
+// step of Alg. 2 line 4, implemented as greedy nearest-neighbour seeding:
+// the perturbation pass (Alg. 2 lines 12-22) refines it afterwards, which
+// is exactly the paper's pipeline. The result is deterministic given the
+// input order.
 func GroupGPUs(dist DistFunc, gpus []topology.NodeID, k, m int) ([][]topology.NodeID, error) {
 	if k <= 0 || m <= 0 {
 		return nil, fmt.Errorf("planner: grouping %d x %d", k, m)
 	}
-	if len(gpus) < k*m {
-		return nil, fmt.Errorf("planner: %d GPUs cannot form %d groups of %d", len(gpus), k, m)
+	pool := slices.Clone(gpus)
+	slices.Sort(pool)
+	pool = slices.Compact(pool) // a duplicated id counts once
+	if len(pool) < k*m {
+		return nil, fmt.Errorf("planner: %d GPUs cannot form %d groups of %d", len(pool), k, m)
 	}
-	pool := append([]topology.NodeID(nil), gpus...)
-	sort.Slice(pool, func(i, j int) bool { return pool[i] < pool[j] })
-	used := make(map[topology.NodeID]bool, len(pool))
+	used := make([]bool, len(pool)) // used[i] marks pool[i] as grouped
 	groups := make([][]topology.NodeID, 0, k)
 	for gi := 0; gi < k; gi++ {
 		// Seed with the lowest unused id, then greedily add the nearest
 		// unused neighbours.
-		var seed topology.NodeID = -1
-		for _, g := range pool {
-			if !used[g] {
-				seed = g
-				break
-			}
-		}
+		seed := slices.Index(used, false)
 		used[seed] = true
-		group := []topology.NodeID{seed}
+		group := []topology.NodeID{pool[seed]}
 		for len(group) < m {
-			var best topology.NodeID = -1
+			best := -1
 			bestD := 0.0
-			for _, cand := range pool {
-				if used[cand] {
+			for i, cand := range pool {
+				if used[i] {
 					continue
 				}
 				// Distance to the group: sum over members (keeps groups
@@ -55,11 +50,11 @@ func GroupGPUs(dist DistFunc, gpus []topology.NodeID, k, m int) ([][]topology.No
 					d += dist(g, cand)
 				}
 				if best < 0 || d < bestD {
-					best, bestD = cand, d
+					best, bestD = i, d
 				}
 			}
 			used[best] = true
-			group = append(group, best)
+			group = append(group, pool[best])
 		}
 		groups = append(groups, group)
 	}

@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 
+	"heroserve/internal/collective"
 	"heroserve/internal/model"
 	"heroserve/internal/queueing"
 	"heroserve/internal/serving"
@@ -136,6 +137,18 @@ func Solve(in Inputs) (*Plan, error) {
 		meanOut = 1
 	}
 
+	// One tree cache per role: its message size, edge cost and relay
+	// predicate are the same for every candidate. Each is used by one
+	// estimation goroutine at a time, so it needs no lock, and it is
+	// dropped when Solve returns.
+	roleTrees := func(pool []topology.NodeID, msgBytes int64) *topology.Trees {
+		universe := append(append([]topology.NodeID{}, pool...), in.Graph.Switches()...)
+		return in.Graph.NewTrees(universe, msgBytes, collective.FabricAllow(in.Graph))
+	}
+	preMsg, decMsg := in.Model.SyncBytes(w.Kin), in.Model.SyncBytes(int64(w.Q))
+	preTrees, decTrees := roleTrees(in.PrefillGPUs, preMsg), roleTrees(in.DecodeGPUs, decMsg)
+	kvRouter := collective.NewStaticRouter(in.Graph)
+
 	var best *Plan
 	for ci, cand := range cands {
 		rng := rand.New(rand.NewSource(in.Seed + int64(ci)))
@@ -152,7 +165,8 @@ func Solve(in Inputs) (*Plan, error) {
 				ptens:    cand.PtensP,
 				ppipe:    cand.PpipeP,
 				pool:     in.PrefillGPUs,
-				msgBytes: in.Model.SyncBytes(w.Kin),
+				msgBytes: preMsg,
+				trees:    preTrees,
 				steps:    syncStepsPerStage(in.Model.SyncStepsPerPass(), cand.PpipeP),
 				actBytes: in.Model.PipelineActivationBytes(w.Kin),
 			}, rng)
@@ -165,7 +179,8 @@ func Solve(in Inputs) (*Plan, error) {
 				ptens:    cand.PtensD,
 				ppipe:    cand.PpipeD,
 				pool:     in.DecodeGPUs,
-				msgBytes: in.Model.SyncBytes(int64(w.Q)),
+				msgBytes: decMsg,
+				trees:    decTrees,
 				steps:    syncStepsPerStage(in.Model.SyncStepsPerPass(), cand.PpipeD),
 				actBytes: in.Model.PipelineActivationBytes(int64(w.Q)),
 			}, rand.New(rand.NewSource(in.Seed+int64(ci)+7919)))
@@ -183,7 +198,7 @@ func Solve(in Inputs) (*Plan, error) {
 			continue
 		}
 
-		tf := estimateKVTransfer(&in, &preEst.instances[0], &decEst.instances[0])
+		tf := estimateKVTransfer(&in, kvRouter, &preEst.instances[0], &decEst.instances[0])
 		if math.IsInf(tf, 1) {
 			trace(0, "unroutable KV transfer")
 			continue

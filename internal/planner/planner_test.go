@@ -1,6 +1,7 @@
 package planner
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestSplitPoolsByServer(t *testing.T) {
 func TestGroupGPUs(t *testing.T) {
 	g := topology.Testbed()
 	gpus := g.GPUs()
-	m := g.NewMatrix(gpus, topology.TransferCost(1<<20), nil)
+	m := g.NewMatrix(gpus, 1<<20, nil)
 	dist := func(a, b topology.NodeID) float64 { return m.Dist(a, b) }
 	groups, err := GroupGPUs(dist, gpus, 4, 4)
 	if err != nil {
@@ -90,11 +91,15 @@ func TestGroupGPUsErrors(t *testing.T) {
 	if _, err := GroupGPUs(dist, []topology.NodeID{1}, 0, 1); err == nil {
 		t.Error("zero groups accepted")
 	}
+	// A duplicated GPU counts once: three distinct ids cannot form 2x2.
+	if _, err := GroupGPUs(dist, []topology.NodeID{1, 2, 3, 3}, 2, 2); err == nil {
+		t.Error("duplicated GPU counted twice")
+	}
 }
 
 func TestPerturbImprovesBadGrouping(t *testing.T) {
 	g := topology.Testbed()
-	m := g.NewMatrix(g.GPUs(), topology.TransferCost(1<<20), nil)
+	m := g.NewMatrix(g.GPUs(), 1<<20, nil)
 	// Deliberately bad grouping: interleave servers 0 and 1.
 	s0, s1 := g.ServerGPUs(0), g.ServerGPUs(1)
 	groups := [][]topology.NodeID{
@@ -314,7 +319,7 @@ func TestEstimateKVTransferSameNode(t *testing.T) {
 	dec := spec
 	dec.Role = serving.RoleDecode
 	// Same stage leaders: zero transfer time.
-	if tf := estimateKVTransfer(&in, &spec, &dec); tf != 0 {
+	if tf := estimateKVTransfer(&in, collective.NewStaticRouter(g), &spec, &dec); tf != 0 {
 		t.Errorf("self KV transfer = %g, want 0", tf)
 	}
 }
@@ -340,5 +345,22 @@ func BenchmarkSolveTestbed(b *testing.B) {
 		if _, err := Solve(in); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSolvePod8 plans 192 and 768 GPUs: the planner's scaling in the
+// pod.
+func BenchmarkSolvePod8(b *testing.B) {
+	for _, servers := range []int{24, 96} {
+		b.Run(fmt.Sprintf("servers=%d", servers), func(b *testing.B) {
+			in := pod8Inputs(servers)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Solve(in); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

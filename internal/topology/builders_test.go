@@ -76,7 +76,7 @@ func TestTestbedWiring(t *testing.T) {
 		}
 	}
 	// All GPUs mutually reachable.
-	m := g.NewMatrix(g.GPUs(), TransferCost(1<<20), nil)
+	m := g.NewMatrix(g.GPUs(), 1<<20, nil)
 	for _, a := range g.GPUs() {
 		for _, b := range g.GPUs() {
 			if math.IsInf(m.Dist(a, b), 1) {

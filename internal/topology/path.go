@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"math"
 )
 
@@ -237,70 +238,158 @@ func extend[T any](s []T, n int) []T {
 	return s[:len(s)+n]
 }
 
-// Matrix is the planner's offline all-pairs structure: the minimum-latency
-// matrix D(i,j) and the shortest-path matrix P(k,a) (paper Alg. 2 lines 2-3),
-// restricted to a working set of nodes. It keeps one shortest-path tree per
-// source: D reads the tree's distances, and P(a,b) is built from the tree on
-// first request and memoized, so pairs the planner never asks for cost
-// nothing. A Matrix is not safe for concurrent use.
-type Matrix struct {
-	index map[NodeID]int
+// Trees caches the shortest-path trees of size-byte transfers (TransferCost
+// routing under one relay predicate) from the sources of a fixed universe
+// of nodes. A source's tree is built on the source's first Dist or
+// PathBetween, and P(a,b) on its first request, memoized on a's tree. Every
+// Matrix built from one Trees shares them, so working sets that are subsets
+// of one universe route each source once: the planner keeps one Trees per
+// role, whose pool plus the switches holds every candidate's working set.
+// The trees reflect the graph's available bandwidths when each was built.
+// Trees is not safe for concurrent use.
+type Trees struct {
+	g     *Graph
+	cost  EdgeCost
+	allow func(NodeID) bool
+	size  int64
 	nodes []NodeID
-	trees []*ShortestPaths
-	paths [][]Path // row i allocated on the first PathBetween from nodes[i]
+	slot  []int32 // NodeID -> index in nodes, -1 outside the universe
+	trees []tree  // per index in nodes
 }
 
-// NewMatrix runs Dijkstra from every node in nodes. The cost metric and
-// relay predicate match Dijkstra's.
-func (g *Graph) NewMatrix(nodes []NodeID, cost EdgeCost, allow func(NodeID) bool) *Matrix {
-	m := &Matrix{
-		index: make(map[NodeID]int, len(nodes)),
+// tree is one source's shortest-path tree and its path memo: at[j] is one
+// plus the index in paths of P(source, nodes[j]), 0 until first requested.
+// An unreachable destination is memoized as an invalid path.
+type tree struct {
+	sp    *ShortestPaths
+	at    []int32
+	paths []Path
+}
+
+// NewTrees returns an empty tree cache over the universe nodes for size-byte
+// transfers. The relay predicate matches Dijkstra's.
+func (g *Graph) NewTrees(nodes []NodeID, size int64, allow func(NodeID) bool) *Trees {
+	t := &Trees{
+		g:     g,
+		cost:  TransferCost(size),
+		allow: allow,
+		size:  size,
 		nodes: append([]NodeID(nil), nodes...),
-		trees: make([]*ShortestPaths, len(nodes)),
-		paths: make([][]Path, len(nodes)),
+		slot:  make([]int32, g.NumNodes()),
+		trees: make([]tree, len(nodes)),
 	}
-	for i, n := range m.nodes {
-		m.index[n] = i
+	for i := range t.slot {
+		t.slot[i] = -1
 	}
-	for i, src := range m.nodes {
-		m.trees[i] = g.Dijkstra(src, cost, allow)
+	for i, n := range t.nodes {
+		t.slot[n] = int32(i)
+	}
+	return t
+}
+
+// tree returns the tree from nodes[i], running Dijkstra on first use.
+func (t *Trees) tree(i int32) *ShortestPaths {
+	if sp := t.trees[i].sp; sp != nil {
+		return sp
+	}
+	sp := t.g.Dijkstra(t.nodes[i], t.cost, t.allow)
+	t.trees[i].sp = sp
+	return sp
+}
+
+// path returns P(nodes[i], nodes[j]), building it on first request.
+func (t *Trees) path(i, j int32) Path {
+	sp := t.tree(i)
+	tr := &t.trees[i]
+	if tr.at == nil {
+		tr.at = make([]int32, len(t.nodes))
+	}
+	if k := tr.at[j]; k > 0 {
+		return tr.paths[k-1]
+	}
+	p, _ := sp.PathTo(t.nodes[j])
+	tr.paths = append(tr.paths, p)
+	tr.at[j] = int32(len(tr.paths))
+	return p
+}
+
+// Matrix restricts the trees to a working set of nodes, a subset of the
+// universe; it panics on a node outside the universe.
+func (t *Trees) Matrix(nodes []NodeID) *Matrix {
+	m := &Matrix{
+		t:     t,
+		nodes: append([]NodeID(nil), nodes...),
+		slot:  make([]int32, len(t.slot)),
+	}
+	for i := range m.slot {
+		m.slot[i] = -1
+	}
+	for _, n := range m.nodes {
+		i := t.slot[n]
+		if i < 0 {
+			panic(fmt.Sprintf("topology: matrix node %d outside the tree universe", n))
+		}
+		m.slot[n] = i
 	}
 	return m
+}
+
+// Matrix is the planner's offline all-pairs structure: the minimum-latency
+// matrix D(i,j) and the shortest-path matrix P(k,a) (paper Alg. 2 lines 2-3)
+// of size-byte transfers, restricted to a working set of nodes. It reads
+// both from its Trees: D(a,b) from a's tree distances, P(a,b) from the path
+// memoized on a's tree, so pairs the planner never asks for cost nothing.
+// Because Dijkstra sums each edge's size/B(e) + latency in travel order, as
+// Path.TransferTime does, D(a,b) equals P(a,b).TransferTime(g, size) bit
+// for bit while the graph's bandwidths are unchanged. A Matrix is not safe
+// for concurrent use.
+type Matrix struct {
+	t     *Trees
+	nodes []NodeID
+	slot  []int32 // NodeID -> the Trees' index of a working-set node, -1 otherwise
+}
+
+// NewMatrix returns the matrix of size-byte transfers over nodes, on trees
+// of its own. The relay predicate matches Dijkstra's.
+func (g *Graph) NewMatrix(nodes []NodeID, size int64, allow func(NodeID) bool) *Matrix {
+	return g.NewTrees(nodes, size, allow).Matrix(nodes)
 }
 
 // Nodes returns the node working set (matrix-owned slice).
 func (m *Matrix) Nodes() []NodeID { return m.nodes }
 
+// Size returns the transfer size, in bytes, the matrix routes for.
+func (m *Matrix) Size() int64 { return m.t.size }
+
+// index returns n's Trees index, or -1 when n is outside the working set.
+func (m *Matrix) index(n NodeID) int32 {
+	if uint(n) >= uint(len(m.slot)) {
+		return -1
+	}
+	return m.slot[n]
+}
+
 // Contains reports whether n is in the working set.
-func (m *Matrix) Contains(n NodeID) bool { _, ok := m.index[n]; return ok }
+func (m *Matrix) Contains(n NodeID) bool { return m.index(n) >= 0 }
 
 // Dist returns D(a,b): +Inf when unreachable or when either node is outside
 // the working set.
 func (m *Matrix) Dist(a, b NodeID) float64 {
-	i, ok1 := m.index[a]
-	_, ok2 := m.index[b]
-	if !ok1 || !ok2 {
+	i, j := m.index(a), m.index(b)
+	if i < 0 || j < 0 {
 		return math.Inf(1)
 	}
-	return m.trees[i].Dist[b]
+	return m.t.tree(i).Dist[b]
 }
 
 // PathBetween returns P(a,b); the second result is false when unreachable or
 // out of the working set. Returned paths are shared between calls; callers
 // must not modify them.
 func (m *Matrix) PathBetween(a, b NodeID) (Path, bool) {
-	i, ok1 := m.index[a]
-	j, ok2 := m.index[b]
-	if !ok1 || !ok2 {
+	i, j := m.index(a), m.index(b)
+	if i < 0 || j < 0 {
 		return Path{}, false
 	}
-	if m.paths[i] == nil {
-		m.paths[i] = make([]Path, len(m.nodes))
-	}
-	if p := m.paths[i][j]; p.Valid() {
-		return p, true
-	}
-	p, ok := m.trees[i].PathTo(b)
-	m.paths[i][j] = p // stays invalid, and is recomputed, when unreachable
-	return p, ok
+	p := m.t.path(i, j)
+	return p, p.Valid()
 }

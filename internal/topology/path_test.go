@@ -119,7 +119,7 @@ func TestPathTransferTimeAndBottleneck(t *testing.T) {
 func TestMatrixSymmetricOnUndirectedGraph(t *testing.T) {
 	g := Testbed()
 	gpus := g.GPUs()
-	m := g.NewMatrix(gpus, TransferCost(1<<20), nil)
+	m := g.NewMatrix(gpus, 1<<20, nil)
 	for _, a := range gpus {
 		for _, b := range gpus {
 			dab, dba := m.Dist(a, b), m.Dist(b, a)
@@ -167,7 +167,7 @@ func TestQuickDijkstraInvariants(t *testing.T) {
 		}
 		size := int64(rng.Intn(1<<22) + 1)
 		cost := TransferCost(size)
-		m := g.NewMatrix(ids, cost, nil)
+		m := g.NewMatrix(ids, size, nil)
 		for _, a := range ids {
 			for _, b := range ids {
 				for _, c := range ids {
@@ -209,11 +209,13 @@ func BenchmarkDijkstraTestbed(b *testing.B) {
 func BenchmarkAllPairsPod(b *testing.B) {
 	g := Pod2Tracks(12)
 	gpus := g.GPUs()
-	cost := TransferCost(1 << 20)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.NewMatrix(gpus, cost, nil)
+		m := g.NewMatrix(gpus, 1<<20, nil)
+		for _, a := range gpus {
+			m.Dist(a, a) // builds a's tree
+		}
 	}
 }
 
@@ -319,6 +321,49 @@ func TestDijkstraMatchesContainerHeap(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestMatrixDistMatchesPathTransferTime: D(a,b) is P(a,b)'s transfer time
+// bit for bit, for the matrix's own size, on every (GPU, switch) and
+// (GPU, GPU) pair of a fabric-routed working set, and D is +Inf exactly
+// where P fails. The planner prices aggregation switches from D on the
+// strength of this. One testbed GPU has its links drained, so some pairs
+// are unreachable.
+func TestMatrixDistMatchesPathTransferTime(t *testing.T) {
+	drained := Testbed()
+	for _, eid := range drained.Incident(drained.GPUs()[5]) {
+		drained.Edge(eid).Available = 0
+	}
+	for name, g := range map[string]*Graph{
+		"testbed": Testbed(), "testbed-drained": drained,
+		"pod2-12": Pod2Tracks(12), "pod8-24": Pod8Tracks(24),
+	} {
+		fabric := func(n NodeID) bool { return g.Node(n).Kind.IsSwitch() }
+		working := append(append([]NodeID{}, g.GPUs()...), g.Switches()...)
+		for _, size := range []int64{0, 1 << 20, 12_345_679} {
+			m := g.NewMatrix(working, size, fabric)
+			unreachable := 0
+			for _, a := range g.GPUs() {
+				for _, b := range working {
+					d := m.Dist(a, b)
+					p, ok := m.PathBetween(a, b)
+					if ok == math.IsInf(d, 1) {
+						t.Fatalf("%s size %d: %d->%d D=%g but path found=%v", name, size, a, b, d, ok)
+					}
+					if !ok {
+						unreachable++
+						continue
+					}
+					if tt := p.TransferTime(g, size); math.Float64bits(d) != math.Float64bits(tt) {
+						t.Fatalf("%s size %d: %d->%d D=%v, path transfer time %v", name, size, a, b, d, tt)
+					}
+				}
+			}
+			if (unreachable > 0) != (name == "testbed-drained") {
+				t.Errorf("%s size %d: %d unreachable pairs", name, size, unreachable)
 			}
 		}
 	}

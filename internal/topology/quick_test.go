@@ -78,7 +78,7 @@ func TestQuickPathDecomposition(t *testing.T) {
 	g := Pod2Tracks(4)
 	gpus := g.GPUs()
 	rng := rand.New(rand.NewSource(31))
-	m := g.NewMatrix(gpus, TransferCost(1<<20), nil)
+	m := g.NewMatrix(gpus, 1<<20, nil)
 	for trial := 0; trial < 200; trial++ {
 		a := gpus[rng.Intn(len(gpus))]
 		b := gpus[rng.Intn(len(gpus))]

@@ -21,6 +21,11 @@ go build ./...
 echo "== go test -race"
 go test -race -timeout 45m ./... "$@"
 
+# The planner, topology and collective layer benchmarks run once each, so
+# they keep compiling and running.
+echo "== layer benchmarks"
+go test -run '^$' -bench . -benchtime 1x ./internal/planner ./internal/topology ./internal/collective
+
 # Differential fuzzers: the fast water-filling allocator and its completion
 # timer against the reference allocator, the sweep-line critical-path
 # partition against its O(n^2) reference, and the hand-written span encoder

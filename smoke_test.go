@@ -168,6 +168,7 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"serve", []string{"-trace", negInput}},
 		{"serve", []string{"-trace", zeroOutput}},
 		{"serve", []string{"-trace", trace, "-topology", "pod8", "-servers", "0"}},
+		{"serve", []string{"-trace", trace, "-topology", "pod2", "-servers", "1"}},
 		{"serve", []string{"-trace", trace, "-batch", "0"}},
 		{"heroserve", nil},
 		{"heroserve", []string{"-exp", "bogus"}},
@@ -177,6 +178,7 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"planner", []string{"-model", "bogus"}},
 		{"planner", []string{"-workload", "bogus"}},
 		{"planner", []string{"-topology", "pod2", "-servers", "0"}},
+		{"planner", []string{"-topology", "pod8", "-servers", "1"}},
 		{"planner", []string{"-rate", "0"}},
 		{"planner", []string{"-batch", "-1"}},
 		{"topoviz", []string{"-topology", "bogus"}},
