@@ -79,7 +79,8 @@ type Comm struct {
 	dpVals  [4]int32
 
 	// Telemetry (nil when off). asyncSeq numbers the async trace spans that
-	// bracket every dispatched all-reduce.
+	// bracket every dispatched all-reduce; spanArgs is the allreduce span's
+	// argument buffer, reused by every launch.
 	tel               *telemetry.Hub
 	telOps            [4]*telemetry.Counter // indexed by Scheme
 	telTransfers      *telemetry.Counter
@@ -87,6 +88,7 @@ type Comm struct {
 	telSlotFallbacks  *telemetry.Counter
 	telFaultFallbacks *telemetry.Counter
 	asyncSeq          int64
+	spanArgs          telemetry.Args
 }
 
 // SetTelemetry arms collective metrics and spans, and cascades to every
@@ -192,7 +194,7 @@ func (c *Comm) Transfer(from, to topology.NodeID, bytes int64, done func()) {
 // all-reduce bracketing in AllReduce), for moves that deserve their own named
 // lane in the exported trace — pipeline-stage activation hand-offs use it so
 // they stop appearing as anonymous netsim flows.
-func (c *Comm) TransferSpan(cat, name string, args map[string]any, from, to topology.NodeID, bytes int64, done func()) {
+func (c *Comm) TransferSpan(cat, name string, args telemetry.Args, from, to topology.NodeID, bytes int64, done func()) {
 	if c.tel != nil {
 		c.asyncSeq++
 		id := c.asyncSeq
@@ -396,7 +398,7 @@ func (c *Comm) NotifySwitchFault(sw topology.NodeID) {
 	// instants would export in nondeterministic order.
 	if demoted > 0 && c.tel != nil {
 		c.tel.Trace.Instant(telemetry.ControlTID, "collective", "ina-fault-fallback",
-			map[string]any{"switch": c.switchName(sw), "ops": demoted})
+			telemetry.Args{telemetry.Int("ops", demoted), telemetry.Str("switch", c.switchName(sw))})
 	}
 }
 
@@ -452,7 +454,7 @@ func (c *Comm) INAAllReduce(group []topology.NodeID, sw topology.NodeID, msgByte
 		c.telSlotFallbacks.Inc()
 		if c.tel != nil {
 			c.tel.Trace.Instant(telemetry.ControlTID, "collective", "slot-fallback",
-				map[string]any{"switch": c.switchName(sw), "mode": mode.String(), "group": p})
+				telemetry.Args{telemetry.Int("group", p), telemetry.Str("mode", mode.String()), telemetry.Str("switch", c.switchName(sw))})
 		}
 		c.RingAllReduce(group, msgBytes, steps, done)
 		return
@@ -560,20 +562,21 @@ func (c *Comm) AllReduce(scheme Scheme, group []topology.NodeID, sw topology.Nod
 // request IDs whose tokens ride this collective, recorded on the span as the
 // "reqs" arg so the critical-path analyzer can charge the communication time
 // to the requests it served. An empty reqs emits the same span AllReduce does.
+// The span carries reqs itself, not a copy: the event lives only as long as
+// the AsyncBegin call, and a tap that keeps the list copies it.
 func (c *Comm) AllReduceTagged(scheme Scheme, group []topology.NodeID, sw topology.NodeID, msgBytes int64, steps int, reqs []int, done func()) {
 	if c.tel != nil {
 		c.asyncSeq++
 		id := c.asyncSeq
-		args := map[string]any{
-			"scheme": scheme.String(), "group": len(group),
-			"bytes": msgBytes, "steps": steps,
-		}
+		args := append(c.spanArgs[:0], telemetry.Int64("bytes", msgBytes), telemetry.Int("group", len(group)))
 		if len(reqs) > 0 {
-			args["reqs"] = append([]int(nil), reqs...)
+			args = append(args, telemetry.Ints("reqs", reqs))
 		}
+		args = append(args, telemetry.Str("scheme", scheme.String()), telemetry.Int("steps", steps))
 		if scheme.UsesINA() {
-			args["switch"] = c.switchName(sw)
+			args = append(args, telemetry.Str("switch", c.switchName(sw)))
 		}
+		c.spanArgs = args
 		c.tel.Trace.AsyncBegin("collective", "allreduce", id, args)
 		inner := done
 		done = func() {

@@ -57,7 +57,7 @@ const (
 // penalties from live telemetry (Eq. 18).
 type OnlinePolicy struct {
 	cfg    scheduler.Config
-	tables map[serving.GroupID]*scheduler.Table
+	groups map[serving.GroupID]*group
 	ctl    *scheduler.Controller
 	// Hetero can be disabled for ablations (Ethernet-only online choice).
 	Hetero bool
@@ -76,13 +76,26 @@ type OnlinePolicy struct {
 	// policy biases the Eq. 16 comparison (see stageBias). Set by
 	// core.NewSystem when telemetry is armed; nil-safe.
 	Shares *critpath.ShareTracker
-	// lastPick remembers each group's previous chosen table row so the
-	// queue-dominant churn hold knows which candidate to favor.
-	lastPick map[serving.GroupID]int
-	// groupLabels caches each group's "role/inst/stage" audit label.
-	groupLabels map[serving.GroupID]string
 	// handles caches the audit's counter handles for the current hub.
 	handles auditHandles
+	// bias is stageBias's vector and args the policy-select instant's
+	// arguments: scratch reused by every pick, since SelectBiased and the
+	// tracer consume them before the pick returns.
+	bias []float64
+	args telemetry.Args
+}
+
+// group is the online state of one tensor-parallel group.
+type group struct {
+	table *scheduler.Table
+	// label names the group in audit records: "role/inst/stage".
+	label string
+	// costs is the policy-select instant's cost column: the table's labels,
+	// sorted once, over a view of its live costs.
+	costs *telemetry.FloatColumn
+	// lastPick is the previous chosen table row (-1 before the first pick),
+	// so the queue-dominant churn hold knows which candidate to favor.
+	lastPick int
 }
 
 // auditHandles caches the counters one policy pick bumps, so an audit costs
@@ -141,24 +154,12 @@ func (h *auditHandles) schemeRegret(scheme string) *telemetry.Counter {
 	return c
 }
 
-// groupLabel names the group in audit records: "role/inst/stage".
-func (p *OnlinePolicy) groupLabel(id serving.GroupID) string {
-	l, ok := p.groupLabels[id]
-	if !ok {
-		l = fmt.Sprintf("%s/%d/%d", id.Role, id.Instance, id.Stage)
-		p.groupLabels[id] = l
-	}
-	return l
-}
-
 // NewOnlinePolicy returns the policy with the given scheduler config.
 func NewOnlinePolicy(cfg scheduler.Config) *OnlinePolicy {
 	return &OnlinePolicy{
-		cfg:         cfg,
-		tables:      make(map[serving.GroupID]*scheduler.Table),
-		Hetero:      true,
-		lastPick:    make(map[serving.GroupID]int),
-		groupLabels: make(map[serving.GroupID]string),
+		cfg:    cfg,
+		groups: make(map[serving.GroupID]*group),
+		Hetero: true,
 	}
 }
 
@@ -166,13 +167,14 @@ func NewOnlinePolicy(cfg scheduler.Config) *OnlinePolicy {
 func (p *OnlinePolicy) Name() string { return "HeroServe" }
 
 // Tables returns the number of group tables instantiated (telemetry).
-func (p *OnlinePolicy) Tables() int { return len(p.tables) }
+func (p *OnlinePolicy) Tables() int { return len(p.groups) }
 
 // SchemeSelections aggregates, per scheme, how many times any table selected
 // a policy of that scheme.
 func (p *OnlinePolicy) SchemeSelections() map[collective.Scheme]int64 {
 	out := make(map[collective.Scheme]int64)
-	for _, t := range p.tables {
+	for _, g := range p.groups {
+		t := g.table
 		sels := t.Selections()
 		for i, n := range sels {
 			out[t.Policies[i].Scheme] += n
@@ -181,11 +183,11 @@ func (p *OnlinePolicy) SchemeSelections() map[collective.Scheme]int64 {
 	return out
 }
 
-// table lazily builds the group's policy table and attaches it to the
+// group lazily builds the group's policy table and attaches it to the
 // controller, creating (and starting) the controller on first use.
-func (p *OnlinePolicy) table(ctx *serving.GroupCtx, msgBytes int64) *scheduler.Table {
-	if t, ok := p.tables[ctx.ID]; ok {
-		return t
+func (p *OnlinePolicy) group(ctx *serving.GroupCtx, msgBytes int64) *group {
+	if grp, ok := p.groups[ctx.ID]; ok {
+		return grp
 	}
 	g := ctx.Comm.Network().Graph()
 	policies := scheduler.BuildPolicies(g, ctx.Comm.Router(), ctx.Group, msgBytes, maxSwitchCandidates, p.Hetero)
@@ -195,7 +197,18 @@ func (p *OnlinePolicy) table(ctx *serving.GroupCtx, msgBytes int64) *scheduler.T
 		policies = []scheduler.Policy{{Scheme: collective.SchemeRing, Switch: -1, Label: "ring"}}
 	}
 	t := scheduler.NewTable(g, ctx.Group, policies, p.cfg)
-	p.tables[ctx.ID] = t
+	labels := make([]string, len(policies))
+	for i := range policies {
+		labels[i] = policies[i].Label
+	}
+	id := ctx.ID
+	grp := &group{
+		table:    t,
+		label:    fmt.Sprintf("%s/%d/%d", id.Role, id.Instance, id.Stage),
+		costs:    telemetry.NewFloatColumn(labels),
+		lastPick: -1,
+	}
+	p.groups[id] = grp
 	if p.ctl == nil {
 		p.ctl = scheduler.NewController(ctx.Comm.Network(), ControllerInterval)
 		comm := ctx.Comm
@@ -213,15 +226,24 @@ func (p *OnlinePolicy) table(ctx *serving.GroupCtx, msgBytes int64) *scheduler.T
 	}
 	p.ctl.Register(t)
 	p.ctl.Start()
-	return t
+	return grp
 }
 
 // AllReduce implements serving.CommPolicy.
 func (p *OnlinePolicy) AllReduce(ctx *serving.GroupCtx, msgBytes int64, steps int, done func()) {
-	t := p.table(ctx, msgBytes)
-	bias, stageSignal := p.stageBias(ctx, t)
+	scheme, sw := p.pick(ctx, msgBytes, steps)
+	ctx.Comm.AllReduceTagged(scheme, ctx.Group, sw, msgBytes, steps, ctx.Reqs, done)
+}
+
+// pick is one online decision: it selects the group's policy (Eq. 16/17,
+// under the stage bias), applies the data-plane guard and audits the pick.
+// It returns the scheme and switch to execute.
+func (p *OnlinePolicy) pick(ctx *serving.GroupCtx, msgBytes int64, steps int) (collective.Scheme, topology.NodeID) {
+	grp := p.group(ctx, msgBytes)
+	t := grp.table
+	bias, stageSignal := p.stageBias(grp)
 	idx, swayed := t.SelectBiased(msgBytes*int64(steps), bias)
-	p.lastPick[ctx.ID] = idx
+	grp.lastPick = idx
 	pol := t.Policies[idx]
 	sw := pol.Switch
 	scheme := pol.Scheme
@@ -247,8 +269,8 @@ func (p *OnlinePolicy) AllReduce(ctx *serving.GroupCtx, msgBytes int64, steps in
 		reason = "guard-fallback"
 		exec = ringIndex(t, idx)
 	}
-	p.audit(ctx, t, idx, exec, scheme, reason, stageSignal, msgBytes, steps)
-	ctx.Comm.AllReduceTagged(scheme, ctx.Group, sw, msgBytes, steps, ctx.Reqs, done)
+	p.audit(ctx, grp, idx, exec, scheme, reason, stageSignal, msgBytes, steps)
+	return scheme, sw
 }
 
 // stageBias translates the dominant TTFT stage into a multiplicative bias
@@ -257,14 +279,16 @@ func (p *OnlinePolicy) AllReduce(ctx *serving.GroupCtx, msgBytes int64, steps in
 // allreduce-<scheme> dominant discounts every INA candidate; a queue
 // dominant discounts the group's previous pick (churn hold — the fix
 // belongs to the autoscaler, which sees the same dominant via its signals).
-func (p *OnlinePolicy) stageBias(ctx *serving.GroupCtx, t *scheduler.Table) ([]float64, string) {
+// The vector is the policy's scratch, valid until the next pick.
+func (p *OnlinePolicy) stageBias(grp *group) ([]float64, string) {
 	dom, share := p.Shares.Dominant()
 	if dom == "" || share < stageBiasShare {
 		return nil, ""
 	}
+	t := grp.table
 	switch {
 	case strings.HasPrefix(dom, critpath.StageAllReduce("")):
-		bias := make([]float64, len(t.Policies))
+		bias := p.biasBuf(len(t.Policies))
 		any := false
 		for i := range t.Policies {
 			if t.Policies[i].Scheme.UsesINA() {
@@ -279,11 +303,11 @@ func (p *OnlinePolicy) stageBias(ctx *serving.GroupCtx, t *scheduler.Table) ([]f
 		}
 		return bias, dom
 	case dom == critpath.StageQueue:
-		last, ok := p.lastPick[ctx.ID]
-		if !ok || last < 0 || last >= len(t.Policies) {
+		last := grp.lastPick
+		if last < 0 || last >= len(t.Policies) {
 			return nil, ""
 		}
-		bias := make([]float64, len(t.Policies))
+		bias := p.biasBuf(len(t.Policies))
 		for i := range bias {
 			bias[i] = 1
 		}
@@ -291,6 +315,14 @@ func (p *OnlinePolicy) stageBias(ctx *serving.GroupCtx, t *scheduler.Table) ([]f
 		return bias, dom
 	}
 	return nil, ""
+}
+
+// biasBuf returns the bias scratch resized to n.
+func (p *OnlinePolicy) biasBuf(n int) []float64 {
+	if cap(p.bias) < n {
+		p.bias = make([]float64, n)
+	}
+	return p.bias[:n]
 }
 
 // ringIndex locates the table row the guard fallback executes (the ring
@@ -313,32 +345,32 @@ func ringIndex(t *scheduler.Table, chosen int) int {
 // scheme, and the cost-table snapshot (the paper's Fig. 5 state at decision
 // time). chosen/exec index the table's policies; they differ only under
 // guard fallback.
-func (p *OnlinePolicy) audit(ctx *serving.GroupCtx, t *scheduler.Table, chosen, exec int, scheme collective.Scheme, reason, stageSignal string, msgBytes int64, steps int) {
+func (p *OnlinePolicy) audit(ctx *serving.GroupCtx, grp *group, chosen, exec int, scheme collective.Scheme, reason, stageSignal string, msgBytes int64, steps int) {
 	tel := ctx.Comm.Telemetry()
-	pol := &t.Policies[chosen]
+	t := grp.table
 	if p.Ledger != nil || tel != nil {
-		p.ledger(ctx, t, chosen, exec, scheme, reason, stageSignal, msgBytes, steps, tel)
+		p.ledger(ctx, grp, chosen, exec, scheme, reason, stageSignal, msgBytes, steps, tel)
 	}
 	if tel == nil {
 		return
 	}
 	p.metrics(tel).pick(scheme.String(), reason).Inc()
-	costs := make(map[string]any, len(t.Policies))
-	for i, c := range t.Costs() {
-		costs[t.Policies[i].Label] = telemetry.Float(c)
-	}
-	args := map[string]any{
-		"group":   p.groupLabel(ctx.ID),
-		"policy":  pol.Label,
-		"scheme":  scheme.String(),
-		"reason":  reason,
-		"bytes":   msgBytes * int64(steps),
-		"stalled": p.ctl.Stalled(),
-		"costs":   costs,
-	}
+	// The snapshot is the post-update b_c, read in place: the instant is
+	// encoded before the next Select moves it.
+	grp.costs.Values = t.Costs()
+	args := append(p.args[:0],
+		telemetry.Int64("bytes", msgBytes*int64(steps)),
+		telemetry.Col("costs", grp.costs),
+		telemetry.Str("group", grp.label),
+		telemetry.Str("policy", t.Policies[chosen].Label),
+		telemetry.Str("reason", reason))
 	if len(ctx.Reqs) > 0 {
-		args["reqs"] = ctx.Reqs
+		args = append(args, telemetry.Ints("reqs", ctx.Reqs))
 	}
+	args = append(args,
+		telemetry.Str("scheme", scheme.String()),
+		telemetry.Bool("stalled", p.ctl.Stalled()))
+	p.args = args
 	tel.Trace.Instant(telemetry.ControlTID, "sched", "policy-select", args)
 }
 
@@ -349,35 +381,37 @@ func (p *OnlinePolicy) audit(ctx *serving.GroupCtx, t *scheduler.Table, chosen, 
 // expressed in estimated bottleneck busy-seconds (J x T_u); the per-scheme
 // counters accumulate each scheme's cheapest candidate against the overall
 // optimum, i.e. the cost of always forcing that scheme.
-func (p *OnlinePolicy) ledger(ctx *serving.GroupCtx, t *scheduler.Table, chosen, exec int, scheme collective.Scheme, reason, stageSignal string, msgBytes int64, steps int, tel *telemetry.Hub) {
+func (p *OnlinePolicy) ledger(ctx *serving.GroupCtx, grp *group, chosen, exec int, scheme collective.Scheme, reason, stageSignal string, msgBytes int64, steps int, tel *telemetry.Hub) {
+	t := grp.table
 	eval := t.LastEval()
 	if eval == nil {
 		return
 	}
 	w := t.Window()
-	cands := make([]decisions.CollectiveCandidate, len(t.Policies))
 	best := 0
-	for i := range t.Policies {
-		j := eval[i]
-		cands[i] = decisions.CollectiveCandidate{
-			Label:       t.Policies[i].Label,
-			Scheme:      t.Policies[i].Scheme.String(),
-			CostJ:       telemetry.JSONFloat(j),
-			CostSeconds: telemetry.JSONFloat(j * w),
-		}
+	for i, j := range eval {
 		if j < eval[best] {
 			best = i
 		}
 	}
-	actual := float64(cands[exec].CostSeconds)
-	regret := actual - float64(cands[best].CostSeconds)
-	if regret != regret { // Inf - Inf
-		regret = 0
-	}
 	if p.Ledger != nil {
+		cands := make([]decisions.CollectiveCandidate, len(t.Policies))
+		for i := range t.Policies {
+			cands[i] = decisions.CollectiveCandidate{
+				Label:       t.Policies[i].Label,
+				Scheme:      t.Policies[i].Scheme.String(),
+				CostJ:       telemetry.JSONFloat(eval[i]),
+				CostSeconds: telemetry.JSONFloat(eval[i] * w),
+			}
+		}
+		actual := eval[exec] * w
+		regret := actual - eval[best]*w
+		if regret != regret { // Inf - Inf
+			regret = 0
+		}
 		p.Ledger.AddCollective(decisions.CollectiveRecord{
 			T:           ctx.Comm.Network().Engine().Now(),
-			Group:       p.groupLabel(ctx.ID),
+			Group:       grp.label,
 			Bytes:       msgBytes * int64(steps),
 			Steps:       steps,
 			Candidates:  cands,
@@ -401,22 +435,22 @@ func (p *OnlinePolicy) ledger(ctx *serving.GroupCtx, t *scheduler.Table, chosen,
 	// table, its cheapest candidate versus the overall optimum. The winning
 	// scheme contributes exactly zero; +Inf-priced (faulted) schemes are
 	// skipped so the totals stay finite.
-	bestJ := float64(cands[best].CostSeconds)
+	bestJ := eval[best] * w
 	if math.IsInf(bestJ, 0) {
 		return
 	}
-	perScheme := make(map[string]float64, 4)
-	for _, c := range cands {
-		j := float64(c.CostSeconds)
-		if cur, ok := perScheme[c.Scheme]; !ok || j < cur {
-			perScheme[c.Scheme] = j
+	var cheapest [4]float64 // indexed by Scheme
+	var present [4]bool
+	for i := range t.Policies {
+		s, j := t.Policies[i].Scheme, eval[i]*w
+		if !present[s] || j < cheapest[s] {
+			cheapest[s], present[s] = j, true
 		}
 	}
-	for name, j := range perScheme {
-		if math.IsInf(j, 0) {
-			continue
+	for s, j := range cheapest {
+		if present[s] && !math.IsInf(j, 0) {
+			h.schemeRegret(collective.Scheme(s).String()).Add(j - bestJ)
 		}
-		h.schemeRegret(name).Add(j - bestJ)
 	}
 }
 

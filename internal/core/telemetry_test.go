@@ -3,11 +3,13 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"heroserve/internal/faults"
 	"heroserve/internal/serving"
 	"heroserve/internal/telemetry"
+	"heroserve/internal/telemetry/slo"
 	"heroserve/internal/workload"
 )
 
@@ -218,4 +220,98 @@ func TestTelemetryRecordsFaults(t *testing.T) {
 	if faultInstants < 6 {
 		t.Errorf("got %d fault instants, want >= 6", faultInstants)
 	}
+}
+
+// TestTraceArgKeysAscend: every event of a HeroServe run with faults, SLO
+// alerts and the adaptive autoscaler armed lists its arg keys in strictly
+// increasing byte order, nested cost columns included. That is the order
+// encoding/json gives a map's keys, so the tracer's ordered arguments encode
+// exactly what a map would have.
+func TestTraceArgKeysAscend(t *testing.T) {
+	in := inputs(t)
+	sw := in.Graph.Switches()[0]
+	sched := &faults.Schedule{Events: []faults.Event{
+		{Kind: faults.LinkDegrade, At: 0.5, Duration: 2, Edge: 0, Factor: 0.25},
+		{Kind: faults.SlotExhaustion, At: 1, Duration: 2, Switch: sw, Slots: 4},
+		{Kind: faults.AgentStall, At: 1.5, Duration: 1.5},
+		{Kind: faults.SwitchReboot, At: 2, Duration: 1, Switch: sw},
+	}}
+	hub := telemetry.New()
+	var spans bytes.Buffer
+	if err := hub.Trace.StreamTo(&spans); err != nil {
+		t.Fatal(err)
+	}
+	sla := in.SLA
+	sys, _, _, err := NewSystem(in, nil, serving.Options{
+		Telemetry: hub,
+		SLA:       &sla,
+		Faults:    sched,
+		SLO:       &slo.Config{Rules: faultBurstRules()},
+		Autoscale: &serving.AutoscaleConfig{InitialActive: 1, Interval: 0.5, Policy: serving.NewAdaptivePolicy()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Run(workload.NewGenerator(workload.Chatbot, 9).Generate(40, 4))
+	if err := hub.Trace.CloseStream(); err != nil {
+		t.Fatal(err)
+	}
+
+	var doc struct {
+		TraceEvents []struct {
+			Cat  string          `json:"cat"`
+			Name string          `json:"name"`
+			Args json.RawMessage `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(spans.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	cats := map[string]bool{}
+	for _, e := range doc.TraceEvents {
+		if e.Args == nil {
+			continue
+		}
+		cats[e.Cat] = true
+		if err := checkKeysAscend(e.Args); err != nil {
+			t.Fatalf("%s/%s args %s: %v", e.Cat, e.Name, e.Args, err)
+		}
+	}
+	for _, cat := range []string{"", "request", "collective", "sched", "fault", "autoscale", "slo"} {
+		if !cats[cat] {
+			t.Errorf("no %q event with args: the run does not cover its emitter", cat)
+		}
+	}
+}
+
+// checkKeysAscend reports the first JSON object in raw, itself or a nested
+// object value, whose keys do not strictly increase.
+func checkKeysAscend(raw json.RawMessage) error {
+	if raw[0] != '{' {
+		return nil
+	}
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if _, err := dec.Token(); err != nil {
+		return err
+	}
+	prev := ""
+	for i := 0; dec.More(); i++ {
+		tok, err := dec.Token()
+		if err != nil {
+			return err
+		}
+		key := tok.(string)
+		if i > 0 && key <= prev {
+			return fmt.Errorf("key %q after %q", key, prev)
+		}
+		prev = key
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			return err
+		}
+		if err := checkKeysAscend(v); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -164,23 +164,18 @@ func (inj *Injector) SetTelemetry(h *telemetry.Hub) {
 }
 
 // instant emits a fault trace instant on the control-plane track.
-func (inj *Injector) instant(name string, ev Event, args map[string]any) {
+func (inj *Injector) instant(name string, ev Event) {
 	if inj.tel == nil {
 		return
 	}
-	if args == nil {
-		args = map[string]any{}
-	}
-	args["duration"] = ev.Duration
+	args := telemetry.Args{telemetry.Num("duration", ev.Duration)}
 	switch ev.Kind {
 	case LinkDegrade:
-		args["edge"] = int(ev.Edge)
-		args["factor"] = ev.Factor
+		args = append(args, telemetry.Int("edge", int(ev.Edge)), telemetry.Num("factor", ev.Factor))
 	case SlotExhaustion:
-		args["switch"] = int(ev.Switch)
-		args["slots"] = ev.Slots
+		args = append(args, telemetry.Int("slots", ev.Slots), telemetry.Int("switch", int(ev.Switch)))
 	case SwitchReboot:
-		args["switch"] = int(ev.Switch)
+		args = append(args, telemetry.Int("switch", int(ev.Switch)))
 	}
 	inj.tel.Trace.Instant(telemetry.ControlTID, "fault", name, args)
 }
@@ -233,7 +228,7 @@ func (inj *Injector) apply(ev Event) {
 	now := inj.eng.Now()
 	inj.records = append(inj.records, Record{Event: ev, AppliedAt: now, RecoveredAt: now + ev.Duration})
 	inj.telInjected[ev.Kind].Inc()
-	inj.instant(ev.Kind.String(), ev, nil)
+	inj.instant(ev.Kind.String(), ev)
 	switch ev.Kind {
 	case LinkDegrade:
 		inj.linkDepth[ev.Edge]++
@@ -249,7 +244,7 @@ func (inj *Injector) apply(ev Event) {
 				delete(inj.linkDepth, ev.Edge)
 				delete(inj.linkFloor, ev.Edge)
 				inj.net.SetLinkScale(ev.Edge, 1)
-				inj.instant(ev.Kind.String()+"-recovered", ev, nil)
+				inj.instant(ev.Kind.String()+"-recovered", ev)
 			}
 		})
 	case SlotExhaustion:
@@ -260,7 +255,7 @@ func (inj *Injector) apply(ev Event) {
 		seized := sw.SeizeSlots(ev.Slots)
 		inj.eng.PostAfter(ev.Duration, func() {
 			sw.RestoreSlots(seized)
-			inj.instant(ev.Kind.String()+"-recovered", ev, nil)
+			inj.instant(ev.Kind.String()+"-recovered", ev)
 		})
 	case SwitchReboot:
 		sw := inj.dataPlane(ev.Switch)
@@ -273,7 +268,7 @@ func (inj *Injector) apply(ev Event) {
 		}
 		inj.eng.PostAfter(ev.Duration, func() {
 			sw.SetOnline(true)
-			inj.instant(ev.Kind.String()+"-recovered", ev, nil)
+			inj.instant(ev.Kind.String()+"-recovered", ev)
 		})
 	case AgentStall:
 		if until := now + ev.Duration; until > inj.stallUntil {
@@ -289,7 +284,7 @@ func (inj *Injector) apply(ev Event) {
 			// its exact pre-telemetry event sequence.
 			inj.eng.PostAfter(ev.Duration, func() {
 				if inj.eng.Now() >= inj.stallUntil {
-					inj.instant(ev.Kind.String()+"-recovered", ev, nil)
+					inj.instant(ev.Kind.String()+"-recovered", ev)
 				}
 			})
 		}

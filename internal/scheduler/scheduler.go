@@ -205,11 +205,11 @@ func (t *Table) Selections() []int64 {
 	return append([]int64(nil), t.selections...)
 }
 
-// Costs returns a snapshot of every policy's virtual cost b_c, indexed like
-// Policies. The telemetry decision audit attaches it to each policy pick.
-func (t *Table) Costs() []float64 {
-	return append([]float64(nil), t.cost...)
-}
+// Costs returns every policy's virtual cost b_c, indexed like Policies. The
+// slice is the table's own, not a copy: callers must not modify it, and it
+// moves with the next Select or refresh. The telemetry decision audit
+// encodes it into each policy pick's trace instant.
+func (t *Table) Costs() []float64 { return t.cost }
 
 // LastEval returns the J(c, D) vector of the most recent Select, indexed
 // like Policies — the exact floats Eq. 16 minimized, captured before the

@@ -230,6 +230,52 @@ func TestBuildPoliciesTestbed(t *testing.T) {
 	}
 }
 
+// TestBuildPoliciesLabelsUnique: a table's policy labels key the cost column
+// of its policy-select trace instant, so they must be unique within the
+// table. A map collapses a repeated label silently; the tracer's ordered
+// argument list would write it twice. Every switch is a candidate here, and
+// the groups cover one server, two half servers and two whole servers.
+func TestBuildPoliciesLabelsUnique(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		g    *topology.Graph
+	}{
+		{"testbed", topology.Testbed()},
+		{"pod2", topology.Pod2Tracks(12)},
+		{"pod8", topology.Pod8Tracks(16)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			g := c.g
+			r := collective.NewStaticRouter(g)
+			tables := 0
+			for s := 0; s+1 < g.NumServers(); s += 2 {
+				a, b := g.ServerGPUs(s), g.ServerGPUs(s+1)
+				for _, group := range [][]topology.NodeID{
+					a,
+					append(append([]topology.NodeID{}, a[:len(a)/2]...), b[:len(b)/2]...),
+					append(append([]topology.NodeID{}, a...), b...),
+				} {
+					ps := BuildPolicies(g, r, group, 1<<20, 0, true)
+					if len(ps) < 2 {
+						t.Fatalf("group %v: %d policies, want a ring and INA candidates", group, len(ps))
+					}
+					seen := make(map[string]bool, len(ps))
+					for _, p := range ps {
+						if seen[p.Label] {
+							t.Errorf("group %v: label %q repeats", group, p.Label)
+						}
+						seen[p.Label] = true
+					}
+					tables++
+				}
+			}
+			if tables == 0 {
+				t.Fatal("no groups checked")
+			}
+		})
+	}
+}
+
 func TestBuildPoliciesNoHeteroForSpreadGroup(t *testing.T) {
 	g := topology.Testbed()
 	r := collective.NewStaticRouter(g)

@@ -64,6 +64,7 @@ type System struct {
 	telBatchReqs  *telemetry.Histogram
 	telBatchToks  *telemetry.Histogram
 	telGPUSeconds *telemetry.Counter
+	spanArgs      telemetry.Args // request-span arguments, reused per request
 }
 
 // request tracks one in-flight request's simulation state.
@@ -325,7 +326,7 @@ func (s *System) scaleInstant(ev ScaleEvent) {
 		return
 	}
 	s.tel.Trace.InstantAt(ev.T, telemetry.ControlTID, "autoscale", ev.Action,
-		map[string]any{"instance": ev.ID, "active": ev.Active})
+		telemetry.Args{telemetry.Int("active", ev.Active), telemetry.Int("instance", ev.ID)})
 }
 
 // Engine exposes the event engine (for injecting background traffic or
@@ -571,12 +572,11 @@ func (s *System) runPrefillStage(pi *prefillInstance, batch []*request, kin, kin
 				to := spec.Stages[stage+1][0]
 				bytes := s.dep.Model.PipelineActivationBytes(kin)
 				s.stageTransferCounter(stage + 1).Inc()
-				args := map[string]any{
-					"stage": stage + 1, "instance": pi.id, "bytes": bytes,
-				}
+				args := append(make(telemetry.Args, 0, 4), telemetry.Int64("bytes", bytes), telemetry.Int("instance", pi.id))
 				if len(reqs) > 0 {
-					args["reqs"] = reqs
+					args = append(args, telemetry.Ints("reqs", reqs))
 				}
+				args = append(args, telemetry.Int("stage", stage+1))
 				s.comm.TransferSpan("pipeline", "pipeline_stage", args, from, to, bytes, func() {
 					s.runPrefillStage(pi, batch, kin, kin2, stage+1)
 				})
@@ -811,18 +811,18 @@ func (s *System) complete(r *request) {
 func (s *System) emitRequestSpans(r *request, now sim.Time) {
 	tr := s.tel.Trace
 	tid := r.req.ID + 1
-	tr.Complete(tid, "request", "request", r.req.Arrival, now, map[string]any{
-		"id": r.req.ID, "input": r.req.Input, "output": r.req.Output,
-		"trace_id": s.traceID(r),
-	})
-	reqArg := map[string]any{"req": r.req.ID}
-	tr.Complete(tid, "request", "queue", r.req.Arrival, r.prefillStart, reqArg)
-	tr.Complete(tid, "request", "prefill", r.prefillStart, r.firstTokenAt, reqArg)
-	tr.Complete(tid, "request", "kv-transfer", r.firstTokenAt, r.kvArrivedAt, reqArg)
+	args := append(s.spanArgs[:0], telemetry.Int("id", r.req.ID), telemetry.Int("input", r.req.Input),
+		telemetry.Int("output", r.req.Output), telemetry.Str("trace_id", s.traceID(r)))
+	tr.Complete(tid, "request", "request", r.req.Arrival, now, args)
+	args = append(args[:0], telemetry.Int("req", r.req.ID))
+	tr.Complete(tid, "request", "queue", r.req.Arrival, r.prefillStart, args)
+	tr.Complete(tid, "request", "prefill", r.prefillStart, r.firstTokenAt, args)
+	tr.Complete(tid, "request", "kv-transfer", r.firstTokenAt, r.kvArrivedAt, args)
 	if r.req.Output > 1 {
-		tr.Complete(tid, "request", "decode", r.kvArrivedAt, now,
-			map[string]any{"req": r.req.ID, "tokens": r.generated})
+		args = append(args, telemetry.Int("tokens", r.generated))
+		tr.Complete(tid, "request", "decode", r.kvArrivedAt, now, args)
 	}
+	s.spanArgs = args
 }
 
 // recordKV samples the instance's KV utilization.

@@ -165,12 +165,14 @@ func (a *Analyzer) Finalized() []Breakdown { return a.done }
 // Process returns the trace process name of a pid ("" if unknown).
 func (a *Analyzer) Process(pid int) string { return a.procs[pid] }
 
-// Feed consumes one trace event. Events must arrive in emit order.
+// Feed consumes one trace event. Events must arrive in emit order. The
+// event is valid only during the call (the tracer's tap contract), so Feed
+// copies what it keeps: an open span owns its copy of the "reqs" list.
 func (a *Analyzer) Feed(ev telemetry.Event) {
 	switch ev.Ph {
 	case "M":
 		if ev.Name == "process_name" {
-			if n, ok := ev.Args["name"].(string); ok {
+			if n, ok := ev.Args.Str("name"); ok {
 				a.procs[ev.Pid] = n
 			}
 		}
@@ -178,16 +180,16 @@ func (a *Analyzer) Feed(ev telemetry.Event) {
 		if ev.Name != "allreduce" && ev.Name != "pipeline_stage" {
 			return
 		}
-		reqs := asInts(ev.Args["reqs"])
+		reqs := ev.Args.Ints("reqs")
 		if len(reqs) == 0 {
 			return
 		}
 		stage := StagePipeline
 		if ev.Name == "allreduce" {
-			scheme, _ := ev.Args["scheme"].(string)
+			scheme, _ := ev.Args.Str("scheme")
 			stage = a.allReduceStage(scheme)
 		}
-		a.open[spanKey{ev.Pid, ev.Cat, ev.ID, ev.Name}] = openSpan{start: ev.Ts, stage: stage, reqs: reqs}
+		a.open[spanKey{ev.Pid, ev.Cat, ev.ID, ev.Name}] = openSpan{start: ev.Ts, stage: stage, reqs: slices.Clone(reqs)}
 	case "e":
 		key := spanKey{ev.Pid, ev.Cat, ev.ID, ev.Name}
 		sp, ok := a.open[key]
@@ -210,7 +212,7 @@ func (a *Analyzer) Feed(ev telemetry.Event) {
 		}
 		// Injection instants carry the fault's duration; the active window is
 		// [ts, ts + duration].
-		if d, ok := asFloat(ev.Args["duration"]); ok && d > 0 {
+		if d, ok := ev.Args.Float("duration"); ok && d > 0 {
 			a.faults[ev.Pid] = append(a.faults[ev.Pid],
 				interval{start: ev.Ts, end: ev.Ts + d*1e6, stage: StageFaultStall})
 		}
@@ -232,21 +234,21 @@ func (a *Analyzer) feedRequestSpan(ev telemetry.Event) {
 		end += *ev.Dur
 	}
 	if ev.Name == "request" {
-		id, ok := asInt(ev.Args["id"])
+		id, ok := ev.Args.Int("id")
 		if !ok {
 			return
 		}
 		rs := a.req(reqKey{ev.Pid, id})
 		rs.hasSpan = true
-		if tid, ok := ev.Args["trace_id"].(string); ok {
+		if tid, ok := ev.Args.Str("trace_id"); ok {
 			rs.traceID = tid
 		}
-		if out, ok := asInt(ev.Args["output"]); ok {
+		if out, ok := ev.Args.Int("output"); ok {
 			rs.output = out
 		}
 		return
 	}
-	id, ok := asInt(ev.Args["req"])
+	id, ok := ev.Args.Int("req")
 	if !ok {
 		return
 	}
@@ -646,50 +648,6 @@ func sortStages(m map[string]float64) []string {
 	}
 	slices.SortFunc(keys, compareStages)
 	return keys
-}
-
-// asInt coerces a trace-arg value (int on the live path, float64 after a
-// JSON round trip) to int.
-func asInt(v any) (int, bool) {
-	switch x := v.(type) {
-	case int:
-		return x, true
-	case int64:
-		return int(x), true
-	case float64:
-		return int(x), true
-	}
-	return 0, false
-}
-
-// asFloat coerces a trace-arg value to float64.
-func asFloat(v any) (float64, bool) {
-	switch x := v.(type) {
-	case float64:
-		return x, true
-	case int:
-		return float64(x), true
-	case int64:
-		return float64(x), true
-	}
-	return 0, false
-}
-
-// asInts coerces a trace-arg value ([]int live, []any parsed) to []int.
-func asInts(v any) []int {
-	switch x := v.(type) {
-	case []int:
-		return x
-	case []any:
-		out := make([]int, 0, len(x))
-		for _, e := range x {
-			if i, ok := asInt(e); ok {
-				out = append(out, i)
-			}
-		}
-		return out
-	}
-	return nil
 }
 
 // FromTrace feeds every event of a Chrome trace-event JSON document (the

@@ -30,29 +30,28 @@ func synthetic(t *testing.T) *Analyzer {
 
 	clock = 1.5
 	tr.AsyncBegin("collective", "allreduce", 1,
-		map[string]any{"scheme": "ring", "reqs": []int{0}})
+		telemetry.Args{telemetry.Ints("reqs", []int{0}), telemetry.Str("scheme", "ring")})
 	clock = 2.0
 	tr.AsyncEnd("collective", "allreduce", 1)
 	tr.AsyncBegin("pipeline", "pipeline_stage", 2,
-		map[string]any{"stage": 2, "reqs": []int{0}})
+		telemetry.Args{telemetry.Ints("reqs", []int{0}), telemetry.Int("stage", 2)})
 	clock = 2.5
 	tr.AsyncEnd("pipeline", "pipeline_stage", 2)
 	clock = 5.0
 	tr.AsyncBegin("collective", "allreduce", 3,
-		map[string]any{"scheme": "ina-hetero", "reqs": []int{0}})
+		telemetry.Args{telemetry.Ints("reqs", []int{0}), telemetry.Str("scheme", "ina-hetero")})
 	clock = 6.0
 	tr.AsyncEnd("collective", "allreduce", 3)
 	tr.InstantAt(6.5, telemetry.ControlTID, "fault", "link-degrade",
-		map[string]any{"duration": 0.5})
+		telemetry.Args{telemetry.Num("duration", 0.5)})
 
 	// Completion-time span emission, parent first (mirrors emitRequestSpans).
-	tr.Complete(1, "request", "request", 0, 8, map[string]any{
-		"id": 0, "input": 100, "output": 5, "trace_id": "p1-r0"})
-	req := map[string]any{"req": 0}
+	tr.Complete(1, "request", "request", 0, 8, telemetry.Args{telemetry.Int("id", 0), telemetry.Int("input", 100), telemetry.Int("output", 5), telemetry.Str("trace_id", "p1-r0")})
+	req := telemetry.Args{telemetry.Int("req", 0)}
 	tr.Complete(1, "request", "queue", 0, 1, req)
 	tr.Complete(1, "request", "prefill", 1, 3, req)
 	tr.Complete(1, "request", "kv-transfer", 3, 4, req)
-	tr.Complete(1, "request", "decode", 4, 8, map[string]any{"req": 0, "tokens": 4})
+	tr.Complete(1, "request", "decode", 4, 8, telemetry.Args{telemetry.Int("req", 0), telemetry.Int("tokens", 4)})
 	return a
 }
 
@@ -118,15 +117,14 @@ func TestAnalyzerCommBeatsFault(t *testing.T) {
 	tr.Tap(a.Feed)
 	tr.BeginProcess("planned")
 	tr.InstantAt(1.0, telemetry.ControlTID, "fault", "link-degrade",
-		map[string]any{"duration": 2.0}) // fault [1,3)
+		telemetry.Args{telemetry.Num("duration", 2.0)}) // fault [1,3)
 	clock = 1.5
 	tr.AsyncBegin("collective", "allreduce", 1,
-		map[string]any{"scheme": "ring", "reqs": []int{7}})
+		telemetry.Args{telemetry.Ints("reqs", []int{7}), telemetry.Str("scheme", "ring")})
 	clock = 2.5
 	tr.AsyncEnd("collective", "allreduce", 1)
-	tr.Complete(8, "request", "request", 0, 4, map[string]any{
-		"id": 7, "output": 1, "trace_id": "p1-r7"})
-	req := map[string]any{"req": 7}
+	tr.Complete(8, "request", "request", 0, 4, telemetry.Args{telemetry.Int("id", 7), telemetry.Int("output", 1), telemetry.Str("trace_id", "p1-r7")})
+	req := telemetry.Args{telemetry.Int("req", 7)}
 	tr.Complete(8, "request", "queue", 0, 0.5, req)
 	tr.Complete(8, "request", "prefill", 0.5, 3.5, req)
 	tr.Complete(8, "request", "kv-transfer", 3.5, 4, req) // output<=1: finalizes here
@@ -161,11 +159,11 @@ func TestAnalyzerIgnoresUntaggedSpans(t *testing.T) {
 	tr.BeginProcess("planned")
 	// Untagged allreduce (telemetry from a non-serving benchmark): no reqs.
 	clock = 1.0
-	tr.AsyncBegin("collective", "allreduce", 1, map[string]any{"scheme": "ring"})
+	tr.AsyncBegin("collective", "allreduce", 1, telemetry.Args{telemetry.Str("scheme", "ring")})
 	clock = 2.0
 	tr.AsyncEnd("collective", "allreduce", 1)
-	tr.Complete(1, "request", "request", 0, 3, map[string]any{"id": 0, "output": 1, "trace_id": "p1-r0"})
-	req := map[string]any{"req": 0}
+	tr.Complete(1, "request", "request", 0, 3, telemetry.Args{telemetry.Int("id", 0), telemetry.Int("output", 1), telemetry.Str("trace_id", "p1-r0")})
+	req := telemetry.Args{telemetry.Int("req", 0)}
 	tr.Complete(1, "request", "queue", 0, 0, req)
 	tr.Complete(1, "request", "prefill", 0, 2.5, req)
 	tr.Complete(1, "request", "kv-transfer", 2.5, 3, req)
@@ -216,14 +214,13 @@ func TestFromTraceRoundTrip(t *testing.T) {
 	tr.Tap(live.Feed)
 	tr.BeginProcess("planned")
 	clock = 1.0
-	tr.AsyncBegin("collective", "allreduce", 1, map[string]any{"scheme": "ina-sync", "reqs": []int{0, 1}})
+	tr.AsyncBegin("collective", "allreduce", 1, telemetry.Args{telemetry.Ints("reqs", []int{0, 1}), telemetry.Str("scheme", "ina-sync")})
 	clock = 1.5
 	tr.AsyncEnd("collective", "allreduce", 1)
 	for id := 0; id < 2; id++ {
 		tid := id + 1
-		tr.Complete(tid, "request", "request", 0, 3, map[string]any{
-			"id": id, "output": 1, "trace_id": "p1-r" + string(rune('0'+id))})
-		req := map[string]any{"req": id}
+		tr.Complete(tid, "request", "request", 0, 3, telemetry.Args{telemetry.Int("id", id), telemetry.Int("output", 1), telemetry.Str("trace_id", "p1-r"+string(rune('0'+id)))})
+		req := telemetry.Args{telemetry.Int("req", id)}
 		tr.Complete(tid, "request", "queue", 0, 0.5, req)
 		tr.Complete(tid, "request", "prefill", 0.5, 2, req)
 		tr.Complete(tid, "request", "kv-transfer", 2, 3, req)
@@ -469,15 +466,15 @@ func TestUnknownStageTieIsOrderFree(t *testing.T) {
 		tr.Tap(a.Feed)
 		tr.BeginProcess("planned")
 		clock = 1.0
-		tr.AsyncBegin("collective", "allreduce", 1, map[string]any{"scheme": schemes[0], "reqs": []int{0}})
+		tr.AsyncBegin("collective", "allreduce", 1, telemetry.Args{telemetry.Ints("reqs", []int{0}), telemetry.Str("scheme", schemes[0])})
 		clock = 1.5
-		tr.AsyncBegin("collective", "allreduce", 2, map[string]any{"scheme": schemes[1], "reqs": []int{0}})
+		tr.AsyncBegin("collective", "allreduce", 2, telemetry.Args{telemetry.Ints("reqs", []int{0}), telemetry.Str("scheme", schemes[1])})
 		clock = 2.0
 		tr.AsyncEnd("collective", "allreduce", 1)
 		clock = 2.5
 		tr.AsyncEnd("collective", "allreduce", 2)
-		tr.Complete(1, "request", "request", 0, 4, map[string]any{"id": 0, "output": 1, "trace_id": "p1-r0"})
-		req := map[string]any{"req": 0}
+		tr.Complete(1, "request", "request", 0, 4, telemetry.Args{telemetry.Int("id", 0), telemetry.Int("output", 1), telemetry.Str("trace_id", "p1-r0")})
+		req := telemetry.Args{telemetry.Int("req", 0)}
 		tr.Complete(1, "request", "queue", 0, 0.5, req)
 		tr.Complete(1, "request", "prefill", 0.5, 3, req)
 		tr.Complete(1, "request", "kv-transfer", 3, 4, req)
@@ -612,27 +609,26 @@ func TestStageTotalsAreOrderedSums(t *testing.T) {
 		id := int64(req * 3)
 		clock = at(1.5)
 		tr.AsyncBegin("collective", "allreduce", id+1,
-			map[string]any{"scheme": "ring", "reqs": []int{req}})
+			telemetry.Args{telemetry.Ints("reqs", []int{req}), telemetry.Str("scheme", "ring")})
 		clock = at(2)
 		tr.AsyncEnd("collective", "allreduce", id+1)
 		tr.AsyncBegin("pipeline", "pipeline_stage", id+2,
-			map[string]any{"stage": 2, "reqs": []int{req}})
+			telemetry.Args{telemetry.Ints("reqs", []int{req}), telemetry.Int("stage", 2)})
 		clock = at(2.5)
 		tr.AsyncEnd("pipeline", "pipeline_stage", id+2)
 		clock = at(5)
 		tr.AsyncBegin("collective", "allreduce", id+3,
-			map[string]any{"scheme": "ina-hetero", "reqs": []int{req}})
+			telemetry.Args{telemetry.Ints("reqs", []int{req}), telemetry.Str("scheme", "ina-hetero")})
 		clock = at(6)
 		tr.AsyncEnd("collective", "allreduce", id+3)
 		tr.InstantAt(at(6.5), telemetry.ControlTID, "fault", "link-degrade",
-			map[string]any{"duration": 0.5 * k})
-		tr.Complete(1, "request", "request", at(0), at(8), map[string]any{
-			"id": req, "input": 100, "output": 5, "trace_id": fmt.Sprintf("p1-r%d", req)})
-		ids := map[string]any{"req": req}
+			telemetry.Args{telemetry.Num("duration", 0.5*k)})
+		tr.Complete(1, "request", "request", at(0), at(8), telemetry.Args{telemetry.Int("id", req), telemetry.Int("input", 100), telemetry.Int("output", 5), telemetry.Str("trace_id", fmt.Sprintf("p1-r%d", req))})
+		ids := telemetry.Args{telemetry.Int("req", req)}
 		tr.Complete(1, "request", "queue", at(0), at(1), ids)
 		tr.Complete(1, "request", "prefill", at(1), at(3), ids)
 		tr.Complete(1, "request", "kv-transfer", at(3), at(4), ids)
-		tr.Complete(1, "request", "decode", at(4), at(8), map[string]any{"req": req, "tokens": 4})
+		tr.Complete(1, "request", "decode", at(4), at(8), telemetry.Args{telemetry.Int("req", req), telemetry.Int("tokens", 4)})
 	}
 	done := a.Finalized()
 	if len(done) != 200 {

@@ -26,7 +26,7 @@ func testHub(clock *float64, srv *Server) *Hub {
 	h.Metrics.Counter("serving_requests_completed_total", "Requests fully served.", nil).Add(3)
 	h.Metrics.Gauge("decode_kv_utilization", "KV utilization.", []string{"instance"}, "decode-0").Set(0.5)
 	h.Metrics.Histogram("ttft_seconds", "Time to first token.", []float64{0.1, 1}, nil).Observe(0.4)
-	h.Trace.Complete(1, "request", "request", 0, 1, map[string]any{"id": 0})
+	h.Trace.Complete(1, "request", "request", 0, 1, Args{Int("id", 0)})
 	return h
 }
 
@@ -183,7 +183,7 @@ func TestServerTraceServesPublishedPrefix(t *testing.T) {
 	}
 	for i := 0; i < 2000; i++ { // well past the tracer's write buffer
 		clock += 0.01
-		h.Trace.Instant(ControlTID, "test", "tick", map[string]any{"i": i})
+		h.Trace.Instant(ControlTID, "test", "tick", Args{Int("i", i)})
 	}
 	if got := len(traceEvents(t, ts.URL)); got != mid {
 		t.Errorf("/trace changed without a publish: %d events, want %d", got, mid)

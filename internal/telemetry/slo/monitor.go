@@ -319,14 +319,14 @@ func (m *Monitor) transition(r *Rule, a *Alert, t, value float64, st State) {
 	switch st {
 	case StateFiring:
 		m.activeG[r.Name].Set(1)
-		m.hub.Trace.InstantAt(t, telemetry.ControlTID, "slo", "alert-firing", map[string]any{
-			"rule": r.Name, "severity": r.Severity.String(), "value": telemetry.Float(value),
+		m.hub.Trace.InstantAt(t, telemetry.ControlTID, "slo", "alert-firing", telemetry.Args{
+			telemetry.Str("rule", r.Name), telemetry.Str("severity", r.Severity.String()), telemetry.Float("value", value),
 		})
 	case StateResolved:
 		if a.FiredAt >= 0 {
 			m.activeG[r.Name].Set(0)
-			m.hub.Trace.InstantAt(t, telemetry.ControlTID, "slo", "alert-resolved", map[string]any{
-				"rule": r.Name, "severity": r.Severity.String(), "firing_seconds": telemetry.Float(t - a.FiredAt),
+			m.hub.Trace.InstantAt(t, telemetry.ControlTID, "slo", "alert-resolved", telemetry.Args{
+				telemetry.Float("firing_seconds", t-a.FiredAt), telemetry.Str("rule", r.Name), telemetry.Str("severity", r.Severity.String()),
 			})
 		}
 	}

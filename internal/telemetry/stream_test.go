@@ -14,12 +14,12 @@ func driveTracer(tr *Tracer, clock *float64) {
 	tr.BeginProcess("policy-A")
 	tr.ThreadName(ControlTID, "control-plane")
 	*clock = 1
-	tr.Instant(ControlTID, "fault", "link-degrade", map[string]any{"edge": 0})
+	tr.Instant(ControlTID, "fault", "link-degrade", Args{Int("edge", 0)})
 	tr.AsyncBegin("collective", "allreduce", 1,
-		map[string]any{"scheme": "hetero", "cost": Float(math.Inf(1))})
+		Args{Float("cost", math.Inf(1)), Str("scheme", "hetero")})
 	*clock = 2.5
 	tr.AsyncEnd("collective", "allreduce", 1)
-	tr.Complete(3, "request", "request", 0.5, 2.25, map[string]any{"id": 2})
+	tr.Complete(3, "request", "request", 0.5, 2.25, Args{Int("id", 2)})
 	tr.BeginProcess("policy-B")
 	*clock = 0.25
 	tr.Instant(ControlTID, "autoscale", "scale-out", nil)
@@ -54,7 +54,7 @@ func TestStreamToFlushesBufferedPrefix(t *testing.T) {
 	var clock float64
 	tr := NewTracer(func() float64 { return clock })
 	tr.BeginProcess("policy-A")
-	tr.Instant(ControlTID, "fault", "link-degrade", map[string]any{"edge": 0})
+	tr.Instant(ControlTID, "fault", "link-degrade", Args{Int("edge", 0)})
 	var late bytes.Buffer
 	if err := tr.StreamTo(&late); err == nil {
 		t.Error("StreamTo after recorded events should fail")

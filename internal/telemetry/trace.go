@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"strconv"
 )
 
@@ -17,18 +16,20 @@ import (
 const ControlTID = 0
 
 // Event is a single Chrome trace-event. Timestamps and durations are in
-// microseconds of sim-time (the format's native unit).
+// microseconds of sim-time (the format's native unit). A recorded event and
+// its Args are valid only during the call that records it: emitters reuse
+// their argument buffers (see Args and Tap).
 type Event struct {
-	Name  string         `json:"name"`
-	Cat   string         `json:"cat,omitempty"`
-	Ph    string         `json:"ph"`
-	Ts    float64        `json:"ts"`
-	Dur   *float64       `json:"dur,omitempty"`
-	Pid   int            `json:"pid"`
-	Tid   int            `json:"tid"`
-	ID    string         `json:"id,omitempty"`
-	Scope string         `json:"s,omitempty"`
-	Args  map[string]any `json:"args,omitempty"`
+	Name  string   `json:"name"`
+	Cat   string   `json:"cat,omitempty"`
+	Ph    string   `json:"ph"`
+	Ts    float64  `json:"ts"`
+	Dur   *float64 `json:"dur,omitempty"`
+	Pid   int      `json:"pid"`
+	Tid   int      `json:"tid"`
+	ID    string   `json:"id,omitempty"`
+	Scope string   `json:"s,omitempty"`
+	Args  Args     `json:"args,omitempty"`
 }
 
 // Tracer records trace events in emit order. Because the event loop is
@@ -153,9 +154,11 @@ func (t *Tracer) CloseStream() error {
 
 // Tap installs fn as the tracer's live observer: every subsequent event is
 // passed to fn the moment it is recorded, on the goroutine that records it,
-// whether or not the tracer streams. One tap at a time; installing a new one replaces the
-// old (the critical-path collector re-taps per serving run). Already-recorded
-// events are not replayed. Pass nil to remove.
+// whether or not the tracer streams. The event and its Args are valid only
+// during the call: the emitter may reuse the argument buffer for its next
+// event, so fn copies whatever it keeps. One tap at a time; installing a new
+// one replaces the old (the critical-path collector re-taps per serving
+// run). Already-recorded events are not replayed. Pass nil to remove.
 func (t *Tracer) Tap(fn func(Event)) {
 	if t == nil {
 		return
@@ -193,7 +196,7 @@ func (t *Tracer) BeginProcess(name string) int {
 	t.pid++
 	t.emit(Event{
 		Name: "process_name", Ph: "M", Pid: t.pid, Tid: ControlTID,
-		Args: map[string]any{"name": name},
+		Args: Args{Str("name", name)},
 	})
 	return t.pid
 }
@@ -205,14 +208,14 @@ func (t *Tracer) ThreadName(tid int, name string) {
 	}
 	t.emit(Event{
 		Name: "thread_name", Ph: "M", Pid: t.pid, Tid: tid,
-		Args: map[string]any{"name": name},
+		Args: Args{Str("name", name)},
 	})
 }
 
 // Complete records a complete ("X") span from start to end sim-seconds. Emit
 // parents before children: Perfetto nests same-thread X events by containment
 // and breaks ties by array order.
-func (t *Tracer) Complete(tid int, cat, name string, start, end float64, args map[string]any) {
+func (t *Tracer) Complete(tid int, cat, name string, start, end float64, args Args) {
 	if t == nil {
 		return
 	}
@@ -227,7 +230,7 @@ func (t *Tracer) Complete(tid int, cat, name string, start, end float64, args ma
 }
 
 // Instant records a thread-scoped instant ("i") event at the current sim-time.
-func (t *Tracer) Instant(tid int, cat, name string, args map[string]any) {
+func (t *Tracer) Instant(tid int, cat, name string, args Args) {
 	if t == nil {
 		return
 	}
@@ -235,7 +238,7 @@ func (t *Tracer) Instant(tid int, cat, name string, args map[string]any) {
 }
 
 // InstantAt records an instant event at an explicit sim-time.
-func (t *Tracer) InstantAt(at float64, tid int, cat, name string, args map[string]any) {
+func (t *Tracer) InstantAt(at float64, tid int, cat, name string, args Args) {
 	if t == nil {
 		return
 	}
@@ -247,7 +250,7 @@ func (t *Tracer) InstantAt(at float64, tid int, cat, name string, args map[strin
 
 // AsyncBegin opens an async ("b") span — used for collectives, whose lifetime
 // spans many event-loop callbacks. Begin/end pairs match on (cat, id, name).
-func (t *Tracer) AsyncBegin(cat, name string, id int64, args map[string]any) {
+func (t *Tracer) AsyncBegin(cat, name string, id int64, args Args) {
 	if t == nil {
 		return
 	}
@@ -291,12 +294,11 @@ const (
 )
 
 // appendEvent appends ev's JSON encoding to buf, byte for byte what
-// json.Marshal(ev) produces, without reflection on the hot path. Args values
-// of the types the simulator emits (string, int, int64, float64, bool, []int
-// and nested map[string]any) are encoded directly; any other type, and any
-// string needing escapes, goes through encoding/json. An event json.Marshal
-// rejects (a NaN or infinite float) returns json.Marshal's error and buf
-// unchanged.
+// json.Marshal(ev) produces when ev's Args keys ascend, without reflection
+// on the hot path: the args are written in their own order, with no map and
+// no sort. Only a string needing escapes, and a decoded raw value, go
+// through encoding/json. An event json.Marshal rejects (a NaN or infinite
+// Num) returns json.Marshal's error and buf unchanged.
 func appendEvent(buf []byte, ev Event) ([]byte, error) {
 	start := len(buf)
 	ok := true
@@ -328,76 +330,13 @@ func appendEvent(buf []byte, ev Event) ([]byte, error) {
 	}
 	if len(ev.Args) > 0 && ok {
 		b = append(b, `,"args":`...)
-		b, ok = appendMap(b, ev.Args)
+		b, ok = appendArgs(b, ev.Args)
 	}
 	if !ok {
 		_, err := json.Marshal(ev)
 		return buf[:start], err
 	}
 	return append(b, '}'), nil
-}
-
-// appendMap encodes m with sorted keys, as encoding/json does. ok is false if
-// a value cannot be encoded.
-func appendMap(b []byte, m map[string]any) (_ []byte, ok bool) {
-	if m == nil {
-		return append(b, "null"...), true
-	}
-	var small [16]string
-	keys := small[:0]
-	for k := range m {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	b = append(b, '{')
-	for i, k := range keys {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = appendString(b, k)
-		b = append(b, ':')
-		if b, ok = appendValue(b, m[k]); !ok {
-			return b, false
-		}
-	}
-	return append(b, '}'), true
-}
-
-// appendValue encodes one args value. ok is false if it cannot be encoded.
-func appendValue(b []byte, v any) (_ []byte, ok bool) {
-	switch x := v.(type) {
-	case nil:
-		return append(b, "null"...), true
-	case string:
-		return appendString(b, x), true
-	case int:
-		return strconv.AppendInt(b, int64(x), 10), true
-	case int64:
-		return strconv.AppendInt(b, x, 10), true
-	case float64:
-		return appendFloat(b, x)
-	case bool:
-		return strconv.AppendBool(b, x), true
-	case []int:
-		if x == nil {
-			return append(b, "null"...), true
-		}
-		b = append(b, '[')
-		for i, n := range x {
-			if i > 0 {
-				b = append(b, ',')
-			}
-			b = strconv.AppendInt(b, int64(n), 10)
-		}
-		return append(b, ']'), true
-	case map[string]any:
-		return appendMap(b, x)
-	}
-	enc, err := json.Marshal(v)
-	if err != nil {
-		return b, false
-	}
-	return append(b, enc...), true
 }
 
 // appendString appends s as a JSON string. Printable ASCII other than the
@@ -436,19 +375,4 @@ func appendFloat(b []byte, f float64) (_ []byte, ok bool) {
 		}
 	}
 	return b, true
-}
-
-// Float sanitizes a float64 for use in trace-event args: encoding/json rejects
-// IEEE Inf/NaN, which policy-cost tables legitimately contain (Inf-priced
-// faulted paths), so those become strings.
-func Float(v float64) any {
-	switch {
-	case math.IsInf(v, 1):
-		return "+Inf"
-	case math.IsInf(v, -1):
-		return "-Inf"
-	case math.IsNaN(v):
-		return "NaN"
-	}
-	return v
 }

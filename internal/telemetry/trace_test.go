@@ -15,11 +15,11 @@ func TestTracerExportIsValidChromeJSON(t *testing.T) {
 			t.Fatalf("first pid = %d, want 1", pid)
 		}
 		tr.ThreadName(ControlTID, "control-plane")
-		tr.Complete(5, "request", "request", 1.0, 3.0, map[string]any{"id": 4})
+		tr.Complete(5, "request", "request", 1.0, 3.0, Args{Int("id", 4)})
 		tr.Complete(5, "request", "prefill", 1.0, 2.0, nil)
 		clock = 1.5
-		tr.Instant(ControlTID, "sched", "policy-select", map[string]any{"cost": Float(math.Inf(1))})
-		tr.AsyncBegin("collective", "allreduce", 7, map[string]any{"scheme": "ring"})
+		tr.Instant(ControlTID, "sched", "policy-select", Args{Float("cost", math.Inf(1))})
+		tr.AsyncBegin("collective", "allreduce", 7, Args{Str("scheme", "ring")})
 		clock = 2.5
 		tr.AsyncEnd("collective", "allreduce", 7)
 		if err := tr.CloseStream(); err != nil {
@@ -84,7 +84,7 @@ func TestTracerWithoutStreamCountsAndTaps(t *testing.T) {
 	var tapped int
 	tr.Tap(func(Event) { tapped++ })
 	tr.BeginProcess("p")
-	tr.Instant(ControlTID, "c", "n", map[string]any{"v": math.NaN()}) // never encoded
+	tr.Instant(ControlTID, "c", "n", Args{Num("v", math.NaN())}) // never encoded
 	if tr.Len() != 2 || tapped != 2 {
 		t.Errorf("Len = %d, tapped %d; want 2 and 2", tr.Len(), tapped)
 	}
