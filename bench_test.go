@@ -46,7 +46,11 @@ func BenchmarkFig1PrefillBreakdown(b *testing.B) {
 		share = points[1].CommShare // A100
 	}
 	b.ReportMetric(share*100, "A100-comm-%")
-	printReport(b, experiments.Fig1())
+	rep, err := experiments.Fig1(experiments.Env{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	printReport(b, rep)
 }
 
 func BenchmarkFig2INAComparison(b *testing.B) {
@@ -56,12 +60,16 @@ func BenchmarkFig2INAComparison(b *testing.B) {
 		reduction = d.ReductionSim
 	}
 	b.ReportMetric(reduction*100, "hetero-reduction-%")
-	printReport(b, experiments.Fig2())
+	rep, err := experiments.Fig2(experiments.Env{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	printReport(b, rep)
 }
 
 func BenchmarkFig7TestbedChatbot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		data, err := experiments.Fig7Data(experiments.Quick, 1)
+		data, err := experiments.Fig7Data(experiments.Env{Scale: experiments.Quick, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -81,7 +89,7 @@ func BenchmarkFig7TestbedChatbot(b *testing.B) {
 
 func BenchmarkFig8Sim2And8Tracks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		data, err := experiments.Fig8Data(experiments.Quick, 1)
+		data, err := experiments.Fig8Data(experiments.Env{Scale: experiments.Quick, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -101,7 +109,7 @@ func BenchmarkFig8Sim2And8Tracks(b *testing.B) {
 
 func BenchmarkFig9INAThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points, err := experiments.Fig9Data(experiments.Quick, 1)
+		points, err := experiments.Fig9Data(experiments.Env{Scale: experiments.Quick, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -124,7 +132,7 @@ func BenchmarkFig9INAThroughput(b *testing.B) {
 
 func BenchmarkFig10MemoryEfficiency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tracks, err := experiments.Fig10Data(experiments.Quick, 1)
+		tracks, err := experiments.Fig10Data(experiments.Env{Scale: experiments.Quick, Seed: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -166,7 +174,7 @@ func BenchmarkAlg1PlannerSolve(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if rep, err := experiments.Alg1(experiments.Quick, 1); err == nil {
+	if rep, err := experiments.Alg1(experiments.Env{Scale: experiments.Quick, Seed: 1}); err == nil {
 		printReport(b, rep)
 	}
 }

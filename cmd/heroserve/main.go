@@ -14,37 +14,38 @@
 // the whole trace in RAM. With -listen, /metrics, /healthz, /runs, and
 // /trace are served over HTTP and refreshed after every completed serving
 // run, so scrapers can watch a multi-hour sweep live; the process still
-// exits when the sweep finishes.
+// exits when the sweep finishes. The report stays alone on stdout; the
+// route list and the export lines go to stderr.
+//
+// The experiments that run serving simulations report to the telemetry:
+// fig7, fig8, fig10, faults and ablations (one run per variant). ext-scale
+// does not, since it scores each run from that run's private registry; the
+// other experiments run no serving simulation. Arming telemetry also feeds
+// HeroServe's online scheduler its live critical-path stage shares, so a
+// telemetered HeroServe figure can differ slightly from the plain run's
+// (Fig. 7's chatbot max rate, seed 1, quick: 0.4107 plain, 0.4086 armed).
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
-	"net"
-	"net/http"
 	"os"
 	"strings"
 
 	"heroserve/internal/experiments"
-	"heroserve/internal/serving"
-	"heroserve/internal/stats"
 	"heroserve/internal/telemetry"
 )
 
-type runner func(experiments.Scale, int64) (*experiments.Report, error)
+// runner is one experiment's entry point.
+type runner func(experiments.Env) (*experiments.Report, error)
 
 var registry = []struct {
 	id   string
 	desc string
 	run  runner
 }{
-	{"fig1", "prefill cost breakdown, LLaMA-3-70B TP=4 over 100GbE", func(_ experiments.Scale, _ int64) (*experiments.Report, error) {
-		return experiments.Fig1(), nil
-	}},
-	{"fig2", "homogeneous vs heterogeneous INA aggregation delay", func(_ experiments.Scale, _ int64) (*experiments.Report, error) {
-		return experiments.Fig2(), nil
-	}},
+	{"fig1", "prefill cost breakdown, LLaMA-3-70B TP=4 over 100GbE", experiments.Fig1},
+	{"fig2", "homogeneous vs heterogeneous INA aggregation delay", experiments.Fig2},
 	{"fig7", "testbed scalability and latency, OPT-66B", experiments.Fig7},
 	{"fig8", "pod-scale scalability, OPT-175B, 2tracks/8tracks", experiments.Fig8},
 	{"fig9", "in-network aggregation throughput vs message size", experiments.Fig9},
@@ -91,10 +92,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "heroserve: unknown format %q (text|csv|json)\n", *format)
 		os.Exit(2)
 	}
-	switch *metricsFormat {
-	case "prom", "openmetrics":
-	default:
-		fmt.Fprintf(os.Stderr, "heroserve: unknown metrics format %q (prom|openmetrics)\n", *metricsFormat)
+	if err := telemetry.CheckMetricsFormat(*metricsFormat); err != nil {
+		fmt.Fprintf(os.Stderr, "heroserve: %v\n", err)
 		os.Exit(2)
 	}
 	if *exp == "" {
@@ -129,75 +128,38 @@ func main() {
 		}
 	}
 
-	var hub *telemetry.Hub
+	env := experiments.Env{Scale: scale, Seed: *seed}
+	var art *telemetry.Artifacts
 	if *traceOut != "" || *metricsOut != "" || *listen != "" {
-		hub = telemetry.New()
-		experiments.SetTelemetry(hub)
-	}
-	var srv *telemetry.Server
-	if *listen != "" {
-		srv = telemetry.NewServer()
-	}
-	var traceFile *os.File
-	switch {
-	case *traceOut != "":
-		var err error
-		traceFile, err = os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "heroserve: trace export: %v\n", err)
-			os.Exit(1)
-		}
-		if err := hub.Trace.StreamTo(traceFile); err != nil {
-			fmt.Fprintf(os.Stderr, "heroserve: trace export: %v\n", err)
-			os.Exit(1)
-		}
-		if srv != nil {
-			srv.SetTraceFile(*traceOut)
-		}
-	case srv != nil:
-		if err := hub.Trace.StreamTo(srv.TraceSink()); err != nil {
-			fmt.Fprintf(os.Stderr, "heroserve: trace: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	if srv != nil {
-		ln, err := net.Listen("tcp", *listen)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "heroserve: listen: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("serving %s on %s\n", strings.Join(srv.Routes(), " "), ln.Addr())
-		go func() {
-			if serr := http.Serve(ln, srv); serr != nil {
-				fmt.Fprintf(os.Stderr, "heroserve: http: %v\n", serr)
+		env.Hub = telemetry.New()
+		art = &telemetry.Artifacts{Hub: env.Hub, TraceOut: *traceOut,
+			MetricsOut: *metricsOut, MetricsFormat: *metricsFormat, Status: os.Stderr}
+		if *listen != "" {
+			srv := telemetry.NewServer()
+			art.Server = srv
+			// OnRun runs on the sweep goroutine after each serving run, so
+			// publishing the hub from it is race-free (see telemetry.Server).
+			env.OnRun = func(run telemetry.RunSummary) {
+				// Publish before AddRun so the run's /runs/diff snapshot
+				// includes its own final metrics.
+				if err := srv.PublishHub(env.Hub); err != nil {
+					fmt.Fprintf(os.Stderr, "heroserve: publish: %v\n", err)
+				}
+				srv.AddRun(run)
 			}
-		}()
-		// The observer runs on the sweep goroutine after each serving run, so
-		// publishing the hub from it is race-free (see telemetry.Server).
-		experiments.SetRunObserver(func(kind experiments.SystemKind, res *serving.Results, sla serving.SLA) {
-			ttfts := stats.Summarize(res.TTFTs())
-			tpots := stats.Summarize(res.TPOTs())
-			// Publish before AddRun so the run's /runs/diff snapshot includes
-			// its own final metrics.
-			if err := srv.PublishHub(hub); err != nil {
-				fmt.Fprintf(os.Stderr, "heroserve: publish: %v\n", err)
-			}
-			srv.AddRun(telemetry.RunSummary{
-				System:     kind.String(),
-				Policy:     res.PolicyName,
-				Trace:      "experiment",
-				Requests:   len(res.Requests),
-				Served:     res.Served,
-				SimSeconds: res.Duration,
-				Attainment: res.Attainment(sla),
-				TTFT:       telemetry.Latency{Mean: ttfts.Mean, P50: ttfts.P50, P90: ttfts.P90, P99: ttfts.P99},
-				TPOT:       telemetry.Latency{Mean: tpots.Mean, P50: tpots.P50, P90: tpots.P90, P99: tpots.P99},
-			})
-		})
+		}
+		addr, err := art.Start(*listen)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "heroserve: %v\n", err)
+			os.Exit(1)
+		}
+		if addr != nil {
+			fmt.Fprintf(os.Stderr, "serving %s on %s\n", strings.Join(art.Server.Routes(), " "), addr)
+		}
 	}
 
 	for i, id := range ids {
-		rep, err := runs[i](scale, *seed)
+		rep, err := runs[i](env)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "heroserve: %s: %v\n", id, err)
 			os.Exit(1)
@@ -218,39 +180,10 @@ func main() {
 		}
 	}
 
-	if *traceOut != "" {
-		if err := hub.Trace.CloseStream(); err != nil {
-			fmt.Fprintf(os.Stderr, "heroserve: trace export: %v\n", err)
+	if art != nil {
+		if err := art.Finish(); err != nil {
+			fmt.Fprintf(os.Stderr, "heroserve: %v\n", err)
 			os.Exit(1)
 		}
-		if err := traceFile.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "heroserve: trace export: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("streamed %d trace events to %s\n", hub.Trace.Len(), *traceOut)
 	}
-	if *metricsOut != "" {
-		write := hub.Metrics.WriteProm
-		if *metricsFormat == "openmetrics" {
-			write = hub.Metrics.WriteOpenMetrics
-		}
-		if err := exportFile(*metricsOut, write); err != nil {
-			fmt.Fprintf(os.Stderr, "heroserve: metrics export: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote metrics (%s) to %s\n", *metricsFormat, *metricsOut)
-	}
-}
-
-// exportFile writes one telemetry artifact via its writer function.
-func exportFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }

@@ -27,8 +27,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"sort"
@@ -40,7 +38,6 @@ import (
 	"heroserve/internal/model"
 	"heroserve/internal/planner"
 	"heroserve/internal/serving"
-	"heroserve/internal/stats"
 	"heroserve/internal/telemetry"
 	"heroserve/internal/telemetry/critpath"
 	"heroserve/internal/telemetry/decisions"
@@ -117,8 +114,8 @@ func main() {
 	if *daemon && *publishEvery <= 0 {
 		usagef("-publish-every must be positive")
 	}
-	if *metricsFormat != "prom" && *metricsFormat != "openmetrics" {
-		usagef("unknown -metrics-format %q (allowed: prom | openmetrics)", *metricsFormat)
+	if err := telemetry.CheckMetricsFormat(*metricsFormat); err != nil {
+		usagef("%v", err)
 	}
 	if *pushURL != "" && *pushEvery <= 0 {
 		usagef("-push-every must be positive")
@@ -238,35 +235,17 @@ func main() {
 			perf.InstallPprof(srv)
 		}
 	}
-	var traceFile *os.File
-	switch {
-	case *traceOut != "":
-		traceFile, err = os.Create(*traceOut)
-		if err != nil {
-			fatalf("trace export: %v", err)
+	var art *telemetry.Artifacts
+	if hub != nil {
+		art = &telemetry.Artifacts{Hub: hub, Server: srv, TraceOut: *traceOut,
+			MetricsOut: *metricsOut, MetricsFormat: *metricsFormat, Status: os.Stdout}
+		addr, aerr := art.Start(*listen)
+		if aerr != nil {
+			fatalf("%v", aerr)
 		}
-		if err := hub.Trace.StreamTo(traceFile); err != nil {
-			fatalf("trace export: %v", err)
+		if addr != nil {
+			fmt.Printf("daemon: serving %s on %s\n", strings.Join(srv.Routes(), " "), addr)
 		}
-		if srv != nil {
-			srv.SetTraceFile(*traceOut)
-		}
-	case srv != nil:
-		if err := hub.Trace.StreamTo(srv.TraceSink()); err != nil {
-			fatalf("trace: %v", err)
-		}
-	}
-	if srv != nil {
-		ln, lerr := net.Listen("tcp", *listen)
-		if lerr != nil {
-			fatalf("daemon: %v", lerr)
-		}
-		fmt.Printf("daemon: serving %s on %s\n", strings.Join(srv.Routes(), " "), ln.Addr())
-		go func() {
-			if serr := http.Serve(ln, srv); serr != nil {
-				fmt.Fprintf(os.Stderr, "serve: daemon http: %v\n", serr)
-			}
-		}()
 	}
 
 	var push *pushState
@@ -294,24 +273,10 @@ func main() {
 		fmt.Printf("pushed %d metric snapshots (%d failed)\n", pusher.Pushed(), pusher.Failures())
 	}
 
-	if *traceOut != "" {
-		if err := hub.Trace.CloseStream(); err != nil {
-			fatalf("trace export: %v", err)
+	if art != nil {
+		if err := art.Finish(); err != nil {
+			fatalf("%v", err)
 		}
-		if err := traceFile.Close(); err != nil {
-			fatalf("trace export: %v", err)
-		}
-		fmt.Printf("streamed %d trace events to %s\n", hub.Trace.Len(), *traceOut)
-	}
-	if *metricsOut != "" {
-		write := hub.Metrics.WriteProm
-		if *metricsFormat == "openmetrics" {
-			write = hub.Metrics.WriteOpenMetrics
-		}
-		if err := exportFile(*metricsOut, write); err != nil {
-			fatalf("metrics export: %v", err)
-		}
-		fmt.Printf("wrote metrics (%s) to %s\n", *metricsFormat, *metricsOut)
 	}
 
 	if *daemon {
@@ -435,14 +400,14 @@ func runSystem(name string, in planner.Inputs, trace *workload.Trace, hub *telem
 
 	res := sys.Run(trace)
 	rate := float64(len(trace.Requests)) / trace.Duration()
-	ttfts := stats.Summarize(res.TTFTs())
-	tpots := stats.Summarize(res.TPOTs())
+	run := res.Summary(name, trace.Name, len(trace.Requests), p.sla)
 	fmt.Printf("system=%s plan=%s trace=%s requests=%d rate=%.3g req/s\n",
-		res.PolicyName, plan.Candidate, trace.Name, len(trace.Requests), rate)
+		res.PolicyName, plan.Candidate, trace.Name, run.Requests, rate)
 	fmt.Printf("served=%d in %.1fs simulated; SLA attainment=%.1f%%\n",
-		res.Served, res.Duration, res.Attainment(p.sla)*100)
-	fmt.Printf("TTFT: mean=%.3fs p50=%.3fs p90=%.3fs p99=%.3fs\n", ttfts.Mean, ttfts.P50, ttfts.P90, ttfts.P99)
-	fmt.Printf("TPOT: mean=%.4fs p50=%.4fs p90=%.4fs p99=%.4fs\n", tpots.Mean, tpots.P50, tpots.P90, tpots.P99)
+		run.Served, run.SimSeconds, run.Attainment*100)
+	ttft, tpot := run.TTFT, run.TPOT
+	fmt.Printf("TTFT: mean=%.3fs p50=%.3fs p90=%.3fs p99=%.3fs\n", ttft.Mean, ttft.P50, ttft.P90, ttft.P99)
+	fmt.Printf("TPOT: mean=%.4fs p50=%.4fs p90=%.4fs p99=%.4fs\n", tpot.Mean, tpot.P50, tpot.P90, tpot.P99)
 	fmt.Printf("comm: ring=%d ina-sync=%d ina-async=%d hetero=%d transfers=%d\n",
 		res.Comm.RingOps, res.Comm.INASyncOps, res.Comm.INAAsyncOps, res.Comm.HeteroOps, res.Comm.Transfers)
 	fmt.Printf("decode KV: mean=%.1f%% peak=%.1f%%; GPU-seconds=%.0f\n",
@@ -473,7 +438,7 @@ func runSystem(name string, in planner.Inputs, trace *workload.Trace, hub *telem
 	}
 	if p.decisionsOut != "" {
 		if led := sys.DecisionLedger(); led != nil {
-			if err := exportFile(p.decisionsOut, led.WriteJSON); err != nil {
+			if err := telemetry.ExportFile(p.decisionsOut, led.WriteJSON); err != nil {
 				fatalf("decisions export: %v", err)
 			}
 			fmt.Printf("wrote decision ledger (%d records) to %s\n", led.Len(), p.decisionsOut)
@@ -481,7 +446,7 @@ func runSystem(name string, in planner.Inputs, trace *workload.Trace, hub *telem
 	}
 	if p.alertsOut != "" {
 		if mon := sys.SLOMonitor(); mon != nil {
-			if err := exportFile(p.alertsOut, mon.WriteLog); err != nil {
+			if err := telemetry.ExportFile(p.alertsOut, mon.WriteLog); err != nil {
 				fatalf("alerts export: %v", err)
 			}
 			log := mon.Log()
@@ -494,7 +459,7 @@ func runSystem(name string, in planner.Inputs, trace *workload.Trace, hub *telem
 		fmt.Printf("perf: %.3g events/s, %.4g wall-seconds per sim-second; realloc=%.4gs self=%.1f%%\n",
 			r.EventsPerSec, r.WallPerSim, r.Phases.ReallocSeconds, r.Phases.SelfFraction*100)
 		if p.perfOut != "" {
-			if err := exportFile(p.perfOut, r.WriteJSON); err != nil {
+			if err := telemetry.ExportFile(p.perfOut, r.WriteJSON); err != nil {
 				fatalf("perf export: %v", err)
 			}
 			fmt.Printf("wrote perf report (%d events sampled 1-in-%d) to %s\n",
@@ -512,17 +477,7 @@ func runSystem(name string, in planner.Inputs, trace *workload.Trace, hub *telem
 			fmt.Fprintf(os.Stderr, "serve: daemon publish: %v\n", err)
 		}
 		publishDocs(srv, sys, sampler, name)
-		evicted := srv.AddRun(telemetry.RunSummary{
-			System:     name,
-			Policy:     res.PolicyName,
-			Trace:      trace.Name,
-			Requests:   len(trace.Requests),
-			Served:     res.Served,
-			SimSeconds: res.Duration,
-			Attainment: res.Attainment(p.sla),
-			TTFT:       telemetry.Latency{Mean: ttfts.Mean, P50: ttfts.P50, P90: ttfts.P90, P99: ttfts.P99},
-			TPOT:       telemetry.Latency{Mean: tpots.Mean, P50: tpots.P50, P90: tpots.P90, P99: tpots.P99},
-		})
+		evicted := srv.AddRun(run)
 		if evicted > 0 {
 			hub.Metrics.Counter("telemetry_evictions_total",
 				"Telemetry records dropped by retention caps, by kind.",
@@ -603,19 +558,6 @@ func critpathSummary(cp *critpath.Report) []cpEntry {
 		entries = entries[:3]
 	}
 	return entries
-}
-
-// exportFile writes one telemetry artifact via its writer function.
-func exportFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // allowed renders a flag's value set in stable order for error messages.

@@ -41,14 +41,14 @@ func (f forcedScheme) AllReduce(ctx *serving.GroupCtx, msgBytes int64, steps int
 //   - the online scheme selector vs forced always-ring / always-hetero,
 //   - the load-penalty coupling f (Eq. 17-18) vs a decoupled table,
 //   - the heterogeneous candidates vs an Ethernet-only policy set.
-func AblationData(scale Scale, seed int64) ([]AblationResult, error) {
+func AblationData(env Env) ([]AblationResult, error) {
 	n := 40
-	if scale == Full {
+	if env.Scale == Full {
 		n = 100
 	}
 	g0 := topology.Testbed()
 	pre, dec := planner.SplitPoolsByServer(g0, 2)
-	trace512 := workload.NewGenerator(workload.Chatbot, seed).Generate(512, 1)
+	trace512 := workload.NewGenerator(workload.Chatbot, env.Seed).Generate(512, 1)
 	in := planner.Inputs{
 		Model:         model.OPT66B(),
 		Graph:         g0,
@@ -59,21 +59,27 @@ func AblationData(scale Scale, seed int64) ([]AblationResult, error) {
 		SLA:           serving.SLA{TTFT: 2.5, TPOT: 0.15},
 		MinTensDecode: 8,
 		Hetero:        true,
-		Seed:          seed,
+		Seed:          env.Seed,
 	}
 	plan, err := planner.Solve(in)
 	if err != nil {
 		return nil, err
 	}
 
+	// Every variant replays the same trace on the same deployment under the
+	// same elephant lanes; only the communication policy differs.
 	run := func(variant string, policy serving.CommPolicy) (AblationResult, error) {
-		g := topology.Testbed()
-		sys, err := serving.New(g, plan.Deployment, serving.Options{Policy: policy})
+		trace := workload.NewGenerator(workload.Chatbot, env.Seed+5).Generate(n, 4)
+		res, err := env.simulate(variant, in.SLA, serving.Options{Policy: policy}, func(opts serving.Options) (*serving.System, error) {
+			sys, err := serving.New(topology.Testbed(), plan.Deployment, opts)
+			if err == nil {
+				sys.InjectElephants(4, 512<<20, 60, env.Seed+99)
+			}
+			return sys, err
+		}, trace)
 		if err != nil {
 			return AblationResult{}, err
 		}
-		sys.InjectElephants(4, 512<<20, 60, seed+99)
-		res := sys.Run(workload.NewGenerator(workload.Chatbot, seed+5).Generate(n, 4))
 		return AblationResult{
 			Variant:    variant,
 			MeanTPOT:   meanPositive(res.TPOTs()),
@@ -107,8 +113,8 @@ func AblationData(scale Scale, seed int64) ([]AblationResult, error) {
 }
 
 // Ablations renders the design-choice study.
-func Ablations(scale Scale, seed int64) (*Report, error) {
-	data, err := AblationData(scale, seed)
+func Ablations(env Env) (*Report, error) {
+	data, err := AblationData(env)
 	if err != nil {
 		return nil, err
 	}

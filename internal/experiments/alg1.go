@@ -26,7 +26,7 @@ type Alg1Result struct {
 
 // Alg1Data runs the planner on the testbed (OPT-66B) and a pod (OPT-175B),
 // with and without the heterogeneous scheme.
-func Alg1Data(scale Scale, seed int64) ([]Alg1Result, error) {
+func Alg1Data(env Env) ([]Alg1Result, error) {
 	type job struct {
 		name  string
 		build func() planner.Inputs
@@ -36,19 +36,19 @@ func Alg1Data(scale Scale, seed int64) ([]Alg1Result, error) {
 			name: "testbed/OPT-66B",
 			build: func() planner.Inputs {
 				g := topology.Testbed()
-				return fig7Inputs(g, workload.Chatbot, serving.SLA{TTFT: 2.5, TPOT: 0.15}, 3, seed)
+				return fig7Inputs(g, workload.Chatbot, serving.SLA{TTFT: 2.5, TPOT: 0.15}, 3, env.Seed)
 			},
 		},
 		{
 			name: "pod-2tracks/OPT-175B",
 			build: func() planner.Inputs {
 				servers := fig8Servers
-				if scale == Full {
+				if env.Scale == Full {
 					servers *= 2
 				}
 				g := topology.Pod2Tracks(servers)
 				rate := 0.02 * float64(len(g.GPUs()))
-				return fig8Inputs(g, workload.Chatbot, serving.SLA{TTFT: 4, TPOT: 0.2}, rate, seed)
+				return fig8Inputs(g, workload.Chatbot, serving.SLA{TTFT: 4, TPOT: 0.2}, rate, env.Seed)
 			},
 		},
 	}
@@ -80,8 +80,8 @@ func Alg1Data(scale Scale, seed int64) ([]Alg1Result, error) {
 }
 
 // Alg1 renders the planner telemetry.
-func Alg1(scale Scale, seed int64) (*Report, error) {
-	data, err := Alg1Data(scale, seed)
+func Alg1(env Env) (*Report, error) {
+	data, err := Alg1Data(env)
 	if err != nil {
 		return nil, err
 	}

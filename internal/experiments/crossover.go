@@ -70,7 +70,7 @@ func CrossoverData() []CrossoverPoint {
 }
 
 // Crossover renders the scheme-crossover study.
-func Crossover(_ Scale, _ int64) (*Report, error) {
+func Crossover(Env) (*Report, error) {
 	data := CrossoverData()
 	r := &Report{Name: "Scheme crossover — per-step latency of ring vs INA vs hetero by message size"}
 	for _, p := range data {

@@ -66,7 +66,7 @@ func chatbotRun(t *testing.T, kind SystemKind, seed int64, sched *faults.Schedul
 	}
 	cfg.bursts = fig7Bursts(seed, 40)
 	cfg.faults = sched
-	res, err := runOnce(cfg)
+	res, err := Env{}.runOnce(cfg)
 	if err != nil {
 		t.Fatalf("runOnce: %v", err)
 	}
@@ -108,11 +108,11 @@ func TestFaultsExperimentDeterminism(t *testing.T) {
 		t.Skip("faults study in -short mode")
 	}
 	t.Parallel()
-	d1, err := FaultsExperimentData(Quick, 1)
+	d1, err := FaultsExperimentData(Env{Scale: Quick, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := FaultsExperimentData(Quick, 1)
+	d2, err := FaultsExperimentData(Env{Scale: Quick, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

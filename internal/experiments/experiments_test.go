@@ -68,7 +68,7 @@ func TestFig9Shape(t *testing.T) {
 		t.Skip("fig9 trials under -short")
 	}
 	t.Parallel()
-	points, err := Fig9Data(Quick, 1)
+	points, err := Fig9Data(Env{Scale: Quick, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestFig10Shape(t *testing.T) {
 		t.Skip("fig10 serving runs under -short")
 	}
 	t.Parallel()
-	tracks, err := Fig10Data(Quick, 1)
+	tracks, err := Fig10Data(Env{Scale: Quick, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestFig10Shape(t *testing.T) {
 }
 
 func TestAlg1Shape(t *testing.T) {
-	data, err := Alg1Data(Quick, 1)
+	data, err := Alg1Data(Env{Scale: Quick, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestFig7Shape(t *testing.T) {
 		t.Skip("fig7 sweeps under -short")
 	}
 	t.Parallel()
-	data, err := Fig7Data(Quick, 1)
+	data, err := Fig7Data(Env{Scale: Quick, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestFig8Shape(t *testing.T) {
 		t.Skip("fig8 sweeps under -short")
 	}
 	t.Parallel()
-	tracks, err := Fig8Data(Quick, 1)
+	tracks, err := Fig8Data(Env{Scale: Quick, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestCrossoverShape(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Crossover(Quick, 1); err != nil {
+	if _, err := Crossover(Env{Scale: Quick, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 }

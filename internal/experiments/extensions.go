@@ -13,7 +13,7 @@ import (
 // servers, NUMA-aware pre-reduction (per-socket leaders) avoids the derated
 // cross-socket links. It reports analytic and simulated all-reduce times for
 // naive vs NUMA-aware heterogeneous aggregation on an L40 pod.
-func ExtPCIe(_ Scale, _ int64) (*Report, error) {
+func ExtPCIe(Env) (*Report, error) {
 	r := &Report{Name: "Extension §VII-a — PCIe intra-server communication with NUMA awareness"}
 	t := r.AddTable("8x L40 (2 servers, 2 NUMA domains each), hetero all-reduce",
 		"message", "naive analytic", "NUMA-aware analytic", "naive sim", "NUMA-aware sim", "sim gain")

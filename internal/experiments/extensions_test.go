@@ -1,9 +1,14 @@
 package experiments
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+
+	"heroserve/internal/telemetry"
+)
 
 func TestExtPCIeShape(t *testing.T) {
-	rep, err := ExtPCIe(Quick, 1)
+	rep, err := ExtPCIe(Env{Scale: Quick, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +30,7 @@ func TestAblationShape(t *testing.T) {
 		t.Skip("serving runs under -short")
 	}
 	t.Parallel()
-	data, err := AblationData(Quick, 1)
+	data, err := AblationData(Env{Scale: Quick, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,5 +46,40 @@ func TestAblationShape(t *testing.T) {
 	}
 	if full.MeanTPOT >= eth.MeanTPOT {
 		t.Errorf("full scheduler TPOT %.4f not below ethernet-only %.4f", full.MeanTPOT, eth.MeanTPOT)
+	}
+}
+
+// TestAblationsReportToTheEnv: every ablation variant's run reaches the
+// environment's hub and observer under the variant's name, with the offered
+// request count, and arming them leaves the results unchanged.
+func TestAblationsReportToTheEnv(t *testing.T) {
+	if testing.Short() {
+		t.Skip("serving runs under -short")
+	}
+	t.Parallel()
+	plain, err := AblationData(Env{Scale: Quick, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs []telemetry.RunSummary
+	env := Env{Scale: Quick, Seed: 1, Hub: telemetry.New(),
+		OnRun: func(run telemetry.RunSummary) { runs = append(runs, run) }}
+	armed, err := AblationData(env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, armed) {
+		t.Errorf("arming the env changed the ablations:\nplain %+v\narmed %+v", plain, armed)
+	}
+	if len(runs) != len(armed) {
+		t.Fatalf("observer saw %d runs, want one per variant (%d)", len(runs), len(armed))
+	}
+	for i, run := range runs {
+		if run.System != armed[i].Variant || run.Requests != 40 || run.Served != 40 {
+			t.Errorf("run %d = %+v, want variant %q with 40 offered and served", i, run, armed[i].Variant)
+		}
+	}
+	if done, _ := env.Hub.Metrics.Value("serving_requests_completed_total"); done != float64(40*len(armed)) {
+		t.Errorf("hub counted %g completed requests, want %d", done, 40*len(armed))
 	}
 }

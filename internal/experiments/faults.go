@@ -45,7 +45,7 @@ func faultsSchedule(g *topology.Graph, horizon float64, seed int64) faults.Sched
 }
 
 // FaultsExperimentData runs the fault-resilience study.
-func FaultsExperimentData(scale Scale, seed int64) (*FaultsData, error) {
+func FaultsExperimentData(env Env) (*FaultsData, error) {
 	const (
 		gpus       = 16 // the testbed's GPU count
 		perGPURate = 0.19
@@ -53,7 +53,7 @@ func FaultsExperimentData(scale Scale, seed int64) (*FaultsData, error) {
 	kind := workload.Chatbot
 	sla := serving.SLA{TTFT: 2.5, TPOT: 0.15}
 	reqs := 48
-	if scale == Full {
+	if env.Scale == Full {
 		reqs *= 3
 	}
 	rate := perGPURate * gpus
@@ -62,10 +62,10 @@ func FaultsExperimentData(scale Scale, seed int64) (*FaultsData, error) {
 	arrivalSpan := float64(reqs) / rate
 
 	g := topology.Testbed()
-	sched := faultsSchedule(g, arrivalSpan, seed)
+	sched := faultsSchedule(g, arrivalSpan, env.Seed)
 	data := &FaultsData{Workload: kind, SLA: sla, PerGPURate: perGPURate, Schedule: sched}
 	for _, sysKind := range AllSystems {
-		in := fig7Inputs(g, kind, sla, rate, seed)
+		in := fig7Inputs(g, kind, sla, rate, env.Seed)
 		plan, err := planAtBestLambda(sysKind, in, rate)
 		if err != nil {
 			return nil, fmt.Errorf("faults %v: %w", sysKind, err)
@@ -77,23 +77,23 @@ func FaultsExperimentData(scale Scale, seed int64) (*FaultsData, error) {
 			workload: kind,
 			requests: reqs,
 			rate:     rate,
-			seed:     seed,
+			seed:     env.Seed,
 		}
 		// The same background load in both runs (the testbed's bursty
 		// replayer traffic plus sustained elephant lanes, as in Fig. 7), so
 		// the only difference between them is the fault schedule.
 		burstHorizon := arrivalSpan + 20
-		cfg.bursts = fig7Bursts(seed+int64(sysKind), burstHorizon)
+		cfg.bursts = fig7Bursts(env.Seed+int64(sysKind), burstHorizon)
 		cfg.elephants = 4
 		cfg.elephantBytes = 512 << 20
 		cfg.elephantHorizon = burstHorizon
 
-		clean, err := runOnce(cfg)
+		clean, err := env.runOnce(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("faults %v clean: %w", sysKind, err)
 		}
 		cfg.faults = &sched
-		faulted, err := runOnce(cfg)
+		faulted, err := env.runOnce(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("faults %v faulted: %w", sysKind, err)
 		}
@@ -112,8 +112,8 @@ func FaultsExperimentData(scale Scale, seed int64) (*FaultsData, error) {
 }
 
 // FaultsExperiment runs and renders the fault-resilience study.
-func FaultsExperiment(scale Scale, seed int64) (*Report, error) {
-	data, err := FaultsExperimentData(scale, seed)
+func FaultsExperiment(env Env) (*Report, error) {
+	data, err := FaultsExperimentData(env)
 	if err != nil {
 		return nil, err
 	}

@@ -60,8 +60,9 @@ func Fig1Data() []Fig1Point {
 	return out
 }
 
-// Fig1 renders the breakdown as a report.
-func Fig1() *Report {
+// Fig1 renders the breakdown as a report. The breakdown is analytic, so
+// the environment is unused.
+func Fig1(Env) (*Report, error) {
 	r := &Report{Name: "Fig. 1 — Prefill cost breakdown, LLaMA-3-70B, TP=4 over 100GbE (ring all-reduce)"}
 	t := r.AddTable("prefill breakdown (batch 8 x 1024 input tokens)",
 		"GPU", "compute (s)", "all-reduce (s)", "comm share")
@@ -69,5 +70,5 @@ func Fig1() *Report {
 		t.AddRow(p.GPU, fmtF(p.ComputeS), fmtF(p.CommS), fmtPct(p.CommShare))
 	}
 	r.AddNote("paper reports the all-reduce share above 65%% on L40 and above 75%% on A100 (its larger FLOPS shrink compute, not communication)")
-	return r
+	return r, nil
 }

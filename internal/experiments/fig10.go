@@ -32,9 +32,9 @@ const fig10SeriesPoints = 16
 // the offered load sits in the same moderate-utilization regime). Faster
 // communication drains KV caches sooner, so the fastest system holds the
 // least memory.
-func Fig10Data(scale Scale, seed int64) ([]Fig10Track, error) {
+func Fig10Data(env Env) ([]Fig10Track, error) {
 	requests := 16
-	if scale == Full {
+	if env.Scale == Full {
 		requests = 40
 	}
 	var out []Fig10Track
@@ -48,19 +48,19 @@ func Fig10Data(scale Scale, seed int64) ([]Fig10Track, error) {
 			gpus := len(g.GPUs())
 			sla := serving.SLA{TTFT: 25, TPOT: 0.2}
 			rate := 0.006 * float64(gpus) // moderate load, cf. paper's 0.07 req/s regime
-			in := fig8Inputs(g, workload.Summarization, sla, rate, seed)
+			in := fig8Inputs(g, workload.Summarization, sla, rate, env.Seed)
 			plan, err := planFor(sysKind, in)
 			if err != nil {
 				return nil, fmt.Errorf("fig10 %dtracks %v: %w", b.tracks, sysKind, err)
 			}
-			res, err := runOnce(runConfig{
+			res, err := env.runOnce(runConfig{
 				kind:            sysKind,
 				in:              in,
 				plan:            plan,
 				workload:        workload.Summarization,
 				requests:        requests,
 				rate:            rate,
-				seed:            seed,
+				seed:            env.Seed,
 				elephants:       8,
 				elephantBytes:   1 << 30,
 				elephantHorizon: float64(requests)/rate + 60,
@@ -102,8 +102,8 @@ func Fig10Data(scale Scale, seed int64) ([]Fig10Track, error) {
 }
 
 // Fig10 renders the memory-efficiency comparison.
-func Fig10(scale Scale, seed int64) (*Report, error) {
-	data, err := Fig10Data(scale, seed)
+func Fig10(env Env) (*Report, error) {
+	data, err := Fig10Data(env)
 	if err != nil {
 		return nil, err
 	}

@@ -97,8 +97,9 @@ func Fig2Data(msgBytes int64) Fig2Result {
 }
 
 // Fig2 renders the comparison for 1 MB (the paper's worked example) plus two
-// neighbouring sizes.
-func Fig2() *Report {
+// neighbouring sizes. It runs no serving simulation, so the environment is
+// unused.
+func Fig2(Env) (*Report, error) {
 	r := &Report{Name: "Fig. 2 — INA over homogeneous vs heterogeneous networks"}
 	t := r.AddTable("aggregation delay (3 GPUs: 2 co-located + 1 remote)",
 		"message", "homo 1-way", "hetero 1-way", "reduction", "homo sim all-reduce", "hetero sim all-reduce", "sim reduction")
@@ -111,5 +112,5 @@ func Fig2() *Report {
 		)
 	}
 	r.AddNote("paper's worked example: 1 MB takes ~160 us over two Ethernet hops vs ~90 us with NVLink forwarding (~43%% lower)")
-	return r
+	return r, nil
 }

@@ -69,15 +69,8 @@ func fig7Bursts(seed int64, horizon float64) []workload.Burst {
 }
 
 // Fig7Data runs the testbed sweeps for both workloads.
-func Fig7Data(scale Scale, seed int64) ([]Fig7Workload, error) {
-	type wl struct {
-		kind    workload.Kind
-		sla     serving.SLA
-		rates   []float64
-		reqs    int
-		horizon float64
-	}
-	wls := []wl{
+func Fig7Data(env Env) ([]Fig7Workload, error) {
+	wls := []rateSweep{
 		{
 			kind:    workload.Chatbot,
 			sla:     serving.SLA{TTFT: 2.5, TPOT: 0.15},
@@ -93,7 +86,7 @@ func Fig7Data(scale Scale, seed int64) ([]Fig7Workload, error) {
 			horizon: 250,
 		},
 	}
-	if scale == Full {
+	if env.Scale == Full {
 		for i := range wls {
 			wls[i].reqs *= 3
 			wls[i].horizon *= 3
@@ -103,42 +96,22 @@ func Fig7Data(scale Scale, seed int64) ([]Fig7Workload, error) {
 	var out []Fig7Workload
 	for _, w := range wls {
 		gpus := 16 // the testbed's GPU count
-		refRate := w.rates[len(w.rates)/3]
-		fw := Fig7Workload{Workload: w.kind, SLA: w.sla, RefRate: refRate}
+		fw := Fig7Workload{Workload: w.kind, SLA: w.sla, RefRate: w.refRate()}
 		for _, sysKind := range AllSystems {
-			g := topology.Testbed()
-			in := fig7Inputs(g, w.kind, w.sla, refRate*float64(gpus), seed)
-			plan, err := planFor(sysKind, in)
-			if err != nil {
-				return nil, fmt.Errorf("fig7 %v %v: %w", w.kind, sysKind, err)
-			}
-			cfg := runConfig{
-				kind:     sysKind,
-				in:       in,
-				plan:     plan,
-				workload: w.kind,
-				requests: w.reqs,
-				seed:     seed,
-			}
 			// Background load spans the longest sweep horizon (the
 			// lowest-rate run's trace plus drain time): bursty flows plus
 			// sustained elephant transfers from the traffic replayer.
 			burstHorizon := float64(w.reqs)/(w.rates[0]*float64(gpus)) + 3*w.horizon
-			cfg.bursts = fig7Bursts(seed+int64(sysKind), burstHorizon)
-			cfg.elephants = 4
-			cfg.elephantBytes = 512 << 20
-			cfg.elephantHorizon = burstHorizon
-
-			points, best, err := sweepRates(cfg, gpus, w.rates, w.sla, goodputTarget, w.horizon)
+			sr, err := env.sweepSystem(w, runConfig{
+				kind:            sysKind,
+				in:              fig7Inputs(topology.Testbed(), w.kind, w.sla, w.refRate()*float64(gpus), env.Seed),
+				bursts:          fig7Bursts(env.Seed+int64(sysKind), burstHorizon),
+				elephants:       4,
+				elephantBytes:   512 << 20,
+				elephantHorizon: burstHorizon,
+			}, gpus)
 			if err != nil {
 				return nil, fmt.Errorf("fig7 sweep %v %v: %w", w.kind, sysKind, err)
-			}
-			sr := Fig7SystemResult{System: sysKind, MaxPerGPURate: best, Points: points}
-			for _, p := range points {
-				if p.perGPURate == refRate {
-					sr.RefTTFT = p.meanTTFT
-					sr.RefTPOT = p.meanTPOT
-				}
 			}
 			fw.Systems = append(fw.Systems, sr)
 		}
@@ -148,8 +121,8 @@ func Fig7Data(scale Scale, seed int64) ([]Fig7Workload, error) {
 }
 
 // Fig7 renders the testbed evaluation.
-func Fig7(scale Scale, seed int64) (*Report, error) {
-	data, err := Fig7Data(scale, seed)
+func Fig7(env Env) (*Report, error) {
+	data, err := Fig7Data(env)
 	if err != nil {
 		return nil, err
 	}

@@ -48,23 +48,16 @@ func fig8Inputs(g *topology.Graph, kind workload.Kind, sla serving.SLA, lambda f
 }
 
 // Fig8Data runs the pod-scale sweeps for 2tracks and 8tracks.
-func Fig8Data(scale Scale, seed int64) ([]Fig8Track, error) {
-	type wl struct {
-		kind    workload.Kind
-		sla     serving.SLA
-		rates   []float64
-		reqs    int
-		horizon float64
-	}
-	wls := []wl{{
+func Fig8Data(env Env) ([]Fig8Track, error) {
+	wls := []rateSweep{{
 		kind:    workload.Chatbot,
 		sla:     serving.SLA{TTFT: 4, TPOT: 0.2},
 		rates:   []float64{0.03, 0.05, 0.072, 0.09, 0.097, 0.104, 0.112, 0.12},
 		reqs:    16,
 		horizon: 25,
 	}}
-	if scale == Full {
-		wls = append(wls, wl{
+	if env.Scale == Full {
+		wls = append(wls, rateSweep{
 			kind:    workload.Summarization,
 			sla:     serving.SLA{TTFT: 25, TPOT: 0.2},
 			rates:   []float64{0.001, 0.0016, 0.0025, 0.004, 0.006},
@@ -92,35 +85,16 @@ func Fig8Data(scale Scale, seed int64) ([]Fig8Track, error) {
 			for _, sysKind := range AllSystems {
 				g := b.build(fig8Servers)
 				gpus := len(g.GPUs())
-				refRate := w.rates[len(w.rates)/3]
-				in := fig8Inputs(g, w.kind, w.sla, refRate*float64(gpus), seed)
-				plan, err := planFor(sysKind, in)
-				if err != nil {
-					return nil, fmt.Errorf("fig8 %dtracks %v %v: %w", b.tracks, w.kind, sysKind, err)
-				}
-				cfg := runConfig{
-					kind:     sysKind,
-					in:       in,
-					plan:     plan,
-					workload: w.kind,
-					requests: w.reqs,
-					seed:     seed,
-				}
 				horizon := float64(w.reqs)/(w.rates[0]*float64(gpus)) + 3*w.horizon
-				cfg.elephants = 8
-				cfg.elephantBytes = 1 << 30
-				cfg.elephantHorizon = horizon
-
-				points, best, err := sweepRates(cfg, gpus, w.rates, w.sla, goodputTarget, w.horizon)
+				sr, err := env.sweepSystem(w, runConfig{
+					kind:            sysKind,
+					in:              fig8Inputs(g, w.kind, w.sla, w.refRate()*float64(gpus), env.Seed),
+					elephants:       8,
+					elephantBytes:   1 << 30,
+					elephantHorizon: horizon,
+				}, gpus)
 				if err != nil {
 					return nil, fmt.Errorf("fig8 sweep %dtracks %v %v: %w", b.tracks, w.kind, sysKind, err)
-				}
-				sr := Fig7SystemResult{System: sysKind, MaxPerGPURate: best, Points: points}
-				for _, p := range points {
-					if p.perGPURate == refRate {
-						sr.RefTTFT = p.meanTTFT
-						sr.RefTPOT = p.meanTPOT
-					}
 				}
 				ft.Systems = append(ft.Systems, sr)
 			}
@@ -131,8 +105,8 @@ func Fig8Data(scale Scale, seed int64) ([]Fig8Track, error) {
 }
 
 // Fig8 renders the pod-scale evaluation.
-func Fig8(scale Scale, seed int64) (*Report, error) {
-	data, err := Fig8Data(scale, seed)
+func Fig8(env Env) (*Report, error) {
+	data, err := Fig8Data(env)
 	if err != nil {
 		return nil, err
 	}

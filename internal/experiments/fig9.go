@@ -28,10 +28,10 @@ const fig9Rounds = 8
 // all-reduces of the given size under bursty background traffic, using each
 // system's communication scheme. Throughput = total aggregated payload /
 // makespan.
-func Fig9Data(scale Scale, seed int64) ([]Fig9Point, error) {
+func Fig9Data(env Env) ([]Fig9Point, error) {
 	sizes := []int64{4 << 20, 8 << 20, 16 << 20, 32 << 20, 64 << 20}
 	rounds := fig9Rounds
-	if scale == Full {
+	if env.Scale == Full {
 		rounds *= 3
 	}
 
@@ -41,7 +41,7 @@ func Fig9Data(scale Scale, seed int64) ([]Fig9Point, error) {
 		for _, sysKind := range AllSystems {
 			var sumTput float64
 			for trial := 0; trial < trials; trial++ {
-				tput, err := fig9Trial(sysKind, size, rounds, seed+int64(trial)*97)
+				tput, err := fig9Trial(sysKind, size, rounds, env.Seed+int64(trial)*97)
 				if err != nil {
 					return nil, err
 				}
@@ -120,8 +120,8 @@ func fig9Trial(sysKind SystemKind, size int64, rounds int, seed int64) (float64,
 }
 
 // Fig9 renders the throughput comparison.
-func Fig9(scale Scale, seed int64) (*Report, error) {
-	data, err := Fig9Data(scale, seed)
+func Fig9(env Env) (*Report, error) {
+	data, err := Fig9Data(env)
 	if err != nil {
 		return nil, err
 	}

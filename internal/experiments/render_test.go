@@ -16,7 +16,7 @@ func TestFig7ReportRendering(t *testing.T) {
 		t.Skip("fig7 sweeps under -short")
 	}
 	t.Parallel()
-	rep, err := Fig7(Quick, 1)
+	rep, err := Fig7(Env{Scale: Quick, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

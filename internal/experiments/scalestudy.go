@@ -365,7 +365,11 @@ func runScaleCase(w scaleWorkload, policy string, auto *serving.AutoscaleConfig,
 // ScaleStudyData runs the full policy x workload sweep and returns the
 // ranked scoreboard rows in deterministic order: workloads in definition
 // order, the static reference first, then policies by rank.
-func ScaleStudyData(scale Scale, seed int64) ([]ScaleStudyRow, error) {
+//
+// It is the one serving experiment that ignores env.Hub and env.OnRun: each
+// case runs on a private hub, because the scoreboard scores the case from
+// that run's own registry.
+func ScaleStudyData(env Env) ([]ScaleStudyRow, error) {
 	policies := []struct {
 		name string
 		mk   func() serving.ScalePolicy
@@ -382,7 +386,7 @@ func ScaleStudyData(scale Scale, seed int64) ([]ScaleStudyRow, error) {
 	}
 	var out []ScaleStudyRow
 	for _, w := range scaleWorkloads() {
-		static, _, err := runScaleCase(w, "static-full", nil, scale, seed)
+		static, _, err := runScaleCase(w, "static-full", nil, env.Scale, env.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -406,7 +410,7 @@ func ScaleStudyData(scale Scale, seed int64) ([]ScaleStudyRow, error) {
 					auto.ShadowPolicies = append(auto.ShadowPolicies, q.mk())
 				}
 			}
-			row, ranks, err := runScaleCase(w, p.name, auto, scale, seed)
+			row, ranks, err := runScaleCase(w, p.name, auto, env.Scale, env.Seed)
 			if err != nil {
 				return nil, err
 			}
@@ -437,8 +441,8 @@ func ScaleStudyData(scale Scale, seed int64) ([]ScaleStudyRow, error) {
 }
 
 // ExtScale renders the scaling-policy scoreboard.
-func ExtScale(scale Scale, seed int64) (*Report, error) {
-	rows, err := ScaleStudyData(scale, seed)
+func ExtScale(env Env) (*Report, error) {
+	rows, err := ScaleStudyData(env)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@ func TestScaleStudyShape(t *testing.T) {
 		t.Skip("serving runs under -short")
 	}
 	t.Parallel()
-	rows, err := ScaleStudyData(Quick, 1)
+	rows, err := ScaleStudyData(Env{Scale: Quick, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestExtScaleDeterminism(t *testing.T) {
 	}
 	t.Parallel()
 	render := func() (csv, json []byte) {
-		rep, err := ExtScale(Quick, 7)
+		rep, err := ExtScale(Env{Scale: Quick, Seed: 7})
 		if err != nil {
 			t.Fatal(err)
 		}

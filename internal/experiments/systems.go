@@ -12,25 +12,24 @@ import (
 	"heroserve/internal/workload"
 )
 
-// telemetryHub, when set via SetTelemetry, arms every serving run launched by
-// this package with the deterministic observability layer. Metrics accumulate
-// across runs; each run opens a fresh trace process named after its policy.
-var telemetryHub *telemetry.Hub
-
-// SetTelemetry installs (or, with nil, removes) the hub used by all
-// subsequent experiment runs. cmd/heroserve calls this when -trace-out or
-// -metrics-out is given.
-func SetTelemetry(h *telemetry.Hub) { telemetryHub = h }
-
-// runObserver, when set via SetRunObserver, is invoked after every serving
-// run this package completes, with the system kind, the run's results, and
-// the SLA it was planned against. It runs on the goroutine driving the
-// experiments. cmd/heroserve uses it to publish live /runs and /metrics
-// snapshots while a long sweep is still in flight.
-var runObserver func(SystemKind, *serving.Results, serving.SLA)
-
-// SetRunObserver installs (or, with nil, removes) the per-run observer.
-func SetRunObserver(fn func(SystemKind, *serving.Results, serving.SLA)) { runObserver = fn }
+// Env is one experiment invocation: its sizing and seed, plus the optional
+// telemetry that every serving run of the experiment reports to. The zero
+// Hub and a nil OnRun mean a plain run.
+type Env struct {
+	Scale Scale
+	Seed  int64
+	// Hub, when non-nil, arms every serving run with the deterministic
+	// observability layer under the run's SLA. Metrics accumulate across
+	// runs; each run opens a fresh trace process named after its policy.
+	// An armed HeroServe run also feeds its live stage shares back into the
+	// online scheduler (core.NewSystem), so its figures can differ slightly
+	// from a plain run's.
+	Hub *telemetry.Hub
+	// OnRun, when non-nil, receives each serving run's summary as soon as
+	// the run completes, on the goroutine driving the experiment. System is
+	// the system's name, or the variant's name for an ablation.
+	OnRun func(telemetry.RunSummary)
+}
 
 // SystemKind enumerates the four evaluated systems.
 type SystemKind uint8
@@ -125,29 +124,42 @@ func requestsFor(rate, horizon float64, minReqs int) int {
 	return n
 }
 
-// runOnce executes one serving simulation and returns its results.
-func runOnce(cfg runConfig) (*serving.Results, error) {
-	opts := serving.Options{Faults: cfg.faults, Telemetry: telemetryHub}
-	if telemetryHub != nil {
-		sla := cfg.in.SLA
+// simulate is the one path by which the package runs a serving simulation:
+// it arms e.Hub under sla, builds the system through build (which also
+// injects the run's background load), replays trace, and reports the run to
+// e.OnRun under the name system.
+func (e Env) simulate(system string, sla serving.SLA, opts serving.Options, build func(serving.Options) (*serving.System, error), trace *workload.Trace) (*serving.Results, error) {
+	if e.Hub != nil {
+		opts.Telemetry = e.Hub
 		opts.SLA = &sla
 	}
-	sys, err := buildSystem(cfg.kind, cfg.in, cfg.plan, opts)
+	sys, err := build(opts)
 	if err != nil {
 		return nil, err
 	}
-	if len(cfg.bursts) > 0 {
-		sys.InjectBursts(cfg.bursts, cfg.seed+101)
-	}
-	if cfg.elephants > 0 {
-		sys.InjectElephants(cfg.elephants, cfg.elephantBytes, cfg.elephantHorizon, cfg.seed+211)
-	}
-	trace := workload.NewGenerator(cfg.workload, cfg.seed).Generate(cfg.requests, cfg.rate)
 	res := sys.Run(trace)
-	if runObserver != nil {
-		runObserver(cfg.kind, res, cfg.in.SLA)
+	if e.OnRun != nil {
+		e.OnRun(res.Summary(system, trace.Name, len(trace.Requests), sla))
 	}
 	return res, nil
+}
+
+// runOnce executes one configured serving simulation of cfg.kind.
+func (e Env) runOnce(cfg runConfig) (*serving.Results, error) {
+	trace := workload.NewGenerator(cfg.workload, cfg.seed).Generate(cfg.requests, cfg.rate)
+	return e.simulate(cfg.kind.String(), cfg.in.SLA, serving.Options{Faults: cfg.faults}, func(opts serving.Options) (*serving.System, error) {
+		sys, err := buildSystem(cfg.kind, cfg.in, cfg.plan, opts)
+		if err != nil {
+			return nil, err
+		}
+		if len(cfg.bursts) > 0 {
+			sys.InjectBursts(cfg.bursts, cfg.seed+101)
+		}
+		if cfg.elephants > 0 {
+			sys.InjectElephants(cfg.elephants, cfg.elephantBytes, cfg.elephantHorizon, cfg.seed+211)
+		}
+		return sys, nil
+	}, trace)
 }
 
 // ratePoint is one point of a scalability sweep.
@@ -158,60 +170,78 @@ type ratePoint struct {
 	meanTPOT   float64
 }
 
-// sweepRates runs the system across per-GPU rates (total rate = perGPU *
-// gpus) and returns the points plus the maximum per-GPU rate whose SLA
-// attainment is >= goodputTarget (0 when none qualifies) — the paper's
-// scalability metric ("the maximum per-GPU rate the system can handle while
-// satisfying the latency requirements for over 90% of requests").
+// rateSweep is one workload's scalability sweep (Fig. 7 and Fig. 8): its
+// SLA, the per-GPU rates, the request floor of each point's trace and the
+// arrival horizon each point's trace covers.
+type rateSweep struct {
+	kind    workload.Kind
+	sla     serving.SLA
+	rates   []float64
+	reqs    int
+	horizon float64
+}
+
+// refRate is the per-GPU rate of the figure's latency panel.
+func (w rateSweep) refRate() float64 { return w.rates[len(w.rates)/3] }
+
+// sweepSystem runs cfg.kind, with cfg's planner inputs and background load,
+// across the per-GPU rates of w (total rate = perGPU * gpus) on w's workload
+// and the experiment seed. It returns the points, the latencies at the
+// reference rate, and the maximum per-GPU rate whose SLA attainment is >=
+// goodputTarget (0 when none qualifies) — the paper's scalability metric
+// ("the maximum per-GPU rate the system can handle while satisfying the
+// latency requirements for over 90% of requests").
 //
 // The offline planner takes the arrival rate as an input (Table I), so each
-// offered rate is re-planned with cfg.in.Lambda set to it. When the offered
-// load exceeds every candidate's analytic capacity, the planner deploys its
-// best configuration for a backed-off lambda (a real deployment does not
-// refuse traffic; it saturates), and the simulation decides the attainment.
-func sweepRates(cfg runConfig, gpus int, perGPURates []float64, sla serving.SLA, goodputTarget float64, horizon float64) ([]ratePoint, float64, error) {
-	var points []ratePoint
-	best := 0.0
-	for _, r := range perGPURates {
+// offered rate is re-planned with the planner's lambda set to it. When the
+// offered load exceeds every candidate's analytic capacity, the planner
+// deploys its best configuration for a backed-off lambda (a real deployment
+// does not refuse traffic; it saturates), and the simulation decides the
+// attainment.
+func (e Env) sweepSystem(w rateSweep, cfg runConfig, gpus int) (Fig7SystemResult, error) {
+	sr := Fig7SystemResult{System: cfg.kind}
+	cfg.workload, cfg.seed = w.kind, e.Seed
+	for _, r := range w.rates {
 		run := cfg
 		run.rate = r * float64(gpus)
-		if horizon > 0 {
-			run.requests = requestsFor(run.rate, horizon, cfg.requests)
-		}
+		run.requests = requestsFor(run.rate, w.horizon, w.reqs)
 		plan, err := planAtBestLambda(run.kind, run.in, run.rate)
 		if err != nil {
 			// No deployment satisfies the SLAs at any load level.
-			points = append(points, ratePoint{perGPURate: r})
+			sr.Points = append(sr.Points, ratePoint{perGPURate: r})
 			continue
 		}
 		run.plan = plan
-		res, err := runOnce(run)
+		res, err := e.runOnce(run)
 		if err != nil {
-			return nil, 0, err
+			return sr, err
 		}
 		pt := ratePoint{
 			perGPURate: r,
-			attainment: res.Attainment(sla),
+			attainment: res.Attainment(w.sla),
 			meanTTFT:   mean(res.TTFTs()),
 			meanTPOT:   meanPositive(res.TPOTs()),
 		}
-		points = append(points, pt)
+		if r == w.refRate() {
+			sr.RefTTFT, sr.RefTPOT = pt.meanTTFT, pt.meanTPOT
+		}
+		sr.Points = append(sr.Points, pt)
 	}
 	// The scalability metric: the largest rate still attaining the target,
 	// refined by linear interpolation toward the first failing neighbour so
 	// small between-system differences survive a coarse grid.
-	for i, p := range points {
+	for i, p := range sr.Points {
 		if p.attainment < goodputTarget {
 			continue
 		}
-		best = p.perGPURate
-		if i+1 < len(points) && points[i+1].attainment < goodputTarget {
-			a0, a1 := p.attainment, points[i+1].attainment
+		sr.MaxPerGPURate = p.perGPURate
+		if i+1 < len(sr.Points) && sr.Points[i+1].attainment < goodputTarget {
+			a0, a1 := p.attainment, sr.Points[i+1].attainment
 			frac := (a0 - goodputTarget) / (a0 - a1)
-			best = p.perGPURate + frac*(points[i+1].perGPURate-p.perGPURate)
+			sr.MaxPerGPURate = p.perGPURate + frac*(sr.Points[i+1].perGPURate-p.perGPURate)
 		}
 	}
-	return points, best, nil
+	return sr, nil
 }
 
 // planAtBestLambda plans for the offered rate, backing the planner's lambda

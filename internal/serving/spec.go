@@ -355,6 +355,27 @@ func (r *Results) Attainment(sla SLA) float64 {
 	return float64(met) / float64(len(r.Requests))
 }
 
+// Summary condenses the run into the daemon's /runs record, for the
+// system named system replaying trace. offered is the trace's request
+// count, served or not; Served counts the completed ones.
+func (r *Results) Summary(system, trace string, offered int, sla SLA) telemetry.RunSummary {
+	latency := func(xs []float64) telemetry.Latency {
+		s := stats.Summarize(xs)
+		return telemetry.Latency{Mean: s.Mean, P50: s.P50, P90: s.P90, P99: s.P99}
+	}
+	return telemetry.RunSummary{
+		System:     system,
+		Policy:     r.PolicyName,
+		Trace:      trace,
+		Requests:   offered,
+		Served:     r.Served,
+		SimSeconds: r.Duration,
+		Attainment: r.Attainment(sla),
+		TTFT:       latency(r.TTFTs()),
+		TPOT:       latency(r.TPOTs()),
+	}
+}
+
 // MeanKVUtilization returns the time-weighted mean KV utilization across
 // decode instances.
 func (r *Results) MeanKVUtilization() float64 {

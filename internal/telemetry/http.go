@@ -454,11 +454,11 @@ func (s *Server) serveRunsDiff(w http.ResponseWriter, r *http.Request) {
 	a, errA := strconv.Atoi(q.Get("a"))
 	b, errB := strconv.Atoi(q.Get("b"))
 	if errA != nil || errB != nil {
-		http.Error(w, "want ?a=<run-id>&b=<run-id>", http.StatusBadRequest)
+		writeJSONError(w, http.StatusBadRequest, "want ?a=<run-id>&b=<run-id>")
 		return
 	}
 	if v := q.Get("view"); v != "" && v != "critpath" {
-		http.Error(w, "bad view: want critpath", http.StatusBadRequest)
+		writeJSONError(w, http.StatusBadRequest, "bad view: want critpath")
 		return
 	}
 	s.mu.RLock()

@@ -76,16 +76,27 @@ func TestServerRunsDiff(t *testing.T) {
 		t.Error("expected at least one identical series (runs_total)")
 	}
 
-	// Error paths.
+	// Error paths: every one answers a JSON {"error": ...} body, like the
+	// document routes.
 	for path, want := range map[string]int{
-		"/runs/diff":          http.StatusBadRequest,
-		"/runs/diff?a=1&b=x":  http.StatusBadRequest,
-		"/runs/diff?a=1&b=99": http.StatusNotFound,
-		"/runs/diff?a=0&b=1":  http.StatusNotFound,
+		"/runs/diff":                   http.StatusBadRequest,
+		"/runs/diff?a=1&b=x":           http.StatusBadRequest,
+		"/runs/diff?a=1&b=2&view=flat": http.StatusBadRequest,
+		"/runs/diff?a=1&b=99":          http.StatusNotFound,
+		"/runs/diff?a=0&b=1":           http.StatusNotFound,
 	} {
-		resp, _ := get(t, ts.URL+path)
+		resp, body := get(t, ts.URL+path)
 		if resp.StatusCode != want {
 			t.Errorf("%s status %d, want %d", path, resp.StatusCode, want)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != jsonContentType {
+			t.Errorf("%s Content-Type %q, want %q", path, ct, jsonContentType)
+		}
+		var e struct {
+			Error string `json:"error"`
+		}
+		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+			t.Errorf("%s body %q is not a JSON error (%v)", path, body, err)
 		}
 	}
 }

@@ -73,6 +73,15 @@ grep -q '^serving_requests_completed_total' "$ART/metrics.prom"
 go run ./cmd/serve -trace "$ART/trace.json" -system heroserve -topology testbed \
 	-model opt-13b -trace-out "$ART/spans-perf.json" -perf-out "$ART/spans-perf.perf.json" > /dev/null
 cmp "$ART/spans.json" "$ART/spans-perf.json"
+# heroserve takes the same artifact path: every serving run of an experiment
+# (here the ablation variants) streams spans that hstat can decompose, and
+# reaches the metrics export; the report alone goes to stdout.
+go run ./cmd/heroserve -exp ablations -format json -trace-out "$ART/hero-spans.json" \
+	-metrics-out "$ART/hero-metrics.prom" > "$ART/hero-ablations.json"
+python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert d['tables'][0]['rows']" "$ART/hero-ablations.json"
+grep -q '^serving_requests_completed_total' "$ART/hero-metrics.prom"
+go run ./cmd/hstat trace "$ART/hero-spans.json" > "$ART/hero-critpath.txt"
+grep -q 'critical-path breakdown' "$ART/hero-critpath.txt"
 echo "telemetry artifacts: $ART"
 
 # Critical-path smoke: the same run re-exported as OpenMetrics must carry

@@ -7,6 +7,7 @@ package heroserve
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -170,10 +171,12 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"serve", []string{"-trace", trace, "-topology", "pod8", "-servers", "0"}},
 		{"serve", []string{"-trace", trace, "-topology", "pod2", "-servers", "1"}},
 		{"serve", []string{"-trace", trace, "-batch", "0"}},
+		{"serve", []string{"-trace", trace, "-metrics-format", "bogus"}},
 		{"heroserve", nil},
 		{"heroserve", []string{"-exp", "bogus"}},
 		{"heroserve", []string{"-exp", "fig1", "-scale", "bogus"}},
 		{"heroserve", []string{"-exp", "fig1", "-format", "bogus"}},
+		{"heroserve", []string{"-exp", "fig1", "-metrics-format", "bogus"}},
 		{"planner", []string{"-topology", "bogus"}},
 		{"planner", []string{"-model", "bogus"}},
 		{"planner", []string{"-workload", "bogus"}},
@@ -301,5 +304,51 @@ func TestObserversDoNotPerturbTheRun(t *testing.T) {
 		if !bytes.Equal(run.metrics, plain) {
 			t.Errorf("%s run exported different metrics than the plain run", run.name)
 		}
+	}
+}
+
+// TestHeroserveTelemetryKeepsTheReport: arming telemetry on an experiment
+// leaves its report alone on stdout, byte for byte, and every serving run of
+// the experiment reaches the hub, the ablation variants included.
+func TestHeroserveTelemetryKeepsTheReport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("smoke tests compile binaries")
+	}
+	dir := t.TempDir()
+	bin := filepath.Join(dir, "heroserve")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/heroserve").CombinedOutput(); err != nil {
+		t.Fatalf("go build ./cmd/heroserve: %v\n%s", err, out)
+	}
+	report := func(extra ...string) []byte {
+		t.Helper()
+		cmd := exec.Command(bin, append([]string{"-exp", "ablations", "-format", "json"}, extra...)...)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("heroserve %v: %v\n%s", extra, err, stderr.Bytes())
+		}
+		return out
+	}
+	plain := report()
+	prom := filepath.Join(dir, "m.prom")
+	armed := report("-metrics-out", prom)
+	if !bytes.Equal(plain, armed) {
+		t.Errorf("-metrics-out changed stdout:\nplain:\n%s\narmed:\n%s", plain, armed)
+	}
+	var rep struct {
+		Tables []struct {
+			Rows [][]string `json:"rows"`
+		} `json:"tables"`
+	}
+	if err := json.Unmarshal(armed, &rep); err != nil || len(rep.Tables) == 0 || len(rep.Tables[0].Rows) == 0 {
+		t.Fatalf("armed stdout is not a JSON report (%v):\n%s", err, armed)
+	}
+	metrics, err := os.ReadFile(prom)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(metrics, []byte("serving_requests_completed_total")) {
+		t.Errorf("metrics export lacks serving_requests_completed_total:\n%s", metrics)
 	}
 }
