@@ -239,6 +239,42 @@ func TestStaticRouterMemoizesPaths(t *testing.T) {
 	}
 }
 
+// AppendRoute walks the same route Route returns, into the caller's
+// buffers, for every GPU pair of the testbed and the pod in three size
+// classes, and fails where Route fails. Warm, it allocates nothing.
+func TestAppendRouteMatchesRoute(t *testing.T) {
+	for _, g := range []*topology.Graph{topology.Testbed(), topology.Pod8Tracks(24)} {
+		r := NewStaticRouter(g)
+		var nodes []topology.NodeID
+		var edges []topology.EdgeID
+		for _, a := range g.GPUs() {
+			for _, b := range g.GPUs() {
+				for _, size := range []int64{1 << 10, 1 << 20, 1 << 30} {
+					want, wantOK := r.Route(a, b, size)
+					ns, es, ok := r.AppendRoute(nodes[:0], edges[:0], a, b, size)
+					if ok != wantOK || !slices.Equal(ns, want.Nodes) || !slices.Equal(es, want.Edges) {
+						t.Fatalf("%d->%d size %d: AppendRoute = %v %v %v, Route %v %v", a, b, size, ns, es, ok, want, wantOK)
+					}
+					nodes, edges = ns, es
+				}
+			}
+		}
+		gpus := g.GPUs()
+		a, b := gpus[0], gpus[len(gpus)-1]
+		if allocs := testing.AllocsPerRun(100, func() { r.AppendRoute(nodes[:0], edges[:0], a, b, 1<<20) }); allocs != 0 {
+			t.Errorf("warm AppendRoute allocates %.1f objects, want 0", allocs)
+		}
+	}
+	// An unreachable destination leaves the buffers as they were.
+	g := topology.NewGraph()
+	a := g.AddNode(topology.Node{Kind: topology.KindGPU})
+	b := g.AddNode(topology.Node{Kind: topology.KindGPU, Server: 1})
+	nodes, edges, ok := NewStaticRouter(g).AppendRoute([]topology.NodeID{7}, nil, a, b, 1)
+	if ok || !slices.Equal(nodes, []topology.NodeID{7}) || len(edges) != 0 {
+		t.Errorf("unreachable AppendRoute = %v %v %v", nodes, edges, ok)
+	}
+}
+
 func TestMatrixRouter(t *testing.T) {
 	g := topology.Testbed()
 	gpus := g.GPUs()

@@ -80,7 +80,8 @@ type Comm struct {
 
 	// Telemetry (nil when off). asyncSeq numbers the async trace spans that
 	// bracket every dispatched all-reduce; spanArgs is the allreduce span's
-	// argument buffer, reused by every launch.
+	// argument buffer, reused by every launch, and freeEnds recycles the
+	// callbacks that close the spans.
 	tel               *telemetry.Hub
 	telOps            [4]*telemetry.Counter // indexed by Scheme
 	telTransfers      *telemetry.Counter
@@ -89,6 +90,40 @@ type Comm struct {
 	telFaultFallbacks *telemetry.Counter
 	asyncSeq          int64
 	spanArgs          telemetry.Args
+	freeEnds          []*spanEnd
+}
+
+// spanEnd closes one all-reduce's async span and then runs the op's done.
+// It goes back to its Comm's free list before done runs, with run, its
+// callback, built once per value.
+type spanEnd struct {
+	c     *Comm
+	id    int64
+	inner func()
+	run   func()
+}
+
+func (e *spanEnd) end() {
+	c, id, inner := e.c, e.id, e.inner
+	e.inner = nil
+	c.freeEnds = append(c.freeEnds, e)
+	c.tel.Trace.AsyncEnd("collective", "allreduce", id)
+	inner()
+}
+
+// newSpanEnd takes a span closer off the free list, or builds one.
+func (c *Comm) newSpanEnd(id int64, inner func()) func() {
+	var e *spanEnd
+	if k := len(c.freeEnds); k > 0 {
+		e = c.freeEnds[k-1]
+		c.freeEnds[k-1] = nil
+		c.freeEnds = c.freeEnds[:k-1]
+	} else {
+		e = &spanEnd{c: c}
+		e.run = e.end
+	}
+	e.id, e.inner = id, inner
+	return e.run
 }
 
 // SetTelemetry arms collective metrics and spans, and cascades to every
@@ -578,11 +613,7 @@ func (c *Comm) AllReduceTagged(scheme Scheme, group []topology.NodeID, sw topolo
 		}
 		c.spanArgs = args
 		c.tel.Trace.AsyncBegin("collective", "allreduce", id, args)
-		inner := done
-		done = func() {
-			c.tel.Trace.AsyncEnd("collective", "allreduce", id)
-			inner()
-		}
+		done = c.newSpanEnd(id, done)
 	}
 	switch scheme {
 	case SchemeRing:

@@ -59,8 +59,9 @@ func (r *LoadAwareRouter) Bind(net *netsim.Network) { r.net = net }
 
 // candidates returns the cached path alternatives for a pair: the static
 // path, then detours a -> switch -> b in ascending transfer time, deduped by
-// edge sequence, up to maxCandidates. Detours are ranked without being
-// built (rankDetours); only the ones taken become Paths.
+// edge sequence, up to maxCandidates. Detours are ranked on their tree walks
+// (rankDetours); only the ones taken are copied out of the walk buffers, each
+// into a Path of its exact size.
 func (r *LoadAwareRouter) candidates(a, b topology.NodeID, size int64) []topology.Path {
 	class, _ := sizeClass(size)
 	key := pairKey{a: a, b: b, class: class}
@@ -68,26 +69,34 @@ func (r *LoadAwareRouter) candidates(a, b topology.NodeID, size int64) []topolog
 		return ps
 	}
 	var out []topology.Path
-	add := func(p topology.Path) {
+	taken := func(edges []topology.EdgeID) bool {
 		for _, q := range out {
-			if slices.Equal(q.Edges, p.Edges) {
-				return
+			if slices.Equal(q.Edges, edges) {
+				return true
 			}
 		}
-		out = append(out, p)
+		return false
 	}
 	if direct, ok := r.static.Route(a, b, size); ok {
-		add(direct)
+		out = append(out, direct)
 	}
 	r.rankDetours(a, b, size)
-	for _, sw := range r.rank.sw {
+	for i := range r.rank.sw {
 		if len(out) >= r.maxCandidates {
 			break
 		}
-		p1, _ := r.static.Route(a, sw, size)
-		p2, _ := r.static.Route(sw, b, size)
-		joined, _ := joinPaths(p1, p2)
-		add(joined)
+		w := r.rank.walk[i]
+		edges := r.edges[w.edge0:w.edge1]
+		if taken(edges) {
+			continue
+		}
+		p := topology.Path{
+			Nodes: make([]topology.NodeID, w.node1-w.node0),
+			Edges: make([]topology.EdgeID, len(edges)),
+		}
+		copy(p.Nodes, r.nodes[w.node0:w.node1])
+		copy(p.Edges, edges)
+		out = append(out, p)
 	}
 	r.cache[key] = out
 	return out
@@ -95,61 +104,67 @@ func (r *LoadAwareRouter) candidates(a, b topology.NodeID, size int64) []topolog
 
 // detourRank is the ranked detour list of one candidates call: the
 // switches whose joined route a -> sw -> b is loop-free, with its
-// Path.TransferTime, in parallel slices reused across calls.
+// Path.TransferTime and where its walk lies in the router's buffers, in
+// parallel slices reused across calls.
 type detourRank struct {
 	sw   []topology.NodeID
 	cost []float64
+	walk []walkSpan
 }
+
+// walkSpan locates one joined detour in the router's node and edge buffers.
+type walkSpan struct{ node0, node1, edge0, edge1 int }
 
 func (d *detourRank) Len() int           { return len(d.sw) }
 func (d *detourRank) Less(i, j int) bool { return d.cost[i] < d.cost[j] }
 func (d *detourRank) Swap(i, j int) {
 	d.sw[i], d.sw[j] = d.sw[j], d.sw[i]
 	d.cost[i], d.cost[j] = d.cost[j], d.cost[i]
+	d.walk[i], d.walk[j] = d.walk[j], d.walk[i]
 }
 
 // rankDetours fills r.rank with the loop-free detours from a to b via every
 // switch, cheapest first. It walks the static router's cached trees into
-// reusable buffers instead of building Paths: the two legs land back to back
-// in r.nodes/r.edges, so the edge buffer is the joined route in travel order
-// and its cost is the same float sum joinPaths + TransferTime would give.
-// The loop check is joinPaths' (no node twice) over epoch marks. sort.Sort
-// on a router-owned value allocates nothing, unlike sort.Slice, and runs the
-// same pdqsort, so equal-cost detours keep sort.Slice's order. Warm, the
-// ranking allocates nothing.
+// reusable buffers instead of building Paths: each detour's two legs land
+// back to back in r.nodes/r.edges, the switch written once, so its span of
+// the buffers is the joined route in travel order, and its cost is the same
+// float sum Path.TransferTime gives. A detour that visits a node twice is
+// dropped (loops waste bandwidth), checked over epoch marks. sort.Sort on a
+// router-owned value allocates nothing, unlike sort.Slice, and runs the same
+// pdqsort, so equal-cost detours keep sort.Slice's order. Warm, the ranking
+// allocates nothing.
 func (r *LoadAwareRouter) rankDetours(a, b topology.NodeID, size int64) {
 	class, rep := sizeClass(size)
 	if n := r.g.NumNodes(); len(r.mark) < n {
 		r.mark = make([]uint64, n)
 	}
-	r.rank.sw, r.rank.cost = r.rank.sw[:0], r.rank.cost[:0]
+	r.rank.sw, r.rank.cost, r.rank.walk = r.rank.sw[:0], r.rank.cost[:0], r.rank.walk[:0]
+	r.nodes, r.edges = r.nodes[:0], r.edges[:0]
 	from := r.static.tree(a, class, rep)
 	for _, sw := range r.g.Switches() {
-		nodes, edges, ok := from.AppendPathTo(r.nodes[:0], r.edges[:0], sw)
-		if !ok {
+		n0, e0 := len(r.nodes), len(r.edges)
+		nodes, edges, ok := from.AppendPathTo(r.nodes, r.edges, sw)
+		if ok {
+			// The second leg starts at sw again.
+			nodes, edges, ok = r.static.tree(sw, class, rep).AppendPathTo(nodes[:len(nodes)-1], edges, b)
+		}
+		if !ok || !r.loopFree(nodes[n0:]) {
+			r.nodes, r.edges = nodes[:n0], edges[:e0] // keep grown capacity
 			continue
 		}
-		leg := len(nodes)
-		nodes, edges, ok = r.static.tree(sw, class, rep).AppendPathTo(nodes, edges, b)
-		r.nodes, r.edges = nodes, edges // keep grown capacity
-		if !ok || !r.loopFree(nodes, leg) {
-			continue
-		}
-		joined := topology.Path{Edges: edges}
+		r.nodes, r.edges = nodes, edges
+		joined := topology.Path{Edges: edges[e0:]}
 		r.rank.sw = append(r.rank.sw, sw)
 		r.rank.cost = append(r.rank.cost, joined.TransferTime(r.g, size))
+		r.rank.walk = append(r.rank.walk, walkSpan{n0, len(nodes), e0, len(edges)})
 	}
 	sort.Sort(&r.rank)
 }
 
-// loopFree reports whether the route nodes[:leg] ++ nodes[leg+1:] (the
-// second leg's first node repeats the first leg's last) visits no node twice.
-func (r *LoadAwareRouter) loopFree(nodes []topology.NodeID, leg int) bool {
+// loopFree reports whether the route visits no node twice.
+func (r *LoadAwareRouter) loopFree(nodes []topology.NodeID) bool {
 	r.epoch++
-	for i, n := range nodes {
-		if i == leg {
-			continue
-		}
+	for _, n := range nodes {
 		if r.mark[n] == r.epoch {
 			return false
 		}
@@ -187,35 +202,6 @@ func pathHeat(net *netsim.Network, p topology.Path) float64 {
 		}
 	}
 	return worst
-}
-
-// joinPaths concatenates two paths sharing a middle node, rejecting joins
-// that revisit a node (loops waste bandwidth).
-func joinPaths(p1, p2 topology.Path) (topology.Path, bool) {
-	if !p1.Valid() || !p2.Valid() {
-		return topology.Path{}, false
-	}
-	if p1.Nodes[len(p1.Nodes)-1] != p2.Nodes[0] {
-		return topology.Path{}, false
-	}
-	seen := map[topology.NodeID]bool{}
-	for _, n := range p1.Nodes {
-		if seen[n] {
-			return topology.Path{}, false
-		}
-		seen[n] = true
-	}
-	for _, n := range p2.Nodes[1:] {
-		if seen[n] {
-			return topology.Path{}, false
-		}
-		seen[n] = true
-	}
-	out := topology.Path{
-		Nodes: append(append([]topology.NodeID{}, p1.Nodes...), p2.Nodes[1:]...),
-		Edges: append(append([]topology.EdgeID{}, p1.Edges...), p2.Edges...),
-	}
-	return out, true
 }
 
 var _ Router = (*LoadAwareRouter)(nil)

@@ -131,6 +131,36 @@ func TestLoadAwareRouterInsideComm(t *testing.T) {
 	}
 }
 
+// joinPaths concatenates two paths sharing a middle node, rejecting joins
+// that revisit a node (loops waste bandwidth). It is the oracle's join: the
+// router builds its detours from one walk of both legs instead.
+func joinPaths(p1, p2 topology.Path) (topology.Path, bool) {
+	if !p1.Valid() || !p2.Valid() {
+		return topology.Path{}, false
+	}
+	if p1.Nodes[len(p1.Nodes)-1] != p2.Nodes[0] {
+		return topology.Path{}, false
+	}
+	seen := map[topology.NodeID]bool{}
+	for _, n := range p1.Nodes {
+		if seen[n] {
+			return topology.Path{}, false
+		}
+		seen[n] = true
+	}
+	for _, n := range p2.Nodes[1:] {
+		if seen[n] {
+			return topology.Path{}, false
+		}
+		seen[n] = true
+	}
+	out := topology.Path{
+		Nodes: append(append([]topology.NodeID{}, p1.Nodes...), p2.Nodes[1:]...),
+		Edges: append(append([]topology.EdgeID{}, p1.Edges...), p2.Edges...),
+	}
+	return out, true
+}
+
 // materializedCandidates is the original candidate builder, kept as the
 // oracle for the tree-walked ranking: it builds every a -> sw -> b detour as
 // a Path, prices each with TransferTime, sorts them all with sort.Slice, and
@@ -196,8 +226,9 @@ func fanGraph(n int) *topology.Graph {
 }
 
 // TestCandidatesMatchMaterialized checks the tree-walked detour ranking
-// against the materialize-everything oracle for every GPU pair and three
-// size classes: same paths, same order. The pod's equal-cost detours mostly
+// against the materialize-everything oracle from every GPU to every GPU and
+// switch (the INA legs' destinations), for three size classes: same paths,
+// same order. The pod's equal-cost detours mostly
 // collapse to the same route; the 16-switch fan's do not, so its candidate
 // list depends on the sort's tie order (a stable sort fails it). The
 // drained testbed prices some detours at +Inf.
@@ -220,8 +251,9 @@ func TestCandidatesMatchMaterialized(t *testing.T) {
 			g := tc.g
 			r := NewLoadAwareRouter(g, 3)
 			oracle := NewStaticRouter(g)
+			dsts := append(slices.Clone(g.GPUs()), g.Switches()...)
 			for _, a := range g.GPUs() {
-				for _, b := range g.GPUs() {
+				for _, b := range dsts {
 					for _, size := range []int64{1 << 10, 1 << 20, 1 << 30} {
 						got := r.candidates(a, b, size)
 						want := materializedCandidates(g, oracle, 3, a, b, size)

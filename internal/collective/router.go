@@ -70,12 +70,12 @@ type cachedPath struct {
 
 // maxMemoPaths caps the path memo. Serving runs on the 16-GPU testbed
 // resolve a few hundred distinct paths at most, so the cap never binds
-// there; a 192-GPU pod resolves tens of thousands per run, and memoizing
-// them all would add several MiB of live heap for little gain. Paths past
-// the cap are rebuilt from the cached tree on every call. The cap is not
-// the pod's bottleneck, since a rebuild is a short walk up a cached tree:
-// on the summ-pod8-faults benchmark (2-vCPU Xeon), an uncapped memo cut run
-// time by about 5% but raised peak RSS by 12-18%.
+// there. A summ-pod8-faults realization on the 192-GPU pod resolves about
+// 3k, nearly every one of them once, so memoizing them all would only hold
+// their nodes and edges live for the rest of the run. Paths past the cap
+// are rebuilt from the cached tree on every call, a short walk up the tree.
+// Background traffic, which draws random pairs from tens of thousands,
+// routes with AppendRoute and does not touch the memo.
 const maxMemoPaths = 1024
 
 // NewStaticRouter returns a Router over g.
@@ -117,6 +117,16 @@ func (r *StaticRouter) Route(a, b topology.NodeID, size int64) (topology.Path, b
 		r.paths[key] = cachedPath{p, ok}
 	}
 	return p, ok
+}
+
+// AppendRoute appends Route's path from a to b, in travel order, to nodes
+// and edges and returns the extended slices: the same route, walked up the
+// cached tree into caller-owned buffers instead of a memoized Path, so it
+// allocates nothing when the buffers have room. ok is false, and the slices
+// come back unchanged, when b is unreachable.
+func (r *StaticRouter) AppendRoute(nodes []topology.NodeID, edges []topology.EdgeID, a, b topology.NodeID, size int64) ([]topology.NodeID, []topology.EdgeID, bool) {
+	class, rep := sizeClass(size)
+	return r.tree(a, class, rep).AppendPathTo(nodes, edges, b)
 }
 
 // tree returns the cached shortest-path tree rooted at src for one size

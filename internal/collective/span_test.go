@@ -69,3 +69,33 @@ func TestAllReduceSpanScratchKeepsAttribution(t *testing.T) {
 		t.Errorf("live attribution differs from the span file's:\n live %+v\n file %+v", got, want)
 	}
 }
+
+// TestAllReduceSpanEndRecycled: the callback that closes a traced
+// all-reduce's span is recycled, so with telemetry armed a warm ring
+// all-reduce allocates only the span's async id string, once at each end.
+func TestAllReduceSpanEndRecycled(t *testing.T) {
+	g := topology.Testbed()
+	eng := sim.NewEngine()
+	comm := NewComm(netsim.New(g, eng), NewStaticRouter(g))
+	hub := telemetry.New()
+	hub.Attach(eng.Now, "p")
+	comm.SetTelemetry(hub)
+	group := []topology.NodeID{g.ServerGPUs(0)[0], g.ServerGPUs(1)[0], g.ServerGPUs(2)[0]}
+	before := hub.Trace.Len() // the process metadata
+	ops, done := 0, 0
+	finish := func() { done++ }
+	cycle := func() {
+		comm.AllReduceTagged(SchemeRing, group, -1, 1<<20, 2, nil, finish)
+		ops++
+		eng.Run()
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	if got := testing.AllocsPerRun(200, cycle); got != 2 {
+		t.Errorf("%.2f allocs per traced launch→done cycle, want 2 (the async id strings)", got)
+	}
+	if n := hub.Trace.Len() - before; done != ops || n != 2*ops {
+		t.Errorf("%d of %d ops done, %d span events: want every op done with a begin and an end", done, ops, n)
+	}
+}

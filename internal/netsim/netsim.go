@@ -356,7 +356,9 @@ func (n *Network) OpenGroup(delay sim.Time, done func()) *Group {
 	return g
 }
 
-// Start begins one flow of the group, exactly as StartFlow would.
+// Start begins one flow of the group, exactly as StartFlow would. The
+// network holds path only until the flow delivers: it drops it before the
+// group's done runs, so from done on the caller may reuse path's slices.
 func (g *Group) Start(path topology.Path, size int64) {
 	g.pending++
 	g.net.start(g.net.newFlow(path, size, g, nil))

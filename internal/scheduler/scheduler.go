@@ -80,16 +80,18 @@ type Table struct {
 	// to the value the argmin compared.
 	eval []float64
 
-	// RefreshPenalty's tables, fixed by NewTable: the distinct edges of all
-	// policies, each policy's edges as indexes into them, and per (selected,
-	// other) pair at [selected*n+other] the indexes of other's edges that
-	// selected also uses, in other.Edges order, and the pair's static share.
+	// The refresh's tables, fixed by NewTable: the distinct edges of all
+	// policies, each policy's edges as indexes into them (parallel to
+	// Policy.Edges), and per (selected, other) pair at [selected*n+other] the
+	// indexes of other's edges that selected also uses, in other.Edges order,
+	// and the pair's static share.
 	edges  []topology.EdgeID
 	edgeAt [][]int
 	shared [][]int
 	static []float64
-	// Per-tick scratch: each distinct edge's clamped utilization, and each
-	// policy's utilization total.
+	// Per-refresh scratch: each distinct edge's utilization as read and as
+	// clamped for the penalty, and each policy's utilization total.
+	live  []float64
 	util  []float64
 	total []float64
 }
@@ -130,6 +132,7 @@ func NewTable(g *topology.Graph, group []topology.NodeID, policies []Policy, cfg
 			t.edgeAt[j] = append(t.edgeAt[j], k)
 		}
 	}
+	t.live = make([]float64, len(t.edges))
 	t.util = make([]float64, len(t.edges))
 	t.total = make([]float64, n)
 	t.shared = make([][]int, n*n)
@@ -276,17 +279,11 @@ func (t *Table) SelectBiased(size int64, bias []float64) (best int, swayed bool)
 // RefreshCost re-anchors every policy's virtual cost to the live maximum
 // utilization among its links (the J(c,D) definition: "the maximum bandwidth
 // utilization ratio among all transmission links involved with c"). util
-// maps an edge to its current utilization in [0, 1].
+// maps an edge to its current utilization in [0, 1]. util must be a pure
+// read: each distinct edge is read once per call.
 func (t *Table) RefreshCost(util func(topology.EdgeID) float64) {
-	for i := range t.Policies {
-		var worst float64
-		for _, eid := range t.Policies[i].Edges {
-			if u := util(eid); u > worst {
-				worst = u
-			}
-		}
-		t.cost[i] = worst
-	}
+	t.read(util)
+	t.refreshCost()
 }
 
 // RefreshPenalty applies Eq. 18: f <- (1-gamma) f + gamma W, with
@@ -296,8 +293,33 @@ func (t *Table) RefreshCost(util func(topology.EdgeID) float64) {
 // be a pure read: each distinct edge is read once per call. The sums run
 // over c's edges in Policy.Edges order, and the call allocates nothing.
 func (t *Table) RefreshPenalty(util func(topology.EdgeID) float64) {
+	t.read(util)
+	t.refreshPenalty()
+}
+
+// read fills t.live with each distinct edge's utilization.
+func (t *Table) read(util func(topology.EdgeID) float64) {
 	for k, e := range t.edges {
-		u := util(e)
+		t.live[k] = util(e)
+	}
+}
+
+// refreshCost is RefreshCost over the utilizations in t.live.
+func (t *Table) refreshCost() {
+	for i, at := range t.edgeAt {
+		var worst float64
+		for _, k := range at {
+			if u := t.live[k]; u > worst {
+				worst = u
+			}
+		}
+		t.cost[i] = worst
+	}
+}
+
+// refreshPenalty is RefreshPenalty over the utilizations in t.live.
+func (t *Table) refreshPenalty() {
+	for k, u := range t.live {
 		// A blacked-out link reports +Inf utilization; clamp it so the
 		// sharing ratio W stays finite (Inf/Inf is NaN and would poison the
 		// EWMA permanently).
@@ -339,8 +361,19 @@ type Controller struct {
 	net      *netsim.Network
 	tables   []*Table
 	interval float64
-	ticks    int64
-	running  bool
+
+	// The distinct edges of every registered table, their utilizations as
+	// of the last tick, and per table the index in them of each of the
+	// table's distinct edges. read is the utilization probe,
+	// net.EdgeUtilization.
+	edges []topology.EdgeID
+	index map[topology.EdgeID]int
+	at    [][]int
+	snap  []float64
+	read  func(topology.EdgeID) float64
+
+	ticks   int64
+	running bool
 
 	// stalledUntil implements GPU-agent stalls injected by internal/faults:
 	// while the simulated clock is before it, refresh rounds are skipped and
@@ -387,11 +420,31 @@ func NewController(net *netsim.Network, interval float64) *Controller {
 	if interval <= 0 {
 		panic("scheduler: controller interval must be positive")
 	}
-	return &Controller{net: net, interval: interval}
+	return &Controller{
+		net:      net,
+		interval: interval,
+		index:    make(map[topology.EdgeID]int),
+		read:     net.EdgeUtilization,
+	}
 }
 
-// Register adds a table to the refresh loop.
-func (c *Controller) Register(t *Table) { c.tables = append(c.tables, t) }
+// Register adds a table to the refresh loop, and its edges to the ones each
+// tick reads.
+func (c *Controller) Register(t *Table) {
+	at := make([]int, len(t.edges))
+	for k, e := range t.edges {
+		i, ok := c.index[e]
+		if !ok {
+			i = len(c.edges)
+			c.index[e] = i
+			c.edges = append(c.edges, e)
+			c.snap = append(c.snap, 0)
+		}
+		at[k] = i
+	}
+	c.tables = append(c.tables, t)
+	c.at = append(c.at, at)
+}
 
 // Ticks returns how many refresh rounds have run.
 func (c *Controller) Ticks() int64 { return c.ticks }
@@ -423,8 +476,10 @@ func (c *Controller) Stalled() bool {
 func (c *Controller) BindSwitchHealth(f func(topology.NodeID) bool) { c.switchHealth = f }
 
 // Tick refreshes all tables once from the live link utilization, then prices
-// out policies whose aggregation switch is unhealthy. During a stall window
-// the refresh is skipped entirely.
+// out policies whose aggregation switch is unhealthy. It reads each distinct
+// edge once into a snapshot that every table refreshes from, exactly as
+// RefreshCost and RefreshPenalty with net.EdgeUtilization would. During a
+// stall window the refresh is skipped entirely.
 func (c *Controller) Tick() {
 	now := c.net.Engine().Now()
 	if c.Stalled() {
@@ -435,10 +490,15 @@ func (c *Controller) Tick() {
 	}
 	c.telStaleness.Set(now - c.lastRefresh)
 	c.lastRefresh = now
-	util := func(e topology.EdgeID) float64 { return c.net.EdgeUtilization(e) }
-	for _, t := range c.tables {
-		t.RefreshCost(util)
-		t.RefreshPenalty(util)
+	for k, e := range c.edges {
+		c.snap[k] = c.read(e)
+	}
+	for ti, t := range c.tables {
+		for k, s := range c.at[ti] {
+			t.live[k] = c.snap[s]
+		}
+		t.refreshCost()
+		t.refreshPenalty()
 		if c.switchHealth != nil {
 			for i := range t.Policies {
 				p := &t.Policies[i]

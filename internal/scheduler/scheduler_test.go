@@ -8,6 +8,7 @@ import (
 	"heroserve/internal/collective"
 	"heroserve/internal/netsim"
 	"heroserve/internal/sim"
+	"heroserve/internal/telemetry"
 	"heroserve/internal/topology"
 )
 
@@ -545,5 +546,151 @@ func BenchmarkRefreshPenalty(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tb.RefreshPenalty(util)
+	}
+}
+
+// podTables builds n policy tables on the 24-server 8-track pod, as the
+// online policy would: group i is the last four GPUs of server i and the
+// first four of server i+1, so every group crosses the fabric and the
+// groups of neighbouring servers share uplinks.
+func podTables(n int) (*topology.Graph, []*Table) {
+	g := topology.Pod8Tracks(24)
+	r := collective.NewStaticRouter(g)
+	tables := make([]*Table, n)
+	for i := range tables {
+		a, b := g.ServerGPUs(i%24), g.ServerGPUs((i+1)%24)
+		group := append(append([]topology.NodeID(nil), a[4:]...), b[:4]...)
+		tables[i] = NewTable(g, group, BuildPolicies(g, r, group, 1<<20, 1, true), DefaultConfig())
+	}
+	return g, tables
+}
+
+// TestTickSnapshotMatchesDirectRefresh: a controller tick, which reads each
+// distinct edge once into a snapshot shared by all tables, leaves every cost
+// and penalty bit-identical to refreshing each table directly from
+// net.EdgeUtilization, and prices out the same policies. Tables register
+// before and after the first tick, one link is blacked out and another
+// degraded, and selections move the costs between ticks.
+func TestTickSnapshotMatchesDirectRefresh(t *testing.T) {
+	g, tables := podTables(8)
+	_, twins := podTables(8)
+	eng := sim.NewEngine()
+	net := netsim.New(g, eng)
+	r := collective.NewStaticRouter(g)
+	gpus := g.GPUs()
+	for i := 0; i < 40; i++ {
+		a, b := gpus[(i*37)%len(gpus)], gpus[(i*61+5)%len(gpus)]
+		if p, ok := r.Route(a, b, 1<<30); ok && a != b {
+			net.StartFlow(p, 1<<30, nil)
+		}
+	}
+	hot := tables[0].Policies[len(tables[0].Policies)-1].Edges
+	net.SetLinkScale(hot[0], 0)             // blacked out: +Inf utilization
+	net.SetLinkScale(hot[len(hot)-1], 0.25) // degraded
+
+	hub := telemetry.New()
+	ctl := NewController(net, 0.01)
+	ctl.SetTelemetry(hub)
+	sick := topology.NodeID(-1)
+	for _, p := range tables[1].Policies {
+		if p.Scheme.UsesINA() {
+			sick = p.Switch
+		}
+	}
+	healthy := func(sw topology.NodeID) bool { return sw != sick }
+	ctl.BindSwitchHealth(healthy)
+	reads := map[topology.EdgeID]int{}
+	ctl.read = func(e topology.EdgeID) float64 {
+		reads[e]++
+		return net.EdgeUtilization(e)
+	}
+
+	var pricedOut float64
+	direct := func(tb *Table) {
+		util := net.EdgeUtilization
+		tb.RefreshCost(util)
+		tb.RefreshPenalty(util)
+		for i, p := range tb.Policies {
+			if p.Scheme.UsesINA() && p.Switch >= 0 && !healthy(p.Switch) {
+				tb.cost[i] = math.Inf(1)
+				pricedOut++
+			}
+		}
+	}
+	registered := 0
+	for tick := 0; tick < 6; tick++ {
+		// Half the tables join before the first tick, the rest one per tick.
+		for registered < len(tables) && (registered < len(tables)/2 || registered < len(tables)/2+tick) {
+			ctl.Register(tables[registered])
+			registered++
+		}
+		clear(reads)
+		ctl.Tick()
+		distinct := map[topology.EdgeID]bool{}
+		for i := 0; i < registered; i++ {
+			direct(twins[i])
+			for _, p := range tables[i].Policies {
+				for _, e := range p.Edges {
+					distinct[e] = true
+				}
+			}
+		}
+		if len(reads) != len(distinct) {
+			t.Fatalf("tick %d read %d edges, want the %d distinct ones", tick, len(reads), len(distinct))
+		}
+		for e, n := range reads {
+			if n != 1 || !distinct[e] {
+				t.Fatalf("tick %d read edge %d %d times (registered: %v)", tick, e, n, distinct[e])
+			}
+		}
+		for i := range tables {
+			got, want := tables[i], twins[i]
+			for j := range got.cost {
+				if math.Float64bits(got.cost[j]) != math.Float64bits(want.cost[j]) {
+					t.Fatalf("tick %d table %d: cost[%d] = %v, direct %v", tick, i, j, got.cost[j], want.cost[j])
+				}
+				for k := range got.penalty[j] {
+					if math.Float64bits(got.penalty[j][k]) != math.Float64bits(want.penalty[j][k]) {
+						t.Fatalf("tick %d table %d: penalty[%d][%d] = %v, direct %v", tick, i, j, k, got.penalty[j][k], want.penalty[j][k])
+					}
+				}
+			}
+			size := int64(1+tick+i) << 18
+			got.Select(size)
+			want.Select(size)
+		}
+		if v, _ := hub.Metrics.Value("scheduler_priced_out_total"); v != pricedOut {
+			t.Fatalf("tick %d: priced out %v, direct %v", tick, v, pricedOut)
+		}
+	}
+	if pricedOut == 0 {
+		t.Fatal("no policy priced out: the test lost its unhealthy switch")
+	}
+	if !math.IsInf(tables[0].Cost(len(tables[0].Policies)-1), 1) {
+		t.Fatal("the blacked-out link did not price its policy at +Inf")
+	}
+}
+
+// BenchmarkControllerTick measures one controller refresh of 24 pod tables
+// under background load.
+func BenchmarkControllerTick(b *testing.B) {
+	g, tables := podTables(24)
+	net := netsim.New(g, sim.NewEngine())
+	r := collective.NewStaticRouter(g)
+	gpus := g.GPUs()
+	for i := 0; i < 64; i++ {
+		a, c := gpus[(i*37)%len(gpus)], gpus[(i*61+5)%len(gpus)]
+		if p, ok := r.Route(a, c, 1<<30); ok && a != c {
+			net.StartFlow(p, 1<<30, nil)
+		}
+	}
+	ctl := NewController(net, 0.05)
+	for _, tb := range tables {
+		ctl.Register(tb)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ctl.Tick()
 	}
 }

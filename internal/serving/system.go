@@ -849,7 +849,12 @@ func (s *System) InjectElephants(n int, bytes int64, horizon float64, seed int64
 // starts its next transfer when the previous one delivers, until horizon
 // simulated seconds have passed. A pair the router cannot connect ends its
 // lane. Call before the engine runs.
-func LaunchElephants(net *netsim.Network, router collective.Router, n int, bytes int64, horizon float64, seed int64) {
+//
+// Every lane routes into its own node and edge buffers. The network clears
+// a group flow's path before it runs the group's done, so when a lane's
+// transfer delivers, its buffers are free for the next route. All lanes draw
+// their pairs from one generator, in launch order.
+func LaunchElephants(net *netsim.Network, router *collective.StaticRouter, n int, bytes int64, horizon float64, seed int64) {
 	gpus := net.Graph().GPUs()
 	if len(gpus) < 2 || n <= 0 {
 		return
@@ -860,21 +865,26 @@ func LaunchElephants(net *netsim.Network, router collective.Router, n int, bytes
 		state = state*2862933555777941757 + 3037000493
 		return int((state >> 33) % uint64(m))
 	}
-	var launch func()
-	launch = func() {
-		if eng.Now() >= horizon {
-			return
-		}
-		a := gpus[next(len(gpus))]
-		b := a
-		for b == a {
-			b = gpus[next(len(gpus))]
-		}
-		if p, ok := router.Route(a, b, bytes); ok {
-			net.OpenGroup(netsim.Inline, launch).Start(p, bytes)
-		}
-	}
 	for i := 0; i < n; i++ {
+		var nodes []topology.NodeID
+		var edges []topology.EdgeID
+		var launch func()
+		launch = func() {
+			if eng.Now() >= horizon {
+				return
+			}
+			a := gpus[next(len(gpus))]
+			b := a
+			for b == a {
+				b = gpus[next(len(gpus))]
+			}
+			ns, es, ok := router.AppendRoute(nodes[:0], edges[:0], a, b, bytes)
+			if !ok {
+				return
+			}
+			nodes, edges = ns, es
+			net.OpenGroup(netsim.Inline, launch).Start(topology.Path{Nodes: nodes, Edges: edges}, bytes)
+		}
 		eng.Post(0, launch)
 	}
 }

@@ -17,6 +17,11 @@ type ShareTracker struct {
 	count  int
 	sums   map[string]float64
 	total  float64
+
+	// The last Dominant answer, valid until the next Observe.
+	dom      string
+	domShare float64
+	domValid bool
 }
 
 type stageMass struct {
@@ -55,6 +60,7 @@ func (t *ShareTracker) Observe(b Breakdown) {
 		t.total += sec
 	}
 	t.ring[t.next] = entry
+	t.domValid = false
 	t.next = (t.next + 1) % t.window
 	if t.count < t.window {
 		t.count++
@@ -80,9 +86,22 @@ func (t *ShareTracker) Share(stage string) float64 {
 
 // Dominant returns the stage carrying the largest share of windowed TTFT
 // mass and that share; ("", 0) while the window is empty. Ties break in
-// canonical stage order. Nil-safe.
+// canonical stage order. The answer is computed once per Observe: the online
+// policy asks on every pick. Nil-safe.
 func (t *ShareTracker) Dominant() (string, float64) {
-	if t == nil || t.total <= 0 {
+	if t == nil {
+		return "", 0
+	}
+	if !t.domValid {
+		t.dom, t.domShare = t.dominant()
+		t.domValid = true
+	}
+	return t.dom, t.domShare
+}
+
+// dominant computes Dominant's answer from the window.
+func (t *ShareTracker) dominant() (string, float64) {
+	if t.total <= 0 {
 		return "", 0
 	}
 	best, bestV := "", -1.0

@@ -1,6 +1,10 @@
 package critpath
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
 
 func TestShareTrackerDominantAndEviction(t *testing.T) {
 	tr := NewShareTracker(2)
@@ -39,5 +43,58 @@ func TestShareTrackerNilSafety(t *testing.T) {
 	}
 	if d, s := tr.Dominant(); d != "" || s != 0 {
 		t.Errorf("nil tracker dominant = %q,%g", d, s)
+	}
+}
+
+// TestShareTrackerDominantMemo: over a seeded random interleaving of Observe
+// and Dominant, the memoized answer equals an uncached recomputation on the
+// same window every time. Masses are small integers so ties are common (they
+// break in canonical stage order), and zero-mass requests drain the window
+// to empty. A warm Dominant allocates nothing.
+func TestShareTrackerDominantMemo(t *testing.T) {
+	stages := []string{"zz-custom", StageDecodeCompute, StageKVTransfer, StageAllReduce("ring"), StagePrefillCompute, StageQueue}
+	rng := rand.New(rand.NewSource(5))
+	tr := NewShareTracker(4)
+	ties, empties := 0, 0
+	for step := 0; step < 2000; step++ {
+		if rng.Intn(3) == 0 {
+			m := map[string]float64{}
+			for _, s := range stages {
+				if rng.Intn(3) == 0 {
+					m[s] = float64(rng.Intn(3))
+				}
+			}
+			tr.Observe(Breakdown{TTFTStages: m})
+			continue
+		}
+		gotD, gotS := tr.Dominant()
+		wantD, wantS := tr.dominant()
+		if gotD != wantD || math.Float64bits(gotS) != math.Float64bits(wantS) {
+			t.Fatalf("step %d: Dominant = %q,%v, uncached %q,%v", step, gotD, gotS, wantD, wantS)
+		}
+		if wantD == "" {
+			empties++
+		}
+		best := 0.0
+		for _, s := range stages {
+			best = math.Max(best, tr.sums[s])
+		}
+		n := 0
+		for _, s := range stages {
+			if tr.sums[s] == best {
+				n++
+			}
+		}
+		if best > 0 && n > 1 {
+			ties++
+		}
+	}
+	if ties == 0 || empties == 0 {
+		t.Fatalf("interleaving saw %d ties and %d empty windows, want both", ties, empties)
+	}
+	tr.Observe(Breakdown{TTFTStages: map[string]float64{StageQueue: 1}})
+	tr.Dominant()
+	if allocs := testing.AllocsPerRun(100, func() { tr.Dominant() }); allocs != 0 {
+		t.Errorf("warm Dominant allocates %v objects, want 0", allocs)
 	}
 }
