@@ -5,16 +5,17 @@
 //
 //	heroserve -exp fig7              # one experiment
 //	heroserve -exp all -scale full   # everything, paper-sized sweeps
-//	heroserve -exp faults -trace-out spans.json -metrics-out metrics.prom
+//	heroserve -exp faults -out run/  # run bundle across all serving runs
 //	heroserve -exp all -listen :9090 # live /metrics + /runs during the sweep
 //	heroserve -list                  # enumerate experiment ids
 //
-// With -trace-out the tracer streams events to disk incrementally (the
-// StreamTracer backend), so `-exp all -scale full` sweeps no longer buffer
-// the whole trace in RAM. With -listen, /metrics, /healthz, /runs, and
-// /trace are served over HTTP and refreshed after every completed serving
-// run, so scrapers can watch a multi-hour sweep live; the process still
-// exits when the sweep finishes. The report stays alone on stdout; the
+// -out writes the run bundle: run/spans.json, run/metrics.prom and
+// run/metrics.om, the same layout cmd/serve writes minus its per-run
+// documents. The spans stream to disk as they are recorded, so `-exp all
+// -scale full` sweeps never buffer the whole trace in RAM. With -listen,
+// /metrics, /healthz, /runs, and /trace are served over HTTP and refreshed
+// after every completed serving run, so scrapers can watch a multi-hour
+// sweep live; the process still exits when the sweep finishes. The report stays alone on stdout; the
 // route list and the export lines go to stderr.
 //
 // The experiments that run serving simulations report to the telemetry:
@@ -64,9 +65,7 @@ func main() {
 	scaleFlag := flag.String("scale", "quick", "sweep sizing: quick | full")
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	list := flag.Bool("list", false, "list experiment ids")
-	traceOut := flag.String("trace-out", "", "stream Chrome trace-event JSON across all runs here")
-	metricsOut := flag.String("metrics-out", "", "write text-format metrics across all runs here")
-	metricsFormat := flag.String("metrics-format", "prom", "metrics exposition format: prom | openmetrics")
+	out := flag.String("out", "", "write the run bundle (spans and metrics across all runs) to this directory")
 	listen := flag.String("listen", "", "serve live /metrics /healthz /runs /trace on this address during the sweep")
 	flag.Parse()
 
@@ -90,10 +89,6 @@ func main() {
 	case "text", "csv", "json":
 	default:
 		fmt.Fprintf(os.Stderr, "heroserve: unknown format %q (text|csv|json)\n", *format)
-		os.Exit(2)
-	}
-	if err := telemetry.CheckMetricsFormat(*metricsFormat); err != nil {
-		fmt.Fprintf(os.Stderr, "heroserve: %v\n", err)
 		os.Exit(2)
 	}
 	if *exp == "" {
@@ -130,10 +125,9 @@ func main() {
 
 	env := experiments.Env{Scale: scale, Seed: *seed}
 	var art *telemetry.Artifacts
-	if *traceOut != "" || *metricsOut != "" || *listen != "" {
+	if *out != "" || *listen != "" {
 		env.Hub = telemetry.New()
-		art = &telemetry.Artifacts{Hub: env.Hub, TraceOut: *traceOut,
-			MetricsOut: *metricsOut, MetricsFormat: *metricsFormat, Status: os.Stderr}
+		art = &telemetry.Artifacts{Hub: env.Hub, Dir: *out, Status: os.Stderr}
 		if *listen != "" {
 			srv := telemetry.NewServer()
 			art.Server = srv
@@ -151,7 +145,7 @@ func main() {
 		addr, err := art.Start(*listen)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "heroserve: %v\n", err)
-			os.Exit(1)
+			os.Exit(2)
 		}
 		if addr != nil {
 			fmt.Fprintf(os.Stderr, "serving %s on %s\n", strings.Join(art.Server.Routes(), " "), addr)

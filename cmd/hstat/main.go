@@ -1,17 +1,18 @@
-// Command hstat reads the telemetry artifacts cmd/serve exports and the
-// daemon serves: span traces (-trace-out, /trace), SLO alert logs
-// (-alerts-out, /alerts), decision ledgers (-decisions-out, /decisions) and
-// perf reports (-perf-out, /perf).
+// Command hstat reads the telemetry artifacts of a run bundle (serve -out)
+// and the daemon's documents: span traces (spans.json, /trace), SLO alert
+// logs (alerts.json, /alerts), decision ledgers (decisions.json, /decisions)
+// and perf reports (perf.json, /perf).
 //
 // Usage:
 //
-//	hstat trace [-top N] [-json] spans.json        # critical-path breakdown + slowest requests
-//	hstat alerts [-summary|-json|-tsv] [-rule r] [-state s] run.alerts.json   # lifecycle timeline
-//	hstat decisions [-regret|-json|-tsv] run.decisions.json   # counterfactual regret report
-//	hstat perf [-json] perf.json                   # where the simulator's wall-clock went
-//	hstat <kind> -diff before.json after.json      # compare two artifacts of one kind
+//	hstat trace [-top N] [-json] run/              # critical-path breakdown + slowest requests
+//	hstat alerts [-summary|-json|-tsv] [-rule r] [-state s] run/   # lifecycle timeline
+//	hstat decisions [-regret|-json|-tsv] run/      # counterfactual regret report
+//	hstat perf [-json] run/                        # where the simulator's wall-clock went
+//	hstat <kind> -diff before/ after/              # compare two artifacts of one kind
 //
-// A file argument of "-" reads standard input. Bad input (an unknown kind, a
+// Each argument is a bundle directory, whose file of that kind is read, or a
+// file; "-" reads standard input. Bad input (an unknown kind, a
 // wrong file count, a missing or malformed file) prints one "hstat: ..." line
 // and exits 2. Output is deterministic for deterministic artifacts, so the
 // golden gate pins the alerts and decisions -tsv renderings.
@@ -23,9 +24,11 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
+	"heroserve/internal/telemetry"
 	"heroserve/internal/telemetry/critpath"
 	"heroserve/internal/telemetry/decisions"
 	"heroserve/internal/telemetry/perf"
@@ -39,10 +42,11 @@ type opts struct {
 	rule, state                string
 }
 
-// A kind is one artifact type: its view flags beyond -diff and -json, a
-// loader for one file (returning a warning when the artifact looks empty),
-// and renderers for one artifact and for a pair.
+// A kind is one artifact type: its file name in a run bundle, its view flags
+// beyond -diff and -json, a loader for one file (returning a warning when the
+// artifact looks empty), and renderers for one artifact and for a pair.
 type kind struct {
+	file  string
 	usage string
 	flags func(fs *flag.FlagSet, o *opts)
 	load  func(r io.Reader, o *opts) (artifact any, warning string, err error)
@@ -52,6 +56,7 @@ type kind struct {
 
 var kinds = map[string]kind{
 	"trace": {
+		file:  telemetry.SpansFile,
 		usage: "[-top N] [-json]",
 		flags: func(fs *flag.FlagSet, o *opts) {
 			fs.IntVar(&o.top, "top", 10, "slowest-requests table size")
@@ -79,6 +84,7 @@ var kinds = map[string]kind{
 		},
 	},
 	"alerts": {
+		file:  slo.File,
 		usage: "[-summary|-json|-tsv] [-rule r] [-state s]",
 		flags: func(fs *flag.FlagSet, o *opts) {
 			fs.BoolVar(&o.summary, "summary", false, "print the per-rule roll-up instead of the timeline")
@@ -116,6 +122,7 @@ var kinds = map[string]kind{
 		},
 	},
 	"decisions": {
+		file:  decisions.File,
 		usage: "[-regret|-json|-tsv]",
 		flags: func(fs *flag.FlagSet, o *opts) {
 			fs.BoolVar(&o.regret, "regret", false, "print only the regret rankings (schemes + shadow laws)")
@@ -151,6 +158,7 @@ var kinds = map[string]kind{
 		},
 	},
 	"perf": {
+		file:  perf.File,
 		usage: "[-json]",
 		load: func(r io.Reader, _ *opts) (any, string, error) {
 			data, err := io.ReadAll(r)
@@ -180,19 +188,19 @@ func main() {
 	}
 	sort.Strings(names)
 	if len(os.Args) < 2 {
-		fatalf("usage: hstat <%s> [flags] file | hstat <kind> -diff a b", strings.Join(names, "|"))
+		fatalf("usage: hstat <%s> [flags] dir|file | hstat <kind> -diff a b", strings.Join(names, "|"))
 	}
 	name := os.Args[1]
 	k, ok := kinds[name]
 	if !ok {
 		fatalf("unknown kind %q (want one of: %s)", name, strings.Join(names, " "))
 	}
-	usage := fmt.Sprintf("usage: hstat %s %s file | hstat %s -diff a b", name, k.usage, name)
+	usage := fmt.Sprintf("usage: hstat %s %s dir|file | hstat %s -diff a b", name, k.usage, name)
 
 	var o opts
 	fs := flag.NewFlagSet("hstat "+name, flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	diff := fs.Bool("diff", false, "compare two artifacts (takes two files)")
+	diff := fs.Bool("diff", false, "compare two artifacts (takes two bundles or files)")
 	fs.BoolVar(&o.json, "json", false, "emit JSON instead of text")
 	if k.flags != nil {
 		k.flags(fs, &o)
@@ -216,10 +224,14 @@ func main() {
 	}
 }
 
-// load reads one artifact file ("-" for stdin) with the kind's loader.
+// load reads one artifact with the kind's loader: the kind's file of a
+// bundle directory, a file, or "-" for stdin.
 func load(k kind, path string, o *opts) any {
 	var r io.Reader = os.Stdin
 	if path != "-" {
+		if st, err := os.Stat(path); err == nil && st.IsDir() {
+			path = filepath.Join(path, k.file)
+		}
 		f, err := os.Open(path)
 		if err != nil {
 			fatalf("%v", err)

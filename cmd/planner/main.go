@@ -38,11 +38,13 @@ func main() {
 	verbose := flag.Bool("v", false, "trace every candidate's evaluation")
 	flag.Parse()
 
-	if *servers < 1 {
-		usagef("-servers must be at least 1, got %d", *servers)
+	g, err := topology.ByName(*topo, *servers)
+	if err != nil {
+		usagef("%v", err)
 	}
-	if *servers < 2 && *topo != "testbed" {
-		usagef("-servers must be at least 2 for a pod (one prefill and one decode server), got %d", *servers)
+	cfg, err := model.ByName(*modelName)
+	if err != nil {
+		usagef("%v", err)
 	}
 	if *batch < 1 {
 		usagef("-batch must be at least 1, got %d", *batch)
@@ -50,30 +52,6 @@ func main() {
 	if !(*rate > 0) || math.IsInf(*rate, 1) {
 		usagef("-rate must be a finite positive req/s, got %g", *rate)
 	}
-	var g *topology.Graph
-	switch *topo {
-	case "testbed":
-		g = topology.Testbed()
-	case "pod2":
-		g = topology.Pod2Tracks(*servers)
-	case "pod8":
-		g = topology.Pod8Tracks(*servers)
-	default:
-		usagef("unknown topology %q (allowed: testbed | pod2 | pod8)", *topo)
-	}
-
-	var cfg model.Config
-	switch *modelName {
-	case "opt-13b":
-		cfg = model.OPT13B()
-	case "opt-66b":
-		cfg = model.OPT66B()
-	case "opt-175b":
-		cfg = model.OPT175B()
-	default:
-		usagef("unknown model %q (allowed: opt-13b | opt-66b | opt-175b)", *modelName)
-	}
-
 	var wk workload.Kind
 	switch *kind {
 	case "chatbot":

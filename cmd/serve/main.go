@@ -7,7 +7,14 @@
 //	tracegen -kind chatbot -n 100 -rate 4 > trace.json
 //	serve -trace trace.json -system heroserve -topology testbed -model opt-66b
 //	serve -trace trace.json -system distserve -elephants 4
-//	serve -trace trace.json -trace-out spans.json -metrics-out metrics.prom
+//	serve -trace trace.json -out run/
+//
+// -out writes the run bundle: run/spans.json (Chrome trace events,
+// Perfetto-loadable), run/metrics.prom and run/metrics.om (the final metrics
+// as Prometheus text and as OpenMetrics), run/decisions.json (the
+// counterfactual decision ledger), run/alerts.json (the SLO alert log, while a
+// monitor is armed) and run/perf.json (the simulator's self-profiling
+// report). `hstat <kind> run/` reads any of them.
 //
 // Daemon mode keeps a live observability plane up while the simulation runs
 // (and after it finishes, until interrupted): /metrics serves the Prometheus
@@ -47,13 +54,10 @@ import (
 	"heroserve/internal/workload"
 )
 
-// Allowed values for the enumerated flags, validated before any work starts
-// so a typo fails fast instead of after trace parsing and planning.
-var (
-	systems = map[string]bool{"heroserve": true, "distserve": true, "ds-atp": true, "ds-switchml": true}
-	topos   = map[string]bool{"testbed": true, "pod2": true, "pod8": true}
-	models  = map[string]bool{"opt-13b": true, "opt-66b": true, "opt-175b": true}
-)
+// systems are the allowed -system values, validated with the other
+// enumerated flags before any work starts, so a typo fails fast instead of
+// after trace parsing and planning.
+var systems = map[string]bool{"heroserve": true, "distserve": true, "ds-atp": true, "ds-switchml": true}
 
 func main() {
 	tracePath := flag.String("trace", "", "JSON trace file ('-' for stdin)")
@@ -69,11 +73,7 @@ func main() {
 	autoscale := flag.Bool("autoscale", false, "enable decode-instance autoscaling")
 	scalePolicy := flag.String("scale-policy", "backlog", "autoscaler policy: backlog | occupancy | kv-headroom | hybrid-slo | alert-aware | adaptive")
 	seed := flag.Int64("seed", 1, "deterministic seed")
-	traceOut := flag.String("trace-out", "", "stream Chrome trace-event JSON (Perfetto-loadable) here")
-	metricsOut := flag.String("metrics-out", "", "write text-format metrics here")
-	metricsFormat := flag.String("metrics-format", "prom", "metrics exposition format: prom | openmetrics")
-	decisionsOut := flag.String("decisions-out", "", "write the decision ledger (JSON; hstat-readable) here")
-	alertsOut := flag.String("alerts-out", "", "write the SLO alert log (JSON; hstat-readable) here")
+	out := flag.String("out", "", "write the run bundle (spans, metrics, decisions, alerts, perf; hstat-readable) to this directory")
 	sloRules := flag.String("slo-rules", "default", "SLO alert rules: default (keyed off -ttft/-tpot) | off | <rules.json>")
 	maxRuns := flag.Int("max-runs", 0, "daemon: retain only the newest N completed runs (0 = unbounded)")
 	maxDecisions := flag.Int("max-decisions", 0, "retain only the newest N decision-ledger records per kind (0 = unbounded)")
@@ -83,7 +83,6 @@ func main() {
 	daemon := flag.Bool("daemon", false, "serve /metrics /healthz /runs /trace over HTTP and stay up after the run")
 	listen := flag.String("listen", ":9090", "daemon listen address")
 	publishEvery := flag.Float64("publish-every", 5, "daemon metrics-snapshot cadence in simulated seconds")
-	perfOut := flag.String("perf-out", "", "write the simulator's self-profiling report (JSON; hstat-readable) here")
 	pprofFlag := flag.Bool("pprof", false, "daemon: expose net/http/pprof under /debug/pprof/ (off by default)")
 	flag.Parse()
 
@@ -93,20 +92,16 @@ func main() {
 	}
 	for _, name := range sysNames {
 		if !systems[name] {
-			usagef("unknown system %q (allowed: %s)", name, allowed(systems))
+			usagef("unknown system %q (allowed: distserve | ds-atp | ds-switchml | heroserve)", name)
 		}
 	}
-	if !topos[*topo] {
-		usagef("unknown topology %q (allowed: %s)", *topo, allowed(topos))
+	g, err := topology.ByName(*topo, *servers)
+	if err != nil {
+		usagef("%v", err)
 	}
-	if !models[*modelName] {
-		usagef("unknown model %q (allowed: %s)", *modelName, allowed(models))
-	}
-	if *servers < 1 {
-		usagef("-servers must be at least 1, got %d", *servers)
-	}
-	if *servers < 2 && *topo != "testbed" {
-		usagef("-servers must be at least 2 for a pod (one prefill and one decode server), got %d", *servers)
+	cfg, err := model.ByName(*modelName)
+	if err != nil {
+		usagef("%v", err)
 	}
 	if *batch < 1 {
 		usagef("-batch must be at least 1, got %d", *batch)
@@ -114,17 +109,11 @@ func main() {
 	if *daemon && *publishEvery <= 0 {
 		usagef("-publish-every must be positive")
 	}
-	if err := telemetry.CheckMetricsFormat(*metricsFormat); err != nil {
-		usagef("%v", err)
-	}
 	if *pushURL != "" && *pushEvery <= 0 {
 		usagef("-push-every must be positive")
 	}
 	if _, perr := serving.NewScalePolicy(*scalePolicy); perr != nil {
 		usagef("%v", perr)
-	}
-	if *alertsOut != "" && *sloRules == "off" {
-		usagef("-alerts-out needs an armed monitor; drop -slo-rules=off")
 	}
 	if *maxRuns < 0 || *maxDecisions < 0 || *maxAlerts < 0 {
 		usagef("retention caps must be >= 0")
@@ -136,7 +125,6 @@ func main() {
 		usagef("-trace required (use cmd/tracegen to produce one)")
 	}
 	var trace *workload.Trace
-	var err error
 	if *tracePath == "-" {
 		trace, err = workload.Decode(os.Stdin)
 	} else {
@@ -154,25 +142,6 @@ func main() {
 		usagef("empty trace")
 	}
 
-	var g *topology.Graph
-	switch *topo {
-	case "testbed":
-		g = topology.Testbed()
-	case "pod2":
-		g = topology.Pod2Tracks(*servers)
-	case "pod8":
-		g = topology.Pod8Tracks(*servers)
-	}
-	var cfg model.Config
-	switch *modelName {
-	case "opt-13b":
-		cfg = model.OPT13B()
-	case "opt-66b":
-		cfg = model.OPT66B()
-	case "opt-175b":
-		cfg = model.OPT175B()
-	}
-
 	rate := float64(len(trace.Requests)) / trace.Duration()
 	pre, dec := planner.SplitPoolsByServer(g, g.NumServers()/2)
 	sla := serving.SLA{TTFT: *ttft, TPOT: *tpot}
@@ -188,10 +157,11 @@ func main() {
 		Seed:          *seed,
 	}
 
-	// Telemetry: daemon mode always arms the hub. The trace streams to
-	// -trace-out if given, else into the daemon's /trace sink, else nowhere.
+	// Telemetry: a bundle, a daemon or a push target arms the hub. The trace
+	// streams into the bundle if there is one, else into the daemon's /trace
+	// sink, else nowhere.
 	var hub *telemetry.Hub
-	if *traceOut != "" || *metricsOut != "" || *daemon || *decisionsOut != "" || *pushURL != "" || *alertsOut != "" {
+	if *out != "" || *daemon || *pushURL != "" {
 		hub = telemetry.New()
 	}
 	// SLO monitoring defaults on for every telemetered run: the default rule
@@ -237,11 +207,10 @@ func main() {
 	}
 	var art *telemetry.Artifacts
 	if hub != nil {
-		art = &telemetry.Artifacts{Hub: hub, Server: srv, TraceOut: *traceOut,
-			MetricsOut: *metricsOut, MetricsFormat: *metricsFormat, Status: os.Stdout}
+		art = &telemetry.Artifacts{Hub: hub, Server: srv, Dir: *out, Status: os.Stdout}
 		addr, aerr := art.Start(*listen)
 		if aerr != nil {
-			fatalf("%v", aerr)
+			usagef("%v", aerr)
 		}
 		if addr != nil {
 			fmt.Printf("daemon: serving %s on %s\n", strings.Join(srv.Routes(), " "), addr)
@@ -257,12 +226,10 @@ func main() {
 			"Metrics push attempts dropped after exhausting retries.", nil)
 	}
 	for _, name := range sysNames {
-		runSystem(name, in, trace, hub, srv, runParams{
+		runSystem(name, in, trace, art, runParams{
 			sla: sla, autoscale: *autoscale, scalePolicy: *scalePolicy,
 			elephants: *elephants, seed: *seed, publishEvery: *publishEvery,
-			decisionsOut: *decisionsOut, alertsOut: *alertsOut,
 			slo: sloCfg, ledgerCap: *maxDecisions, push: push,
-			perfOut: *perfOut,
 		})
 	}
 	if pusher != nil {
@@ -297,12 +264,9 @@ type runParams struct {
 	elephants    int
 	seed         int64
 	publishEvery float64
-	decisionsOut string
-	alertsOut    string
 	slo          *slo.Config
 	ledgerCap    int
 	push         *pushState
-	perfOut      string
 }
 
 // pushState carries the metrics pusher plus the failure count already
@@ -337,9 +301,10 @@ func (ps *pushState) settle(hub *telemetry.Hub) {
 }
 
 // runSystem plans, builds, and replays the trace through one system,
-// printing its summary. With a daemon server attached it also schedules
-// periodic sim-time snapshot publications and records the run for /runs.
-func runSystem(name string, in planner.Inputs, trace *workload.Trace, hub *telemetry.Hub, srv *telemetry.Server, p runParams) {
+// printing its summary and writing its documents into the bundle. With a
+// daemon server attached it also schedules periodic sim-time snapshot
+// publications and records the run for /runs. art is nil without telemetry.
+func runSystem(name string, in planner.Inputs, trace *workload.Trace, art *telemetry.Artifacts, p runParams) {
 	var opts serving.Options
 	if p.autoscale {
 		// Policies are stateful; build a fresh one per system run.
@@ -349,18 +314,21 @@ func runSystem(name string, in planner.Inputs, trace *workload.Trace, hub *telem
 		}
 		opts.Autoscale = &serving.AutoscaleConfig{InitialActive: 1, Policy: pol}
 	}
-	if hub != nil {
+	var hub *telemetry.Hub
+	var srv *telemetry.Server
+	// The performance observatory: one sampler per run (wall-clock state is
+	// run-scoped), armed whenever its output has somewhere to go.
+	var sampler *perf.Sampler
+	if art != nil {
+		hub, srv = art.Hub, art.Server
 		opts.Telemetry = hub
 		opts.SLA = &p.sla
 		opts.SLO = p.slo
 		opts.LedgerCap = p.ledgerCap
-	}
-	// The performance observatory: one sampler per run (wall-clock state is
-	// run-scoped), armed whenever its output has somewhere to go.
-	var sampler *perf.Sampler
-	if p.perfOut != "" || srv != nil {
-		sampler = perf.NewSampler(0)
-		opts.Perf = sampler
+		if art.Dir != "" || srv != nil {
+			sampler = perf.NewSampler(0)
+			opts.Perf = sampler
+		}
 	}
 
 	var sys *serving.System
@@ -436,34 +404,16 @@ func runSystem(name string, in planner.Inputs, trace *workload.Trace, hub *telem
 	if al := res.Alerts; al != nil {
 		fmt.Printf("alerts: %s (hstat alerts for the timeline)\n", al)
 	}
-	if p.decisionsOut != "" {
-		if led := sys.DecisionLedger(); led != nil {
-			if err := telemetry.ExportFile(p.decisionsOut, led.WriteJSON); err != nil {
-				fatalf("decisions export: %v", err)
-			}
-			fmt.Printf("wrote decision ledger (%d records) to %s\n", led.Len(), p.decisionsOut)
-		}
-	}
-	if p.alertsOut != "" {
-		if mon := sys.SLOMonitor(); mon != nil {
-			if err := telemetry.ExportFile(p.alertsOut, mon.WriteLog); err != nil {
-				fatalf("alerts export: %v", err)
-			}
-			log := mon.Log()
-			fmt.Printf("wrote alert log (%d alerts, %d rules) to %s\n",
-				len(log.Alerts), len(log.Meta.Rules), p.alertsOut)
-		}
-	}
 	if sampler != nil {
 		r := sampler.Report(name)
 		fmt.Printf("perf: %.3g events/s, %.4g wall-seconds per sim-second; realloc=%.4gs self=%.1f%%\n",
 			r.EventsPerSec, r.WallPerSim, r.Phases.ReallocSeconds, r.Phases.SelfFraction*100)
-		if p.perfOut != "" {
-			if err := telemetry.ExportFile(p.perfOut, r.WriteJSON); err != nil {
-				fatalf("perf export: %v", err)
+	}
+	if art != nil {
+		for _, d := range runDocs(sys, sampler, name) {
+			if err := art.Export(d.file, d.write); err != nil {
+				fatalf("export: %v", err)
 			}
-			fmt.Printf("wrote perf report (%d events sampled 1-in-%d) to %s\n",
-				r.Events, r.SampleEvery, p.perfOut)
 		}
 	}
 	if p.push != nil {
@@ -501,33 +451,50 @@ func observeEvery(sys *serving.System, every float64, observe func()) {
 	eng.AfterDaemon(every, tick)
 }
 
-// publishDocs renders the run's decision ledger, SLO alert log (plus the
-// /healthz firing roll-up) and perf report for the daemon's document routes.
-// Like PublishHub it runs on the simulation goroutine; mid-run calls publish
-// live in-flight snapshots.
-func publishDocs(srv *telemetry.Server, sys *serving.System, sampler *perf.Sampler, system string) {
-	publish := func(route string, write func(io.Writer) error) {
-		var buf bytes.Buffer
-		if err := write(&buf); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: %s publish: %v\n", route, err)
-			return
-		}
-		srv.Publish(route, buf.Bytes())
-	}
+// runDoc is one per-run document: the daemon route that serves it, its file
+// in the -out bundle, and its writer.
+type runDoc struct {
+	route, file string
+	write       func(io.Writer) error
+}
+
+// runDocs lists the run's documents: the decision ledger, the SLO alert log
+// while a monitor is armed, and the perf report while the sampler is. The
+// same list feeds the daemon and the bundle. Each call renders the run as it
+// stands, so a mid-run call lists live snapshots.
+func runDocs(sys *serving.System, sampler *perf.Sampler, system string) []runDoc {
+	var docs []runDoc
 	if led := sys.DecisionLedger(); led != nil {
-		publish(decisions.Route, led.WriteJSON)
+		docs = append(docs, runDoc{decisions.Route, decisions.File, led.WriteJSON})
 	}
 	if mon := sys.SLOMonitor(); mon != nil {
-		publish(slo.Route, mon.WriteLog)
+		docs = append(docs, runDoc{slo.Route, slo.File, mon.WriteLog})
+	}
+	if sampler != nil {
+		docs = append(docs, runDoc{perf.Route, perf.File, sampler.Report(system).WriteJSON})
+	}
+	return docs
+}
+
+// publishDocs publishes the run's documents on their daemon routes, plus the
+// /healthz firing roll-up. Like PublishHub it runs on the simulation
+// goroutine; mid-run calls publish live in-flight snapshots.
+func publishDocs(srv *telemetry.Server, sys *serving.System, sampler *perf.Sampler, system string) {
+	for _, d := range runDocs(sys, sampler, system) {
+		var buf bytes.Buffer
+		if err := d.write(&buf); err != nil {
+			fmt.Fprintf(os.Stderr, "serve: %s publish: %v\n", d.route, err)
+			continue
+		}
+		srv.Publish(d.route, buf.Bytes())
+	}
+	if mon := sys.SLOMonitor(); mon != nil {
 		feed := mon.Feed()
 		worst := ""
 		if w, ok := feed.Worst(); ok {
 			worst = w.String()
 		}
 		srv.SetAlertRollup(len(feed.Active()), worst)
-	}
-	if sampler != nil {
-		publish(perf.Route, sampler.Report(system).WriteJSON)
 	}
 }
 
@@ -558,16 +525,6 @@ func critpathSummary(cp *critpath.Report) []cpEntry {
 		entries = entries[:3]
 	}
 	return entries
-}
-
-// allowed renders a flag's value set in stable order for error messages.
-func allowed(set map[string]bool) string {
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, " | ")
 }
 
 // usagef rejects a bad flag or input file: one line, exit status 2.

@@ -26,20 +26,17 @@ func main() {
 		os.Exit(2)
 	}
 	var g *topology.Graph
-	switch *topo {
-	case "testbed":
-		g = topology.Testbed()
-	case "pod2":
-		g = topology.Pod2Tracks(*servers)
-	case "pod8":
-		g = topology.Pod8Tracks(*servers)
-	case "pcie":
+	var err error
+	if *topo == "pcie" {
 		g = topology.Pod(topology.PodConfig{
 			Servers: *servers, Server: topology.L40Server(),
 			Tracks: 1, ServersPerGroup: *servers, CoreSwitches: 1,
 		})
-	default:
-		fmt.Fprintf(os.Stderr, "topoviz: unknown topology %q (allowed: testbed | pod2 | pod8 | pcie)\n", *topo)
+	} else {
+		g, err = topology.ByName(*topo, *servers)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "topoviz: %v\n", err)
 		os.Exit(2)
 	}
 	writeDOT(g)

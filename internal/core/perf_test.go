@@ -65,7 +65,7 @@ func runPerfPurity(t *testing.T, sampler *perf.Sampler) purityRun {
 // export byte-identical, the span trace included. The subtest is named after
 // the simulator paths the build selects: fast by default, reference under
 // -tags refpaths. This is the in-process twin of the scripts/golden.sh
-// matrix, which produces its goldens with -perf-out armed.
+// matrix, whose serve -out runs produce the goldens with the sampler armed.
 func TestPerfSamplerPreservesGoldenSurfaces(t *testing.T) {
 	t.Run(simPaths, func(t *testing.T) {
 		off := runPerfPurity(t, nil)

@@ -144,3 +144,17 @@ func (c Config) MinGPUs(usableBytesPerGPU int64) int {
 	}
 	return int(n)
 }
+
+// ByName returns the configuration a command line names: opt-13b, opt-66b or
+// opt-175b.
+func ByName(name string) (Config, error) {
+	switch name {
+	case "opt-13b":
+		return OPT13B(), nil
+	case "opt-66b":
+		return OPT66B(), nil
+	case "opt-175b":
+		return OPT175B(), nil
+	}
+	return Config{}, fmt.Errorf("unknown model %q (allowed: opt-13b | opt-66b | opt-175b)", name)
+}

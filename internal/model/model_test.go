@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -101,6 +102,18 @@ func TestGPUByName(t *testing.T) {
 	}
 	if _, err := GPUByName("H100"); err == nil {
 		t.Error("unknown GPU accepted")
+	}
+}
+
+func TestByName(t *testing.T) {
+	for name, want := range map[string]string{"opt-13b": "OPT-13B", "opt-66b": "OPT-66B", "opt-175b": "OPT-175B"} {
+		c, err := ByName(name)
+		if err != nil || c.Name != want {
+			t.Errorf("ByName(%q) = %v, %v", name, c.Name, err)
+		}
+	}
+	if _, err := ByName("opt-30b"); err == nil || !strings.Contains(err.Error(), "opt-13b | opt-66b | opt-175b") {
+		t.Errorf("unknown model: err %v, want one naming the allowed values", err)
 	}
 }
 

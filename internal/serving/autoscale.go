@@ -34,17 +34,9 @@ type AutoscaleConfig struct {
 	// Interval is the control-loop period in simulated seconds (default 1).
 	Interval float64
 	// Policy decides scale-out/in/hold each step. Nil selects the classic
-	// backlog law parameterized by ScaleOutBacklog/ScaleInIdle below.
+	// backlog law with its default parameters (NewBacklogPolicy(0, 0)).
 	// Policies may be stateful: supply a fresh value per run.
 	Policy ScalePolicy
-	// ScaleOutBacklog parameterizes the default BacklogPolicy: activation
-	// triggers when pending requests per committed instance exceed it
-	// (default 2). Ignored when Policy is non-nil.
-	ScaleOutBacklog float64
-	// ScaleInIdle parameterizes the default BacklogPolicy: an instance idle
-	// for this many consecutive simulated seconds may deactivate
-	// (default 30). Ignored when Policy is non-nil.
-	ScaleInIdle float64
 	// SignalWindow is the time constant, in simulated seconds, of the
 	// exponential smoothing applied to the occupancy and KV-utilization
 	// signals (default 15).
@@ -71,7 +63,7 @@ func (c *AutoscaleConfig) setDefaults() {
 		c.Interval = 1
 	}
 	if c.Policy == nil {
-		c.Policy = NewBacklogPolicy(c.ScaleOutBacklog, c.ScaleInIdle)
+		c.Policy = NewBacklogPolicy(0, 0)
 	}
 	if c.SignalWindow <= 0 {
 		c.SignalWindow = 15

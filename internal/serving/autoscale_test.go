@@ -57,10 +57,9 @@ func TestAutoscalerScalesOutAndIn(t *testing.T) {
 	sys, err := New(g, dep, Options{
 		MaxDecodeBatch: 8, // tight batches force backlog under the burst
 		Autoscale: &AutoscaleConfig{
-			InitialActive:   1,
-			ScaleOutBacklog: 1,
-			ScaleInIdle:     10,
-			Interval:        0.5,
+			InitialActive: 1,
+			Policy:        NewBacklogPolicy(1, 10),
+			Interval:      0.5,
 		},
 	})
 	if err != nil {
@@ -129,10 +128,9 @@ func TestAutoscalerActivationDelay(t *testing.T) {
 	dep := scaleDeployment(t, g)
 	sys, err := New(g, dep, Options{
 		Autoscale: &AutoscaleConfig{
-			InitialActive:   1,
-			ScaleOutBacklog: 1,
-			WeightLoadBW:    1, // ~forever
-			ScaleInIdle:     1e6,
+			InitialActive: 1,
+			Policy:        NewBacklogPolicy(1, 1e6),
+			WeightLoadBW:  1, // ~forever
 		},
 	})
 	if err != nil {
@@ -156,7 +154,7 @@ func TestAutoscalerRespectsMinActive(t *testing.T) {
 		Autoscale: &AutoscaleConfig{
 			InitialActive: 2,
 			MinActive:     2,
-			ScaleInIdle:   0.5,
+			Policy:        NewBacklogPolicy(0, 0.5),
 			Interval:      0.25,
 		},
 	})
@@ -202,7 +200,7 @@ func TestAutoscalerScaleInFromSimStart(t *testing.T) {
 		Autoscale: &AutoscaleConfig{
 			InitialActive: 3,
 			MinActive:     1,
-			ScaleInIdle:   10,
+			Policy:        NewBacklogPolicy(0, 10),
 			Interval:      0.5,
 		},
 	})
@@ -286,8 +284,9 @@ func TestAutoscalerMinActiveAboveFleet(t *testing.T) {
 		Autoscale: &AutoscaleConfig{
 			InitialActive: 1,
 			MinActive:     5, // fleet is 3
-			ScaleInIdle:   1, // aggressive: the floor alone must hold the fleet
-			Interval:      0.5,
+			// Aggressive scale-in: the floor alone must hold the fleet.
+			Policy:   NewBacklogPolicy(0, 1),
+			Interval: 0.5,
 		},
 	})
 	if err != nil {
@@ -315,10 +314,9 @@ func TestAutoscalerGPUSecondsLedger(t *testing.T) {
 		MaxDecodeBatch: 8,
 		Telemetry:      hub,
 		Autoscale: &AutoscaleConfig{
-			InitialActive:   1,
-			ScaleOutBacklog: 1,
-			ScaleInIdle:     10,
-			Interval:        0.5,
+			InitialActive: 1,
+			Policy:        NewBacklogPolicy(1, 10),
+			Interval:      0.5,
 		},
 	})
 	if err != nil {

@@ -37,10 +37,9 @@ func runScaleLedger(t *testing.T, cfg *AutoscaleConfig) (*Results, *decisions.Le
 
 func scaleCfg() *AutoscaleConfig {
 	return &AutoscaleConfig{
-		InitialActive:   1,
-		ScaleOutBacklog: 1,
-		ScaleInIdle:     10,
-		Interval:        0.5,
+		InitialActive: 1,
+		Policy:        NewBacklogPolicy(1, 10),
+		Interval:      0.5,
 	}
 }
 

@@ -103,11 +103,10 @@ func TestQuickAutoscalerInvariants(t *testing.T) {
 		sys, err := New(g, dep, Options{
 			MaxDecodeBatch: rng.Intn(12) + 2,
 			Autoscale: &AutoscaleConfig{
-				InitialActive:   rng.Intn(3) + 1,
-				MinActive:       1,
-				ScaleOutBacklog: float64(rng.Intn(3) + 1),
-				ScaleInIdle:     float64(rng.Intn(20) + 1),
-				Interval:        0.25 + rng.Float64(),
+				InitialActive: rng.Intn(3) + 1,
+				MinActive:     1,
+				Policy:        NewBacklogPolicy(float64(rng.Intn(3)+1), float64(rng.Intn(20)+1)),
+				Interval:      0.25 + rng.Float64(),
 			},
 		})
 		if err != nil {

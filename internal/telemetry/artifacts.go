@@ -6,53 +6,57 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 )
 
-// Artifacts is a command's telemetry plumbing: where the span stream goes,
-// the daemon listener, and the metrics export at the end of the run. Every
-// CLI wires its runs through it, so they all pick the trace writer the same
-// way.
+// File names of a run bundle that every command writes. A command adds its
+// per-run documents next to them, each under the name its reader expects
+// (see cmd/hstat).
+const (
+	SpansFile       = "spans.json"
+	PromFile        = "metrics.prom"
+	OpenMetricsFile = "metrics.om"
+)
+
+// Artifacts is a command's telemetry plumbing: the run bundle directory,
+// where the span stream goes, and the daemon listener. Every CLI wires its
+// runs through it, so they all pick the trace writer the same way and write
+// the same bundle layout.
 type Artifacts struct {
 	Hub *Hub
 	// Server is the daemon serving the hub over HTTP, nil without one.
 	Server *Server
-	// TraceOut streams the spans to this file. Without it they stream into
-	// the daemon's TraceSink, and without a daemon nowhere.
-	TraceOut string
-	// MetricsOut receives the final metrics in MetricsFormat.
-	MetricsOut    string
-	MetricsFormat string
+	// Dir is the run bundle. The spans stream to Dir/spans.json and the final
+	// metrics land in Dir/metrics.prom and Dir/metrics.om. Without a Dir the
+	// spans stream into the daemon's TraceSink, and without a daemon nowhere.
+	Dir string
 	// Status receives the lines that report the exports.
 	Status io.Writer
 
 	traceFile *os.File
 }
 
-// CheckMetricsFormat rejects a metrics exposition format other than prom
-// and openmetrics.
-func CheckMetricsFormat(format string) error {
-	if format != "prom" && format != "openmetrics" {
-		return fmt.Errorf("unknown -metrics-format %q (allowed: prom | openmetrics)", format)
-	}
-	return nil
-}
-
-// Start opens the span stream and, with a Server, listens on addr and
-// serves it in the background. It returns the bound address, nil without a
-// Server.
+// Start creates the bundle directory, opens the span stream and, with a
+// Server, listens on addr and serves it in the background. It returns the
+// bound address, nil without a Server. Start fails only on the bundle
+// directory and on addr, before the command has done any work.
 func (a *Artifacts) Start(addr string) (net.Addr, error) {
 	switch {
-	case a.TraceOut != "":
-		f, err := os.Create(a.TraceOut)
+	case a.Dir != "":
+		if err := os.MkdirAll(a.Dir, 0o755); err != nil {
+			return nil, fmt.Errorf("-out: %w", err)
+		}
+		path := filepath.Join(a.Dir, SpansFile)
+		f, err := os.Create(path)
 		if err != nil {
-			return nil, fmt.Errorf("trace export: %w", err)
+			return nil, fmt.Errorf("-out: %w", err)
 		}
 		a.traceFile = f
 		if err := a.Hub.Trace.StreamTo(f); err != nil {
 			return nil, fmt.Errorf("trace export: %w", err)
 		}
 		if a.Server != nil {
-			a.Server.SetTraceFile(a.TraceOut)
+			a.Server.SetTraceFile(path)
 		}
 	case a.Server != nil:
 		if err := a.Hub.Trace.StreamTo(a.Server.TraceSink()); err != nil {
@@ -74,40 +78,46 @@ func (a *Artifacts) Start(addr string) (net.Addr, error) {
 	return ln.Addr(), nil
 }
 
-// Finish completes the span file and writes the metrics export, reporting
-// each on Status.
-func (a *Artifacts) Finish() error {
-	if a.traceFile != nil {
-		if err := a.Hub.Trace.CloseStream(); err != nil {
-			return fmt.Errorf("trace export: %w", err)
-		}
-		if err := a.traceFile.Close(); err != nil {
-			return fmt.Errorf("trace export: %w", err)
-		}
-		fmt.Fprintf(a.Status, "streamed %d trace events to %s\n", a.Hub.Trace.Len(), a.TraceOut)
+// Export writes one document of the bundle, Dir/file, and reports it on
+// Status. Without a Dir it writes nothing.
+func (a *Artifacts) Export(file string, write func(io.Writer) error) error {
+	if a.Dir == "" {
+		return nil
 	}
-	if a.MetricsOut != "" {
-		write := a.Hub.Metrics.WriteProm
-		if a.MetricsFormat == "openmetrics" {
-			write = a.Hub.Metrics.WriteOpenMetrics
-		}
-		if err := ExportFile(a.MetricsOut, write); err != nil {
-			return fmt.Errorf("metrics export: %w", err)
-		}
-		fmt.Fprintf(a.Status, "wrote metrics (%s) to %s\n", a.MetricsFormat, a.MetricsOut)
-	}
-	return nil
-}
-
-// ExportFile writes one telemetry artifact to path via its writer function.
-func ExportFile(path string, write func(io.Writer) error) error {
+	path := filepath.Join(a.Dir, file)
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	if err := write(f); err != nil {
 		f.Close()
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	if err := f.Close(); err != nil {
 		return err
 	}
-	return f.Close()
+	fmt.Fprintf(a.Status, "wrote %s\n", path)
+	return nil
+}
+
+// Finish completes the span file and writes the metrics in both
+// expositions, reporting each on Status. Without a Dir it does nothing.
+func (a *Artifacts) Finish() error {
+	if a.Dir == "" {
+		return nil
+	}
+	if err := a.Hub.Trace.CloseStream(); err != nil {
+		return fmt.Errorf("trace export: %w", err)
+	}
+	if err := a.traceFile.Close(); err != nil {
+		return fmt.Errorf("trace export: %w", err)
+	}
+	fmt.Fprintf(a.Status, "streamed %d trace events to %s\n", a.Hub.Trace.Len(), a.traceFile.Name())
+	if err := a.Export(PromFile, a.Hub.Metrics.WriteProm); err != nil {
+		return fmt.Errorf("metrics export: %w", err)
+	}
+	if err := a.Export(OpenMetricsFile, a.Hub.Metrics.WriteOpenMetrics); err != nil {
+		return fmt.Errorf("metrics export: %w", err)
+	}
+	return nil
 }

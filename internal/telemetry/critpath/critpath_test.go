@@ -268,7 +268,7 @@ func TestFromTraceErrors(t *testing.T) {
 
 // FuzzFromTrace: FromTrace never panics, and a trace it accepts yields a
 // report that renders and diffs without panicking. The seed is a two-request
-// serve -trace-out export.
+// serve -out spans.json.
 func FuzzFromTrace(f *testing.F) {
 	seed, err := os.ReadFile("testdata/spans.json")
 	if err != nil {

@@ -12,6 +12,10 @@ import (
 // of Ledger.WriteJSON under it.
 const Route = "/decisions"
 
+// File is the document's name in a run bundle (serve -out), where hstat
+// decisions finds it.
+const File = "decisions.json"
+
 // InstallDecisions registers the /decisions document route on a telemetry
 // daemon server:
 //

@@ -412,15 +412,15 @@ func (s *Server) serveTrace(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RUnlock()
 	switch {
 	case len(body) > 0:
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Content-Disposition", `attachment; filename="spans.json"`)
+		w.Header().Set("Content-Type", jsonContentType)
+		w.Header().Set("Content-Disposition", `attachment; filename="`+SpansFile+`"`)
 		w.Write(body)
 		io.WriteString(w, docSuffix)
 	case file != "":
-		http.Error(w, fmt.Sprintf("trace is streaming to %s; no in-memory snapshot", file),
-			http.StatusConflict)
+		writeJSONError(w, http.StatusConflict,
+			fmt.Sprintf("trace is streaming to %s; no in-memory snapshot", file))
 	default:
-		http.Error(w, "no trace snapshot published yet", http.StatusNotFound)
+		writeJSONError(w, http.StatusNotFound, "no trace snapshot published yet")
 	}
 }
 

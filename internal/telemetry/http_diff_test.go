@@ -86,18 +86,7 @@ func TestServerRunsDiff(t *testing.T) {
 		"/runs/diff?a=0&b=1":           http.StatusNotFound,
 	} {
 		resp, body := get(t, ts.URL+path)
-		if resp.StatusCode != want {
-			t.Errorf("%s status %d, want %d", path, resp.StatusCode, want)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != jsonContentType {
-			t.Errorf("%s Content-Type %q, want %q", path, ct, jsonContentType)
-		}
-		var e struct {
-			Error string `json:"error"`
-		}
-		if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
-			t.Errorf("%s body %q is not a JSON error (%v)", path, body, err)
-		}
+		wantJSONError(t, path, resp, body, want)
 	}
 }
 

@@ -44,6 +44,24 @@ func get(t *testing.T, url string) (*http.Response, []byte) {
 	return resp, body
 }
 
+// wantJSONError fails unless a response is a JSON {"error": ...} body with
+// the given status, like every error of the daemon's JSON routes.
+func wantJSONError(t *testing.T, path string, resp *http.Response, body []byte, status int) {
+	t.Helper()
+	if resp.StatusCode != status {
+		t.Errorf("%s status %d, want %d", path, resp.StatusCode, status)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != jsonContentType {
+		t.Errorf("%s Content-Type %q, want %q", path, ct, jsonContentType)
+	}
+	var e struct {
+		Error string `json:"error"`
+	}
+	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+		t.Errorf("%s body %q is not a JSON error (%v)", path, body, err)
+	}
+}
+
 func TestServerEndpoints(t *testing.T) {
 	clock := 12.5
 	srv := NewServer()
@@ -153,6 +171,9 @@ func traceEvents(t *testing.T, url string) []Event {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("/trace status %d: %s", resp.StatusCode, body)
 	}
+	if ct := resp.Header.Get("Content-Type"); ct != jsonContentType {
+		t.Errorf("/trace Content-Type %q, want %q", ct, jsonContentType)
+	}
 	var doc struct {
 		TraceEvents []Event `json:"traceEvents"`
 	}
@@ -171,9 +192,8 @@ func TestServerTraceServesPublishedPrefix(t *testing.T) {
 	h := testHub(&clock, srv)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	if resp, _ := get(t, ts.URL+"/trace"); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("/trace before any publish: status %d", resp.StatusCode)
-	}
+	resp, body := get(t, ts.URL+"/trace")
+	wantJSONError(t, "/trace before any publish", resp, body, http.StatusNotFound)
 	if err := srv.PublishHub(h); err != nil {
 		t.Fatal(err)
 	}
@@ -212,9 +232,7 @@ func TestServerTraceWhileStreamingToDisk(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 	resp, body := get(t, ts.URL+"/trace")
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("/trace while streaming: status %d", resp.StatusCode)
-	}
+	wantJSONError(t, "/trace while streaming", resp, body, http.StatusConflict)
 	if !strings.Contains(string(body), "spans.json") {
 		t.Errorf("/trace conflict should name the file, got %q", body)
 	}

@@ -11,6 +11,10 @@ import (
 // Report.WriteJSON under it.
 const Route = "/perf"
 
+// File is the document's name in a run bundle (serve -out), where hstat
+// perf finds it.
+const File = "perf.json"
+
 // InstallPerf registers the /perf document route on the daemon server. It
 // takes no filters: the stored report is served verbatim.
 func InstallPerf(srv *telemetry.Server) {

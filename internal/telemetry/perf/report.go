@@ -63,8 +63,8 @@ type NetsimReport struct {
 	FlowsHistogram  []HistBucket `json:"flows_histogram"`
 }
 
-// Report is one run's rendered perf observation: the -perf-out document, the
-// /perf payload, and hstat perf's input. All wall-clock derived fields are
+// Report is one run's rendered perf observation: a run bundle's perf.json,
+// the /perf payload, and hstat perf's input. All wall-clock derived fields are
 // nondeterministic by nature, which is why the report lives strictly outside
 // every golden surface.
 type Report struct {
@@ -159,7 +159,7 @@ func (s *Sampler) Report(system string) *Report {
 	return r
 }
 
-// WriteJSON writes the report as indented JSON, the -perf-out format.
+// WriteJSON writes the report as indented JSON, the perf.json format.
 func (r *Report) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

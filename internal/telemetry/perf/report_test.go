@@ -24,7 +24,7 @@ func TestFprintClampsOutOfRangePhases(t *testing.T) {
 
 // FuzzReadReport: ReadReport never panics; a report it accepts renders
 // without panicking and survives WriteJSON→ReadReport→WriteJSON byte for
-// byte. The seed report is a serve -perf-out export.
+// byte. The seed report is a serve -out perf.json.
 func FuzzReadReport(f *testing.F) {
 	seed, err := os.ReadFile("testdata/report.json")
 	if err != nil {

@@ -14,8 +14,8 @@
 //     and therefore every deterministic surface (.prom, the span trace,
 //     trace.tsv, decisions.tsv, alerts.tsv) — is byte-identical with
 //     sampling on or off, on both the fast and reference simulator paths.
-//     scripts/golden.sh runs the pinned matrix with -perf-out enabled to
-//     prove it continuously.
+//     scripts/golden.sh runs the pinned matrix with the sampler armed (every
+//     serve -out run arms it) to prove it continuously.
 //
 //   - Overhead. Wall-clock reads are strided: only every SampleEvery-th
 //     event is timed, so the steady-state per-event cost is two interface
@@ -28,7 +28,7 @@
 //
 // Wall-clock data is inherently nondeterministic, which is exactly why it
 // lives here and never inside a deterministic surface: the Report goes only
-// to its own JSON file (-perf-out) and its own daemon endpoint (/perf).
+// to its own bundle file (perf.json) and its own daemon endpoint (/perf).
 package perf
 
 import (

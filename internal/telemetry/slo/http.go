@@ -12,6 +12,10 @@ import (
 // Monitor.WriteLog under it.
 const Route = "/alerts"
 
+// File is the document's name in a run bundle (serve -out), where hstat
+// slo finds it.
+const File = "alerts.json"
+
 // InstallAlerts registers the /alerts document route on a telemetry daemon
 // server:
 //

@@ -60,8 +60,8 @@ type Meta struct {
 	Evicted int     `json:"evicted,omitempty"`
 }
 
-// Log is the serializable alert log: what -alerts-out writes, /alerts serves,
-// and hstat alerts reads.
+// Log is the serializable alert log: a run bundle's alerts.json, what
+// /alerts serves, and what hstat alerts reads.
 type Log struct {
 	Meta   Meta    `json:"meta"`
 	Alerts []Alert `json:"alerts"`

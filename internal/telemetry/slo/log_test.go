@@ -224,7 +224,7 @@ func TestTimelineAndDiffRender(t *testing.T) {
 
 // FuzzReadLog: ReadLog never panics; a log it accepts summarizes, filters
 // and renders without panicking and survives WriteJSON→ReadLog→WriteJSON
-// byte for byte. The seed log is a serve -alerts-out export.
+// byte for byte. The seed log is a serve -out alerts.json.
 func FuzzReadLog(f *testing.F) {
 	seed, err := os.ReadFile("testdata/alerts.json")
 	if err != nil {

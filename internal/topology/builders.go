@@ -247,3 +247,24 @@ func Pod2Tracks(servers int) *Graph {
 func Pod8Tracks(servers int) *Graph {
 	return Pod(PodConfig{Servers: servers, Tracks: 8, ServersPerGroup: 16})
 }
+
+// ByName builds the topology a command line names: the testbed, or a pod2
+// or pod8 pod of the given server count (the testbed ignores it). A pod needs
+// at least two servers, so that it splits into a prefill and a decode pool.
+func ByName(name string, servers int) (*Graph, error) {
+	var pod func(int) *Graph
+	switch name {
+	case "testbed":
+		return Testbed(), nil
+	case "pod2":
+		pod = Pod2Tracks
+	case "pod8":
+		pod = Pod8Tracks
+	default:
+		return nil, fmt.Errorf("unknown topology %q (allowed: testbed | pod2 | pod8)", name)
+	}
+	if servers < 2 {
+		return nil, fmt.Errorf("a pod needs at least 2 servers (one prefill and one decode), got %d", servers)
+	}
+	return pod(servers), nil
+}

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -191,6 +192,28 @@ func TestPodPanicsWithoutServers(t *testing.T) {
 		}
 	}()
 	Pod(PodConfig{})
+}
+
+func TestByName(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		servers int
+		gpus    int
+	}{{"testbed", 0, 16}, {"pod2", 2, 16}, {"pod8", 3, 24}} {
+		g, err := ByName(c.name, c.servers)
+		if err != nil || len(g.GPUs()) != c.gpus {
+			t.Errorf("ByName(%q, %d): err %v, want %d GPUs", c.name, c.servers, err, c.gpus)
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		servers int
+		want    string
+	}{{"pod4", 12, "testbed | pod2 | pod8"}, {"pod8", 1, "at least 2 servers"}, {"pod2", 0, "at least 2 servers"}} {
+		if _, err := ByName(c.name, c.servers); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("ByName(%q, %d): err %v, want one containing %q", c.name, c.servers, err, c.want)
+		}
+	}
 }
 
 func TestPCIeFallbackServer(t *testing.T) {

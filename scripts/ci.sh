@@ -53,50 +53,58 @@ go test -run '^$' -fuzz '^FuzzFromTrace$' -fuzztime 10s -fuzzminimizetime 1s ./i
 echo "== bench module tests"
 (cd bench && go test ./...)
 
-# Telemetry artifact smoke: a small end-to-end serve run must export a
-# non-empty, well-formed Chrome trace and Prometheus metrics. Artifacts
-# land in ARTIFACT_DIR (a temp dir by default) for CI upload.
+# Telemetry artifact smoke: one small end-to-end serve run writes its run
+# bundle, which feeds the telemetry, critical-path and perf smokes below. It
+# must hold a non-empty, well-formed Chrome trace and both metrics
+# expositions. Artifacts land in ARTIFACT_DIR (a temp dir by default) for CI
+# upload.
 echo "== telemetry smoke"
 ART="${ARTIFACT_DIR:-$(mktemp -d)}"
 mkdir -p "$ART"
 go run ./cmd/tracegen -kind chatbot -n 40 -rate 4 -seed 7 > "$ART/trace.json"
 go run ./cmd/serve -trace "$ART/trace.json" -system heroserve -topology testbed \
-	-model opt-13b -trace-out "$ART/spans.json" -metrics-out "$ART/metrics.prom"
+	-model opt-13b -out "$ART/run"
 if command -v jq >/dev/null 2>&1; then
-	jq -e '.traceEvents | length > 0' "$ART/spans.json" >/dev/null
+	jq -e '.traceEvents | length > 0' "$ART/run/spans.json" >/dev/null
 else
-	python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert d['traceEvents']" "$ART/spans.json"
+	python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert d['traceEvents']" "$ART/run/spans.json"
 fi
-test -s "$ART/metrics.prom"
-grep -q '^serving_requests_completed_total' "$ART/metrics.prom"
-# The self-profiler is a pure observer: the same run with -perf-out armed
-# must stream the same span bytes.
-go run ./cmd/serve -trace "$ART/trace.json" -system heroserve -topology testbed \
-	-model opt-13b -trace-out "$ART/spans-perf.json" -perf-out "$ART/spans-perf.perf.json" > /dev/null
-cmp "$ART/spans.json" "$ART/spans-perf.json"
+test -s "$ART/run/metrics.prom"
+grep -q '^serving_requests_completed_total' "$ART/run/metrics.prom"
 # heroserve takes the same artifact path: every serving run of an experiment
 # (here the ablation variants) streams spans that hstat can decompose, and
 # reaches the metrics export; the report alone goes to stdout.
-go run ./cmd/heroserve -exp ablations -format json -trace-out "$ART/hero-spans.json" \
-	-metrics-out "$ART/hero-metrics.prom" > "$ART/hero-ablations.json"
+go run ./cmd/heroserve -exp ablations -format json -out "$ART/hero" > "$ART/hero-ablations.json"
 python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert d['tables'][0]['rows']" "$ART/hero-ablations.json"
-grep -q '^serving_requests_completed_total' "$ART/hero-metrics.prom"
-go run ./cmd/hstat trace "$ART/hero-spans.json" > "$ART/hero-critpath.txt"
+grep -q '^serving_requests_completed_total' "$ART/hero/metrics.prom"
+go run ./cmd/hstat trace "$ART/hero" > "$ART/hero-critpath.txt"
 grep -q 'critical-path breakdown' "$ART/hero-critpath.txt"
 echo "telemetry artifacts: $ART"
 
-# Critical-path smoke: the same run re-exported as OpenMetrics must carry
+# Critical-path smoke: the bundle's OpenMetrics exposition must carry
 # exemplars and the EOF terminator; hstat must decompose the span export
 # into a stage report, and a self-diff must be zero.
 echo "== critical-path smoke"
-go run ./cmd/serve -trace "$ART/trace.json" -system heroserve -topology testbed \
-	-model opt-13b -metrics-format openmetrics -metrics-out "$ART/metrics.om" > /dev/null
-tail -1 "$ART/metrics.om" | grep -qx '# EOF'
-grep -q 'trace_id=' "$ART/metrics.om"
-grep -q '^ttft_critical_path_seconds_total{stage=' "$ART/metrics.om"
-go run ./cmd/hstat trace "$ART/spans.json" > "$ART/critpath.txt"
+tail -1 "$ART/run/metrics.om" | grep -qx '# EOF'
+grep -q 'trace_id=' "$ART/run/metrics.om"
+grep -q '^ttft_critical_path_seconds_total{stage=' "$ART/run/metrics.om"
+go run ./cmd/hstat trace "$ART/run" > "$ART/critpath.txt"
 grep -q 'critical-path breakdown' "$ART/critpath.txt"
-go run ./cmd/hstat trace -diff "$ART/spans.json" "$ART/spans.json" | grep -q 'delta +0.000000s'
+go run ./cmd/hstat trace -diff "$ART/run" "$ART/run" > "$ART/critpath-diff.txt"
+grep -q 'delta +0.000000s' "$ART/critpath-diff.txt"
+
+# Perf-observatory smoke: the bundle's self-profiling report must render in
+# hstat, and the summary must name the headline rates. The report is
+# nondeterministic wall-clock data, so only its presence and shape are
+# asserted — never its values.
+echo "== perf smoke"
+test -s "$ART/run/perf.json"
+go run ./cmd/hstat perf "$ART/run" > "$ART/perf.txt"
+grep -q 'events/s' "$ART/perf.txt"
+grep -q 'wall-seconds per sim-second' "$ART/perf.txt"
+grep -q 'phase split of wall-clock' "$ART/perf.txt"
+go run ./cmd/hstat perf -diff "$ART/run" "$ART/run" > "$ART/perf-diff.txt"
+grep -q 'events/s' "$ART/perf-diff.txt"
 
 # Decision-ledger smoke: an autoscaled run must export a ledger whose
 # counterfactual tables hstat can render; a self-diff must be zero
@@ -104,14 +112,14 @@ go run ./cmd/hstat trace -diff "$ART/spans.json" "$ART/spans.json" | grep -q 'de
 # regret (the table pick IS the argmin).
 echo "== decision-ledger smoke"
 go run ./cmd/serve -trace "$ART/trace.json" -system heroserve -topology testbed \
-	-model opt-13b -autoscale -scale-policy hybrid-slo \
-	-decisions-out "$ART/decisions.json" > /dev/null
-go run ./cmd/hstat decisions "$ART/decisions.json" > "$ART/decisions.txt"
+	-model opt-13b -autoscale -scale-policy hybrid-slo -out "$ART/autoscaled" > /dev/null
+go run ./cmd/hstat decisions "$ART/autoscaled" > "$ART/decisions.txt"
 grep -q 'decision ledger:' "$ART/decisions.txt"
 grep -q 'counterfactual cost of always forcing a scheme' "$ART/decisions.txt"
 grep -q 'shadow ranking' "$ART/decisions.txt"
 grep -q '^execution regret 0s total' "$ART/decisions.txt"
-go run ./cmd/hstat decisions -diff "$ART/decisions.json" "$ART/decisions.json" | grep -q 'collective .* (+0)'
+go run ./cmd/hstat decisions -diff "$ART/autoscaled" "$ART/autoscaled" > "$ART/decisions-diff.txt"
+grep -q 'collective .* (+0)' "$ART/decisions-diff.txt"
 
 # SLO-alert smoke: an overdriven run must fire an alert that walks the full
 # lifecycle (pending -> FIRING -> resolved) with a cause snapshot, hstat
@@ -119,13 +127,15 @@ go run ./cmd/hstat decisions -diff "$ART/decisions.json" "$ART/decisions.json" |
 echo "== slo-alert smoke"
 go run ./cmd/tracegen -kind chatbot -n 80 -rate 12 -seed 7 > "$ART/burst.json"
 go run ./cmd/serve -trace "$ART/burst.json" -system heroserve -topology testbed \
-	-model opt-13b -seed 7 -alerts-out "$ART/alerts.json" > /dev/null
-go run ./cmd/hstat alerts "$ART/alerts.json" > "$ART/alerts.txt"
+	-model opt-13b -seed 7 -out "$ART/burst" > /dev/null
+go run ./cmd/hstat alerts "$ART/burst" > "$ART/alerts.txt"
 grep -q 'FIRING' "$ART/alerts.txt"
 grep -q 'resolved' "$ART/alerts.txt"
 grep -q 'dominant' "$ART/alerts.txt"
-go run ./cmd/hstat alerts -summary "$ART/alerts.json" | grep -q '1 fired / 1 resolved'
-go run ./cmd/hstat alerts -diff "$ART/alerts.json" "$ART/alerts.json" | grep -q 'fired 1 -> 1 (+0)'
+go run ./cmd/hstat alerts -summary "$ART/burst" > "$ART/alerts-summary.txt"
+grep -q '1 fired / 1 resolved' "$ART/alerts-summary.txt"
+go run ./cmd/hstat alerts -diff "$ART/burst" "$ART/burst" > "$ART/alerts-diff.txt"
+grep -q 'fired 1 -> 1 (+0)' "$ART/alerts-diff.txt"
 
 # Scaling-study smoke: the ext-scale scoreboard must run end to end in both
 # machine formats. The CSV must carry the static reference plus every policy;
@@ -138,7 +148,7 @@ for policy in static-full backlog occupancy kv-headroom hybrid-slo alert-aware a
 done
 go run ./cmd/heroserve -exp ext-scale -format json -seed 1 > "$ART/ext-scale.json"
 python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert d['tables'][0]['rows']" "$ART/ext-scale.json"
-python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert any(r.get('policy')=='adaptive' for t in d['tables'] for r in t['rows'])" "$ART/ext-scale.json"
+python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert any(r[t['columns'].index('policy')]=='adaptive' for t in d['tables'] if 'policy' in t['columns'] for r in t['rows'])" "$ART/ext-scale.json"
 
 # Closed-loop smoke: the adaptive meta-policy under the default SLO rules
 # must leave a ledger whose records name the active sub-law, and the alert
@@ -147,11 +157,10 @@ python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert any(r.get('p
 # their driving signal in the hstat decisions roll-up.
 echo "== closed-loop smoke"
 go run ./cmd/serve -trace "$ART/burst.json" -system heroserve -topology testbed \
-	-model opt-13b -seed 7 -autoscale -scale-policy adaptive \
-	-decisions-out "$ART/adaptive.json" -alerts-out "$ART/adaptive-alerts.json" > /dev/null
-go run ./cmd/hstat decisions "$ART/adaptive.json" > "$ART/adaptive.txt"
+	-model opt-13b -seed 7 -autoscale -scale-policy adaptive -out "$ART/adaptive" > /dev/null
+go run ./cmd/hstat decisions "$ART/adaptive" > "$ART/adaptive.txt"
 grep -q 'decision ledger:' "$ART/adaptive.txt"
-python3 - "$ART/adaptive.json" <<'PY'
+python3 - "$ART/adaptive/decisions.json" <<'PY'
 import json, sys
 d = json.load(open(sys.argv[1]))
 scale = d.get("scale") or []
@@ -161,20 +170,6 @@ for r in scale:
     if r.get("switch"):
         assert r.get("switch_signal") in ("alert", "stage-share", "regret"), r
 PY
-
-# Perf-observatory smoke: a run with the self-profiler armed must export a
-# report that hstat can render, and the summary must name the headline
-# rates. The report is nondeterministic wall-clock data, so only its
-# presence and shape are asserted — never its values.
-echo "== perf smoke"
-go run ./cmd/serve -trace "$ART/trace.json" -system heroserve -topology testbed \
-	-model opt-13b -seed 7 -perf-out "$ART/perf.json" > /dev/null
-test -s "$ART/perf.json"
-go run ./cmd/hstat perf "$ART/perf.json" > "$ART/perf.txt"
-grep -q 'events/s' "$ART/perf.txt"
-grep -q 'wall-seconds per sim-second' "$ART/perf.txt"
-grep -q 'phase split of wall-clock' "$ART/perf.txt"
-go run ./cmd/hstat perf -diff "$ART/perf.json" "$ART/perf.json" | grep -q 'events/s'
 
 # Golden-metrics gate: the pinned seed matrix must reproduce the checked-in
 # expositions byte for byte. On drift the per-case diffs land in the

@@ -27,13 +27,13 @@
 # Requires jq; skipped with a warning when jq is missing.
 #
 # Each case further pins the decision-ledger summary ($name.decisions.tsv,
-# rendered by hstat decisions -tsv from the run's -decisions-out export): the
+# rendered by hstat decisions -tsv from the run bundle's decisions.json): the
 # per-scheme counterfactual regret totals and the scale laws' shadow verdict
 # matrix. Under refcheck the reference simulator paths must reproduce the
 # SAME decision ledgers — counterfactual costs included — bit for bit.
 #
 # Each case finally pins the SLO alert log ($name.alerts.tsv, rendered by
-# hstat alerts -tsv from the run's -alerts-out export): every alert's lifecycle
+# hstat alerts -tsv from the run bundle's alerts.json): every alert's lifecycle
 # stamps and the per-rule roll-up. Refcheck identity applies here too — the
 # reference paths must fire and resolve the SAME alerts at the SAME sim-times.
 set -euo pipefail
@@ -87,36 +87,31 @@ cases() {
 	echo 'heroserve-pod8-summarization|-kind summarization -n 12 -rate 0.5 -seed 11|-system heroserve -topology pod8 -servers 24 -model opt-66b -seed 11 -elephants 4 -ttft 25 -tpot 0.2 -batch 1'
 }
 
-# produce NAME TRACEGEN_ARGS SERVE_ARGS: run the case, normalize the
-# exposition into $OUT_DIR/NAME.prom and the trace aggregates into
-# $OUT_DIR/NAME.trace.tsv (when jq is available).
+# produce NAME TRACEGEN_ARGS SERVE_ARGS: run the case into the bundle
+# $OUT_DIR/NAME/, normalize its exposition into $OUT_DIR/NAME.prom and the
+# trace aggregates into $OUT_DIR/NAME.trace.tsv (when jq is available).
 produce() {
-	local name=$1 tg=$2 sv=$3
+	local name=$1 tg=$2 sv=$3 bundle="$OUT_DIR/$1"
 	# shellcheck disable=SC2086 # word-splitting of the arg strings is intended
 	"$BIN/tracegen" $tg > "$OUT_DIR/$name.trace.json"
 	# shellcheck disable=SC2086
-	# -perf-out arms the performance observatory on every golden run: the
-	# report itself is nondeterministic wall-clock data (never compared), but
+	# -out arms the performance observatory on every golden run: the report
+	# itself is nondeterministic wall-clock data (never compared), but
 	# producing the goldens WITH sampling enabled is the standing proof that
 	# the sampler perturbs no golden surface.
-	"$BIN/serve" -trace "$OUT_DIR/$name.trace.json" $sv \
-		-metrics-out "$OUT_DIR/$name.raw.prom" \
-		-trace-out "$OUT_DIR/$name.spans.json" \
-		-decisions-out "$OUT_DIR/$name.decisions.json" \
-		-alerts-out "$OUT_DIR/$name.alerts.json" \
-		-perf-out "$OUT_DIR/$name.perf.json" > /dev/null
-	if [[ ! -s "$OUT_DIR/$name.perf.json" ]]; then
+	"$BIN/serve" -trace "$OUT_DIR/$name.trace.json" $sv -out "$bundle" > /dev/null
+	if [[ ! -s "$bundle/perf.json" ]]; then
 		echo "golden: FAIL $name produced no perf report" >&2
 		exit 1
 	fi
-	LC_ALL=C sort "$OUT_DIR/$name.raw.prom" > "$OUT_DIR/$name.prom"
-	"$BIN/hstat" decisions -tsv "$OUT_DIR/$name.decisions.json" > "$OUT_DIR/$name.decisions.tsv"
-	"$BIN/hstat" alerts -tsv "$OUT_DIR/$name.alerts.json" > "$OUT_DIR/$name.alerts.tsv"
+	LC_ALL=C sort "$bundle/metrics.prom" > "$OUT_DIR/$name.prom"
+	"$BIN/hstat" decisions -tsv "$bundle" > "$OUT_DIR/$name.decisions.tsv"
+	"$BIN/hstat" alerts -tsv "$bundle" > "$OUT_DIR/$name.alerts.tsv"
 	if [[ $HAVE_JQ -eq 1 ]]; then
 		{
 			for q in queue allreduce stages; do
 				echo "## $q"
-				scripts/tracequery.sh "$q" "$OUT_DIR/$name.spans.json"
+				scripts/tracequery.sh "$q" "$bundle/spans.json"
 			done
 		} > "$OUT_DIR/$name.trace.tsv"
 	fi

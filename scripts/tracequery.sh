@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Canned jq queries over a Chrome trace-event export (cmd/serve -trace-out,
-# cmd/heroserve -trace-out, or `curl .../trace` from a daemon).
+# Canned jq queries over a Chrome trace-event export (spans.json in a
+# cmd/serve or cmd/heroserve -out bundle, or `curl .../trace` from a daemon).
 #
 #   scripts/tracequery.sh queue     spans.json   # p50/p99 queue-span duration by process (system/policy)
 #   scripts/tracequery.sh allreduce spans.json   # all-reduce count/mean/p99 by scheme

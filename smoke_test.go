@@ -171,12 +171,12 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"serve", []string{"-trace", trace, "-topology", "pod8", "-servers", "0"}},
 		{"serve", []string{"-trace", trace, "-topology", "pod2", "-servers", "1"}},
 		{"serve", []string{"-trace", trace, "-batch", "0"}},
-		{"serve", []string{"-trace", trace, "-metrics-format", "bogus"}},
+		{"serve", []string{"-trace", trace, "-out", trace}},
 		{"heroserve", nil},
 		{"heroserve", []string{"-exp", "bogus"}},
 		{"heroserve", []string{"-exp", "fig1", "-scale", "bogus"}},
 		{"heroserve", []string{"-exp", "fig1", "-format", "bogus"}},
-		{"heroserve", []string{"-exp", "fig1", "-metrics-format", "bogus"}},
+		{"heroserve", []string{"-exp", "fig1", "-out", trace}},
 		{"planner", []string{"-topology", "bogus"}},
 		{"planner", []string{"-model", "bogus"}},
 		{"planner", []string{"-workload", "bogus"}},
@@ -245,9 +245,9 @@ func TestObserversDoNotPerturbTheRun(t *testing.T) {
 	// metrics export. A daemon run is interrupted once its runs complete.
 	replay := func(name string, extra ...string) (served string, metrics []byte) {
 		t.Helper()
-		out := filepath.Join(dir, name+".prom")
+		out := filepath.Join(dir, name)
 		args := append([]string{"-trace", trace, "-system", "heroserve", "-topology", "testbed",
-			"-model", "opt-13b", "-seed", "7", "-metrics-out", out}, extra...)
+			"-model", "opt-13b", "-seed", "7", "-out", out}, extra...)
 		cmd := exec.Command(serve, args...)
 		stdout, err := cmd.StdoutPipe()
 		if err != nil {
@@ -271,7 +271,7 @@ func TestObserversDoNotPerturbTheRun(t *testing.T) {
 		if err := cmd.Wait(); err != nil {
 			t.Fatalf("serve %s: %v", name, err)
 		}
-		if metrics, err = os.ReadFile(out); err != nil {
+		if metrics, err = os.ReadFile(filepath.Join(out, "metrics.prom")); err != nil {
 			t.Fatal(err)
 		}
 		return served, metrics
@@ -331,10 +331,10 @@ func TestHeroserveTelemetryKeepsTheReport(t *testing.T) {
 		return out
 	}
 	plain := report()
-	prom := filepath.Join(dir, "m.prom")
-	armed := report("-metrics-out", prom)
+	bundle := filepath.Join(dir, "run")
+	armed := report("-out", bundle)
 	if !bytes.Equal(plain, armed) {
-		t.Errorf("-metrics-out changed stdout:\nplain:\n%s\narmed:\n%s", plain, armed)
+		t.Errorf("-out changed stdout:\nplain:\n%s\narmed:\n%s", plain, armed)
 	}
 	var rep struct {
 		Tables []struct {
@@ -344,11 +344,68 @@ func TestHeroserveTelemetryKeepsTheReport(t *testing.T) {
 	if err := json.Unmarshal(armed, &rep); err != nil || len(rep.Tables) == 0 || len(rep.Tables[0].Rows) == 0 {
 		t.Fatalf("armed stdout is not a JSON report (%v):\n%s", err, armed)
 	}
-	metrics, err := os.ReadFile(prom)
+	metrics, err := os.ReadFile(filepath.Join(bundle, "metrics.prom"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Contains(metrics, []byte("serving_requests_completed_total")) {
 		t.Errorf("metrics export lacks serving_requests_completed_total:\n%s", metrics)
+	}
+}
+
+// TestHstatReadsTheBundle: one serve -out run writes all six bundle files,
+// and every hstat kind reads the bundle directory exactly as it reads the
+// kind's file inside it, a self-diff included.
+func TestHstatReadsTheBundle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("smoke tests compile binaries")
+	}
+	dir := t.TempDir()
+	bins := map[string]string{}
+	for _, name := range []string{"serve", "hstat"} {
+		bins[name] = filepath.Join(dir, name)
+		if out, err := exec.Command("go", "build", "-o", bins[name], "./cmd/"+name).CombinedOutput(); err != nil {
+			t.Fatalf("go build ./cmd/%s: %v\n%s", name, err, out)
+		}
+	}
+	trace := filepath.Join(dir, "trace.json")
+	tf, err := os.Create(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := workload.NewGenerator(workload.Chatbot, 7).Generate(40, 4).Encode(tf); err != nil {
+		t.Fatal(err)
+	}
+	if err := tf.Close(); err != nil {
+		t.Fatal(err)
+	}
+	bundle := filepath.Join(dir, "run")
+	if out, err := exec.Command(bins["serve"], "-trace", trace, "-model", "opt-13b", "-seed", "7",
+		"-out", bundle).CombinedOutput(); err != nil {
+		t.Fatalf("serve -out: %v\n%s", err, out)
+	}
+	for _, file := range []string{"spans.json", "metrics.prom", "metrics.om", "decisions.json", "alerts.json", "perf.json"} {
+		if st, err := os.Stat(filepath.Join(bundle, file)); err != nil || st.Size() == 0 {
+			t.Errorf("bundle file %s: %v (empty or missing)", file, err)
+		}
+	}
+	hstat := func(args ...string) string {
+		t.Helper()
+		out, err := exec.Command(bins["hstat"], args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("hstat %v: %v\n%s", args, err, out)
+		}
+		return string(out)
+	}
+	for kind, file := range map[string]string{
+		"trace": "spans.json", "alerts": "alerts.json", "decisions": "decisions.json", "perf": "perf.json",
+	} {
+		path := filepath.Join(bundle, file)
+		if got, want := hstat(kind, bundle), hstat(kind, path); got != want {
+			t.Errorf("hstat %s on the bundle:\n%s\non %s:\n%s", kind, got, file, want)
+		}
+		if got, want := hstat(kind, "-diff", bundle, bundle), hstat(kind, "-diff", path, path); got != want {
+			t.Errorf("hstat %s -diff on the bundle:\n%s\non %s:\n%s", kind, got, file, want)
+		}
 	}
 }
