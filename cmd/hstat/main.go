@@ -9,13 +9,16 @@
 //	hstat alerts [-summary|-json|-tsv] [-rule r] [-state s] run/   # lifecycle timeline
 //	hstat decisions [-regret|-json|-tsv] run/      # counterfactual regret report
 //	hstat perf [-json] run/                        # where the simulator's wall-clock went
-//	hstat <kind> -diff before/ after/              # compare two artifacts of one kind
+//	hstat <kind> -diff [-json] before/ after/      # compare two artifacts of one kind
+//	hstat diff [-json] before/ after/              # compare every kind two bundles hold
 //
 // Each argument is a bundle directory, whose file of that kind is read, or a
-// file; "-" reads standard input. Bad input (an unknown kind, a
-// wrong file count, a missing or malformed file) prints one "hstat: ..." line
-// and exits 2. Output is deterministic for deterministic artifacts, so the
-// golden gate pins the alerts and decisions -tsv renderings.
+// file; "-" reads standard input. Every diff reduces each artifact to named
+// series and joins them with telemetry.DiffSeries, the join /runs/diff uses.
+// Bad input (an unknown kind, a wrong file count, a missing or malformed
+// file, a view flag given with -diff) prints one "hstat: ..." line and exits
+// 2. Output is deterministic for deterministic artifacts, so the golden gate
+// pins the alerts and decisions -tsv renderings.
 package main
 
 import (
@@ -25,7 +28,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"heroserve/internal/telemetry"
@@ -44,14 +46,15 @@ type opts struct {
 
 // A kind is one artifact type: its file name in a run bundle, its view flags
 // beyond -diff and -json, a loader for one file (returning a warning when the
-// artifact looks empty), and renderers for one artifact and for a pair.
+// artifact looks empty), a renderer for one artifact, and the artifact's
+// named series, which every diff joins with telemetry.DiffSeries.
 type kind struct {
-	file  string
-	usage string
-	flags func(fs *flag.FlagSet, o *opts)
-	load  func(r io.Reader, o *opts) (artifact any, warning string, err error)
-	view  func(w io.Writer, a any, o *opts) error
-	diff  func(w io.Writer, a, b any) error
+	file   string
+	usage  string
+	flags  func(fs *flag.FlagSet, o *opts)
+	load   func(r io.Reader, o *opts) (artifact any, warning string, err error)
+	view   func(w io.Writer, a any, o *opts) error
+	series func(a any) map[string]float64
 }
 
 var kinds = map[string]kind{
@@ -79,9 +82,7 @@ var kinds = map[string]kind{
 			}
 			return rep.Fprint(w)
 		},
-		diff: func(w io.Writer, a, b any) error {
-			return critpath.FprintDiff(w, a.(*critpath.Report), b.(*critpath.Report))
-		},
+		series: func(a any) map[string]float64 { return a.(*critpath.Report).Series() },
 	},
 	"alerts": {
 		file:  slo.File,
@@ -117,9 +118,7 @@ var kinds = map[string]kind{
 			}
 			return log.FprintTimeline(w)
 		},
-		diff: func(w io.Writer, a, b any) error {
-			return slo.FprintDiff(w, a.(*slo.Log), b.(*slo.Log))
-		},
+		series: func(a any) map[string]float64 { return a.(*slo.Log).Summarize().Series() },
 	},
 	"decisions": {
 		file:  decisions.File,
@@ -153,9 +152,7 @@ var kinds = map[string]kind{
 			}
 			return led.Fprint(w)
 		},
-		diff: func(w io.Writer, a, b any) error {
-			return decisions.FprintDiff(w, a.(*decisions.Ledger).Summarize(), b.(*decisions.Ledger).Summarize())
-		},
+		series: func(a any) map[string]float64 { return a.(*decisions.Ledger).Summarize().Series() },
 	},
 	"perf": {
 		file:  perf.File,
@@ -175,32 +172,31 @@ var kinds = map[string]kind{
 			}
 			return rep.Fprint(w)
 		},
-		diff: func(w io.Writer, a, b any) error {
-			return perf.FprintDiff(w, a.(*perf.Report), b.(*perf.Report))
-		},
+		series: func(a any) map[string]float64 { return a.(*perf.Report).Series() },
 	},
 }
 
 func main() {
-	names := make([]string, 0, len(kinds))
-	for name := range kinds {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := telemetry.SortedKeys(kinds)
 	if len(os.Args) < 2 {
-		fatalf("usage: hstat <%s> [flags] dir|file | hstat <kind> -diff a b", strings.Join(names, "|"))
+		fatalf("usage: hstat <%s> [flags] dir|file | hstat <kind> -diff a b | hstat diff a/ b/", strings.Join(names, "|"))
 	}
 	name := os.Args[1]
 	k, ok := kinds[name]
-	if !ok {
-		fatalf("unknown kind %q (want one of: %s)", name, strings.Join(names, " "))
+	usage := fmt.Sprintf("usage: hstat %s %s dir|file | hstat %s -diff [-json] a b", name, k.usage, name)
+	if name == "diff" {
+		usage = "usage: hstat diff [-json] a/ b/"
+	} else if !ok {
+		fatalf("unknown kind %q (want one of: %s diff)", name, strings.Join(names, " "))
 	}
-	usage := fmt.Sprintf("usage: hstat %s %s dir|file | hstat %s -diff a b", name, k.usage, name)
 
 	var o opts
 	fs := flag.NewFlagSet("hstat "+name, flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	diff := fs.Bool("diff", false, "compare two artifacts (takes two bundles or files)")
+	diff := name == "diff"
+	if !diff {
+		fs.BoolVar(&diff, "diff", false, "compare two artifacts (takes two bundles or files)")
+	}
 	fs.BoolVar(&o.json, "json", false, "emit JSON instead of text")
 	if k.flags != nil {
 		k.flags(fs, &o)
@@ -208,13 +204,26 @@ func main() {
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		fatalf("%v; %s", err, usage)
 	}
+	// The view flags shape one artifact's rendering; a diff takes none.
+	fs.Visit(func(f *flag.Flag) {
+		if diff && f.Name != "diff" && f.Name != "json" {
+			fatalf("-%s does not apply to -diff; %s", f.Name, usage)
+		}
+	})
 	files := fs.Args()
 
 	var err error
 	switch {
-	case *diff && len(files) == 2:
-		err = k.diff(os.Stdout, load(k, files[0], &o), load(k, files[1], &o))
-	case !*diff && len(files) == 1:
+	case name == "diff" && len(files) == 2:
+		err = diffBundles(os.Stdout, names, files[0], files[1], o.json)
+	case diff && len(files) == 2:
+		d := diffKind(k, files[0], files[1])
+		if o.json {
+			err = writeIndented(os.Stdout, d)
+		} else {
+			err = d.Fprint(os.Stdout)
+		}
+	case !diff && len(files) == 1:
 		err = k.view(os.Stdout, load(k, files[0], &o), &o)
 	default:
 		fatalf("%s", usage)
@@ -222,6 +231,51 @@ func main() {
 	if err != nil {
 		fatalf("%v", err)
 	}
+}
+
+// diffBundles runs the one diff for every kind whose file both bundles hold,
+// each under a "== <kind>" header, and names a file only one bundle holds.
+func diffBundles(w io.Writer, names []string, a, b string, asJSON bool) error {
+	for _, dir := range []string{a, b} {
+		if st, err := os.Stat(dir); err != nil || !st.IsDir() {
+			fatalf("%s is not a bundle directory", dir)
+		}
+	}
+	// A kind whose file only one bundle holds has a null diff.
+	out := map[string]*telemetry.Diff{}
+	var text strings.Builder
+	for _, name := range names {
+		k := kinds[name]
+		_, errA := os.Stat(filepath.Join(a, k.file))
+		_, errB := os.Stat(filepath.Join(b, k.file))
+		if errA != nil && errB != nil {
+			continue
+		}
+		fmt.Fprintf(&text, "== %s\n", name)
+		switch {
+		case errA != nil:
+			fmt.Fprintf(&text, "%s missing in a\n", k.file)
+		case errB != nil:
+			fmt.Fprintf(&text, "%s missing in b\n", k.file)
+		default:
+			d := diffKind(k, a, b)
+			d.Fprint(&text)
+			out[name] = &d
+			continue
+		}
+		out[name] = nil
+	}
+	if asJSON {
+		return writeIndented(w, out)
+	}
+	_, err := io.WriteString(w, text.String())
+	return err
+}
+
+// diffKind loads two artifacts of one kind and joins their named series.
+func diffKind(k kind, a, b string) telemetry.Diff {
+	var o opts
+	return telemetry.DiffSeries(k.series(load(k, a, &o)), k.series(load(k, b, &o)))
 }
 
 // load reads one artifact with the kind's loader: the kind's file of a

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -11,6 +12,17 @@ import (
 // wins, in what order, by roughly what factor — per EXPERIMENTS.md. Absolute
 // numbers are substrate-dependent and are not asserted. The full serving
 // sweeps (Fig. 7, Fig. 8) are skipped under -short.
+
+// skipUnderRace skips multi-minute full-sweep regression tests when the
+// race detector is on: its ~4-10x slowdown pushes them past any reasonable
+// CI budget, and the same serving/collective stack is raced by the quick
+// determinism, faults, and report tests that do run.
+func skipUnderRace(t *testing.T) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("full sweep skipped under -race (covered by quick tests)")
+	}
+}
 
 func TestFig1Shape(t *testing.T) {
 	points := Fig1Data()
@@ -185,16 +197,30 @@ func TestAlg1Shape(t *testing.T) {
 	}
 }
 
-func TestFig7Shape(t *testing.T) {
+// fig7 simulates the quick Fig. 7 sweeps once per test binary; the shape
+// and rendering tests both read the same data.
+var fig7 = struct {
+	once sync.Once
+	data []Fig7Workload
+	err  error
+}{}
+
+func fig7Data(t *testing.T) []Fig7Workload {
+	t.Helper()
 	skipUnderRace(t)
 	if testing.Short() {
 		t.Skip("fig7 sweeps under -short")
 	}
 	t.Parallel()
-	data, err := Fig7Data(Env{Scale: Quick, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
+	fig7.once.Do(func() { fig7.data, fig7.err = Fig7Data(Env{Scale: Quick, Seed: 1}) })
+	if fig7.err != nil {
+		t.Fatal(fig7.err)
 	}
+	return fig7.data
+}
+
+func TestFig7Shape(t *testing.T) {
+	data := fig7Data(t)
 	if len(data) != 2 {
 		t.Fatalf("workloads = %d", len(data))
 	}
@@ -237,6 +263,24 @@ func TestFig7Shape(t *testing.T) {
 	}
 	if heroRate < 1.2*distRate {
 		t.Errorf("chatbot: HeroServe/DistServe = %.2f, want >= 1.2 (paper 1.53)", heroRate/distRate)
+	}
+}
+
+// TestFig7ReportRendering checks that the rendered Fig. 7 report (the
+// artifact cmd/heroserve ships) names every system and both workloads.
+func TestFig7ReportRendering(t *testing.T) {
+	data := fig7Data(t)
+	var buf bytes.Buffer
+	Fig7Render(data).Fprint(&buf)
+	out := buf.String()
+	for _, want := range []string{
+		"Fig. 7", "chatbot", "summarization",
+		"HeroServe", "DistServe", "DS-ATP", "DS-SwitchML",
+		"vs DistServe", "SLA attainment",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("rendered Fig. 7 report missing %q", want)
+		}
 	}
 }
 

@@ -40,12 +40,12 @@ func (c *Collector) record(b Breakdown) {
 		return
 	}
 	for _, s := range sortStages(b.TTFTStages) {
-		c.metrics.Counter("ttft_critical_path_seconds_total",
+		c.metrics.Counter(telemetry.TTFTCritPathFamily,
 			"Critical-path decomposition of time-to-first-token, by stage; the per-stage totals sum to ttft_seconds_sum.",
 			[]string{"stage"}, s).Add(b.TTFTStages[s])
 	}
 	for _, s := range sortStages(b.E2EStages) {
-		c.metrics.Counter("e2e_critical_path_seconds_total",
+		c.metrics.Counter(telemetry.E2ECritPathFamily,
 			"Critical-path decomposition of request end-to-end latency, by stage; the per-stage totals sum to e2e_seconds_sum.",
 			[]string{"stage"}, s).Add(b.E2EStages[s])
 	}

@@ -192,12 +192,29 @@ func TestReportDeterminismAndDiff(t *testing.T) {
 		t.Errorf("slowest table missing trace id:\n%s", r1)
 	}
 
-	var d bytes.Buffer
-	if err := FprintDiff(&d, synthetic(t).Report(10), synthetic(t).Report(10)); err != nil {
+	// The diff of a serve -out span file: a self-diff changes nothing, and
+	// moving one stage total moves exactly its row and the sum over stages.
+	data, err := os.ReadFile("testdata/spans.json")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(d.String(), "delta +0.000000s") {
-		t.Errorf("self-diff should be zero:\n%s", d.String())
+	an, err := FromTrace(bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, moved := an.Report(10), an.Report(10)
+	if d := telemetry.DiffSeries(base.Series(), base.Series()); len(d.Changed) != 0 || d.Equal == 0 {
+		t.Errorf("self-diff = %+v, want 0 changed and some equal", d)
+	}
+	moved.E2ETotal[StageKVTransfer]++
+	d := telemetry.DiffSeries(base.Series(), moved.Series())
+	var got []string
+	for _, c := range d.Changed {
+		got = append(got, c.Series)
+	}
+	want := []string{`e2e_critical_path_seconds_total{stage="kv-transfer"}`, "e2e_total_seconds"}
+	if !slices.Equal(got, want) || len(d.OnlyA)+len(d.OnlyB) != 0 {
+		t.Errorf("diff after moving kv-transfer = %+v, want changed %q", d, want)
 	}
 }
 
@@ -267,8 +284,8 @@ func TestFromTraceErrors(t *testing.T) {
 }
 
 // FuzzFromTrace: FromTrace never panics, and a trace it accepts yields a
-// report that renders and diffs without panicking. The seed is a two-request
-// serve -out spans.json.
+// report that renders without panicking and whose self-diff changes nothing.
+// The seed is a two-request serve -out spans.json.
 func FuzzFromTrace(f *testing.F) {
 	seed, err := os.ReadFile("testdata/spans.json")
 	if err != nil {
@@ -286,8 +303,8 @@ func FuzzFromTrace(f *testing.F) {
 		if err := r.Fprint(io.Discard); err != nil {
 			t.Fatalf("render accepted trace: %v", err)
 		}
-		if err := FprintDiff(io.Discard, r, New().Report(3)); err != nil {
-			t.Fatalf("diff accepted trace: %v", err)
+		if d := telemetry.DiffSeries(r.Series(), r.Series()); len(d.Changed) != 0 {
+			t.Fatalf("self-diff of an accepted trace changed %+v", d.Changed)
 		}
 	})
 }

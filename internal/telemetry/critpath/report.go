@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"heroserve/internal/telemetry"
 )
 
 // Report is the aggregate critical-path view of one run: per-stage totals
@@ -101,25 +103,21 @@ func (r *Report) Fprint(w io.Writer) error {
 	return nil
 }
 
-// FprintDiff writes a deterministic per-stage comparison of two reports
-// (run A vs run B): absolute E2E stage totals and their delta, so a policy
-// change's effect can be localized to the stage it moved.
-func FprintDiff(w io.Writer, a, b *Report) error {
-	if _, err := fmt.Fprintf(w, "critical-path diff: A=%d reqs e2e %.6fs | B=%d reqs e2e %.6fs | delta %+.6fs\n",
-		a.Requests, a.E2ESum(), b.Requests, b.E2ESum(), b.E2ESum()-a.E2ESum()); err != nil {
-		return err
+// Series names the report's numbers for the one diff (telemetry.DiffSeries):
+// the request count, each stage's TTFT and E2E total under the collector's
+// metric families (the rows /runs/diff?view=critpath compares), and the two
+// sums over the stages under the names of the JSON report's stage maps.
+func (r *Report) Series() map[string]float64 {
+	s := map[string]float64{
+		"requests":           float64(r.Requests),
+		"ttft_total_seconds": r.TTFTSum(),
+		"e2e_total_seconds":  r.E2ESum(),
 	}
-	union := make(map[string]float64)
-	for s := range a.E2ETotal {
-		union[s] = 1
+	for stage, v := range r.TTFTTotal {
+		s[telemetry.SeriesName(telemetry.TTFTCritPathFamily, "stage", stage)] = v
 	}
-	for s := range b.E2ETotal {
-		union[s] = 1
+	for stage, v := range r.E2ETotal {
+		s[telemetry.SeriesName(telemetry.E2ECritPathFamily, "stage", stage)] = v
 	}
-	fmt.Fprintf(w, "%-22s %14s %14s %14s\n", "stage", "a_e2e_s", "b_e2e_s", "delta_s")
-	for _, s := range sortStages(union) {
-		av, bv := a.E2ETotal[s], b.E2ETotal[s]
-		fmt.Fprintf(w, "%-22s %14.6f %14.6f %+14.6f\n", s, av, bv, bv-av)
-	}
-	return nil
+	return s
 }

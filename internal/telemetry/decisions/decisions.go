@@ -475,11 +475,7 @@ func (l *Ledger) Summarize() *Summary {
 			st.RegretSeconds += j - best
 		}
 	}
-	names := make([]string, 0, len(schemes))
-	for n := range schemes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
+	names := telemetry.SortedKeys(schemes)
 	// Every decision where a scheme had no candidate counts as Absent, so
 	// per-scheme regret totals are comparable across schemes.
 	for _, n := range names {
@@ -556,20 +552,10 @@ func (l *Ledger) Summarize() *Summary {
 			realTPOT += o.TPOT
 		}
 	}
-	lawNames := make([]string, 0, len(laws))
-	for n := range laws {
-		lawNames = append(lawNames, n)
-	}
-	sort.Strings(lawNames)
-	for _, n := range lawNames {
+	for _, n := range telemetry.SortedKeys(laws) {
 		s.Laws = append(s.Laws, *laws[n])
 	}
-	sigNames := make([]string, 0, len(switches))
-	for n := range switches {
-		sigNames = append(sigNames, n)
-	}
-	sort.Strings(sigNames)
-	for _, n := range sigNames {
+	for _, n := range telemetry.SortedKeys(switches) {
 		s.Switches = append(s.Switches, SwitchStat{Signal: n, Count: switches[n]})
 	}
 	if drift.Windows > 0 {
@@ -721,52 +707,38 @@ func fprintShadowRanking(b *strings.Builder, ranks []ShadowRank) {
 	}
 }
 
-// FprintDiff prints the per-scheme regret and per-law verdict deltas of two
-// summaries side by side (run B minus run A).
-func FprintDiff(w io.Writer, a, b *Summary) error {
-	var out strings.Builder
-	fmt.Fprintf(&out, "decision-ledger diff (B - A)\n")
-	fmt.Fprintf(&out, "records: collective %d -> %d (%+d), scale %d -> %d (%+d)\n",
-		a.Collective, b.Collective, b.Collective-a.Collective,
-		a.Scale, b.Scale, b.Scale-a.Scale)
-
-	names, schemes := pairRows(a.Schemes, b.Schemes, func(st SchemeStat) string { return st.Scheme })
-	if len(names) > 0 {
-		fmt.Fprintf(&out, "%-12s %14s %14s %14s\n", "scheme", "regret A (s)", "regret B (s)", "delta (s)")
-		for _, n := range names {
-			ra, rb := schemes[n][0].RegretSeconds, schemes[n][1].RegretSeconds
-			fmt.Fprintf(&out, "%-12s %14.6f %14.6f %+14.6f\n", n, ra, rb, rb-ra)
-		}
+// Series names the numbers of the summary's TSV (the golden pin) for the one
+// diff (telemetry.DiffSeries) by their TSV names: each scheme's and each
+// law's columns as name{scheme="..."} and name{law="..."}, the policy
+// switches as switches{signal="..."}, and the totals.
+func (s *Summary) Series() map[string]float64 {
+	out := map[string]float64{
+		"collective":     float64(s.Collective),
+		"scale":          float64(s.Scale),
+		"fallbacks":      float64(s.Fallbacks),
+		"stage_swayed":   float64(s.StageSwayed),
+		"stalled":        float64(s.Stalled),
+		"regret_seconds": s.TotalRegretSeconds,
 	}
-	lawNames, laws := pairRows(a.Laws, b.Laws, func(lw LawStat) string { return lw.Law })
-	if len(lawNames) > 0 {
-		fmt.Fprintf(&out, "%-12s %10s %10s %10s %10s\n", "law", "out Δ", "in Δ", "hold Δ", "disagree Δ")
-		for _, n := range lawNames {
-			la, lb := laws[n][0], laws[n][1]
-			fmt.Fprintf(&out, "%-12s %+10d %+10d %+10d %+10d\n", n,
-				lb.ScaleOut-la.ScaleOut, lb.ScaleIn-la.ScaleIn,
-				lb.Hold-la.Hold, lb.Disagree-la.Disagree)
-		}
+	for _, st := range s.Schemes {
+		out[telemetry.SeriesName("chosen", "scheme", st.Scheme)] = float64(st.Chosen)
+		out[telemetry.SeriesName("executed", "scheme", st.Scheme)] = float64(st.Executed)
+		out[telemetry.SeriesName("regret_seconds", "scheme", st.Scheme)] = st.RegretSeconds
+		out[telemetry.SeriesName("unpriced", "scheme", st.Scheme)] = float64(st.Unpriced)
+		out[telemetry.SeriesName("absent", "scheme", st.Scheme)] = float64(st.Absent)
 	}
-	_, err := io.WriteString(w, out.String())
-	return err
-}
-
-// pairRows joins two runs' rows by key: the sorted keys, and each key's row
-// in run A and in run B (the zero row where a run lacks it).
-func pairRows[T any](a, b []T, key func(T) string) ([]string, map[string][2]T) {
-	rows := map[string][2]T{}
-	for i, side := range [2][]T{a, b} {
-		for _, r := range side {
-			pair := rows[key(r)]
-			pair[i] = r
-			rows[key(r)] = pair
-		}
+	for _, lw := range s.Laws {
+		out[telemetry.SeriesName("scale_out", "law", lw.Law)] = float64(lw.ScaleOut)
+		out[telemetry.SeriesName("scale_in", "law", lw.Law)] = float64(lw.ScaleIn)
+		out[telemetry.SeriesName("hold", "law", lw.Law)] = float64(lw.Hold)
+		out[telemetry.SeriesName("disagree", "law", lw.Law)] = float64(lw.Disagree)
 	}
-	keys := make([]string, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
+	for _, sw := range s.Switches {
+		out[telemetry.SeriesName("switches", "signal", sw.Signal)] = float64(sw.Count)
 	}
-	sort.Strings(keys)
-	return keys, rows
+	if s.Drift != nil {
+		out["drift_windows"] = float64(s.Drift.Windows)
+		out["drift_attainment"] = s.Drift.Attainment
+	}
+	return out
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -255,19 +257,46 @@ func TestSummaryString(t *testing.T) {
 	}
 }
 
-func TestFprintDiff(t *testing.T) {
-	a := sampleLedger()
-	b := sampleLedger()
-	b.AddCollective(a.Collective[1]) // one more fallback in B
-	var out bytes.Buffer
-	if err := FprintDiff(&out, a.Summarize(), b.Summarize()); err != nil {
+// TestSummarySeriesDiff: a serve -out ledger's self-diff changes nothing;
+// moving one scheme's regret moves exactly that scheme's series, and one more
+// fallback record (an ina-sync pick executed on ring under a stall) moves
+// exactly the counts and regrets it touches.
+func TestSummarySeriesDiff(t *testing.T) {
+	f, err := os.Open("testdata/ledger.json")
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := out.String()
-	for _, want := range []string{"collective 3 -> 4 (+1)", "ring", "lazy"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("diff missing %q:\n%s", want, s)
-		}
+	defer f.Close()
+	l, err := ReadJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, moved := l.Summarize(), l.Summarize()
+	if d := telemetry.DiffSeries(base.Series(), base.Series()); len(d.Changed) != 0 || d.Equal == 0 {
+		t.Errorf("self-diff = %+v, want 0 changed and some equal", d)
+	}
+	i := slices.IndexFunc(moved.Schemes, func(st SchemeStat) bool { return st.Scheme == "ina-sync" })
+	if i < 0 {
+		t.Fatalf("no ina-sync scheme in %+v", moved.Schemes)
+	}
+	moved.Schemes[i].RegretSeconds += 0.5
+	d := telemetry.DiffSeries(base.Series(), moved.Series())
+	if len(d.Changed) != 1 || d.Changed[0].Series != `regret_seconds{scheme="ina-sync"}` || d.Changed[0].Delta != 0.5 ||
+		len(d.OnlyA)+len(d.OnlyB) != 0 {
+		t.Errorf("diff after moving ina-sync's regret = %+v, want its regret_seconds +0.5 alone", d)
+	}
+
+	a, b := sampleLedger(), sampleLedger()
+	b.AddCollective(a.Collective[1]) // one more fallback in B
+	d = telemetry.DiffSeries(a.Summarize().Series(), b.Summarize().Series())
+	var got []string
+	for _, c := range d.Changed {
+		got = append(got, c.Series)
+	}
+	want := []string{`chosen{scheme="ina-sync"}`, "collective", `executed{scheme="ring"}`, "fallbacks",
+		"regret_seconds", `regret_seconds{scheme="ring"}`, "stalled"}
+	if !slices.Equal(got, want) {
+		t.Errorf("diff after one more fallback changed %q, want %q", got, want)
 	}
 }
 

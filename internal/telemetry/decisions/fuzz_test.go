@@ -5,11 +5,13 @@ import (
 	"io"
 	"os"
 	"testing"
+
+	"heroserve/internal/telemetry"
 )
 
 // FuzzReadJSON: ReadJSON never panics; every reader hstat runs over a ledger
-// it accepts renders without panicking; and an accepted ledger survives
-// WriteJSON→ReadJSON→WriteJSON byte for byte. The seed ledger is a
+// it accepts renders without panicking; its self-diff changes nothing; and an
+// accepted ledger survives WriteJSON→ReadJSON→WriteJSON byte for byte. The seed ledger is a
 // serve -autoscale -scale-policy adaptive -max-decisions 2 export.
 func FuzzReadJSON(f *testing.F) {
 	seed, err := os.ReadFile("testdata/ledger.json")
@@ -37,6 +39,9 @@ func FuzzReadJSON(f *testing.F) {
 			if err := render(io.Discard); err != nil {
 				t.Fatalf("render accepted ledger: %v", err)
 			}
+		}
+		if d := telemetry.DiffSeries(s.Series(), s.Series()); len(d.Changed) != 0 {
+			t.Fatalf("self-diff of an accepted ledger changed %+v", d.Changed)
 		}
 		var first, second bytes.Buffer
 		if err := l.WriteJSON(&first); err != nil {

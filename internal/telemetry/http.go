@@ -424,31 +424,19 @@ func (s *Server) serveTrace(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// SeriesDiff is one metric series whose value differs between two runs.
-type SeriesDiff struct {
-	Series string  `json:"series"`
-	A      float64 `json:"a"`
-	B      float64 `json:"b"`
-	Delta  float64 `json:"delta"`
-}
-
-// RunsDiff is the /runs/diff response: the two run IDs, series present in
-// both snapshots with different values (sorted by series name), series
-// present in only one snapshot, and the count of identical series. Snapshots
-// are cumulative (metrics accumulate across a daemon's runs), so a diff of
-// run N against run N-1 isolates run N's own contribution.
+// RunsDiff is the /runs/diff response: the two run IDs and the one Diff of
+// their metric snapshots. Snapshots are cumulative (metrics accumulate across
+// a daemon's runs), so a diff of run N against run N-1 isolates run N's own
+// contribution.
 type RunsDiff struct {
-	A       int          `json:"a"`
-	B       int          `json:"b"`
-	Equal   int          `json:"equal_series"`
-	Changed []SeriesDiff `json:"changed"`
-	OnlyA   []string     `json:"only_a"`
-	OnlyB   []string     `json:"only_b"`
+	A int `json:"a"`
+	B int `json:"b"`
+	Diff
 }
 
 // serveRunsDiff diffs the metric snapshots captured at two runs' AddRun
-// points: /runs/diff?a=1&b=2. The optional view=critpath reduces the diff to
-// the per-stage delta table of the two runs' critical-path partitions.
+// points: /runs/diff?a=1&b=2. The optional view=critpath keeps only the two
+// critical-path families, the stage rows hstat trace -diff also names.
 func (s *Server) serveRunsDiff(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	a, errA := strconv.Atoi(q.Get("a"))
@@ -457,7 +445,8 @@ func (s *Server) serveRunsDiff(w http.ResponseWriter, r *http.Request) {
 		writeJSONError(w, http.StatusBadRequest, "want ?a=<run-id>&b=<run-id>")
 		return
 	}
-	if v := q.Get("view"); v != "" && v != "critpath" {
+	view := q.Get("view")
+	if view != "" && view != "critpath" {
 		writeJSONError(w, http.StatusBadRequest, "bad view: want critpath")
 		return
 	}
@@ -478,103 +467,16 @@ func (s *Server) serveRunsDiff(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	sa, sb := parseSeries(snapA), parseSeries(snapB)
-	if q.Get("view") == "critpath" {
-		writeJSON(w, critPathDiff(a, b, sa, sb))
-		return
-	}
-	diff := RunsDiff{A: a, B: b, Changed: []SeriesDiff{}, OnlyA: []string{}, OnlyB: []string{}}
-	names := make([]string, 0, len(sa)+len(sb))
-	for k := range sa {
-		names = append(names, k)
-	}
-	for k := range sb {
-		if _, ok := sa[k]; !ok {
-			names = append(names, k)
+	if view == "critpath" {
+		for _, m := range []map[string]float64{sa, sb} {
+			for k := range m {
+				if family, _, _ := strings.Cut(k, "{"); family != TTFTCritPathFamily && family != E2ECritPathFamily {
+					delete(m, k)
+				}
+			}
 		}
 	}
-	sort.Strings(names)
-	for _, k := range names {
-		va, okA := sa[k]
-		vb, okB := sb[k]
-		switch {
-		case okA && !okB:
-			diff.OnlyA = append(diff.OnlyA, k)
-		case okB && !okA:
-			diff.OnlyB = append(diff.OnlyB, k)
-		case va != vb:
-			diff.Changed = append(diff.Changed, SeriesDiff{Series: k, A: va, B: vb, Delta: vb - va})
-		default:
-			diff.Equal++
-		}
-	}
-	writeJSON(w, diff)
-}
-
-// StageDelta is one critical-path stage's change between two runs.
-type StageDelta struct {
-	Stage     string  `json:"stage"`
-	TTFTA     float64 `json:"ttft_a"`
-	TTFTB     float64 `json:"ttft_b"`
-	TTFTDelta float64 `json:"ttft_delta"`
-	E2EA      float64 `json:"e2e_a"`
-	E2EB      float64 `json:"e2e_b"`
-	E2EDelta  float64 `json:"e2e_delta"`
-}
-
-// CritPathDiff is the /runs/diff?view=critpath response: the per-stage delta
-// of the two runs' ttft/e2e_critical_path_seconds_total partitions. Like the
-// raw metric diff, snapshots are cumulative — diffing run N against N-1
-// isolates run N's own critical-path contribution.
-type CritPathDiff struct {
-	A      int          `json:"a"`
-	B      int          `json:"b"`
-	Stages []StageDelta `json:"stages"`
-}
-
-const (
-	ttftStagePrefix = `ttft_critical_path_seconds_total{stage="`
-	e2eStagePrefix  = `e2e_critical_path_seconds_total{stage="`
-)
-
-// critPathDiff reduces two metric snapshots to the per-stage delta table.
-func critPathDiff(a, b int, sa, sb map[string]float64) CritPathDiff {
-	stages := map[string]*StageDelta{}
-	// row returns the stage row a series of the family{stage="<stage>"}
-	// form feeds, or nil for any other series.
-	row := func(series, prefix string) *StageDelta {
-		rest, ok := strings.CutPrefix(series, prefix)
-		end := strings.IndexByte(rest, '"')
-		if !ok || end < 0 {
-			return nil
-		}
-		d, ok := stages[rest[:end]]
-		if !ok {
-			d = &StageDelta{Stage: rest[:end]}
-			stages[d.Stage] = d
-		}
-		return d
-	}
-	for k, v := range sa {
-		if d := row(k, ttftStagePrefix); d != nil {
-			d.TTFTA = v
-		} else if d := row(k, e2eStagePrefix); d != nil {
-			d.E2EA = v
-		}
-	}
-	for k, v := range sb {
-		if d := row(k, ttftStagePrefix); d != nil {
-			d.TTFTB = v
-		} else if d := row(k, e2eStagePrefix); d != nil {
-			d.E2EB = v
-		}
-	}
-	out := CritPathDiff{A: a, B: b, Stages: make([]StageDelta, 0, len(stages))}
-	for _, d := range stages {
-		d.TTFTDelta, d.E2EDelta = d.TTFTB-d.TTFTA, d.E2EB-d.E2EA
-		out.Stages = append(out.Stages, *d)
-	}
-	sort.Slice(out.Stages, func(i, j int) bool { return out.Stages[i].Stage < out.Stages[j].Stage })
-	return out
+	writeJSON(w, RunsDiff{A: a, B: b, Diff: DiffSeries(sa, sb)})
 }
 
 // parseSeries reads a Prometheus text exposition into series-name → value

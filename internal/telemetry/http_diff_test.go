@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -90,9 +91,9 @@ func TestServerRunsDiff(t *testing.T) {
 	}
 }
 
-// TestServerRunsDiffCritPath exercises /runs/diff?view=critpath: the raw
-// series diff collapses to a per-stage delta table of the two critical-path
-// partitions.
+// TestServerRunsDiffCritPath exercises /runs/diff?view=critpath: the same
+// diff as the raw view, restricted to the two critical-path families, with
+// unchanged stages counted as equal.
 func TestServerRunsDiffCritPath(t *testing.T) {
 	clock := 1.0
 	h := New()
@@ -100,8 +101,10 @@ func TestServerRunsDiffCritPath(t *testing.T) {
 	ttftQ := h.Metrics.Counter("ttft_critical_path_seconds_total", "TTFT critical path.", []string{"stage"}, "queue")
 	e2eQ := h.Metrics.Counter("e2e_critical_path_seconds_total", "E2E critical path.", []string{"stage"}, "queue")
 	e2eD := h.Metrics.Counter("e2e_critical_path_seconds_total", "E2E critical path.", []string{"stage"}, "decode-compute")
+	served := h.Metrics.Counter("serving_requests_completed_total", "Requests fully served.", nil)
 	srv := NewServer()
 
+	served.Add(3)
 	ttftQ.Add(1.5)
 	e2eQ.Add(2)
 	e2eD.Add(10)
@@ -110,6 +113,7 @@ func TestServerRunsDiffCritPath(t *testing.T) {
 	}
 	srv.AddRun(RunSummary{System: "heroserve"})
 
+	served.Add(4)
 	ttftQ.Add(0.5)
 	e2eD.Add(5)
 	if err := srv.PublishHub(h); err != nil {
@@ -124,27 +128,24 @@ func TestServerRunsDiffCritPath(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("critpath view status %d: %s", resp.StatusCode, body)
 	}
-	var diff CritPathDiff
+	var diff RunsDiff
 	if err := json.Unmarshal(body, &diff); err != nil {
 		t.Fatalf("critpath view not JSON: %v", err)
 	}
-	if diff.A != 1 || diff.B != 2 {
-		t.Errorf("ids = %d,%d", diff.A, diff.B)
+	want := RunsDiff{A: 1, B: 2, Diff: Diff{
+		Equal: 1, // e2e queue
+		Changed: []SeriesDiff{
+			{Series: `e2e_critical_path_seconds_total{stage="decode-compute"}`, A: 10, B: 15, Delta: 5},
+			{Series: `ttft_critical_path_seconds_total{stage="queue"}`, A: 1.5, B: 2, Delta: 0.5},
+		},
+		OnlyA: []string{},
+		OnlyB: []string{},
+	}}
+	if !reflect.DeepEqual(diff, want) {
+		t.Errorf("critpath view = %+v\nwant %+v", diff, want)
 	}
-	if len(diff.Stages) != 2 {
-		t.Fatalf("stages = %+v, want decode-compute and queue", diff.Stages)
-	}
-	// Sorted by stage name: decode-compute first.
-	d := diff.Stages[0]
-	if d.Stage != "decode-compute" || d.E2EA != 10 || d.E2EB != 15 || d.E2EDelta != 5 {
-		t.Errorf("decode-compute delta = %+v", d)
-	}
-	q := diff.Stages[1]
-	if q.Stage != "queue" || q.TTFTA != 1.5 || q.TTFTB != 2 || q.TTFTDelta != 0.5 {
-		t.Errorf("queue TTFT delta = %+v", q)
-	}
-	if q.E2EA != 2 || q.E2EB != 2 || q.E2EDelta != 0 {
-		t.Errorf("queue E2E delta = %+v", q)
+	if strings.Contains(string(body), "serving_requests_completed_total") {
+		t.Errorf("critpath view holds series outside the two families: %s", body)
 	}
 
 	// Unknown views are rejected.

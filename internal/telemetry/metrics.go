@@ -413,11 +413,7 @@ func (r *Registry) writeText(w io.Writer, om bool) error {
 	if r == nil {
 		return nil
 	}
-	names := make([]string, 0, len(r.fams))
-	for name := range r.fams {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := SortedKeys(r.fams)
 	now := r.clock()
 	var b strings.Builder
 	for _, name := range names {

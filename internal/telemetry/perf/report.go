@@ -237,29 +237,30 @@ func (r *Report) Fprint(w io.Writer) error {
 	return err
 }
 
-// FprintDiff compares two reports' throughput and phase split. Wall-clock
-// numbers are noisy by nature, so the output shows ratios, not verdicts.
-func FprintDiff(w io.Writer, a, b *Report) error {
-	var out strings.Builder
-	fmt.Fprintf(&out, "perf diff: %s -> %s\n", orDash(a.System), orDash(b.System))
-	row := func(name string, va, vb float64, unit string) {
-		ratio := "n/a"
-		if va > 0 {
-			ratio = fmt.Sprintf("%+.1f%%", (vb/va-1)*100)
-		}
-		fmt.Fprintf(&out, "  %-26s %12.4g -> %12.4g %-6s %s\n", name, va, vb, unit, ratio)
+// Series names the report's measured scalars for the one diff
+// (telemetry.DiffSeries) by their JSON keys, nested ones as dotted paths; the
+// sampler's own counts are left out. Wall-clock numbers are noisy by nature,
+// so a diff of two reports shows ratios, not verdicts.
+func (r *Report) Series() map[string]float64 {
+	return map[string]float64{
+		"wall_seconds":                r.WallSeconds,
+		"sim_seconds":                 r.SimSeconds,
+		"wall_per_sim_second":         r.WallPerSim,
+		"events":                      float64(r.Events),
+		"events_per_second":           r.EventsPerSec,
+		"phases.realloc_seconds":      r.Phases.ReallocSeconds,
+		"phases.self_seconds":         r.Phases.SelfSeconds,
+		"queue.peak_live":             float64(r.Queue.PeakLive),
+		"queue.peak_tombstones":       float64(r.Queue.PeakTombstones),
+		"queue.peak_window_events":    float64(r.Queue.PeakWindow),
+		"queue.peak_far_events":       float64(r.Queue.PeakFar),
+		"queue.peak_bucket_events":    float64(r.Queue.PeakBucket),
+		"netsim.reallocs":             float64(r.Netsim.Reallocs),
+		"netsim.mean_component_flows": r.Netsim.MeanCompFlows,
+		"netsim.max_component_flows":  float64(r.Netsim.MaxCompFlows),
+		"netsim.max_component_links":  float64(r.Netsim.MaxCompLinks),
+		"netsim.mean_rounds":          r.Netsim.MeanRounds,
 	}
-	row("events/s", a.EventsPerSec, b.EventsPerSec, "ev/s")
-	row("wall-seconds per sim-second", a.WallPerSim, b.WallPerSim, "")
-	row("wall", a.WallSeconds, b.WallSeconds, "s")
-	row("events", float64(a.Events), float64(b.Events), "")
-	row("realloc phase", a.Phases.ReallocSeconds, b.Phases.ReallocSeconds, "s")
-	row("self phase", a.Phases.SelfSeconds, b.Phases.SelfSeconds, "s")
-	row("reallocations", float64(a.Netsim.Reallocs), float64(b.Netsim.Reallocs), "")
-	row("mean component flows", a.Netsim.MeanCompFlows, b.Netsim.MeanCompFlows, "")
-	row("peak queue depth", float64(a.Queue.PeakLive), float64(b.Queue.PeakLive), "")
-	_, err := io.WriteString(w, out.String())
-	return err
 }
 
 func pct(part, whole float64) float64 {

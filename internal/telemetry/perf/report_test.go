@@ -6,6 +6,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"heroserve/internal/telemetry"
 )
 
 // TestFprintClampsOutOfRangePhases: a phase far longer than the wall clock
@@ -22,8 +24,31 @@ func TestFprintClampsOutOfRangePhases(t *testing.T) {
 	}
 }
 
+// TestReportSeriesDiff: a serve -out perf report's self-diff changes
+// nothing, and moving one field moves exactly its series.
+func TestReportSeriesDiff(t *testing.T) {
+	data, err := os.ReadFile("testdata/report.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := ReadReport(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := telemetry.DiffSeries(base.Series(), base.Series()); len(d.Changed) != 0 || d.Equal == 0 {
+		t.Errorf("self-diff = %+v, want 0 changed and some equal", d)
+	}
+	moved := *base
+	moved.Netsim.Reallocs++
+	d := telemetry.DiffSeries(base.Series(), moved.Series())
+	if len(d.Changed) != 1 || d.Changed[0].Series != "netsim.reallocs" || d.Changed[0].Delta != 1 ||
+		len(d.OnlyA)+len(d.OnlyB) != 0 {
+		t.Errorf("diff after one more reallocation = %+v, want netsim.reallocs +1 alone", d)
+	}
+}
+
 // FuzzReadReport: ReadReport never panics; a report it accepts renders
-// without panicking and survives WriteJSON→ReadReport→WriteJSON byte for
+// without panicking, diffs against itself with no change, and survives WriteJSON→ReadReport→WriteJSON byte for
 // byte. The seed report is a serve -out perf.json.
 func FuzzReadReport(f *testing.F) {
 	seed, err := os.ReadFile("testdata/report.json")
@@ -42,8 +67,8 @@ func FuzzReadReport(f *testing.F) {
 		if err := r.Fprint(io.Discard); err != nil {
 			t.Fatalf("render accepted report: %v", err)
 		}
-		if err := FprintDiff(io.Discard, r, r); err != nil {
-			t.Fatalf("diff accepted report: %v", err)
+		if d := telemetry.DiffSeries(r.Series(), r.Series()); len(d.Changed) != 0 {
+			t.Fatalf("self-diff of an accepted report changed %+v", d.Changed)
 		}
 		var first, second bytes.Buffer
 		if err := r.WriteJSON(&first); err != nil {

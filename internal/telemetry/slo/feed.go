@@ -1,6 +1,10 @@
 package slo
 
-import "sort"
+import (
+	"sort"
+
+	"heroserve/internal/telemetry"
+)
 
 // Signal is one lifecycle transition, as delivered to SignalFeed
 // subscribers the moment the monitor records it.
@@ -89,12 +93,7 @@ func (f *SignalFeed) ActiveNames() []string {
 	if f == nil || len(f.active) == 0 {
 		return nil
 	}
-	out := make([]string, 0, len(f.active))
-	for name := range f.active {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
+	return telemetry.SortedKeys(f.active)
 }
 
 // Pending returns the breached-but-not-yet-firing alerts (inside their For

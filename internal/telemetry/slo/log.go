@@ -187,12 +187,7 @@ func (l *Log) Summarize() *Summary {
 	if worst >= 0 {
 		s.Worst = worst.String()
 	}
-	names := make([]string, 0, len(stats))
-	for n := range stats {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range telemetry.SortedKeys(stats) {
 		s.Rules = append(s.Rules, *stats[n])
 	}
 	return s
@@ -329,37 +324,24 @@ func (l *Log) FprintSummary(w io.Writer) error {
 	return nil
 }
 
-// FprintDiff renders the per-rule delta between two alert logs.
-func FprintDiff(w io.Writer, a, b *Log) error {
-	sa, sb := a.Summarize(), b.Summarize()
-	fmt.Fprintf(w, "alerts %d -> %d (%+d), fired %d -> %d (%+d), firing at end %d -> %d (%+d)\n",
-		sa.Alerts, sb.Alerts, sb.Alerts-sa.Alerts,
-		sa.Fired, sb.Fired, sb.Fired-sa.Fired,
-		sa.FiringAtEnd, sb.FiringAtEnd, sb.FiringAtEnd-sa.FiringAtEnd)
-	rows := make(map[string][2]RuleStat)
-	for _, r := range sa.Rules {
-		v := rows[r.Rule]
-		v[0] = r
-		rows[r.Rule] = v
+// Series names the summary's numbers for the one diff (telemetry.DiffSeries)
+// by their TSV names: the run totals, and each rule's counts as
+// name{rule="..."}.
+func (s *Summary) Series() map[string]float64 {
+	out := map[string]float64{
+		"alerts":        float64(s.Alerts),
+		"fired":         float64(s.Fired),
+		"resolved":      float64(s.Resolved),
+		"canceled":      float64(s.Canceled),
+		"firing_at_end": float64(s.FiringAtEnd),
+		"evicted":       float64(s.Evicted),
+		"end":           s.End,
 	}
-	for _, r := range sb.Rules {
-		v := rows[r.Rule]
-		v[1] = r
-		rows[r.Rule] = v
+	for _, r := range s.Rules {
+		out[telemetry.SeriesName("fired", "rule", r.Rule)] = float64(r.Fired)
+		out[telemetry.SeriesName("resolved", "rule", r.Rule)] = float64(r.Resolved)
+		out[telemetry.SeriesName("canceled", "rule", r.Rule)] = float64(r.Canceled)
+		out[telemetry.SeriesName("firing_seconds", "rule", r.Rule)] = r.FiringSeconds
 	}
-	names := make([]string, 0, len(rows))
-	for n := range rows {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		v := rows[n]
-		if v[0] == v[1] {
-			continue
-		}
-		fmt.Fprintf(w, "rule %-24s fired %d -> %d (%+d), firing %.3fs -> %.3fs (%+.3fs)\n",
-			n, v[0].Fired, v[1].Fired, v[1].Fired-v[0].Fired,
-			v[0].FiringSeconds, v[1].FiringSeconds, v[1].FiringSeconds-v[0].FiringSeconds)
-	}
-	return nil
+	return out
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -212,19 +213,50 @@ func TestTimelineAndDiffRender(t *testing.T) {
 		t.Errorf("empty timeline = %q", buf.String())
 	}
 
-	buf.Reset()
-	if err := FprintDiff(&buf, empty, sampleLog()); err != nil {
-		t.Fatalf("diff: %v", err)
+	d := telemetry.DiffSeries(empty.Summarize().Series(), sampleLog().Summarize().Series())
+	var alerts *telemetry.SeriesDiff
+	for i, c := range d.Changed {
+		if c.Series == "alerts" {
+			alerts = &d.Changed[i]
+		}
 	}
-	out = buf.String()
-	if !strings.Contains(out, "alerts 0 -> 4 (+4)") || !strings.Contains(out, "rule burn") {
-		t.Errorf("diff output:\n%s", out)
+	if alerts == nil || alerts.A != 0 || alerts.B != 4 || alerts.Delta != 4 ||
+		!slices.Contains(d.OnlyA, `fired{rule="a"}`) || !slices.Contains(d.OnlyB, `fired{rule="burn"}`) {
+		t.Errorf("diff of the empty log against the sample = %+v", d)
+	}
+}
+
+// TestSummarySeriesDiff: a serve -out alert log's self-diff changes nothing,
+// and moving one rule's firing time moves exactly that rule's series.
+func TestSummarySeriesDiff(t *testing.T) {
+	f, err := os.Open("testdata/alerts.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	l, err := ReadLog(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, moved := l.Summarize(), l.Summarize()
+	if d := telemetry.DiffSeries(base.Series(), base.Series()); len(d.Changed) != 0 || d.Equal == 0 {
+		t.Errorf("self-diff = %+v, want 0 changed and some equal", d)
+	}
+	i := slices.IndexFunc(moved.Rules, func(r RuleStat) bool { return r.Rule == "queue-growth" })
+	if i < 0 {
+		t.Fatalf("no queue-growth rule in %+v", moved.Rules)
+	}
+	moved.Rules[i].FiringSeconds += 2
+	d := telemetry.DiffSeries(base.Series(), moved.Series())
+	if len(d.Changed) != 1 || d.Changed[0].Series != `firing_seconds{rule="queue-growth"}` || d.Changed[0].Delta != 2 ||
+		len(d.OnlyA)+len(d.OnlyB) != 0 {
+		t.Errorf("diff after moving queue-growth = %+v, want its firing_seconds +2 alone", d)
 	}
 }
 
 // FuzzReadLog: ReadLog never panics; a log it accepts summarizes, filters
-// and renders without panicking and survives WriteJSON→ReadLog→WriteJSON
-// byte for byte. The seed log is a serve -out alerts.json.
+// and renders without panicking, diffs against itself with no change, and
+// survives WriteJSON→ReadLog→WriteJSON byte for byte. The seed log is a serve -out alerts.json.
 func FuzzReadLog(f *testing.F) {
 	seed, err := os.ReadFile("testdata/alerts.json")
 	if err != nil {
@@ -255,8 +287,8 @@ func FuzzReadLog(f *testing.F) {
 				t.Fatalf("render accepted log: %v", err)
 			}
 		}
-		if err := FprintDiff(io.Discard, l, filtered); err != nil {
-			t.Fatalf("diff accepted log: %v", err)
+		if d := telemetry.DiffSeries(l.Summarize().Series(), l.Summarize().Series()); len(d.Changed) != 0 {
+			t.Fatalf("self-diff of an accepted log changed %+v", d.Changed)
 		}
 		var first, second bytes.Buffer
 		if err := l.WriteJSON(&first); err != nil {

@@ -497,11 +497,7 @@ func errRate(cur, prev pair) (rate, n float64) {
 // associative, so summing in map-iteration order would let the same run
 // produce last-ULP-different shares from one process to the next.
 func stageDelta(cur, prev map[string]float64) (map[string]float64, float64) {
-	names := make([]string, 0, len(cur))
-	for s := range cur {
-		names = append(names, s)
-	}
-	sort.Strings(names)
+	names := telemetry.SortedKeys(cur)
 	out := make(map[string]float64, len(cur))
 	var total float64
 	for _, s := range names {
@@ -516,11 +512,7 @@ func stageDelta(cur, prev map[string]float64) (map[string]float64, float64) {
 // dominantStage returns the heaviest stage (ties broken by name, so the
 // result is deterministic despite map iteration).
 func dominantStage(stages map[string]float64) (string, float64) {
-	names := make([]string, 0, len(stages))
-	for s := range stages {
-		names = append(names, s)
-	}
-	sort.Strings(names)
+	names := telemetry.SortedKeys(stages)
 	best, bv := "", 0.0
 	for _, s := range names {
 		if stages[s] > bv {

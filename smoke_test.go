@@ -15,10 +15,12 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"heroserve/internal/telemetry"
 	"heroserve/internal/workload"
 )
 
@@ -137,6 +139,10 @@ func TestCommandsRejectBadInput(t *testing.T) {
 	if err := os.WriteFile(badPick, []byte(`{"meta":{},"collective":[{"t":1,"candidates":[{"label":"r0","scheme":"ring"}],"chosen":-1}],"scale":[]}`), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	// Real artifacts, so each -diff row fails on its one view flag alone.
+	alertsLog := filepath.Join("internal", "telemetry", "slo", "testdata", "alerts.json")
+	ledger := filepath.Join("internal", "telemetry", "decisions", "testdata", "ledger.json")
+	spans := filepath.Join("internal", "telemetry", "critpath", "testdata", "spans.json")
 	bins := map[string]string{}
 	for _, c := range []struct {
 		bin  string
@@ -159,6 +165,16 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"hstat", []string{"decisions", truncated}},
 		{"hstat", []string{"decisions", badPick}},
 		{"hstat", []string{"perf", truncated}},
+		{"hstat", []string{"alerts", "-diff", "-rule", "nosuch", alertsLog, alertsLog}},
+		{"hstat", []string{"alerts", "-state", "firing", "-diff", alertsLog, alertsLog}},
+		{"hstat", []string{"alerts", "-diff", "-summary", alertsLog, alertsLog}},
+		{"hstat", []string{"alerts", "-diff", "-tsv", alertsLog, alertsLog}},
+		{"hstat", []string{"decisions", "-diff", "-tsv", ledger, ledger}},
+		{"hstat", []string{"decisions", "-diff", "-regret", ledger, ledger}},
+		{"hstat", []string{"trace", "-diff", "-top", "10", spans, spans}},
+		{"hstat", []string{"diff", dir}},
+		{"hstat", []string{"diff", "-tsv", dir, dir}},
+		{"hstat", []string{"diff", truncated, dir}},
 		{"serve", []string{"-trace", trace, "-topology", "bogus"}},
 		{"serve", []string{"-trace", trace, "-model", "bogus"}},
 		{"serve", []string{"-trace", trace, "-system", "bogus"}},
@@ -355,7 +371,8 @@ func TestHeroserveTelemetryKeepsTheReport(t *testing.T) {
 
 // TestHstatReadsTheBundle: one serve -out run writes all six bundle files,
 // and every hstat kind reads the bundle directory exactly as it reads the
-// kind's file inside it, a self-diff included.
+// kind's file inside it, a self-diff included; hstat diff of two bundles
+// prints each kind's -diff.
 func TestHstatReadsTheBundle(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke tests compile binaries")
@@ -391,9 +408,12 @@ func TestHstatReadsTheBundle(t *testing.T) {
 	}
 	hstat := func(args ...string) string {
 		t.Helper()
-		out, err := exec.Command(bins["hstat"], args...).CombinedOutput()
+		var stderr bytes.Buffer
+		cmd := exec.Command(bins["hstat"], args...)
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
 		if err != nil {
-			t.Fatalf("hstat %v: %v\n%s", args, err, out)
+			t.Fatalf("hstat %v: %v\n%s", args, err, stderr.Bytes())
 		}
 		return string(out)
 	}
@@ -407,5 +427,50 @@ func TestHstatReadsTheBundle(t *testing.T) {
 		if got, want := hstat(kind, "-diff", bundle, bundle), hstat(kind, "-diff", path, path); got != want {
 			t.Errorf("hstat %s -diff on the bundle:\n%s\non %s:\n%s", kind, got, file, want)
 		}
+	}
+
+	// hstat diff joins every kind both bundles hold: each section is what
+	// hstat <kind> -diff prints for the pair, and a file only one bundle
+	// holds gets one "missing in" line.
+	other := filepath.Join(dir, "other")
+	if out, err := exec.Command(bins["serve"], "-trace", trace, "-model", "opt-13b", "-seed", "8",
+		"-system", "distserve", "-out", other).CombinedOutput(); err != nil {
+		t.Fatalf("serve -out: %v\n%s", err, out)
+	}
+	part := filepath.Join(dir, "part")
+	if err := os.Mkdir(part, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Link(filepath.Join(bundle, "spans.json"), filepath.Join(part, "spans.json")); err != nil {
+		t.Fatal(err)
+	}
+	kinds := []string{"alerts", "decisions", "perf", "trace"}
+	var want, wantPart string
+	wantJSON := map[string]telemetry.Diff{}
+	for _, kind := range kinds {
+		want += "== " + kind + "\n" + hstat(kind, "-diff", bundle, other)
+		var d telemetry.Diff
+		if err := json.Unmarshal([]byte(hstat(kind, "-diff", "-json", bundle, other)), &d); err != nil {
+			t.Fatalf("hstat %s -diff -json: %v", kind, err)
+		}
+		wantJSON[kind] = d
+		if kind == "trace" {
+			wantPart += "== trace\n" + hstat("trace", "-diff", part, bundle)
+		} else {
+			wantPart += "== " + kind + "\n" + kind + ".json missing in a\n"
+		}
+	}
+	if got := hstat("diff", bundle, other); got != want {
+		t.Errorf("hstat diff:\n%s\nwant the per-kind diffs:\n%s", got, want)
+	}
+	var gotJSON map[string]telemetry.Diff
+	if err := json.Unmarshal([]byte(hstat("diff", "-json", bundle, other)), &gotJSON); err != nil {
+		t.Fatalf("hstat diff -json: %v", err)
+	}
+	if !reflect.DeepEqual(gotJSON, wantJSON) {
+		t.Errorf("hstat diff -json = %+v\nwant the per-kind diffs %+v", gotJSON, wantJSON)
+	}
+	if got := hstat("diff", part, bundle); got != wantPart {
+		t.Errorf("hstat diff of a spans-only bundle:\n%s\nwant:\n%s", got, wantPart)
 	}
 }
