@@ -68,8 +68,9 @@ if ! command -v jq > /dev/null; then
 fi
 
 # The pinned matrix: name | tracegen args | serve args. Kept CI-cheap
-# (testbed, opt-13b, plus one short pod-scale run) while covering three
-# systems, two workload kinds, and background elephant traffic.
+# (testbed, opt-13b, plus one short pod-scale run) while covering all four
+# systems, every all-reduce scheme, two workload kinds, and background
+# elephant traffic (TestGoldenMatrixCoverage holds the matrix to that).
 cases() {
 	echo 'heroserve-testbed-chatbot|-kind chatbot -n 40 -rate 4 -seed 7|-system heroserve -topology testbed -model opt-13b -seed 7'
 	echo 'distserve-testbed-chatbot|-kind chatbot -n 40 -rate 4 -seed 7|-system distserve -topology testbed -model opt-13b -seed 7'
@@ -85,6 +86,12 @@ cases() {
 	# the surfaces the pod-scale hot loops (busy-link charging, detour
 	# ranking, decision audit) feed.
 	echo 'heroserve-pod8-summarization|-kind summarization -n 12 -rate 0.5 -seed 11|-system heroserve -topology pod8 -servers 24 -model opt-66b -seed 11 -elephants 4 -ttft 25 -tpot 0.2 -batch 1'
+	# Cross-server runs: a decode tensor-parallel floor of 8 spans two
+	# testbed servers, so each system runs its native INA scheme (testbed
+	# OPT-13B groups otherwise fit on one server and stay on the ring).
+	echo 'heroserve-testbed-chatbot-xserver|-kind chatbot -n 40 -rate 4 -seed 7|-system heroserve -topology testbed -model opt-13b -seed 7 -min-tens-decode 8'
+	echo 'ds-atp-testbed-chatbot-xserver|-kind chatbot -n 40 -rate 4 -seed 7|-system ds-atp -topology testbed -model opt-13b -seed 7 -min-tens-decode 8'
+	echo 'ds-switchml-testbed-chatbot-xserver|-kind chatbot -n 40 -rate 4 -seed 7|-system ds-switchml -topology testbed -model opt-13b -seed 7 -min-tens-decode 8'
 }
 
 # produce NAME TRACEGEN_ARGS SERVE_ARGS: run the case into the bundle
