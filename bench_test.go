@@ -16,12 +16,10 @@ import (
 	"testing"
 
 	"heroserve/internal/collective"
-	"heroserve/internal/core"
 	"heroserve/internal/experiments"
 	"heroserve/internal/model"
 	"heroserve/internal/netsim"
 	"heroserve/internal/planner"
-	"heroserve/internal/scheduler"
 	"heroserve/internal/serving"
 	"heroserve/internal/sim"
 	"heroserve/internal/switchsim"
@@ -181,98 +179,57 @@ func BenchmarkAlg1PlannerSolve(b *testing.B) {
 
 // --- Ablations (design choices called out in DESIGN.md) ---
 
-// chatbotRun serves one OPT-66B chatbot trace on the testbed with the given
-// policy and returns the mean positive TPOT.
-func chatbotRun(b *testing.B, policy serving.CommPolicy) float64 {
+// reportAblation runs the ablation study (experiments.AblationData: every
+// variant built as HeroServe on one OPT-66B testbed chatbot workload) and
+// reports the mean TPOT, in ms, of each variant named in units under its
+// metric name.
+func reportAblation(b *testing.B, units map[string]string) {
 	b.Helper()
-	g := topology.Testbed()
-	pre, dec := planner.SplitPoolsByServer(g, 2)
-	trace512 := workload.NewGenerator(workload.Chatbot, 1).Generate(512, 1)
-	in := planner.Inputs{
-		Model:         model.OPT66B(),
-		Graph:         g,
-		PrefillGPUs:   pre,
-		DecodeGPUs:    dec,
-		Workload:      trace512.BatchStats(32),
-		Lambda:        4,
-		SLA:           serving.SLA{TTFT: 2.5, TPOT: 0.15},
-		MinTensDecode: 8,
-		Hetero:        true,
-		Seed:          1,
-	}
-	plan, err := core.Plan(in)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys, err := serving.New(g, plan.Deployment, serving.Options{Policy: policy})
-	if err != nil {
-		b.Fatal(err)
-	}
-	sys.InjectElephants(4, 512<<20, 60, 99)
-	res := sys.Run(workload.NewGenerator(workload.Chatbot, 5).Generate(48, 4))
-	var sum float64
-	n := 0
-	for _, m := range res.Requests {
-		if m.TPOT > 0 {
-			sum += m.TPOT
-			n++
+	for i := 0; i < b.N; i++ {
+		rows, err := experiments.AblationData(experiments.Env{Scale: experiments.Quick, Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		reported := 0
+		for _, r := range rows {
+			if unit, ok := units[r.Variant]; ok {
+				b.ReportMetric(r.MeanTPOT*1e3, unit)
+				reported++
+			}
+		}
+		if reported != len(units) {
+			b.Fatalf("ablation rows %+v lack a variant of %v", rows, units)
 		}
 	}
-	return sum / float64(n)
-}
-
-// forcedScheme always runs one scheme (ablating the INA-vs-ring selector).
-type forcedScheme struct {
-	name   string
-	scheme collective.Scheme
-}
-
-func (f forcedScheme) Name() string { return f.name }
-
-func (f forcedScheme) AllReduce(ctx *serving.GroupCtx, msgBytes int64, steps int, done func()) {
-	scheme := f.scheme
-	if scheme.UsesINA() && ctx.Switch < 0 {
-		scheme = collective.SchemeRing
-	}
-	ctx.Comm.AllReduce(scheme, ctx.Group, ctx.Switch, msgBytes, steps, done)
 }
 
 // BenchmarkAblationSchemeSelector compares the online scheduler against
 // always-ring and always-hetero policies: the selector should match or beat
 // both forced choices.
 func BenchmarkAblationSchemeSelector(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		online := chatbotRun(b, core.NewOnlinePolicy(scheduler.DefaultConfig()))
-		ring := chatbotRun(b, forcedScheme{name: "always-ring", scheme: collective.SchemeRing})
-		hetero := chatbotRun(b, forcedScheme{name: "always-hetero", scheme: collective.SchemeHetero})
-		b.ReportMetric(online*1e3, "online-TPOT-ms")
-		b.ReportMetric(ring*1e3, "always-ring-TPOT-ms")
-		b.ReportMetric(hetero*1e3, "always-hetero-TPOT-ms")
-	}
+	reportAblation(b, map[string]string{
+		"online scheduler (full)": "online-TPOT-ms",
+		"forced always-ring":      "always-ring-TPOT-ms",
+		"forced always-hetero":    "always-hetero-TPOT-ms",
+	})
 }
 
 // BenchmarkAblationLoadPenalty zeroes the load-penalty coupling (gamma -> 0+
 // with no cross-policy update) by using a near-zero gamma, isolating Eq. 18.
 func BenchmarkAblationLoadPenalty(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		with := chatbotRun(b, core.NewOnlinePolicy(scheduler.DefaultConfig()))
-		without := chatbotRun(b, core.NewOnlinePolicy(scheduler.Config{Gamma: 1e-9, Window: 0.1}))
-		b.ReportMetric(with*1e3, "with-penalty-TPOT-ms")
-		b.ReportMetric(without*1e3, "no-penalty-TPOT-ms")
-	}
+	reportAblation(b, map[string]string{
+		"online scheduler (full)":    "with-penalty-TPOT-ms",
+		"no load penalty (gamma->0)": "no-penalty-TPOT-ms",
+	})
 }
 
 // BenchmarkAblationHeteroScheme disables the heterogeneous candidates in the
 // online policy (Ethernet-only tables), isolating the NVLink pre-reduction.
 func BenchmarkAblationHeteroScheme(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		hetero := chatbotRun(b, core.NewOnlinePolicy(scheduler.DefaultConfig()))
-		ethOnly := core.NewOnlinePolicy(scheduler.DefaultConfig())
-		ethOnly.Hetero = false
-		eth := chatbotRun(b, ethOnly)
-		b.ReportMetric(hetero*1e3, "hetero-TPOT-ms")
-		b.ReportMetric(eth*1e3, "ethernet-only-TPOT-ms")
-	}
+	reportAblation(b, map[string]string{
+		"online scheduler (full)": "hetero-TPOT-ms",
+		"ethernet-only policies":  "ethernet-only-TPOT-ms",
+	})
 }
 
 // BenchmarkAblationPerturbation measures Alg. 2's swap refinement: planner H

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 
-	"heroserve/internal/baselines"
 	"heroserve/internal/core"
 	"heroserve/internal/model"
 	"heroserve/internal/planner"
@@ -36,31 +35,34 @@ func inputs(g *topology.Graph, lambda float64) planner.Inputs {
 	})
 }
 
-func run(name string, mk func(g *topology.Graph, lambda float64) (*serving.System, error)) {
+func run(name string) {
+	s, err := core.ByName(name)
+	if err != nil {
+		log.Fatal(err)
+	}
 	g := topology.Testbed()
 	lambda := perGPURate * float64(len(g.GPUs()))
-	sys, err := mk(g, lambda)
+	in := inputs(g, lambda)
+	plan, err := s.Plan(in)
 	if err != nil {
-		log.Fatalf("%s: %v", name, err)
+		log.Fatalf("%s: %v", s.Display, err)
+	}
+	sys, err := s.Build(in, plan, serving.Options{})
+	if err != nil {
+		log.Fatalf("%s: %v", s.Display, err)
 	}
 	sys.InjectElephants(4, 512<<20, 120, 99)
 	trace := workload.NewGenerator(workload.Chatbot, 7).Generate(requests, lambda)
 	res := sys.Run(trace)
 	sla := serving.SLA{TTFT: 2.5, TPOT: 0.15}
 	fmt.Printf("%-12s attainment %5.1f%%  TTFT %.3fs  TPOT %.4fs  (ring=%d ina=%d hetero=%d)\n",
-		name, res.Attainment(sla)*100,
+		s.Display, res.Attainment(sla)*100,
 		stats.Mean(res.TTFTs()), stats.Mean(res.TPOTs()),
 		res.Comm.RingOps, res.Comm.INASyncOps+res.Comm.INAAsyncOps, res.Comm.HeteroOps)
 }
 
 func main() {
 	fmt.Printf("OPT-66B chatbot on the Fig. 6 testbed at %.2f req/s/GPU with background traffic\n\n", perGPURate)
-	run("HeroServe", func(g *topology.Graph, lambda float64) (*serving.System, error) {
-		sys, _, _, err := core.NewSystem(inputs(g, lambda), nil, serving.Options{})
-		return sys, err
-	})
-	run("DistServe", func(g *topology.Graph, lambda float64) (*serving.System, error) {
-		sys, _, err := baselines.NewSystem(baselines.DistServe, inputs(g, lambda), serving.Options{})
-		return sys, err
-	})
+	run("heroserve")
+	run("distserve")
 }

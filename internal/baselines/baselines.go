@@ -6,9 +6,10 @@
 //   - DS-SwitchML: DistServe + synchronous Ethernet INA (SwitchML slots).
 //   - DS-ATP: DistServe + asynchronous Ethernet INA (ATP shared pool).
 //
-// All three plan with the heterogeneous scheme disabled; the INA variants
-// force their aggregation discipline onto every cross-GPU group. HeroServe
-// itself lives in internal/core.
+// A baseline is fully described by its all-reduce scheme. All three plan
+// with the heterogeneous scheme disabled; the INA variants force their
+// aggregation discipline onto every cross-server group. The systems table
+// (core.Systems) names them; HeroServe itself lives in internal/core.
 package baselines
 
 import (
@@ -17,64 +18,25 @@ import (
 	"heroserve/internal/collective"
 	"heroserve/internal/planner"
 	"heroserve/internal/serving"
-	"heroserve/internal/switchsim"
 )
 
-// Kind selects a baseline system.
-type Kind uint8
-
-const (
-	// DistServe is the ring-only disaggregated baseline.
-	DistServe Kind = iota
-	// DSSwitchML adds synchronous Ethernet INA.
-	DSSwitchML
-	// DSATP adds asynchronous Ethernet INA.
-	DSATP
-)
-
-func (k Kind) String() string {
-	switch k {
-	case DistServe:
-		return "DistServe"
-	case DSSwitchML:
-		return "DS-SwitchML"
-	case DSATP:
-		return "DS-ATP"
-	}
-	return fmt.Sprintf("Kind(%d)", uint8(k))
-}
-
-// ringPolicy always rings (DistServe's NCCL collectives).
-type ringPolicy struct{}
-
-func (ringPolicy) Name() string { return "DistServe" }
-
-func (ringPolicy) AllReduce(ctx *serving.GroupCtx, msgBytes int64, steps int, done func()) {
-	ctx.Comm.AllReduceTagged(collective.SchemeRing, ctx.Group, -1, msgBytes, steps, ctx.Reqs, done)
-}
-
-// inaPolicy offloads cross-server synchronization to Ethernet INA at the
-// planner-chosen switch, in the given data-plane mode. Intra-server groups
+// policy runs one scheme on every cross-server group. Intra-server groups
 // stay on the NCCL ring (NVLink): a real SwitchML/ATP integration never
 // detours node-local collectives through the ToR. Groups without a reachable
 // switch also fall back to ring.
-type inaPolicy struct {
-	name string
-	mode switchsim.Mode
+type policy struct {
+	name   string
+	scheme collective.Scheme
 }
 
-func (p inaPolicy) Name() string { return p.name }
+func (p policy) Name() string { return p.name }
 
-func (p inaPolicy) AllReduce(ctx *serving.GroupCtx, msgBytes int64, steps int, done func()) {
-	if ctx.Switch < 0 || intraServer(ctx) {
+func (p policy) AllReduce(ctx *serving.GroupCtx, msgBytes int64, steps int, done func()) {
+	if p.scheme == collective.SchemeRing || ctx.Switch < 0 || intraServer(ctx) {
 		ctx.Comm.AllReduceTagged(collective.SchemeRing, ctx.Group, -1, msgBytes, steps, ctx.Reqs, done)
 		return
 	}
-	scheme := collective.SchemeINASync
-	if p.mode == switchsim.ModeAsync {
-		scheme = collective.SchemeINAAsync
-	}
-	ctx.Comm.AllReduceTagged(scheme, ctx.Group, ctx.Switch, msgBytes, steps, ctx.Reqs, done)
+	ctx.Comm.AllReduceTagged(p.scheme, ctx.Group, ctx.Switch, msgBytes, steps, ctx.Reqs, done)
 }
 
 // intraServer reports whether the whole group lives on one server.
@@ -88,37 +50,25 @@ func intraServer(ctx *serving.GroupCtx) bool {
 	return true
 }
 
-// Policy returns the baseline's communication policy.
-func Policy(k Kind) serving.CommPolicy {
-	switch k {
-	case DistServe:
-		return ringPolicy{}
-	case DSSwitchML:
-		return inaPolicy{name: "DS-SwitchML", mode: switchsim.ModeSync}
-	case DSATP:
-		return inaPolicy{name: "DS-ATP", mode: switchsim.ModeAsync}
+// Policy returns the communication policy, named name, of the baseline whose
+// all-reduce scheme is scheme: ring, or sync or async Ethernet INA. It
+// panics on the heterogeneous scheme, which no baseline runs.
+func Policy(name string, scheme collective.Scheme) serving.CommPolicy {
+	if scheme >= collective.SchemeHetero {
+		panic(fmt.Sprintf("baselines: no baseline runs scheme %v", scheme))
 	}
-	panic(fmt.Sprintf("baselines: unknown kind %d", k))
+	return policy{name: name, scheme: scheme}
 }
 
 // Plan runs the offline planner in the baseline's configuration: the
 // heterogeneous scheme is disabled, and the resulting per-stage scheme
-// annotations are overridden to the baseline's discipline (ring for
-// DistServe; sync/async INA where a switch exists for the INA variants).
-func Plan(k Kind, in planner.Inputs) (*planner.Plan, error) {
+// annotations are overridden to the baseline's scheme where a switch exists
+// and the stage spans servers, and to ring everywhere else.
+func Plan(scheme collective.Scheme, in planner.Inputs) (*planner.Plan, error) {
 	in.Hetero = false
 	plan, err := planner.Solve(in)
 	if err != nil {
-		return nil, fmt.Errorf("%s: %w", k, err)
-	}
-	var scheme collective.Scheme
-	switch k {
-	case DistServe:
-		scheme = collective.SchemeRing
-	case DSSwitchML:
-		scheme = collective.SchemeINASync
-	case DSATP:
-		scheme = collective.SchemeINAAsync
+		return nil, err
 	}
 	spans := func(spec *serving.InstanceSpec, stage int) bool {
 		group := spec.Stages[stage]
@@ -143,19 +93,4 @@ func Plan(k Kind, in planner.Inputs) (*planner.Plan, error) {
 	override(plan.Deployment.Prefill)
 	override(plan.Deployment.Decode)
 	return plan, nil
-}
-
-// NewSystem builds a serving system for the baseline over the planned
-// deployment.
-func NewSystem(k Kind, in planner.Inputs, opts serving.Options) (*serving.System, *planner.Plan, error) {
-	plan, err := Plan(k, in)
-	if err != nil {
-		return nil, nil, err
-	}
-	opts.Policy = Policy(k)
-	sys, err := serving.New(in.Graph, plan.Deployment, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return sys, plan, nil
 }

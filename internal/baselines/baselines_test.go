@@ -1,9 +1,11 @@
-package baselines
+package baselines_test
 
 import (
 	"testing"
 
+	"heroserve/internal/baselines"
 	"heroserve/internal/collective"
+	"heroserve/internal/core"
 	"heroserve/internal/model"
 	"heroserve/internal/planner"
 	"heroserve/internal/serving"
@@ -44,98 +46,115 @@ func spansServers(t *testing.T, in planner.Inputs, inst serving.InstanceSpec, st
 	return false
 }
 
-func TestKindStrings(t *testing.T) {
-	cases := map[Kind]string{DistServe: "DistServe", DSSwitchML: "DS-SwitchML", DSATP: "DS-ATP"}
-	for k, want := range cases {
-		if k.String() != want {
-			t.Errorf("%d.String() = %q", k, k.String())
+// rows is the systems table's baseline rows: every row but HeroServe's.
+func rows(t *testing.T) []core.System {
+	t.Helper()
+	var out []core.System
+	for _, s := range core.Systems {
+		if s.Scheme != collective.SchemeHetero {
+			out = append(out, s)
 		}
-		if Policy(k).Name() != want {
-			t.Errorf("Policy(%v).Name() = %q", k, Policy(k).Name())
+	}
+	if len(out) != 3 {
+		t.Fatalf("the systems table holds %d baselines, want 3", len(out))
+	}
+	return out
+}
+
+func TestKindStrings(t *testing.T) {
+	want := map[string]collective.Scheme{
+		"DistServe":   collective.SchemeRing,
+		"DS-SwitchML": collective.SchemeINASync,
+		"DS-ATP":      collective.SchemeINAAsync,
+	}
+	for _, s := range rows(t) {
+		if scheme, ok := want[s.Display]; !ok || s.Scheme != scheme {
+			t.Errorf("%s runs %v, want %v", s.Display, s.Scheme, scheme)
+		}
+		if got := baselines.Policy(s.Display, s.Scheme).Name(); got != s.Display {
+			t.Errorf("Policy(%q, %v).Name() = %q", s.Display, s.Scheme, got)
 		}
 	}
 }
 
 func TestPlanOverridesSchemes(t *testing.T) {
-	for _, k := range []Kind{DistServe, DSSwitchML, DSATP} {
+	for _, scheme := range []collective.Scheme{collective.SchemeRing, collective.SchemeINASync, collective.SchemeINAAsync} {
 		in := inputs(t)
-		plan, err := Plan(k, in)
+		plan, err := baselines.Plan(scheme, in)
 		if err != nil {
-			t.Fatalf("%v: %v", k, err)
+			t.Fatalf("%v: %v", scheme, err)
 		}
 		spanningINA := 0
 		for _, inst := range append(plan.Deployment.Prefill, plan.Deployment.Decode...) {
 			for s, sch := range inst.Scheme {
 				spanning := spansServers(t, in, inst, s) && inst.AggSwitch[s] >= 0
 				switch {
-				case k == DistServe && sch != collective.SchemeRing:
-					t.Errorf("DistServe stage scheme = %v", sch)
-				case k == DSSwitchML && spanning && sch != collective.SchemeINASync:
-					t.Errorf("DS-SwitchML spanning stage scheme = %v", sch)
-				case k == DSATP && spanning && sch != collective.SchemeINAAsync:
-					t.Errorf("DS-ATP spanning stage scheme = %v", sch)
+				case scheme == collective.SchemeRing && sch != collective.SchemeRing:
+					t.Errorf("ring baseline stage scheme = %v", sch)
+				case scheme != collective.SchemeRing && spanning && sch != scheme:
+					t.Errorf("%v baseline spanning stage scheme = %v", scheme, sch)
 				case !spanning && sch != collective.SchemeRing:
-					t.Errorf("%v intra-server stage scheme = %v, want ring", k, sch)
+					t.Errorf("%v intra-server stage scheme = %v, want ring", scheme, sch)
 				}
 				if spanning {
 					spanningINA++
 				}
 				if sch == collective.SchemeHetero {
-					t.Errorf("%v plan contains the heterogeneous scheme", k)
+					t.Errorf("%v plan contains the heterogeneous scheme", scheme)
 				}
 			}
 		}
 		if spanningINA == 0 {
-			t.Errorf("%v plan has no spanning stages: the cross-server regime is not engaged", k)
+			t.Errorf("%v plan has no spanning stages: the cross-server regime is not engaged", scheme)
 		}
 	}
 }
 
 func TestBaselineSystemsServe(t *testing.T) {
 	trace := workload.NewGenerator(workload.Chatbot, 5).Generate(12, 2)
-	for _, k := range []Kind{DistServe, DSSwitchML, DSATP} {
-		sys, plan, err := NewSystem(k, inputs(t), serving.Options{})
+	for _, s := range rows(t) {
+		in := inputs(t)
+		plan, err := s.Plan(in)
 		if err != nil {
-			t.Fatalf("%v: %v", k, err)
+			t.Fatalf("%s: %v", s.Display, err)
 		}
-		if plan == nil {
-			t.Fatal("nil plan")
+		sys, err := s.Build(in, plan, serving.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", s.Display, err)
 		}
 		res := sys.Run(trace)
 		if res.Served != 12 {
-			t.Fatalf("%v served %d/12", k, res.Served)
+			t.Fatalf("%s served %d/12", s.Display, res.Served)
 		}
-		if res.PolicyName != k.String() {
-			t.Errorf("policy name %q", res.PolicyName)
+		if res.PolicyName != s.Display {
+			t.Errorf("policy name %q, want %q", res.PolicyName, s.Display)
 		}
-		switch k {
-		case DistServe:
-			if res.Comm.INASyncOps+res.Comm.INAAsyncOps > 0 {
-				t.Errorf("DistServe used INA")
-			}
-			if res.Comm.RingOps == 0 {
-				t.Errorf("DistServe never rang")
-			}
-		case DSSwitchML:
-			if res.Comm.INASyncOps == 0 {
-				t.Errorf("DS-SwitchML never used sync INA")
-			}
-		case DSATP:
-			if res.Comm.INAAsyncOps == 0 {
-				t.Errorf("DS-ATP never used async INA")
-			}
+		ops := map[collective.Scheme]int64{
+			collective.SchemeRing:     res.Comm.RingOps,
+			collective.SchemeINASync:  res.Comm.INASyncOps,
+			collective.SchemeINAAsync: res.Comm.INAAsyncOps,
+			collective.SchemeHetero:   res.Comm.HeteroOps,
 		}
-		if res.Comm.HeteroOps > 0 {
-			t.Errorf("%v used the heterogeneous scheme", k)
+		if ops[s.Scheme] == 0 {
+			t.Errorf("%s never ran %v", s.Display, s.Scheme)
+		}
+		for scheme, n := range ops {
+			if scheme != s.Scheme && scheme != collective.SchemeRing && n > 0 {
+				t.Errorf("%s ran %d %v ops", s.Display, n, scheme)
+			}
 		}
 	}
 }
 
 func TestPolicyUnknownKindPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic")
-		}
-	}()
-	Policy(Kind(9))
+	for _, scheme := range []collective.Scheme{collective.SchemeHetero, collective.Scheme(9)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Policy(%v): no panic", scheme)
+				}
+			}()
+			baselines.Policy("bogus", scheme)
+		}()
+	}
 }

@@ -8,7 +8,6 @@ import (
 	"strconv"
 	"testing"
 
-	"heroserve/internal/baselines"
 	"heroserve/internal/serving"
 	"heroserve/internal/telemetry"
 	"heroserve/internal/workload"
@@ -26,16 +25,15 @@ func critRun(t *testing.T, system string) (*serving.Results, *telemetry.Hub, []b
 	}
 	sla := in.SLA
 	opts := serving.Options{Telemetry: hub, SLA: &sla}
-	var sys *serving.System
-	var err error
-	switch system {
-	case "heroserve":
-		sys, _, _, err = NewSystem(in, nil, opts)
-	case "distserve":
-		sys, _, err = baselines.NewSystem(baselines.DistServe, in, opts)
-	case "ds-switchml":
-		sys, _, err = baselines.NewSystem(baselines.DSSwitchML, in, opts)
+	s, err := ByName(system)
+	if err != nil {
+		t.Fatal(err)
 	}
+	plan, err := s.Plan(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := s.Build(in, plan, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

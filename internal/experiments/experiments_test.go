@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"heroserve/internal/core"
 )
 
 // The experiment tests assert the *shape* of each reproduced figure — who
@@ -351,8 +353,8 @@ func TestFormatHelpers(t *testing.T) {
 		t.Error("scale strings")
 	}
 	for _, k := range AllSystems {
-		if strings.Contains(k.String(), "SystemKind") {
-			t.Errorf("unnamed system %d", k)
+		if k.String() == "" || k.String() != core.Systems[k].Display {
+			t.Errorf("unnamed system %d: %q", k, k.String())
 		}
 	}
 	if sparkChar(-1) != " " || sparkChar(2) != "#" {

@@ -7,7 +7,6 @@ import (
 	"heroserve/internal/netsim"
 	"heroserve/internal/serving"
 	"heroserve/internal/sim"
-	"heroserve/internal/switchsim"
 	"heroserve/internal/topology"
 )
 
@@ -80,6 +79,7 @@ func fig9Trial(sysKind SystemKind, size int64, rounds int, seed int64) (float64,
 	// respawn back-to-back transfers between random GPU pairs. The
 	// seed is shared across systems so all face the same background.
 	serving.LaunchElephants(net, router, 12, 256<<20, 8.0, seed+7)
+	scheme := sysKind.system().Scheme
 
 	var finished sim.Time
 	done := 0
@@ -94,17 +94,7 @@ func fig9Trial(sysKind SystemKind, size int64, rounds int, seed int64) (float64,
 				return
 			}
 			next := func() { step(round + 1) }
-			grp, sw := groups[gi], switches[gi]
-			switch sysKind {
-			case HeroServe:
-				comm.HeteroAllReduce(grp, sw, size, 1, next)
-			case DSSwitchMLK:
-				comm.INAAllReduce(grp, sw, size, 1, switchsim.ModeSync, next)
-			case DSATPK:
-				comm.INAAllReduce(grp, sw, size, 1, switchsim.ModeAsync, next)
-			case DistServeK:
-				comm.RingAllReduce(grp, size, 1, next)
-			}
+			comm.AllReduceTagged(scheme, groups[gi], switches[gi], size, 1, nil, next)
 		}
 		step(0)
 	}

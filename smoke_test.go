@@ -178,6 +178,8 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"serve", []string{"-trace", trace, "-topology", "bogus"}},
 		{"serve", []string{"-trace", trace, "-model", "bogus"}},
 		{"serve", []string{"-trace", trace, "-system", "bogus"}},
+		{"serve", []string{"-trace", trace, "-system", "heroserve,distserve"}},
+		{"serve", []string{"-trace", trace, "-system", "heroserve,bogus", "-daemon"}},
 		{"serve", []string{"-trace", missing}},
 		{"serve", []string{"-trace", truncated}},
 		{"serve", []string{"-trace", negArrival}},
