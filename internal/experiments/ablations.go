@@ -46,32 +46,27 @@ func AblationData(env Env) ([]AblationResult, error) {
 	if env.Scale == Full {
 		n = 100
 	}
-	g0 := topology.Testbed()
-	pre, dec := planner.SplitPoolsByServer(g0, 2)
 	trace512 := workload.NewGenerator(workload.Chatbot, env.Seed).Generate(512, 1)
-	in := planner.Inputs{
+	in := core.DefaultInputs(topology.Testbed(), 2, planner.Inputs{
 		Model:         model.OPT66B(),
-		Graph:         g0,
-		PrefillGPUs:   pre,
-		DecodeGPUs:    dec,
 		Workload:      trace512.BatchStats(32),
 		Lambda:        4,
 		SLA:           serving.SLA{TTFT: 2.5, TPOT: 0.15},
 		MinTensDecode: 8,
-		Hetero:        true,
 		Seed:          env.Seed,
-	}
-	plan, err := planner.Solve(in)
+	})
+	plan, err := core.Plan(in)
 	if err != nil {
 		return nil, err
 	}
 
-	// Every variant replays the same trace on the same deployment under the
-	// same elephant lanes; only the communication policy differs.
+	// Every variant is HeroServe (core.NewSystem: load-aware router, fault
+	// injector, ledger) replaying the same trace on the same deployment under
+	// the same elephant lanes; only the communication policy differs.
 	run := func(variant string, policy serving.CommPolicy) (AblationResult, error) {
 		trace := workload.NewGenerator(workload.Chatbot, env.Seed+5).Generate(n, 4)
 		res, err := env.simulate(variant, in.SLA, serving.Options{Policy: policy}, func(opts serving.Options) (*serving.System, error) {
-			sys, err := serving.New(topology.Testbed(), plan.Deployment, opts)
+			sys, _, _, err := core.NewSystem(in, plan, opts)
 			if err == nil {
 				sys.InjectElephants(4, 512<<20, 60, env.Seed+99)
 			}
