@@ -21,7 +21,9 @@
 //   - internal/scheduler — the load-aware online scheduler (paper Eq. 16-18).
 //   - internal/serving — the event-driven disaggregated prefill/decode
 //     serving simulator; internal/baselines — DistServe, DS-SwitchML,
-//     DS-ATP; internal/core — HeroServe itself.
+//     DS-ATP; internal/core — HeroServe itself, and the systems table
+//     (core.Systems, core.ByName) from which every command and experiment
+//     builds the four systems.
 //   - internal/experiments — drivers regenerating every evaluation figure.
 //
 // Entry points: cmd/heroserve (figure regeneration), cmd/planner (offline
