@@ -184,7 +184,8 @@ type GroupCtx struct {
 	// Reqs lists the IDs of the requests in the batch this synchronization
 	// serves, in ascending order. Policies thread it onto the collective span
 	// ("reqs" arg) so the critical-path analyzer can attribute comm time to
-	// requests; empty when telemetry is off.
+	// requests; empty when telemetry is off. The list is valid only during
+	// the AllReduce call: the instance refills it for its next batch.
 	Reqs []int
 }
 

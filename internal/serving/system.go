@@ -87,6 +87,7 @@ type prefillInstance struct {
 	queue        []*request
 	queuedTokens int64
 	busy         bool
+	reqs         []int // the running pass's request IDs (batchReqs)
 }
 
 type decodeInstance struct {
@@ -121,6 +122,7 @@ type decodeInstance struct {
 	synced     func()
 	stagesLeft int
 	ctxs       []GroupCtx
+	reqs       []int // the running batch's request IDs (batchReqs)
 
 	// Telemetry (nil when off).
 	telOcc *telemetry.Gauge
@@ -414,17 +416,19 @@ func (s *System) groupCtx(spec *InstanceSpec, instance, stage int, reqs []int) G
 }
 
 // batchReqs returns the sorted request IDs of a batch for span attribution,
-// or nil when telemetry is off (no one would read them). The slice is fresh
-// on every call: trace args and the decision ledger keep it.
-func (s *System) batchReqs(batch []*request) []int {
+// or nil when telemetry is off (no one would read them). The IDs go into
+// buf, the instance's own buffer, refilled for each batch: the trace and the
+// decision ledger read the list only during the call that records it.
+func (s *System) batchReqs(buf *[]int, batch []*request) []int {
 	if s.tel == nil || len(batch) == 0 {
 		return nil
 	}
-	ids := make([]int, len(batch))
-	for i, r := range batch {
-		ids[i] = r.req.ID
+	ids := (*buf)[:0]
+	for _, r := range batch {
+		ids = append(ids, r.req.ID)
 	}
 	sort.Ints(ids)
+	*buf = ids
 	return ids
 }
 
@@ -564,7 +568,7 @@ func (s *System) runPrefillStage(pi *prefillInstance, batch []*request, kin, kin
 		return
 	}
 	tc := pi.cm.Prefill(kin, kin2, spec.Ptens()) / float64(spec.Ppipe())
-	reqs := s.batchReqs(batch)
+	reqs := s.batchReqs(&pi.reqs, batch)
 	s.eng.PostAfter(tc, func() {
 		next := func() {
 			if stage+1 < spec.Ppipe() {
@@ -724,7 +728,7 @@ func (s *System) syncDecode(di *decodeInstance) {
 	}
 	msg := s.dep.Model.SyncBytes(int64(len(di.running)))
 	steps := s.syncSteps(spec)
-	reqs := s.batchReqs(di.running)
+	reqs := s.batchReqs(&di.reqs, di.running)
 	di.stagesLeft = spec.Ppipe()
 	for st := range di.ctxs {
 		di.ctxs[st] = s.groupCtx(spec, di.id, st, reqs)
@@ -801,18 +805,18 @@ func (s *System) complete(r *request) {
 			s.telSLAMissed.Inc()
 		}
 	}
-	s.emitRequestSpans(r, now)
+	s.emitRequestSpans(r, now, tid)
 }
 
 // emitRequestSpans writes the request's nested lifecycle spans on its own
-// trace thread (tid = request ID + 1): the whole request, then queue ->
-// prefill -> kv-transfer -> decode. Parents precede children, which is how
-// Perfetto resolves equal-timestamp nesting.
-func (s *System) emitRequestSpans(r *request, now sim.Time) {
+// trace thread (tid = request ID + 1): the whole request, stamped with its
+// trace ID, then queue -> prefill -> kv-transfer -> decode. Parents precede
+// children, which is how Perfetto resolves equal-timestamp nesting.
+func (s *System) emitRequestSpans(r *request, now sim.Time, traceID string) {
 	tr := s.tel.Trace
 	tid := r.req.ID + 1
 	args := append(s.spanArgs[:0], telemetry.Int("id", r.req.ID), telemetry.Int("input", r.req.Input),
-		telemetry.Int("output", r.req.Output), telemetry.Str("trace_id", s.traceID(r)))
+		telemetry.Int("output", r.req.Output), telemetry.Str("trace_id", traceID))
 	tr.Complete(tid, "request", "request", r.req.Arrival, now, args)
 	args = append(args[:0], telemetry.Int("req", r.req.ID))
 	tr.Complete(tid, "request", "queue", r.req.Arrival, r.prefillStart, args)

@@ -16,6 +16,8 @@ import (
 type Collector struct {
 	Analyzer *Analyzer
 	metrics  *telemetry.Registry
+	// Per-stage counter handles, registered as stages first appear.
+	ttft, e2e map[string]*telemetry.Counter
 }
 
 // Bind attaches a fresh collector to the hub. Call it BEFORE the serving run
@@ -26,29 +28,46 @@ func Bind(h *telemetry.Hub) *Collector {
 	if h == nil || h.Trace == nil {
 		return nil
 	}
-	c := &Collector{Analyzer: New(), metrics: h.Metrics}
+	c := &Collector{
+		Analyzer: New(),
+		metrics:  h.Metrics,
+		ttft:     make(map[string]*telemetry.Counter),
+		e2e:      make(map[string]*telemetry.Counter),
+	}
 	c.Analyzer.OnFinalize(c.record)
 	h.Trace.Tap(c.Analyzer.Feed)
 	return c
 }
 
 // record bumps the per-stage critical-path counters for one finalized
-// request. Registry children are registered per stage label as stages first
-// appear, so runs without a metrics registry still get breakdowns.
+// request, in the canonical stage order the analyzer left for its OnFinalize
+// callbacks. Registry children are registered per stage label as stages
+// first appear, so runs without a metrics registry still get breakdowns.
 func (c *Collector) record(b Breakdown) {
 	if c.metrics == nil {
 		return
 	}
-	for _, s := range sortStages(b.TTFTStages) {
-		c.metrics.Counter(telemetry.TTFTCritPathFamily,
+	for _, s := range c.Analyzer.ttftOrder {
+		c.counter(c.ttft, telemetry.TTFTCritPathFamily,
 			"Critical-path decomposition of time-to-first-token, by stage; the per-stage totals sum to ttft_seconds_sum.",
-			[]string{"stage"}, s).Add(b.TTFTStages[s])
+			s).Add(b.TTFTStages[s])
 	}
-	for _, s := range sortStages(b.E2EStages) {
-		c.metrics.Counter(telemetry.E2ECritPathFamily,
+	for _, s := range c.Analyzer.e2eOrder {
+		c.counter(c.e2e, telemetry.E2ECritPathFamily,
 			"Critical-path decomposition of request end-to-end latency, by stage; the per-stage totals sum to e2e_seconds_sum.",
-			[]string{"stage"}, s).Add(b.E2EStages[s])
+			s).Add(b.E2EStages[s])
 	}
+}
+
+// counter returns the family's counter for stage from the handle cache,
+// registering it on the stage's first appearance.
+func (c *Collector) counter(cache map[string]*telemetry.Counter, family, help, stage string) *telemetry.Counter {
+	ctr, ok := cache[stage]
+	if !ok {
+		ctr = c.metrics.Counter(family, help, []string{"stage"}, stage)
+		cache[stage] = ctr
+	}
+	return ctr
 }
 
 // Unbind removes the collector's tap from the tracer.

@@ -102,6 +102,8 @@ type window struct {
 }
 
 // reqState accumulates one in-flight request's evidence until it finalizes.
+// The analyzer recycles it: a finalized state goes back on the free list
+// zeroed, keeping its comm and pipe capacity for the next request.
 type reqState struct {
 	traceID                    string
 	output                     int
@@ -140,6 +142,14 @@ type Analyzer struct {
 	done    []Breakdown        // finalized, in completion order
 	onFinal []func(Breakdown)
 	sweep   sweep // partition scratch, reused by every finalize
+
+	// Free lists: finalized requests' states and closed spans' reqs
+	// buffers, taken again by the next request and the next open span.
+	freeStates []*reqState
+	freeReqs   [][]int
+	// The finalizing breakdown's stages in canonical order, valid during
+	// its OnFinalize callbacks.
+	ttftOrder, e2eOrder []string
 }
 
 // New returns an empty analyzer.
@@ -167,7 +177,8 @@ func (a *Analyzer) Process(pid int) string { return a.procs[pid] }
 
 // Feed consumes one trace event. Events must arrive in emit order. The
 // event is valid only during the call (the tracer's tap contract), so Feed
-// copies what it keeps: an open span owns its copy of the "reqs" list.
+// copies what it keeps: an open span copies the "reqs" list into a buffer
+// from the free list, which goes back when the span closes.
 func (a *Analyzer) Feed(ev telemetry.Event) {
 	switch ev.Ph {
 	case "M":
@@ -189,7 +200,11 @@ func (a *Analyzer) Feed(ev telemetry.Event) {
 			scheme, _ := ev.Args.Str("scheme")
 			stage = a.allReduceStage(scheme)
 		}
-		a.open[spanKey{ev.Pid, ev.Cat, ev.ID, ev.Name}] = openSpan{start: ev.Ts, stage: stage, reqs: slices.Clone(reqs)}
+		var buf []int
+		if n := len(a.freeReqs); n > 0 {
+			buf, a.freeReqs = a.freeReqs[n-1], a.freeReqs[:n-1]
+		}
+		a.open[spanKey{ev.Pid, ev.Cat, ev.ID, ev.Name}] = openSpan{start: ev.Ts, stage: stage, reqs: append(buf, reqs...)}
 	case "e":
 		key := spanKey{ev.Pid, ev.Cat, ev.ID, ev.Name}
 		sp, ok := a.open[key]
@@ -206,6 +221,7 @@ func (a *Analyzer) Feed(ev telemetry.Event) {
 				rs.comm = append(rs.comm, iv)
 			}
 		}
+		a.freeReqs = append(a.freeReqs, sp.reqs[:0])
 	case "i":
 		if ev.Cat != "fault" || strings.HasSuffix(ev.Name, "-recovered") {
 			return
@@ -284,22 +300,34 @@ func (a *Analyzer) allReduceStage(scheme string) string {
 	return s
 }
 
+// req returns the request's state, taking a recycled one for a new request.
 func (a *Analyzer) req(k reqKey) *reqState {
 	rs, ok := a.reqs[k]
 	if !ok {
-		rs = &reqState{}
+		if n := len(a.freeStates); n > 0 {
+			rs, a.freeStates = a.freeStates[n-1], a.freeStates[:n-1]
+		} else {
+			rs = &reqState{}
+		}
 		a.reqs[k] = rs
 	}
 	return rs
 }
 
-// finalize partitions the request's windows into stage contributions and
-// publishes the breakdown.
+// finalize publishes the request's breakdown, unless its trace is malformed
+// or truncated (nothing trustworthy to report), and recycles its state.
 func (a *Analyzer) finalize(k reqKey, rs *reqState) {
 	delete(a.reqs, k)
-	if !rs.queue.seen || !rs.prefill.seen || !rs.kv.seen {
-		return // malformed/truncated trace; nothing trustworthy to report
+	if rs.queue.seen && rs.prefill.seen && rs.kv.seen {
+		a.publish(k, rs)
 	}
+	*rs = reqState{comm: rs.comm[:0], pipe: rs.pipe[:0]}
+	a.freeStates = append(a.freeStates, rs)
+}
+
+// publish partitions the request's windows into stage contributions, records
+// the breakdown and runs the OnFinalize callbacks.
+func (a *Analyzer) publish(k reqKey, rs *reqState) {
 	faults := a.faults[k.pid]
 	b := Breakdown{
 		PID:        k.pid,
@@ -322,12 +350,14 @@ func (a *Analyzer) finalize(k reqKey, rs *reqState) {
 	// decomposition identity holds by construction. They are summed in
 	// canonical stage order, not map order, so their last bits are the same
 	// on every run.
-	for _, s := range sortStages(b.TTFTStages) {
+	a.ttftOrder = sortStagesInto(a.ttftOrder, b.TTFTStages)
+	for _, s := range a.ttftOrder {
 		v := b.TTFTStages[s] / 1e6
 		b.TTFTStages[s] = v
 		b.TTFT += v
 	}
-	for _, s := range sortStages(b.E2EStages) {
+	a.e2eOrder = sortStagesInto(a.e2eOrder, b.E2EStages)
+	for _, s := range a.e2eOrder {
 		v := b.E2EStages[s] / 1e6
 		b.E2EStages[s] = v
 		b.E2E += v
@@ -346,8 +376,7 @@ func addStage(m map[string]float64, stage string, d float64) {
 }
 
 // sweep is partition's scratch space. The Analyzer owns one and reuses its
-// slices on every finalize, so a steady-state finalize allocates nothing
-// beyond the Breakdown maps.
+// slices on every finalize.
 type sweep struct {
 	spans   []span     // clipped spans: comm, then pipe, then fault
 	starts  []edge     // start of every span without a NaN endpoint, ascending
@@ -642,12 +671,18 @@ func compareStages(a, b string) int {
 
 // sortStages returns the map's keys in canonical order.
 func sortStages(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
+	return sortStagesInto(make([]string, 0, len(m)), m)
+}
+
+// sortStagesInto is sortStages in dst's storage: it returns the map's keys
+// in canonical order, reusing dst when it has the capacity.
+func sortStagesInto(dst []string, m map[string]float64) []string {
+	dst = dst[:0]
 	for k := range m {
-		keys = append(keys, k)
+		dst = append(dst, k)
 	}
-	slices.SortFunc(keys, compareStages)
-	return keys
+	slices.SortFunc(dst, compareStages)
+	return dst
 }
 
 // FromTrace feeds every event of a Chrome trace-event JSON document (the

@@ -667,3 +667,206 @@ func TestStageTotalsAreOrderedSums(t *testing.T) {
 		}
 	}
 }
+
+// recycleStream is a span stream of four requests under pid, in emit order
+// (times in usec): r0 (three tokens) and r1 (one token, so it finalizes on
+// its kv-transfer) share a prefill all-reduce and a pipeline transfer with
+// r3, while r2 has a prefill all-reduce and transfer of its own; r0 and r2
+// share two decode all-reduces, one crossing a fault. r3 is truncated after
+// its prefill span, so it never finalizes. Fed twice to one analyzer, the
+// second r0 takes the first r2's state and the first span takes the last
+// span's reqs buffer, and r0's windows overlap the intervals and requests
+// those would carry over if they were not reset.
+func recycleStream(pid int) []telemetry.Event {
+	dur := func(d float64) *float64 { return &d }
+	var evs []telemetry.Event
+	span := func(ph, name string, ts float64, id string, args telemetry.Args) {
+		cat := "collective"
+		if name == "pipeline_stage" {
+			cat = "pipeline"
+		}
+		evs = append(evs, telemetry.Event{Name: name, Cat: cat, Ph: ph, Ts: ts, Pid: pid, ID: id, Args: args})
+	}
+	allreduce := func(id string, start, end float64, scheme string, reqs ...int) {
+		span("b", "allreduce", start, id, telemetry.Args{telemetry.Ints("reqs", reqs), telemetry.Str("scheme", scheme)})
+		span("e", "allreduce", end, id, nil)
+	}
+	request := func(req, output int, windows ...float64) {
+		evs = append(evs, telemetry.Event{Name: "request", Cat: "request", Ph: "X", Ts: windows[0],
+			Dur: dur(windows[len(windows)-1] - windows[0]), Pid: pid, Tid: req + 1,
+			Args: telemetry.Args{telemetry.Int("id", req), telemetry.Int("output", output),
+				telemetry.Str("trace_id", fmt.Sprintf("p%d-r%d", pid, req))}})
+		for i, name := range []string{"queue", "prefill", "kv-transfer", "decode"}[:len(windows)-1] {
+			evs = append(evs, telemetry.Event{Name: name, Cat: "request", Ph: "X", Ts: windows[i],
+				Dur: dur(windows[i+1] - windows[i]), Pid: pid, Tid: req + 1,
+				Args: telemetry.Args{telemetry.Int("req", req)}})
+		}
+	}
+	evs = append(evs, telemetry.Event{Name: "process_name", Ph: "M", Pid: pid,
+		Args: telemetry.Args{telemetry.Str("name", "planned")}})
+	span("b", "allreduce", 150, "0x1", telemetry.Args{telemetry.Ints("reqs", []int{0, 1, 3}), telemetry.Str("scheme", "ring")})
+	span("b", "allreduce", 150, "0x5", telemetry.Args{telemetry.Ints("reqs", []int{2}), telemetry.Str("scheme", "ina-sync")})
+	span("e", "allreduce", 200, "0x1", nil)
+	span("b", "pipeline_stage", 200, "0x2", telemetry.Args{telemetry.Ints("reqs", []int{0, 1, 3})})
+	span("e", "pipeline_stage", 250, "0x2", nil)
+	span("e", "allreduce", 250, "0x5", nil)
+	span("b", "pipeline_stage", 260, "0x6", telemetry.Args{telemetry.Ints("reqs", []int{2})})
+	span("e", "pipeline_stage", 300, "0x6", nil)
+	request(1, 1, 0, 100, 300, 400)
+	evs = append(evs, telemetry.Event{Name: "link-degrade", Cat: "fault", Ph: "i", Ts: 500, Pid: pid,
+		Scope: "t", Args: telemetry.Args{telemetry.Num("duration", 1e-4)}})
+	allreduce("0x3", 450, 550, "ina-hetero", 0, 2)
+	allreduce("0x4", 600, 650, "ring", 0, 2)
+	request(0, 3, 0, 100, 300, 400, 800)
+	request(2, 2, 0, 120, 340, 440, 900)
+	request(3, 4, 0, 100, 300)
+	return evs
+}
+
+// feedScribbled feeds evs to a and then overwrites each event's "reqs" list,
+// as an emitter reusing its argument buffer would.
+func feedScribbled(a *Analyzer, evs []telemetry.Event) {
+	for _, ev := range evs {
+		a.Feed(ev)
+		reqs := ev.Args.Ints("reqs")
+		for i := range reqs {
+			reqs[i] = -1
+		}
+	}
+}
+
+// TestRecycledStateDoesNotLeak: an analyzer that has finalized requests
+// hands their recycled states and span buffers to the next ones, so one
+// analyzer fed the same stream under two pids must finalize bit for bit
+// what two fresh analyzers finalize from one copy each.
+func TestRecycledStateDoesNotLeak(t *testing.T) {
+	reused := New()
+	feedScribbled(reused, recycleStream(1))
+	feedScribbled(reused, recycleStream(2))
+	var want []Breakdown
+	for pid := 1; pid <= 2; pid++ {
+		fresh := New()
+		feedScribbled(fresh, recycleStream(pid))
+		want = append(want, fresh.Finalized()...)
+	}
+	got := reused.Finalized()
+	if len(want) != 6 || len(got) != len(want) {
+		t.Fatalf("finalized %d requests, fresh analyzers %d; want 6 (r3 never finalizes)", len(got), len(want))
+	}
+	bits := func(v float64) uint64 { return math.Float64bits(v) }
+	sameStages := func(g, w map[string]float64) bool {
+		if len(g) != len(w) {
+			return false
+		}
+		for s, v := range w {
+			if gv, ok := g[s]; !ok || bits(gv) != bits(v) {
+				return false
+			}
+		}
+		return true
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.PID != w.PID || g.Req != w.Req || g.TraceID != w.TraceID ||
+			bits(g.Arrival) != bits(w.Arrival) || bits(g.TTFT) != bits(w.TTFT) || bits(g.E2E) != bits(w.E2E) ||
+			!sameStages(g.TTFTStages, w.TTFTStages) || !sameStages(g.E2EStages, w.E2EStages) {
+			t.Errorf("breakdown %d: recycled %+v, fresh %+v", i, g, w)
+		}
+	}
+}
+
+// decodeStream is k requests decoding together for n iterations: each
+// iteration's all-reduce is tagged with the whole batch, and every request's
+// lifecycle spans follow at the end (times in usec).
+func decodeStream(k, n int) []telemetry.Event {
+	batch := make([]int, k)
+	for i := range batch {
+		batch[i] = i
+	}
+	evs := []telemetry.Event{{Name: "process_name", Ph: "M", Pid: 1,
+		Args: telemetry.Args{telemetry.Str("name", "planned")}}}
+	const kvEnd, iter = 300.0, 100.0
+	for it := 0; it < n; it++ {
+		id, start := fmt.Sprintf("0x%x", it+1), kvEnd+float64(it)*iter
+		evs = append(evs,
+			telemetry.Event{Name: "allreduce", Cat: "collective", Ph: "b", Ts: start + iter/2, Pid: 1, ID: id,
+				Args: telemetry.Args{telemetry.Ints("reqs", batch), telemetry.Str("scheme", "ring")}},
+			telemetry.Event{Name: "allreduce", Cat: "collective", Ph: "e", Ts: start + iter, Pid: 1, ID: id})
+	}
+	end := kvEnd + float64(n)*iter
+	for req := 0; req < k; req++ {
+		windows := []float64{0, 100, 200, kvEnd, end}
+		evs = append(evs, telemetry.Event{Name: "request", Cat: "request", Ph: "X", Ts: 0, Dur: &windows[4],
+			Pid: 1, Tid: req + 1, Args: telemetry.Args{telemetry.Int("id", req), telemetry.Int("output", n+1),
+				telemetry.Str("trace_id", fmt.Sprintf("p1-r%d", req))}})
+		for i, name := range []string{"queue", "prefill", "kv-transfer", "decode"} {
+			d := windows[i+1] - windows[i]
+			evs = append(evs, telemetry.Event{Name: name, Cat: "request", Ph: "X", Ts: windows[i], Dur: &d,
+				Pid: 1, Tid: req + 1, Args: telemetry.Args{telemetry.Int("req", req)}})
+		}
+	}
+	return evs
+}
+
+// replay feeds evs to a and drops the finalized breakdowns, so a replay
+// loop measures the analyzer's steady state, not a growing done list.
+func replay(a *Analyzer, evs []telemetry.Event) {
+	for _, ev := range evs {
+		a.Feed(ev)
+	}
+	a.done = a.done[:0]
+}
+
+// mapSink keeps the reference maps of TestWarmFinalizeAllocatesOnlyItsMaps
+// on the heap, where the analyzer's maps live.
+var mapSink [2]map[string]float64
+
+// TestWarmFinalizeAllocatesOnlyItsMaps: once its free lists and scratch are
+// warm, a replay of a decode stream allocates exactly what building each
+// request's two Breakdown maps allocates.
+func TestWarmFinalizeAllocatesOnlyItsMaps(t *testing.T) {
+	const k = 8
+	evs := decodeStream(k, 64)
+	a := New()
+	a.OnFinalize(NewShareTracker(4).Observe)
+	for i := 0; i < 3; i++ {
+		replay(a, evs)
+	}
+	for _, ev := range evs {
+		a.Feed(ev)
+	}
+	done := slices.Clone(a.Finalized())
+	a.done = a.done[:0]
+	maps := testing.AllocsPerRun(20, func() {
+		for _, b := range done {
+			mapSink[0], mapSink[1] = make(map[string]float64), make(map[string]float64)
+			for s, v := range b.TTFTStages {
+				mapSink[0][s] = v
+			}
+			for s, v := range b.E2EStages {
+				mapSink[1][s] = v
+			}
+		}
+	})
+	if got := testing.AllocsPerRun(20, func() { replay(a, evs) }); got != maps {
+		t.Errorf("warm replay of %d requests allocates %v, want %v (their Breakdown maps)", k, got, maps)
+	}
+}
+
+// BenchmarkAnalyzerFeed replays a decode stream of K requests batched for N
+// iterations through one warm analyzer: per replay, N all-reduce spans
+// tagged with all K requests, then K finalizes.
+func BenchmarkAnalyzerFeed(b *testing.B) {
+	for _, c := range []struct{ k, n int }{{8, 64}, {32, 256}} {
+		evs := decodeStream(c.k, c.n)
+		b.Run(fmt.Sprintf("K=%d/N=%d", c.k, c.n), func(b *testing.B) {
+			a := New()
+			replay(a, evs)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				replay(a, evs)
+			}
+		})
+	}
+}

@@ -17,6 +17,7 @@ type ShareTracker struct {
 	count  int
 	sums   map[string]float64
 	total  float64
+	order  []string // scratch: a stage map's keys in canonical order
 
 	// The last Dominant answer, valid until the next Observe.
 	dom      string
@@ -48,12 +49,15 @@ func (t *ShareTracker) Observe(b Breakdown) {
 	if t == nil {
 		return
 	}
-	for _, m := range t.ring[t.next] {
+	entry := t.ring[t.next]
+	for _, m := range entry {
 		t.sums[m.stage] -= m.sec
 		t.total -= m.sec
 	}
-	entry := make([]stageMass, 0, len(b.TTFTStages))
-	for _, s := range sortStages(b.TTFTStages) {
+	// The evicted entry's storage takes the new one.
+	entry = entry[:0]
+	t.order = sortStagesInto(t.order, b.TTFTStages)
+	for _, s := range t.order {
 		sec := b.TTFTStages[s]
 		entry = append(entry, stageMass{stage: s, sec: sec})
 		t.sums[s] += sec
@@ -105,7 +109,8 @@ func (t *ShareTracker) dominant() (string, float64) {
 		return "", 0
 	}
 	best, bestV := "", -1.0
-	for _, s := range sortStages(t.sums) {
+	t.order = sortStagesInto(t.order, t.sums)
+	for _, s := range t.order {
 		if v := t.sums[s]; v > bestV {
 			best, bestV = s, v
 		}

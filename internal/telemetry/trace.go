@@ -45,6 +45,7 @@ type Tracer struct {
 	count  int          // events recorded
 	stream *traceStream // nil until StreamTo
 	tap    func(Event)  // optional live observer, invoked on every emit
+	dur    float64      // the last Complete's duration, which its event points at
 }
 
 // NewTracer returns a tracer reading sim-time (seconds) from clock. It
@@ -222,9 +223,11 @@ func (t *Tracer) Complete(tid int, cat, name string, start, end float64, args Ar
 	if end < start {
 		end = start
 	}
-	dur := usec(end - start)
+	// The event lives only during emit, so its Dur can point at the
+	// tracer's own field: a local would escape to the heap through the tap.
+	t.dur = usec(end - start)
 	t.emit(Event{
-		Name: name, Cat: cat, Ph: "X", Ts: usec(start), Dur: &dur,
+		Name: name, Cat: cat, Ph: "X", Ts: usec(start), Dur: &t.dur,
 		Pid: t.pid, Tid: tid, Args: args,
 	})
 }

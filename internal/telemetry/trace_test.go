@@ -127,6 +127,23 @@ func TestCompleteClampsBackwardsSpan(t *testing.T) {
 	}
 }
 
+// TestTappedCompleteAllocs: a tapped Complete allocates nothing. Its Dur
+// points at the tracer's own field, not at a local the tap would move to
+// the heap, and the tap reads it during the call.
+func TestTappedCompleteAllocs(t *testing.T) {
+	tr := NewTracer(func() float64 { return 0 })
+	tr.BeginProcess("p")
+	var end float64
+	tr.Tap(func(ev Event) { end = ev.Ts + *ev.Dur })
+	args := Args{Int("req", 1)}
+	if got := testing.AllocsPerRun(100, func() { tr.Complete(1, "request", "queue", 1, 3, args) }); got != 0 {
+		t.Errorf("tapped Complete allocates %v per call, want 0", got)
+	}
+	if end != 3e6 {
+		t.Errorf("tap read end %g, want 3e6", end)
+	}
+}
+
 func TestHubAttach(t *testing.T) {
 	h := New()
 	evs := tapped(h.Trace)

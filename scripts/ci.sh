@@ -22,10 +22,11 @@ echo "== go test -race"
 go test -race -timeout 45m ./... "$@"
 
 # The planner, topology, collective, scheduler (table refresh, controller
-# tick), online-policy, serving (a served run, an elephant relaunch) and
-# tracer layer benchmarks run once each, so they keep compiling and running.
+# tick), online-policy, serving (a served run, an elephant relaunch), tracer
+# and critical-path (partition, analyzer feed) layer benchmarks run once
+# each, so they keep compiling and running.
 echo "== layer benchmarks"
-go test -run '^$' -bench . -benchtime 1x ./internal/planner ./internal/topology ./internal/collective ./internal/scheduler ./internal/core ./internal/serving ./internal/telemetry
+go test -run '^$' -bench . -benchtime 1x ./internal/planner ./internal/topology ./internal/collective ./internal/scheduler ./internal/core ./internal/serving ./internal/telemetry ./internal/telemetry/critpath
 
 # Differential fuzzers: the fast water-filling allocator and its completion
 # timer against the reference allocator, the sweep-line critical-path
