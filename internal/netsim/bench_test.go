@@ -14,7 +14,10 @@ import (
 // the whole simulator: every flow start, finish, cancel, and link rescale
 // pays it. Each iteration starts and cancels a probe flow against a standing
 // population of long-lived flows, i.e. two reallocations per op, for both
-// the fast and the reference implementation.
+// the fast and the reference implementation. The population spreads over
+// the first `paths` of 64 random GPU-to-GPU paths on the testbed (the 64
+// hold 52 distinct edge sequences), so paths=4 piles it into a few path
+// classes and paths=64 spreads it over many.
 func BenchmarkReallocate(b *testing.B) {
 	impls := []struct {
 		name string
@@ -25,30 +28,32 @@ func BenchmarkReallocate(b *testing.B) {
 	}
 	for _, impl := range impls {
 		for _, flows := range []int{10, 100, 1000} {
-			b.Run(fmt.Sprintf("impl=%s/flows=%d", impl.name, flows), func(b *testing.B) {
-				g := topology.Testbed()
-				eng := sim.NewEngine()
-				if impl.name == "ref" {
-					eng = sim.NewReferenceEngine()
-				}
-				n := impl.mk(g, eng)
-				rng := rand.New(rand.NewSource(42))
-				paths := buildPaths(b, g, rng, 64)
-				// Standing population: huge flows that never finish within
-				// the benchmark.
-				for i := 0; i < flows; i++ {
-					n.StartFlow(paths[i%len(paths)], 1<<40, nil)
-				}
-				probePath := paths[rng.Intn(len(paths))]
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					f := n.StartFlow(probePath, 1<<30, nil)
-					n.CancelFlow(f)
-				}
-				b.StopTimer()
-				b.ReportMetric(float64(2*b.N)/b.Elapsed().Seconds(), "reallocs/s")
-			})
+			for _, np := range []int{4, 64} {
+				b.Run(fmt.Sprintf("impl=%s/flows=%d/paths=%d", impl.name, flows, np), func(b *testing.B) {
+					g := topology.Testbed()
+					eng := sim.NewEngine()
+					if impl.name == "ref" {
+						eng = sim.NewReferenceEngine()
+					}
+					n := impl.mk(g, eng)
+					rng := rand.New(rand.NewSource(42))
+					paths := buildPaths(b, g, rng, 64)[:np]
+					// Standing population: huge flows that never finish
+					// within the benchmark.
+					for i := 0; i < flows; i++ {
+						n.StartFlow(paths[i%len(paths)], 1<<40, nil)
+					}
+					probePath := paths[rng.Intn(len(paths))]
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						f := n.StartFlow(probePath, 1<<30, nil)
+						n.CancelFlow(f)
+					}
+					b.StopTimer()
+					b.ReportMetric(float64(2*b.N)/b.Elapsed().Seconds(), "reallocs/s")
+				})
+			}
 		}
 	}
 }

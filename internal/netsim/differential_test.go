@@ -3,6 +3,7 @@ package netsim
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"heroserve/internal/sim"
@@ -286,7 +287,8 @@ func TestDifferentialNetsimCrossEngines(t *testing.T) {
 
 // TestFastPathSteadyStateAllocs pins the fast path's allocation claim: once
 // flows are in steady state, a reallocation triggered by link rescaling
-// performs no heap allocation at all, neither in netsim nor in the engine.
+// performs no heap allocation at all, neither in netsim nor in the engine,
+// and neither do the path classes of flows that come and go.
 func TestFastPathSteadyStateAllocs(t *testing.T) {
 	g := topology.Testbed()
 	eng := sim.NewEngine()
@@ -310,5 +312,51 @@ func TestFastPathSteadyStateAllocs(t *testing.T) {
 	// allocate.
 	if perOp != 0 {
 		t.Errorf("steady-state reallocation allocates %.1f objects per op, want 0", perOp)
+	}
+
+	// A shared-path population: 32 flows in four path classes. A flow that
+	// joins a class and one that builds (and then frees) its own must both
+	// come and go without allocating once the network is warm. A group flow
+	// is recycled after it delivers, so start-to-delivery allocates nothing;
+	// a StartFlow flow is the caller's, so start-and-cancel allocates that
+	// one Flow and nothing else.
+	eng = sim.NewEngine()
+	n = New(g, eng)
+	for i := 0; i < 32; i++ {
+		n.StartFlow(paths[i%4], int64(1<<40+i), nil)
+	}
+	var own topology.Path // a path no standing flow is on
+	for _, p := range paths[4:] {
+		if !slices.ContainsFunc(paths[:4], func(q topology.Path) bool { return slices.Equal(p.Edges, q.Edges) }) {
+			own = p
+			break
+		}
+	}
+	delivered := false
+	done := func() { delivered = true }
+	for _, c := range []struct {
+		name string
+		path topology.Path
+	}{{"joins a class", paths[0]}, {"builds a class", own}} {
+		probe := []topology.Path{c.path}
+		deliver := func() {
+			delivered = false
+			n.StartGroup(probe, 1<<20, Inline, done)
+			for !delivered {
+				eng.Step()
+			}
+		}
+		cancel := func() { n.CancelFlow(n.StartFlow(c.path, 1<<20, nil)) }
+		deliver() // warm up scratch, free lists and the engine's window
+		cancel()
+		if got := testing.AllocsPerRun(200, deliver); got != 0 {
+			t.Errorf("a group flow that %s allocates %.1f objects from start to delivery, want 0", c.name, got)
+		}
+		if got := testing.AllocsPerRun(200, cancel); got != 1 {
+			t.Errorf("a flow that %s allocates %.1f objects from start to cancel, want 1 (the Flow)", c.name, got)
+		}
+	}
+	if n.ActiveFlows() != 32 || n.classes != 5 {
+		t.Errorf("%d flows in %d classes built, want 32 in 5", n.ActiveFlows(), n.classes)
 	}
 }

@@ -213,6 +213,7 @@ func TestTelemetry(t *testing.T) {
 	if n.ActiveFlows() != 0 {
 		t.Errorf("ActiveFlows = %d after drain", n.ActiveFlows())
 	}
+	checkDrained(t, n)
 }
 
 func TestSyncAvailable(t *testing.T) {
@@ -227,8 +228,8 @@ func TestSyncAvailable(t *testing.T) {
 
 // Property: under any sequence of flow starts on random paths, (1) no link
 // ever carries more than its capacity, (2) every flow eventually completes,
-// and (3) total bytes carried on each link equals the sum of sizes of flows
-// that traversed it.
+// leaving every path class on the free list, and (3) total bytes carried on
+// each link equals the sum of sizes of flows that traversed it.
 func TestQuickConservationAndCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 25; trial++ {
@@ -281,6 +282,7 @@ func TestQuickConservationAndCapacity(t *testing.T) {
 		if completed != total {
 			t.Fatalf("trial %d: %d/%d flows completed", trial, completed, total)
 		}
+		checkDrained(t, n)
 		for i := range wantBytes {
 			got := n.BytesCarried(topology.EdgeID(i))
 			if math.Abs(got-wantBytes[i]) > 1+wantBytes[i]*1e-6 {

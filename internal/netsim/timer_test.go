@@ -93,7 +93,8 @@ func TestOneCompletionEventPerNetwork(t *testing.T) {
 }
 
 // TestCancelLastFlow cancels the only active flow mid-transfer: the network
-// must leave no work queued, and the completion callback must never run.
+// must leave no work queued and no path class live, and the completion
+// callback must never run.
 func TestCancelLastFlow(t *testing.T) {
 	for _, c := range netsimCombos {
 		t.Run(c.name, func(t *testing.T) {
@@ -118,6 +119,7 @@ func TestCancelLastFlow(t *testing.T) {
 			if n.ActiveFlows() != 0 {
 				t.Errorf("ActiveFlows = %d, want 0", n.ActiveFlows())
 			}
+			checkDrained(t, n)
 		})
 	}
 }

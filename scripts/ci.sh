@@ -21,12 +21,14 @@ go build ./...
 echo "== go test -race"
 go test -race -timeout 45m ./... "$@"
 
-# The planner, topology, collective, scheduler (table refresh, controller
-# tick), online-policy, serving (a served run, an elephant relaunch), tracer
-# and critical-path (partition, analyzer feed) layer benchmarks run once
-# each, so they keep compiling and running.
+# The event engine (schedule, step, cancel, reschedule), netsim
+# (reallocation by flow and path count, flow churn, pod-scale charge, many
+# concurrent flows), planner, topology, collective, scheduler (table
+# refresh, controller tick), online-policy, serving (a served run, an
+# elephant relaunch), tracer and critical-path (partition, analyzer feed)
+# layer benchmarks run once each, so they keep compiling and running.
 echo "== layer benchmarks"
-go test -run '^$' -bench . -benchtime 1x ./internal/planner ./internal/topology ./internal/collective ./internal/scheduler ./internal/core ./internal/serving ./internal/telemetry ./internal/telemetry/critpath
+go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/netsim ./internal/planner ./internal/topology ./internal/collective ./internal/scheduler ./internal/core ./internal/serving ./internal/telemetry ./internal/telemetry/critpath
 
 # Differential fuzzers: the fast water-filling allocator and its completion
 # timer against the reference allocator, the sweep-line critical-path
