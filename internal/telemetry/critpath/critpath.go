@@ -4,10 +4,10 @@
 // compute, all-reduce communication by scheme, pipeline activation
 // transfers, KV-cache migration, decode compute, and fault stalls.
 //
-// The input is the deterministic event stream the serving simulator emits
-// (PR 2/3): request lifecycle spans on per-request threads, all-reduce and
-// pipeline_stage async spans tagged with the request IDs they serve (this
-// PR), and fault instants on the control-plane track. The analyzer consumes
+// The input is the deterministic event stream the serving simulator emits:
+// request lifecycle spans on per-request threads, all-reduce and
+// pipeline_stage async spans tagged with the request IDs they serve, and
+// fault instants on the control-plane track. The analyzer consumes
 // events one at a time — either live, tapped off the Tracer, or offline from
 // a parsed spans.json — so it works identically on buffered and streaming
 // backends.
@@ -109,8 +109,113 @@ type reqState struct {
 	output                     int
 	hasSpan                    bool // the parent "request" span arrived
 	queue, prefill, kv, decode window
-	comm                       []interval // all-reduce spans tagged with this request, by scheme
-	pipe                       []interval // pipeline_stage spans tagged with this request
+	comm                       []uint32 // span log indices of the all-reduces tagged with this request
+	pipe                       []uint32 // span log indices of the pipeline_stage spans tagged with it
+}
+
+// reqTable holds one process's in-flight requests. The IDs of live requests
+// are dense and close together, so the table is a window of slots over
+// them: slots[lo:hi] hold requests base, base+1, ... (nil where none is in
+// flight). Finalizing the request at the front moves base past it and every
+// empty slot behind it; an empty window moves to the next ID it is asked
+// for. An ID the window cannot cover cheaply — negative, below base, or far
+// above the window — lives in the far map instead, and so do the requests
+// a sparse window gives up at its front (see slot).
+type reqTable struct {
+	slots  []*reqState
+	lo, hi int
+	base   int // request ID of slots[lo], never negative
+	live   int // non-nil slots
+	far    map[int]*reqState
+}
+
+// tableSlack is how many slots a window may hold beyond four per live
+// request, and how far above a window an ID may land and still widen it.
+const tableSlack = 64
+
+// at returns the slot of request id if the window covers it, else nil.
+func (t *reqTable) at(id int) **reqState {
+	if id >= t.base && id-t.base < t.hi-t.lo {
+		return &t.slots[t.lo+id-t.base]
+	}
+	return nil
+}
+
+// slot returns the slot of request id, widening the window to reach it, or
+// nil when id belongs in the far map. Widening keeps at least a quarter of
+// the window live (less tableSlack): a request that never finalizes would
+// otherwise hold base back while the run goes on, so the window gives up its
+// front slots, moving their requests to the far map, until the new slot
+// fits. (A served run's long requests stay within a quarter: a
+// 1,500-request HeroServe run on the testbed sends no request to the far
+// map.)
+func (t *reqTable) slot(id int) **reqState {
+	if id < 0 {
+		return nil
+	}
+	if t.live == 0 {
+		t.lo, t.hi, t.base = 0, 0, id
+	}
+	if id < t.base {
+		return nil
+	}
+	i, n := id-t.base, t.hi-t.lo
+	if i < n {
+		return &t.slots[t.lo+i]
+	}
+	if i >= 2*n+tableSlack {
+		return nil
+	}
+	for i+1 > 4*(t.live+1)+tableSlack {
+		if t.live == 0 {
+			t.lo, t.hi, t.base, i = 0, 0, id, 0
+			break
+		}
+		if rs := t.slots[t.lo]; rs != nil {
+			if t.far == nil {
+				t.far = make(map[int]*reqState)
+			}
+			t.far[t.base] = rs
+			t.slots[t.lo] = nil
+			t.live--
+		}
+		t.lo, t.base, i = t.lo+1, t.base+1, i-1
+	}
+	t.widen(i + 1)
+	return &t.slots[t.lo+i]
+}
+
+// widen stretches the window to n slots, sliding it to the front of slots
+// or moving it into a larger array when it does not fit. Slots outside the
+// window are always nil.
+func (t *reqTable) widen(n int) {
+	if t.lo+n > len(t.slots) {
+		if 2*n <= len(t.slots) {
+			k := copy(t.slots, t.slots[t.lo:t.hi])
+			clear(t.slots[k:t.hi])
+		} else {
+			s := make([]*reqState, max(2*n, 16))
+			copy(s, t.slots[t.lo:t.hi])
+			t.slots = s
+		}
+		t.lo = 0
+	}
+	t.hi = t.lo + n
+}
+
+// release empties a finalized request's slot and moves base past the empty
+// slots at the window's front.
+func (t *reqTable) release(p **reqState) {
+	*p = nil
+	t.live--
+	if t.live == 0 {
+		t.lo, t.hi = 0, 0
+		return
+	}
+	for t.slots[t.lo] == nil {
+		t.lo++
+		t.base++
+	}
 }
 
 // openSpan is an in-flight async (b/e) span and the stage it charges.
@@ -127,21 +232,25 @@ type spanKey struct {
 	name string
 }
 
-type reqKey struct {
-	pid int
-	req int
-}
-
 // Analyzer consumes trace events and produces per-request breakdowns.
 type Analyzer struct {
 	procs   map[int]string
 	open    map[spanKey]openSpan
-	reqs    map[reqKey]*reqState
+	tables  map[int]*reqTable  // in-flight requests per process
 	faults  map[int][]interval // fault-active windows per process
 	labels  map[string]string  // scheme -> StageAllReduce(scheme), built once
 	done    []Breakdown        // finalized, in completion order
 	onFinal []func(Breakdown)
 	sweep   sweep // partition scratch, reused by every finalize
+
+	// The span log: every closed all-reduce and pipeline_stage span, stored
+	// once; requests hold indices into it. Once it reaches logLimit, the
+	// spans no live request references are dropped (compact); when no
+	// request is in flight, all of them are.
+	log      []interval
+	logLimit int
+	inFlight int      // request states out of the free list
+	renum    []uint32 // compaction scratch: log index -> new index + 1
 
 	// Free lists: finalized requests' states and closed spans' reqs
 	// buffers, taken again by the next request and the next open span.
@@ -155,11 +264,12 @@ type Analyzer struct {
 // New returns an empty analyzer.
 func New() *Analyzer {
 	return &Analyzer{
-		procs:  make(map[int]string),
-		open:   make(map[spanKey]openSpan),
-		reqs:   make(map[reqKey]*reqState),
-		faults: make(map[int][]interval),
-		labels: make(map[string]string),
+		procs:    make(map[int]string),
+		open:     make(map[spanKey]openSpan),
+		tables:   make(map[int]*reqTable),
+		faults:   make(map[int][]interval),
+		labels:   make(map[string]string),
+		logLimit: minLogLimit,
 	}
 }
 
@@ -178,7 +288,10 @@ func (a *Analyzer) Process(pid int) string { return a.procs[pid] }
 // Feed consumes one trace event. Events must arrive in emit order. The
 // event is valid only during the call (the tracer's tap contract), so Feed
 // copies what it keeps: an open span copies the "reqs" list into a buffer
-// from the free list, which goes back when the span closes.
+// from the free list, which goes back when the span closes. A closed span
+// goes into the span log once, and each request it served records the 4-byte
+// log index, found in its process's request table by ID, so closing a span
+// of a K-request batch costs K slice appends.
 func (a *Analyzer) Feed(ev telemetry.Event) {
 	switch ev.Ph {
 	case "M":
@@ -212,13 +325,15 @@ func (a *Analyzer) Feed(ev telemetry.Event) {
 			return
 		}
 		delete(a.open, key)
-		iv := interval{start: sp.start, end: ev.Ts, stage: sp.stage}
+		i := a.logSpan(interval{start: sp.start, end: ev.Ts, stage: sp.stage})
+		t := a.table(ev.Pid)
+		pipe := ev.Name == "pipeline_stage"
 		for _, req := range sp.reqs {
-			rs := a.req(reqKey{ev.Pid, req})
-			if ev.Name == "pipeline_stage" {
-				rs.pipe = append(rs.pipe, iv)
+			rs := a.req(t, req)
+			if pipe {
+				rs.pipe = append(rs.pipe, i)
 			} else {
-				rs.comm = append(rs.comm, iv)
+				rs.comm = append(rs.comm, i)
 			}
 		}
 		a.freeReqs = append(a.freeReqs, sp.reqs[:0])
@@ -254,7 +369,7 @@ func (a *Analyzer) feedRequestSpan(ev telemetry.Event) {
 		if !ok {
 			return
 		}
-		rs := a.req(reqKey{ev.Pid, id})
+		rs := a.req(a.table(ev.Pid), id)
 		rs.hasSpan = true
 		if tid, ok := ev.Args.Str("trace_id"); ok {
 			rs.traceID = tid
@@ -268,8 +383,8 @@ func (a *Analyzer) feedRequestSpan(ev telemetry.Event) {
 	if !ok {
 		return
 	}
-	key := reqKey{ev.Pid, id}
-	rs := a.req(key)
+	t := a.table(ev.Pid)
+	rs := a.req(t, id)
 	w := window{start: ev.Ts, end: end, seen: true}
 	switch ev.Name {
 	case "queue":
@@ -279,12 +394,12 @@ func (a *Analyzer) feedRequestSpan(ev telemetry.Event) {
 	case "kv-transfer":
 		rs.kv = w
 		if rs.hasSpan && rs.output <= 1 {
-			a.finalize(key, rs)
+			a.finalize(ev.Pid, t, id, rs)
 		}
 	case "decode":
 		rs.decode = w
 		if rs.hasSpan {
-			a.finalize(key, rs)
+			a.finalize(ev.Pid, t, id, rs)
 		}
 	}
 }
@@ -300,51 +415,163 @@ func (a *Analyzer) allReduceStage(scheme string) string {
 	return s
 }
 
-// req returns the request's state, taking a recycled one for a new request.
-func (a *Analyzer) req(k reqKey) *reqState {
-	rs, ok := a.reqs[k]
+// table returns the request table of process pid.
+func (a *Analyzer) table(pid int) *reqTable {
+	t, ok := a.tables[pid]
 	if !ok {
-		if n := len(a.freeStates); n > 0 {
-			rs, a.freeStates = a.freeStates[n-1], a.freeStates[:n-1]
-		} else {
-			rs = &reqState{}
-		}
-		a.reqs[k] = rs
+		t = &reqTable{}
+		a.tables[pid] = t
 	}
+	return t
+}
+
+// req returns the state of request id in table t, taking a recycled one for
+// a new request.
+func (a *Analyzer) req(t *reqTable, id int) *reqState {
+	if p := t.at(id); p != nil && *p != nil {
+		return *p
+	}
+	return a.claim(t, id)
+}
+
+// claim is req for a request without a window slot yet. A request the
+// window newly covers may have started in the far map, before the window
+// reached it; it moves into its slot.
+func (a *Analyzer) claim(t *reqTable, id int) *reqState {
+	p := t.slot(id)
+	rs, ok := t.far[id]
+	if p == nil {
+		if !ok {
+			if t.far == nil {
+				t.far = make(map[int]*reqState)
+			}
+			rs = a.newState()
+			t.far[id] = rs
+		}
+		return rs
+	}
+	if ok {
+		delete(t.far, id)
+	} else {
+		rs = a.newState()
+	}
+	*p = rs
+	t.live++
 	return rs
+}
+
+// newState returns a recycled request state, or a new one.
+func (a *Analyzer) newState() *reqState {
+	a.inFlight++
+	if n := len(a.freeStates); n > 0 {
+		rs := a.freeStates[n-1]
+		a.freeStates = a.freeStates[:n-1]
+		return rs
+	}
+	return &reqState{}
 }
 
 // finalize publishes the request's breakdown, unless its trace is malformed
 // or truncated (nothing trustworthy to report), and recycles its state.
-func (a *Analyzer) finalize(k reqKey, rs *reqState) {
-	delete(a.reqs, k)
+func (a *Analyzer) finalize(pid int, t *reqTable, id int, rs *reqState) {
+	if p := t.at(id); p != nil && *p == rs {
+		t.release(p)
+	} else {
+		delete(t.far, id)
+	}
 	if rs.queue.seen && rs.prefill.seen && rs.kv.seen {
-		a.publish(k, rs)
+		a.publish(pid, id, rs)
 	}
 	*rs = reqState{comm: rs.comm[:0], pipe: rs.pipe[:0]}
 	a.freeStates = append(a.freeStates, rs)
+	if a.inFlight--; a.inFlight == 0 {
+		a.log = a.log[:0]
+	}
+}
+
+// minLogLimit is the span log length below which it is never compacted.
+const minLogLimit = 1024
+
+// logSpan appends a closed span to the span log and returns its index.
+// When the log has reached its limit, the spans no live request references
+// go first, and the next limit is twice what is left: compaction then
+// costs O(1) per span logged, and the log stays within a small multiple of
+// what the live requests reference.
+func (a *Analyzer) logSpan(iv interval) uint32 {
+	if len(a.log) >= a.logLimit {
+		a.compact()
+		a.logLimit = max(2*len(a.log), minLogLimit)
+	}
+	a.log = append(a.log, iv)
+	return uint32(len(a.log) - 1)
+}
+
+// compact drops the log spans no live request references, keeping the rest
+// in order, and renumbers the live requests' indices to match.
+func (a *Analyzer) compact() {
+	renum := resize(a.renum, len(a.log))
+	a.eachState(func(rs *reqState) {
+		for _, i := range rs.comm {
+			renum[i] = 1
+		}
+		for _, i := range rs.pipe {
+			renum[i] = 1
+		}
+	})
+	n := 0
+	for i, keep := range renum {
+		if keep != 0 {
+			a.log[n] = a.log[i]
+			n++
+			renum[i] = uint32(n)
+		}
+	}
+	a.log = a.log[:n]
+	a.eachState(func(rs *reqState) {
+		for j, i := range rs.comm {
+			rs.comm[j] = renum[i] - 1
+		}
+		for j, i := range rs.pipe {
+			rs.pipe[j] = renum[i] - 1
+		}
+	})
+	a.renum = renum
+}
+
+// eachState calls fn on every in-flight request's state.
+func (a *Analyzer) eachState(fn func(*reqState)) {
+	for _, t := range a.tables {
+		for _, rs := range t.slots[t.lo:t.hi] {
+			if rs != nil {
+				fn(rs)
+			}
+		}
+		for _, rs := range t.far {
+			fn(rs)
+		}
+	}
 }
 
 // publish partitions the request's windows into stage contributions, records
 // the breakdown and runs the OnFinalize callbacks.
-func (a *Analyzer) publish(k reqKey, rs *reqState) {
-	faults := a.faults[k.pid]
+func (a *Analyzer) publish(pid, id int, rs *reqState) {
+	faults := a.faults[pid]
 	b := Breakdown{
-		PID:        k.pid,
-		Req:        k.req,
+		PID:        pid,
+		Req:        id,
 		TraceID:    rs.traceID,
 		Arrival:    rs.queue.start / 1e6,
 		TTFTStages: make(map[string]float64),
 		E2EStages:  make(map[string]float64),
 	}
 	addStage(b.TTFTStages, StageQueue, rs.queue.end-rs.queue.start)
-	a.sweep.partition(b.TTFTStages, rs.prefill, StagePrefillCompute, rs.comm, rs.pipe, faults)
+	a.sweep.partition(b.TTFTStages, rs.prefill, StagePrefillCompute, a.log, rs.comm, rs.pipe, faults)
 	for s, v := range b.TTFTStages {
 		b.E2EStages[s] = v
 	}
 	addStage(b.E2EStages, StageKVTransfer, rs.kv.end-rs.kv.start)
 	if rs.decode.seen {
-		a.sweep.partition(b.E2EStages, rs.decode, StageDecodeCompute, rs.comm, nil, faults)
+		a.sweep.partition(b.E2EStages, rs.decode, StageDecodeCompute, a.log, rs.comm, nil, faults)
 	}
 	// Convert usec → seconds; TTFT/E2E are the plain stage sums, so the
 	// decomposition identity holds by construction. They are summed in
@@ -416,9 +643,77 @@ type stageKey struct {
 // stage: all-reduce communication first (overlapping schemes break ties in
 // canonical order), then pipeline transfers, then fault stalls, then the
 // residual compute stage. The attributed durations sum to the window length.
+// comm and pipe index the span log. It reports whether the window took the
+// linear pass.
 //
 // A segment [s, e) between consecutive sorted boundary points goes to the
 // spans containing its midpoint mid := s + (e-s)/2, i.e. start <= mid < end.
+// A window whose spans are all communication, ordered and pairwise disjoint
+// (a decode window) is charged in one pass (linear); any other goes through
+// the sweep.
+func (sw *sweep) partition(out map[string]float64, w window, computeStage string, log []interval, comm, pipe []uint32, faults []interval) bool {
+	sw.spans, sw.keys = sw.spans[:0], sw.keys[:0]
+	sw.clipAt(w, log, comm, 0, "")
+	nComm := len(sw.spans)
+	sw.clipAt(w, log, pipe, 1, StagePipeline)
+	sw.clip(w, faults, 2, "")
+	if nComm == len(sw.spans) && sw.linear(out, w, computeStage) {
+		return true
+	}
+	sw.sweep(out, w, computeStage, nComm)
+	return false
+}
+
+// linear charges the window in one pass when its clipped spans are all
+// communication, ordered and pairwise disjoint, and the window is finite,
+// and reports whether it did. The window's boundary points are then its
+// start, each span's start and end in turn, and its end, so its segments
+// are the spans and the gaps between them. A segment's midpoint lies in
+// [s, e] and leaves the segment only when it rounds onto e: a gap's then is
+// the next span's start, so the gap goes to that span; a span's is its own
+// end, so the span goes to the next span if one starts there, and to compute
+// otherwise. The segments are charged in boundary order, as the sweep
+// charges them, so every stage's sum is bit-identical to the sweep's.
+func (sw *sweep) linear(out map[string]float64, w window, computeStage string) bool {
+	if d := w.end - w.start; math.IsNaN(d) || math.IsInf(d, 0) {
+		return false
+	}
+	prev := w.start
+	for _, sp := range sw.spans {
+		if !(prev <= sp.start && sp.start < sp.end) {
+			return false
+		}
+		prev = sp.end
+	}
+	sw.seed(out, computeStage)
+	p := w.start
+	for i := range sw.spans {
+		sp := &sw.spans[i]
+		if p < sp.start {
+			l := 0 // the compute stage
+			if p+(sp.start-p)/2 == sp.start {
+				l = sw.label[sp.key]
+			}
+			sw.charge(l, sp.start-p)
+		}
+		l := sw.label[sp.key]
+		if sp.start+(sp.end-sp.start)/2 == sp.end {
+			l = 0
+			if i+1 < len(sw.spans) && sw.spans[i+1].start == sp.end {
+				l = sw.label[sw.spans[i+1].key]
+			}
+		}
+		sw.charge(l, sp.end-sp.start)
+		p = sp.end
+	}
+	if p < w.end {
+		sw.charge(0, w.end-p)
+	}
+	sw.store(out)
+	return true
+}
+
+// sweep is partition for any clipped spans (the first nComm of them comm).
 // The midpoints ascend, so one sweep admits spans in start order
 // (start <= mid) and retires them in end order (end <= mid), keeping a live
 // count per (prio, stage) key; the first key in precedence order with a live
@@ -427,12 +722,7 @@ type stageKey struct {
 // them, so each stage's float sum is bit-identical to that scan. The sums
 // run in local slots seeded from out and are stored back at the end: the
 // same additions in the same order, without a map write per segment.
-func (sw *sweep) partition(out map[string]float64, w window, computeStage string, comm, pipe, faults []interval) {
-	sw.spans, sw.keys = sw.spans[:0], sw.keys[:0]
-	sw.clip(w, comm, 0, "")
-	nComm := len(sw.spans)
-	sw.clip(w, pipe, 1, StagePipeline)
-	sw.clip(w, faults, 2, "")
+func (sw *sweep) sweep(out map[string]float64, w window, computeStage string, nComm int) {
 	if len(sw.spans) == 0 {
 		addStage(out, computeStage, w.end-w.start)
 		return
@@ -450,15 +740,7 @@ func (sw *sweep) partition(out map[string]float64, w window, computeStage string
 		sw.pos[k.id] = i
 	}
 	sw.live = resize(sw.live, len(sw.keys))
-	sw.stages, sw.label = append(sw.stages[:0], computeStage), sw.label[:0]
-	for _, k := range sw.keys {
-		sw.label = append(sw.label, sw.stageIndex(k.stage))
-	}
-	sw.sums = sw.sums[:0]
-	for _, st := range sw.stages {
-		sw.sums = append(sw.sums, out[st])
-	}
-	sw.charged = resize(sw.charged, len(sw.stages))
+	sw.seed(out, computeStage)
 	sw.starts, sw.ends = sw.starts[:0], sw.ends[:0]
 	split := 0 // starts[:split] and ends[:split] come from comm spans
 	for i := range sw.spans {
@@ -507,11 +789,35 @@ func (sw *sweep) partition(out map[string]float64, w window, computeStage string
 		if k >= 0 {
 			l = sw.label[k]
 		}
-		if d := e - s; d > 0 {
-			sw.sums[l] += d
-			sw.charged[l] = true
-		}
+		sw.charge(l, e-s)
 	}
+	sw.store(out)
+}
+
+// seed starts the per-stage sums: the compute stage's, then each key's
+// stage's (label maps a key's position in keys to its stage), from out.
+func (sw *sweep) seed(out map[string]float64, computeStage string) {
+	sw.stages, sw.label = append(sw.stages[:0], computeStage), sw.label[:0]
+	for _, k := range sw.keys {
+		sw.label = append(sw.label, sw.stageIndex(k.stage))
+	}
+	sw.sums = sw.sums[:0]
+	for _, st := range sw.stages {
+		sw.sums = append(sw.sums, out[st])
+	}
+	sw.charged = resize(sw.charged, len(sw.stages))
+}
+
+// charge adds a segment of length d to stage l.
+func (sw *sweep) charge(l int, d float64) {
+	if d > 0 {
+		sw.sums[l] += d
+		sw.charged[l] = true
+	}
+}
+
+// store writes the sums of the stages charged back to out.
+func (sw *sweep) store(out map[string]float64) {
 	for l, st := range sw.stages {
 		if sw.charged[l] {
 			out[st] = sw.sums[l]
@@ -587,23 +893,39 @@ func cmpEdge(a, b edge) int {
 // clip appends the intervals that overlap the window, clipped to it, under
 // the given priority tier; a non-empty stage overrides the intervals' own.
 func (sw *sweep) clip(w window, ivs []interval, prio int, stage string) {
-	for _, iv := range ivs {
-		s, e := iv.start, iv.end
-		if s < w.start {
-			s = w.start
-		}
-		if e > w.end {
-			e = w.end
-		}
-		if e <= s {
-			continue
-		}
-		st := iv.stage
-		if stage != "" {
-			st = stage
-		}
-		sw.spans = append(sw.spans, span{s, e, sw.key(prio, st)})
+	for i := range ivs {
+		sw.clipOne(w, &ivs[i], prio, stage)
 	}
+}
+
+// clipAt is clip over the log intervals at the given indices. A span that
+// ends by the window's start or starts at its end clips to nothing, and is
+// passed over without a call (a request's decode all-reduces, for its
+// prefill window).
+func (sw *sweep) clipAt(w window, log []interval, idx []uint32, prio int, stage string) {
+	for _, i := range idx {
+		if iv := &log[i]; !(iv.end <= w.start || iv.start >= w.end) {
+			sw.clipOne(w, iv, prio, stage)
+		}
+	}
+}
+
+func (sw *sweep) clipOne(w window, iv *interval, prio int, stage string) {
+	s, e := iv.start, iv.end
+	if s < w.start {
+		s = w.start
+	}
+	if e > w.end {
+		e = w.end
+	}
+	if e <= s {
+		return
+	}
+	st := iv.stage
+	if stage != "" {
+		st = stage
+	}
+	sw.spans = append(sw.spans, span{s, e, sw.key(prio, st)})
 }
 
 // key returns the id of the (prio, stage) key, adding it if new.

@@ -31,12 +31,15 @@ echo "== layer benchmarks"
 go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/netsim ./internal/planner ./internal/topology ./internal/collective ./internal/scheduler ./internal/core ./internal/serving ./internal/telemetry ./internal/telemetry/critpath
 
 # Differential fuzzers: the fast water-filling allocator and its completion
-# timer against the reference allocator, the sweep-line critical-path
-# partition against its O(n^2) reference, and the hand-written span encoder
-# against json.Marshal. The trace parser, the SLO rules parser and the
-# decision-ledger, perf report and alert log readers must never panic; the
-# readers must round-trip every input they accept. The span-file reader
-# (FromTrace) must never panic, nor its report on any input it accepts; its
+# timer against the reference allocator, the critical-path partition on
+# both its paths (the linear pass for ordered, disjoint all-reduces and the
+# sweep line for everything else) against its O(n^2) reference, and the
+# hand-written span encoder against json.Marshal. The trace parser, the SLO
+# rules parser and the decision-ledger, perf report and alert log readers
+# must never panic; the readers must round-trip every input they accept.
+# The span-file reader (FromTrace) is a differential against the reference
+# analyzer: every input it accepts must finalize bit for bit what the
+# reference finalizes, and neither it nor its report may panic; its
 # minimization is capped so the 10 s run spends its time fuzzing.
 echo "== fuzz"
 go test -run '^$' -fuzz '^FuzzReallocate$' -fuzztime 10s ./internal/netsim
