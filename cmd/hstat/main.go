@@ -105,6 +105,9 @@ var kinds = map[string]kind{
 		},
 		view: func(w io.Writer, a any, o *opts) error {
 			log := a.(*slo.Log)
+			if err := slo.CheckState(o.state); err != nil {
+				return err
+			}
 			if o.rule != "" || o.state != "" {
 				log = log.Filter(o.state, o.rule, 0, 0)
 			}

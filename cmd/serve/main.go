@@ -72,8 +72,6 @@ func main() {
 	maxRuns := flag.Int("max-runs", 0, "daemon: retain only the newest N completed runs (0 = unbounded)")
 	maxDecisions := flag.Int("max-decisions", 0, "retain only the newest N decision-ledger records per kind (0 = unbounded)")
 	maxAlerts := flag.Int("max-alerts", 0, "retain only the newest N resolved alerts (0 = unbounded)")
-	pushURL := flag.String("push-url", "", "POST metrics snapshots to this endpoint (pushgateway path layout appended unless present)")
-	pushEvery := flag.Float64("push-every", 15, "metrics push cadence in simulated seconds (with -push-url)")
 	daemon := flag.Bool("daemon", false, "serve /metrics /healthz /runs /trace over HTTP and stay up after the run")
 	listen := flag.String("listen", ":9090", "daemon listen address")
 	publishEvery := flag.Float64("publish-every", 5, "daemon metrics-snapshot cadence in simulated seconds")
@@ -108,9 +106,6 @@ func main() {
 	if *daemon && *publishEvery <= 0 {
 		usagef("-publish-every must be positive")
 	}
-	if *pushURL != "" && *pushEvery <= 0 {
-		usagef("-push-every must be positive")
-	}
 	if _, perr := serving.NewScalePolicy(*scalePolicy); perr != nil {
 		usagef("%v", perr)
 	}
@@ -119,6 +114,25 @@ func main() {
 	}
 	if *pprofFlag && !*daemon {
 		usagef("-pprof requires -daemon (it mounts on the daemon mux)")
+	}
+	// The SLO rules are read here too, so a missing or malformed rules file
+	// fails every run, not only a telemetered one. The default rule set keys
+	// its burn-rate objectives off the workload's SLA flags.
+	var rules []slo.Rule
+	switch *sloRules {
+	case "off":
+	case "default":
+		rules = slo.DefaultRules(*ttft, *tpot)
+	default:
+		rf, rerr := os.Open(*sloRules)
+		if rerr != nil {
+			usagef("slo rules: %v", rerr)
+		}
+		rules, rerr = slo.ParseRules(rf)
+		rf.Close()
+		if rerr != nil {
+			usagef("slo rules %s: %v", *sloRules, rerr)
+		}
 	}
 	if *tracePath == "" {
 		usagef("-trace required (use cmd/tracegen to produce one)")
@@ -156,42 +170,17 @@ func main() {
 		Seed:          *seed,
 	}
 
-	// Telemetry: a bundle, a daemon or a push target arms the hub. The trace
-	// streams into the bundle if there is one, else into the daemon's /trace
-	// sink, else nowhere.
+	// Telemetry: a bundle or a daemon arms the hub. The trace streams into
+	// the bundle if there is one, else into the daemon's /trace sink.
 	var hub *telemetry.Hub
-	if *out != "" || *daemon || *pushURL != "" {
+	if *out != "" || *daemon {
 		hub = telemetry.New()
 	}
-	// SLO monitoring defaults on for every telemetered run: the default rule
-	// set keys its burn-rate objectives off the workload's SLA flags, so the
-	// alert log is meaningful without any extra configuration.
+	// SLO monitoring defaults on for every telemetered run, so the alert log
+	// is meaningful without any extra configuration.
 	var sloCfg *slo.Config
 	if hub != nil && *sloRules != "off" {
-		var rules []slo.Rule
-		if *sloRules == "default" {
-			rules = slo.DefaultRules(*ttft, *tpot)
-		} else {
-			rf, rerr := os.Open(*sloRules)
-			if rerr != nil {
-				usagef("slo rules: %v", rerr)
-			}
-			rules, rerr = slo.ParseRules(rf)
-			rf.Close()
-			if rerr != nil {
-				usagef("slo rules %s: %v", *sloRules, rerr)
-			}
-		}
 		sloCfg = &slo.Config{Rules: rules, MaxResolved: *maxAlerts}
-	}
-	var pusher *telemetry.Pusher
-	if *pushURL != "" {
-		var perr error
-		pusher, perr = telemetry.NewPusher(*pushURL, "heroserve", nil)
-		if perr != nil {
-			fatalf("%v", perr)
-		}
-		fmt.Printf("pushing metrics to %s every %gs (simulated)\n", pusher.URL(), *pushEvery)
 	}
 	var srv *telemetry.Server
 	if *daemon {
@@ -216,27 +205,12 @@ func main() {
 		}
 	}
 
-	var push *pushState
-	if pusher != nil {
-		push = &pushState{pusher: pusher, every: *pushEvery}
-		// Pre-register the failure counter so a clean run still exports the
-		// family at 0 and scrapes can rate() it from the start.
-		hub.Metrics.Counter("telemetry_push_failures_total",
-			"Metrics push attempts dropped after exhausting retries.", nil)
-	}
 	for _, s := range systems {
 		runSystem(s, in, trace, art, runParams{
 			sla: sla, autoscale: *autoscale, scalePolicy: *scalePolicy,
 			elephants: *elephants, seed: *seed, publishEvery: *publishEvery,
-			slo: sloCfg, ledgerCap: *maxDecisions, push: push,
+			slo: sloCfg, ledgerCap: *maxDecisions,
 		})
-	}
-	if pusher != nil {
-		pusher.Close()
-		// The push goroutine has exited: the failure count is final, so the
-		// exported expositions below carry the true total.
-		push.settle(hub)
-		fmt.Printf("pushed %d metric snapshots (%d failed)\n", pusher.Pushed(), pusher.Failures())
 	}
 
 	if art != nil {
@@ -265,38 +239,6 @@ type runParams struct {
 	publishEvery float64
 	slo          *slo.Config
 	ledgerCap    int
-	push         *pushState
-}
-
-// pushState carries the metrics pusher plus the failure count already
-// mirrored into the telemetry_push_failures_total counter, across runs.
-type pushState struct {
-	pusher *telemetry.Pusher
-	every  float64
-	synced int64
-}
-
-// sync renders the registry, offers it to the push goroutine, and mirrors
-// any new failures into the registry counter. Runs on the sim goroutine.
-func (ps *pushState) sync(hub *telemetry.Hub) {
-	var buf bytes.Buffer
-	if err := hub.Metrics.WriteProm(&buf); err == nil {
-		ps.pusher.Offer(buf.Bytes())
-	}
-	ps.settle(hub)
-}
-
-// settle mirrors failures accumulated on the push goroutine into the
-// telemetry_push_failures_total counter. Called at sim-goroutine safe points
-// and once more after Close (when the count is final) so the exported
-// exposition reflects every drop.
-func (ps *pushState) settle(hub *telemetry.Hub) {
-	if f := ps.pusher.Failures(); f > ps.synced {
-		hub.Metrics.Counter("telemetry_push_failures_total",
-			"Metrics push attempts dropped after exhausting retries.", nil).
-			Add(float64(f - ps.synced))
-		ps.synced = f
-	}
 }
 
 // runSystem plans, builds, and replays the trace through one system,
@@ -351,12 +293,6 @@ func runSystem(s core.System, in planner.Inputs, trace *workload.Trace, art *tel
 			publishDocs(srv, sys, sampler, name)
 		})
 	}
-	if p.push != nil {
-		// Metric pushes ride the event loop the same way; the POST itself
-		// happens on the pusher's own goroutine (latest-wins mailbox), so a
-		// slow endpoint cannot stall the simulation.
-		observeEvery(sys, p.push.every, func() { p.push.sync(hub) })
-	}
 
 	res := sys.Run(trace)
 	rate := float64(len(trace.Requests)) / trace.Duration()
@@ -408,10 +344,6 @@ func runSystem(s core.System, in planner.Inputs, trace *workload.Trace, art *tel
 			}
 		}
 	}
-	if p.push != nil {
-		p.push.sync(hub)
-	}
-
 	if srv != nil {
 		// Publish before AddRun so the run's /runs/diff snapshot includes its
 		// own final metrics.
@@ -481,12 +413,11 @@ func publishDocs(srv *telemetry.Server, sys *serving.System, sampler *perf.Sampl
 		srv.Publish(d.route, buf.Bytes())
 	}
 	if mon := sys.SLOMonitor(); mon != nil {
-		feed := mon.Feed()
 		worst := ""
-		if w, ok := feed.Worst(); ok {
+		if w, ok := mon.Worst(); ok {
 			worst = w.String()
 		}
-		srv.SetAlertRollup(len(feed.Active()), worst)
+		srv.SetAlertRollup(len(mon.Firing()), worst)
 	}
 }
 

@@ -419,7 +419,7 @@ func (a *autoscaler) collect(now sim.Time) ScaleSignals {
 			longest = now - di.idleSince
 		}
 	}
-	feed := s.mon.Feed()
+	firing, pending := s.mon.Firing(), s.mon.Pending()
 	dom, domShare := s.shares.Dominant()
 	return ScaleSignals{
 		Now:           now,
@@ -436,30 +436,44 @@ func (a *autoscaler) collect(now sim.Time) ScaleSignals {
 		TPOT:          a.tpotWin.Mean(),
 		LatencyPrimed: a.ttftWin.Len() > 0,
 		SLA:           s.opts.SLA,
-		ActiveAlerts:  feed.ActiveNames(),
-		Alerts:        alertSignals(feed),
+		ActiveAlerts:  alertNames(firing),
+		Alerts:        alertSignals(firing, pending),
 		DominantStage: dom,
 		DominantShare: domShare,
 		LawRegret:     a.regret.Regret(),
 	}
 }
 
-// alertSignals converts the monitor's live feed into the policy-facing view:
-// firing alerts first, then pending, each group sorted by rule name. Nil
-// when nothing is live (or no monitor is armed).
-func alertSignals(feed *slo.SignalFeed) []AlertSignal {
-	firing := feed.Active()
-	pend := feed.Pending()
-	if len(firing) == 0 && len(pend) == 0 {
+// alertNames lists the firing rules' names, in the monitor's order (sorted).
+// Nil when nothing fires (or no monitor is armed).
+func alertNames(firing []slo.Alert) []string {
+	if len(firing) == 0 {
 		return nil
 	}
-	out := make([]AlertSignal, 0, len(firing)+len(pend))
-	for _, al := range firing {
-		out = append(out, AlertSignal{
-			Rule: al.Rule, Kind: string(al.Kind), Firing: true, Dominant: al.Dominant,
-		})
+	names := make([]string, len(firing))
+	for i, al := range firing {
+		names[i] = al.Rule
 	}
-	for _, al := range pend {
+	return names
+}
+
+// alertSignals converts the monitor's live alerts into the policy-facing
+// view: firing alerts first, then pending, each group sorted by rule name.
+// A firing alert's Dominant is its cause snapshot's dominant stage. Nil when
+// nothing is live (or no monitor is armed).
+func alertSignals(firing, pending []slo.Alert) []AlertSignal {
+	if len(firing) == 0 && len(pending) == 0 {
+		return nil
+	}
+	out := make([]AlertSignal, 0, len(firing)+len(pending))
+	for _, al := range firing {
+		sig := AlertSignal{Rule: al.Rule, Kind: string(al.Kind), Firing: true}
+		if al.Cause != nil {
+			sig.Dominant = al.Cause.Dominant
+		}
+		out = append(out, sig)
+	}
+	for _, al := range pending {
 		out = append(out, AlertSignal{Rule: al.Rule, Kind: string(al.Kind)})
 	}
 	return out

@@ -390,9 +390,9 @@ func TestStampOutcomeHoldsWindowWithoutPending(t *testing.T) {
 }
 
 // TestAutoscalerAlertPolicyWithoutMonitor pins the nil-monitor path: an
-// alert-consuming primary on a run with no SLO config crosses the nil signal
-// feed on every control step (collect → Feed().ActiveNames()) and still
-// scales on its backlog backstop.
+// alert-consuming primary on a run with no SLO config reads the nil monitor
+// on every control step (collect → Firing/Pending) and still scales on its
+// backlog backstop.
 func TestAutoscalerAlertPolicyWithoutMonitor(t *testing.T) {
 	cfg := scaleCfg()
 	cfg.Policy = NewAlertAwarePolicy()

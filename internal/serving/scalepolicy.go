@@ -319,12 +319,12 @@ type BatchAdvisor interface {
 }
 
 // AlertAwarePolicy is the observe→act law: it consumes the SLO monitor's
-// live alert feed directly. A firing burn-rate or kv-saturation alert — or
-// firing fault-stall mass in any alert's cause snapshot — activates a
-// reserve immediately; any firing or pending alert vetoes scale-in; a firing
-// queue-growth alert widens the effective batch target instead of (only)
-// adding instances. A backlog backstop keeps the law functional in runs with
-// no monitor armed.
+// live alerts (ScaleSignals.Alerts) directly. A firing burn-rate or
+// kv-saturation alert — or firing fault-stall mass in any alert's cause
+// snapshot — activates a reserve immediately; any firing or pending alert
+// vetoes scale-in; a firing queue-growth alert widens the effective batch
+// target instead of (only) adding instances. A backlog backstop keeps the
+// law functional in runs with no monitor armed.
 type AlertAwarePolicy struct {
 	// OutBacklog is the backlog-per-instance backstop trigger (default 2)
 	// for cold starts and monitor-less runs.

@@ -272,7 +272,8 @@ func (s *System) attachTelemetry(h *telemetry.Hub) {
 }
 
 // SLOMonitor returns the run's alert monitor (nil when Options.SLO is unset
-// or telemetry is off). Read its log or subscribe to its feed before Run.
+// or telemetry is off). Its log and its live firing and pending alerts are
+// read on the simulation goroutine, as the autoscaler reads them.
 func (s *System) SLOMonitor() *slo.Monitor { return s.mon }
 
 // StageShares returns the live critical-path stage-share window (nil when

@@ -2,7 +2,6 @@ package slo
 
 import (
 	"bytes"
-	"errors"
 	"net/url"
 
 	"heroserve/internal/telemetry"
@@ -27,10 +26,8 @@ func InstallAlerts(srv *telemetry.Server) {
 		Params: []string{"state", "rule"},
 		Parse: func(q url.Values) (telemetry.Narrow, error) {
 			state, rule := q.Get("state"), q.Get("rule")
-			switch State(state) {
-			case "", StatePending, StateFiring, StateResolved:
-			default:
-				return nil, errors.New("bad state: want pending, firing, or resolved")
+			if err := CheckState(state); err != nil {
+				return nil, err
 			}
 			return func(doc []byte, from, to float64) (telemetry.Document, error) {
 				log, err := ReadLog(bytes.NewReader(doc))

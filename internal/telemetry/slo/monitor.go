@@ -66,7 +66,6 @@ type Monitor struct {
 	hub   *telemetry.Hub
 	cfg   Config
 	rules []Rule
-	feed  *SignalFeed
 
 	base    frame // run-start baseline, never evicted
 	frames  []frame
@@ -74,7 +73,7 @@ type Monitor struct {
 	primed  bool
 	lastT   float64
 	alerts  []*Alert
-	active  map[string]*Alert
+	active  map[string]*Alert // pending or firing, by rule name
 	evicted int
 
 	trans    map[string]*telemetry.Counter // alerts_total{rule,state}
@@ -97,7 +96,6 @@ func NewMonitor(h *telemetry.Hub, cfg Config) *Monitor {
 		hub:     h,
 		cfg:     cfg,
 		rules:   append([]Rule(nil), cfg.Rules...),
-		feed:    newSignalFeed(),
 		active:  make(map[string]*Alert),
 		trans:   make(map[string]*telemetry.Counter),
 		activeG: make(map[string]*telemetry.Gauge),
@@ -136,12 +134,43 @@ func (m *Monitor) Interval() float64 {
 	return m.cfg.Every
 }
 
-// Feed returns the monitor's signal feed (nil-safe: returns nil).
-func (m *Monitor) Feed() *SignalFeed {
+// Firing returns the firing alerts, sorted by rule name. Nil-safe; the
+// slice is the caller's to keep. The control loops read it on the
+// simulation goroutine, between evaluation ticks.
+func (m *Monitor) Firing() []Alert { return m.live(StateFiring) }
+
+// Pending returns the breached-but-not-yet-firing alerts (inside their For
+// hold-down), sorted by rule name. Nil-safe; the slice is the caller's to
+// keep.
+func (m *Monitor) Pending() []Alert { return m.live(StatePending) }
+
+// live copies the live alerts in state st, sorted by rule name.
+func (m *Monitor) live(st State) []Alert {
 	if m == nil {
 		return nil
 	}
-	return m.feed
+	var out []Alert
+	for _, a := range m.active {
+		if a.State == st {
+			out = append(out, *a)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Rule < out[j].Rule })
+	return out
+}
+
+// Worst returns the most urgent firing severity; ok is false when nothing
+// is firing. Nil-safe.
+func (m *Monitor) Worst() (sev Severity, ok bool) {
+	if m == nil {
+		return 0, false
+	}
+	for _, a := range m.active {
+		if a.State == StateFiring && (!ok || a.Severity > sev) {
+			sev, ok = a.Severity, true
+		}
+	}
+	return sev, ok
 }
 
 // Prime records the run-start baseline frame without evaluating any rule.
@@ -311,11 +340,10 @@ func (m *Monitor) evalRule(idx int, r *Rule, cur frame) {
 	m.compact()
 }
 
-// transition records a lifecycle change: counters, the active gauge, a
-// Perfetto instant for firing/resolution, and the signal feed.
+// transition records a lifecycle change: counters, the active gauge and a
+// Perfetto instant for firing/resolution.
 func (m *Monitor) transition(r *Rule, a *Alert, t, value float64, st State) {
 	m.trans[r.Name+"\x00"+string(st)].Inc()
-	sig := Signal{T: t, Rule: r.Name, Kind: r.Kind, Severity: r.Severity, State: st, Value: value}
 	switch st {
 	case StateFiring:
 		m.activeG[r.Name].Set(1)
@@ -330,11 +358,6 @@ func (m *Monitor) transition(r *Rule, a *Alert, t, value float64, st State) {
 			})
 		}
 	}
-	at := ActiveAlert{Rule: r.Name, Kind: r.Kind, Severity: r.Severity, Since: t, Value: value}
-	if st == StateFiring && a.Cause != nil {
-		at.Dominant = a.Cause.Dominant
-	}
-	m.feed.publish(sig, at)
 }
 
 // compact enforces the resolved-alert retention cap.

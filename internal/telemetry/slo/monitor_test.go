@@ -2,6 +2,7 @@ package slo
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"heroserve/internal/telemetry"
@@ -55,8 +56,6 @@ func TestMonitorBurnRateLifecycle(t *testing.T) {
 	if m == nil {
 		t.Fatal("monitor not armed")
 	}
-	var signals []Signal
-	m.Feed().Subscribe(func(s Signal) { signals = append(signals, s) })
 	m.Prime(0)
 
 	// Three healthy seconds, then one second of heavy SLA misses, then healthy
@@ -68,10 +67,10 @@ func TestMonitorBurnRateLifecycle(t *testing.T) {
 	th.met.Add(5)
 	th.missed.Add(5)
 	th.step(m) // t=4: errFast=5/10, errSlow=5/40 — both windows over budget
-	if got := m.Feed().ActiveNames(); len(got) != 1 || got[0] != "burn" {
-		t.Fatalf("firing set at t=4: %v", got)
+	if got := m.Firing(); len(got) != 1 || got[0].Rule != "burn" {
+		t.Fatalf("firing set at t=4: %+v", got)
 	}
-	if w, ok := m.Feed().Worst(); !ok || w != SevCritical {
+	if w, ok := m.Worst(); !ok || w != SevCritical {
 		t.Errorf("worst = %v, %v", w, ok)
 	}
 	th.met.Add(10)
@@ -90,14 +89,8 @@ func TestMonitorBurnRateLifecycle(t *testing.T) {
 	if a.Cause == nil || len(a.Cause.Values) == 0 {
 		t.Fatalf("cause missing: %+v", a.Cause)
 	}
-	if len(m.Feed().Active()) != 0 {
-		t.Errorf("firing set not cleared: %v", m.Feed().Active())
-	}
-
-	// Feed saw pending, firing, resolved in order.
-	if len(signals) != 3 || signals[0].State != StatePending ||
-		signals[1].State != StateFiring || signals[2].State != StateResolved {
-		t.Errorf("signals: %+v", signals)
+	if m.Firing() != nil || m.Pending() != nil {
+		t.Errorf("live set not cleared: firing %+v, pending %+v", m.Firing(), m.Pending())
 	}
 
 	// Lifecycle counters and the active gauge reflect the round trip.
@@ -149,6 +142,60 @@ func TestMonitorForDelayAndCanceledPending(t *testing.T) {
 	}
 }
 
+// TestMonitorLiveAlerts: Firing and Pending list the live alerts by rule
+// name, a pending alert (inside its For hold-down) is invisible to Firing
+// and Worst, firing moves it out of Pending, and resolution drains both.
+func TestMonitorLiveAlerts(t *testing.T) {
+	th := newTestHub()
+	m := NewMonitor(th.hub, Config{Rules: []Rule{
+		{Name: "kv-warn", Kind: KindKVSaturation, Severity: SevWarning, Threshold: 0.9, For: 2},
+		{Name: "kv-crit", Kind: KindKVSaturation, Severity: SevCritical, Threshold: 0.8},
+	}})
+	m.Prime(0)
+	rules := func(as []Alert) []string {
+		var names []string
+		for _, a := range as {
+			names = append(names, a.Rule)
+		}
+		return names
+	}
+	check := func(at string, firing, pending []string, worst Severity, worstOK bool) {
+		t.Helper()
+		if got := rules(m.Firing()); !reflect.DeepEqual(got, firing) {
+			t.Errorf("%s: Firing = %v, want %v", at, got, firing)
+		}
+		if got := rules(m.Pending()); !reflect.DeepEqual(got, pending) {
+			t.Errorf("%s: Pending = %v, want %v", at, got, pending)
+		}
+		if sev, ok := m.Worst(); sev != worst || ok != worstOK {
+			t.Errorf("%s: Worst = %v, %v, want %v, %v", at, sev, ok, worst, worstOK)
+		}
+	}
+	check("t=0", nil, nil, 0, false)
+
+	th.kv.Set(0.85)
+	th.step(m) // t=1: kv-crit fires at once (no hold-down); kv-warn not breached
+	check("t=1", []string{"kv-crit"}, nil, SevCritical, true)
+	th.kv.Set(0.95)
+	th.step(m) // t=2: kv-warn pending
+	check("t=2", []string{"kv-crit"}, []string{"kv-warn"}, SevCritical, true)
+	th.kv.Set(0.5)
+	th.step(m) // t=3: both clear; kv-crit resolves, kv-warn is canceled
+	check("t=3", nil, nil, 0, false)
+
+	th.kv.Set(0.95)
+	th.step(m) // t=4: kv-crit fires, kv-warn pending
+	th.step(m) // t=5
+	th.step(m) // t=6: 6-4 >= For — kv-warn fires
+	check("t=6", []string{"kv-crit", "kv-warn"}, nil, SevCritical, true)
+	if f := m.Firing(); f[1].Since != 4 || f[1].FiredAt != 6 || f[1].Cause == nil {
+		t.Errorf("kv-warn firing copy = %+v, want since 4, fired at 6, with a cause", f[1])
+	}
+	// The slices are copies: changing one leaves the monitor alone.
+	m.Firing()[0].State = StateResolved
+	check("t=6 after caller edit", []string{"kv-crit", "kv-warn"}, nil, SevCritical, true)
+}
+
 func TestMonitorQueueGrowth(t *testing.T) {
 	th := newTestHub()
 	rule := Rule{Name: "q", Kind: KindQueueGrowth, Severity: SevWarning,
@@ -196,6 +243,11 @@ func TestMonitorStageShift(t *testing.T) {
 	}
 	if a.Cause == nil || a.Cause.Dominant != "decode-queue" || a.Cause.Baseline != "prefill-compute" {
 		t.Errorf("cause: %+v", a.Cause)
+	}
+	// The live view carries the same cause: the autoscaler reads a firing
+	// alert's dominant stage from it.
+	if f := m.Firing(); len(f) != 1 || f[0].Cause == nil || f[0].Cause.Dominant != "decode-queue" {
+		t.Errorf("Firing = %+v, want the shift alert with its decode-queue cause", f)
 	}
 }
 
@@ -312,6 +364,19 @@ func TestMonitorDeterministicLog(t *testing.T) {
 	}
 }
 
+// TestSignalFeedNilSafety: the live-alert signals a disarmed (nil) monitor
+// hands its readers are empty, so the autoscaler and /healthz can read them
+// without a nil check.
+func TestSignalFeedNilSafety(t *testing.T) {
+	var m *Monitor
+	if m.Firing() != nil || m.Pending() != nil {
+		t.Errorf("nil monitor has live alerts")
+	}
+	if _, ok := m.Worst(); ok {
+		t.Errorf("nil monitor has worst")
+	}
+}
+
 func TestMonitorNilSafety(t *testing.T) {
 	var m *Monitor
 	m.Prime(0)
@@ -319,17 +384,6 @@ func TestMonitorNilSafety(t *testing.T) {
 	m.Finish(2)
 	if m.Interval() != 1 {
 		t.Errorf("nil Interval = %g", m.Interval())
-	}
-	if m.Feed() != nil {
-		t.Errorf("nil monitor feed")
-	}
-	var f *SignalFeed
-	f.Subscribe(func(Signal) {})
-	if f.Active() != nil || f.ActiveNames() != nil {
-		t.Errorf("nil feed not empty")
-	}
-	if _, ok := f.Worst(); ok {
-		t.Errorf("nil feed has worst")
 	}
 	if NewMonitor(nil, Config{Rules: DefaultRules(1, 1)}) != nil {
 		t.Errorf("monitor armed on nil hub")

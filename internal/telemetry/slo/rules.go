@@ -79,6 +79,17 @@ const (
 	StateResolved State = "resolved"
 )
 
+// CheckState vets an alert-state filter: empty (no filter) or one of the
+// three lifecycle states. hstat's -state flag and the daemon's
+// /alerts?state= both go through it.
+func CheckState(state string) error {
+	switch State(state) {
+	case "", StatePending, StateFiring, StateResolved:
+		return nil
+	}
+	return fmt.Errorf("bad state %q: want pending, firing, or resolved", state)
+}
+
 // Kind selects a rule's evaluation law.
 type Kind string
 

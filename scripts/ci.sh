@@ -163,9 +163,10 @@ python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert any(r[t['col
 
 # Closed-loop smoke: the adaptive meta-policy under the default SLO rules
 # must leave a ledger whose records name the active sub-law, and the alert
-# burst run must show alert-driven control (the ActiveAlerts signal is
-# consumed, not just recorded). Runtime switches, when present, must name
-# their driving signal in the hstat decisions roll-up.
+# burst run must show alert-driven control: some scale record carries live
+# alerts in its signals, and some runtime switch was driven by an alert (the
+# alert signal is consumed, not just recorded). Every switch must name its
+# driving signal.
 echo "== closed-loop smoke"
 go run ./cmd/serve -trace "$ART/burst.json" -system heroserve -topology testbed \
 	-model opt-13b -seed 7 -autoscale -scale-policy adaptive -out "$ART/adaptive" > /dev/null
@@ -177,9 +178,11 @@ d = json.load(open(sys.argv[1]))
 scale = d.get("scale") or []
 assert scale, "adaptive run produced no scale records"
 assert all(r.get("law") for r in scale), "meta-policy record without an active law"
-for r in scale:
-    if r.get("switch"):
-        assert r.get("switch_signal") in ("alert", "stage-share", "regret"), r
+switches = [r for r in scale if r.get("switch")]
+for r in switches:
+    assert r.get("switch_signal") in ("alert", "stage-share", "regret"), r
+assert any(r["signals"].get("active_alerts") for r in scale), "no scale record saw a live alert"
+assert any(r["switch_signal"] == "alert" for r in switches), "no switch was driven by an alert"
 PY
 
 # Golden-metrics gate: the pinned seed matrix must reproduce the checked-in
