@@ -67,7 +67,7 @@ type OnlinePolicy struct {
 	// its refresh rounds) and consults switch health during refresh. Set by
 	// core.NewSystem; harmless to leave nil on fault-free runs.
 	Injector *faults.Injector
-	// Ledger, when non-nil, receives one CollectiveRecord per policy pick:
+	// Ledger, when non-nil, receives one record per policy pick:
 	// the full candidate cost vector Eq. 16 minimized, the chosen and
 	// executed rows, and the execution regret. Set by core.NewSystem from
 	// the serving system's decision ledger.
@@ -97,6 +97,10 @@ type group struct {
 	// lastPick is the previous chosen table row (-1 before the first pick),
 	// so the queue-dominant churn hold knows which candidate to favor.
 	lastPick int
+	// ledger is the decision ledger the table is registered with, and
+	// ledgerTable its id there.
+	ledger      *decisions.Ledger
+	ledgerTable int
 }
 
 // auditHandles caches the counters one policy pick bumps, so an audit costs
@@ -339,13 +343,12 @@ func ringIndex(t *scheduler.Table, chosen int) int {
 }
 
 // audit publishes the decision record of one policy pick: the
-// collective_scheme_total{scheme,reason} counter, the ledger's
-// CollectiveRecord with the full counterfactual cost vector plus the
-// per-scheme regret counters (policy_regret_seconds_total{scheme}), and a
-// policy-select trace instant carrying the winning policy, the executed
-// scheme, and the cost-table snapshot (the paper's Fig. 5 state at decision
-// time). chosen/exec index the table's policies; they differ only under
-// guard fallback.
+// collective_scheme_total{scheme,reason} counter, the ledger's record with
+// the full counterfactual cost vector plus the per-scheme regret counters
+// (policy_regret_seconds_total{scheme}), and a policy-select trace instant
+// carrying the winning policy, the executed scheme, and the cost-table
+// snapshot (the paper's Fig. 5 state at decision time). chosen/exec index
+// the table's policies; they differ only under guard fallback.
 func (p *OnlinePolicy) audit(ctx *serving.GroupCtx, grp *group, chosen, exec int, scheme collective.Scheme, reason, stageSignal string, msgBytes int64, steps int) {
 	tel := ctx.Comm.Telemetry()
 	t := grp.table
@@ -375,13 +378,14 @@ func (p *OnlinePolicy) audit(ctx *serving.GroupCtx, grp *group, chosen, exec int
 	tel.Trace.Instant(telemetry.ControlTID, "sched", "policy-select", args)
 }
 
-// ledger materializes the counterfactual record of one pick. The candidate
-// costs come from Table.LastEval — the exact J(c, D) floats the argmin
-// compared, captured before the synchronized cost update — so the chosen
-// row's counterfactual cost equals the audited cost bit for bit. Regret is
-// expressed in estimated bottleneck busy-seconds (J x T_u); the per-scheme
-// counters accumulate each scheme's cheapest candidate against the overall
-// optimum, i.e. the cost of always forcing that scheme.
+// ledger writes the counterfactual record of one pick: a ledger row against
+// the group's table, registered on the group's first pick. The candidate
+// costs come straight from Table.LastEval — the exact J(c, D) floats the
+// argmin compared, captured before the synchronized cost update — so the
+// chosen row's counterfactual cost equals the audited cost bit for bit.
+// Regret is expressed in estimated bottleneck busy-seconds (J x T_u); the
+// per-scheme counters accumulate each scheme's cheapest candidate against
+// the overall optimum, i.e. the cost of always forcing that scheme.
 func (p *OnlinePolicy) ledger(ctx *serving.GroupCtx, grp *group, chosen, exec int, scheme collective.Scheme, reason, stageSignal string, msgBytes int64, steps int, tel *telemetry.Hub) {
 	t := grp.table
 	eval := t.LastEval()
@@ -396,34 +400,34 @@ func (p *OnlinePolicy) ledger(ctx *serving.GroupCtx, grp *group, chosen, exec in
 		}
 	}
 	if p.Ledger != nil {
-		cands := make([]decisions.CollectiveCandidate, len(t.Policies))
-		for i := range t.Policies {
-			cands[i] = decisions.CollectiveCandidate{
-				Label:       t.Policies[i].Label,
-				Scheme:      t.Policies[i].Scheme.String(),
-				CostJ:       telemetry.JSONFloat(eval[i]),
-				CostSeconds: telemetry.JSONFloat(eval[i] * w),
+		if grp.ledger != p.Ledger {
+			labels := make([]string, len(t.Policies))
+			schemes := make([]string, len(t.Policies))
+			for i := range t.Policies {
+				labels[i], schemes[i] = t.Policies[i].Label, t.Policies[i].Scheme.String()
 			}
+			grp.ledger, grp.ledgerTable = p.Ledger, p.Ledger.RegisterTable(grp.label, labels, schemes)
 		}
 		actual := eval[exec] * w
 		regret := actual - eval[best]*w
 		if regret != regret { // Inf - Inf
 			regret = 0
 		}
-		p.Ledger.AddCollective(decisions.CollectiveRecord{
+		p.Ledger.AddPick(decisions.Pick{
 			T:           ctx.Comm.Network().Engine().Now(),
-			Group:       grp.label,
+			Table:       grp.ledgerTable,
 			Bytes:       msgBytes * int64(steps),
 			Steps:       steps,
-			Candidates:  cands,
+			Costs:       eval,
+			Window:      w,
 			Chosen:      chosen,
 			Best:        best,
 			Executed:    exec,
 			Scheme:      scheme.String(),
 			Reason:      reason,
 			StageSignal: stageSignal,
-			Actual:      telemetry.JSONFloat(actual),
-			Regret:      telemetry.JSONFloat(regret),
+			Actual:      actual,
+			Regret:      regret,
 			Stalled:     p.ctl.Stalled(),
 		})
 	}

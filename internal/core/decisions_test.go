@@ -39,12 +39,12 @@ func runLedger(t *testing.T) (*decisions.Ledger, []byte, *telemetry.Hub) {
 // bit for bit — not within a tolerance, but with ==.
 func TestCollectiveLedgerCounterfactualInvariant(t *testing.T) {
 	led, _, _ := runLedger(t)
-	if len(led.Collective) == 0 {
+	if led.NumCollective() == 0 {
 		t.Fatal("no collective records")
 	}
 	multi := false
-	for i := range led.Collective {
-		r := &led.Collective[i]
+	for i := 0; i < led.NumCollective(); i++ {
+		r := led.Collective(i)
 		if len(r.Candidates) == 0 {
 			t.Fatalf("record %d has no candidates", i)
 		}
@@ -88,8 +88,8 @@ func TestCollectiveLedgerDeterminism(t *testing.T) {
 		t.Error("same-seed runs produced different ledger bytes")
 	}
 
-	if v, ok := hub.Metrics.Value("decision_records_total", decisions.KindCollective); !ok || v != float64(len(led.Collective)) {
-		t.Errorf("decision_records_total{collective} = %v,%v, want %d", v, ok, len(led.Collective))
+	if v, ok := hub.Metrics.Value("decision_records_total", decisions.KindCollective); !ok || v != float64(led.NumCollective()) {
+		t.Errorf("decision_records_total{collective} = %v,%v, want %d", v, ok, led.NumCollective())
 	}
 	// The per-scheme regret counters must agree with re-summarizing the
 	// ledger itself.
@@ -104,7 +104,7 @@ func TestCollectiveLedgerDeterminism(t *testing.T) {
 			t.Errorf("policy_regret_seconds_total{%s} = %g, ledger says %g", st.Scheme, v, st.RegretSeconds)
 		}
 	}
-	if sum.Collective != len(led.Collective) {
-		t.Errorf("summary counts %d of %d records", sum.Collective, len(led.Collective))
+	if sum.Collective != led.NumCollective() {
+		t.Errorf("summary counts %d of %d records", sum.Collective, led.NumCollective())
 	}
 }

@@ -14,8 +14,8 @@ import (
 // warmPicker returns an online policy with a warm table for a 4-GPU group on
 // the testbed, auditing into a hub whose tracer streams to io.Discard, and
 // the group's context. With ledger set the policy also keeps a decision
-// ledger, capped so its record slice stops growing.
-func warmPicker(tb testing.TB, ledger bool) (*OnlinePolicy, *serving.GroupCtx) {
+// ledger, capped at ledgerCap records (0: uncapped).
+func warmPicker(tb testing.TB, ledger bool, ledgerCap int) (*OnlinePolicy, *serving.GroupCtx) {
 	tb.Helper()
 	g := topology.Testbed()
 	eng, _, comm := newNet(g)
@@ -28,7 +28,7 @@ func warmPicker(tb testing.TB, ledger bool) (*OnlinePolicy, *serving.GroupCtx) {
 	p := NewOnlinePolicy(scheduler.DefaultConfig())
 	if ledger {
 		p.Ledger = decisions.NewLedger()
-		p.Ledger.SetCap(64)
+		p.Ledger.SetCap(ledgerCap)
 	}
 	group := append(append([]topology.NodeID{}, g.ServerGPUs(0)[:2]...), g.ServerGPUs(1)[:2]...)
 	ctx := &serving.GroupCtx{
@@ -39,7 +39,7 @@ func warmPicker(tb testing.TB, ledger bool) (*OnlinePolicy, *serving.GroupCtx) {
 		Reqs:   []int{3, 4, 9},
 	}
 	// Warm up: the table, the counter handles, the audit and encode
-	// buffers and the ledger's capped slice.
+	// buffers and the ledger's table and first chunk.
 	for i := 0; i < 256; i++ {
 		p.pick(ctx, 1<<20, 2)
 	}
@@ -48,18 +48,19 @@ func warmPicker(tb testing.TB, ledger bool) (*OnlinePolicy, *serving.GroupCtx) {
 
 // TestPolicyPickAllocs pins what the audit's typed arguments are for: once
 // warm, an online pick, its audit and the policy-select instant it streams
-// allocate nothing; a decision ledger adds only its record's candidate
-// slice.
+// allocate nothing, and neither does a decision ledger's row: capped, it
+// reuses its evicted chunks, and uncapped it allocates one chunk per 512
+// picks, which AllocsPerRun's whole-allocation count rounds away.
 func TestPolicyPickAllocs(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		ledger bool
-		max    float64
-	}{{"tracer", false, 0}, {"tracer+ledger", true, 1}} {
+		cap    int
+	}{{"tracer", false, 0}, {"tracer+ledger", true, 64}, {"tracer+uncapped-ledger", true, 0}} {
 		t.Run(c.name, func(t *testing.T) {
-			p, ctx := warmPicker(t, c.ledger)
-			if got := testing.AllocsPerRun(1000, func() { p.pick(ctx, 1<<20, 2) }); got > c.max {
-				t.Errorf("%.2f allocs per pick, want at most %v", got, c.max)
+			p, ctx := warmPicker(t, c.ledger, c.cap)
+			if got := testing.AllocsPerRun(1000, func() { p.pick(ctx, 1<<20, 2) }); got != 0 {
+				t.Errorf("%.2f allocs per pick, want 0", got)
 			}
 		})
 	}
@@ -71,7 +72,7 @@ func BenchmarkPolicyPick(b *testing.B) {
 		ledger bool
 	}{{"tracer", false}, {"tracer+ledger", true}} {
 		b.Run(c.name, func(b *testing.B) {
-			p, ctx := warmPicker(b, c.ledger)
+			p, ctx := warmPicker(b, c.ledger, 64)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -412,8 +412,8 @@ func TestAutoscalerAlertPolicyWithoutMonitor(t *testing.T) {
 	if !activated {
 		t.Error("alert-aware backstop never scaled out without a monitor")
 	}
-	for i := range led.Scale {
-		r := &led.Scale[i]
+	for i := 0; i < led.NumScale(); i++ {
+		r := led.Scale(i)
 		if len(r.Signals.ActiveAlerts) != 0 {
 			t.Fatalf("record %d carries alerts %v with no monitor armed", i, r.Signals.ActiveAlerts)
 		}

@@ -48,7 +48,7 @@ func TestScaleLedgerRecordsAndOutcomes(t *testing.T) {
 	if res.Served != 63 {
 		t.Fatalf("served %d/63", res.Served)
 	}
-	if len(led.Scale) == 0 {
+	if led.NumScale() == 0 {
 		t.Fatal("no scale records")
 	}
 	if led.Meta.Fleet != 3 || led.Meta.InitialActive != 1 || led.Meta.Interval != 0.5 {
@@ -59,8 +59,8 @@ func TestScaleLedgerRecordsAndOutcomes(t *testing.T) {
 	}
 	panel := len(ScalePolicyNames)
 	var applied, completed int
-	for i := range led.Scale {
-		r := &led.Scale[i]
+	for i := 0; i < led.NumScale(); i++ {
+		r := led.Scale(i)
 		if len(r.Shadows) != panel {
 			t.Fatalf("record %d carries %d shadows, want the default panel of %d", i, len(r.Shadows), panel)
 		}
@@ -84,8 +84,8 @@ func TestScaleLedgerRecordsAndOutcomes(t *testing.T) {
 		// The window runs to the next decision (the last to run end), bit
 		// for bit: the shadow ranking's GPU-seconds rest on it.
 		next := led.Meta.End
-		if i+1 < len(led.Scale) {
-			next = led.Scale[i+1].T
+		if i+1 < led.NumScale() {
+			next = led.Scale(i + 1).T
 		}
 		if r.Outcome.Horizon != next-r.T || r.Outcome.Horizon < 0 {
 			t.Errorf("record %d horizon %g, want %g - %g", i, r.Outcome.Horizon, next, r.T)
@@ -104,8 +104,8 @@ func TestScaleLedgerRecordsAndOutcomes(t *testing.T) {
 	if completed != res.Served {
 		t.Errorf("outcome windows hold %d completions, served %d", completed, res.Served)
 	}
-	if v, ok := hub.Metrics.Value("decision_records_total", decisions.KindScale); !ok || v != float64(len(led.Scale)) {
-		t.Errorf("decision_records_total{scale} = %v,%v, want %d", v, ok, len(led.Scale))
+	if v, ok := hub.Metrics.Value("decision_records_total", decisions.KindScale); !ok || v != float64(led.NumScale()) {
+		t.Errorf("decision_records_total{scale} = %v,%v, want %d", v, ok, led.NumScale())
 	}
 	// Shadow ranking is derivable from the single run.
 	ranks := led.ShadowRanking()
@@ -246,11 +246,11 @@ func TestShadowPrivateSLA(t *testing.T) {
 	obs := &slaObserver{}
 	cfg.ShadowPolicies = []ScalePolicy{slaScribbler{}, obs}
 	_, led, _ := runScaleLedger(t, cfg)
-	if len(led.Scale) == 0 {
+	if led.NumScale() == 0 {
 		t.Fatal("no scale records")
 	}
 	if obs.bad > 0 {
-		t.Errorf("observer saw a corrupted SLA on %d of %d steps", obs.bad, len(led.Scale))
+		t.Errorf("observer saw a corrupted SLA on %d of %d steps", obs.bad, led.NumScale())
 	}
 }
 
@@ -286,12 +286,12 @@ func TestAdaptiveSwitchLandsInLedger(t *testing.T) {
 		t.Fatalf("served %d/63", res.Served)
 	}
 	led := sys.DecisionLedger()
-	if led == nil || len(led.Scale) == 0 {
+	if led == nil || led.NumScale() == 0 {
 		t.Fatal("no scale records")
 	}
 	var sawAlert, sawSwitch bool
-	for i := range led.Scale {
-		r := &led.Scale[i]
+	for i := 0; i < led.NumScale(); i++ {
+		r := led.Scale(i)
 		if r.Law == "" {
 			t.Fatalf("record %d from a meta-policy has no active law", i)
 		}

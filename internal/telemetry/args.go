@@ -199,7 +199,7 @@ func appendArgs(b []byte, a Args) (_ []byte, ok bool) {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendString(b, a[i].Key)
+		b = AppendJSONString(b, a[i].Key)
 		b = append(b, ':')
 		if b, ok = a[i].appendValue(b); !ok {
 			return b, false
@@ -213,11 +213,11 @@ func appendArgs(b []byte, a Args) (_ []byte, ok bool) {
 func (x *Arg) appendValue(b []byte) (_ []byte, ok bool) {
 	switch x.kind {
 	case kindString:
-		return appendString(b, x.s), true
+		return AppendJSONString(b, x.s), true
 	case kindInt:
 		return strconv.AppendInt(b, x.i, 10), true
 	case kindNum:
-		return appendFloat(b, x.f)
+		return AppendJSONFloat(b, x.f)
 	case kindFloat:
 		return appendSafeFloat(b, x.f), true
 	case kindBool:
@@ -241,7 +241,7 @@ func (x *Arg) appendValue(b []byte) (_ []byte, ok bool) {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = appendString(b, c.labels[j])
+			b = AppendJSONString(b, c.labels[j])
 			b = append(b, ':')
 			b = appendSafeFloat(b, c.Values[j])
 		}
@@ -259,7 +259,7 @@ func (x *Arg) appendValue(b []byte) (_ []byte, ok bool) {
 // appendSafeFloat encodes f under Float's rule.
 func appendSafeFloat(b []byte, f float64) []byte {
 	if isFinite(f) {
-		b, _ = appendFloat(b, f)
+		b, _ = AppendJSONFloat(b, f)
 		return b
 	}
 	b = append(b, '"')

@@ -31,6 +31,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -171,77 +172,6 @@ type ScaleMeta struct {
 	End             float64 `json:"end"` // sim end, stamped when the run finishes
 }
 
-// Ledger is one run's decision ledger. It is owned by the simulation
-// goroutine (like the metrics registry) and is not goroutine-safe.
-type Ledger struct {
-	Meta       ScaleMeta          `json:"meta"`
-	Collective []CollectiveRecord `json:"collective"`
-	Scale      []ScaleRecord      `json:"scale"`
-
-	cap     int                      // per-kind retention cap; 0 = unbounded
-	onEvict func(kind string, n int) // eviction observer (registry counters)
-}
-
-// NewLedger returns an empty ledger.
-func NewLedger() *Ledger {
-	return &Ledger{}
-}
-
-// SetCap bounds each record slice to the newest n entries (0 = unbounded):
-// the retention story for multi-hour daemon runs. Evicting drops the oldest
-// records, so summaries computed afterwards cover only the retained tail.
-// Callers must not hold record pointers (AddScale's return) across a
-// subsequent Add — eviction shifts the slice. Nil-safe.
-func (l *Ledger) SetCap(n int) {
-	if l == nil {
-		return
-	}
-	l.cap = n
-}
-
-// SetOnEvict registers fn to observe evictions: kind is "collective" or
-// "scale", n how many records were dropped. Nil-safe.
-func (l *Ledger) SetOnEvict(fn func(kind string, n int)) {
-	if l == nil {
-		return
-	}
-	l.onEvict = fn
-}
-
-// AddCollective appends one policy-select record. Nil-safe.
-func (l *Ledger) AddCollective(r CollectiveRecord) {
-	if l == nil {
-		return
-	}
-	l.Collective = append(l.Collective, r)
-	if l.cap > 0 && len(l.Collective) > l.cap {
-		drop := len(l.Collective) - l.cap
-		l.Collective = append(l.Collective[:0], l.Collective[drop:]...)
-		if l.onEvict != nil {
-			l.onEvict(KindCollective, drop)
-		}
-	}
-}
-
-// AddScale appends one scale record and returns the stored copy so the
-// caller can stamp its Outcome at the next control step. The pointer is
-// valid only until the next Add — under a retention cap the slice shifts.
-// Nil-safe.
-func (l *Ledger) AddScale(r ScaleRecord) *ScaleRecord {
-	if l == nil {
-		return nil
-	}
-	l.Scale = append(l.Scale, r)
-	if l.cap > 0 && len(l.Scale) > l.cap {
-		drop := len(l.Scale) - l.cap
-		l.Scale = append(l.Scale[:0], l.Scale[drop:]...)
-		if l.onEvict != nil {
-			l.onEvict(KindScale, drop)
-		}
-	}
-	return &l.Scale[len(l.Scale)-1]
-}
-
 // SetScaleMeta records the autoscaler configuration. Nil-safe.
 func (l *Ledger) SetScaleMeta(m ScaleMeta) {
 	if l == nil {
@@ -262,90 +192,31 @@ func (l *Ledger) SetEnd(t float64) {
 	l.Meta.End = t
 }
 
-// Len returns the total record count (0 on nil).
-func (l *Ledger) Len() int {
-	if l == nil {
-		return 0
-	}
-	return len(l.Collective) + len(l.Scale)
-}
-
-// WriteJSON writes the ledger as a single JSON document. Output is
-// deterministic: struct field order, strconv float formatting, records in
-// append (event-loop) order.
-func (l *Ledger) WriteJSON(w io.Writer) error {
-	doc := l
-	if doc == nil {
-		doc = NewLedger()
-	}
-	if doc.Collective == nil {
-		doc.Collective = []CollectiveRecord{}
-	}
-	if doc.Scale == nil {
-		doc.Scale = []ScaleRecord{}
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
-}
-
 // ReadJSON parses a ledger written by WriteJSON. It rejects a collective
 // record whose chosen, best or executed index lies outside its candidates.
 func ReadJSON(r io.Reader) (*Ledger, error) {
-	var l Ledger
+	var doc struct {
+		Meta       ScaleMeta          `json:"meta"`
+		Collective []CollectiveRecord `json:"collective"`
+		Scale      []ScaleRecord      `json:"scale"`
+	}
 	dec := json.NewDecoder(r)
-	if err := dec.Decode(&l); err != nil {
+	if err := dec.Decode(&doc); err != nil {
 		return nil, fmt.Errorf("decisions: %w", err)
 	}
-	for i, c := range l.Collective {
+	l := NewLedger()
+	l.Meta = doc.Meta
+	for i, c := range doc.Collective {
 		if n := len(c.Candidates); min(c.Chosen, c.Best, c.Executed) < 0 || max(c.Chosen, c.Best, c.Executed) >= n {
 			return nil, fmt.Errorf("decisions: collective record %d: chosen/best/executed %d/%d/%d outside its %d candidates",
 				i, c.Chosen, c.Best, c.Executed, n)
 		}
+		l.AddCollective(c)
 	}
-	return &l, nil
-}
-
-// Filter returns a new ledger holding the records matching the given
-// criteria. Empty kind/policy match everything; to is inclusive and
-// ignored when <= 0. For collective records the policy criterion matches
-// the executed scheme or the chosen candidate's label; for scale records it
-// matches the primary law.
-func (l *Ledger) Filter(kind, policy string, from, to float64) *Ledger {
-	out := NewLedger()
-	if l == nil {
-		return out
+	for _, sc := range doc.Scale {
+		l.AddScale(sc)
 	}
-	out.Meta = l.Meta
-	inRange := func(t float64) bool {
-		if t < from {
-			return false
-		}
-		return to <= 0 || t <= to
-	}
-	if kind == "" || kind == KindCollective {
-		for _, r := range l.Collective {
-			if !inRange(r.T) {
-				continue
-			}
-			if policy != "" && policy != r.Scheme &&
-				(r.Chosen >= len(r.Candidates) || policy != r.Candidates[r.Chosen].Label) {
-				continue
-			}
-			out.Collective = append(out.Collective, r)
-		}
-	}
-	if kind == "" || kind == KindScale {
-		for _, r := range l.Scale {
-			if !inRange(r.T) {
-				continue
-			}
-			if policy != "" && policy != r.Primary {
-				continue
-			}
-			out.Scale = append(out.Scale, r)
-		}
-	}
-	return out
+	return l, nil
 }
 
 // SchemeStat aggregates one collective scheme's ledger across a run.
@@ -419,84 +290,102 @@ func (l *Ledger) Summarize() *Summary {
 	if l == nil {
 		return s
 	}
-	s.Collective = len(l.Collective)
-	s.Scale = len(l.Scale)
+	s.Collective = l.coll.n
+	s.Scale = l.scale.n
 
-	schemes := map[string]*SchemeStat{}
-	scheme := func(name string) *SchemeStat {
-		st, ok := schemes[name]
-		if !ok {
-			st = &SchemeStat{Scheme: name}
-			schemes[name] = st
+	// Per-scheme stats by interned name, and per-table shapes: each
+	// candidate's slot among its table's distinct schemes, so a pick finds
+	// each scheme's cheapest candidate without a map.
+	stats := make([]*SchemeStat, len(l.strs))
+	scheme := func(id uint32) *SchemeStat {
+		if stats[id] == nil {
+			stats[id] = &SchemeStat{Scheme: l.strs[id]}
 		}
-		return st
+		return stats[id]
 	}
-	for i := range l.Collective {
-		r := &l.Collective[i]
-		switch r.Reason {
+	type shape struct {
+		distinct []uint32 // the table's schemes, first appearance first
+		slot     []int    // candidate -> index in distinct
+		picks    int64
+	}
+	shapes := make([]shape, len(l.tables))
+	for i := range l.tables {
+		sh := &shapes[i]
+		for _, id := range l.tables[i].schemes {
+			k := slices.Index(sh.distinct, id)
+			if k < 0 {
+				k = len(sh.distinct)
+				sh.distinct = append(sh.distinct, id)
+			}
+			sh.slot = append(sh.slot, k)
+		}
+	}
+	var mins []float64
+	var seen []bool
+	l.coll.each(func(c *chunk[row], r *row) {
+		switch l.strs[r.reason] {
 		case "stage-ina", "stage-hold":
 			s.StageSwayed++
 		case "table":
 		default:
 			s.Fallbacks++
 		}
-		if r.Stalled {
+		if r.stalled {
 			s.Stalled++
 		}
-		if reg := float64(r.Regret); !math.IsInf(reg, 0) && !math.IsNaN(reg) {
+		if reg := r.regret; !math.IsInf(reg, 0) && !math.IsNaN(reg) {
 			s.TotalRegretSeconds += reg
 		}
-		if r.Chosen < len(r.Candidates) {
-			scheme(r.Candidates[r.Chosen].Scheme).Chosen++
+		tab, sh := &l.tables[r.table], &shapes[r.table]
+		sh.picks++
+		if r.chosen >= 0 && int(r.chosen) < len(tab.schemes) {
+			scheme(tab.schemes[r.chosen]).Chosen++
 		}
-		scheme(r.Scheme).Executed++
+		scheme(r.scheme).Executed++
 		// Per-scheme counterfactual: the cheapest candidate of each scheme
 		// versus the cheapest candidate overall.
+		mins, seen = mins[:0], seen[:0]
+		for range sh.distinct {
+			mins, seen = append(mins, 0), append(seen, false)
+		}
 		best := math.Inf(1)
-		perScheme := map[string]float64{}
-		for _, c := range r.Candidates {
-			j := float64(c.CostSeconds)
+		costs := tab.costs(c, r)
+		for i, k := range sh.slot {
+			j := costs[2*i+1]
 			if j < best {
 				best = j
 			}
-			if cur, ok := perScheme[c.Scheme]; !ok || j < cur {
-				perScheme[c.Scheme] = j
+			if !seen[k] || j < mins[k] {
+				mins[k], seen[k] = j, true
 			}
 		}
 		if math.IsInf(best, 1) {
-			continue
+			return
 		}
-		for name, j := range perScheme {
-			st := scheme(name)
-			if math.IsInf(j, 1) {
+		for k, id := range sh.distinct {
+			st := scheme(id)
+			if math.IsInf(mins[k], 1) {
 				st.Unpriced++
 				continue
 			}
-			st.RegretSeconds += j - best
+			st.RegretSeconds += mins[k] - best
 		}
-	}
-	names := telemetry.SortedKeys(schemes)
+	})
 	// Every decision where a scheme had no candidate counts as Absent, so
 	// per-scheme regret totals are comparable across schemes.
-	for _, n := range names {
-		st := schemes[n]
-		for i := range l.Collective {
-			r := &l.Collective[i]
-			present := false
-			for _, c := range r.Candidates {
-				if c.Scheme == n {
-					present = true
-					break
-				}
-			}
-			if !present {
-				st.Absent++
+	for id, st := range stats {
+		if st == nil {
+			continue
+		}
+		for i := range shapes {
+			if !slices.Contains(shapes[i].distinct, uint32(id)) {
+				st.Absent += shapes[i].picks
 			}
 		}
+		s.Schemes = append(s.Schemes, *st)
 	}
-	for _, n := range names {
-		s.Schemes = append(s.Schemes, *schemes[n])
-	}
+	// By name first: the regret order leaves NaN totals where they stand.
+	sort.Slice(s.Schemes, func(i, j int) bool { return s.Schemes[i].Scheme < s.Schemes[j].Scheme })
 	sort.SliceStable(s.Schemes, func(i, j int) bool {
 		if s.Schemes[i].RegretSeconds != s.Schemes[j].RegretSeconds {
 			return s.Schemes[i].RegretSeconds < s.Schemes[j].RegretSeconds
@@ -517,8 +406,7 @@ func (l *Ledger) Summarize() *Summary {
 	var sigTTFT, sigTPOT, realTTFT, realTPOT float64
 	var met int
 	switches := map[string]int64{}
-	for i := range l.Scale {
-		r := &l.Scale[i]
+	l.scale.each(func(_ *chunk[ScaleRecord], r *ScaleRecord) {
 		s.Primary = r.Primary
 		if r.Switch != "" {
 			sigName := r.SwitchSignal
@@ -551,7 +439,7 @@ func (l *Ledger) Summarize() *Summary {
 			realTTFT += o.TTFT
 			realTPOT += o.TPOT
 		}
-	}
+	})
 	for _, n := range telemetry.SortedKeys(laws) {
 		s.Laws = append(s.Laws, *laws[n])
 	}

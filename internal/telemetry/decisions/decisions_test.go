@@ -116,7 +116,7 @@ func TestLedgerJSONRoundTrip(t *testing.T) {
 		t.Errorf("ledger JSON not byte-stable across a round trip:\nA: %s\nB: %s", a.Bytes(), b.Bytes())
 	}
 	// The Inf-priced candidate must survive the trip.
-	c := got.Collective[2].Candidates[1]
+	c := got.Collective(2).Candidates[1]
 	if !math.IsInf(float64(c.CostJ), 1) || !math.IsInf(float64(c.CostSeconds), 1) {
 		t.Errorf("Inf candidate decayed to %v / %v", c.CostJ, c.CostSeconds)
 	}
@@ -133,29 +133,29 @@ func TestLedgerJSONRoundTrip(t *testing.T) {
 
 func TestFilter(t *testing.T) {
 	l := sampleLedger()
-	if got := l.Filter(KindCollective, "", 0, 0); len(got.Collective) != 3 || len(got.Scale) != 0 {
-		t.Errorf("kind=collective: %d/%d records", len(got.Collective), len(got.Scale))
+	if got := l.Filter(KindCollective, "", 0, 0); got.NumCollective() != 3 || got.NumScale() != 0 {
+		t.Errorf("kind=collective: %d/%d records", got.NumCollective(), got.NumScale())
 	}
-	if got := l.Filter(KindScale, "", 0, 0); len(got.Collective) != 0 || len(got.Scale) != 2 {
-		t.Errorf("kind=scale: %d/%d records", len(got.Collective), len(got.Scale))
+	if got := l.Filter(KindScale, "", 0, 0); got.NumCollective() != 0 || got.NumScale() != 2 {
+		t.Errorf("kind=scale: %d/%d records", got.NumCollective(), got.NumScale())
 	}
 	// Policy matches the executed scheme for collective records...
-	if got := l.Filter("", "ring", 0, 0); len(got.Collective) != 3 {
-		t.Errorf("policy=ring: %d collective", len(got.Collective))
+	if got := l.Filter("", "ring", 0, 0); got.NumCollective() != 3 {
+		t.Errorf("policy=ring: %d collective", got.NumCollective())
 	}
 	// ...or the chosen candidate's label (decision 2 chose s0).
-	if got := l.Filter("", "s0", 0, 0); len(got.Collective) != 1 || got.Collective[0].T != 2 {
-		t.Errorf("policy=s0 matched %d records", len(got.Collective))
+	if got := l.Filter("", "s0", 0, 0); got.NumCollective() != 1 || got.Collective(0).T != 2 {
+		t.Errorf("policy=s0 matched %d records", got.NumCollective())
 	}
-	if got := l.Filter("", "eager", 0, 0); len(got.Scale) != 2 {
-		t.Errorf("policy=eager: %d scale", len(got.Scale))
+	if got := l.Filter("", "eager", 0, 0); got.NumScale() != 2 {
+		t.Errorf("policy=eager: %d scale", got.NumScale())
 	}
 	// Time range: [2, 3] keeps decisions 2 and 3 only; to<=0 means open.
-	if got := l.Filter(KindCollective, "", 2, 3); len(got.Collective) != 2 {
-		t.Errorf("range [2,3]: %d collective", len(got.Collective))
+	if got := l.Filter(KindCollective, "", 2, 3); got.NumCollective() != 2 {
+		t.Errorf("range [2,3]: %d collective", got.NumCollective())
 	}
-	if got := l.Filter(KindCollective, "", 2, 0); len(got.Collective) != 2 {
-		t.Errorf("range [2,inf): %d collective", len(got.Collective))
+	if got := l.Filter(KindCollective, "", 2, 0); got.NumCollective() != 2 {
+		t.Errorf("range [2,inf): %d collective", got.NumCollective())
 	}
 	if got := l.Filter("", "", 0, 0); got.Meta != l.Meta {
 		t.Error("filter dropped the meta block")
@@ -287,7 +287,7 @@ func TestSummarySeriesDiff(t *testing.T) {
 	}
 
 	a, b := sampleLedger(), sampleLedger()
-	b.AddCollective(a.Collective[1]) // one more fallback in B
+	b.AddCollective(a.Collective(1)) // one more fallback in B
 	d = telemetry.DiffSeries(a.Summarize().Series(), b.Summarize().Series())
 	var got []string
 	for _, c := range d.Changed {

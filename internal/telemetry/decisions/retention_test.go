@@ -15,11 +15,11 @@ func TestLedgerRetentionCap(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		l.AddCollective(CollectiveRecord{T: float64(i), Group: "g"})
 	}
-	if len(l.Collective) != 3 {
-		t.Fatalf("collective retained %d", len(l.Collective))
+	if l.NumCollective() != 3 {
+		t.Fatalf("collective retained %d", l.NumCollective())
 	}
-	if l.Collective[0].T != 2 || l.Collective[2].T != 4 {
-		t.Errorf("collective tail wrong: %+v", l.Collective)
+	if l.Collective(0).T != 2 || l.Collective(2).T != 4 {
+		t.Errorf("collective tail wrong: %+v %+v", l.Collective(0), l.Collective(2))
 	}
 	if evicted[KindCollective] != 2 {
 		t.Errorf("collective evictions: %v", evicted)
@@ -29,8 +29,8 @@ func TestLedgerRetentionCap(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		last = l.AddScale(ScaleRecord{T: float64(i), Decision: "none"})
 	}
-	if len(l.Scale) != 3 || l.Scale[0].T != 2 {
-		t.Fatalf("scale retained: %+v", l.Scale)
+	if l.NumScale() != 3 || l.Scale(0).T != 2 {
+		t.Fatalf("scale retained %d, oldest at t=%g", l.NumScale(), l.Scale(0).T)
 	}
 	if evicted[KindScale] != 2 {
 		t.Errorf("scale evictions: %v", evicted)
@@ -38,7 +38,7 @@ func TestLedgerRetentionCap(t *testing.T) {
 	// The pointer returned by the evicting Add still addresses the newest
 	// stored record, so the autoscaler's Outcome stamp lands.
 	last.Outcome = &Outcome{Completed: 7}
-	if got := l.Scale[len(l.Scale)-1].Outcome; got == nil || got.Completed != 7 {
+	if got := l.Scale(l.NumScale() - 1).Outcome; got == nil || got.Completed != 7 {
 		t.Errorf("AddScale pointer detached from the ledger")
 	}
 
@@ -50,9 +50,9 @@ func TestLedgerRetentionCap(t *testing.T) {
 		u.AddCollective(CollectiveRecord{T: float64(i)})
 		u.AddScale(ScaleRecord{T: float64(i)})
 	}
-	if len(u.Collective) != 10 || len(u.Scale) != 10 || calls != 0 {
+	if u.NumCollective() != 10 || u.NumScale() != 10 || calls != 0 {
 		t.Errorf("uncapped ledger evicted: %d/%d records, %d calls",
-			len(u.Collective), len(u.Scale), calls)
+			u.NumCollective(), u.NumScale(), calls)
 	}
 
 	// Nil-safety mirrors the rest of the ledger API.

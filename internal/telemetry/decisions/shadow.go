@@ -37,14 +37,12 @@ type ShadowRank struct {
 // GPU-seconds span its Outcome.Horizon. The replay is RegretWindow's step
 // folded over the whole ledger through a window that never evicts.
 func (l *Ledger) ShadowRanking() []ShadowRank {
-	if l == nil || len(l.Scale) == 0 {
+	if l.NumScale() == 0 {
 		return nil
 	}
 	rw := NewRegretWindow(l.Meta)
 	rw.window = math.Inf(1)
-	for i := range l.Scale {
-		rw.Observe(&l.Scale[i])
-	}
+	l.scale.each(func(_ *chunk[ScaleRecord], r *ScaleRecord) { rw.Observe(r) })
 	ranks := make([]ShadowRank, 0, len(rw.sums))
 	for _, s := range rw.sums {
 		att := 1.0

@@ -15,16 +15,22 @@ type JSONFloat float64
 
 // MarshalJSON encodes ±Inf/NaN as strings.
 func (f JSONFloat) MarshalJSON() ([]byte, error) {
+	return f.AppendJSON(nil), nil
+}
+
+// AppendJSON appends MarshalJSON's encoding of f to b.
+func (f JSONFloat) AppendJSON(b []byte) []byte {
 	v := float64(f)
 	switch {
 	case math.IsInf(v, 1):
-		return []byte(`"+Inf"`), nil
+		return append(b, `"+Inf"`...)
 	case math.IsInf(v, -1):
-		return []byte(`"-Inf"`), nil
+		return append(b, `"-Inf"`...)
 	case math.IsNaN(v):
-		return []byte(`"NaN"`), nil
+		return append(b, `"NaN"`...)
 	}
-	return json.Marshal(v)
+	b, _ = AppendJSONFloat(b, v)
+	return b
 }
 
 // UnmarshalJSON inverts MarshalJSON.

@@ -86,16 +86,16 @@ func TestServerDecisions(t *testing.T) {
 		return led
 	}
 	_, body = get(t, ts.URL+"/decisions?kind=scale")
-	if led := decode(body); len(led.Collective) != 0 || len(led.Scale) != 1 {
-		t.Errorf("kind=scale returned %d/%d records", len(led.Collective), len(led.Scale))
+	if led := decode(body); led.NumCollective() != 0 || led.NumScale() != 1 {
+		t.Errorf("kind=scale returned %d/%d records", led.NumCollective(), led.NumScale())
 	}
 	_, body = get(t, ts.URL+"/decisions?policy=ina-sync")
-	if led := decode(body); len(led.Collective) != 1 || led.Collective[0].Scheme != "ina-sync" {
-		t.Errorf("policy=ina-sync returned %d records", len(led.Collective))
+	if led := decode(body); led.NumCollective() != 1 || led.Collective(0).Scheme != "ina-sync" {
+		t.Errorf("policy=ina-sync returned %d records", led.NumCollective())
 	}
 	_, body = get(t, ts.URL+"/decisions?kind=collective&from=2&to=6")
-	if led := decode(body); len(led.Collective) != 1 || led.Collective[0].T != 5 {
-		t.Errorf("time filter returned %d records", len(led.Collective))
+	if led := decode(body); led.NumCollective() != 1 || led.Collective(0).T != 5 {
+		t.Errorf("time filter returned %d records", led.NumCollective())
 	}
 
 	for path, want := range map[string]int{

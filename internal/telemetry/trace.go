@@ -306,18 +306,18 @@ func appendEvent(buf []byte, ev Event) ([]byte, error) {
 	start := len(buf)
 	ok := true
 	b := append(buf, `{"name":`...)
-	b = appendString(b, ev.Name)
+	b = AppendJSONString(b, ev.Name)
 	if ev.Cat != "" {
 		b = append(b, `,"cat":`...)
-		b = appendString(b, ev.Cat)
+		b = AppendJSONString(b, ev.Cat)
 	}
 	b = append(b, `,"ph":`...)
-	b = appendString(b, ev.Ph)
+	b = AppendJSONString(b, ev.Ph)
 	b = append(b, `,"ts":`...)
-	b, ok = appendFloat(b, ev.Ts)
+	b, ok = AppendJSONFloat(b, ev.Ts)
 	if ev.Dur != nil && ok {
 		b = append(b, `,"dur":`...)
-		b, ok = appendFloat(b, *ev.Dur)
+		b, ok = AppendJSONFloat(b, *ev.Dur)
 	}
 	b = append(b, `,"pid":`...)
 	b = strconv.AppendInt(b, int64(ev.Pid), 10)
@@ -325,11 +325,11 @@ func appendEvent(buf []byte, ev Event) ([]byte, error) {
 	b = strconv.AppendInt(b, int64(ev.Tid), 10)
 	if ev.ID != "" {
 		b = append(b, `,"id":`...)
-		b = appendString(b, ev.ID)
+		b = AppendJSONString(b, ev.ID)
 	}
 	if ev.Scope != "" {
 		b = append(b, `,"s":`...)
-		b = appendString(b, ev.Scope)
+		b = AppendJSONString(b, ev.Scope)
 	}
 	if len(ev.Args) > 0 && ok {
 		b = append(b, `,"args":`...)
@@ -342,10 +342,12 @@ func appendEvent(buf []byte, ev Event) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// appendString appends s as a JSON string. Printable ASCII other than the
-// characters encoding/json escapes (quote, backslash, and the HTML-sensitive
-// <, > and &) is copied as is; any other string is left to encoding/json.
-func appendString(b []byte, s string) []byte {
+// AppendJSONString appends s as a JSON string, byte for byte what
+// encoding/json writes. Printable ASCII other than the characters
+// encoding/json escapes (quote, backslash, and the HTML-sensitive <, > and
+// &) is copied as is; any other string is left to encoding/json. The span
+// encoder and the decision ledger's renderer share it.
+func AppendJSONString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			enc, _ := json.Marshal(s)
@@ -357,11 +359,11 @@ func appendString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// appendFloat formats f like encoding/json: the shortest representation that
-// round-trips, in 'e' notation below 1e-6 and from 1e21 up (with a
+// AppendJSONFloat formats f like encoding/json: the shortest representation
+// that round-trips, in 'e' notation below 1e-6 and from 1e21 up (with a
 // one-digit negative exponent unpadded), else 'f'. ok is false for NaN and
 // the infinities, which JSON cannot represent.
-func appendFloat(b []byte, f float64) (_ []byte, ok bool) {
+func AppendJSONFloat(b []byte, f float64) (_ []byte, ok bool) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return b, false
 	}

@@ -25,10 +25,11 @@ go test -race -timeout 45m ./... "$@"
 # (reallocation by flow and path count, flow churn, pod-scale charge, many
 # concurrent flows), planner, topology, collective, scheduler (table
 # refresh, controller tick), online-policy, serving (a served run, an
-# elephant relaunch), tracer and critical-path (partition, analyzer feed)
-# layer benchmarks run once each, so they keep compiling and running.
+# elephant relaunch), tracer, critical-path (partition, analyzer feed) and
+# decision-ledger (one append, one render) layer benchmarks run once each,
+# so they keep compiling and running.
 echo "== layer benchmarks"
-go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/netsim ./internal/planner ./internal/topology ./internal/collective ./internal/scheduler ./internal/core ./internal/serving ./internal/telemetry ./internal/telemetry/critpath
+go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/netsim ./internal/planner ./internal/topology ./internal/collective ./internal/scheduler ./internal/core ./internal/serving ./internal/telemetry ./internal/telemetry/critpath ./internal/telemetry/decisions
 
 # Differential fuzzers: the fast water-filling allocator and its completion
 # timer against the reference allocator, the critical-path partition on
@@ -36,17 +37,19 @@ go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/netsim ./inte
 # sweep line for everything else) against its O(n^2) reference, and the
 # hand-written span encoder against json.Marshal. The trace parser, the SLO
 # rules parser and the decision-ledger, perf report and alert log readers
-# must never panic; the readers must round-trip every input they accept.
+# must never panic; the readers must round-trip every input they accept, and
+# the ledger's hand renderer must write what encoding/json writes.
 # The span-file reader (FromTrace) is a differential against the reference
 # analyzer: every input it accepts must finalize bit for bit what the
-# reference finalizes, and neither it nor its report may panic; its
-# minimization is capped so the 10 s run spends its time fuzzing.
+# reference finalizes, and neither it nor its report may panic. Its
+# minimization and the ledger reader's are capped so the 10 s runs spend
+# their time fuzzing.
 echo "== fuzz"
 go test -run '^$' -fuzz '^FuzzReallocate$' -fuzztime 10s ./internal/netsim
 go test -run '^$' -fuzz '^FuzzPartition$' -fuzztime 10s ./internal/telemetry/critpath
 go test -run '^$' -fuzz '^FuzzAppendEvent$' -fuzztime 10s ./internal/telemetry
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/workload
-go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s ./internal/telemetry/decisions
+go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s -fuzzminimizetime 1s ./internal/telemetry/decisions
 go test -run '^$' -fuzz '^FuzzReadReport$' -fuzztime 10s ./internal/telemetry/perf
 go test -run '^$' -fuzz '^FuzzReadLog$' -fuzztime 10s ./internal/telemetry/slo
 go test -run '^$' -fuzz '^FuzzParseRules$' -fuzztime 10s ./internal/telemetry/slo
