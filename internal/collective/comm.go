@@ -98,7 +98,7 @@ type Comm struct {
 // callback, built once per value.
 type spanEnd struct {
 	c     *Comm
-	id    int64
+	id    string // the span's id as AsyncBegin formatted it
 	inner func()
 	run   func()
 }
@@ -112,7 +112,7 @@ func (e *spanEnd) end() {
 }
 
 // newSpanEnd takes a span closer off the free list, or builds one.
-func (c *Comm) newSpanEnd(id int64, inner func()) func() {
+func (c *Comm) newSpanEnd(id string, inner func()) func() {
 	var e *spanEnd
 	if k := len(c.freeEnds); k > 0 {
 		e = c.freeEnds[k-1]
@@ -232,8 +232,7 @@ func (c *Comm) Transfer(from, to topology.NodeID, bytes int64, done func()) {
 func (c *Comm) TransferSpan(cat, name string, args telemetry.Args, from, to topology.NodeID, bytes int64, done func()) {
 	if c.tel != nil {
 		c.asyncSeq++
-		id := c.asyncSeq
-		c.tel.Trace.AsyncBegin(cat, name, id, args)
+		id := c.tel.Trace.AsyncBegin(cat, name, c.asyncSeq, args)
 		inner := done
 		done = func() {
 			c.tel.Trace.AsyncEnd(cat, name, id)
@@ -602,7 +601,6 @@ func (c *Comm) AllReduce(scheme Scheme, group []topology.NodeID, sw topology.Nod
 func (c *Comm) AllReduceTagged(scheme Scheme, group []topology.NodeID, sw topology.NodeID, msgBytes int64, steps int, reqs []int, done func()) {
 	if c.tel != nil {
 		c.asyncSeq++
-		id := c.asyncSeq
 		args := append(c.spanArgs[:0], telemetry.Int64("bytes", msgBytes), telemetry.Int("group", len(group)))
 		if len(reqs) > 0 {
 			args = append(args, telemetry.Ints("reqs", reqs))
@@ -612,7 +610,7 @@ func (c *Comm) AllReduceTagged(scheme Scheme, group []topology.NodeID, sw topolo
 			args = append(args, telemetry.Str("switch", c.switchName(sw)))
 		}
 		c.spanArgs = args
-		c.tel.Trace.AsyncBegin("collective", "allreduce", id, args)
+		id := c.tel.Trace.AsyncBegin("collective", "allreduce", c.asyncSeq, args)
 		done = c.newSpanEnd(id, done)
 	}
 	switch scheme {

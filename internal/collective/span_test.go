@@ -72,7 +72,8 @@ func TestAllReduceSpanScratchKeepsAttribution(t *testing.T) {
 
 // TestAllReduceSpanEndRecycled: the callback that closes a traced
 // all-reduce's span is recycled, so with telemetry armed a warm ring
-// all-reduce allocates only the span's async id string, once at each end.
+// all-reduce allocates only the span's async id string, formatted once for
+// both ends.
 func TestAllReduceSpanEndRecycled(t *testing.T) {
 	g := topology.Testbed()
 	eng := sim.NewEngine()
@@ -92,8 +93,8 @@ func TestAllReduceSpanEndRecycled(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		cycle()
 	}
-	if got := testing.AllocsPerRun(200, cycle); got != 2 {
-		t.Errorf("%.2f allocs per traced launch→done cycle, want 2 (the async id strings)", got)
+	if got := testing.AllocsPerRun(200, cycle); got != 1 {
+		t.Errorf("%.2f allocs per traced launch→done cycle, want 1 (the async id string)", got)
 	}
 	if n := hub.Trace.Len() - before; done != ops || n != 2*ops {
 		t.Errorf("%d of %d ops done, %d span events: want every op done with a begin and an end", done, ops, n)

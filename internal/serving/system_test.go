@@ -396,13 +396,14 @@ func TestDecodeIterationSteadyStateAllocs(t *testing.T) {
 // TestArmedDecodeIterationAllocs is the same iteration with telemetry
 // armed: a hub holding metrics and a counting tracer, tapped by the
 // critical-path collector. The per-instance reqs buffer, the analyzer's
-// free lists and the tracer's own Dur leave only the two async span IDs of
-// each stage's all-reduce (begin and end), 4 strings per iteration. The
+// free lists and the tracer's own Dur leave only the async span ID of each
+// stage's all-reduce, formatted once for its begin and end: 2 strings per
+// iteration. The
 // never-finishing requests' all-reduce intervals keep growing, but those
 // appends are amortized below one allocation per iteration.
 func TestArmedDecodeIterationAllocs(t *testing.T) {
-	if got := decodeIterationAllocs(t, Options{Telemetry: telemetry.New()}); got != 4 {
-		t.Errorf("%.2f allocs per armed decode iteration, want 4 (the async span IDs)", got)
+	if got := decodeIterationAllocs(t, Options{Telemetry: telemetry.New()}); got != 2 {
+		t.Errorf("%.2f allocs per armed decode iteration, want 2 (the async span IDs)", got)
 	}
 }
 

@@ -33,16 +33,16 @@ func synthetic(t *testing.T) *Analyzer {
 	tr.AsyncBegin("collective", "allreduce", 1,
 		telemetry.Args{telemetry.Ints("reqs", []int{0}), telemetry.Str("scheme", "ring")})
 	clock = 2.0
-	tr.AsyncEnd("collective", "allreduce", 1)
+	tr.AsyncEnd("collective", "allreduce", "0x1")
 	tr.AsyncBegin("pipeline", "pipeline_stage", 2,
 		telemetry.Args{telemetry.Ints("reqs", []int{0}), telemetry.Int("stage", 2)})
 	clock = 2.5
-	tr.AsyncEnd("pipeline", "pipeline_stage", 2)
+	tr.AsyncEnd("pipeline", "pipeline_stage", "0x2")
 	clock = 5.0
 	tr.AsyncBegin("collective", "allreduce", 3,
 		telemetry.Args{telemetry.Ints("reqs", []int{0}), telemetry.Str("scheme", "ina-hetero")})
 	clock = 6.0
-	tr.AsyncEnd("collective", "allreduce", 3)
+	tr.AsyncEnd("collective", "allreduce", "0x3")
 	tr.InstantAt(6.5, telemetry.ControlTID, "fault", "link-degrade",
 		telemetry.Args{telemetry.Num("duration", 0.5)})
 
@@ -123,7 +123,7 @@ func TestAnalyzerCommBeatsFault(t *testing.T) {
 	tr.AsyncBegin("collective", "allreduce", 1,
 		telemetry.Args{telemetry.Ints("reqs", []int{7}), telemetry.Str("scheme", "ring")})
 	clock = 2.5
-	tr.AsyncEnd("collective", "allreduce", 1)
+	tr.AsyncEnd("collective", "allreduce", "0x1")
 	tr.Complete(8, "request", "request", 0, 4, telemetry.Args{telemetry.Int("id", 7), telemetry.Int("output", 1), telemetry.Str("trace_id", "p1-r7")})
 	req := telemetry.Args{telemetry.Int("req", 7)}
 	tr.Complete(8, "request", "queue", 0, 0.5, req)
@@ -162,7 +162,7 @@ func TestAnalyzerIgnoresUntaggedSpans(t *testing.T) {
 	clock = 1.0
 	tr.AsyncBegin("collective", "allreduce", 1, telemetry.Args{telemetry.Str("scheme", "ring")})
 	clock = 2.0
-	tr.AsyncEnd("collective", "allreduce", 1)
+	tr.AsyncEnd("collective", "allreduce", "0x1")
 	tr.Complete(1, "request", "request", 0, 3, telemetry.Args{telemetry.Int("id", 0), telemetry.Int("output", 1), telemetry.Str("trace_id", "p1-r0")})
 	req := telemetry.Args{telemetry.Int("req", 0)}
 	tr.Complete(1, "request", "queue", 0, 0, req)
@@ -234,7 +234,7 @@ func TestFromTraceRoundTrip(t *testing.T) {
 	clock = 1.0
 	tr.AsyncBegin("collective", "allreduce", 1, telemetry.Args{telemetry.Ints("reqs", []int{0, 1}), telemetry.Str("scheme", "ina-sync")})
 	clock = 1.5
-	tr.AsyncEnd("collective", "allreduce", 1)
+	tr.AsyncEnd("collective", "allreduce", "0x1")
 	for id := 0; id < 2; id++ {
 		tid := id + 1
 		tr.Complete(tid, "request", "request", 0, 3, telemetry.Args{telemetry.Int("id", id), telemetry.Int("output", 1), telemetry.Str("trace_id", "p1-r"+string(rune('0'+id)))})
@@ -606,9 +606,9 @@ func TestUnknownStageTieIsOrderFree(t *testing.T) {
 		clock = 1.5
 		tr.AsyncBegin("collective", "allreduce", 2, telemetry.Args{telemetry.Ints("reqs", []int{0}), telemetry.Str("scheme", schemes[1])})
 		clock = 2.0
-		tr.AsyncEnd("collective", "allreduce", 1)
+		tr.AsyncEnd("collective", "allreduce", "0x1")
 		clock = 2.5
-		tr.AsyncEnd("collective", "allreduce", 2)
+		tr.AsyncEnd("collective", "allreduce", "0x2")
 		tr.Complete(1, "request", "request", 0, 4, telemetry.Args{telemetry.Int("id", 0), telemetry.Int("output", 1), telemetry.Str("trace_id", "p1-r0")})
 		req := telemetry.Args{telemetry.Int("req", 0)}
 		tr.Complete(1, "request", "queue", 0, 0.5, req)
@@ -763,19 +763,19 @@ func TestStageTotalsAreOrderedSums(t *testing.T) {
 		at := func(x float64) float64 { return base + k*x }
 		id := int64(req * 3)
 		clock = at(1.5)
-		tr.AsyncBegin("collective", "allreduce", id+1,
+		span := tr.AsyncBegin("collective", "allreduce", id+1,
 			telemetry.Args{telemetry.Ints("reqs", []int{req}), telemetry.Str("scheme", "ring")})
 		clock = at(2)
-		tr.AsyncEnd("collective", "allreduce", id+1)
-		tr.AsyncBegin("pipeline", "pipeline_stage", id+2,
+		tr.AsyncEnd("collective", "allreduce", span)
+		span = tr.AsyncBegin("pipeline", "pipeline_stage", id+2,
 			telemetry.Args{telemetry.Ints("reqs", []int{req}), telemetry.Int("stage", 2)})
 		clock = at(2.5)
-		tr.AsyncEnd("pipeline", "pipeline_stage", id+2)
+		tr.AsyncEnd("pipeline", "pipeline_stage", span)
 		clock = at(5)
-		tr.AsyncBegin("collective", "allreduce", id+3,
+		span = tr.AsyncBegin("collective", "allreduce", id+3,
 			telemetry.Args{telemetry.Ints("reqs", []int{req}), telemetry.Str("scheme", "ina-hetero")})
 		clock = at(6)
-		tr.AsyncEnd("collective", "allreduce", id+3)
+		tr.AsyncEnd("collective", "allreduce", span)
 		tr.InstantAt(at(6.5), telemetry.ControlTID, "fault", "link-degrade",
 			telemetry.Args{telemetry.Num("duration", 0.5*k)})
 		tr.Complete(1, "request", "request", at(0), at(8), telemetry.Args{telemetry.Int("id", req), telemetry.Int("input", 100), telemetry.Int("output", 5), telemetry.Str("trace_id", fmt.Sprintf("p1-r%d", req))})

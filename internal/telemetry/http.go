@@ -53,15 +53,16 @@ type RunSummary struct {
 // slightly stale view and can never race the event loop.
 //
 // The trace is not re-rendered: a tracer streaming into TraceSink appends to
-// the server's in-memory span file on the simulation goroutine, and
-// PublishHub only publishes how much of it is complete.
+// the server's in-memory span file from the stream's encoder goroutine, and
+// PublishHub, whose Flush waits for that goroutine to write everything
+// recorded so far, only publishes how much of it is complete.
 type Server struct {
 	mu        sync.RWMutex
 	simTime   float64
 	published int
 	prom      []byte
 	om        []byte    // OpenMetrics rendering of the same snapshot
-	sink      traceSink // written by the simulation goroutine only
+	sink      traceSink // written by the tracer's encoder goroutine, read at PublishHub
 	trace     []byte    // published prefix of sink.buf; docSuffix completes it
 	traceFile string
 	docs      map[string][]byte // latest published document per route
@@ -98,8 +99,8 @@ func NewServer() *Server {
 
 // traceSink is the daemon's in-memory span file: an append-only byte slice.
 // Appending never touches a published prefix: it writes beyond it, or copies
-// it into a new array, so handlers may read a prefix while the simulation
-// goroutine appends.
+// it into a new array, so handlers may read a prefix while the tracer's
+// encoder goroutine appends.
 type traceSink struct{ buf []byte }
 
 func (k *traceSink) Write(p []byte) (int, error) {
@@ -108,15 +109,17 @@ func (k *traceSink) Write(p []byte) (int, error) {
 }
 
 // TraceSink returns the writer /trace serves: stream the hub's tracer to it
-// (Tracer.StreamTo) before the run. Only the goroutine that owns the hub may
-// write to it.
+// (Tracer.StreamTo) before the run. Only that stream's encoder goroutine
+// writes to it; PublishHub reads it once the tracer's Flush has returned.
 func (s *Server) TraceSink() io.Writer { return &s.sink }
 
 // PublishHub renders a snapshot of the hub's metrics, flushes its tracer, and
-// publishes the part of the trace sink written so far for the handlers. It
-// MUST be called from the goroutine that owns the hub (the simulation loop)
-// at a safe point; that discipline is what keeps the daemon race-detector
-// clean.
+// publishes the part of the trace sink written so far for the handlers. The
+// Flush is the hand-over point: it returns once the tracer's encoder
+// goroutine has written every event recorded so far, and the encoder writes
+// nothing more until the simulation records further events. PublishHub MUST be
+// called from the goroutine that owns the hub (the simulation loop) at a
+// safe point; that discipline is what keeps the daemon race-detector clean.
 func (s *Server) PublishHub(h *Hub) error {
 	var prom bytes.Buffer
 	if err := h.Metrics.WriteProm(&prom); err != nil {

@@ -1,11 +1,7 @@
 package telemetry
 
 import (
-	"bufio"
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io"
 	"math"
 	"strconv"
 )
@@ -36,9 +32,10 @@ type Event struct {
 // deterministic, emit order is deterministic, and the document is written
 // verbatim — no sorting, no wall-clock.
 //
-// The tracer keeps no events: StreamTo names the writer each event is encoded
-// to the moment it is recorded, so a paper-scale sweep holds O(1) events in
-// RAM. Without a writer the tracer only counts events and calls the tap.
+// The tracer keeps no events: StreamTo names the writer the events are
+// encoded to, a few dozen at a time on the stream's own goroutine, so a
+// paper-scale sweep holds a fixed number of events in RAM. Without a writer
+// the tracer only counts events and calls the tap.
 type Tracer struct {
 	clock  func() float64
 	pid    int          // current process id; 0 until the first BeginProcess
@@ -55,103 +52,6 @@ func NewTracer(clock func() float64) *Tracer {
 }
 
 func usec(seconds float64) float64 { return seconds * 1e6 }
-
-// traceStream is the tracer's encoder: a buffered writer plus the running
-// element count (for comma placement), the first write error, and the encode
-// buffer reused across events.
-type traceStream struct {
-	w   *bufio.Writer
-	n   int
-	err error
-	buf []byte
-}
-
-// errStreamClosed poisons a stream after CloseStream so late events are
-// dropped instead of corrupting the finished document.
-var errStreamClosed = errors.New("telemetry: trace stream closed")
-
-func (s *traceStream) write(ev Event) {
-	if s.err != nil {
-		return
-	}
-	b := s.buf[:0]
-	if s.n > 0 {
-		b = append(b, ',')
-	}
-	b, err := appendEvent(b, ev)
-	s.buf = b
-	if err != nil {
-		s.err = err
-		return
-	}
-	if _, err := s.w.Write(b); err != nil {
-		s.err = err
-		return
-	}
-	s.n++
-}
-
-// StreamTo writes the document prefix to w and encodes every later event
-// straight through to it as Chrome trace-event JSON ("JSON object format"),
-// loadable in Perfetto / chrome://tracing. The output becomes a complete
-// document only after CloseStream writes the suffix. Call it before the run:
-// it fails once events have been recorded, since they are gone, and on a
-// tracer that already streams.
-func (t *Tracer) StreamTo(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	if t.stream != nil {
-		return errors.New("telemetry: tracer already streaming")
-	}
-	if t.count > 0 {
-		return fmt.Errorf("telemetry: %d trace events recorded before StreamTo", t.count)
-	}
-	s := &traceStream{w: bufio.NewWriterSize(w, 1<<16)}
-	if _, err := s.w.WriteString(docPrefix); err != nil {
-		return err
-	}
-	t.stream = s
-	return nil
-}
-
-// Flush writes the encoded events still buffered through to the stream's
-// writer, which then holds the document up to the last recorded event (a
-// prefix that docSuffix completes). It returns the stream's first error, and
-// is a no-op without a stream and after CloseStream.
-func (t *Tracer) Flush() error {
-	if t == nil || t.stream == nil || t.stream.err == errStreamClosed {
-		return nil
-	}
-	s := t.stream
-	if err := s.w.Flush(); err != nil && s.err == nil {
-		s.err = err
-	}
-	return s.err
-}
-
-// CloseStream completes the streamed JSON document (suffix + flush) and
-// returns the first error encountered anywhere in the stream's lifetime.
-// Events recorded after CloseStream are dropped. No-op without a stream.
-func (t *Tracer) CloseStream() error {
-	if t == nil || t.stream == nil {
-		return nil
-	}
-	s := t.stream
-	if s.err == errStreamClosed {
-		return nil
-	}
-	if s.err != nil {
-		return s.err
-	}
-	if _, err := s.w.WriteString(docSuffix); err != nil {
-		s.err = errStreamClosed
-		return err
-	}
-	err := s.w.Flush()
-	s.err = errStreamClosed
-	return err
-}
 
 // Tap installs fn as the tracer's live observer: every subsequent event is
 // passed to fn the moment it is recorded, on the goroutine that records it,
@@ -184,7 +84,7 @@ func (t *Tracer) emit(ev Event) {
 		t.tap(ev)
 	}
 	if t.stream != nil {
-		t.stream.write(ev)
+		t.stream.record(&ev)
 	}
 }
 
@@ -252,25 +152,30 @@ func (t *Tracer) InstantAt(at float64, tid int, cat, name string, args Args) {
 }
 
 // AsyncBegin opens an async ("b") span — used for collectives, whose lifetime
-// spans many event-loop callbacks. Begin/end pairs match on (cat, id, name).
-func (t *Tracer) AsyncBegin(cat, name string, id int64, args Args) {
+// spans many event-loop callbacks — and returns the span's formatted id,
+// which the matching AsyncEnd takes. Begin/end pairs match on (cat, id,
+// name).
+func (t *Tracer) AsyncBegin(cat, name string, id int64, args Args) string {
 	if t == nil {
-		return
+		return ""
 	}
+	sid := asyncID(id)
 	t.emit(Event{
 		Name: name, Cat: cat, Ph: "b", Ts: usec(t.clock()), Pid: t.pid,
-		Tid: ControlTID, ID: asyncID(id), Args: args,
+		Tid: ControlTID, ID: sid, Args: args,
 	})
+	return sid
 }
 
-// AsyncEnd closes an async span opened with AsyncBegin.
-func (t *Tracer) AsyncEnd(cat, name string, id int64) {
+// AsyncEnd closes an async span opened with AsyncBegin; id is the string
+// AsyncBegin returned, so the id is formatted once per span.
+func (t *Tracer) AsyncEnd(cat, name, id string) {
 	if t == nil {
 		return
 	}
 	t.emit(Event{
 		Name: name, Cat: cat, Ph: "e", Ts: usec(t.clock()), Pid: t.pid,
-		Tid: ControlTID, ID: asyncID(id),
+		Tid: ControlTID, ID: id,
 	})
 }
 

@@ -21,7 +21,7 @@ func TestTracerExportIsValidChromeJSON(t *testing.T) {
 		tr.Instant(ControlTID, "sched", "policy-select", Args{Float("cost", math.Inf(1))})
 		tr.AsyncBegin("collective", "allreduce", 7, Args{Str("scheme", "ring")})
 		clock = 2.5
-		tr.AsyncEnd("collective", "allreduce", 7)
+		tr.AsyncEnd("collective", "allreduce", "0x7")
 		if err := tr.CloseStream(); err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	tr.Instant(0, "c", "n", nil)
 	tr.InstantAt(1, 0, "c", "n", nil)
 	tr.AsyncBegin("c", "n", 1, nil)
-	tr.AsyncEnd("c", "n", 1)
+	tr.AsyncEnd("c", "n", "0x1")
 	if tr.Len() != 0 {
 		t.Error("nil tracer must record nothing")
 	}

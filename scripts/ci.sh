@@ -34,8 +34,10 @@ go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/netsim ./inte
 # Differential fuzzers: the fast water-filling allocator and its completion
 # timer against the reference allocator, the critical-path partition on
 # both its paths (the linear pass for ordered, disjoint all-reduces and the
-# sweep line for everything else) against its O(n^2) reference, and the
-# hand-written span encoder against json.Marshal. The trace parser, the SLO
+# sweep line for everything else) against its O(n^2) reference, the
+# hand-written span encoder against json.Marshal, and the span stream (events
+# packed into chunks and encoded on the stream's own goroutine) against
+# synchronous encoding, byte for byte and error for error. The trace parser, the SLO
 # rules parser and the decision-ledger, perf report and alert log readers
 # must never panic; the readers must round-trip every input they accept, and
 # the ledger's hand renderer must write what encoding/json writes.
@@ -48,6 +50,7 @@ echo "== fuzz"
 go test -run '^$' -fuzz '^FuzzReallocate$' -fuzztime 10s ./internal/netsim
 go test -run '^$' -fuzz '^FuzzPartition$' -fuzztime 10s ./internal/telemetry/critpath
 go test -run '^$' -fuzz '^FuzzAppendEvent$' -fuzztime 10s ./internal/telemetry
+go test -run '^$' -fuzz '^FuzzTraceStream$' -fuzztime 10s ./internal/telemetry
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/workload
 go test -run '^$' -fuzz '^FuzzReadJSON$' -fuzztime 10s -fuzzminimizetime 1s ./internal/telemetry/decisions
 go test -run '^$' -fuzz '^FuzzReadReport$' -fuzztime 10s ./internal/telemetry/perf
