@@ -23,6 +23,7 @@ func warmPicker(tb testing.TB, ledger bool, ledgerCap int) (*OnlinePolicy, *serv
 	if err := hub.Trace.StreamTo(io.Discard); err != nil {
 		tb.Fatal(err)
 	}
+	tb.Cleanup(func() { hub.Trace.CloseStream() })
 	hub.Attach(eng.Now, "HeroServe")
 	comm.SetTelemetry(hub)
 	p := NewOnlinePolicy(scheduler.DefaultConfig())
