@@ -21,10 +21,9 @@
 // The experiments that run serving simulations report to the telemetry:
 // fig7, fig8, fig10, faults and ablations (one run per variant). ext-scale
 // does not, since it scores each run from that run's private registry; the
-// other experiments run no serving simulation. Arming telemetry also feeds
-// HeroServe's online scheduler its live critical-path stage shares, so a
-// telemetered HeroServe figure can differ slightly from the plain run's
-// (Fig. 7's chatbot max rate, seed 1, quick: 0.4107 plain, 0.4086 armed).
+// other experiments run no serving simulation. Arming telemetry leaves the
+// report unchanged: HeroServe's online scheduler reads nothing from the
+// telemetry hub, so an armed run prints what the plain run prints.
 package main
 
 import (

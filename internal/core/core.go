@@ -33,23 +33,6 @@ const ControllerInterval = 0.05
 // longer paths the utilization-ratio cost J cannot see.
 const maxSwitchCandidates = 1
 
-// Stage-share feedback (the observe→act loop on the collective side): when
-// the critical-path attribution says one stage dominates recent TTFT, the
-// online policy nudges — not overrides — the Eq. 16 comparison.
-const (
-	// stageBiasShare is the minimum dominant TTFT share before any bias
-	// applies; below it the attribution is too mixed to act on.
-	stageBiasShare = 0.5
-	// stageINADiscount multiplies the J of INA candidates when an
-	// allreduce-<scheme> stage dominates TTFT: communication is the
-	// bottleneck, so lean toward in-network aggregation.
-	stageINADiscount = 0.85
-	// stageHoldDiscount multiplies the J of the group's previous pick when
-	// the queue stage dominates: the bottleneck is upstream of the
-	// collective, so hold scheme churn and let the autoscaler act.
-	stageHoldDiscount = 0.9
-)
-
 // OnlinePolicy is HeroServe's communication policy: per tensor-parallel
 // group it lazily builds a policy cost table (ring, Ethernet INA, and
 // heterogeneous INA candidates over the nearest switches), selects the
@@ -72,17 +55,14 @@ type OnlinePolicy struct {
 	// executed rows, and the execution regret. Set by core.NewSystem from
 	// the serving system's decision ledger.
 	Ledger *decisions.Ledger
-	// Shares, when non-nil, is the live TTFT stage-share tracker fed by the
-	// critical-path analyzer. When a stage dominates recent attribution the
-	// policy biases the Eq. 16 comparison (see stageBias). Set by
-	// core.NewSystem when telemetry is armed; nil-safe.
+	// Shares is unread: the policy is the paper's plain Eq. 16 argmin, and
+	// an observer never steers it. The field remains only because the
+	// benchmark harness's system builder still sets it.
 	Shares *critpath.ShareTracker
 	// handles caches the audit's counter handles for the current hub.
 	handles auditHandles
-	// bias is stageBias's vector and args the policy-select instant's
-	// arguments: scratch reused by every pick, since SelectBiased and the
-	// tracer consume them before the pick returns.
-	bias []float64
+	// args is the policy-select instant's arguments: scratch reused by
+	// every pick, since the tracer consumes them before the pick returns.
 	args telemetry.Args
 }
 
@@ -94,9 +74,6 @@ type group struct {
 	// costs is the policy-select instant's cost column: the table's labels,
 	// sorted once, over a view of its live costs.
 	costs *telemetry.FloatColumn
-	// lastPick is the previous chosen table row (-1 before the first pick),
-	// so the queue-dominant churn hold knows which candidate to favor.
-	lastPick int
 	// ledger is the decision ledger the table is registered with, and
 	// ledgerTable its id there.
 	ledger      *decisions.Ledger
@@ -208,10 +185,9 @@ func (p *OnlinePolicy) group(ctx *serving.GroupCtx, msgBytes int64) *group {
 	}
 	id := ctx.ID
 	grp := &group{
-		table:    t,
-		label:    fmt.Sprintf("%s/%d/%d", id.Role, id.Instance, id.Stage),
-		costs:    telemetry.NewFloatColumn(labels),
-		lastPick: -1,
+		table: t,
+		label: fmt.Sprintf("%s/%d/%d", id.Role, id.Instance, id.Stage),
+		costs: telemetry.NewFloatColumn(labels),
 	}
 	p.groups[id] = grp
 	if p.ctl == nil {
@@ -240,29 +216,17 @@ func (p *OnlinePolicy) AllReduce(ctx *serving.GroupCtx, msgBytes int64, steps in
 	ctx.Comm.AllReduceTagged(scheme, ctx.Group, sw, msgBytes, steps, ctx.Reqs, done)
 }
 
-// pick is one online decision: it selects the group's policy (Eq. 16/17,
-// under the stage bias), applies the data-plane guard and audits the pick.
-// It returns the scheme and switch to execute.
+// pick is one online decision: it selects the group's policy (Eq. 16/17),
+// applies the data-plane guard and audits the pick. It returns the scheme
+// and switch to execute.
 func (p *OnlinePolicy) pick(ctx *serving.GroupCtx, msgBytes int64, steps int) (collective.Scheme, topology.NodeID) {
 	grp := p.group(ctx, msgBytes)
 	t := grp.table
-	bias, stageSignal := p.stageBias(grp)
-	idx, swayed := t.SelectBiased(msgBytes*int64(steps), bias)
-	grp.lastPick = idx
+	idx := t.Select(msgBytes * int64(steps))
 	pol := t.Policies[idx]
 	sw := pol.Switch
 	scheme := pol.Scheme
 	reason := "table"
-	if swayed {
-		// The stage bias changed the argmin's winner; name the feedback that
-		// did it. The biased J vector is what the ledger records, so the
-		// Best==Chosen invariant (zero execution regret) still holds.
-		if strings.HasPrefix(stageSignal, critpath.StageAllReduce("")) {
-			reason = "stage-ina"
-		} else {
-			reason = "stage-hold"
-		}
-	}
 	exec := idx
 	if scheme.UsesINA() && (sw < 0 || !p.policyAlive(ctx.Comm, &pol)) {
 		// Local data-plane guard: the GPU agent observes its own timeouts
@@ -274,60 +238,8 @@ func (p *OnlinePolicy) pick(ctx *serving.GroupCtx, msgBytes int64, steps int) (c
 		reason = "guard-fallback"
 		exec = ringIndex(t, idx)
 	}
-	p.audit(ctx, grp, idx, exec, scheme, reason, stageSignal, msgBytes, steps)
+	p.audit(ctx, grp, idx, exec, scheme, reason, msgBytes, steps)
 	return scheme, sw
-}
-
-// stageBias translates the dominant TTFT stage into a multiplicative bias
-// over the group's candidate J values, or nil when attribution is absent,
-// mixed, or names a stage the collective policy cannot act on. An
-// allreduce-<scheme> dominant discounts every INA candidate; a queue
-// dominant discounts the group's previous pick (churn hold — the fix
-// belongs to the autoscaler, which sees the same dominant via its signals).
-// The vector is the policy's scratch, valid until the next pick.
-func (p *OnlinePolicy) stageBias(grp *group) ([]float64, string) {
-	dom, share := p.Shares.Dominant()
-	if dom == "" || share < stageBiasShare {
-		return nil, ""
-	}
-	t := grp.table
-	switch {
-	case strings.HasPrefix(dom, critpath.StageAllReduce("")):
-		bias := p.biasBuf(len(t.Policies))
-		any := false
-		for i := range t.Policies {
-			if t.Policies[i].Scheme.UsesINA() {
-				bias[i] = stageINADiscount
-				any = true
-			} else {
-				bias[i] = 1
-			}
-		}
-		if !any {
-			return nil, ""
-		}
-		return bias, dom
-	case dom == critpath.StageQueue:
-		last := grp.lastPick
-		if last < 0 || last >= len(t.Policies) {
-			return nil, ""
-		}
-		bias := p.biasBuf(len(t.Policies))
-		for i := range bias {
-			bias[i] = 1
-		}
-		bias[last] = stageHoldDiscount
-		return bias, dom
-	}
-	return nil, ""
-}
-
-// biasBuf returns the bias scratch resized to n.
-func (p *OnlinePolicy) biasBuf(n int) []float64 {
-	if cap(p.bias) < n {
-		p.bias = make([]float64, n)
-	}
-	return p.bias[:n]
 }
 
 // ringIndex locates the table row the guard fallback executes (the ring
@@ -349,11 +261,11 @@ func ringIndex(t *scheduler.Table, chosen int) int {
 // carrying the winning policy, the executed scheme, and the cost-table
 // snapshot (the paper's Fig. 5 state at decision time). chosen/exec index
 // the table's policies; they differ only under guard fallback.
-func (p *OnlinePolicy) audit(ctx *serving.GroupCtx, grp *group, chosen, exec int, scheme collective.Scheme, reason, stageSignal string, msgBytes int64, steps int) {
+func (p *OnlinePolicy) audit(ctx *serving.GroupCtx, grp *group, chosen, exec int, scheme collective.Scheme, reason string, msgBytes int64, steps int) {
 	tel := ctx.Comm.Telemetry()
 	t := grp.table
 	if p.Ledger != nil || tel != nil {
-		p.ledger(ctx, grp, chosen, exec, scheme, reason, stageSignal, msgBytes, steps, tel)
+		p.ledger(ctx, grp, chosen, exec, scheme, reason, msgBytes, steps, tel)
 	}
 	if tel == nil {
 		return
@@ -386,7 +298,7 @@ func (p *OnlinePolicy) audit(ctx *serving.GroupCtx, grp *group, chosen, exec int
 // Regret is expressed in estimated bottleneck busy-seconds (J x T_u); the
 // per-scheme counters accumulate each scheme's cheapest candidate against
 // the overall optimum, i.e. the cost of always forcing that scheme.
-func (p *OnlinePolicy) ledger(ctx *serving.GroupCtx, grp *group, chosen, exec int, scheme collective.Scheme, reason, stageSignal string, msgBytes int64, steps int, tel *telemetry.Hub) {
+func (p *OnlinePolicy) ledger(ctx *serving.GroupCtx, grp *group, chosen, exec int, scheme collective.Scheme, reason string, msgBytes int64, steps int, tel *telemetry.Hub) {
 	t := grp.table
 	eval := t.LastEval()
 	if eval == nil {
@@ -414,21 +326,20 @@ func (p *OnlinePolicy) ledger(ctx *serving.GroupCtx, grp *group, chosen, exec in
 			regret = 0
 		}
 		p.Ledger.AddPick(decisions.Pick{
-			T:           ctx.Comm.Network().Engine().Now(),
-			Table:       grp.ledgerTable,
-			Bytes:       msgBytes * int64(steps),
-			Steps:       steps,
-			Costs:       eval,
-			Window:      w,
-			Chosen:      chosen,
-			Best:        best,
-			Executed:    exec,
-			Scheme:      scheme.String(),
-			Reason:      reason,
-			StageSignal: stageSignal,
-			Actual:      actual,
-			Regret:      regret,
-			Stalled:     p.ctl.Stalled(),
+			T:        ctx.Comm.Network().Engine().Now(),
+			Table:    grp.ledgerTable,
+			Bytes:    msgBytes * int64(steps),
+			Steps:    steps,
+			Costs:    eval,
+			Window:   w,
+			Chosen:   chosen,
+			Best:     best,
+			Executed: exec,
+			Scheme:   scheme.String(),
+			Reason:   reason,
+			Actual:   actual,
+			Regret:   regret,
+			Stalled:  p.ctl.Stalled(),
 		})
 	}
 	if tel == nil {
@@ -490,8 +401,8 @@ func Plan(in planner.Inputs) (*planner.Plan, error) {
 // the planned deployment plus the online policy. A caller's opts.Policy and
 // opts.RouterFactory are kept (the ablations vary the policy); an
 // *OnlinePolicy, the caller's or the default one, is wired to the system's
-// fault injector, decision ledger and stage shares. It returns the system,
-// the plan, and that online policy (nil under another policy).
+// fault injector and decision ledger. It returns the system, the plan, and
+// that online policy (nil under another policy).
 func NewSystem(in planner.Inputs, plan *planner.Plan, opts serving.Options) (*serving.System, *planner.Plan, *OnlinePolicy, error) {
 	if plan == nil {
 		var err error
@@ -520,7 +431,6 @@ func NewSystem(in planner.Inputs, plan *planner.Plan, opts serving.Options) (*se
 	if pol != nil {
 		pol.Injector = sys.FaultInjector()
 		pol.Ledger = sys.DecisionLedger()
-		pol.Shares = sys.StageShares()
 	}
 	return sys, plan, pol, nil
 }

@@ -241,8 +241,7 @@ func (t *Table) Select(size int64) int {
 // reports, so the ledger invariant "chosen == argmin of the recorded
 // candidates" keeps holding under bias; the synchronized cost update stays
 // unbiased (Eq. 17 charges the winner's true delta). swayed reports whether
-// the bias changed the winner versus the unbiased argmin — the audit uses
-// it to label stage-driven picks.
+// the bias changed the winner versus the unbiased argmin.
 func (t *Table) SelectBiased(size int64, bias []float64) (best int, swayed bool) {
 	if t.eval == nil {
 		t.eval = make([]float64, len(t.Policies))

@@ -467,14 +467,14 @@ func alertSignals(firing, pending []slo.Alert) []AlertSignal {
 	}
 	out := make([]AlertSignal, 0, len(firing)+len(pending))
 	for _, al := range firing {
-		sig := AlertSignal{Rule: al.Rule, Kind: string(al.Kind), Firing: true}
+		sig := AlertSignal{Rule: al.Rule, Kind: al.Kind, Firing: true}
 		if al.Cause != nil {
 			sig.Dominant = al.Cause.Dominant
 		}
 		out = append(out, sig)
 	}
 	for _, al := range pending {
-		out = append(out, AlertSignal{Rule: al.Rule, Kind: string(al.Kind)})
+		out = append(out, AlertSignal{Rule: al.Rule, Kind: al.Kind})
 	}
 	return out
 }

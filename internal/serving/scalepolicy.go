@@ -7,6 +7,7 @@ import (
 	"heroserve/internal/sim"
 	"heroserve/internal/telemetry/critpath"
 	"heroserve/internal/telemetry/decisions"
+	"heroserve/internal/telemetry/slo"
 )
 
 // ScaleSignals is the input snapshot a ScalePolicy sees at each control step.
@@ -78,18 +79,10 @@ type ScaleSignals struct {
 // and the dominant critical-path stage of its firing cause snapshot.
 type AlertSignal struct {
 	Rule     string
-	Kind     string
+	Kind     slo.Kind
 	Firing   bool
 	Dominant string
 }
-
-// Alert kinds the built-in laws act on (mirrors internal/telemetry/slo).
-const (
-	alertKindBurnRate    = "burn-rate"
-	alertKindKVSat       = "kv-saturation"
-	alertKindQueueGrow   = "queue-growth"
-	alertKindFaultBudget = "fault-budget"
-)
 
 // classifyAlerts reduces the live alert set to the flags the alert-consuming
 // laws act on: out — a firing burn-rate, kv-saturation, or fault-budget
@@ -104,9 +97,9 @@ func classifyAlerts(alerts []AlertSignal) (out, veto, widen bool) {
 			continue
 		}
 		switch a.Kind {
-		case alertKindBurnRate, alertKindKVSat, alertKindFaultBudget:
+		case slo.KindBurnRate, slo.KindKVSaturation, slo.KindFaultBudget:
 			out = true
-		case alertKindQueueGrow:
+		case slo.KindQueueGrowth:
 			widen = true
 		}
 		if a.Dominant == critpath.StageFaultStall {
@@ -476,11 +469,11 @@ func (p *AdaptivePolicy) desired(sig ScaleSignals) (int, string) {
 			continue
 		}
 		switch a.Kind {
-		case alertKindKVSat:
+		case slo.KindKVSaturation:
 			kvSat = true
-		case alertKindQueueGrow:
+		case slo.KindQueueGrowth:
 			qGrow = true
-		case alertKindBurnRate:
+		case slo.KindBurnRate:
 			burn = true
 		}
 	}

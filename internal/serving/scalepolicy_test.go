@@ -5,6 +5,7 @@ import (
 
 	"heroserve/internal/telemetry/critpath"
 	"heroserve/internal/telemetry/decisions"
+	"heroserve/internal/telemetry/slo"
 )
 
 // calmSignals is a baseline snapshot no policy should act on: moderate load,
@@ -173,17 +174,17 @@ func TestClassifyAlerts(t *testing.T) {
 	}{
 		{name: "nil"},
 		{name: "pending only vetoes", alerts: []AlertSignal{
-			{Rule: "r", Kind: alertKindBurnRate}}, veto: true},
+			{Rule: "r", Kind: slo.KindBurnRate}}, veto: true},
 		{name: "firing burn-rate", alerts: []AlertSignal{
-			{Rule: "r", Kind: alertKindBurnRate, Firing: true}}, out: true, veto: true},
+			{Rule: "r", Kind: slo.KindBurnRate, Firing: true}}, out: true, veto: true},
 		{name: "firing kv-saturation", alerts: []AlertSignal{
-			{Rule: "r", Kind: alertKindKVSat, Firing: true}}, out: true, veto: true},
+			{Rule: "r", Kind: slo.KindKVSaturation, Firing: true}}, out: true, veto: true},
 		{name: "firing fault-budget", alerts: []AlertSignal{
-			{Rule: "r", Kind: alertKindFaultBudget, Firing: true}}, out: true, veto: true},
+			{Rule: "r", Kind: slo.KindFaultBudget, Firing: true}}, out: true, veto: true},
 		{name: "firing queue-growth widens", alerts: []AlertSignal{
-			{Rule: "r", Kind: alertKindQueueGrow, Firing: true}}, widen: true, veto: true},
+			{Rule: "r", Kind: slo.KindQueueGrowth, Firing: true}}, widen: true, veto: true},
 		{name: "fault-stall cause forces out", alerts: []AlertSignal{
-			{Rule: "r", Kind: "stage-shift", Firing: true, Dominant: critpath.StageFaultStall}},
+			{Rule: "r", Kind: slo.KindStageShift, Firing: true, Dominant: critpath.StageFaultStall}},
 			out: true, veto: true},
 	}
 	for _, tc := range cases {
@@ -202,7 +203,7 @@ func TestAlertAwarePolicyDecide(t *testing.T) {
 		t.Errorf("calm: %v, want hold", d)
 	}
 	// A firing burn-rate alert activates a reserve immediately.
-	sig.Alerts = []AlertSignal{{Rule: "ttft-burn", Kind: alertKindBurnRate, Firing: true}}
+	sig.Alerts = []AlertSignal{{Rule: "ttft-burn", Kind: slo.KindBurnRate, Firing: true}}
 	if d := p.Decide(sig); d != ScaleOut {
 		t.Errorf("firing alert: %v, want scale_out", d)
 	}
@@ -223,7 +224,7 @@ func TestAlertAwarePolicyDecide(t *testing.T) {
 		t.Errorf("firing alert without reserves: %v, want hold", d)
 	}
 	// A pending alert vetoes scale-in too; clearing it releases the veto.
-	sig.Alerts = []AlertSignal{{Rule: "ttft-burn", Kind: alertKindBurnRate}}
+	sig.Alerts = []AlertSignal{{Rule: "ttft-burn", Kind: slo.KindBurnRate}}
 	if d := p.Decide(sig); d != ScaleHold {
 		t.Errorf("pending alert vetoes scale-in: %v, want hold", d)
 	}
@@ -248,7 +249,7 @@ func TestAlertAwareBatchTarget(t *testing.T) {
 		t.Errorf("initial batch target = %d, want %d", bt, sig.MaxBatch)
 	}
 	// A firing queue-growth alert widens the target to double the cap.
-	sig.Alerts = []AlertSignal{{Rule: "queue-growth", Kind: alertKindQueueGrow, Firing: true}}
+	sig.Alerts = []AlertSignal{{Rule: "queue-growth", Kind: slo.KindQueueGrowth, Firing: true}}
 	p.Decide(sig)
 	if bt := p.BatchTarget(sig); bt != 2*sig.MaxBatch {
 		t.Errorf("widened batch target = %d, want %d", bt, 2*sig.MaxBatch)
@@ -272,7 +273,7 @@ func TestAdaptivePolicyAlertSwitch(t *testing.T) {
 	// A firing kv-saturation alert names kv-headroom; the same firing alert
 	// also triggers the scale-out reflex through the meta layer.
 	sig := calmSignals()
-	sig.Alerts = []AlertSignal{{Rule: "kv-hot", Kind: alertKindKVSat, Firing: true}}
+	sig.Alerts = []AlertSignal{{Rule: "kv-hot", Kind: slo.KindKVSaturation, Firing: true}}
 	if d := mp.Decide(sig); d != ScaleOut {
 		t.Errorf("firing kv-sat: %v, want reflex scale_out", d)
 	}
@@ -289,7 +290,7 @@ func TestAdaptivePolicyAlertSwitch(t *testing.T) {
 	// Alert-driven switches bypass the dwell: a queue-growth alert right
 	// after re-targets the backlog law.
 	sig.Now += 0.5
-	sig.Alerts = []AlertSignal{{Rule: "q", Kind: alertKindQueueGrow, Firing: true}}
+	sig.Alerts = []AlertSignal{{Rule: "q", Kind: slo.KindQueueGrowth, Firing: true}}
 	mp.Decide(sig)
 	if sw, ok := mp.TakeSwitch(); !ok || sw.To != "backlog" || sw.Signal != "alert" {
 		t.Errorf("switch = %+v ok=%v, want ->backlog on alert inside dwell", sw, ok)
@@ -399,7 +400,7 @@ func TestAdaptivePolicyReflexAndVeto(t *testing.T) {
 		t.Fatalf("idle on backlog law: %v, want scale_in", d)
 	}
 	sig.Now += 10
-	sig.Alerts = []AlertSignal{{Rule: "ttft-burn", Kind: alertKindBurnRate}}
+	sig.Alerts = []AlertSignal{{Rule: "ttft-burn", Kind: slo.KindBurnRate}}
 	if d := p.Decide(sig); d != ScaleHold {
 		t.Errorf("pending alert on alert-blind delegate: %v, want vetoed hold", d)
 	}

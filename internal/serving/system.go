@@ -277,8 +277,8 @@ func (s *System) attachTelemetry(h *telemetry.Hub) {
 func (s *System) SLOMonitor() *slo.Monitor { return s.mon }
 
 // StageShares returns the live critical-path stage-share window (nil when
-// telemetry is off). The online collective policy biases scheme selection on
-// it; the autoscaler folds its dominant stage into ScaleSignals.
+// telemetry is off). The autoscaler folds its dominant stage into
+// ScaleSignals.
 func (s *System) StageShares() *critpath.ShareTracker { return s.shares }
 
 // setBatchTarget steers the effective running-batch cap, clamped to

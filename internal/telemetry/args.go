@@ -219,7 +219,7 @@ func (x *Arg) appendValue(b []byte) (_ []byte, ok bool) {
 	case kindNum:
 		return AppendJSONFloat(b, x.f)
 	case kindFloat:
-		return appendSafeFloat(b, x.f), true
+		return JSONFloat(x.f).AppendJSON(b), true
 	case kindBool:
 		return strconv.AppendBool(b, x.i != 0), true
 	case kindInts:
@@ -243,7 +243,7 @@ func (x *Arg) appendValue(b []byte) (_ []byte, ok bool) {
 			}
 			b = AppendJSONString(b, c.labels[j])
 			b = append(b, ':')
-			b = appendSafeFloat(b, c.Values[j])
+			b = JSONFloat(c.Values[j]).AppendJSON(b)
 		}
 		return append(b, '}'), true
 	case kindDecoded:
@@ -254,17 +254,6 @@ func (x *Arg) appendValue(b []byte) (_ []byte, ok bool) {
 		return append(b, enc...), true
 	}
 	return append(b, "null"...), true
-}
-
-// appendSafeFloat encodes f under Float's rule.
-func appendSafeFloat(b []byte, f float64) []byte {
-	if isFinite(f) {
-		b, _ = AppendJSONFloat(b, f)
-		return b
-	}
-	b = append(b, '"')
-	b = append(b, safeFloatName(f)...)
-	return append(b, '"')
 }
 
 func safeFloatName(f float64) string {

@@ -3,9 +3,8 @@ package critpath
 // ShareTracker maintains a sliding window over the most recently finalized
 // requests' TTFT critical-path attribution and answers the control-plane
 // question "which stage dominates recent TTFT, and by how much". It is the
-// live counterpart of the post-hoc stage report: the online collective
-// policy biases scheme selection on it and the autoscaler folds it into
-// ScaleSignals.
+// live counterpart of the post-hoc stage report: the autoscaler folds it
+// into ScaleSignals. The online collective policy does not read it.
 //
 // Determinism: the tracker consumes only the analyzer's finalize stream
 // (itself deterministic under the event loop) and resolves ties in canonical

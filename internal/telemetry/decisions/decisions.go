@@ -77,14 +77,9 @@ type CollectiveRecord struct {
 	Executed int    `json:"executed"`
 	Scheme   string `json:"scheme"` // executed scheme
 	// Reason labels how the executed candidate was reached: "table" (plain
-	// Eq. 16 argmin), "guard-fallback" (data-plane guard moved an INA pick to
-	// ring), "stage-ina" / "stage-hold" (the live stage-share bias changed
-	// the winner versus the unbiased argmin).
+	// Eq. 16 argmin) or "guard-fallback" (data-plane guard moved an INA pick
+	// to ring).
 	Reason string `json:"reason"`
-	// StageSignal names the dominant critical-path stage driving a
-	// stage-share bias at this decision ("" when no bias applied). Set even
-	// when the bias did not change the winner.
-	StageSignal string `json:"stage_signal,omitempty"`
 	// Actual is Candidates[Executed].CostSeconds — the audited cost of the
 	// decision, bit-identical to the counterfactual vector entry.
 	Actual telemetry.JSONFloat `json:"actual_seconds"`
@@ -274,7 +269,6 @@ type Summary struct {
 	Scale              int          `json:"scale"`
 	Fallbacks          int64        `json:"fallbacks"`
 	Stalled            int64        `json:"stalled"`
-	StageSwayed        int64        `json:"stage_swayed"`         // stage-share bias changed the collective winner
 	TotalRegretSeconds float64      `json:"total_regret_seconds"` // executed vs best, summed
 	Schemes            []SchemeStat `json:"schemes"`              // sorted by RegretSeconds asc, then name
 	Primary            string       `json:"primary,omitempty"`    // scale primary law (if any)
@@ -323,11 +317,7 @@ func (l *Ledger) Summarize() *Summary {
 	var mins []float64
 	var seen []bool
 	l.coll.each(func(c *chunk[row], r *row) {
-		switch l.strs[r.reason] {
-		case "stage-ina", "stage-hold":
-			s.StageSwayed++
-		case "table":
-		default:
+		if l.strs[r.reason] == "guard-fallback" {
 			s.Fallbacks++
 		}
 		if r.stalled {
@@ -513,7 +503,6 @@ func (s *Summary) WriteTSV(w io.Writer) error {
 	fmt.Fprintf(&b, "collective\t%d\n", s.Collective)
 	fmt.Fprintf(&b, "scale\t%d\n", s.Scale)
 	fmt.Fprintf(&b, "fallbacks\t%d\n", s.Fallbacks)
-	fmt.Fprintf(&b, "stage_swayed\t%d\n", s.StageSwayed)
 	fmt.Fprintf(&b, "stalled\t%d\n", s.Stalled)
 	fmt.Fprintf(&b, "regret_seconds\t%s\n", telemetry.FormatFloat(s.TotalRegretSeconds))
 	if s.Drift != nil {
@@ -604,7 +593,6 @@ func (s *Summary) Series() map[string]float64 {
 		"collective":     float64(s.Collective),
 		"scale":          float64(s.Scale),
 		"fallbacks":      float64(s.Fallbacks),
-		"stage_swayed":   float64(s.StageSwayed),
 		"stalled":        float64(s.Stalled),
 		"regret_seconds": s.TotalRegretSeconds,
 	}

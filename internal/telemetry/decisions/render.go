@@ -189,10 +189,6 @@ func (e *encoder) collective(l *Ledger, c *chunk[row], r *row) {
 	b = e.str(b, r.scheme)
 	b = append(b, `,"reason":`...)
 	b = e.str(b, r.reason)
-	if l.strs[r.stage] != "" {
-		b = append(b, `,"stage_signal":`...)
-		b = e.str(b, r.stage)
-	}
 	b = append(b, `,"actual_seconds":`...)
 	if exec[0] >= 0 && math.Float64bits(r.actual) == math.Float64bits(tab.costs(c, r)[2*r.executed+1]) {
 		// The audited cost is the executed candidate's cost_seconds, bit

@@ -89,7 +89,7 @@ func escapingLedger() *Ledger {
 			{Label: "ina@€", Scheme: "ina-sync", CostJ: telemetry.JSONFloat(math.NaN()), CostSeconds: 1e-7},
 			{Label: "h\x00", Scheme: "ina-hetero", CostJ: 1e21, CostSeconds: telemetry.JSONFloat(math.Copysign(0, -1))},
 		},
-		Chosen: 2, Best: 1, Executed: 0, Scheme: "ring", Reason: "guard-fallback", StageSignal: "queue<",
+		Chosen: 2, Best: 1, Executed: 0, Scheme: "ring", Reason: "guard-fallback",
 		Actual: telemetry.JSONFloat(math.Inf(1)), Regret: telemetry.JSONFloat(math.NaN()), Stalled: true,
 	})
 	l.AddCollective(CollectiveRecord{T: 123456789.125, Group: "g", Candidates: []CollectiveCandidate{}, Scheme: " "})
@@ -285,11 +285,7 @@ func refSummarize(recs []CollectiveRecord) *Summary {
 		return schemes[name]
 	}
 	for _, r := range recs {
-		switch r.Reason {
-		case "stage-ina", "stage-hold":
-			s.StageSwayed++
-		case "table":
-		default:
+		if r.Reason == "guard-fallback" {
 			s.Fallbacks++
 		}
 		if r.Stalled {
@@ -349,8 +345,7 @@ func checkSummary(t *testing.T, l *Ledger, recs []CollectiveRecord) {
 	got, want := l.Summarize(), refSummarize(recs)
 	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b }
 	ok := got.Collective == want.Collective && got.Fallbacks == want.Fallbacks && got.Stalled == want.Stalled &&
-		got.StageSwayed == want.StageSwayed && same(got.TotalRegretSeconds, want.TotalRegretSeconds) &&
-		len(got.Schemes) == len(want.Schemes)
+		same(got.TotalRegretSeconds, want.TotalRegretSeconds) && len(got.Schemes) == len(want.Schemes)
 	for i := 0; ok && i < len(got.Schemes); i++ {
 		g, w := got.Schemes[i], want.Schemes[i]
 		ok = g.Scheme == w.Scheme && g.Chosen == w.Chosen && g.Executed == w.Executed &&

@@ -112,7 +112,7 @@ type row struct {
 	costs                  int32 // offset of the pick's cost pairs in its chunk
 	table                  int32
 	chosen, best, executed int32
-	scheme, reason, stage  uint32
+	scheme, reason         uint32
 	stalled                bool
 }
 
@@ -251,10 +251,10 @@ type Pick struct {
 	Costs  []float64
 	Window float64
 
-	Chosen, Best, Executed      int
-	Scheme, Reason, StageSignal string
-	Actual, Regret              float64
-	Stalled                     bool
+	Chosen, Best, Executed int
+	Scheme, Reason         string
+	Actual, Regret         float64
+	Stalled                bool
 }
 
 // AddPick appends one policy-select record without allocating once the
@@ -275,7 +275,7 @@ func (l *Ledger) AddPick(p Pick) {
 		t: p.T, actual: p.Actual, regret: p.Regret, bytes: p.Bytes, steps: p.Steps,
 		costs: off, table: int32(p.Table),
 		chosen: int32(p.Chosen), best: int32(p.Best), executed: int32(p.Executed),
-		scheme: l.intern(p.Scheme), reason: l.intern(p.Reason), stage: l.intern(p.StageSignal),
+		scheme: l.intern(p.Scheme), reason: l.intern(p.Reason),
 		stalled: p.Stalled,
 	})
 }
@@ -296,7 +296,7 @@ func (l *Ledger) AddCollective(r CollectiveRecord) {
 		t: r.T, actual: float64(r.Actual), regret: float64(r.Regret), bytes: r.Bytes, steps: r.Steps,
 		costs: off, table: tab,
 		chosen: int32(r.Chosen), best: int32(r.Best), executed: int32(r.Executed),
-		scheme: l.intern(r.Scheme), reason: l.intern(r.Reason), stage: l.intern(r.StageSignal),
+		scheme: l.intern(r.Scheme), reason: l.intern(r.Reason),
 		stalled: r.Stalled,
 	})
 }
@@ -360,7 +360,7 @@ func (l *Ledger) record(c *chunk[row], r *row) CollectiveRecord {
 	rec := CollectiveRecord{
 		T: r.t, Group: l.strs[tab.group], Bytes: r.bytes, Steps: r.steps,
 		Chosen: int(r.chosen), Best: int(r.best), Executed: int(r.executed),
-		Scheme: l.strs[r.scheme], Reason: l.strs[r.reason], StageSignal: l.strs[r.stage],
+		Scheme: l.strs[r.scheme], Reason: l.strs[r.reason],
 		Actual: telemetry.JSONFloat(r.actual), Regret: telemetry.JSONFloat(r.regret),
 		Stalled: r.stalled,
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"heroserve/internal/telemetry"
+	"heroserve/internal/telemetry/critpath"
 )
 
 // Config arms a Monitor.
@@ -20,21 +21,18 @@ type Config struct {
 }
 
 // Registry series the monitor reads. These are the names internal/serving
-// and the critpath collector register; the monitor is a pure registry
-// consumer so it needs no hooks into either.
+// registers; the E2E stage family (telemetry.E2ECritPathFamily) and the
+// fault-stall stage label (critpath.StageFaultStall) are read under their
+// owners' names. The monitor is a pure registry consumer, so it needs no
+// hooks into either.
 const (
 	seriesAdmitted  = "serving_requests_admitted_total"
 	seriesCompleted = "serving_requests_completed_total"
 	seriesSLA       = "sla_requests_total"
 	seriesTTFT      = "ttft_seconds"
 	seriesTPOT      = "tpot_seconds"
-	seriesE2EStage  = "e2e_critical_path_seconds_total"
 	seriesKVUtil    = "decode_kv_utilization"
 )
-
-// stageFaultStall mirrors critpath.StageFaultStall — the stage label the
-// fault-budget rule watches.
-const stageFaultStall = "fault-stall"
 
 // pair is one cumulative (errors, total) measurement for a burn-rate rule.
 type pair struct{ bad, total float64 }
@@ -276,11 +274,11 @@ func (m *Monitor) sample(now float64) frame {
 			}
 		}
 	}
-	for _, lv := range reg.Children(seriesE2EStage) {
+	for _, lv := range reg.Children(telemetry.E2ECritPathFamily) {
 		if len(lv) != 1 {
 			continue
 		}
-		if v, ok := reg.Value(seriesE2EStage, lv[0]); ok {
+		if v, ok := reg.Value(telemetry.E2ECritPathFamily, lv[0]); ok {
 			if f.stages == nil {
 				f.stages = make(map[string]float64)
 			}
@@ -434,7 +432,7 @@ func (m *Monitor) measure(idx int, r *Rule, cur frame) evalResult {
 	case KindFaultBudget:
 		prev := m.frameAt(cur.t - r.Over)
 		win, total := stageDelta(cur.stages, prev.stages)
-		fault := win[stageFaultStall]
+		fault := win[critpath.StageFaultStall]
 		share := 0.0
 		if total > 0 {
 			share = fault / total

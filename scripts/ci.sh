@@ -167,6 +167,14 @@ go run ./cmd/heroserve -exp ext-scale -format json -seed 1 > "$ART/ext-scale.jso
 python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert d['tables'][0]['rows']" "$ART/ext-scale.json"
 python3 -c "import json,sys; d=json.load(open(sys.argv[1])); assert any(r[t['columns'].index('policy')]=='adaptive' for t in d['tables'] if 'policy' in t['columns'] for r in t['rows'])" "$ART/ext-scale.json"
 
+# Observers never steer: arming telemetry must not change a HeroServe pick,
+# so Fig. 8's report (HeroServe's online policy on every pod-scale sweep
+# point) is byte-identical with and without -out.
+echo "== observers never steer"
+go run ./cmd/heroserve -exp fig8 -format json > "$ART/fig8-plain.json"
+go run ./cmd/heroserve -exp fig8 -format json -out "$ART/fig8-run" > "$ART/fig8-armed.json"
+cmp "$ART/fig8-plain.json" "$ART/fig8-armed.json"
+
 # Closed-loop smoke: the adaptive meta-policy under the default SLO rules
 # must leave a ledger whose records name the active sub-law, and the alert
 # burst run must show alert-driven control: some scale record carries live

@@ -307,7 +307,9 @@ func TestObserversDoNotPerturbTheRun(t *testing.T) {
 
 // TestHeroserveTelemetryKeepsTheReport: arming telemetry on an experiment
 // leaves its report alone on stdout, byte for byte, and every serving run of
-// the experiment reaches the hub, the ablation variants included.
+// the experiment reaches the hub, the ablation variants included. Fig. 7
+// runs HeroServe's online policy on every sweep point, so an observer that
+// steered a pick would move its max rates.
 func TestHeroserveTelemetryKeepsTheReport(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke tests compile binaries")
@@ -317,37 +319,39 @@ func TestHeroserveTelemetryKeepsTheReport(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/heroserve").CombinedOutput(); err != nil {
 		t.Fatalf("go build ./cmd/heroserve: %v\n%s", err, out)
 	}
-	report := func(extra ...string) []byte {
+	report := func(exp string, extra ...string) []byte {
 		t.Helper()
-		cmd := exec.Command(bin, append([]string{"-exp", "ablations", "-format", "json"}, extra...)...)
+		cmd := exec.Command(bin, append([]string{"-exp", exp, "-format", "json"}, extra...)...)
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
 		out, err := cmd.Output()
 		if err != nil {
-			t.Fatalf("heroserve %v: %v\n%s", extra, err, stderr.Bytes())
+			t.Fatalf("heroserve -exp %s %v: %v\n%s", exp, extra, err, stderr.Bytes())
 		}
 		return out
 	}
-	plain := report()
-	bundle := filepath.Join(dir, "run")
-	armed := report("-out", bundle)
-	if !bytes.Equal(plain, armed) {
-		t.Errorf("-out changed stdout:\nplain:\n%s\narmed:\n%s", plain, armed)
-	}
-	var rep struct {
-		Tables []struct {
-			Rows [][]string `json:"rows"`
-		} `json:"tables"`
-	}
-	if err := json.Unmarshal(armed, &rep); err != nil || len(rep.Tables) == 0 || len(rep.Tables[0].Rows) == 0 {
-		t.Fatalf("armed stdout is not a JSON report (%v):\n%s", err, armed)
-	}
-	metrics, err := os.ReadFile(filepath.Join(bundle, "metrics.prom"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(metrics, []byte("serving_requests_completed_total")) {
-		t.Errorf("metrics export lacks serving_requests_completed_total:\n%s", metrics)
+	for _, exp := range []string{"ablations", "fig7"} {
+		plain := report(exp)
+		bundle := filepath.Join(dir, exp)
+		armed := report(exp, "-out", bundle)
+		if !bytes.Equal(plain, armed) {
+			t.Errorf("%s: -out changed stdout:\nplain:\n%s\narmed:\n%s", exp, plain, armed)
+		}
+		var rep struct {
+			Tables []struct {
+				Rows [][]string `json:"rows"`
+			} `json:"tables"`
+		}
+		if err := json.Unmarshal(armed, &rep); err != nil || len(rep.Tables) == 0 || len(rep.Tables[0].Rows) == 0 {
+			t.Fatalf("%s: armed stdout is not a JSON report (%v):\n%s", exp, err, armed)
+		}
+		metrics, err := os.ReadFile(filepath.Join(bundle, "metrics.prom"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(metrics, []byte("serving_requests_completed_total")) {
+			t.Errorf("%s: metrics export lacks serving_requests_completed_total:\n%s", exp, metrics)
+		}
 	}
 }
 
