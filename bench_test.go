@@ -273,13 +273,14 @@ func BenchmarkAblationPerturbation(b *testing.B) {
 // testbed (the Fig. 9 primitive).
 func BenchmarkHeteroAllReduce64MB(b *testing.B) {
 	g := topology.Testbed()
+	grp := collective.NewGroup(g, g.GPUs())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := sim.NewEngine()
 		net := netsim.New(g, eng)
 		c := collective.NewComm(net, collective.NewStaticRouter(g))
-		c.HeteroAllReduce(g.GPUs(), g.Switches()[0], 64<<20, 1, func() {})
+		c.HeteroAllReduce(grp, g.Switches()[0], 64<<20, 1, func() {})
 		eng.Run()
 	}
 }

@@ -78,20 +78,20 @@ func fig2Topology() (*topology.Graph, []topology.NodeID, topology.NodeID, topolo
 func fig2Demo() {
 	fmt.Println("== Fig. 2: homogeneous vs heterogeneous aggregation, 1 MiB ==")
 	const size = 1 << 20
-	measure := func(label string, run func(c *collective.Comm, group []topology.NodeID, core, access topology.NodeID, done func())) {
+	measure := func(label string, run func(c *collective.Comm, group *collective.Group, core, access topology.NodeID, done func())) {
 		g, group, coreSw, accessSw := fig2Topology()
 		eng := sim.NewEngine()
 		net := netsim.New(g, eng)
 		c := collective.NewComm(net, collective.NewStaticRouter(g))
 		var at sim.Time
-		run(c, group, coreSw, accessSw, func() { at = eng.Now() })
+		run(c, collective.NewGroup(g, group), coreSw, accessSw, func() { at = eng.Now() })
 		eng.Run()
 		fmt.Printf("  %-32s %7.1f us\n", label, at*1e6)
 	}
-	measure("homogeneous (INA at core S1)", func(c *collective.Comm, group []topology.NodeID, core, _ topology.NodeID, done func()) {
+	measure("homogeneous (INA at core S1)", func(c *collective.Comm, group *collective.Group, core, _ topology.NodeID, done func()) {
 		c.INAAllReduce(group, core, size, 1, switchsim.ModeSync, done)
 	})
-	measure("heterogeneous (NVLink + S2)", func(c *collective.Comm, group []topology.NodeID, _, access topology.NodeID, done func()) {
+	measure("heterogeneous (NVLink + S2)", func(c *collective.Comm, group *collective.Group, _, access topology.NodeID, done func()) {
 		c.HeteroAllReduce(group, access, size, 1, done)
 	})
 	fmt.Println()

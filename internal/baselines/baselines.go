@@ -32,22 +32,11 @@ type policy struct {
 func (p policy) Name() string { return p.name }
 
 func (p policy) AllReduce(ctx *serving.GroupCtx, msgBytes int64, steps int, done func()) {
-	if p.scheme == collective.SchemeRing || ctx.Switch < 0 || intraServer(ctx) {
+	if p.scheme == collective.SchemeRing || ctx.Switch < 0 || len(ctx.Group.ServerParts()) == 1 {
 		ctx.Comm.AllReduceTagged(collective.SchemeRing, ctx.Group, -1, msgBytes, steps, ctx.Reqs, done)
 		return
 	}
 	ctx.Comm.AllReduceTagged(p.scheme, ctx.Group, ctx.Switch, msgBytes, steps, ctx.Reqs, done)
-}
-
-// intraServer reports whether the whole group lives on one server.
-func intraServer(ctx *serving.GroupCtx) bool {
-	g := ctx.Comm.Network().Graph()
-	for _, id := range ctx.Group[1:] {
-		if !g.SameServer(ctx.Group[0], id) {
-			return false
-		}
-	}
-	return true
 }
 
 // Policy returns the communication policy, named name, of the baseline whose

@@ -485,7 +485,7 @@ func TestSimulatedRingAllReduce(t *testing.T) {
 	group := g.ServerGPUs(0)
 	var doneAt sim.Time = -1
 	const size = 64 << 20
-	c.RingAllReduce(group, size, 1, func() { doneAt = eng.Now() })
+	c.RingAllReduce(NewGroup(g, group), size, 1, func() { doneAt = eng.Now() })
 	eng.Run()
 	if doneAt <= 0 {
 		t.Fatal("ring all-reduce never completed")
@@ -504,9 +504,10 @@ func TestSimulatedRingAllReduce(t *testing.T) {
 func TestRingTrivialCases(t *testing.T) {
 	c, eng, g := newComm(t)
 	ran := 0
-	c.RingAllReduce(g.GPUs()[:1], 1<<20, 1, func() { ran++ })
-	c.RingAllReduce(g.GPUs()[:2], 0, 1, func() { ran++ })
-	c.RingAllReduce(g.GPUs()[:2], 1<<20, 0, func() { ran++ })
+	one, two := NewGroup(g, g.GPUs()[:1]), NewGroup(g, g.GPUs()[:2])
+	c.RingAllReduce(one, 1<<20, 1, func() { ran++ })
+	c.RingAllReduce(two, 0, 1, func() { ran++ })
+	c.RingAllReduce(two, 1<<20, 0, func() { ran++ })
 	eng.Run()
 	if ran != 3 {
 		t.Errorf("trivial ring ops completed %d/3", ran)
@@ -523,7 +524,7 @@ func TestSimulatedINASyncAllReduce(t *testing.T) {
 	sw := g.Switches()[0]
 	var doneAt sim.Time = -1
 	const size = 16 << 20
-	c.INAAllReduce(group, sw, size, 1, switchsim.ModeSync, func() { doneAt = eng.Now() })
+	c.INAAllReduce(NewGroup(g, group), sw, size, 1, switchsim.ModeSync, func() { doneAt = eng.Now() })
 	eng.Run()
 	if doneAt <= 0 {
 		t.Fatal("INA all-reduce never completed")
@@ -548,7 +549,7 @@ func TestSimulatedINASyncAllReduce(t *testing.T) {
 
 func TestINAFallbackWhenSlotsExhausted(t *testing.T) {
 	c, eng, g := newComm(t)
-	group := []topology.NodeID{g.ServerGPUs(0)[0], g.ServerGPUs(1)[0]}
+	group := NewGroup(g, []topology.NodeID{g.ServerGPUs(0)[0], g.ServerGPUs(1)[0]})
 	sw := g.Switches()[0]
 	// 512-slot pool / 128-slot windows = 4 concurrent jobs; the 5th falls
 	// back to ring.
@@ -573,7 +574,7 @@ func TestAsyncContentionPenalty(t *testing.T) {
 	// second must take longer per byte (ATP fallback penalty).
 	elapsedLone := func() sim.Time {
 		c, eng, g := newComm(t)
-		group := []topology.NodeID{g.ServerGPUs(0)[0], g.ServerGPUs(1)[0]}
+		group := NewGroup(g, []topology.NodeID{g.ServerGPUs(0)[0], g.ServerGPUs(1)[0]})
 		var done sim.Time
 		c.INAAllReduce(group, g.Switches()[0], 8<<20, 1, switchsim.ModeAsync, func() { done = eng.Now() })
 		eng.Run()
@@ -581,8 +582,8 @@ func TestAsyncContentionPenalty(t *testing.T) {
 	}()
 
 	c, eng, g := newComm(t)
-	groupA := []topology.NodeID{g.ServerGPUs(0)[0], g.ServerGPUs(1)[0]}
-	groupB := []topology.NodeID{g.ServerGPUs(2)[0], g.ServerGPUs(3)[0]}
+	groupA := NewGroup(g, []topology.NodeID{g.ServerGPUs(0)[0], g.ServerGPUs(1)[0]})
+	groupB := NewGroup(g, []topology.NodeID{g.ServerGPUs(2)[0], g.ServerGPUs(3)[0]})
 	sw := g.Switches()[0]
 	var doneB sim.Time
 	var startB sim.Time
@@ -607,14 +608,14 @@ func TestHeteroAllReduceBeatsEthernetINA(t *testing.T) {
 	inaTime := func() sim.Time {
 		c, eng, g := newComm(t)
 		var done sim.Time
-		c.INAAllReduce(g.GPUs(), g.Switches()[0], 8<<20, 4, switchsim.ModeSync, func() { done = eng.Now() })
+		c.INAAllReduce(NewGroup(g, g.GPUs()), g.Switches()[0], 8<<20, 4, switchsim.ModeSync, func() { done = eng.Now() })
 		eng.Run()
 		return done
 	}()
 	heteroTime := func() sim.Time {
 		c, eng, g := newComm(t)
 		var done sim.Time
-		c.HeteroAllReduce(g.GPUs(), g.Switches()[0], 8<<20, 4, func() { done = eng.Now() })
+		c.HeteroAllReduce(NewGroup(g, g.GPUs()), g.Switches()[0], 8<<20, 4, func() { done = eng.Now() })
 		eng.Run()
 		if c.Counters().HeteroOps != 1 {
 			t.Error("hetero op not counted")
@@ -628,7 +629,7 @@ func TestHeteroAllReduceBeatsEthernetINA(t *testing.T) {
 
 func TestHeteroSingleServerStaysOnNVLink(t *testing.T) {
 	c, eng, g := newComm(t)
-	group := g.ServerGPUs(0)
+	group := NewGroup(g, g.ServerGPUs(0))
 	var done sim.Time = -1
 	c.HeteroAllReduce(group, g.Switches()[0], 8<<20, 1, func() { done = eng.Now() })
 	eng.Run()
@@ -646,7 +647,7 @@ func TestHeteroSingleServerStaysOnNVLink(t *testing.T) {
 
 func TestAllReduceDispatch(t *testing.T) {
 	c, eng, g := newComm(t)
-	group := []topology.NodeID{g.ServerGPUs(0)[0], g.ServerGPUs(1)[0]}
+	group := NewGroup(g, []topology.NodeID{g.ServerGPUs(0)[0], g.ServerGPUs(1)[0]})
 	sw := g.Switches()[0]
 	completed := 0
 	for _, s := range []Scheme{SchemeRing, SchemeINASync, SchemeINAAsync, SchemeHetero} {
@@ -664,28 +665,41 @@ func TestAllReduceDispatch(t *testing.T) {
 	c.AllReduce(Scheme(42), group, sw, 1, 1, nil)
 }
 
-func BenchmarkSimulatedHeteroAllReduce(b *testing.B) {
+// BenchmarkAllReduce times one launch→done cycle of a warm all-reduce of
+// 8 steps of 1 MiB over the whole testbed (16 GPUs on 4 servers), on one
+// Comm whose engine, network and op free lists stay warm across
+// iterations.
+func BenchmarkAllReduce(b *testing.B) {
 	g := topology.Testbed()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng := sim.NewEngine()
-		net := netsim.New(g, eng)
-		c := NewComm(net, NewStaticRouter(g))
-		c.HeteroAllReduce(g.GPUs(), g.Switches()[0], 1<<20, 8, func() {})
-		eng.Run()
+	eng := sim.NewEngine()
+	c := NewComm(netsim.New(g, eng), NewStaticRouter(g))
+	grp := NewGroup(g, g.GPUs())
+	sw := g.Switches()[0]
+	done := func() {}
+	for _, s := range []Scheme{SchemeRing, SchemeINASync, SchemeHetero} {
+		b.Run("scheme="+s.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c.AllReduce(s, grp, sw, 1<<20, 8, done)
+				eng.Run()
+			}
+		})
 	}
 }
 
 // TestCollectiveSteadyStateAllocs pins the launch→done cost of a warm
-// collective: a cross-server ring all-reduce and a transfer each start
-// their flows as one group, whose flows, group and delivery events are all
-// recycled, so neither allocates. A synchronous INA all-reduce recycles
-// its op and phase callbacks too; what it still allocates is the switch
-// data plane's job registration and aggregation result.
+// collective on a prepared group: a cross-server ring all-reduce and a
+// transfer each start their flows as one group, whose flows, group and
+// delivery events are all recycled, so neither allocates. A synchronous INA
+// all-reduce recycles its op and phase callbacks too; what it still
+// allocates is the switch data plane's job registration and aggregation
+// result. A heterogeneous all-reduce recycles its op and reads its parts
+// from the group: on one server it allocates nothing, and across servers
+// only its inter-server INA's data plane allocates.
 func TestCollectiveSteadyStateAllocs(t *testing.T) {
 	c, eng, g := newComm(t)
-	ring := []topology.NodeID{g.ServerGPUs(0)[0], g.ServerGPUs(0)[1], g.ServerGPUs(1)[0], g.ServerGPUs(2)[0]}
+	ring := NewGroup(g, []topology.NodeID{g.ServerGPUs(0)[0], g.ServerGPUs(0)[1], g.ServerGPUs(1)[0], g.ServerGPUs(2)[0]})
+	server := NewGroup(g, g.ServerGPUs(0))
 	sw := g.Switches()[0]
 	done := func() {}
 	for _, tc := range []struct {
@@ -694,8 +708,10 @@ func TestCollectiveSteadyStateAllocs(t *testing.T) {
 		want float64
 	}{
 		{"ring", func() { c.RingAllReduce(ring, 1<<20, 4, done) }, 0},
-		{"transfer", func() { c.Transfer(ring[0], ring[3], 1<<20, done) }, 0},
+		{"transfer", func() { c.Transfer(ring.Members()[0], ring.Members()[3], 1<<20, done) }, 0},
 		{"ina-sync", func() { c.INAAllReduce(ring, sw, 1<<20, 4, switchsim.ModeSync, done) }, 4},
+		{"hetero-one-server", func() { c.HeteroAllReduce(server, sw, 1<<20, 4, done) }, 0},
+		{"hetero-cross-server", func() { c.HeteroAllReduce(ring, sw, 1<<20, 4, done) }, 4},
 	} {
 		cycle := func() {
 			tc.op()

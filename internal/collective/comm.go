@@ -73,10 +73,12 @@ type Comm struct {
 	// paths is route scratch for the flows of one launch; flows copy the
 	// Path values they start with, so it is reused on the next launch.
 	paths []topology.Path
-	// freeINA recycles finished INA operations along with their phase
-	// callbacks; dpVals is exerciseDataPlane's packet payload.
-	freeINA []*inaParams
-	dpVals  [4]int32
+	// freeINA and freeHetero recycle finished INA and heterogeneous
+	// operations along with their phase callbacks; dpVals is
+	// exerciseDataPlane's packet payload.
+	freeINA    []*inaParams
+	freeHetero []*heteroOp
+	dpVals     [4]int32
 
 	// Telemetry (nil when off). asyncSeq numbers the async trace spans that
 	// bracket every dispatched all-reduce; spanArgs is the allreduce span's
@@ -256,15 +258,15 @@ func (c *Comm) pathLatency(p topology.Path) float64 {
 // total ring traffic, steps * 2(P-1)/P * msgBytes, to its ring successor;
 // the remaining sequential-step fill latency is added as a fixed delay. done
 // runs when the slowest segment finishes.
-func (c *Comm) RingAllReduce(group []topology.NodeID, msgBytes int64, steps int, done func()) {
+func (c *Comm) RingAllReduce(grp *Group, msgBytes int64, steps int, done func()) {
 	c.counters.RingOps++
 	c.telOps[SchemeRing].Inc()
-	p := len(group)
+	p := grp.Size()
 	if p <= 1 || msgBytes == 0 || steps == 0 {
 		c.net.Engine().PostAfter(0, done)
 		return
 	}
-	order := RingOrder(c.net.Graph(), group)
+	order := grp.ring
 	// Each GPU streams its total ring traffic, derated by the ring protocol
 	// efficiency (extra bytes model the chunking/pipeline overhead).
 	total := int64(float64(steps) * 2 * float64(p-1) / float64(p) * float64(msgBytes) / RingEfficiency)
@@ -462,8 +464,8 @@ func (p *inaParams) inaGoodput() float64 {
 // distribution phase back to the members. The aggregator-slot window caps
 // goodput; a synchronous op that gets no slots falls back to ring (recorded
 // in the counters). mode selects SwitchML (sync) or ATP (async) semantics.
-func (c *Comm) INAAllReduce(group []topology.NodeID, sw topology.NodeID, msgBytes int64, steps int, mode switchsim.Mode, done func()) {
-	p := len(group)
+func (c *Comm) INAAllReduce(grp *Group, sw topology.NodeID, msgBytes int64, steps int, mode switchsim.Mode, done func()) {
+	p := grp.Size()
 	if p <= 1 || msgBytes == 0 || steps == 0 {
 		c.net.Engine().PostAfter(0, done)
 		return
@@ -473,7 +475,7 @@ func (c *Comm) INAAllReduce(group []topology.NodeID, sw topology.NodeID, msgByte
 	// Resolve member<->switch paths first: they define the RTT.
 	paths := c.paths[:0]
 	maxLat := 0.0
-	for i, k := range group {
+	for i, k := range grp.members {
 		paths = append(paths, c.route(k, sw, total))
 		if lat := c.pathLatency(paths[i]); lat > maxLat {
 			maxLat = lat
@@ -490,7 +492,7 @@ func (c *Comm) INAAllReduce(group []topology.NodeID, sw topology.NodeID, msgByte
 			c.tel.Trace.Instant(telemetry.ControlTID, "collective", "slot-fallback",
 				telemetry.Args{telemetry.Int("group", p), telemetry.Str("mode", mode.String()), telemetry.Str("switch", c.switchName(sw))})
 		}
-		c.RingAllReduce(group, msgBytes, steps, done)
+		c.RingAllReduce(grp, msgBytes, steps, done)
 		return
 	}
 	if mode == switchsim.ModeSync {
@@ -520,8 +522,8 @@ func (c *Comm) INAAllReduce(group []topology.NodeID, sw topology.NodeID, msgByte
 // pre-reduction to each server's leader GPU, synchronous Ethernet INA across
 // the leaders at switch sw, and NVLink broadcast back to the members.
 // Single-server groups never touch Ethernet.
-func (c *Comm) HeteroAllReduce(group []topology.NodeID, sw topology.NodeID, msgBytes int64, steps int, done func()) {
-	c.heteroAllReduce(ServerLeaders(c.net.Graph(), group), len(group), sw, msgBytes, steps, done)
+func (c *Comm) HeteroAllReduce(grp *Group, sw topology.NodeID, msgBytes int64, steps int, done func()) {
+	c.heteroAllReduce(&grp.server, grp.Size(), sw, msgBytes, steps, done)
 }
 
 // HeteroNUMAAllReduce is the §VII future-work variant for PCIe-only
@@ -529,11 +531,26 @@ func (c *Comm) HeteroAllReduce(group []topology.NodeID, sw topology.NodeID, msgB
 // PCIe carries it at full speed, and one leader per domain joins the
 // Ethernet aggregation. On NVLink servers it behaves exactly like
 // HeteroAllReduce.
-func (c *Comm) HeteroNUMAAllReduce(group []topology.NodeID, sw topology.NodeID, msgBytes int64, steps int, done func()) {
-	c.heteroAllReduce(NUMALeaders(c.net.Graph(), group), len(group), sw, msgBytes, steps, done)
+func (c *Comm) HeteroNUMAAllReduce(grp *Group, sw topology.NodeID, msgBytes int64, steps int, done func()) {
+	c.heteroAllReduce(&grp.numa, grp.Size(), sw, msgBytes, steps, done)
 }
 
-func (c *Comm) heteroAllReduce(servers [][]topology.NodeID, p int, sw topology.NodeID, msgBytes int64, steps int, done func()) {
+// heteroOp carries one heterogeneous all-reduce through its three phases.
+// A finished op goes back to its Comm's free list with its phase
+// callbacks, which are built once per op value.
+type heteroOp struct {
+	c        *Comm
+	part     *partition
+	sw       topology.NodeID
+	msgBytes int64
+	steps    int
+	total    int64 // bytes per intra-part flow
+	done     func()
+
+	interFn, broadcastFn func()
+}
+
+func (c *Comm) heteroAllReduce(part *partition, p int, sw topology.NodeID, msgBytes int64, steps int, done func()) {
 	if p <= 1 || msgBytes == 0 || steps == 0 {
 		c.net.Engine().PostAfter(0, done)
 		return
@@ -541,46 +558,63 @@ func (c *Comm) heteroAllReduce(servers [][]topology.NodeID, p int, sw topology.N
 	c.counters.HeteroOps++
 	c.telOps[SchemeHetero].Inc()
 	total := int64(steps) * msgBytes
-	leaders := make([]topology.NodeID, len(servers))
-	intraFlows := 0
-	for i, members := range servers {
-		leaders[i] = members[0]
-		intraFlows += len(members) - 1
-	}
-	c.counters.BytesMoved += 2 * total * int64(intraFlows)
-	c.telBytes.Add(float64(2 * total * int64(intraFlows)))
+	c.counters.BytesMoved += 2 * total * int64(part.intraFlows)
+	c.telBytes.Add(float64(2 * total * int64(part.intraFlows)))
 
-	// Each phase routes through the (possibly load-aware) router between
-	// starts, so its flows start one at a time into a group.
-	broadcast := func() {
-		if intraFlows == 0 {
-			c.net.Engine().PostAfter(0, done)
-			return
-		}
-		grp := c.net.OpenGroup(netsim.Inline, done)
-		for _, members := range servers {
-			for _, m := range members[1:] {
-				grp.Start(c.route(members[0], m, total), total)
-			}
-		}
-	}
-
-	interPhase := func() {
-		if len(leaders) <= 1 {
-			broadcast()
-			return
-		}
-		c.INAAllReduce(leaders, sw, msgBytes, steps, switchsim.ModeSync, broadcast)
-	}
-
-	if intraFlows == 0 {
-		interPhase()
+	op := c.newHetero()
+	op.part, op.sw, op.msgBytes, op.steps, op.total, op.done = part, sw, msgBytes, steps, total, done
+	if part.intraFlows == 0 {
+		op.inter()
 		return
 	}
-	grp := c.net.OpenGroup(netsim.Inline, interPhase)
-	for _, members := range servers {
+	// Each phase routes through the (possibly load-aware) router between
+	// starts, so its flows start one at a time into a group.
+	grp := c.net.OpenGroup(netsim.Inline, op.interFn)
+	for _, members := range part.parts {
 		for _, m := range members[1:] {
 			grp.Start(c.route(m, members[0], total), total)
+		}
+	}
+}
+
+// newHetero takes an op off the free list, or builds one with its phase
+// callbacks.
+func (c *Comm) newHetero() *heteroOp {
+	if k := len(c.freeHetero); k > 0 {
+		op := c.freeHetero[k-1]
+		c.freeHetero[k-1] = nil
+		c.freeHetero = c.freeHetero[:k-1]
+		return op
+	}
+	op := &heteroOp{c: c}
+	op.interFn, op.broadcastFn = op.inter, op.broadcast
+	return op
+}
+
+// inter runs the Ethernet INA across the part leaders, once the
+// pre-reduction is in.
+func (op *heteroOp) inter() {
+	if len(op.part.parts) <= 1 {
+		op.broadcast()
+		return
+	}
+	op.c.INAAllReduce(op.part.leaders, op.sw, op.msgBytes, op.steps, switchsim.ModeSync, op.broadcastFn)
+}
+
+// broadcast starts the leaders' broadcast back to their parts, which runs
+// the op's done when it delivers, and recycles the op.
+func (op *heteroOp) broadcast() {
+	c, part, total, done := op.c, op.part, op.total, op.done
+	op.part, op.done = nil, nil
+	c.freeHetero = append(c.freeHetero, op)
+	if part.intraFlows == 0 {
+		c.net.Engine().PostAfter(0, done)
+		return
+	}
+	grp := c.net.OpenGroup(netsim.Inline, done)
+	for _, members := range part.parts {
+		for _, m := range members[1:] {
+			grp.Start(c.route(members[0], m, total), total)
 		}
 	}
 }
@@ -588,8 +622,8 @@ func (c *Comm) heteroAllReduce(servers [][]topology.NodeID, p int, sw topology.N
 // AllReduce dispatches on scheme, bracketing the operation in an async trace
 // span (the scheme that *executes* may differ from the span's scheme arg only
 // via the recorded fallback instants). sw is ignored by SchemeRing.
-func (c *Comm) AllReduce(scheme Scheme, group []topology.NodeID, sw topology.NodeID, msgBytes int64, steps int, done func()) {
-	c.AllReduceTagged(scheme, group, sw, msgBytes, steps, nil, done)
+func (c *Comm) AllReduce(scheme Scheme, grp *Group, sw topology.NodeID, msgBytes int64, steps int, done func()) {
+	c.AllReduceTagged(scheme, grp, sw, msgBytes, steps, nil, done)
 }
 
 // AllReduceTagged is AllReduce with batch→request attribution: reqs lists the
@@ -598,10 +632,10 @@ func (c *Comm) AllReduce(scheme Scheme, group []topology.NodeID, sw topology.Nod
 // to the requests it served. An empty reqs emits the same span AllReduce does.
 // The span carries reqs itself, not a copy: the event lives only as long as
 // the AsyncBegin call, and a tap that keeps the list copies it.
-func (c *Comm) AllReduceTagged(scheme Scheme, group []topology.NodeID, sw topology.NodeID, msgBytes int64, steps int, reqs []int, done func()) {
+func (c *Comm) AllReduceTagged(scheme Scheme, grp *Group, sw topology.NodeID, msgBytes int64, steps int, reqs []int, done func()) {
 	if c.tel != nil {
 		c.asyncSeq++
-		args := append(c.spanArgs[:0], telemetry.Int64("bytes", msgBytes), telemetry.Int("group", len(group)))
+		args := append(c.spanArgs[:0], telemetry.Int64("bytes", msgBytes), telemetry.Int("group", grp.Size()))
 		if len(reqs) > 0 {
 			args = append(args, telemetry.Ints("reqs", reqs))
 		}
@@ -615,13 +649,13 @@ func (c *Comm) AllReduceTagged(scheme Scheme, group []topology.NodeID, sw topolo
 	}
 	switch scheme {
 	case SchemeRing:
-		c.RingAllReduce(group, msgBytes, steps, done)
+		c.RingAllReduce(grp, msgBytes, steps, done)
 	case SchemeINASync:
-		c.INAAllReduce(group, sw, msgBytes, steps, switchsim.ModeSync, done)
+		c.INAAllReduce(grp, sw, msgBytes, steps, switchsim.ModeSync, done)
 	case SchemeINAAsync:
-		c.INAAllReduce(group, sw, msgBytes, steps, switchsim.ModeAsync, done)
+		c.INAAllReduce(grp, sw, msgBytes, steps, switchsim.ModeAsync, done)
 	case SchemeHetero:
-		c.HeteroAllReduce(group, sw, msgBytes, steps, done)
+		c.HeteroAllReduce(grp, sw, msgBytes, steps, done)
 	default:
 		panic(fmt.Sprintf("collective: unknown scheme %d", scheme))
 	}

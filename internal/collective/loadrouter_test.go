@@ -123,7 +123,7 @@ func TestLoadAwareRouterInsideComm(t *testing.T) {
 	r.Bind(net)
 	c := NewComm(net, r)
 	completed := 0
-	c.HeteroAllReduce(g.GPUs(), g.Switches()[0], 4<<20, 2, func() { completed++ })
+	c.HeteroAllReduce(NewGroup(g, g.GPUs()), g.Switches()[0], 4<<20, 2, func() { completed++ })
 	c.Transfer(g.GPUs()[0], g.GPUs()[15], 16<<20, func() { completed++ })
 	eng.Run()
 	if completed != 2 {

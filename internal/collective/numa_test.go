@@ -103,10 +103,10 @@ func TestNUMAAwareHeteroBeatsNaiveOnPCIe(t *testing.T) {
 		return at
 	}
 	tNaive := simTime(func(c *Comm, done func()) {
-		c.HeteroAllReduce(c.Network().Graph().GPUs(), sw, 8<<20, 4, done)
+		c.HeteroAllReduce(NewGroup(g, g.GPUs()), sw, 8<<20, 4, done)
 	})
 	tAware := simTime(func(c *Comm, done func()) {
-		c.HeteroNUMAAllReduce(c.Network().Graph().GPUs(), sw, 8<<20, 4, done)
+		c.HeteroNUMAAllReduce(NewGroup(g, g.GPUs()), sw, 8<<20, 4, done)
 	})
 	if tAware >= tNaive {
 		t.Errorf("simulated NUMA-aware %g should beat naive %g", tAware, tNaive)

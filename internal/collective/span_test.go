@@ -33,7 +33,7 @@ func TestAllReduceSpanScratchKeepsAttribution(t *testing.T) {
 	hub.Attach(eng.Now, "p")
 	comm.SetTelemetry(hub)
 
-	group := g.ServerGPUs(0)[:2]
+	group := NewGroup(g, g.ServerGPUs(0)[:2])
 	reqs := []int{0}
 	comm.AllReduceTagged(SchemeRing, group, -1, 1<<24, 1, reqs, func() {})
 	reqs[0] = 1 // the caller reuses its batch buffer
@@ -81,7 +81,7 @@ func TestAllReduceSpanEndRecycled(t *testing.T) {
 	hub := telemetry.New()
 	hub.Attach(eng.Now, "p")
 	comm.SetTelemetry(hub)
-	group := []topology.NodeID{g.ServerGPUs(0)[0], g.ServerGPUs(1)[0], g.ServerGPUs(2)[0]}
+	group := NewGroup(g, []topology.NodeID{g.ServerGPUs(0)[0], g.ServerGPUs(1)[0], g.ServerGPUs(2)[0]})
 	before := hub.Trace.Len() // the process metadata
 	ops, done := 0, 0
 	finish := func() { done++ }

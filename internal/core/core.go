@@ -172,13 +172,13 @@ func (p *OnlinePolicy) group(ctx *serving.GroupCtx, msgBytes int64) *group {
 		return grp
 	}
 	g := ctx.Comm.Network().Graph()
-	policies := scheduler.BuildPolicies(g, ctx.Comm.Router(), ctx.Group, msgBytes, maxSwitchCandidates, p.Hetero)
+	policies := scheduler.BuildGroupPolicies(g, ctx.Comm.Router(), ctx.Group, msgBytes, maxSwitchCandidates, p.Hetero)
 	if len(policies) == 0 {
 		// Unroutable ring would have paniced earlier in planning; synthesize
 		// a ring policy with no edges as a last resort.
 		policies = []scheduler.Policy{{Scheme: collective.SchemeRing, Switch: -1, Label: "ring"}}
 	}
-	t := scheduler.NewTable(g, ctx.Group, policies, p.cfg)
+	t := scheduler.NewTable(g, ctx.Group.Members(), policies, p.cfg)
 	labels := make([]string, len(policies))
 	for i := range policies {
 		labels[i] = policies[i].Label

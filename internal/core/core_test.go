@@ -125,7 +125,7 @@ func TestOnlinePolicyReactsToCongestion(t *testing.T) {
 	ctx := &serving.GroupCtx{
 		Comm:   comm,
 		ID:     serving.GroupID{Role: serving.RolePrefill},
-		Group:  group,
+		Group:  collective.NewGroup(g, group),
 		Switch: g.Switches()[0],
 		Scheme: collective.SchemeHetero,
 	}
@@ -154,7 +154,7 @@ func TestOnlinePolicyTableReuse(t *testing.T) {
 	ctx := &serving.GroupCtx{
 		Comm:  comm,
 		ID:    serving.GroupID{Role: serving.RoleDecode, Instance: 3, Stage: 1},
-		Group: g.ServerGPUs(2),
+		Group: collective.NewGroup(g, g.ServerGPUs(2)),
 	}
 	pol.AllReduce(ctx, 1<<16, 1, func() {})
 	pol.AllReduce(ctx, 1<<16, 1, func() {})
@@ -170,7 +170,7 @@ func TestHeteroAblationFlag(t *testing.T) {
 	pol.Hetero = false
 	_, net, comm := newNet(g)
 	group := append(append([]topology.NodeID{}, g.ServerGPUs(0)[:2]...), g.ServerGPUs(1)[:2]...)
-	ctx := &serving.GroupCtx{Comm: comm, Group: group, Switch: g.Switches()[0]}
+	ctx := &serving.GroupCtx{Comm: comm, Group: collective.NewGroup(g, group), Switch: g.Switches()[0]}
 	for i := 0; i < 4; i++ {
 		pol.AllReduce(ctx, 1<<20, 1, func() {})
 	}

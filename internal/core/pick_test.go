@@ -4,6 +4,7 @@ import (
 	"io"
 	"testing"
 
+	"heroserve/internal/collective"
 	"heroserve/internal/scheduler"
 	"heroserve/internal/serving"
 	"heroserve/internal/telemetry"
@@ -35,7 +36,7 @@ func warmPicker(tb testing.TB, ledger bool, ledgerCap int) (*OnlinePolicy, *serv
 	ctx := &serving.GroupCtx{
 		Comm:   comm,
 		ID:     serving.GroupID{Role: serving.RoleDecode, Instance: 1},
-		Group:  group,
+		Group:  collective.NewGroup(g, group),
 		Switch: g.Switches()[0],
 		Reqs:   []int{3, 4, 9},
 	}

@@ -41,12 +41,13 @@ func ExtPCIe(Env) (*Report, error) {
 			eng := sim.NewEngine()
 			net := netsim.New(g, eng)
 			c := collective.NewComm(net, collective.NewStaticRouter(g))
+			grp := collective.NewGroup(g, g.GPUs())
 			var at sim.Time = -1
 			done := func() { at = eng.Now() }
 			if numa {
-				c.HeteroNUMAAllReduce(g.GPUs(), sw, size, 4, done)
+				c.HeteroNUMAAllReduce(grp, sw, size, 4, done)
 			} else {
-				c.HeteroAllReduce(g.GPUs(), sw, size, 4, done)
+				c.HeteroAllReduce(grp, sw, size, 4, done)
 			}
 			eng.Run()
 			if at < 0 {

@@ -80,16 +80,16 @@ func Fig2Data(msgBytes int64) Fig2Result {
 	}
 	{
 		g, group, coreSw, _ := fig2Topology()
-		_ = g
+		grp := collective.NewGroup(g, group)
 		res.HomoSimS = simulate(func(c *collective.Comm, done func()) {
-			c.INAAllReduce(group, coreSw, msgBytes, 1, switchsim.ModeSync, done)
+			c.INAAllReduce(grp, coreSw, msgBytes, 1, switchsim.ModeSync, done)
 		})
 	}
 	{
 		g, group, _, accessSw := fig2Topology()
-		_ = g
+		grp := collective.NewGroup(g, group)
 		res.HeteroSimS = simulate(func(c *collective.Comm, done func()) {
-			c.HeteroAllReduce(group, accessSw, msgBytes, 1, done)
+			c.HeteroAllReduce(grp, accessSw, msgBytes, 1, done)
 		})
 	}
 	res.ReductionSim = 1 - res.HeteroSimS/res.HomoSimS

@@ -65,6 +65,7 @@ func fig9Trial(sysKind SystemKind, size int64, rounds int, seed int64) (float64,
 		append(append([]topology.NodeID{}, g.ServerGPUs(2)...), g.ServerGPUs(3)...),
 	}
 	switches := make([]topology.NodeID, len(groups))
+	prepared := make([]*collective.Group, len(groups))
 	router := collective.NewStaticRouter(g)
 	for i, grp := range groups {
 		sw, _, ok := collective.BestAggSwitch(g, router, grp, size)
@@ -72,6 +73,7 @@ func fig9Trial(sysKind SystemKind, size int64, rounds int, seed int64) (float64,
 			return 0, fmt.Errorf("fig9: no aggregation switch for group %d", i)
 		}
 		switches[i] = sw
+		prepared[i] = collective.NewGroup(g, grp)
 	}
 
 	// Sustained bursty background traffic (the condition under which
@@ -94,7 +96,7 @@ func fig9Trial(sysKind SystemKind, size int64, rounds int, seed int64) (float64,
 				return
 			}
 			next := func() { step(round + 1) }
-			comm.AllReduceTagged(scheme, groups[gi], switches[gi], size, 1, nil, next)
+			comm.AllReduceTagged(scheme, prepared[gi], switches[gi], size, 1, nil, next)
 		}
 		step(0)
 	}

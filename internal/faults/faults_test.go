@@ -158,7 +158,7 @@ func TestSwitchRebootDemotesInflightINA(t *testing.T) {
 	sw := g.Switches()[0]
 
 	// Two leaders on different servers, both uplinked to switch 0.
-	group := []topology.NodeID{g.GPUs()[0], g.GPUs()[4]}
+	group := collective.NewGroup(g, []topology.NodeID{g.GPUs()[0], g.GPUs()[4]})
 	var cleanDone, faultDone float64
 
 	// Reference run on a healthy data plane (fresh fabric, same shape).
@@ -189,7 +189,7 @@ func TestSwitchOfflineRejectsNewINA(t *testing.T) {
 	net, comm, eng := testbedNet(t)
 	g := net.Graph()
 	sw := g.Switches()[0]
-	group := []topology.NodeID{g.GPUs()[0], g.GPUs()[4]}
+	group := collective.NewGroup(g, []topology.NodeID{g.GPUs()[0], g.GPUs()[4]})
 
 	inj := NewInjector(net, comm)
 	inj.Arm(Schedule{Events: []Event{

@@ -15,8 +15,14 @@ import (
 // policy. stepBytes sizes the routing decisions. Unroutable candidates are
 // skipped; the result is never empty as long as the ring is routable.
 func BuildPolicies(g *topology.Graph, r collective.Router, group []topology.NodeID, stepBytes int64, maxSwitches int, hetero bool) []Policy {
+	return BuildGroupPolicies(g, r, collective.NewGroup(g, group), stepBytes, maxSwitches, hetero)
+}
+
+// BuildGroupPolicies is BuildPolicies over a prepared group, whose ring
+// order and server parts it reads.
+func BuildGroupPolicies(g *topology.Graph, r collective.Router, grp *collective.Group, stepBytes int64, maxSwitches int, hetero bool) []Policy {
 	var out []Policy
-	if p, ok := ringPolicy(g, r, group, stepBytes); ok {
+	if p, ok := ringPolicy(g, r, grp.Ring(), stepBytes); ok {
 		out = append(out, p)
 	}
 
@@ -30,7 +36,7 @@ func BuildPolicies(g *topology.Graph, r collective.Router, group []topology.Node
 			continue
 		}
 		worst, reachable := 0.0, true
-		for _, k := range group {
+		for _, k := range grp.Members() {
 			path, ok := r.Route(k, sw, stepBytes)
 			if !ok {
 				reachable = false
@@ -54,19 +60,13 @@ func BuildPolicies(g *topology.Graph, r collective.Router, group []topology.Node
 		cands = cands[:maxSwitches]
 	}
 
-	multiPerServer := false
-	for _, members := range collective.ServerLeaders(g, group) {
-		if len(members) > 1 {
-			multiPerServer = true
-			break
-		}
-	}
+	multiPerServer := len(grp.ServerParts()) < grp.Size()
 	for _, c := range cands {
-		if p, ok := inaPolicy(g, r, group, c.sw, stepBytes); ok {
+		if p, ok := inaPolicy(g, r, grp.Members(), c.sw, stepBytes); ok {
 			out = append(out, p)
 		}
 		if hetero && multiPerServer {
-			if p, ok := heteroPolicy(g, r, group, c.sw, stepBytes); ok {
+			if p, ok := heteroPolicy(g, r, grp.ServerParts(), c.sw, stepBytes); ok {
 				out = append(out, p)
 			}
 		}
@@ -74,9 +74,9 @@ func BuildPolicies(g *topology.Graph, r collective.Router, group []topology.Node
 	return out
 }
 
-// ringPolicy collects the edges of the group's ring segments.
-func ringPolicy(g *topology.Graph, r collective.Router, group []topology.NodeID, stepBytes int64) (Policy, bool) {
-	order := collective.RingOrder(g, group)
+// ringPolicy collects the edges of the ring segments of a group in ring
+// order.
+func ringPolicy(g *topology.Graph, r collective.Router, order []topology.NodeID, stepBytes int64) (Policy, bool) {
 	n := len(order)
 	set := map[topology.EdgeID]bool{}
 	for i := 0; i < n; i++ {
@@ -120,10 +120,10 @@ func inaPolicy(g *topology.Graph, r collective.Router, group []topology.NodeID, 
 }
 
 // heteroPolicy collects the intra-server pre-reduction edges plus the
-// leader-to-switch path edges.
-func heteroPolicy(g *topology.Graph, r collective.Router, group []topology.NodeID, sw topology.NodeID, stepBytes int64) (Policy, bool) {
+// leader-to-switch path edges of a group's server parts.
+func heteroPolicy(g *topology.Graph, r collective.Router, servers [][]topology.NodeID, sw topology.NodeID, stepBytes int64) (Policy, bool) {
 	set := map[topology.EdgeID]bool{}
-	for _, members := range collective.ServerLeaders(g, group) {
+	for _, members := range servers {
 		leader := members[0]
 		for _, m := range members[1:] {
 			path, ok := r.Route(m, leader, stepBytes)

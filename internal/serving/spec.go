@@ -178,7 +178,7 @@ type GroupID struct {
 type GroupCtx struct {
 	Comm   *collective.Comm
 	ID     GroupID
-	Group  []topology.NodeID
+	Group  *collective.Group // the stage's GPUs, prepared once by New
 	Switch topology.NodeID   // planner's V_ina suggestion, -1 if none
 	Scheme collective.Scheme // planner's alpha/beta suggestion
 	// Reqs lists the IDs of the requests in the batch this synchronization
