@@ -387,7 +387,7 @@ func (a *autoscaler) collect(now sim.Time) ScaleSignals {
 	running := 0
 	kvSum := 0.0
 	for _, di := range s.decode {
-		backlog += len(di.pending)
+		backlog += di.pending.len()
 		switch {
 		case di.activating:
 			activating++
@@ -483,7 +483,7 @@ func alertSignals(firing, pending []slo.Alert) []AlertSignal {
 // active, fully drained, and marked idle.
 func (a *autoscaler) deactivatable(di *decodeInstance) bool {
 	return di.active && !di.activating && di.idle &&
-		len(di.running) == 0 && len(di.pending) == 0 && di.inflightKV == 0
+		len(di.running) == 0 && di.pending.len() == 0 && di.inflightKV == 0
 }
 
 // firstReserve returns the lowest-id deactivated instance, or nil.
@@ -515,7 +515,7 @@ func (a *autoscaler) longestIdle(now sim.Time) *decodeInstance {
 func (a *autoscaler) refreshIdle(now sim.Time) {
 	for _, di := range a.sys.decode {
 		if di.active && !di.activating &&
-			len(di.running) == 0 && len(di.pending) == 0 && di.inflightKV == 0 {
+			len(di.running) == 0 && di.pending.len() == 0 && di.inflightKV == 0 {
 			if !di.idle {
 				di.idle = true
 				di.idleSince = now

@@ -73,7 +73,7 @@ func TestQuickServingInvariants(t *testing.T) {
 			if di.kvUsed != 0 {
 				t.Fatalf("trial %d: %d KV bytes leaked", trial, di.kvUsed)
 			}
-			if len(di.running)+len(di.pending) != 0 {
+			if len(di.running)+di.pending.len() != 0 {
 				t.Fatalf("trial %d: requests stranded on decode", trial)
 			}
 			if di.inflightKV != 0 {
@@ -82,7 +82,7 @@ func TestQuickServingInvariants(t *testing.T) {
 		}
 		// No prefill work left behind.
 		for _, pi := range sys.prefill {
-			if len(pi.queue) != 0 || pi.busy {
+			if pi.queue.len() != 0 || pi.busy {
 				t.Fatalf("trial %d: prefill not drained", trial)
 			}
 		}
@@ -118,7 +118,7 @@ func TestQuickAutoscalerInvariants(t *testing.T) {
 			t.Fatalf("trial %d: served %d/%d", trial, res.Served, n)
 		}
 		for _, di := range sys.decode {
-			if di.kvUsed != 0 || len(di.running)+len(di.pending) != 0 {
+			if di.kvUsed != 0 || len(di.running)+di.pending.len() != 0 {
 				t.Fatalf("trial %d: decode state leaked", trial)
 			}
 		}
