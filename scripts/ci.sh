@@ -23,7 +23,8 @@ go test -race -timeout 45m ./... "$@"
 
 # The event engine (schedule, step, cancel, reschedule), netsim
 # (reallocation by flow and path count, flow churn, pod-scale charge, many
-# concurrent flows), planner, topology, collective, scheduler (table
+# concurrent flows), planner, topology, collective (BenchmarkAllReduce:
+# warm ring, ina-sync and ina-hetero cycles on one Comm), scheduler (table
 # refresh, controller tick), online-policy, serving (a served run, an
 # elephant relaunch), tracer, critical-path (partition, analyzer feed) and
 # decision-ledger (one append, one render) layer benchmarks run once each,
