@@ -37,6 +37,26 @@ func pod8Inputs(servers int) Inputs {
 	}
 }
 
+// pod8SummInputs builds the summ-pod8-faults benchmark's planner inputs:
+// OPT-66B summarization on a 24-server 8-track pod, 12 servers prefilling,
+// one request per batch at 1 req/s.
+func pod8SummInputs() Inputs {
+	g := topology.Pod8Tracks(24)
+	pre, dec := SplitPoolsByServer(g, 12)
+	sample := workload.NewGenerator(workload.Summarization, 11).Generate(1, 1)
+	return Inputs{
+		Model:       model.OPT66B(),
+		Graph:       g,
+		PrefillGPUs: pre,
+		DecodeGPUs:  dec,
+		Workload:    sample.BatchStats(1),
+		Lambda:      1,
+		SLA:         serving.SLA{TTFT: 25, TPOT: 0.2},
+		Hetero:      true,
+		Seed:        1,
+	}
+}
+
 // exact formats a float so that it parses back to the same bits.
 func exact(x float64) string { return strconv.FormatFloat(x, 'g', -1, 64) }
 
@@ -82,6 +102,8 @@ func TestSolveMatchesPinnedPlans(t *testing.T) {
 		{"testbed-opt13b", func() Inputs { return testbedInputs(t) }},
 		{"pod8-12", func() Inputs { return pod8Inputs(12) }},
 		{"pod8-48", func() Inputs { return pod8Inputs(48) }},
+		{"pod8-192", func() Inputs { return pod8Inputs(192) }},
+		{"pod8-24-summ", pod8SummInputs},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
