@@ -52,6 +52,14 @@ func main() {
 	if !(*rate > 0) || math.IsInf(*rate, 1) {
 		usagef("-rate must be a finite positive req/s, got %g", *rate)
 	}
+	for _, sla := range []struct {
+		flag string
+		v    float64
+	}{{"-ttft", *ttft}, {"-tpot", *tpot}} {
+		if !(sla.v > 0) || math.IsInf(sla.v, 1) {
+			usagef("%s must be a finite positive number of seconds, got %g", sla.flag, sla.v)
+		}
+	}
 	var wk workload.Kind
 	switch *kind {
 	case "chatbot":

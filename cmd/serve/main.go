@@ -34,6 +34,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"sort"
@@ -102,6 +103,14 @@ func main() {
 	}
 	if *batch < 1 {
 		usagef("-batch must be at least 1, got %d", *batch)
+	}
+	for _, sla := range []struct {
+		flag string
+		v    float64
+	}{{"-ttft", *ttft}, {"-tpot", *tpot}} {
+		if !(sla.v > 0) || math.IsInf(sla.v, 1) {
+			usagef("%s must be a finite positive number of seconds, got %g", sla.flag, sla.v)
+		}
 	}
 	if *daemon && *publishEvery <= 0 {
 		usagef("-publish-every must be positive")

@@ -42,7 +42,7 @@ func TestRingOrderGroupsByServer(t *testing.T) {
 	// Pick GPUs interleaved across servers.
 	gpus := g.GPUs()
 	group := []topology.NodeID{gpus[9], gpus[0], gpus[8], gpus[1]}
-	order := RingOrder(g, group)
+	order := ringOrder(g, group, nil)
 	if len(order) != 4 {
 		t.Fatal("order length")
 	}
@@ -55,7 +55,7 @@ func TestRingOrderGroupsByServer(t *testing.T) {
 	}
 }
 
-// TestRingOrderFastPath checks RingOrder against a plain sort over random
+// TestRingOrderFastPath checks ringOrder against a plain sort over random
 // groups (with duplicates), and that a group already in ring order comes
 // back as is, without a copy.
 func TestRingOrderFastPath(t *testing.T) {
@@ -77,16 +77,16 @@ func TestRingOrderFastPath(t *testing.T) {
 			}
 			return want[i] < want[j]
 		})
-		if got := RingOrder(g, group); !slices.Equal(got, want) {
-			t.Fatalf("RingOrder(%v) = %v, want %v", group, got, want)
+		if got := ringOrder(g, group, nil); !slices.Equal(got, want) {
+			t.Fatalf("ringOrder(%v) = %v, want %v", group, got, want)
 		}
 	}
 	planned := []topology.NodeID{gpus[0], gpus[1], gpus[8], gpus[9]}
-	if got := RingOrder(g, planned); &got[0] != &planned[0] {
+	if got := ringOrder(g, planned, nil); &got[0] != &planned[0] {
 		t.Error("a group already in ring order was copied")
 	}
-	if allocs := testing.AllocsPerRun(100, func() { RingOrder(g, planned) }); allocs != 0 {
-		t.Errorf("RingOrder on a ring-ordered group allocates %.0f objects, want 0", allocs)
+	if allocs := testing.AllocsPerRun(100, func() { ringOrder(g, planned, nil) }); allocs != 0 {
+		t.Errorf("ringOrder on a ring-ordered group allocates %.0f objects, want 0", allocs)
 	}
 }
 
@@ -94,7 +94,7 @@ func TestServerLeaders(t *testing.T) {
 	g := topology.Testbed()
 	gpus := g.GPUs()
 	group := []topology.NodeID{gpus[2], gpus[0], gpus[5], gpus[4], gpus[8]}
-	servers := ServerLeaders(g, group)
+	servers := serverLeaders(g, group)
 	if len(servers) != 3 {
 		t.Fatalf("server partitions = %d, want 3", len(servers))
 	}
@@ -134,7 +134,7 @@ func leadersByMap(group []topology.NodeID, key func(topology.NodeID) [2]int) [][
 	return out
 }
 
-// TestLeadersMatchMapPartition compares ServerLeaders and NUMALeaders with
+// TestLeadersMatchMapPartition compares serverLeaders and numaLeaders with
 // the map-and-sort oracle on shuffled groups, groups with duplicated GPUs
 // and groups whose servers interleave, and checks that appending to one
 // part leaves the next one intact.
@@ -160,8 +160,8 @@ func TestLeadersMatchMapPartition(t *testing.T) {
 				key  func(topology.NodeID) [2]int
 				got  func(*topology.Graph, []topology.NodeID) [][]topology.NodeID
 			}{
-				{"server", func(id topology.NodeID) [2]int { return [2]int{g.Node(id).Server, 0} }, ServerLeaders},
-				{"numa", func(id topology.NodeID) [2]int { n := g.Node(id); return [2]int{n.Server, n.NUMA} }, NUMALeaders},
+				{"server", func(id topology.NodeID) [2]int { return [2]int{g.Node(id).Server, 0} }, serverLeaders},
+				{"numa", func(id topology.NodeID) [2]int { n := g.Node(id); return [2]int{n.Server, n.NUMA} }, numaLeaders},
 			} {
 				got, want := by.got(g, group), leadersByMap(group, by.key)
 				if !slices.EqualFunc(got, want, slices.Equal) {
@@ -307,9 +307,10 @@ func TestBestAggSwitchFromDMatchesPaths(t *testing.T) {
 			for i := range group {
 				group[i] = gpus[rng.Intn(len(gpus))]
 			}
+			grp := NewGroup(g, group)
 			for _, bytes := range []int64{size, size / 3} {
-				sw, d, ok := BestAggSwitch(g, mr, group, bytes)
-				wsw, wd, wok := BestAggSwitch(g, routeOnly{mr}, group, bytes)
+				sw, d, ok := BestAggSwitch(g, mr, grp, bytes)
+				wsw, wd, wok := BestAggSwitch(g, routeOnly{mr}, grp, bytes)
 				if sw != wsw || math.Float64bits(d) != math.Float64bits(wd) || ok != wok {
 					t.Fatalf("group %v, %d bytes: switch %d delay %v ok %v, by path %d %v %v", group, bytes, sw, d, ok, wsw, wd, wok)
 				}
@@ -323,8 +324,9 @@ func TestFig2AnalyticHomoVsHetero(t *testing.T) {
 	r := NewStaticRouter(g)
 	const size = 1 << 20
 
-	homo := INAStepTime(g, r, group, s1, size)
-	hetero := HeteroStepTime(g, r, group, s2, size)
+	grp := NewGroup(g, group)
+	homo := INAStepTime(g, r, grp, s1, size)
+	hetero := HeteroStepTime(g, r, grp, s2, size)
 	// Paper's worked numbers: ~160 us homogeneous vs ~90 us heterogeneous.
 	// Our homo covers collection+distribution, so compare one direction: the
 	// dominant collection leg is 2 Ethernet hops vs NVLink + 1 hop.
@@ -341,7 +343,7 @@ func TestBestAggSwitch(t *testing.T) {
 	g, group, _, s2 := fig2Graph()
 	r := NewStaticRouter(g)
 	// For the two server-A GPUs alone, the nearest switch is S2.
-	sw, delay, ok := BestAggSwitch(g, r, group[:2], 1<<20)
+	sw, delay, ok := BestAggSwitch(g, r, NewGroup(g, group[:2]), 1<<20)
 	if !ok {
 		t.Fatal("no switch found")
 	}
@@ -354,7 +356,7 @@ func TestBestAggSwitch(t *testing.T) {
 	// Empty graph: no switch.
 	empty := topology.NewGraph()
 	a := empty.AddNode(topology.Node{Kind: topology.KindGPU})
-	if _, _, ok := BestAggSwitch(empty, NewStaticRouter(empty), []topology.NodeID{a}, 1); ok {
+	if _, _, ok := BestAggSwitch(empty, NewStaticRouter(empty), NewGroup(empty, []topology.NodeID{a}), 1); ok {
 		t.Error("switchless graph returned a switch")
 	}
 }
@@ -366,12 +368,12 @@ func TestRingStepTimeMatchesEq11(t *testing.T) {
 	b := g.AddNode(topology.Node{Kind: topology.KindGPU, Server: 1})
 	g.AddEdge(a, b, topology.LinkEthernet, 100, 0)
 	r := NewStaticRouter(g)
-	got := RingStepTime(g, r, []topology.NodeID{a, b}, 1000)
+	got := RingStepTime(g, r, NewGroup(g, []topology.NodeID{a, b}), 1000)
 	want := 2.0 * 1 * (500.0 / (100.0 * RingEfficiency))
 	if math.Abs(got-want) > 1e-9 {
 		t.Errorf("RingStepTime = %g, want %g", got, want)
 	}
-	if RingStepTime(g, r, []topology.NodeID{a}, 1000) != 0 {
+	if RingStepTime(g, r, NewGroup(g, []topology.NodeID{a}), 1000) != 0 {
 		t.Error("single-member ring should be free")
 	}
 }
@@ -382,7 +384,7 @@ func TestChooseSchemeRegimes(t *testing.T) {
 	// (hetero adds pre-reduction hops it does not need here).
 	g, group, _, s2 := fig2Graph()
 	r := NewStaticRouter(g)
-	scheme, lat := ChooseScheme(g, r, group, s2, 8<<20, true)
+	scheme, lat := ChooseScheme(g, r, NewGroup(g, group), s2, 8<<20, true)
 	if scheme != SchemeINASync {
 		t.Errorf("clean large-message scheme = %v, want ina-sync", scheme)
 	}
@@ -416,16 +418,17 @@ func TestChooseSchemeRegimes(t *testing.T) {
 	all := append(append([]topology.NodeID{}, tb.GPUs()...), tb.Switches()...)
 	m := tb.NewMatrix(all, 256<<10, nil)
 	mr := MatrixRouter{M: m}
-	sw, _, ok := BestAggSwitch(tb, mr, tb.GPUs(), 256<<10)
+	all16 := NewGroup(tb, tb.GPUs())
+	sw, _, ok := BestAggSwitch(tb, mr, all16, 256<<10)
 	if !ok {
 		t.Fatal("no aggregation switch")
 	}
-	scheme2, _ := ChooseScheme(tb, mr, tb.GPUs(), sw, 256<<10, true)
+	scheme2, _ := ChooseScheme(tb, mr, all16, sw, 256<<10, true)
 	if scheme2 != SchemeHetero {
 		t.Errorf("congested scheme = %v, want hetero", scheme2)
 	}
 	// Without hetero permitted, the choice degrades to INA or ring.
-	scheme3, _ := ChooseScheme(tb, mr, tb.GPUs(), sw, 256<<10, false)
+	scheme3, _ := ChooseScheme(tb, mr, all16, sw, 256<<10, false)
 	if scheme3 == SchemeHetero {
 		t.Error("hetero chosen when disabled")
 	}
@@ -724,4 +727,16 @@ func TestCollectiveSteadyStateAllocs(t *testing.T) {
 			t.Errorf("%s: %.2f allocs per launch→done cycle, want %g", tc.name, got, tc.want)
 		}
 	}
+}
+
+// serverLeaders partitions the group as a Group's server parts.
+func serverLeaders(g *topology.Graph, group []topology.NodeID) [][]topology.NodeID {
+	_, parts := leadersBy(nil, nil, g, group, false)
+	return parts
+}
+
+// numaLeaders partitions the group as a Group's NUMA parts.
+func numaLeaders(g *topology.Graph, group []topology.NodeID) [][]topology.NodeID {
+	_, parts := leadersBy(nil, nil, g, group, true)
+	return parts
 }

@@ -532,7 +532,7 @@ func (c *Comm) HeteroAllReduce(grp *Group, sw topology.NodeID, msgBytes int64, s
 // Ethernet aggregation. On NVLink servers it behaves exactly like
 // HeteroAllReduce.
 func (c *Comm) HeteroNUMAAllReduce(grp *Group, sw topology.NodeID, msgBytes int64, steps int, done func()) {
-	c.heteroAllReduce(&grp.numa, grp.Size(), sw, msgBytes, steps, done)
+	c.heteroAllReduce(grp.numa, grp.Size(), sw, msgBytes, steps, done)
 }
 
 // heteroOp carries one heterogeneous all-reduce through its three phases.

@@ -9,25 +9,35 @@ import (
 // Group is a GPU group prepared for repeated collectives. A deployment fixes
 // its tensor-parallel groups when it is planned, as an NCCL communicator
 // fixes its ranks, so NewGroup derives everything an all-reduce needs from
-// the membership once: the id-sorted members, the ring order, and the
-// server and NUMA partitions with their leaders. Every all-reduce then runs
-// on these without sorting or partitioning. A Group is immutable; the
-// slices its accessors return are shared and must not be modified.
+// the membership once: the id-sorted members, the ring order, and the server
+// and NUMA partitions with their leaders. Every all-reduce and every
+// analytic estimator then runs on these without sorting or partitioning.
+// The slices its accessors return are shared and must not be modified.
+//
+// Reset re-prepares a group for new members in its own buffers, as the
+// planner's perturbation does after every trial swap. A group must not be
+// reset while a collective on it is in flight.
 type Group struct {
 	members []topology.NodeID // ascending ids
-	ring    []topology.NodeID // RingOrder of the members
-	server  partition         // by server (ServerLeaders)
-	numa    partition         // by (server, NUMA domain) (NUMALeaders)
+	ring    []topology.NodeID // ringOrder of the members: members itself, or ringBuf
+	ringBuf []topology.NodeID
+	server  partition  // by server (serverLeaders)
+	numa    *partition // by (server, NUMA domain) (numaLeaders): &server, or &numaBuf
+	numaBuf partition
 }
 
 // partition is a group split into parts that each pre-reduce to a leader,
 // the heterogeneous all-reduce's shape.
 type partition struct {
 	parts [][]topology.NodeID // leader first, ordered by leader id
+	ids   []topology.NodeID   // the parts' backing array
 	// leaders is the inter-part phase's group, one leader per part: the
 	// group itself when every part is a single GPU, and nil when there is
 	// only one part, since one part has no inter-part phase.
 	leaders *Group
+	// own holds the leaders' group, when it is neither of those, across
+	// Resets.
+	own *Group
 	// intraFlows counts the members that are not leaders: the flows of
 	// each intra-part phase.
 	intraFlows int
@@ -35,40 +45,55 @@ type partition struct {
 
 // NewGroup prepares the group of the given GPUs, in any order.
 func NewGroup(g *topology.Graph, members []topology.NodeID) *Group {
-	sorted := slices.Clone(members)
-	slices.Sort(sorted)
-	grp := &Group{members: sorted, ring: RingOrder(g, sorted)}
-	grp.server = grp.partition(g, ServerLeaders(g, sorted))
-	// NUMA domains refine servers, so a group whose GPUs all report domain
-	// 0, as every NVLink server's do, has its server parts as NUMA parts.
-	grp.numa = grp.server
-	for _, id := range sorted {
-		if g.Node(id).NUMA != 0 {
-			grp.numa = grp.partition(g, NUMALeaders(g, sorted))
-			break
-		}
-	}
+	grp := new(Group)
+	grp.Reset(g, members)
 	return grp
 }
 
-// partition wraps the group's parts with their leaders' group.
-func (grp *Group) partition(g *topology.Graph, parts [][]topology.NodeID) partition {
-	p := partition{parts: parts}
-	if len(parts) == len(grp.members) {
-		p.leaders = grp
-		return p
+// Reset re-prepares the group for the given GPUs, in any order, reusing its
+// buffers: it allocates nothing once they have grown to the group's size.
+// members may alias the group's own Members.
+func (grp *Group) Reset(g *topology.Graph, members []topology.NodeID) {
+	grp.members = append(grp.members[:0], members...)
+	slices.Sort(grp.members)
+	grp.ring = ringOrder(g, grp.members, grp.ringBuf)
+	if len(grp.ring) > 0 && &grp.ring[0] != &grp.members[0] {
+		grp.ringBuf = grp.ring
 	}
-	for _, members := range parts {
-		p.intraFlows += len(members) - 1
-	}
-	if len(parts) > 1 {
-		leaders := make([]topology.NodeID, len(parts))
-		for i, members := range parts {
-			leaders[i] = members[0]
+	grp.partition(g, &grp.server, false)
+	// NUMA domains refine servers, so a group whose GPUs all report domain
+	// 0, as every NVLink server's do, has its server parts as NUMA parts.
+	grp.numa = &grp.server
+	for _, id := range grp.members {
+		if g.Node(id).NUMA != 0 {
+			grp.partition(g, &grp.numaBuf, true)
+			grp.numa = &grp.numaBuf
+			break
 		}
-		p.leaders = NewGroup(g, leaders)
 	}
-	return p
+}
+
+// partition splits the group's members into p by server, or by (server,
+// NUMA domain) when numa is set, and prepares the parts' leaders' group.
+func (grp *Group) partition(g *topology.Graph, p *partition, numa bool) {
+	p.ids, p.parts = leadersBy(p.ids, p.parts, g, grp.members, numa)
+	p.intraFlows = len(grp.members) - len(p.parts)
+	switch {
+	case len(p.parts) == len(grp.members):
+		p.leaders = grp
+	case len(p.parts) == 1:
+		p.leaders = nil
+	default:
+		if p.own == nil {
+			p.own = new(Group)
+		}
+		leaders := p.own.members[:0]
+		for _, part := range p.parts {
+			leaders = append(leaders, part[0])
+		}
+		p.own.Reset(g, leaders)
+		p.leaders = p.own
+	}
 }
 
 // Size returns the number of GPUs in the group.
@@ -77,9 +102,92 @@ func (grp *Group) Size() int { return len(grp.members) }
 // Members returns the GPUs in ascending id order.
 func (grp *Group) Members() []topology.NodeID { return grp.members }
 
-// Ring returns the GPUs in ring order (RingOrder).
+// Ring returns the GPUs in ring order: grouped by server, so adjacent ring
+// neighbours share NVLink whenever possible (NCCL's topology-aware
+// ordering), by id inside and across servers.
 func (grp *Group) Ring() []topology.NodeID { return grp.ring }
 
-// ServerParts returns the group partitioned by server, as ServerLeaders
-// does: per server, its leader (the lowest id) first, then its other GPUs.
+// ServerParts returns the group partitioned by server: per server, its
+// leader (the lowest id) first, then its other GPUs, the servers in
+// ascending leader order.
 func (grp *Group) ServerParts() [][]topology.NodeID { return grp.server.parts }
+
+// ringOrder returns the group's GPUs in ring order (Group.Ring). A group
+// already in ring order, as id-sorted groups are when GPU ids ascend by
+// server, is returned as is; otherwise the order is built in buf's array,
+// which grows as needed.
+func ringOrder(g *topology.Graph, group, buf []topology.NodeID) []topology.NodeID {
+	sorted := true
+	for i := 1; i < len(group) && sorted; i++ {
+		sorted = !ringBefore(g, group[i], group[i-1])
+	}
+	if sorted {
+		return group
+	}
+	out := append(buf[:0], group...)
+	slices.SortFunc(out, func(a, b topology.NodeID) int {
+		if ringBefore(g, a, b) {
+			return -1
+		}
+		if ringBefore(g, b, a) {
+			return 1
+		}
+		return 0
+	})
+	return out
+}
+
+// ringBefore is the ring order: by server, then by id.
+func ringBefore(g *topology.Graph, a, b topology.NodeID) bool {
+	na, nb := g.Node(a), g.Node(b)
+	if na.Server != nb.Server {
+		return na.Server < nb.Server
+	}
+	return a < b
+}
+
+// partKey is the key a part's GPUs share: the server, and the NUMA domain
+// when numa is set.
+func partKey(g *topology.Graph, numa bool, id topology.NodeID) [2]int {
+	n := g.Node(id)
+	if numa {
+		return [2]int{n.Server, n.NUMA}
+	}
+	return [2]int{n.Server, 0}
+}
+
+// leadersBy partitions the group by partKey into ids and parts, reusing
+// their arrays: an id-sorted copy of the group, stably grouped by key in place,
+// so each part is ascending, its lowest id (the leader) first, and the
+// parts are ordered by their leaders. Each part is capped at its own
+// length.
+func leadersBy(ids []topology.NodeID, parts [][]topology.NodeID, g *topology.Graph, group []topology.NodeID, numa bool) ([]topology.NodeID, [][]topology.NodeID) {
+	key := func(id topology.NodeID) [2]int { return partKey(g, numa, id) }
+	ids = append(ids[:0], group...)
+	slices.Sort(ids)
+	for i := 0; i < len(ids); {
+		k := key(ids[i])
+		// Move the later members with key k up behind ids[i], keeping the
+		// order of the ones they pass.
+		j := i + 1
+		for p := j; p < len(ids); p++ {
+			if id := ids[p]; key(id) == k {
+				copy(ids[j+1:p+1], ids[j:p])
+				ids[j] = id
+				j++
+			}
+		}
+		i = j
+	}
+	parts = parts[:0]
+	for i := 0; i < len(ids); {
+		k := key(ids[i])
+		j := i + 1
+		for j < len(ids) && key(ids[j]) == k {
+			j++
+		}
+		parts = append(parts, ids[i:j:j])
+		i = j
+	}
+	return ids, parts
+}

@@ -30,8 +30,8 @@ func randomMembers(rng *rand.Rand, gpus []topology.NodeID) []topology.NodeID {
 }
 
 // TestNewGroupMatchesPartitions: a group prepared from shuffled members
-// holds the members sorted, the ring order RingOrder gives, and the server
-// and NUMA parts ServerLeaders and NUMALeaders give, and each partition's
+// holds the members sorted, the ring order ringOrder gives, and the server
+// and NUMA parts serverLeaders and numaLeaders give, and each partition's
 // leader group is the group of its parts' first members (none for a
 // single part).
 func TestNewGroupMatchesPartitions(t *testing.T) {
@@ -50,7 +50,7 @@ func TestNewGroupMatchesPartitions(t *testing.T) {
 			if !slices.Equal(grp.Members(), sorted) || grp.Size() != len(members) {
 				t.Fatalf("%s: members %v, want %v", topo.name, grp.Members(), sorted)
 			}
-			if want := RingOrder(g, members); !slices.Equal(grp.Ring(), want) {
+			if want := ringOrder(g, members, nil); !slices.Equal(grp.Ring(), want) {
 				t.Fatalf("%s: ring %v, want %v", topo.name, grp.Ring(), want)
 			}
 			for _, by := range []struct {
@@ -58,8 +58,8 @@ func TestNewGroupMatchesPartitions(t *testing.T) {
 				part *partition
 				want [][]topology.NodeID
 			}{
-				{"server", &grp.server, ServerLeaders(g, members)},
-				{"numa", &grp.numa, NUMALeaders(g, members)},
+				{"server", &grp.server, serverLeaders(g, members)},
+				{"numa", grp.numa, numaLeaders(g, members)},
 			} {
 				if !slices.EqualFunc(by.part.parts, by.want, slices.Equal) {
 					t.Fatalf("%s %s parts of %v = %v, want %v", topo.name, by.name, members, by.part.parts, by.want)
@@ -101,7 +101,7 @@ func runOnGroup(t *testing.T, build func() *topology.Graph, members []topology.N
 	eng := sim.NewEngine()
 	c := NewComm(netsim.New(g, eng), NewStaticRouter(g))
 	grp := NewGroup(g, members)
-	sw, _, ok := BestAggSwitch(g, c.Router(), members, 1<<20)
+	sw, _, ok := BestAggSwitch(g, c.Router(), grp, 1<<20)
 	if !ok {
 		t.Fatal("no aggregation switch")
 	}

@@ -21,7 +21,7 @@ func pcieTestbed() *topology.Graph {
 func TestNUMALeadersPartitionsByDomain(t *testing.T) {
 	g := pcieTestbed()
 	group := g.GPUs() // 8 GPUs, 2 servers x 2 domains x 2 GPUs
-	parts := NUMALeaders(g, group)
+	parts := numaLeaders(g, group)
 	if len(parts) != 4 {
 		t.Fatalf("NUMA partitions = %d, want 4 (2 servers x 2 domains)", len(parts))
 	}
@@ -34,15 +34,15 @@ func TestNUMALeadersPartitionsByDomain(t *testing.T) {
 			t.Error("partition crosses server or NUMA domain")
 		}
 	}
-	// ServerLeaders on the same group: 2 partitions of 4.
-	sl := ServerLeaders(g, group)
+	// serverLeaders on the same group: 2 partitions of 4.
+	sl := serverLeaders(g, group)
 	if len(sl) != 2 || len(sl[0]) != 4 {
-		t.Fatalf("ServerLeaders = %d partitions", len(sl))
+		t.Fatalf("serverLeaders = %d partitions", len(sl))
 	}
-	// On NVLink servers NUMALeaders degenerates to ServerLeaders.
+	// On NVLink servers numaLeaders degenerates to serverLeaders.
 	tb := topology.Testbed()
-	if got := len(NUMALeaders(tb, tb.GPUs())); got != len(ServerLeaders(tb, tb.GPUs())) {
-		t.Errorf("NVLink NUMALeaders = %d partitions", got)
+	if got := len(numaLeaders(tb, tb.GPUs())); got != len(serverLeaders(tb, tb.GPUs())) {
+		t.Errorf("NVLink numaLeaders = %d partitions", got)
 	}
 }
 
@@ -77,7 +77,7 @@ func TestNUMAAwareHeteroBeatsNaiveOnPCIe(t *testing.T) {
 	// links, so its step time must be lower on PCIe servers.
 	g := pcieTestbed()
 	r := NewStaticRouter(g)
-	group := g.GPUs()
+	group := NewGroup(g, g.GPUs())
 	sw, _, ok := BestAggSwitch(g, r, group, 8<<20)
 	if !ok {
 		t.Fatal("no switch")
@@ -116,7 +116,7 @@ func TestNUMAAwareHeteroBeatsNaiveOnPCIe(t *testing.T) {
 func TestNUMAVariantIdenticalOnNVLink(t *testing.T) {
 	g := topology.Testbed()
 	r := NewStaticRouter(g)
-	group := g.GPUs()
+	group := NewGroup(g, g.GPUs())
 	sw := g.Switches()[0]
 	naive := HeteroStepTime(g, r, group, sw, 1<<20)
 	aware := HeteroNUMAStepTime(g, r, group, sw, 1<<20)

@@ -17,8 +17,6 @@ package collective
 
 import (
 	"math"
-	"slices"
-	"sort"
 
 	"heroserve/internal/topology"
 )
@@ -43,14 +41,17 @@ func FabricAllow(g *topology.Graph) func(topology.NodeID) bool {
 // StaticRouter routes on capacity-weighted shortest paths through the
 // switching fabric (GPU relays excluded, per FabricAllow), caching one
 // Dijkstra tree per (source, size-class) and the first maxMemoPaths paths
-// resolved from them. Size classes keep the cache small: paths only change
-// with size when fixed latencies rival serialization time, so routing on the
-// class's representative size is accurate enough. Returned paths are shared
-// between calls; callers must not modify them.
+// resolved from them. Capacities do not change, so each class's edge costs
+// are evaluated once, into a topology.Routing its trees share. Size classes
+// keep the cache small: paths only change with size when fixed latencies
+// rival serialization time, so routing on the class's representative size
+// is accurate enough. Returned paths are shared between calls; callers must
+// not modify them.
 type StaticRouter struct {
-	g     *topology.Graph
-	trees map[routeKey]*topology.ShortestPaths
-	paths map[pathKey]cachedPath
+	g        *topology.Graph
+	routings map[int]*topology.Routing // per size class
+	trees    map[routeKey]*topology.ShortestPaths
+	paths    map[pathKey]cachedPath
 }
 
 type routeKey struct {
@@ -81,9 +82,10 @@ const maxMemoPaths = 1024
 // NewStaticRouter returns a Router over g.
 func NewStaticRouter(g *topology.Graph) *StaticRouter {
 	return &StaticRouter{
-		g:     g,
-		trees: make(map[routeKey]*topology.ShortestPaths),
-		paths: make(map[pathKey]cachedPath),
+		g:        g,
+		routings: make(map[int]*topology.Routing),
+		trees:    make(map[routeKey]*topology.ShortestPaths),
+		paths:    make(map[pathKey]cachedPath),
 	}
 }
 
@@ -135,7 +137,12 @@ func (r *StaticRouter) tree(src topology.NodeID, class int, rep int64) *topology
 	key := routeKey{src: src, class: class}
 	sp, ok := r.trees[key]
 	if !ok {
-		sp = r.g.Dijkstra(src, capacityCost(rep), FabricAllow(r.g))
+		routing, ok := r.routings[class]
+		if !ok {
+			routing = r.g.NewRouting(capacityCost(rep), FabricAllow(r.g))
+			r.routings[class] = routing
+		}
+		sp = routing.From(src)
 		r.trees[key] = sp
 	}
 	return sp
@@ -154,13 +161,36 @@ func (r MatrixRouter) Route(a, b topology.NodeID, _ int64) (topology.Path, bool)
 
 // TransferTime returns the time to move size bytes from a to b along
 // Route's path, and false when Route fails. For the size the matrix routes
-// for, that is D(a,b), read without building the path.
+// for, that is D(a,b); for any other size, the path's edges are walked off
+// a's tree. Neither builds the path.
 func (r MatrixRouter) TransferTime(g *topology.Graph, a, b topology.NodeID, size int64) (float64, bool) {
 	if size == r.M.Size() {
 		d := r.M.Dist(a, b)
 		return d, !math.IsInf(d, 1)
 	}
-	return routeTimer{r}.TransferTime(g, a, b, size)
+	var buf [16]topology.EdgeID
+	edges, ok := r.M.AppendEdges(buf[:0], a, b)
+	if !ok {
+		return 0, false
+	}
+	path := topology.Path{Edges: edges}
+	return path.TransferTime(g, size), true
+}
+
+// appendRoute appends the edges of r's route from a to b for size bytes,
+// in travel order, to edges. A MatrixRouter walks its tree into the
+// caller's buffer, building no Path; any other router copies its path's
+// edges. ok is false, and edges comes back unchanged, when r finds no
+// route.
+func appendRoute(r Router, edges []topology.EdgeID, a, b topology.NodeID, size int64) ([]topology.EdgeID, bool) {
+	if mr, ok := r.(MatrixRouter); ok {
+		return mr.M.AppendEdges(edges, a, b)
+	}
+	path, ok := r.Route(a, b, size)
+	if !ok {
+		return edges, false
+	}
+	return append(edges, path.Edges...), true
 }
 
 // transferTimer prices the transfer of size bytes from a to b along a
@@ -179,87 +209,4 @@ func (t routeTimer) TransferTime(g *topology.Graph, a, b topology.NodeID, size i
 		return 0, false
 	}
 	return path.TransferTime(g, size), true
-}
-
-// RingOrder returns the group's GPUs in the ring order used by all ring
-// all-reduces: grouped by server, so adjacent ring neighbours share NVLink
-// whenever possible (NCCL's topology-aware ordering), with deterministic id
-// ordering inside and across servers. A group already in ring order — as
-// planned groups are: id-sorted, with GPU ids ascending by server — is
-// returned as is, so the result may alias group; callers must not modify it.
-func RingOrder(g *topology.Graph, group []topology.NodeID) []topology.NodeID {
-	sorted := true
-	for i := 1; i < len(group) && sorted; i++ {
-		sorted = !ringBefore(g, group[i], group[i-1])
-	}
-	if sorted {
-		return group
-	}
-	out := append([]topology.NodeID(nil), group...)
-	sort.Slice(out, func(i, j int) bool { return ringBefore(g, out[i], out[j]) })
-	return out
-}
-
-// ringBefore is RingOrder's order: by server, then by id.
-func ringBefore(g *topology.Graph, a, b topology.NodeID) bool {
-	na, nb := g.Node(a), g.Node(b)
-	if na.Server != nb.Server {
-		return na.Server < nb.Server
-	}
-	return a < b
-}
-
-// ServerLeaders partitions the group by server and returns, per server, the
-// lowest-id GPU as that server's leader plus its local members (leader
-// first). Iteration order is deterministic (ascending leader id).
-func ServerLeaders(g *topology.Graph, group []topology.NodeID) [][]topology.NodeID {
-	return leadersBy(group, func(id topology.NodeID) [2]int {
-		return [2]int{g.Node(id).Server, 0}
-	})
-}
-
-// NUMALeaders partitions the group by (server, NUMA domain): the §VII
-// future-work refinement for PCIe-only servers, where pre-reducing within a
-// socket avoids the derated cross-NUMA links. On NVLink servers every GPU
-// reports domain 0, so this degenerates to ServerLeaders.
-func NUMALeaders(g *topology.Graph, group []topology.NodeID) [][]topology.NodeID {
-	return leadersBy(group, func(id topology.NodeID) [2]int {
-		n := g.Node(id)
-		return [2]int{n.Server, n.NUMA}
-	})
-}
-
-// leadersBy partitions the group by key: an id-sorted copy, stably grouped
-// by key in place, so each part is ascending and the parts are ordered by
-// their smallest id. The parts share one backing array, each capped at its
-// own length.
-func leadersBy(group []topology.NodeID, key func(topology.NodeID) [2]int) [][]topology.NodeID {
-	ids := slices.Clone(group)
-	slices.Sort(ids)
-	parts := 0
-	for i := 0; i < len(ids); parts++ {
-		k := key(ids[i])
-		// Move the later members with key k up behind ids[i], keeping the
-		// order of the ones they pass.
-		j := i + 1
-		for p := j; p < len(ids); p++ {
-			if id := ids[p]; key(id) == k {
-				copy(ids[j+1:p+1], ids[j:p])
-				ids[j] = id
-				j++
-			}
-		}
-		i = j
-	}
-	out := make([][]topology.NodeID, 0, parts)
-	for i := 0; i < len(ids); {
-		k := key(ids[i])
-		j := i + 1
-		for j < len(ids) && key(ids[j]) == k {
-			j++
-		}
-		out = append(out, ids[i:j:j])
-		i = j
-	}
-	return out
 }

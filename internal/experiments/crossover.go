@@ -43,16 +43,17 @@ func CrossoverData() []CrossoverPoint {
 
 	var out []CrossoverPoint
 	for _, grp := range groups {
-		sw, _, ok := collective.BestAggSwitch(g, r, grp.members, 1<<20)
+		prepared := collective.NewGroup(g, grp.members)
+		sw, _, ok := collective.BestAggSwitch(g, r, prepared, 1<<20)
 		if !ok {
 			continue
 		}
 		p := CrossoverPoint{GroupDesc: grp.desc, Sizes: sizes, CrossoverBytes: -1}
 		foundCross := false
 		for _, size := range sizes {
-			ring := collective.RingStepTime(g, r, grp.members, size)
-			ina := collective.INAStepTime(g, r, grp.members, sw, size)
-			het := collective.HeteroStepTime(g, r, grp.members, sw, size)
+			ring := collective.RingStepTime(g, r, prepared, size)
+			ina := collective.INAStepTime(g, r, prepared, sw, size)
+			het := collective.HeteroStepTime(g, r, prepared, sw, size)
 			p.RingUS = append(p.RingUS, ring*1e6)
 			p.INAUS = append(p.INAUS, ina*1e6)
 			p.HeteroUS = append(p.HeteroUS, het*1e6)

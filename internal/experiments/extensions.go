@@ -28,7 +28,7 @@ func ExtPCIe(Env) (*Report, error) {
 	for _, size := range []int64{1 << 20, 8 << 20, 64 << 20} {
 		g := build()
 		router := collective.NewStaticRouter(g)
-		group := g.GPUs()
+		group := collective.NewGroup(g, g.GPUs())
 		sw, _, ok := collective.BestAggSwitch(g, router, group, size)
 		if !ok {
 			return nil, fmt.Errorf("ext-pcie: no aggregation switch")

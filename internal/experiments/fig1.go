@@ -44,7 +44,7 @@ func Fig1Data() []Fig1Point {
 	// Two all-reduces per layer of K_in*h FP16 activations (§III-C2).
 	msg := cfg.SyncBytes(kin)
 	steps := cfg.SyncStepsPerPass()
-	commPerStep := collective.RingStepTime(g, router, gpus, msg)
+	commPerStep := collective.RingStepTime(g, router, collective.NewGroup(g, gpus), msg)
 	comm := float64(steps) * commPerStep
 
 	var out []Fig1Point

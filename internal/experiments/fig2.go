@@ -62,8 +62,9 @@ func Fig2Data(msgBytes int64) Fig2Result {
 		g, group, coreSw, accessSw := fig2Topology()
 		r := collective.NewStaticRouter(g)
 		// Homogeneous: the worst member crosses access + core Ethernet hops.
-		res.HomoOneWayS = (collective.INAStepTime(g, r, group, coreSw, msgBytes) - switchsim.AggLatency) / 2
-		res.HeteroOneWayS = (collective.HeteroStepTime(g, r, group, accessSw, msgBytes) - switchsim.AggLatency) / 2
+		grp := collective.NewGroup(g, group)
+		res.HomoOneWayS = (collective.INAStepTime(g, r, grp, coreSw, msgBytes) - switchsim.AggLatency) / 2
+		res.HeteroOneWayS = (collective.HeteroStepTime(g, r, grp, accessSw, msgBytes) - switchsim.AggLatency) / 2
 		res.ReductionAnalytic = 1 - res.HeteroOneWayS/res.HomoOneWayS
 	}
 

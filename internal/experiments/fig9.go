@@ -68,12 +68,12 @@ func fig9Trial(sysKind SystemKind, size int64, rounds int, seed int64) (float64,
 	prepared := make([]*collective.Group, len(groups))
 	router := collective.NewStaticRouter(g)
 	for i, grp := range groups {
-		sw, _, ok := collective.BestAggSwitch(g, router, grp, size)
+		prepared[i] = collective.NewGroup(g, grp)
+		sw, _, ok := collective.BestAggSwitch(g, router, prepared[i], size)
 		if !ok {
 			return 0, fmt.Errorf("fig9: no aggregation switch for group %d", i)
 		}
 		switches[i] = sw
-		prepared[i] = collective.NewGroup(g, grp)
 	}
 
 	// Sustained bursty background traffic (the condition under which

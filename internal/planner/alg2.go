@@ -1,10 +1,11 @@
 package planner
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"heroserve/internal/collective"
 	"heroserve/internal/serving"
@@ -56,25 +57,23 @@ func estimateNetwork(in *Inputs, p clusterParams, rng *rand.Rand) clusterEstimat
 	working := append(append([]topology.NodeID{}, usable...), g.Switches()...)
 	matrix := p.trees.Matrix(working)
 	router := collective.MatrixRouter{M: matrix}
-	dist := func(a, b topology.NodeID) float64 { return matrix.Dist(a, b) }
-
-	groups, err := GroupGPUs(dist, usable, replicas*p.ppipe, p.ptens)
+	groups, err := GroupGPUs(matrix.Row, usable, replicas*p.ppipe, p.ptens)
 	if err != nil {
 		return clusterEstimate{reason: err.Error()}
 	}
 
 	// Perturbation refines group membership against the chosen-scheme
 	// latency (Alg. 2 lines 12-22).
-	eval := func(group []topology.NodeID) float64 {
-		return bestGroupLatency(g, router, group, p.msgBytes, in.Hetero)
+	eval := func(grp *collective.Group) float64 {
+		return bestGroupLatency(g, router, grp, p.msgBytes, in.Hetero)
 	}
-	iters := Perturb(groups, eval, in.MaxPerturbIters, rng)
+	prepared, iters := Perturb(g, groups, eval, in.MaxPerturbIters, rng)
 
-	// Deterministic stage order: groups sorted by their smallest member.
-	for _, grp := range groups {
-		sort.Slice(grp, func(i, j int) bool { return grp[i] < grp[j] })
-	}
-	sort.Slice(groups, func(i, j int) bool { return groups[i][0] < groups[j][0] })
+	// Deterministic stage order: each group's members ascending, as a
+	// prepared group holds them, and the groups by their smallest member.
+	slices.SortFunc(prepared, func(a, b *collective.Group) int {
+		return cmp.Compare(a.Members()[0], b.Members()[0])
+	})
 
 	// Per-group switch + scheme decisions (alpha/beta and V_ina).
 	type groupPlan struct {
@@ -83,27 +82,30 @@ func estimateNetwork(in *Inputs, p clusterParams, rng *rand.Rand) clusterEstimat
 		scheme  collective.Scheme
 		stepLat float64
 	}
-	plans := make([]groupPlan, len(groups))
-	for i, grp := range groups {
+	plans := make([]groupPlan, len(prepared))
+	for i, grp := range prepared {
 		sw, _, ok := collective.BestAggSwitch(g, router, grp, p.msgBytes)
 		if !ok {
 			sw = -1
 		}
 		scheme, lat := chooseGroupScheme(g, router, grp, sw, p.msgBytes, in.Hetero)
-		plans[i] = groupPlan{members: grp, sw: sw, scheme: scheme, stepLat: lat}
+		plans[i] = groupPlan{members: grp.Members(), sw: sw, scheme: scheme, stepLat: lat}
 	}
 
 	// Shape replicas: consecutive P_pipe groups form one instance.
-	est := clusterEstimate{feasible: true, iterations: iters}
-	for r := 0; r < replicas; r++ {
-		spec := serving.InstanceSpec{Role: p.role}
-		for s := 0; s < p.ppipe; s++ {
-			gp := plans[r*p.ppipe+s]
-			spec.Stages = append(spec.Stages, gp.members)
-			spec.AggSwitch = append(spec.AggSwitch, gp.sw)
-			spec.Scheme = append(spec.Scheme, gp.scheme)
+	est := clusterEstimate{feasible: true, iterations: iters, instances: make([]serving.InstanceSpec, replicas)}
+	for r := range est.instances {
+		spec := serving.InstanceSpec{
+			Role:      p.role,
+			Stages:    make([][]topology.NodeID, p.ppipe),
+			AggSwitch: make([]topology.NodeID, p.ppipe),
+			Scheme:    make([]collective.Scheme, p.ppipe),
 		}
-		est.instances = append(est.instances, spec)
+		for s := range spec.Stages {
+			gp := plans[r*p.ppipe+s]
+			spec.Stages[s], spec.AggSwitch[s], spec.Scheme[s] = gp.members, gp.sw, gp.scheme
+		}
+		est.instances[r] = spec
 	}
 
 	// T_n for one pass of the first replica: per-stage sync steps plus
@@ -119,11 +121,11 @@ func estimateNetwork(in *Inputs, p clusterParams, rng *rand.Rand) clusterEstimat
 		}
 	}
 	for s := 0; s+1 < p.ppipe; s++ {
-		path, ok := router.Route(first[s].members[0], first[s+1].members[0], p.actBytes)
+		t, ok := router.TransferTime(g, first[s].members[0], first[s+1].members[0], p.actBytes)
 		if !ok {
 			return clusterEstimate{reason: "unroutable pipeline hand-off"}
 		}
-		tn += path.TransferTime(g, p.actBytes)
+		tn += t
 	}
 	est.tn = tn
 	return est
@@ -131,22 +133,22 @@ func estimateNetwork(in *Inputs, p clusterParams, rng *rand.Rand) clusterEstimat
 
 // bestGroupLatency is the perturbation objective: the cheapest per-step
 // latency achievable for the group across switches and schemes.
-func bestGroupLatency(g *topology.Graph, r collective.Router, group []topology.NodeID, msgBytes int64, hetero bool) float64 {
-	sw, _, ok := collective.BestAggSwitch(g, r, group, msgBytes)
+func bestGroupLatency(g *topology.Graph, r collective.Router, grp *collective.Group, msgBytes int64, hetero bool) float64 {
+	sw, _, ok := collective.BestAggSwitch(g, r, grp, msgBytes)
 	if !ok {
 		sw = -1
 	}
-	_, lat := chooseGroupScheme(g, r, group, sw, msgBytes, hetero)
+	_, lat := chooseGroupScheme(g, r, grp, sw, msgBytes, hetero)
 	return lat
 }
 
 // chooseGroupScheme wraps collective.ChooseScheme, degrading to ring when no
 // switch is available.
-func chooseGroupScheme(g *topology.Graph, r collective.Router, group []topology.NodeID, sw topology.NodeID, msgBytes int64, hetero bool) (collective.Scheme, float64) {
+func chooseGroupScheme(g *topology.Graph, r collective.Router, grp *collective.Group, sw topology.NodeID, msgBytes int64, hetero bool) (collective.Scheme, float64) {
 	if sw < 0 {
-		return collective.SchemeRing, collective.RingStepTime(g, r, group, msgBytes)
+		return collective.SchemeRing, collective.RingStepTime(g, r, grp, msgBytes)
 	}
-	return collective.ChooseScheme(g, r, group, sw, msgBytes, hetero)
+	return collective.ChooseScheme(g, r, grp, sw, msgBytes, hetero)
 }
 
 // estimateKVTransfer evaluates Eq. 14-15: KV caches migrate pairwise from

@@ -11,6 +11,7 @@ package planner
 
 import (
 	"fmt"
+	"math"
 
 	"heroserve/internal/model"
 	"heroserve/internal/serving"
@@ -98,20 +99,25 @@ func (in *Inputs) Validate() error {
 	if len(in.PrefillGPUs) == 0 || len(in.DecodeGPUs) == 0 {
 		return fmt.Errorf("planner: empty prefill or decode GPU pool")
 	}
-	if in.Lambda <= 0 {
-		return fmt.Errorf("planner: arrival rate %g must be positive", in.Lambda)
+	if !finitePositive(in.Lambda) {
+		return fmt.Errorf("planner: arrival rate %g must be finite and positive", in.Lambda)
 	}
 	if in.Workload.Q <= 0 || in.Workload.Kin <= 0 {
 		return fmt.Errorf("planner: workload stats missing")
 	}
-	if in.SLA.TTFT <= 0 || in.SLA.TPOT <= 0 {
-		return fmt.Errorf("planner: SLA thresholds must be positive")
+	// A NaN threshold would pass every comparison against it.
+	if !finitePositive(in.SLA.TTFT) || !finitePositive(in.SLA.TPOT) {
+		return fmt.Errorf("planner: SLA thresholds TTFT %g and TPOT %g must be finite and positive", in.SLA.TTFT, in.SLA.TPOT)
 	}
 	if in.RFrac <= 0 || in.RFrac > 1 {
 		return fmt.Errorf("planner: RFrac %g outside (0,1]", in.RFrac)
 	}
 	return nil
 }
+
+// finitePositive reports whether x is a positive real number: not zero,
+// negative, infinite or NaN.
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // SplitPoolsByServer partitions the graph's GPU servers into a prefill pool
 // (the first prefillServers servers) and a decode pool (the rest) — the

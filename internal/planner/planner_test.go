@@ -2,7 +2,9 @@ package planner
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"heroserve/internal/collective"
@@ -54,8 +56,7 @@ func TestGroupGPUs(t *testing.T) {
 	g := topology.Testbed()
 	gpus := g.GPUs()
 	m := g.NewMatrix(gpus, 1<<20, nil)
-	dist := func(a, b topology.NodeID) float64 { return m.Dist(a, b) }
-	groups, err := GroupGPUs(dist, gpus, 4, 4)
+	groups, err := GroupGPUs(m.Row, gpus, 4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,8 @@ func TestGroupGPUs(t *testing.T) {
 }
 
 func TestGroupGPUsErrors(t *testing.T) {
-	dist := func(a, b topology.NodeID) float64 { return 1 }
+	ones := []float64{1, 1, 1, 1}
+	dist := func(topology.NodeID) []float64 { return ones }
 	if _, err := GroupGPUs(dist, []topology.NodeID{1, 2}, 2, 2); err == nil {
 		t.Error("insufficient GPUs accepted")
 	}
@@ -106,18 +108,19 @@ func TestPerturbImprovesBadGrouping(t *testing.T) {
 		{s0[0], s1[0], s0[1], s1[1]},
 		{s0[2], s1[2], s0[3], s1[3]},
 	}
-	eval := func(grp []topology.NodeID) float64 {
+	pairSum := func(members []topology.NodeID) float64 {
 		var sum float64
-		for i := range grp {
-			for j := i + 1; j < len(grp); j++ {
-				sum += m.Dist(grp[i], grp[j])
+		for i := range members {
+			for j := i + 1; j < len(members); j++ {
+				sum += m.Dist(members[i], members[j])
 			}
 		}
 		return sum
 	}
-	before := eval(groups[0]) + eval(groups[1])
-	iters := Perturb(groups, eval, 10, rand.New(rand.NewSource(3)))
-	after := eval(groups[0]) + eval(groups[1])
+	eval := func(grp *collective.Group) float64 { return pairSum(grp.Members()) }
+	before := pairSum(groups[0]) + pairSum(groups[1])
+	prepared, iters := Perturb(g, groups, eval, 10, rand.New(rand.NewSource(3)))
+	after := pairSum(groups[0]) + pairSum(groups[1])
 	if after >= before {
 		t.Errorf("perturbation did not improve: %g -> %g", before, after)
 	}
@@ -132,15 +135,29 @@ func TestPerturbImprovesBadGrouping(t *testing.T) {
 			}
 		}
 	}
+	// Each slot's prepared group holds the slot's final members.
+	for i, grp := range groups {
+		want := slices.Clone(grp)
+		slices.Sort(want)
+		if !slices.Equal(prepared[i].Members(), want) {
+			t.Errorf("slot %d prepared as %v, holds %v", i, prepared[i].Members(), grp)
+		}
+	}
 }
 
 func TestPerturbTrivialCases(t *testing.T) {
-	if Perturb(nil, nil, 5, rand.New(rand.NewSource(1))) != 0 {
+	g := topology.Testbed()
+	if prepared, iters := Perturb(g, nil, nil, 5, rand.New(rand.NewSource(1))); iters != 0 || len(prepared) != 0 {
 		t.Error("nil groups")
 	}
-	one := [][]topology.NodeID{{1, 2}}
-	if Perturb(one, func([]topology.NodeID) float64 { return 0 }, 5, rand.New(rand.NewSource(1))) != 0 {
+	gpus := g.GPUs()
+	one := [][]topology.NodeID{{gpus[1], gpus[0]}}
+	prepared, iters := Perturb(g, one, func(*collective.Group) float64 { return 0 }, 5, rand.New(rand.NewSource(1)))
+	if iters != 0 {
 		t.Error("single group")
+	}
+	if len(prepared) != 1 || !slices.Equal(prepared[0].Members(), []topology.NodeID{gpus[0], gpus[1]}) {
+		t.Errorf("single group prepared as %v", prepared)
 	}
 }
 
@@ -275,6 +292,40 @@ func TestSolveValidation(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFiniteTargets: the arrival rate and both SLA
+// thresholds must be finite and positive. A NaN TPOT used to pass, and then
+// no candidate's TPOT could violate it.
+func TestValidateRejectsNonFiniteTargets(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name string
+		set  func(*Inputs)
+	}{
+		{"lambda NaN", func(in *Inputs) { in.Lambda = nan }},
+		{"lambda +Inf", func(in *Inputs) { in.Lambda = inf }},
+		{"lambda negative", func(in *Inputs) { in.Lambda = -1 }},
+		{"TTFT +Inf", func(in *Inputs) { in.SLA.TTFT = inf }},
+		{"TTFT NaN", func(in *Inputs) { in.SLA.TTFT = nan }},
+		{"TTFT zero", func(in *Inputs) { in.SLA.TTFT = 0 }},
+		{"TPOT NaN", func(in *Inputs) { in.SLA.TPOT = nan }},
+		{"TPOT +Inf", func(in *Inputs) { in.SLA.TPOT = inf }},
+		{"TPOT -Inf", func(in *Inputs) { in.SLA.TPOT = math.Inf(-1) }},
+	} {
+		in := testbedInputs(t)
+		in.setDefaults()
+		if err := in.Validate(); err != nil {
+			t.Fatalf("valid inputs rejected: %v", err)
+		}
+		c.set(&in)
+		if err := in.Validate(); err == nil {
+			t.Errorf("%s accepted", c.name)
+		}
+		if _, err := Solve(in); err == nil {
+			t.Errorf("Solve with %s returned a plan", c.name)
+		}
+	}
+}
+
 func TestHeteroPlannerPrefersHeteroOrINAUnderCongestion(t *testing.T) {
 	// Congest all non-leader GPU NICs; the hetero-enabled planner should
 	// choose INA-family schemes for cross-server groups.
@@ -348,10 +399,10 @@ func BenchmarkSolveTestbed(b *testing.B) {
 	}
 }
 
-// BenchmarkSolvePod8 plans 192 and 768 GPUs: the planner's scaling in the
-// pod.
+// BenchmarkSolvePod8 plans 192, 768 and 1,536 GPUs: the planner's scaling
+// in the pod.
 func BenchmarkSolvePod8(b *testing.B) {
-	for _, servers := range []int{24, 96} {
+	for _, servers := range []int{24, 96, 192} {
 		b.Run(fmt.Sprintf("servers=%d", servers), func(b *testing.B) {
 			in := pod8Inputs(servers)
 			b.ReportAllocs()

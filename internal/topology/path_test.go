@@ -315,9 +315,9 @@ func TestDijkstraMatchesContainerHeap(t *testing.T) {
 					sp := g.Dijkstra(NodeID(src), cost, allow)
 					dist, prevE := dijkstraRef(g, NodeID(src), cost, allow)
 					for v := range dist {
-						if math.Float64bits(sp.Dist[v]) != math.Float64bits(dist[v]) || sp.prevE[v] != prevE[v] {
+						if math.Float64bits(sp.Dist[v]) != math.Float64bits(dist[v]) || EdgeID(sp.prev[v].edge) != prevE[v] {
 							t.Fatalf("graph %d size %d src %d node %d: dist %g via %d, want %g via %d",
-								gi, size, src, v, sp.Dist[v], sp.prevE[v], dist[v], prevE[v])
+								gi, size, src, v, sp.Dist[v], sp.prev[v].edge, dist[v], prevE[v])
 						}
 					}
 				}

@@ -23,7 +23,8 @@ go test -race -timeout 45m ./... "$@"
 
 # The event engine (schedule, step, cancel, reschedule), netsim
 # (reallocation by flow and path count, flow churn, pod-scale charge, many
-# concurrent flows), planner, topology, collective (BenchmarkAllReduce:
+# concurrent flows), planner (Alg. 1 on 24-, 96- and 192-server pods, the
+# last enough for the pruned switch scan to matter), topology, collective (BenchmarkAllReduce:
 # warm ring, ina-sync and ina-hetero cycles on one Comm), scheduler (table
 # refresh, controller tick), online-policy, serving (a served run, an
 # elephant relaunch), tracer, critical-path (partition, analyzer feed) and
@@ -46,7 +47,9 @@ go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/netsim ./inte
 # analyzer: every input it accepts must finalize bit for bit what the
 # reference finalizes, and neither it nor its report may panic. Its
 # minimization and the ledger reader's are capped so the 10 s runs spend
-# their time fuzzing.
+# their time fuzzing. The pruned aggregation-switch scan is a differential
+# against the full scan: the same switch, its delay bit for bit, ties
+# included.
 echo "== fuzz"
 go test -run '^$' -fuzz '^FuzzReallocate$' -fuzztime 10s ./internal/netsim
 go test -run '^$' -fuzz '^FuzzPartition$' -fuzztime 10s ./internal/telemetry/critpath
@@ -58,6 +61,7 @@ go test -run '^$' -fuzz '^FuzzReadReport$' -fuzztime 10s ./internal/telemetry/pe
 go test -run '^$' -fuzz '^FuzzReadLog$' -fuzztime 10s ./internal/telemetry/slo
 go test -run '^$' -fuzz '^FuzzParseRules$' -fuzztime 10s ./internal/telemetry/slo
 go test -run '^$' -fuzz '^FuzzFromTrace$' -fuzztime 10s -fuzzminimizetime 1s ./internal/telemetry/critpath
+go test -run '^$' -fuzz '^FuzzBestAggSwitch$' -fuzztime 10s ./internal/collective
 
 # The benchmark under bench/ is a module of its own, so the root go test
 # does not enter it. Its tests cover the statistics, the input seeds, a

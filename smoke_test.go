@@ -187,6 +187,9 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"serve", []string{"-trace", trace, "-topology", "pod8", "-servers", "0"}},
 		{"serve", []string{"-trace", trace, "-topology", "pod2", "-servers", "1"}},
 		{"serve", []string{"-trace", trace, "-batch", "0"}},
+		{"serve", []string{"-trace", trace, "-ttft", "NaN", "-tpot", "NaN"}},
+		{"serve", []string{"-trace", trace, "-tpot", "Inf"}},
+		{"serve", []string{"-trace", trace, "-ttft", "0"}},
 		{"serve", []string{"-trace", trace, "-out", trace}},
 		{"serve", []string{"-trace", trace, "-slo-rules", missing}},
 		{"serve", []string{"-trace", trace, "-slo-rules", truncated}},
@@ -205,6 +208,9 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"planner", []string{"-topology", "pod2", "-servers", "0"}},
 		{"planner", []string{"-topology", "pod8", "-servers", "1"}},
 		{"planner", []string{"-rate", "0"}},
+		{"planner", []string{"-ttft", "Inf", "-tpot", "NaN"}},
+		{"planner", []string{"-tpot", "NaN"}},
+		{"planner", []string{"-ttft", "-1"}},
 		{"planner", []string{"-batch", "-1"}},
 		{"topoviz", []string{"-topology", "bogus"}},
 		{"topoviz", []string{"-topology", "pod8", "-servers", "0"}},
