@@ -49,6 +49,9 @@ func main() {
 	if *batch < 1 {
 		usagef("-batch must be at least 1, got %d", *batch)
 	}
+	if *minTens < 0 {
+		usagef("-min-tens-decode must be >= 0, got %d", *minTens)
+	}
 	if !(*rate > 0) || math.IsInf(*rate, 1) {
 		usagef("-rate must be a finite positive req/s, got %g", *rate)
 	}

@@ -104,6 +104,9 @@ func main() {
 	if *batch < 1 {
 		usagef("-batch must be at least 1, got %d", *batch)
 	}
+	if *minTens < 0 || *elephants < 0 {
+		usagef("-min-tens-decode and -elephants must be >= 0, got %d and %d", *minTens, *elephants)
+	}
 	for _, sla := range []struct {
 		flag string
 		v    float64

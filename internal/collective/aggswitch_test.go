@@ -101,7 +101,7 @@ func aggCases() []*aggCase {
 		} {
 			const size = 3 << 20
 			working := append(append([]topology.NodeID{}, c.g.GPUs()...), c.g.Switches()...)
-			mr := MatrixRouter{M: c.g.NewMatrix(working, size, FabricAllow(c.g))}
+			mr := MatrixRouter{M: c.g.NewTrees(working, size, FabricAllow(c.g)).Matrix(working)}
 			aggCasesList = append(aggCasesList, &aggCase{
 				name:    c.name,
 				g:       c.g,

@@ -187,17 +187,17 @@ func TestStaticRouterCachesAndRoutes(t *testing.T) {
 	r := NewStaticRouter(g)
 	gpus := g.GPUs()
 	p1, ok := r.Route(gpus[0], gpus[15], 1<<20)
-	if !ok || p1.Hops() == 0 {
+	if !ok || len(p1.Edges) == 0 {
 		t.Fatal("no route across testbed")
 	}
 	p2, ok := r.Route(gpus[0], gpus[15], 1<<20)
-	if !ok || p2.Hops() != p1.Hops() {
+	if !ok || len(p2.Edges) != len(p1.Edges) {
 		t.Error("cached route differs")
 	}
 	// Same-server route should stay on NVLink.
 	ps, _ := r.Route(gpus[0], gpus[1], 1<<20)
-	if ps.Hops() != 1 || g.Edge(ps.Edges[0]).Kind != topology.LinkNVLink {
-		t.Errorf("intra-server route should be one NVLink hop, got %d hops", ps.Hops())
+	if len(ps.Edges) != 1 || g.Edge(ps.Edges[0]).Kind != topology.LinkNVLink {
+		t.Errorf("intra-server route should be one NVLink hop, got %d hops", len(ps.Edges))
 	}
 }
 
@@ -278,7 +278,7 @@ func TestAppendRouteMatchesRoute(t *testing.T) {
 func TestMatrixRouter(t *testing.T) {
 	g := topology.Testbed()
 	gpus := g.GPUs()
-	m := g.NewMatrix(gpus[:4], 1<<20, nil)
+	m := g.NewTrees(gpus[:4], 1<<20, nil).Matrix(gpus[:4])
 	r := MatrixRouter{M: m}
 	if _, ok := r.Route(gpus[0], gpus[3], 1); !ok {
 		t.Error("in-set route failed")
@@ -301,7 +301,7 @@ func TestBestAggSwitchFromDMatchesPaths(t *testing.T) {
 		gpus := g.GPUs()
 		working := append(append([]topology.NodeID{}, gpus...), g.Switches()...)
 		const size = 3 << 20
-		mr := MatrixRouter{M: g.NewMatrix(working, size, FabricAllow(g))}
+		mr := MatrixRouter{M: g.NewTrees(working, size, FabricAllow(g)).Matrix(working)}
 		for trial := 0; trial < 100; trial++ {
 			group := make([]topology.NodeID, 1+rng.Intn(16))
 			for i := range group {
@@ -416,7 +416,7 @@ func TestChooseSchemeRegimes(t *testing.T) {
 		}
 	}
 	all := append(append([]topology.NodeID{}, tb.GPUs()...), tb.Switches()...)
-	m := tb.NewMatrix(all, 256<<10, nil)
+	m := tb.NewTrees(all, 256<<10, nil).Matrix(all)
 	mr := MatrixRouter{M: m}
 	all16 := NewGroup(tb, tb.GPUs())
 	sw, _, ok := BestAggSwitch(tb, mr, all16, 256<<10)

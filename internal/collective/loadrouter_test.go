@@ -66,7 +66,7 @@ func TestLoadAwareRouterUnboundFallsBackToStatic(t *testing.T) {
 	g, a, b, _, _ := dualPathGraph()
 	r := NewLoadAwareRouter(g, 3)
 	p, ok := r.Route(a, b, 1<<20)
-	if !ok || p.Hops() != 2 {
+	if !ok || len(p.Edges) != 2 {
 		t.Fatalf("unbound route = %v ok=%v", p, ok)
 	}
 	// Same-node route works.
@@ -104,7 +104,7 @@ func TestJoinPathsRejectsLoops(t *testing.T) {
 	}
 	p2, _ := st.Route(s1, b, 1)
 	joined, ok := joinPaths(p1, p2)
-	if !ok || joined.Hops() != 2 {
+	if !ok || len(joined.Edges) != 2 {
 		t.Errorf("valid join failed: %v ok=%v", joined, ok)
 	}
 	// Mismatched middle nodes reject.
@@ -135,7 +135,7 @@ func TestLoadAwareRouterInsideComm(t *testing.T) {
 // that revisit a node (loops waste bandwidth). It is the oracle's join: the
 // router builds its detours from one walk of both legs instead.
 func joinPaths(p1, p2 topology.Path) (topology.Path, bool) {
-	if !p1.Valid() || !p2.Valid() {
+	if len(p1.Nodes) == 0 || len(p2.Nodes) == 0 {
 		return topology.Path{}, false
 	}
 	if p1.Nodes[len(p1.Nodes)-1] != p2.Nodes[0] {
@@ -169,7 +169,7 @@ func materializedCandidates(g *topology.Graph, st *StaticRouter, maxCandidates i
 	var out []topology.Path
 	seen := map[string]bool{}
 	add := func(p topology.Path, okay bool) {
-		if !okay || !p.Valid() {
+		if !okay || len(p.Nodes) == 0 {
 			return
 		}
 		sig := fmt.Sprint(p.Edges)

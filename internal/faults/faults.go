@@ -143,7 +143,6 @@ type Injector struct {
 	linkFloor map[topology.EdgeID]float64
 
 	records []Record
-	armed   int
 
 	// Telemetry (nil when off). Injections and recoveries surface as trace
 	// instants on the control-plane track plus a per-kind counter.
@@ -210,13 +209,9 @@ func (inj *Injector) Arm(s Schedule) {
 	}
 	for _, ev := range s.Events {
 		ev := ev
-		inj.armed++
 		inj.eng.Post(ev.At, func() { inj.apply(ev) })
 	}
 }
-
-// Armed returns the number of events scheduled so far.
-func (inj *Injector) Armed() int { return inj.armed }
 
 // Records returns the faults applied so far (in application order).
 func (inj *Injector) Records() []Record {

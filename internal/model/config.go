@@ -93,12 +93,6 @@ func (c Config) KVBytesPerToken() int64 {
 	return 2 * int64(c.Layers) * int64(c.Hidden) * BytesPerParam
 }
 
-// KVBytesPerTokenPerGPU returns a single GPU's share of the KV cache per
-// token under (ptens, ppipe) sharding.
-func (c Config) KVBytesPerTokenPerGPU(ptens, ppipe int) int64 {
-	return c.KVBytesPerToken() / int64(ptens) / int64(ppipe)
-}
-
 // SyncBytes returns the data volume of one tensor-parallel synchronization
 // step for kin batched tokens: D_col(a) = D_col(f) = K_in * h activation
 // elements (paper §III-C2) at FP16. Each layer performs two such steps

@@ -119,12 +119,3 @@ func Fit(c Config, g GPUSpec) (*ComputeModel, error) {
 	cm.C4, cm.C5, cm.C6Fill, cm.C6Base = dc[0], dc[1], dc[2], dc[3]
 	return cm, nil
 }
-
-// MustFit is Fit that panics on error, for presets known to be valid.
-func MustFit(c Config, g GPUSpec) *ComputeModel {
-	cm, err := Fit(c, g)
-	if err != nil {
-		panic(err)
-	}
-	return cm
-}

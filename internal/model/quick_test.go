@@ -8,7 +8,7 @@ import (
 // Property tests over the cost and memory models.
 
 func TestQuickPrefillMonotoneInTokens(t *testing.T) {
-	cm := MustFit(OPT13B(), A100())
+	cm := mustFit(t, OPT13B(), A100())
 	rng := rand.New(rand.NewSource(2))
 	for trial := 0; trial < 200; trial++ {
 		kin := int64(rng.Intn(8000) + 16)
@@ -25,7 +25,7 @@ func TestQuickPrefillMonotoneInTokens(t *testing.T) {
 }
 
 func TestQuickDecodeMonotoneInHistory(t *testing.T) {
-	cm := MustFit(OPT66B(), V100())
+	cm := mustFit(t, OPT66B(), V100())
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
 		kv := int64(rng.Intn(60000) + 16)
@@ -39,7 +39,7 @@ func TestQuickDecodeMonotoneInHistory(t *testing.T) {
 }
 
 func TestQuickTensorParallelismNeverHurtsPrefill(t *testing.T) {
-	cm := MustFit(OPT66B(), A100())
+	cm := mustFit(t, OPT66B(), A100())
 	rng := rand.New(rand.NewSource(4))
 	for trial := 0; trial < 100; trial++ {
 		kin := int64(rng.Intn(8000) + 64)
@@ -83,7 +83,7 @@ func TestQuickFitStableAcrossGPUs(t *testing.T) {
 	// per feature unit) across every (model, GPU) combination.
 	for _, cfg := range []Config{OPT13B(), OPT66B(), OPT175B()} {
 		for _, g := range []GPUSpec{A100(), V100(), L40(), RTX2080Ti()} {
-			cm := MustFit(cfg, g)
+			cm := mustFit(t, cfg, g)
 			for name, c := range map[string]float64{
 				"C1": cm.C1, "C2": cm.C2, "C4": cm.C4, "C5": cm.C5,
 			} {

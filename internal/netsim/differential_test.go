@@ -154,7 +154,7 @@ func compareState(t *testing.T, step int, a, b *netRun, nEdges int) {
 func buildPaths(t testing.TB, g *topology.Graph, rng *rand.Rand, n int) []topology.Path {
 	t.Helper()
 	gpus := g.GPUs()
-	m := g.NewMatrix(gpus, 1<<20, nil)
+	m := g.NewTrees(gpus, 1<<20, nil).Matrix(gpus)
 	paths := make([]topology.Path, 0, n)
 	for guard := 0; len(paths) < n && guard < n*50; guard++ {
 		a := gpus[rng.Intn(len(gpus))]

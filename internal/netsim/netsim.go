@@ -1004,30 +1004,10 @@ func (n *Network) EdgeUtilization(eid topology.EdgeID) float64 {
 	return n.EdgeRate(eid) / c
 }
 
-// AvailableBW returns the effective edge capacity minus the current flow
-// rates — the live counterpart of the topology's static Available field.
-func (n *Network) AvailableBW(eid topology.EdgeID) float64 {
-	avail := n.effectiveCapacity(eid) - n.EdgeRate(eid)
-	if avail < 0 {
-		return 0
-	}
-	return avail
-}
-
 // BytesCarried returns the cumulative bytes the edge has carried: the
 // simulated equivalent of the switch hardware counters polled by the control
 // plane (§IV). Progress is charged lazily; the value is exact as of the last
 // flow event and slightly stale between events.
 func (n *Network) BytesCarried(eid topology.EdgeID) float64 {
 	return n.bytesCarried[eid]
-}
-
-// SyncAvailable copies the live available bandwidth of every edge into the
-// topology graph's Available fields, so that planner-style computations on
-// the graph see current load. Call it from a periodic monitor event.
-func (n *Network) SyncAvailable() {
-	for i := 0; i < n.g.NumEdges(); i++ {
-		eid := topology.EdgeID(i)
-		n.g.Edge(eid).Available = n.AvailableBW(eid)
-	}
 }

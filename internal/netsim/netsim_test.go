@@ -27,7 +27,7 @@ func chain(t *testing.T, bws ...float64) (*Network, *sim.Engine, []topology.Node
 
 func pathBetween(t *testing.T, n *Network, a, b topology.NodeID) topology.Path {
 	t.Helper()
-	sp := n.Graph().Dijkstra(a, topology.TransferCost(1), nil)
+	sp := n.Graph().NewRouting(topology.TransferCost(1), nil).From(a)
 	p, ok := sp.PathTo(b)
 	if !ok {
 		t.Fatalf("no path %v -> %v", a, b)
@@ -202,9 +202,6 @@ func TestTelemetry(t *testing.T) {
 	if got := n.EdgeUtilization(eid); math.Abs(got-1) > 1e-9 {
 		t.Errorf("EdgeUtilization = %g, want 1", got)
 	}
-	if got := n.AvailableBW(eid); got != 0 {
-		t.Errorf("AvailableBW = %g, want 0", got)
-	}
 	_ = f
 	eng.Run()
 	if got := n.BytesCarried(eid); math.Abs(got-1000) > 1e-6 {
@@ -214,16 +211,6 @@ func TestTelemetry(t *testing.T) {
 		t.Errorf("ActiveFlows = %d after drain", n.ActiveFlows())
 	}
 	checkDrained(t, n)
-}
-
-func TestSyncAvailable(t *testing.T) {
-	n, _, ids := chain(t, 100)
-	p := pathBetween(t, n, ids[0], ids[1])
-	n.StartFlow(p, 1e6, nil)
-	n.SyncAvailable()
-	if got := n.Graph().Edge(p.Edges[0]).Available; got != 0 {
-		t.Errorf("synced Available = %g, want 0", got)
-	}
 }
 
 // Property: under any sequence of flow starts on random paths, (1) no link
@@ -237,7 +224,7 @@ func TestQuickConservationAndCapacity(t *testing.T) {
 		eng := sim.NewEngine()
 		n := New(g, eng)
 		gpus := g.GPUs()
-		m := g.NewMatrix(gpus, 1<<20, nil)
+		m := g.NewTrees(gpus, 1<<20, nil).Matrix(gpus)
 
 		type rec struct{ path topology.Path }
 		wantBytes := make([]float64, g.NumEdges())
@@ -295,7 +282,7 @@ func TestQuickConservationAndCapacity(t *testing.T) {
 func BenchmarkManyConcurrentFlows(b *testing.B) {
 	g := topology.Pod2Tracks(6)
 	gpus := g.GPUs()
-	m := g.NewMatrix(gpus, 1<<20, nil)
+	m := g.NewTrees(gpus, 1<<20, nil).Matrix(gpus)
 	rng := rand.New(rand.NewSource(3))
 	type pair struct{ p topology.Path }
 	paths := make([]topology.Path, 0, 64)

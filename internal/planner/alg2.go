@@ -37,7 +37,7 @@ type clusterParams struct {
 func estimateNetwork(in *Inputs, p clusterParams, rng *rand.Rand) clusterEstimate {
 	g := in.Graph
 	weight := in.Model.WeightBytesPerGPU(p.ptens, p.ppipe)
-	mreq := int64(float64(weight) / in.RFrac)
+	mreq := int64(float64(weight) / rFrac)
 
 	var eligible []topology.NodeID
 	for _, id := range p.pool {

@@ -19,14 +19,15 @@ import (
 	"heroserve/internal/workload"
 )
 
-// DefaultRFrac is the fraction of a GPU's memory the planner may fill with
+// rFrac is the fraction of a GPU's memory the planner may fill with
 // weights, reserving the rest for KV cache and activations (Alg. 1's
 // R_frac).
-const DefaultRFrac = 0.8
+const rFrac = 0.8
 
-// DefaultMaxCandidates is the paper's max_candi: "setting max_candi = twenty
-// usually yields near-optimal solutions" (§III-C3).
-const DefaultMaxCandidates = 20
+// maxCandidates is the paper's max_candi, the cap on the P_all
+// configurations examined: "setting max_candi = twenty usually yields
+// near-optimal solutions" (§III-C3).
+const maxCandidates = 20
 
 // Inputs are the planner inputs of Table I.
 type Inputs struct {
@@ -45,10 +46,6 @@ type Inputs struct {
 	// SLA holds T_sla^pre (TTFT) and T_sla^dec (TPOT).
 	SLA serving.SLA
 
-	// RFrac is the usable weight-memory fraction (default DefaultRFrac).
-	RFrac float64
-	// MaxCandidates caps the P_all configurations examined (default 20).
-	MaxCandidates int
 	// Hetero permits the heterogeneous INA scheme (HeroServe). Baseline
 	// planners disable it.
 	Hetero bool
@@ -74,12 +71,6 @@ type Inputs struct {
 }
 
 func (in *Inputs) setDefaults() {
-	if in.RFrac == 0 {
-		in.RFrac = DefaultRFrac
-	}
-	if in.MaxCandidates == 0 {
-		in.MaxCandidates = DefaultMaxCandidates
-	}
 	if in.MaxPerturbIters == 0 {
 		in.MaxPerturbIters = 5
 	}
@@ -109,8 +100,8 @@ func (in *Inputs) Validate() error {
 	if !finitePositive(in.SLA.TTFT) || !finitePositive(in.SLA.TPOT) {
 		return fmt.Errorf("planner: SLA thresholds TTFT %g and TPOT %g must be finite and positive", in.SLA.TTFT, in.SLA.TPOT)
 	}
-	if in.RFrac <= 0 || in.RFrac > 1 {
-		return fmt.Errorf("planner: RFrac %g outside (0,1]", in.RFrac)
+	if in.MinTensDecode < 0 {
+		return fmt.Errorf("planner: negative decode tensor-parallel floor %d", in.MinTensDecode)
 	}
 	return nil
 }

@@ -60,7 +60,7 @@ func TestGroupGPUsMatchesNestedSums(t *testing.T) {
 		name, g := c.name, c.g
 		gpus := g.GPUs()
 		working := append(append([]topology.NodeID{}, gpus...), g.Switches()...)
-		m := g.NewMatrix(working, 3<<20, collective.FabricAllow(g))
+		m := g.NewTrees(working, 3<<20, collective.FabricAllow(g)).Matrix(working)
 		for trial := 0; trial < 20; trial++ {
 			pool := make([]topology.NodeID, 2+rng.Intn(len(gpus)))
 			for i := range pool {

@@ -28,7 +28,7 @@ func genCandidates(in *Inputs) []Candidate {
 				minMem = m
 			}
 		}
-		usable := int64(float64(minMem) * in.RFrac)
+		usable := int64(float64(minMem) * rFrac)
 		if usable <= 0 {
 			return nil
 		}
@@ -74,8 +74,8 @@ func genCandidates(in *Inputs) []Candidate {
 		}
 		return cands[i].PtensD > cands[j].PtensD
 	})
-	if len(cands) > in.MaxCandidates {
-		cands = cands[:in.MaxCandidates]
+	if len(cands) > maxCandidates {
+		cands = cands[:maxCandidates]
 	}
 	return cands
 }

@@ -55,7 +55,7 @@ func TestSplitPoolsByServer(t *testing.T) {
 func TestGroupGPUs(t *testing.T) {
 	g := topology.Testbed()
 	gpus := g.GPUs()
-	m := g.NewMatrix(gpus, 1<<20, nil)
+	m := g.NewTrees(gpus, 1<<20, nil).Matrix(gpus)
 	groups, err := GroupGPUs(m.Row, gpus, 4, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -101,7 +101,7 @@ func TestGroupGPUsErrors(t *testing.T) {
 
 func TestPerturbImprovesBadGrouping(t *testing.T) {
 	g := topology.Testbed()
-	m := g.NewMatrix(g.GPUs(), 1<<20, nil)
+	m := g.NewTrees(g.GPUs(), 1<<20, nil).Matrix(g.GPUs())
 	// Deliberately bad grouping: interleave servers 0 and 1.
 	s0, s1 := g.ServerGPUs(0), g.ServerGPUs(1)
 	groups := [][]topology.NodeID{
@@ -168,8 +168,8 @@ func TestGenCandidatesRespectsMemoryAndCap(t *testing.T) {
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
-	if len(cands) > in.MaxCandidates {
-		t.Fatalf("candidates %d > cap %d", len(cands), in.MaxCandidates)
+	if len(cands) > maxCandidates {
+		t.Fatalf("candidates %d > cap %d", len(cands), maxCandidates)
 	}
 	for _, c := range cands {
 		if c.PtensP < 1 || c.PpipeP < 1 || c.PtensD < 1 || c.PpipeD < 1 {
@@ -180,7 +180,7 @@ func TestGenCandidatesRespectsMemoryAndCap(t *testing.T) {
 		}
 	}
 	// A model too big for one GPU forces multi-GPU candidates: OPT-66B
-	// (132 GB) on 40 GiB A100s needs >= 4 GPUs at RFrac 0.8.
+	// (132 GB) on 40 GiB A100s needs >= 4 GPUs at rFrac 0.8.
 	in66 := in
 	in66.Model = model.OPT66B()
 	for _, c := range genCandidates(&in66) {
@@ -266,7 +266,7 @@ func TestSolveInfeasibleSLA(t *testing.T) {
 
 func TestSolveModelTooLarge(t *testing.T) {
 	in := testbedInputs(t)
-	in.Model = model.OPT175B() // 350 GB cannot fit 8x40 GB at RFrac 0.8? It can: 8*32=256GB... use tiny pools.
+	in.Model = model.OPT175B() // 350 GB cannot fit 8x40 GB at rFrac 0.8? It can: 8*32=256GB... use tiny pools.
 	in.PrefillGPUs = in.PrefillGPUs[:1]
 	in.DecodeGPUs = in.DecodeGPUs[:1]
 	if _, err := Solve(in); err == nil {
@@ -310,6 +310,7 @@ func TestValidateRejectsNonFiniteTargets(t *testing.T) {
 		{"TPOT NaN", func(in *Inputs) { in.SLA.TPOT = nan }},
 		{"TPOT +Inf", func(in *Inputs) { in.SLA.TPOT = inf }},
 		{"TPOT -Inf", func(in *Inputs) { in.SLA.TPOT = math.Inf(-1) }},
+		{"MinTensDecode negative", func(in *Inputs) { in.MinTensDecode = -1 }},
 	} {
 		in := testbedInputs(t)
 		in.setDefaults()

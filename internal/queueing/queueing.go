@@ -32,16 +32,6 @@ func PaperQueue(lambda, tServe float64) float64 {
 	return MG1Wait(lambda, tServe, tServe*tServe)
 }
 
-// Utilization returns rho = lambda * meanService.
-func Utilization(lambda, meanService float64) float64 {
-	return lambda * meanService
-}
-
-// Stable reports whether the queue is stable (rho < 1).
-func Stable(lambda, meanService float64) bool {
-	return Utilization(lambda, meanService) < 1
-}
-
 // Poisson generates the arrival times of a homogeneous Poisson process.
 type Poisson struct {
 	rate float64
@@ -63,13 +53,4 @@ func NewPoisson(rate float64, seed int64) *Poisson {
 func (p *Poisson) Next() float64 {
 	p.last += p.rng.ExpFloat64() / p.rate
 	return p.last
-}
-
-// Times returns the first n arrival times.
-func (p *Poisson) Times(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = p.Next()
-	}
-	return out
 }

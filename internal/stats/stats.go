@@ -1,11 +1,10 @@
 // Package stats provides the small statistical toolkit shared by the planner,
 // the online scheduler, and the experiment harness: summary statistics,
-// percentiles, SLA attainment, exponentially-weighted and windowed moving
-// averages, and timestamped series for memory-utilization plots.
+// percentiles, SLA attainment, windowed moving averages, time-weighted
+// means, and timestamped series for memory-utilization plots.
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -111,45 +110,8 @@ func Attainment(xs []float64, threshold float64) float64 {
 	return float64(met) / float64(len(xs))
 }
 
-// EWMA is an exponentially weighted moving average with smoothing factor
-// gamma in (0, 1]: v' = (1-gamma)*v + gamma*x. This is the update form the
-// paper uses for the load-penalty function (Eq. 18) and for the K_in/K_out
-// traffic estimates. The zero value is ready to use after SetGamma; use
-// NewEWMA for convenience.
-type EWMA struct {
-	gamma  float64
-	value  float64
-	primed bool
-}
-
-// NewEWMA returns an EWMA with the given smoothing factor. Gamma outside
-// (0, 1] panics: it is a programming error, not an input condition.
-func NewEWMA(gamma float64) *EWMA {
-	if gamma <= 0 || gamma > 1 {
-		panic(fmt.Sprintf("stats: EWMA gamma %g out of (0,1]", gamma))
-	}
-	return &EWMA{gamma: gamma}
-}
-
-// Observe folds x into the average. The first observation initializes the
-// average to x exactly (rather than decaying from zero).
-func (e *EWMA) Observe(x float64) {
-	if !e.primed {
-		e.value = x
-		e.primed = true
-		return
-	}
-	e.value = (1-e.gamma)*e.value + e.gamma*x
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Primed reports whether at least one observation has been folded in.
-func (e *EWMA) Primed() bool { return e.primed }
-
-// Window is a fixed-capacity sliding-window mean, used for the moving-average
-// K_in/K_out estimates in the system model (paper §III-B).
+// Window is a fixed-capacity sliding-window mean, used for the autoscaler's
+// recent-latency windows.
 type Window struct {
 	buf  []float64
 	next int
@@ -203,7 +165,6 @@ func (w *Window) Mean() float64 {
 // corrupting the accumulator (re-attached clocks restart at zero).
 type TimeWeighted struct {
 	area    float64 // integral of value dt
-	busy    float64 // integral of [value != 0] dt
 	span    float64 // total dt folded in
 	last    float64 // current value of the step function
 	lastT   Time
@@ -226,9 +187,6 @@ func (tw *TimeWeighted) Advance(t Time) {
 	dt := t - tw.lastT
 	if dt > 0 {
 		tw.area += tw.last * dt
-		if tw.last != 0 {
-			tw.busy += dt
-		}
 		tw.span += dt
 	}
 	tw.lastT = t
@@ -260,19 +218,6 @@ func (tw *TimeWeighted) MeanAt(t Time) float64 {
 	}
 	return area / span
 }
-
-// BusyFraction returns the fraction of the observed span during which the
-// value was nonzero — the utilization of a busy/idle signal (0 for an empty
-// span).
-func (tw *TimeWeighted) BusyFraction() float64 {
-	if tw.span == 0 {
-		return 0
-	}
-	return tw.busy / tw.span
-}
-
-// Span returns the total time folded into the summarizer.
-func (tw *TimeWeighted) Span() float64 { return tw.span }
 
 // Point is a timestamped sample in a Series.
 type Point struct {

@@ -72,34 +72,6 @@ func TestAttainment(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Primed() {
-		t.Error("new EWMA should not be primed")
-	}
-	e.Observe(10)
-	if e.Value() != 10 {
-		t.Errorf("first observation should initialize: got %g", e.Value())
-	}
-	e.Observe(20)
-	if !almostEqual(e.Value(), 15, 1e-12) {
-		t.Errorf("EWMA after 10,20 = %g, want 15", e.Value())
-	}
-}
-
-func TestEWMABadGammaPanics(t *testing.T) {
-	for _, g := range []float64{0, -1, 1.5} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("gamma=%g did not panic", g)
-				}
-			}()
-			NewEWMA(g)
-		}()
-	}
-}
-
 func TestWindowMean(t *testing.T) {
 	w := NewWindow(3)
 	if w.Mean() != 0 || w.Len() != 0 {
@@ -247,12 +219,6 @@ func TestTimeWeightedMean(t *testing.T) {
 	if got := tw.Mean(); got != 2.5 {
 		t.Errorf("Mean = %g, want 2.5", got)
 	}
-	if got := tw.BusyFraction(); got != 0.75 {
-		t.Errorf("BusyFraction = %g, want 0.75", got)
-	}
-	if tw.Span() != 4 {
-		t.Errorf("Span = %g, want 4", tw.Span())
-	}
 	if tw.Value() != 0 {
 		t.Errorf("Value = %g, want 0", tw.Value())
 	}
@@ -275,7 +241,7 @@ func TestTimeWeightedMatchesSeriesMean(t *testing.T) {
 
 func TestTimeWeightedDegenerate(t *testing.T) {
 	var tw TimeWeighted
-	if tw.Mean() != 0 || tw.BusyFraction() != 0 {
+	if tw.Mean() != 0 {
 		t.Error("zero-value TimeWeighted should summarize to 0")
 	}
 	tw.Observe(5, 3)
@@ -287,9 +253,6 @@ func TestTimeWeightedDegenerate(t *testing.T) {
 	tw.Advance(6)
 	if got := tw.Mean(); got != 9 {
 		t.Errorf("backwards-time Mean = %g, want 9 (only the 9-valued span accrued)", got)
-	}
-	if tw.Span() != 2 {
-		t.Errorf("Span = %g, want 2", tw.Span())
 	}
 }
 

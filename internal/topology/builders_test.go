@@ -77,7 +77,7 @@ func TestTestbedWiring(t *testing.T) {
 		}
 	}
 	// All GPUs mutually reachable.
-	m := g.NewMatrix(g.GPUs(), 1<<20, nil)
+	m := g.NewTrees(g.GPUs(), 1<<20, nil).Matrix(g.GPUs())
 	for _, a := range g.GPUs() {
 		for _, b := range g.GPUs() {
 			if math.IsInf(m.Dist(a, b), 1) {
@@ -179,7 +179,7 @@ func TestPodMultipleGroups(t *testing.T) {
 	// Cross-group GPUs must still be reachable (via core switches).
 	gpus := g.GPUs()
 	first, last := gpus[0], gpus[len(gpus)-1]
-	sp := g.Dijkstra(first, TransferCost(1<<20), nil)
+	sp := g.NewRouting(TransferCost(1<<20), nil).From(first)
 	if math.IsInf(sp.Dist[last], 1) {
 		t.Error("cross-group GPUs unreachable")
 	}

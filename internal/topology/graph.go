@@ -217,39 +217,6 @@ func (g *Graph) SameServer(a, b NodeID) bool {
 	return na.Kind == KindGPU && nb.Kind == KindGPU && na.Server == nb.Server
 }
 
-// EdgeBetween returns the id of an edge joining a and b, preferring the one
-// with the largest available bandwidth when parallel edges exist. The second
-// result reports whether any edge was found.
-func (g *Graph) EdgeBetween(a, b NodeID) (EdgeID, bool) {
-	best := EdgeID(-1)
-	for _, eid := range g.adj[a] {
-		e := &g.edges[eid]
-		if e.Other(a) != b {
-			continue
-		}
-		if best < 0 || e.Available > g.edges[best].Available {
-			best = eid
-		}
-	}
-	return best, best >= 0
-}
-
-// ResetAvailable restores Available = Capacity on every edge.
-func (g *Graph) ResetAvailable() {
-	for i := range g.edges {
-		g.edges[i].Available = g.edges[i].Capacity
-	}
-}
-
-// TotalFreeGPUMemory sums FreeBytes over all GPU nodes.
-func (g *Graph) TotalFreeGPUMemory() int64 {
-	var sum int64
-	for _, id := range g.gpus {
-		sum += g.nodes[id].FreeBytes
-	}
-	return sum
-}
-
 // Validate checks structural invariants: adjacency consistency and positive
 // capacities. It returns the first violation found, or nil.
 func (g *Graph) Validate() error {

@@ -73,34 +73,6 @@ func TestAddEdgeValidation(t *testing.T) {
 	}
 }
 
-func TestEdgeBetweenPrefersMoreAvailable(t *testing.T) {
-	g := NewGraph()
-	a := g.AddNode(Node{Kind: KindGPU, Server: 0})
-	b := g.AddNode(Node{Kind: KindGPU, Server: 0})
-	e1 := g.AddEdge(a, b, LinkEthernet, 10, 0)
-	e2 := g.AddEdge(a, b, LinkEthernet, 20, 0)
-	if got, ok := g.EdgeBetween(a, b); !ok || got != e2 {
-		t.Errorf("EdgeBetween = %v, want %v", got, e2)
-	}
-	g.Edge(e2).Available = 5
-	if got, _ := g.EdgeBetween(a, b); got != e1 {
-		t.Errorf("EdgeBetween after drain = %v, want %v", got, e1)
-	}
-	if _, ok := g.EdgeBetween(a, a); ok {
-		t.Error("EdgeBetween(a,a) should not find an edge")
-	}
-}
-
-func TestResetAvailable(t *testing.T) {
-	g, _ := line(t, 100, 200)
-	g.Edge(0).Available = 1
-	g.Edge(1).Available = 2
-	g.ResetAvailable()
-	if g.Edge(0).Available != 100 || g.Edge(1).Available != 200 {
-		t.Error("ResetAvailable did not restore capacity")
-	}
-}
-
 func TestSameServer(t *testing.T) {
 	g := NewGraph()
 	a := g.AddNode(Node{Kind: KindGPU, Server: 1})
@@ -128,16 +100,6 @@ func TestValidate(t *testing.T) {
 	g.Edge(0).Capacity = 0
 	if err := g.Validate(); err == nil {
 		t.Error("zero capacity not caught")
-	}
-}
-
-func TestTotalFreeGPUMemory(t *testing.T) {
-	g := NewGraph()
-	g.AddNode(Node{Kind: KindGPU, Server: 0, FreeBytes: 10})
-	g.AddNode(Node{Kind: KindGPU, Server: 0, FreeBytes: 20})
-	g.AddNode(Node{Kind: KindAccessSwitch})
-	if got := g.TotalFreeGPUMemory(); got != 30 {
-		t.Errorf("TotalFreeGPUMemory = %d, want 30", got)
 	}
 }
 

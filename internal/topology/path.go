@@ -15,12 +15,6 @@ type Path struct {
 	Edges []EdgeID
 }
 
-// Hops returns the number of edges traversed.
-func (p *Path) Hops() int { return len(p.Edges) }
-
-// Valid reports whether the path is non-empty.
-func (p *Path) Valid() bool { return len(p.Nodes) > 0 }
-
 // TransferTime returns the time in seconds to push size bytes along the path
 // under store-and-forward at each hop's *available* bandwidth: the paper's
 // per-hop model T = sum_n (D / B(e_n)) + fixed latencies (Eq. 10, Eq. 15).
@@ -35,19 +29,6 @@ func (p *Path) TransferTime(g *Graph, size int64) float64 {
 		t += float64(size)/bw + e.Latency
 	}
 	return t
-}
-
-// Bottleneck returns the minimum available bandwidth along the path, in
-// bytes/second (Eq. 11's min_{e_n in P} B(e_n)). It returns +Inf for an
-// empty (self) path.
-func (p *Path) Bottleneck(g *Graph) float64 {
-	min := math.Inf(1)
-	for _, eid := range p.Edges {
-		if bw := g.Edge(eid).Available; bw < min {
-			min = bw
-		}
-	}
-	return min
 }
 
 // EdgeCost computes the routing metric of a single edge for a message of the
@@ -165,16 +146,6 @@ type pred struct {
 	edge, node int32
 }
 
-// Dijkstra computes shortest paths from src under the given cost metric.
-// Relay restrictions are expressed by the allow predicate: a node may be used
-// as an *intermediate* hop only if allow(node) is true (endpoints are always
-// allowed). A nil allow permits every node. The paper's routes relay through
-// GPUs (NVLink forwarding, Fig. 2b) and switches, so the default permits all.
-// Callers that route many sources under one metric prepare a Routing once.
-func (g *Graph) Dijkstra(src NodeID, cost EdgeCost, allow func(NodeID) bool) *ShortestPaths {
-	return g.NewRouting(cost, allow).From(src)
-}
-
 // Routing is one routing problem, an edge cost and a relay predicate,
 // evaluated once for Dijkstra runs from any number of sources: node u's
 // usable incident edges are arcs[start[u]:start[u+1]], in Incident order,
@@ -197,7 +168,11 @@ type arc struct {
 	cost float64
 }
 
-// NewRouting evaluates cost on every edge and allow on every node.
+// NewRouting evaluates cost on every edge and allow on every node. Relay
+// restrictions are expressed by the allow predicate: a node may be used as an
+// *intermediate* hop only if allow(node) is true (endpoints are always
+// allowed). A nil allow permits every node. The paper's routes relay through
+// GPUs (NVLink forwarding, Fig. 2b) and switches, so the default permits all.
 func (g *Graph) NewRouting(cost EdgeCost, allow func(NodeID) bool) *Routing {
 	n := g.NumNodes()
 	r := &Routing{
@@ -356,7 +331,7 @@ type tree struct {
 }
 
 // NewTrees returns an empty tree cache over the universe nodes for size-byte
-// transfers. The relay predicate matches Dijkstra's.
+// transfers. The relay predicate matches NewRouting's.
 func (g *Graph) NewTrees(nodes []NodeID, size int64, allow func(NodeID) bool) *Trees {
 	t := &Trees{
 		g:     g,
@@ -460,12 +435,6 @@ type Matrix struct {
 	nodes       []NodeID
 	slot        []int32 // NodeID -> the Trees' index of a working-set node, -1 otherwise
 	allSwitches bool    // every switch is in the working set
-}
-
-// NewMatrix returns the matrix of size-byte transfers over nodes, on trees
-// of its own. The relay predicate matches Dijkstra's.
-func (g *Graph) NewMatrix(nodes []NodeID, size int64, allow func(NodeID) bool) *Matrix {
-	return g.NewTrees(nodes, size, allow).Matrix(nodes)
 }
 
 // Nodes returns the node working set (matrix-owned slice).

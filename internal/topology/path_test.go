@@ -9,13 +9,13 @@ import (
 
 func TestDijkstraLine(t *testing.T) {
 	g, ids := line(t, 1e9, 2e9, 4e9)
-	sp := g.Dijkstra(ids[0], TransferCost(1<<20), nil)
+	sp := g.NewRouting(TransferCost(1<<20), nil).From(ids[0])
 	p, ok := sp.PathTo(ids[3])
 	if !ok {
 		t.Fatal("unreachable")
 	}
-	if p.Hops() != 3 {
-		t.Errorf("hops = %d, want 3", p.Hops())
+	if len(p.Edges) != 3 {
+		t.Errorf("hops = %d, want 3", len(p.Edges))
 	}
 	for i := range p.Edges {
 		if e := g.Edge(p.Edges[i]); e.Other(p.Nodes[i]) != p.Nodes[i+1] || p.Nodes[i] != ids[i] {
@@ -43,15 +43,15 @@ func TestDijkstraPicksFasterDetour(t *testing.T) {
 	g.AddEdge(a, c, LinkNVLink, 600e9, 1e-6)
 	g.AddEdge(c, b, LinkNVLink, 600e9, 1e-6)
 
-	sp := g.Dijkstra(a, TransferCost(64<<20), nil)
+	sp := g.NewRouting(TransferCost(64<<20), nil).From(a)
 	p, _ := sp.PathTo(b)
-	if p.Hops() != 2 {
-		t.Errorf("large message: hops = %d, want detour via c", p.Hops())
+	if len(p.Edges) != 2 {
+		t.Errorf("large message: hops = %d, want detour via c", len(p.Edges))
 	}
-	sp0 := g.Dijkstra(a, TransferCost(0), nil)
+	sp0 := g.NewRouting(TransferCost(0), nil).From(a)
 	p0, _ := sp0.PathTo(b)
-	if p0.Hops() != 1 {
-		t.Errorf("zero-size message: hops = %d, want direct", p0.Hops())
+	if len(p0.Edges) != 1 {
+		t.Errorf("zero-size message: hops = %d, want direct", len(p0.Edges))
 	}
 }
 
@@ -65,7 +65,7 @@ func TestDijkstraRelayRestriction(t *testing.T) {
 	g.AddEdge(x, b, LinkEthernet, 1e9, 0)
 
 	allow := func(n NodeID) bool { return g.Node(n).Kind != KindHost }
-	sp := g.Dijkstra(a, TransferCost(1), allow)
+	sp := g.NewRouting(TransferCost(1), allow).From(a)
 	if !math.IsInf(sp.Dist[b], 1) {
 		t.Error("path through forbidden relay should be unreachable")
 	}
@@ -78,7 +78,7 @@ func TestDijkstraRelayRestriction(t *testing.T) {
 func TestDijkstraZeroAvailableEdge(t *testing.T) {
 	g, ids := line(t, 1e9)
 	g.Edge(0).Available = 0
-	sp := g.Dijkstra(ids[0], TransferCost(1), nil)
+	sp := g.NewRouting(TransferCost(1), nil).From(ids[0])
 	if !math.IsInf(sp.Dist[ids[1]], 1) {
 		t.Error("drained edge should be unusable")
 	}
@@ -86,23 +86,23 @@ func TestDijkstraZeroAvailableEdge(t *testing.T) {
 
 func TestPathToSelf(t *testing.T) {
 	g, ids := line(t, 1e9)
-	sp := g.Dijkstra(ids[0], TransferCost(1), nil)
+	sp := g.NewRouting(TransferCost(1), nil).From(ids[0])
 	p, ok := sp.PathTo(ids[0])
-	if !ok || p.Hops() != 0 || len(p.Nodes) != 1 {
+	if !ok || len(p.Edges) != 0 || len(p.Nodes) != 1 {
 		t.Errorf("self path = %+v, ok=%v", p, ok)
 	}
 }
 
 func TestPathTransferTimeAndBottleneck(t *testing.T) {
 	g, ids := line(t, 2e9, 1e9)
-	sp := g.Dijkstra(ids[0], TransferCost(1<<20), nil)
+	sp := g.NewRouting(TransferCost(1<<20), nil).From(ids[0])
 	p, _ := sp.PathTo(ids[2])
 	size := int64(1 << 20)
 	want := float64(size)/2e9 + float64(size)/1e9 + 2e-6
 	if got := p.TransferTime(g, size); math.Abs(got-want) > 1e-12 {
 		t.Errorf("TransferTime = %g, want %g", got, want)
 	}
-	if got := p.Bottleneck(g); got != 1e9 {
+	if got := bottleneck(g, p); got != 1e9 {
 		t.Errorf("Bottleneck = %g, want 1e9", got)
 	}
 	// Drained edge makes the transfer time infinite.
@@ -110,16 +110,22 @@ func TestPathTransferTimeAndBottleneck(t *testing.T) {
 	if !math.IsInf(p.TransferTime(g, size), 1) {
 		t.Error("TransferTime over drained edge should be +Inf")
 	}
-	var empty Path
-	if !math.IsInf(empty.Bottleneck(g), 1) {
-		t.Error("empty path bottleneck should be +Inf")
+}
+
+// bottleneck returns the minimum available bandwidth along p (Eq. 11's
+// min_{e_n in P} B(e_n)).
+func bottleneck(g *Graph, p Path) float64 {
+	min := math.Inf(1)
+	for _, eid := range p.Edges {
+		min = math.Min(min, g.Edge(eid).Available)
 	}
+	return min
 }
 
 func TestMatrixSymmetricOnUndirectedGraph(t *testing.T) {
 	g := Testbed()
 	gpus := g.GPUs()
-	m := g.NewMatrix(gpus, 1<<20, nil)
+	m := g.NewTrees(gpus, 1<<20, nil).Matrix(gpus)
 	for _, a := range gpus {
 		for _, b := range gpus {
 			dab, dba := m.Dist(a, b), m.Dist(b, a)
@@ -167,7 +173,7 @@ func TestQuickDijkstraInvariants(t *testing.T) {
 		}
 		size := int64(rng.Intn(1<<22) + 1)
 		cost := TransferCost(size)
-		m := g.NewMatrix(ids, size, nil)
+		m := g.NewTrees(ids, size, nil).Matrix(ids)
 		for _, a := range ids {
 			for _, b := range ids {
 				for _, c := range ids {
@@ -202,7 +208,7 @@ func BenchmarkDijkstraTestbed(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.Dijkstra(src, cost, nil)
+		g.NewRouting(cost, nil).From(src)
 	}
 }
 
@@ -212,7 +218,7 @@ func BenchmarkAllPairsPod(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m := g.NewMatrix(gpus, 1<<20, nil)
+		m := g.NewTrees(gpus, 1<<20, nil).Matrix(gpus)
 		for _, a := range gpus {
 			m.Dist(a, a) // builds a's tree
 		}
@@ -312,7 +318,7 @@ func TestDijkstraMatchesContainerHeap(t *testing.T) {
 			for _, allow := range []func(NodeID) bool{nil, switchesOnly} {
 				cost := TransferCost(size)
 				for src := 0; src < g.NumNodes(); src++ {
-					sp := g.Dijkstra(NodeID(src), cost, allow)
+					sp := g.NewRouting(cost, allow).From(NodeID(src))
 					dist, prevE := dijkstraRef(g, NodeID(src), cost, allow)
 					for v := range dist {
 						if math.Float64bits(sp.Dist[v]) != math.Float64bits(dist[v]) || EdgeID(sp.prev[v].edge) != prevE[v] {
@@ -344,7 +350,7 @@ func TestMatrixDistMatchesPathTransferTime(t *testing.T) {
 		fabric := func(n NodeID) bool { return g.Node(n).Kind.IsSwitch() }
 		working := append(append([]NodeID{}, g.GPUs()...), g.Switches()...)
 		for _, size := range []int64{0, 1 << 20, 12_345_679} {
-			m := g.NewMatrix(working, size, fabric)
+			m := g.NewTrees(working, size, fabric).Matrix(working)
 			unreachable := 0
 			for _, a := range g.GPUs() {
 				for _, b := range working {

@@ -29,7 +29,7 @@ func TestQuickPodInvariants(t *testing.T) {
 		}
 		// Every GPU reaches every other GPU through the fabric.
 		gpus := g.GPUs()
-		sp := g.Dijkstra(gpus[0], TransferCost(1<<20), nil)
+		sp := g.NewRouting(TransferCost(1<<20), nil).From(gpus[0])
 		for _, id := range gpus {
 			if math.IsInf(sp.Dist[id], 1) {
 				t.Fatalf("trial %d: GPU %d unreachable", trial, id)
@@ -63,13 +63,6 @@ func TestQuickAvailableInvariant(t *testing.T) {
 			t.Fatalf("in-range available rejected: %v", err)
 		}
 	}
-	g.ResetAvailable()
-	for i := 0; i < g.NumEdges(); i++ {
-		e := g.Edge(EdgeID(i))
-		if e.Available != e.Capacity {
-			t.Fatal("reset lost capacity")
-		}
-	}
 }
 
 // Property: path transfer time decomposes as sum of per-edge terms, and the
@@ -78,12 +71,12 @@ func TestQuickPathDecomposition(t *testing.T) {
 	g := Pod2Tracks(4)
 	gpus := g.GPUs()
 	rng := rand.New(rand.NewSource(31))
-	m := g.NewMatrix(gpus, 1<<20, nil)
+	m := g.NewTrees(gpus, 1<<20, nil).Matrix(gpus)
 	for trial := 0; trial < 200; trial++ {
 		a := gpus[rng.Intn(len(gpus))]
 		b := gpus[rng.Intn(len(gpus))]
 		p, ok := m.PathBetween(a, b)
-		if !ok || p.Hops() == 0 {
+		if !ok || len(p.Edges) == 0 {
 			continue
 		}
 		size := int64(rng.Intn(1<<24) + 1)
@@ -96,8 +89,7 @@ func TestQuickPathDecomposition(t *testing.T) {
 		if math.Abs(total-sum) > 1e-12 {
 			t.Fatalf("transfer time decomposition broke: %g vs %g", total, sum)
 		}
-		bw := p.Bottleneck(g)
-		if float64(size)/bw > total {
+		if float64(size)/bottleneck(g, p) > total {
 			t.Fatalf("bottleneck implies faster than total time")
 		}
 	}

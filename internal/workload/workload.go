@@ -17,7 +17,6 @@ import (
 	"math/rand"
 
 	"heroserve/internal/queueing"
-	"heroserve/internal/stats"
 )
 
 // Request is one inference request.
@@ -68,10 +67,6 @@ func (d lengthDist) sample(rng *rand.Rand) int {
 	return v
 }
 
-// mean returns the distribution mean ignoring clamping (useful for sanity
-// checks and capacity planning).
-func (d lengthDist) mean() float64 { return math.Exp(d.mu + d.sigma*d.sigma/2) }
-
 // Published length statistics: ShareGPT means are a few hundred tokens for
 // both sides; LongBench averages ~9k input tokens with short answers.
 var (
@@ -114,22 +109,6 @@ func (g *Generator) Generate(n int, rate float64) *Trace {
 		}
 	}
 	return tr
-}
-
-// MeanInput returns the unclamped mean input length of the dataset kind.
-func MeanInput(kind Kind) float64 {
-	if kind == Summarization {
-		return summInput.mean()
-	}
-	return chatbotInput.mean()
-}
-
-// MeanOutput returns the unclamped mean output length of the dataset kind.
-func MeanOutput(kind Kind) float64 {
-	if kind == Summarization {
-		return summOutput.mean()
-	}
-	return chatbotOutput.mean()
 }
 
 // Stats summarizes the token statistics the planner consumes (Table I):
@@ -213,46 +192,6 @@ func (t *Trace) validate() error {
 	}
 	return nil
 }
-
-// Estimator maintains the moving-average K_in/K_out estimates the online
-// scheduler feeds back into the system model (paper §III-B: "we utilize
-// state information collected by the online scheduler module and apply a
-// moving average method").
-type Estimator struct {
-	in  *stats.Window
-	in2 *stats.Window
-	out *stats.Window
-}
-
-// NewEstimator returns an estimator averaging over the given window of
-// completed requests.
-func NewEstimator(window int) *Estimator {
-	return &Estimator{
-		in:  stats.NewWindow(window),
-		in2: stats.NewWindow(window),
-		out: stats.NewWindow(window),
-	}
-}
-
-// Observe folds in a completed request's realized lengths.
-func (e *Estimator) Observe(input, output int) {
-	e.in.Observe(float64(input))
-	e.in2.Observe(float64(input) * float64(input))
-	e.out.Observe(float64(output))
-}
-
-// Batch extrapolates the current averages to a batch of q requests.
-func (e *Estimator) Batch(q int) Stats {
-	return Stats{
-		Q:    q,
-		Kin:  int64(e.in.Mean() * float64(q)),
-		Kin2: int64(e.in2.Mean() * float64(q)),
-		Kout: int64(e.out.Mean() * float64(q)),
-	}
-}
-
-// Primed reports whether any observation has been made.
-func (e *Estimator) Primed() bool { return e.in.Len() > 0 }
 
 // Burst describes one background-traffic burst: at time At, Flows transfers
 // of Bytes each start between random endpoint pairs.

@@ -91,11 +91,13 @@ func TestSummarizationLengthStatistics(t *testing.T) {
 }
 
 func TestMeanHelpersConsistent(t *testing.T) {
-	if MeanInput(Summarization) <= MeanInput(Chatbot) {
+	// The unclamped lognormal mean of a length distribution.
+	mean := func(d lengthDist) float64 { return math.Exp(d.mu + d.sigma*d.sigma/2) }
+	if mean(summInput) <= mean(chatbotInput) {
 		t.Error("summarization inputs should be longer on average")
 	}
-	if math.Abs(MeanInput(Chatbot)-math.Exp(5.5)) > 1 {
-		t.Errorf("MeanInput(Chatbot) = %g", MeanInput(Chatbot))
+	if math.Abs(mean(chatbotInput)-math.Exp(5.5)) > 1 {
+		t.Errorf("chatbot mean input = %g", mean(chatbotInput))
 	}
 	if Chatbot.String() != "chatbot" || Summarization.String() != "summarization" {
 		t.Error("kind strings")
@@ -212,35 +214,6 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("round trip changed the encoding:\n%s\n%s", first.Bytes(), second.Bytes())
 		}
 	})
-}
-
-func TestEstimator(t *testing.T) {
-	e := NewEstimator(4)
-	if e.Primed() {
-		t.Error("fresh estimator primed")
-	}
-	e.Observe(100, 50)
-	e.Observe(200, 70)
-	s := e.Batch(10)
-	if s.Kin != 1500 {
-		t.Errorf("Kin = %d, want 1500", s.Kin)
-	}
-	if s.Kout != 600 {
-		t.Errorf("Kout = %d, want 600", s.Kout)
-	}
-	if s.Kin2 != int64((100*100+200*200)/2*10) {
-		t.Errorf("Kin2 = %d", s.Kin2)
-	}
-	if !e.Primed() {
-		t.Error("estimator not primed after observations")
-	}
-	// Window slides: old observations evicted.
-	for i := 0; i < 4; i++ {
-		e.Observe(300, 30)
-	}
-	if got := e.Batch(1).Kin; got != 300 {
-		t.Errorf("windowed Kin = %d, want 300", got)
-	}
 }
 
 func TestDurationEmptyTrace(t *testing.T) {

@@ -12,6 +12,15 @@ cd "$(dirname "$0")/.."
 echo "== go vet"
 go vet ./...
 
+# Formatting gate: gofmt must have nothing to say about any Go file.
+echo "== gofmt"
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt -l lists unformatted files:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
+
 echo "== go build"
 go build ./...
 

@@ -187,6 +187,8 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"serve", []string{"-trace", trace, "-topology", "pod8", "-servers", "0"}},
 		{"serve", []string{"-trace", trace, "-topology", "pod2", "-servers", "1"}},
 		{"serve", []string{"-trace", trace, "-batch", "0"}},
+		{"serve", []string{"-trace", trace, "-min-tens-decode", "-2"}},
+		{"serve", []string{"-trace", trace, "-elephants", "-3"}},
 		{"serve", []string{"-trace", trace, "-ttft", "NaN", "-tpot", "NaN"}},
 		{"serve", []string{"-trace", trace, "-tpot", "Inf"}},
 		{"serve", []string{"-trace", trace, "-ttft", "0"}},
@@ -212,6 +214,7 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"planner", []string{"-tpot", "NaN"}},
 		{"planner", []string{"-ttft", "-1"}},
 		{"planner", []string{"-batch", "-1"}},
+		{"planner", []string{"-min-tens-decode", "-1"}},
 		{"topoviz", []string{"-topology", "bogus"}},
 		{"topoviz", []string{"-topology", "pod8", "-servers", "0"}},
 		{"topoviz", []string{"-topology", "pcie", "-servers", "-2"}},

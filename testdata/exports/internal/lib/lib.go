@@ -1,0 +1,25 @@
+// Package lib is the export guard's fixture library.
+package lib
+
+// Used is called from cmd/app.
+func Used() int { return 1 }
+
+// Unused is called only from a test, so the guard flags it.
+func Unused() int { return 2 }
+
+// BenchOnly is called only from bench/.
+func BenchOnly() int { return 3 }
+
+// Shape is how cmd/app reaches Square's Area.
+type Shape interface {
+	Area() float64
+}
+
+// Square is a Shape.
+type Square struct{ Side float64 }
+
+// Area is called only through Shape.
+func (s Square) Area() float64 { return s.Side * s.Side }
+
+// String is called only by fmt.
+func (s Square) String() string { return "square" }
