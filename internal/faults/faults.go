@@ -27,6 +27,8 @@ package faults
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"heroserve/internal/collective"
@@ -80,14 +82,16 @@ type Event struct {
 	Slots  int             // SlotExhaustion: slots to seize
 }
 
-// Validate rejects structurally impossible events.
+// Validate rejects structurally impossible events. At and Duration must be
+// finite: a NaN time would reach the engine, and a recovery at +Inf would
+// stretch the run's duration to +Inf. The negated comparisons reject NaN.
 func (e *Event) Validate() error {
-	if e.At < 0 || e.Duration <= 0 {
-		return fmt.Errorf("faults: event %v at %g for %g: need At >= 0 and Duration > 0", e.Kind, e.At, e.Duration)
+	if !(e.At >= 0) || math.IsInf(e.At, 1) || !(e.Duration > 0) || math.IsInf(e.Duration, 1) {
+		return fmt.Errorf("faults: event %v at %g for %g: need finite At >= 0 and Duration > 0", e.Kind, e.At, e.Duration)
 	}
 	switch e.Kind {
 	case LinkDegrade:
-		if e.Factor < 0 || e.Factor >= 1 {
+		if !(e.Factor >= 0 && e.Factor < 1) {
 			return fmt.Errorf("faults: link-degrade factor %g outside [0, 1)", e.Factor)
 		}
 	case SlotExhaustion:
@@ -207,10 +211,10 @@ func (inj *Injector) Arm(s Schedule) {
 	if err := s.Validate(); err != nil {
 		panic(err)
 	}
-	for _, ev := range s.Events {
-		ev := ev
-		inj.eng.Post(ev.At, func() { inj.apply(ev) })
-	}
+	events := slices.Clone(s.Events)
+	inj.eng.PostEach(len(events),
+		func(i int) float64 { return events[i].At },
+		func(i int) { inj.apply(events[i]) })
 }
 
 // Records returns the faults applied so far (in application order).

@@ -258,6 +258,12 @@ func TestEventValidate(t *testing.T) {
 		{"no slots", Event{Kind: SlotExhaustion, At: 1, Duration: 1, Slots: 0}, false},
 		{"good seize", Event{Kind: SlotExhaustion, At: 1, Duration: 1, Slots: 8}, true},
 		{"good reboot", Event{Kind: SwitchReboot, At: 1, Duration: 1}, true},
+		{"NaN at", Event{Kind: AgentStall, At: math.NaN(), Duration: 1}, false},
+		{"+Inf at", Event{Kind: AgentStall, At: math.Inf(1), Duration: 1}, false},
+		{"NaN duration", Event{Kind: SwitchReboot, At: 1, Duration: math.NaN()}, false},
+		{"+Inf duration", Event{Kind: SwitchReboot, At: 1, Duration: math.Inf(1)}, false},
+		{"NaN factor", Event{Kind: LinkDegrade, At: 1, Duration: 1, Factor: math.NaN()}, false},
+		{"-Inf factor", Event{Kind: LinkDegrade, At: 1, Duration: 1, Factor: math.Inf(-1)}, false},
 	}
 	for _, c := range cases {
 		if err := c.ev.Validate(); (err == nil) != c.ok {

@@ -3,6 +3,7 @@ package serving
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -65,6 +66,10 @@ type System struct {
 	telBatchToks  *telemetry.Histogram
 	telGPUSeconds *telemetry.Counter
 	spanArgs      telemetry.Args // request-span arguments, reused per request
+	traceIDBuf    []byte         // traceID's scratch, reused per request
+
+	// freeKV recycles finished KV hand-offs along with their callbacks.
+	freeKV []*kvOp
 }
 
 // request tracks one in-flight request's simulation state.
@@ -75,7 +80,43 @@ type request struct {
 	kvArrivedAt  sim.Time
 	generated    int // decode tokens produced (beyond the prefill token)
 	target       *decodeInstance
-	kvPairs      int // KV stage transfers still in flight (transferKV)
+}
+
+// kvOp is one request's KV hand-off in flight: the request and the count of
+// its stage-pair transfers still moving. Its done callback is built once per
+// op, and a finished op goes back on System.freeKV.
+type kvOp struct {
+	s     *System
+	r     *request
+	pairs int
+	done  func()
+}
+
+// newKVOp takes an op off the free list, or builds one with its callback.
+func (s *System) newKVOp(r *request, pairs int) *kvOp {
+	var op *kvOp
+	if k := len(s.freeKV); k > 0 {
+		op = s.freeKV[k-1]
+		s.freeKV[k-1] = nil
+		s.freeKV = s.freeKV[:k-1]
+	} else {
+		op = &kvOp{s: s}
+		op.done = op.pairDone
+	}
+	op.r, op.pairs = r, pairs
+	return op
+}
+
+// pairDone counts one stage pair delivered. After the last it recycles the
+// op and hands the request to its decode instance.
+func (op *kvOp) pairDone() {
+	if op.pairs--; op.pairs > 0 {
+		return
+	}
+	s, r := op.s, op.r
+	op.r = nil
+	s.freeKV = append(s.freeKV, op)
+	s.kvArrived(r)
 }
 
 // kvTokens returns the tokens currently occupying KV memory for the request.
@@ -499,16 +540,29 @@ func (s *System) batchReqs(buf *[]int, batch []*request) []int {
 // process scopes the ID to one run, keeping it unique when a daemon serves
 // many runs from one hub.
 func (s *System) traceID(r *request) string {
-	return fmt.Sprintf("p%d-r%d", s.tel.Trace.PID(), r.req.ID)
+	b := append(s.traceIDBuf[:0], 'p')
+	b = strconv.AppendInt(b, int64(s.tel.Trace.PID()), 10)
+	b = append(b, "-r"...)
+	b = strconv.AppendInt(b, int64(r.req.ID), 10)
+	s.traceIDBuf = b
+	return string(b)
 }
 
 // Run replays the trace through the system and returns the results. It is
 // single-shot: build a fresh System per run.
+//
+// The arrivals go to the engine as one stream, and every request's state
+// lives in one slab, filled as the request arrives.
 func (s *System) Run(trace *workload.Trace) *Results {
-	for i := range trace.Requests {
-		r := &request{req: trace.Requests[i]}
-		s.eng.Post(r.req.Arrival, func() { s.admit(r) })
-	}
+	arrivals := trace.Requests
+	slab := make([]request, len(arrivals))
+	s.eng.PostEach(len(arrivals),
+		func(i int) sim.Time { return arrivals[i].Arrival },
+		func(i int) {
+			r := &slab[i]
+			r.req = arrivals[i]
+			s.admit(r)
+		})
 	if s.opts.Autoscale != nil {
 		s.startAutoscaler(*s.opts.Autoscale)
 	}
@@ -708,19 +762,14 @@ func (s *System) transferKV(pi *prefillInstance, r *request) {
 	pp := pi.spec.Ppipe()
 	ppD := target.spec.Ppipe()
 	share := total / int64(pp)
-	// The request counts its transfers, so one callback serves them all.
+	// The op counts the transfers, so one callback serves them all.
 	// Callbacks fire from engine events only, never synchronously, so every
 	// transfer is counted before the first pairDone runs.
-	r.kvPairs = pp
-	pairDone := func() {
-		if r.kvPairs--; r.kvPairs == 0 {
-			s.kvArrived(r)
-		}
-	}
+	op := s.newKVOp(r, pp)
 	for st := 0; st < pp; st++ {
 		from := pi.spec.Stages[st][0]
 		to := target.spec.Stages[st*ppD/pp][0]
-		s.comm.Transfer(from, to, share, pairDone)
+		s.comm.Transfer(from, to, share, op.done)
 	}
 }
 
@@ -976,19 +1025,18 @@ func (s *System) InjectBursts(bursts []workload.Burst, seed int64) {
 		state = state*2862933555777941757 + 3037000493
 		return int((state >> 33) % uint64(n))
 	}
-	for _, b := range bursts {
-		b := b
-		s.eng.Post(b.At, func() {
-			for i := 0; i < b.Flows; i++ {
-				a := gpus[next(len(gpus))]
-				c := gpus[next(len(gpus))]
-				if a == c {
-					continue
-				}
-				if p, ok := router.Route(a, c, b.Bytes); ok {
-					s.net.StartFlow(p, b.Bytes, nil)
-				}
+	bursts = slices.Clone(bursts)
+	s.eng.PostEach(len(bursts), func(j int) sim.Time { return bursts[j].At }, func(j int) {
+		b := &bursts[j]
+		for i := 0; i < b.Flows; i++ {
+			a := gpus[next(len(gpus))]
+			c := gpus[next(len(gpus))]
+			if a == c {
+				continue
 			}
-		})
-	}
+			if p, ok := router.Route(a, c, b.Bytes); ok {
+				s.net.StartFlow(p, b.Bytes, nil)
+			}
+		}
+	})
 }

@@ -6,6 +6,7 @@ import (
 
 	"heroserve/internal/collective"
 	"heroserve/internal/model"
+	"heroserve/internal/sim"
 	"heroserve/internal/stats"
 	"heroserve/internal/telemetry"
 	"heroserve/internal/topology"
@@ -501,5 +502,96 @@ func TestRequestQueueReusesItsArray(t *testing.T) {
 	}
 	if want != next {
 		t.Errorf("popped %d of %d pushed requests", want, next)
+	}
+}
+
+// peakProbe is an engine profiler that records the event queue's peak
+// number of live events.
+type peakProbe struct {
+	eng  *sim.Engine
+	peak int
+}
+
+func (p *peakProbe) BeginEvent(sim.Time) int64 {
+	if l := p.eng.QueueStats().Live; l > p.peak {
+		p.peak = l
+	}
+	return 0
+}
+
+func (p *peakProbe) EndEvent(int64) {}
+
+// TestArrivalsDoNotDeepenTheQueue: a trace's arrivals go to the engine as
+// one stream, so the events queued at once are those of the requests in
+// service, however many requests are still to arrive. The deep trace is the
+// 500-request one (arriving at 40 req/s, several times what one prefill and
+// one decode instance serve) replayed eight times, each copy once the one
+// before has drained: the system serves the same overload eight times over,
+// and only the count of requests yet to arrive differs. Its peak must not
+// exceed the single copy's.
+func TestArrivalsDoNotDeepenTheQueue(t *testing.T) {
+	g := topology.Testbed()
+	peak := func(trace *workload.Trace) (int, *Results) {
+		sys, err := New(g, testbedDeployment(t, g), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe := &peakProbe{eng: sys.eng}
+		sys.eng.SetProfiler(probe)
+		res := sys.Run(trace)
+		if res.Served != len(trace.Requests) {
+			t.Fatalf("served %d of %d requests", res.Served, len(trace.Requests))
+		}
+		return probe.peak, res
+	}
+	one := workload.NewGenerator(workload.Chatbot, 7).Generate(500, 40)
+	small, res := peak(one)
+	period := math.Ceil(res.Duration) + 1
+	deep := &workload.Trace{}
+	for k := 0; k < 8; k++ {
+		for _, r := range one.Requests {
+			r.ID += k * len(one.Requests)
+			r.Arrival += float64(k) * period
+			deep.Requests = append(deep.Requests, r)
+		}
+	}
+	large, _ := peak(deep)
+	t.Logf("peak live events: %d with 500 requests, %d with 4000", small, large)
+	if large > small {
+		t.Errorf("peak live events grew from %d to %d with the trace", small, large)
+	}
+}
+
+// TestRunAllocsPerRequest pins the allocations a warm Run makes per
+// request, telemetry off: the margin between a 4000-request and a
+// 500-request trace at the same overload. The request state lives in one
+// slab, the arrivals are one stream and the KV hand-offs are recycled, so
+// what grows with the trace is amortized slice growth: the results'
+// metrics and the KV utilization series. 0.03 is the margin measured on
+// the testbed deployment (0.026); a request-sized allocation anywhere on
+// the path adds at least 1.
+func TestRunAllocsPerRequest(t *testing.T) {
+	if referencePaths {
+		t.Skip("the reference allocator and event heap allocate by design")
+	}
+	g := topology.Testbed()
+	dep := testbedDeployment(t, g)
+	allocs := func(n int) float64 {
+		trace := workload.NewGenerator(workload.Chatbot, 7).Generate(n, 40)
+		return testing.AllocsPerRun(2, func() {
+			sys, err := New(g, dep, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := sys.Run(trace); res.Served != n {
+				t.Fatalf("served %d of %d requests", res.Served, n)
+			}
+		})
+	}
+	small, large := allocs(500), allocs(4000)
+	perReq := (large - small) / 3500
+	t.Logf("%.0f allocs for 500 requests, %.0f for 4000: %.4f per request", small, large, perReq)
+	if perReq > 0.03 {
+		t.Errorf("%.4f allocs per request in a warm Run, want at most 0.03", perReq)
 	}
 }

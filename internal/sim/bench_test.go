@@ -173,3 +173,34 @@ func TestPostSteadyStateAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestPostEachAllocs pins what PostEach is for: posting a sorted stream and
+// running it allocates the same constant number of objects whatever the
+// stream's length, on either front.
+func TestPostEachAllocs(t *testing.T) {
+	for _, impl := range benchEngines {
+		t.Run(impl.name, func(t *testing.T) {
+			e := impl.mk()
+			at := func(i int) Time { return e.Now() + Time(i/4)/8 }
+			ran := 0
+			fn := func(int) { ran++ }
+			allocs := func(n int) float64 {
+				return testing.AllocsPerRun(50, func() {
+					e.PostEach(n, at, fn)
+					e.Run()
+				})
+			}
+			// Warm the queue's slices up first: the wheel grows a bucket the
+			// first time an event lands in it.
+			allocs(4096)
+			ran = 0
+			small, large := allocs(16), allocs(4096)
+			if small != large || small > 2 {
+				t.Errorf("a sorted stream of 16 allocates %.1f objects and one of 4096 %.1f: want the same, at most 2", small, large)
+			}
+			if want := 51 * (16 + 4096); ran != want {
+				t.Errorf("ran %d elements, want %d", ran, want)
+			}
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -105,6 +106,27 @@ type scriptRun struct {
 	post     bool
 	targeted []bool // the node is some node's cancel or move target
 	posted   int    // events queued with Post
+
+	// streams queues those handle-free nodes as streams instead: the roots
+	// as one, and each node's such children as one. each posts a stream
+	// with PostEach, otherwise with a Post loop; order picks its times.
+	streams  bool
+	each     bool
+	order    streamOrder
+	streamed int // elements queued in streams
+}
+
+// streamOrder picks the times of a script stream's elements.
+type streamOrder int
+
+const (
+	orderAsIs   streamOrder = iota // the script's own times, mostly unsorted
+	orderSorted                    // the same times, ascending
+	orderEqual                     // every element at the stream's first time
+)
+
+func (o streamOrder) String() string {
+	return [...]string{"as-is", "sorted", "equal"}[o]
 }
 
 func newScriptRun(eng *Engine, nodes []scriptNode, viaCancel bool) *scriptRun {
@@ -139,9 +161,8 @@ func (r *scriptRun) schedule(i int, at Time) *Event {
 	return r.eng.Schedule(at, func() { r.fire(i) })
 }
 
-// newPostRun is newScriptRun with post set: untargeted non-daemon nodes are
-// posted, the rest scheduled.
-func newPostRun(eng *Engine, nodes []scriptNode) *scriptRun {
+// targetedNodes marks every node some node cancels or moves.
+func targetedNodes(nodes []scriptNode) []bool {
 	targeted := make([]bool, len(nodes))
 	for _, nd := range nodes {
 		if nd.cancels >= 0 {
@@ -151,14 +172,103 @@ func newPostRun(eng *Engine, nodes []scriptNode) *scriptRun {
 			targeted[nd.moves] = true
 		}
 	}
+	return targeted
+}
+
+// newPostRun is newScriptRun with post set: untargeted non-daemon nodes are
+// posted, the rest scheduled.
+func newPostRun(eng *Engine, nodes []scriptNode) *scriptRun {
 	r := &scriptRun{
-		eng: eng, nodes: nodes, post: true, targeted: targeted,
+		eng: eng, nodes: nodes, post: true, targeted: targetedNodes(nodes),
 		events:  make([]*Event, len(nodes)),
 		pending: make([]bool, len(nodes)),
 		acted:   make([]bool, len(nodes)),
 	}
 	r.scheduleRoots()
 	return r
+}
+
+// newStreamRun queues untargeted non-daemon nodes in streams, with
+// PostEach when each is set and a Post loop otherwise. Half of the other
+// roots are scheduled before the root stream and half after it, so events
+// share the stream's instants with lower and with higher sequence numbers.
+func newStreamRun(eng *Engine, nodes []scriptNode, each bool, order streamOrder) *scriptRun {
+	r := &scriptRun{
+		eng: eng, nodes: nodes, streams: true, each: each, order: order,
+		targeted: targetedNodes(nodes),
+		events:   make([]*Event, len(nodes)),
+		pending:  make([]bool, len(nodes)),
+		acted:    make([]bool, len(nodes)),
+	}
+	var ids, rest []int
+	var ats []Time
+	for i := range nodes {
+		switch {
+		case !nodes[i].isRoot:
+		case r.streamable(i):
+			ids = append(ids, i)
+			ats = append(ats, nodes[i].rootAt)
+		default:
+			rest = append(rest, i)
+		}
+	}
+	half := len(rest) / 2
+	for _, i := range rest[:half] {
+		r.events[i] = r.schedule(i, nodes[i].rootAt)
+	}
+	r.stream(ids, ats)
+	for _, i := range rest[half:] {
+		r.events[i] = r.schedule(i, nodes[i].rootAt)
+	}
+	return r
+}
+
+// streamable reports whether node i goes out in a stream: it needs no
+// handle and is not a daemon.
+func (r *scriptRun) streamable(i int) bool {
+	return r.streams && !r.targeted[i] && !r.nodes[i].daemon
+}
+
+// stream queues node ids[k] at ats[k] for every k as one stream, after
+// reordering the times as r.order asks.
+func (r *scriptRun) stream(ids []int, ats []Time) {
+	if len(ids) == 0 {
+		return
+	}
+	switch r.order {
+	case orderSorted:
+		sort.Stable(byAt{ids, ats})
+	case orderEqual:
+		for k := range ats {
+			ats[k] = ats[0]
+		}
+	}
+	for _, i := range ids {
+		r.pending[i] = true
+		r.events[i] = nil
+	}
+	r.streamed += len(ids)
+	if r.each {
+		r.eng.PostEach(len(ids), func(k int) Time { return ats[k] }, func(k int) { r.fire(ids[k]) })
+		return
+	}
+	for k := range ids {
+		k := k
+		r.eng.Post(ats[k], func() { r.fire(ids[k]) })
+	}
+}
+
+// byAt sorts a stream's node ids and times together by time.
+type byAt struct {
+	ids []int
+	ats []Time
+}
+
+func (b byAt) Len() int           { return len(b.ids) }
+func (b byAt) Less(i, j int) bool { return b.ats[i] < b.ats[j] }
+func (b byAt) Swap(i, j int) {
+	b.ids[i], b.ids[j] = b.ids[j], b.ids[i]
+	b.ats[i], b.ats[j] = b.ats[j], b.ats[i]
 }
 
 func (r *scriptRun) fire(i int) {
@@ -172,9 +282,18 @@ func (r *scriptRun) fire(i int) {
 	}
 	r.acted[i] = true
 	nd := &r.nodes[i]
+	var ids []int
+	var ats []Time
 	for _, c := range nd.children {
-		r.events[c] = r.schedule(c, r.eng.Now()+r.nodes[c].delay)
+		at := r.eng.Now() + r.nodes[c].delay
+		if r.streamable(c) {
+			ids = append(ids, c)
+			ats = append(ats, at)
+			continue
+		}
+		r.events[c] = r.schedule(c, at)
 	}
+	r.stream(ids, ats)
 	if nd.cancels >= 0 {
 		r.eng.Cancel(r.events[nd.cancels]) // nil-safe: target may be unscheduled
 	}
@@ -354,4 +473,200 @@ func TestDifferentialPost(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestDifferentialPostEach proves PostEach is its Post loop on each front:
+// the same script, with every stream of handle-free nodes posted by
+// PostEach in one run and by a Post loop in the other, must give the same
+// callbacks, clock and Processed/Pending/PendingWork counters at every
+// step. The root stream shares its instants with events scheduled before
+// and after it and with events scheduled while it runs, next to cancels,
+// reschedules and daemons; every fired node posts its own children as a
+// nested stream. Times run as the script draws them (unsorted), sorted, and
+// all equal.
+func TestDifferentialPostEach(t *testing.T) {
+	seeds, size := diffSeeds()
+	for _, impl := range benchEngines {
+		for _, order := range []streamOrder{orderAsIs, orderSorted, orderEqual} {
+			for _, seed := range seeds {
+				impl, order, seed := impl, order, seed
+				t.Run(fmt.Sprintf("%s/%s/seed=%d", impl.name, order, seed), func(t *testing.T) {
+					nodes := genScript(seed, size)
+					each := newStreamRun(impl.mk(), nodes, true, order)
+					loop := newStreamRun(impl.mk(), nodes, false, order)
+					if q, p := each.eng.QueueStats().Live, each.eng.Pending(); q >= p {
+						t.Fatalf("PostEach run queues %d events for %d pending: want one per stream", q, p)
+					}
+					lockstep(t, each, loop, []Time{1.5, 7.25, 13}, false)
+					requireMoveCoverage(t, each)
+					if each.streamed < size/4 {
+						t.Errorf("only %d of %d nodes streamed", each.streamed, size)
+					}
+				})
+			}
+		}
+	}
+}
+
+// fuzzRun interprets a byte program on one engine. Every callback logs its
+// id and time and then runs the program's next op, so ops run from inside
+// callbacks (nested posts and streams) as well as between steps.
+type fuzzRun struct {
+	eng     *Engine
+	each    bool // post streams with PostEach, otherwise with a Post loop
+	prog    []byte
+	pc      int
+	handles []*Event
+	nextID  int
+	log     []uint64 // id and time bits per executed callback
+	bad     int      // rejected streams
+	badErr  string   // the first rejected stream that queued anything
+}
+
+func (r *fuzzRun) next() byte {
+	if r.pc >= len(r.prog) {
+		return 0
+	}
+	b := r.prog[r.pc]
+	r.pc++
+	return b
+}
+
+// at draws a time from now to 1.75 s ahead on a quarter-second grid, so
+// streams and other events keep landing on the same instants.
+func (r *fuzzRun) at() Time { return r.eng.Now() + Time(r.next()%8)/4 }
+
+func (r *fuzzRun) fired(id int) {
+	r.log = append(r.log, uint64(id), math.Float64bits(r.eng.Now()))
+	r.exec()
+}
+
+func (r *fuzzRun) callback() func() {
+	id := r.nextID
+	r.nextID++
+	return func() { r.fired(id) }
+}
+
+func (r *fuzzRun) handle() *Event {
+	if len(r.handles) == 0 {
+		return nil
+	}
+	return r.handles[int(r.next())%len(r.handles)]
+}
+
+// exec runs the program's next op, if any.
+func (r *fuzzRun) exec() {
+	if r.pc >= len(r.prog) {
+		return
+	}
+	switch r.next() % 8 {
+	case 0, 1:
+		ats := make([]Time, r.next()%9)
+		for k := range ats {
+			ats[k] = r.at()
+		}
+		base := r.nextID
+		r.nextID += len(ats)
+		if r.each {
+			r.eng.PostEach(len(ats), func(k int) Time { return ats[k] }, func(k int) { r.fired(base + k) })
+			return
+		}
+		for k, at := range ats {
+			id := base + k
+			r.eng.Post(at, func() { r.fired(id) })
+		}
+	case 2:
+		r.handles = append(r.handles, r.eng.Schedule(r.at(), r.callback()))
+	case 3:
+		r.eng.Post(r.at(), r.callback())
+	case 4:
+		r.handles = append(r.handles, r.eng.ScheduleDaemon(r.at(), r.callback()))
+	case 5:
+		r.eng.Cancel(r.handle())
+	case 6:
+		if ev := r.handle(); ev != nil {
+			r.eng.Reschedule(ev, r.at())
+		}
+	case 7:
+		r.rejectStream()
+	}
+}
+
+// rejectStream posts a stream with one time in the past or NaN, which
+// PostEach must refuse at the call with nothing queued. Both runs post it
+// with PostEach: a Post loop would queue the elements before the bad one.
+func (r *fuzzRun) rejectStream() {
+	ats := make([]Time, r.next()%4+1)
+	for k := range ats {
+		ats[k] = r.at()
+	}
+	bad := math.NaN()
+	if now := r.eng.Now(); now > 0 && r.next()%2 == 0 {
+		bad = now / 2
+	}
+	ats[int(r.next())%len(ats)] = bad
+	pending, work, seq := r.eng.Pending(), r.eng.PendingWork(), r.eng.nextSeq
+	defer func() {
+		if recover() == nil {
+			r.badErr = fmt.Sprintf("stream %v at %g was accepted", ats, r.eng.Now())
+			return
+		}
+		r.bad++
+		if r.eng.Pending() != pending || r.eng.PendingWork() != work || r.eng.nextSeq != seq {
+			r.badErr = fmt.Sprintf("rejected stream %v at %g queued events", ats, r.eng.Now())
+		}
+	}()
+	r.eng.PostEach(len(ats), func(k int) Time { return ats[k] }, func(int) {})
+}
+
+// FuzzPostEach is TestDifferentialPostEach on programs decoded from fuzz
+// bytes: one run posts every stream with PostEach, the other with a Post
+// loop, next to scheduled, posted and daemon events, cancels and
+// reschedules, and the two must agree on every callback, the clock and the
+// counters after every op and every step, on both fronts.
+func FuzzPostEach(f *testing.F) {
+	f.Add([]byte{0, 5, 1, 2, 3, 4, 0, 2, 3, 3, 1, 6, 0, 2, 1, 4, 0, 3, 5, 0, 6, 1, 5})
+	f.Add([]byte{1, 8, 7, 6, 5, 4, 3, 2, 1, 0, 2, 0, 4, 0, 5, 1, 0, 3, 0, 0, 0, 7, 3, 1, 2, 3, 4, 0, 1})
+	f.Add([]byte{0, 8, 3, 3, 3, 3, 3, 3, 3, 3, 2, 3, 3, 3, 0, 4, 0, 0, 0, 0, 6, 0, 0, 7, 2, 1, 1, 0, 1})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 512 {
+			prog = prog[:512]
+		}
+		for _, impl := range benchEngines {
+			a := &fuzzRun{eng: impl.mk(), each: true, prog: prog}
+			b := &fuzzRun{eng: impl.mk(), prog: prog}
+			seen := 0 // log entries already compared
+			check := func(step int) {
+				t.Helper()
+				if a.badErr != "" || b.badErr != "" {
+					t.Fatalf("%s step %d: %s%s", impl.name, step, a.badErr, b.badErr)
+				}
+				if math.Float64bits(a.eng.Now()) != math.Float64bits(b.eng.Now()) ||
+					a.eng.Processed() != b.eng.Processed() || a.eng.Pending() != b.eng.Pending() ||
+					a.eng.PendingWork() != b.eng.PendingWork() || a.pc != b.pc || a.bad != b.bad {
+					t.Fatalf("%s step %d: PostEach now=%g processed=%d pending=%d work=%d pc=%d, Post loop now=%g processed=%d pending=%d work=%d pc=%d",
+						impl.name, step, a.eng.Now(), a.eng.Processed(), a.eng.Pending(), a.eng.PendingWork(), a.pc,
+						b.eng.Now(), b.eng.Processed(), b.eng.Pending(), b.eng.PendingWork(), b.pc)
+				}
+				if len(a.log) != len(b.log) {
+					t.Fatalf("%s step %d: %d callbacks with PostEach, %d with the Post loop", impl.name, step, len(a.log)/2, len(b.log)/2)
+				}
+				for k := seen; k < len(a.log); k++ {
+					if a.log[k] != b.log[k] {
+						t.Fatalf("%s step %d: callback log differs at %d: %v vs %v", impl.name, step, k/2, a.log[k&^1:k&^1+2], b.log[k&^1:k&^1+2])
+					}
+				}
+				seen = len(a.log)
+			}
+			for step := 0; a.pc < len(prog) || a.eng.PendingWork() > 0; step++ {
+				a.exec()
+				b.exec()
+				check(step)
+				if sa, sb := a.eng.Step(), b.eng.Step(); sa != sb {
+					t.Fatalf("%s step %d: Step PostEach=%v Post loop=%v", impl.name, step, sa, sb)
+				}
+				check(step)
+			}
+		}
+	})
 }

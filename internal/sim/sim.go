@@ -27,12 +27,21 @@
 // free list once its callback has returned, so a steady stream of posted
 // events allocates nothing. Schedule and After remain for callers that need
 // the handle.
+//
+// PostEach posts one callback per element of an input stream (a trace's
+// arrivals, a fault schedule, a burst train) while keeping a single event
+// queued for the whole stream. It reserves the sequence numbers the
+// equivalent Post loop would have taken and runs each element under its own
+// reserved key, so the run is the Post loop's, step for step; only
+// QueueStats sees one queued event where the loop would have queued n.
 package sim
 
 import (
+	"cmp"
 	"container/heap"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Time is a simulated timestamp in seconds since the start of the run.
@@ -238,9 +247,10 @@ type Engine struct {
 }
 
 // maxFree bounds the free list. A steady run keeps far fewer posted events
-// in flight; past the bound (say, after a queue of a million arrivals has
-// drained) run events are left to the garbage collector instead of pinning
-// the burst's memory for the rest of the run.
+// in flight; past the bound (say, after a fan-out that posted a million
+// callbacks at once has drained) run events are left to the garbage
+// collector instead of pinning the burst's memory for the rest of the run.
+// Input streams never get there: PostEach queues one event per stream.
 const maxFree = 4096
 
 // NewEngine returns an engine with the clock at zero and an empty queue,
@@ -281,9 +291,9 @@ func (e *Engine) Pending() int { return e.live }
 // keep each other (and the whole simulation) alive forever.
 func (e *Engine) PendingWork() int { return e.work }
 
-// Schedule enqueues fn to run at absolute time at. Scheduling in the past
-// panics: it always indicates a simulator bug, and silently reordering time
-// would corrupt every downstream measurement.
+// Schedule enqueues fn to run at absolute time at. Scheduling in the past,
+// or at NaN, panics: it always indicates a simulator bug, and silently
+// reordering time would corrupt every downstream measurement.
 func (e *Engine) Schedule(at Time, fn func()) *Event {
 	ev := &Event{}
 	e.enqueue(ev, at, fn)
@@ -293,14 +303,28 @@ func (e *Engine) Schedule(at Time, fn func()) *Event {
 // enqueue queues ev, fresh or recycled, to run fn at at under the next
 // sequence number.
 func (e *Engine) enqueue(ev *Event, at Time, fn func()) {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %g before now %g", at, e.now))
-	}
-	ev.at, ev.seq, ev.fn, ev.index = at, e.nextSeq, fn, -1
+	e.checkAt(at)
+	ev.fn = fn
+	e.arm(ev, at, e.nextSeq)
 	e.nextSeq++
-	e.front.push(ev)
 	e.live++
 	e.work++
+}
+
+// checkAt panics unless at is at or after now. The negated comparison
+// rejects NaN too: a NaN time would run last on both fronts and leave the
+// clock at NaN, where no past-time check could ever fire again.
+func (e *Engine) checkAt(at Time) {
+	if !(at >= e.now) {
+		panic(fmt.Sprintf("sim: schedule at %g before now %g", at, e.now))
+	}
+}
+
+// arm queues ev under the key (at, seq). It leaves the Pending and
+// PendingWork counters to the caller.
+func (e *Engine) arm(ev *Event, at Time, seq uint64) {
+	ev.at, ev.seq, ev.index = at, seq, -1
+	e.front.push(ev)
 }
 
 // After enqueues fn to run delay seconds from now. Negative delays panic.
@@ -330,6 +354,103 @@ func (e *Engine) Post(at Time, fn func()) {
 // PostAfter posts fn to run delay seconds from now. Negative delays panic.
 func (e *Engine) PostAfter(delay Time, fn func()) {
 	e.Post(e.now+delay, fn)
+}
+
+// PostEach posts fn(i) to run at at(i) for every i in [0, n). It is
+// observably identical to
+//
+//	for i := range n { e.Post(at(i), func() { fn(i) }) }
+//
+// — same run order, clock, Processed, Pending and PendingWork at every step —
+// but keeps one event queued for the whole stream instead of n. The n
+// sequence numbers the loop would have taken are reserved at the call, and
+// element i runs under (at(i), base+i): the key its own Post would have
+// given it. Since both fronts order purely by (at, seq), an event posted
+// later for the same instant still runs after every element, and one posted
+// earlier before them, exactly as with the loop. The stream's event is
+// re-armed with the next element's key as each element fires, before fn
+// runs, and the Pending and PendingWork counters carry every element not yet
+// run; only QueueStats sees the single queued event. Elements whose times
+// are out of order are walked in (at(i), i) order, which is the order their
+// reserved keys sort in.
+//
+// at must be a pure function of i: PostEach calls it once per element to
+// validate the stream, and again as each element is armed. Like Post, it
+// panics on a time in the past or NaN, at the call and before queuing
+// anything. Sorted input allocates a constant number of objects whatever n
+// is; unsorted input adds one n-element index.
+func (e *Engine) PostEach(n int, at func(i int) Time, fn func(i int)) {
+	if n <= 0 {
+		return
+	}
+	sorted := true
+	prev := e.now
+	for i := 0; i < n; i++ {
+		t := at(i)
+		e.checkAt(t)
+		if t < prev {
+			sorted = false
+		}
+		prev = t
+	}
+	st := &stream{eng: e, at: at, fn: fn, n: n, base: e.nextSeq}
+	if !sorted {
+		st.order = make([]int, n)
+		for i := range st.order {
+			st.order[i] = i
+		}
+		slices.SortFunc(st.order, func(a, b int) int {
+			if c := cmp.Compare(at(a), at(b)); c != 0 {
+				return c
+			}
+			return a - b
+		})
+	}
+	e.nextSeq += uint64(n)
+	e.live += n
+	e.work += n
+	st.ev.fn = st.step
+	st.armNext()
+}
+
+// stream is a PostEach in progress: one event, re-armed per element.
+type stream struct {
+	ev    Event
+	eng   *Engine
+	at    func(int) Time
+	fn    func(int)
+	order []int // walk order when the times are unsorted; nil means 0..n-1
+	n     int
+	next  int    // walk position of the element the event is armed for
+	base  uint64 // the reserved sequence number of element 0
+}
+
+// element returns the index of the element at walk position k.
+func (st *stream) element(k int) int {
+	if st.order == nil {
+		return k
+	}
+	return st.order[k]
+}
+
+// armNext queues the event for the element at walk position next.
+func (st *stream) armNext() {
+	i := st.element(st.next)
+	st.eng.arm(&st.ev, st.at(i), st.base+uint64(i))
+}
+
+// step runs the element the event fired for, after re-arming the event for
+// the next one. Step has already counted the element off Pending and
+// PendingWork, and the re-armed event is counted there since the call.
+func (st *stream) step() {
+	i, fn := st.element(st.next), st.fn
+	st.next++
+	if st.next < st.n {
+		st.armNext()
+	} else {
+		st.at, st.fn, st.order = nil, nil, nil // let the captures go
+	}
+	fn(i)
 }
 
 // ScheduleDaemon enqueues a housekeeping callback — a periodic scheduler
@@ -370,9 +491,9 @@ func (e *Engine) Cancel(ev *Event) {
 // ev takes the next sequence number, so it runs after every event already
 // queued for the same instant, and the Pending/PendingWork counters move the
 // same way. The difference is that ev itself is reused, so rescheduling
-// allocates nothing. Like Schedule, it panics on a time in the past.
+// allocates nothing. Like Schedule, it panics on a time in the past or NaN.
 func (e *Engine) Reschedule(ev *Event, at Time) {
-	if at < e.now {
+	if !(at >= e.now) {
 		panic(fmt.Sprintf("sim: reschedule at %g before now %g", at, e.now))
 	}
 	queued := ev.index >= 0 && !ev.cancel

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -104,6 +105,67 @@ func TestSchedulePastPanics(t *testing.T) {
 		}
 	}()
 	e.Schedule(5, func() {})
+}
+
+// TestBadTimesPanic feeds every way of queueing an event a time in the
+// past and a NaN time, on both fronts. Each must panic at the call and leave
+// the queue as it was: nothing added, the clock where it stood.
+func TestBadTimesPanic(t *testing.T) {
+	nan := math.NaN()
+	nop := func() {}
+	nopEach := func(int) {}
+	rows := []struct {
+		name string
+		call func(e *Engine, ev *Event)
+	}{
+		{"Schedule/past", func(e *Engine, _ *Event) { e.Schedule(5, nop) }},
+		{"Schedule/NaN", func(e *Engine, _ *Event) { e.Schedule(nan, nop) }},
+		{"After/NaN", func(e *Engine, _ *Event) { e.After(nan, nop) }},
+		{"ScheduleDaemon/NaN", func(e *Engine, _ *Event) { e.ScheduleDaemon(nan, nop) }},
+		{"Post/past", func(e *Engine, _ *Event) { e.Post(5, nop) }},
+		{"Post/NaN", func(e *Engine, _ *Event) { e.Post(nan, nop) }},
+		{"PostAfter/NaN", func(e *Engine, _ *Event) { e.PostAfter(nan, nop) }},
+		{"Reschedule/past", func(e *Engine, ev *Event) { e.Reschedule(ev, 5) }},
+		{"Reschedule/NaN", func(e *Engine, ev *Event) { e.Reschedule(ev, nan) }},
+		{"PostEach/past", func(e *Engine, _ *Event) {
+			ats := []Time{12, 11, 5, 13}
+			e.PostEach(len(ats), func(i int) Time { return ats[i] }, nopEach)
+		}},
+		{"PostEach/NaN", func(e *Engine, _ *Event) {
+			ats := []Time{12, 13, nan, 14}
+			e.PostEach(len(ats), func(i int) Time { return ats[i] }, nopEach)
+		}},
+		{"PostEach/NaN-first", func(e *Engine, _ *Event) {
+			e.PostEach(3, func(int) Time { return nan }, nopEach)
+		}},
+	}
+	for _, impl := range benchEngines {
+		for _, row := range rows {
+			t.Run(impl.name+"/"+row.name, func(t *testing.T) {
+				e := impl.mk()
+				ev := e.Schedule(10, nop)
+				e.Run()
+				e.Schedule(20, nop)
+				pending, work, seq, stats := e.Pending(), e.PendingWork(), e.nextSeq, e.QueueStats()
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Error("no panic")
+						}
+					}()
+					row.call(e, ev)
+				}()
+				if e.Pending() != pending || e.PendingWork() != work || e.nextSeq != seq || e.QueueStats() != stats {
+					t.Errorf("the panicking call changed the queue: pending %d→%d, work %d→%d, seq %d→%d",
+						pending, e.Pending(), work, e.PendingWork(), seq, e.nextSeq)
+				}
+				e.Run()
+				if e.Now() != 20 || e.Processed() != 2 {
+					t.Errorf("after the panic the run ended at %g with %d events, want 20 and 2", e.Now(), e.Processed())
+				}
+			})
+		}
+	}
 }
 
 func TestRunUntil(t *testing.T) {

@@ -58,7 +58,10 @@ go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/netsim ./inte
 # minimization and the ledger reader's are capped so the 10 s runs spend
 # their time fuzzing. The pruned aggregation-switch scan is a differential
 # against the full scan: the same switch, its delay bit for bit, ties
-# included.
+# included. The engine's streamed posts (PostEach) are a differential
+# against the Post loop they stand for, on both event queues: the same
+# callbacks, clock and counters after every op and step. Its minimization
+# is capped too.
 echo "== fuzz"
 go test -run '^$' -fuzz '^FuzzReallocate$' -fuzztime 10s ./internal/netsim
 go test -run '^$' -fuzz '^FuzzPartition$' -fuzztime 10s ./internal/telemetry/critpath
@@ -71,6 +74,7 @@ go test -run '^$' -fuzz '^FuzzReadLog$' -fuzztime 10s ./internal/telemetry/slo
 go test -run '^$' -fuzz '^FuzzParseRules$' -fuzztime 10s ./internal/telemetry/slo
 go test -run '^$' -fuzz '^FuzzFromTrace$' -fuzztime 10s -fuzzminimizetime 1s ./internal/telemetry/critpath
 go test -run '^$' -fuzz '^FuzzBestAggSwitch$' -fuzztime 10s ./internal/collective
+go test -run '^$' -fuzz '^FuzzPostEach$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 
 # The benchmark under bench/ is a module of its own, so the root go test
 # does not enter it. Its tests cover the statistics, the input seeds, a
