@@ -66,7 +66,7 @@ func main() {
 	minTens := flag.Int("min-tens-decode", 0, "decode tensor-parallel floor (cross-server regime)")
 	elephants := flag.Int("elephants", 0, "background elephant-flow lanes")
 	autoscale := flag.Bool("autoscale", false, "enable decode-instance autoscaling")
-	scalePolicy := flag.String("scale-policy", "backlog", "autoscaler policy: backlog | occupancy | kv-headroom | hybrid-slo | alert-aware | adaptive")
+	scalePolicy := flag.String("scale-policy", "backlog", "autoscaler policy: "+strings.Join(serving.ScalePolicyNames, " | "))
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	out := flag.String("out", "", "write the run bundle (spans, metrics, decisions, alerts, perf; hstat-readable) to this directory")
 	sloRules := flag.String("slo-rules", "default", "SLO alert rules: default (keyed off -ttft/-tpot) | off | <rules.json>")
@@ -115,8 +115,8 @@ func main() {
 			usagef("%s must be a finite positive number of seconds, got %g", sla.flag, sla.v)
 		}
 	}
-	if *daemon && *publishEvery <= 0 {
-		usagef("-publish-every must be positive")
+	if *daemon && (!(*publishEvery > 0) || math.IsInf(*publishEvery, 1)) {
+		usagef("-publish-every must be a finite positive number of simulated seconds, got %g", *publishEvery)
 	}
 	if _, perr := serving.NewScalePolicy(*scalePolicy); perr != nil {
 		usagef("%v", perr)

@@ -1,5 +1,5 @@
 // Package baselines implements the three comparison systems of the paper's
-// evaluation (§V) as communication policies and planner variants:
+// evaluation (§V) as planner variants:
 //
 //   - DistServe: prefill/decode disaggregation with NCCL-style ring
 //     all-reduce only (no in-network aggregation).
@@ -8,51 +8,23 @@
 //
 // A baseline is fully described by its all-reduce scheme. All three plan
 // with the heterogeneous scheme disabled; the INA variants force their
-// aggregation discipline onto every cross-server group. The systems table
+// aggregation discipline onto every cross-server group. Each serves with
+// serving.PlannedPolicy over its rewritten plan. The systems table
 // (core.Systems) names them; HeroServe itself lives in internal/core.
 package baselines
 
 import (
-	"fmt"
-
 	"heroserve/internal/collective"
 	"heroserve/internal/planner"
 	"heroserve/internal/serving"
 )
 
-// policy runs one scheme on every cross-server group. Intra-server groups
-// stay on the NCCL ring (NVLink): a real SwitchML/ATP integration never
-// detours node-local collectives through the ToR. Groups without a reachable
-// switch also fall back to ring.
-type policy struct {
-	name   string
-	scheme collective.Scheme
-}
-
-func (p policy) Name() string { return p.name }
-
-func (p policy) AllReduce(ctx *serving.GroupCtx, msgBytes int64, steps int, done func()) {
-	if p.scheme == collective.SchemeRing || ctx.Switch < 0 || len(ctx.Group.ServerParts()) == 1 {
-		ctx.Comm.AllReduceTagged(collective.SchemeRing, ctx.Group, -1, msgBytes, steps, ctx.Reqs, done)
-		return
-	}
-	ctx.Comm.AllReduceTagged(p.scheme, ctx.Group, ctx.Switch, msgBytes, steps, ctx.Reqs, done)
-}
-
-// Policy returns the communication policy, named name, of the baseline whose
-// all-reduce scheme is scheme: ring, or sync or async Ethernet INA. It
-// panics on the heterogeneous scheme, which no baseline runs.
-func Policy(name string, scheme collective.Scheme) serving.CommPolicy {
-	if scheme >= collective.SchemeHetero {
-		panic(fmt.Sprintf("baselines: no baseline runs scheme %v", scheme))
-	}
-	return policy{name: name, scheme: scheme}
-}
-
 // Plan runs the offline planner in the baseline's configuration: the
 // heterogeneous scheme is disabled, and the resulting per-stage scheme
 // annotations are overridden to the baseline's scheme where a switch exists
-// and the stage spans servers, and to ring everywhere else.
+// and the stage spans servers, and to ring everywhere else: a real
+// SwitchML/ATP integration never detours node-local collectives through the
+// ToR.
 func Plan(scheme collective.Scheme, in planner.Inputs) (*planner.Plan, error) {
 	in.Hetero = false
 	plan, err := planner.Solve(in)

@@ -71,9 +71,6 @@ func TestKindStrings(t *testing.T) {
 		if scheme, ok := want[s.Display]; !ok || s.Scheme != scheme {
 			t.Errorf("%s runs %v, want %v", s.Display, s.Scheme, scheme)
 		}
-		if got := baselines.Policy(s.Display, s.Scheme).Name(); got != s.Display {
-			t.Errorf("Policy(%q, %v).Name() = %q", s.Display, s.Scheme, got)
-		}
 	}
 }
 
@@ -143,18 +140,5 @@ func TestBaselineSystemsServe(t *testing.T) {
 				t.Errorf("%s ran %d %v ops", s.Display, n, scheme)
 			}
 		}
-	}
-}
-
-func TestPolicyUnknownKindPanics(t *testing.T) {
-	for _, scheme := range []collective.Scheme{collective.SchemeHetero, collective.Scheme(9)} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Policy(%v): no panic", scheme)
-				}
-			}()
-			baselines.Policy("bogus", scheme)
-		}()
 	}
 }

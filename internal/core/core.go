@@ -473,7 +473,7 @@ func baseline(name, display string, scheme collective.Scheme) System {
 			return baselines.Plan(scheme, in)
 		},
 		Build: func(in planner.Inputs, plan *planner.Plan, opts serving.Options) (*serving.System, error) {
-			opts.Policy = baselines.Policy(display, scheme)
+			opts.Policy = serving.PlannedPolicy{Label: display}
 			return serving.New(in.Graph, plan.Deployment, opts)
 		},
 	}

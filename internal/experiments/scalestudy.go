@@ -370,20 +370,6 @@ func runScaleCase(w scaleWorkload, policy string, auto *serving.AutoscaleConfig,
 // case runs on a private hub, because the scoreboard scores the case from
 // that run's own registry.
 func ScaleStudyData(env Env) ([]ScaleStudyRow, error) {
-	policies := []struct {
-		name string
-		mk   func() serving.ScalePolicy
-	}{
-		// The backlog law keeps its historical ext-scale tuning (trigger at
-		// 1 pending/instance, 10 s idle) rather than its conservative
-		// library defaults, so the comparison is against its best self.
-		{"backlog", func() serving.ScalePolicy { return serving.NewBacklogPolicy(1, 10) }},
-		{"occupancy", func() serving.ScalePolicy { return serving.NewOccupancyPolicy() }},
-		{"kv-headroom", func() serving.ScalePolicy { return serving.NewKVHeadroomPolicy() }},
-		{"hybrid-slo", func() serving.ScalePolicy { return serving.NewHybridSLOPolicy() }},
-		{"alert-aware", func() serving.ScalePolicy { return serving.NewAlertAwarePolicy() }},
-		{"adaptive", func() serving.ScalePolicy { return serving.NewAdaptivePolicy() }},
-	}
 	var out []ScaleStudyRow
 	for _, w := range scaleWorkloads() {
 		static, _, err := runScaleCase(w, "static-full", nil, env.Scale, env.Seed)
@@ -395,7 +381,7 @@ func ScaleStudyData(env Env) ([]ScaleStudyRow, error) {
 		// set as ledger shadows, so its decision ledger alone can rank every
 		// law counterfactually — the single-run twin of this multi-run sweep.
 		shadowRank := map[string]int{}
-		for i, p := range policies {
+		for i, name := range serving.ScalePolicyNames {
 			auto := &serving.AutoscaleConfig{
 				InitialActive: 1,
 				Interval:      0.5,
@@ -403,14 +389,14 @@ func ScaleStudyData(env Env) ([]ScaleStudyRow, error) {
 				// interval; the 15 s library default would lag the
 				// KV-pressure ramp past its own stall.
 				SignalWindow: 3,
-				Policy:       p.mk(),
+				Policy:       studyLaw(name),
 			}
 			if i == 0 {
-				for _, q := range policies {
-					auto.ShadowPolicies = append(auto.ShadowPolicies, q.mk())
+				for _, q := range serving.ScalePolicyNames {
+					auto.ShadowPolicies = append(auto.ShadowPolicies, studyLaw(q))
 				}
 			}
-			row, ranks, err := runScaleCase(w, p.name, auto, env.Scale, env.Seed)
+			row, ranks, err := runScaleCase(w, name, auto, env.Scale, env.Seed)
 			if err != nil {
 				return nil, err
 			}
@@ -438,6 +424,21 @@ func ScaleStudyData(env Env) ([]ScaleStudyRow, error) {
 		out = append(out, scored...)
 	}
 	return out, nil
+}
+
+// studyLaw builds a fresh built-in law by name. The backlog law keeps its
+// historical ext-scale tuning (trigger at 1 pending/instance, 10 s idle)
+// rather than its conservative library defaults, so the comparison is
+// against its best self. name must be one of serving.ScalePolicyNames.
+func studyLaw(name string) serving.ScalePolicy {
+	if name == "backlog" {
+		return serving.NewBacklogPolicy(1, 10)
+	}
+	p, err := serving.NewScalePolicy(name)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // ExtScale renders the scaling-policy scoreboard.

@@ -18,9 +18,9 @@ type Env struct {
 	// Hub, when non-nil, arms every serving run with the deterministic
 	// observability layer under the run's SLA. Metrics accumulate across
 	// runs; each run opens a fresh trace process named after its policy.
-	// An armed HeroServe run, each ablation variant included, also feeds its
-	// live stage shares back into its online scheduler (core.NewSystem), so
-	// its figures can differ slightly from a plain run's.
+	// Arming only observes: no system, HeroServe's online scheduler
+	// included, reads the hub, so an armed run's figures equal a plain
+	// run's.
 	Hub *telemetry.Hub
 	// OnRun, when non-nil, receives each serving run's summary as soon as
 	// the run completes, on the goroutine driving the experiment. System is

@@ -304,7 +304,7 @@ func (a *autoscaler) record(now sim.Time, sig *ScaleSignals, dec ScaleDecision, 
 			TTFT:          sig.TTFT,
 			TPOT:          sig.TPOT,
 			LatencyPrimed: sig.LatencyPrimed,
-			ActiveAlerts:  append([]string(nil), sig.ActiveAlerts...),
+			ActiveAlerts:  firingRules(sig.Alerts),
 			DominantStage: sig.DominantStage,
 		},
 	}
@@ -322,12 +322,10 @@ func (a *autoscaler) record(now sim.Time, sig *ScaleSignals, dec ScaleDecision, 
 	// each, plus slice views hoisted once per record, so even a law that
 	// writes through sig.SLA or mutates the slices cannot perturb the run's
 	// configuration or the primary's inputs.
-	shAlerts := append([]string(nil), sig.ActiveAlerts...)
 	shDetail := append([]AlertSignal(nil), sig.Alerts...)
 	shRegret := append([]decisions.LawRegret(nil), sig.LawRegret...)
 	for _, sp := range a.shadows {
 		shSig := *sig
-		shSig.ActiveAlerts = shAlerts
 		shSig.Alerts = shDetail
 		shSig.LawRegret = shRegret
 		if sig.SLA != nil {
@@ -348,8 +346,8 @@ func (a *autoscaler) record(now sim.Time, sig *ScaleSignals, dec ScaleDecision, 
 }
 
 // stampOutcome closes the previous record's realized window: the requests
-// completed since that decision, their SLA verdicts (the exact
-// Results.Attainment criterion), and their mean TTFT/TPOT. The metrics
+// completed since that decision, their SLA verdicts (SLA.Met, the
+// Results.Attainment verdict), and their mean TTFT/TPOT. The metrics
 // window is consumed only when a record is pending — completions landing in
 // a ledger gap stay queued for the next stamped outcome instead of being
 // silently dropped.
@@ -366,7 +364,7 @@ func (a *autoscaler) stampOutcome(now sim.Time) {
 		o.Completed++
 		ttft += ms[i].TTFT
 		tpot += ms[i].TPOT
-		if sla == nil || (ms[i].TTFT <= sla.TTFT && ms[i].TPOT <= sla.TPOT) {
+		if sla == nil || sla.Met(ms[i].TTFT, ms[i].TPOT) {
 			o.Met++
 		}
 	}
@@ -436,7 +434,6 @@ func (a *autoscaler) collect(now sim.Time) ScaleSignals {
 		TPOT:          a.tpotWin.Mean(),
 		LatencyPrimed: a.ttftWin.Len() > 0,
 		SLA:           s.opts.SLA,
-		ActiveAlerts:  alertNames(firing),
 		Alerts:        alertSignals(firing, pending),
 		DominantStage: dom,
 		DominantShare: domShare,
@@ -444,15 +441,14 @@ func (a *autoscaler) collect(now sim.Time) ScaleSignals {
 	}
 }
 
-// alertNames lists the firing rules' names, in the monitor's order (sorted).
-// Nil when nothing fires (or no monitor is armed).
-func alertNames(firing []slo.Alert) []string {
-	if len(firing) == 0 {
-		return nil
-	}
-	names := make([]string, len(firing))
-	for i, al := range firing {
-		names[i] = al.Rule
+// firingRules lists the firing alerts' rule names, in the monitor's order
+// (sorted). Nil when nothing fires (or no monitor is armed).
+func firingRules(alerts []AlertSignal) []string {
+	var names []string
+	for _, al := range alerts {
+		if al.Firing {
+			names = append(names, al.Rule)
+		}
 	}
 	return names
 }

@@ -256,7 +256,7 @@ func TestShadowPrivateSLA(t *testing.T) {
 
 // TestAdaptiveSwitchLandsInLedger closes the loop end to end: an adaptive
 // primary under a live SLO monitor must see the firing alert in its signals
-// (the ActiveAlerts feed is consumed, not just recorded) and every runtime
+// (the alert feed is consumed, not just recorded) and every runtime
 // law switch must land in the ledger naming its driving signal.
 func TestAdaptiveSwitchLandsInLedger(t *testing.T) {
 	g := topology.Testbed()

@@ -53,10 +53,6 @@ type ScaleSignals struct {
 	LatencyPrimed bool
 	// SLA is the run's latency agreement (nil when the run has none).
 	SLA *SLA
-	// ActiveAlerts is the SLO monitor's firing set at decision time (sorted
-	// rule names; nil when no monitor is armed or nothing fires). Recorded in
-	// the decision ledger; Alerts carries the detail the laws act on.
-	ActiveAlerts []string
 	// Alerts is the monitor's live alert detail: one entry per firing or
 	// pending rule, firing first, each group sorted by rule name. Nil when no
 	// monitor is armed. Policies treat the slice as read-only.
@@ -84,30 +80,84 @@ type AlertSignal struct {
 	Dominant string
 }
 
-// classifyAlerts reduces the live alert set to the flags the alert-consuming
-// laws act on: out — a firing burn-rate, kv-saturation, or fault-budget
-// alert (fault-stall mass over budget), or any firing alert whose cause
-// snapshot is dominated by fault-stall mass, demands capacity now; veto —
-// any firing or pending alert forbids scale-in; widen — a firing
-// queue-growth alert asks for a wider effective batch target.
-func classifyAlerts(alerts []AlertSignal) (out, veto, widen bool) {
+// alertFlags is the live alert set reduced to what the alert-consuming laws
+// act on.
+type alertFlags struct {
+	// out: a firing burn-rate, kv-saturation, or fault-budget alert
+	// (fault-stall mass over budget), or any firing alert whose cause
+	// snapshot is dominated by fault-stall mass, demands capacity now.
+	out bool
+	// veto: any firing or pending alert forbids scale-in.
+	veto bool
+	// burn, kvSat and queueGrowth: a firing alert of that kind.
+	burn, kvSat, queueGrowth bool
+}
+
+// classifyAlerts reduces the live alert set to its alertFlags.
+func classifyAlerts(alerts []AlertSignal) alertFlags {
+	var f alertFlags
 	for _, a := range alerts {
-		veto = true
+		f.veto = true
 		if !a.Firing {
 			continue
 		}
 		switch a.Kind {
-		case slo.KindBurnRate, slo.KindKVSaturation, slo.KindFaultBudget:
-			out = true
+		case slo.KindBurnRate:
+			f.burn, f.out = true, true
+		case slo.KindKVSaturation:
+			f.kvSat, f.out = true, true
+		case slo.KindFaultBudget:
+			f.out = true
 		case slo.KindQueueGrowth:
-			widen = true
+			f.queueGrowth = true
 		}
 		if a.Dominant == critpath.StageFaultStall {
-			out = true
+			f.out = true
 		}
 	}
-	return out, veto, widen
+	return f
 }
+
+// Thresholds of the built-in laws. Every law that idles before scale-in
+// waits lawInIdle seconds (the backlog law defaults to 30), and every
+// backlog-per-instance backstop, the backlog law's default included,
+// triggers above lawOutBacklog.
+const (
+	lawInIdle     = 10
+	lawOutBacklog = 2
+
+	occupancyHigh = 0.85 // running-batch fill triggering scale-out
+	occupancyLow  = 0.30 // running-batch fill allowing scale-in
+	kvHighWater   = 0.80 // KV utilization triggering scale-out
+	kvLowWater    = 0.25 // KV utilization allowing scale-in
+
+	// hybridMargin is the fraction of an SLA bound at which hybrid-slo
+	// scales out: act before the SLO is breached, not after.
+	hybridMargin = 0.8
+	// hybridCooldown holds hybrid-slo after any action, while its effect (a
+	// weight load, a drained batch) is still materializing.
+	hybridCooldown = 5
+	// reflexCooldown separates the alert-driven scale-outs of alert-aware
+	// and adaptive, so one long-firing alert does not dump the whole reserve
+	// pool in one burst.
+	reflexCooldown = 2
+	// adaptiveMinDwell is the minimum time between adaptive's non-alert law
+	// switches.
+	adaptiveMinDwell = 3
+)
+
+// cooldown gates an action for a while after it was last taken. A fresh
+// cooldown is ready.
+type cooldown struct {
+	marked bool
+	at     sim.Time
+}
+
+// ready reports whether d seconds have passed since the last mark.
+func (c *cooldown) ready(now sim.Time, d float64) bool { return !c.marked || now-c.at >= d }
+
+// mark records an action at now.
+func (c *cooldown) mark(now sim.Time) { c.marked, c.at = true, now }
 
 // backlogPerInstance returns the pending-request pressure normalized by the
 // committed fleet (active + activating), the quantity the original
@@ -159,7 +209,7 @@ type ScalePolicy interface {
 // backlog per committed instance exceeds OutBacklog, scale in when an
 // instance has been idle for InIdle seconds.
 type BacklogPolicy struct {
-	OutBacklog float64 // pending requests per committed instance (default 2)
+	OutBacklog float64 // pending requests per committed instance (default lawOutBacklog)
 	InIdle     float64 // idle seconds before scale-in (default 30)
 }
 
@@ -167,7 +217,7 @@ type BacklogPolicy struct {
 // non-positive parameters.
 func NewBacklogPolicy(outBacklog, inIdle float64) *BacklogPolicy {
 	if outBacklog <= 0 {
-		outBacklog = 2
+		outBacklog = lawOutBacklog
 	}
 	if inIdle <= 0 {
 		inIdle = 30
@@ -190,89 +240,64 @@ func (p *BacklogPolicy) Decide(sig ScaleSignals) ScaleDecision {
 }
 
 // OccupancyPolicy targets a running-batch fill band: scale out when the
-// time-averaged occupancy rises above High, scale in when it falls below Low
-// and an instance has idled for InIdle seconds. It consumes the
-// decode_batch_occupancy telemetry signal directly.
-type OccupancyPolicy struct {
-	High   float64 // occupancy fraction triggering scale-out (default 0.85)
-	Low    float64 // occupancy fraction allowing scale-in (default 0.30)
-	InIdle float64 // idle seconds before scale-in (default 10)
-}
+// time-averaged occupancy rises to occupancyHigh, scale in when it falls to
+// occupancyLow and an instance has idled for lawInIdle seconds. It consumes
+// the decode_batch_occupancy telemetry signal directly.
+type OccupancyPolicy struct{}
 
-// NewOccupancyPolicy returns the occupancy-target law with defaults applied.
-func NewOccupancyPolicy() *OccupancyPolicy {
-	return &OccupancyPolicy{High: 0.85, Low: 0.30, InIdle: 10}
-}
+// NewOccupancyPolicy returns the occupancy-target law.
+func NewOccupancyPolicy() *OccupancyPolicy { return &OccupancyPolicy{} }
 
 // Name implements ScalePolicy.
 func (p *OccupancyPolicy) Name() string { return "occupancy" }
 
 // Decide implements ScalePolicy.
 func (p *OccupancyPolicy) Decide(sig ScaleSignals) ScaleDecision {
-	if sig.Reserves > 0 && (sig.Occupancy >= p.High || sig.backlogPerInstance() >= 1) {
+	if sig.Reserves > 0 && (sig.Occupancy >= occupancyHigh || sig.backlogPerInstance() >= 1) {
 		return ScaleOut
 	}
-	if sig.Occupancy <= p.Low && sig.LongestIdle >= p.InIdle {
+	if sig.Occupancy <= occupancyLow && sig.LongestIdle >= lawInIdle {
 		return ScaleIn
 	}
 	return ScaleHold
 }
 
 // KVHeadroomPolicy scales on KV-cache memory pressure: out when utilization
-// crosses HighWater (admission stalls and force-admissions loom), in when it
-// sinks below LowWater with an idle instance. It consumes the
-// decode_kv_utilization telemetry signal directly.
-type KVHeadroomPolicy struct {
-	HighWater float64 // KV utilization triggering scale-out (default 0.80)
-	LowWater  float64 // KV utilization allowing scale-in (default 0.25)
-	InIdle    float64 // idle seconds before scale-in (default 10)
-}
+// reaches kvHighWater (admission stalls and force-admissions loom), in when
+// it sinks to kvLowWater with an instance idle for lawInIdle seconds. It
+// consumes the decode_kv_utilization telemetry signal directly.
+type KVHeadroomPolicy struct{}
 
-// NewKVHeadroomPolicy returns the KV-headroom law with defaults applied.
-func NewKVHeadroomPolicy() *KVHeadroomPolicy {
-	return &KVHeadroomPolicy{HighWater: 0.80, LowWater: 0.25, InIdle: 10}
-}
+// NewKVHeadroomPolicy returns the KV-headroom law.
+func NewKVHeadroomPolicy() *KVHeadroomPolicy { return &KVHeadroomPolicy{} }
 
 // Name implements ScalePolicy.
 func (p *KVHeadroomPolicy) Name() string { return "kv-headroom" }
 
 // Decide implements ScalePolicy.
 func (p *KVHeadroomPolicy) Decide(sig ScaleSignals) ScaleDecision {
-	if sig.Reserves > 0 && sig.KVUtilization >= p.HighWater {
+	if sig.Reserves > 0 && sig.KVUtilization >= kvHighWater {
 		return ScaleOut
 	}
-	if sig.KVUtilization <= p.LowWater && sig.LongestIdle >= p.InIdle {
+	if sig.KVUtilization <= kvLowWater && sig.LongestIdle >= lawInIdle {
 		return ScaleIn
 	}
 	return ScaleHold
 }
 
 // HybridSLOPolicy combines the latency SLO with load signals, under
-// hysteresis: scale out when recent TTFT/TPOT approach their SLA bounds or
-// the backlog spikes; scale in only when latency, occupancy, and KV pressure
-// are all comfortably low and an instance has idled for InIdle seconds. A
-// cool-down after every action prevents flapping while a previous decision's
-// effect (a weight load, a drained batch) is still materializing.
+// hysteresis: scale out when recent TTFT/TPOT reach hybridMargin of their
+// SLA bounds or the backlog spikes past lawOutBacklog (covering runs with no
+// SLA and cold starts before latencies prime); scale in only when latency,
+// occupancy, and KV pressure are all comfortably low and an instance has
+// idled for lawInIdle seconds. Every action starts a hybridCooldown hold
+// that prevents flapping.
 type HybridSLOPolicy struct {
-	// Margin is the fraction of the SLA bound at which scale-out triggers
-	// (default 0.8: act before the SLO is breached, not after).
-	Margin float64
-	// OutBacklog is the backlog-per-instance spike trigger (default 2),
-	// covering runs with no SLA and cold starts before latencies prime.
-	OutBacklog float64
-	// InIdle is the idle spell required for scale-in (default 10 s).
-	InIdle float64
-	// Cooldown holds decisions for this long after any action (default 5 s).
-	Cooldown float64
-
-	acted      bool
-	lastAction sim.Time
+	cool cooldown
 }
 
-// NewHybridSLOPolicy returns the hybrid SLO-aware law with defaults applied.
-func NewHybridSLOPolicy() *HybridSLOPolicy {
-	return &HybridSLOPolicy{Margin: 0.8, OutBacklog: 2, InIdle: 10, Cooldown: 5}
-}
+// NewHybridSLOPolicy returns the hybrid SLO-aware law.
+func NewHybridSLOPolicy() *HybridSLOPolicy { return &HybridSLOPolicy{} }
 
 // Name implements ScalePolicy.
 func (p *HybridSLOPolicy) Name() string { return "hybrid-slo" }
@@ -282,20 +307,20 @@ func (p *HybridSLOPolicy) Name() string { return "hybrid-slo" }
 // kv-saturation alert (or firing fault-stall mass) forces scale-out through
 // the same cool-down, and any firing or pending alert vetoes scale-in.
 func (p *HybridSLOPolicy) Decide(sig ScaleSignals) ScaleDecision {
-	alertOut, alertVeto, _ := classifyAlerts(sig.Alerts)
-	if p.acted && sig.Now-p.lastAction < p.Cooldown {
+	al := classifyAlerts(sig.Alerts)
+	if !p.cool.ready(sig.Now, hybridCooldown) {
 		return ScaleHold
 	}
-	slowTTFT := sig.SLA != nil && sig.LatencyPrimed && sig.TTFT >= p.Margin*sig.SLA.TTFT
-	slowTPOT := sig.SLA != nil && sig.LatencyPrimed && sig.TPOT >= p.Margin*sig.SLA.TPOT
-	if sig.Reserves > 0 && (alertOut || slowTTFT || slowTPOT || sig.backlogPerInstance() > p.OutBacklog) {
-		p.acted, p.lastAction = true, sig.Now
+	slowTTFT := sig.SLA != nil && sig.LatencyPrimed && sig.TTFT >= hybridMargin*sig.SLA.TTFT
+	slowTPOT := sig.SLA != nil && sig.LatencyPrimed && sig.TPOT >= hybridMargin*sig.SLA.TPOT
+	if sig.Reserves > 0 && (al.out || slowTTFT || slowTPOT || sig.backlogPerInstance() > lawOutBacklog) {
+		p.cool.mark(sig.Now)
 		return ScaleOut
 	}
 	comfortable := sig.SLA == nil || !sig.LatencyPrimed ||
 		(sig.TTFT <= 0.5*sig.SLA.TTFT && sig.TPOT <= 0.5*sig.SLA.TPOT)
-	if !alertVeto && comfortable && sig.Occupancy < 0.5 && sig.KVUtilization < 0.5 && sig.LongestIdle >= p.InIdle {
-		p.acted, p.lastAction = true, sig.Now
+	if !al.veto && comfortable && sig.Occupancy < 0.5 && sig.KVUtilization < 0.5 && sig.LongestIdle >= lawInIdle {
+		p.cool.mark(sig.Now)
 		return ScaleIn
 	}
 	return ScaleHold
@@ -317,42 +342,31 @@ type BatchAdvisor interface {
 // snapshot — activates a reserve immediately; any firing or pending alert
 // vetoes scale-in; a firing queue-growth alert widens the effective batch
 // target instead of (only) adding instances. A backlog backstop keeps the
-// law functional in runs with no monitor armed.
+// law functional in cold starts and runs with no monitor armed. Scale-outs
+// are reflexCooldown apart; scale-in needs a lawInIdle idle spell.
 type AlertAwarePolicy struct {
-	// OutBacklog is the backlog-per-instance backstop trigger (default 2)
-	// for cold starts and monitor-less runs.
-	OutBacklog float64
-	// InIdle is the idle spell required for scale-in (default 10 s).
-	InIdle float64
-	// Cooldown separates consecutive scale-outs (default 2 s) so one
-	// long-firing alert does not dump the whole reserve pool in one burst.
-	Cooldown float64
-
-	acted   bool
-	lastOut sim.Time
-	widen   bool
+	cool  cooldown
+	widen bool
 }
 
-// NewAlertAwarePolicy returns the alert-aware law with defaults applied.
-func NewAlertAwarePolicy() *AlertAwarePolicy {
-	return &AlertAwarePolicy{OutBacklog: 2, InIdle: 10, Cooldown: 2}
-}
+// NewAlertAwarePolicy returns the alert-aware law.
+func NewAlertAwarePolicy() *AlertAwarePolicy { return &AlertAwarePolicy{} }
 
 // Name implements ScalePolicy.
 func (p *AlertAwarePolicy) Name() string { return "alert-aware" }
 
 // Decide implements ScalePolicy.
 func (p *AlertAwarePolicy) Decide(sig ScaleSignals) ScaleDecision {
-	out, veto, widen := classifyAlerts(sig.Alerts)
-	p.widen = widen
-	if sig.Reserves > 0 && (out || sig.backlogPerInstance() > p.OutBacklog) {
-		if !p.acted || sig.Now-p.lastOut >= p.Cooldown {
-			p.acted, p.lastOut = true, sig.Now
+	al := classifyAlerts(sig.Alerts)
+	p.widen = al.queueGrowth
+	if sig.Reserves > 0 && (al.out || sig.backlogPerInstance() > lawOutBacklog) {
+		if p.cool.ready(sig.Now, reflexCooldown) {
+			p.cool.mark(sig.Now)
 			return ScaleOut
 		}
 		return ScaleHold
 	}
-	if !veto && sig.LongestIdle >= p.InIdle {
+	if !al.veto && sig.LongestIdle >= lawInIdle {
 		return ScaleIn
 	}
 	return ScaleHold
@@ -395,36 +409,24 @@ type MetaPolicy interface {
 // queue-dominated stage-share window selects the backlog law; otherwise the
 // ledger's sliding-window shadow regret picks the law with the fewest
 // charged counterfactual misses. On top of the delegated verdict it keeps
-// the alert reflexes: firing scale-out pressure activates a reserve
-// immediately and any live alert vetoes scale-in.
+// the alert reflexes: firing scale-out pressure, or a backlog past
+// lawOutBacklog, activates a reserve through the meta layer (reflexCooldown
+// apart) without waiting for the delegated law's own, possibly cooling-down,
+// scale-out term; and any live alert vetoes scale-in. Switches not driven by
+// an alert are adaptiveMinDwell apart, counted from t=0.
 type AdaptivePolicy struct {
-	// MinDwell is the minimum time between switches (default 3 s);
-	// alert-driven switches bypass it.
-	MinDwell float64
-	// Cooldown separates consecutive alert-reflex scale-outs (default 2 s).
-	Cooldown float64
-	// OutBacklog is the reflex backlog-per-instance backstop (default 2):
-	// like the alert reflex it activates a reserve through the meta layer,
-	// without waiting for the delegated law's own (possibly cooling-down)
-	// scale-out term.
-	OutBacklog float64
-
-	laws       []ScalePolicy
-	active     int
-	lastSwitch sim.Time
-	switched   bool
-	pending    PolicySwitch
-	acted      bool
-	lastOut    sim.Time
+	laws     []ScalePolicy
+	active   int
+	dwell    cooldown // marked at t=0 and at every switch
+	switched bool
+	pending  PolicySwitch
+	reflex   cooldown
 }
 
 // NewAdaptivePolicy returns the adaptive meta-policy over fresh instances of
 // the four static laws, starting on hybrid-slo.
 func NewAdaptivePolicy() *AdaptivePolicy {
 	p := &AdaptivePolicy{
-		MinDwell:   3,
-		Cooldown:   2,
-		OutBacklog: 2,
 		laws: []ScalePolicy{
 			NewBacklogPolicy(0, 0),
 			NewOccupancyPolicy(),
@@ -433,6 +435,7 @@ func NewAdaptivePolicy() *AdaptivePolicy {
 		},
 	}
 	p.active = p.index("hybrid-slo")
+	p.dwell.mark(0)
 	return p
 }
 
@@ -451,38 +454,25 @@ func (p *AdaptivePolicy) TakeSwitch() (PolicySwitch, bool) {
 	return p.pending, true
 }
 
+// index returns the position of the sub-law named name, or -1.
 func (p *AdaptivePolicy) index(name string) int {
 	for i, l := range p.laws {
 		if l.Name() == name {
 			return i
 		}
 	}
-	return 0
+	return -1
 }
 
 // desired returns the sub-law the current signals call for and the signal
 // class naming why; (-1, "") when nothing asks for a change.
-func (p *AdaptivePolicy) desired(sig ScaleSignals) (int, string) {
-	var kvSat, qGrow, burn bool
-	for _, a := range sig.Alerts {
-		if !a.Firing {
-			continue
-		}
-		switch a.Kind {
-		case slo.KindKVSaturation:
-			kvSat = true
-		case slo.KindQueueGrowth:
-			qGrow = true
-		case slo.KindBurnRate:
-			burn = true
-		}
-	}
+func (p *AdaptivePolicy) desired(sig ScaleSignals, al alertFlags) (int, string) {
 	switch {
-	case kvSat:
+	case al.kvSat:
 		return p.index("kv-headroom"), "alert"
-	case qGrow:
+	case al.queueGrowth:
 		return p.index("backlog"), "alert"
-	case burn:
+	case al.burn:
 		return p.index("hybrid-slo"), "alert"
 	}
 	if sig.DominantStage == critpath.StageQueue && sig.DominantShare >= 0.5 {
@@ -498,13 +488,7 @@ func (p *AdaptivePolicy) desired(sig ScaleSignals) (int, string) {
 			if r.Law == p.ActiveLaw() {
 				activeReg = r
 			}
-			idx := -1
-			for j, l := range p.laws {
-				if l.Name() == r.Law {
-					idx = j
-					break
-				}
-			}
+			idx := p.index(r.Law)
 			if idx < 0 {
 				continue
 			}
@@ -523,23 +507,24 @@ func (p *AdaptivePolicy) desired(sig ScaleSignals) (int, string) {
 
 // Decide implements ScalePolicy.
 func (p *AdaptivePolicy) Decide(sig ScaleSignals) ScaleDecision {
-	if want, signal := p.desired(sig); want >= 0 && want != p.active {
-		if signal == "alert" || sig.Now-p.lastSwitch >= p.MinDwell {
+	al := classifyAlerts(sig.Alerts)
+	if want, signal := p.desired(sig, al); want >= 0 && want != p.active {
+		if signal == "alert" || p.dwell.ready(sig.Now, adaptiveMinDwell) {
 			p.pending = PolicySwitch{From: p.ActiveLaw(), To: p.laws[want].Name(), Signal: signal}
 			p.switched = true
-			p.active, p.lastSwitch = want, sig.Now
+			p.active = want
+			p.dwell.mark(sig.Now)
 		}
 	}
-	out, veto, _ := classifyAlerts(sig.Alerts)
-	if (out || sig.backlogPerInstance() > p.OutBacklog) && sig.Reserves > 0 {
-		if !p.acted || sig.Now-p.lastOut >= p.Cooldown {
-			p.acted, p.lastOut = true, sig.Now
+	if (al.out || sig.backlogPerInstance() > lawOutBacklog) && sig.Reserves > 0 {
+		if p.reflex.ready(sig.Now, reflexCooldown) {
+			p.reflex.mark(sig.Now)
 			return ScaleOut
 		}
 		return ScaleHold
 	}
 	d := p.laws[p.active].Decide(sig)
-	if d == ScaleIn && veto {
+	if d == ScaleIn && al.veto {
 		return ScaleHold
 	}
 	return d

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"math"
 	"testing"
 
 	"heroserve/internal/telemetry/critpath"
@@ -168,30 +169,35 @@ func TestHybridSLOPolicyDecide(t *testing.T) {
 
 func TestClassifyAlerts(t *testing.T) {
 	cases := []struct {
-		name             string
-		alerts           []AlertSignal
-		out, veto, widen bool
+		name   string
+		alerts []AlertSignal
+		want   alertFlags
 	}{
 		{name: "nil"},
 		{name: "pending only vetoes", alerts: []AlertSignal{
-			{Rule: "r", Kind: slo.KindBurnRate}}, veto: true},
+			{Rule: "r", Kind: slo.KindBurnRate}}, want: alertFlags{veto: true}},
 		{name: "firing burn-rate", alerts: []AlertSignal{
-			{Rule: "r", Kind: slo.KindBurnRate, Firing: true}}, out: true, veto: true},
+			{Rule: "r", Kind: slo.KindBurnRate, Firing: true}},
+			want: alertFlags{out: true, veto: true, burn: true}},
 		{name: "firing kv-saturation", alerts: []AlertSignal{
-			{Rule: "r", Kind: slo.KindKVSaturation, Firing: true}}, out: true, veto: true},
+			{Rule: "r", Kind: slo.KindKVSaturation, Firing: true}},
+			want: alertFlags{out: true, veto: true, kvSat: true}},
 		{name: "firing fault-budget", alerts: []AlertSignal{
-			{Rule: "r", Kind: slo.KindFaultBudget, Firing: true}}, out: true, veto: true},
-		{name: "firing queue-growth widens", alerts: []AlertSignal{
-			{Rule: "r", Kind: slo.KindQueueGrowth, Firing: true}}, widen: true, veto: true},
+			{Rule: "r", Kind: slo.KindFaultBudget, Firing: true}}, want: alertFlags{out: true, veto: true}},
+		{name: "firing queue-growth", alerts: []AlertSignal{
+			{Rule: "r", Kind: slo.KindQueueGrowth, Firing: true}},
+			want: alertFlags{veto: true, queueGrowth: true}},
 		{name: "fault-stall cause forces out", alerts: []AlertSignal{
 			{Rule: "r", Kind: slo.KindStageShift, Firing: true, Dominant: critpath.StageFaultStall}},
-			out: true, veto: true},
+			want: alertFlags{out: true, veto: true}},
+		{name: "pending kinds set no kind flag", alerts: []AlertSignal{
+			{Rule: "a", Kind: slo.KindKVSaturation, Firing: true},
+			{Rule: "b", Kind: slo.KindQueueGrowth}, {Rule: "c", Kind: slo.KindBurnRate}},
+			want: alertFlags{out: true, veto: true, kvSat: true}},
 	}
 	for _, tc := range cases {
-		out, veto, widen := classifyAlerts(tc.alerts)
-		if out != tc.out || veto != tc.veto || widen != tc.widen {
-			t.Errorf("%s: classifyAlerts = out %v veto %v widen %v, want %v %v %v",
-				tc.name, out, veto, widen, tc.out, tc.veto, tc.widen)
+		if got := classifyAlerts(tc.alerts); got != tc.want {
+			t.Errorf("%s: classifyAlerts = %+v, want %+v", tc.name, got, tc.want)
 		}
 	}
 }
@@ -424,5 +430,162 @@ func TestNewScalePolicy(t *testing.T) {
 func TestScaleDecisionString(t *testing.T) {
 	if ScaleHold.String() != "hold" || ScaleOut.String() != "scale_out" || ScaleIn.String() != "scale_in" {
 		t.Errorf("decision strings: %q %q %q", ScaleHold, ScaleOut, ScaleIn)
+	}
+}
+
+// TestScaleLawThresholds puts every tuning value of the six laws at its exact
+// trigger point and one step past it: one math.Nextafter step for the float
+// signals and the clock, one pending request over 1000 instances for the
+// backlog ratios. A mistyped threshold, cool-down or dwell fails a row.
+func TestScaleLawThresholds(t *testing.T) {
+	type step struct {
+		sig  ScaleSignals
+		want ScaleDecision
+		law  string // the meta-policy's active sub-law after the step; "" = unchecked
+	}
+	down := func(x float64) float64 { return math.Nextafter(x, math.Inf(-1)) }
+	up := func(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
+	sig := func(mod func(s *ScaleSignals)) ScaleSignals {
+		s := calmSignals()
+		mod(&s)
+		return s
+	}
+	// backlog(n) is n pending requests over 1000 committed instances: 2000 is
+	// exactly 2 per instance, 2001 one request past it.
+	backlog := func(n int, now float64) ScaleSignals {
+		return sig(func(s *ScaleSignals) { s.Active, s.Backlog, s.Now = 1000, n, now })
+	}
+	idle := func(d float64) ScaleSignals {
+		return sig(func(s *ScaleSignals) { s.Occupancy, s.KVUtilization, s.LongestIdle = 0.1, 0.1, d })
+	}
+	occ := func(o, d float64) ScaleSignals {
+		return sig(func(s *ScaleSignals) { s.Occupancy, s.LongestIdle = o, d })
+	}
+	kv := func(u, d float64) ScaleSignals {
+		return sig(func(s *ScaleSignals) { s.KVUtilization, s.LongestIdle = u, d })
+	}
+	firing := func(now float64) ScaleSignals {
+		return sig(func(s *ScaleSignals) {
+			s.Now = now
+			s.Alerts = []AlertSignal{{Rule: "burn", Kind: slo.KindBurnRate, Firing: true}}
+		})
+	}
+	stageShare := func(now float64) ScaleSignals {
+		return sig(func(s *ScaleSignals) {
+			s.Now, s.DominantStage, s.DominantShare = now, critpath.StageQueue, 0.6
+		})
+	}
+	regret := func(now float64, best string) ScaleSignals {
+		return sig(func(s *ScaleSignals) {
+			s.Now = now
+			s.LawRegret = []decisions.LawRegret{{Law: "backlog", ChargedMisses: 5},
+				{Law: "hybrid-slo", ChargedMisses: 5}, {Law: best, ChargedMisses: 0}}
+		})
+	}
+	sla := calmSignals().SLA
+	backlogLaw := func() ScalePolicy { return NewBacklogPolicy(0, 0) }
+	tunedBacklog := func() ScalePolicy { return NewBacklogPolicy(1, 10) }
+	occupancy := func() ScalePolicy { return NewOccupancyPolicy() }
+	kvHeadroom := func() ScalePolicy { return NewKVHeadroomPolicy() }
+	hybrid := func() ScalePolicy { return NewHybridSLOPolicy() }
+	alertAware := func() ScalePolicy { return NewAlertAwarePolicy() }
+	adaptive := func() ScalePolicy { return NewAdaptivePolicy() }
+	cases := []struct {
+		name  string
+		mk    func() ScalePolicy
+		steps []step
+	}{
+		{"backlog/out-backlog at 2", backlogLaw, []step{{sig: backlog(2000, 100), want: ScaleHold}}},
+		{"backlog/out-backlog past 2", backlogLaw, []step{{sig: backlog(2001, 100), want: ScaleOut}}},
+		{"backlog/in-idle at 30", backlogLaw, []step{{sig: idle(30), want: ScaleIn}}},
+		{"backlog/in-idle below 30", backlogLaw, []step{{sig: idle(down(30)), want: ScaleHold}}},
+		{"backlog(1,10)/out-backlog at 1", tunedBacklog, []step{{sig: backlog(1000, 100), want: ScaleHold}}},
+		{"backlog(1,10)/out-backlog past 1", tunedBacklog, []step{{sig: backlog(1001, 100), want: ScaleOut}}},
+		{"backlog(1,10)/in-idle at 10", tunedBacklog, []step{{sig: idle(10), want: ScaleIn}}},
+		{"backlog(1,10)/in-idle below 10", tunedBacklog, []step{{sig: idle(down(10)), want: ScaleHold}}},
+
+		{"occupancy/high at 0.85", occupancy, []step{{sig: occ(0.85, 0), want: ScaleOut}}},
+		{"occupancy/high below 0.85", occupancy, []step{{sig: occ(down(0.85), 0), want: ScaleHold}}},
+		{"occupancy/low at 0.30", occupancy, []step{{sig: occ(0.30, 10), want: ScaleIn}}},
+		{"occupancy/low above 0.30", occupancy, []step{{sig: occ(up(0.30), 10), want: ScaleHold}}},
+		{"occupancy/in-idle at 10", occupancy, []step{{sig: occ(0.1, 10), want: ScaleIn}}},
+		{"occupancy/in-idle below 10", occupancy, []step{{sig: occ(0.1, down(10)), want: ScaleHold}}},
+
+		{"kv-headroom/high at 0.80", kvHeadroom, []step{{sig: kv(0.80, 0), want: ScaleOut}}},
+		{"kv-headroom/high below 0.80", kvHeadroom, []step{{sig: kv(down(0.80), 0), want: ScaleHold}}},
+		{"kv-headroom/low at 0.25", kvHeadroom, []step{{sig: kv(0.25, 10), want: ScaleIn}}},
+		{"kv-headroom/low above 0.25", kvHeadroom, []step{{sig: kv(up(0.25), 10), want: ScaleHold}}},
+		{"kv-headroom/in-idle at 10", kvHeadroom, []step{{sig: kv(0.1, 10), want: ScaleIn}}},
+		{"kv-headroom/in-idle below 10", kvHeadroom, []step{{sig: kv(0.1, down(10)), want: ScaleHold}}},
+
+		{"hybrid-slo/margin TTFT at 0.8", hybrid, []step{
+			{sig: sig(func(s *ScaleSignals) { s.TTFT = 0.8 * sla.TTFT }), want: ScaleOut}}},
+		{"hybrid-slo/margin TTFT below 0.8", hybrid, []step{
+			{sig: sig(func(s *ScaleSignals) { s.TTFT = down(0.8 * sla.TTFT) }), want: ScaleHold}}},
+		{"hybrid-slo/margin TPOT at 0.8", hybrid, []step{
+			{sig: sig(func(s *ScaleSignals) { s.TPOT = 0.8 * sla.TPOT }), want: ScaleOut}}},
+		{"hybrid-slo/margin TPOT below 0.8", hybrid, []step{
+			{sig: sig(func(s *ScaleSignals) { s.TPOT = down(0.8 * sla.TPOT) }), want: ScaleHold}}},
+		{"hybrid-slo/out-backlog at 2", hybrid, []step{{sig: backlog(2000, 100), want: ScaleHold}}},
+		{"hybrid-slo/out-backlog past 2", hybrid, []step{{sig: backlog(2001, 100), want: ScaleOut}}},
+		{"hybrid-slo/in-idle at 10", hybrid, []step{{sig: idle(10), want: ScaleIn}}},
+		{"hybrid-slo/in-idle below 10", hybrid, []step{{sig: idle(down(10)), want: ScaleHold}}},
+		{"hybrid-slo/cooldown after out at 5 s", hybrid, []step{
+			{sig: backlog(2001, 100), want: ScaleOut}, {sig: backlog(2001, 105), want: ScaleOut}}},
+		{"hybrid-slo/cooldown after out inside 5 s", hybrid, []step{
+			{sig: backlog(2001, 100), want: ScaleOut}, {sig: backlog(2001, down(105)), want: ScaleHold}}},
+		{"hybrid-slo/cooldown after in at 5 s", hybrid, []step{
+			{sig: idle(10), want: ScaleIn}, {sig: backlog(2001, 105), want: ScaleOut}}},
+		{"hybrid-slo/cooldown after in inside 5 s", hybrid, []step{
+			{sig: idle(10), want: ScaleIn}, {sig: backlog(2001, down(105)), want: ScaleHold}}},
+
+		{"alert-aware/out-backlog at 2", alertAware, []step{{sig: backlog(2000, 100), want: ScaleHold}}},
+		{"alert-aware/out-backlog past 2", alertAware, []step{{sig: backlog(2001, 100), want: ScaleOut}}},
+		{"alert-aware/in-idle at 10", alertAware, []step{{sig: idle(10), want: ScaleIn}}},
+		{"alert-aware/in-idle below 10", alertAware, []step{{sig: idle(down(10)), want: ScaleHold}}},
+		{"alert-aware/cooldown at 2 s", alertAware, []step{
+			{sig: firing(100), want: ScaleOut}, {sig: firing(102), want: ScaleOut}}},
+		{"alert-aware/cooldown inside 2 s", alertAware, []step{
+			{sig: firing(100), want: ScaleOut}, {sig: firing(down(102)), want: ScaleHold}}},
+		{"alert-aware/cooldown does not gate scale-in", alertAware, []step{
+			{sig: firing(100), want: ScaleOut}, {sig: idle(10), want: ScaleIn}}},
+
+		{"adaptive/min-dwell at 3 s", adaptive, []step{
+			{sig: stageShare(10), want: ScaleHold, law: "backlog"},
+			{sig: regret(13, "occupancy"), want: ScaleHold, law: "occupancy"}}},
+		{"adaptive/min-dwell inside 3 s", adaptive, []step{
+			{sig: stageShare(10), want: ScaleHold, law: "backlog"},
+			{sig: regret(down(13), "occupancy"), want: ScaleHold, law: "backlog"}}},
+		{"adaptive/min-dwell from the start at 3 s", adaptive, []step{
+			{sig: stageShare(3), want: ScaleHold, law: "backlog"}}},
+		{"adaptive/min-dwell from the start inside 3 s", adaptive, []step{
+			{sig: stageShare(down(3)), want: ScaleHold, law: "hybrid-slo"}}},
+		// On the kv-headroom delegate, which ignores backlog, only the meta
+		// layer's reflex can answer a backlog spike.
+		{"adaptive/out-backlog at 2", adaptive, []step{
+			{sig: regret(100, "kv-headroom"), want: ScaleHold, law: "kv-headroom"},
+			{sig: backlog(2000, 101), want: ScaleHold, law: "kv-headroom"}}},
+		{"adaptive/out-backlog past 2", adaptive, []step{
+			{sig: regret(100, "kv-headroom"), want: ScaleHold, law: "kv-headroom"},
+			{sig: backlog(2001, 101), want: ScaleOut, law: "kv-headroom"}}},
+		// Inside the reflex cool-down the meta layer holds even though the
+		// fresh hybrid-slo delegate would scale out on the same spike.
+		{"adaptive/cooldown at 2 s", adaptive, []step{
+			{sig: backlog(2001, 100), want: ScaleOut}, {sig: backlog(2001, 102), want: ScaleOut}}},
+		{"adaptive/cooldown inside 2 s", adaptive, []step{
+			{sig: backlog(2001, 100), want: ScaleOut}, {sig: backlog(2001, down(102)), want: ScaleHold}}},
+	}
+	for _, tc := range cases {
+		p := tc.mk()
+		for i, st := range tc.steps {
+			if d := p.Decide(st.sig); d != st.want {
+				t.Errorf("%s: step %d (t=%v) = %v, want %v", tc.name, i, st.sig.Now, d, st.want)
+			}
+			if st.law != "" {
+				if got := p.(MetaPolicy).ActiveLaw(); got != st.law {
+					t.Errorf("%s: step %d active law = %s, want %s", tc.name, i, got, st.law)
+				}
+			}
+		}
 	}
 }

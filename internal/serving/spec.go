@@ -201,11 +201,20 @@ type CommPolicy interface {
 }
 
 // PlannedPolicy executes exactly the scheme the offline planner selected per
-// stage (the alpha/beta outputs of Table II), with no online adaptation.
-type PlannedPolicy struct{}
+// stage (the alpha/beta outputs of Table II), with no online adaptation. The
+// baselines run it over plans whose schemes they rewrote (baselines.Plan).
+type PlannedPolicy struct {
+	// Label names the policy in experiment output; empty reads "planned".
+	Label string
+}
 
 // Name implements CommPolicy.
-func (PlannedPolicy) Name() string { return "planned" }
+func (p PlannedPolicy) Name() string {
+	if p.Label == "" {
+		return "planned"
+	}
+	return p.Label
+}
 
 // AllReduce implements CommPolicy.
 func (PlannedPolicy) AllReduce(ctx *GroupCtx, msgBytes int64, steps int, done func()) {
@@ -221,6 +230,11 @@ type SLA struct {
 	TTFT float64 // time-to-first-token bound, seconds
 	TPOT float64 // time-per-output-token bound, seconds
 }
+
+// Met reports whether a request with these latencies meets both bounds: the
+// one verdict behind Results.Attainment, the exported SLA counters and the
+// decision ledger's outcomes.
+func (s SLA) Met(ttft, tpot float64) bool { return ttft <= s.TTFT && tpot <= s.TPOT }
 
 // maxPrefillTokens caps the token budget of one prefill batch (continuous
 // batching with a chunk budget).
@@ -349,7 +363,7 @@ func (r *Results) Attainment(sla SLA) float64 {
 	}
 	met := 0
 	for i := range r.Requests {
-		if r.Requests[i].TTFT <= sla.TTFT && r.Requests[i].TPOT <= sla.TPOT {
+		if sla.Met(r.Requests[i].TTFT, r.Requests[i].TPOT) {
 			met++
 		}
 	}

@@ -915,9 +915,9 @@ func (s *System) complete(r *request) {
 	s.telTPOT.ObserveTraced(tpot, tid)
 	s.telE2E.ObserveTraced(now-r.req.Arrival, tid)
 	if s.opts.SLA != nil {
-		// Exactly the Results.Attainment criterion, so the exported verdict
+		// SLA.Met is the Results.Attainment verdict, so the exported verdict
 		// counters reproduce the run's attainment bit-for-bit.
-		if ttft <= s.opts.SLA.TTFT && tpot <= s.opts.SLA.TPOT {
+		if s.opts.SLA.Met(ttft, tpot) {
 			s.telSLAMet.Inc()
 		} else {
 			s.telSLAMissed.Inc()

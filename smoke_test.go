@@ -196,6 +196,8 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"serve", []string{"-trace", trace, "-slo-rules", missing}},
 		{"serve", []string{"-trace", trace, "-slo-rules", truncated}},
 		{"serve", []string{"-trace", trace, "-daemon", "-publish-every", "0"}},
+		{"serve", []string{"-trace", trace, "-daemon", "-publish-every", "NaN"}},
+		{"serve", []string{"-trace", trace, "-daemon", "-publish-every", "Inf"}},
 		{"serve", []string{"-trace", trace, "-scale-policy", "bogus"}},
 		{"serve", []string{"-trace", trace, "-max-runs", "-1"}},
 		{"serve", []string{"-trace", trace, "-pprof"}},
