@@ -62,7 +62,7 @@ var kinds = map[string]kind{
 		file:  telemetry.SpansFile,
 		usage: "[-top N] [-json]",
 		flags: func(fs *flag.FlagSet, o *opts) {
-			fs.IntVar(&o.top, "top", 10, "slowest-requests table size")
+			fs.IntVar(&o.top, "top", 10, "slowest-requests table size (0 lists every request)")
 		},
 		load: func(r io.Reader, o *opts) (any, string, error) {
 			a, err := critpath.FromTrace(r)
@@ -206,6 +206,9 @@ func main() {
 	}
 	if err := fs.Parse(os.Args[2:]); err != nil {
 		fatalf("%v; %s", err, usage)
+	}
+	if o.top < 0 {
+		fatalf("-top %d is negative; %s", o.top, usage)
 	}
 	// The view flags shape one artifact's rendering; a diff takes none.
 	fs.Visit(func(f *flag.Flag) {

@@ -61,7 +61,7 @@ func BenchmarkReallocate(b *testing.B) {
 // BenchmarkFlowChurn measures sustained flow turnover with completions: a
 // closed loop keeping `flows` transfers in flight, each completion starting
 // the next. This exercises finishFlow, the event queue under the
-// cancel/reschedule storm of real traffic, and the wheel's window advance.
+// cancel/reschedule storm of real traffic.
 func BenchmarkFlowChurn(b *testing.B) {
 	for _, impl := range []string{"fast", "ref"} {
 		b.Run("impl="+impl, func(b *testing.B) {

@@ -12,7 +12,7 @@ import (
 
 // The differential harness runs the reference allocator (global
 // water-filling fixed point, reference heap engine) and the fast path
-// (incremental component water-filling, wheel engine) through one and the
+// (incremental component water-filling, fast engine) through one and the
 // same randomized script and locksteps them event by event, requiring
 // BIT-identical state throughout: the clock, every flow's rate and
 // remaining bytes after every reallocation, every link's aggregate rate and
@@ -308,8 +308,8 @@ func TestFastPathSteadyStateAllocs(t *testing.T) {
 	})
 	// Each SetLinkScale re-scans all 16 live flows and re-arms the network's
 	// one completion timer: one reschedule per call, two calls per run. The
-	// timer Event is reused and the wheel queues it by value, so nothing may
-	// allocate.
+	// timer Event is reused and the fast engine queues it by value, so
+	// nothing may allocate.
 	if perOp != 0 {
 		t.Errorf("steady-state reallocation allocates %.1f objects per op, want 0", perOp)
 	}

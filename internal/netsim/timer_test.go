@@ -9,7 +9,9 @@ import (
 	"heroserve/internal/topology"
 )
 
-// netsimCombos pairs each allocator with each event engine.
+// netsimCombos pairs each allocator with each event engine. "wheel" names
+// the fast engine (sim.NewEngine), after the timer wheel it once was, so test
+// names stay comparable across versions.
 var netsimCombos = []struct {
 	name   string
 	newNet func(*topology.Graph, *sim.Engine) *Network

@@ -16,6 +16,15 @@ import (
 // backing the autoscaler's TTFT/TPOT signals.
 const latencyWindow = 32
 
+// minActive floors scale-in: the autoscaler never deactivates the last truly
+// active decode instance. Deployment.Validate requires at least one decode
+// instance, so the floor never exceeds the fleet.
+const minActive = 1
+
+// weightLoadBW is the per-GPU weight-loading bandwidth on activation,
+// bytes/second: host-memory/NVMe staging into HBM.
+const weightLoadBW = 20e9
+
 // AutoscaleConfig enables the §VII future-work mechanism: "rapid scaling in
 // and out to achieve finer-grained scheduling of computational resources".
 // Decode instances beyond InitialActive start as deactivated reserves; a
@@ -24,13 +33,11 @@ const latencyWindow = 32
 // ScalePolicy, which decides scale-out/in/hold. The autoscaler applies the
 // decision mechanically: scale-out activates one reserve (paying a
 // weight-loading delay), scale-in deactivates the longest-idle empty
-// instance, never below MinActive truly-active instances.
+// instance, never below minActive truly-active instances.
 type AutoscaleConfig struct {
 	// InitialActive decode instances start active; the rest are reserves.
 	// Values <= 0 or beyond the instance count activate everything.
 	InitialActive int
-	// MinActive floors scale-in (default 1; clamped to the fleet size).
-	MinActive int
 	// Interval is the control-loop period in simulated seconds (default 1).
 	Interval float64
 	// Policy decides scale-out/in/hold each step. Nil selects the classic
@@ -41,9 +48,6 @@ type AutoscaleConfig struct {
 	// exponential smoothing applied to the occupancy and KV-utilization
 	// signals (default 15).
 	SignalWindow float64
-	// WeightLoadBW is the per-GPU weight-loading bandwidth on activation,
-	// bytes/second (default 20 GB/s: host-memory/NVMe staging into HBM).
-	WeightLoadBW float64
 	// ShadowPolicies are additional laws evaluated on every control step's
 	// signals without ever driving the fleet; their verdicts land in the
 	// decision ledger's disagreement matrix and feed the single-run shadow
@@ -56,9 +60,6 @@ type AutoscaleConfig struct {
 }
 
 func (c *AutoscaleConfig) setDefaults() {
-	if c.MinActive <= 0 {
-		c.MinActive = 1
-	}
 	if c.Interval <= 0 {
 		c.Interval = 1
 	}
@@ -67,9 +68,6 @@ func (c *AutoscaleConfig) setDefaults() {
 	}
 	if c.SignalWindow <= 0 {
 		c.SignalWindow = 15
-	}
-	if c.WeightLoadBW <= 0 {
-		c.WeightLoadBW = 20e9
 	}
 }
 
@@ -104,9 +102,8 @@ func (e *expAvg) observe(v, dt, window float64) {
 
 // autoscaler is the runtime control loop.
 type autoscaler struct {
-	sys       *System
-	cfg       AutoscaleConfig
-	minActive int // effective floor: cfg.MinActive clamped to the fleet
+	sys *System
+	cfg AutoscaleConfig
 
 	events []ScaleEvent
 	// accounting for active GPU-seconds
@@ -140,18 +137,9 @@ func (s *System) startAutoscaler(cfg AutoscaleConfig) {
 	cfg.setDefaults()
 	a := &autoscaler{sys: s, cfg: cfg}
 	s.scaler = a
-	a.minActive = cfg.MinActive
-	if a.minActive > len(s.decode) {
-		a.minActive = len(s.decode)
-	}
 	initial := cfg.InitialActive
 	if initial <= 0 || initial > len(s.decode) {
 		initial = len(s.decode)
-	}
-	if initial < a.minActive {
-		// a.minActive is already clamped to the fleet, so this can never
-		// push initial past len(s.decode).
-		initial = a.minActive
 	}
 	now := s.eng.Now()
 	for i, di := range s.decode {
@@ -198,7 +186,7 @@ func (s *System) startAutoscaler(cfg AutoscaleConfig) {
 		meta := decisions.ScaleMeta{
 			Fleet:           len(s.decode),
 			InitialActive:   initial,
-			MinActive:       a.minActive,
+			MinActive:       minActive,
 			Interval:        cfg.Interval,
 			GPUsPerInstance: gpus,
 			SLA:             s.opts.SLA != nil,
@@ -260,8 +248,8 @@ func (a *autoscaler) step() {
 	case ScaleIn:
 		// The floor counts truly-active instances only: an activating
 		// instance serves nothing yet, so deactivating concurrently with a
-		// pending activation must not dip the serving fleet below MinActive.
-		if a.countActive() > a.minActive {
+		// pending activation must not dip the serving fleet below minActive.
+		if a.countActive() > minActive {
 			if di := a.longestIdle(now); di != nil {
 				a.deactivate(di)
 				applied, instance = "deactivate", di.id
@@ -425,7 +413,7 @@ func (a *autoscaler) collect(now sim.Time) ScaleSignals {
 		Active:        active,
 		Activating:    activating,
 		Reserves:      reserves,
-		MinActive:     a.minActive,
+		MinActive:     minActive,
 		MaxBatch:      s.opts.MaxDecodeBatch,
 		Occupancy:     a.occ.v,
 		KVUtilization: a.kv.v,
@@ -522,14 +510,15 @@ func (a *autoscaler) refreshIdle(now sim.Time) {
 	}
 }
 
-// activate begins loading an instance's weights; it serves traffic (and is
-// a KV-routing target) once ready.
+// activate begins loading an instance's weights. The instance is a
+// KV-routing target at once, so hand-offs can land while its weights load,
+// but it decodes only once ready.
 func (a *autoscaler) activate(di *decodeInstance) {
 	s := a.sys
 	di.activating = true
 	di.idle = false
 	weight := s.dep.Model.WeightBytesPerGPU(di.spec.Ptens(), di.spec.Ppipe())
-	delay := float64(weight) / a.cfg.WeightLoadBW // per-GPU loads run in parallel
+	delay := float64(weight) / weightLoadBW // per-GPU loads run in parallel
 	a.emit(ScaleEvent{T: s.eng.Now(), Active: a.countCommitted(), Action: "activate", ID: di.id})
 	s.eng.PostAfter(delay, func() {
 		a.charge()

@@ -6,6 +6,7 @@ import (
 
 	"heroserve/internal/collective"
 	"heroserve/internal/model"
+	"heroserve/internal/sim"
 	"heroserve/internal/telemetry"
 	"heroserve/internal/telemetry/decisions"
 	"heroserve/internal/topology"
@@ -121,39 +122,90 @@ func TestAutoscalerOffAccounting(t *testing.T) {
 	}
 }
 
+// loadProbe is an engine profiler that checks, after every event, that no
+// decode instance runs a decode iteration while its weights are loading, and
+// notes which instances ever iterated.
+type loadProbe struct {
+	sys      *System
+	early    map[int]bool // instances seen iterating while activating
+	iterated map[int]bool
+}
+
+func (p *loadProbe) BeginEvent(sim.Time) int64 { return 0 }
+
+func (p *loadProbe) EndEvent(int64) {
+	for _, di := range p.sys.decode {
+		if !di.iterating {
+			continue
+		}
+		if di.activating {
+			p.early[di.id] = true
+		}
+		p.iterated[di.id] = true
+	}
+}
+
+// TestAutoscalerActivationDelay: a reserve loads its weights at 20 GB/s per
+// GPU, so each "ready" comes exactly WeightBytesPerGPU/20e9 after its
+// "activate", and the instance decodes nothing before then.
 func TestAutoscalerActivationDelay(t *testing.T) {
-	// A reserve must not serve before its weights load: with a crawling
-	// load bandwidth the burst is served by instance 0 alone.
 	g := topology.Testbed()
 	dep := scaleDeployment(t, g)
 	sys, err := New(g, dep, Options{
+		MaxDecodeBatch: 8,
 		Autoscale: &AutoscaleConfig{
 			InitialActive: 1,
-			Policy:        NewBacklogPolicy(1, 1e6),
-			WeightLoadBW:  1, // ~forever
+			Policy:        NewBacklogPolicy(1, 10),
+			Interval:      0.5,
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := sys.Run(burstTrace(20))
-	if res.Served != 23 {
-		t.Fatalf("served %d/23", res.Served)
+	probe := &loadProbe{sys: sys, early: map[int]bool{}, iterated: map[int]bool{}}
+	sys.eng.SetProfiler(probe)
+	res := sys.Run(burstTrace(60))
+	if res.Served != 63 {
+		t.Fatalf("served %d/63", res.Served)
 	}
+	if len(probe.early) != 0 {
+		t.Errorf("instances %v ran decode iterations while their weights loaded", probe.early)
+	}
+	delay := float64(dep.Model.WeightBytesPerGPU(4, 1)) / 20e9
+	activated := map[int]sim.Time{}
+	readies, served := 0, 0
 	for _, e := range res.ScaleEvents {
-		if e.Action == "ready" {
-			t.Fatal("instance became ready despite unloadable weights")
+		switch e.Action {
+		case "activate":
+			activated[e.ID] = e.T
+		case "ready":
+			at, ok := activated[e.ID]
+			if !ok {
+				t.Fatalf("instance %d ready at %.3f s without an activation", e.ID, e.T)
+			}
+			if want := at + delay; e.T != want {
+				t.Errorf("instance %d ready at %v s, want %v (activated at %v + %v s load)", e.ID, e.T, want, at, delay)
+			}
+			delete(activated, e.ID)
+			readies++
+			if probe.iterated[e.ID] {
+				served++
+			}
 		}
+	}
+	if readies == 0 || served == 0 {
+		t.Fatalf("%d activations became ready and %d of them served: want both above 0: %+v", readies, served, res.ScaleEvents)
 	}
 }
 
+// TestAutoscalerRespectsMinActive: an aggressive scale-in law takes the
+// fleet down to one truly-active instance and no further.
 func TestAutoscalerRespectsMinActive(t *testing.T) {
 	g := topology.Testbed()
 	dep := scaleDeployment(t, g)
 	sys, err := New(g, dep, Options{
 		Autoscale: &AutoscaleConfig{
 			InitialActive: 2,
-			MinActive:     2,
 			Policy:        NewBacklogPolicy(0, 0.5),
 			Interval:      0.25,
 		},
@@ -168,10 +220,9 @@ func TestAutoscalerRespectsMinActive(t *testing.T) {
 			low = e.Active
 		}
 	}
-	if low < 2 {
-		t.Errorf("active dropped to %d below MinActive 2", low)
+	if low != 1 {
+		t.Errorf("active fell to %d at its lowest, want the floor of 1: %+v", low, res.ScaleEvents)
 	}
-	_ = res
 }
 
 // scriptPolicy replays a fixed decision sequence, one per control step, then
@@ -199,7 +250,6 @@ func TestAutoscalerScaleInFromSimStart(t *testing.T) {
 	sys, err := New(g, dep, Options{
 		Autoscale: &AutoscaleConfig{
 			InitialActive: 3,
-			MinActive:     1,
 			Policy:        NewBacklogPolicy(0, 10),
 			Interval:      0.5,
 		},
@@ -238,20 +288,20 @@ func TestAutoscalerScaleInFromSimStart(t *testing.T) {
 // TestAutoscalerMinActiveFloorDuringActivation pins the floor semantics: an
 // activating instance serves nothing yet, so while one is still loading
 // weights a concurrent scale-in must not dip the truly-active fleet below
-// MinActive (the old guard counted activating instances as active).
+// one instance (the old guard counted activating instances as active).
 func TestAutoscalerMinActiveFloorDuringActivation(t *testing.T) {
 	g := topology.Testbed()
 	dep := scaleDeployment(t, g)
-	pol := &scriptPolicy{decs: []ScaleDecision{
-		ScaleOut, ScaleIn, ScaleIn, ScaleIn, ScaleIn, ScaleIn,
-	}}
+	// Steps at 0, 0.05, ..., 0.25 s: the scale-ins all land inside the
+	// ~0.33 s OPT-13B weight load.
+	const interval = 0.05
 	sys, err := New(g, dep, Options{
 		Autoscale: &AutoscaleConfig{
-			InitialActive: 2,
-			MinActive:     2,
-			Interval:      0.5,
-			Policy:        pol,
-			WeightLoadBW:  2e9, // ~3 s load: the ScaleIn steps land mid-activation
+			InitialActive: 1,
+			Interval:      interval,
+			Policy: &scriptPolicy{decs: []ScaleDecision{
+				ScaleOut, ScaleIn, ScaleIn, ScaleIn, ScaleIn, ScaleIn,
+			}},
 		},
 	})
 	if err != nil {
@@ -260,45 +310,20 @@ func TestAutoscalerMinActiveFloorDuringActivation(t *testing.T) {
 	res := sys.Run(&workload.Trace{Name: "late", Requests: []workload.Request{
 		{ID: 0, Arrival: 30, Input: 128, Output: 40},
 	}})
-	ready := false
+	ready := -1.0
 	for _, e := range res.ScaleEvents {
 		switch e.Action {
 		case "ready":
-			ready = true
+			ready = e.T
 		case "deactivate":
-			t.Errorf("deactivated instance %d at %.2f s: with 2 truly active and MinActive 2, the in-flight activation must not unlock scale-in", e.ID, e.T)
+			t.Errorf("deactivated instance %d at %.2f s: with 1 truly active, the in-flight activation must not unlock scale-in", e.ID, e.T)
 		}
 	}
-	if !ready {
+	if ready < 0 {
 		t.Fatal("the scripted scale-out never became ready")
 	}
-}
-
-// TestAutoscalerMinActiveAboveFleet pins the clamp: a MinActive beyond the
-// fleet size clamps to the fleet and pulls InitialActive up with it, so the
-// whole fleet starts active and nothing ever scales.
-func TestAutoscalerMinActiveAboveFleet(t *testing.T) {
-	g := topology.Testbed()
-	dep := scaleDeployment(t, g)
-	sys, err := New(g, dep, Options{
-		Autoscale: &AutoscaleConfig{
-			InitialActive: 1,
-			MinActive:     5, // fleet is 3
-			// Aggressive scale-in: the floor alone must hold the fleet.
-			Policy:   NewBacklogPolicy(0, 1),
-			Interval: 0.5,
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := sys.Run(burstTrace(10))
-	if len(res.ScaleEvents) != 0 {
-		t.Errorf("scale events with MinActive > fleet: %+v", res.ScaleEvents)
-	}
-	want := float64(12) * res.Duration // all 3 instances x 4 GPUs, always on
-	if res.ActiveGPUSeconds != want {
-		t.Errorf("GPU-seconds = %g, want %g", res.ActiveGPUSeconds, want)
+	if last := 5 * interval; ready <= last {
+		t.Fatalf("the weights loaded at %.3f s, before the last scripted scale-in at %.3f s", ready, last)
 	}
 }
 

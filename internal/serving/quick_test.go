@@ -104,7 +104,6 @@ func TestQuickAutoscalerInvariants(t *testing.T) {
 			MaxDecodeBatch: rng.Intn(12) + 2,
 			Autoscale: &AutoscaleConfig{
 				InitialActive: rng.Intn(3) + 1,
-				MinActive:     1,
 				Policy:        NewBacklogPolicy(float64(rng.Intn(3)+1), float64(rng.Intn(20)+1)),
 				Interval:      0.25 + rng.Float64(),
 			},
@@ -122,7 +121,7 @@ func TestQuickAutoscalerInvariants(t *testing.T) {
 				t.Fatalf("trial %d: decode state leaked", trial)
 			}
 		}
-		// Active-count telemetry stays within [MinActive, instances].
+		// Active-count telemetry stays within [1, instances].
 		for _, e := range res.ScaleEvents {
 			if e.Active < 1 || e.Active > len(sys.decode) {
 				t.Fatalf("trial %d: active count %d out of range", trial, e.Active)

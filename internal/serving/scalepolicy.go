@@ -27,7 +27,7 @@ type ScaleSignals struct {
 	Active     int
 	Activating int
 	Reserves   int
-	// MinActive is the effective scale-in floor (clamped to the fleet size).
+	// MinActive is the scale-in floor: one truly-active instance.
 	MinActive int
 	// MaxBatch is the per-instance running-batch cap (Options.MaxDecodeBatch).
 	MaxBatch int

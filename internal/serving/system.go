@@ -315,9 +315,10 @@ func (s *System) attachTelemetry(h *telemetry.Hub) {
 	// Bind the critical-path collector before Attach so its tap observes the
 	// run's process_name metadata (it needs the pid→process mapping). The
 	// stage-share tracker rides the same finalize stream: it is the live
-	// window the online collective policy and the autoscaler act on.
+	// window the autoscaler reads into its signals. The online collective
+	// policy reads none of it.
 	s.crit = critpath.Bind(h)
-	s.shares = critpath.NewShareTracker(0)
+	s.shares = critpath.NewShareTracker()
 	s.crit.Analyzer.OnFinalize(s.shares.Observe)
 	h.Attach(s.eng.Now, s.opts.Policy.Name())
 	s.net.SetTelemetry(h)

@@ -4,7 +4,9 @@ import (
 	"testing"
 )
 
-// benchEngines pairs each front implementation with its constructor.
+// benchEngines pairs each front implementation with its constructor. The
+// fast front's label predates its slot heap (it was a timer wheel); it stays
+// so that test and benchmark names stay comparable across versions.
 var benchEngines = []struct {
 	name string
 	mk   func() *Engine
@@ -50,8 +52,8 @@ func BenchmarkEngineScheduleStep(b *testing.B) {
 
 // BenchmarkEngineCancelReschedule is a reschedule storm: cancel a block of
 // pending events and schedule replacements, then process one. The
-// reference heap pays O(log n) sifts per cancel; the wheel tombstones in
-// O(1) and amortizes cleanup into compaction.
+// reference heap pays O(log n) sifts per cancel; the fast front tombstones
+// in O(1) and amortizes cleanup into compaction.
 func BenchmarkEngineCancelReschedule(b *testing.B) {
 	const block = 64
 	for _, impl := range benchEngines {
@@ -190,8 +192,8 @@ func TestPostEachAllocs(t *testing.T) {
 					e.Run()
 				})
 			}
-			// Warm the queue's slices up first: the wheel grows a bucket the
-			// first time an event lands in it.
+			// Warm the engine up first: the measured runs reuse the heap
+			// slice grown here.
 			allocs(4096)
 			ran = 0
 			small, large := allocs(16), allocs(4096)

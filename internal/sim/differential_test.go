@@ -12,7 +12,7 @@ import (
 // pre-generated script and asserts they are indistinguishable: identical
 // callback sequences (timestamp bits and identity), identical
 // Processed/Pending/PendingWork counters after every step, identical clocks.
-// It pits the reference heap against the fast wheel, and a run that moves
+// It pits the reference heap against the fast front, and a run that moves
 // events with Reschedule against one that uses Cancel + Schedule.
 //
 // A script is a forest of event nodes generated up front from a seed, so
@@ -619,15 +619,67 @@ func (r *fuzzRun) rejectStream() {
 	r.eng.PostEach(len(ats), func(k int) Time { return ats[k] }, func(int) {})
 }
 
+// fuzzSeeds are the byte programs FuzzPostEach and FuzzFronts start from.
+var fuzzSeeds = [][]byte{
+	{0, 5, 1, 2, 3, 4, 0, 2, 3, 3, 1, 6, 0, 2, 1, 4, 0, 3, 5, 0, 6, 1, 5},
+	{1, 8, 7, 6, 5, 4, 3, 2, 1, 0, 2, 0, 4, 0, 5, 1, 0, 3, 0, 0, 0, 7, 3, 1, 2, 3, 4, 0, 1},
+	{0, 8, 3, 3, 3, 3, 3, 3, 3, 3, 2, 3, 3, 3, 0, 4, 0, 0, 0, 0, 6, 0, 0, 7, 2, 1, 1, 0, 1},
+}
+
+// fuzzLockstep runs a and b, two runs of one program, an op and a step at a
+// time, and requires the same callbacks, clock, counters and program
+// position after every op and every step. With stats it also requires the
+// same live and cancelled counts from QueueStats.
+func fuzzLockstep(t *testing.T, label string, a, b *fuzzRun, stats bool) {
+	t.Helper()
+	seen := 0 // log entries already compared
+	check := func(step int) {
+		t.Helper()
+		if a.badErr != "" || b.badErr != "" {
+			t.Fatalf("%s step %d: %s%s", label, step, a.badErr, b.badErr)
+		}
+		if math.Float64bits(a.eng.Now()) != math.Float64bits(b.eng.Now()) ||
+			a.eng.Processed() != b.eng.Processed() || a.eng.Pending() != b.eng.Pending() ||
+			a.eng.PendingWork() != b.eng.PendingWork() || a.pc != b.pc || a.bad != b.bad {
+			t.Fatalf("%s step %d: a now=%g processed=%d pending=%d work=%d pc=%d, b now=%g processed=%d pending=%d work=%d pc=%d",
+				label, step, a.eng.Now(), a.eng.Processed(), a.eng.Pending(), a.eng.PendingWork(), a.pc,
+				b.eng.Now(), b.eng.Processed(), b.eng.Pending(), b.eng.PendingWork(), b.pc)
+		}
+		if stats {
+			if qa, qb := a.eng.QueueStats(), b.eng.QueueStats(); qa.Live != qb.Live || qa.Cancelled != qb.Cancelled {
+				t.Fatalf("%s step %d: QueueStats a=%+v b=%+v", label, step, qa, qb)
+			}
+		}
+		if len(a.log) != len(b.log) {
+			t.Fatalf("%s step %d: %d callbacks in a, %d in b", label, step, len(a.log)/2, len(b.log)/2)
+		}
+		for k := seen; k < len(a.log); k++ {
+			if a.log[k] != b.log[k] {
+				t.Fatalf("%s step %d: callback log differs at %d: %v vs %v", label, step, k/2, a.log[k&^1:k&^1+2], b.log[k&^1:k&^1+2])
+			}
+		}
+		seen = len(a.log)
+	}
+	for step := 0; a.pc < len(a.prog) || a.eng.PendingWork() > 0; step++ {
+		a.exec()
+		b.exec()
+		check(step)
+		if sa, sb := a.eng.Step(), b.eng.Step(); sa != sb {
+			t.Fatalf("%s step %d: Step a=%v b=%v", label, step, sa, sb)
+		}
+		check(step)
+	}
+}
+
 // FuzzPostEach is TestDifferentialPostEach on programs decoded from fuzz
 // bytes: one run posts every stream with PostEach, the other with a Post
 // loop, next to scheduled, posted and daemon events, cancels and
 // reschedules, and the two must agree on every callback, the clock and the
 // counters after every op and every step, on both fronts.
 func FuzzPostEach(f *testing.F) {
-	f.Add([]byte{0, 5, 1, 2, 3, 4, 0, 2, 3, 3, 1, 6, 0, 2, 1, 4, 0, 3, 5, 0, 6, 1, 5})
-	f.Add([]byte{1, 8, 7, 6, 5, 4, 3, 2, 1, 0, 2, 0, 4, 0, 5, 1, 0, 3, 0, 0, 0, 7, 3, 1, 2, 3, 4, 0, 1})
-	f.Add([]byte{0, 8, 3, 3, 3, 3, 3, 3, 3, 3, 2, 3, 3, 3, 0, 4, 0, 0, 0, 0, 6, 0, 0, 7, 2, 1, 1, 0, 1})
+	for _, seed := range fuzzSeeds {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 512 {
 			prog = prog[:512]
@@ -635,38 +687,26 @@ func FuzzPostEach(f *testing.F) {
 		for _, impl := range benchEngines {
 			a := &fuzzRun{eng: impl.mk(), each: true, prog: prog}
 			b := &fuzzRun{eng: impl.mk(), prog: prog}
-			seen := 0 // log entries already compared
-			check := func(step int) {
-				t.Helper()
-				if a.badErr != "" || b.badErr != "" {
-					t.Fatalf("%s step %d: %s%s", impl.name, step, a.badErr, b.badErr)
-				}
-				if math.Float64bits(a.eng.Now()) != math.Float64bits(b.eng.Now()) ||
-					a.eng.Processed() != b.eng.Processed() || a.eng.Pending() != b.eng.Pending() ||
-					a.eng.PendingWork() != b.eng.PendingWork() || a.pc != b.pc || a.bad != b.bad {
-					t.Fatalf("%s step %d: PostEach now=%g processed=%d pending=%d work=%d pc=%d, Post loop now=%g processed=%d pending=%d work=%d pc=%d",
-						impl.name, step, a.eng.Now(), a.eng.Processed(), a.eng.Pending(), a.eng.PendingWork(), a.pc,
-						b.eng.Now(), b.eng.Processed(), b.eng.Pending(), b.eng.PendingWork(), b.pc)
-				}
-				if len(a.log) != len(b.log) {
-					t.Fatalf("%s step %d: %d callbacks with PostEach, %d with the Post loop", impl.name, step, len(a.log)/2, len(b.log)/2)
-				}
-				for k := seen; k < len(a.log); k++ {
-					if a.log[k] != b.log[k] {
-						t.Fatalf("%s step %d: callback log differs at %d: %v vs %v", impl.name, step, k/2, a.log[k&^1:k&^1+2], b.log[k&^1:k&^1+2])
-					}
-				}
-				seen = len(a.log)
-			}
-			for step := 0; a.pc < len(prog) || a.eng.PendingWork() > 0; step++ {
-				a.exec()
-				b.exec()
-				check(step)
-				if sa, sb := a.eng.Step(), b.eng.Step(); sa != sb {
-					t.Fatalf("%s step %d: Step PostEach=%v Post loop=%v", impl.name, step, sa, sb)
-				}
-				check(step)
-			}
+			fuzzLockstep(t, impl.name+": PostEach (a) vs Post loop (b)", a, b, false)
 		}
+	})
+}
+
+// FuzzFronts is TestDifferentialEngines on programs decoded from fuzz bytes:
+// the reference engine and the fast one run the same program — streams,
+// posts, schedules, daemons, cancels and reschedules — and must agree on
+// every callback, the clock, the counters and the live and cancelled queue
+// counts after every op and every step.
+func FuzzFronts(f *testing.F) {
+	for _, seed := range fuzzSeeds {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 512 {
+			prog = prog[:512]
+		}
+		a := &fuzzRun{eng: NewReferenceEngine(), each: true, prog: prog}
+		b := &fuzzRun{eng: NewEngine(), each: true, prog: prog}
+		fuzzLockstep(t, "reference (a) vs fast (b)", a, b, true)
 	})
 }

@@ -123,8 +123,8 @@ func TestPendingWorkWithDaemonsUnderLazyCancel(t *testing.T) {
 	}
 }
 
-// Property: for any random schedule with random cancellations, the heap and
-// wheel fronts execute the same number of events (and end at the same
+// Property: for any random schedule with random cancellations, the reference
+// and fast fronts execute the same number of events (and end at the same
 // clock).
 func TestProcessedEquivalenceAcrossFronts(t *testing.T) {
 	f := func(raw []uint16, cancelMask []bool) bool {
@@ -152,9 +152,9 @@ func TestProcessedEquivalenceAcrossFronts(t *testing.T) {
 	}
 }
 
-// A cancel storm must trigger wheel compaction without losing order or
-// counters: schedule many, cancel almost all, survivors fire in order.
-func TestWheelCompactionUnderCancelStorm(t *testing.T) {
+// A cancel storm must trigger compaction without losing order or counters:
+// schedule many, cancel almost all, survivors fire in order.
+func TestCompactionUnderCancelStorm(t *testing.T) {
 	e := NewEngine()
 	const n = 20000
 	var events []*Event

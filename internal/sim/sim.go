@@ -8,15 +8,14 @@
 // reproducible.
 //
 // Two queue implementations back the engine. NewEngine returns the fast
-// path: cancellation is lazy (a tombstone, discarded when the event
-// surfaces, instead of an O(log n) heap sift per Cancel) and near-future
-// events live in a bucketed window that is sorted one bucket at a time, with
-// a binary heap holding only the far future. NewReferenceEngine returns the
-// original pure-heap implementation with eager removal. Both pop events in
-// exactly the same (time, FIFO) order — internal/sim/differential_test.go
-// locksteps them over long randomized scripts — so they are behaviorally
-// interchangeable; the reference path exists as the equivalence oracle and
-// benchmark baseline.
+// path: a hand-rolled binary heap of value slots, where cancellation is lazy
+// (a tombstone, discarded when the event surfaces, instead of an O(log n)
+// sift out of the middle of the heap per Cancel). NewReferenceEngine returns
+// the original container/heap implementation with eager removal. Both pop
+// events in exactly the same (time, FIFO) order — differential_test.go
+// locksteps them over long randomized scripts, and FuzzFronts over fuzzed
+// programs — so they are behaviorally interchangeable; the reference path
+// exists as the equivalence oracle and benchmark baseline.
 //
 // Reschedule re-arms an existing Event instead of allocating a new one, so
 // code that keeps moving one deadline (netsim's completion timer) queues
@@ -137,29 +136,19 @@ type front interface {
 }
 
 // QueueStats is a point-in-time snapshot of the event queue's internals, the
-// raw material of the performance observatory (internal/telemetry/perf). On
-// the reference heap the window fields are zero and every queued event counts
-// as a far event; tombstone and compaction fields are wheel-only by
-// construction (the heap removes eagerly).
+// raw material of the performance observatory (internal/telemetry/perf). The
+// tombstone and compaction fields are zero on the reference heap by
+// construction: it removes eagerly.
 type QueueStats struct {
 	// Live is the number of queued, not-cancelled events.
 	Live int
-	// Tombstones is the number of cancelled events still occupying queue
-	// slots (lazy cancellation, wheel front only).
+	// Tombstones is the number of cancelled or rescheduled events' stale
+	// slots still in the queue (lazy cancellation, fast front only).
 	Tombstones int
 	// Cancelled counts every cancellation the front has absorbed.
 	Cancelled uint64
-	// Compactions counts tombstone-compaction passes (wheel front only).
+	// Compactions counts tombstone-compaction passes (fast front only).
 	Compactions uint64
-	// WindowEvents is the number of events (tombstones included) resident in
-	// the near-future window: the current sorted run plus its buckets.
-	WindowEvents int
-	// FarEvents is the number of events in the far-future heap.
-	FarEvents int
-	// BucketsOccupied is the number of non-empty undrained window buckets.
-	BucketsOccupied int
-	// MaxBucket is the largest undrained bucket's event count.
-	MaxBucket int
 }
 
 // Profiler receives the engine's self-profiling callbacks. BeginEvent runs
@@ -219,11 +208,7 @@ func (f *heapFront) reschedule(e *Event, queued bool) {
 }
 
 func (f *heapFront) stats() QueueStats {
-	return QueueStats{
-		Live:      len(f.q),
-		Cancelled: f.cancelled,
-		FarEvents: len(f.q),
-	}
+	return QueueStats{Live: len(f.q), Cancelled: f.cancelled}
 }
 
 // Engine is a discrete-event simulator. The zero value is not usable; call
@@ -256,7 +241,7 @@ const maxFree = 4096
 // NewEngine returns an engine with the clock at zero and an empty queue,
 // backed by the fast lazy-cancellation queue.
 func NewEngine() *Engine {
-	return &Engine{front: newWheelFront()}
+	return &Engine{front: &lazyFront{}}
 }
 
 // NewReferenceEngine returns an engine backed by the original binary-heap

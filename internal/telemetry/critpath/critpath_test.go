@@ -973,7 +973,7 @@ func TestWarmFinalizeAllocatesOnlyItsMaps(t *testing.T) {
 	const k = 8
 	evs := decodeStream(1, k, 64)
 	a := New()
-	a.OnFinalize(NewShareTracker(4).Observe)
+	a.OnFinalize(NewShareTracker().Observe)
 	for i := 0; i < 3; i++ {
 		replay(a, evs)
 	}

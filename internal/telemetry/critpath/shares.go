@@ -10,13 +10,12 @@ package critpath
 // (itself deterministic under the event loop) and resolves ties in canonical
 // stage order, so same-seed runs see identical dominants.
 type ShareTracker struct {
-	window int
-	ring   [][]stageMass // per-request TTFT masses, stage-sorted
-	next   int
-	count  int
-	sums   map[string]float64
-	total  float64
-	order  []string // scratch: a stage map's keys in canonical order
+	ring  [shareWindow][]stageMass // per-request TTFT masses, stage-sorted
+	next  int
+	count int
+	sums  map[string]float64
+	total float64
+	order []string // scratch: a stage map's keys in canonical order
 
 	// The last Dominant answer, valid until the next Observe.
 	dom      string
@@ -29,17 +28,14 @@ type stageMass struct {
 	sec   float64
 }
 
-// NewShareTracker returns a tracker over the last window finalized requests
-// (window <= 0 selects the default of 32).
-func NewShareTracker(window int) *ShareTracker {
-	if window <= 0 {
-		window = 32
-	}
-	return &ShareTracker{
-		window: window,
-		ring:   make([][]stageMass, window),
-		sums:   make(map[string]float64),
-	}
+// shareWindow is the number of most recently finalized requests a
+// ShareTracker holds.
+const shareWindow = 32
+
+// NewShareTracker returns a tracker over the last shareWindow finalized
+// requests.
+func NewShareTracker() *ShareTracker {
+	return &ShareTracker{sums: make(map[string]float64)}
 }
 
 // Observe folds one finalized request into the window, evicting the oldest
@@ -64,8 +60,8 @@ func (t *ShareTracker) Observe(b Breakdown) {
 	}
 	t.ring[t.next] = entry
 	t.domValid = false
-	t.next = (t.next + 1) % t.window
-	if t.count < t.window {
+	t.next = (t.next + 1) % shareWindow
+	if t.count < shareWindow {
 		t.count++
 	}
 }
@@ -89,8 +85,8 @@ func (t *ShareTracker) Share(stage string) float64 {
 
 // Dominant returns the stage carrying the largest share of windowed TTFT
 // mass and that share; ("", 0) while the window is empty. Ties break in
-// canonical stage order. The answer is computed once per Observe: the online
-// policy asks on every pick. Nil-safe.
+// canonical stage order. The answer is computed once per Observe and reused
+// until the next. Nil-safe.
 func (t *ShareTracker) Dominant() (string, float64) {
 	if t == nil {
 		return "", 0

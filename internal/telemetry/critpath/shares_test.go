@@ -7,7 +7,7 @@ import (
 )
 
 func TestShareTrackerDominantAndEviction(t *testing.T) {
-	tr := NewShareTracker(2)
+	tr := NewShareTracker()
 	if d, s := tr.Dominant(); d != "" || s != 0 {
 		t.Fatalf("empty tracker dominant = %q,%g", d, s)
 	}
@@ -22,10 +22,17 @@ func TestShareTrackerDominantAndEviction(t *testing.T) {
 	if d, s := tr.Dominant(); d != StagePrefillCompute || s != 6.0/9.0 {
 		t.Errorf("dominant = %q,%g, want prefill-compute,2/3", d, s)
 	}
-	// The window holds two requests: a third evicts the queue-heavy first.
+	// Fill the window: the queue-heavy first request is still in it.
+	for tr.Len() < shareWindow {
+		tr.Observe(Breakdown{TTFTStages: map[string]float64{StagePrefillCompute: 1}})
+	}
+	if s := tr.Share(StageQueue); s != 3.0/39.0 {
+		t.Errorf("queue share in a full window = %g, want 3/39", s)
+	}
+	// The 33rd request evicts the first.
 	tr.Observe(Breakdown{TTFTStages: map[string]float64{StagePrefillCompute: 1}})
-	if tr.Len() != 2 {
-		t.Errorf("len = %d, want 2", tr.Len())
+	if tr.Len() != shareWindow {
+		t.Errorf("len = %d, want %d", tr.Len(), shareWindow)
 	}
 	if s := tr.Share(StageQueue); s != 0 {
 		t.Errorf("queue share after eviction = %g, want 0", s)
@@ -49,15 +56,21 @@ func TestShareTrackerNilSafety(t *testing.T) {
 // TestShareTrackerDominantMemo: over a seeded random interleaving of Observe
 // and Dominant, the memoized answer equals an uncached recomputation on the
 // same window every time. Masses are small integers so ties are common (they
-// break in canonical stage order), and zero-mass requests drain the window
-// to empty. A warm Dominant allocates nothing.
+// break in canonical stage order), and runs of a window's worth of zero-mass
+// requests drain the window to empty. A warm Dominant allocates nothing.
 func TestShareTrackerDominantMemo(t *testing.T) {
 	stages := []string{"zz-custom", StageDecodeCompute, StageKVTransfer, StageAllReduce("ring"), StagePrefillCompute, StageQueue}
 	rng := rand.New(rand.NewSource(5))
-	tr := NewShareTracker(4)
+	tr := NewShareTracker()
 	ties, empties := 0, 0
 	for step := 0; step < 2000; step++ {
-		if rng.Intn(3) == 0 {
+		switch rng.Intn(8) {
+		case 0:
+			for i := 0; i < shareWindow; i++ {
+				tr.Observe(Breakdown{TTFTStages: map[string]float64{StageQueue: 0}})
+			}
+			continue
+		case 1, 2:
 			m := map[string]float64{}
 			for _, s := range stages {
 				if rng.Intn(3) == 0 {

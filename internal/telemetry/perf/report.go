@@ -33,9 +33,6 @@ type QueueReport struct {
 	Final          sim.QueueStats `json:"final"`
 	PeakLive       int            `json:"peak_live"`
 	PeakTombstones int            `json:"peak_tombstones"`
-	PeakWindow     int            `json:"peak_window_events"`
-	PeakFar        int            `json:"peak_far_events"`
-	PeakBucket     int            `json:"peak_bucket_events"`
 }
 
 // HistBucket is one bucket of the component-size histogram: Count
@@ -128,9 +125,6 @@ func (s *Sampler) Report(system string) *Report {
 	r.Queue = QueueReport{
 		PeakLive:       s.peakLive,
 		PeakTombstones: s.peakTombstones,
-		PeakWindow:     s.peakWindow,
-		PeakFar:        s.peakFar,
-		PeakBucket:     s.peakBucket,
 	}
 	if s.eng != nil {
 		r.Queue.Final = s.eng.QueueStats()
@@ -202,8 +196,7 @@ func (r *Report) Fprint(w io.Writer) error {
 	}
 
 	q := r.Queue
-	fmt.Fprintf(&b, "event queue: peak live %d (window %d, far %d, max bucket %d), peak tombstones %d\n",
-		q.PeakLive, q.PeakWindow, q.PeakFar, q.PeakBucket, q.PeakTombstones)
+	fmt.Fprintf(&b, "event queue: peak live %d, peak tombstones %d\n", q.PeakLive, q.PeakTombstones)
 	fmt.Fprintf(&b, "  lifetime: %d cancels, %d compactions\n", q.Final.Cancelled, q.Final.Compactions)
 
 	n := r.Netsim
@@ -252,9 +245,6 @@ func (r *Report) Series() map[string]float64 {
 		"phases.self_seconds":         r.Phases.SelfSeconds,
 		"queue.peak_live":             float64(r.Queue.PeakLive),
 		"queue.peak_tombstones":       float64(r.Queue.PeakTombstones),
-		"queue.peak_window_events":    float64(r.Queue.PeakWindow),
-		"queue.peak_far_events":       float64(r.Queue.PeakFar),
-		"queue.peak_bucket_events":    float64(r.Queue.PeakBucket),
 		"netsim.reallocs":             float64(r.Netsim.Reallocs),
 		"netsim.mean_component_flows": r.Netsim.MeanCompFlows,
 		"netsim.max_component_flows":  float64(r.Netsim.MaxCompFlows),

@@ -98,9 +98,6 @@ type Sampler struct {
 	// Queue high-water marks, observed at sample boundaries.
 	peakLive       int
 	peakTombstones int
-	peakWindow     int
-	peakFar        int
-	peakBucket     int
 
 	// Water-filling accounting. Counts cover every reallocation; timing only
 	// the ones that land inside a sampled event.
@@ -191,15 +188,6 @@ func (s *Sampler) boundary(t int64) {
 		}
 		if st.Tombstones > s.peakTombstones {
 			s.peakTombstones = st.Tombstones
-		}
-		if st.WindowEvents > s.peakWindow {
-			s.peakWindow = st.WindowEvents
-		}
-		if st.FarEvents > s.peakFar {
-			s.peakFar = st.FarEvents
-		}
-		if st.MaxBucket > s.peakBucket {
-			s.peakBucket = st.MaxBucket
 		}
 	}
 

@@ -60,8 +60,10 @@ go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/netsim ./inte
 # against the full scan: the same switch, its delay bit for bit, ties
 # included. The engine's streamed posts (PostEach) are a differential
 # against the Post loop they stand for, on both event queues: the same
-# callbacks, clock and counters after every op and step. Its minimization
-# is capped too.
+# callbacks, clock and counters after every op and step. The fast event
+# queue is a differential against the reference heap on the same programs
+# (FuzzFronts), live and cancelled queue counts included. Both have their
+# minimization capped too.
 echo "== fuzz"
 go test -run '^$' -fuzz '^FuzzReallocate$' -fuzztime 10s ./internal/netsim
 go test -run '^$' -fuzz '^FuzzPartition$' -fuzztime 10s ./internal/telemetry/critpath
@@ -75,6 +77,7 @@ go test -run '^$' -fuzz '^FuzzParseRules$' -fuzztime 10s ./internal/telemetry/sl
 go test -run '^$' -fuzz '^FuzzFromTrace$' -fuzztime 10s -fuzzminimizetime 1s ./internal/telemetry/critpath
 go test -run '^$' -fuzz '^FuzzBestAggSwitch$' -fuzztime 10s ./internal/collective
 go test -run '^$' -fuzz '^FuzzPostEach$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
+go test -run '^$' -fuzz '^FuzzFronts$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 
 # The benchmark under bench/ is a module of its own, so the root go test
 # does not enter it. Its tests cover the statistics, the input seeds, a
@@ -226,7 +229,7 @@ GOLDEN_DIFF_DIR="$ART/golden-diff" scripts/golden.sh check
 # Fast-vs-reference equivalence gate: the same matrix run by a serve built
 # with -tags refpaths, which selects the reference simulator paths, must hit
 # the SAME goldens. A failure here means the incremental water-filling or the
-# timer-wheel event queue diverged behaviourally from its reference
+# lazy-cancellation event queue diverged behaviourally from its reference
 # implementation.
 echo "== golden metrics (reference simulator paths)"
 GOLDEN_DIFF_DIR="$ART/golden-ref-diff" scripts/golden.sh refcheck

@@ -10,7 +10,7 @@
 #   scripts/golden.sh refcheck # same matrix with serve built -tags refpaths,
 #                              # which runs the reference simulator paths;
 #                              # must match the SAME goldens — proving the
-#                              # fast incremental water-filling and timer-wheel
+#                              # fast incremental water-filling and lazy
 #                              # event queue are behaviourally identical
 #   scripts/golden.sh regen    # refresh testdata/golden/ after an
 #                              # INTENTIONAL behaviour change (review the diff!)

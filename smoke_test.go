@@ -170,6 +170,7 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"hstat", []string{"decisions", "-diff", "-tsv", ledger, ledger}},
 		{"hstat", []string{"decisions", "-diff", "-regret", ledger, ledger}},
 		{"hstat", []string{"trace", "-diff", "-top", "10", spans, spans}},
+		{"hstat", []string{"trace", "-top", "-1", spans}},
 		{"hstat", []string{"diff", dir}},
 		{"hstat", []string{"diff", "-tsv", dir, dir}},
 		{"hstat", []string{"diff", truncated, dir}},
