@@ -133,8 +133,8 @@ func main() {
 			// OnRun runs on the sweep goroutine after each serving run, so
 			// publishing the hub from it is race-free (see telemetry.Server).
 			env.OnRun = func(run telemetry.RunSummary) {
-				// Publish before AddRun so the run's /runs/diff snapshot
-				// includes its own final metrics.
+				// Publish before AddRun so /metrics holds the run's final
+				// numbers once /runs lists it.
 				if err := srv.PublishHub(env.Hub); err != nil {
 					fmt.Fprintf(os.Stderr, "heroserve: publish: %v\n", err)
 				}

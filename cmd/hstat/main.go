@@ -1,7 +1,7 @@
-// Command hstat reads the telemetry artifacts of a run bundle (serve -out)
-// and the daemon's documents: span traces (spans.json, /trace), SLO alert
-// logs (alerts.json, /alerts), decision ledgers (decisions.json, /decisions)
-// and perf reports (perf.json, /perf).
+// Command hstat reads the telemetry artifacts of a run bundle (serve -out),
+// which the daemon serves byte for byte: span traces (spans.json, /trace),
+// SLO alert logs (alerts.json, /alerts), decision ledgers (decisions.json,
+// /decisions) and perf reports (perf.json, /perf).
 //
 // Usage:
 //
@@ -14,7 +14,7 @@
 //
 // Each argument is a bundle directory, whose file of that kind is read, or a
 // file; "-" reads standard input. Every diff reduces each artifact to named
-// series and joins them with telemetry.DiffSeries, the join /runs/diff uses.
+// series and joins them with telemetry.DiffSeries.
 // Bad input (an unknown kind, a wrong file count, a missing or malformed
 // file, a view flag given with -diff) prints one "hstat: ..." line and exits
 // 2. Output is deterministic for deterministic artifacts, so the golden gate
@@ -109,7 +109,7 @@ var kinds = map[string]kind{
 				return err
 			}
 			if o.rule != "" || o.state != "" {
-				log = log.Filter(o.state, o.rule, 0, 0)
+				log = log.Filter(o.state, o.rule)
 			}
 			switch {
 			case o.tsv:

@@ -17,20 +17,20 @@
 // report). `hstat <kind> run/` reads any of them.
 //
 // Daemon mode keeps a live observability plane up while the simulation runs
-// (and after it finishes, until interrupted): /metrics serves the Prometheus
-// exposition, /healthz liveness (degraded while SLO alerts fire), /runs the
-// completed-run summaries as JSON, /decisions the counterfactual decision
-// ledger, /alerts the SLO alert log, /perf the simulator's self-profiling
-// report, and /trace the current trace snapshot.
-// With -daemon, -system accepts a comma-separated list replayed sequentially
-// against the same trace:
+// (and after it finishes, until interrupted). Every -publish-every simulated
+// seconds it refreshes the cheap snapshots: /metrics (the Prometheus
+// exposition), /trace (the span stream so far) and /healthz (liveness,
+// degraded while SLO alerts fire). /runs lists the completed runs. /decisions,
+// /alerts and /perf serve the latest completed run's documents: each is
+// rendered once, at run end, and the daemon serves the very bytes the -out
+// bundle writes. With -daemon, -system accepts a comma-separated list
+// replayed sequentially against the same trace:
 //
 //	serve -trace trace.json -daemon -listen :9090 -system heroserve,distserve
 //	curl localhost:9090/metrics
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -70,10 +70,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	out := flag.String("out", "", "write the run bundle (spans, metrics, decisions, alerts, perf; hstat-readable) to this directory")
 	sloRules := flag.String("slo-rules", "default", "SLO alert rules: default (keyed off -ttft/-tpot) | off | <rules.json>")
-	maxRuns := flag.Int("max-runs", 0, "daemon: retain only the newest N completed runs (0 = unbounded)")
-	maxDecisions := flag.Int("max-decisions", 0, "retain only the newest N decision-ledger records per kind (0 = unbounded)")
-	maxAlerts := flag.Int("max-alerts", 0, "retain only the newest N resolved alerts (0 = unbounded)")
-	daemon := flag.Bool("daemon", false, "serve /metrics /healthz /runs /trace over HTTP and stay up after the run")
+	daemon := flag.Bool("daemon", false, "serve /metrics /healthz /runs /trace and the run documents over HTTP and stay up after the run")
 	listen := flag.String("listen", ":9090", "daemon listen address")
 	publishEvery := flag.Float64("publish-every", 5, "daemon metrics-snapshot cadence in simulated seconds")
 	pprofFlag := flag.Bool("pprof", false, "daemon: expose net/http/pprof under /debug/pprof/ (off by default)")
@@ -120,9 +117,6 @@ func main() {
 	}
 	if _, perr := serving.NewScalePolicy(*scalePolicy); perr != nil {
 		usagef("%v", perr)
-	}
-	if *maxRuns < 0 || *maxDecisions < 0 || *maxAlerts < 0 {
-		usagef("retention caps must be >= 0")
 	}
 	if *pprofFlag && !*daemon {
 		usagef("-pprof requires -daemon (it mounts on the daemon mux)")
@@ -192,15 +186,14 @@ func main() {
 	// is meaningful without any extra configuration.
 	var sloCfg *slo.Config
 	if hub != nil && *sloRules != "off" {
-		sloCfg = &slo.Config{Rules: rules, MaxResolved: *maxAlerts}
+		sloCfg = &slo.Config{Rules: rules}
 	}
 	var srv *telemetry.Server
 	if *daemon {
 		srv = telemetry.NewServer()
-		srv.SetMaxRuns(*maxRuns)
-		decisions.InstallDecisions(srv)
-		slo.InstallAlerts(srv)
-		perf.InstallPerf(srv)
+		for _, d := range docs {
+			srv.HandleDoc(d.route, d.noun)
+		}
 		if *pprofFlag {
 			perf.InstallPprof(srv)
 		}
@@ -221,7 +214,7 @@ func main() {
 		runSystem(s, in, trace, art, runParams{
 			sla: sla, autoscale: *autoscale, scalePolicy: *scalePolicy,
 			elephants: *elephants, seed: *seed, publishEvery: *publishEvery,
-			slo: sloCfg, ledgerCap: *maxDecisions,
+			slo: sloCfg,
 		})
 	}
 
@@ -250,13 +243,13 @@ type runParams struct {
 	seed         int64
 	publishEvery float64
 	slo          *slo.Config
-	ledgerCap    int
 }
 
 // runSystem plans, builds, and replays the trace through one system,
-// printing its summary and writing its documents into the bundle. With a
-// daemon server attached it also schedules periodic sim-time snapshot
-// publications and records the run for /runs. art is nil without telemetry.
+// printing its summary and rendering its documents once into the bundle and
+// the daemon. With a daemon server attached it also schedules periodic
+// sim-time snapshot publications and records the run for /runs. art is nil
+// without telemetry.
 func runSystem(s core.System, in planner.Inputs, trace *workload.Trace, art *telemetry.Artifacts, p runParams) {
 	var opts serving.Options
 	if p.autoscale {
@@ -269,19 +262,16 @@ func runSystem(s core.System, in planner.Inputs, trace *workload.Trace, art *tel
 	}
 	var hub *telemetry.Hub
 	var srv *telemetry.Server
-	// The performance observatory: one sampler per run (wall-clock state is
-	// run-scoped), armed whenever its output has somewhere to go.
+	// The performance observatory: one sampler per telemetered run
+	// (wall-clock state is run-scoped).
 	var sampler *perf.Sampler
 	if art != nil {
 		hub, srv = art.Hub, art.Server
 		opts.Telemetry = hub
 		opts.SLA = &p.sla
 		opts.SLO = p.slo
-		opts.LedgerCap = p.ledgerCap
-		if art.Dir != "" || srv != nil {
-			sampler = perf.NewSampler(0)
-			opts.Perf = sampler
-		}
+		sampler = perf.NewSampler(0)
+		opts.Perf = sampler
 	}
 
 	name := s.Name
@@ -300,10 +290,7 @@ func runSystem(s core.System, in planner.Inputs, trace *workload.Trace, art *tel
 		// Periodic snapshots ride the event loop itself: callbacks run on the
 		// simulation goroutine, so rendering the registry there is race-free,
 		// and scrapers see fresh numbers while the run is still in flight.
-		observeEvery(sys, p.publishEvery, func() {
-			srv.PublishHub(hub)
-			publishDocs(srv, sys, sampler, name)
-		})
+		observeEvery(sys, p.publishEvery, func() { publishLive(srv, hub, sys) })
 	}
 
 	res := sys.Run(trace)
@@ -344,31 +331,18 @@ func runSystem(s core.System, in planner.Inputs, trace *workload.Trace, art *tel
 	if al := res.Alerts; al != nil {
 		fmt.Printf("alerts: %s (hstat alerts for the timeline)\n", al)
 	}
+	var report *perf.Report
 	if sampler != nil {
-		r := sampler.Report(name)
+		report = sampler.Report(name)
 		fmt.Printf("perf: %.3g events/s, %.4g wall-seconds per sim-second; realloc=%.4gs self=%.1f%%\n",
-			r.EventsPerSec, r.WallPerSim, r.Phases.ReallocSeconds, r.Phases.SelfFraction*100)
+			report.EventsPerSec, report.WallPerSim, report.Phases.ReallocSeconds, report.Phases.SelfFraction*100)
 	}
 	if art != nil {
-		for _, d := range runDocs(sys, sampler, name) {
-			if err := art.Export(d.file, d.write); err != nil {
-				fatalf("export: %v", err)
-			}
-		}
+		publishDocs(art, sys, report)
 	}
 	if srv != nil {
-		// Publish before AddRun so the run's /runs/diff snapshot includes its
-		// own final metrics.
-		if err := srv.PublishHub(hub); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: daemon publish: %v\n", err)
-		}
-		publishDocs(srv, sys, sampler, name)
-		evicted := srv.AddRun(run)
-		if evicted > 0 {
-			hub.Metrics.Counter("telemetry_evictions_total",
-				"Telemetry records dropped by retention caps, by kind.",
-				[]string{"kind"}, "run").Add(float64(evicted))
-		}
+		publishLive(srv, hub, sys)
+		srv.AddRun(run)
 	}
 }
 
@@ -387,42 +361,53 @@ func observeEvery(sys *serving.System, every float64, observe func()) {
 	eng.AfterDaemon(every, tick)
 }
 
-// runDoc is one per-run document: the daemon route that serves it, its file
-// in the -out bundle, and its writer.
-type runDoc struct {
-	route, file string
-	write       func(io.Writer) error
+// docs are the per-run documents: the decision ledger, the SLO alert log
+// and the perf report, each with the daemon route that serves it, its file
+// in the -out bundle and the noun of its route's 404.
+var docs = [...]struct{ route, file, noun string }{
+	{decisions.Route, decisions.File, "decision ledger"},
+	{slo.Route, slo.File, "alert log"},
+	{perf.Route, perf.File, "perf report"},
 }
 
-// runDocs lists the run's documents: the decision ledger, the SLO alert log
-// while a monitor is armed, and the perf report while the sampler is. The
-// same list feeds the daemon and the bundle. Each call renders the run as it
-// stands, so a mid-run call lists live snapshots.
-func runDocs(sys *serving.System, sampler *perf.Sampler, system string) []runDoc {
-	var docs []runDoc
+// docWriters returns the writer of each of docs for the finished run, nil
+// where the run keeps no such document: the ledger and the alert log exist
+// while telemetry and a monitor are armed, the perf report while the sampler
+// is.
+func docWriters(sys *serving.System, report *perf.Report) (w [len(docs)]func(io.Writer) error) {
 	if led := sys.DecisionLedger(); led != nil {
-		docs = append(docs, runDoc{decisions.Route, decisions.File, led.WriteJSON})
+		w[0] = led.WriteJSON
 	}
 	if mon := sys.SLOMonitor(); mon != nil {
-		docs = append(docs, runDoc{slo.Route, slo.File, mon.WriteLog})
+		w[1] = mon.WriteLog
 	}
-	if sampler != nil {
-		docs = append(docs, runDoc{perf.Route, perf.File, sampler.Report(system).WriteJSON})
+	if report != nil {
+		w[2] = report.WriteJSON
 	}
-	return docs
+	return w
 }
 
-// publishDocs publishes the run's documents on their daemon routes, plus the
-// /healthz firing roll-up. Like PublishHub it runs on the simulation
-// goroutine; mid-run calls publish live in-flight snapshots.
-func publishDocs(srv *telemetry.Server, sys *serving.System, sampler *perf.Sampler, system string) {
-	for _, d := range runDocs(sys, sampler, system) {
-		var buf bytes.Buffer
-		if err := d.write(&buf); err != nil {
-			fmt.Fprintf(os.Stderr, "serve: %s publish: %v\n", d.route, err)
+// publishDocs renders each of the finished run's documents once, into the
+// bundle and onto the daemon's route. It runs once per run, at its end, on
+// the simulation goroutine.
+func publishDocs(art *telemetry.Artifacts, sys *serving.System, report *perf.Report) {
+	for i, write := range docWriters(sys, report) {
+		if write == nil {
 			continue
 		}
-		srv.Publish(d.route, buf.Bytes())
+		if err := art.Export(docs[i].file, docs[i].route, write); err != nil {
+			fatalf("export: %v", err)
+		}
+	}
+}
+
+// publishLive publishes the daemon's cheap snapshots: the metrics and the
+// span stream so far (PublishHub) and the /healthz alert roll-up. Like
+// PublishHub it runs on the simulation goroutine: on every tick and once at
+// run end.
+func publishLive(srv *telemetry.Server, hub *telemetry.Hub, sys *serving.System) {
+	if err := srv.PublishHub(hub); err != nil {
+		fmt.Fprintf(os.Stderr, "serve: daemon publish: %v\n", err)
 	}
 	if mon := sys.SLOMonitor(); mon != nil {
 		worst := ""

@@ -275,9 +275,6 @@ type Options struct {
 	// daemon event every Config.Every sim-seconds, and the run's alert log
 	// lands in Results.Alerts (full log via SLOMonitor).
 	SLO *slo.Config
-	// LedgerCap bounds the decision ledger to the newest N records per kind
-	// (0 = unbounded); evictions bump telemetry_evictions_total{kind}.
-	LedgerCap int
 
 	// Perf, when non-nil, arms the performance observatory on this run: the
 	// sampler is installed as the engine's profiler and netsim's realloc

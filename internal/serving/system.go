@@ -297,21 +297,6 @@ func (s *System) attachTelemetry(h *telemetry.Hub) {
 	// choice (collective-scheme picks via the CommPolicy, scale decisions via
 	// the autoscaler) appends its counterfactual record here.
 	s.ledger = decisions.NewLedger()
-	if s.opts.LedgerCap > 0 {
-		s.ledger.SetCap(s.opts.LedgerCap)
-		help := "Telemetry records dropped by retention caps, by kind."
-		evict := map[string]*telemetry.Counter{
-			decisions.KindCollective: h.Metrics.Counter("telemetry_evictions_total",
-				help, []string{"kind"}, decisions.KindCollective),
-			decisions.KindScale: h.Metrics.Counter("telemetry_evictions_total",
-				help, []string{"kind"}, decisions.KindScale),
-		}
-		s.ledger.SetOnEvict(func(kind string, n int) {
-			if c := evict[kind]; c != nil {
-				c.Add(float64(n))
-			}
-		})
-	}
 	// Bind the critical-path collector before Attach so its tap observes the
 	// run's process_name metadata (it needs the pid→process mapping). The
 	// stage-share tracker rides the same finalize stream: it is the live

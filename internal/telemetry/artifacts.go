@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -94,25 +95,46 @@ func (a *Artifacts) closeTrace() error {
 	return err
 }
 
-// Export writes one document of the bundle, Dir/file, and reports it on
-// Status. Without a Dir it writes nothing.
-func (a *Artifacts) Export(file string, write func(io.Writer) error) error {
-	if a.Dir == "" {
+// Export renders one document of the run, once, and hands the same bytes to
+// both readers: the bundle's Dir/file and, with a Server and a route, the
+// daemon, which serves them on route (Server.Publish). The bundle file is
+// streamed, so a run without a daemon never holds the document in memory.
+// It reports the file on Status. Without a Dir or a daemon route it renders
+// nothing.
+func (a *Artifacts) Export(file, route string, write func(io.Writer) error) error {
+	var sinks []io.Writer
+	var f *os.File
+	if a.Dir != "" {
+		var err error
+		if f, err = os.Create(filepath.Join(a.Dir, file)); err != nil {
+			return err
+		}
+		sinks = append(sinks, f)
+	}
+	var doc bytes.Buffer
+	publish := a.Server != nil && route != ""
+	if publish {
+		sinks = append(sinks, &doc)
+	}
+	if len(sinks) == 0 {
 		return nil
 	}
-	path := filepath.Join(a.Dir, file)
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	if err := write(io.MultiWriter(sinks...)); err != nil {
+		if f != nil {
+			f.Close()
+		}
+		return fmt.Errorf("%s: %w", file, err)
 	}
-	if err := write(f); err != nil {
-		f.Close()
-		return fmt.Errorf("%s: %w", path, err)
+	if publish {
+		a.Server.Publish(route, doc.Bytes())
+	}
+	if f == nil {
+		return nil
 	}
 	if err := f.Close(); err != nil {
 		return err
 	}
-	fmt.Fprintf(a.Status, "wrote %s\n", path)
+	fmt.Fprintf(a.Status, "wrote %s\n", f.Name())
 	return nil
 }
 
@@ -128,10 +150,10 @@ func (a *Artifacts) Finish() error {
 		return fmt.Errorf("trace export: %w", err)
 	}
 	fmt.Fprintf(a.Status, "streamed %d trace events to %s\n", a.Hub.Trace.Len(), a.traceFile.Name())
-	if err := a.Export(PromFile, a.Hub.Metrics.WriteProm); err != nil {
+	if err := a.Export(PromFile, "", a.Hub.Metrics.WriteProm); err != nil {
 		return fmt.Errorf("metrics export: %w", err)
 	}
-	if err := a.Export(OpenMetricsFile, a.Hub.Metrics.WriteOpenMetrics); err != nil {
+	if err := a.Export(OpenMetricsFile, "", a.Hub.Metrics.WriteOpenMetrics); err != nil {
 		return fmt.Errorf("metrics export: %w", err)
 	}
 	return nil

@@ -105,8 +105,8 @@ func (r *Report) Fprint(w io.Writer) error {
 
 // Series names the report's numbers for the one diff (telemetry.DiffSeries):
 // the request count, each stage's TTFT and E2E total under the collector's
-// metric families (the rows /runs/diff?view=critpath compares), and the two
-// sums over the stages under the names of the JSON report's stage maps.
+// metric families (the rows the metrics export holds), and the two sums over
+// the stages under the names of the JSON report's stage maps.
 func (r *Report) Series() map[string]float64 {
 	s := map[string]float64{
 		"requests":           float64(r.Requests),

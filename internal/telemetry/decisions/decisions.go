@@ -38,6 +38,14 @@ import (
 	"heroserve/internal/telemetry"
 )
 
+// Route is the daemon path serving the decision ledger, and File the
+// document's name in a run bundle (serve -out), where hstat decisions finds
+// it. Both hold one rendering of Ledger.WriteJSON.
+const (
+	Route = "/decisions"
+	File  = "decisions.json"
+)
+
 // Record kinds.
 const (
 	KindCollective = "collective"

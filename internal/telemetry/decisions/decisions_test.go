@@ -131,37 +131,6 @@ func TestLedgerJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFilter(t *testing.T) {
-	l := sampleLedger()
-	if got := l.Filter(KindCollective, "", 0, 0); got.NumCollective() != 3 || got.NumScale() != 0 {
-		t.Errorf("kind=collective: %d/%d records", got.NumCollective(), got.NumScale())
-	}
-	if got := l.Filter(KindScale, "", 0, 0); got.NumCollective() != 0 || got.NumScale() != 2 {
-		t.Errorf("kind=scale: %d/%d records", got.NumCollective(), got.NumScale())
-	}
-	// Policy matches the executed scheme for collective records...
-	if got := l.Filter("", "ring", 0, 0); got.NumCollective() != 3 {
-		t.Errorf("policy=ring: %d collective", got.NumCollective())
-	}
-	// ...or the chosen candidate's label (decision 2 chose s0).
-	if got := l.Filter("", "s0", 0, 0); got.NumCollective() != 1 || got.Collective(0).T != 2 {
-		t.Errorf("policy=s0 matched %d records", got.NumCollective())
-	}
-	if got := l.Filter("", "eager", 0, 0); got.NumScale() != 2 {
-		t.Errorf("policy=eager: %d scale", got.NumScale())
-	}
-	// Time range: [2, 3] keeps decisions 2 and 3 only; to<=0 means open.
-	if got := l.Filter(KindCollective, "", 2, 3); got.NumCollective() != 2 {
-		t.Errorf("range [2,3]: %d collective", got.NumCollective())
-	}
-	if got := l.Filter(KindCollective, "", 2, 0); got.NumCollective() != 2 {
-		t.Errorf("range [2,inf): %d collective", got.NumCollective())
-	}
-	if got := l.Filter("", "", 0, 0); got.Meta != l.Meta {
-		t.Error("filter dropped the meta block")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	s := sampleLedger().Summarize()
 	if s.Collective != 3 || s.Scale != 2 {

@@ -111,14 +111,12 @@ func escapingLedger() *Ledger {
 }
 
 // TestWriteJSONMatchesEncodingJSON pins the hand renderer to encoding/json
-// on hand-built ledgers, a serve export, a capped ledger whose head has
-// passed a chunk, a filtered ledger and an empty one.
+// on hand-built ledgers, a serve export, a ledger spanning several chunks of
+// each kind and an empty one.
 func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
 	checkRender(t, sampleLedger())
 	checkRender(t, escapingLedger())
 	checkRender(t, NewLedger())
-	checkRender(t, sampleLedger().Filter("", "s0", 0, 0))
-	checkRender(t, escapingLedger().Filter(KindScale, "", 0, 0))
 
 	seed, err := os.ReadFile("testdata/ledger.json")
 	if err != nil {
@@ -132,14 +130,10 @@ func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
 		t.Errorf("serve export does not survive ReadJSON -> WriteJSON:\n%s\n%s", got, seed)
 	}
 
-	capped := benchLedger(collectiveChunk*2+7, 10*scaleChunk+5)
-	capped.SetCap(collectiveChunk + 3)
-	capped.AddCollective(sampleLedger().Collective(1))
-	capped.AddScale(*sampleLedger().Scale(0))
-	if capped.NumCollective() != collectiveChunk+3 || capped.NumScale() != collectiveChunk+3 {
-		t.Fatalf("capped ledger holds %d/%d records", capped.NumCollective(), capped.NumScale())
-	}
-	checkRender(t, capped)
+	chunked := benchLedger(collectiveChunk*2+7, 10*scaleChunk+5)
+	chunked.AddCollective(sampleLedger().Collective(1))
+	chunked.AddScale(*sampleLedger().Scale(0))
+	checkRender(t, chunked)
 
 	var nilDoc bytes.Buffer
 	if err := (*Ledger)(nil).WriteJSON(&nilDoc); err != nil {
@@ -357,17 +351,16 @@ func checkSummary(t *testing.T, l *Ledger, recs []CollectiveRecord) {
 }
 
 // TestSummarizeMatchesReference runs the per-table summary against the
-// per-record one on hand-built and capped ledgers.
+// per-record one on hand-built ledgers and one spanning several chunks.
 func TestSummarizeMatchesReference(t *testing.T) {
-	capped := benchLedger(3*collectiveChunk, 0)
-	capped.SetCap(collectiveChunk + 1)
-	capped.AddCollective(escapingLedger().Collective(0))
+	chunked := benchLedger(3*collectiveChunk, 0)
+	chunked.AddCollective(escapingLedger().Collective(0))
 	// Each table of doubled lacks some scheme at two picks.
 	doubled := escapingLedger()
 	for i, n := 0, doubled.NumCollective(); i < n; i++ {
 		doubled.AddCollective(doubled.Collective(i))
 	}
-	for _, l := range []*Ledger{sampleLedger(), escapingLedger(), doubled, capped, NewLedger()} {
+	for _, l := range []*Ledger{sampleLedger(), escapingLedger(), doubled, chunked, NewLedger()} {
 		checkSummary(t, l, refOf(l).Collective)
 	}
 }

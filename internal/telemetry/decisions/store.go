@@ -3,7 +3,6 @@ package decisions
 import (
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"heroserve/internal/telemetry"
 )
@@ -15,18 +14,14 @@ const (
 	scaleChunk      = 64
 )
 
-// chunkList is an append-only sequence of records in fixed-size chunks with a
-// head offset: the storage of both record kinds. An append never moves a
-// stored record, and evicting the oldest records only advances the head. A
-// chunk the head has passed is cleared and kept for reuse, so a capped list
-// stops allocating once warm. Every chunk but the last is full, which puts
-// the i-th live record one division away.
+// chunkList is an append-only sequence of records in fixed-size chunks: the
+// storage of both record kinds. An append never moves a stored record, and
+// every chunk but the last is full, which puts the i-th record one division
+// away.
 type chunkList[T any] struct {
 	size   int
 	chunks []chunk[T]
-	free   []chunk[T]
-	head   int // the oldest live record's slot in chunks[0]
-	n      int // live records
+	n      int // records
 }
 
 // chunk is one block of records. A collective chunk also holds its rows'
@@ -36,29 +31,23 @@ type chunk[T any] struct {
 	costs []float64
 }
 
-// at returns the i-th live record (oldest first) and its chunk.
+// at returns the i-th record (oldest first) and its chunk.
 func (cl *chunkList[T]) at(i int) (*chunk[T], *T) {
-	k := cl.head + i
-	c := &cl.chunks[k/cl.size]
-	return c, &c.recs[k%cl.size]
+	c := &cl.chunks[i/cl.size]
+	return c, &c.recs[i%cl.size]
 }
 
-// tail returns the chunk the next record goes into: the last one, or a
-// recycled or new one when the last is full. A new chunk's cost area starts
-// as large as its predecessor's grew.
+// tail returns the chunk the next record goes into: the last one, or a new
+// one when the last is full. A new chunk's cost area starts as large as its
+// predecessor's grew.
 func (cl *chunkList[T]) tail() *chunk[T] {
 	n := len(cl.chunks)
 	if n > 0 && len(cl.chunks[n-1].recs) < cl.size {
 		return &cl.chunks[n-1]
 	}
-	var c chunk[T]
-	if k := len(cl.free); k > 0 {
-		c, cl.free = cl.free[k-1], cl.free[:k-1]
-	} else {
-		c.recs = make([]T, 0, cl.size)
-		if n > 0 {
-			c.costs = make([]float64, 0, cap(cl.chunks[n-1].costs))
-		}
+	c := chunk[T]{recs: make([]T, 0, cl.size)}
+	if n > 0 {
+		c.costs = make([]float64, 0, cap(cl.chunks[n-1].costs))
 	}
 	cl.chunks = append(cl.chunks, c)
 	return &cl.chunks[n]
@@ -71,34 +60,13 @@ func (cl *chunkList[T]) push(c *chunk[T], rec T) *T {
 	return &c.recs[len(c.recs)-1]
 }
 
-// trim evicts the oldest records beyond limit (0: no limit) and returns how
-// many it dropped.
-func (cl *chunkList[T]) trim(limit int) int {
-	if limit <= 0 || cl.n <= limit {
-		return 0
-	}
-	drop := cl.n - limit
-	cl.n = limit
-	cl.head += drop
-	for cl.head >= cl.size {
-		c := cl.chunks[0]
-		clear(c.recs)
-		cl.free = append(cl.free, chunk[T]{recs: c.recs[:0], costs: c.costs[:0]})
-		cl.chunks = slices.Delete(cl.chunks, 0, 1)
-		cl.head -= cl.size
-	}
-	return drop
-}
-
-// each calls fn on every live record in order, with its chunk.
+// each calls fn on every record in order, with its chunk.
 func (cl *chunkList[T]) each(fn func(c *chunk[T], rec *T)) {
-	head := cl.head
 	for k := range cl.chunks {
 		c := &cl.chunks[k]
-		for i := head; i < len(c.recs); i++ {
+		for i := range c.recs {
 			fn(c, &c.recs[i])
 		}
-		head = 0
 	}
 }
 
@@ -148,9 +116,6 @@ type Ledger struct {
 	strs     []string
 	strIdx   map[string]uint32
 	key      []byte // tableOf's scratch
-
-	cap     int                      // per-kind retention cap; 0 = unbounded
-	onEvict func(kind string, n int) // eviction observer (registry counters)
 }
 
 // NewLedger returns an empty ledger.
@@ -161,26 +126,6 @@ func NewLedger() *Ledger {
 		tableIdx: map[string]int32{},
 		strIdx:   map[string]uint32{},
 	}
-}
-
-// SetCap bounds each record kind to the newest n records (0 = unbounded):
-// the retention story for multi-hour daemon runs. Evicting drops the oldest
-// records, so summaries computed afterwards cover only the retained tail.
-// Nil-safe.
-func (l *Ledger) SetCap(n int) {
-	if l == nil {
-		return
-	}
-	l.cap = n
-}
-
-// SetOnEvict registers fn to observe evictions: kind is "collective" or
-// "scale", n how many records were dropped. Nil-safe.
-func (l *Ledger) SetOnEvict(fn func(kind string, n int)) {
-	if l == nil {
-		return
-	}
-	l.onEvict = fn
 }
 
 // intern returns s's index in l.strs, adding it on first sight.
@@ -271,7 +216,7 @@ func (l *Ledger) AddPick(p Pick) {
 	for _, j := range p.Costs {
 		c.costs = append(c.costs, j, j*p.Window)
 	}
-	l.pushRow(c, row{
+	l.coll.push(c, row{
 		t: p.T, actual: p.Actual, regret: p.Regret, bytes: p.Bytes, steps: p.Steps,
 		costs: off, table: int32(p.Table),
 		chosen: int32(p.Chosen), best: int32(p.Best), executed: int32(p.Executed),
@@ -292,7 +237,7 @@ func (l *Ledger) AddCollective(r CollectiveRecord) {
 	for _, cd := range r.Candidates {
 		c.costs = append(c.costs, float64(cd.CostJ), float64(cd.CostSeconds))
 	}
-	l.pushRow(c, row{
+	l.coll.push(c, row{
 		t: r.T, actual: float64(r.Actual), regret: float64(r.Regret), bytes: r.Bytes, steps: r.Steps,
 		costs: off, table: tab,
 		chosen: int32(r.Chosen), best: int32(r.Best), executed: int32(r.Executed),
@@ -301,27 +246,14 @@ func (l *Ledger) AddCollective(r CollectiveRecord) {
 	})
 }
 
-// pushRow stores r in c, whose cost area already holds r's costs, and
-// evicts past the cap.
-func (l *Ledger) pushRow(c *chunk[row], r row) {
-	l.coll.push(c, r)
-	if n := l.coll.trim(l.cap); n > 0 && l.onEvict != nil {
-		l.onEvict(KindCollective, n)
-	}
-}
-
 // AddScale appends one scale record and returns the stored copy so the
 // caller can stamp its Outcome at the next control step. The pointer stays
-// valid until that record itself is evicted under a retention cap. Nil-safe.
+// valid for the ledger's life. Nil-safe.
 func (l *Ledger) AddScale(r ScaleRecord) *ScaleRecord {
 	if l == nil {
 		return nil
 	}
-	p := l.scale.push(l.scale.tail(), r)
-	if n := l.scale.trim(l.cap); n > 0 && l.onEvict != nil {
-		l.onEvict(KindScale, n)
-	}
-	return p
+	return l.scale.push(l.scale.tail(), r)
 }
 
 // Len returns the total record count (0 on nil).
@@ -346,7 +278,7 @@ func (l *Ledger) NumScale() int {
 	return l.scale.n
 }
 
-// Collective returns the i-th retained policy-select record, oldest first,
+// Collective returns the i-th policy-select record, oldest first,
 // in its CollectiveRecord form. The record and its candidates are the
 // caller's.
 func (l *Ledger) Collective(i int) CollectiveRecord {
@@ -377,55 +309,9 @@ func (l *Ledger) record(c *chunk[row], r *row) CollectiveRecord {
 	return rec
 }
 
-// Scale returns the i-th retained scale record, oldest first. The pointer
+// Scale returns the i-th scale record, oldest first. The pointer
 // addresses the stored record, with AddScale's validity.
 func (l *Ledger) Scale(i int) *ScaleRecord {
 	_, r := l.scale.at(i)
 	return r
-}
-
-// Filter returns a new ledger holding the records matching the given
-// criteria. Empty kind/policy match everything; to is inclusive and
-// ignored when <= 0. For collective records the policy criterion matches
-// the executed scheme or the chosen candidate's label; for scale records it
-// matches the primary law.
-func (l *Ledger) Filter(kind, policy string, from, to float64) *Ledger {
-	out := NewLedger()
-	if l == nil {
-		return out
-	}
-	out.Meta = l.Meta
-	inRange := func(t float64) bool {
-		if t < from {
-			return false
-		}
-		return to <= 0 || t <= to
-	}
-	if kind == "" || kind == KindCollective {
-		// The copy shares the registry, so rows keep their ids.
-		out.tables, out.strs = l.tables[:len(l.tables):len(l.tables)], l.strs[:len(l.strs):len(l.strs)]
-		l.coll.each(func(c *chunk[row], r *row) {
-			if !inRange(r.t) {
-				return
-			}
-			tab := &l.tables[r.table]
-			if policy != "" && policy != l.strs[r.scheme] &&
-				(int(r.chosen) >= len(tab.labels) || policy != l.strs[tab.labels[r.chosen]]) {
-				return
-			}
-			dst := out.coll.tail()
-			nr := *r
-			nr.costs = int32(len(dst.costs))
-			dst.costs = append(dst.costs, tab.costs(c, r)...)
-			out.coll.push(dst, nr)
-		})
-	}
-	if kind == "" || kind == KindScale {
-		l.scale.each(func(_ *chunk[ScaleRecord], r *ScaleRecord) {
-			if inRange(r.T) && (policy == "" || policy == r.Primary) {
-				out.scale.push(out.scale.tail(), *r)
-			}
-		})
-	}
-	return out
 }

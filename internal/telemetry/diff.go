@@ -8,8 +8,7 @@ import (
 )
 
 // The critical-path metric families: the per-stage counters the critpath
-// collector bumps, the stage rows of hstat trace -diff, and the series
-// /runs/diff?view=critpath keeps.
+// collector bumps and the stage rows of hstat trace -diff.
 const (
 	TTFTCritPathFamily = "ttft_critical_path_seconds_total"
 	E2ECritPathFamily  = "e2e_critical_path_seconds_total"

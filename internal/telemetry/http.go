@@ -5,12 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"maps"
 	"net/http"
-	"net/url"
-	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 )
@@ -40,10 +36,10 @@ type RunSummary struct {
 }
 
 // Server exposes a Hub over HTTP: /metrics (Prometheus text exposition),
-// /healthz, /runs (completed-run summaries as JSON), /runs/diff, and /trace
-// (the current trace snapshot as Chrome trace-event JSON), plus the document
-// routes packages layered above telemetry register with HandleDoc (the
-// decision ledger, the SLO alert log, the perf report).
+// /healthz, /runs (completed-run summaries as JSON) and /trace (the current
+// trace snapshot as Chrome trace-event JSON), plus the document routes
+// registered with HandleDoc (the decision ledger, the SLO alert log, the perf
+// report).
 //
 // The Registry and Tracer are single-goroutine structures owned by the
 // simulation loop, so the Server never reads them directly. Instead the
@@ -67,20 +63,9 @@ type Server struct {
 	traceFile string
 	docs      map[string][]byte // latest published document per route
 	runs      []RunSummary
-	snaps     []runState // per-run snapshots (index parallels runs)
-	firing    int        // firing alerts in the latest published roll-up
-	worstSev  string     // worst firing severity, "" when none
-	maxRuns   int        // run-history retention cap (0 = unbounded)
-	runBase   int        // completed runs evicted from the front of the history
+	firing    int    // firing alerts in the latest published roll-up
+	worstSev  string // worst firing severity, "" when none
 	handlers  map[string]http.Handler
-}
-
-// runState is what AddRun captures of a completed run: its metric
-// exposition, for /runs/diff, and every document route's latest bytes, for
-// ?run= addressing.
-type runState struct {
-	metrics []byte
-	docs    map[string][]byte
 }
 
 // NewServer returns a Server holding only the built-in routes; install it as
@@ -88,11 +73,10 @@ type runState struct {
 func NewServer() *Server {
 	s := &Server{docs: make(map[string][]byte)}
 	s.handlers = map[string]http.Handler{
-		"/metrics":   http.HandlerFunc(s.serveMetrics),
-		"/healthz":   http.HandlerFunc(s.serveHealthz),
-		"/runs":      http.HandlerFunc(s.serveRuns),
-		"/runs/diff": http.HandlerFunc(s.serveRunsDiff),
-		"/trace":     http.HandlerFunc(s.serveTrace),
+		"/metrics": http.HandlerFunc(s.serveMetrics),
+		"/healthz": http.HandlerFunc(s.serveHealthz),
+		"/runs":    http.HandlerFunc(s.serveRuns),
+		"/trace":   http.HandlerFunc(s.serveTrace),
 	}
 	return s
 }
@@ -143,9 +127,10 @@ func (s *Server) PublishHub(h *Hub) error {
 }
 
 // Publish stores doc, a serialized artifact such as the decision ledger, as
-// the latest document of a route registered with HandleDoc. Like PublishHub
-// it MUST be called from the simulation goroutine at a safe point; the
-// caller serializes, so the handlers never touch live sim state.
+// the document a route registered with HandleDoc serves. The server keeps
+// the slice: the caller hands over bytes it no longer writes. Like
+// PublishHub it MUST be called from the simulation goroutine at a safe
+// point; the caller serializes, so the handlers never touch live sim state.
 func (s *Server) Publish(route string, doc []byte) {
 	s.mu.Lock()
 	s.docs[route] = doc
@@ -162,51 +147,13 @@ func (s *Server) SetAlertRollup(firing int, worst string) {
 	s.mu.Unlock()
 }
 
-// SetMaxRuns bounds the run history: once more than n completed runs are
-// held, AddRun evicts the oldest run (summary plus its metric and document
-// snapshots). Run IDs stay stable across evictions — /runs/diff and the
-// ?run= document snapshots keep addressing surviving runs by their original
-// IDs. n <= 0 means unbounded (the default).
-func (s *Server) SetMaxRuns(n int) {
-	s.mu.Lock()
-	s.maxRuns = n
-	s.mu.Unlock()
-}
-
 // AddRun records a completed run for /runs, assigning it the next sequential
-// ID, and captures the latest published metric snapshot and documents as the
-// run's state — so callers should PublishHub and Publish first, then AddRun.
-// Safe to call from the goroutine driving the runs. Returns how many old runs
-// the retention cap evicted (0 without SetMaxRuns).
-func (s *Server) AddRun(r RunSummary) (evicted int) {
+// ID. Safe to call from the goroutine driving the runs.
+func (s *Server) AddRun(r RunSummary) {
 	s.mu.Lock()
-	r.ID = s.runBase + len(s.runs) + 1
+	r.ID = len(s.runs) + 1
 	s.runs = append(s.runs, r)
-	s.snaps = append(s.snaps, runState{metrics: s.prom, docs: maps.Clone(s.docs)})
-	for s.maxRuns > 0 && len(s.runs) > s.maxRuns {
-		s.runs = s.runs[1:]
-		s.snaps = s.snaps[1:]
-		s.runBase++
-		evicted++
-	}
 	s.mu.Unlock()
-	return evicted
-}
-
-// runIndex resolves a run ID against the retained history under the
-// caller's lock: index into runs and snaps, or ok=false when the ID was
-// never assigned or has been evicted.
-func (s *Server) runIndex(id int) (idx int, ok bool) {
-	idx = id - 1 - s.runBase
-	return idx, id >= 1 && idx >= 0 && idx < len(s.runs)
-}
-
-// runRangeError describes the retained run-ID window for 404 messages.
-func (s *Server) runRangeError() string {
-	if len(s.runs) == 0 {
-		return "no completed runs retained"
-	}
-	return fmt.Sprintf("run out of range: have runs %d..%d", s.runBase+1, s.runBase+len(s.runs))
 }
 
 // SetTraceFile records the path the trace is being streamed to instead of
@@ -248,86 +195,21 @@ next:
 	return routes
 }
 
-// Document is what a Filter narrows a stored document to.
-type Document interface {
-	WriteJSON(w io.Writer) error
-}
-
-// Narrow decodes a stored document and keeps what a request selected, within
-// the [from, to] sim-time window (to <= 0: no upper bound).
-type Narrow func(doc []byte, from, to float64) (Document, error)
-
-// Filter is a document route's server-side filter. Params names the route's
-// own query parameters; a request setting none of them, nor from or to, gets
-// the stored bytes verbatim. Otherwise Parse validates the request's
-// parameters (an error answers 400 with its text) and returns the Narrow
-// the handler applies.
-type Filter struct {
-	Params []string
-	Parse  func(q url.Values) (Narrow, error)
-}
-
-// HandleDoc registers a document route serving what Publish stored under it:
-//
-//	route[?run=<id>][&from=<t>][&to=<t>][&<Filter.Params>]
-//
-// run selects a completed run's snapshot (captured at AddRun); without it the
-// latest published document is served. noun names the document in the 404
-// before anything is published. A nil f serves the stored bytes verbatim
-// whatever the query. Every error is a JSON body ({"error": msg}).
-func (s *Server) HandleDoc(route, noun string, f *Filter) {
-	s.Handle(route, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		s.serveDoc(w, r, route, noun, f)
-	}))
-}
-
-func (s *Server) serveDoc(w http.ResponseWriter, r *http.Request, route, noun string, f *Filter) {
-	q := r.URL.Query()
-	s.mu.RLock()
-	doc := s.docs[route]
-	if runStr := q.Get("run"); runStr != "" {
-		id, err := strconv.Atoi(runStr)
-		idx, ok := s.runIndex(id)
-		if err != nil || !ok {
-			msg := s.runRangeError()
-			s.mu.RUnlock()
-			writeJSONError(w, http.StatusNotFound, msg)
+// HandleDoc registers a document route serving, verbatim, the bytes Publish
+// last stored under it. noun names the document in the JSON 404 answered
+// before anything is published.
+func (s *Server) HandleDoc(route, noun string) {
+	s.Handle(route, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		s.mu.RLock()
+		doc := s.docs[route]
+		s.mu.RUnlock()
+		if len(doc) == 0 {
+			writeJSONError(w, http.StatusNotFound, "no "+noun+" published yet")
 			return
 		}
-		doc = s.snaps[idx].docs[route]
-	}
-	s.mu.RUnlock()
-	if len(doc) == 0 {
-		writeJSONError(w, http.StatusNotFound, "no "+noun+" published yet")
-		return
-	}
-	set := func(p string) bool { return q.Get(p) != "" }
-	if f == nil || !(set("from") || set("to") || slices.ContainsFunc(f.Params, set)) {
 		w.Header().Set("Content-Type", jsonContentType)
 		w.Write(doc)
-		return
-	}
-	narrow, err := f.Parse(q)
-	if err != nil {
-		writeJSONError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	var window [2]float64 // from, to
-	for i, name := range []string{"from", "to"} {
-		if v := q.Get(name); v != "" {
-			if window[i], err = strconv.ParseFloat(v, 64); err != nil {
-				writeJSONError(w, http.StatusBadRequest, "bad "+name)
-				return
-			}
-		}
-	}
-	out, err := narrow(doc, window[0], window[1])
-	if err != nil {
-		writeJSONError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", jsonContentType)
-	out.WriteJSON(w)
+	}))
 }
 
 // lookupHandler resolves a request path against the routes: exact match
@@ -391,10 +273,9 @@ func (s *Server) serveHealthz(w http.ResponseWriter, _ *http.Request) {
 		SimTime   float64 `json:"sim_time"`
 		Published int     `json:"published"`
 		Runs      int     `json:"runs"`
-		Evicted   int     `json:"evicted_runs"`
 		Firing    int     `json:"alerts_firing"`
 		Worst     string  `json:"worst_alert_severity"`
-	}{status, s.simTime, s.published, len(s.runs), s.runBase, s.firing, worst}
+	}{status, s.simTime, s.published, len(s.runs), s.firing, worst}
 	s.mu.RUnlock()
 	writeJSON(w, resp)
 }
@@ -425,82 +306,6 @@ func (s *Server) serveTrace(w http.ResponseWriter, _ *http.Request) {
 	default:
 		writeJSONError(w, http.StatusNotFound, "no trace snapshot published yet")
 	}
-}
-
-// RunsDiff is the /runs/diff response: the two run IDs and the one Diff of
-// their metric snapshots. Snapshots are cumulative (metrics accumulate across
-// a daemon's runs), so a diff of run N against run N-1 isolates run N's own
-// contribution.
-type RunsDiff struct {
-	A int `json:"a"`
-	B int `json:"b"`
-	Diff
-}
-
-// serveRunsDiff diffs the metric snapshots captured at two runs' AddRun
-// points: /runs/diff?a=1&b=2. The optional view=critpath keeps only the two
-// critical-path families, the stage rows hstat trace -diff also names.
-func (s *Server) serveRunsDiff(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	a, errA := strconv.Atoi(q.Get("a"))
-	b, errB := strconv.Atoi(q.Get("b"))
-	if errA != nil || errB != nil {
-		writeJSONError(w, http.StatusBadRequest, "want ?a=<run-id>&b=<run-id>")
-		return
-	}
-	view := q.Get("view")
-	if view != "" && view != "critpath" {
-		writeJSONError(w, http.StatusBadRequest, "bad view: want critpath")
-		return
-	}
-	s.mu.RLock()
-	idxA, okA := s.runIndex(a)
-	idxB, okB := s.runIndex(b)
-	var snapA, snapB []byte
-	if okA {
-		snapA = s.snaps[idxA].metrics
-	}
-	if okB {
-		snapB = s.snaps[idxB].metrics
-	}
-	rangeMsg := s.runRangeError()
-	s.mu.RUnlock()
-	if !okA || !okB {
-		writeJSONError(w, http.StatusNotFound, rangeMsg)
-		return
-	}
-	sa, sb := parseSeries(snapA), parseSeries(snapB)
-	if view == "critpath" {
-		for _, m := range []map[string]float64{sa, sb} {
-			for k := range m {
-				if family, _, _ := strings.Cut(k, "{"); family != TTFTCritPathFamily && family != E2ECritPathFamily {
-					delete(m, k)
-				}
-			}
-		}
-	}
-	writeJSON(w, RunsDiff{A: a, B: b, Diff: DiffSeries(sa, sb)})
-}
-
-// parseSeries reads a Prometheus text exposition into series-name → value
-// (comment lines skipped), the same granularity the golden gate diffs at.
-func parseSeries(snapshot []byte) map[string]float64 {
-	out := make(map[string]float64)
-	for _, line := range strings.Split(string(snapshot), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		sp := strings.LastIndexByte(line, ' ')
-		if sp <= 0 {
-			continue
-		}
-		v, err := strconv.ParseFloat(line[sp+1:], 64)
-		if err != nil {
-			continue
-		}
-		out[line[:sp]] = v
-	}
-	return out
 }
 
 // jsonContentType is the stable content type every JSON endpoint sets —

@@ -321,7 +321,7 @@ func TestServerConcurrentScrapes(t *testing.T) {
 	clock := 0.0
 	srv := NewServer()
 	h := testHub(&clock, srv)
-	srv.HandleDoc("/doc", "test document", nil)
+	srv.HandleDoc("/doc", "test document")
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -347,7 +347,7 @@ func TestServerConcurrentScrapes(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 25; i++ {
-				for _, path := range []string{"/metrics", "/healthz", "/runs", "/trace", "/doc", "/doc?run=1"} {
+				for _, path := range []string{"/metrics", "/healthz", "/runs", "/trace", "/doc"} {
 					resp, err := http.Get(ts.URL + path)
 					if err != nil {
 						t.Error(err)
@@ -360,4 +360,94 @@ func TestServerConcurrentScrapes(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestServerMetricsContentNegotiation checks that /metrics answers the
+// OpenMetrics media type only when the scraper asks for it.
+func TestServerMetricsContentNegotiation(t *testing.T) {
+	clock := 2.0
+	h := testHub(&clock, nil)
+	srv := NewServer()
+	if err := srv.PublishHub(h); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	// Default: classic Prometheus text.
+	resp, body := get(t, ts.URL+"/metrics")
+	if ct := resp.Header.Get("Content-Type"); ct != ContentTypeProm {
+		t.Errorf("default content-type %q", ct)
+	}
+	if strings.Contains(string(body), "# EOF") {
+		t.Error("classic exposition must not carry the OpenMetrics EOF marker")
+	}
+
+	// Prometheus-style OpenMetrics negotiation.
+	req, _ := http.NewRequest("GET", ts.URL+"/metrics", nil)
+	req.Header.Set("Accept", "application/openmetrics-text; version=1.0.0; charset=utf-8, text/plain;q=0.5")
+	omResp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := io.ReadAll(omResp.Body)
+	omResp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	om := string(raw)
+	if ct := omResp.Header.Get("Content-Type"); ct != ContentTypeOpenMetrics {
+		t.Errorf("negotiated content-type %q", ct)
+	}
+	if !strings.HasSuffix(om, "# EOF\n") {
+		t.Errorf("OpenMetrics exposition must end with # EOF, got tail %q", tailOf(om))
+	}
+	if !strings.Contains(om, "serving_requests_completed_created") {
+		t.Error("OpenMetrics exposition missing _created series")
+	}
+}
+
+func tailOf(s string) string {
+	if len(s) > 40 {
+		return s[len(s)-40:]
+	}
+	return s
+}
+
+// TestServerHealthzDegraded pins the alert roll-up in /healthz: publishing a
+// firing set degrades the status and surfaces the worst severity.
+func TestServerHealthzDegraded(t *testing.T) {
+	srv := NewServer()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	read := func() (string, int, string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var hz struct {
+			Status string `json:"status"`
+			Firing int    `json:"alerts_firing"`
+			Worst  string `json:"worst_alert_severity"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
+			t.Fatal(err)
+		}
+		return hz.Status, hz.Firing, hz.Worst
+	}
+
+	if st, firing, worst := read(); st != "ok" || firing != 0 || worst != "none" {
+		t.Fatalf("fresh server: %s/%d/%s", st, firing, worst)
+	}
+	srv.SetAlertRollup(2, "warning")
+	if st, firing, worst := read(); st != "degraded" || firing != 2 || worst != "warning" {
+		t.Fatalf("firing: %s/%d/%s", st, firing, worst)
+	}
+	srv.SetAlertRollup(0, "")
+	if st, firing, worst := read(); st != "ok" || firing != 0 || worst != "none" {
+		t.Fatalf("recovered: %s/%d/%s", st, firing, worst)
+	}
 }

@@ -7,19 +7,13 @@ import (
 	"heroserve/internal/telemetry"
 )
 
-// Route is the daemon path serving the perf report; publish the output of
-// Report.WriteJSON under it.
-const Route = "/perf"
-
-// File is the document's name in a run bundle (serve -out), where hstat
-// perf finds it.
-const File = "perf.json"
-
-// InstallPerf registers the /perf document route on the daemon server. It
-// takes no filters: the stored report is served verbatim.
-func InstallPerf(srv *telemetry.Server) {
-	srv.HandleDoc(Route, "perf report", nil)
-}
+// Route is the daemon path serving the perf report, and File the document's
+// name in a run bundle (serve -out), where hstat perf finds it. Both hold one
+// rendering of Report.WriteJSON.
+const (
+	Route = "/perf"
+	File  = "perf.json"
+)
 
 // InstallPprof mounts net/http/pprof's handlers under /debug/pprof/ on the
 // daemon server. It is deliberately opt-in (the serve -pprof flag): pprof

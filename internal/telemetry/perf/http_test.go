@@ -28,7 +28,7 @@ func get(t *testing.T, srv *telemetry.Server, path string) (int, string) {
 
 func TestPerfEndpoint(t *testing.T) {
 	srv := telemetry.NewServer()
-	InstallPerf(srv)
+	srv.HandleDoc(Route, "perf report")
 
 	code, _ := get(t, srv, "/perf")
 	if code != 404 {

@@ -83,8 +83,7 @@ type Report struct {
 
 // Report renders the sampler's accumulated state. system labels the report
 // (e.g. the CLI system id). Calling it before Finish renders an in-flight
-// report against the current wall clock and sim-time — that is how the
-// daemon's /perf endpoint publishes live mid-run snapshots.
+// report against the current wall clock and sim-time.
 func (s *Sampler) Report(system string) *Report {
 	wallEnd, simEnd := s.wallEnd, s.simEnd
 	if wallEnd == 0 { // not finished: snapshot now

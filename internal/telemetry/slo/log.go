@@ -10,6 +10,14 @@ import (
 	"heroserve/internal/telemetry"
 )
 
+// Route is the daemon path serving the SLO alert log, and File the
+// document's name in a run bundle (serve -out), where hstat alerts finds it.
+// Both hold one rendering of Monitor.WriteLog.
+const (
+	Route = "/alerts"
+	File  = "alerts.json"
+)
+
 // CauseValue is one named input the rule saw at trigger time.
 type CauseValue struct {
 	Name  string              `json:"name"`
@@ -50,14 +58,12 @@ type Alert struct {
 	Cause      *Cause              `json:"cause,omitempty"`
 }
 
-// Meta describes the monitored run: the armed rules, the evaluation cadence,
-// the sim-time the run ended, and how many resolved alerts retention evicted
-// from the log.
+// Meta describes the monitored run: the armed rules, the evaluation cadence
+// and the sim-time the run ended.
 type Meta struct {
-	Rules   []Rule  `json:"rules"`
-	Every   float64 `json:"every"`
-	End     float64 `json:"end"`
-	Evicted int     `json:"evicted,omitempty"`
+	Rules []Rule  `json:"rules"`
+	Every float64 `json:"every"`
+	End   float64 `json:"end"`
 }
 
 // Log is the serializable alert log: a run bundle's alerts.json, what
@@ -97,21 +103,14 @@ func ReadLog(r io.Reader) (*Log, error) {
 }
 
 // Filter returns a copy of the log keeping alerts that match every given
-// criterion: state and rule match exactly when non-empty; from/to bound the
-// alert's Since stamp (to <= 0 means no upper bound). Meta is preserved.
-func (l *Log) Filter(state, rule string, from, to float64) *Log {
+// criterion: state and rule match exactly when non-empty. Meta is preserved.
+func (l *Log) Filter(state, rule string) *Log {
 	out := &Log{Meta: l.Meta, Alerts: []Alert{}}
 	for _, a := range l.Alerts {
 		if state != "" && string(a.State) != state {
 			continue
 		}
 		if rule != "" && a.Rule != rule {
-			continue
-		}
-		if a.Since < from {
-			continue
-		}
-		if to > 0 && a.Since > to {
 			continue
 		}
 		out.Alerts = append(out.Alerts, a)
@@ -141,14 +140,13 @@ type Summary struct {
 	Canceled    int        `json:"canceled"`
 	FiringAtEnd int        `json:"firing_at_end"`
 	Worst       string     `json:"worst_firing"`
-	Evicted     int        `json:"evicted"`
 	End         float64    `json:"end"`
 }
 
 // Summarize rolls the log up. Every armed rule gets a row even with zero
 // alerts, so the summary shape is stable across healthy and degraded runs.
 func (l *Log) Summarize() *Summary {
-	s := &Summary{Worst: "none", Evicted: l.Meta.Evicted, End: l.Meta.End}
+	s := &Summary{Worst: "none", End: l.Meta.End}
 	stats := make(map[string]*RuleStat, len(l.Meta.Rules))
 	for _, r := range l.Meta.Rules {
 		stats[r.Name] = &RuleStat{Rule: r.Name, Severity: r.Severity, Kind: r.Kind}
@@ -249,7 +247,6 @@ func (l *Log) WriteTSV(w io.Writer) error {
 	fmt.Fprintf(bw, "canceled\t%d\n", s.Canceled)
 	fmt.Fprintf(bw, "firing_at_end\t%d\n", s.FiringAtEnd)
 	fmt.Fprintf(bw, "worst_firing\t%s\n", s.Worst)
-	fmt.Fprintf(bw, "evicted\t%d\n", s.Evicted)
 	fmt.Fprintf(bw, "end\t%s\n", telemetry.FormatFloat(s.End))
 	return bw.Flush()
 }
@@ -317,9 +314,6 @@ func (l *Log) FprintSummary(w io.Writer) error {
 		fmt.Fprintf(w, "%-24s %-9s %-14s %6d %9d %9d %13.3fs\n",
 			r.Rule, r.Severity, r.Kind, r.Fired, r.Resolved, r.Canceled, r.FiringSeconds)
 	}
-	if s.Evicted > 0 {
-		fmt.Fprintf(w, "retention evicted %d resolved alerts from the log\n", s.Evicted)
-	}
 	fmt.Fprintf(w, "worst firing at end: %s (end %.3fs)\n", s.Worst, s.End)
 	return nil
 }
@@ -334,7 +328,6 @@ func (s *Summary) Series() map[string]float64 {
 		"resolved":      float64(s.Resolved),
 		"canceled":      float64(s.Canceled),
 		"firing_at_end": float64(s.FiringAtEnd),
-		"evicted":       float64(s.Evicted),
 		"end":           s.End,
 	}
 	for _, r := range s.Rules {

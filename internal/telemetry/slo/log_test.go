@@ -101,23 +101,20 @@ func TestFloatSpecials(t *testing.T) {
 
 func TestLogFilter(t *testing.T) {
 	l := sampleLog()
-	if got := len(l.Filter("firing", "", 0, 0).Alerts); got != 1 {
+	if got := len(l.Filter("firing", "").Alerts); got != 1 {
 		t.Errorf("state filter kept %d", got)
 	}
-	if got := len(l.Filter("", "burn", 0, 0).Alerts); got != 2 {
+	if got := len(l.Filter("", "burn").Alerts); got != 2 {
 		t.Errorf("rule filter kept %d", got)
 	}
-	if got := len(l.Filter("", "", 10, 50).Alerts); got != 2 {
-		t.Errorf("window filter kept %d", got)
+	if got := len(l.Filter("", "").Alerts); got != len(l.Alerts) {
+		t.Errorf("empty filter kept %d of %d", got, len(l.Alerts))
 	}
-	if got := len(l.Filter("", "", 10, 0).Alerts); got != 3 {
-		t.Errorf("open-ended window kept %d", got)
-	}
-	if got := len(l.Filter("resolved", "kv", 0, 0).Alerts); got != 1 {
+	if got := len(l.Filter("resolved", "kv").Alerts); got != 1 {
 		t.Errorf("combined filter kept %d", got)
 	}
 	// Filter preserves meta so downstream summaries stay armed-rule-complete.
-	if got := len(l.Filter("firing", "", 0, 0).Meta.Rules); got != 4 {
+	if got := len(l.Filter("firing", "").Meta.Rules); got != 4 {
 		t.Errorf("filter dropped meta rules: %d", got)
 	}
 }
@@ -281,7 +278,7 @@ func FuzzReadLog(f *testing.F) {
 		if len(l.Alerts) > 0 {
 			rule = l.Alerts[0].Rule
 		}
-		filtered := l.Filter(string(StateFiring), rule, 1, 10)
+		filtered := l.Filter(string(StateFiring), rule)
 		for _, render := range []func(io.Writer) error{l.FprintTimeline, l.FprintSummary, l.WriteTSV, filtered.WriteTSV} {
 			if err := render(io.Discard); err != nil {
 				t.Fatalf("render accepted log: %v", err)

@@ -14,10 +14,6 @@ type Config struct {
 	Rules []Rule
 	// Every is the evaluation cadence in sim-seconds (default 1).
 	Every float64
-	// MaxResolved bounds how many resolved alerts the monitor retains
-	// (0 = unbounded). Evictions drop the oldest resolved alerts and bump
-	// telemetry_evictions_total{kind="alert"}.
-	MaxResolved int
 }
 
 // Registry series the monitor reads. These are the names internal/serving
@@ -65,18 +61,16 @@ type Monitor struct {
 	cfg   Config
 	rules []Rule
 
-	base    frame // run-start baseline, never evicted
-	frames  []frame
-	maxWin  float64
-	primed  bool
-	lastT   float64
-	alerts  []*Alert
-	active  map[string]*Alert // pending or firing, by rule name
-	evicted int
+	base   frame // run-start baseline, never evicted
+	frames []frame
+	maxWin float64
+	primed bool
+	lastT  float64
+	alerts []*Alert
+	active map[string]*Alert // pending or firing, by rule name
 
-	trans    map[string]*telemetry.Counter // alerts_total{rule,state}
-	activeG  map[string]*telemetry.Gauge   // alert_active{rule}
-	evictCtr *telemetry.Counter
+	trans   map[string]*telemetry.Counter // alerts_total{rule,state}
+	activeG map[string]*telemetry.Gauge   // alert_active{rule}
 }
 
 // NewMonitor arms a monitor on the hub. The alert metric families are
@@ -115,11 +109,6 @@ func NewMonitor(h *telemetry.Hub, cfg Config) *Monitor {
 			[]string{"rule"}, r.Name)
 		g.Set(0)
 		m.activeG[r.Name] = g
-	}
-	if cfg.MaxResolved > 0 {
-		m.evictCtr = h.Metrics.Counter("telemetry_evictions_total",
-			"Telemetry records dropped by retention caps, by kind.",
-			[]string{"kind"}, "alert")
 	}
 	return m
 }
@@ -221,16 +210,15 @@ func (m *Monitor) Finish(now float64) {
 }
 
 // Log returns a value snapshot of the alert log; safe to serialize while
-// the run continues (daemon publishing).
+// the run continues.
 func (m *Monitor) Log() *Log {
 	if m == nil {
 		return &Log{}
 	}
 	l := &Log{Meta: Meta{
-		Rules:   append([]Rule(nil), m.rules...),
-		Every:   m.cfg.Every,
-		End:     m.lastT,
-		Evicted: m.evicted,
+		Rules: append([]Rule(nil), m.rules...),
+		Every: m.cfg.Every,
+		End:   m.lastT,
 	}}
 	for _, a := range m.alerts {
 		l.Alerts = append(l.Alerts, *a)
@@ -335,7 +323,6 @@ func (m *Monitor) evalRule(idx int, r *Rule, cur frame) {
 	a.ResolvedAt = cur.t
 	delete(m.active, r.Name)
 	m.transition(r, a, cur.t, res.value, StateResolved)
-	m.compact()
 }
 
 // transition records a lifecycle change: counters, the active gauge and a
@@ -356,34 +343,6 @@ func (m *Monitor) transition(r *Rule, a *Alert, t, value float64, st State) {
 			})
 		}
 	}
-}
-
-// compact enforces the resolved-alert retention cap.
-func (m *Monitor) compact() {
-	if m.cfg.MaxResolved <= 0 {
-		return
-	}
-	resolved := 0
-	for _, a := range m.alerts {
-		if a.State == StateResolved {
-			resolved++
-		}
-	}
-	drop := resolved - m.cfg.MaxResolved
-	if drop <= 0 {
-		return
-	}
-	out := m.alerts[:0]
-	for _, a := range m.alerts {
-		if drop > 0 && a.State == StateResolved {
-			drop--
-			m.evicted++
-			m.evictCtr.Inc()
-			continue
-		}
-		out = append(out, a)
-	}
-	m.alerts = out
 }
 
 // cv builds one cause value.

@@ -303,34 +303,6 @@ func TestMonitorPrimeScopesRun(t *testing.T) {
 	}
 }
 
-func TestMonitorMaxResolvedCompaction(t *testing.T) {
-	th := newTestHub()
-	rule := Rule{Name: "kv", Kind: KindKVSaturation, Severity: SevWarning, Threshold: 0.9}
-	m := NewMonitor(th.hub, Config{Rules: []Rule{rule}, MaxResolved: 1})
-	m.Prime(0)
-
-	for i := 0; i < 3; i++ {
-		th.kv.Set(0.95)
-		th.step(m) // fires
-		th.kv.Set(0.2)
-		th.step(m) // resolves
-	}
-	log := m.Log()
-	if len(log.Alerts) != 1 || log.Meta.Evicted != 2 {
-		t.Fatalf("retention: %d alerts, %d evicted", len(log.Alerts), log.Meta.Evicted)
-	}
-	// The survivor is the newest cycle.
-	if a := log.Alerts[0]; a.FiredAt != 5 || a.ResolvedAt != 6 {
-		t.Errorf("survivor: %+v", a)
-	}
-	if v, ok := th.hub.Metrics.Value("telemetry_evictions_total", "alert"); !ok || v != 2 {
-		t.Errorf("eviction counter = %g, %v", v, ok)
-	}
-	if s := log.Summarize(); s.Evicted != 2 {
-		t.Errorf("summary evicted = %d", s.Evicted)
-	}
-}
-
 func TestMonitorDeterministicLog(t *testing.T) {
 	run := func() []byte {
 		th := newTestHub()

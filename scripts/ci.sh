@@ -36,11 +36,12 @@ go test -race -timeout 45m ./... "$@"
 # last enough for the pruned switch scan to matter), topology, collective (BenchmarkAllReduce:
 # warm ring, ina-sync and ina-hetero cycles on one Comm), scheduler (table
 # refresh, controller tick), online-policy, serving (a served run, an
-# elephant relaunch), tracer, critical-path (partition, analyzer feed) and
-# decision-ledger (one append, one render) layer benchmarks run once each,
-# so they keep compiling and running.
+# elephant relaunch), tracer, critical-path (partition, analyzer feed),
+# decision-ledger (one append, one render) and SLO-monitor (one evaluation
+# over a recorded frame stream) layer benchmarks run once each, so they keep
+# compiling and running.
 echo "== layer benchmarks"
-go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/netsim ./internal/planner ./internal/topology ./internal/collective ./internal/scheduler ./internal/core ./internal/serving ./internal/telemetry ./internal/telemetry/critpath ./internal/telemetry/decisions
+go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/netsim ./internal/planner ./internal/topology ./internal/collective ./internal/scheduler ./internal/core ./internal/serving ./internal/telemetry ./internal/telemetry/critpath ./internal/telemetry/decisions ./internal/telemetry/slo
 
 # Differential fuzzers: the fast water-filling allocator and its completion
 # timer against the reference allocator, the critical-path partition on

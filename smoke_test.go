@@ -9,6 +9,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -18,6 +20,9 @@ import (
 	"time"
 
 	"heroserve/internal/telemetry"
+	"heroserve/internal/telemetry/decisions"
+	"heroserve/internal/telemetry/perf"
+	"heroserve/internal/telemetry/slo"
 	"heroserve/internal/workload"
 )
 
@@ -200,7 +205,6 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"serve", []string{"-trace", trace, "-daemon", "-publish-every", "NaN"}},
 		{"serve", []string{"-trace", trace, "-daemon", "-publish-every", "Inf"}},
 		{"serve", []string{"-trace", trace, "-scale-policy", "bogus"}},
-		{"serve", []string{"-trace", trace, "-max-runs", "-1"}},
 		{"serve", []string{"-trace", trace, "-pprof"}},
 		{"heroserve", nil},
 		{"heroserve", []string{"-exp", "bogus"}},
@@ -246,9 +250,12 @@ func TestCommandsRejectBadInput(t *testing.T) {
 }
 
 // TestObserversDoNotPerturbTheRun: serving metrics from a daemon only reads
-// the run. One trace replayed plain and with -daemon serves the same
-// requests in the same simulated time and exports the same metrics, byte for
-// byte.
+// the run, and the daemon serves the bundle's bytes. One overdriven,
+// autoscaled trace replayed plain and with -daemon serves the same requests
+// in the same simulated time and exports the same metrics, byte for byte.
+// After the daemon's runs complete, each of its document routes answers
+// exactly the bytes of the bundle file it stands for; the run leaves both
+// decision-ledger kinds and a fired alert in them.
 func TestObserversDoNotPerturbTheRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke tests compile binaries")
@@ -263,19 +270,23 @@ func TestObserversDoNotPerturbTheRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.NewGenerator(workload.Chatbot, 7).Generate(40, 4).Encode(tf); err != nil {
+	if err := workload.NewGenerator(workload.Chatbot, 7).Generate(80, 12).Encode(tf); err != nil {
 		t.Fatal(err)
 	}
 	if err := tf.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// replay runs serve with extra flags and returns its served= line and
-	// metrics export. A daemon run is interrupted once its runs complete.
-	replay := func(name string, extra ...string) (served string, metrics []byte) {
+	docs := []struct{ route, file string }{
+		{decisions.Route, decisions.File}, {slo.Route, slo.File}, {perf.Route, perf.File},
+	}
+	// replay runs serve with extra flags and returns its served= line, its
+	// bundle directory and, for a daemon, the body of each document route
+	// fetched once its runs complete, before it is interrupted.
+	replay := func(name string, extra ...string) (served, out string, bodies map[string][]byte) {
 		t.Helper()
-		out := filepath.Join(dir, name)
+		out = filepath.Join(dir, name)
 		args := append([]string{"-trace", trace, "-system", "heroserve", "-topology", "testbed",
-			"-model", "opt-13b", "-seed", "7", "-out", out}, extra...)
+			"-model", "opt-13b", "-seed", "7", "-autoscale", "-out", out}, extra...)
 		cmd := exec.Command(serve, args...)
 		stdout, err := cmd.StdoutPipe()
 		if err != nil {
@@ -286,35 +297,86 @@ func TestObserversDoNotPerturbTheRun(t *testing.T) {
 		}
 		kill := time.AfterFunc(2*time.Minute, func() { cmd.Process.Kill() })
 		defer kill.Stop()
+		var addr string
 		sc := bufio.NewScanner(stdout)
 		for sc.Scan() {
 			line := sc.Text()
+			if strings.HasPrefix(line, "daemon: serving ") {
+				addr = line[strings.LastIndex(line, " on ")+len(" on "):]
+			}
 			if strings.HasPrefix(line, "served=") {
 				served = line
 			}
 			if strings.Contains(line, "runs complete") {
+				bodies = make(map[string][]byte)
+				for _, d := range docs {
+					bodies[d.route] = httpGet(t, "http://"+addr+d.route)
+				}
 				cmd.Process.Signal(os.Interrupt)
 			}
 		}
 		if err := cmd.Wait(); err != nil {
 			t.Fatalf("serve %s: %v", name, err)
 		}
-		if metrics, err = os.ReadFile(filepath.Join(out, "metrics.prom")); err != nil {
+		return served, out, bodies
+	}
+	metrics := func(bundle string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(filepath.Join(bundle, telemetry.PromFile))
+		if err != nil {
 			t.Fatal(err)
 		}
-		return served, metrics
+		return b
 	}
-	plainServed, plain := replay("plain")
+	plainServed, plainOut, _ := replay("plain")
+	plain := metrics(plainOut)
 	if plainServed == "" || len(plain) == 0 {
 		t.Fatalf("plain run printed no served= line or no metrics")
 	}
-	daemonServed, daemon := replay("daemon", "-daemon", "-listen", "127.0.0.1:0", "-publish-every", "1")
+	daemonServed, daemonOut, bodies := replay("daemon", "-daemon", "-listen", "127.0.0.1:0", "-publish-every", "1")
 	if daemonServed != plainServed {
 		t.Errorf("daemon run: %q, plain run: %q", daemonServed, plainServed)
 	}
-	if !bytes.Equal(daemon, plain) {
+	if !bytes.Equal(metrics(daemonOut), plain) {
 		t.Errorf("daemon run exported different metrics than the plain run")
 	}
+
+	if bodies == nil {
+		t.Fatal("daemon never reported its runs complete")
+	}
+	for _, d := range docs {
+		file, err := os.ReadFile(filepath.Join(daemonOut, d.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(bodies[d.route], file) {
+			t.Errorf("%s is not the bundle's %s byte for byte (%d and %d bytes)",
+				d.route, d.file, len(bodies[d.route]), len(file))
+		}
+	}
+	led, err := decisions.ReadJSON(bytes.NewReader(bodies[decisions.Route]))
+	if err != nil || led.NumCollective() == 0 || led.NumScale() == 0 {
+		t.Errorf("daemon ledger: %v, want both kinds populated", err)
+	}
+	if log, err := slo.ReadLog(bytes.NewReader(bodies[slo.Route])); err != nil || log.Summarize().Fired == 0 {
+		t.Errorf("daemon alert log: %v, want a fired alert", err)
+	}
+}
+
+// httpGet returns the body of a 200 answer to a GET of url.
+func httpGet(t *testing.T, url string) []byte {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Errorf("GET %s: status %d, %v: %s", url, resp.StatusCode, err, body)
+	}
+	return body
 }
 
 // TestHeroserveTelemetryKeepsTheReport: arming telemetry on an experiment
