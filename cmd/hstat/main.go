@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	hstat trace [-top N] [-json] run/              # critical-path breakdown + slowest requests
+//	hstat trace [-top N] [-json|-tsv] run/         # critical-path breakdown + slowest requests
 //	hstat alerts [-summary|-json|-tsv] [-rule r] [-state s] run/   # lifecycle timeline
 //	hstat decisions [-regret|-json|-tsv] run/      # counterfactual regret report
 //	hstat perf [-json] run/                        # where the simulator's wall-clock went
@@ -18,7 +18,7 @@
 // Bad input (an unknown kind, a wrong file count, a missing or malformed
 // file, a view flag given with -diff) prints one "hstat: ..." line and exits
 // 2. Output is deterministic for deterministic artifacts, so the golden gate
-// pins the alerts and decisions -tsv renderings.
+// (TestGoldens) pins the trace, alerts and decisions -tsv renderings.
 package main
 
 import (
@@ -60,11 +60,16 @@ type kind struct {
 var kinds = map[string]kind{
 	"trace": {
 		file:  telemetry.SpansFile,
-		usage: "[-top N] [-json]",
+		usage: "[-top N] [-json|-tsv]",
 		flags: func(fs *flag.FlagSet, o *opts) {
 			fs.IntVar(&o.top, "top", 10, "slowest-requests table size (0 lists every request)")
+			fs.BoolVar(&o.tsv, "tsv", false, "emit the queue/allreduce/stages aggregate TSV (the golden-gate pin)")
 		},
 		load: func(r io.Reader, o *opts) (any, string, error) {
+			if o.tsv {
+				t, err := critpath.TablesFromTrace(r)
+				return t, "", err
+			}
 			a, err := critpath.FromTrace(r)
 			if err != nil {
 				return nil, "", err
@@ -76,6 +81,9 @@ var kinds = map[string]kind{
 			return rep, "", nil
 		},
 		view: func(w io.Writer, a any, o *opts) error {
+			if o.tsv {
+				return a.(*critpath.Tables).WriteTSV(w)
+			}
 			rep := a.(*critpath.Report)
 			if o.json {
 				return writeIndented(w, rep)

@@ -64,8 +64,9 @@ func runPerfPurity(t *testing.T, sampler *perf.Sampler) purityRun {
 // contract: arming the wall-clock sampler must leave every deterministic
 // export byte-identical, the span trace included. The subtest is named after
 // the simulator paths the build selects: fast by default, reference under
-// -tags refpaths. This is the in-process twin of the scripts/golden.sh
-// matrix, whose serve -out runs produce the goldens with the sampler armed.
+// -tags refpaths. This is the in-process twin of the golden gate's matrix
+// (TestGoldens), whose serve -out runs produce the goldens with the sampler
+// armed.
 func TestPerfSamplerPreservesGoldenSurfaces(t *testing.T) {
 	t.Run(simPaths, func(t *testing.T) {
 		off := runPerfPurity(t, nil)

@@ -14,8 +14,9 @@
 //     and therefore every deterministic surface (.prom, the span trace,
 //     trace.tsv, decisions.tsv, alerts.tsv) — is byte-identical with
 //     sampling on or off, on both the fast and reference simulator paths.
-//     scripts/golden.sh runs the pinned matrix with the sampler armed (every
-//     serve -out run arms it) to prove it continuously.
+//     The golden gate (TestGoldens in the root package) runs the pinned
+//     matrix with the sampler armed (every serve -out run arms it) to prove
+//     it on every go test.
 //
 //   - Overhead. Wall-clock reads are strided: only every SampleEvery-th
 //     event is timed, so the steady-state per-event cost is two interface
