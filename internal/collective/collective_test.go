@@ -5,11 +5,14 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"testing"
 
 	"heroserve/internal/netsim"
 	"heroserve/internal/sim"
 	"heroserve/internal/switchsim"
+	"heroserve/internal/telemetry"
 	"heroserve/internal/topology"
 )
 
@@ -461,6 +464,31 @@ func newComm(t *testing.T) (*Comm, *sim.Engine, *topology.Graph) {
 	return NewComm(net, NewStaticRouter(g)), eng, g
 }
 
+// linkBytes arms net's telemetry and returns a reader of each edge's
+// link_bytes_total counter. The counters are labelled "007:gpu0-tor0", the
+// edge id first.
+func linkBytes(t *testing.T, net *netsim.Network) func(topology.EdgeID) float64 {
+	t.Helper()
+	h := telemetry.New()
+	net.SetTelemetry(h)
+	labels := make([]string, net.Graph().NumEdges())
+	for _, lv := range h.Metrics.Children("link_bytes_total") {
+		id, _, _ := strings.Cut(lv[0], ":")
+		eid, err := strconv.Atoi(id)
+		if err != nil || eid >= len(labels) {
+			t.Fatalf("link_bytes_total label %q names no edge", lv[0])
+		}
+		labels[eid] = lv[0]
+	}
+	return func(eid topology.EdgeID) float64 {
+		v, ok := h.Metrics.Value("link_bytes_total", labels[eid])
+		if !ok {
+			t.Fatalf("no link_bytes_total counter for edge %d", eid)
+		}
+		return v
+	}
+}
+
 func TestTransferDelivers(t *testing.T) {
 	c, eng, g := newComm(t)
 	gpus := g.GPUs()
@@ -632,6 +660,7 @@ func TestHeteroAllReduceBeatsEthernetINA(t *testing.T) {
 
 func TestHeteroSingleServerStaysOnNVLink(t *testing.T) {
 	c, eng, g := newComm(t)
+	carried := linkBytes(t, c.Network())
 	group := NewGroup(g, g.ServerGPUs(0))
 	var done sim.Time = -1
 	c.HeteroAllReduce(group, g.Switches()[0], 8<<20, 1, func() { done = eng.Now() })
@@ -642,7 +671,7 @@ func TestHeteroSingleServerStaysOnNVLink(t *testing.T) {
 	// No Ethernet edge should have carried bytes.
 	for i := 0; i < g.NumEdges(); i++ {
 		eid := topology.EdgeID(i)
-		if g.Edge(eid).Kind == topology.LinkEthernet && c.Network().BytesCarried(eid) > 0 {
+		if g.Edge(eid).Kind == topology.LinkEthernet && carried(eid) > 0 {
 			t.Fatalf("single-server hetero used Ethernet edge %d", i)
 		}
 	}

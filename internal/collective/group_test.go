@@ -100,6 +100,7 @@ func runOnGroup(t *testing.T, build func() *topology.Graph, members []topology.N
 	g := build()
 	eng := sim.NewEngine()
 	c := NewComm(netsim.New(g, eng), NewStaticRouter(g))
+	carried := linkBytes(t, c.Network())
 	grp := NewGroup(g, members)
 	sw, _, ok := BestAggSwitch(g, c.Router(), grp, 1<<20)
 	if !ok {
@@ -118,7 +119,7 @@ func runOnGroup(t *testing.T, build func() *topology.Graph, members []topology.N
 	}
 	run.counters = c.Counters()
 	for i := 0; i < g.NumEdges(); i++ {
-		run.carried = append(run.carried, c.Network().BytesCarried(topology.EdgeID(i)))
+		run.carried = append(run.carried, carried(topology.EdgeID(i)))
 	}
 	return run
 }

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"heroserve/internal/sim"
@@ -88,6 +89,56 @@ func BenchmarkFlowChurn(b *testing.B) {
 			}
 			for i := 0; i < inFlight; i++ {
 				launch()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !eng.Step() {
+					b.Fatal("engine drained")
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
+		})
+	}
+	b.Run("kv", benchmarkKVChurn)
+}
+
+// benchmarkKVChurn is BenchmarkFlowChurn in the shape of the chat-kv-backlog
+// workload, whose reallocations see about 27 active flows in 4 path classes:
+// 28 transfers of distinct sizes piled onto 4 distinct paths, each
+// completion starting the next transfer on the same path. Transfers start
+// the way collective.Comm.Transfer starts KV hand-offs, as one-flow groups
+// whose done runs inline. Every event advances the clock, so each one
+// charges every flow, and the classes keep many flows of different sizes.
+func benchmarkKVChurn(b *testing.B) {
+	for _, impl := range []string{"fast", "ref"} {
+		b.Run("impl="+impl, func(b *testing.B) {
+			g := topology.Testbed()
+			newNet, eng := New, sim.NewEngine()
+			if impl == "ref" {
+				newNet, eng = NewReference, sim.NewReferenceEngine()
+			}
+			n := newNet(g, eng)
+			var paths []topology.Path
+			for _, p := range buildPaths(b, g, rand.New(rand.NewSource(45)), 64) {
+				if len(paths) < 4 && !slices.ContainsFunc(paths, func(q topology.Path) bool { return slices.Equal(p.Edges, q.Edges) }) {
+					paths = append(paths, p)
+				}
+			}
+			started := 0
+			relaunch := make([]func(), len(paths))
+			launch := func(i int) {
+				started++
+				// 1-2 MiB, a different size every time.
+				size := int64(1<<20 + (started*7919)%(1<<20))
+				n.OpenGroup(Inline, relaunch[i]).Start(paths[i], size)
+			}
+			for i := range relaunch {
+				relaunch[i] = func() { launch(i) }
+			}
+			for k := 0; k < 28; k++ {
+				launch(k % len(paths))
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

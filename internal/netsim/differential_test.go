@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"heroserve/internal/sim"
+	"heroserve/internal/telemetry"
 	"heroserve/internal/topology"
 )
 
@@ -16,7 +17,8 @@ import (
 // same randomized script and locksteps them event by event, requiring
 // BIT-identical state throughout: the clock, every flow's rate and
 // remaining bytes after every reallocation, every link's aggregate rate and
-// byte counter, and the exact completion order.
+// link_bytes_total counter (telemetry is armed on both), and the exact
+// completion order.
 //
 // Scripts mix flow add/cancel storms, link degrade/blackout/recovery
 // mid-flight, and a periodic daemon monitor — the operations the serving
@@ -135,8 +137,8 @@ func compareState(t *testing.T, step int, a, b *netRun, nEdges int) {
 		if x, y := a.net.EdgeRate(eid), b.net.EdgeRate(eid); math.Float64bits(x) != math.Float64bits(y) {
 			t.Fatalf("step %d: EdgeRate[%d] ref=%g fast=%g", step, e, x, y)
 		}
-		if x, y := a.net.BytesCarried(eid), b.net.BytesCarried(eid); math.Float64bits(x) != math.Float64bits(y) {
-			t.Fatalf("step %d: BytesCarried[%d] ref=%g fast=%g", step, e, x, y)
+		if x, y := a.net.tel.linkBytes[e].Value(), b.net.tel.linkBytes[e].Value(); math.Float64bits(x) != math.Float64bits(y) {
+			t.Fatalf("step %d: link_bytes_total[%d] ref=%g fast=%g", step, e, x, y)
 		}
 	}
 	if len(a.doneIdx) != len(b.doneIdx) {
@@ -187,6 +189,8 @@ func runDifferential(t *testing.T, mkGraph func() *topology.Graph, seed int64, n
 	ref.eng, ref.net = mkRef(ga, nil)
 	fast := &netRun{}
 	fast.eng, fast.net = mkFast(gb, nil)
+	ref.net.SetTelemetry(telemetry.New())
+	fast.net.SetTelemetry(telemetry.New())
 	nEdges := ga.NumEdges()
 	ref.install(ops, paths, nEdges)
 	fast.install(ops, pathsB, nEdges)
@@ -306,10 +310,10 @@ func TestFastPathSteadyStateAllocs(t *testing.T) {
 		n.SetLinkScale(eid, 0.5)
 		n.SetLinkScale(eid, 1)
 	})
-	// Each SetLinkScale re-scans all 16 live flows and re-arms the network's
-	// one completion timer: one reschedule per call, two calls per run. The
-	// timer Event is reused and the fast engine queues it by value, so
-	// nothing may allocate.
+	// Each SetLinkScale re-scans all live path classes and re-arms the
+	// network's one completion timer: one reschedule per call, two calls per
+	// run. The timer Event is reused and the fast engine queues it by value,
+	// so nothing may allocate.
 	if perOp != 0 {
 		t.Errorf("steady-state reallocation allocates %.1f objects per op, want 0", perOp)
 	}

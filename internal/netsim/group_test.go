@@ -56,8 +56,8 @@ func (r *groupRun) launch(name string, paths []topology.Path, size int64, delay 
 // timer's instant and flow, and the delivered-flow count.
 func groupState(n *Network) []uint64 {
 	var out []uint64
-	for _, f := range n.orderedFlows() {
-		out = append(out, uint64(f.ID), math.Float64bits(f.rate), math.Float64bits(f.remaining))
+	for _, f := range n.order {
+		out = append(out, uint64(f.ID), math.Float64bits(f.Rate()), math.Float64bits(f.Remaining()))
 	}
 	if n.next != nil {
 		out = append(out, math.Float64bits(n.timer.At()), uint64(n.next.ID))

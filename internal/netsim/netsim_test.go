@@ -1,11 +1,13 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"heroserve/internal/sim"
+	"heroserve/internal/telemetry"
 	"heroserve/internal/topology"
 )
 
@@ -158,6 +160,38 @@ func TestNegativeSizePanics(t *testing.T) {
 	n.StartFlow(pathBetween(t, n, ids[0], ids[1]), -1, nil)
 }
 
+// TestSetLinkScale: a scale outside [0, 1] is clamped, and NaN, which would
+// leave the flows at their old rates and make the link's utilization NaN,
+// panics with a message naming the link.
+func TestSetLinkScale(t *testing.T) {
+	for _, tc := range []struct {
+		frac, rate float64
+		panics     string
+	}{
+		{frac: 0.5, rate: 50},
+		{frac: -0.5, rate: 0},
+		{frac: 1.5, rate: 100},
+		{frac: math.NaN(), panics: "netsim: NaN capacity scale for link 000:n0-n1"},
+	} {
+		t.Run(fmt.Sprint(tc.frac), func(t *testing.T) {
+			n, _, ids := chain(t, 100)
+			f := n.StartFlow(pathBetween(t, n, ids[0], ids[1]), 1000, nil)
+			defer func() {
+				if got := fmt.Sprint(recover()); tc.panics != "" && got != tc.panics {
+					t.Errorf("panic %q, want %q", got, tc.panics)
+				}
+			}()
+			n.SetLinkScale(0, tc.frac)
+			if tc.panics != "" {
+				t.Fatal("no panic")
+			}
+			if f.Rate() != tc.rate {
+				t.Errorf("rate %g, want %g", f.Rate(), tc.rate)
+			}
+		})
+	}
+}
+
 // TestStartGroupPanicsOnEmpty: a group without flows would never complete,
 // so starting one is a caller bug.
 func TestStartGroupPanicsOnEmpty(t *testing.T) {
@@ -193,6 +227,7 @@ func TestCancelFlow(t *testing.T) {
 
 func TestTelemetry(t *testing.T) {
 	n, eng, ids := chain(t, 100)
+	n.SetTelemetry(telemetry.New())
 	p := pathBetween(t, n, ids[0], ids[1])
 	eid := p.Edges[0]
 	f := n.StartFlow(p, 1000, nil)
@@ -204,8 +239,8 @@ func TestTelemetry(t *testing.T) {
 	}
 	_ = f
 	eng.Run()
-	if got := n.BytesCarried(eid); math.Abs(got-1000) > 1e-6 {
-		t.Errorf("BytesCarried = %g, want 1000", got)
+	if got := n.tel.linkBytes[eid].Value(); math.Abs(got-1000) > 1e-6 {
+		t.Errorf("link_bytes_total = %g, want 1000", got)
 	}
 	if n.ActiveFlows() != 0 {
 		t.Errorf("ActiveFlows = %d after drain", n.ActiveFlows())
@@ -215,14 +250,16 @@ func TestTelemetry(t *testing.T) {
 
 // Property: under any sequence of flow starts on random paths, (1) no link
 // ever carries more than its capacity, (2) every flow eventually completes,
-// leaving every path class on the free list, and (3) total bytes carried on
-// each link equals the sum of sizes of flows that traversed it.
+// leaving every path class on the free list, and (3) each link's
+// link_bytes_total counter equals the sum of sizes of flows that traversed
+// it.
 func TestQuickConservationAndCapacity(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 25; trial++ {
 		g := topology.Testbed()
 		eng := sim.NewEngine()
 		n := New(g, eng)
+		n.SetTelemetry(telemetry.New())
 		gpus := g.GPUs()
 		m := g.NewTrees(gpus, 1<<20, nil).Matrix(gpus)
 
@@ -271,7 +308,7 @@ func TestQuickConservationAndCapacity(t *testing.T) {
 		}
 		checkDrained(t, n)
 		for i := range wantBytes {
-			got := n.BytesCarried(topology.EdgeID(i))
+			got := n.tel.linkBytes[i].Value()
 			if math.Abs(got-wantBytes[i]) > 1+wantBytes[i]*1e-6 {
 				t.Fatalf("trial %d: link %d carried %g bytes, want %g", trial, i, got, wantBytes[i])
 			}

@@ -125,3 +125,70 @@ func TestCancelLastFlow(t *testing.T) {
 		})
 	}
 }
+
+// TestClassTimerTies pins the completion order inside one path class when
+// finish times tie in float64 although the remaining bytes differ. The flows
+// start at T0 = 2^20 s, where one ulp of the clock is 2^-32 s, each at 2^40
+// B/s, so every size below 1152 bytes finishes at T0 + 2^-30. A tie goes to
+// the lowest flow ID, which here is the flow with the most bytes left.
+//
+// In "rounded", the flows differ by one byte, and the survivor still has 75
+// bytes left when the first one completes. In "clamped", the charge at the
+// first completion moves 1,024 bytes per flow, so the two survivors reach
+// zero together, and the lower ID (the larger flow) must still go first.
+func TestClassTimerTies(t *testing.T) {
+	const t0, rate = 1 << 20, 1 << 40
+	for _, tc := range []struct {
+		name    string
+		sizes   []int64
+		clamped bool
+	}{
+		{"rounded", []int64{1100, 1099}, false},
+		{"clamped", []int64{1000, 999, 998}, true},
+	} {
+		for _, c := range netsimCombos {
+			t.Run(tc.name+"/"+c.name, func(t *testing.T) {
+				g := topology.NewGraph()
+				a := g.AddNode(topology.Node{Kind: topology.KindGPU})
+				b := g.AddNode(topology.Node{Kind: topology.KindGPU, Server: 1})
+				e := g.AddEdge(a, b, topology.LinkEthernet, float64(len(tc.sizes))*rate, 0)
+				path := topology.Path{Edges: []topology.EdgeID{e}}
+				eng := c.newEng()
+				n := c.newNet(g, eng)
+				var flows []*Flow
+				var got []FlowID
+				var at []sim.Time
+				eng.Schedule(t0, func() {
+					for _, size := range tc.sizes {
+						flows = append(flows, n.StartFlow(path, size, func(f *Flow) {
+							got = append(got, f.ID)
+							at = append(at, eng.Now())
+							if len(got) > 1 {
+								return
+							}
+							for _, g := range flows[1:] {
+								if (g.Remaining() == 0) != tc.clamped {
+									t.Errorf("flow %d has %g bytes left at the first completion, clamped=%v",
+										g.ID, g.Remaining(), tc.clamped)
+								}
+							}
+						}))
+					}
+				})
+				eng.Run()
+				want := make([]FlowID, len(tc.sizes))
+				for i := range want {
+					want[i] = flows[i].ID
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("completion order %v, want %v", got, want)
+				}
+				for i, x := range at {
+					if x != t0+1.0/(1<<30) {
+						t.Errorf("completion %d at T0%+g, want T0+2^-30", i, x-t0)
+					}
+				}
+			})
+		}
+	}
+}

@@ -7,6 +7,7 @@ import (
 	"heroserve/internal/collective"
 	"heroserve/internal/netsim"
 	"heroserve/internal/sim"
+	"heroserve/internal/telemetry"
 	"heroserve/internal/topology"
 )
 
@@ -61,6 +62,9 @@ func TestElephantLanesMatchRoute(t *testing.T) {
 			const bytes = 256 << 20
 			engA, engB := sim.NewEngine(), sim.NewEngine()
 			lanes, oracle := netsim.New(tc.g, engA), netsim.New(tc.g, engB)
+			telA, telB := telemetry.New(), telemetry.New()
+			lanes.SetTelemetry(telA)
+			oracle.SetTelemetry(telB)
 			LaunchElephants(lanes, collective.NewStaticRouter(tc.g), tc.lanes, bytes, tc.horizon, 7)
 			launchElephantsByRoute(oracle, collective.NewStaticRouter(tc.g), tc.lanes, bytes, tc.horizon, 7)
 			var moved float64
@@ -75,11 +79,15 @@ func TestElephantLanesMatchRoute(t *testing.T) {
 				if engA.Now() != engB.Now() || engA.Processed() != engB.Processed() {
 					t.Fatalf("at %v: lanes at t=%v after %d events, oracle at t=%v after %d", at, engA.Now(), engA.Processed(), engB.Now(), engB.Processed())
 				}
-				for e := 0; e < tc.g.NumEdges(); e++ {
-					eid := topology.EdgeID(e)
-					got, want := lanes.BytesCarried(eid), oracle.BytesCarried(eid)
+				links := telA.Metrics.Children("link_bytes_total")
+				if len(links) != tc.g.NumEdges() {
+					t.Fatalf("%d link_bytes_total counters for %d edges", len(links), tc.g.NumEdges())
+				}
+				for _, link := range links {
+					got, _ := telA.Metrics.Value("link_bytes_total", link...)
+					want, _ := telB.Metrics.Value("link_bytes_total", link...)
 					if math.Float64bits(got) != math.Float64bits(want) {
-						t.Fatalf("at %v: edge %d carried %v bytes, oracle %v", at, e, got, want)
+						t.Fatalf("at %v: link %s carried %v bytes, oracle %v", at, link[0], got, want)
 					}
 					moved += got
 				}

@@ -31,8 +31,9 @@ echo "== go test -race"
 go test -race -timeout 45m ./... "$@"
 
 # The event engine (schedule, step, cancel, reschedule), netsim
-# (reallocation by flow and path count, flow churn, pod-scale charge, many
-# concurrent flows), planner (Alg. 1 on 24-, 96- and 192-server pods, the
+# (reallocation by flow and path count, flow churn, chat-kv-backlog-shaped
+# churn of distinct-size flows piled onto four paths (BenchmarkFlowChurn/kv),
+# pod-scale charge, many concurrent flows), planner (Alg. 1 on 24-, 96- and 192-server pods, the
 # last enough for the pruned switch scan to matter), topology, collective (BenchmarkAllReduce:
 # warm ring, ina-sync and ina-hetero cycles on one Comm), scheduler (table
 # refresh, controller tick), online-policy, serving (a served run, an
