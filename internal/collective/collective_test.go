@@ -292,7 +292,8 @@ func TestMatrixRouter(t *testing.T) {
 }
 
 // routeOnly hides a router's TransferTime, so BestAggSwitch prices each
-// member-to-switch transfer by building its path.
+// member-to-switch transfer by building its path, and its type, so a Comm
+// over it takes the path of a router that is not static.
 type routeOnly struct{ Router }
 
 // TestBestAggSwitchFromDMatchesPaths: BestAggSwitch through a MatrixRouter
@@ -700,24 +701,50 @@ func TestAllReduceDispatch(t *testing.T) {
 // BenchmarkAllReduce times one launch→done cycle of a warm all-reduce of
 // 8 steps of 1 MiB over the whole testbed (16 GPUs on 4 servers), on one
 // Comm whose engine, network and op free lists stay warm across
-// iterations.
+// iterations. Its router is static (the planned policy's and the
+// baselines': phases start as flow groups on cached paths) or load-aware
+// (HeroServe's: the heterogeneous phases start flow by flow), and it
+// reports the network's reallocations per cycle.
 func BenchmarkAllReduce(b *testing.B) {
 	g := topology.Testbed()
-	eng := sim.NewEngine()
-	c := NewComm(netsim.New(g, eng), NewStaticRouter(g))
 	grp := NewGroup(g, g.GPUs())
 	sw := g.Switches()[0]
 	done := func() {}
-	for _, s := range []Scheme{SchemeRing, SchemeINASync, SchemeHetero} {
-		b.Run("scheme="+s.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				c.AllReduce(s, grp, sw, 1<<20, 8, done)
-				eng.Run()
-			}
-		})
+	for _, rc := range []struct {
+		name   string
+		router func(*netsim.Network) Router
+	}{
+		{"static", func(*netsim.Network) Router { return NewStaticRouter(g) }},
+		{"load-aware", func(net *netsim.Network) Router {
+			r := NewLoadAwareRouter(g, 3)
+			r.Bind(net)
+			return r
+		}},
+	} {
+		eng := sim.NewEngine()
+		net := netsim.New(g, eng)
+		probe := new(reallocCounter)
+		net.SetPerf(probe)
+		c := NewComm(net, rc.router(net))
+		for _, s := range []Scheme{SchemeRing, SchemeINASync, SchemeHetero} {
+			b.Run("router="+rc.name+"/scheme="+s.String(), func(b *testing.B) {
+				b.ReportAllocs()
+				probe.n = 0
+				for i := 0; i < b.N; i++ {
+					c.AllReduce(s, grp, sw, 1<<20, 8, done)
+					eng.Run()
+				}
+				b.ReportMetric(float64(probe.n)/float64(b.N), "reallocs/op")
+			})
+		}
 	}
 }
+
+// reallocCounter is a netsim.PerfProbe that counts reallocations.
+type reallocCounter struct{ n int64 }
+
+func (p *reallocCounter) ReallocStart() int64              { p.n++; return 0 }
+func (p *reallocCounter) ReallocDone(int64, int, int, int) {}
 
 // TestCollectiveSteadyStateAllocs pins the launch→done cost of a warm
 // collective on a prepared group: a cross-server ring all-reduce and a

@@ -89,11 +89,17 @@ func NewStaticRouter(g *topology.Graph) *StaticRouter {
 	}
 }
 
-// sizeClass buckets sizes by decade.
+// maxSizeClass is the largest decade whose representative, 10^18, fits in
+// an int64.
+const maxSizeClass = 18
+
+// sizeClass buckets sizes by decade: the class of size is the smallest c
+// with 10^c >= size, and 10^c is its representative. Sizes above 10^18
+// saturate into class 18.
 func sizeClass(size int64) (class int, representative int64) {
 	rep := int64(1)
 	c := 0
-	for rep < size {
+	for rep < size && c < maxSizeClass {
 		rep *= 10
 		c++
 	}

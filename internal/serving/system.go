@@ -222,10 +222,6 @@ type decodeInstance struct {
 // model per GPU type present (using the slowest GPU of each instance, which
 // paces its synchronous iterations).
 func New(g *topology.Graph, dep Deployment, opts Options) (*System, error) {
-	if err := dep.Validate(); err != nil {
-		return nil, err
-	}
-	opts.setDefaults()
 	var eng *sim.Engine
 	var net *netsim.Network
 	if referencePaths {
@@ -235,6 +231,15 @@ func New(g *topology.Graph, dep Deployment, opts Options) (*System, error) {
 		eng = sim.NewEngine()
 		net = netsim.New(g, eng)
 	}
+	return newOn(g, dep, opts, eng, net)
+}
+
+// newOn is New on the given engine and network over g.
+func newOn(g *topology.Graph, dep Deployment, opts Options, eng *sim.Engine, net *netsim.Network) (*System, error) {
+	if err := dep.Validate(); err != nil {
+		return nil, err
+	}
+	opts.setDefaults()
 	var router collective.Router = collective.NewStaticRouter(g)
 	if opts.RouterFactory != nil {
 		router = opts.RouterFactory(net)

@@ -35,7 +35,8 @@ go test -race -timeout 45m ./... "$@"
 # churn of distinct-size flows piled onto four paths (BenchmarkFlowChurn/kv),
 # pod-scale charge, many concurrent flows), planner (Alg. 1 on 24-, 96- and 192-server pods, the
 # last enough for the pruned switch scan to matter), topology, collective (BenchmarkAllReduce:
-# warm ring, ina-sync and ina-hetero cycles on one Comm), scheduler (table
+# warm ring, ina-sync and ina-hetero cycles on one Comm, under router=static
+# and router=load-aware, with netsim reallocations per op), scheduler (table
 # refresh, controller tick), online-policy, serving (a served run, an
 # elephant relaunch), tracer, critical-path (partition, analyzer feed),
 # decision-ledger (one append, one render) and SLO-monitor (one evaluation
