@@ -293,7 +293,8 @@ func TestMatrixRouter(t *testing.T) {
 
 // routeOnly hides a router's TransferTime, so BestAggSwitch prices each
 // member-to-switch transfer by building its path, and its type, so a Comm
-// over it takes the path of a router that is not static.
+// over it routes every launch uncached, as under a router that is not
+// static.
 type routeOnly struct{ Router }
 
 // TestBestAggSwitchFromDMatchesPaths: BestAggSwitch through a MatrixRouter
@@ -702,9 +703,10 @@ func TestAllReduceDispatch(t *testing.T) {
 // 8 steps of 1 MiB over the whole testbed (16 GPUs on 4 servers), on one
 // Comm whose engine, network and op free lists stay warm across
 // iterations. Its router is static (the planned policy's and the
-// baselines': phases start as flow groups on cached paths) or load-aware
-// (HeroServe's: the heterogeneous phases start flow by flow), and it
-// reports the network's reallocations per cycle.
+// baselines': paths come from the group's route cache) or load-aware
+// (HeroServe's: each phase is routed uncached, on the load at its launch);
+// under either, every phase starts as one flow group. It reports the
+// network's reallocations per cycle.
 func BenchmarkAllReduce(b *testing.B) {
 	g := topology.Testbed()
 	grp := NewGroup(g, g.GPUs())

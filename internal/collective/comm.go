@@ -71,8 +71,7 @@ type Comm struct {
 	counters Counters
 
 	// static is router when it is a *StaticRouter, and nil otherwise. Under
-	// it, launches read their phases' paths from the group's route cache,
-	// and the heterogeneous phases start each as one flow group.
+	// it, launches read their phases' paths from the group's route cache.
 	static *StaticRouter
 	// scratch holds the paths of one launch under any other router; flows
 	// copy the Path values they start with, so it is reused on the next
@@ -100,26 +99,30 @@ type Comm struct {
 	freeEnds          []*spanEnd
 }
 
-// spanEnd closes one all-reduce's async span and then runs the op's done.
-// It goes back to its Comm's free list before done runs, with run, its
-// callback, built once per value.
+// spanEnd closes one async span, an all-reduce's or a transfer's, and then
+// runs the op's done. It goes back to its Comm's free list before done
+// runs, with run, its callback, built once per value.
 type spanEnd struct {
-	c     *Comm
-	id    string // the span's id as AsyncBegin formatted it
-	inner func()
-	run   func()
+	c         *Comm
+	cat, name string
+	id        string // the span's id as AsyncBegin formatted it
+	inner     func()
+	run       func()
 }
 
 func (e *spanEnd) end() {
-	c, id, inner := e.c, e.id, e.inner
+	c, cat, name, id, inner := e.c, e.cat, e.name, e.id, e.inner
 	e.inner = nil
 	c.freeEnds = append(c.freeEnds, e)
-	c.tel.Trace.AsyncEnd("collective", "allreduce", id)
+	c.tel.Trace.AsyncEnd(cat, name, id)
 	inner()
 }
 
-// newSpanEnd takes a span closer off the free list, or builds one.
-func (c *Comm) newSpanEnd(id string, inner func()) func() {
+// beginSpan opens an async span and returns a closer, taken off the free
+// list or built, that ends it and then runs inner.
+func (c *Comm) beginSpan(cat, name string, args telemetry.Args, inner func()) func() {
+	c.asyncSeq++
+	id := c.tel.Trace.AsyncBegin(cat, name, c.asyncSeq, args)
 	var e *spanEnd
 	if k := len(c.freeEnds); k > 0 {
 		e = c.freeEnds[k-1]
@@ -129,7 +132,7 @@ func (c *Comm) newSpanEnd(id string, inner func()) func() {
 		e = &spanEnd{c: c}
 		e.run = e.end
 	}
-	e.id, e.inner = id, inner
+	e.cat, e.name, e.id, e.inner = cat, name, id, inner
 	return e.run
 }
 
@@ -229,8 +232,7 @@ func (c *Comm) Transfer(from, to topology.NodeID, bytes int64, done func()) {
 		c.net.Engine().PostAfter(0, done)
 		return
 	}
-	p := c.route(from, to, bytes)
-	c.net.OpenGroup(netsim.Inline, done).Start(p, bytes)
+	c.net.StartGroup([]topology.Path{c.route(from, to, bytes)}, bytes, netsim.Inline, done)
 }
 
 // TransferSpan is Transfer bracketed by an async trace span (matching the
@@ -239,13 +241,7 @@ func (c *Comm) Transfer(from, to topology.NodeID, bytes int64, done func()) {
 // they stop appearing as anonymous netsim flows.
 func (c *Comm) TransferSpan(cat, name string, args telemetry.Args, from, to topology.NodeID, bytes int64, done func()) {
 	if c.tel != nil {
-		c.asyncSeq++
-		id := c.tel.Trace.AsyncBegin(cat, name, c.asyncSeq, args)
-		inner := done
-		done = func() {
-			c.tel.Trace.AsyncEnd(cat, name, id)
-			inner()
-		}
+		done = c.beginSpan(cat, name, args, done)
 	}
 	c.Transfer(from, to, bytes, done)
 }
@@ -609,33 +605,20 @@ func (c *Comm) heteroAllReduce(grp *Group, part *partition, sw topology.NodeID, 
 }
 
 // startIntra starts one intra-part phase of a heterogeneous op on part,
-// one of grp's partitions: each non-leader to its part's leader
-// (phaseReduce) or each leader to its non-leaders (phaseBroadcast), total
-// bytes each, and runs done when every flow has delivered. Under the
-// static router the phase is one flow group over the group's cached paths.
-// Any other router may read link load, so each flow is routed after the
-// ones before it have started: one at a time, into a group.
+// one of grp's partitions, as one flow group: each non-leader to its part's
+// leader (phaseReduce) or each leader to its non-leaders (phaseBroadcast),
+// total bytes each. done runs when every flow has delivered.
 func (c *Comm) startIntra(grp *Group, part *partition, ph phase, total int64, done func()) {
-	if c.static != nil {
-		l, ok := c.phasePaths(grp, phaseKey{phase: ph, part: part}, total, part.intraFlows)
-		if !ok {
-			for _, members := range part.parts {
-				for _, m := range members[1:] {
-					src, dst := intraEnds(ph, members[0], m)
-					l.add(c, src, dst, total)
-				}
+	l, ok := c.phasePaths(grp, phaseKey{phase: ph, part: part}, total, part.intraFlows)
+	if !ok {
+		for _, members := range part.parts {
+			for _, m := range members[1:] {
+				src, dst := intraEnds(ph, members[0], m)
+				l.add(c, src, dst, total)
 			}
 		}
-		c.net.StartGroup(l.paths, total, netsim.Inline, done)
-		return
 	}
-	flows := c.net.OpenGroup(netsim.Inline, done)
-	for _, members := range part.parts {
-		for _, m := range members[1:] {
-			src, dst := intraEnds(ph, members[0], m)
-			flows.Start(c.route(src, dst, total), total)
-		}
-	}
+	c.net.StartGroup(l.paths, total, netsim.Inline, done)
 }
 
 // intraEnds returns the ends of the phase's flow between a part's leader
@@ -699,7 +682,6 @@ func (c *Comm) AllReduce(scheme Scheme, grp *Group, sw topology.NodeID, msgBytes
 // the AsyncBegin call, and a tap that keeps the list copies it.
 func (c *Comm) AllReduceTagged(scheme Scheme, grp *Group, sw topology.NodeID, msgBytes int64, steps int, reqs []int, done func()) {
 	if c.tel != nil {
-		c.asyncSeq++
 		args := append(c.spanArgs[:0], telemetry.Int64("bytes", msgBytes), telemetry.Int("group", grp.Size()))
 		if len(reqs) > 0 {
 			args = append(args, telemetry.Ints("reqs", reqs))
@@ -709,8 +691,7 @@ func (c *Comm) AllReduceTagged(scheme Scheme, grp *Group, sw topology.NodeID, ms
 			args = append(args, telemetry.Str("switch", c.switchName(sw)))
 		}
 		c.spanArgs = args
-		id := c.tel.Trace.AsyncBegin("collective", "allreduce", c.asyncSeq, args)
-		done = c.newSpanEnd(id, done)
+		done = c.beginSpan("collective", "allreduce", args, done)
 	}
 	switch scheme {
 	case SchemeRing:

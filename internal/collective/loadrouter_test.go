@@ -9,6 +9,7 @@ import (
 
 	"heroserve/internal/netsim"
 	"heroserve/internal/sim"
+	"heroserve/internal/switchsim"
 	"heroserve/internal/topology"
 )
 
@@ -128,6 +129,82 @@ func TestLoadAwareRouterInsideComm(t *testing.T) {
 	eng.Run()
 	if completed != 2 {
 		t.Fatalf("completed %d/2", completed)
+	}
+}
+
+// loadProbe wraps a router and records, at every Route call, the sim
+// instant and the number of flows active on the network.
+type loadProbe struct {
+	Router
+	net    *netsim.Network
+	at     []sim.Time
+	active []int
+}
+
+func (p *loadProbe) Route(a, b topology.NodeID, size int64) (topology.Path, bool) {
+	p.at = append(p.at, p.net.Engine().Now())
+	p.active = append(p.active, p.net.ActiveFlows())
+	return p.Router.Route(a, b, size)
+}
+
+// TestPhasesRouteOnLaunchLoad: under a load-aware router, every collective
+// phase routes all its flows on the load it launched on and only then
+// starts them, so no flow of a phase is routed around its own siblings.
+// Each scheme runs alone on an idle network; every Route call of one phase
+// (the calls at one sim instant) must see the active-flow count the
+// phase's first call saw.
+func TestPhasesRouteOnLaunchLoad(t *testing.T) {
+	tb, pg := topology.Testbed(), pcieTestbed()
+	for _, tc := range []struct {
+		name    string
+		g       *topology.Graph
+		members []topology.NodeID
+		run     func(c *Comm, grp *Group, sw topology.NodeID, done func())
+	}{
+		{"ring", tb, tb.GPUs(), func(c *Comm, grp *Group, _ topology.NodeID, done func()) {
+			c.RingAllReduce(grp, 1<<20, 2, done)
+		}},
+		{"ina-sync", tb, tb.GPUs(), func(c *Comm, grp *Group, sw topology.NodeID, done func()) {
+			c.INAAllReduce(grp, sw, 1<<20, 2, switchsim.ModeSync, done)
+		}},
+		{"ina-async", tb, tb.GPUs(), func(c *Comm, grp *Group, sw topology.NodeID, done func()) {
+			c.INAAllReduce(grp, sw, 1<<20, 2, switchsim.ModeAsync, done)
+		}},
+		{"hetero-one-server", tb, tb.ServerGPUs(0), func(c *Comm, grp *Group, sw topology.NodeID, done func()) {
+			c.HeteroAllReduce(grp, sw, 1<<20, 2, done)
+		}},
+		{"hetero-across-servers", tb, tb.GPUs(), func(c *Comm, grp *Group, sw topology.NodeID, done func()) {
+			c.HeteroAllReduce(grp, sw, 1<<20, 2, done)
+		}},
+		{"hetero-numa", pg, pg.GPUs(), func(c *Comm, grp *Group, sw topology.NodeID, done func()) {
+			c.HeteroNUMAAllReduce(grp, sw, 1<<20, 2, done)
+		}},
+	} {
+		eng := sim.NewEngine()
+		net := netsim.New(tc.g, eng)
+		r := NewLoadAwareRouter(tc.g, 3)
+		r.Bind(net)
+		probe := &loadProbe{Router: r, net: net}
+		c := NewComm(net, probe)
+		completed := 0
+		tc.run(c, NewGroup(tc.g, tc.members), tc.g.Switches()[0], func() { completed++ })
+		eng.Run()
+		if completed != 1 {
+			t.Fatalf("%s: completed %d/1", tc.name, completed)
+		}
+		widest, first := 0, 0
+		for i := range probe.at {
+			if probe.at[i] != probe.at[first] {
+				first = i
+			} else if probe.active[i] != probe.active[first] {
+				t.Fatalf("%s: Route calls at t=%v saw %v active flows, want one count per phase",
+					tc.name, probe.at[i], probe.active[first:i+1])
+			}
+			widest = max(widest, i-first+1)
+		}
+		if widest < 2 {
+			t.Fatalf("%s: no phase routed more than one flow (%d Route calls)", tc.name, len(probe.at))
+		}
 	}
 }
 

@@ -66,9 +66,9 @@ type twin struct {
 }
 
 // staticTwins returns a Comm under a StaticRouter over g and one under the
-// same kind of router with its type hidden, which therefore starts the
-// heterogeneous phases flow by flow and routes every launch afresh. Both
-// run on networks newNet builds.
+// same kind of router with its type hidden, which therefore bypasses the
+// route cache and routes every launch afresh, uncached. Both run on
+// networks newNet builds.
 func staticTwins(t *testing.T, g *topology.Graph, newNet func(*topology.Graph, *sim.Engine) *netsim.Network) [2]twin {
 	t.Helper()
 	var tw [2]twin
@@ -152,8 +152,8 @@ func cacheLockstep(t *testing.T, g *topology.Graph, launches []cacheLaunch) {
 	}
 }
 
-// TestRouteCacheKeys locksteps a static-routed Comm against one routing
-// flow by flow (cacheLockstep) through launches that revisit each phase at
+// TestRouteCacheKeys locksteps a static-routed Comm against an uncached
+// one (cacheLockstep) through launches that revisit each phase at
 // two size classes that route differently, INA at two switches, a group's
 // server and NUMA partitions, and Resets to other members, so a cached
 // path list served under the wrong key, or kept across a Reset, moves

@@ -132,7 +132,7 @@ func benchmarkKVChurn(b *testing.B) {
 				started++
 				// 1-2 MiB, a different size every time.
 				size := int64(1<<20 + (started*7919)%(1<<20))
-				n.OpenGroup(Inline, relaunch[i]).Start(paths[i], size)
+				n.StartGroup([]topology.Path{paths[i]}, size, Inline, relaunch[i])
 			}
 			for i := range relaunch {
 				relaunch[i] = func() { launch(i) }

@@ -49,14 +49,17 @@
 // kept in ID order, so that is the head unless two different remainders
 // round to one finish time, which a look past the head's run detects.
 //
-// StartGroup starts the flows of one collective phase together and reports
-// their joint completion once. It adds every flow before a single
-// reallocation over the union of their paths, which leaves the same rates
-// and the same timer (time, flow) as starting them one by one (DESIGN.md,
-// "Pooled events and flow groups"). Nobody outside the network holds a
-// group's flows, so they and the group are recycled after delivery, and
-// every delivery is posted to the engine without a handle: a steady stream
-// of collective phases allocates nothing here.
+// StartGroup is the one way to start a group of flows: every collective
+// phase, whose caller has routed all its paths first, and every one-flow
+// transfer. It reports the group's joint completion once. It adds every
+// flow before a single reallocation over the union of their paths, which
+// leaves the same rates and the same timer (time, flow) as starting them
+// one by one (DESIGN.md, "Pooled events and flow groups"), since no route
+// is taken between the starts. Nobody outside the network holds a group's
+// flows, so they and the group are recycled after delivery, and every
+// delivery is posted to the engine without a handle: a steady stream of
+// collective phases and transfers allocates nothing here. StartFlow starts
+// a lone flow that its caller may cancel or inspect.
 package netsim
 
 import (
@@ -96,7 +99,7 @@ type Flow struct {
 
 	// group is the flow's group, nil for a StartFlow flow. A group's flow is
 	// recycled once it delivers.
-	group *Group
+	group *group
 	// deliver is the flow's delivery callback, built on first use and kept
 	// across recycling.
 	deliver func()
@@ -193,7 +196,7 @@ type Network struct {
 
 	// Recycled group flows and groups.
 	freeFlows  []*Flow
-	freeGroups []*Group
+	freeGroups []*group
 
 	// linkScale scales each edge's capacity for fault injection: 1 is a
 	// healthy link, 0 a blacked-out one. Lazily allocated by SetLinkScale so
@@ -402,56 +405,39 @@ func (n *Network) StartFlow(path topology.Path, size int64, done func(*Flow)) *F
 // flow's delivery instead of posting it.
 const Inline sim.Time = -1
 
-// Group is a set of flows whose done runs once, when the last of them has
-// delivered. A Group is recycled when it completes; do not keep it past the
-// call that started its flows.
-type Group struct {
-	net     *Network
+// group is a set of flows whose done runs once, when the last of them has
+// delivered. The network recycles it then.
+type group struct {
 	pending int // flows started and not yet delivered
 	delay   sim.Time
 	done    func()
 }
 
-// OpenGroup returns an empty group for flows that must start one at a time
-// (each with its own reallocation, so a load-aware router can see the ones
-// before it). When the last flow delivers, done runs inline if delay is
-// Inline, and is posted delay seconds later otherwise. A group must get at
-// least one flow: an empty group never completes.
-func (n *Network) OpenGroup(delay sim.Time, done func()) *Group {
-	var g *Group
+// StartGroup starts one flow of size bytes along each path, in order, and
+// runs done once the last has delivered: inline, inside that delivery, if
+// delay is Inline, and posted delay seconds later otherwise. The flows are
+// added after one charge and rated by one reallocation over the union of
+// their paths, which gives every flow the rate and the completion timer
+// the (time, flow) that one StartFlow per path would. The timer skips the
+// intermediate re-arms, which only shifts every later sequence number by
+// the same amount. A group with an edgeless path or a zero size is started
+// one flow at a time instead, so its immediate deliveries keep their order
+// against the timer. The network holds the paths only until their flows
+// deliver: it drops them before done runs, so from done on the caller may
+// reuse their slices.
+func (n *Network) StartGroup(paths []topology.Path, size int64, delay sim.Time, done func()) {
+	if len(paths) == 0 {
+		panic("netsim: empty flow group")
+	}
+	var g *group
 	if k := len(n.freeGroups); k > 0 {
 		g = n.freeGroups[k-1]
 		n.freeGroups[k-1] = nil
 		n.freeGroups = n.freeGroups[:k-1]
 	} else {
-		g = &Group{net: n}
+		g = new(group)
 	}
-	g.pending, g.delay, g.done = 0, delay, done
-	return g
-}
-
-// Start begins one flow of the group, exactly as StartFlow would. The
-// network holds path only until the flow delivers: it drops it before the
-// group's done runs, so from done on the caller may reuse path's slices.
-func (g *Group) Start(path topology.Path, size int64) {
-	g.pending++
-	g.net.start(g.net.newFlow(path, size, g, nil))
-}
-
-// StartGroup starts one flow of size bytes along each path, in order, and
-// runs done once the last has delivered (inline or posted, by delay, as in
-// OpenGroup). The flows are added after one charge and rated by one
-// reallocation over the union of their paths, which gives every flow the
-// rate and the completion timer the (time, flow) that one StartFlow per
-// path would. The timer skips the intermediate re-arms, which only shifts
-// every later sequence number by the same amount. A group with an
-// edgeless path or a zero size is started one flow at a time instead, so
-// its immediate deliveries keep their order against the timer.
-func (n *Network) StartGroup(paths []topology.Path, size int64, delay sim.Time, done func()) {
-	if len(paths) == 0 {
-		panic("netsim: empty flow group")
-	}
-	g := n.OpenGroup(delay, done)
+	g.pending, g.delay, g.done = len(paths), delay, done
 	batch := size != 0
 	for _, p := range paths {
 		if len(p.Edges) == 0 {
@@ -460,11 +446,10 @@ func (n *Network) StartGroup(paths []topology.Path, size int64, delay sim.Time, 
 	}
 	if !batch {
 		for _, p := range paths {
-			g.Start(p, size)
+			n.start(n.newFlow(p, size, g, nil))
 		}
 		return
 	}
-	g.pending = len(paths)
 	n.charge()
 	dirty := n.dirty[:0]
 	for _, p := range paths {
@@ -477,7 +462,7 @@ func (n *Network) StartGroup(paths []topology.Path, size int64, delay sim.Time, 
 
 // newFlow builds a flow, recycling a delivered group flow when it joins a
 // group, and counts it as started.
-func (n *Network) newFlow(path topology.Path, size int64, g *Group, done func(*Flow)) *Flow {
+func (n *Network) newFlow(path topology.Path, size int64, g *group, done func(*Flow)) *Flow {
 	if size < 0 {
 		panic(fmt.Sprintf("netsim: negative flow size %d", size))
 	}
@@ -722,7 +707,7 @@ func (n *Network) complete(f *Flow) {
 
 // finishGroup recycles a group whose last flow delivered and runs or posts
 // its done.
-func (n *Network) finishGroup(g *Group) {
+func (n *Network) finishGroup(g *group) {
 	done, delay := g.done, g.delay
 	g.done = nil
 	n.freeGroups = append(n.freeGroups, g)

@@ -36,7 +36,7 @@ func launchElephantsByRoute(net *netsim.Network, router collective.Router, n int
 			b = gpus[next(len(gpus))]
 		}
 		if p, ok := router.Route(a, b, bytes); ok {
-			net.OpenGroup(netsim.Inline, launch).Start(p, bytes)
+			net.StartGroup([]topology.Path{p}, bytes, netsim.Inline, launch)
 		}
 	}
 	for i := 0; i < n; i++ {

@@ -16,8 +16,8 @@ import (
 )
 
 // hiddenRouter forwards to a router and hides its type, so a Comm over a
-// StaticRouter wrapped in it starts every heterogeneous phase flow by flow
-// and routes every launch afresh, as it does under the load-aware router.
+// StaticRouter wrapped in it bypasses the groups' route caches and routes
+// every launch afresh, uncached, as it does under the load-aware router.
 type hiddenRouter struct{ r collective.Router }
 
 func (h hiddenRouter) Route(a, b topology.NodeID, size int64) (topology.Path, bool) {
@@ -78,12 +78,12 @@ func staticCases(t *testing.T) []staticCase {
 }
 
 // TestStaticRouterFastPathsMatchFlowByFlow serves each configuration under
-// the planned policy four times: under a StaticRouter, which starts each
-// heterogeneous phase as one flow group and reads every phase's paths from
-// the group's route cache, and under the same router hidden behind
-// hiddenRouter, which starts and routes flow by flow, each on the fast and
-// on the reference flow simulator. Every request's TTFT, TPOT and
-// end-to-end time, the op counters and the duration must match bit for bit.
+// the planned policy four times: under a StaticRouter, which reads every
+// phase's paths from the group's route cache, and under the same router
+// hidden behind hiddenRouter, which routes every phase uncached, each on
+// the fast and on the reference flow simulator. Every request's TTFT, TPOT
+// and end-to-end time, the op counters and the duration must match bit for
+// bit.
 func TestStaticRouterFastPathsMatchFlowByFlow(t *testing.T) {
 	sims := []struct {
 		name string

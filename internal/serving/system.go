@@ -65,8 +65,9 @@ type System struct {
 	telBatchReqs  *telemetry.Histogram
 	telBatchToks  *telemetry.Histogram
 	telGPUSeconds *telemetry.Counter
-	spanArgs      telemetry.Args // request-span arguments, reused per request
-	traceIDBuf    []byte         // traceID's scratch, reused per request
+	stageXfers    []*telemetry.Counter // by destination stage (stageTransferCounter)
+	spanArgs      telemetry.Args       // request-span arguments, reused per request
+	traceIDBuf    []byte               // traceID's scratch, reused per request
 
 	// freeKV recycles finished KV hand-offs along with their callbacks.
 	freeKV []*kvOp
@@ -175,6 +176,9 @@ type prefillInstance struct {
 	// stage's compute, synced its synchronization, and handedOff the
 	// activation hand-off to the next stage.
 	computed, synced, handedOff func()
+	// handoffArgs is the hand-off span's argument buffer, filled only when
+	// telemetry is armed and reused by every hand-off of the instance.
+	handoffArgs telemetry.Args
 }
 
 type decodeInstance struct {
@@ -394,16 +398,19 @@ func (s *System) batchCap() int {
 	return s.opts.MaxDecodeBatch
 }
 
-// stageTransferCounter returns the per-stage activation hand-off counter
-// (nil handle when telemetry is off). stage is the 1-based destination
-// pipeline stage.
+// stageTransferCounter returns the per-stage activation hand-off counter of
+// an armed run, registered on its first use so that no stage exports a
+// zero series. stage is the 1-based destination pipeline stage.
 func (s *System) stageTransferCounter(stage int) *telemetry.Counter {
-	if s.tel == nil {
-		return nil
+	if stage >= len(s.stageXfers) {
+		s.stageXfers = append(s.stageXfers, make([]*telemetry.Counter, stage+1-len(s.stageXfers))...)
 	}
-	return s.tel.Metrics.Counter("pipeline_stage_transfers_total",
-		"Pipeline-stage activation hand-offs, by 1-based destination stage.",
-		[]string{"stage"}, strconv.Itoa(stage))
+	if s.stageXfers[stage] == nil {
+		s.stageXfers[stage] = s.tel.Metrics.Counter("pipeline_stage_transfers_total",
+			"Pipeline-stage activation hand-offs, by 1-based destination stage.",
+			[]string{"stage"}, strconv.Itoa(stage))
+	}
+	return s.stageXfers[stage]
 }
 
 // scaleInstant surfaces an autoscaler transition on the control-plane track.
@@ -703,12 +710,16 @@ func (s *System) prefillSynced(pi *prefillInstance) {
 	from := spec.Stages[stage][0]
 	to := spec.Stages[stage+1][0]
 	bytes := s.dep.Model.PipelineActivationBytes(pi.kin)
-	s.stageTransferCounter(stage + 1).Inc()
-	args := append(make(telemetry.Args, 0, 4), telemetry.Int64("bytes", bytes), telemetry.Int("instance", pi.id))
-	if len(pi.reqs) > 0 {
-		args = append(args, telemetry.Ints("reqs", pi.reqs))
+	var args telemetry.Args
+	if s.tel != nil {
+		s.stageTransferCounter(stage + 1).Inc()
+		args = append(pi.handoffArgs[:0], telemetry.Int64("bytes", bytes), telemetry.Int("instance", pi.id))
+		if len(pi.reqs) > 0 {
+			args = append(args, telemetry.Ints("reqs", pi.reqs))
+		}
+		args = append(args, telemetry.Int("stage", stage+1))
+		pi.handoffArgs = args
 	}
-	args = append(args, telemetry.Int("stage", stage+1))
 	s.comm.TransferSpan("pipeline", "pipeline_stage", args, from, to, bytes, pi.handedOff)
 }
 
@@ -996,7 +1007,7 @@ func LaunchElephants(net *netsim.Network, router *collective.StaticRouter, n int
 				return
 			}
 			nodes, edges = ns, es
-			net.OpenGroup(netsim.Inline, launch).Start(topology.Path{Nodes: nodes, Edges: edges}, bytes)
+			net.StartGroup([]topology.Path{{Nodes: nodes, Edges: edges}}, bytes, netsim.Inline, launch)
 		}
 		eng.Post(0, launch)
 	}

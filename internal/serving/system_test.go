@@ -388,12 +388,16 @@ func BenchmarkServeChatbot(b *testing.B) {
 // callbacks and prepared stage groups are for: once warm, a decode
 // iteration of a TP=2 x PP=2 instance on one server (compute, two
 // all-reduces, token accounting) allocates nothing with telemetry off,
-// whether its stages ring or run the heterogeneous all-reduce.
+// whether its stages ring or run the heterogeneous all-reduce. Neither
+// does a prefill pass's activation hand-off between pipeline stages.
 func TestDecodeIterationSteadyStateAllocs(t *testing.T) {
 	for _, scheme := range []collective.Scheme{collective.SchemeRing, collective.SchemeHetero} {
 		if got := decodeIterationAllocs(t, Options{}, scheme); got != 0 {
 			t.Errorf("%v: %.2f allocs per decode iteration, want 0", scheme, got)
 		}
+	}
+	if got := handoffAllocs(t, Options{}); got != 0 {
+		t.Errorf("%.2f allocs per pipeline hand-off, want 0", got)
 	}
 }
 
@@ -404,25 +408,29 @@ func TestDecodeIterationSteadyStateAllocs(t *testing.T) {
 // stage's all-reduce, formatted once for its begin and end: 2 strings per
 // iteration. The
 // never-finishing requests' all-reduce intervals keep growing, but those
-// appends are amortized below one allocation per iteration.
+// appends are amortized below one allocation per iteration. An armed
+// pipeline hand-off reuses its instance's span arguments, its stage's
+// counter handle and a recycled span closer, which leaves its span ID.
 func TestArmedDecodeIterationAllocs(t *testing.T) {
 	if got := decodeIterationAllocs(t, Options{Telemetry: telemetry.New()}, collective.SchemeRing); got != 2 {
 		t.Errorf("%.2f allocs per armed decode iteration, want 2 (the async span IDs)", got)
 	}
+	if got := handoffAllocs(t, Options{Telemetry: telemetry.New()}); got != 1 {
+		t.Errorf("%.2f allocs per armed pipeline hand-off, want 1 (the async span ID)", got)
+	}
 }
 
-// decodeIterationAllocs warms a TP=2 x PP=2 decode instance whose stages
-// synchronize with scheme, running a batch of 8 requests that never finish
-// (so the batch, and every iteration, stays the same), and returns
-// testing.AllocsPerRun of one more iteration.
-func decodeIterationAllocs(t *testing.T, opts Options, scheme collective.Scheme) float64 {
+// stagedSystem builds a testbed System with one TP=2 x PP=2 prefill
+// instance on server 0 and one TP=2 x PP=2 decode instance, whose stages
+// synchronize with scheme, on server 1.
+func stagedSystem(t *testing.T, opts Options, scheme collective.Scheme) *System {
 	t.Helper()
 	if referencePaths {
 		t.Skip("zero allocations is a fast-path property; the reference allocator and event heap allocate by design")
 	}
 	g := topology.Testbed()
 	sw := g.Switches()[0]
-	pre, err := NewInstanceSpec(RolePrefill, g.ServerGPUs(0), 4, 1, sw, collective.SchemeRing)
+	pre, err := NewInstanceSpec(RolePrefill, g.ServerGPUs(0), 2, 2, sw, collective.SchemeRing)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,6 +443,42 @@ func decodeIterationAllocs(t *testing.T, opts Options, scheme collective.Scheme)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sys
+}
+
+// handoffAllocs warms the prefill instance's hand-off from its first
+// pipeline stage to its second, for a pass of three requests, and returns
+// testing.AllocsPerRun of one more hand-off, up to its delivery.
+func handoffAllocs(t *testing.T, opts Options) float64 {
+	t.Helper()
+	sys := stagedSystem(t, opts, collective.SchemeRing)
+	pi := sys.prefill[0]
+	pi.reqs, pi.kin = append(pi.reqs[:0], 0, 1, 2), 3*64
+	delivered := 0
+	pi.handedOff = func() { delivered++ }
+	handoff := func() {
+		pi.stage = 0
+		n := delivered
+		sys.prefillSynced(pi)
+		for delivered == n {
+			if !sys.eng.Step() {
+				t.Fatal("engine drained mid-hand-off")
+			}
+		}
+	}
+	for i := 0; i < 100; i++ {
+		handoff()
+	}
+	return testing.AllocsPerRun(1000, handoff)
+}
+
+// decodeIterationAllocs warms the TP=2 x PP=2 decode instance of a
+// stagedSystem, running a batch of 8 requests that never finish (so the
+// batch, and every iteration, stays the same), and returns
+// testing.AllocsPerRun of one more iteration.
+func decodeIterationAllocs(t *testing.T, opts Options, scheme collective.Scheme) float64 {
+	t.Helper()
+	sys := stagedSystem(t, opts, scheme)
 	di := sys.decode[0]
 	for i := 0; i < 8; i++ {
 		di.pending.push(&request{req: workload.Request{ID: i, Input: 64, Output: math.MaxInt32}, target: di})

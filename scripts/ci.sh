@@ -66,7 +66,12 @@ go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/netsim ./inte
 # callbacks, clock and counters after every op and step. The fast event
 # queue is a differential against the reference heap on the same programs
 # (FuzzFronts), live and cancelled queue counts included. Both have their
-# minimization capped too.
+# minimization capped too. The span-args decoder behind hstat trace
+# (FuzzArgsUnmarshalJSON) must fail exactly when decoding into a map fails
+# and read every key as the map does. The switch data plane's fixed-point
+# pipeline (FuzzFixedRoundTrip) must quantize every float, NaN and
+# infinities included, round-trip within half an LSB and saturate instead
+# of wrapping.
 echo "== fuzz"
 go test -run '^$' -fuzz '^FuzzReallocate$' -fuzztime 10s ./internal/netsim
 go test -run '^$' -fuzz '^FuzzPartition$' -fuzztime 10s ./internal/telemetry/critpath
@@ -81,6 +86,8 @@ go test -run '^$' -fuzz '^FuzzFromTrace$' -fuzztime 10s -fuzzminimizetime 1s ./i
 go test -run '^$' -fuzz '^FuzzBestAggSwitch$' -fuzztime 10s ./internal/collective
 go test -run '^$' -fuzz '^FuzzPostEach$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
 go test -run '^$' -fuzz '^FuzzFronts$' -fuzztime 10s -fuzzminimizetime 1s ./internal/sim
+go test -run '^$' -fuzz '^FuzzArgsUnmarshalJSON$' -fuzztime 10s ./internal/telemetry
+go test -run '^$' -fuzz '^FuzzFixedRoundTrip$' -fuzztime 10s ./internal/switchsim
 
 # The benchmark under bench/ is a module of its own, so the root go test
 # does not enter it. Its tests cover the statistics, the input seeds, a
