@@ -6,17 +6,13 @@
 //	heroserve -exp fig7              # one experiment
 //	heroserve -exp all -scale full   # everything, paper-sized sweeps
 //	heroserve -exp faults -out run/  # run bundle across all serving runs
-//	heroserve -exp all -listen :9090 # live /metrics + /runs during the sweep
 //	heroserve -list                  # enumerate experiment ids
 //
 // -out writes the run bundle: run/spans.json, run/metrics.prom and
 // run/metrics.om, the same layout cmd/serve writes minus its per-run
 // documents. The spans stream to disk as they are recorded, so `-exp all
-// -scale full` sweeps never buffer the whole trace in RAM. With -listen,
-// /metrics, /healthz, /runs, and /trace are served over HTTP and refreshed
-// after every completed serving run, so scrapers can watch a multi-hour
-// sweep live; the process still exits when the sweep finishes. The report stays alone on stdout; the
-// route list and the export lines go to stderr.
+// -scale full` sweeps never buffer the whole trace in RAM. The report stays
+// alone on stdout; the export lines go to stderr.
 //
 // The experiments that run serving simulations report to the telemetry:
 // fig7, fig8, fig10, faults and ablations (one run per variant). ext-scale
@@ -32,6 +28,7 @@ import (
 	"os"
 	"strings"
 
+	"heroserve/internal/cli"
 	"heroserve/internal/experiments"
 	"heroserve/internal/telemetry"
 )
@@ -65,8 +62,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	list := flag.Bool("list", false, "list experiment ids")
 	out := flag.String("out", "", "write the run bundle (spans and metrics across all runs) to this directory")
-	listen := flag.String("listen", "", "serve live /metrics /healthz /runs /trace on this address during the sweep")
-	flag.Parse()
+	cli.ParseFlags("heroserve")
 
 	if *list {
 		for _, e := range registry {
@@ -124,30 +120,12 @@ func main() {
 
 	env := experiments.Env{Scale: scale, Seed: *seed}
 	var art *telemetry.Artifacts
-	if *out != "" || *listen != "" {
+	if *out != "" {
 		env.Hub = telemetry.New()
 		art = &telemetry.Artifacts{Hub: env.Hub, Dir: *out, Status: os.Stderr}
-		if *listen != "" {
-			srv := telemetry.NewServer()
-			art.Server = srv
-			// OnRun runs on the sweep goroutine after each serving run, so
-			// publishing the hub from it is race-free (see telemetry.Server).
-			env.OnRun = func(run telemetry.RunSummary) {
-				// Publish before AddRun so /metrics holds the run's final
-				// numbers once /runs lists it.
-				if err := srv.PublishHub(env.Hub); err != nil {
-					fmt.Fprintf(os.Stderr, "heroserve: publish: %v\n", err)
-				}
-				srv.AddRun(run)
-			}
-		}
-		addr, err := art.Start(*listen)
-		if err != nil {
+		if err := art.Start(); err != nil {
 			fmt.Fprintf(os.Stderr, "heroserve: %v\n", err)
 			os.Exit(2)
-		}
-		if addr != nil {
-			fmt.Fprintf(os.Stderr, "serving %s on %s\n", strings.Join(art.Server.Routes(), " "), addr)
 		}
 	}
 

@@ -1,7 +1,6 @@
-// Command hstat reads the telemetry artifacts of a run bundle (serve -out),
-// which the daemon serves byte for byte: span traces (spans.json, /trace),
-// SLO alert logs (alerts.json, /alerts), decision ledgers (decisions.json,
-// /decisions) and perf reports (perf.json, /perf).
+// Command hstat reads the telemetry artifacts of a run bundle (serve -out):
+// span traces (spans.json), SLO alert logs (alerts.json), decision ledgers
+// (decisions.json) and perf reports (perf.json).
 //
 // Usage:
 //

@@ -16,6 +16,7 @@ import (
 	"os"
 	"strings"
 
+	"heroserve/internal/cli"
 	"heroserve/internal/model"
 	"heroserve/internal/planner"
 	"heroserve/internal/serving"
@@ -36,7 +37,7 @@ func main() {
 	minTens := flag.Int("min-tens-decode", 0, "floor on decode tensor parallelism (cross-server regime)")
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	verbose := flag.Bool("v", false, "trace every candidate's evaluation")
-	flag.Parse()
+	cli.ParseFlags("planner")
 
 	g, err := topology.ByName(*topo, *servers)
 	if err != nil {

@@ -15,19 +15,6 @@
 // counterfactual decision ledger), run/alerts.json (the SLO alert log, while a
 // monitor is armed) and run/perf.json (the simulator's self-profiling
 // report). `hstat <kind> run/` reads any of them.
-//
-// Daemon mode keeps a live observability plane up while the simulation runs
-// (and after it finishes, until interrupted). Every -publish-every simulated
-// seconds it refreshes the cheap snapshots: /metrics (the Prometheus
-// exposition), /trace (the span stream so far) and /healthz (liveness,
-// degraded while SLO alerts fire). /runs lists the completed runs. /decisions,
-// /alerts and /perf serve the latest completed run's documents: each is
-// rendered once, at run end, and the daemon serves the very bytes the -out
-// bundle writes. With -daemon, -system accepts a comma-separated list
-// replayed sequentially against the same trace:
-//
-//	serve -trace trace.json -daemon -listen :9090 -system heroserve,distserve
-//	curl localhost:9090/metrics
 package main
 
 import (
@@ -36,11 +23,10 @@ import (
 	"io"
 	"math"
 	"os"
-	"os/signal"
 	"sort"
 	"strings"
-	"syscall"
 
+	"heroserve/internal/cli"
 	"heroserve/internal/core"
 	"heroserve/internal/model"
 	"heroserve/internal/planner"
@@ -56,7 +42,7 @@ import (
 
 func main() {
 	tracePath := flag.String("trace", "", "JSON trace file ('-' for stdin)")
-	system := flag.String("system", "heroserve", core.SystemNames()+" (comma list with -daemon)")
+	system := flag.String("system", "heroserve", core.SystemNames())
 	topo := flag.String("topology", "testbed", "testbed | pod2 | pod8")
 	servers := flag.Int("servers", 12, "pod server count")
 	modelName := flag.String("model", "opt-66b", "opt-13b | opt-66b | opt-175b")
@@ -70,25 +56,13 @@ func main() {
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	out := flag.String("out", "", "write the run bundle (spans, metrics, decisions, alerts, perf; hstat-readable) to this directory")
 	sloRules := flag.String("slo-rules", "default", "SLO alert rules: default (keyed off -ttft/-tpot) | off | <rules.json>")
-	daemon := flag.Bool("daemon", false, "serve /metrics /healthz /runs /trace and the run documents over HTTP and stay up after the run")
-	listen := flag.String("listen", ":9090", "daemon listen address")
-	publishEvery := flag.Float64("publish-every", 5, "daemon metrics-snapshot cadence in simulated seconds")
-	pprofFlag := flag.Bool("pprof", false, "daemon: expose net/http/pprof under /debug/pprof/ (off by default)")
-	flag.Parse()
+	cli.ParseFlags("serve")
 
-	// The systems are looked up with the other enumerated flags, before any
+	// The system is looked up with the other enumerated flags, before any
 	// work starts, so a typo fails fast instead of after planning.
-	sysNames := strings.Split(*system, ",")
-	if len(sysNames) > 1 && !*daemon {
-		usagef("comma-separated -system requires -daemon")
-	}
-	var systems []core.System
-	for _, name := range sysNames {
-		s, err := core.ByName(name)
-		if err != nil {
-			usagef("%v", err)
-		}
-		systems = append(systems, s)
+	chosen, err := core.ByName(*system)
+	if err != nil {
+		usagef("%v", err)
 	}
 	g, err := topology.ByName(*topo, *servers)
 	if err != nil {
@@ -112,14 +86,8 @@ func main() {
 			usagef("%s must be a finite positive number of seconds, got %g", sla.flag, sla.v)
 		}
 	}
-	if *daemon && (!(*publishEvery > 0) || math.IsInf(*publishEvery, 1)) {
-		usagef("-publish-every must be a finite positive number of simulated seconds, got %g", *publishEvery)
-	}
 	if _, perr := serving.NewScalePolicy(*scalePolicy); perr != nil {
 		usagef("%v", perr)
-	}
-	if *pprofFlag && !*daemon {
-		usagef("-pprof requires -daemon (it mounts on the daemon mux)")
 	}
 	// The SLO rules are read here too, so a missing or malformed rules file
 	// fails every run, not only a telemetered one. The default rule set keys
@@ -176,98 +144,61 @@ func main() {
 		Seed:          *seed,
 	}
 
-	// Telemetry: a bundle or a daemon arms the hub. The trace streams into
-	// the bundle if there is one, else into the daemon's /trace sink.
-	var hub *telemetry.Hub
-	if *out != "" || *daemon {
-		hub = telemetry.New()
-	}
-	// SLO monitoring defaults on for every telemetered run, so the alert log
-	// is meaningful without any extra configuration.
-	var sloCfg *slo.Config
-	if hub != nil && *sloRules != "off" {
-		sloCfg = &slo.Config{Rules: rules}
-	}
-	var srv *telemetry.Server
-	if *daemon {
-		srv = telemetry.NewServer()
-		for _, d := range docs {
-			srv.HandleDoc(d.route, d.noun)
-		}
-		if *pprofFlag {
-			perf.InstallPprof(srv)
-		}
-	}
+	// Telemetry: a bundle arms the hub, and the trace streams into it. SLO
+	// monitoring defaults on for every telemetered run, so the alert log is
+	// meaningful without any extra configuration.
 	var art *telemetry.Artifacts
-	if hub != nil {
-		art = &telemetry.Artifacts{Hub: hub, Server: srv, Dir: *out, Status: os.Stdout}
-		addr, aerr := art.Start(*listen)
-		if aerr != nil {
-			usagef("%v", aerr)
+	var sloCfg *slo.Config
+	if *out != "" {
+		art = &telemetry.Artifacts{Hub: telemetry.New(), Dir: *out, Status: os.Stdout}
+		if err := art.Start(); err != nil {
+			usagef("%v", err)
 		}
-		if addr != nil {
-			fmt.Printf("daemon: serving %s on %s\n", strings.Join(srv.Routes(), " "), addr)
+		if *sloRules != "off" {
+			sloCfg = &slo.Config{Rules: rules}
 		}
 	}
 
-	for _, s := range systems {
-		runSystem(s, in, trace, art, runParams{
-			sla: sla, autoscale: *autoscale, scalePolicy: *scalePolicy,
-			elephants: *elephants, seed: *seed, publishEvery: *publishEvery,
-			slo: sloCfg,
-		})
-	}
+	runSystem(chosen, in, trace, art, runParams{
+		sla: sla, autoscale: *autoscale, scalePolicy: *scalePolicy,
+		elephants: *elephants, seed: *seed, slo: sloCfg,
+	})
 
 	if art != nil {
 		if err := art.Finish(); err != nil {
 			fatalf("%v", err)
 		}
 	}
-
-	if *daemon {
-		// Catch the signal before announcing it is awaited, so a caller
-		// that interrupts on this line stops the daemon cleanly.
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		fmt.Println("daemon: runs complete; serving until interrupted (Ctrl-C)")
-		<-sig
-	}
 }
 
 // runParams carries the per-run knobs that are not planner inputs.
 type runParams struct {
-	sla          serving.SLA
-	autoscale    bool
-	scalePolicy  string
-	elephants    int
-	seed         int64
-	publishEvery float64
-	slo          *slo.Config
+	sla         serving.SLA
+	autoscale   bool
+	scalePolicy string
+	elephants   int
+	seed        int64
+	slo         *slo.Config
 }
 
-// runSystem plans, builds, and replays the trace through one system,
-// printing its summary and rendering its documents once into the bundle and
-// the daemon. With a daemon server attached it also schedules periodic
-// sim-time snapshot publications and records the run for /runs. art is nil
-// without telemetry.
+// runSystem plans, builds, and replays the trace through the system,
+// printing its summary and rendering its documents once into the bundle.
+// art is nil without telemetry.
 func runSystem(s core.System, in planner.Inputs, trace *workload.Trace, art *telemetry.Artifacts, p runParams) {
 	var opts serving.Options
 	if p.autoscale {
-		// Policies are stateful; build a fresh one per system run.
+		// Policies are stateful; build a fresh one for the run.
 		pol, err := serving.NewScalePolicy(p.scalePolicy)
 		if err != nil {
 			fatalf("%v", err)
 		}
 		opts.Autoscale = &serving.AutoscaleConfig{InitialActive: 1, Policy: pol}
 	}
-	var hub *telemetry.Hub
-	var srv *telemetry.Server
 	// The performance observatory: one sampler per telemetered run
 	// (wall-clock state is run-scoped).
 	var sampler *perf.Sampler
 	if art != nil {
-		hub, srv = art.Hub, art.Server
-		opts.Telemetry = hub
+		opts.Telemetry = art.Hub
 		opts.SLA = &p.sla
 		opts.SLO = p.slo
 		sampler = perf.NewSampler(0)
@@ -285,12 +216,6 @@ func runSystem(s core.System, in planner.Inputs, trace *workload.Trace, art *tel
 	}
 	if p.elephants > 0 {
 		sys.InjectElephants(p.elephants, 512<<20, trace.Duration()+120, p.seed+99)
-	}
-	if srv != nil {
-		// Periodic snapshots ride the event loop itself: callbacks run on the
-		// simulation goroutine, so rendering the registry there is race-free,
-		// and scrapers see fresh numbers while the run is still in flight.
-		observeEvery(sys, p.publishEvery, func() { publishLive(srv, hub, sys) })
 	}
 
 	res := sys.Run(trace)
@@ -338,84 +263,26 @@ func runSystem(s core.System, in planner.Inputs, trace *workload.Trace, art *tel
 			report.EventsPerSec, report.WallPerSim, report.Phases.ReallocSeconds, report.Phases.SelfFraction*100)
 	}
 	if art != nil {
-		publishDocs(art, sys, report)
-	}
-	if srv != nil {
-		publishLive(srv, hub, sys)
-		srv.AddRun(run)
+		exportDocs(art, sys, report)
 	}
 }
 
-// observeEvery runs observe every interval seconds of sim-time while the run
-// has work queued. The ticks are daemon events, like the SLO monitor's: they
-// never keep a finished run alive, so observing a run cannot lengthen it.
-func observeEvery(sys *serving.System, every float64, observe func()) {
-	eng := sys.Engine()
-	var tick func()
-	tick = func() {
-		observe()
-		if eng.PendingWork() > 0 {
-			eng.AfterDaemon(every, tick)
-		}
-	}
-	eng.AfterDaemon(every, tick)
-}
-
-// docs are the per-run documents: the decision ledger, the SLO alert log
-// and the perf report, each with the daemon route that serves it, its file
-// in the -out bundle and the noun of its route's 404.
-var docs = [...]struct{ route, file, noun string }{
-	{decisions.Route, decisions.File, "decision ledger"},
-	{slo.Route, slo.File, "alert log"},
-	{perf.Route, perf.File, "perf report"},
-}
-
-// docWriters returns the writer of each of docs for the finished run, nil
-// where the run keeps no such document: the ledger and the alert log exist
-// while telemetry and a monitor are armed, the perf report while the sampler
-// is.
-func docWriters(sys *serving.System, report *perf.Report) (w [len(docs)]func(io.Writer) error) {
-	if led := sys.DecisionLedger(); led != nil {
-		w[0] = led.WriteJSON
-	}
-	if mon := sys.SLOMonitor(); mon != nil {
-		w[1] = mon.WriteLog
-	}
-	if report != nil {
-		w[2] = report.WriteJSON
-	}
-	return w
-}
-
-// publishDocs renders each of the finished run's documents once, into the
-// bundle and onto the daemon's route. It runs once per run, at its end, on
-// the simulation goroutine.
-func publishDocs(art *telemetry.Artifacts, sys *serving.System, report *perf.Report) {
-	for i, write := range docWriters(sys, report) {
-		if write == nil {
-			continue
-		}
-		if err := art.Export(docs[i].file, docs[i].route, write); err != nil {
+// exportDocs renders each of the finished run's documents once, into its
+// bundle file: the decision ledger, the SLO alert log while a monitor is
+// armed, and the perf report.
+func exportDocs(art *telemetry.Artifacts, sys *serving.System, report *perf.Report) {
+	export := func(file string, write func(io.Writer) error) {
+		if err := art.Export(file, write); err != nil {
 			fatalf("export: %v", err)
 		}
 	}
-}
-
-// publishLive publishes the daemon's cheap snapshots: the metrics and the
-// span stream so far (PublishHub) and the /healthz alert roll-up. Like
-// PublishHub it runs on the simulation goroutine: on every tick and once at
-// run end.
-func publishLive(srv *telemetry.Server, hub *telemetry.Hub, sys *serving.System) {
-	if err := srv.PublishHub(hub); err != nil {
-		fmt.Fprintf(os.Stderr, "serve: daemon publish: %v\n", err)
+	if led := sys.DecisionLedger(); led != nil {
+		export(decisions.File, led.WriteJSON)
 	}
 	if mon := sys.SLOMonitor(); mon != nil {
-		worst := ""
-		if w, ok := mon.Worst(); ok {
-			worst = w.String()
-		}
-		srv.SetAlertRollup(len(mon.Firing()), worst)
+		export(slo.File, mon.WriteLog)
 	}
+	export(perf.File, report.WriteJSON)
 }
 
 // cpEntry is one stage's share of the end-to-end critical path.

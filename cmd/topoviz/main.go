@@ -13,13 +13,14 @@ import (
 	"fmt"
 	"os"
 
+	"heroserve/internal/cli"
 	"heroserve/internal/topology"
 )
 
 func main() {
 	topo := flag.String("topology", "testbed", "testbed | pod2 | pod8 | pcie")
 	servers := flag.Int("servers", 12, "pod server count")
-	flag.Parse()
+	cli.ParseFlags("topoviz")
 
 	if *servers < 1 {
 		fmt.Fprintf(os.Stderr, "topoviz: -servers must be at least 1, got %d\n", *servers)

@@ -14,6 +14,7 @@ import (
 	"math"
 	"os"
 
+	"heroserve/internal/cli"
 	"heroserve/internal/workload"
 )
 
@@ -23,7 +24,7 @@ func main() {
 	rate := flag.Float64("rate", 1, "Poisson arrival rate (req/s)")
 	seed := flag.Int64("seed", 1, "deterministic seed")
 	stats := flag.Bool("stats", false, "print summary statistics to stderr")
-	flag.Parse()
+	cli.ParseFlags("tracegen")
 
 	if *n < 1 {
 		fmt.Fprintf(os.Stderr, "tracegen: -n must be at least 1, got %d\n", *n)

@@ -18,9 +18,9 @@ import (
 
 // implicitUses are method names the standard library calls without the
 // name appearing at a call site: fmt's Stringer and error, encoding/json,
-// net/http, io.Writer, and sort/container/heap's interfaces.
+// io.Writer, and sort/container/heap's interfaces.
 var implicitUses = []string{
-	"String", "Error", "MarshalJSON", "UnmarshalJSON", "ServeHTTP", "Write",
+	"String", "Error", "MarshalJSON", "UnmarshalJSON", "Write",
 	"Len", "Less", "Swap", "Push", "Pop",
 }
 

@@ -26,8 +26,8 @@ import (
 // All scoreboard figures are read back from the run's telemetry registry —
 // sla_requests_total, decode_gpu_seconds_total, and the
 // decode_batch_occupancy / decode_kv_utilization time-averages — and
-// cross-checked against the Results struct, so the numbers agree with a
-// /metrics scrape of the same run bit for bit.
+// cross-checked against the Results struct, so the numbers agree with the
+// run's metrics exposition bit for bit.
 
 // ScaleStudyRow is one (workload, policy) cell of the ext-scale scoreboard.
 type ScaleStudyRow struct {
@@ -292,7 +292,7 @@ func scaleStudyDeployment(g *topology.Graph, decodes int) (serving.Deployment, e
 
 // runScaleCase executes one (workload, policy) run with a fresh telemetry
 // hub and scores it off the registry, erroring if the registry disagrees
-// with the Results struct (the scoreboard must match a /metrics scrape).
+// with the Results struct (the scoreboard must match the metrics exposition).
 func runScaleCase(w scaleWorkload, policy string, auto *serving.AutoscaleConfig, scale Scale, seed int64) (ScaleStudyRow, []decisions.ShadowRank, error) {
 	g := topology.Testbed()
 	dep, err := scaleStudyDeployment(g, 3)

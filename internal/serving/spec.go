@@ -367,9 +367,10 @@ func (r *Results) Attainment(sla SLA) float64 {
 	return float64(met) / float64(len(r.Requests))
 }
 
-// Summary condenses the run into the daemon's /runs record, for the
-// system named system replaying trace. offered is the trace's request
-// count, served or not; Served counts the completed ones.
+// Summary condenses the run into the summary serve prints and heroserve's
+// experiments hand to Env.OnRun, for the system named system replaying
+// trace. offered is the trace's request count, served or not; Served counts
+// the completed ones.
 func (r *Results) Summary(system, trace string, offered int, sla SLA) telemetry.RunSummary {
 	latency := func(xs []float64) telemetry.Latency {
 		s := stats.Summarize(xs)

@@ -535,8 +535,8 @@ func (s *System) batchReqs(buf *[]int, batch []*request) []int {
 }
 
 // traceID returns the request's stable trace ID ("p<pid>-r<id>"): the trace
-// process scopes the ID to one run, keeping it unique when a daemon serves
-// many runs from one hub.
+// process scopes the ID to one run, keeping it unique when many runs share
+// one hub.
 func (s *System) traceID(r *request) string {
 	b := append(s.traceIDBuf[:0], 'p')
 	b = strconv.AppendInt(b, int64(s.tel.Trace.PID()), 10)
@@ -568,7 +568,7 @@ func (s *System) Run(trace *workload.Trace) *Results {
 		// The monitor rides daemon events like the autoscaler: it evaluates
 		// once per interval while real work is queued and never keeps a
 		// finished run alive. Prime captures the run-start registry baseline
-		// so window deltas stay run-scoped on multi-run daemon hubs.
+		// so window deltas stay run-scoped on hubs shared by many runs.
 		s.mon.Prime(s.eng.Now())
 		var tick func()
 		tick = func() {

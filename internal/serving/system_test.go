@@ -128,7 +128,7 @@ func TestAttainmentBounds(t *testing.T) {
 	}
 }
 
-// TestResultsSummary: the /runs record reports the offered request count,
+// TestResultsSummary: the run summary reports the offered request count,
 // not the served one, and carries the run's own latency summaries.
 func TestResultsSummary(t *testing.T) {
 	sla := SLA{TTFT: 2.5, TPOT: 0.15}

@@ -38,13 +38,9 @@ import (
 	"heroserve/internal/telemetry"
 )
 
-// Route is the daemon path serving the decision ledger, and File the
-// document's name in a run bundle (serve -out), where hstat decisions finds
-// it. Both hold one rendering of Ledger.WriteJSON.
-const (
-	Route = "/decisions"
-	File  = "decisions.json"
-)
+// File is the decision ledger's name in a run bundle (serve -out), where
+// hstat decisions finds it. It holds one rendering of Ledger.WriteJSON.
+const File = "decisions.json"
 
 // Record kinds.
 const (

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -23,7 +24,7 @@ func TestRegistryPromExport(t *testing.T) {
 
 	h := r.Histogram("ttft_seconds", "TTFT.", []float64{0.1, 1}, nil)
 	h.Observe(0.05)
-	h.Observe(0.5)
+	h.ObserveTraced(0.5, "p1-r0") // an exemplar only the OpenMetrics rendering shows
 	h.Observe(50)
 
 	var b strings.Builder
@@ -48,6 +49,17 @@ func TestRegistryPromExport(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("export missing %q\n---\n%s", want, out)
 		}
+	}
+	// Every sample line parses as the classic exposition grammar, and the
+	// classic exposition carries no OpenMetrics EOF marker.
+	sample := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [^ ]+$`)
+	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
+		if !strings.HasPrefix(line, "#") && !sample.MatchString(line) {
+			t.Errorf("unparseable exposition line %q", line)
+		}
+	}
+	if strings.Contains(out, "# EOF") {
+		t.Error("classic exposition must not carry the OpenMetrics EOF marker")
 	}
 
 	if v, ok := r.Value("requests_total", "met"); !ok || v != 3 {

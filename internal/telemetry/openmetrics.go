@@ -5,13 +5,6 @@ import (
 	"io"
 )
 
-// ContentTypeOpenMetrics is the media type of the OpenMetrics text exposition,
-// used for content negotiation on the daemon's /metrics endpoint.
-const ContentTypeOpenMetrics = "application/openmetrics-text; version=1.0.0; charset=utf-8"
-
-// ContentTypeProm is the classic Prometheus text exposition media type.
-const ContentTypeProm = "text/plain; version=0.0.4; charset=utf-8"
-
 // WriteOpenMetrics writes the registry in the OpenMetrics 1.0 text exposition
 // format: counter families drop their _total suffix in metadata and gain
 // _created timestamps (sim-time of child registration), histograms gain

@@ -9,6 +9,10 @@ import (
 	"heroserve/internal/sim"
 )
 
+// File is the perf report's name in a run bundle (serve -out), where hstat
+// perf finds it. It holds one rendering of Report.WriteJSON.
+const File = "perf.json"
+
 // Schema identifies the perf report's JSON layout; bump on incompatible
 // change so hstat perf can reject files it does not understand.
 const Schema = "heroserve-perf/2"

@@ -29,7 +29,7 @@
 //
 // Wall-clock data is inherently nondeterministic, which is exactly why it
 // lives here and never inside a deterministic surface: the Report goes only
-// to its own bundle file (perf.json) and its own daemon endpoint (/perf).
+// to its own bundle file (perf.json).
 package perf
 
 import (

@@ -10,13 +10,9 @@ import (
 	"heroserve/internal/telemetry"
 )
 
-// Route is the daemon path serving the SLO alert log, and File the
-// document's name in a run bundle (serve -out), where hstat alerts finds it.
-// Both hold one rendering of Monitor.WriteLog.
-const (
-	Route = "/alerts"
-	File  = "alerts.json"
-)
+// File is the SLO alert log's name in a run bundle (serve -out), where hstat
+// alerts finds it. It holds one rendering of Monitor.WriteLog.
+const File = "alerts.json"
 
 // CauseValue is one named input the rule saw at trigger time.
 type CauseValue struct {

@@ -146,24 +146,10 @@ func (m *Monitor) live(st State) []Alert {
 	return out
 }
 
-// Worst returns the most urgent firing severity; ok is false when nothing
-// is firing. Nil-safe.
-func (m *Monitor) Worst() (sev Severity, ok bool) {
-	if m == nil {
-		return 0, false
-	}
-	for _, a := range m.active {
-		if a.State == StateFiring && (!ok || a.Severity > sev) {
-			sev, ok = a.Severity, true
-		}
-	}
-	return sev, ok
-}
-
 // Prime records the run-start baseline frame without evaluating any rule.
-// Call it at the start of the run; in a multi-run daemon hub the registry's
-// counters carry earlier runs' totals, and the baseline is what keeps every
-// window delta scoped to this run.
+// Call it at the start of the run; on a hub shared by many runs (heroserve's
+// experiments) the registry's counters carry earlier runs' totals, and the
+// baseline is what keeps every window delta scoped to this run.
 func (m *Monitor) Prime(now float64) {
 	if m == nil || m.primed {
 		return

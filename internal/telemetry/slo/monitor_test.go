@@ -70,9 +70,6 @@ func TestMonitorBurnRateLifecycle(t *testing.T) {
 	if got := m.Firing(); len(got) != 1 || got[0].Rule != "burn" {
 		t.Fatalf("firing set at t=4: %+v", got)
 	}
-	if w, ok := m.Worst(); !ok || w != SevCritical {
-		t.Errorf("worst = %v, %v", w, ok)
-	}
 	th.met.Add(10)
 	th.step(m) // t=5: still breached (miss burst inside both windows)
 	th.met.Add(10)
@@ -143,8 +140,8 @@ func TestMonitorForDelayAndCanceledPending(t *testing.T) {
 }
 
 // TestMonitorLiveAlerts: Firing and Pending list the live alerts by rule
-// name, a pending alert (inside its For hold-down) is invisible to Firing
-// and Worst, firing moves it out of Pending, and resolution drains both.
+// name, a pending alert (inside its For hold-down) is invisible to Firing,
+// firing moves it out of Pending, and resolution drains both.
 func TestMonitorLiveAlerts(t *testing.T) {
 	th := newTestHub()
 	m := NewMonitor(th.hub, Config{Rules: []Rule{
@@ -159,7 +156,7 @@ func TestMonitorLiveAlerts(t *testing.T) {
 		}
 		return names
 	}
-	check := func(at string, firing, pending []string, worst Severity, worstOK bool) {
+	check := func(at string, firing, pending []string) {
 		t.Helper()
 		if got := rules(m.Firing()); !reflect.DeepEqual(got, firing) {
 			t.Errorf("%s: Firing = %v, want %v", at, got, firing)
@@ -167,33 +164,30 @@ func TestMonitorLiveAlerts(t *testing.T) {
 		if got := rules(m.Pending()); !reflect.DeepEqual(got, pending) {
 			t.Errorf("%s: Pending = %v, want %v", at, got, pending)
 		}
-		if sev, ok := m.Worst(); sev != worst || ok != worstOK {
-			t.Errorf("%s: Worst = %v, %v, want %v, %v", at, sev, ok, worst, worstOK)
-		}
 	}
-	check("t=0", nil, nil, 0, false)
+	check("t=0", nil, nil)
 
 	th.kv.Set(0.85)
 	th.step(m) // t=1: kv-crit fires at once (no hold-down); kv-warn not breached
-	check("t=1", []string{"kv-crit"}, nil, SevCritical, true)
+	check("t=1", []string{"kv-crit"}, nil)
 	th.kv.Set(0.95)
 	th.step(m) // t=2: kv-warn pending
-	check("t=2", []string{"kv-crit"}, []string{"kv-warn"}, SevCritical, true)
+	check("t=2", []string{"kv-crit"}, []string{"kv-warn"})
 	th.kv.Set(0.5)
 	th.step(m) // t=3: both clear; kv-crit resolves, kv-warn is canceled
-	check("t=3", nil, nil, 0, false)
+	check("t=3", nil, nil)
 
 	th.kv.Set(0.95)
 	th.step(m) // t=4: kv-crit fires, kv-warn pending
 	th.step(m) // t=5
 	th.step(m) // t=6: 6-4 >= For — kv-warn fires
-	check("t=6", []string{"kv-crit", "kv-warn"}, nil, SevCritical, true)
+	check("t=6", []string{"kv-crit", "kv-warn"}, nil)
 	if f := m.Firing(); f[1].Since != 4 || f[1].FiredAt != 6 || f[1].Cause == nil {
 		t.Errorf("kv-warn firing copy = %+v, want since 4, fired at 6, with a cause", f[1])
 	}
 	// The slices are copies: changing one leaves the monitor alone.
 	m.Firing()[0].State = StateResolved
-	check("t=6 after caller edit", []string{"kv-crit", "kv-warn"}, nil, SevCritical, true)
+	check("t=6 after caller edit", []string{"kv-crit", "kv-warn"}, nil)
 }
 
 func TestMonitorQueueGrowth(t *testing.T) {
@@ -337,15 +331,12 @@ func TestMonitorDeterministicLog(t *testing.T) {
 }
 
 // TestSignalFeedNilSafety: the live-alert signals a disarmed (nil) monitor
-// hands its readers are empty, so the autoscaler and /healthz can read them
-// without a nil check.
+// hands its readers are empty, so the autoscaler can read them without a nil
+// check.
 func TestSignalFeedNilSafety(t *testing.T) {
 	var m *Monitor
 	if m.Firing() != nil || m.Pending() != nil {
 		t.Errorf("nil monitor has live alerts")
-	}
-	if _, ok := m.Worst(); ok {
-		t.Errorf("nil monitor has worst")
 	}
 }
 

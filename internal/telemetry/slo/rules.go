@@ -80,8 +80,7 @@ const (
 )
 
 // CheckState vets an alert-state filter: empty (no filter) or one of the
-// three lifecycle states. hstat's -state flag and the daemon's
-// /alerts?state= both go through it.
+// three lifecycle states. hstat's -state flag goes through it.
 func CheckState(state string) error {
 	switch State(state) {
 	case "", StatePending, StateFiring, StateResolved:

@@ -141,7 +141,7 @@ func TestCloseStreamStopsTheEncoder(t *testing.T) {
 
 // TestFlushWritesACompletablePrefix: after Flush the writer holds every
 // event so far, ending at an event boundary, so appending docSuffix gives a
-// valid document — what the daemon's /trace serves mid-run. The events span
+// valid document, a readable snapshot of the run so far. The events span
 // several chunks, and a second Flush after more of them extends the prefix.
 func TestFlushWritesACompletablePrefix(t *testing.T) {
 	var clock float64

@@ -5,13 +5,10 @@
 package heroserve
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -19,11 +16,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"heroserve/internal/telemetry"
 	"heroserve/internal/telemetry/decisions"
-	"heroserve/internal/telemetry/perf"
 	"heroserve/internal/telemetry/slo"
 	"heroserve/internal/workload"
 )
@@ -120,6 +115,11 @@ func TestCommandSmoke(t *testing.T) {
 		pre func(t *testing.T)
 	}{
 		{name: "heroserve-list", dir: "cmd/heroserve", args: []string{"-list"}},
+		{name: "heroserve-help", dir: "cmd/heroserve", args: []string{"-h"}},
+		{name: "serve-help", dir: "cmd/serve", args: []string{"-h"}},
+		{name: "planner-help", dir: "cmd/planner", args: []string{"-h"}},
+		{name: "tracegen-help", dir: "cmd/tracegen", args: []string{"-h"}},
+		{name: "topoviz-help", dir: "cmd/topoviz", args: []string{"-h"}},
 		{name: "heroserve-fig1", dir: "cmd/heroserve", args: []string{"-exp", "fig1"}},
 		{name: "heroserve-fig2-csv", dir: "cmd/heroserve", args: []string{"-exp", "fig2", "-format", "csv"}},
 		{name: "planner", dir: "cmd/planner", args: []string{"-model", "opt-13b", "-rate", "1"}},
@@ -215,6 +215,7 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		bin  string
 		args []string
 	}{
+		{"tracegen", []string{"-bogus"}},
 		{"tracegen", []string{"-n", "0"}},
 		{"tracegen", []string{"-n", "-3"}},
 		{"tracegen", []string{"-rate", "0"}},
@@ -245,6 +246,8 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"hstat", []string{"diff", dir}},
 		{"hstat", []string{"diff", "-tsv", dir, dir}},
 		{"hstat", []string{"diff", truncated, dir}},
+		{"serve", []string{"-bogus"}},
+		{"serve", []string{"-trace", trace, "-servers", "x"}},
 		{"serve", []string{"-trace", trace, "-topology", "bogus"}},
 		{"serve", []string{"-trace", trace, "-model", "bogus"}},
 		{"serve", []string{"-trace", trace, "-system", "bogus"}},
@@ -273,10 +276,13 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"serve", []string{"-trace", trace, "-scale-policy", "bogus"}},
 		{"serve", []string{"-trace", trace, "-pprof"}},
 		{"heroserve", nil},
+		{"heroserve", []string{"-bogus"}},
+		{"heroserve", []string{"-exp", "fig1", "-listen", ":0"}},
 		{"heroserve", []string{"-exp", "bogus"}},
 		{"heroserve", []string{"-exp", "fig1", "-scale", "bogus"}},
 		{"heroserve", []string{"-exp", "fig1", "-format", "bogus"}},
 		{"heroserve", []string{"-exp", "fig1", "-out", trace}},
+		{"planner", []string{"-bogus"}},
 		{"planner", []string{"-topology", "bogus"}},
 		{"planner", []string{"-model", "bogus"}},
 		{"planner", []string{"-workload", "bogus"}},
@@ -288,6 +294,7 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"planner", []string{"-ttft", "-1"}},
 		{"planner", []string{"-batch", "-1"}},
 		{"planner", []string{"-min-tens-decode", "-1"}},
+		{"topoviz", []string{"-bogus"}},
 		{"topoviz", []string{"-topology", "bogus"}},
 		{"topoviz", []string{"-topology", "pod8", "-servers", "0"}},
 		{"topoviz", []string{"-topology", "pcie", "-servers", "-2"}},
@@ -307,19 +314,15 @@ func TestCommandsRejectBadInput(t *testing.T) {
 	}
 }
 
-// TestObserversDoNotPerturbTheRun: serving metrics from a daemon only reads
-// the run, and the daemon serves the bundle's bytes. One overdriven,
-// autoscaled trace replayed plain and with -daemon serves the same requests
-// in the same simulated time and exports the same metrics, byte for byte.
-// After the daemon's runs complete, each of its document routes answers
-// exactly the bytes of the bundle file it stands for; the run leaves both
-// decision-ledger kinds and a fired alert in them.
+// TestObserversDoNotPerturbTheRun: the run bundle only observes the run. One
+// 80-request trace at 12 req/s replayed plain and with -out prints the same
+// summary lines, byte for byte; an autoscaled -out replay of it leaves both
+// decision-ledger kinds and a fired alert in its bundle.
 func TestObserversDoNotPerturbTheRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("smoke tests compile binaries")
 	}
 	dir := t.TempDir()
-	serve := binary(t, "cmd/serve")
 	trace := filepath.Join(dir, "trace.json")
 	tf, err := os.Create(trace)
 	if err != nil {
@@ -331,107 +334,48 @@ func TestObserversDoNotPerturbTheRun(t *testing.T) {
 	if err := tf.Close(); err != nil {
 		t.Fatal(err)
 	}
-	docs := []struct{ route, file string }{
-		{decisions.Route, decisions.File}, {slo.Route, slo.File}, {perf.Route, perf.File},
-	}
-	// replay runs serve with extra flags and returns its served= line, its
-	// bundle directory and, for a daemon, the body of each document route
-	// fetched once its runs complete, before it is interrupted.
-	replay := func(name string, extra ...string) (served, out string, bodies map[string][]byte) {
+	// summary replays the trace with extra flags and returns the lines of
+	// the run's summary that a plain run prints too.
+	prefixes := []string{"system=", "served=", "TTFT:", "TPOT:", "comm:", "decode KV:"}
+	summary := func(extra ...string) string {
 		t.Helper()
-		out = filepath.Join(dir, name)
-		args := append([]string{"-trace", trace, "-system", "heroserve", "-topology", "testbed",
-			"-model", "opt-13b", "-seed", "7", "-autoscale", "-out", out}, extra...)
-		cmd := exec.Command(serve, args...)
-		stdout, err := cmd.StdoutPipe()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cmd.Start(); err != nil {
-			t.Fatal(err)
-		}
-		kill := time.AfterFunc(2*time.Minute, func() { cmd.Process.Kill() })
-		defer kill.Stop()
-		var addr string
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			if strings.HasPrefix(line, "daemon: serving ") {
-				addr = line[strings.LastIndex(line, " on ")+len(" on "):]
-			}
-			if strings.HasPrefix(line, "served=") {
-				served = line
-			}
-			if strings.Contains(line, "runs complete") {
-				bodies = make(map[string][]byte)
-				for _, d := range docs {
-					bodies[d.route] = httpGet(t, "http://"+addr+d.route)
+		out := run(t, "cmd/serve", append([]string{"-trace", trace, "-system", "heroserve",
+			"-topology", "testbed", "-model", "opt-13b", "-seed", "7"}, extra...)...)
+		var lines []string
+		for _, line := range strings.Split(out, "\n") {
+			for _, p := range prefixes {
+				if strings.HasPrefix(line, p) {
+					lines = append(lines, line)
 				}
-				cmd.Process.Signal(os.Interrupt)
 			}
 		}
-		if err := cmd.Wait(); err != nil {
-			t.Fatalf("serve %s: %v", name, err)
-		}
-		return served, out, bodies
+		return strings.Join(lines, "\n")
 	}
-	metrics := func(bundle string) []byte {
+	plain := summary()
+	if n := strings.Count(plain, "\n") + 1; n != len(prefixes) {
+		t.Fatalf("plain run printed %d of the %d summary lines:\n%s", n, len(prefixes), plain)
+	}
+	if armed := summary("-out", filepath.Join(dir, "armed")); armed != plain {
+		t.Errorf("-out changed the run:\n%s\nplain run:\n%s", armed, plain)
+	}
+
+	bundle := filepath.Join(dir, "autoscaled")
+	summary("-autoscale", "-out", bundle)
+	read := func(file string) []byte {
 		t.Helper()
-		b, err := os.ReadFile(filepath.Join(bundle, telemetry.PromFile))
+		b, err := os.ReadFile(filepath.Join(bundle, file))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return b
 	}
-	plainServed, plainOut, _ := replay("plain")
-	plain := metrics(plainOut)
-	if plainServed == "" || len(plain) == 0 {
-		t.Fatalf("plain run printed no served= line or no metrics")
-	}
-	daemonServed, daemonOut, bodies := replay("daemon", "-daemon", "-listen", "127.0.0.1:0", "-publish-every", "1")
-	if daemonServed != plainServed {
-		t.Errorf("daemon run: %q, plain run: %q", daemonServed, plainServed)
-	}
-	if !bytes.Equal(metrics(daemonOut), plain) {
-		t.Errorf("daemon run exported different metrics than the plain run")
-	}
-
-	if bodies == nil {
-		t.Fatal("daemon never reported its runs complete")
-	}
-	for _, d := range docs {
-		file, err := os.ReadFile(filepath.Join(daemonOut, d.file))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(bodies[d.route], file) {
-			t.Errorf("%s is not the bundle's %s byte for byte (%d and %d bytes)",
-				d.route, d.file, len(bodies[d.route]), len(file))
-		}
-	}
-	led, err := decisions.ReadJSON(bytes.NewReader(bodies[decisions.Route]))
+	led, err := decisions.ReadJSON(bytes.NewReader(read(decisions.File)))
 	if err != nil || led.NumCollective() == 0 || led.NumScale() == 0 {
-		t.Errorf("daemon ledger: %v, want both kinds populated", err)
+		t.Errorf("autoscaled ledger: %v, want both kinds populated", err)
 	}
-	if log, err := slo.ReadLog(bytes.NewReader(bodies[slo.Route])); err != nil || log.Summarize().Fired == 0 {
-		t.Errorf("daemon alert log: %v, want a fired alert", err)
+	if log, err := slo.ReadLog(bytes.NewReader(read(slo.File))); err != nil || log.Summarize().Fired == 0 {
+		t.Errorf("autoscaled alert log: %v, want a fired alert", err)
 	}
-}
-
-// httpGet returns the body of a 200 answer to a GET of url.
-func httpGet(t *testing.T, url string) []byte {
-	t.Helper()
-	resp, err := http.Get(url)
-	if err != nil {
-		t.Error(err)
-		return nil
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Errorf("GET %s: status %d, %v: %s", url, resp.StatusCode, err, body)
-	}
-	return body
 }
 
 // TestHeroserveTelemetryKeepsTheReport: arming telemetry on an experiment
@@ -445,21 +389,35 @@ func TestHeroserveTelemetryKeepsTheReport(t *testing.T) {
 	}
 	dir := t.TempDir()
 	bin := binary(t, "cmd/heroserve")
-	report := func(exp string, extra ...string) []byte {
-		t.Helper()
+	// report runs one experiment; it only returns its error, since the armed
+	// half runs on a goroutine of its own.
+	report := func(exp string, extra ...string) ([]byte, error) {
 		cmd := exec.Command(bin, append([]string{"-exp", exp, "-format", "json"}, extra...)...)
 		var stderr bytes.Buffer
 		cmd.Stderr = &stderr
 		out, err := cmd.Output()
 		if err != nil {
-			t.Fatalf("heroserve -exp %s %v: %v\n%s", exp, extra, err, stderr.Bytes())
+			return nil, fmt.Errorf("heroserve -exp %s %v: %v\n%s", exp, extra, err, stderr.Bytes())
 		}
-		return out
+		return out, nil
 	}
 	for _, exp := range []string{"ablations", "fig7"} {
-		plain := report(exp)
 		bundle := filepath.Join(dir, exp)
-		armed := report(exp, "-out", bundle)
+		var armed []byte
+		var armedErr error
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			armed, armedErr = report(exp, "-out", bundle)
+		}()
+		plain, err := report(exp)
+		<-done
+		if err != nil {
+			t.Fatal(err)
+		}
+		if armedErr != nil {
+			t.Fatal(armedErr)
+		}
 		if !bytes.Equal(plain, armed) {
 			t.Errorf("%s: -out changed stdout:\nplain:\n%s\narmed:\n%s", exp, plain, armed)
 		}
