@@ -8,9 +8,8 @@
 //	heroserve -exp faults -out run/  # run bundle across all serving runs
 //	heroserve -list                  # enumerate experiment ids
 //
-// -out writes the run bundle: run/spans.json, run/metrics.prom and
-// run/metrics.om, the same layout cmd/serve writes minus its per-run
-// documents. The spans stream to disk as they are recorded, so `-exp all
+// -out writes the run bundle: run/spans.json and run/metrics.prom, the same
+// layout cmd/serve writes minus its per-run documents. The spans stream to disk as they are recorded, so `-exp all
 // -scale full` sweeps never buffer the whole trace in RAM. The report stays
 // alone on stdout; the export lines go to stderr.
 //

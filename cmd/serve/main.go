@@ -10,8 +10,8 @@
 //	serve -trace trace.json -out run/
 //
 // -out writes the run bundle: run/spans.json (Chrome trace events,
-// Perfetto-loadable), run/metrics.prom and run/metrics.om (the final metrics
-// as Prometheus text and as OpenMetrics), run/decisions.json (the
+// Perfetto-loadable), run/metrics.prom (the final metrics as Prometheus
+// text), run/decisions.json (the
 // counterfactual decision ledger), run/alerts.json (the SLO alert log, while a
 // monitor is armed) and run/perf.json (the simulator's self-profiling
 // report). `hstat <kind> run/` reads any of them.
@@ -220,7 +220,7 @@ func runSystem(s core.System, in planner.Inputs, trace *workload.Trace, art *tel
 
 	res := sys.Run(trace)
 	rate := float64(len(trace.Requests)) / trace.Duration()
-	run := res.Summary(name, trace.Name, len(trace.Requests), p.sla)
+	run := res.Summary(len(trace.Requests), p.sla)
 	fmt.Printf("system=%s plan=%s trace=%s requests=%d rate=%.3g req/s\n",
 		res.PolicyName, plan.Candidate, trace.Name, run.Requests, rate)
 	fmt.Printf("served=%d in %.1fs simulated; SLA attainment=%.1f%%\n",

@@ -685,7 +685,7 @@ func TestAllReduceDispatch(t *testing.T) {
 	sw := g.Switches()[0]
 	completed := 0
 	for _, s := range []Scheme{SchemeRing, SchemeINASync, SchemeINAAsync, SchemeHetero} {
-		c.AllReduce(s, group, sw, 1<<20, 1, func() { completed++ })
+		c.AllReduce(s, group, sw, 1<<20, 1, nil, func() { completed++ })
 	}
 	eng.Run()
 	if completed != 4 {
@@ -696,7 +696,7 @@ func TestAllReduceDispatch(t *testing.T) {
 			t.Error("unknown scheme accepted")
 		}
 	}()
-	c.AllReduce(Scheme(42), group, sw, 1, 1, nil)
+	c.AllReduce(Scheme(42), group, sw, 1, 1, nil, nil)
 }
 
 // BenchmarkAllReduce times one launch→done cycle of a warm all-reduce of
@@ -733,7 +733,7 @@ func BenchmarkAllReduce(b *testing.B) {
 				b.ReportAllocs()
 				probe.n = 0
 				for i := 0; i < b.N; i++ {
-					c.AllReduce(s, grp, sw, 1<<20, 8, done)
+					c.AllReduce(s, grp, sw, 1<<20, 8, nil, done)
 					eng.Run()
 				}
 				b.ReportMetric(float64(probe.n)/float64(b.N), "reallocs/op")

@@ -669,18 +669,13 @@ func (op *heteroOp) broadcast() {
 
 // AllReduce dispatches on scheme, bracketing the operation in an async trace
 // span (the scheme that *executes* may differ from the span's scheme arg only
-// via the recorded fallback instants). sw is ignored by SchemeRing.
-func (c *Comm) AllReduce(scheme Scheme, grp *Group, sw topology.NodeID, msgBytes int64, steps int, done func()) {
-	c.AllReduceTagged(scheme, grp, sw, msgBytes, steps, nil, done)
-}
-
-// AllReduceTagged is AllReduce with batch→request attribution: reqs lists the
-// request IDs whose tokens ride this collective, recorded on the span as the
-// "reqs" arg so the critical-path analyzer can charge the communication time
-// to the requests it served. An empty reqs emits the same span AllReduce does.
-// The span carries reqs itself, not a copy: the event lives only as long as
-// the AsyncBegin call, and a tap that keeps the list copies it.
-func (c *Comm) AllReduceTagged(scheme Scheme, grp *Group, sw topology.NodeID, msgBytes int64, steps int, reqs []int, done func()) {
+// via the recorded fallback instants). sw is ignored by SchemeRing. reqs
+// lists the request IDs whose tokens ride this collective, recorded on the
+// span as the "reqs" arg so the critical-path analyzer can charge the
+// communication time to the requests it served; an empty reqs leaves the
+// arg out. The span carries reqs itself, not a copy: the event lives only as
+// long as the AsyncBegin call, and a tap that keeps the list copies it.
+func (c *Comm) AllReduce(scheme Scheme, grp *Group, sw topology.NodeID, msgBytes int64, steps int, reqs []int, done func()) {
 	if c.tel != nil {
 		args := append(c.spanArgs[:0], telemetry.Int64("bytes", msgBytes), telemetry.Int("group", grp.Size()))
 		if len(reqs) > 0 {

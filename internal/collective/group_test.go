@@ -111,7 +111,7 @@ func runOnGroup(t *testing.T, build func() *topology.Graph, members []topology.N
 	if numa {
 		c.HeteroNUMAAllReduce(grp, sw, 1<<20, 2, done)
 	} else {
-		c.AllReduce(scheme, grp, sw, 1<<20, 2, done)
+		c.AllReduce(scheme, grp, sw, 1<<20, 2, nil, done)
 	}
 	eng.Run()
 	if run.doneAt < 0 {

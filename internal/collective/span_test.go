@@ -35,9 +35,9 @@ func TestAllReduceSpanScratchKeepsAttribution(t *testing.T) {
 
 	group := NewGroup(g, g.ServerGPUs(0)[:2])
 	reqs := []int{0}
-	comm.AllReduceTagged(SchemeRing, group, -1, 1<<24, 1, reqs, func() {})
+	comm.AllReduce(SchemeRing, group, -1, 1<<24, 1, reqs, func() {})
 	reqs[0] = 1 // the caller reuses its batch buffer
-	comm.AllReduceTagged(SchemeRing, group, -1, 1<<20, 1, reqs, func() {})
+	comm.AllReduce(SchemeRing, group, -1, 1<<20, 1, reqs, func() {})
 	eng.Run()
 	end := eng.Now()
 	for id := 0; id < 2; id++ {
@@ -86,7 +86,7 @@ func TestAllReduceSpanEndRecycled(t *testing.T) {
 	ops, done := 0, 0
 	finish := func() { done++ }
 	cycle := func() {
-		comm.AllReduceTagged(SchemeRing, group, -1, 1<<20, 2, nil, finish)
+		comm.AllReduce(SchemeRing, group, -1, 1<<20, 2, nil, finish)
 		ops++
 		eng.Run()
 	}

@@ -213,7 +213,7 @@ func (p *OnlinePolicy) group(ctx *serving.GroupCtx, msgBytes int64) *group {
 // AllReduce implements serving.CommPolicy.
 func (p *OnlinePolicy) AllReduce(ctx *serving.GroupCtx, msgBytes int64, steps int, done func()) {
 	scheme, sw := p.pick(ctx, msgBytes, steps)
-	ctx.Comm.AllReduceTagged(scheme, ctx.Group, sw, msgBytes, steps, ctx.Reqs, done)
+	ctx.Comm.AllReduce(scheme, ctx.Group, sw, msgBytes, steps, ctx.Reqs, done)
 }
 
 // pick is one online decision: it selects the group's policy (Eq. 16/17),

@@ -14,12 +14,12 @@ import (
 )
 
 // critRun executes one full serving run with telemetry armed and returns the
-// results, the hub, and both metric expositions plus the trace export.
-func critRun(t *testing.T, system string) (*serving.Results, *telemetry.Hub, []byte, []byte) {
+// results, the metrics exposition and the trace export.
+func critRun(t *testing.T, system string) (*serving.Results, []byte, []byte) {
 	t.Helper()
 	in := inputs(t)
 	hub := telemetry.New()
-	var om, spans bytes.Buffer
+	var prom, spans bytes.Buffer
 	if err := hub.Trace.StreamTo(&spans); err != nil {
 		t.Fatal(err)
 	}
@@ -38,13 +38,27 @@ func critRun(t *testing.T, system string) (*serving.Results, *telemetry.Hub, []b
 		t.Fatal(err)
 	}
 	res := sys.Run(workload.NewGenerator(workload.Chatbot, 9).Generate(20, 2))
-	if err := hub.Metrics.WriteOpenMetrics(&om); err != nil {
+	if err := hub.Metrics.WriteProm(&prom); err != nil {
 		t.Fatal(err)
 	}
 	if err := hub.Trace.CloseStream(); err != nil {
 		t.Fatal(err)
 	}
-	return res, hub, om.Bytes(), spans.Bytes()
+	return res, prom.Bytes(), spans.Bytes()
+}
+
+// sample reads one unlabeled sample out of the exposition text.
+func sample(t *testing.T, exposition []byte, name string) float64 {
+	t.Helper()
+	m := regexp.MustCompile(`(?m)^` + name + ` (\S+)$`).FindSubmatch(exposition)
+	if m == nil {
+		t.Fatalf("exposition has no %s sample", name)
+	}
+	v, err := strconv.ParseFloat(string(m[1]), 64)
+	if err != nil {
+		t.Fatalf("bad sample %q: %v", m[0], err)
+	}
+	return v
 }
 
 // sumCounterFamily sums every {stage} child of a critical-path counter
@@ -69,7 +83,7 @@ func sumCounterFamily(t *testing.T, exposition []byte, fam string) float64 {
 func TestCritPathSumsMatchHistograms(t *testing.T) {
 	for _, system := range []string{"heroserve", "distserve", "ds-switchml"} {
 		t.Run(system, func(t *testing.T) {
-			res, hub, om, _ := critRun(t, system)
+			res, prom, _ := critRun(t, system)
 			if res.CritPath == nil {
 				t.Fatal("Results.CritPath not populated")
 			}
@@ -77,20 +91,18 @@ func TestCritPathSumsMatchHistograms(t *testing.T) {
 				t.Fatalf("critpath finalized %d requests, served %d",
 					res.CritPath.Requests, res.Served)
 			}
-			ttftHist := hub.Metrics.Histogram("ttft_seconds", "Time to first token.",
-				[]float64{0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10}, nil)
-			e2eHist := hub.Metrics.Histogram("request_seconds", "Request end-to-end latency.",
-				[]float64{0.5, 1, 2.5, 5, 10, 25, 50, 100}, nil)
+			ttftHist := sample(t, prom, "ttft_seconds_sum")
+			e2eHist := sample(t, prom, "request_seconds_sum")
 
-			ttftStages := sumCounterFamily(t, om, "ttft_critical_path_seconds")
-			e2eStages := sumCounterFamily(t, om, "e2e_critical_path_seconds")
-			if math.Abs(ttftStages-ttftHist.Sum()) > 1e-6 {
+			ttftStages := sumCounterFamily(t, prom, "ttft_critical_path_seconds")
+			e2eStages := sumCounterFamily(t, prom, "e2e_critical_path_seconds")
+			if math.Abs(ttftStages-ttftHist) > 1e-6 {
 				t.Errorf("ttft stages sum %.9f != histogram sum %.9f (delta %g)",
-					ttftStages, ttftHist.Sum(), ttftStages-ttftHist.Sum())
+					ttftStages, ttftHist, ttftStages-ttftHist)
 			}
-			if math.Abs(e2eStages-e2eHist.Sum()) > 1e-6 {
+			if math.Abs(e2eStages-e2eHist) > 1e-6 {
 				t.Errorf("e2e stages sum %.9f != histogram sum %.9f (delta %g)",
-					e2eStages, e2eHist.Sum(), e2eStages-e2eHist.Sum())
+					e2eStages, e2eHist, e2eStages-e2eHist)
 			}
 			// The in-process report agrees with the exported counters.
 			if math.Abs(res.CritPath.TTFTSum()-ttftStages) > 1e-6 {
@@ -106,10 +118,10 @@ func TestCritPathSumsMatchHistograms(t *testing.T) {
 }
 
 // TestCritPathReportDeterministic: the hstat-trace-style report and the
-// OpenMetrics exposition must be byte-identical across same-seed runs.
+// metrics exposition must be byte-identical across same-seed runs.
 func TestCritPathReportDeterministic(t *testing.T) {
-	res1, _, om1, _ := critRun(t, "heroserve")
-	res2, _, om2, _ := critRun(t, "heroserve")
+	res1, prom1, _ := critRun(t, "heroserve")
+	res2, prom2, _ := critRun(t, "heroserve")
 	var r1, r2 bytes.Buffer
 	if err := res1.CritPath.Fprint(&r1); err != nil {
 		t.Fatal(err)
@@ -120,24 +132,18 @@ func TestCritPathReportDeterministic(t *testing.T) {
 	if !bytes.Equal(r1.Bytes(), r2.Bytes()) {
 		t.Error("critical-path reports differ across same-seed runs")
 	}
-	if !bytes.Equal(om1, om2) {
-		t.Error("OpenMetrics expositions differ across same-seed runs")
+	if !bytes.Equal(prom1, prom2) {
+		t.Error("metrics expositions differ across same-seed runs")
 	}
 }
 
-// TestExemplarsResolveToTraceSpans: every exemplar trace ID in the
-// exposition must name a real request span in the same run's trace export —
-// the linkage that lets a dashboard jump from a latency bucket to the span.
-func TestExemplarsResolveToTraceSpans(t *testing.T) {
-	_, _, om, spans := critRun(t, "heroserve")
-
-	exRe := regexp.MustCompile(`# \{trace_id="([^"]+)"\}`)
-	exemplars := map[string]bool{}
-	for _, m := range exRe.FindAllSubmatch(om, -1) {
-		exemplars[string(m[1])] = true
-	}
-	if len(exemplars) == 0 {
-		t.Fatal("exposition has no exemplars")
+// TestSlowestRequestsResolveToTraceSpans: every trace ID in the
+// critical-path report's slowest-requests table must name a request span in
+// the same run's trace export — the link from the report to the span.
+func TestSlowestRequestsResolveToTraceSpans(t *testing.T) {
+	res, _, spans := critRun(t, "heroserve")
+	if len(res.CritPath.Slowest) == 0 {
+		t.Fatal("report lists no slowest requests")
 	}
 
 	var doc struct {
@@ -158,9 +164,9 @@ func TestExemplarsResolveToTraceSpans(t *testing.T) {
 			}
 		}
 	}
-	for id := range exemplars {
-		if !spanIDs[id] {
-			t.Errorf("exemplar trace ID %q has no request span in the trace export", id)
+	for _, b := range res.CritPath.Slowest {
+		if !spanIDs[b.TraceID] {
+			t.Errorf("slowest request %d: trace ID %q has no request span in the trace export", b.Req, b.TraceID)
 		}
 	}
 }

@@ -32,7 +32,7 @@ func (f forcedScheme) AllReduce(ctx *serving.GroupCtx, msgBytes int64, steps int
 	if scheme.UsesINA() && ctx.Switch < 0 {
 		scheme = collective.SchemeRing
 	}
-	ctx.Comm.AllReduceTagged(scheme, ctx.Group, ctx.Switch, msgBytes, steps, ctx.Reqs, done)
+	ctx.Comm.AllReduce(scheme, ctx.Group, ctx.Switch, msgBytes, steps, ctx.Reqs, done)
 }
 
 // AblationData runs the design-choice ablations DESIGN.md calls out, all on
@@ -65,7 +65,7 @@ func AblationData(env Env) ([]AblationResult, error) {
 	// the same elephant lanes; only the communication policy differs.
 	run := func(variant string, policy serving.CommPolicy) (AblationResult, error) {
 		trace := workload.NewGenerator(workload.Chatbot, env.Seed+5).Generate(n, 4)
-		res, err := env.simulate(variant, in.SLA, serving.Options{Policy: policy}, func(opts serving.Options) (*serving.System, error) {
+		res, err := env.simulate(in.SLA, serving.Options{Policy: policy}, func(opts serving.Options) (*serving.System, error) {
 			sys, _, _, err := core.NewSystem(in, plan, opts)
 			if err == nil {
 				sys.InjectElephants(4, 512<<20, 60, env.Seed+99)

@@ -36,7 +36,7 @@ func Alg1Data(env Env) ([]Alg1Result, error) {
 			name: "testbed/OPT-66B",
 			build: func() planner.Inputs {
 				g := topology.Testbed()
-				return fig7Inputs(g, workload.Chatbot, serving.SLA{TTFT: 2.5, TPOT: 0.15}, 3, env.Seed)
+				return testbedOPT66B.inputs(g, workload.Chatbot, serving.SLA{TTFT: 2.5, TPOT: 0.15}, 3, env.Seed)
 			},
 		},
 		{
@@ -48,7 +48,7 @@ func Alg1Data(env Env) ([]Alg1Result, error) {
 				}
 				g := topology.Pod2Tracks(servers)
 				rate := 0.02 * float64(len(g.GPUs()))
-				return fig8Inputs(g, workload.Chatbot, serving.SLA{TTFT: 4, TPOT: 0.2}, rate, env.Seed)
+				return podOPT175B.inputs(g, workload.Chatbot, serving.SLA{TTFT: 4, TPOT: 0.2}, rate, env.Seed)
 			},
 		},
 	}

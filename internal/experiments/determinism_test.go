@@ -50,7 +50,7 @@ func chatbotRun(t *testing.T, kind SystemKind, seed int64, sched *faults.Schedul
 	t.Helper()
 	const rate = 0.15 * 16
 	g := topology.Testbed()
-	in := fig7Inputs(g, workload.Chatbot, serving.SLA{TTFT: 2.5, TPOT: 0.15}, rate, seed)
+	in := testbedOPT66B.inputs(g, workload.Chatbot, serving.SLA{TTFT: 2.5, TPOT: 0.15}, rate, seed)
 	plan, err := planAtBestLambda(kind, in, rate)
 	if err != nil {
 		t.Fatalf("plan: %v", err)

@@ -50,8 +50,8 @@ func TestAblationShape(t *testing.T) {
 }
 
 // TestAblationsReportToTheEnv: every ablation variant's run reaches the
-// environment's hub and observer under the variant's name, with the offered
-// request count, and arming them leaves the results unchanged.
+// environment's hub, each in a trace process of its own, and arming them
+// leaves the results unchanged.
 func TestAblationsReportToTheEnv(t *testing.T) {
 	if testing.Short() {
 		t.Skip("serving runs under -short")
@@ -61,9 +61,7 @@ func TestAblationsReportToTheEnv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var runs []telemetry.RunSummary
-	env := Env{Scale: Quick, Seed: 1, Hub: telemetry.New(),
-		OnRun: func(run telemetry.RunSummary) { runs = append(runs, run) }}
+	env := Env{Scale: Quick, Seed: 1, Hub: telemetry.New()}
 	armed, err := AblationData(env)
 	if err != nil {
 		t.Fatal(err)
@@ -71,13 +69,8 @@ func TestAblationsReportToTheEnv(t *testing.T) {
 	if !reflect.DeepEqual(plain, armed) {
 		t.Errorf("arming the env changed the ablations:\nplain %+v\narmed %+v", plain, armed)
 	}
-	if len(runs) != len(armed) {
-		t.Fatalf("observer saw %d runs, want one per variant (%d)", len(runs), len(armed))
-	}
-	for i, run := range runs {
-		if run.System != armed[i].Variant || run.Requests != 40 || run.Served != 40 {
-			t.Errorf("run %d = %+v, want variant %q with 40 offered and served", i, run, armed[i].Variant)
-		}
+	if pid := env.Hub.Trace.PID(); pid != len(armed) {
+		t.Errorf("hub opened %d trace processes, want one per variant (%d)", pid, len(armed))
 	}
 	if done, _ := env.Hub.Metrics.Value("serving_requests_completed_total"); done != float64(40*len(armed)) {
 		t.Errorf("hub counted %g completed requests, want %d", done, 40*len(armed))

@@ -65,7 +65,7 @@ func FaultsExperimentData(env Env) (*FaultsData, error) {
 	sched := faultsSchedule(g, arrivalSpan, env.Seed)
 	data := &FaultsData{Workload: kind, SLA: sla, PerGPURate: perGPURate, Schedule: sched}
 	for _, sysKind := range AllSystems {
-		in := fig7Inputs(g, kind, sla, rate, env.Seed)
+		in := testbedOPT66B.inputs(g, kind, sla, rate, env.Seed)
 		plan, err := planAtBestLambda(sysKind, in, rate)
 		if err != nil {
 			return nil, fmt.Errorf("faults %v: %w", sysKind, err)

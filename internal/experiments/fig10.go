@@ -48,7 +48,7 @@ func Fig10Data(env Env) ([]Fig10Track, error) {
 			gpus := len(g.GPUs())
 			sla := serving.SLA{TTFT: 25, TPOT: 0.2}
 			rate := 0.006 * float64(gpus) // moderate load, cf. paper's 0.07 req/s regime
-			in := fig8Inputs(g, workload.Summarization, sla, rate, env.Seed)
+			in := podOPT175B.inputs(g, workload.Summarization, sla, rate, env.Seed)
 			plan, err := sysKind.system().Plan(in)
 			if err != nil {
 				return nil, fmt.Errorf("fig10 %dtracks %v: %w", b.tracks, sysKind, err)

@@ -35,28 +35,43 @@ type Fig7Workload struct {
 	Systems  []Fig7SystemResult
 }
 
-// fig7Inputs builds the OPT-66B testbed planner inputs: A100 servers
-// prefill, V100 servers decode (§V testbed deployment). The decode cluster
-// plans in the paper's cross-server regime (MinTensDecode spans the 4-GPU
-// servers); the planner batch statistics reflect each workload's realistic
-// prefill batch (chatbot packs ~32 prompts under the token budget;
-// summarization prompts fill a whole batch alone).
-func fig7Inputs(g *topology.Graph, kind workload.Kind, sla serving.SLA, lambda float64, seed int64) planner.Inputs {
-	pre, dec := planner.SplitPoolsByServer(g, 2)
+// deployment is one of §V's serving deployments: the model served and the
+// decode tensor-parallel floor, which puts decode in the paper's
+// cross-server regime.
+type deployment struct {
+	model         func() model.Config
+	minTensDecode int
+}
+
+var (
+	// testbedOPT66B is Fig. 7's deployment: decode spans two 4-GPU servers.
+	testbedOPT66B = deployment{model.OPT66B, 8}
+	// podOPT175B is Fig. 8's deployment: decode spans two 8-GPU servers.
+	podOPT175B = deployment{model.OPT175B, 16}
+)
+
+// inputs builds the deployment's planner inputs on g: the first half of the
+// servers prefill and the second half decode (on the testbed, the A100
+// servers prefill and the V100 servers decode). The planner batch
+// statistics reflect each workload's realistic prefill batch (chatbot packs
+// ~32 prompts under the token budget; summarization prompts fill a whole
+// batch alone).
+func (d deployment) inputs(g *topology.Graph, kind workload.Kind, sla serving.SLA, lambda float64, seed int64) planner.Inputs {
+	pre, dec := planner.SplitPoolsByServer(g, g.NumServers()/2)
 	trace := workload.NewGenerator(kind, seed).Generate(512, 1)
 	q := 32
 	if kind == workload.Summarization {
 		q = 1
 	}
 	return planner.Inputs{
-		Model:         model.OPT66B(),
+		Model:         d.model(),
 		Graph:         g,
 		PrefillGPUs:   pre,
 		DecodeGPUs:    dec,
 		Workload:      trace.BatchStats(q),
 		Lambda:        lambda,
 		SLA:           sla,
-		MinTensDecode: 8,
+		MinTensDecode: d.minTensDecode,
 		Seed:          seed,
 	}
 }
@@ -104,7 +119,7 @@ func Fig7Data(env Env) ([]Fig7Workload, error) {
 			burstHorizon := float64(w.reqs)/(w.rates[0]*float64(gpus)) + 3*w.horizon
 			sr, err := env.sweepSystem(w, runConfig{
 				kind:            sysKind,
-				in:              fig7Inputs(topology.Testbed(), w.kind, w.sla, w.refRate()*float64(gpus), env.Seed),
+				in:              testbedOPT66B.inputs(topology.Testbed(), w.kind, w.sla, w.refRate()*float64(gpus), env.Seed),
 				bursts:          fig7Bursts(env.Seed+int64(sysKind), burstHorizon),
 				elephants:       4,
 				elephantBytes:   512 << 20,
@@ -133,40 +148,52 @@ func Fig7(env Env) (*Report, error) {
 func Fig7Render(data []Fig7Workload) *Report {
 	r := &Report{Name: "Fig. 7 — Testbed scalability and latency, OPT-66B"}
 	for _, w := range data {
-		t := r.AddTable(
+		addSweepTables(r, w.Systems, true,
 			fmt.Sprintf("%s (SLA: TTFT %gs, TPOT %gs; latency at %.3g req/s/GPU)", w.Workload, w.SLA.TTFT, w.SLA.TPOT, w.RefRate),
-			"system", "max rate (req/s/GPU)", "vs DistServe", "mean TTFT (s)", "mean TPOT (s)")
-		var distRate float64
-		for _, s := range w.Systems {
-			if s.System == DistServeK {
-				distRate = s.MaxPerGPURate
-			}
-		}
-		for _, s := range w.Systems {
-			speedup := "-"
-			if distRate > 0 {
-				speedup = fmt.Sprintf("%.2fx", s.MaxPerGPURate/distRate)
-			}
-			t.AddRow(s.System.String(), fmtF(s.MaxPerGPURate), speedup, fmtF(s.RefTTFT), fmtF(s.RefTPOT))
-		}
-		c := r.AddTable(fmt.Sprintf("%s SLA attainment vs per-GPU rate", w.Workload),
-			append([]string{"system"}, rateHeaders(w.Systems[0].Points)...)...)
-		for _, s := range w.Systems {
-			row := []string{s.System.String()}
-			for _, p := range s.Points {
-				row = append(row, fmtPct(p.attainment))
-			}
-			c.AddRow(row...)
-		}
+			fmt.Sprintf("%s SLA attainment vs per-GPU rate", w.Workload))
 	}
 	r.AddNote("paper: HeroServe scalability 1.53x/1.42x/1.33x (chatbot) and 1.68x/1.58x/1.35x (summarization) over DistServe/DS-ATP/DS-SwitchML; TPOT reduced 18.6-49.2%%")
 	return r
 }
 
-func rateHeaders(points []ratePoint) []string {
-	out := make([]string, len(points))
-	for i, p := range points {
-		out[i] = fmt.Sprintf("%.3g", p.perGPURate)
+// addSweepTables adds a rate sweep's two tables to r. The first, titled
+// title, lists each system's max per-GPU rate, its gain over DistServe's
+// and its mean latencies at the reference rate: TPOT, and TTFT before it
+// when ttft is set. The second, titled attainTitle, lists each system's SLA
+// attainment at every swept rate.
+func addSweepTables(r *Report, systems []Fig7SystemResult, ttft bool, title, attainTitle string) {
+	cols := []string{"system", "max rate (req/s/GPU)", "vs DistServe"}
+	if ttft {
+		cols = append(cols, "mean TTFT (s)")
 	}
-	return out
+	t := r.AddTable(title, append(cols, "mean TPOT (s)")...)
+	var distRate float64
+	for _, s := range systems {
+		if s.System == DistServeK {
+			distRate = s.MaxPerGPURate
+		}
+	}
+	for _, s := range systems {
+		speedup := "-"
+		if distRate > 0 {
+			speedup = fmt.Sprintf("%.2fx", s.MaxPerGPURate/distRate)
+		}
+		row := []string{s.System.String(), fmtF(s.MaxPerGPURate), speedup}
+		if ttft {
+			row = append(row, fmtF(s.RefTTFT))
+		}
+		t.AddRow(append(row, fmtF(s.RefTPOT))...)
+	}
+	rates := []string{"system"}
+	for _, p := range systems[0].Points {
+		rates = append(rates, fmt.Sprintf("%.3g", p.perGPURate))
+	}
+	c := r.AddTable(attainTitle, rates...)
+	for _, s := range systems {
+		row := []string{s.System.String()}
+		for _, p := range s.Points {
+			row = append(row, fmtPct(p.attainment))
+		}
+		c.AddRow(row...)
+	}
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"heroserve/internal/model"
-	"heroserve/internal/planner"
 	"heroserve/internal/serving"
 	"heroserve/internal/topology"
 	"heroserve/internal/workload"
@@ -23,29 +21,6 @@ type Fig8Track struct {
 // group) are preserved at this scale and absolute size only replicates
 // independent pods (see DESIGN.md substitutions).
 const fig8Servers = 12
-
-// fig8Inputs builds the OPT-175B pod planner inputs: half the servers
-// prefill, half decode, decode spanning two 8-GPU servers (MinTensDecode
-// 16 — the cross-server regime at pod scale).
-func fig8Inputs(g *topology.Graph, kind workload.Kind, sla serving.SLA, lambda float64, seed int64) planner.Inputs {
-	pre, dec := planner.SplitPoolsByServer(g, g.NumServers()/2)
-	trace := workload.NewGenerator(kind, seed).Generate(512, 1)
-	q := 32
-	if kind == workload.Summarization {
-		q = 1
-	}
-	return planner.Inputs{
-		Model:         model.OPT175B(),
-		Graph:         g,
-		PrefillGPUs:   pre,
-		DecodeGPUs:    dec,
-		Workload:      trace.BatchStats(q),
-		Lambda:        lambda,
-		SLA:           sla,
-		MinTensDecode: 16,
-		Seed:          seed,
-	}
-}
 
 // Fig8Data runs the pod-scale sweeps for 2tracks and 8tracks.
 func Fig8Data(env Env) ([]Fig8Track, error) {
@@ -88,7 +63,7 @@ func Fig8Data(env Env) ([]Fig8Track, error) {
 				horizon := float64(w.reqs)/(w.rates[0]*float64(gpus)) + 3*w.horizon
 				sr, err := env.sweepSystem(w, runConfig{
 					kind:            sysKind,
-					in:              fig8Inputs(g, w.kind, w.sla, w.refRate()*float64(gpus), env.Seed),
+					in:              podOPT175B.inputs(g, w.kind, w.sla, w.refRate()*float64(gpus), env.Seed),
 					elephants:       8,
 					elephantBytes:   1 << 30,
 					elephantHorizon: horizon,
@@ -117,31 +92,9 @@ func Fig8(env Env) (*Report, error) {
 func Fig8Render(data []Fig8Track) *Report {
 	r := &Report{Name: "Fig. 8 — Simulated scalability, OPT-175B, 2tracks vs 8tracks"}
 	for _, ft := range data {
-		t := r.AddTable(
+		addSweepTables(r, ft.Systems, false,
 			fmt.Sprintf("%dtracks, %s (SLA: TTFT %gs, TPOT %gs)", ft.Tracks, ft.Workload, ft.SLA.TTFT, ft.SLA.TPOT),
-			"system", "max rate (req/s/GPU)", "vs DistServe", "mean TPOT (s)")
-		var distRate float64
-		for _, s := range ft.Systems {
-			if s.System == DistServeK {
-				distRate = s.MaxPerGPURate
-			}
-		}
-		for _, s := range ft.Systems {
-			speedup := "-"
-			if distRate > 0 {
-				speedup = fmt.Sprintf("%.2fx", s.MaxPerGPURate/distRate)
-			}
-			t.AddRow(s.System.String(), fmtF(s.MaxPerGPURate), speedup, fmtF(s.RefTPOT))
-		}
-		c := r.AddTable(fmt.Sprintf("%dtracks %s SLA attainment vs per-GPU rate", ft.Tracks, ft.Workload),
-			append([]string{"system"}, rateHeaders(ft.Systems[0].Points)...)...)
-		for _, s := range ft.Systems {
-			row := []string{s.System.String()}
-			for _, p := range s.Points {
-				row = append(row, fmtPct(p.attainment))
-			}
-			c.AddRow(row...)
-		}
+			fmt.Sprintf("%dtracks %s SLA attainment vs per-GPU rate", ft.Tracks, ft.Workload))
 	}
 	r.AddNote("paper: scalability gains 1.12-1.94x (2tracks) and 1.09-1.83x (8tracks); TPOT reduced 28.4-42.1%%; the 2tracks gains exceed 8tracks because scarcer uplinks congest the Ethernet-only schemes more")
 	return r

@@ -96,7 +96,7 @@ func fig9Trial(sysKind SystemKind, size int64, rounds int, seed int64) (float64,
 				return
 			}
 			next := func() { step(round + 1) }
-			comm.AllReduceTagged(scheme, prepared[gi], switches[gi], size, 1, nil, next)
+			comm.AllReduce(scheme, prepared[gi], switches[gi], size, 1, nil, next)
 		}
 		step(0)
 	}

@@ -366,7 +366,7 @@ func runScaleCase(w scaleWorkload, policy string, auto *serving.AutoscaleConfig,
 // ranked scoreboard rows in deterministic order: workloads in definition
 // order, the static reference first, then policies by rank.
 //
-// It is the one serving experiment that ignores env.Hub and env.OnRun: each
+// It is the one serving experiment that ignores env.Hub: each
 // case runs on a private hub, because the scoreboard scores the case from
 // that run's own registry.
 func ScaleStudyData(env Env) ([]ScaleStudyRow, error) {
@@ -466,6 +466,6 @@ func ExtScale(env Env) (*Report, error) {
 	}
 	r.AddNote("rank orders autoscaled policies per workload by SLA attainment, then GPU-seconds; static-full is the all-instances-always-on reference")
 	r.AddNote("shadow is the law's rank in the single-run counterfactual replay of the workload's first autoscaled run's decision ledger (hstat decisions' shadow ranking) — one run predicting what the whole sweep measures")
-	r.AddNote("attainment and GPU-seconds are read from sla_requests_total and decode_gpu_seconds_total (cross-checked against Results), occupancy/KV from the decode gauge time-averages — the scoreboard matches a /metrics scrape of the same runs exactly")
+	r.AddNote("attainment and GPU-seconds are read from sla_requests_total and decode_gpu_seconds_total (cross-checked against Results), occupancy/KV from the decode gauge time-averages — the scoreboard matches the metrics.prom of the same runs exactly")
 	return r, nil
 }

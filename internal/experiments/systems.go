@@ -10,8 +10,8 @@ import (
 )
 
 // Env is one experiment invocation: its sizing and seed, plus the optional
-// telemetry that every serving run of the experiment reports to. The zero
-// Hub and a nil OnRun mean a plain run.
+// telemetry that every serving run of the experiment reports to. A nil Hub
+// means a plain run.
 type Env struct {
 	Scale Scale
 	Seed  int64
@@ -22,10 +22,6 @@ type Env struct {
 	// included, reads the hub, so an armed run's figures equal a plain
 	// run's.
 	Hub *telemetry.Hub
-	// OnRun, when non-nil, receives each serving run's summary as soon as
-	// the run completes, on the goroutine driving the experiment. System is
-	// the system's name, or the variant's name for an ablation.
-	OnRun func(telemetry.RunSummary)
 }
 
 // SystemKind indexes the systems table (core.Systems).
@@ -81,9 +77,8 @@ func requestsFor(rate, horizon float64, minReqs int) int {
 
 // simulate is the one path by which the package runs a serving simulation:
 // it arms e.Hub under sla, builds the system through build (which also
-// injects the run's background load), replays trace, and reports the run to
-// e.OnRun under the name system.
-func (e Env) simulate(system string, sla serving.SLA, opts serving.Options, build func(serving.Options) (*serving.System, error), trace *workload.Trace) (*serving.Results, error) {
+// injects the run's background load) and replays trace.
+func (e Env) simulate(sla serving.SLA, opts serving.Options, build func(serving.Options) (*serving.System, error), trace *workload.Trace) (*serving.Results, error) {
 	if e.Hub != nil {
 		opts.Telemetry = e.Hub
 		opts.SLA = &sla
@@ -92,17 +87,13 @@ func (e Env) simulate(system string, sla serving.SLA, opts serving.Options, buil
 	if err != nil {
 		return nil, err
 	}
-	res := sys.Run(trace)
-	if e.OnRun != nil {
-		e.OnRun(res.Summary(system, trace.Name, len(trace.Requests), sla))
-	}
-	return res, nil
+	return sys.Run(trace), nil
 }
 
 // runOnce executes one configured serving simulation of cfg.kind.
 func (e Env) runOnce(cfg runConfig) (*serving.Results, error) {
 	trace := workload.NewGenerator(cfg.workload, cfg.seed).Generate(cfg.requests, cfg.rate)
-	return e.simulate(cfg.kind.String(), cfg.in.SLA, serving.Options{Faults: cfg.faults}, func(opts serving.Options) (*serving.System, error) {
+	return e.simulate(cfg.in.SLA, serving.Options{Faults: cfg.faults}, func(opts serving.Options) (*serving.System, error) {
 		sys, err := cfg.kind.system().Build(cfg.in, cfg.plan, opts)
 		if err != nil {
 			return nil, err

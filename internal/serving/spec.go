@@ -222,7 +222,7 @@ func (PlannedPolicy) AllReduce(ctx *GroupCtx, msgBytes int64, steps int, done fu
 	if scheme.UsesINA() && ctx.Switch < 0 {
 		scheme = collective.SchemeRing
 	}
-	ctx.Comm.AllReduceTagged(scheme, ctx.Group, ctx.Switch, msgBytes, steps, ctx.Reqs, done)
+	ctx.Comm.AllReduce(scheme, ctx.Group, ctx.Switch, msgBytes, steps, ctx.Reqs, done)
 }
 
 // SLA is the latency service-level agreement of a workload (§V).
@@ -367,19 +367,29 @@ func (r *Results) Attainment(sla SLA) float64 {
 	return float64(met) / float64(len(r.Requests))
 }
 
-// Summary condenses the run into the summary serve prints and heroserve's
-// experiments hand to Env.OnRun, for the system named system replaying
-// trace. offered is the trace's request count, served or not; Served counts
-// the completed ones.
-func (r *Results) Summary(system, trace string, offered int, sla SLA) telemetry.RunSummary {
-	latency := func(xs []float64) telemetry.Latency {
+// Latency summarizes one latency distribution of a run.
+type Latency struct {
+	Mean, P50, P90, P99 float64
+}
+
+// RunSummary is the part of a completed run that cmd/serve prints.
+type RunSummary struct {
+	Requests   int
+	Served     int
+	SimSeconds float64
+	Attainment float64
+	TTFT       Latency
+	TPOT       Latency
+}
+
+// Summary condenses the run into the summary serve prints. offered is the
+// trace's request count, served or not; Served counts the completed ones.
+func (r *Results) Summary(offered int, sla SLA) RunSummary {
+	latency := func(xs []float64) Latency {
 		s := stats.Summarize(xs)
-		return telemetry.Latency{Mean: s.Mean, P50: s.P50, P90: s.P90, P99: s.P99}
+		return Latency{Mean: s.Mean, P50: s.P50, P90: s.P90, P99: s.P99}
 	}
-	return telemetry.RunSummary{
-		System:     system,
-		Policy:     r.PolicyName,
-		Trace:      trace,
+	return RunSummary{
 		Requests:   offered,
 		Served:     r.Served,
 		SimSeconds: r.Duration,

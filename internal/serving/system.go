@@ -351,8 +351,8 @@ func (s *System) attachTelemetry(h *telemetry.Hub) {
 			"KV-cache memory utilization (clamped at 1.5).", []string{"instance"}, name)
 	}
 	// The SLO monitor consumes the registry the layers above just armed; it
-	// registers its own alert families here so the exposition's shape is
-	// fixed before the first scrape.
+	// registers its own alert families here, so metrics.prom lists them
+	// whether or not a rule ever fires.
 	if s.opts.SLO != nil {
 		s.mon = slo.NewMonitor(h, *s.opts.SLO)
 	}
@@ -425,12 +425,6 @@ func (s *System) scaleInstant(ev ScaleEvent) {
 // Engine exposes the event engine (for injecting background traffic or
 // controllers before Run).
 func (s *System) Engine() *sim.Engine { return s.eng }
-
-// Network exposes the flow simulator.
-func (s *System) Network() *netsim.Network { return s.net }
-
-// Comm exposes the collective executor.
-func (s *System) Comm() *collective.Comm { return s.comm }
 
 // FaultInjector returns the armed fault injector (nil on fault-free runs).
 // Control-plane components register their stall hooks here.
@@ -912,10 +906,9 @@ func (s *System) complete(r *request) {
 		return
 	}
 	s.telCompleted.Inc()
-	tid := s.traceID(r)
-	s.telTTFT.ObserveTraced(ttft, tid)
-	s.telTPOT.ObserveTraced(tpot, tid)
-	s.telE2E.ObserveTraced(now-r.req.Arrival, tid)
+	s.telTTFT.Observe(ttft)
+	s.telTPOT.Observe(tpot)
+	s.telE2E.Observe(now - r.req.Arrival)
 	if s.opts.SLA != nil {
 		// SLA.Met is the Results.Attainment verdict, so the exported verdict
 		// counters reproduce the run's attainment bit-for-bit.
@@ -925,7 +918,7 @@ func (s *System) complete(r *request) {
 			s.telSLAMissed.Inc()
 		}
 	}
-	s.emitRequestSpans(r, now, tid)
+	s.emitRequestSpans(r, now, s.traceID(r))
 }
 
 // emitRequestSpans writes the request's nested lifecycle spans on its own

@@ -133,17 +133,16 @@ func TestAttainmentBounds(t *testing.T) {
 func TestResultsSummary(t *testing.T) {
 	sla := SLA{TTFT: 2.5, TPOT: 0.15}
 	res := runTrace(t, Options{}, 20, 2, workload.Chatbot)
-	run := res.Summary("heroserve", "chatbot", 20, sla)
+	run := res.Summary(20, sla)
 	ttft := stats.Summarize(res.TTFTs())
-	if run.System != "heroserve" || run.Policy != res.PolicyName || run.Trace != "chatbot" ||
-		run.Requests != 20 || run.Served != res.Served || run.SimSeconds != res.Duration ||
+	if run.Requests != 20 || run.Served != res.Served || run.SimSeconds != res.Duration ||
 		run.Attainment != res.Attainment(sla) || run.TTFT.P99 != ttft.P99 || run.TTFT.Mean != ttft.Mean {
 		t.Errorf("summary %+v does not match the run", run)
 	}
 
 	// Two of five offered requests completed.
 	partial := &Results{Served: 2, Requests: res.Requests[:2]}
-	if got := partial.Summary("distserve", "chatbot", 5, sla); got.Requests != 5 || got.Served != 2 {
+	if got := partial.Summary(5, sla); got.Requests != 5 || got.Served != 2 {
 		t.Errorf("requests=%d served=%d, want the offered 5 and the served 2", got.Requests, got.Served)
 	}
 }

@@ -95,21 +95,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Attainment returns the fraction of samples <= threshold. The paper's SLA
-// attainment metric is exactly this with threshold = the latency SLA.
-func Attainment(xs []float64, threshold float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	met := 0
-	for _, x := range xs {
-		if x <= threshold {
-			met++
-		}
-	}
-	return float64(met) / float64(len(xs))
-}
-
 // Window is a fixed-capacity sliding-window mean, used for the autoscaler's
 // recent-latency windows.
 type Window struct {
@@ -195,18 +180,11 @@ func (tw *TimeWeighted) Advance(t Time) {
 // Value returns the current value of the step function.
 func (tw *TimeWeighted) Value() float64 { return tw.last }
 
-// Mean returns the time-weighted mean over the observed span. Before any time
-// has elapsed it returns the current value (the mean of a zero-length span).
-func (tw *TimeWeighted) Mean() float64 {
-	if tw.span == 0 {
-		return tw.last
-	}
-	return tw.area / tw.span
-}
-
-// MeanAt returns the mean Advance(t) followed by Mean would return, without
-// advancing: the same floats combined in the same order, so a read at t never
-// changes what later observations integrate.
+// MeanAt returns the time-weighted mean over the observed span extended to
+// t, without advancing: the floats Advance(t) would fold in, combined in the
+// same order, so a read at t never changes what later observations
+// integrate. Before any time has elapsed it returns the current value (the
+// mean of a zero-length span).
 func (tw *TimeWeighted) MeanAt(t Time) float64 {
 	area, span := tw.area, tw.span
 	if dt := t - tw.lastT; tw.started && dt > 0 {

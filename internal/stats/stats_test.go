@@ -59,19 +59,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestAttainment(t *testing.T) {
-	xs := []float64{0.1, 0.2, 0.3, 0.4}
-	if got := Attainment(xs, 0.25); got != 0.5 {
-		t.Errorf("Attainment = %g, want 0.5", got)
-	}
-	if got := Attainment(xs, 1); got != 1 {
-		t.Errorf("Attainment = %g, want 1", got)
-	}
-	if got := Attainment(nil, 1); got != 0 {
-		t.Errorf("Attainment(empty) = %g, want 0", got)
-	}
-}
-
 func TestWindowMean(t *testing.T) {
 	w := NewWindow(3)
 	if w.Mean() != 0 || w.Len() != 0 {
@@ -279,4 +266,15 @@ func TestTimeWeightedMeanAtIsReadOnly(t *testing.T) {
 	if read != twin {
 		t.Errorf("MeanAt changed the summarizer: %+v, want %+v", read, twin)
 	}
+}
+
+// Mean serves only tests; the gauges read MeanAt.
+
+// Mean returns the time-weighted mean over the observed span. Before any time
+// has elapsed it returns the current value (the mean of a zero-length span).
+func (tw *TimeWeighted) Mean() float64 {
+	if tw.span == 0 {
+		return tw.last
+	}
+	return tw.area / tw.span
 }

@@ -184,9 +184,6 @@ func New(name string, slots int, entryBytes int) *Switch {
 	return s
 }
 
-// Name returns the switch's name.
-func (s *Switch) Name() string { return s.name }
-
 // PoolSize returns the total slot count.
 func (s *Switch) PoolSize() int { return len(s.slots) }
 

@@ -310,7 +310,7 @@ func TestEntryAccessors(t *testing.T) {
 	if s.EntryElems() != DefaultEntryBytes/4 {
 		t.Errorf("EntryElems = %d", s.EntryElems())
 	}
-	if s.Name() != "sw" || s.PoolSize() != 4 {
+	if s.name != "sw" || s.PoolSize() != 4 {
 		t.Error("accessors wrong")
 	}
 	if ModeSync.String() != "sync" || ModeAsync.String() != "async" {

@@ -11,9 +11,8 @@ import (
 // per-run documents next to them, each under the name its reader expects
 // (see cmd/hstat).
 const (
-	SpansFile       = "spans.json"
-	PromFile        = "metrics.prom"
-	OpenMetricsFile = "metrics.om"
+	SpansFile = "spans.json"
+	PromFile  = "metrics.prom"
 )
 
 // Artifacts is a command's run bundle: the directory every telemetered run
@@ -22,7 +21,7 @@ const (
 type Artifacts struct {
 	Hub *Hub
 	// Dir is the run bundle. The spans stream to Dir/spans.json and the final
-	// metrics land in Dir/metrics.prom and Dir/metrics.om.
+	// metrics land in Dir/metrics.prom.
 	Dir string
 	// Status receives the lines that report the exports.
 	Status io.Writer
@@ -67,8 +66,8 @@ func (a *Artifacts) Export(file string, write func(io.Writer) error) error {
 	return nil
 }
 
-// Finish completes and closes the span file and writes the metrics in both
-// expositions, reporting each on Status. The span file is closed even when
+// Finish completes and closes the span file and writes the metrics,
+// reporting each on Status. The span file is closed even when
 // the stream failed; Finish returns the first error.
 func (a *Artifacts) Finish() error {
 	err := a.Hub.Trace.CloseStream()
@@ -80,9 +79,6 @@ func (a *Artifacts) Finish() error {
 	}
 	fmt.Fprintf(a.Status, "streamed %d trace events to %s\n", a.Hub.Trace.Len(), a.traceFile.Name())
 	if err := a.Export(PromFile, a.Hub.Metrics.WriteProm); err != nil {
-		return fmt.Errorf("metrics export: %w", err)
-	}
-	if err := a.Export(OpenMetricsFile, a.Hub.Metrics.WriteOpenMetrics); err != nil {
 		return fmt.Errorf("metrics export: %w", err)
 	}
 	return nil

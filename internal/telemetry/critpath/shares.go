@@ -66,23 +66,6 @@ func (t *ShareTracker) Observe(b Breakdown) {
 	}
 }
 
-// Len reports how many requests the window currently holds. Nil-safe.
-func (t *ShareTracker) Len() int {
-	if t == nil {
-		return 0
-	}
-	return t.count
-}
-
-// Share returns the given stage's fraction of windowed TTFT mass (0 when the
-// window is empty). Nil-safe.
-func (t *ShareTracker) Share(stage string) float64 {
-	if t == nil || t.total <= 0 {
-		return 0
-	}
-	return t.sums[stage] / t.total
-}
-
 // Dominant returns the stage carrying the largest share of windowed TTFT
 // mass and that share; ("", 0) while the window is empty. Ties break in
 // canonical stage order. The answer is computed once per Observe and reused

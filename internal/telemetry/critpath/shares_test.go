@@ -111,3 +111,23 @@ func TestShareTrackerDominantMemo(t *testing.T) {
 		t.Errorf("warm Dominant allocates %v objects, want 0", allocs)
 	}
 }
+
+// The tracker's Len and Share serve only tests: the autoscaler reads
+// Dominant.
+
+// Len reports how many requests the window currently holds. Nil-safe.
+func (t *ShareTracker) Len() int {
+	if t == nil {
+		return 0
+	}
+	return t.count
+}
+
+// Share returns the given stage's fraction of windowed TTFT mass (0 when the
+// window is empty). Nil-safe.
+func (t *ShareTracker) Share(stage string) float64 {
+	if t == nil || t.total <= 0 {
+		return 0
+	}
+	return t.sums[stage] / t.total
+}

@@ -220,8 +220,8 @@ func TestExportRejectsNonFiniteWithoutWriting(t *testing.T) {
 	if err := tr.CloseStream(); err == nil {
 		t.Error("CloseStream after a NaN arg should fail")
 	}
-	if err := tr.Flush(); err == nil || strings.Contains(buf.String(), "bad") {
-		t.Errorf("flush after a NaN arg: err %v, wrote %q", err, buf.Bytes())
+	if err := tr.CloseStream(); err == nil || strings.Contains(buf.String(), "bad") {
+		t.Errorf("second CloseStream after a NaN arg: err %v, wrote %q", err, buf.Bytes())
 	}
 }
 
@@ -275,10 +275,10 @@ func BenchmarkTraceStreamWrite(b *testing.B) {
 			go func() {
 				for {
 					ch := <-s.full
-					op := ch.op
+					last := ch.last
 					ch.reset()
 					s.free <- ch
-					if op == opClose {
+					if last {
 						s.done <- nil
 						return
 					}
@@ -289,7 +289,7 @@ func BenchmarkTraceStreamWrite(b *testing.B) {
 				s.record(&c.ev)
 			}
 			b.StopTimer()
-			if err := s.barrier(opClose); err != nil {
+			if err := s.stop(); err != nil {
 				b.Fatal(err)
 			}
 		})

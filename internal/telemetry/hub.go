@@ -52,24 +52,3 @@ func (h *Hub) Attach(clock func() float64, process string) {
 	h.attachedProcess = process
 	h.attachedLen = h.Trace.Len()
 }
-
-// Latency summarizes one latency distribution of a run.
-type Latency struct {
-	Mean, P50, P90, P99 float64
-}
-
-// RunSummary is one completed serving run: what cmd/serve prints, and what
-// heroserve's experiments hand to their run observer. System is the
-// CLI/experiment system id (e.g. "heroserve", "DS-ATP"); Policy is the
-// communication policy the run executed.
-type RunSummary struct {
-	System     string
-	Policy     string
-	Trace      string
-	Requests   int
-	Served     int
-	SimSeconds float64
-	Attainment float64
-	TTFT       Latency
-	TPOT       Latency
-}

@@ -21,7 +21,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"unicode/utf8"
 
 	"heroserve/internal/stats"
 )
@@ -56,11 +55,10 @@ type family struct {
 }
 
 type child struct {
-	values  []string
-	created float64 // sim-time the child was first registered (OpenMetrics _created)
-	ctr     *Counter
-	gauge   *Gauge
-	hist    *Histogram
+	values []string
+	ctr    *Counter
+	gauge  *Gauge
+	hist   *Histogram
 }
 
 // NewRegistry returns a registry whose gauges read timestamps from clock.
@@ -83,7 +81,7 @@ func (r *Registry) family(name, help, kind string, buckets []float64, labels []s
 	return f
 }
 
-func (f *family) child(values []string, now float64) *child {
+func (f *family) child(values []string) *child {
 	if len(values) != len(f.labels) {
 		panic(fmt.Sprintf("telemetry: metric %q wants %d label values, got %d",
 			f.name, len(f.labels), len(values)))
@@ -91,7 +89,7 @@ func (f *family) child(values []string, now float64) *child {
 	key := strings.Join(values, labelSep)
 	c, ok := f.childs[key]
 	if !ok {
-		c = &child{values: append([]string(nil), values...), created: now}
+		c = &child{values: append([]string(nil), values...)}
 		f.childs[key] = c
 		f.order = append(f.order, key)
 	}
@@ -104,7 +102,7 @@ func (r *Registry) Counter(name, help string, labels []string, values ...string)
 	if r == nil {
 		return nil
 	}
-	c := r.family(name, help, kindCounter, nil, labels).child(values, r.clock())
+	c := r.family(name, help, kindCounter, nil, labels).child(values)
 	if c.ctr == nil {
 		c.ctr = &Counter{}
 	}
@@ -118,7 +116,7 @@ func (r *Registry) Gauge(name, help string, labels []string, values ...string) *
 	if r == nil {
 		return nil
 	}
-	c := r.family(name, help, kindGauge, nil, labels).child(values, r.clock())
+	c := r.family(name, help, kindGauge, nil, labels).child(values)
 	if c.gauge == nil {
 		c.gauge = &Gauge{clock: r.clock}
 	}
@@ -131,13 +129,11 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels []stri
 	if r == nil {
 		return nil
 	}
-	c := r.family(name, help, kindHistogram, buckets, labels).child(values, r.clock())
+	c := r.family(name, help, kindHistogram, buckets, labels).child(values)
 	if c.hist == nil {
 		c.hist = &Histogram{
 			upper:  buckets,
 			counts: make([]uint64, len(buckets)),
-			ex:     make([]exemplar, len(buckets)+1),
-			clock:  r.clock,
 			dropped: r.Counter("telemetry_dropped_samples_total",
 				"Non-finite histogram samples dropped before they could poison the sum, by metric.",
 				[]string{"metric"}, name),
@@ -295,63 +291,20 @@ func (g *Gauge) Set(v float64) {
 	g.tw.Observe(g.clock(), v)
 }
 
-// Add shifts the gauge by d at the current sim-time.
-func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	g.tw.Observe(g.clock(), g.tw.Value()+d)
-}
-
-// Value returns the instantaneous value (0 on the nil handle).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.tw.Value()
-}
-
-// exemplar is one OpenMetrics exemplar: the trace ID, value, and sim-time of
-// the slowest sample that landed in a bucket. A zero traceID means none.
-type exemplar struct {
-	traceID string
-	v       float64
-	ts      float64
-}
-
-// exemplarMaxRunes is the OpenMetrics bound on an exemplar's LabelSet: the
-// combined length of label names and values must not exceed 128 runes.
-const exemplarMaxRunes = 128
-
-// exemplarLabel is the single label name every exemplar here carries.
-const exemplarLabel = "trace_id"
-
 // Histogram is a fixed-bucket cumulative histogram. The nil handle is a no-op.
 // Non-finite samples are dropped (a single NaN would otherwise fail every
 // bucket comparison and poison the sum forever) and tallied in the registry's
 // telemetry_dropped_samples_total counter.
 type Histogram struct {
 	upper   []float64
-	counts  []uint64   // per-bucket (non-cumulative); +Inf overflow tracked by n
-	ex      []exemplar // per-bucket exemplars; last entry is the +Inf bucket
+	counts  []uint64 // per-bucket (non-cumulative); +Inf overflow tracked by n
 	sum     float64
 	n       uint64
-	clock   func() float64 // nil on hand-built histograms (tests)
-	dropped *Counter       // telemetry_dropped_samples_total{metric}
+	dropped *Counter // telemetry_dropped_samples_total{metric}
 }
 
 // Observe adds one sample. Non-finite samples are dropped and counted.
 func (h *Histogram) Observe(v float64) {
-	h.ObserveTraced(v, "")
-}
-
-// ObserveTraced adds one sample carrying the trace ID of the event that
-// produced it. Each bucket remembers the slowest sample that landed in it
-// (first-seen wins ties), exported as an OpenMetrics exemplar so dashboards
-// can jump from a latency bucket straight to the trace span behind it.
-// Trace IDs that would exceed the OpenMetrics 128-rune exemplar LabelSet
-// limit are not recorded; the observation itself still counts.
-func (h *Histogram) ObserveTraced(v float64, traceID string) {
 	if h == nil {
 		return
 	}
@@ -361,55 +314,20 @@ func (h *Histogram) ObserveTraced(v float64, traceID string) {
 	}
 	h.n++
 	h.sum += v
-	bucket := len(h.upper) // +Inf overflow
 	for i, ub := range h.upper {
 		if v <= ub {
 			h.counts[i]++
-			bucket = i
-			break
+			return
 		}
 	}
-	if traceID == "" || h.ex == nil {
-		return
-	}
-	if utf8.RuneCountInString(exemplarLabel)+utf8.RuneCountInString(traceID) > exemplarMaxRunes {
-		return
-	}
-	if e := &h.ex[bucket]; e.traceID == "" || v > e.v {
-		var ts float64
-		if h.clock != nil {
-			ts = h.clock()
-		}
-		*e = exemplar{traceID: traceID, v: v, ts: ts}
-	}
-}
-
-// Count returns the number of observations (0 on the nil handle).
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.n
-}
-
-// Sum returns the sum of observations (0 on the nil handle).
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
 }
 
 // WriteProm writes the registry in the Prometheus text exposition format.
 // Output is deterministic: families sorted by name, children sorted by label
 // values, floats formatted by strconv. Gauge time-averages are read as of the
 // current sim-time, so they cover the run so far, without advancing the
-// gauges: an exposition taken mid-run changes none taken later.
-func (r *Registry) WriteProm(w io.Writer) error { return r.writeText(w, false) }
-
-// writeText renders the registry as a Prometheus text exposition, or as the
-// OpenMetrics one (see WriteOpenMetrics) when om is set.
-func (r *Registry) writeText(w io.Writer, om bool) error {
+// gauges: rendering changes nothing the run records later.
+func (r *Registry) WriteProm(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
@@ -418,57 +336,40 @@ func (r *Registry) writeText(w io.Writer, om bool) error {
 	var b strings.Builder
 	for _, name := range names {
 		f := r.fams[name]
-		fam, sample := name, name
-		if om && f.kind == kindCounter {
-			// OpenMetrics counters are named without the _total suffix; the
-			// suffix belongs to the sample, not the family.
-			fam = strings.TrimSuffix(name, "_total")
-			sample = fam + "_total"
-		}
 		keys := append([]string(nil), f.order...)
 		sort.Strings(keys)
-		fmt.Fprintf(&b, "# HELP %s %s\n", fam, escapeHelp(f.help))
-		fmt.Fprintf(&b, "# TYPE %s %s\n", fam, f.kind)
+		fmt.Fprintf(&b, "# HELP %s %s\n", name, escapeHelp(f.help))
+		fmt.Fprintf(&b, "# TYPE %s %s\n", name, f.kind)
 		var timeavg strings.Builder
 		for _, key := range keys {
 			c := f.childs[key]
 			ls := labelString(f.labels, c.values)
 			switch f.kind {
 			case kindCounter:
-				fmt.Fprintf(&b, "%s%s %s\n", sample, ls, FormatFloat(c.ctr.v))
+				fmt.Fprintf(&b, "%s%s %s\n", name, ls, FormatFloat(c.ctr.v))
 			case kindGauge:
-				fmt.Fprintf(&b, "%s%s %s\n", fam, ls, FormatFloat(c.gauge.tw.Value()))
-				fmt.Fprintf(&timeavg, "%s_timeavg%s %s\n", fam, ls, FormatFloat(c.gauge.tw.MeanAt(now)))
+				fmt.Fprintf(&b, "%s%s %s\n", name, ls, FormatFloat(c.gauge.tw.Value()))
+				fmt.Fprintf(&timeavg, "%s_timeavg%s %s\n", name, ls, FormatFloat(c.gauge.tw.MeanAt(now)))
 			case kindHistogram:
-				bucket := func(i int, le string, cum uint64) {
-					var ex string
-					if om {
-						ex = exemplarSuffix(c.hist, i)
-					}
-					fmt.Fprintf(&b, "%s_bucket%s %d%s\n", fam,
-						labelString(append(f.labels, "le"), append(c.values, le)), cum, ex)
+				bucket := func(le string, cum uint64) {
+					fmt.Fprintf(&b, "%s_bucket%s %d\n", name,
+						labelString(append(f.labels, "le"), append(c.values, le)), cum)
 				}
 				var cum uint64
 				for i, ub := range f.buckets {
 					cum += c.hist.counts[i]
-					bucket(i, FormatFloat(ub), cum)
+					bucket(FormatFloat(ub), cum)
 				}
-				bucket(len(f.buckets), "+Inf", c.hist.n)
-				fmt.Fprintf(&b, "%s_sum%s %s\n", fam, ls, FormatFloat(c.hist.sum))
-				fmt.Fprintf(&b, "%s_count%s %d\n", fam, ls, c.hist.n)
-			}
-			if om && f.kind != kindGauge {
-				fmt.Fprintf(&b, "%s_created%s %s\n", fam, ls, FormatFloat(c.created))
+				bucket("+Inf", c.hist.n)
+				fmt.Fprintf(&b, "%s_sum%s %s\n", name, ls, FormatFloat(c.hist.sum))
+				fmt.Fprintf(&b, "%s_count%s %d\n", name, ls, c.hist.n)
 			}
 		}
 		if timeavg.Len() > 0 {
-			fmt.Fprintf(&b, "# HELP %s_timeavg Time-weighted mean of %s over the run.\n", fam, fam)
-			fmt.Fprintf(&b, "# TYPE %s_timeavg gauge\n", fam)
+			fmt.Fprintf(&b, "# HELP %s_timeavg Time-weighted mean of %s over the run.\n", name, name)
+			fmt.Fprintf(&b, "# TYPE %s_timeavg gauge\n", name)
 			b.WriteString(timeavg.String())
 		}
-	}
-	if om {
-		b.WriteString("# EOF\n")
 	}
 	_, err := io.WriteString(w, b.String())
 	return err

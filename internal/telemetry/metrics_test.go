@@ -1,12 +1,43 @@
 package telemetry
 
 import (
+	"bytes"
+	"math"
 	"regexp"
 	"strings"
 	"testing"
 )
 
-func TestRegistryPromExport(t *testing.T) {
+// The handles' readers below serve only tests: a run reads its metrics
+// from the exposition or through the Registry.
+
+// Value returns the instantaneous value (0 on the nil handle).
+func (g *Gauge) Value() float64 {
+	if g == nil {
+		return 0
+	}
+	return g.tw.Value()
+}
+
+// Count returns the number of observations (0 on the nil handle).
+func (h *Histogram) Count() uint64 {
+	if h == nil {
+		return 0
+	}
+	return h.n
+}
+
+// Sum returns the sum of observations (0 on the nil handle).
+func (h *Histogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
+	return h.sum
+}
+
+// promRegistry builds a registry with every instrument kind, read at
+// clock 4.
+func promRegistry() *Registry {
 	clock := 0.0
 	r := NewRegistry(func() float64 { return clock })
 
@@ -24,9 +55,13 @@ func TestRegistryPromExport(t *testing.T) {
 
 	h := r.Histogram("ttft_seconds", "TTFT.", []float64{0.1, 1}, nil)
 	h.Observe(0.05)
-	h.ObserveTraced(0.5, "p1-r0") // an exemplar only the OpenMetrics rendering shows
+	h.Observe(0.5)
 	h.Observe(50)
+	return r
+}
 
+func TestRegistryPromExport(t *testing.T) {
+	r := promRegistry()
 	var b strings.Builder
 	if err := r.WriteProm(&b); err != nil {
 		t.Fatal(err)
@@ -51,7 +86,7 @@ func TestRegistryPromExport(t *testing.T) {
 		}
 	}
 	// Every sample line parses as the classic exposition grammar, and the
-	// classic exposition carries no OpenMetrics EOF marker.
+	// document carries no OpenMetrics EOF marker.
 	sample := regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? [^ ]+$`)
 	for _, line := range strings.Split(strings.TrimRight(out, "\n"), "\n") {
 		if !strings.HasPrefix(line, "#") && !sample.MatchString(line) {
@@ -59,7 +94,7 @@ func TestRegistryPromExport(t *testing.T) {
 		}
 	}
 	if strings.Contains(out, "# EOF") {
-		t.Error("classic exposition must not carry the OpenMetrics EOF marker")
+		t.Error("the Prometheus exposition must not carry the OpenMetrics EOF marker")
 	}
 
 	if v, ok := r.Value("requests_total", "met"); !ok || v != 3 {
@@ -69,13 +104,21 @@ func TestRegistryPromExport(t *testing.T) {
 		t.Errorf("HistogramCount = %v,%v", n, ok)
 	}
 
-	// Determinism: a second export at the same clock is byte-identical.
+	// Determinism: a second export at the same clock is byte-identical, and
+	// so is the export of a second registry built the same way.
 	var b2 strings.Builder
 	if err := r.WriteProm(&b2); err != nil {
 		t.Fatal(err)
 	}
 	if b2.String() != out {
 		t.Error("repeated export differs")
+	}
+	var b3 strings.Builder
+	if err := promRegistry().WriteProm(&b3); err != nil {
+		t.Fatal(err)
+	}
+	if b3.String() != out {
+		t.Fatalf("two identical registries rendered different documents:\n--- a ---\n%s\n--- b ---\n%s", out, b3.String())
 	}
 }
 
@@ -87,7 +130,6 @@ func TestNilHandlesAreNoOps(t *testing.T) {
 	c.Inc()
 	c.Add(5)
 	g.Set(3)
-	g.Add(1)
 	h.Observe(2)
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil handles must read zero")
@@ -153,5 +195,53 @@ func TestRegistryTimeAvg(t *testing.T) {
 	var nilReg *Registry
 	if _, ok := nilReg.TimeAvg("g", "a"); ok {
 		t.Error("nil registry TimeAvg should report not-found")
+	}
+}
+
+// TestHistogramDropsNonFinite: a NaN observation used to fail every bucket
+// comparison and poison _sum forever; non-finite samples are now dropped and
+// tallied in telemetry_dropped_samples_total{metric}.
+func TestHistogramDropsNonFinite(t *testing.T) {
+	clock := 0.0
+	h := New()
+	h.Attach(func() float64 { return clock }, "planned")
+	hist := h.Metrics.Histogram("ttft_seconds", "t.", []float64{1}, nil)
+	hist.Observe(0.5)
+	hist.Observe(math.NaN())
+	hist.Observe(math.Inf(1))
+	hist.Observe(math.Inf(-1))
+	hist.Observe(0.25)
+
+	if hist.Count() != 2 {
+		t.Errorf("count = %d, want 2", hist.Count())
+	}
+	if hist.Sum() != 0.75 {
+		t.Errorf("sum = %v, want 0.75 (a NaN would poison it)", hist.Sum())
+	}
+	if math.IsNaN(hist.Sum()) {
+		t.Fatal("sum is NaN")
+	}
+	if got, ok := h.Metrics.Value("telemetry_dropped_samples_total", "ttft_seconds"); !ok || got != 3 {
+		t.Errorf("dropped counter = %v,%v, want 3", got, ok)
+	}
+	// The exposition stays parseable.
+	var b bytes.Buffer
+	if err := h.Metrics.WriteProm(&b); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(b.String(), "NaN") {
+		t.Errorf("exposition carries NaN:\n%s", b.String())
+	}
+}
+
+// TestHistogramNilDroppedCounter: hand-built histograms (no registry) must
+// not crash on non-finite samples.
+func TestHistogramNilDroppedCounter(t *testing.T) {
+	var h *Histogram
+	h.Observe(math.NaN()) // nil receiver
+	h2 := &Histogram{upper: []float64{1}, counts: make([]uint64, 1)}
+	h2.Observe(math.NaN())
+	if h2.Count() != 0 {
+		t.Error("NaN counted on registry-less histogram")
 	}
 }

@@ -64,8 +64,8 @@ type NetsimReport struct {
 	FlowsHistogram  []HistBucket `json:"flows_histogram"`
 }
 
-// Report is one run's rendered perf observation: a run bundle's perf.json,
-// the /perf payload, and hstat perf's input. All wall-clock derived fields are
+// Report is one run's rendered perf observation: a run bundle's perf.json
+// and hstat perf's input. All wall-clock derived fields are
 // nondeterministic by nature, which is why the report lives strictly outside
 // every golden surface.
 type Report struct {

@@ -62,8 +62,8 @@ type Meta struct {
 	End   float64 `json:"end"`
 }
 
-// Log is the serializable alert log: a run bundle's alerts.json, what
-// /alerts serves, and what hstat alerts reads.
+// Log is the serializable alert log: a run bundle's alerts.json and what
+// hstat alerts reads.
 type Log struct {
 	Meta   Meta    `json:"meta"`
 	Alerts []Alert `json:"alerts"`

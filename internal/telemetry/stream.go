@@ -21,7 +21,7 @@ type traceStream struct {
 	cur     *chunk
 	full    chan *chunk // filled chunks, in record order, for the encoder
 	free    chan *chunk // encoded chunks, emptied for reuse
-	done    chan error  // a barrier's result
+	done    chan error  // the close barrier's result
 	stopped bool        // the encoder has exited: CloseStream ran
 
 	// The encoder side, owned by the encoder goroutine until it stops: a
@@ -39,15 +39,6 @@ const (
 	chunkEvents  = 32
 )
 
-// streamOp is the barrier a handed-over chunk carries after its events.
-type streamOp uint8
-
-const (
-	opNone  streamOp = iota
-	opFlush          // flush the writer and report the stream's first error
-	opClose          // complete the document, report, and stop the encoder
-)
-
 // chunk is a batch of recorded events waiting to be encoded. An event keeps
 // its strings, its decoded values and its columns' labels and order, which
 // are immutable; its Dur, its Ints lists and its columns' values, which the
@@ -62,7 +53,7 @@ type chunk struct {
 	ints   []int
 	floats []float64 // Durs and column values
 	cols   []FloatColumn
-	op     streamOp
+	last   bool // the close barrier: complete the document and stop
 }
 
 func newChunk() *chunk {
@@ -103,7 +94,7 @@ func (c *chunk) add(ev *Event) {
 func (c *chunk) reset() {
 	c.events, c.args, c.ints = c.events[:0], c.args[:0], c.ints[:0]
 	c.floats, c.cols = c.floats[:0], c.cols[:0]
-	c.op = opNone
+	c.last = false
 }
 
 // newTraceStream returns a stream over w with its chunk pool made and its
@@ -135,33 +126,28 @@ func (s *traceStream) record(ev *Event) {
 	s.cur.add(ev)
 }
 
-// barrier hands the current chunk to the encoder with op and waits until
-// the encoder has encoded every event recorded so far and run op.
-func (s *traceStream) barrier(op streamOp) error {
-	s.cur.op = op
+// stop hands the current chunk to the encoder as the last one and waits
+// until the encoder has encoded every event recorded so far, completed the
+// document and exited.
+func (s *traceStream) stop() error {
+	s.cur.last = true
 	s.full <- s.cur
 	err := <-s.done
-	if op == opClose {
-		s.cur, s.stopped = nil, true
-	} else {
-		s.cur = <-s.free
-	}
+	s.cur, s.stopped = nil, true
 	return err
 }
 
 // encode is the stream's encoder goroutine: it encodes each handed-over
-// chunk, returns it to the pool and runs its barrier, until a close.
+// chunk and returns it to the pool, until the last one, which it follows
+// with the document suffix.
 func (s *traceStream) encode() {
 	for {
 		c := <-s.full
 		s.encodeChunk(c)
-		op := c.op
+		last := c.last
 		c.reset()
 		s.free <- c
-		switch op {
-		case opFlush:
-			s.done <- s.flush()
-		case opClose:
+		if last {
 			s.done <- s.close()
 			return
 		}
@@ -202,18 +188,6 @@ func (s *traceStream) write(ev *Event) {
 	s.n++
 }
 
-// flush writes the buffered bytes through to the writer and returns the
-// stream's first error; nil once the stream is closed.
-func (s *traceStream) flush() error {
-	if s.err == errStreamClosed {
-		return nil
-	}
-	if err := s.w.Flush(); err != nil && s.err == nil {
-		s.err = err
-	}
-	return s.err
-}
-
 // close writes the document suffix and flushes, unless the stream has
 // already failed, and returns the first error; nil once closed.
 func (s *traceStream) close() error {
@@ -236,10 +210,9 @@ func (s *traceStream) close() error {
 // it as Chrome trace-event JSON ("JSON object format"), loadable in
 // Perfetto / chrome://tracing. The encoding runs on a goroutine of the
 // stream's own, which alone writes to w until CloseStream returns, so read
-// w only after Flush or CloseStream: Flush makes w hold the document up to
-// the last recorded event, and CloseStream writes the suffix that completes
-// it. CloseStream also stops the goroutine; a stream never closed keeps it
-// parked until the process exits. Call StreamTo before the run: it fails
+// w only after CloseStream, which writes the suffix that completes the
+// document and stops the goroutine; a stream never closed keeps it parked
+// until the process exits. Call StreamTo before the run: it fails
 // once events have been recorded, since they are gone, and on a tracer that
 // already streams.
 func (t *Tracer) StreamTo(w io.Writer) error {
@@ -261,21 +234,6 @@ func (t *Tracer) StreamTo(w io.Writer) error {
 	return nil
 }
 
-// Flush waits until every event recorded so far is encoded and written
-// through to the stream's writer, which then holds the document up to the
-// last recorded event (a prefix that docSuffix completes). It returns the
-// stream's first error, and is a no-op without a stream and after
-// CloseStream.
-func (t *Tracer) Flush() error {
-	if t == nil || t.stream == nil {
-		return nil
-	}
-	if s := t.stream; !s.stopped {
-		return s.barrier(opFlush)
-	}
-	return t.stream.flush()
-}
-
 // CloseStream completes the streamed JSON document (suffix + flush), stops
 // the stream's encoder goroutine, and returns the first error encountered
 // anywhere in the stream's lifetime. Events recorded after CloseStream are
@@ -285,7 +243,7 @@ func (t *Tracer) CloseStream() error {
 		return nil
 	}
 	if s := t.stream; !s.stopped {
-		return s.barrier(opClose)
+		return s.stop()
 	}
 	return t.stream.close()
 }

@@ -9,7 +9,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 )
@@ -58,7 +57,7 @@ func TestStreamTracerEmptyDocument(t *testing.T) {
 // TestStreamToFlushesBufferedPrefix: the tracer keeps no events, so there
 // is no recorded prefix to replay — StreamTo after recorded events fails and
 // writes nothing. StreamTo before the run buffers the document prefix, which
-// reaches the writer on Flush.
+// reaches the writer, completed, on CloseStream.
 func TestStreamToFlushesBufferedPrefix(t *testing.T) {
 	var clock float64
 	tr := NewTracer(func() float64 { return clock })
@@ -80,11 +79,14 @@ func TestStreamToFlushesBufferedPrefix(t *testing.T) {
 	}
 
 	st, got := streamed(t, func() float64 { return 0 })
-	if err := st.Flush(); err != nil {
+	if got.Len() != 0 {
+		t.Errorf("StreamTo wrote %q before CloseStream", got.Bytes())
+	}
+	if err := st.CloseStream(); err != nil {
 		t.Fatal(err)
 	}
-	if got.String() != docPrefix {
-		t.Errorf("flushed fresh stream %q, want the document prefix %q", got.Bytes(), docPrefix)
+	if want := docPrefix + docSuffix; got.String() != want {
+		t.Errorf("closed fresh stream %q, want %q", got.Bytes(), want)
 	}
 }
 
@@ -139,44 +141,6 @@ func TestCloseStreamStopsTheEncoder(t *testing.T) {
 	}
 }
 
-// TestFlushWritesACompletablePrefix: after Flush the writer holds every
-// event so far, ending at an event boundary, so appending docSuffix gives a
-// valid document, a readable snapshot of the run so far. The events span
-// several chunks, and a second Flush after more of them extends the prefix.
-func TestFlushWritesACompletablePrefix(t *testing.T) {
-	var clock float64
-	tr, got := streamed(t, func() float64 { return clock })
-	prefix := ""
-	for round := 0; round < 2; round++ {
-		for i := 0; i < 3*streamChunks*chunkEvents; i++ {
-			driveTracer(tr, &clock)
-		}
-		if err := tr.Flush(); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.HasPrefix(got.String(), prefix) {
-			t.Fatal("Flush rewrote the earlier prefix")
-		}
-		prefix = got.String()
-		var doc struct{ TraceEvents []Event }
-		if err := json.Unmarshal([]byte(prefix+docSuffix), &doc); err != nil {
-			t.Fatalf("flushed prefix + suffix is not JSON: %v", err)
-		}
-		if len(doc.TraceEvents) != tr.Len() {
-			t.Errorf("flushed prefix holds %d events, tracer recorded %d", len(doc.TraceEvents), tr.Len())
-		}
-	}
-	if err := tr.CloseStream(); err != nil {
-		t.Fatal(err)
-	}
-	if got.String() != prefix+docSuffix {
-		t.Error("CloseStream wrote more than the suffix after a full flush")
-	}
-	if err := tr.Flush(); err != nil {
-		t.Errorf("Flush after CloseStream: %v", err)
-	}
-}
-
 // TestStreamedPolicySelectAllocs: a warm streamed policy-select instant, an
 // Ints list and a cost column among its arguments, allocates nothing on the
 // recording goroutine or the encoder's, across many chunk hand-offs.
@@ -186,9 +150,6 @@ func TestStreamedPolicySelectAllocs(t *testing.T) {
 	pick := func() { tr.Instant(ControlTID, "sched", "policy-select", args) }
 	for i := 0; i < 2*streamChunks*chunkEvents; i++ {
 		pick()
-	}
-	if err := tr.Flush(); err != nil {
-		t.Fatal(err)
 	}
 	if got := testing.AllocsPerRun(10*chunkEvents, pick); got != 0 {
 		t.Errorf("streamed policy-select allocates %v per call, want 0", got)
@@ -253,16 +214,6 @@ func (r *refStream) write(ev Event) {
 	r.n++
 }
 
-func (r *refStream) flush() error {
-	if r.err == errStreamClosed {
-		return nil
-	}
-	if err := r.w.Flush(); err != nil && r.err == nil {
-		r.err = err
-	}
-	return r.err
-}
-
 func (r *refStream) close() error {
 	if r.err == errStreamClosed {
 		return nil
@@ -279,8 +230,8 @@ func (r *refStream) close() error {
 }
 
 // FuzzTraceStream: the streamed tracer writes the same bytes as the
-// synchronous reference and returns the same error from every Flush and
-// CloseStream. Each op byte records one event (or flushes), and the ops
+// synchronous reference and returns the same error from every CloseStream.
+// Each op byte records one event, and the ops
 // repeat 1+reps%16 times, so an input spans several chunks. The events
 // carry every Arg kind; the emitter rewrites its Args, Ints and column
 // buffers right after each event; the event at index nan carries a NaN Num;
@@ -361,12 +312,8 @@ func FuzzTraceStream(f *testing.F) {
 					args = append(args, decoded[0], Arg{Key: "none"}, Ints("nil", nil), Ints("empty", ints[:0]))
 					tr.Instant(v, "autoscale", "scale-out", args)
 				case 7:
-					if g, w := tr.Flush(), ref.flush(); fmt.Sprint(g) != fmt.Sprint(w) {
-						t.Fatalf("op %d: Flush = %v, reference %v", index, g, w)
-					}
-					if !bytes.Equal(got.Bytes(), want.Bytes()) {
-						t.Fatalf("op %d: flushed bytes differ:\n got  %q\n want %q", index, got.Bytes(), want.Bytes())
-					}
+					args = append(args, Int("requests", v), Ints("reqs", ints[:v%8]))
+					tr.Complete(ControlTID, "batch", "prefill", clock-0.25, clock, args)
 				}
 				// The emitter reuses its buffers for the next event.
 				for i := range ints {
@@ -385,9 +332,6 @@ func FuzzTraceStream(f *testing.F) {
 			t.Fatalf("CloseStream = %v, reference %v", g, w)
 		}
 		tr.Instant(ControlTID, "late", "event", nil)
-		if g, w := tr.Flush(), ref.flush(); fmt.Sprint(g) != fmt.Sprint(w) {
-			t.Fatalf("Flush after CloseStream = %v, reference %v", g, w)
-		}
 		if g, w := tr.CloseStream(), ref.close(); fmt.Sprint(g) != fmt.Sprint(w) {
 			t.Fatalf("second CloseStream = %v, reference %v", g, w)
 		}

@@ -72,7 +72,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	if tr.Len() != 0 {
 		t.Error("nil tracer must record nothing")
 	}
-	if tr.StreamTo(nil) != nil || tr.Flush() != nil || tr.CloseStream() != nil {
+	if tr.StreamTo(nil) != nil || tr.CloseStream() != nil {
 		t.Error("nil tracer stream calls should be no-ops")
 	}
 }
@@ -88,8 +88,8 @@ func TestTracerWithoutStreamCountsAndTaps(t *testing.T) {
 	if tr.Len() != 2 || tapped != 2 {
 		t.Errorf("Len = %d, tapped %d; want 2 and 2", tr.Len(), tapped)
 	}
-	if err := tr.Flush(); err != nil {
-		t.Errorf("Flush without a stream: %v", err)
+	if err := tr.CloseStream(); err != nil {
+		t.Errorf("CloseStream without a stream: %v", err)
 	}
 }
 

@@ -216,29 +216,3 @@ func (g *Graph) SameServer(a, b NodeID) bool {
 	na, nb := g.Node(a), g.Node(b)
 	return na.Kind == KindGPU && nb.Kind == KindGPU && na.Server == nb.Server
 }
-
-// Validate checks structural invariants: adjacency consistency and positive
-// capacities. It returns the first violation found, or nil.
-func (g *Graph) Validate() error {
-	for i := range g.edges {
-		e := &g.edges[i]
-		if e.Capacity <= 0 {
-			return fmt.Errorf("edge %d (%s) has non-positive capacity %g", e.ID, e.Kind, e.Capacity)
-		}
-		if e.Available < 0 || e.Available > e.Capacity {
-			return fmt.Errorf("edge %d available %g outside [0, %g]", e.ID, e.Available, e.Capacity)
-		}
-		if e.Latency < 0 {
-			return fmt.Errorf("edge %d has negative latency", e.ID)
-		}
-	}
-	for n, edges := range g.adj {
-		for _, eid := range edges {
-			e := &g.edges[eid]
-			if e.A != NodeID(n) && e.B != NodeID(n) {
-				return fmt.Errorf("adjacency of node %d lists foreign edge %d", n, eid)
-			}
-		}
-	}
-	return nil
-}

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"testing"
 )
 
@@ -124,4 +125,30 @@ func TestNodeKindStrings(t *testing.T) {
 			t.Errorf("LinkKind %d = %q, want %q", k, k.String(), want)
 		}
 	}
+}
+
+// Validate checks structural invariants the tests hold every builder to:
+// adjacency consistency and positive capacities. It returns the first violation found, or nil.
+func (g *Graph) Validate() error {
+	for i := range g.edges {
+		e := &g.edges[i]
+		if e.Capacity <= 0 {
+			return fmt.Errorf("edge %d (%s) has non-positive capacity %g", e.ID, e.Kind, e.Capacity)
+		}
+		if e.Available < 0 || e.Available > e.Capacity {
+			return fmt.Errorf("edge %d available %g outside [0, %g]", e.ID, e.Available, e.Capacity)
+		}
+		if e.Latency < 0 {
+			return fmt.Errorf("edge %d has negative latency", e.ID)
+		}
+	}
+	for n, edges := range g.adj {
+		for _, eid := range edges {
+			e := &g.edges[eid]
+			if e.A != NodeID(n) && e.B != NodeID(n) {
+				return fmt.Errorf("adjacency of node %d lists foreign edge %d", n, eid)
+			}
+		}
+	}
+	return nil
 }

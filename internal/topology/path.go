@@ -400,14 +400,13 @@ func (t *Trees) switchOrder(i int32) []int32 {
 // universe; it panics on a node outside the universe.
 func (t *Trees) Matrix(nodes []NodeID) *Matrix {
 	m := &Matrix{
-		t:     t,
-		nodes: append([]NodeID(nil), nodes...),
-		slot:  make([]int32, len(t.slot)),
+		t:    t,
+		slot: make([]int32, len(t.slot)),
 	}
 	for i := range m.slot {
 		m.slot[i] = -1
 	}
-	for _, n := range m.nodes {
+	for _, n := range nodes {
 		i := t.slot[n]
 		if i < 0 {
 			panic(fmt.Sprintf("topology: matrix node %d outside the tree universe", n))
@@ -432,13 +431,9 @@ func (t *Trees) Matrix(nodes []NodeID) *Matrix {
 // for concurrent use.
 type Matrix struct {
 	t           *Trees
-	nodes       []NodeID
 	slot        []int32 // NodeID -> the Trees' index of a working-set node, -1 otherwise
 	allSwitches bool    // every switch is in the working set
 }
-
-// Nodes returns the node working set (matrix-owned slice).
-func (m *Matrix) Nodes() []NodeID { return m.nodes }
 
 // Size returns the transfer size, in bytes, the matrix routes for.
 func (m *Matrix) Size() int64 { return m.t.size }
@@ -450,9 +445,6 @@ func (m *Matrix) index(n NodeID) int32 {
 	}
 	return m.slot[n]
 }
-
-// Contains reports whether n is in the working set.
-func (m *Matrix) Contains(n NodeID) bool { return m.index(n) >= 0 }
 
 // Dist returns D(a,b): +Inf when unreachable or when either node is outside
 // the working set.

@@ -465,10 +465,19 @@ func TestHstatReadsTheBundle(t *testing.T) {
 		"-out", bundle).CombinedOutput(); err != nil {
 		t.Fatalf("serve -out: %v\n%s", err, out)
 	}
-	for _, file := range []string{"spans.json", "metrics.prom", "metrics.om", "decisions.json", "alerts.json", "perf.json"} {
-		if st, err := os.Stat(filepath.Join(bundle, file)); err != nil || st.Size() == 0 {
-			t.Errorf("bundle file %s: %v (empty or missing)", file, err)
+	entries, err := os.ReadDir(bundle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var files []string
+	for _, e := range entries {
+		files = append(files, e.Name())
+		if info, err := e.Info(); err != nil || info.Size() == 0 {
+			t.Errorf("bundle file %s: %v (empty)", e.Name(), err)
 		}
+	}
+	if want := []string{"alerts.json", "decisions.json", "metrics.prom", "perf.json", "spans.json"}; !reflect.DeepEqual(files, want) {
+		t.Errorf("bundle holds %q, want exactly %q", files, want)
 	}
 	hstat := func(args ...string) string {
 		t.Helper()

@@ -8,5 +8,5 @@ import (
 
 func main() {
 	var s lib.Shape = lib.Square{Side: 2}
-	fmt.Println(lib.Used(), s.Area(), lib.Square{Side: 1})
+	fmt.Println(lib.Used(), s.Area(), lib.Square{Side: 1}.Scale(3))
 }
