@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"heroserve/internal/core"
+	"heroserve/internal/telemetry/perf"
 	"heroserve/internal/workload"
 )
 
@@ -72,9 +73,9 @@ var goldenCases = []goldenCase{
 }
 
 // goldenSurfaces are the files each case pins, by extension: the C-sorted
-// Prometheus exposition, and the decisions, alerts and trace -tsv renderings
-// of hstat.
-var goldenSurfaces = []string{"prom", "decisions.tsv", "alerts.tsv", "trace.tsv"}
+// Prometheus exposition, the decisions, alerts and trace -tsv renderings
+// of hstat, and the work counts of perf.json (workCounts).
+var goldenSurfaces = []string{"prom", "decisions.tsv", "alerts.tsv", "trace.tsv", "work.tsv"}
 
 func TestGoldens(t *testing.T) {
 	if *update && buildTags != "" {
@@ -107,6 +108,10 @@ func TestGoldens(t *testing.T) {
 			}
 			for _, ext := range goldenSurfaces {
 				var got []byte
+				if ext == "work.tsv" {
+					checkWork(t, filepath.Join(goldenDir, c.name+"."+ext), filepath.Join(bundle, perf.File))
+					continue
+				}
 				if ext == "prom" {
 					prom, err := os.ReadFile(filepath.Join(bundle, "metrics.prom"))
 					if err != nil {
@@ -155,6 +160,91 @@ func checkGolden(t *testing.T, golden string, got []byte) {
 	}
 	diff, _ := exec.Command("diff", "-u", golden, gotFile).CombinedOutput()
 	t.Errorf("%s drifted (if the change is intended, go test -run '^TestGoldens$' . -update rewrites it; commit the result):\n%s", golden, diff)
+}
+
+// workCount is one deterministic field of perf.json: a count of the work
+// the simulator did, identical across same-seed runs, unlike the report's
+// wall-clock fields. shared marks the fields the reference paths report
+// alike: the reference heap keeps no tombstones, and the reference
+// allocator recomputes the whole network, so it reports other component
+// sizes.
+type workCount struct {
+	name   string
+	value  string
+	shared bool
+}
+
+// workCounts lists the deterministic fields of a perf report.
+func workCounts(r *perf.Report) []workCount {
+	u := func(v uint64) string { return strconv.FormatUint(v, 10) }
+	i := func(v int) string { return strconv.Itoa(v) }
+	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	q, n := r.Queue, r.Netsim
+	rows := []workCount{
+		{"sim_seconds", f(r.SimSeconds), true},
+		{"events", u(r.Events), true},
+		{"sampled_events", u(r.SampledEvents), true},
+		{"queue.final.live", i(q.Final.Live), true},
+		{"queue.final.cancelled", u(q.Final.Cancelled), true},
+		{"queue.final.tombstones", i(q.Final.Tombstones), false},
+		{"queue.final.compactions", u(q.Final.Compactions), false},
+		{"queue.peak_live", i(q.PeakLive), true},
+		{"queue.peak_tombstones", i(q.PeakTombstones), false},
+		{"netsim.reallocs", u(n.Reallocs), true},
+		{"netsim.sampled_reallocs", u(n.SampledReallocs), true},
+		{"netsim.component_links_total", u(n.CompLinksTotal), false},
+		{"netsim.component_flows_total", u(n.CompFlowsTotal), false},
+		{"netsim.rounds_total", u(n.RoundsTotal), false},
+		{"netsim.max_component_flows", i(n.MaxCompFlows), false},
+		{"netsim.max_component_links", i(n.MaxCompLinks), false},
+	}
+	for _, h := range n.FlowsHistogram {
+		rows = append(rows, workCount{"netsim.flows_histogram.le" + i(h.Le), u(h.Count), false})
+	}
+	return rows
+}
+
+// checkWork renders the run's work counts as one name<TAB>value line each
+// and compares them with the golden. Under -tags refpaths only the shared
+// fields are compared, on both sides.
+func checkWork(t *testing.T, golden, report string) {
+	t.Helper()
+	data, err := os.ReadFile(report)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := perf.ReadReport(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := workCounts(r)
+	var got bytes.Buffer
+	for _, w := range rows {
+		if w.shared || buildTags == "" {
+			got.WriteString(w.name + "\t" + w.value + "\n")
+		}
+	}
+	if buildTags == "" {
+		checkGolden(t, golden, got.Bytes())
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := map[string]bool{}
+	for _, w := range rows {
+		shared[w.name] = w.shared
+	}
+	var kept bytes.Buffer
+	for _, line := range strings.SplitAfter(string(want), "\n") {
+		if name, _, ok := strings.Cut(line, "\t"); ok && shared[name] {
+			kept.WriteString(line)
+		}
+	}
+	if !bytes.Equal(got.Bytes(), kept.Bytes()) {
+		t.Errorf("%s: the shared work counts drifted\ngolden:\n%sreference paths:\n%s", golden, kept.Bytes(), got.Bytes())
+	}
 }
 
 // TestGoldenMatrixCoverage keeps the golden gate pinning every system and
