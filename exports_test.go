@@ -45,6 +45,7 @@ var implicitUses = map[string]struct{ pkg, iface string }{
 // exportAllowlist holds the exports kept for tests on purpose, keyed as
 // unusedExports reports them, each with its reason.
 var exportAllowlist = map[string]string{
+	"netsim.Flow.Rate":                      "tests read a flow's max-min rate, and check that the read settles a held network",
 	"netsim.Flow.Remaining":                 "tests read a flow's unsent bytes to check lazy progress charging",
 	"netsim.Network.CancelFlow":             "deleting it drops net_flows_cancelled_total from all 8 golden .prom files, a golden change of its own",
 	"netsim.Network.LinkScale":              "tests read a link's fault-degraded capacity scale",

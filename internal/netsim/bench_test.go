@@ -102,6 +102,19 @@ func BenchmarkFlowChurn(b *testing.B) {
 		})
 	}
 	b.Run("kv", benchmarkKVChurn)
+	b.Run("kv-batch", benchmarkKVBatch)
+}
+
+// kvPaths returns the first four distinct paths of the testbed path table
+// the KV benchmarks use.
+func kvPaths(b *testing.B, g *topology.Graph) []topology.Path {
+	var paths []topology.Path
+	for _, p := range buildPaths(b, g, rand.New(rand.NewSource(45)), 64) {
+		if len(paths) < 4 && !slices.ContainsFunc(paths, func(q topology.Path) bool { return slices.Equal(p.Edges, q.Edges) }) {
+			paths = append(paths, p)
+		}
+	}
+	return paths
 }
 
 // benchmarkKVChurn is BenchmarkFlowChurn in the shape of the chat-kv-backlog
@@ -120,12 +133,7 @@ func benchmarkKVChurn(b *testing.B) {
 				newNet, eng = NewReference, sim.NewReferenceEngine()
 			}
 			n := newNet(g, eng)
-			var paths []topology.Path
-			for _, p := range buildPaths(b, g, rand.New(rand.NewSource(45)), 64) {
-				if len(paths) < 4 && !slices.ContainsFunc(paths, func(q topology.Path) bool { return slices.Equal(p.Edges, q.Edges) }) {
-					paths = append(paths, p)
-				}
-			}
+			paths := kvPaths(b, g)
 			started := 0
 			relaunch := make([]func(), len(paths))
 			launch := func(i int) {
@@ -152,6 +160,78 @@ func benchmarkKVChurn(b *testing.B) {
 		})
 	}
 }
+
+// benchmarkKVBatch is a prefill batch's KV hand-off: one callback starts
+// eight one-path transfers, two on each of benchmarkKVChurn's four paths,
+// next to 20 long-lived flows on the same paths, the way
+// collective.Comm.Transfer starts them. An op runs the callback and every
+// delivery. With held, the callback holds the network, as serving's
+// hand-off does, so its eight starts make one reallocation instead of
+// eight: reallocs/op counts the callback's reallocations.
+func benchmarkKVBatch(b *testing.B) {
+	for _, impl := range []string{"fast", "ref"} {
+		for _, held := range []bool{false, true} {
+			b.Run(fmt.Sprintf("impl=%s/held=%v", impl, held), func(b *testing.B) {
+				g := topology.Testbed()
+				newNet, eng := New, sim.NewEngine()
+				if impl == "ref" {
+					newNet, eng = NewReference, sim.NewReferenceEngine()
+				}
+				n := newNet(g, eng)
+				paths := kvPaths(b, g)
+				for i := 0; i < 20; i++ {
+					n.StartFlow(paths[i%len(paths)], 1<<50+int64(i), nil)
+				}
+				probe := &reallocCounter{}
+				n.SetPerf(probe)
+				one := make([][]topology.Path, len(paths))
+				for i, p := range paths {
+					one[i] = []topology.Path{p}
+				}
+				left := 0
+				delivered := func() { left-- }
+				handoff := func() {
+					probe.on = true
+					if held {
+						n.Hold()
+					}
+					for k := 0; k < 8; k++ {
+						left++
+						n.StartGroup(one[k%len(one)], int64(1<<20+k*7919), Inline, delivered)
+					}
+					if held {
+						n.Release()
+					}
+					probe.on = false
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					eng.Post(eng.Now(), handoff)
+					for eng.Step() && left > 0 {
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(probe.n)/float64(b.N), "reallocs/op")
+			})
+		}
+	}
+}
+
+// reallocCounter counts the reallocations made while on.
+type reallocCounter struct {
+	on bool
+	n  int
+}
+
+func (c *reallocCounter) ReallocStart() int64 {
+	if c.on {
+		c.n++
+	}
+	return 0
+}
+
+func (c *reallocCounter) ReallocDone(int64, int, int, int) {}
 
 // BenchmarkChargePodTelemetry measures one progress charge on the 896-edge
 // 8-track pod with telemetry armed and a few flows in flight — the shape of

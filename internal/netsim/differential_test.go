@@ -21,80 +21,124 @@ import (
 // completion order.
 //
 // Scripts mix flow add/cancel storms, link degrade/blackout/recovery
-// mid-flight, and a periodic daemon monitor — the operations the serving
-// stack actually performs against the network.
+// mid-flight, batches of such changes made in one event, and a periodic
+// daemon monitor — the operations the serving stack actually performs
+// against the network. A held run makes each batch between Hold and
+// Release; it must match its eager twin on the same engine kind.
 
 type netOp struct {
-	at   sim.Time
-	kind int // 0 = start, 1 = cancel, 2 = link scale
-	path int // start: index into the path table
-	size int64
-	pick int     // cancel: pseudo-index into flows created so far
-	eid  int     // link scale: pseudo-index into edges
-	frac float64 // link scale
+	at    sim.Time
+	kind  int // 0 = start, 1 = cancel, 2 = link scale, 3 = batch, 4 = rate read
+	path  int // start: index into the path table
+	size  int64
+	pick  int     // cancel, rate read: pseudo-index into flows created so far
+	eid   int     // link scale: pseudo-index into edges
+	frac  float64 // link scale
+	batch []netOp // batch: the changes, made in order in one event
 }
 
-// genNetScript pre-generates ops on a coarse time grid (collisions wanted).
+// genNetScript pre-generates ops on a coarse time grid (collisions wanted),
+// then one batch of 2-6 changes for every twenty of them.
 func genNetScript(rng *rand.Rand, nOps, nPaths, horizon int) []netOp {
 	ops := make([]netOp, nOps)
 	for i := range ops {
-		op := &ops[i]
-		op.at = sim.Time(rng.Intn(horizon*16)) / 16.0
-		switch r := rng.Intn(10); {
-		case r < 6: // start storm-heavy mix
-			op.kind = 0
-			op.path = rng.Intn(nPaths)
-			op.size = int64(rng.Intn(1<<22) + 1)
-			if rng.Intn(8) == 0 {
-				op.size = int64(rng.Intn(1<<26) + 1) // occasional elephant
+		at := sim.Time(rng.Intn(horizon*16)) / 16.0
+		ops[i] = genNetOp(rng, nPaths)
+		ops[i].at = at
+	}
+	for i := 0; i < nOps/20; i++ {
+		b := netOp{kind: 3, at: sim.Time(rng.Intn(horizon*16)) / 16.0}
+		for k := 2 + rng.Intn(5); k > 0; k-- {
+			op := genNetOp(rng, nPaths)
+			switch rng.Intn(8) {
+			case 0:
+				op = netOp{kind: 4, pick: rng.Int()} // a read settles a held network
+			case 1:
+				if op.kind == 0 {
+					op.size = 0 // its delivery is posted inside the hold
+				}
 			}
-			if rng.Intn(64) == 0 {
-				op.size = 0 // zero-size: latency-only delivery path
-			}
-		case r < 8:
-			op.kind = 1
-			op.pick = rng.Int()
-		default:
-			op.kind = 2
-			op.eid = rng.Int()
-			op.frac = []float64{0, 0, 0.1, 0.25, 0.5, 1, 1}[rng.Intn(7)]
+			b.batch = append(b.batch, op)
 		}
+		ops = append(ops, b)
 	}
 	return ops
+}
+
+// genNetOp draws one start, cancel or link scale.
+func genNetOp(rng *rand.Rand, nPaths int) netOp {
+	var op netOp
+	switch r := rng.Intn(10); {
+	case r < 6: // start storm-heavy mix
+		op.kind = 0
+		op.path = rng.Intn(nPaths)
+		op.size = int64(rng.Intn(1<<22) + 1)
+		if rng.Intn(8) == 0 {
+			op.size = int64(rng.Intn(1<<26) + 1) // occasional elephant
+		}
+		if rng.Intn(64) == 0 {
+			op.size = 0 // zero-size: latency-only delivery path
+		}
+	case r < 8:
+		op.kind = 1
+		op.pick = rng.Int()
+	default:
+		op.kind = 2
+		op.eid = rng.Int()
+		op.frac = []float64{0, 0, 0.1, 0.25, 0.5, 1, 1}[rng.Intn(7)]
+	}
+	return op
 }
 
 type netRun struct {
 	eng     *sim.Engine
 	net     *Network
+	held    bool // make each batch between Hold and Release
 	created []*Flow
 	idx     map[*Flow]int
 	// completion log: (creation index, timestamp bits)
 	doneIdx []int
 	doneAt  []uint64
+	// reads logs the rate bits of every rate read
+	reads []uint64
 }
 
 // install schedules every op and a daemon monitor on the run's engine.
 func (r *netRun) install(ops []netOp, paths []topology.Path, nEdges int) {
 	r.idx = make(map[*Flow]int)
+	var do func(op netOp)
+	do = func(op netOp) {
+		switch op.kind {
+		case 0:
+			f := r.net.StartFlow(paths[op.path], op.size, func(f *Flow) {
+				r.doneIdx = append(r.doneIdx, r.idx[f])
+				r.doneAt = append(r.doneAt, math.Float64bits(r.eng.Now()))
+			})
+			r.idx[f] = len(r.created)
+			r.created = append(r.created, f)
+		case 1:
+			if len(r.created) > 0 {
+				r.net.CancelFlow(r.created[op.pick%len(r.created)])
+			}
+		case 2:
+			r.net.SetLinkScale(topology.EdgeID(op.eid%nEdges), op.frac)
+		case 3:
+			if r.held {
+				r.net.Hold()
+				defer r.net.Release()
+			}
+			for _, c := range op.batch {
+				do(c)
+			}
+		case 4:
+			if len(r.created) > 0 {
+				r.reads = append(r.reads, math.Float64bits(r.created[op.pick%len(r.created)].Rate()))
+			}
+		}
+	}
 	for i := range ops {
 		op := ops[i]
-		r.eng.Schedule(op.at, func() {
-			switch op.kind {
-			case 0:
-				f := r.net.StartFlow(paths[op.path], op.size, func(f *Flow) {
-					r.doneIdx = append(r.doneIdx, r.idx[f])
-					r.doneAt = append(r.doneAt, math.Float64bits(r.eng.Now()))
-				})
-				r.idx[f] = len(r.created)
-				r.created = append(r.created, f)
-			case 1:
-				if len(r.created) > 0 {
-					r.net.CancelFlow(r.created[op.pick%len(r.created)])
-				}
-			case 2:
-				r.net.SetLinkScale(topology.EdgeID(op.eid%nEdges), op.frac)
-			}
-		})
+		r.eng.Schedule(op.at, func() { do(op) })
 	}
 	// Daemon monitor: polls link state every 50 ms while work remains, the
 	// way the online scheduler's refresh loop does. Runs on daemon events so
@@ -123,13 +167,18 @@ func compareState(t *testing.T, step int, a, b *netRun, nEdges int) {
 	if len(a.created) != len(b.created) {
 		t.Fatalf("step %d: created ref=%d fast=%d", step, len(a.created), len(b.created))
 	}
+	// Every event leaves a held network settled, so the rates are read
+	// as they stand.
+	if len(a.net.dirty) > 0 || len(b.net.dirty) > 0 {
+		t.Fatalf("step %d: a reallocation is pending after the event", step)
+	}
 	for i := range a.created {
 		fa, fb := a.created[i], b.created[i]
-		if math.Float64bits(fa.Rate()) != math.Float64bits(fb.Rate()) {
-			t.Fatalf("step %d: flow %d rate ref=%g fast=%g", step, i, fa.Rate(), fb.Rate())
+		if math.Float64bits(fa.curRate()) != math.Float64bits(fb.curRate()) {
+			t.Fatalf("step %d: flow %d rate ref=%g fast=%g", step, i, fa.curRate(), fb.curRate())
 		}
-		if math.Float64bits(fa.Remaining()) != math.Float64bits(fb.Remaining()) {
-			t.Fatalf("step %d: flow %d remaining ref=%g fast=%g", step, i, fa.Remaining(), fb.Remaining())
+		if math.Float64bits(fa.curRemaining()) != math.Float64bits(fb.curRemaining()) {
+			t.Fatalf("step %d: flow %d remaining ref=%g fast=%g", step, i, fa.curRemaining(), fb.curRemaining())
 		}
 	}
 	for e := 0; e < nEdges; e++ {
@@ -140,6 +189,9 @@ func compareState(t *testing.T, step int, a, b *netRun, nEdges int) {
 		if x, y := a.net.tel.linkBytes[e].Value(), b.net.tel.linkBytes[e].Value(); math.Float64bits(x) != math.Float64bits(y) {
 			t.Fatalf("step %d: link_bytes_total[%d] ref=%g fast=%g", step, e, x, y)
 		}
+	}
+	if !slices.Equal(a.reads, b.reads) {
+		t.Fatalf("step %d: rate reads differ", step)
 	}
 	if len(a.doneIdx) != len(b.doneIdx) {
 		t.Fatalf("step %d: completions ref=%d fast=%d", step, len(a.doneIdx), len(b.doneIdx))
@@ -174,9 +226,12 @@ func buildPaths(t testing.TB, g *topology.Graph, rng *rand.Rand, n int) []topolo
 	return paths
 }
 
+// runDifferential runs one script on the network mkRef builds and on the one
+// mkFast builds, and requires them to agree at every event. held makes the
+// second run's batches between Hold and Release.
 func runDifferential(t *testing.T, mkGraph func() *topology.Graph, seed int64, nOps int,
 	mkRef func(*topology.Graph, *sim.Engine) (*sim.Engine, *Network),
-	mkFast func(*topology.Graph, *sim.Engine) (*sim.Engine, *Network)) {
+	mkFast func(*topology.Graph, *sim.Engine) (*sim.Engine, *Network), held bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	ga, gb := mkGraph(), mkGraph()
@@ -187,7 +242,7 @@ func runDifferential(t *testing.T, mkGraph func() *topology.Graph, seed int64, n
 
 	ref := &netRun{}
 	ref.eng, ref.net = mkRef(ga, nil)
-	fast := &netRun{}
+	fast := &netRun{held: held}
 	fast.eng, fast.net = mkFast(gb, nil)
 	ref.net.SetTelemetry(telemetry.New())
 	fast.net.SetTelemetry(telemetry.New())
@@ -222,7 +277,9 @@ func runDifferential(t *testing.T, mkGraph func() *topology.Graph, seed int64, n
 
 // TestDifferentialNetsim is the headline equivalence proof: >= 3 seeds x
 // >= 10k operations on two topologies, reference-on-reference vs
-// fast-on-fast, exact agreement at every event.
+// fast-on-fast, exact agreement at every event. Under "held", each
+// allocator on its own engine runs half the script eagerly and
+// held, and the two runs must agree the same way.
 func TestDifferentialNetsim(t *testing.T) {
 	type combo struct {
 		name    string
@@ -239,19 +296,29 @@ func TestDifferentialNetsim(t *testing.T) {
 	if testing.Short() {
 		combos = combos[:3]
 	}
+	mkRef := func(g *topology.Graph, _ *sim.Engine) (*sim.Engine, *Network) {
+		eng := sim.NewReferenceEngine()
+		return eng, NewReference(g, eng)
+	}
+	mkFast := func(g *topology.Graph, _ *sim.Engine) (*sim.Engine, *Network) {
+		eng := sim.NewEngine()
+		return eng, New(g, eng)
+	}
 	for _, c := range combos {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
-			runDifferential(t, c.mkGraph, c.seed, c.ops,
-				func(g *topology.Graph, _ *sim.Engine) (*sim.Engine, *Network) {
-					eng := sim.NewReferenceEngine()
-					return eng, NewReference(g, eng)
-				},
-				func(g *topology.Graph, _ *sim.Engine) (*sim.Engine, *Network) {
-					eng := sim.NewEngine()
-					return eng, New(g, eng)
-				})
+			runDifferential(t, c.mkGraph, c.seed, c.ops, mkRef, mkFast, false)
 		})
+	}
+	for _, c := range combos {
+		for _, side := range []struct {
+			name string
+			mk   func(*topology.Graph, *sim.Engine) (*sim.Engine, *Network)
+		}{{"fast", mkFast}, {"ref", mkRef}} {
+			t.Run("held/"+c.name+"/"+side.name, func(t *testing.T) {
+				runDifferential(t, c.mkGraph, c.seed, c.ops/2, side.mk, side.mk, true)
+			})
+		}
 	}
 }
 
@@ -284,7 +351,7 @@ func TestDifferentialNetsimCrossEngines(t *testing.T) {
 					eng := sim.NewReferenceEngine()
 					return eng, NewReference(g, eng)
 				},
-				c.mkFast)
+				c.mkFast, false)
 		})
 	}
 }

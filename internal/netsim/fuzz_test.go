@@ -34,7 +34,13 @@ import (
 //  7. replaying the script on a fresh network reproduces every rate and
 //     every link byte counter bit-for-bit (determinism);
 //  8. both networks complete the same flow groups and count the same bytes
-//     on every link.
+//     on every link;
+//  9. a held twin of each network, on the same engine kind, matches it bit
+//     for bit after every operation: clock, events run, groups completed,
+//     every rate and remaining byte count, the timer and the link counters.
+//     Batches of changes — starts, group starts, cancels, rescales and rate
+//     reads, opened by a completion or not — are made on the twins between
+//     Hold and Release, and one change at a time on the eager networks.
 //
 // Paths are drawn mostly from a small pool, so many flows share an edge
 // sequence and path classes often hold more than one flow.
@@ -44,7 +50,7 @@ func FuzzReallocate(f *testing.F) {
 	f.Add([]byte{7, 40, 2, 0, 0, 2, 2, 3, 1, 0, 2, 5, 1, 0, 1, 0, 3, 3, 2, 1, 3})
 	f.Add([]byte{1, 10, 0, 0, 255, 255, 0, 0, 128, 2, 0, 0, 3})
 	f.Add([]byte{4, 30, 1, 2, 3, 20, 4, 2, 1, 0, 2, 1, 3, 9, 0, 0, 3, 3, 4, 0, 0, 1, 7, 7, 3, 3, 3})
-	for _, seed := range append(sharedPathSeeds(), distinctSizeSeed()) {
+	for _, seed := range append(sharedPathSeeds(), distinctSizeSeed(), heldBatchSeed()) {
 		f.Add(seed)
 	}
 
@@ -135,6 +141,31 @@ func distinctSizeSeed() []byte {
 	return s
 }
 
+// heldBatchSeed returns a script of held batches between single changes:
+// one that starts, cancels, rescales and reads, one opened by a completion
+// that starts a group, reads and cancels, and one that blacks out a link
+// and starts a flow across it, with steps through the completions between.
+func heldBatchSeed() []byte {
+	const opStart, opCancel, opScale, opRead, opGroup, opBatch = 0, 1, 2, 3, 4, 5
+	const opStep = 3
+	ops := [][]byte{
+		{opStart, 0, 2, 0, 1, 2, 10, 0}, // fresh path 0,1,2 joins the pool
+		{opStart, 0, 1, 2, 3, 20, 0},    // fresh path 2,3 joins the pool
+		{opGroup, 1, 1, 5, 4, 0},        // pool[0] and pool[1]
+		{opBatch, 0, 3, opStart, 1, 30, 0, opCancel, 0, opScale, 2, 2, opRead, 1},
+		{opStep},
+		{opBatch, 1, 3, opGroup, 2, 1, 5, 9, 3, 0, opStart, 5, 7, 0, opRead, 2, opCancel, 3},
+		{opStep}, {opStep}, {opStep},
+		{opBatch, 1, 1, opScale, 0, 0, opStart, 1, 4, 0},
+		{opStep}, {opStep}, {opStep}, {opStep}, {opStep}, {opStep},
+	}
+	s := []byte{3, 3, 7, 5, 1, byte(len(ops) - 2)} // four edges, as in sharedPathSeeds
+	for _, op := range ops {
+		s = append(s, op...)
+	}
+	return s
+}
+
 type fuzzDecoder struct {
 	data []byte
 	pos  int
@@ -174,13 +205,13 @@ func runScenario(t *testing.T, data []byte) []uint64 {
 		d.byte()
 	}
 
-	engF, engR := sim.NewEngine(), sim.NewReferenceEngine()
-	fast, ref := New(gf, engF), NewReference(gr, engR)
-	fast.SetTelemetry(telemetry.New())
-	ref.SetTelemetry(telemetry.New())
+	// The eager pair, and a held twin of each on the same engine kind.
+	fast := newFuzzSide(New(gf, sim.NewEngine()), false)
+	ref := newFuzzSide(NewReference(gr, sim.NewReferenceEngine()), false)
+	fastH := newFuzzSide(New(build(), sim.NewEngine()), true)
+	refH := newFuzzSide(NewReference(build(), sim.NewReferenceEngine()), true)
+	sides := []*fuzzSide{fast, ref, fastH, refH}
 
-	var createdF, createdR []*Flow
-	var groupsF, groupsR int
 	fracs := []float64{0, 0.25, 0.5, 1}
 	// freshPath decodes a path over 1-3 distinct edges.
 	freshPath := func() topology.Path {
@@ -214,30 +245,47 @@ func runScenario(t *testing.T, data []byte) []uint64 {
 		}
 		return p
 	}
-
-	nOps := 2 + int(d.byte())%40
-	for op := 0; op < nOps; op++ {
-		switch d.byte() % 5 {
+	step := func(op int) {
+		sf := fast.net.eng.Step()
+		for _, s := range sides[1:] {
+			if got := s.net.eng.Step(); got != sf {
+				t.Fatalf("op %d: Step %v on one network, %v on another", op, sf, got)
+			}
+		}
+	}
+	// change decodes one change and makes it on every network: kind 0
+	// starts a flow, 1 cancels one, 2 rescales a link, 3 reads a rate and 4
+	// starts a group.
+	change := func(kind byte) {
+		switch kind {
 		case 0: // start a flow on 1-3 distinct edges
 			p := path()
 			size := int64(1+int(d.byte()))<<16 + int64(d.byte())
-			createdF = append(createdF, fast.StartFlow(p, size, nil))
-			createdR = append(createdR, ref.StartFlow(p, size, nil))
+			for _, s := range sides {
+				s.created = append(s.created, s.net.StartFlow(p, size, nil))
+			}
 		case 1: // cancel an earlier flow
-			if len(createdF) > 0 {
-				i := int(d.byte()) % len(createdF)
-				fast.CancelFlow(createdF[i])
-				ref.CancelFlow(createdR[i])
+			if len(fast.created) > 0 {
+				i := int(d.byte()) % len(fast.created)
+				for _, s := range sides {
+					s.net.CancelFlow(s.created[i])
+				}
 			}
 		case 2: // rescale a link (degrade / blackout / recover)
 			eid := topology.EdgeID(int(d.byte()) % nEdges)
 			frac := fracs[int(d.byte())%4]
-			fast.SetLinkScale(eid, frac)
-			ref.SetLinkScale(eid, frac)
-		case 3: // advance the simulation one event (flow completions)
-			sf, sr := engF.Step(), engR.Step()
-			if sf != sr {
-				t.Fatalf("op %d: Step fast=%v ref=%v", op, sf, sr)
+			for _, s := range sides {
+				s.net.SetLinkScale(eid, frac)
+			}
+		case 3: // read a flow's rate, which settles a held network
+			if len(fast.created) > 0 {
+				i := int(d.byte()) % len(fast.created)
+				want := fast.created[i].Rate()
+				for _, s := range sides[1:] {
+					if got := s.created[i].Rate(); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("flow %d read at rate %g on one network, %g on another", i, want, got)
+					}
+				}
 			}
 		case 4: // start a group of 1-4 flows; done runs inline, so the
 			// timer stays the only queued event
@@ -246,38 +294,120 @@ func runScenario(t *testing.T, data []byte) []uint64 {
 				paths[i] = path()
 			}
 			size := int64(1+int(d.byte()))<<16 + int64(d.byte())
-			fast.StartGroup(paths, size, Inline, func() { groupsF++ })
-			ref.StartGroup(paths, size, Inline, func() { groupsR++ })
+			for _, s := range sides {
+				s.net.StartGroup(paths, size, Inline, s.groupDone)
+			}
 		}
-		if groupsF != groupsR {
-			t.Fatalf("op %d: groups completed fast=%d ref=%d", op, groupsF, groupsR)
-		}
-		checkMaxMin(t, fast, op)
-		checkAgreement(t, fast, ref, createdF, createdR, op)
-		checkTimers(t, fast, ref, op)
-		checkBusy(t, fast, op)
-		checkBusy(t, ref, op)
-		checkOrder(t, fast, op)
-		checkOrder(t, ref, op)
-		checkClasses(t, fast, op)
 	}
 
-	bits := make([]uint64, 0, 2*len(createdF)+nEdges+1)
-	for _, fl := range createdF {
+	nOps := 2 + int(d.byte())%40
+	for op := 0; op < nOps; op++ {
+		switch kind := d.byte() % 6; kind {
+		case 3: // advance the simulation one event (flow completions)
+			step(op)
+		case 5: // a batch of changes, made while the held twins are held;
+			// a completion may open it
+			for _, s := range sides {
+				if s.held {
+					s.net.Hold()
+				}
+			}
+			if d.byte()%2 == 1 {
+				step(op)
+			}
+			for k := 1 + int(d.byte())%4; k > 0; k-- {
+				change(d.byte() % 5)
+			}
+			for _, s := range sides {
+				if s.held {
+					s.net.Release()
+				}
+			}
+		default:
+			change(kind)
+		}
+		if fast.groups != ref.groups {
+			t.Fatalf("op %d: groups completed fast=%d ref=%d", op, fast.groups, ref.groups)
+		}
+		checkMaxMin(t, fast.net, op)
+		checkAgreement(t, fast.net, ref.net, fast.created, ref.created, op)
+		checkTimers(t, fast.net, ref.net, op)
+		checkBusy(t, fast.net, op)
+		checkBusy(t, ref.net, op)
+		checkOrder(t, fast.net, op)
+		checkOrder(t, ref.net, op)
+		checkClasses(t, fast.net, op)
+		for _, tw := range [][2]*fuzzSide{{fast, fastH}, {ref, refH}} {
+			checkHeld(t, tw[0], tw[1], op)
+		}
+		checkClasses(t, fastH.net, op)
+	}
+
+	bits := make([]uint64, 0, 2*len(fast.created)+nEdges+1)
+	for _, fl := range fast.created {
 		bits = append(bits, math.Float64bits(fl.Rate()), math.Float64bits(fl.Remaining()))
 	}
-	for _, fl := range fast.order {
+	for _, fl := range fast.net.order {
 		bits = append(bits, math.Float64bits(fl.Rate()), math.Float64bits(fl.Remaining()))
 	}
-	bits = append(bits, uint64(groupsF))
+	bits = append(bits, uint64(fast.groups))
 	for e := 0; e < nEdges; e++ {
-		x, y := fast.tel.linkBytes[e].Value(), ref.tel.linkBytes[e].Value()
+		x, y := fast.net.tel.linkBytes[e].Value(), ref.net.tel.linkBytes[e].Value()
 		if math.Float64bits(x) != math.Float64bits(y) {
 			t.Fatalf("link %d carried fast=%g ref=%g bytes", e, x, y)
 		}
 		bits = append(bits, math.Float64bits(x))
 	}
 	return bits
+}
+
+// fuzzSide is one network a fuzz scenario drives, with the flows it started
+// and the groups it completed.
+type fuzzSide struct {
+	net       *Network
+	held      bool // a held twin: batches are made between Hold and Release
+	created   []*Flow
+	groups    int
+	groupDone func()
+}
+
+func newFuzzSide(n *Network, held bool) *fuzzSide {
+	s := &fuzzSide{net: n, held: held}
+	s.net.SetTelemetry(telemetry.New())
+	s.groupDone = func() { s.groups++ }
+	return s
+}
+
+// checkHeld asserts a held twin is its eager twin bit for bit: the clock,
+// the events run, the groups completed, every flow's rate and remaining
+// bytes, the completion timer, and every link's byte counter.
+func checkHeld(t *testing.T, eager, held *fuzzSide, op int) {
+	t.Helper()
+	a, b := eager.net, held.net
+	if x, y := a.eng.Now(), b.eng.Now(); math.Float64bits(x) != math.Float64bits(y) {
+		t.Fatalf("op %d: Now eager=%g held=%g", op, x, y)
+	}
+	if x, y := a.eng.Processed(), b.eng.Processed(); x != y {
+		t.Fatalf("op %d: Processed eager=%d held=%d", op, x, y)
+	}
+	if eager.groups != held.groups {
+		t.Fatalf("op %d: groups completed eager=%d held=%d", op, eager.groups, held.groups)
+	}
+	checkAgreement(t, a, b, eager.created, held.created, op)
+	checkTimer(t, b, op)
+	if (a.next == nil) != (b.next == nil) {
+		t.Fatalf("op %d: timer armed eager=%v held=%v", op, a.next != nil, b.next != nil)
+	}
+	if a.next != nil {
+		if x, y := a.timer.At(), b.timer.At(); math.Float64bits(x) != math.Float64bits(y) || a.next.ID != b.next.ID {
+			t.Fatalf("op %d: timer eager=(%g, flow %d) held=(%g, flow %d)", op, x, a.next.ID, y, b.next.ID)
+		}
+	}
+	for e := range a.tel.linkBytes {
+		if x, y := a.tel.linkBytes[e].Value(), b.tel.linkBytes[e].Value(); math.Float64bits(x) != math.Float64bits(y) {
+			t.Fatalf("op %d: link %d carried eager=%g held=%g bytes", op, e, x, y)
+		}
+	}
 }
 
 // checkMaxMin asserts the allocation on n is max-min fair.

@@ -73,7 +73,7 @@ func groupState(n *Network) []uint64 {
 // the two runs deliver the same flows at the same instants, and report
 // background and group completions in the same order at the same times.
 // Later groups reuse the recycled flows; one variant adds an edgeless path,
-// which makes the group fall back to one-by-one starts.
+// whose delivery is posted in the middle of the group's held starts.
 func TestStartGroupMatchesSequential(t *testing.T) {
 	graphs := []struct {
 		name string

@@ -2,7 +2,8 @@
 // network. Concurrent transfers ("flows") traverse paths from the topology
 // graph and share every link max-min fairly; whenever a flow starts or
 // finishes, all rates are recomputed by progressive water-filling and the
-// network's completion timer is re-armed on the discrete-event engine.
+// network's completion timer is re-armed on the discrete-event engine — once
+// per batch of changes on a held network (see below).
 //
 // This is the substrate that makes the paper's congestion arguments
 // observable: bursty traffic on 100 GbE drags down in-network aggregation
@@ -23,14 +24,16 @@
 // global fixed-point recomputation, each flow's own rate and remaining
 // bytes, and an ID-ordered timer scan over every flow. Both produce
 // bit-identical rates, completion times, and event orderings — the fast path
-// deliberately issues the same engine Schedule/Reschedule/Cancel sequence,
-// so FIFO tie-breaks cannot drift — proven over long randomized scripts by
+// deliberately issues the same engine ScheduleSeq/Cancel sequence, so FIFO
+// tie-breaks cannot drift — proven over long randomized scripts by
 // differential_test.go and fuzzed for max-min invariants by FuzzReallocate.
 //
 // Completions are driven by one engine event per Network, not one per flow.
-// After every reallocation that timer is armed for the flow with the minimum
-// (finish time, ID), with sim.Engine.Reschedule, so re-arming allocates
-// nothing; with every flow stalled, the timer is cancelled. This pops
+// Every change reserves the sequence number its re-arm takes
+// (sim.Engine.ReserveSeq), and after every reallocation that timer is armed
+// for the flow with the minimum (finish time, ID) under the last change's
+// number, with sim.Engine.ScheduleSeq, so re-arming allocates nothing; with
+// every flow stalled, the timer is cancelled. This pops
 // completions in exactly the order per-flow events would: those would all be
 // re-timed in ID order by the same reallocation, so they would hold one
 // consecutive block of sequence numbers, pop in (time, ID) order, and tie
@@ -49,17 +52,25 @@
 // kept in ID order, so that is the head unless two different remainders
 // round to one finish time, which a look past the head's run detects.
 //
+// Hold and Release batch changes. Between them, a change — a flow's start,
+// completion or cancellation, or a link rescale — records the edges it
+// touched and reserves its timer number, and the network settles once, with
+// one reallocation over the union of those edges: at Release, or before
+// anything reads a rate. Max-min rates depend only on the active set, and
+// the timer's (time, number) sorts where the last eager re-arm would have,
+// so a held network is observably the eager one (DESIGN.md, "Pooled events
+// and flow groups"); a caller that reads a rate between its changes, as the
+// load-aware router does, simply gets one reallocation per change.
+//
 // StartGroup is the one way to start a group of flows: every collective
 // phase, whose caller has routed all its paths first, and every one-flow
-// transfer. It reports the group's joint completion once. It adds every
-// flow before a single reallocation over the union of their paths, which
-// leaves the same rates and the same timer (time, flow) as starting them
-// one by one (DESIGN.md, "Pooled events and flow groups"), since no route
-// is taken between the starts. Nobody outside the network holds a group's
-// flows, so they and the group are recycled after delivery, and every
-// delivery is posted to the engine without a handle: a steady stream of
-// collective phases and transfers allocates nothing here. StartFlow starts
-// a lone flow that its caller may cancel or inspect.
+// transfer. It reports the group's joint completion once. It holds the
+// network across its starts, so one reallocation rates the whole group.
+// Nobody outside the network holds a group's flows, so they and the group
+// are recycled after delivery, and every delivery is posted to the engine
+// without a handle: a steady stream of collective phases and transfers
+// allocates nothing here. StartFlow starts a lone flow that its caller may
+// cancel or inspect.
 package netsim
 
 import (
@@ -141,8 +152,15 @@ func (c *pathClass) members() []*Flow { return c.flows[c.head:] }
 // size returns the number of the class's flows.
 func (c *pathClass) size() int { return len(c.flows) - c.head }
 
-// Rate returns the flow's current max-min fair rate in bytes/second.
+// Rate returns the flow's current max-min fair rate in bytes/second. On a
+// held network it settles the pending changes first.
 func (f *Flow) Rate() float64 {
+	f.net.settle()
+	return f.curRate()
+}
+
+// curRate is Rate without the settle.
+func (f *Flow) curRate() float64 {
 	if c := f.class; c != nil {
 		return c.rate
 	}
@@ -150,7 +168,14 @@ func (f *Flow) Rate() float64 {
 }
 
 // Remaining returns the bytes not yet serialized, as of the last flow event.
+// On a held network it settles the pending changes first.
 func (f *Flow) Remaining() float64 {
+	f.net.settle()
+	return f.curRemaining()
+}
+
+// curRemaining is Remaining without the settle.
+func (f *Flow) curRemaining() float64 {
 	if c := f.class; c != nil {
 		return c.rem[f.classPos]
 	}
@@ -188,11 +213,18 @@ type Network struct {
 
 	// The completion timer: one engine event for the whole network, armed
 	// for next, the active flow that finishes first, and re-armed at the end
-	// of every reallocation. timerFn is built once, so re-arming allocates
-	// nothing.
+	// of every reallocation under seq, the sequence number the last change
+	// reserved. timerFn is built once, so re-arming allocates nothing.
 	timer   *sim.Event
 	next    *Flow
 	timerFn func()
+	seq     uint64
+
+	// holds counts the open Holds. dirty lists the edges the changes made
+	// while held have touched since the network last settled; it is empty
+	// exactly when no reallocation is pending.
+	holds int
+	dirty []topology.EdgeID
 
 	// Recycled group flows and groups.
 	freeFlows  []*Flow
@@ -220,7 +252,6 @@ type Network struct {
 	compLinks []topology.EdgeID // component links, reused across reallocations
 	linkQueue []topology.EdgeID // BFS worklist, reused
 	dirtyOne  [1]topology.EdgeID
-	dirty     []topology.EdgeID // a group's path edges, reused
 }
 
 // netTelemetry holds the network's metric handles. Per-link families are
@@ -358,7 +389,7 @@ func (n *Network) SetLinkScale(eid topology.EdgeID, frac float64) {
 	n.charge()
 	n.linkScale[eid] = frac
 	n.dirtyOne[0] = eid
-	n.reallocate(n.dirtyOne[:])
+	n.changed(n.dirtyOne[:])
 }
 
 // LinkScale returns the edge's current capacity scale (1 when healthy).
@@ -415,16 +446,11 @@ type group struct {
 
 // StartGroup starts one flow of size bytes along each path, in order, and
 // runs done once the last has delivered: inline, inside that delivery, if
-// delay is Inline, and posted delay seconds later otherwise. The flows are
-// added after one charge and rated by one reallocation over the union of
-// their paths, which gives every flow the rate and the completion timer
-// the (time, flow) that one StartFlow per path would. The timer skips the
-// intermediate re-arms, which only shifts every later sequence number by
-// the same amount. A group with an edgeless path or a zero size is started
-// one flow at a time instead, so its immediate deliveries keep their order
-// against the timer. The network holds the paths only until their flows
-// deliver: it drops them before done runs, so from done on the caller may
-// reuse their slices.
+// delay is Inline, and posted delay seconds later otherwise. The starts are
+// held, so one reallocation over the union of the paths rates them all,
+// with the rates and the timer one StartFlow per path would leave. The
+// network holds the paths only until their flows deliver: it drops them
+// before done runs, so from done on the caller may reuse their slices.
 func (n *Network) StartGroup(paths []topology.Path, size int64, delay sim.Time, done func()) {
 	if len(paths) == 0 {
 		panic("netsim: empty flow group")
@@ -438,26 +464,63 @@ func (n *Network) StartGroup(paths []topology.Path, size int64, delay sim.Time, 
 		g = new(group)
 	}
 	g.pending, g.delay, g.done = len(paths), delay, done
-	batch := size != 0
+	n.Hold()
 	for _, p := range paths {
-		if len(p.Edges) == 0 {
-			batch = false
-		}
+		n.start(n.newFlow(p, size, g, nil))
 	}
-	if !batch {
-		for _, p := range paths {
-			n.start(n.newFlow(p, size, g, nil))
-		}
+	n.Release()
+}
+
+// Hold defers reallocation until the matching Release. While the network
+// is held, each change — a flow's start, completion or cancellation, or a
+// link rescale — records the edges it touched and reserves the sequence
+// number its timer re-arm would take, and the network settles them all with
+// one reallocation over the union of those edges. It settles at the last
+// Release, or earlier when anything reads a rate: EdgeRate,
+// EdgeUtilization, Flow.Rate, Flow.Remaining, a cancel or completion
+// (which fix the leaving flow's rate), or a charge over elapsed time. Max-min
+// rates depend only on the active set, so the settled rates are the ones
+// eager reallocations would have left, and the timer is armed under the
+// last change's number, where the last eager re-arm would have put it.
+//
+// Holds nest. A hold brackets changes made within one event: the engine
+// must not step while a change is pending.
+func (n *Network) Hold() { n.holds++ }
+
+// Release ends a Hold. The last open Release settles the network.
+func (n *Network) Release() {
+	if n.holds <= 0 {
+		panic("netsim: Release without Hold")
+	}
+	if n.holds--; n.holds == 0 {
+		n.settle()
+	}
+}
+
+// changed follows a change that touched edges: it reserves the sequence
+// number the timer re-arm takes and reallocates, or, while the network is
+// held, records edges for the settle.
+func (n *Network) changed(edges []topology.EdgeID) {
+	n.seq = n.eng.ReserveSeq(1)
+	if n.holds > 0 {
+		n.dirty = append(n.dirty, edges...)
 		return
 	}
-	n.charge()
-	dirty := n.dirty[:0]
-	for _, p := range paths {
-		n.add(n.newFlow(p, size, g, nil))
-		dirty = append(dirty, p.Edges...)
+	n.reallocate(edges)
+}
+
+// settle makes the one reallocation the pending changes of a held network
+// owe, if any. It is small enough to inline into every read.
+func (n *Network) settle() {
+	if len(n.dirty) > 0 {
+		n.settleDirty()
 	}
-	n.dirty = dirty
-	n.reallocate(dirty)
+}
+
+//go:noinline
+func (n *Network) settleDirty() {
+	n.reallocate(n.dirty)
+	n.dirty = n.dirty[:0]
 }
 
 // newFlow builds a flow, recycling a delivered group flow when it joins a
@@ -499,7 +562,7 @@ func (n *Network) start(f *Flow) {
 	}
 	n.charge()
 	n.add(f)
-	n.reallocate(f.Path.Edges)
+	n.changed(f.Path.Edges)
 }
 
 // add joins f to the active sets. Its caller has just charged the network,
@@ -679,7 +742,7 @@ func (n *Network) CancelFlow(f *Flow) {
 	f.cancelled = true
 	n.charge()
 	n.remove(f)
-	n.reallocate(f.Path.Edges)
+	n.changed(f.Path.Edges)
 }
 
 // complete finishes a zero-edge flow or a flow whose serialization event
@@ -718,8 +781,10 @@ func (n *Network) finishGroup(g *group) {
 	n.eng.PostAfter(delay, done)
 }
 
-// remove detaches f from the active sets.
+// remove detaches f from the active sets, after settling the network:
+// leaving fixes the flow's rate.
 func (n *Network) remove(f *Flow) {
+	n.settle()
 	for _, eid := range f.Path.Edges {
 		lf := n.linkFlows[eid]
 		for i, g := range lf {
@@ -766,14 +831,15 @@ func (n *Network) unbusy(eid topology.EdgeID) {
 // charge advances every active flow's progress to the current instant at its
 // last computed rate and, with telemetry on, accrues the link byte counters
 // and busy-seconds. Every active flow was last charged at lastCharge, so
-// each moves rate*dt bytes.
+// each moves rate*dt bytes, at the rates the network settles to first.
 func (n *Network) charge() {
 	now := n.eng.Now()
 	dt := now - n.lastCharge
-	n.lastCharge = now
 	if dt <= 0 {
 		return
 	}
+	n.settle()
+	n.lastCharge = now
 	if n.ref {
 		for _, f := range n.order {
 			f.remaining -= f.rate * dt
@@ -794,7 +860,7 @@ func (n *Network) charge() {
 	// A link's counter adds its flows' bytes in ID order: float sums depend
 	// on their order, and the exports pin it.
 	for _, f := range n.order {
-		moved := f.Rate() * dt
+		moved := f.curRate() * dt
 		for _, eid := range f.Path.Edges {
 			n.tel.linkBytes[eid].Add(moved)
 		}
@@ -878,13 +944,15 @@ func (c *pathClass) first(now sim.Time) (*Flow, sim.Time) {
 }
 
 // reallocate recomputes flow rates by progressive water-filling (max-min
-// fairness) and re-arms the completion timer. dirty names the edges touched
-// by the triggering change (the changed flow's path, or a rescaled link);
-// the fast path confines the rate recomputation to their connected
-// component. The timer is re-armed from every active flow — on the fast
-// path, from every live class's candidate, not just the recomputed ones — so
-// the engine sees one and the same Schedule/Reschedule/Cancel call either way
-// and FIFO tie-breaking stays bit-identical.
+// fairness) and re-arms the completion timer under seq. dirty names the
+// edges touched by the triggering changes (the changed flows' paths, or
+// rescaled links); the fast path confines the rate recomputation to their
+// connected components. The timer is re-armed from every active flow — on
+// the fast path, from every live class's candidate, not just the recomputed
+// ones — so the engine sees one and the same ScheduleSeq/Cancel call either
+// way and FIFO tie-breaking stays bit-identical. Every change charged the
+// network first, so the flows' remaining bytes are as of lastCharge, which
+// times the timer.
 func (n *Network) reallocate(dirty []topology.EdgeID) {
 	if len(n.order) == 0 {
 		n.eng.Cancel(n.timer) // the last flow left: nothing to time
@@ -906,7 +974,7 @@ func (n *Network) reallocate(dirty []topology.EdgeID) {
 	}
 	// Arm the timer for the minimum (finish time, ID). Stalled flows (rate
 	// 0) have no finish time until capacity frees up.
-	now := n.eng.Now()
+	now := n.lastCharge
 	n.next = nil
 	var at sim.Time
 	if n.ref {
@@ -930,16 +998,13 @@ func (n *Network) reallocate(dirty []topology.EdgeID) {
 			}
 		}
 	}
-	switch {
-	case n.next == nil:
+	if n.next == nil {
 		n.eng.Cancel(n.timer)
-	case n.timer == nil:
-		n.timer = n.eng.Schedule(at, n.timerFn)
-	default:
-		// Reschedule is Cancel + Schedule on the same Event: the timer takes
-		// a fresh sequence number, and nothing is allocated.
-		n.eng.Reschedule(n.timer, at)
+		return
 	}
+	// ScheduleSeq is Cancel + Schedule on the same Event, under the number
+	// the last change reserved: nothing is allocated.
+	n.timer = n.eng.ScheduleSeq(n.timer, at, n.seq, n.timerFn)
 }
 
 // refWaterfill is the reference allocator: a global progressive
@@ -1133,7 +1198,7 @@ func (n *Network) finishFlow(f *Flow) {
 	n.charge()
 	n.remove(f)
 	f.remaining = 0
-	n.reallocate(f.Path.Edges)
+	n.changed(f.Path.Edges)
 	if f.latency > 0 {
 		n.eng.PostAfter(f.latency, n.deliverFn(f))
 	} else {
@@ -1142,11 +1207,12 @@ func (n *Network) finishFlow(f *Flow) {
 }
 
 // EdgeRate returns the instantaneous sum of flow rates on the edge, in
-// bytes/second.
+// bytes/second. On a held network it settles the pending changes first.
 func (n *Network) EdgeRate(eid topology.EdgeID) float64 {
+	n.settle()
 	var sum float64
 	for _, f := range n.linkFlows[eid] {
-		sum += f.Rate()
+		sum += f.curRate()
 	}
 	return sum
 }

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -62,6 +63,50 @@ func TestCompletionTieOrder(t *testing.T) {
 				t.Errorf("run ended at %g, want 10", eng.Now())
 			}
 		})
+	}
+}
+
+// TestHeldTimerKeepsItsPlace pins the completion timer's sequence number
+// under a hold. Two identical flows on disjoint links both finish at T = 10
+// s. An event scheduled at T before the hold runs first. Inside the hold,
+// flow0 starts, an event is posted at T, flow1 starts, and another event is
+// posted at T after the last change. Eagerly, flow1's start re-arms the
+// timer for flow0 between the two posts, so flow0 completes between them;
+// the held network settles at Release but arms the timer under the number
+// flow1's start reserved, so the order is the same. Flow0's completion
+// re-arms the timer for flow1 behind every event posted before it. A flow
+// started and cancelled first leaves the timer event built, so the hold
+// re-arms it rather than building it.
+func TestHeldTimerKeepsItsPlace(t *testing.T) {
+	for _, c := range netsimCombos {
+		for _, held := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/held=%v", c.name, held), func(t *testing.T) {
+				g, pa, pb := twoLinks()
+				eng := c.newEng()
+				n := c.newNet(g, eng)
+				var got []string
+				note := func(s string) func() { return func() { got = append(got, s) } }
+				n.CancelFlow(n.StartFlow(pa, 1000, nil))
+				eng.Schedule(10, note("before"))
+				eng.Post(0, func() {
+					if held {
+						n.Hold()
+					}
+					n.StartFlow(pa, 1000, func(*Flow) { got = append(got, "flow0") })
+					eng.Post(10, note("between"))
+					n.StartFlow(pb, 1000, func(*Flow) { got = append(got, "flow1") })
+					eng.Post(10, note("after"))
+					if held {
+						n.Release()
+					}
+				})
+				eng.Run()
+				want := []string{"before", "between", "flow0", "after", "flow1"}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("callback order %v, want %v", got, want)
+				}
+			})
+		}
 	}
 }
 

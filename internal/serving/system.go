@@ -718,13 +718,17 @@ func (s *System) prefillSynced(pi *prefillInstance) {
 }
 
 // finishPrefill records first tokens, assigns decode targets, and migrates
-// KV caches.
+// KV caches. The network is held across the hand-off, so the batch's
+// transfers are rated by one reallocation unless the router reads a rate
+// between them (netsim.Network.Hold).
 func (s *System) finishPrefill(pi *prefillInstance) {
 	now := s.eng.Now()
+	s.net.Hold()
 	for _, r := range pi.batch {
 		r.firstTokenAt = now
 		s.transferKV(pi, r)
 	}
+	s.net.Release()
 	pi.busy = false
 	s.maybeStartPrefill(pi)
 }
@@ -1023,6 +1027,8 @@ func (s *System) InjectBursts(bursts []workload.Burst, seed int64) {
 	bursts = slices.Clone(bursts)
 	s.eng.PostEach(len(bursts), func(j int) sim.Time { return bursts[j].At }, func(j int) {
 		b := &bursts[j]
+		s.net.Hold() // one reallocation per burst
+		defer s.net.Release()
 		for i := 0; i < b.Flows; i++ {
 			a := gpus[next(len(gpus))]
 			c := gpus[next(len(gpus))]

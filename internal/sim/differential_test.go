@@ -12,8 +12,10 @@ import (
 // pre-generated script and asserts they are indistinguishable: identical
 // callback sequences (timestamp bits and identity), identical
 // Processed/Pending/PendingWork counters after every step, identical clocks.
-// It pits the reference heap against the fast front, and a run that moves
-// events with Reschedule against one that uses Cancel + Schedule.
+// It pits the reference heap against the fast front, a run that moves
+// events with Reschedule against one that uses Cancel + Schedule, and one
+// that moves them with Reschedule against one that reserves the number
+// first and re-arms under it with ScheduleSeq later.
 //
 // A script is a forest of event nodes generated up front from a seed, so
 // both runs interpret exactly the same structure: roots are scheduled at
@@ -93,10 +95,15 @@ type scriptRun struct {
 	// viaCancel makes moves Cancel the event and Schedule a fresh one
 	// instead of calling Reschedule.
 	viaCancel bool
-	events    []*Event
-	pending   []bool // the node's event is armed and has not run since
-	acted     []bool // the node ran its children/cancel/move actions
-	moved     [4]int
+	// early makes a node's move take its sequence number before the node
+	// schedules its children. With reserve, the number is reserved then and
+	// the event re-armed under it with ScheduleSeq once the children are
+	// queued; without, the event is rescheduled then.
+	early, reserve bool
+	events         []*Event
+	pending        []bool // the node's event is armed and has not run since
+	acted          []bool // the node ran its children/cancel/move actions
+	moved          [4]int
 	// log records (node id, timestamp bits) per executed callback.
 	logIDs []int
 	logAts []uint64
@@ -282,6 +289,16 @@ func (r *scriptRun) fire(i int) {
 	}
 	r.acted[i] = true
 	nd := &r.nodes[i]
+	moving := nd.moves >= 0 && r.events[nd.moves] != nil
+	moveAt := r.eng.Now() + nd.moveDelay
+	var seq uint64
+	if r.early && moving {
+		if r.reserve {
+			seq = r.eng.ReserveSeq(1)
+		} else {
+			r.move(nd.moves, moveAt)
+		}
+	}
 	var ids []int
 	var ats []Time
 	for _, c := range nd.children {
@@ -294,16 +311,40 @@ func (r *scriptRun) fire(i int) {
 		r.events[c] = r.schedule(c, at)
 	}
 	r.stream(ids, ats)
+	if r.reserve && moving {
+		r.moveUnder(nd.moves, moveAt, seq)
+	}
 	if nd.cancels >= 0 {
 		r.eng.Cancel(r.events[nd.cancels]) // nil-safe: target may be unscheduled
 	}
-	if nd.moves >= 0 && r.events[nd.moves] != nil {
-		r.move(nd.moves, r.eng.Now()+nd.moveDelay)
+	if !r.early && moving {
+		r.move(nd.moves, moveAt)
 	}
 }
 
 // move re-arms node t's event at time at.
 func (r *scriptRun) move(t int, at Time) {
+	r.countMove(t, at)
+	ev := r.events[t]
+	if !r.viaCancel {
+		r.pending[t] = true
+		r.eng.Reschedule(ev, at)
+		return
+	}
+	r.eng.Cancel(ev)
+	r.events[t] = r.schedule(t, at)
+}
+
+// moveUnder re-arms node t's event at time at under seq, a number reserved
+// earlier.
+func (r *scriptRun) moveUnder(t int, at Time, seq uint64) {
+	r.countMove(t, at)
+	r.pending[t] = true
+	r.eng.ScheduleSeq(r.events[t], at, seq, func() { r.fire(t) })
+}
+
+// countMove counts a move of node t's event to at by the event's state.
+func (r *scriptRun) countMove(t int, at Time) {
 	ev := r.events[t]
 	switch {
 	case ev.Cancelled():
@@ -316,13 +357,6 @@ func (r *scriptRun) move(t int, at Time) {
 	if at == r.eng.Now() {
 		r.moved[movedToNow]++
 	}
-	if !r.viaCancel {
-		r.pending[t] = true
-		r.eng.Reschedule(ev, at)
-		return
-	}
-	r.eng.Cancel(ev)
-	r.events[t] = r.schedule(t, at)
 }
 
 // lockstep mirrors Run()'s loop on both engines simultaneously, comparing
@@ -441,6 +475,30 @@ func TestDifferentialReschedule(t *testing.T) {
 				cancelled := newScriptRun(impl.mk(), nodes, true)
 				lockstep(t, moved, cancelled, []Time{1.5, 7.25, 13}, true)
 				requireMoveCoverage(t, moved)
+			})
+		}
+	}
+}
+
+// TestDifferentialReserve proves ScheduleSeq under a reserved number is
+// Reschedule at the reservation on each front: the same script, with every
+// move rescheduled before the moving node queues its children in one run,
+// and reserved there but re-armed with ScheduleSeq after them in the other,
+// must give the same callbacks, counters and queue statistics at every
+// step.
+func TestDifferentialReserve(t *testing.T) {
+	seeds, size := diffSeeds()
+	for _, impl := range benchEngines {
+		for _, seed := range seeds {
+			impl, seed := impl, seed
+			t.Run(fmt.Sprintf("%s/seed=%d", impl.name, seed), func(t *testing.T) {
+				nodes := genScript(seed, size)
+				reserved := newScriptRun(impl.mk(), nodes, false)
+				reserved.early, reserved.reserve = true, true
+				moved := newScriptRun(impl.mk(), nodes, false)
+				moved.early = true
+				lockstep(t, reserved, moved, []Time{1.5, 7.25, 13}, true)
+				requireMoveCoverage(t, reserved)
 			})
 		}
 	}

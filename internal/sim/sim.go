@@ -17,9 +17,14 @@
 // programs — so they are behaviorally interchangeable; the reference path
 // exists as the equivalence oracle and benchmark baseline.
 //
-// Reschedule re-arms an existing Event instead of allocating a new one, so
-// code that keeps moving one deadline (netsim's completion timer) queues
-// events without allocating.
+// ReserveSeq takes sequence numbers ahead of time, and ScheduleSeq queues an
+// event under one of them later, re-arming an existing Event instead of
+// allocating a new one. An event queued so sorts among the events due at its
+// instant exactly where one queued at the reservation would have. netsim's
+// completion timer uses the pair: each change to a network reserves the
+// number its re-arm would take, and a network held across several changes
+// arms the timer once, under the last change's number, where the last of
+// the eager re-arms would have put it.
 //
 // Post and PostAfter queue a one-shot callback without returning a handle.
 // Since nobody can cancel or move such an event, the engine recycles it on a
@@ -29,9 +34,9 @@
 //
 // PostEach posts one callback per element of an input stream (a trace's
 // arrivals, a fault schedule, a burst train) while keeping a single event
-// queued for the whole stream. It reserves the sequence numbers the
-// equivalent Post loop would have taken and runs each element under its own
-// reserved key, so the run is the Post loop's, step for step; only
+// queued for the whole stream. It reserves (ReserveSeq) the sequence numbers
+// the equivalent Post loop would have taken and runs each element under its
+// own reserved key, so the run is the Post loop's, step for step; only
 // QueueStats sees one queued event where the loop would have queued n.
 package sim
 
@@ -290,8 +295,7 @@ func (e *Engine) Schedule(at Time, fn func()) *Event {
 func (e *Engine) enqueue(ev *Event, at Time, fn func()) {
 	e.checkAt(at)
 	ev.fn = fn
-	e.arm(ev, at, e.nextSeq)
-	e.nextSeq++
+	e.arm(ev, at, e.ReserveSeq(1))
 	e.live++
 	e.work++
 }
@@ -378,7 +382,7 @@ func (e *Engine) PostEach(n int, at func(i int) Time, fn func(i int)) {
 		}
 		prev = t
 	}
-	st := &stream{eng: e, at: at, fn: fn, n: n, base: e.nextSeq}
+	st := &stream{eng: e, at: at, fn: fn, n: n}
 	if !sorted {
 		st.order = make([]int, n)
 		for i := range st.order {
@@ -391,7 +395,7 @@ func (e *Engine) PostEach(n int, at func(i int) Time, fn func(i int)) {
 			return a - b
 		})
 	}
-	e.nextSeq += uint64(n)
+	st.base = e.ReserveSeq(n)
 	e.live += n
 	e.work += n
 	st.ev.fn = st.step
@@ -470,17 +474,48 @@ func (e *Engine) Cancel(ev *Event) {
 	}
 }
 
-// Reschedule moves ev to absolute time at, re-arming it if it was cancelled
-// or has already run. It is observably identical to Cancel(ev) followed by
-// Schedule(at, fn) — ScheduleDaemon for a daemon event — with ev's callback:
-// ev takes the next sequence number, so it runs after every event already
-// queued for the same instant, and the Pending/PendingWork counters move the
-// same way. The difference is that ev itself is reused, so rescheduling
-// allocates nothing. Like Schedule, it panics on a time in the past or NaN.
-func (e *Engine) Reschedule(ev *Event, at Time) {
-	if !(at >= e.now) {
-		panic(fmt.Sprintf("sim: reschedule at %g before now %g", at, e.now))
+// ReserveSeq takes the next n sequence numbers, for events that ScheduleSeq
+// queues under them later, and returns the first. An event queued under a
+// reserved number sorts among the events due at its instant exactly where
+// one queued at the reservation would have: after every event queued
+// before it, before every event queued after it. A number left unused only
+// shifts every later one by the same amount, which moves no event in the
+// order.
+func (e *Engine) ReserveSeq(n int) uint64 {
+	seq := e.nextSeq
+	e.nextSeq += uint64(n)
+	return seq
+}
+
+// ScheduleSeq queues fn at absolute time at under seq, a number taken
+// earlier with ReserveSeq, re-arming ev, and returns ev. A nil ev is
+// allocated, as Schedule would. Re-arming ev — queued, cancelled or already
+// run — is observably identical to Cancel(ev) followed by queueing a fresh
+// event, ScheduleDaemon's for a daemon event, under seq: the
+// Pending/PendingWork counters move the same way. The difference is that
+// ev itself is reused, so re-arming allocates nothing. Like Schedule, it
+// panics on a time in the past or NaN, and it panics on a number not yet
+// reserved.
+func (e *Engine) ScheduleSeq(ev *Event, at Time, seq uint64, fn func()) *Event {
+	e.checkAt(at)
+	if seq >= e.nextSeq {
+		panic(fmt.Sprintf("sim: sequence number %d is not reserved", seq))
 	}
+	if ev == nil {
+		ev = &Event{fn: fn}
+		e.arm(ev, at, seq)
+		e.live++
+		e.work++
+		return ev
+	}
+	ev.fn = fn
+	e.rearm(ev, at, seq)
+	return ev
+}
+
+// rearm re-queues ev under the key (at, seq) and moves the Pending and
+// PendingWork counters as a Cancel and a fresh queueing would.
+func (e *Engine) rearm(ev *Event, at Time, seq uint64) {
 	queued := ev.index >= 0 && !ev.cancel
 	if queued {
 		e.live--
@@ -488,8 +523,7 @@ func (e *Engine) Reschedule(ev *Event, at Time) {
 			e.work--
 		}
 	}
-	ev.at, ev.seq, ev.cancel = at, e.nextSeq, false
-	e.nextSeq++
+	ev.at, ev.seq, ev.cancel = at, seq, false
 	e.front.reschedule(ev, queued)
 	e.live++
 	if !ev.daemon {

@@ -108,8 +108,9 @@ func TestSchedulePastPanics(t *testing.T) {
 }
 
 // TestBadTimesPanic feeds every way of queueing an event a time in the
-// past and a NaN time, on both fronts. Each must panic at the call and leave
-// the queue as it was: nothing added, the clock where it stood.
+// past and a NaN time, and ScheduleSeq a number not yet reserved, on both
+// fronts. Each must panic at the call and leave the queue as it was:
+// nothing added, the clock where it stood.
 func TestBadTimesPanic(t *testing.T) {
 	nan := math.NaN()
 	nop := func() {}
@@ -127,6 +128,9 @@ func TestBadTimesPanic(t *testing.T) {
 		{"PostAfter/NaN", func(e *Engine, _ *Event) { e.PostAfter(nan, nop) }},
 		{"Reschedule/past", func(e *Engine, ev *Event) { e.Reschedule(ev, 5) }},
 		{"Reschedule/NaN", func(e *Engine, ev *Event) { e.Reschedule(ev, nan) }},
+		{"ScheduleSeq/past", func(e *Engine, ev *Event) { e.ScheduleSeq(ev, 5, 0, nop) }},
+		{"ScheduleSeq/NaN", func(e *Engine, ev *Event) { e.ScheduleSeq(nil, nan, 0, nop) }},
+		{"ScheduleSeq/unreserved", func(e *Engine, ev *Event) { e.ScheduleSeq(ev, 30, e.nextSeq, nop) }},
 		{"PostEach/past", func(e *Engine, _ *Event) {
 			ats := []Time{12, 11, 5, 13}
 			e.PostEach(len(ats), func(i int) Time { return ats[i] }, nopEach)
