@@ -251,7 +251,6 @@ type Network struct {
 	count     []int
 	compLinks []topology.EdgeID // component links, reused across reallocations
 	linkQueue []topology.EdgeID // BFS worklist, reused
-	dirtyOne  [1]topology.EdgeID
 }
 
 // netTelemetry holds the network's metric handles. Per-link families are
@@ -388,8 +387,7 @@ func (n *Network) SetLinkScale(eid topology.EdgeID, frac float64) {
 	}
 	n.charge()
 	n.linkScale[eid] = frac
-	n.dirtyOne[0] = eid
-	n.changed(n.dirtyOne[:])
+	n.changed([]topology.EdgeID{eid})
 }
 
 // LinkScale returns the edge's current capacity scale (1 when healthy).
@@ -510,17 +508,12 @@ func (n *Network) changed(edges []topology.EdgeID) {
 }
 
 // settle makes the one reallocation the pending changes of a held network
-// owe, if any. It is small enough to inline into every read.
+// owe, if any.
 func (n *Network) settle() {
 	if len(n.dirty) > 0 {
-		n.settleDirty()
+		n.reallocate(n.dirty)
+		n.dirty = n.dirty[:0]
 	}
-}
-
-//go:noinline
-func (n *Network) settleDirty() {
-	n.reallocate(n.dirty)
-	n.dirty = n.dirty[:0]
 }
 
 // newFlow builds a flow, recycling a delivered group flow when it joins a

@@ -65,9 +65,10 @@ type NetsimReport struct {
 }
 
 // Report is one run's rendered perf observation: a run bundle's perf.json
-// and hstat perf's input. All wall-clock derived fields are
-// nondeterministic by nature, which is why the report lives strictly outside
-// every golden surface.
+// and hstat perf's input. Its wall-clock derived fields are
+// nondeterministic by nature; its work counts (events, queue counts,
+// reallocations, component sizes) are not, and the golden gate pins them
+// as each case's work.tsv.
 type Report struct {
 	Schema        string  `json:"schema"`
 	System        string  `json:"system,omitempty"`
