@@ -24,7 +24,8 @@ import (
 // mid-flight, batches of such changes made in one event, and a periodic
 // daemon monitor — the operations the serving stack actually performs
 // against the network. A held run makes each batch between Hold and
-// Release; it must match its eager twin on the same engine kind.
+// Release, and runs every third event, flow completions included, inside a
+// hold; it must match its eager twin on the same engine kind.
 
 type netOp struct {
 	at    sim.Time
@@ -228,7 +229,8 @@ func buildPaths(t testing.TB, g *topology.Graph, rng *rand.Rand, n int) []topolo
 
 // runDifferential runs one script on the network mkRef builds and on the one
 // mkFast builds, and requires them to agree at every event. held makes the
-// second run's batches between Hold and Release.
+// second run's batches between Hold and Release, and runs every third of its
+// events, flow completions included, inside a hold.
 func runDifferential(t *testing.T, mkGraph func() *topology.Graph, seed int64, nOps int,
 	mkRef func(*topology.Graph, *sim.Engine) (*sim.Engine, *Network),
 	mkFast func(*topology.Graph, *sim.Engine) (*sim.Engine, *Network), held bool) {
@@ -259,7 +261,17 @@ func runDifferential(t *testing.T, mkGraph func() *topology.Graph, seed int64, n
 		if !ra {
 			break
 		}
-		sa, sb := ref.eng.Step(), fast.eng.Step()
+		sa := ref.eng.Step()
+		var sb bool
+		if held && step%3 == 0 {
+			// Run the whole event inside a hold, completions included: the
+			// network is settled between events, so the event may step.
+			fast.net.Hold()
+			sb = fast.eng.Step()
+			fast.net.Release()
+		} else {
+			sb = fast.eng.Step()
+		}
 		if sa != sb {
 			t.Fatalf("step %d: Step ref=%v fast=%v", step, sa, sb)
 		}

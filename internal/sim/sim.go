@@ -508,14 +508,6 @@ func (e *Engine) ScheduleSeq(ev *Event, at Time, seq uint64, fn func()) *Event {
 		e.work++
 		return ev
 	}
-	ev.fn = fn
-	e.rearm(ev, at, seq)
-	return ev
-}
-
-// rearm re-queues ev under the key (at, seq) and moves the Pending and
-// PendingWork counters as a Cancel and a fresh queueing would.
-func (e *Engine) rearm(ev *Event, at Time, seq uint64) {
 	queued := ev.index >= 0 && !ev.cancel
 	if queued {
 		e.live--
@@ -523,12 +515,13 @@ func (e *Engine) rearm(ev *Event, at Time, seq uint64) {
 			e.work--
 		}
 	}
-	ev.at, ev.seq, ev.cancel = at, seq, false
+	ev.at, ev.seq, ev.cancel, ev.fn = at, seq, false, fn
 	e.front.reschedule(ev, queued)
 	e.live++
 	if !ev.daemon {
 		e.work++
 	}
+	return ev
 }
 
 // Step executes the next pending event. It returns false when the queue is
