@@ -17,7 +17,9 @@ import (
 // a decode GPU, so per engine event it counts those routes, the
 // reallocations made from the first of them on, and those the real router
 // made by reading a rate, and it logs all three for every event that hands
-// off.
+// off. Wrapping a static router hides its type, so collectives route every
+// launch uncached, which starts the same flows
+// (TestStaticRouterFastPathsMatchFlowByFlow).
 type handoffProbe struct {
 	r               collective.Router
 	net             *netsim.Network
