@@ -127,7 +127,8 @@ func schedulerDemo() {
 			hot = topology.EdgeID(i)
 		}
 	}
-	net.StartFlow(topology.Path{Nodes: []topology.NodeID{group[1], g.Edge(hot).Other(group[1])}, Edges: []topology.EdgeID{hot}}, 1<<30, nil)
+	uplink := topology.Path{Nodes: []topology.NodeID{group[1], g.Edge(hot).Other(group[1])}, Edges: []topology.EdgeID{hot}}
+	net.StartGroup([]topology.Path{uplink}, 1<<30, 0, nil)
 	table.RefreshCost(func(e topology.EdgeID) float64 { return net.EdgeUtilization(e) })
 	table.RefreshPenalty(func(e topology.EdgeID) float64 { return net.EdgeUtilization(e) })
 	pick("GN2 uplink saturated")

@@ -45,20 +45,15 @@ var implicitUses = map[string]struct{ pkg, iface string }{
 // exportAllowlist holds the exports kept for tests on purpose, keyed as
 // unusedExports reports them, each with its reason.
 var exportAllowlist = map[string]string{
-	"netsim.Flow.Rate":                      "tests read a flow's max-min rate, and check that the read settles a held network",
-	"netsim.Flow.Remaining":                 "tests read a flow's unsent bytes to check lazy progress charging",
-	"netsim.Network.CancelFlow":             "deleting it drops net_flows_cancelled_total from all 8 golden .prom files, a golden change of its own",
 	"netsim.Network.LinkScale":              "tests read a link's fault-degraded capacity scale",
 	"scheduler.Controller.StalledTicks":     "tests count the refresh rounds an agent stall skipped",
 	"scheduler.Controller.Ticks":            "tests count the controller's refresh rounds",
 	"scheduler.Table.Cost":                  "tests read b_c to check the Eq. 16-17 cost updates",
 	"scheduler.Table.Penalty":               "tests read f to check the Eq. 18 penalty refresh",
-	"sim.Engine.After":                      "tests schedule relative to the clock; the simulator schedules absolute times",
 	"sim.Engine.Pending":                    "sim's and netsim's tests count the live events, netsim's to check it keeps at most its one timer",
 	"sim.Engine.RunUntil":                   "tests stop the engine mid-run to inspect its state",
 	"sim.Event.At":                          "netsim's tests read the armed timer's fire time",
 	"sim.Event.Cancelled":                   "sim's and netsim's tests check a cancelled event stays cancelled",
-	"sim.Event.Daemon":                      "tests check that ScheduleDaemon marks its events",
 	"switchsim.Switch.EntryElems":           "tests check the aggregation packet size the switch was built with",
 	"switchsim.Switch.FreeSlots":            "tests check the sync slot pool's accounting",
 	"telemetry.Counter.Value":               "netsim's tests compare per-link byte counters bit for bit",

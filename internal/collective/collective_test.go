@@ -621,7 +621,7 @@ func TestAsyncContentionPenalty(t *testing.T) {
 	var doneB sim.Time
 	var startB sim.Time
 	c.INAAllReduce(groupA, sw, 64<<20, 1, switchsim.ModeAsync, func() {})
-	eng.After(1e-4, func() {
+	eng.PostAfter(1e-4, func() {
 		startB = eng.Now()
 		c.INAAllReduce(groupB, sw, 8<<20, 1, switchsim.ModeAsync, func() { doneB = eng.Now() })
 	})

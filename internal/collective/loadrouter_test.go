@@ -39,7 +39,7 @@ func TestLoadAwareRouterAvoidsHotPath(t *testing.T) {
 		t.Fatal("no route")
 	}
 	// Saturate whichever path it picked; the next route must avoid it.
-	net.StartFlow(p0, 1<<30, nil)
+	net.StartGroup([]topology.Path{p0}, 1<<30, 0, nil)
 	p1, ok := r.Route(a, b, 1<<20)
 	if !ok {
 		t.Fatal("no alternative route")

@@ -45,8 +45,8 @@ func TestLinkDegradeAppliesAndRecovers(t *testing.T) {
 	}})
 
 	var during, after float64
-	eng.Schedule(2, func() { during = net.LinkScale(eid) })
-	eng.Schedule(3.5, func() { after = net.LinkScale(eid) })
+	eng.Post(2, func() { during = net.LinkScale(eid) })
+	eng.Post(3.5, func() { after = net.LinkScale(eid) })
 	eng.Run()
 
 	if during != 0.25 {
@@ -74,7 +74,7 @@ func TestNestedLinkWindowsRecoverAtLastEnd(t *testing.T) {
 	samples := map[float64]float64{}
 	for _, at := range []float64{1.5, 2.5, 3.5, 5.5} {
 		at := at
-		eng.Schedule(at, func() { samples[at] = net.LinkScale(eid) })
+		eng.Post(at, func() { samples[at] = net.LinkScale(eid) })
 	}
 	eng.Run()
 
@@ -106,10 +106,10 @@ func TestBlackoutStallsFlowUntilRecovery(t *testing.T) {
 
 	var doneAt float64 = -1
 	path := topology.Path{Nodes: []topology.NodeID{gpu, sw}, Edges: []topology.EdgeID{eid}}
-	net.StartFlow(path, bytes, func(*netsim.Flow) { doneAt = eng.Now() })
+	net.StartGroup([]topology.Path{path}, bytes, netsim.Inline, func() { doneAt = eng.Now() })
 
 	var utilDuring float64
-	eng.Schedule(0.5, func() { utilDuring = net.EdgeUtilization(eid) })
+	eng.Post(0.5, func() { utilDuring = net.EdgeUtilization(eid) })
 	eng.Run()
 
 	if !math.IsInf(utilDuring, 1) {
@@ -137,8 +137,8 @@ func TestSlotExhaustionSeizesAndRestores(t *testing.T) {
 	}})
 
 	var seizedDuring, freeDuring, freeAfter int
-	eng.Schedule(2, func() { seizedDuring, freeDuring = ds.SeizedSlots(), ds.FreeSlots() })
-	eng.Schedule(4, func() { freeAfter = ds.FreeSlots() })
+	eng.Post(2, func() { seizedDuring, freeDuring = ds.SeizedSlots(), ds.FreeSlots() })
+	eng.Post(4, func() { freeAfter = ds.FreeSlots() })
 	eng.Run()
 
 	if seizedDuring != pool || freeDuring != 0 {
@@ -193,7 +193,7 @@ func TestSwitchOfflineRejectsNewINA(t *testing.T) {
 		{Kind: SwitchReboot, At: 0.5, Duration: 10, Switch: sw},
 	}})
 	// Start an INA op while the switch is down: it must fall back to ring.
-	eng.Schedule(1, func() {
+	eng.Post(1, func() {
 		comm.INAAllReduce(group, sw, 1<<20, 1, 0, func() {})
 	})
 	eng.Run()
@@ -222,7 +222,7 @@ func TestAgentStallDrivesStallers(t *testing.T) {
 	// A staller registered mid-window (the lazily created controller)
 	// inherits the remaining stall.
 	late := &stubStaller{}
-	eng.Schedule(3, func() { inj.RegisterStaller(late) })
+	eng.Post(3, func() { inj.RegisterStaller(late) })
 	eng.Run()
 
 	if !reflect.DeepEqual(early.got, []float64{4}) {

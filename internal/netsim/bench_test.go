@@ -12,10 +12,11 @@ import (
 )
 
 // BenchmarkReallocate measures one reallocation cycle — the hot operation of
-// the whole simulator: every flow start, finish, cancel, and link rescale
-// pays it. Each iteration starts and cancels a probe flow against a standing
-// population of long-lived flows, i.e. two reallocations per op, for both
-// the fast and the reference implementation. The population spreads over
+// the whole simulator: every flow start, finish and link rescale pays it.
+// Each iteration starts a probe flow against a standing population of
+// long-lived flows and steps the engine until it delivers, i.e. two
+// reallocations per op (its start and its finish) and one progress charge,
+// for both the fast and the reference implementation. The population spreads over
 // the first `paths` of 64 random GPU-to-GPU paths on the testbed (the 64
 // hold 52 distinct edge sequences), so paths=4 piles it into a few path
 // classes and paths=64 spreads it over many.
@@ -42,14 +43,19 @@ func BenchmarkReallocate(b *testing.B) {
 					// Standing population: huge flows that never finish
 					// within the benchmark.
 					for i := 0; i < flows; i++ {
-						n.StartFlow(paths[i%len(paths)], 1<<40, nil)
+						startFlow(n, paths[i%len(paths)], 1<<50, nil)
 					}
-					probePath := paths[rng.Intn(len(paths))]
+					probe := []topology.Path{paths[rng.Intn(len(paths))]}
+					delivered := false
+					done := func() { delivered = true }
 					b.ReportAllocs()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						f := n.StartFlow(probePath, 1<<30, nil)
-						n.CancelFlow(f)
+						delivered = false
+						n.StartGroup(probe, 1<<20, Inline, done)
+						for !delivered {
+							eng.Step()
+						}
 					}
 					b.StopTimer()
 					b.ReportMetric(float64(2*b.N)/b.Elapsed().Seconds(), "reallocs/s")
@@ -61,8 +67,8 @@ func BenchmarkReallocate(b *testing.B) {
 
 // BenchmarkFlowChurn measures sustained flow turnover with completions: a
 // closed loop keeping `flows` transfers in flight, each completion starting
-// the next. This exercises finishFlow, the event queue under the
-// cancel/reschedule storm of real traffic.
+// the next. This exercises finishFlow, and the completion timer re-armed on
+// every reallocation, as real traffic does.
 func BenchmarkFlowChurn(b *testing.B) {
 	for _, impl := range []string{"fast", "ref"} {
 		b.Run("impl="+impl, func(b *testing.B) {
@@ -83,7 +89,7 @@ func BenchmarkFlowChurn(b *testing.B) {
 			var launch func()
 			launch = func() {
 				started++
-				n.StartFlow(paths[started%len(paths)], int64(1<<20+started%4096), func(*Flow) {
+				startFlow(n, paths[started%len(paths)], int64(1<<20+started%4096), func() {
 					launch()
 				})
 			}
@@ -180,7 +186,7 @@ func benchmarkKVBatch(b *testing.B) {
 				n := newNet(g, eng)
 				paths := kvPaths(b, g)
 				for i := 0; i < 20; i++ {
-					n.StartFlow(paths[i%len(paths)], 1<<50+int64(i), nil)
+					startFlow(n, paths[i%len(paths)], 1<<50+int64(i), nil)
 				}
 				probe := &reallocCounter{}
 				n.SetPerf(probe)
@@ -244,7 +250,7 @@ func BenchmarkChargePodTelemetry(b *testing.B) {
 	n.SetTelemetry(telemetry.New())
 	rng := rand.New(rand.NewSource(44))
 	for _, p := range buildPaths(b, g, rng, 8) {
-		n.StartFlow(p, 1<<40, nil)
+		startFlow(n, p, 1<<40, nil)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -15,24 +15,25 @@ import (
 // water-filling fixed point, reference heap engine) and the fast path
 // (incremental component water-filling, fast engine) through one and the
 // same randomized script and locksteps them event by event, requiring
-// BIT-identical state throughout: the clock, every flow's rate and
-// remaining bytes after every reallocation, every link's aggregate rate and
-// link_bytes_total counter (telemetry is armed on both), and the exact
-// completion order.
+// BIT-identical state throughout: the clock, every active flow's ID, rate
+// and remaining bytes after every event, every link's aggregate rate and
+// link_bytes_total counter (telemetry is armed on both), the rates read,
+// and the exact completion order.
 //
-// Scripts mix flow add/cancel storms, link degrade/blackout/recovery
-// mid-flight, batches of such changes made in one event, and a periodic
-// daemon monitor — the operations the serving stack actually performs
-// against the network. A held run makes each batch between Hold and
+// Scripts mix storms of one-flow and multi-flow group starts, link
+// degrade/blackout/recovery mid-flight, rate reads, batches of such changes
+// made in one event, and a periodic daemon monitor — the operations the
+// serving stack actually performs against the network. A held run makes each batch between Hold and
 // Release, and runs every third event, flow completions included, inside a
 // hold; it must match its eager twin on the same engine kind.
 
 type netOp struct {
 	at    sim.Time
-	kind  int // 0 = start, 1 = cancel, 2 = link scale, 3 = batch, 4 = rate read
-	path  int // start: index into the path table
+	kind  int // 0 = start, 1 = group start, 2 = link scale, 3 = batch, 4 = rate read
+	path  int // start, group start: index into the path table of the first path
+	flows int // group start: number of flows, on consecutive paths
 	size  int64
-	pick  int     // cancel, rate read: pseudo-index into flows created so far
+	pick  int     // rate read: pseudo-index into the active flows
 	eid   int     // link scale: pseudo-index into edges
 	frac  float64 // link scale
 	batch []netOp // batch: the changes, made in order in one event
@@ -66,7 +67,7 @@ func genNetScript(rng *rand.Rand, nOps, nPaths, horizon int) []netOp {
 	return ops
 }
 
-// genNetOp draws one start, cancel or link scale.
+// genNetOp draws one start, group start or link scale.
 func genNetOp(rng *rand.Rand, nPaths int) netOp {
 	var op netOp
 	switch r := rng.Intn(10); {
@@ -80,9 +81,11 @@ func genNetOp(rng *rand.Rand, nPaths int) netOp {
 		if rng.Intn(64) == 0 {
 			op.size = 0 // zero-size: latency-only delivery path
 		}
-	case r < 8:
+	case r < 8: // a group of 2-4 flows of one size, as a collective phase
 		op.kind = 1
-		op.pick = rng.Int()
+		op.path = rng.Intn(nPaths)
+		op.flows = 2 + rng.Intn(3)
+		op.size = int64(rng.Intn(1<<22) + 1)
 	default:
 		op.kind = 2
 		op.eid = rng.Int()
@@ -95,32 +98,38 @@ type netRun struct {
 	eng     *sim.Engine
 	net     *Network
 	held    bool // make each batch between Hold and Release
-	created []*Flow
-	idx     map[*Flow]int
-	// completion log: (creation index, timestamp bits)
+	started int  // starts and group starts made
+	// completion log: (start index, timestamp bits)
 	doneIdx []int
 	doneAt  []uint64
 	// reads logs the rate bits of every rate read
 	reads []uint64
 }
 
+// launch starts one flow of size per path as one group and logs its
+// completion under the next start index.
+func (r *netRun) launch(paths []topology.Path, size int64) {
+	idx := r.started
+	r.started++
+	r.net.StartGroup(paths, size, Inline, func() {
+		r.doneIdx = append(r.doneIdx, idx)
+		r.doneAt = append(r.doneAt, math.Float64bits(r.eng.Now()))
+	})
+}
+
 // install schedules every op and a daemon monitor on the run's engine.
 func (r *netRun) install(ops []netOp, paths []topology.Path, nEdges int) {
-	r.idx = make(map[*Flow]int)
 	var do func(op netOp)
 	do = func(op netOp) {
 		switch op.kind {
 		case 0:
-			f := r.net.StartFlow(paths[op.path], op.size, func(f *Flow) {
-				r.doneIdx = append(r.doneIdx, r.idx[f])
-				r.doneAt = append(r.doneAt, math.Float64bits(r.eng.Now()))
-			})
-			r.idx[f] = len(r.created)
-			r.created = append(r.created, f)
+			r.launch(paths[op.path:op.path+1], op.size)
 		case 1:
-			if len(r.created) > 0 {
-				r.net.CancelFlow(r.created[op.pick%len(r.created)])
+			group := make([]topology.Path, op.flows)
+			for k := range group {
+				group[k] = paths[(op.path+k)%len(paths)]
 			}
+			r.launch(group, op.size)
 		case 2:
 			r.net.SetLinkScale(topology.EdgeID(op.eid%nEdges), op.frac)
 		case 3:
@@ -132,14 +141,14 @@ func (r *netRun) install(ops []netOp, paths []topology.Path, nEdges int) {
 				do(c)
 			}
 		case 4:
-			if len(r.created) > 0 {
-				r.reads = append(r.reads, math.Float64bits(r.created[op.pick%len(r.created)].Rate()))
+			if k := len(r.net.order); k > 0 {
+				r.reads = append(r.reads, math.Float64bits(r.net.rateOf(r.net.order[op.pick%k])))
 			}
 		}
 	}
 	for i := range ops {
 		op := ops[i]
-		r.eng.Schedule(op.at, func() { do(op) })
+		r.eng.Post(op.at, func() { do(op) })
 	}
 	// Daemon monitor: polls link state every 50 ms while work remains, the
 	// way the online scheduler's refresh loop does. Runs on daemon events so
@@ -150,10 +159,10 @@ func (r *netRun) install(ops []netOp, paths []topology.Path, nEdges int) {
 			_ = r.net.EdgeUtilization(topology.EdgeID(e))
 		}
 		if r.eng.PendingWork() > 0 {
-			r.eng.AfterDaemon(0.05, tick)
+			r.eng.PostAfterDaemon(0.05, tick)
 		}
 	}
-	r.eng.AfterDaemon(0.05, tick)
+	r.eng.PostAfterDaemon(0.05, tick)
 }
 
 // compareState requires bit-identical observable network state.
@@ -165,21 +174,24 @@ func compareState(t *testing.T, step int, a, b *netRun, nEdges int) {
 	if x, y := a.net.ActiveFlows(), b.net.ActiveFlows(); x != y {
 		t.Fatalf("step %d: ActiveFlows ref=%d fast=%d", step, x, y)
 	}
-	if len(a.created) != len(b.created) {
-		t.Fatalf("step %d: created ref=%d fast=%d", step, len(a.created), len(b.created))
+	if a.started != b.started {
+		t.Fatalf("step %d: started ref=%d fast=%d", step, a.started, b.started)
 	}
 	// Every event leaves a held network settled, so the rates are read
 	// as they stand.
 	if len(a.net.dirty) > 0 || len(b.net.dirty) > 0 {
 		t.Fatalf("step %d: a reallocation is pending after the event", step)
 	}
-	for i := range a.created {
-		fa, fb := a.created[i], b.created[i]
+	for i, fa := range a.net.order {
+		fb := b.net.order[i]
+		if fa.ID != fb.ID {
+			t.Fatalf("step %d: active flow %d is flow %d on ref, %d on fast", step, i, fa.ID, fb.ID)
+		}
 		if math.Float64bits(fa.curRate()) != math.Float64bits(fb.curRate()) {
-			t.Fatalf("step %d: flow %d rate ref=%g fast=%g", step, i, fa.curRate(), fb.curRate())
+			t.Fatalf("step %d: flow %d rate ref=%g fast=%g", step, fa.ID, fa.curRate(), fb.curRate())
 		}
 		if math.Float64bits(fa.curRemaining()) != math.Float64bits(fb.curRemaining()) {
-			t.Fatalf("step %d: flow %d remaining ref=%g fast=%g", step, i, fa.curRemaining(), fb.curRemaining())
+			t.Fatalf("step %d: flow %d remaining ref=%g fast=%g", step, fa.ID, fa.curRemaining(), fb.curRemaining())
 		}
 	}
 	for e := 0; e < nEdges; e++ {
@@ -284,7 +296,7 @@ func runDifferential(t *testing.T, mkGraph func() *topology.Graph, seed int64, n
 	if len(ref.doneIdx) == 0 {
 		t.Fatal("script completed no flows")
 	}
-	t.Logf("seed %d: %d steps, %d flows created, %d completed", seed, step, len(ref.created), len(ref.doneIdx))
+	t.Logf("seed %d: %d steps, %d starts, %d completed", seed, step, ref.started, len(ref.doneIdx))
 }
 
 // TestDifferentialNetsim is the headline equivalence proof: >= 3 seeds x
@@ -379,7 +391,7 @@ func TestFastPathSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	paths := buildPaths(t, g, rng, 16)
 	for i, p := range paths {
-		n.StartFlow(p, int64(1<<30+i), nil)
+		startFlow(n, p, int64(1<<30+i), nil)
 	}
 	eid := paths[0].Edges[0]
 	// Warm up scratch growth and the engine's window.
@@ -399,14 +411,12 @@ func TestFastPathSteadyStateAllocs(t *testing.T) {
 
 	// A shared-path population: 32 flows in four path classes. A flow that
 	// joins a class and one that builds (and then frees) its own must both
-	// come and go without allocating once the network is warm. A group flow
-	// is recycled after it delivers, so start-to-delivery allocates nothing;
-	// a StartFlow flow is the caller's, so start-and-cancel allocates that
-	// one Flow and nothing else.
+	// come and go without allocating once the network is warm: a flow is
+	// recycled after it delivers, so start-to-delivery allocates nothing.
 	eng = sim.NewEngine()
 	n = New(g, eng)
 	for i := 0; i < 32; i++ {
-		n.StartFlow(paths[i%4], int64(1<<40+i), nil)
+		startFlow(n, paths[i%4], int64(1<<40+i), nil)
 	}
 	var own topology.Path // a path no standing flow is on
 	for _, p := range paths[4:] {
@@ -429,14 +439,9 @@ func TestFastPathSteadyStateAllocs(t *testing.T) {
 				eng.Step()
 			}
 		}
-		cancel := func() { n.CancelFlow(n.StartFlow(c.path, 1<<20, nil)) }
 		deliver() // warm up scratch, free lists and the engine's window
-		cancel()
 		if got := testing.AllocsPerRun(200, deliver); got != 0 {
-			t.Errorf("a group flow that %s allocates %.1f objects from start to delivery, want 0", c.name, got)
-		}
-		if got := testing.AllocsPerRun(200, cancel); got != 1 {
-			t.Errorf("a flow that %s allocates %.1f objects from start to cancel, want 1 (the Flow)", c.name, got)
+			t.Errorf("a flow that %s allocates %.1f objects from start to delivery, want 0", c.name, got)
 		}
 	}
 	if n.ActiveFlows() != 32 || n.classes != 5 {

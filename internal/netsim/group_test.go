@@ -13,8 +13,8 @@ import (
 )
 
 // groupRun is one side of TestStartGroupMatchesSequential: a network that
-// starts the same flow groups either with StartGroup or with one StartFlow
-// per path and a counting barrier.
+// starts the same flow groups either with one StartGroup or with one
+// one-path group per path and a counting barrier.
 type groupRun struct {
 	eng   *sim.Engine
 	net   *Network
@@ -38,7 +38,7 @@ func (r *groupRun) launch(name string, paths []topology.Path, size int64, delay 
 	}
 	left := len(paths)
 	for _, p := range paths {
-		r.net.StartFlow(p, size, func(*Flow) {
+		startFlow(r.net, p, size, func() {
 			if left--; left > 0 {
 				return
 			}
@@ -57,7 +57,7 @@ func (r *groupRun) launch(name string, paths []topology.Path, size int64, delay 
 func groupState(n *Network) []uint64 {
 	var out []uint64
 	for _, f := range n.order {
-		out = append(out, uint64(f.ID), math.Float64bits(f.Rate()), math.Float64bits(f.Remaining()))
+		out = append(out, uint64(f.ID), math.Float64bits(n.rateOf(f)), math.Float64bits(n.remainingOf(f)))
 	}
 	if n.next != nil {
 		out = append(out, math.Float64bits(n.timer.At()), uint64(n.next.ID))
@@ -65,8 +65,8 @@ func groupState(n *Network) []uint64 {
 	return append(out, math.Float64bits(n.tel.delivered.Value()))
 }
 
-// TestStartGroupMatchesSequential proves a group start is one StartFlow per
-// path: on the fast and the reference allocator, on the testbed and an
+// TestStartGroupMatchesSequential proves a group start is one one-path group
+// per path, started one by one: on the fast and the reference allocator, on the testbed and an
 // eight-track pod, a group launched into background traffic leaves every
 // flow's rate and remaining bytes, and the timer's (time, flow), bit for bit
 // where the one-by-one starts leave them. Stepped in lockstep afterwards,
@@ -112,7 +112,8 @@ func TestStartGroupMatchesSequential(t *testing.T) {
 						r.net.SetTelemetry(telemetry.New())
 						for i, p := range background {
 							r.eng.Post(sim.Time(i%4)*1e-4, func() {
-								r.net.StartFlow(p, sizes[i], func(f *Flow) { r.note(fmt.Sprintf("bg%d", f.ID)) })
+								id := r.net.nextID
+								startFlow(r.net, p, sizes[i], func() { r.note(fmt.Sprintf("bg%d", id)) })
 							})
 						}
 						// Three launches: into the busy network, again while

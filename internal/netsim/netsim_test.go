@@ -27,6 +27,42 @@ func chain(t *testing.T, bws ...float64) (*Network, *sim.Engine, []topology.Node
 	return New(g, eng), eng, ids
 }
 
+// startFlow starts one flow of size bytes along p as a one-path group whose
+// done (may be nil) runs inline, inside the flow's delivery. It returns the
+// flow while it is active, for reading its rate: nil for an edgeless or
+// empty flow, which never joins the active set. The network recycles the
+// flow once it delivers.
+func startFlow(n *Network, p topology.Path, size int64, done func()) *flow {
+	id := n.nextID
+	n.StartGroup([]topology.Path{p}, size, Inline, done)
+	if k := len(n.order); k > 0 && n.order[k-1].ID == id {
+		return n.order[k-1]
+	}
+	return nil
+}
+
+// rateOf reads an active flow's max-min rate the way EdgeRate reads a
+// link's: a held network settles first.
+func (n *Network) rateOf(f *flow) float64 {
+	n.settle()
+	return f.curRate()
+}
+
+// remainingOf reads an active flow's unsent bytes, settling a held network
+// first.
+func (n *Network) remainingOf(f *flow) float64 {
+	n.settle()
+	return f.curRemaining()
+}
+
+// curRemaining returns an active flow's unsent bytes as of the last charge.
+func (f *flow) curRemaining() float64 {
+	if c := f.class; c != nil {
+		return c.rem[f.classPos]
+	}
+	return f.remaining
+}
+
 func pathBetween(t *testing.T, n *Network, a, b topology.NodeID) topology.Path {
 	t.Helper()
 	sp := n.Graph().NewRouting(topology.TransferCost(1), nil).From(a)
@@ -40,7 +76,7 @@ func pathBetween(t *testing.T, n *Network, a, b topology.NodeID) topology.Path {
 func TestSingleFlowFullBandwidth(t *testing.T) {
 	n, eng, ids := chain(t, 100) // 100 B/s
 	var doneAt sim.Time = -1
-	n.StartFlow(pathBetween(t, n, ids[0], ids[1]), 1000, func(*Flow) { doneAt = eng.Now() })
+	startFlow(n, pathBetween(t, n, ids[0], ids[1]), 1000, func() { doneAt = eng.Now() })
 	eng.Run()
 	if math.Abs(doneAt-10) > 1e-9 {
 		t.Errorf("flow finished at %g s, want 10 s (1000 B at 100 B/s)", doneAt)
@@ -51,8 +87,8 @@ func TestTwoFlowsShareFairly(t *testing.T) {
 	n, eng, ids := chain(t, 100)
 	p := pathBetween(t, n, ids[0], ids[1])
 	var t1, t2 sim.Time = -1, -1
-	n.StartFlow(p, 1000, func(*Flow) { t1 = eng.Now() })
-	n.StartFlow(p, 1000, func(*Flow) { t2 = eng.Now() })
+	startFlow(n, p, 1000, func() { t1 = eng.Now() })
+	startFlow(n, p, 1000, func() { t2 = eng.Now() })
 	eng.Run()
 	// Both at 50 B/s until both finish at 20 s.
 	if math.Abs(t1-20) > 1e-9 || math.Abs(t2-20) > 1e-9 {
@@ -64,8 +100,8 @@ func TestDepartureSpeedsUpSurvivor(t *testing.T) {
 	n, eng, ids := chain(t, 100)
 	p := pathBetween(t, n, ids[0], ids[1])
 	var tShort, tLong sim.Time = -1, -1
-	n.StartFlow(p, 500, func(*Flow) { tShort = eng.Now() })
-	n.StartFlow(p, 1000, func(*Flow) { tLong = eng.Now() })
+	startFlow(n, p, 500, func() { tShort = eng.Now() })
+	startFlow(n, p, 1000, func() { tLong = eng.Now() })
 	eng.Run()
 	// Shared at 50 B/s: short finishes at 10 s. Long has 500 B left, now at
 	// 100 B/s: finishes at 15 s.
@@ -81,9 +117,9 @@ func TestLateArrivalSlowsDown(t *testing.T) {
 	n, eng, ids := chain(t, 100)
 	p := pathBetween(t, n, ids[0], ids[1])
 	var tFirst sim.Time = -1
-	n.StartFlow(p, 1000, func(*Flow) { tFirst = eng.Now() })
-	eng.Schedule(5, func() {
-		n.StartFlow(p, 10000, nil)
+	startFlow(n, p, 1000, func() { tFirst = eng.Now() })
+	eng.Post(5, func() {
+		startFlow(n, p, 10000, nil)
 	})
 	eng.Run()
 	// First flow: 500 B in [0,5] at 100 B/s, then 500 B at 50 B/s = 10 s
@@ -99,14 +135,14 @@ func TestMaxMinBottleneck(t *testing.T) {
 	n, eng, ids := chain(t, 100, 30)
 	pa := pathBetween(t, n, ids[0], ids[1]) // L1 only
 	pb := pathBetween(t, n, ids[0], ids[2]) // L1 + L2
-	fa := n.StartFlow(pa, 1e6, nil)
-	fb := n.StartFlow(pb, 1e6, nil)
+	fa := startFlow(n, pa, 1e6, nil)
+	fb := startFlow(n, pb, 1e6, nil)
 	// Rates are assigned synchronously at start.
-	if math.Abs(fa.Rate()-70) > 1e-9 {
-		t.Errorf("flow A rate = %g, want 70", fa.Rate())
+	if math.Abs(n.rateOf(fa)-70) > 1e-9 {
+		t.Errorf("flow A rate = %g, want 70", n.rateOf(fa))
 	}
-	if math.Abs(fb.Rate()-30) > 1e-9 {
-		t.Errorf("flow B rate = %g, want 30", fb.Rate())
+	if math.Abs(n.rateOf(fb)-30) > 1e-9 {
+		t.Errorf("flow B rate = %g, want 30", n.rateOf(fb))
 	}
 	eng.Run()
 }
@@ -119,7 +155,7 @@ func TestFixedLatencyAppended(t *testing.T) {
 	eng := sim.NewEngine()
 	n := New(g, eng)
 	var doneAt sim.Time = -1
-	n.StartFlow(pathBetween(t, n, a, b), 100, func(*Flow) { doneAt = eng.Now() })
+	startFlow(n, pathBetween(t, n, a, b), 100, func() { doneAt = eng.Now() })
 	eng.Run()
 	if math.Abs(doneAt-1.5) > 1e-9 {
 		t.Errorf("done at %g, want 1.5 (1 s serialization + 0.5 s latency)", doneAt)
@@ -130,7 +166,7 @@ func TestZeroEdgePathCompletesImmediately(t *testing.T) {
 	n, eng, ids := chain(t, 100)
 	self := topology.Path{Nodes: []topology.NodeID{ids[0]}}
 	ran := false
-	n.StartFlow(self, 12345, func(*Flow) { ran = true })
+	startFlow(n, self, 12345, func() { ran = true })
 	eng.Run()
 	if !ran {
 		t.Error("self-path flow never completed")
@@ -143,7 +179,7 @@ func TestZeroEdgePathCompletesImmediately(t *testing.T) {
 func TestZeroSizeFlow(t *testing.T) {
 	n, eng, ids := chain(t, 100)
 	ran := false
-	n.StartFlow(pathBetween(t, n, ids[0], ids[1]), 0, func(*Flow) { ran = true })
+	startFlow(n, pathBetween(t, n, ids[0], ids[1]), 0, func() { ran = true })
 	eng.Run()
 	if !ran {
 		t.Error("zero-size flow never completed")
@@ -157,7 +193,7 @@ func TestNegativeSizePanics(t *testing.T) {
 			t.Error("negative size did not panic")
 		}
 	}()
-	n.StartFlow(pathBetween(t, n, ids[0], ids[1]), -1, nil)
+	startFlow(n, pathBetween(t, n, ids[0], ids[1]), -1, nil)
 }
 
 // TestSetLinkScale: a scale outside [0, 1] is clamped, and NaN, which would
@@ -175,7 +211,7 @@ func TestSetLinkScale(t *testing.T) {
 	} {
 		t.Run(fmt.Sprint(tc.frac), func(t *testing.T) {
 			n, _, ids := chain(t, 100)
-			f := n.StartFlow(pathBetween(t, n, ids[0], ids[1]), 1000, nil)
+			f := startFlow(n, pathBetween(t, n, ids[0], ids[1]), 1000, nil)
 			defer func() {
 				if got := fmt.Sprint(recover()); tc.panics != "" && got != tc.panics {
 					t.Errorf("panic %q, want %q", got, tc.panics)
@@ -185,8 +221,8 @@ func TestSetLinkScale(t *testing.T) {
 			if tc.panics != "" {
 				t.Fatal("no panic")
 			}
-			if f.Rate() != tc.rate {
-				t.Errorf("rate %g, want %g", f.Rate(), tc.rate)
+			if n.rateOf(f) != tc.rate {
+				t.Errorf("rate %g, want %g", n.rateOf(f), tc.rate)
 			}
 		})
 	}
@@ -204,40 +240,18 @@ func TestStartGroupPanicsOnEmpty(t *testing.T) {
 	n.StartGroup(nil, 1, Inline, func() {})
 }
 
-func TestCancelFlow(t *testing.T) {
-	n, eng, ids := chain(t, 100)
-	p := pathBetween(t, n, ids[0], ids[1])
-	ran := false
-	f := n.StartFlow(p, 1000, func(*Flow) { ran = true })
-	var otherDone sim.Time = -1
-	n.StartFlow(p, 1000, func(*Flow) { otherDone = eng.Now() })
-	eng.Schedule(5, func() { n.CancelFlow(f) })
-	eng.Run()
-	if ran {
-		t.Error("cancelled flow's callback ran")
-	}
-	// Other flow: 250 B in [0,5] at 50 B/s, then 750 B at 100 B/s = 12.5 s.
-	if math.Abs(otherDone-12.5) > 1e-9 {
-		t.Errorf("surviving flow at %g, want 12.5", otherDone)
-	}
-	// Double cancel is a no-op.
-	n.CancelFlow(f)
-	n.CancelFlow(nil)
-}
-
 func TestTelemetry(t *testing.T) {
 	n, eng, ids := chain(t, 100)
 	n.SetTelemetry(telemetry.New())
 	p := pathBetween(t, n, ids[0], ids[1])
 	eid := p.Edges[0]
-	f := n.StartFlow(p, 1000, nil)
+	startFlow(n, p, 1000, nil)
 	if got := n.EdgeRate(eid); math.Abs(got-100) > 1e-9 {
 		t.Errorf("EdgeRate = %g, want 100", got)
 	}
 	if got := n.EdgeUtilization(eid); math.Abs(got-1) > 1e-9 {
 		t.Errorf("EdgeUtilization = %g, want 1", got)
 	}
-	_ = f
 	eng.Run()
 	if got := n.tel.linkBytes[eid].Value(); math.Abs(got-1000) > 1e-6 {
 		t.Errorf("link_bytes_total = %g, want 1000", got)
@@ -283,8 +297,8 @@ func TestQuickConservationAndCapacity(t *testing.T) {
 				wantBytes[eid] += float64(size)
 			}
 			at := sim.Time(rng.Float64() * 0.01)
-			eng.Schedule(at, func() {
-				n.StartFlow(p, size, func(*Flow) { completed++ })
+			eng.Post(at, func() {
+				startFlow(n, p, size, func() { completed++ })
 			})
 		}
 		// Capacity check at every event boundary via a monitor event chain.
@@ -297,10 +311,10 @@ func TestQuickConservationAndCapacity(t *testing.T) {
 				}
 			}
 			if n.ActiveFlows() > 0 {
-				eng.After(1e-4, check)
+				eng.PostAfter(1e-4, check)
 			}
 		}
-		eng.Schedule(0, check)
+		eng.Post(0, check)
 		eng.Run()
 
 		if completed != total {
@@ -340,7 +354,7 @@ func BenchmarkManyConcurrentFlows(b *testing.B) {
 		n := New(g, eng)
 		for j, p := range paths {
 			size := int64(1<<20 + j*1000)
-			eng.Schedule(sim.Time(j)*1e-5, func() { n.StartFlow(p, size, nil) })
+			eng.Post(sim.Time(j)*1e-5, func() { startFlow(n, p, size, nil) })
 		}
 		eng.Run()
 	}

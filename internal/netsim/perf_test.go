@@ -58,9 +58,9 @@ func TestPerfProbeObservesReallocations(t *testing.T) {
 			probe := &recProbe{}
 			n.SetPerf(probe)
 
-			n.StartFlow(pathVia(g, 0), 1000, nil)
-			n.StartFlow(pathVia(g, 0), 1000, nil)
-			n.StartFlow(pathVia(g, 1), 500, nil)
+			startFlow(n, pathVia(g, 0), 1000, nil)
+			startFlow(n, pathVia(g, 0), 1000, nil)
+			startFlow(n, pathVia(g, 1), 500, nil)
 			eng.Run()
 
 			if probe.calls == 0 {
@@ -95,9 +95,9 @@ func TestPerfProbeComponentSmallerThanGlobal(t *testing.T) {
 		n.SetPerf(probe)
 		// Two flows on edge 0, then one on edge 1: the edge-1 start only
 		// touches its own component on the fast path.
-		n.StartFlow(pathVia(g, 0), 1e6, nil)
-		n.StartFlow(pathVia(g, 0), 1e6, nil)
-		n.StartFlow(pathVia(g, 1), 1e6, nil)
+		startFlow(n, pathVia(g, 0), 1e6, nil)
+		startFlow(n, pathVia(g, 0), 1e6, nil)
+		startFlow(n, pathVia(g, 1), 1e6, nil)
 		eng.Run()
 		return probe.flows
 	}
@@ -124,10 +124,10 @@ func TestPerfProbeDoesNotPerturb(t *testing.T) {
 			n.SetPerf(probe)
 		}
 		var done []sim.Time
-		cb := func(f *Flow) { done = append(done, eng.Now()) }
-		n.StartFlow(pathVia(g, 0), 1000, cb)
-		n.StartFlow(pathVia(g, 0), 700, cb)
-		n.StartFlow(pathVia(g, 1), 300, cb)
+		cb := func() { done = append(done, eng.Now()) }
+		startFlow(n, pathVia(g, 0), 1000, cb)
+		startFlow(n, pathVia(g, 0), 700, cb)
+		startFlow(n, pathVia(g, 1), 300, cb)
 		eng.Run()
 		return done
 	}

@@ -527,10 +527,10 @@ func (c *Controller) Start() {
 	loop = func() {
 		c.Tick()
 		if c.net.ActiveFlows() > 0 || eng.PendingWork() > 0 {
-			eng.AfterDaemon(c.interval, loop)
+			eng.PostAfterDaemon(c.interval, loop)
 		} else {
 			c.running = false
 		}
 	}
-	eng.AfterDaemon(c.interval, loop)
+	eng.PostAfterDaemon(c.interval, loop)
 }

@@ -301,7 +301,7 @@ func TestControllerTickRefreshesFromNetwork(t *testing.T) {
 
 	// Saturate policy 0's first link with a long flow.
 	path := topology.Path{Nodes: []topology.NodeID{group[0], 2}, Edges: []topology.EdgeID{policies[0].Edges[0]}}
-	net.StartFlow(path, 1<<30, nil)
+	net.StartGroup([]topology.Path{path}, 1<<30, 0, nil)
 	ctl.Tick()
 	if tb.Cost(0) <= tb.Cost(1) {
 		t.Errorf("controller refresh: cost0=%g cost1=%g, want 0 hotter", tb.Cost(0), tb.Cost(1))
@@ -318,7 +318,7 @@ func TestControllerStartStopsWhenIdle(t *testing.T) {
 	ctl := NewController(net, 0.01)
 	ctl.Register(NewTable(g, group, policies, DefaultConfig()))
 	path := topology.Path{Nodes: []topology.NodeID{group[0], 2}, Edges: []topology.EdgeID{policies[0].Edges[0]}}
-	net.StartFlow(path, 1<<24, nil) // ~16.8 ms at 1 GB/s
+	net.StartGroup([]topology.Path{path}, 1<<24, 0, nil) // ~16.8 ms at 1 GB/s
 	ctl.Start()
 	ctl.Start() // idempotent
 	eng.Run()   // must terminate: the loop stops when the network drains
@@ -367,7 +367,7 @@ func TestControllerStallSkipsRefresh(t *testing.T) {
 	// Saturate policy 0's first link, then stall the controller: the cost
 	// table must keep its pre-stall view until the stall window passes.
 	path := topology.Path{Nodes: []topology.NodeID{group[0], 2}, Edges: []topology.EdgeID{policies[0].Edges[0]}}
-	net.StartFlow(path, 1<<31, nil) // ~2.1 s at 1 GB/s, outlives the stall
+	net.StartGroup([]topology.Path{path}, 1<<31, 0, nil) // ~2.1 s at 1 GB/s, outlives the stall
 	ctl.StallFor(1.0)
 	if !ctl.Stalled() {
 		t.Fatal("controller not stalled after StallFor")
@@ -382,12 +382,12 @@ func TestControllerStallSkipsRefresh(t *testing.T) {
 
 	// Overlapping stalls extend to the furthest deadline, never shrink.
 	ctl.StallFor(0.5)
-	eng.Schedule(0.9, func() {
+	eng.Post(0.9, func() {
 		if !ctl.Stalled() {
 			t.Error("stall window shrank")
 		}
 	})
-	eng.Schedule(1.1, func() {
+	eng.Post(1.1, func() {
 		if ctl.Stalled() {
 			t.Error("stall window never expired")
 		}
@@ -581,7 +581,7 @@ func TestTickSnapshotMatchesDirectRefresh(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		a, b := gpus[(i*37)%len(gpus)], gpus[(i*61+5)%len(gpus)]
 		if p, ok := r.Route(a, b, 1<<30); ok && a != b {
-			net.StartFlow(p, 1<<30, nil)
+			net.StartGroup([]topology.Path{p}, 1<<30, 0, nil)
 		}
 	}
 	hot := tables[0].Policies[len(tables[0].Policies)-1].Edges
@@ -681,7 +681,7 @@ func BenchmarkControllerTick(b *testing.B) {
 	for i := 0; i < 64; i++ {
 		a, c := gpus[(i*37)%len(gpus)], gpus[(i*61+5)%len(gpus)]
 		if p, ok := r.Route(a, c, 1<<30); ok && a != c {
-			net.StartFlow(p, 1<<30, nil)
+			net.StartGroup([]topology.Path{p}, 1<<30, 0, nil)
 		}
 	}
 	ctl := NewController(net, 0.05)

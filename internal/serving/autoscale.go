@@ -226,7 +226,7 @@ func (a *autoscaler) charge() {
 func (a *autoscaler) loop() {
 	a.step()
 	if a.sys.eng.PendingWork() > 0 {
-		a.sys.eng.AfterDaemon(a.cfg.Interval, a.loop)
+		a.sys.eng.PostAfterDaemon(a.cfg.Interval, a.loop)
 	}
 }
 

@@ -568,7 +568,7 @@ func (s *System) Run(trace *workload.Trace) *Results {
 		tick = func() {
 			s.mon.Step(s.eng.Now())
 			if s.eng.PendingWork() > 0 {
-				s.eng.AfterDaemon(s.mon.Interval(), tick)
+				s.eng.PostAfterDaemon(s.mon.Interval(), tick)
 			}
 		}
 		tick()
@@ -1012,7 +1012,9 @@ func LaunchElephants(net *netsim.Network, router *collective.StaticRouter, n int
 
 // InjectBursts schedules background traffic (workload.BurstTrain) as flows
 // between deterministic pseudo-random GPU pairs, reproducing the bursty
-// conditions that congest homogeneous INA (§I). Call before Run.
+// conditions that congest homogeneous INA (§I). Each burst starts its routed
+// pairs as one flow group, so one reallocation rates them all. Call before
+// Run.
 func (s *System) InjectBursts(bursts []workload.Burst, seed int64) {
 	gpus := s.g.GPUs()
 	if len(gpus) < 2 {
@@ -1025,10 +1027,10 @@ func (s *System) InjectBursts(bursts []workload.Burst, seed int64) {
 		return int((state >> 33) % uint64(n))
 	}
 	bursts = slices.Clone(bursts)
+	var paths []topology.Path // one burst's routes, reused across bursts
 	s.eng.PostEach(len(bursts), func(j int) sim.Time { return bursts[j].At }, func(j int) {
 		b := &bursts[j]
-		s.net.Hold() // one reallocation per burst
-		defer s.net.Release()
+		paths = paths[:0]
 		for i := 0; i < b.Flows; i++ {
 			a := gpus[next(len(gpus))]
 			c := gpus[next(len(gpus))]
@@ -1036,8 +1038,11 @@ func (s *System) InjectBursts(bursts []workload.Burst, seed int64) {
 				continue
 			}
 			if p, ok := router.Route(a, c, b.Bytes); ok {
-				s.net.StartFlow(p, b.Bytes, nil)
+				paths = append(paths, p)
 			}
+		}
+		if len(paths) > 0 { // StartGroup panics on an empty group
+			s.net.StartGroup(paths, b.Bytes, 0, nil)
 		}
 	})
 }

@@ -6,6 +6,7 @@ import (
 
 	"heroserve/internal/collective"
 	"heroserve/internal/model"
+	"heroserve/internal/netsim"
 	"heroserve/internal/sim"
 	"heroserve/internal/stats"
 	"heroserve/internal/telemetry"
@@ -351,6 +352,35 @@ func TestInjectBurstsCongestsNetwork(t *testing.T) {
 	if meanTPOT(loaded) <= meanTPOT(base) {
 		t.Errorf("background bursts should slow decoding: %g vs %g",
 			meanTPOT(base), meanTPOT(loaded))
+	}
+}
+
+// TestInjectBurstsSkipsEmptyBursts: on two GPUs, a one-flow burst whose pair
+// draws the same GPU twice routes nothing and starts no flow group, which
+// would panic empty; every other burst starts and delivers its one flow.
+func TestInjectBurstsSkipsEmptyBursts(t *testing.T) {
+	g := topology.NewGraph()
+	a := g.AddNode(topology.Node{Kind: topology.KindGPU, Server: 0})
+	b := g.AddNode(topology.Node{Kind: topology.KindGPU, Server: 1})
+	g.AddEdge(a, b, topology.LinkEthernet, 1e9, 0)
+	eng := sim.NewEngine()
+	net := netsim.New(g, eng)
+	hub := telemetry.New()
+	net.SetTelemetry(hub)
+	s := &System{g: g, eng: eng, net: net}
+	bursts := make([]workload.Burst, 20)
+	for i := range bursts {
+		bursts[i] = workload.Burst{At: float64(i), Flows: 1, Bytes: 1 << 20}
+	}
+	s.InjectBursts(bursts, 13)
+	eng.Run()
+	started := hub.Metrics.Counter("net_flows_started_total", "", nil).Value()
+	delivered := hub.Metrics.Counter("net_flows_delivered_total", "", nil).Value()
+	if started == 0 || started >= float64(len(bursts)) {
+		t.Errorf("%g of %d one-flow bursts started a flow, want some but not all", started, len(bursts))
+	}
+	if delivered != started {
+		t.Errorf("%g flows delivered of %g started", delivered, started)
 	}
 }
 

@@ -24,8 +24,8 @@ func (l *lcg) next() uint64 {
 	return uint64(*l)
 }
 
-// BenchmarkEngineScheduleStep is the steady-state event loop: one Schedule
-// and one Step per iteration against a standing window of pending events.
+// BenchmarkEngineScheduleStep is the steady-state event loop: one Post and
+// one Step per iteration against a standing window of pending events.
 func BenchmarkEngineScheduleStep(b *testing.B) {
 	for _, impl := range benchEngines {
 		b.Run("impl="+impl.name, func(b *testing.B) {
@@ -34,12 +34,12 @@ func BenchmarkEngineScheduleStep(b *testing.B) {
 			nop := func() {}
 			const window = 1024
 			for i := 0; i < window; i++ {
-				e.Schedule(Time(r.next()%(1<<20))/1e3, nop)
+				e.Post(Time(r.next()%(1<<20))/1e3, nop)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.Schedule(e.Now()+Time(r.next()%(1<<20))/1e3, nop)
+				e.Post(e.Now()+Time(r.next()%(1<<20))/1e3, nop)
 				if !e.Step() {
 					b.Fatal("engine drained")
 				}
@@ -63,14 +63,14 @@ func BenchmarkEngineCancelReschedule(b *testing.B) {
 			nop := func() {}
 			events := make([]*Event, block)
 			for i := range events {
-				events[i] = e.Schedule(Time(r.next()%(1<<20))/1e3, nop)
+				events[i] = e.schedule(Time(r.next()%(1<<20))/1e3, nop)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for j := range events {
 					e.Cancel(events[j])
-					events[j] = e.Schedule(e.Now()+Time(r.next()%(1<<20))/1e3, nop)
+					events[j] = e.schedule(e.Now()+Time(r.next()%(1<<20))/1e3, nop)
 				}
 				if !e.Step() {
 					b.Fatal("engine drained")
@@ -105,7 +105,7 @@ func BenchmarkEngineReschedule(b *testing.B) {
 			nop := func() {}
 			events := make([]*Event, block)
 			for i := range events {
-				events[i] = e.Schedule(Time(r.next()%(1<<20))/1e3, nop)
+				events[i] = e.schedule(Time(r.next()%(1<<20))/1e3, nop)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -131,7 +131,7 @@ func TestRescheduleSteadyStateAllocs(t *testing.T) {
 			nop := func() {}
 			events := make([]*Event, 64)
 			for i := range events {
-				events[i] = e.Schedule(Time(r.next()%(1<<20))/1e3, nop)
+				events[i] = e.schedule(Time(r.next()%(1<<20))/1e3, nop)
 			}
 			round := func() {
 				if !rescheduleRound(e, events, &r) {
@@ -150,7 +150,7 @@ func TestRescheduleSteadyStateAllocs(t *testing.T) {
 
 // TestPostSteadyStateAllocs pins what Post is for: once the queue and the
 // free list have grown to their working size, a post→run cycle allocates
-// nothing on either front.
+// nothing on either front, and neither does a daemon tick's.
 func TestPostSteadyStateAllocs(t *testing.T) {
 	for _, impl := range benchEngines {
 		t.Run(impl.name, func(t *testing.T) {
@@ -171,6 +171,16 @@ func TestPostSteadyStateAllocs(t *testing.T) {
 			}
 			if got := testing.AllocsPerRun(1000, cycle); got != 0 {
 				t.Errorf("%.2f allocs per post→run cycle, want 0", got)
+			}
+			tick := func() {
+				e.PostAfterDaemon(Time(r.next()%(1<<20))/1e3, nop)
+				if !e.Step() {
+					t.Fatal("engine drained")
+				}
+			}
+			tick()
+			if got := testing.AllocsPerRun(1000, tick); got != 0 {
+				t.Errorf("%.2f allocs per daemon tick, want 0", got)
 			}
 		})
 	}

@@ -13,14 +13,15 @@ import (
 // callback sequences (timestamp bits and identity), identical
 // Processed/Pending/PendingWork counters after every step, identical clocks.
 // It pits the reference heap against the fast front, a run that moves
-// events with Reschedule against one that uses Cancel + Schedule, and one
+// events with Reschedule against one that cancels them and schedules fresh
+// ones, and one
 // that moves them with Reschedule against one that reserves the number
 // first and re-arms under it with ScheduleSeq later.
 //
 // A script is a forest of event nodes generated up front from a seed, so
 // both runs interpret exactly the same structure: roots are scheduled at
-// absolute times; every executed node may schedule children (After /
-// AfterDaemon), cancel an earlier node's event, and move an earlier node's
+// absolute times; every executed node may schedule children (some as posted
+// daemon ticks), cancel an earlier node's event, and move an earlier node's
 // event to a new time. Cancellations of pending events are the load-bearing
 // part — the reference engine removes them eagerly, the fast engine
 // tombstones them — and the interleaving with same-timestamp scheduling
@@ -30,8 +31,8 @@ import (
 
 type scriptNode struct {
 	rootAt    Time  // absolute schedule time (roots only)
-	delay     Time  // After() delay when scheduled as a child
-	daemon    bool  // scheduled via the daemon variants
+	delay     Time  // delay from the parent's instant when scheduled as a child
+	daemon    bool  // posted with PostAfterDaemon; never a cancel or move target
 	children  []int // node ids scheduled from this node's callback
 	cancels   int   // node id whose event to cancel from the callback; -1 none
 	moves     int   // node id whose event to reschedule from the callback; -1 none
@@ -78,6 +79,13 @@ func genScript(seed int64, n int) []scriptNode {
 			nd.moveDelay = delay()
 		}
 	}
+	// A daemon tick is posted without a handle, so one that some node
+	// cancels or moves is queued as work instead.
+	for i, targeted := range targetedNodes(nodes) {
+		if targeted {
+			nodes[i].daemon = false
+		}
+	}
 	return nodes
 }
 
@@ -92,7 +100,7 @@ const (
 type scriptRun struct {
 	eng   *Engine
 	nodes []scriptNode
-	// viaCancel makes moves Cancel the event and Schedule a fresh one
+	// viaCancel makes moves Cancel the event and schedule a fresh one
 	// instead of calling Reschedule.
 	viaCancel bool
 	// early makes a node's move take its sequence number before the node
@@ -109,7 +117,7 @@ type scriptRun struct {
 	logAts []uint64
 
 	// post queues every non-daemon node that no other node cancels or moves
-	// with Post instead of Schedule: those events need no handle.
+	// with Post instead of with a handle: those events need none.
 	post     bool
 	targeted []bool // the node is some node's cancel or move target
 	posted   int    // events queued with Post
@@ -158,14 +166,16 @@ func (r *scriptRun) scheduleRoots() {
 func (r *scriptRun) schedule(i int, at Time) *Event {
 	r.pending[i] = true
 	if r.nodes[i].daemon {
-		return r.eng.ScheduleDaemon(at, func() { r.fire(i) })
+		// Script times lie on a 1/16 s grid, so the delay is exact.
+		r.eng.PostAfterDaemon(at-r.eng.Now(), func() { r.fire(i) })
+		return nil
 	}
 	if r.post && !r.targeted[i] {
 		r.posted++
 		r.eng.Post(at, func() { r.fire(i) })
 		return nil
 	}
-	return r.eng.Schedule(at, func() { r.fire(i) })
+	return r.eng.schedule(at, func() { r.fire(i) })
 }
 
 // targetedNodes marks every node some node cancels or moves.
@@ -461,8 +471,8 @@ func TestDifferentialEngines(t *testing.T) {
 	}
 }
 
-// TestDifferentialReschedule proves Reschedule is Cancel + Schedule on each
-// front: the same script, with every move made either way, must give the
+// TestDifferentialReschedule proves Reschedule is Cancel plus a fresh event
+// on each front: the same script, with every move made either way, must give the
 // same callbacks, counters and queue statistics at every step.
 func TestDifferentialReschedule(t *testing.T) {
 	seeds, size := diffSeeds()
@@ -504,9 +514,9 @@ func TestDifferentialReserve(t *testing.T) {
 	}
 }
 
-// TestDifferentialPost proves Post is Schedule without the handle on each
-// front: the same script, with every untargeted non-daemon node posted in
-// one run and scheduled in the other, must give the same callbacks,
+// TestDifferentialPost proves Post is a handle's event without the handle on
+// each front: the same script, with every untargeted non-daemon node posted
+// in one run and given a handle in the other, must give the same callbacks,
 // counters and queue statistics at every step. Posts happen from inside
 // posted callbacks (children of posted nodes), next to daemon events and
 // events rescheduled like a timer, and posted events are recycled and
@@ -634,11 +644,11 @@ func (r *fuzzRun) exec() {
 			r.eng.Post(at, func() { r.fired(id) })
 		}
 	case 2:
-		r.handles = append(r.handles, r.eng.Schedule(r.at(), r.callback()))
+		r.handles = append(r.handles, r.eng.schedule(r.at(), r.callback()))
 	case 3:
 		r.eng.Post(r.at(), r.callback())
 	case 4:
-		r.handles = append(r.handles, r.eng.ScheduleDaemon(r.at(), r.callback()))
+		r.eng.PostAfterDaemon(Time(r.next()%8)/4, r.callback()) // r.at()'s delay
 	case 5:
 		r.eng.Cancel(r.handle())
 	case 6:
@@ -731,7 +741,7 @@ func fuzzLockstep(t *testing.T, label string, a, b *fuzzRun, stats bool) {
 
 // FuzzPostEach is TestDifferentialPostEach on programs decoded from fuzz
 // bytes: one run posts every stream with PostEach, the other with a Post
-// loop, next to scheduled, posted and daemon events, cancels and
+// loop, next to handled, posted and daemon events, cancels and
 // reschedules, and the two must agree on every callback, the clock and the
 // counters after every op and every step, on both fronts.
 func FuzzPostEach(f *testing.F) {
@@ -752,7 +762,7 @@ func FuzzPostEach(f *testing.F) {
 
 // FuzzFronts is TestDifferentialEngines on programs decoded from fuzz bytes:
 // the reference engine and the fast one run the same program — streams,
-// posts, schedules, daemons, cancels and reschedules — and must agree on
+// posts, handles, daemon ticks, cancels and reschedules — and must agree on
 // every callback, the clock, the counters and the live and cancelled queue
 // counts after every op and every step.
 func FuzzFronts(f *testing.F) {

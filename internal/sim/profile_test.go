@@ -31,9 +31,9 @@ func TestProfilerBracketsExecutedEvents(t *testing.T) {
 			prof := &recProfiler{}
 			eng.SetProfiler(prof)
 			var order []Time
-			eng.Schedule(1, func() { order = append(order, 1) })
-			ev := eng.Schedule(2, func() { order = append(order, 2) })
-			eng.Schedule(3, func() { order = append(order, 3) })
+			eng.Post(1, func() { order = append(order, 1) })
+			ev := eng.schedule(2, func() { order = append(order, 2) })
+			eng.Post(3, func() { order = append(order, 3) })
 			eng.Cancel(ev)
 			eng.Run()
 			if len(order) != 2 {
@@ -61,7 +61,7 @@ func TestProfilerDoesNotChangeOrder(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			i := i
 			at := Time(i%7) + Time(i)/100
-			evs = append(evs, eng.Schedule(at, func() { got = append(got, i) }))
+			evs = append(evs, eng.schedule(at, func() { got = append(got, i) }))
 		}
 		for i := 0; i < len(evs); i += 3 {
 			eng.Cancel(evs[i])
@@ -85,7 +85,7 @@ func TestQueueStatsLazy(t *testing.T) {
 	eng := NewEngine()
 	var evs []*Event
 	for i := 0; i < 100; i++ {
-		evs = append(evs, eng.Schedule(Time(i)*0.01, func() {}))
+		evs = append(evs, eng.schedule(Time(i)*0.01, func() {}))
 	}
 	st := eng.QueueStats()
 	if st.Live != 100 {
@@ -117,7 +117,7 @@ func TestQueueStatsCompactionCounter(t *testing.T) {
 	// compaction pass (threshold: tombstones > 64 && tombstones > live).
 	var evs []*Event
 	for i := 0; i < 400; i++ {
-		evs = append(evs, eng.Schedule(1+Time(i)*0.001, func() {}))
+		evs = append(evs, eng.schedule(1+Time(i)*0.001, func() {}))
 	}
 	for _, ev := range evs[:390] {
 		eng.Cancel(ev)
@@ -136,7 +136,7 @@ func TestQueueStatsHeap(t *testing.T) {
 	eng := NewReferenceEngine()
 	var evs []*Event
 	for i := 0; i < 50; i++ {
-		evs = append(evs, eng.Schedule(Time(i), func() {}))
+		evs = append(evs, eng.schedule(Time(i), func() {}))
 	}
 	eng.Cancel(evs[0])
 	st := eng.QueueStats()

@@ -29,7 +29,7 @@ func TestFIFOPreservedUnderInterleavedCancel(t *testing.T) {
 				var events []*Event
 				for i := 0; i < n; i++ {
 					i := i
-					events = append(events, e.Schedule(2.5, func() { fired = append(fired, i) }))
+					events = append(events, e.schedule(2.5, func() { fired = append(fired, i) }))
 					// Interleave: cancel a random earlier (or this very)
 					// event between schedules.
 					if rng.Intn(2) == 0 {
@@ -61,38 +61,36 @@ func TestFIFOPreservedUnderInterleavedCancel(t *testing.T) {
 	}
 }
 
-// Property: PendingWork stays exact under lazy cancellation with daemons in
-// the mix, and Run still stops once only daemons remain.
+// Property: PendingWork stays exact under lazy cancellation with posted
+// daemon ticks in the mix, and Run still stops once only daemons remain.
 func TestPendingWorkWithDaemonsUnderLazyCancel(t *testing.T) {
 	for name, mk := range engines() {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			for trial := 0; trial < 100; trial++ {
 				e := mk()
-				type rec struct {
-					ev     *Event
-					daemon bool
-				}
-				var all []rec
+				// all holds each work event's handle and nil for each daemon
+				// tick, which has none and so is never cancelled.
+				var all []*Event
 				liveWork, live := 0, 0
 				for i := 0; i < 80; i++ {
 					at := Time(rng.Intn(50))
 					if rng.Intn(3) == 0 {
-						all = append(all, rec{e.ScheduleDaemon(at, func() {}), true})
+						e.PostAfterDaemon(at, func() {}) // the clock is at 0
+						all = append(all, nil)
 					} else {
-						all = append(all, rec{e.Schedule(at, func() {}), false})
+						all = append(all, e.schedule(at, func() {}))
 						liveWork++
 					}
 					live++
 					if rng.Intn(3) == 0 {
-						k := rng.Intn(len(all))
-						if !all[k].ev.Cancelled() {
-							if !all[k].daemon {
+						if ev := all[rng.Intn(len(all))]; ev != nil {
+							if !ev.Cancelled() {
 								liveWork--
+								live--
 							}
-							live--
+							e.Cancel(ev)
 						}
-						e.Cancel(all[k].ev)
 					}
 					if got := e.PendingWork(); got != liveWork {
 						t.Fatalf("trial %d: PendingWork = %d, want %d", trial, got, liveWork)
@@ -108,8 +106,8 @@ func TestPendingWorkWithDaemonsUnderLazyCancel(t *testing.T) {
 				// Every non-cancelled work event must have run; Run may leave
 				// daemons queued but executes no further work.
 				want := uint64(0)
-				for _, r := range all {
-					if !r.ev.Cancelled() && !r.daemon {
+				for _, ev := range all {
+					if ev != nil && !ev.Cancelled() {
 						want++
 					}
 				}
@@ -132,8 +130,8 @@ func TestProcessedEquivalenceAcrossFronts(t *testing.T) {
 		var evR, evF []*Event
 		for i, r := range raw {
 			at := Time(r) / 32.0
-			evR = append(evR, ref.Schedule(at, func() {}))
-			evF = append(evF, fast.Schedule(at, func() {}))
+			evR = append(evR, ref.schedule(at, func() {}))
+			evF = append(evF, fast.schedule(at, func() {}))
 			if i < len(cancelMask) && cancelMask[i] {
 				// Cancel a deterministic earlier event on both engines.
 				k := int(r) % len(evR)
@@ -161,7 +159,7 @@ func TestCompactionUnderCancelStorm(t *testing.T) {
 	var fired []int
 	for i := 0; i < n; i++ {
 		i := i
-		events = append(events, e.Schedule(Time(i%97)+Time(i)/1e6, func() { fired = append(fired, i) }))
+		events = append(events, e.schedule(Time(i%97)+Time(i)/1e6, func() { fired = append(fired, i) }))
 	}
 	for i, ev := range events {
 		if i%500 != 0 {
@@ -190,10 +188,10 @@ func TestCompactionUnderCancelStorm(t *testing.T) {
 // head on the fast engine.
 func TestRunUntilSkipsTombstoneHead(t *testing.T) {
 	e := NewEngine()
-	ev1 := e.Schedule(1, func() {})
+	ev1 := e.schedule(1, func() {})
 	ran := false
-	e.Schedule(2, func() { ran = true })
-	later := e.Schedule(10, func() {})
+	e.Post(2, func() { ran = true })
+	later := e.schedule(10, func() {})
 	e.Cancel(ev1)
 	e.RunUntil(5)
 	if !ran {

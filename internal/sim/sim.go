@@ -26,11 +26,12 @@
 // arms the timer once, under the last change's number, where the last of
 // the eager re-arms would have put it.
 //
-// Post and PostAfter queue a one-shot callback without returning a handle.
+// Post and PostAfter queue a one-shot callback without returning a handle,
+// and PostAfterDaemon a housekeeping tick that does not keep the run alive.
 // Since nobody can cancel or move such an event, the engine recycles it on a
 // free list once its callback has returned, so a steady stream of posted
-// events allocates nothing. Schedule and After remain for callers that need
-// the handle.
+// events allocates nothing. ScheduleSeq, with Cancel, is the one handle: the
+// event netsim's completion timer re-arms.
 //
 // PostEach posts one callback per element of an input stream (a trace's
 // arrivals, a fault schedule, a burst train) while keeping a single event
@@ -63,6 +64,7 @@ type Event struct {
 	fn     func()
 	index  int // >= 0 while queued (the reference heap's index), -1 otherwise
 	cancel bool
+	// daemon marks a posted housekeeping tick (see PostAfterDaemon).
 	daemon bool
 	// pooled marks a posted event: the engine recycles it after it runs.
 	pooled bool
@@ -73,10 +75,6 @@ func (e *Event) At() Time { return e.at }
 
 // Cancelled reports whether Cancel was called on the event.
 func (e *Event) Cancelled() bool { return e.cancel }
-
-// Daemon reports whether the event was scheduled as a daemon tick (see
-// ScheduleDaemon).
-func (e *Event) Daemon() bool { return e.daemon }
 
 // before reports whether e precedes o in the engine's total order.
 func (e *Event) before(o *Event) bool {
@@ -281,25 +279,6 @@ func (e *Engine) Pending() int { return e.live }
 // keep each other (and the whole simulation) alive forever.
 func (e *Engine) PendingWork() int { return e.work }
 
-// Schedule enqueues fn to run at absolute time at. Scheduling in the past,
-// or at NaN, panics: it always indicates a simulator bug, and silently
-// reordering time would corrupt every downstream measurement.
-func (e *Engine) Schedule(at Time, fn func()) *Event {
-	ev := &Event{}
-	e.enqueue(ev, at, fn)
-	return ev
-}
-
-// enqueue queues ev, fresh or recycled, to run fn at at under the next
-// sequence number.
-func (e *Engine) enqueue(ev *Event, at Time, fn func()) {
-	e.checkAt(at)
-	ev.fn = fn
-	e.arm(ev, at, e.ReserveSeq(1))
-	e.live++
-	e.work++
-}
-
 // checkAt panics unless at is at or after now. The negated comparison
 // rejects NaN too: a NaN time would run last on both fronts and leave the
 // clock at NaN, where no past-time check could ever fire again.
@@ -316,19 +295,21 @@ func (e *Engine) arm(ev *Event, at Time, seq uint64) {
 	e.front.push(ev)
 }
 
-// After enqueues fn to run delay seconds from now. Negative delays panic.
-func (e *Engine) After(delay Time, fn func()) *Event {
-	return e.Schedule(e.now+delay, fn)
-}
-
-// Post is Schedule without the handle: fn runs at absolute time at, with the
-// sequence number Schedule would have given it, so posting instead of
-// scheduling never changes the event order. Without a handle the event can
+// Post enqueues fn to run at absolute time at, under the next sequence
+// number, without returning a handle. Posting in the past, or at NaN,
+// panics: it always indicates a simulator bug, and silently reordering time
+// would corrupt every downstream measurement. Without a handle the event can
 // be neither cancelled nor rescheduled, which lets the engine put it on a
 // free list once fn (and the profiler's EndEvent) has returned: no queue
 // slot or heap index can still point at it, and the next Post overwrites its
 // key with a fresh sequence number.
-func (e *Engine) Post(at Time, fn func()) {
+func (e *Engine) Post(at Time, fn func()) { e.post(at, fn, false) }
+
+// post queues fn at at on a recycled or fresh pooled event, as a daemon tick
+// or as work. The daemon flag is set either way: a recycled event may have
+// been either.
+func (e *Engine) post(at Time, fn func(), daemon bool) {
+	e.checkAt(at)
 	var ev *Event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
@@ -337,7 +318,12 @@ func (e *Engine) Post(at Time, fn func()) {
 	} else {
 		ev = &Event{pooled: true}
 	}
-	e.enqueue(ev, at, fn)
+	ev.fn, ev.daemon = fn, daemon
+	e.arm(ev, at, e.ReserveSeq(1))
+	e.live++
+	if !daemon {
+		e.work++
+	}
 }
 
 // PostAfter posts fn to run delay seconds from now. Negative delays panic.
@@ -442,21 +428,12 @@ func (st *stream) step() {
 	fn(i)
 }
 
-// ScheduleDaemon enqueues a housekeeping callback — a periodic scheduler
-// refresh, an autoscaler control step — that must not keep the simulation
-// alive on its own: Run stops once only daemon events remain, discarding
-// them unrun.
-func (e *Engine) ScheduleDaemon(at Time, fn func()) *Event {
-	ev := e.Schedule(at, fn)
-	ev.daemon = true
-	e.work--
-	return ev
-}
-
-// AfterDaemon enqueues a daemon callback delay seconds from now.
-func (e *Engine) AfterDaemon(delay Time, fn func()) *Event {
-	return e.ScheduleDaemon(e.now+delay, fn)
-}
+// PostAfterDaemon posts a housekeeping callback — a periodic scheduler
+// refresh, an autoscaler control step — delay seconds from now. It must not
+// keep the simulation alive on its own: it counts in Pending but not in
+// PendingWork, and Run stops once only daemon events remain, discarding them
+// unrun. Like Post, it recycles the event. Negative delays panic.
+func (e *Engine) PostAfterDaemon(delay Time, fn func()) { e.post(e.now+delay, fn, true) }
 
 // Cancel marks ev so that it will not run. Cancelling an already-executed or
 // already-cancelled event is a no-op.
@@ -467,9 +444,7 @@ func (e *Engine) Cancel(ev *Event) {
 	ev.cancel = true
 	if ev.index >= 0 {
 		e.live--
-		if !ev.daemon {
-			e.work--
-		}
+		e.work--
 		e.front.remove(ev)
 	}
 }
@@ -489,38 +464,26 @@ func (e *Engine) ReserveSeq(n int) uint64 {
 
 // ScheduleSeq queues fn at absolute time at under seq, a number taken
 // earlier with ReserveSeq, re-arming ev, and returns ev. A nil ev is
-// allocated, as Schedule would. Re-arming ev — queued, cancelled or already
-// run — is observably identical to Cancel(ev) followed by queueing a fresh
-// event, ScheduleDaemon's for a daemon event, under seq: the
-// Pending/PendingWork counters move the same way. The difference is that
-// ev itself is reused, so re-arming allocates nothing. Like Schedule, it
-// panics on a time in the past or NaN, and it panics on a number not yet
-// reserved.
+// allocated. Re-arming ev — queued, cancelled or already run — is observably
+// identical to Cancel(ev) followed by queueing a fresh event under seq: the
+// Pending/PendingWork counters move the same way. The difference is that ev
+// itself is reused, so re-arming allocates nothing. It panics on a time in
+// the past or NaN, and on a number not yet reserved.
 func (e *Engine) ScheduleSeq(ev *Event, at Time, seq uint64, fn func()) *Event {
 	e.checkAt(at)
 	if seq >= e.nextSeq {
 		panic(fmt.Sprintf("sim: sequence number %d is not reserved", seq))
 	}
 	if ev == nil {
-		ev = &Event{fn: fn}
-		e.arm(ev, at, seq)
-		e.live++
-		e.work++
-		return ev
+		ev = &Event{index: -1}
 	}
 	queued := ev.index >= 0 && !ev.cancel
-	if queued {
-		e.live--
-		if !ev.daemon {
-			e.work--
-		}
+	if !queued {
+		e.live++
+		e.work++
 	}
 	ev.at, ev.seq, ev.cancel, ev.fn = at, seq, false, fn
 	e.front.reschedule(ev, queued)
-	e.live++
-	if !ev.daemon {
-		e.work++
-	}
 	return ev
 }
 

@@ -13,7 +13,7 @@ func TestScheduleAndRunInOrder(t *testing.T) {
 	var got []Time
 	for _, at := range []Time{3, 1, 2, 0.5} {
 		at := at
-		e.Schedule(at, func() { got = append(got, at) })
+		e.Post(at, func() { got = append(got, at) })
 	}
 	e.Run()
 	want := []Time{0.5, 1, 2, 3}
@@ -35,7 +35,7 @@ func TestFIFOTieBreak(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(1.0, func() { got = append(got, i) })
+		e.Post(1.0, func() { got = append(got, i) })
 	}
 	e.Run()
 	for i, v := range got {
@@ -48,19 +48,19 @@ func TestFIFOTieBreak(t *testing.T) {
 func TestAfterUsesCurrentTime(t *testing.T) {
 	e := NewEngine()
 	var secondAt Time
-	e.Schedule(5, func() {
-		e.After(2, func() { secondAt = e.Now() })
+	e.Post(5, func() {
+		e.PostAfter(2, func() { secondAt = e.Now() })
 	})
 	e.Run()
 	if secondAt != 7 {
-		t.Errorf("nested After fired at %g, want 7", secondAt)
+		t.Errorf("nested PostAfter fired at %g, want 7", secondAt)
 	}
 }
 
 func TestCancelPreventsExecution(t *testing.T) {
 	e := NewEngine()
 	ran := false
-	ev := e.Schedule(1, func() { ran = true })
+	ev := e.schedule(1, func() { ran = true })
 	e.Cancel(ev)
 	e.Run()
 	if ran {
@@ -80,7 +80,7 @@ func TestCancelOneOfMany(t *testing.T) {
 	var events []*Event
 	for i := 0; i < 5; i++ {
 		i := i
-		events = append(events, e.Schedule(Time(i), func() { got = append(got, i) }))
+		events = append(events, e.schedule(Time(i), func() { got = append(got, i) }))
 	}
 	e.Cancel(events[2])
 	e.Run()
@@ -97,14 +97,14 @@ func TestCancelOneOfMany(t *testing.T) {
 
 func TestSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {})
+	e.Post(10, func() {})
 	e.Run()
 	defer func() {
 		if recover() == nil {
 			t.Error("scheduling in the past did not panic")
 		}
 	}()
-	e.Schedule(5, func() {})
+	e.Post(5, func() {})
 }
 
 // TestBadTimesPanic feeds every way of queueing an event a time in the
@@ -119,13 +119,10 @@ func TestBadTimesPanic(t *testing.T) {
 		name string
 		call func(e *Engine, ev *Event)
 	}{
-		{"Schedule/past", func(e *Engine, _ *Event) { e.Schedule(5, nop) }},
-		{"Schedule/NaN", func(e *Engine, _ *Event) { e.Schedule(nan, nop) }},
-		{"After/NaN", func(e *Engine, _ *Event) { e.After(nan, nop) }},
-		{"ScheduleDaemon/NaN", func(e *Engine, _ *Event) { e.ScheduleDaemon(nan, nop) }},
 		{"Post/past", func(e *Engine, _ *Event) { e.Post(5, nop) }},
 		{"Post/NaN", func(e *Engine, _ *Event) { e.Post(nan, nop) }},
 		{"PostAfter/NaN", func(e *Engine, _ *Event) { e.PostAfter(nan, nop) }},
+		{"PostAfterDaemon/NaN", func(e *Engine, _ *Event) { e.PostAfterDaemon(nan, nop) }},
 		{"Reschedule/past", func(e *Engine, ev *Event) { e.Reschedule(ev, 5) }},
 		{"Reschedule/NaN", func(e *Engine, ev *Event) { e.Reschedule(ev, nan) }},
 		{"ScheduleSeq/past", func(e *Engine, ev *Event) { e.ScheduleSeq(ev, 5, 0, nop) }},
@@ -147,9 +144,9 @@ func TestBadTimesPanic(t *testing.T) {
 		for _, row := range rows {
 			t.Run(impl.name+"/"+row.name, func(t *testing.T) {
 				e := impl.mk()
-				ev := e.Schedule(10, nop)
+				ev := e.schedule(10, nop)
 				e.Run()
-				e.Schedule(20, nop)
+				e.Post(20, nop)
 				pending, work, seq, stats := e.Pending(), e.PendingWork(), e.nextSeq, e.QueueStats()
 				func() {
 					defer func() {
@@ -177,7 +174,7 @@ func TestRunUntil(t *testing.T) {
 	var got []Time
 	for _, at := range []Time{1, 2, 3, 4, 5} {
 		at := at
-		e.Schedule(at, func() { got = append(got, at) })
+		e.Post(at, func() { got = append(got, at) })
 	}
 	e.RunUntil(3)
 	if len(got) != 3 {
@@ -201,9 +198,9 @@ func TestRunUntil(t *testing.T) {
 
 func TestRunUntilSkipsCancelledHead(t *testing.T) {
 	e := NewEngine()
-	ev := e.Schedule(1, func() {})
+	ev := e.schedule(1, func() {})
 	ran := false
-	e.Schedule(2, func() { ran = true })
+	e.Post(2, func() { ran = true })
 	// Cancel after scheduling; cancellation removes from the heap, but this
 	// guards the lazy-discard path too.
 	e.Cancel(ev)
@@ -216,9 +213,9 @@ func TestRunUntilSkipsCancelledHead(t *testing.T) {
 func TestProcessedCount(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 7; i++ {
-		e.Schedule(Time(i), func() {})
+		e.Post(Time(i), func() {})
 	}
-	ev := e.Schedule(100, func() {})
+	ev := e.schedule(100, func() {})
 	e.Cancel(ev)
 	e.Run()
 	if e.Processed() != 7 {
@@ -237,7 +234,7 @@ func TestQuickEventOrdering(t *testing.T) {
 		var fired []Time
 		for _, r := range raw {
 			at := Time(r) / 16.0
-			e.Schedule(at, func() { fired = append(fired, at) })
+			e.Post(at, func() { fired = append(fired, at) })
 		}
 		e.Run()
 		if len(fired) != len(raw) {
@@ -253,7 +250,7 @@ func TestQuickEventOrdering(t *testing.T) {
 	}
 }
 
-// Property: interleaving Schedule and Step never violates time ordering, even
+// Property: interleaving Post and Step never violates time ordering, even
 // when new events are scheduled from inside callbacks.
 func TestQuickNestedScheduling(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
@@ -262,7 +259,7 @@ func TestQuickNestedScheduling(t *testing.T) {
 		var fired []Time
 		var schedule func(depth int, at Time)
 		schedule = func(depth int, at Time) {
-			e.Schedule(at, func() {
+			e.Post(at, func() {
 				fired = append(fired, e.Now())
 				if depth > 0 {
 					schedule(depth-1, e.Now()+Time(rng.Intn(10)))
@@ -290,7 +287,7 @@ func BenchmarkEngineScheduleRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := NewEngine()
 		for _, at := range times {
-			e.Schedule(at, func() {})
+			e.Post(at, func() {})
 		}
 		e.Run()
 	}
@@ -306,19 +303,19 @@ func TestDaemonEventsDoNotKeepEngineAlive(t *testing.T) {
 	loopA = func() {
 		ticks++
 		if e.PendingWork() > 0 {
-			e.AfterDaemon(0.5, loopA)
+			e.PostAfterDaemon(0.5, loopA)
 		}
 	}
 	loopB = func() {
 		ticks++
 		if e.PendingWork() > 0 {
-			e.AfterDaemon(0.5, loopB)
+			e.PostAfterDaemon(0.5, loopB)
 		}
 	}
-	e.AfterDaemon(0.5, loopA)
-	e.AfterDaemon(0.5, loopB)
+	e.PostAfterDaemon(0.5, loopA)
+	e.PostAfterDaemon(0.5, loopB)
 	worked := false
-	e.Schedule(1, func() { worked = true })
+	e.Post(1, func() { worked = true })
 	e.Run()
 	if !worked {
 		t.Error("the real event never ran")
@@ -334,23 +331,62 @@ func TestDaemonEventsDoNotKeepEngineAlive(t *testing.T) {
 	}
 }
 
+// TestCancelDaemonAccounting: cancelling the one work event leaves a posted
+// daemon tick pending but no work, and Run then returns without running it.
 func TestCancelDaemonAccounting(t *testing.T) {
-	e := NewEngine()
-	w := e.Schedule(1, func() {})
-	d := e.ScheduleDaemon(2, func() {})
-	if e.PendingWork() != 1 || e.Pending() != 2 {
-		t.Fatalf("PendingWork=%d Pending=%d, want 1, 2", e.PendingWork(), e.Pending())
+	for _, impl := range benchEngines {
+		e := impl.mk()
+		w := e.schedule(1, func() {})
+		ticked := false
+		e.PostAfterDaemon(2, func() { ticked = true })
+		if e.PendingWork() != 1 || e.Pending() != 2 {
+			t.Fatalf("%s: PendingWork=%d Pending=%d, want 1, 2", impl.name, e.PendingWork(), e.Pending())
+		}
+		e.Cancel(w)
+		if e.PendingWork() != 0 || e.Pending() != 1 {
+			t.Errorf("%s: PendingWork=%d Pending=%d after cancelling the work event, want 0, 1",
+				impl.name, e.PendingWork(), e.Pending())
+		}
+		e.Run() // must return immediately
+		if ticked || e.Now() != 0 {
+			t.Errorf("%s: Run ran the daemon tick (ticked=%v, clock at %g)", impl.name, ticked, e.Now())
+		}
 	}
-	if !d.Daemon() || w.Daemon() {
-		t.Error("daemon flags wrong")
+}
+
+// TestPostRecyclesDaemonEvents recycles one pooled event from a daemon tick
+// into a work event and back, on both fronts: Pending and PendingWork stay
+// exact across each reuse, so a recycled tick neither keeps nor loses its
+// daemon flag.
+func TestPostRecyclesDaemonEvents(t *testing.T) {
+	for _, impl := range benchEngines {
+		e := impl.mk()
+		check := func(when string, pending, work int) {
+			t.Helper()
+			if e.Pending() != pending || e.PendingWork() != work {
+				t.Errorf("%s: %s: Pending=%d PendingWork=%d, want %d, %d",
+					impl.name, when, e.Pending(), e.PendingWork(), pending, work)
+			}
+		}
+		e.PostAfterDaemon(1, func() {})
+		check("daemon tick posted", 1, 0)
+		e.Step()
+		check("daemon tick ran", 0, 0)
+		if len(e.free) != 1 {
+			t.Fatalf("%s: %d events on the free list, want the tick", impl.name, len(e.free))
+		}
+		e.Post(2, func() {})
+		check("work posted on the recycled tick", 1, 1)
+		e.Step()
+		check("work ran", 0, 0)
+		e.PostAfterDaemon(1, func() {})
+		check("daemon tick posted on the recycled work event", 1, 0)
+		e.Post(4, func() {})
+		check("work posted next to the tick", 2, 1)
+		e.Run()
+		if e.Now() != 4 || e.Processed() != 4 {
+			t.Errorf("%s: run ended at %g after %d events, want 4 and 4", impl.name, e.Now(), e.Processed())
+		}
+		check("drained", 0, 0)
 	}
-	e.Cancel(w)
-	if e.PendingWork() != 0 {
-		t.Errorf("PendingWork = %d after cancelling the work event", e.PendingWork())
-	}
-	e.Cancel(d)
-	if e.Pending() != 0 {
-		t.Errorf("Pending = %d after cancelling everything", e.Pending())
-	}
-	e.Run() // must return immediately
 }

@@ -48,7 +48,7 @@ func TestSamplerReport(t *testing.T) {
 	eng := sim.NewEngine()
 	s.BindEngine(eng)
 	for i := 0; i < 5; i++ {
-		eng.Schedule(float64(i+100), func() {})
+		eng.Post(float64(i+100), func() {})
 	}
 	s.Start(0)
 	for i := 0; i < 10; i++ {

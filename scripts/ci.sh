@@ -30,7 +30,7 @@ go build ./...
 echo "== go test -race"
 go test -race -timeout 45m ./... "$@"
 
-# The event engine (schedule, step, cancel, reschedule), netsim
+# The event engine (post and step, cancel and replace, re-arm), netsim
 # (reallocation by flow and path count, flow churn, chat-kv-backlog-shaped
 # churn of distinct-size flows piled onto four paths (BenchmarkFlowChurn/kv),
 # pod-scale charge, many concurrent flows), planner (Alg. 1 on 24-, 96- and 192-server pods, the
@@ -238,7 +238,7 @@ go test -count=1 -run '^TestGoldens$' .
 # implementation. The experiment sweeps stay out: under the tag they take
 # minutes.
 echo "== go test -tags refpaths"
-go vet -tags refpaths ./internal/serving
+go vet -tags refpaths ./...
 go test -tags refpaths ./internal/core ./internal/serving ./internal/baselines
 go test -count=1 -tags refpaths -run '^TestGoldens$' .
 
