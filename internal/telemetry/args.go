@@ -199,7 +199,7 @@ func appendArgs(b []byte, a Args) (_ []byte, ok bool) {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = AppendJSONString(b, a[i].Key)
+		b = appendJSONString(b, a[i].Key)
 		b = append(b, ':')
 		if b, ok = a[i].appendValue(b); !ok {
 			return b, false
@@ -213,13 +213,13 @@ func appendArgs(b []byte, a Args) (_ []byte, ok bool) {
 func (x *Arg) appendValue(b []byte) (_ []byte, ok bool) {
 	switch x.kind {
 	case kindString:
-		return AppendJSONString(b, x.s), true
+		return appendJSONString(b, x.s), true
 	case kindInt:
 		return strconv.AppendInt(b, x.i, 10), true
 	case kindNum:
-		return AppendJSONFloat(b, x.f)
+		return appendJSONFloat(b, x.f)
 	case kindFloat:
-		return JSONFloat(x.f).AppendJSON(b), true
+		return JSONFloat(x.f).appendJSON(b), true
 	case kindBool:
 		return strconv.AppendBool(b, x.i != 0), true
 	case kindInts:
@@ -241,9 +241,9 @@ func (x *Arg) appendValue(b []byte) (_ []byte, ok bool) {
 			if i > 0 {
 				b = append(b, ',')
 			}
-			b = AppendJSONString(b, c.labels[j])
+			b = appendJSONString(b, c.labels[j])
 			b = append(b, ':')
-			b = JSONFloat(c.Values[j]).AppendJSON(b)
+			b = JSONFloat(c.Values[j]).appendJSON(b)
 		}
 		return append(b, '}'), true
 	case kindDecoded:

@@ -1,6 +1,8 @@
 package telemetry
 
 import (
+	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -49,7 +51,9 @@ func (a *Artifacts) Start() error {
 }
 
 // Export renders one document of the run, once, streaming it into the
-// bundle's Dir/file, and reports the file on Status.
+// bundle's Dir/file, and reports the file on Status. A failed render or
+// close removes the file, so the bundle holds no empty or truncated
+// document.
 func (a *Artifacts) Export(file string, write func(io.Writer) error) error {
 	f, err := os.Create(filepath.Join(a.Dir, file))
 	if err != nil {
@@ -57,9 +61,11 @@ func (a *Artifacts) Export(file string, write func(io.Writer) error) error {
 	}
 	if err := write(f); err != nil {
 		f.Close()
+		os.Remove(f.Name())
 		return fmt.Errorf("%s: %w", file, err)
 	}
 	if err := f.Close(); err != nil {
+		os.Remove(f.Name())
 		return err
 	}
 	fmt.Fprintf(a.Status, "wrote %s\n", f.Name())
@@ -80,6 +86,20 @@ func (a *Artifacts) Finish() error {
 	fmt.Fprintf(a.Status, "streamed %d trace events to %s\n", a.Hub.Trace.Len(), a.traceFile.Name())
 	if err := a.Export(PromFile, a.Hub.Metrics.WriteProm); err != nil {
 		return fmt.Errorf("metrics export: %w", err)
+	}
+	return nil
+}
+
+// DecodeJSON decodes the one JSON document r holds into v. Anything after
+// the document but whitespace is an error: every writer of a bundle file
+// or a trace ends its document with a newline, and nothing else.
+func DecodeJSON(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON document")
 	}
 	return nil
 }

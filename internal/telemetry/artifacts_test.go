@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -33,5 +34,33 @@ func TestArtifactsCloseTheSpanFileOnStreamErrors(t *testing.T) {
 	}
 	if err := b.traceFile.Close(); !errors.Is(err, os.ErrClosed) {
 		t.Errorf("span file after a failed Start: Close = %v, want os.ErrClosed", err)
+	}
+}
+
+// TestExportRemovesTheFileOnFailure: a render that fails, here after writing
+// part of its document, leaves no file in the bundle; a later render that
+// succeeds writes it.
+func TestExportRemovesTheFileOnFailure(t *testing.T) {
+	a := &Artifacts{Hub: New(), Dir: t.TempDir(), Status: io.Discard}
+	errRender := errors.New("render failed")
+	err := a.Export("doc.json", func(w io.Writer) error {
+		io.WriteString(w, `{"partial":`)
+		return errRender
+	})
+	if !errors.Is(err, errRender) {
+		t.Errorf("Export = %v, want the render's error", err)
+	}
+	path := filepath.Join(a.Dir, "doc.json")
+	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("after a failed render, Stat = %v, want the file gone", err)
+	}
+	if err := a.Export("doc.json", func(w io.Writer) error {
+		_, err := io.WriteString(w, "{}\n")
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := os.ReadFile(path); err != nil || string(b) != "{}\n" {
+		t.Errorf("after a good render, the file holds %q (%v)", b, err)
 	}
 }

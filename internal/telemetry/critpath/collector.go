@@ -1,7 +1,6 @@
 package critpath
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -83,11 +82,11 @@ type traceDoc struct {
 	TraceEvents []telemetry.Event `json:"traceEvents"`
 }
 
-// decodeTrace parses a Chrome trace-event JSON document into its events.
+// decodeTrace parses a Chrome trace-event JSON document, with nothing but
+// whitespace after it, into its events.
 func decodeTrace(r io.Reader) ([]telemetry.Event, error) {
 	var doc traceDoc
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
+	if err := telemetry.DecodeJSON(r, &doc); err != nil {
 		return nil, fmt.Errorf("critpath: parse trace: %w", err)
 	}
 	if len(doc.TraceEvents) == 0 {

@@ -282,6 +282,22 @@ func TestFromTraceErrors(t *testing.T) {
 	if _, err := FromTrace(strings.NewReader(`{"traceEvents":[]}`)); err != ErrNoEvents {
 		t.Errorf("empty trace error = %v, want ErrNoEvents", err)
 	}
+	// A span file followed by anything but whitespace is an error, in both
+	// views; the newline the stream ends with, and more, is not.
+	doc, err := os.ReadFile("testdata/spans.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tail string
+		ok   bool
+	}{{"", true}, {" \t\r\n", true}, {"garbage", false}, {"{}", false}, {"]", false}} {
+		_, err := FromTrace(strings.NewReader(string(doc) + c.tail))
+		_, terr := TablesFromTrace(strings.NewReader(string(doc) + c.tail))
+		if (err == nil) != c.ok || (terr == nil) != c.ok {
+			t.Errorf("span file + %q: FromTrace err %v, TablesFromTrace err %v, want ok=%v", c.tail, err, terr, c.ok)
+		}
+	}
 }
 
 // FuzzFromTrace: FromTrace never panics, a trace it accepts finalizes bit

@@ -27,7 +27,6 @@
 package decisions
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -191,16 +190,12 @@ func (l *Ledger) SetEnd(t float64) {
 	l.Meta.End = t
 }
 
-// ReadJSON parses a ledger written by WriteJSON. It rejects a collective
-// record whose chosen, best or executed index lies outside its candidates.
+// ReadJSON parses a ledger written by WriteJSON, with nothing but
+// whitespace after it. It rejects a collective record whose chosen, best or
+// executed index lies outside its candidates.
 func ReadJSON(r io.Reader) (*Ledger, error) {
-	var doc struct {
-		Meta       ScaleMeta          `json:"meta"`
-		Collective []CollectiveRecord `json:"collective"`
-		Scale      []ScaleRecord      `json:"scale"`
-	}
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&doc); err != nil {
+	var doc document
+	if err := telemetry.DecodeJSON(r, &doc); err != nil {
 		return nil, fmt.Errorf("decisions: %w", err)
 	}
 	l := NewLedger()

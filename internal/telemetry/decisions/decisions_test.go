@@ -131,6 +131,24 @@ func TestLedgerJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReadJSONRejectsTrailingData: a ledger followed by anything but
+// whitespace is an error; the newline WriteJSON ends with, and more, is not.
+func TestReadJSONRejectsTrailingData(t *testing.T) {
+	var doc bytes.Buffer
+	if err := sampleLedger().WriteJSON(&doc); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tail string
+		ok   bool
+	}{{"", true}, {" \t\r\n", true}, {"garbage", false}, {"{}", false}, {"]", false}} {
+		_, err := ReadJSON(strings.NewReader(doc.String() + c.tail))
+		if (err == nil) != c.ok || err != nil && strings.Contains(err.Error(), "\n") {
+			t.Errorf("ledger + %q: err %v, want ok=%v and a one-line error", c.tail, err, c.ok)
+		}
+	}
+}
+
 func TestSummarize(t *testing.T) {
 	s := sampleLedger().Summarize()
 	if s.Collective != 3 || s.Scale != 2 {

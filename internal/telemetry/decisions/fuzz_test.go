@@ -12,9 +12,9 @@ import (
 
 // FuzzReadJSON: ReadJSON never panics; every reader hstat runs over a ledger
 // it accepts renders without panicking; its self-diff changes nothing; an
-// accepted ledger's WriteJSON bytes equal encoding/json's rendering of the
-// same document in its struct form (refLedger), its summary equals the
-// per-record reference's (refSummarize), and its bytes survive
+// accepted ledger's WriteJSON bytes equal one encoding/json Encode of its
+// whole document (encodeWhole), its summary equals the per-record
+// reference's (refSummarize), and its bytes survive
 // WriteJSON→ReadJSON→WriteJSON byte for byte; and one more pick at a NaN
 // time fails WriteJSON with encoding/json's error. The seed ledger is a small
 // serve -autoscale -scale-policy adaptive export: the newest two records of
@@ -58,18 +58,18 @@ func FuzzReadJSON(f *testing.F) {
 		if err := l.WriteJSON(&first); err != nil {
 			t.Fatalf("write accepted ledger: %v", err)
 		}
-		ref, err := readRef(data)
+		doc, err := readDoc(data)
 		if err != nil {
 			t.Fatalf("ReadJSON accepted what encoding/json rejects: %v", err)
 		}
-		want, err := ref.encode()
+		want, err := encodeWhole(doc)
 		if err != nil {
 			t.Fatalf("reference encode: %v", err)
 		}
 		if !bytes.Equal(first.Bytes(), want) {
 			t.Fatalf("WriteJSON differs from encoding/json:\ngot  %s\nwant %s", first.Bytes(), want)
 		}
-		checkSummary(t, l, ref.Collective)
+		checkSummary(t, l, doc.Collective)
 		again, err := ReadJSON(bytes.NewReader(first.Bytes()))
 		if err != nil {
 			t.Fatalf("re-read: %v\n%s", err, first.Bytes())
@@ -81,7 +81,7 @@ func FuzzReadJSON(f *testing.F) {
 			t.Fatalf("round trip changed the encoding:\n%s\n%s", first.Bytes(), second.Bytes())
 		}
 		l.AddCollective(CollectiveRecord{T: math.NaN()})
-		_, wantErr := refOf(l).encode()
+		_, wantErr := encodeWhole(docOf(l))
 		if err := l.WriteJSON(io.Discard); err == nil || wantErr == nil || err.Error() != wantErr.Error() {
 			t.Fatalf("NaN time: WriteJSON error %v, encoding/json %v", err, wantErr)
 		}

@@ -15,37 +15,29 @@ import (
 	"heroserve/internal/telemetry"
 )
 
-// refLedger is the ledger document in the struct form encoding/json renders:
-// the reference WriteJSON's hand renderer matches byte for byte.
-type refLedger struct {
-	Meta       ScaleMeta          `json:"meta"`
-	Collective []CollectiveRecord `json:"collective"`
-	Scale      []ScaleRecord      `json:"scale"`
+// readDoc decodes a ledger document whole, with encoding/json.
+func readDoc(data []byte) (*document, error) {
+	var doc document
+	err := json.NewDecoder(bytes.NewReader(data)).Decode(&doc)
+	return &doc, err
 }
 
-// readRef decodes a ledger document into its struct form.
-func readRef(data []byte) (*refLedger, error) {
-	var ref refLedger
-	err := json.NewDecoder(bytes.NewReader(data)).Decode(&ref)
-	return &ref, err
-}
-
-// refOf reads l back through its accessors into the struct form.
-func refOf(l *Ledger) *refLedger {
-	ref := &refLedger{Meta: l.Meta}
+// docOf reads l back through its accessors into its document.
+func docOf(l *Ledger) *document {
+	doc := &document{Meta: l.Meta}
 	for i := 0; i < l.NumCollective(); i++ {
-		ref.Collective = append(ref.Collective, l.Collective(i))
+		doc.Collective = append(doc.Collective, l.Collective(i))
 	}
 	for i := 0; i < l.NumScale(); i++ {
-		ref.Scale = append(ref.Scale, *l.Scale(i))
+		doc.Scale = append(doc.Scale, *l.Scale(i))
 	}
-	return ref
+	return doc
 }
 
-// encode renders the struct form with encoding/json, empty record lists as
-// [], not null.
-func (r *refLedger) encode() ([]byte, error) {
-	doc := *r
+// encodeWhole renders d with one encoding/json Encode, empty record lists
+// as [], not null: the reference WriteJSON's per-record framing matches.
+func encodeWhole(d *document) ([]byte, error) {
+	doc := *d
 	if doc.Collective == nil {
 		doc.Collective = []CollectiveRecord{}
 	}
@@ -57,15 +49,15 @@ func (r *refLedger) encode() ([]byte, error) {
 	return b.Bytes(), err
 }
 
-// checkRender asserts that l's WriteJSON bytes equal encoding/json's
-// rendering of l read back through its accessors.
+// checkRender asserts that l's WriteJSON bytes equal a whole-document
+// encoding/json rendering of l read back through its accessors.
 func checkRender(t *testing.T, l *Ledger) []byte {
 	t.Helper()
 	var got bytes.Buffer
 	if err := l.WriteJSON(&got); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
 	}
-	want, err := refOf(l).encode()
+	want, err := encodeWhole(docOf(l))
 	if err != nil {
 		t.Fatalf("reference encode: %v", err)
 	}
@@ -110,8 +102,8 @@ func escapingLedger() *Ledger {
 	return l
 }
 
-// TestWriteJSONMatchesEncodingJSON pins the hand renderer to encoding/json
-// on hand-built ledgers, a serve export, a ledger spanning several chunks of
+// TestWriteJSONMatchesEncodingJSON pins the per-record render to a
+// whole-document encoding/json render on hand-built ledgers, a serve export, a ledger spanning several chunks of
 // each kind and an empty one.
 func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
 	checkRender(t, sampleLedger())
@@ -139,7 +131,7 @@ func TestWriteJSONMatchesEncodingJSON(t *testing.T) {
 	if err := (*Ledger)(nil).WriteJSON(&nilDoc); err != nil {
 		t.Fatal(err)
 	}
-	if want, _ := (&refLedger{}).encode(); !bytes.Equal(nilDoc.Bytes(), want) {
+	if want, _ := encodeWhole(&document{}); !bytes.Equal(nilDoc.Bytes(), want) {
 		t.Errorf("nil ledger renders %s, want %s", nilDoc.Bytes(), want)
 	}
 }
@@ -166,7 +158,7 @@ func TestWriteJSONRejectsNonFinite(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			l := sampleLedger()
 			c.mut(l)
-			_, want := refOf(l).encode()
+			_, want := encodeWhole(docOf(l))
 			if want == nil {
 				t.Fatal("encoding/json accepted the ledger")
 			}
@@ -179,14 +171,33 @@ func TestWriteJSONRejectsNonFinite(t *testing.T) {
 	}
 }
 
-// TestWriteJSONAllocs: a render's allocations do not grow with the ledger.
-func TestWriteJSONAllocs(t *testing.T) {
-	small, large := benchLedger(collectiveChunk, 8), benchLedger(16*collectiveChunk, 128)
-	a := testing.AllocsPerRun(5, func() { small.WriteJSON(io.Discard) })
-	b := testing.AllocsPerRun(5, func() { large.WriteJSON(io.Discard) })
-	if b > a {
-		t.Errorf("WriteJSON allocates %v times for %d records, %v for %d", b, large.Len(), a, small.Len())
+// TestWriteJSONStreams: a render hands its writer the document in several
+// writes, none larger than bufSize, so the render does not hold the
+// document, however large the ledger.
+func TestWriteJSONStreams(t *testing.T) {
+	l := benchLedger(16*collectiveChunk, 128)
+	var w sizeWriter
+	if err := l.WriteJSON(&w); err != nil {
+		t.Fatal(err)
 	}
+	if len(w.sizes) < 2 || slices.Max(w.sizes) > bufSize {
+		t.Errorf("WriteJSON wrote %d bytes in writes of %v, want several of at most %d", w.total, w.sizes, bufSize)
+	}
+	if want, _ := encodeWhole(docOf(l)); w.total != len(want) {
+		t.Errorf("WriteJSON wrote %d bytes, the document is %d", w.total, len(want))
+	}
+}
+
+// sizeWriter records the size of each write it is handed.
+type sizeWriter struct {
+	sizes []int
+	total int
+}
+
+func (w *sizeWriter) Write(p []byte) (int, error) {
+	w.sizes = append(w.sizes, len(p))
+	w.total += len(p)
+	return len(p), nil
 }
 
 // benchLedger builds a ledger of picks with three candidates each over eight
@@ -361,6 +372,6 @@ func TestSummarizeMatchesReference(t *testing.T) {
 		doubled.AddCollective(doubled.Collective(i))
 	}
 	for _, l := range []*Ledger{sampleLedger(), escapingLedger(), doubled, chunked, NewLedger()} {
-		checkSummary(t, l, refOf(l).Collective)
+		checkSummary(t, l, docOf(l).Collective)
 	}
 }

@@ -15,11 +15,11 @@ type JSONFloat float64
 
 // MarshalJSON encodes ±Inf/NaN as strings.
 func (f JSONFloat) MarshalJSON() ([]byte, error) {
-	return f.AppendJSON(nil), nil
+	return f.appendJSON(nil), nil
 }
 
-// AppendJSON appends MarshalJSON's encoding of f to b.
-func (f JSONFloat) AppendJSON(b []byte) []byte {
+// appendJSON appends MarshalJSON's encoding of f to b.
+func (f JSONFloat) appendJSON(b []byte) []byte {
 	v := float64(f)
 	switch {
 	case math.IsInf(v, 1):
@@ -29,7 +29,7 @@ func (f JSONFloat) AppendJSON(b []byte) []byte {
 	case math.IsNaN(v):
 		return append(b, `"NaN"`...)
 	}
-	b, _ = AppendJSONFloat(b, v)
+	b, _ = appendJSONFloat(b, v)
 	return b
 }
 

@@ -88,11 +88,11 @@ func (l *Log) WriteJSON(w io.Writer) error {
 	return bw.Flush()
 }
 
-// ReadLog parses a document written by WriteJSON.
+// ReadLog parses a document written by WriteJSON, with nothing but
+// whitespace after it.
 func ReadLog(r io.Reader) (*Log, error) {
 	var l Log
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&l); err != nil {
+	if err := telemetry.DecodeJSON(r, &l); err != nil {
 		return nil, fmt.Errorf("slo: parse alert log: %w", err)
 	}
 	return &l, nil

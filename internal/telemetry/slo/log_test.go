@@ -251,6 +251,24 @@ func TestSummarySeriesDiff(t *testing.T) {
 	}
 }
 
+// TestReadLogRejectsTrailingData: an alert log followed by anything but
+// whitespace is an error; the newline the writer ends with, and more, is not.
+func TestReadLogRejectsTrailingData(t *testing.T) {
+	doc, err := os.ReadFile("testdata/alerts.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tail string
+		ok   bool
+	}{{"", true}, {" \t\r\n", true}, {"garbage", false}, {"{}", false}, {"]", false}} {
+		_, err := ReadLog(strings.NewReader(string(doc) + c.tail))
+		if (err == nil) != c.ok || err != nil && strings.Contains(err.Error(), "\n") {
+			t.Errorf("alert log + %q: err %v, want ok=%v and a one-line error", c.tail, err, c.ok)
+		}
+	}
+}
+
 // FuzzReadLog: ReadLog never panics; a log it accepts summarizes, filters
 // and renders without panicking, diffs against itself with no change, and
 // survives WriteJSON→ReadLog→WriteJSON byte for byte. The seed log is a serve -out alerts.json.

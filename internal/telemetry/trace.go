@@ -211,18 +211,18 @@ func appendEvent(buf []byte, ev Event) ([]byte, error) {
 	start := len(buf)
 	ok := true
 	b := append(buf, `{"name":`...)
-	b = AppendJSONString(b, ev.Name)
+	b = appendJSONString(b, ev.Name)
 	if ev.Cat != "" {
 		b = append(b, `,"cat":`...)
-		b = AppendJSONString(b, ev.Cat)
+		b = appendJSONString(b, ev.Cat)
 	}
 	b = append(b, `,"ph":`...)
-	b = AppendJSONString(b, ev.Ph)
+	b = appendJSONString(b, ev.Ph)
 	b = append(b, `,"ts":`...)
-	b, ok = AppendJSONFloat(b, ev.Ts)
+	b, ok = appendJSONFloat(b, ev.Ts)
 	if ev.Dur != nil && ok {
 		b = append(b, `,"dur":`...)
-		b, ok = AppendJSONFloat(b, *ev.Dur)
+		b, ok = appendJSONFloat(b, *ev.Dur)
 	}
 	b = append(b, `,"pid":`...)
 	b = strconv.AppendInt(b, int64(ev.Pid), 10)
@@ -230,11 +230,11 @@ func appendEvent(buf []byte, ev Event) ([]byte, error) {
 	b = strconv.AppendInt(b, int64(ev.Tid), 10)
 	if ev.ID != "" {
 		b = append(b, `,"id":`...)
-		b = AppendJSONString(b, ev.ID)
+		b = appendJSONString(b, ev.ID)
 	}
 	if ev.Scope != "" {
 		b = append(b, `,"s":`...)
-		b = AppendJSONString(b, ev.Scope)
+		b = appendJSONString(b, ev.Scope)
 	}
 	if len(ev.Args) > 0 && ok {
 		b = append(b, `,"args":`...)
@@ -247,12 +247,11 @@ func appendEvent(buf []byte, ev Event) ([]byte, error) {
 	return append(b, '}'), nil
 }
 
-// AppendJSONString appends s as a JSON string, byte for byte what
+// appendJSONString appends s as a JSON string, byte for byte what
 // encoding/json writes. Printable ASCII other than the characters
 // encoding/json escapes (quote, backslash, and the HTML-sensitive <, > and
-// &) is copied as is; any other string is left to encoding/json. The span
-// encoder and the decision ledger's renderer share it.
-func AppendJSONString(b []byte, s string) []byte {
+// &) is copied as is; any other string is left to encoding/json.
+func appendJSONString(b []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
 			enc, _ := json.Marshal(s)
@@ -264,11 +263,11 @@ func AppendJSONString(b []byte, s string) []byte {
 	return append(b, '"')
 }
 
-// AppendJSONFloat formats f like encoding/json: the shortest representation
+// appendJSONFloat formats f like encoding/json: the shortest representation
 // that round-trips, in 'e' notation below 1e-6 and from 1e21 up (with a
 // one-digit negative exponent unpadded), else 'f'. ok is false for NaN and
 // the infinities, which JSON cannot represent.
-func AppendJSONFloat(b []byte, f float64) (_ []byte, ok bool) {
+func appendJSONFloat(b []byte, f float64) (_ []byte, ok bool) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return b, false
 	}

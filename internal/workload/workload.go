@@ -17,6 +17,7 @@ import (
 	"math/rand"
 
 	"heroserve/internal/queueing"
+	"heroserve/internal/telemetry"
 )
 
 // Request is one inference request.
@@ -153,13 +154,13 @@ func (t *Trace) Encode(w io.Writer) error {
 	return enc.Encode(t)
 }
 
-// Decode reads a JSON trace and checks that the simulator can replay it:
-// arrivals finite, non-negative and in order, and every request with a
-// positive input and output length. The error names the first bad record
-// by index and ID.
+// Decode reads a JSON trace, with nothing but whitespace after it, and
+// checks that the simulator can replay it: arrivals finite, non-negative
+// and in order, and every request with a positive input and output length.
+// The error names the first bad record by index and ID.
 func Decode(r io.Reader) (*Trace, error) {
 	var t Trace
-	if err := json.NewDecoder(r).Decode(&t); err != nil {
+	if err := telemetry.DecodeJSON(r, &t); err != nil {
 		return nil, fmt.Errorf("workload: decode trace: %w", err)
 	}
 	if err := t.validate(); err != nil {

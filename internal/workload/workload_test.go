@@ -158,6 +158,24 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsTrailingData: a trace followed by anything but
+// whitespace is an error; the newline Encode ends with, and more, is not.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	var buf bytes.Buffer
+	if err := NewGenerator(Chatbot, 1).Generate(3, 1).Encode(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		tail string
+		ok   bool
+	}{{"", true}, {" \t\r\n", true}, {"garbage", false}, {"{}", false}, {"]", false}} {
+		_, err := Decode(strings.NewReader(buf.String() + c.tail))
+		if (err == nil) != c.ok || err != nil && strings.Contains(err.Error(), "\n") {
+			t.Errorf("trace + %q: err %v, want ok=%v and a one-line error", c.tail, err, c.ok)
+		}
+	}
+}
+
 // TestDecodeRejectsUnreplayableRecords: every record the simulator could not
 // replay is an error naming the record by index and ID.
 func TestDecodeRejectsUnreplayableRecords(t *testing.T) {

@@ -54,7 +54,8 @@ go test -run '^$' -bench . -benchtime 1x ./internal/sim ./internal/netsim ./inte
 # synchronous encoding, byte for byte and error for error. The trace parser, the SLO
 # rules parser and the decision-ledger, perf report and alert log readers
 # must never panic; the readers must round-trip every input they accept, and
-# the ledger's hand renderer must write what encoding/json writes.
+# the ledger's per-record render must write what one encoding/json encode of
+# the whole document writes.
 # The span-file reader (FromTrace) is a differential against the reference
 # analyzer: every input it accepts must finalize bit for bit what the
 # reference finalizes, and neither it nor its report may panic. Its

@@ -211,6 +211,20 @@ func TestCommandsRejectBadInput(t *testing.T) {
 	alertsLog := filepath.Join("internal", "telemetry", "slo", "testdata", "alerts.json")
 	ledger := filepath.Join("internal", "telemetry", "decisions", "testdata", "ledger.json")
 	spans := filepath.Join("internal", "telemetry", "critpath", "testdata", "spans.json")
+	// Each document with trailing data: every reader must refuse it.
+	trailing := func(src string) string {
+		data, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, "trailing-"+filepath.Base(src))
+		if err := os.WriteFile(path, append(data, "garbage"...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	trailingAlerts, trailingLedger := trailing(alertsLog), trailing(ledger)
+	trailingSpans, trailingTrace := trailing(spans), trailing(trace)
 	for _, c := range []struct {
 		bin  string
 		args []string
@@ -233,6 +247,10 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"hstat", []string{"decisions", truncated}},
 		{"hstat", []string{"decisions", badPick}},
 		{"hstat", []string{"perf", truncated}},
+		{"hstat", []string{"alerts", trailingAlerts}},
+		{"hstat", []string{"decisions", trailingLedger}},
+		{"hstat", []string{"trace", trailingSpans}},
+		{"hstat", []string{"trace", "-tsv", trailingSpans}},
 		{"hstat", []string{"alerts", "-diff", "-rule", "nosuch", alertsLog, alertsLog}},
 		{"hstat", []string{"alerts", "-state", "firing", "-diff", alertsLog, alertsLog}},
 		{"hstat", []string{"alerts", "-state", "bogus", alertsLog}},
@@ -255,6 +273,7 @@ func TestCommandsRejectBadInput(t *testing.T) {
 		{"serve", []string{"-trace", trace, "-system", "heroserve,bogus", "-daemon"}},
 		{"serve", []string{"-trace", missing}},
 		{"serve", []string{"-trace", truncated}},
+		{"serve", []string{"-trace", trailingTrace}},
 		{"serve", []string{"-trace", negArrival}},
 		{"serve", []string{"-trace", unsorted}},
 		{"serve", []string{"-trace", negInput}},
